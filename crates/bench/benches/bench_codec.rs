@@ -1,7 +1,7 @@
 //! E18 — binary wire codec: encode/decode throughput of the two codecs on
 //! representative protocol messages, plus the whole-run wire ledger.
 //!
-//! The ledger (wire bytes and virtual time per codec on the e16/e17
+//! The ledger (wire bytes and virtual time per codec on e18's three
 //! workloads) is printed once before timing; the acceptance bar — ≥3×
 //! whole-run wire shrink with tuple-identical fix-points — is asserted
 //! here as well as in the `repro e18` smoke.

@@ -278,71 +278,4 @@ fn main() {
             }
         );
     }
-    if want("e22") {
-        println!("E22 — incremental query engine: persistent indexes + plan cache vs rebuild\n");
-        let (table, mut summary) = exp::e22_eval(scale);
-        // Socket leg: same join workload over a real TCP cluster, verified
-        // against the simulator and the oracle (needs the p2pdb binary).
-        match exp::e22_socket_verify() {
-            Ok(v) => summary.socket_verified = Some(v),
-            Err(e) => println!("socket leg skipped: {e}"),
-        }
-        println!("{}", table.render());
-        println!(
-            "host cores: {}; 10k-row join: {:.2}x wall, {:.1}x fewer rows scanned; \
-             10k-peer grid: {:.2}x wall, sharded gap {:.2}x indexed vs {:.2}x rebuild; \
-             socket verified: {:?}",
-            summary.host_cores,
-            summary.join_speedup_big,
-            summary.join_scan_shrink_big,
-            summary.grid_speedup_big,
-            summary.sharded_gap_indexed,
-            summary.sharded_gap_rebuild,
-            summary.socket_verified,
-        );
-        let json = exp::eval_summary_json(&summary);
-        match std::fs::write("BENCH_e22.json", &json) {
-            Ok(()) => println!("wrote BENCH_e22.json"),
-            Err(e) => println!("could not write BENCH_e22.json: {e}"),
-        }
-        println!(
-            "eval smoke: {}\n",
-            if summary.ok() {
-                "OK"
-            } else {
-                "FAILED (fix-point off the rebuild oracle/closed form, socket \
-                 leg diverged, rows-scanned shrink below 2x, or wall-clock \
-                 speedup below 2x on a multi-core host)"
-            }
-        );
-    }
-    if want("e16") {
-        println!("E16 — interned values + columnar relations (data-plane rewrite)\n");
-        let (table, summary) = exp::e16_interning(scale);
-        println!("{}", table.render());
-        println!(
-            "microbench: {:.0} rows/s legacy vs {:.0} rows/s interned ({:.2}x); \
-             payloads {} B interned vs {} B pre-interning ({:.2}x smaller), {} dict entries",
-            summary.legacy_rows_per_s,
-            summary.interned_rows_per_s,
-            summary.speedup,
-            summary.payload_bytes,
-            summary.payload_bytes_legacy,
-            summary.payload_bytes_legacy as f64 / summary.payload_bytes.max(1) as f64,
-            summary.dict_entries,
-        );
-        let json = exp::interning_summary_json(&summary);
-        match std::fs::write("BENCH_e16.json", &json) {
-            Ok(()) => println!("wrote BENCH_e16.json"),
-            Err(e) => println!("could not write BENCH_e16.json: {e}"),
-        }
-        println!(
-            "interning smoke: {}\n",
-            if summary.ok() {
-                "OK"
-            } else {
-                "FAILED (answer mismatch, no wire shrink, or interned path not faster)"
-            }
-        );
-    }
 }

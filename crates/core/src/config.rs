@@ -59,20 +59,6 @@ pub struct SystemConfig {
     /// false, every wave answer re-ships the full current extension — the
     /// paper-faithful, oracle-comparable baseline.
     pub delta_waves: bool,
-    /// Compiled plan cache. When true (the default), each peer compiles a
-    /// body fragment's query plan (slot table, atom order, key positions,
-    /// constraint schedule) once per rule and reuses it for every wave,
-    /// invalidating on `AddRule`/`DeleteRule` and on crash. When false,
-    /// plans are recompiled per evaluation — the `--no-plan-cache` ablation
-    /// baseline.
-    pub plan_cache: bool,
-    /// Persistent join indexes. When true (the default), joins probe
-    /// hash indexes that `p2p_relational::Relation` builds lazily per key
-    /// column set and maintains incrementally on insert, so repeated
-    /// evaluation cost is proportional to the delta. When false, every
-    /// evaluation rebuilds a transient index over the whole relation — the
-    /// legacy cost model, kept as the `--no-indexes` ablation baseline.
-    pub persistent_indexes: bool,
     /// Durable peers. When true, every peer owns a `p2p_storage` write-ahead
     /// log plus snapshot store: applied insertions and processed fragment
     /// answers are logged as they happen, and a crashed peer rebuilds its
@@ -90,11 +76,10 @@ pub struct SystemConfig {
     /// encoding of [`crate::codec`]. Netfiles and the CLI always speak
     /// JSON regardless — the codec is a transport/storage property.
     pub codec: p2p_net::Codec,
-    /// Measure per-answer payload bytes (`PeerStats::payload_bytes`), the
-    /// pre-interning counterfactual (`payload_bytes_legacy`), and the
-    /// binary-codec size (`payload_bytes_binary`). Off by default — each
-    /// measurement re-encodes the payload, which is pure overhead outside
-    /// experiments e16/e18.
+    /// Measure per-answer payload bytes (`PeerStats::payload_bytes`) and
+    /// their binary-codec size (`payload_bytes_binary`). Off by default —
+    /// each measurement re-encodes the payload, which is pure overhead
+    /// outside experiment e18.
     pub measure_payload_bytes: bool,
     /// Require the rule set to be weakly acyclic at build time. On by
     /// default; turn off only to study the chase-depth safety valve.
@@ -123,8 +108,6 @@ impl Default for SystemConfig {
             initiation: Initiation::Flood,
             delta_optimization: true,
             delta_waves: true,
-            plan_cache: true,
-            persistent_indexes: true,
             durability: false,
             snapshot_every: 64,
             codec: p2p_net::Codec::Json,
@@ -174,8 +157,6 @@ mod tests {
         assert_eq!(c.initiation, Initiation::Flood);
         assert!(c.delta_optimization);
         assert!(c.delta_waves);
-        assert!(c.plan_cache);
-        assert!(c.persistent_indexes);
         assert!(c.require_weak_acyclicity);
         assert_eq!(c.codec, p2p_net::Codec::Json);
     }

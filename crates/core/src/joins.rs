@@ -9,8 +9,8 @@ use crate::rule::{BodyPart, CoordinationRule};
 use p2p_relational::chase::{apply_head, ChaseConfig, ChaseOutcome, ChaseState};
 use p2p_relational::query::ast::Term;
 use p2p_relational::query::{
-    evaluate_bindings, evaluate_bindings_planned, evaluate_bindings_since,
-    evaluate_bindings_since_planned, Constraint,
+    evaluate_bindings, evaluate_bindings_since, evaluate_bindings_since_planned, execute_plan,
+    Bindings, Constraint,
 };
 use p2p_relational::{key_hash, Database, FxHashMap, FxHashSet, NullFactory, Tuple, Val};
 use std::collections::{BTreeMap, HashMap};
@@ -18,12 +18,18 @@ use std::sync::Arc;
 
 pub use p2p_relational::query::{CompiledBody, EvalMetrics};
 
+/// Projects a fragment's bindings onto `part.vars` (deduplicated,
+/// deterministic order).
+fn project_part(part: &BodyPart, bindings: &Bindings) -> CoreResult<Vec<Tuple>> {
+    let head_terms: Vec<Term> = part.vars.iter().cloned().map(Term::Var).collect();
+    Ok(bindings.project(&head_terms)?)
+}
+
 /// Evaluates one body fragment over a local database, returning rows over
 /// `part.vars` (deduplicated, deterministic order).
 pub fn eval_part(part: &BodyPart, db: &Database) -> CoreResult<Vec<Tuple>> {
     let bindings = evaluate_bindings(&part.atoms, &part.local_constraints, db)?;
-    let head_terms: Vec<Term> = part.vars.iter().cloned().map(Term::Var).collect();
-    Ok(bindings.project(&head_terms)?)
+    project_part(part, &bindings)
 }
 
 /// Delta evaluation of one body fragment: the rows over `part.vars`
@@ -38,8 +44,7 @@ pub fn eval_part_delta(
     watermarks: &BTreeMap<Arc<str>, usize>,
 ) -> CoreResult<Vec<Tuple>> {
     let bindings = evaluate_bindings_since(&part.atoms, &part.local_constraints, db, watermarks)?;
-    let head_terms: Vec<Term> = part.vars.iter().cloned().map(Term::Var).collect();
-    Ok(bindings.project(&head_terms)?)
+    project_part(part, &bindings)
 }
 
 /// Compiles one body fragment into a [`CompiledBody`] (full plan plus one
@@ -53,8 +58,10 @@ pub fn compile_part(part: &BodyPart, db: &Database) -> CoreResult<CompiledBody> 
     )?)
 }
 
-/// Plan-based [`eval_part`]: same rows, but the plan is reused across calls
-/// and (with `use_indexes`) joins probe the relations' persistent indexes.
+/// [`eval_part`] over an already compiled body. With `use_indexes` the
+/// persistent indexes the full plan probes are created first where missing
+/// (the only reason `db` is `&mut`; data is never modified); without it the
+/// plan probes whatever indexes exist and builds transient ones otherwise.
 pub fn eval_part_planned(
     body: &CompiledBody,
     part: &BodyPart,
@@ -62,13 +69,17 @@ pub fn eval_part_planned(
     use_indexes: bool,
     metrics: &mut EvalMetrics,
 ) -> CoreResult<Vec<Tuple>> {
-    let bindings = evaluate_bindings_planned(&body.full, db, use_indexes, metrics)?;
-    let head_terms: Vec<Term> = part.vars.iter().cloned().map(Term::Var).collect();
-    Ok(bindings.project(&head_terms)?)
+    if use_indexes {
+        body.full.ensure_indexes(db)?;
+    }
+    let bindings = execute_plan(&body.full, db, 0, metrics)?;
+    project_part(part, &bindings)
 }
 
-/// Plan-based [`eval_part_delta`]: the delta atom scans only its
-/// post-watermark suffix, so cost is proportional to the delta.
+/// [`eval_part_delta`] over an already compiled body: each delta atom scans
+/// only its post-watermark suffix, so with indexes in place cost is
+/// proportional to the delta. `use_indexes` as in [`eval_part_planned`],
+/// for exactly the delta plans that have new rows to scan.
 pub fn eval_part_delta_planned(
     body: &CompiledBody,
     part: &BodyPart,
@@ -77,9 +88,11 @@ pub fn eval_part_delta_planned(
     use_indexes: bool,
     metrics: &mut EvalMetrics,
 ) -> CoreResult<Vec<Tuple>> {
-    let bindings = evaluate_bindings_since_planned(body, db, watermarks, use_indexes, metrics)?;
-    let head_terms: Vec<Term> = part.vars.iter().cloned().map(Term::Var).collect();
-    Ok(bindings.project(&head_terms)?)
+    if use_indexes {
+        body.ensure_delta_indexes(db, watermarks)?;
+    }
+    let bindings = evaluate_bindings_since_planned(body, db, watermarks, metrics)?;
+    project_part(part, &bindings)
 }
 
 /// A set of rows tagged with their variable names.

@@ -80,33 +80,6 @@ impl AnswerRows {
     pub fn wire_size(&self) -> usize {
         p2p_net::encoded_wire_size(self)
     }
-
-    /// What the **pre-interning** data plane would have put on the wire for
-    /// the same payload: every row carries its strings inline and there is
-    /// no dictionary section. Measured (not estimated) by encoding the
-    /// resolved mirror of the payload — the counterfactual that experiment
-    /// `e16` reports against.
-    pub fn wire_size_legacy(&self) -> usize {
-        use serde::Serialize as _;
-        let rows: Vec<Vec<p2p_relational::Value>> = self
-            .rows
-            .iter()
-            .map(|t| t.0.iter().map(|v| v.to_value()).collect())
-            .collect();
-        // Mirror of `AnswerRows::to_content` with strings inline and no
-        // dictionary section, same empty-section omission for fairness.
-        let mut m: Vec<(String, serde::Content)> = vec![
-            ("vars".to_string(), self.vars.to_content()),
-            ("rows".to_string(), rows.to_content()),
-        ];
-        if !self.null_depths.is_empty() {
-            m.push(("null_depths".to_string(), self.null_depths.to_content()));
-        }
-        if !self.marks.is_empty() {
-            m.push(("marks".to_string(), self.marks.to_content()));
-        }
-        p2p_net::encoded_wire_size(&serde::Content::Map(m))
-    }
 }
 
 /// All messages exchanged by peers (and by the external driver with the

@@ -463,70 +463,45 @@ impl DbPeer {
 
     /// Shared plan-cache path of [`DbPeer::eval_part_local`] /
     /// [`DbPeer::eval_part_delta_local`]: fetch (or compile) the fragment's
-    /// [`crate::joins::CompiledBody`], execute it, and fold the work
+    /// [`crate::joins::CompiledBody`], create the persistent indexes the
+    /// executed plans probe where missing, execute, and fold the work
     /// counters into [`PeerStats`]. `watermarks: None` is full evaluation;
-    /// `Some(w)` the semi-naive delta. With `SystemConfig::plan_cache` off
-    /// the fragment is recompiled per call; with
-    /// `SystemConfig::persistent_indexes` off the executor rebuilds
-    /// transient indexes per call (the legacy cost model).
+    /// `Some(w)` the semi-naive delta.
     fn eval_part_rows(
         &mut self,
         rule: RuleId,
         part: &crate::rule::BodyPart,
         watermarks: Option<&BTreeMap<Arc<str>, usize>>,
     ) -> crate::error::CoreResult<Vec<Tuple>> {
-        let use_indexes = self.config.persistent_indexes;
-        let mut metrics = crate::joins::EvalMetrics::default();
-        let rows = if self.config.plan_cache {
-            if self.plans.get(&rule).is_some_and(|c| c.part == *part) {
-                self.stats.plan_cache_hits += 1;
-            } else {
-                let body = crate::joins::compile_part(part, &self.db)?;
-                self.plans.insert(
-                    rule,
-                    CachedPlans {
-                        part: part.clone(),
-                        body,
-                    },
-                );
+        use std::collections::hash_map::Entry;
+        // Disjoint field borrows: the cached plan is read while the
+        // database is mutably borrowed (index creation only).
+        let DbPeer {
+            plans, db, stats, ..
+        } = self;
+        let cached = match plans.entry(rule) {
+            Entry::Occupied(hit) if hit.get().part == *part => {
+                stats.plan_cache_hits += 1;
+                hit.into_mut()
             }
-            // Disjoint field borrows: the cached plan is read while the
-            // database is mutably borrowed (index creation only).
-            let DbPeer { plans, db, .. } = self;
-            let body = &plans.get(&rule).expect("cached above").body;
-            match watermarks {
-                Some(w) => crate::joins::eval_part_delta_planned(
-                    body,
-                    part,
-                    db,
-                    w,
-                    use_indexes,
-                    &mut metrics,
-                ),
-                None => crate::joins::eval_part_planned(body, part, db, use_indexes, &mut metrics),
-            }
-        } else {
-            let body = crate::joins::compile_part(part, &self.db)?;
-            match watermarks {
-                Some(w) => crate::joins::eval_part_delta_planned(
-                    &body,
-                    part,
-                    &mut self.db,
-                    w,
-                    use_indexes,
-                    &mut metrics,
-                ),
-                None => crate::joins::eval_part_planned(
-                    &body,
-                    part,
-                    &mut self.db,
-                    use_indexes,
-                    &mut metrics,
-                ),
-            }
+            // First evaluation of this rule, or a different fragment under
+            // its id: compile and (re)place.
+            entry => entry
+                .insert_entry(CachedPlans {
+                    part: part.clone(),
+                    body: crate::joins::compile_part(part, db)?,
+                })
+                .into_mut(),
         };
-        self.stats.rows_scanned += metrics.rows_scanned;
-        self.stats.index_probes += metrics.index_probes;
+        let mut metrics = crate::joins::EvalMetrics::default();
+        let rows = match watermarks {
+            Some(w) => {
+                crate::joins::eval_part_delta_planned(&cached.body, part, db, w, true, &mut metrics)
+            }
+            None => crate::joins::eval_part_planned(&cached.body, part, db, true, &mut metrics),
+        };
+        stats.rows_scanned += metrics.rows_scanned;
+        stats.index_probes += metrics.index_probes;
         rows
     }
 
@@ -617,14 +592,11 @@ impl DbPeer {
                 BTreeMap::new()
             },
         };
-        // Data-plane byte accounting (experiments e16/e18 only — each side
-        // of the comparison re-encodes the payload, so it is opt-in): what
-        // this payload costs on the wire, what it would have cost
-        // pre-interning (strings inline, no dictionary), and what the
-        // binary codec packs it into.
+        // Data-plane byte accounting (experiment e18 only — each side of the
+        // comparison re-encodes the payload, so it is opt-in): what this
+        // payload costs on the wire and what the binary codec packs it into.
         if self.config.measure_payload_bytes {
             self.stats.payload_bytes += payload.wire_size() as u64;
-            self.stats.payload_bytes_legacy += payload.wire_size_legacy() as u64;
             self.stats.payload_bytes_binary += crate::codec::encoded_rows_len(&payload) as u64;
         }
         payload
@@ -1036,5 +1008,48 @@ impl Peer<ProtocolMsg> for DbPeer {
 
     fn on_restart(&mut self, ctx: &mut Context<ProtocolMsg>) {
         self.restart_and_resync(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use p2p_relational::DatabaseSchema;
+
+    #[test]
+    fn cached_plans_are_fingerprinted_by_fragment() {
+        let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
+        for (x, y) in [(1, 2), (7, 8)] {
+            db.insert_values("b", vec![Val::Int(x), Val::Int(y)])
+                .unwrap();
+        }
+        let mut peer = DbPeer::new(NodeId(1), db, SystemConfig::default());
+        let resolve = |s: &str| match s {
+            "A" => Some(NodeId(0)),
+            "B" => Some(NodeId(1)),
+            _ => None,
+        };
+        let part = |text: &str| {
+            CoordinationRule::parse("r", text, None, &resolve)
+                .unwrap()
+                .parts
+                .remove(0)
+        };
+        let (old, new) = (
+            part("B:b(X,Y) => A:a(X,Y)"),
+            part("B:b(X,Y), X > 1 => A:a(X,Y)"),
+        );
+        let id = RuleId(7);
+
+        assert_eq!(peer.eval_part_rows(id, &old, None).unwrap().len(), 2);
+        assert_eq!(peer.stats.plan_cache_hits, 0);
+        assert_eq!(peer.eval_part_rows(id, &old, None).unwrap().len(), 2);
+        assert_eq!(peer.stats.plan_cache_hits, 1, "same fragment: served");
+        // Same id, different fragment: recompiled, not served stale.
+        let rows = peer.eval_part_rows(id, &new, None).unwrap();
+        assert_eq!(rows, vec![Tuple::new(vec![Val::Int(7), Val::Int(8)])]);
+        assert_eq!(peer.stats.plan_cache_hits, 1);
+        assert_eq!(peer.eval_part_rows(id, &new, None).unwrap(), rows);
+        assert_eq!(peer.stats.plan_cache_hits, 2);
     }
 }

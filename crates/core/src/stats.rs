@@ -56,13 +56,12 @@ pub struct PeerStats {
     pub stale_answers_sent: u64,
     /// Local conjunctive-query evaluations.
     pub local_evaluations: u64,
-    /// Relation rows physically read by plan-based evaluations (suffix
-    /// scans, transient-index rebuilds, candidate rows visited after an
-    /// index probe). With persistent indexes on, a 1-tuple delta wave reads
-    /// O(delta) rows regardless of relation size — this counter is how
-    /// experiment e22 observes it.
+    /// Relation rows physically read by fragment evaluations (scans,
+    /// transient-index builds, candidate rows visited after an index
+    /// probe). A 1-tuple delta wave reads O(delta) rows regardless of
+    /// relation size — this counter is how the benchmark observes it.
     pub rows_scanned: u64,
-    /// Persistent-index bucket probes performed by plan-based evaluations.
+    /// Persistent-index bucket probes performed by fragment evaluations.
     pub index_probes: u64,
     /// Evaluations served by a cached compiled plan (no recompilation).
     /// Compared against `local_evaluations` this is the plan-cache hit rate;
@@ -94,15 +93,9 @@ pub struct PeerStats {
     /// Total encoded bytes of the answer payloads this peer shipped
     /// (interned rows + dictionary deltas) — the data-plane slice of the
     /// transport layer's byte counters. Only counted under
-    /// `SystemConfig::measure_payload_bytes` (experiment e16); zero
+    /// `SystemConfig::measure_payload_bytes` (experiment e18); zero
     /// otherwise.
     pub payload_bytes: u64,
-    /// What those same payloads would have cost pre-interning (strings
-    /// inline in every row, no dictionary) — measured per payload at send
-    /// time under `SystemConfig::measure_payload_bytes`.
-    /// `payload_bytes_legacy / payload_bytes` is experiment e16's
-    /// wire-shrink figure.
-    pub payload_bytes_legacy: u64,
     /// What those same payloads cost under the **binary** codec (varint
     /// columnar delta blocks) — measured per payload at send time under
     /// `SystemConfig::measure_payload_bytes`. `payload_bytes /
@@ -161,7 +154,6 @@ impl PeerStats {
         self.resync_rows += other.resync_rows;
         self.dict_entries_sent += other.dict_entries_sent;
         self.payload_bytes += other.payload_bytes;
-        self.payload_bytes_legacy += other.payload_bytes_legacy;
         self.payload_bytes_binary += other.payload_bytes_binary;
         self.sessions_participated += other.sessions_participated;
         self.concurrent_peak = self.concurrent_peak.max(other.concurrent_peak);

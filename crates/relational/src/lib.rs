@@ -21,9 +21,9 @@
 //!   named relation signatures (the paper's `DBS` module);
 //! * [`Relation`] / [`Database`] — deduplicated, insertion-ordered
 //!   **columnar** tuple stores (one flat `Vec<Val>` per relation) with
-//!   per-column hash indexes;
+//!   lazily built, incrementally maintained join-key hash indexes;
 //! * [`query`] — a conjunctive-query AST, a text parser
-//!   (`q(X,Y) :- r(X,Z), s(Z,Y), X != Y`), and a flat-buffer hash-join
+//!   (`q(X,Y) :- r(X,Z), s(Z,Y), X != Y`), and one compiled-plan hash-join
 //!   evaluator under naive-table semantics (labeled nulls join only with
 //!   themselves, built-ins involving nulls are *unknown* and therefore
 //!   excluded — sound for certain answers of positive queries);
@@ -33,9 +33,7 @@
 //! * [`chase`] — restricted-chase application of rule heads: a head is
 //!   instantiated only when no homomorphic image of it is already present,
 //!   which is what bounds null invention and guarantees termination of the
-//!   update fix-point for weakly-acyclic rule sets;
-//! * [`legacy`] — the pre-interning `Value`-based reference evaluator, kept
-//!   as the oracle for equivalence tests and as the benchmark baseline.
+//!   update fix-point for weakly-acyclic rule sets.
 //!
 //! The engine is deliberately self-contained (no external storage, no SQL)
 //! and deterministic: all iteration that can influence observable behaviour
@@ -66,7 +64,6 @@ pub mod database;
 pub mod error;
 pub mod fxhash;
 pub mod hom;
-pub mod legacy;
 pub mod query;
 pub mod relation;
 pub mod schema;

@@ -1,5 +1,6 @@
-//! Conjunctive-query evaluation: greedy atom ordering + hash joins over
-//! fixed-width [`Val`] rows.
+//! Conjunctive-query evaluation over a local database: the [`Bindings`]
+//! table, body validation, greedy atom ordering, and the `&Database` entry
+//! points ([`evaluate`], [`evaluate_bindings`], [`evaluate_bindings_since`]).
 //!
 //! Semantics: **naive tables**. Labeled nulls are ordinary values that join
 //! only with themselves; built-in comparisons involving nulls are unknown and
@@ -8,21 +9,22 @@
 //! nulls — returns certain answers for positive queries, the semantics under
 //! which the paper's soundness/completeness statements are phrased.
 //!
-//! The evaluator works entirely on flat row buffers: intermediate bindings
-//! are one contiguous `Vec<Val>` with stride = variable count, join keys are
-//! copied `Val` words hashed into `u64`-keyed candidate buckets (collisions
-//! resolved by comparing the key columns, which the join loop re-checks
-//! anyway), and no per-row allocation happens anywhere. The old
-//! `Value`-based evaluator survives as [`crate::legacy`] for equivalence
-//! testing and as the benchmark baseline. For cached plans and persistent
-//! indexes see [`crate::query::plan`] — this module remains the
-//! plan-per-call reference implementation.
+//! There is one engine: every entry point here compiles the body into a
+//! [`crate::query::plan::QueryPlan`] and hands it to
+//! [`crate::query::plan::execute_plan`]. Callers that evaluate the same body
+//! repeatedly (the peer) keep the compiled plans and call the executor
+//! directly. Everything works on flat row buffers: bindings are one
+//! contiguous `Vec<Val>` with stride = variable count, join keys are copied
+//! `Val` words hashed into `u64`-keyed candidate buckets (collisions resolved
+//! by comparing the key columns), and no per-row allocation happens anywhere.
 
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::fxhash::{fx_hash, FxHashMap};
 use crate::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
-use crate::relation::key_hash;
+use crate::query::plan::{
+    compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,
+};
 use crate::tuple::Tuple;
 use crate::value::Val;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -165,7 +167,8 @@ pub fn evaluate_bindings(
     constraints: &[Constraint],
     db: &Database,
 ) -> Result<Bindings> {
-    evaluate_bindings_restricted(atoms, constraints, db, None)
+    let plan = compile_body(atoms, constraints, db, None)?;
+    execute_plan(&plan, db, 0, &mut EvalMetrics::default())
 }
 
 /// Semi-naive **delta** evaluation of a body: the bindings derivable using at
@@ -185,43 +188,8 @@ pub fn evaluate_bindings_since(
     db: &Database,
     watermarks: &BTreeMap<Arc<str>, usize>,
 ) -> Result<Bindings> {
-    let mut out: Option<Bindings> = None;
-    let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for (i, atom) in atoms.iter().enumerate() {
-        if atom.qualifier.is_some() {
-            return Err(Error::QualifiedAtom(atom.to_string()));
-        }
-        let watermark = watermarks.get(&atom.relation).copied().unwrap_or(0);
-        if db.relation(&atom.relation)?.len() <= watermark {
-            continue; // No new tuples in this atom's relation.
-        }
-        let delta = evaluate_bindings_restricted(atoms, constraints, db, Some((i, watermark)))?;
-        match &mut out {
-            None => {
-                // The first delta is internally deduplicated already; just
-                // seed the buckets.
-                for (ri, row) in delta.rows().enumerate() {
-                    seen.entry(fx_hash(row)).or_default().push(ri as u32);
-                }
-                out = Some(delta);
-            }
-            Some(acc) => {
-                debug_assert_eq!(acc.vars, delta.vars);
-                for row in delta.rows() {
-                    push_dedup(acc, &mut seen, row);
-                }
-            }
-        }
-    }
-    match out {
-        Some(b) => Ok(b),
-        // All relations unchanged: an empty table over the body's variables,
-        // derived from the slot table alone — no evaluation needed.
-        None => {
-            let (vars, _) = validate_body(atoms, constraints, db)?;
-            Ok(Bindings::empty(vars))
-        }
-    }
+    let body = CompiledBody::compile(atoms, constraints, db)?;
+    evaluate_bindings_since_planned(&body, db, watermarks, &mut EvalMetrics::default())
 }
 
 /// Appends `row` to `out` unless already present, using `seen` as a
@@ -243,19 +211,9 @@ pub(crate) fn push_dedup(
     true
 }
 
-/// Per-position action when extending a binding row by one matched tuple.
-enum PosAction {
-    /// First occurrence of a variable in this atom: write `tuple[pos]` into
-    /// the binding slot.
-    Bind { pos: usize, slot: usize },
-    /// Repeated occurrence within the same atom: the slot was just written,
-    /// so compare.
-    Recheck { pos: usize, slot: usize },
-}
-
 /// Validates a body against a database and returns its variable slot table:
-/// variables in first-occurrence order plus the name → slot map. Shared by
-/// this evaluator and the plan compiler ([`crate::query::plan`]).
+/// variables in first-occurrence order plus the name → slot map — the first
+/// step of plan compilation ([`crate::query::plan::compile_body`]).
 ///
 /// Errors if an atom is peer-qualified, references an unknown relation, has
 /// the wrong arity, or if a constraint mentions a variable bound by no atom.
@@ -305,7 +263,7 @@ pub(crate) fn validate_body(
 /// smaller relation, then stable index. A `restricted` atom (semi-naive
 /// delta position) is forced first: it ranges over only the delta suffix,
 /// so starting from it keeps the join cost proportional to the delta
-/// instead of the full extension. Shared with the plan compiler.
+/// instead of the full extension.
 pub(crate) fn greedy_order(
     atoms: &[Atom],
     db: &Database,
@@ -360,212 +318,6 @@ pub(crate) fn greedy_order(
         order.push(ai);
     }
     order
-}
-
-/// Shared implementation: evaluates a body, optionally restricting one atom
-/// (by index) to the tuples at insertion positions `>= watermark`.
-fn evaluate_bindings_restricted(
-    atoms: &[Atom],
-    constraints: &[Constraint],
-    db: &Database,
-    restrict: Option<(usize, usize)>,
-) -> Result<Bindings> {
-    let (vars, slot_of) = validate_body(atoms, constraints, db)?;
-    let order = greedy_order(
-        atoms,
-        db,
-        &slot_of,
-        restrict.map(|(restricted, _)| restricted),
-    );
-
-    // -- join ----------------------------------------------------------------
-    // One flat buffer of candidate bindings; unbound slots hold a harmless
-    // placeholder (the stage-level `bound` set says which slots are live, so
-    // the placeholder is never read).
-    let nvars = vars.len();
-    let width = nvars.max(1);
-    let mut rows: Vec<Val> = vec![Val::Int(0); width]; // one empty binding
-    let mut nrows: usize = 1;
-    let mut bound: HashSet<usize> = HashSet::new();
-    let mut applied: Vec<bool> = vec![false; constraints.len()];
-
-    apply_ready_constraints(
-        constraints,
-        &mut applied,
-        &bound,
-        &slot_of,
-        &mut rows,
-        &mut nrows,
-        width,
-    );
-
-    let mut key: Vec<Val> = Vec::new();
-    for &ai in &order {
-        let atom = &atoms[ai];
-        let relation = db.relation(&atom.relation)?;
-
-        // Classify positions: key (value determined by current bindings or a
-        // constant), bind (new variable), recheck (variable repeated within
-        // this atom).
-        let mut key_positions: Vec<usize> = Vec::new();
-        let mut actions: Vec<PosAction> = Vec::new();
-        let mut bound_here: HashSet<usize> = HashSet::new();
-        for (pos, t) in atom.terms.iter().enumerate() {
-            match t {
-                Term::Const(_) => key_positions.push(pos),
-                Term::Var(v) => {
-                    let slot = slot_of[v];
-                    if bound.contains(&slot) {
-                        key_positions.push(pos);
-                    } else if bound_here.insert(slot) {
-                        actions.push(PosAction::Bind { pos, slot });
-                    } else {
-                        actions.push(PosAction::Recheck { pos, slot });
-                    }
-                }
-            }
-        }
-
-        // Hash the relation on the key positions once: key hash → candidate
-        // positions (collisions resolved by re-comparing the key columns at
-        // probe time — no per-row `Box<[Val]>` keys). A restricted atom
-        // (semi-naive delta position) only sees its post-watermark suffix.
-        let min_pos = match restrict {
-            Some((atom_idx, watermark)) if atom_idx == ai => watermark,
-            _ => 0,
-        };
-        let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (ri, row) in relation.iter().enumerate().skip(min_pos) {
-            let hash = key_hash(key_positions.iter().map(|&p| &row[p]));
-            index.entry(hash).or_default().push(ri as u32);
-        }
-
-        let mut next: Vec<Val> = Vec::new();
-        let mut next_n: usize = 0;
-        for bi in 0..nrows {
-            let binding = &rows[bi * width..bi * width + width];
-            key.clear();
-            key.extend(key_positions.iter().map(|&p| match &atom.terms[p] {
-                Term::Const(c) => *c,
-                Term::Var(v) => binding[slot_of[v]],
-            }));
-            let Some(matches) = index.get(&key_hash(key.iter())) else {
-                continue;
-            };
-            'rows: for &ri in matches {
-                let tuple = relation.row(ri as usize);
-                // Hash-collision guard: the key columns must really match.
-                if key_positions
-                    .iter()
-                    .zip(key.iter())
-                    .any(|(&p, kv)| tuple[p] != *kv)
-                {
-                    continue;
-                }
-                let start = next.len();
-                next.extend_from_slice(binding);
-                for act in &actions {
-                    match *act {
-                        PosAction::Bind { pos, slot } => next[start + slot] = tuple[pos],
-                        PosAction::Recheck { pos, slot } => {
-                            if next[start + slot] != tuple[pos] {
-                                next.truncate(start);
-                                continue 'rows;
-                            }
-                        }
-                    }
-                }
-                next_n += 1;
-            }
-        }
-        rows = next;
-        nrows = next_n;
-
-        for t in &atom.terms {
-            if let Term::Var(v) = t {
-                bound.insert(slot_of[v]);
-            }
-        }
-        apply_ready_constraints(
-            constraints,
-            &mut applied,
-            &bound,
-            &slot_of,
-            &mut rows,
-            &mut nrows,
-            width,
-        );
-        if nrows == 0 {
-            break;
-        }
-    }
-
-    // Any constraint still unapplied (possible only when `rows` emptied early
-    // or the body had no atoms) is applied now if ground, else it already
-    // failed validation above.
-    apply_ready_constraints(
-        constraints,
-        &mut applied,
-        &bound,
-        &slot_of,
-        &mut rows,
-        &mut nrows,
-        width,
-    );
-
-    // -- materialise ---------------------------------------------------------
-    let mut out = Bindings::empty(vars);
-    let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for i in 0..nrows {
-        let row = &rows[i * width..i * width + width];
-        let row = &row[..nvars]; // drop the width-1 padding of a 0-var body
-        push_dedup(&mut out, &mut seen, row);
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_ready_constraints(
-    constraints: &[Constraint],
-    applied: &mut [bool],
-    bound: &HashSet<usize>,
-    slot_of: &HashMap<Arc<str>, usize>,
-    rows: &mut Vec<Val>,
-    nrows: &mut usize,
-    width: usize,
-) {
-    for (ci, c) in constraints.iter().enumerate() {
-        if applied[ci] {
-            continue;
-        }
-        let ready = c.variables().iter().all(|v| bound.contains(&slot_of[v]));
-        if !ready {
-            continue;
-        }
-        applied[ci] = true;
-        // Compact in place, keeping rows that certainly satisfy `c`.
-        let mut keep = 0usize;
-        for i in 0..*nrows {
-            let row = &rows[i * width..i * width + width];
-            let lhs = term_value(&c.lhs, row, slot_of);
-            let rhs = term_value(&c.rhs, row, slot_of);
-            if c.op.certainly_holds(&lhs, &rhs) {
-                if keep != i {
-                    rows.copy_within(i * width..i * width + width, keep * width);
-                }
-                keep += 1;
-            }
-        }
-        rows.truncate(keep * width);
-        *nrows = keep;
-    }
-}
-
-fn term_value(t: &Term, row: &[Val], slot_of: &HashMap<Arc<str>, usize>) -> Val {
-    match t {
-        Term::Const(c) => *c,
-        Term::Var(v) => row[slot_of[v]],
-    }
 }
 
 /// Evaluates the comparison `lhs op rhs` over two ground values — exposed for

@@ -1,4 +1,5 @@
-//! Conjunctive queries with built-in predicates: AST, parser, evaluator.
+//! Conjunctive queries with built-in predicates: AST, parser, and one
+//! evaluator (compile to a [`QueryPlan`], run it with [`execute_plan`]).
 //!
 //! This is the query language the paper assigns to coordination rules —
 //! "coordination rules may contain conjunctive queries in both the head and
@@ -18,6 +19,6 @@ pub use ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
 pub use eval::{evaluate, evaluate_bindings, evaluate_bindings_since, evaluate_certain, Bindings};
 pub use parser::{parse_atom, parse_implication, parse_query, Implication};
 pub use plan::{
-    compile_body, evaluate_bindings_planned, evaluate_bindings_since_planned, execute_plan,
-    CompiledBody, EvalMetrics, QueryPlan,
+    compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,
+    QueryPlan,
 };

@@ -1,49 +1,46 @@
-//! Compiled query plans and persistent-index execution — the incremental
-//! query engine.
+//! Compiled query plans and their executor — the one query engine.
 //!
-//! [`crate::query::eval`] re-derives the whole query plan (variable slots,
-//! greedy atom order, per-position actions) and rebuilds a transient hash
-//! index over the **entire relation** per atom on *every* call, so per-wave
-//! cost in the update protocol is O(|relation|) even when the semi-naive
-//! delta is one tuple. This module splits that work along its natural
-//! boundary:
+//! Evaluating a body splits along its natural boundary:
 //!
 //! * **Compile once** — [`compile_body`] turns a body (atoms + constraints)
 //!   into a [`QueryPlan`]: the slot table, the atom order, each atom's key
-//!   columns and [`PosAction`] list, and a static constraint schedule.
-//!   Everything the legacy evaluator derives per call is derivable from the
-//!   body text alone (the bound-variable set evolves deterministically), so
-//!   a plan compiles once per `(rule, restricted-atom)` and is cached by the
-//!   peer until the rule changes. [`CompiledBody`] bundles the full plan
-//!   with one delta plan per atom for semi-naive evaluation.
+//!   columns and [`PosAction`] list, and a static constraint schedule. All
+//!   of it is derivable from the body text alone (the bound-variable set
+//!   evolves deterministically), so a plan compiles once per
+//!   `(rule, restricted-atom)` and is cached by the peer until the rule
+//!   changes. [`CompiledBody`] bundles the full plan with one delta plan per
+//!   atom for semi-naive evaluation. The `&Database` entry points in
+//!   [`crate::query::eval`] compile and execute in one call.
 //!
-//! * **Probe persistent indexes** — [`execute_plan`] looks joins up in
-//!   [`crate::relation::Index`]es that [`crate::Relation`] maintains
-//!   incrementally on insert ([`crate::Relation::ensure_index`]), instead of
-//!   rebuilding a per-call hash table. The watermark-restricted (delta) atom
-//!   still scans only its suffix, so a 1-tuple delta wave reads O(delta)
-//!   rows regardless of relation size — the standard incremental-view-
-//!   maintenance property, observable through [`EvalMetrics`].
+//! * **Probe an index if there is one** — for every keyed join step
+//!   [`execute_plan`] probes the relation's persistent
+//!   [`crate::relation::Index`] on the step's key columns when the relation
+//!   holds one, and builds a transient index over the whole relation for
+//!   that one call otherwise. Persistent indexes are created by
+//!   [`QueryPlan::ensure_indexes`] (callers holding `&mut Database`, i.e.
+//!   the peer, do that right before executing) and maintained by
+//!   [`crate::Relation::insert_row`]. The watermark-restricted (delta) atom
+//!   scans only its suffix, so with indexes in place a 1-tuple delta wave
+//!   reads O(delta) rows regardless of relation size — the standard
+//!   incremental-view-maintenance property, observable through
+//!   [`EvalMetrics`].
 //!
-//! Semantics are **identical** to the legacy evaluator (which remains the
-//! equivalence oracle in tests): same naive-table certain-answer treatment
-//! of labeled nulls, same column order, same result sets. Only row order
-//! within a result may differ, because the greedy tie-break on relation
-//! size is frozen at compile time instead of re-evaluated per call.
+//! Semantics: naive tables (see [`crate::query::eval`]). Both index
+//! branches return the same rows in the same order.
 
 use crate::database::Database;
 use crate::error::Result;
 use crate::fxhash::FxHashMap;
 use crate::query::ast::{Atom, CmpOp, Constraint, Term};
 use crate::query::eval::{greedy_order, push_dedup, validate_body, Bindings};
-use crate::relation::key_hash;
+use crate::relation::{key_hash, Index};
 use crate::value::Val;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Work counters for plan execution, for observing the incremental win.
 ///
-/// `rows_scanned` counts relation rows physically read (suffix scans,
+/// `rows_scanned` counts relation rows physically read (scans,
 /// transient-index builds, and candidate rows visited after a probe);
 /// `index_probes` counts hash-bucket lookups against persistent indexes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,8 +129,8 @@ pub struct AtomStep {
     pub constraints_after: Vec<usize>,
 }
 
-/// A compiled body: everything [`crate::query::eval::evaluate_bindings`]
-/// re-derives per call, computed once.
+/// A compiled body: slot table, join order, per-step keys and actions, and
+/// the constraint schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
     /// Variable names in slot (first-occurrence) order.
@@ -152,7 +149,7 @@ pub struct QueryPlan {
 /// The full plan plus one delta plan per atom — what a peer caches per rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledBody {
-    /// Unrestricted plan ([`crate::query::eval::evaluate_bindings`]).
+    /// Unrestricted plan.
     pub full: QueryPlan,
     /// `delta[i]` restricts atom `i` to its post-watermark suffix.
     pub delta: Vec<QueryPlan>,
@@ -167,11 +164,54 @@ impl CompiledBody {
             .collect::<Result<Vec<_>>>()?;
         Ok(CompiledBody { full, delta })
     }
+
+    /// [`QueryPlan::ensure_indexes`] for exactly the delta plans
+    /// [`evaluate_bindings_since_planned`] would execute over `watermarks`:
+    /// a delta plan whose relation saw no new rows builds nothing.
+    pub fn ensure_delta_indexes(
+        &self,
+        db: &mut Database,
+        watermarks: &BTreeMap<Arc<str>, usize>,
+    ) -> Result<()> {
+        for plan in &self.delta {
+            if plan.pending_since(db, watermarks)?.is_some() {
+                plan.ensure_indexes(db)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl QueryPlan {
+    /// Creates the persistent indexes this plan's keyed steps probe (every
+    /// step but a restricted plan's suffix scan and key-less scans), where
+    /// the relations do not hold them yet. Data is never modified.
+    pub fn ensure_indexes(&self, db: &mut Database) -> Result<()> {
+        let steps = self.steps.iter().skip(usize::from(self.restricted));
+        for step in steps.filter(|step| !step.key_cols.is_empty()) {
+            db.relation_mut(&step.relation)?
+                .ensure_index(&step.key_cols);
+        }
+        Ok(())
+    }
+
+    /// For a delta plan: the watermark its restricted atom scans from, or
+    /// `None` when that relation holds no row past it (missing watermark
+    /// entries mean 0, i.e. the whole relation is new).
+    fn pending_since(
+        &self,
+        db: &Database,
+        watermarks: &BTreeMap<Arc<str>, usize>,
+    ) -> Result<Option<usize>> {
+        let relation = &self.steps[0].relation;
+        let watermark = watermarks.get(relation).copied().unwrap_or(0);
+        Ok((db.relation(relation)?.len() > watermark).then_some(watermark))
+    }
 }
 
 /// Compiles one body into a [`QueryPlan`], optionally restricting atom
 /// `restricted` to its post-watermark suffix (it is then forced first in the
-/// join order, exactly like the legacy evaluator).
+/// join order, so the join cost follows the delta).
 ///
 /// Validation (qualified atoms, unknown relations, arity, unbound constraint
 /// variables) happens here, so executing a compiled plan cannot fail on the
@@ -272,18 +312,13 @@ fn compile_term(t: &Term, slot_of: &std::collections::HashMap<Arc<str>, usize>) 
 }
 
 /// Executes a compiled plan. `watermark` applies only to a restricted plan's
-/// first step. With `use_indexes` the join probes the relation's persistent
-/// [`crate::relation::Index`] (built on first use, maintained on insert);
-/// without it a transient index is rebuilt per call — the legacy cost model,
-/// kept as the `--no-indexes` ablation baseline.
-///
-/// `db` is `&mut` only to create missing persistent indexes; data is never
-/// modified.
+/// first step. A keyed step probes the relation's persistent
+/// [`crate::relation::Index`] when it holds one on the step's key columns and
+/// builds a transient one for this call otherwise.
 pub fn execute_plan(
     plan: &QueryPlan,
-    db: &mut Database,
+    db: &Database,
     watermark: usize,
-    use_indexes: bool,
     m: &mut EvalMetrics,
 ) -> Result<Bindings> {
     let nvars = plan.vars.len();
@@ -299,13 +334,8 @@ pub fn execute_plan(
         }
         let mut next: Vec<Val> = Vec::new();
         let mut next_n: usize = 0;
-        let extend = |next: &mut Vec<Val>,
-                      next_n: &mut usize,
-                      binding: &[Val],
-                      tuple: &[Val],
-                      key: &[Val]|
-         -> () {
-            // Hash-collision / suffix-scan guard: key columns must match.
+        let mut extend = |binding: &[Val], tuple: &[Val], key: &[Val]| {
+            // Hash-collision / scan guard: key columns must match.
             if step
                 .key_cols
                 .iter()
@@ -327,71 +357,46 @@ pub fn execute_plan(
                     }
                 }
             }
-            *next_n += 1;
+            next_n += 1;
         };
 
-        if si == 0 && plan.restricted {
-            // Semi-naive delta atom: scan only the post-watermark suffix.
-            // Bindings here are the single empty binding, so keys are
-            // constants and an index would not narrow anything.
-            let rel = db.relation(&step.relation)?;
+        let rel = db.relation(&step.relation)?;
+        let delta_scan = si == 0 && plan.restricted;
+        if delta_scan || step.key_cols.is_empty() {
+            // Scan. The semi-naive delta atom reads only its post-watermark
+            // suffix (its keys are constants, so an index would not narrow
+            // anything); a key-less step (first atom, cross product) has
+            // nothing to look up and reads every row.
+            let from = if delta_scan { watermark } else { 0 };
             for bi in 0..nrows {
                 let binding = &rows[bi * width..bi * width + width];
                 key.clear();
                 key.extend(step.key.iter().map(|(_, src)| src.value(binding)));
-                for tuple in rel.since(watermark) {
+                for tuple in rel.since(from) {
                     m.rows_scanned += 1;
-                    extend(&mut next, &mut next_n, binding, tuple, &key);
-                }
-            }
-        } else if use_indexes {
-            let rel = db.relation_mut(&step.relation)?;
-            if step.key_cols.is_empty() {
-                // No key: every row extends every binding (cross product /
-                // first atom) — an index has nothing to narrow.
-                let rel = &*rel;
-                for bi in 0..nrows {
-                    let binding = &rows[bi * width..bi * width + width];
-                    key.clear();
-                    for tuple in rel.iter() {
-                        m.rows_scanned += 1;
-                        extend(&mut next, &mut next_n, binding, tuple, &key);
-                    }
-                }
-            } else {
-                rel.ensure_index(&step.key_cols);
-                let rel = &*rel;
-                let idx = rel.index(&step.key_cols).expect("just ensured");
-                for bi in 0..nrows {
-                    let binding = &rows[bi * width..bi * width + width];
-                    key.clear();
-                    key.extend(step.key.iter().map(|(_, src)| src.value(binding)));
-                    m.index_probes += 1;
-                    for &ri in idx.candidates(key_hash(key.iter())) {
-                        m.rows_scanned += 1;
-                        extend(&mut next, &mut next_n, binding, rel.row(ri as usize), &key);
-                    }
+                    extend(binding, tuple, &key);
                 }
             }
         } else {
-            // Ablation baseline: rebuild a transient index over the whole
-            // relation per call, exactly like the legacy evaluator.
-            let rel = db.relation(&step.relation)?;
-            let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for (ri, row) in rel.iter().enumerate() {
-                m.rows_scanned += 1;
-                let hash = key_hash(step.key_cols.iter().map(|&p| &row[p]));
-                index.entry(hash).or_default().push(ri as u32);
-            }
+            let transient: Index;
+            let idx = match rel.index(&step.key_cols) {
+                Some(idx) => {
+                    m.index_probes += nrows as u64;
+                    idx
+                }
+                None => {
+                    m.rows_scanned += rel.len() as u64;
+                    transient = rel.build_index(&step.key_cols);
+                    &transient
+                }
+            };
             for bi in 0..nrows {
                 let binding = &rows[bi * width..bi * width + width];
                 key.clear();
                 key.extend(step.key.iter().map(|(_, src)| src.value(binding)));
-                if let Some(matches) = index.get(&key_hash(key.iter())) {
-                    for &ri in matches {
-                        m.rows_scanned += 1;
-                        extend(&mut next, &mut next_n, binding, rel.row(ri as usize), &key);
-                    }
+                for &ri in idx.candidates(key_hash(key.iter())) {
+                    m.rows_scanned += 1;
+                    extend(binding, rel.row(ri as usize), &key);
                 }
             }
         }
@@ -437,36 +442,22 @@ fn apply_constraints(
     }
 }
 
-/// Plan-based counterpart of [`crate::query::eval::evaluate_bindings`]:
-/// same result set, no per-call plan derivation or index rebuild.
-pub fn evaluate_bindings_planned(
-    plan: &QueryPlan,
-    db: &mut Database,
-    use_indexes: bool,
-    m: &mut EvalMetrics,
-) -> Result<Bindings> {
-    execute_plan(plan, db, 0, use_indexes, m)
-}
-
-/// Plan-based counterpart of
-/// [`crate::query::eval::evaluate_bindings_since`]: unions every delta
-/// plan's rows, deduplicated, over the given per-relation watermarks.
+/// Semi-naive delta evaluation over a compiled body: the union of every
+/// delta plan's rows, deduplicated, over the given per-relation watermarks
+/// (see [`crate::query::eval::evaluate_bindings_since`] for the semantics).
 pub fn evaluate_bindings_since_planned(
     body: &CompiledBody,
-    db: &mut Database,
+    db: &Database,
     watermarks: &BTreeMap<Arc<str>, usize>,
-    use_indexes: bool,
     m: &mut EvalMetrics,
 ) -> Result<Bindings> {
     let mut out = Bindings::empty(body.full.vars.clone());
     let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
     for plan in &body.delta {
-        let relation = &plan.steps[0].relation;
-        let watermark = watermarks.get(relation).copied().unwrap_or(0);
-        if db.relation(relation)?.len() <= watermark {
+        let Some(watermark) = plan.pending_since(db, watermarks)? else {
             continue; // No new tuples in this atom's relation.
-        }
-        let delta = execute_plan(plan, db, watermark, use_indexes, m)?;
+        };
+        let delta = execute_plan(plan, db, watermark, m)?;
         for row in delta.rows() {
             push_dedup(&mut out, &mut seen, row);
         }
@@ -477,7 +468,6 @@ pub fn evaluate_bindings_since_planned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::eval::{evaluate_bindings, evaluate_bindings_since};
     use crate::query::parser::parse_query;
     use crate::schema::DatabaseSchema;
     use std::collections::HashSet;
@@ -491,26 +481,42 @@ mod tests {
         db
     }
 
+    fn chain(n: i64) -> Database {
+        let pairs: Vec<(i64, i64)> = (0..n).map(|i| (i, i + 1)).collect();
+        db_with_b(&pairs)
+    }
+
+    fn compile(query: &str, db: &Database) -> CompiledBody {
+        let q = parse_query(query).unwrap();
+        CompiledBody::compile(&q.atoms, &q.constraints, db).unwrap()
+    }
+
     fn row_set(b: &Bindings) -> HashSet<Vec<Val>> {
         b.rows().map(<[Val]>::to_vec).collect()
     }
 
-    fn check_equivalence(query: &str, db: &mut Database) {
-        let q = parse_query(query).unwrap();
-        let legacy = evaluate_bindings(&q.atoms, &q.constraints, db).unwrap();
-        let body = CompiledBody::compile(&q.atoms, &q.constraints, db).unwrap();
-        for use_indexes in [false, true] {
-            let mut m = EvalMetrics::default();
-            let planned = evaluate_bindings_planned(&body.full, db, use_indexes, &mut m).unwrap();
-            assert_eq!(planned.vars, legacy.vars, "{query}");
-            assert_eq!(row_set(&planned), row_set(&legacy), "{query}");
-        }
+    fn full(body: &CompiledBody, db: &Database) -> (Bindings, EvalMetrics) {
+        let mut m = EvalMetrics::default();
+        let rows = execute_plan(&body.full, db, 0, &mut m).unwrap();
+        (rows, m)
     }
 
+    fn since(
+        body: &CompiledBody,
+        db: &Database,
+        w: &BTreeMap<Arc<str>, usize>,
+    ) -> (Bindings, EvalMetrics) {
+        let mut m = EvalMetrics::default();
+        let rows = evaluate_bindings_since_planned(body, db, w, &mut m).unwrap();
+        (rows, m)
+    }
+
+    /// "Legacy" in the two tests below is the cost model of the pre-plan
+    /// evaluator — a transient index per call — which the executor still
+    /// runs whenever a relation holds no persistent index.
     #[test]
     fn planned_matches_legacy_on_core_shapes() {
-        let mut db = db_with_b(&[(1, 2), (2, 3), (3, 4), (1, 1), (7, 7)]);
-        for q in [
+        for query in [
             "q(X, Z) :- b(X, Y), b(Y, Z)",
             "q(X, Y) :- b(X, Y), b(X, Z), Y != Z",
             "q(X) :- b(X, 2)",
@@ -520,50 +526,50 @@ mod tests {
             "q(1) :- b(1, 2)",
             "q(1) :- b(8, 9)",
         ] {
-            check_equivalence(q, &mut db);
+            let mut db = db_with_b(&[(1, 2), (2, 3), (3, 4), (1, 1), (7, 7)]);
+            let body = compile(query, &db);
+            let (transient, tm) = full(&body, &db);
+            assert_eq!(tm.index_probes, 0, "{query}");
+            body.full.ensure_indexes(&mut db).unwrap();
+            let (probed, _) = full(&body, &db);
+            // Same rows in the same order, not just the same set.
+            assert_eq!(probed, transient, "{query}");
         }
     }
 
     #[test]
     fn delta_planned_matches_legacy() {
         let mut db = db_with_b(&[(1, 2), (2, 3)]);
-        let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
+        let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
         let w = db.watermarks();
         db.insert_values("b", vec![Val::Int(3), Val::Int(4)])
             .unwrap();
         db.insert_values("b", vec![Val::Int(0), Val::Int(1)])
             .unwrap();
-        let legacy = evaluate_bindings_since(&q.atoms, &q.constraints, &db, &w).unwrap();
-        let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
-        for use_indexes in [false, true] {
-            let mut m = EvalMetrics::default();
-            let planned =
-                evaluate_bindings_since_planned(&body, &mut db, &w, use_indexes, &mut m).unwrap();
-            assert_eq!(planned.vars, legacy.vars);
-            assert_eq!(row_set(&planned), row_set(&legacy));
-        }
+        let (transient, tm) = since(&body, &db, &w);
+        assert_eq!(tm.index_probes, 0);
+        body.ensure_delta_indexes(&mut db, &w).unwrap();
+        let (probed, pm) = since(&body, &db, &w);
+        assert!(pm.index_probes > 0);
+        assert_eq!(probed, transient);
+        // Both delta positions (new row as first and as second atom).
+        let rows = row_set(&probed);
+        assert!(rows.contains(&vec![Val::Int(2), Val::Int(3), Val::Int(4)]));
+        assert!(rows.contains(&vec![Val::Int(0), Val::Int(1), Val::Int(2)]));
     }
 
     #[test]
     fn delta_rows_scanned_is_o_delta_not_o_relation() {
-        // Same 1-tuple delta against a small and a large relation: the
-        // indexed planned path must read the same number of rows.
+        // Same 1-tuple delta against a small and a large relation: with
+        // persistent indexes in place both must read the same number of rows.
         let scanned = |n: i64| -> u64 {
-            let mut db = db_with_b(&[]);
-            for i in 0..n {
-                db.insert_values("b", vec![Val::Int(i), Val::Int(i + 1)])
-                    .unwrap();
-            }
-            let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
-            let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
-            // Warm the persistent indexes, as a long-running peer would.
-            let mut m = EvalMetrics::default();
-            evaluate_bindings_planned(&body.full, &mut db, true, &mut m).unwrap();
+            let mut db = chain(n);
+            let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
             let w = db.watermarks();
             db.insert_values("b", vec![Val::Int(n), Val::Int(n + 1)])
                 .unwrap();
-            let mut m = EvalMetrics::default();
-            let delta = evaluate_bindings_since_planned(&body, &mut db, &w, true, &mut m).unwrap();
+            body.ensure_delta_indexes(&mut db, &w).unwrap();
+            let (delta, m) = since(&body, &db, &w);
             // Appending (n, n+1) to the chain creates exactly one new join
             // result: (n-1, n, n+1).
             assert_eq!(delta.len(), 1);
@@ -574,20 +580,15 @@ mod tests {
 
     #[test]
     fn rebuild_path_scans_the_whole_relation() {
-        let mut db = db_with_b(&[]);
-        for i in 0..100 {
-            db.insert_values("b", vec![Val::Int(i), Val::Int(i + 1)])
-                .unwrap();
-        }
-        let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
-        let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
+        let mut db = chain(100);
+        let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
         let w = db.watermarks();
         db.insert_values("b", vec![Val::Int(500), Val::Int(501)])
             .unwrap();
-        let mut indexed = EvalMetrics::default();
-        evaluate_bindings_since_planned(&body, &mut db, &w, true, &mut indexed).unwrap();
-        let mut rebuild = EvalMetrics::default();
-        evaluate_bindings_since_planned(&body, &mut db, &w, false, &mut rebuild).unwrap();
+        // No persistent index yet: every delta plan builds a transient one.
+        let (_, rebuild) = since(&body, &db, &w);
+        body.ensure_delta_indexes(&mut db, &w).unwrap();
+        let (_, indexed) = since(&body, &db, &w);
         assert!(
             rebuild.rows_scanned >= 2 * 101,
             "rebuild path reads every row per delta plan, got {}",
@@ -603,24 +604,24 @@ mod tests {
 
     #[test]
     fn empty_watermarks_mean_everything_is_new() {
-        let mut db = db_with_b(&[(1, 2), (2, 3)]);
-        let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
-        let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
-        let mut m = EvalMetrics::default();
-        let delta = evaluate_bindings_since_planned(&body, &mut db, &BTreeMap::new(), true, &mut m)
-            .unwrap();
-        let full = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
-        assert_eq!(row_set(&delta), row_set(&full));
+        let db = db_with_b(&[(1, 2), (2, 3)]);
+        let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
+        let (delta, _) = since(&body, &db, &BTreeMap::new());
+        let (all, _) = full(&body, &db);
+        assert_eq!(row_set(&delta), row_set(&all));
     }
 
     #[test]
     fn unchanged_database_gives_empty_delta_without_scanning() {
         let mut db = db_with_b(&[(1, 2), (2, 3)]);
-        let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
-        let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
+        let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
         let w = db.watermarks();
-        let mut m = EvalMetrics::default();
-        let delta = evaluate_bindings_since_planned(&body, &mut db, &w, true, &mut m).unwrap();
+        body.ensure_delta_indexes(&mut db, &w).unwrap();
+        assert!(
+            db.relation("b").unwrap().index(&[0]).is_none(),
+            "a delta plan with nothing to scan builds no index"
+        );
+        let (delta, m) = since(&body, &db, &w);
         assert!(delta.is_empty());
         assert_eq!(delta.vars, body.full.vars);
         assert_eq!(m.rows_scanned, 0);
@@ -630,19 +631,19 @@ mod tests {
     #[test]
     fn plans_survive_inserts_via_index_maintenance() {
         let mut db = db_with_b(&[(1, 2)]);
-        let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
-        let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
-        let mut m = EvalMetrics::default();
-        evaluate_bindings_planned(&body.full, &mut db, true, &mut m).unwrap();
+        let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
+        body.full.ensure_indexes(&mut db).unwrap();
         // Interleave inserts with evaluations; the persistent index must
-        // track them without recompilation.
+        // track them without recompilation or another ensure.
         for i in 2..20 {
             db.insert_values("b", vec![Val::Int(i), Val::Int(i + 1)])
                 .unwrap();
-            let legacy = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
-            let mut m = EvalMetrics::default();
-            let planned = evaluate_bindings_planned(&body.full, &mut db, true, &mut m).unwrap();
-            assert_eq!(row_set(&planned), row_set(&legacy), "after insert {i}");
+            let (rows, m) = full(&body, &db);
+            assert!(m.index_probes > 0);
+            let expected: HashSet<Vec<Val>> = (1..i)
+                .map(|x| vec![Val::Int(x), Val::Int(x + 1), Val::Int(x + 2)])
+                .collect();
+            assert_eq!(row_set(&rows), expected, "after insert {i}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! A single relation instance: columnar, deduplicated, insertion-ordered
-//! rows with per-column hash indexes.
+//! rows with lazily built join-key hash indexes.
 //!
 //! Storage is one flat `Vec<Val>` in row-major order with stride = arity —
 //! a row is a contiguous 16-byte-per-field slice, cache-friendly to scan and
@@ -19,7 +19,6 @@ use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 use crate::value::Val;
 use serde::{Content, DeError, Deserialize, Serialize};
-use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Hashes one row slice (used for membership buckets).
@@ -78,8 +77,6 @@ pub struct Relation {
     /// Membership: row-slice hash → positions with that hash (collisions
     /// resolved by comparing slices). Rebuilt on deserialize, never stored.
     seen: FxHashMap<u64, Vec<u32>>,
-    /// Lazily built per-column indexes: column → value → row positions.
-    indexes: FxHashMap<usize, FxHashMap<Val, Vec<u32>>>,
     /// Lazily built multi-column join indexes keyed by column subset.
     /// Maintained incrementally by [`Relation::insert_row`]; cleared on
     /// symbol remap (key hashes go stale) and never serialized.
@@ -96,7 +93,6 @@ impl Relation {
             data: Vec::new(),
             len: 0,
             seen: FxHashMap::default(),
-            indexes: FxHashMap::default(),
             key_indexes: FxHashMap::default(),
         }
     }
@@ -148,9 +144,6 @@ impl Relation {
         bucket.push(pos);
         self.data.extend_from_slice(row);
         self.len += 1;
-        for (col, index) in self.indexes.iter_mut() {
-            index.entry(row[*col]).or_default().push(pos);
-        }
         for idx in self.key_indexes.values_mut() {
             let hash = key_hash(idx.cols.iter().map(|&c| &row[c]));
             idx.buckets.entry(hash).or_default().push(pos);
@@ -182,51 +175,30 @@ impl Relation {
         }
     }
 
-    /// Ensures a hash index on `column` exists and returns row positions
-    /// whose `column` equals `value` (empty slice if none).
-    ///
-    /// The index is built on first use and maintained incrementally by
-    /// [`Relation::insert_row`] afterwards — scans during fix-point
-    /// computation repeatedly probe the same join columns, so this pays off
-    /// immediately.
-    pub fn rows_matching(&mut self, column: usize, value: &Val) -> &[u32] {
-        let arity = self.arity;
-        let data = &self.data;
-        let len = self.len;
-        let index = match self.indexes.entry(column) {
-            Entry::Occupied(o) => o.into_mut(),
-            Entry::Vacant(v) => {
-                let mut idx: FxHashMap<Val, Vec<u32>> = FxHashMap::default();
-                for pos in 0..len {
-                    idx.entry(data[pos * arity + column])
-                        .or_default()
-                        .push(pos as u32);
-                }
-                v.insert(idx)
-            }
-        };
-        index.get(value).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Ensures a persistent multi-column index on `cols` exists, building it
     /// from current rows on first use. Subsequent [`Relation::insert_row`]
     /// calls maintain it incrementally. Pair with [`Relation::index`] when
     /// rows must be read while the index is borrowed.
     pub fn ensure_index(&mut self, cols: &[usize]) {
-        debug_assert!(cols.iter().all(|&c| c < self.arity));
-        if self.key_indexes.contains_key(cols) {
-            return;
+        if !self.key_indexes.contains_key(cols) {
+            let idx = self.build_index(cols);
+            self.key_indexes.insert(cols.into(), idx);
         }
+    }
+
+    /// Builds an index on `cols` over the current rows without storing it —
+    /// what a join falls back to when no persistent index exists.
+    pub(crate) fn build_index(&self, cols: &[usize]) -> Index {
+        debug_assert!(cols.iter().all(|&c| c < self.arity));
         let mut idx = Index {
             cols: cols.into(),
             buckets: FxHashMap::default(),
         };
-        for pos in 0..self.len {
-            let row = &self.data[pos * self.arity..pos * self.arity + self.arity];
+        for (pos, row) in self.iter().enumerate() {
             let hash = key_hash(cols.iter().map(|&c| &row[c]));
             idx.buckets.entry(hash).or_default().push(pos as u32);
         }
-        self.key_indexes.insert(cols.into(), idx);
+        idx
     }
 
     /// The persistent index on `cols`, if [`Relation::ensure_index`] has
@@ -249,8 +221,8 @@ impl Relation {
     }
 
     /// Rewrites every symbol through `f` (crash recovery remaps foreign
-    /// catalog ids through the live catalog). Membership buckets and column
-    /// indexes are rebuilt.
+    /// catalog ids through the live catalog). Membership buckets are
+    /// rebuilt; join indexes are dropped (their key hashes went stale).
     pub fn remap_syms(&mut self, f: &impl Fn(crate::catalog::SymId) -> crate::catalog::SymId) {
         for v in &mut self.data {
             if let Val::Sym(id) = v {
@@ -258,7 +230,6 @@ impl Relation {
             }
         }
         self.rebuild_membership();
-        self.indexes.clear();
         self.key_indexes.clear();
     }
 
@@ -415,17 +386,34 @@ mod tests {
         assert_eq!(r.since(usize::MAX).count(), 0);
     }
 
+    /// Row positions the index on `cols` yields for `key`, with hash
+    /// collisions filtered out the way a join does.
+    fn probe(r: &Relation, cols: &[usize], key: &[Val]) -> Vec<u32> {
+        let idx = r.index(cols).expect("index built");
+        idx.candidates(key_hash(key.iter()))
+            .iter()
+            .copied()
+            .filter(|&p| {
+                cols.iter()
+                    .zip(key)
+                    .all(|(&c, k)| r.row(p as usize)[c] == *k)
+            })
+            .collect()
+    }
+
     #[test]
     fn index_built_lazily_and_maintained() {
         let mut r = rel();
         r.insert_row(&tup(1, 10));
         r.insert_row(&tup(2, 20));
-        // Build index on column 0 after two inserts …
-        assert_eq!(r.rows_matching(0, &Val::Int(1)), &[0]);
+        assert!(r.index(&[0]).is_none(), "no index before the first ensure");
+        // Build the index on column 0 after two inserts …
+        r.ensure_index(&[0]);
+        assert_eq!(probe(&r, &[0], &[Val::Int(1)]), &[0]);
         // … and it must be maintained by subsequent inserts.
         r.insert_row(&tup(1, 30));
-        assert_eq!(r.rows_matching(0, &Val::Int(1)), &[0, 2]);
-        assert!(r.rows_matching(0, &Val::Int(9)).is_empty());
+        assert_eq!(probe(&r, &[0], &[Val::Int(1)]), &[0, 2]);
+        assert!(probe(&r, &[0], &[Val::Int(9)]).is_empty());
     }
 
     #[test]
@@ -433,7 +421,8 @@ mod tests {
         let mut r = rel();
         r.insert_row(&tup(1, 7));
         r.insert_row(&tup(2, 7));
-        assert_eq!(r.rows_matching(1, &Val::Int(7)), &[0, 1]);
+        r.ensure_index(&[1]);
+        assert_eq!(probe(&r, &[1], &[Val::Int(7)]), &[0, 1]);
     }
 
     #[test]
@@ -442,43 +431,19 @@ mod tests {
         r.insert_row(&tup(1, 10));
         r.insert_row(&tup(2, 10));
         r.insert_row(&tup(1, 20));
-        let probe = |r: &Relation, x: i64, y: i64| -> Vec<u32> {
-            let idx = r.index(&[0, 1]).expect("index built");
-            let h = key_hash([Val::Int(x), Val::Int(y)].iter());
-            idx.candidates(h)
-                .iter()
-                .copied()
-                .filter(|&p| r.row(p as usize) == tup(x, y))
-                .collect()
-        };
+        let key = |x: i64, y: i64| [Val::Int(x), Val::Int(y)];
         r.ensure_index(&[0, 1]);
-        assert_eq!(probe(&r, 1, 10), &[0]);
-        assert_eq!(probe(&r, 2, 10), &[1]);
-        assert!(probe(&r, 2, 20).is_empty());
+        assert_eq!(probe(&r, &[0, 1], &key(1, 10)), &[0]);
+        assert_eq!(probe(&r, &[0, 1], &key(2, 10)), &[1]);
+        assert!(probe(&r, &[0, 1], &key(2, 20)).is_empty());
         // Maintained incrementally by subsequent inserts.
         r.insert_row(&tup(2, 20));
-        assert_eq!(probe(&r, 2, 20), &[3]);
+        assert_eq!(probe(&r, &[0, 1], &key(2, 20)), &[3]);
+        // A single-column key index returns the matching row positions.
+        r.ensure_index(&[0]);
+        assert_eq!(probe(&r, &[0], &[Val::Int(1)]), &[0, 2]);
         // index_on is ensure + get.
         assert_eq!(r.index_on(&[0, 1]).cols(), &[0, 1]);
-    }
-
-    #[test]
-    fn key_index_single_column_matches_rows_matching() {
-        let mut r = rel();
-        r.insert_row(&tup(1, 7));
-        r.insert_row(&tup(2, 7));
-        r.insert_row(&tup(1, 8));
-        r.ensure_index(&[0]);
-        let h = key_hash([Val::Int(1)].iter());
-        let via_key: Vec<u32> = r
-            .index(&[0])
-            .unwrap()
-            .candidates(h)
-            .iter()
-            .copied()
-            .filter(|&p| r.row(p as usize)[0] == Val::Int(1))
-            .collect();
-        assert_eq!(via_key, r.rows_matching(0, &Val::Int(1)));
     }
 
     #[test]

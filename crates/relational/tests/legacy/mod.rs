@@ -1,23 +1,16 @@
-//! The pre-interning reference data plane, preserved verbatim in spirit:
-//! rows are `Vec<Value>` with `Arc<str>` string constants, relations keep a
-//! duplicate `HashSet` membership copy, and the evaluator clones whole
-//! `Vec<Value>` rows through every join stage.
-//!
-//! Two jobs keep this module alive after the columnar/interned rewrite:
-//!
-//! 1. **Equivalence oracle** — the proptest suite evaluates random queries
-//!    on both paths and demands identical answers (modulo nothing: null ids
-//!    are shared, and resolving [`crate::Val`] symbols must reproduce the
-//!    strings byte-for-byte).
-//! 2. **Benchmark baseline** — `bench_interning` and experiment `e16`
-//!    measure the new path's speedup against this one on identical inputs.
-//!
-//! It is deliberately *not* wired into any production code path.
+//! The reference evaluator the property tests compare the engine against:
+//! the pre-interning data plane, preserved verbatim in spirit. Rows are
+//! `Vec<Value>` with `Arc<str>` string constants, relations keep a duplicate
+//! `HashSet` membership copy, and the evaluator clones whole `Vec<Value>`
+//! rows through every join stage. It shares no code with
+//! `p2p_relational::query` beyond the AST, which is what makes agreement
+//! with it evidence (`proptest_interning.rs`, `proptest_plan.rs`).
 
-use crate::database::Database;
-use crate::error::{Error, Result};
-use crate::query::ast::{Atom, ConjunctiveQuery, Constraint, Term};
-use crate::value::{Val, Value};
+// Each test binary uses its own subset of this module.
+#![allow(dead_code)]
+
+use p2p_relational::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
+use p2p_relational::{Database, Error, Result, Tuple, Val, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -85,8 +78,7 @@ fn lower_term(t: &Term) -> LTerm {
     }
 }
 
-fn cmp_values(op: crate::query::ast::CmpOp, lhs: &Value, rhs: &Value) -> bool {
-    use crate::query::ast::CmpOp;
+fn cmp_values(op: CmpOp, lhs: &Value, rhs: &Value) -> bool {
     use Value::Null;
     match (lhs, rhs) {
         (Null(a), Null(b)) => match op {
@@ -344,37 +336,9 @@ fn legacy_constraints(
 }
 
 /// Converts new-path answer tuples to legacy rows for comparison.
-pub fn resolve_tuples(tuples: &[crate::Tuple]) -> Vec<Vec<Value>> {
+pub fn resolve_tuples(tuples: &[Tuple]) -> Vec<Vec<Value>> {
     tuples
         .iter()
         .map(|t| t.0.iter().map(|v: &Val| v.to_value()).collect())
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::query::parser::parse_query;
-    use crate::schema::DatabaseSchema;
-
-    #[test]
-    fn legacy_matches_new_on_a_mixed_join() {
-        let mut db = Database::new(
-            DatabaseSchema::parse("p(id: int, name: str). w(name: str, year: int).").unwrap(),
-        );
-        db.insert_values("p", vec![Val::Int(1), Val::str("ana")])
-            .unwrap();
-        db.insert_values("p", vec![Val::Int(2), Val::str("bob")])
-            .unwrap();
-        db.insert_values("w", vec![Val::str("ana"), Val::Int(2001)])
-            .unwrap();
-        db.insert_values("w", vec![Val::str("ana"), Val::Int(2002)])
-            .unwrap();
-        let q = parse_query("q(I, Y) :- p(I, N), w(N, Y), Y > 2001").unwrap();
-        let new = resolve_tuples(&crate::query::evaluate(&q, &db).unwrap());
-        let legacy = evaluate_legacy(&q, &LegacyDatabase::from_database(&db)).unwrap();
-        let a: HashSet<_> = new.into_iter().collect();
-        let b: HashSet<_> = legacy.into_iter().collect();
-        assert_eq!(a, b);
-    }
 }

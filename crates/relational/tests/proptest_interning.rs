@@ -3,7 +3,9 @@
 //! evaluate identically under the legacy `Value` path and the interned
 //! `Val`/columnar path, and the catalog machinery must round-trip.
 
-use p2p_relational::legacy::{evaluate_legacy, resolve_tuples, LegacyDatabase};
+mod legacy;
+
+use legacy::{evaluate_legacy, resolve_tuples, LegacyDatabase};
 use p2p_relational::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
 use p2p_relational::query::evaluate;
 use p2p_relational::value::NullId;
@@ -117,6 +119,31 @@ fn to_cq(q: &RandomQuery) -> ConjunctiveQuery {
         atoms,
         constraints,
     }
+}
+
+#[test]
+fn legacy_matches_new_on_a_mixed_join() {
+    let mut db = Database::new(
+        DatabaseSchema::parse("p(id: int, name: str). w(name: str, year: int).").unwrap(),
+    );
+    db.insert_values("p", vec![Val::Int(1), Val::str("ana")])
+        .unwrap();
+    db.insert_values("p", vec![Val::Int(2), Val::str("bob")])
+        .unwrap();
+    db.insert_values("w", vec![Val::str("ana"), Val::Int(2001)])
+        .unwrap();
+    db.insert_values("w", vec![Val::str("ana"), Val::Int(2002)])
+        .unwrap();
+    let q = p2p_relational::query::parse_query("q(I, Y) :- p(I, N), w(N, Y), Y > 2001").unwrap();
+    let new: HashSet<_> = resolve_tuples(&evaluate(&q, &db).unwrap())
+        .into_iter()
+        .collect();
+    let legacy: HashSet<_> = evaluate_legacy(&q, &LegacyDatabase::from_database(&db))
+        .unwrap()
+        .into_iter()
+        .collect();
+    assert_eq!(new.len(), 1);
+    assert_eq!(new, legacy);
 }
 
 proptest! {

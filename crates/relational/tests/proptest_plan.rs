@@ -1,13 +1,18 @@
-//! Property-based equivalence of the compiled-plan + persistent-index
-//! evaluator against the legacy per-call evaluator: full evaluation,
-//! semi-naive deltas, and index maintenance under interleaved inserts.
+//! Property tests for the one query engine. Full evaluation: the executor's
+//! index-present branch, its index-absent branch and the independent legacy
+//! reference evaluator (`legacy/mod.rs`) agree on random databases × random
+//! queries. Delta evaluation: a plan compiled once stays sound and complete
+//! (`since(w) ⊆ full(after)`, `full(before) ∪ since(w) == full(after)`)
+//! while inserts land underneath it.
 
+mod legacy;
+
+use legacy::{evaluate_legacy, LegacyDatabase};
 use p2p_relational::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
 use p2p_relational::query::{
-    evaluate_bindings, evaluate_bindings_planned, evaluate_bindings_since,
-    evaluate_bindings_since_planned, Bindings, CompiledBody, EvalMetrics,
+    evaluate_bindings_since_planned, execute_plan, Bindings, CompiledBody, EvalMetrics,
 };
-use p2p_relational::{Database, DatabaseSchema, Val};
+use p2p_relational::{Database, DatabaseSchema, Val, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -99,28 +104,53 @@ fn row_set(b: &Bindings) -> HashSet<Vec<Val>> {
     b.rows().map(<[Val]>::to_vec).collect()
 }
 
+fn full(body: &CompiledBody, db: &Database) -> (Bindings, EvalMetrics) {
+    let mut m = EvalMetrics::default();
+    let rows = execute_plan(&body.full, db, 0, &mut m).unwrap();
+    (rows, m)
+}
+
+/// Boundary form of a binding table, for comparison with the reference.
+fn value_rows(b: &Bindings) -> HashSet<Vec<Value>> {
+    b.rows()
+        .map(|row| row.iter().map(|v| v.to_value()).collect())
+        .collect()
+}
+
+/// The reference evaluator's bindings over `vars`. It projects onto a head,
+/// so it is asked for every variable in the engine's slot order.
+fn reference(cq: &ConjunctiveQuery, vars: &[Arc<str>], db: &Database) -> HashSet<Vec<Value>> {
+    let mut cq = cq.clone();
+    cq.head = vars.iter().cloned().map(Term::Var).collect();
+    evaluate_legacy(&cq, &LegacyDatabase::from_database(db))
+        .unwrap()
+        .into_iter()
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Full evaluation: planned (indexed and rebuild paths) equals legacy.
+    /// Full evaluation: index-absent branch ≡ index-present branch ≡ the
+    /// legacy reference evaluator.
     #[test]
     fn planned_matches_legacy(inst in instance(), q in random_query()) {
         let mut db = db_of(&inst);
         let cq = to_cq(&q);
-        let legacy = evaluate_bindings(&cq.atoms, &cq.constraints, &db).unwrap();
         let body = CompiledBody::compile(&cq.atoms, &cq.constraints, &db).unwrap();
-        for use_indexes in [false, true] {
-            let mut m = EvalMetrics::default();
-            let planned =
-                evaluate_bindings_planned(&body.full, &mut db, use_indexes, &mut m).unwrap();
-            prop_assert_eq!(&planned.vars, &legacy.vars);
-            prop_assert_eq!(row_set(&planned), row_set(&legacy));
-        }
+
+        let (transient, m) = full(&body, &db);
+        prop_assert_eq!(m.index_probes, 0);
+        body.full.ensure_indexes(&mut db).unwrap();
+        let (probed, _) = full(&body, &db);
+        prop_assert_eq!(&probed, &transient);
+
+        prop_assert_eq!(value_rows(&probed), reference(&cq, &probed.vars, &db));
     }
 
-    /// Interleaved inserts: a plan compiled once stays correct while the
-    /// database grows underneath it (persistent-index maintenance), for both
-    /// the full and the semi-naive delta entry points.
+    /// Interleaved inserts: a body compiled once (and indexed once, before
+    /// any insert) keeps producing sound and complete deltas while the
+    /// database grows underneath it.
     #[test]
     fn plan_survives_interleaved_inserts(
         inst in instance(),
@@ -130,28 +160,27 @@ proptest! {
         let mut db = db_of(&inst);
         let cq = to_cq(&q);
         let body = CompiledBody::compile(&cq.atoms, &cq.constraints, &db).unwrap();
-        // Warm the persistent indexes before any insert happens.
-        let mut m = EvalMetrics::default();
-        evaluate_bindings_planned(&body.full, &mut db, true, &mut m).unwrap();
-        let mut w = db.watermarks();
+        body.full.ensure_indexes(&mut db).unwrap();
         for (use_r, x, y) in extra {
+            let before = row_set(&full(&body, &db).0);
+            let w = db.watermarks();
             let rel = if use_r { "r" } else { "s" };
             db.insert_values(rel, vec![Val::Int(x), Val::Int(y)]).unwrap();
 
-            let legacy_full = evaluate_bindings(&cq.atoms, &cq.constraints, &db).unwrap();
+            // Alternate between probing whatever indexes exist and creating
+            // the delta plans' own first.
+            if use_r {
+                body.ensure_delta_indexes(&mut db, &w).unwrap();
+            }
             let mut m = EvalMetrics::default();
-            let planned_full =
-                evaluate_bindings_planned(&body.full, &mut db, true, &mut m).unwrap();
-            prop_assert_eq!(row_set(&planned_full), row_set(&legacy_full));
-
-            let legacy_delta =
-                evaluate_bindings_since(&cq.atoms, &cq.constraints, &db, &w).unwrap();
-            let mut m = EvalMetrics::default();
-            let planned_delta =
-                evaluate_bindings_since_planned(&body, &mut db, &w, true, &mut m).unwrap();
-            prop_assert_eq!(row_set(&planned_delta), row_set(&legacy_delta));
-
-            w = db.watermarks();
+            let since = row_set(&evaluate_bindings_since_planned(&body, &db, &w, &mut m).unwrap());
+            let (after, _) = full(&body, &db);
+            // The maintained indexes still answer like the reference does.
+            prop_assert_eq!(value_rows(&after), reference(&cq, &after.vars, &db));
+            let after = row_set(&after);
+            prop_assert!(since.is_subset(&after));
+            let union: HashSet<Vec<Val>> = before.union(&since).cloned().collect();
+            prop_assert_eq!(union, after);
         }
     }
 }

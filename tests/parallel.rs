@@ -44,6 +44,48 @@ fn cyclic_builder() -> P2PSystemBuilder {
     b
 }
 
+/// Leaves feeding the join star's hub, and `item` rows seeded per leaf.
+const STAR_SOURCES: usize = 8;
+const STAR_ROWS_PER_SOURCE: usize = 4;
+/// `item` rows the hub joins every inbox delta against.
+const STAR_HUB_ROWS: usize = 64;
+
+/// A delta-join star: head `A`, hub `B` holding [`STAR_HUB_ROWS`] items, and
+/// [`STAR_SOURCES`] leaves whose items are copied into `B`'s `inbox`; the
+/// join rule derives `pair` at `A` from `inbox ⋈ item` **at `B`**. Every
+/// leaf's batch lands in `inbox` as its own delta, so `B` evaluates one
+/// two-atom body many times over a growing database — plan cache, index
+/// probes and suffix scans all on the path — and the fix-point has a closed
+/// form to land on: the hub's items, plus each seeded leaf item once at its
+/// leaf, once in `inbox` and once as a distinct `pair`.
+fn join_star_builder() -> P2PSystemBuilder {
+    const SCHEMA: &str = "item(id: int, src: int). inbox(id: int, src: int). pair(x: int, y: int).";
+    let mut b = P2PSystemBuilder::new();
+    for node in 0..(2 + STAR_SOURCES) as u32 {
+        b.add_node_with_schema(node, SCHEMA).unwrap();
+    }
+    b.add_rule("j0", "B:inbox(I,S), B:item(I,T) => A:pair(S,T)")
+        .unwrap();
+    for i in 0..STAR_HUB_ROWS as i64 {
+        // The hub's `src` column stays clear of the leaf ids below.
+        b.insert(1, "item", vec![Val::Int(i), Val::Int(i + 1_000_000)])
+            .unwrap();
+    }
+    for j in 0..STAR_SOURCES {
+        let leaf = 2 + j as u32;
+        let rule = format!("{}:item(I,S) => B:inbox(I,S)", NodeId(leaf).letter());
+        b.add_rule(&format!("f{j}"), &rule).unwrap();
+        for k in 0..STAR_ROWS_PER_SOURCE {
+            let id = (j * STAR_ROWS_PER_SOURCE + k) as i64;
+            b.insert(leaf, "item", vec![Val::Int(id), Val::Int(j as i64)])
+                .unwrap();
+        }
+    }
+    b
+}
+
+const JOIN_STAR_TUPLES: usize = STAR_HUB_ROWS + 3 * STAR_SOURCES * STAR_ROWS_PER_SOURCE;
+
 fn ring_builder(n: u32) -> P2PSystemBuilder {
     build_system(&WorkloadConfig {
         topology: Topology::Ring { n },
@@ -57,30 +99,42 @@ fn ring_builder(n: u32) -> P2PSystemBuilder {
 /// Sharded fix-points equal the simulator's and the oracle's at every
 /// shard count — including 1 (pure multiplexing, and the baseline every
 /// speedup is measured against) and 16 > n (idle shards must not deadlock
-/// the quiescence barrier).
+/// the quiescence barrier) — on a cyclic copy network and on the join star,
+/// whose fix-point must also hit its closed form.
 #[test]
 fn sharded_matches_simulator_across_shard_counts() {
-    let mut sim = cyclic_builder().build().unwrap();
-    let report = sim.run_update();
-    assert!(report.all_closed);
-    let sim_db = sim.snapshot();
-    let oracle = sim.oracle().unwrap();
+    type Case = (&'static str, fn() -> P2PSystemBuilder, Option<usize>);
+    let cases: [Case; 2] = [
+        ("cyclic", cyclic_builder, None),
+        ("join star", join_star_builder, Some(JOIN_STAR_TUPLES)),
+    ];
+    for (name, builder, closed_form) in cases {
+        let mut sim = builder().build().unwrap();
+        let report = sim.run_update();
+        assert!(report.all_closed, "{name}");
+        let sim_db = sim.snapshot();
+        let oracle = sim.oracle().unwrap();
+        assert!(sim_db.equivalent(&oracle), "{name}: simulator != oracle");
+        if let Some(tuples) = closed_form {
+            assert_eq!(sim_db.total_tuples(), tuples, "{name}: closed form");
+        }
 
-    for shards in [1usize, 2, 3, 8, 16] {
-        let (db, stats, all_closed) =
-            run_update_sharded(cyclic_builder(), shards, ShardPlacement::RoundRobin).unwrap();
-        assert!(all_closed, "{shards} shards: unclosed run");
-        assert!(
-            db.equivalent(&sim_db),
-            "{shards} shards: fix-point differs from the simulator"
-        );
-        assert!(db.equivalent(&oracle), "{shards} shards: != oracle");
-        assert!(stats.total_messages > 0);
-        if shards == 1 {
-            assert_eq!(
-                stats.cross_shard_sends, 0,
-                "one shard has no boundaries to cross"
+        for shards in [1usize, 2, 3, 8, 16] {
+            let (db, stats, all_closed) =
+                run_update_sharded(builder(), shards, ShardPlacement::RoundRobin).unwrap();
+            assert!(all_closed, "{name}, {shards} shards: unclosed run");
+            assert!(
+                db.equivalent(&sim_db),
+                "{name}, {shards} shards: fix-point differs from the simulator"
             );
+            assert!(db.equivalent(&oracle), "{name}, {shards} shards: != oracle");
+            assert!(stats.total_messages > 0);
+            if shards == 1 {
+                assert_eq!(
+                    stats.cross_shard_sends, 0,
+                    "one shard has no boundaries to cross"
+                );
+            }
         }
     }
 }
