@@ -69,7 +69,7 @@ pub fn run_workload(
 ) -> (RunPoint, UpdateReport) {
     let mut b = build_system(cfg).expect("workload builds");
     b.config_mut().mode = mode;
-    b.config_mut().delta_optimization = delta;
+    b.config_mut().paper_faithful = !delta;
     b.config_mut().max_events = 50_000_000;
     let generated = cfg.topology.generate();
     let mut sys = b.build().expect("system builds");
@@ -448,7 +448,7 @@ pub fn run_delta_waves_once(
     UpdateReport,
 ) {
     b.config_mut().mode = UpdateMode::Rounds;
-    b.config_mut().delta_waves = delta_waves;
+    b.config_mut().paper_faithful = !delta_waves;
     b.config_mut().max_events = 50_000_000;
     let mut sys = b.build().expect("system builds");
     let report = sys.run_update();
@@ -578,7 +578,7 @@ pub fn churn_builder(scale: Scale, delta_waves: bool, durable: bool) -> P2PSyste
     })
     .expect("workload builds");
     b.config_mut().mode = UpdateMode::Rounds;
-    b.config_mut().delta_waves = delta_waves;
+    b.config_mut().paper_faithful = !delta_waves;
     b.config_mut().durability = durable;
     b.config_mut().snapshot_every = 32;
     b.config_mut().max_events = 50_000_000;

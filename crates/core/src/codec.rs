@@ -9,7 +9,8 @@
 //! ## Layout
 //!
 //! A message is a 1-byte **variant tag** (declaration order of
-//! [`ProtocolMsg`]'s variants) followed by its fields:
+//! [`ProtocolMsg`]'s variants; `Query` with `resume` set takes a second tag
+//! instead of a flag byte) followed by its fields:
 //!
 //! * Session ids, node ids, rule ids, rounds, counters — varints (zigzag
 //!   where negative values are possible).
@@ -375,6 +376,9 @@ pub fn encoded_rows_len(rows: &AnswerRows) -> usize {
 
 // ------------------------------------------------------------- messages
 
+/// Second tag of [`ProtocolMsg::Query`]: the same fields, `resume` set.
+const QUERY_RESUME: u8 = 28;
+
 fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
     match msg {
         ProtocolMsg::StartDiscovery => w.put_u8(0),
@@ -426,8 +430,11 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
             rule,
             part,
             sn,
+            resume,
         } => {
-            w.put_u8(11);
+            // `resume` rides in the tag, so a first-contact query costs
+            // what it always did.
+            w.put_u8(if *resume { QUERY_RESUME } else { 11 });
             put_session(w, *session);
             w.put_varint(u64::from(rule.0));
             put_doc(w, part)?;
@@ -610,7 +617,7 @@ fn read_msg(r: &mut Reader<'_>) -> Result<ProtocolMsg, Error> {
         10 => ProtocolMsg::UpdateFlood {
             session: get_session(r)?,
         },
-        11 => {
+        tag @ (11 | QUERY_RESUME) => {
             let session = get_session(r)?;
             let rule = get_rule(r)?;
             let part = get_doc(r)?;
@@ -624,6 +631,7 @@ fn read_msg(r: &mut Reader<'_>) -> Result<ProtocolMsg, Error> {
                 rule,
                 part,
                 sn,
+                resume: tag == QUERY_RESUME,
             }
         }
         12 => ProtocolMsg::Answer {
@@ -831,6 +839,37 @@ mod tests {
         for msg in &msgs {
             assert_same(&roundtrip(msg), msg);
         }
+    }
+
+    /// `resume` costs nothing until it says something: a first-contact
+    /// query is the bytes it was before the field existed, in both codecs.
+    #[test]
+    fn query_resume_rides_in_the_tag_and_is_omitted_when_false() {
+        let query = |resume| ProtocolMsg::Query {
+            session: sid(3),
+            rule: RuleId(7),
+            part: crate::rule::BodyPart {
+                node: NodeId(1),
+                atoms: vec![],
+                local_constraints: vec![],
+                vars: vec![Arc::from("X")],
+            },
+            sn: vec![NodeId(0), NodeId(2)],
+            resume,
+        };
+        let (first, again) = (query(false), query(true));
+        for msg in [&first, &again] {
+            assert_same(&roundtrip(msg), msg);
+            let json = serde_json::to_string(msg).unwrap();
+            assert_same(&serde_json::from_str(&json).unwrap(), msg);
+        }
+        let (plain, resumed) = (encode_msg(&first), encode_msg(&again));
+        assert_eq!((plain[0], resumed[0]), (11, QUERY_RESUME));
+        assert_eq!(plain[1..], resumed[1..]);
+        assert!(!serde_json::to_string(&first).unwrap().contains("resume"));
+        assert!(serde_json::to_string(&again)
+            .unwrap()
+            .contains("\"resume\":true"));
     }
 
     #[test]

@@ -36,29 +36,26 @@ pub enum Initiation {
 }
 
 /// Knobs of one run. `Default` gives the configuration used throughout the
-/// examples: eager mode, flooded initiation, delta optimization on.
+/// examples: eager mode, flooded initiation, delta evaluation on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Update algorithm variant.
     pub mode: UpdateMode,
     /// Start-request dissemination.
     pub initiation: Initiation,
-    /// When true, answers carry only rows not previously sent to that
+    /// The baseline switch of the delta ladder. `false` (the default) runs
+    /// all three rungs: answers carry only rows not yet sent to that
     /// subscriber (the paper's "delta optimization … in order to minimize
-    /// data transfer and duplication"). When false, every answer repeats the
-    /// full current result. Message *counts* are identical; sizes differ.
-    pub delta_optimization: bool,
-    /// Delta-driven wave answers. When true, round-mode answering peers
-    /// track a per-(requester, rule) watermark and ship only rows derived
-    /// from facts inserted since their last answer
-    /// ([`crate::messages::ProtocolMsg::WaveAnswerDelta`]; first contact is
-    /// still a full `WaveAnswer`), while head peers cache fragment
-    /// extensions across rounds and join semi-naively. In eager mode it
-    /// additionally switches subscription re-answers to watermark-based
-    /// delta *evaluation* (skipping the full fragment re-evaluation). When
-    /// false, every wave answer re-ships the full current extension — the
-    /// paper-faithful, oracle-comparable baseline.
-    pub delta_waves: bool,
+    /// data transfer and duplication"), re-answers delta-**evaluate** from
+    /// the subscription's watermarks instead of re-running the fragment
+    /// query (rounds mode: [`crate::messages::ProtocolMsg::WaveAnswerDelta`]
+    /// plus semi-naive joins at the head), and in eager mode the cursor
+    /// outlives the session, so a later session ships what changed since
+    /// the last one (see [`crate::peer`]). `true` is the paper-faithful,
+    /// oracle-comparable baseline: every answer re-evaluates the fragment
+    /// and re-ships its full current extension, and no cursor is kept.
+    /// Message *counts* are identical either way; sizes differ.
+    pub paper_faithful: bool,
     /// Durable peers. When true, every peer owns a `p2p_storage` write-ahead
     /// log plus snapshot store: applied insertions and processed fragment
     /// answers are logged as they happen, and a crashed peer rebuilds its
@@ -106,8 +103,7 @@ impl Default for SystemConfig {
         SystemConfig {
             mode: UpdateMode::Eager,
             initiation: Initiation::Flood,
-            delta_optimization: true,
-            delta_waves: true,
+            paper_faithful: false,
             durability: false,
             snapshot_every: 64,
             codec: p2p_net::Codec::Json,
@@ -155,8 +151,7 @@ mod tests {
         let c = SystemConfig::default();
         assert_eq!(c.mode, UpdateMode::Eager);
         assert_eq!(c.initiation, Initiation::Flood);
-        assert!(c.delta_optimization);
-        assert!(c.delta_waves);
+        assert!(!c.paper_faithful);
         assert!(c.require_weak_acyclicity);
         assert_eq!(c.codec, p2p_net::Codec::Json);
     }

@@ -104,89 +104,144 @@ pub struct VarRows {
     pub rows: Vec<Tuple>,
 }
 
+impl VarRows {
+    /// Borrows the rows for a join.
+    pub fn view(&self) -> RowsView<'_> {
+        RowsView {
+            vars: &self.vars,
+            rows: &self.rows,
+        }
+    }
+}
+
+/// A borrowed [`VarRows`]: what the joins read. The head node joins
+/// fragment extensions it keeps for many sessions, so the joins must not
+/// need their own copy.
+#[derive(Debug, Clone, Copy)]
+pub struct RowsView<'a> {
+    /// Column variables.
+    pub vars: &'a [Arc<str>],
+    /// Rows over `vars`.
+    pub rows: &'a [Tuple],
+}
+
 /// Joins fragment extensions on their shared variables and filters by the
 /// rule's join constraints; returns full bindings over the union of the
 /// variables.
 pub fn join_parts(parts: &[VarRows], join_constraints: &[Constraint]) -> VarRows {
-    let mut acc: VarRows = match parts.first() {
-        Some(first) => first.clone(),
-        None => return VarRows::default(),
+    let views: Vec<RowsView<'_>> = parts.iter().map(VarRows::view).collect();
+    join_views(&views, join_constraints)
+}
+
+/// [`join_parts`] over borrowed rows, left to right.
+pub fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]) -> VarRows {
+    let Some((first, rest)) = parts.split_first() else {
+        return VarRows::default();
     };
-    for part in &parts[1..] {
-        acc = hash_join(&acc, part);
-        if acc.rows.is_empty() {
+    let mut acc: Option<VarRows> = None;
+    for part in rest {
+        let joined = hash_join(acc.as_ref().map_or(*first, VarRows::view), *part);
+        let empty = joined.rows.is_empty();
+        acc = Some(joined);
+        if empty {
             break;
         }
     }
-    // Apply the cross-fragment constraints.
-    if !join_constraints.is_empty() {
-        let idx_of: HashMap<&Arc<str>, usize> =
-            acc.vars.iter().enumerate().map(|(i, v)| (v, i)).collect();
-        acc.rows.retain(|row| {
-            join_constraints.iter().all(|c| {
-                let val = |t: &Term| -> Val {
-                    match t {
-                        Term::Const(c) => *c,
-                        Term::Var(v) => row.0[idx_of[v]],
-                    }
-                };
-                c.op.certainly_holds(&val(&c.lhs), &val(&c.rhs))
-            })
-        });
-    }
+    let mut acc = acc.unwrap_or_else(|| VarRows {
+        vars: first.vars.to_vec(),
+        rows: first.rows.to_vec(),
+    });
+    retain_constrained(&mut acc, join_constraints);
     acc
 }
 
-/// One fragment's state at the head node during delta-driven rounds: the
-/// accumulated full extension plus the rows that arrived this round.
-#[derive(Debug, Clone, Default)]
-pub struct PartDelta {
-    /// Accumulated extension across all rounds so far (including `delta`).
-    pub full: VarRows,
-    /// Rows new this round (subset of `full.rows`).
-    pub delta: VarRows,
+/// Drops the bindings that fail a cross-fragment constraint.
+pub fn retain_constrained(bindings: &mut VarRows, join_constraints: &[Constraint]) {
+    if join_constraints.is_empty() {
+        return;
+    }
+    let VarRows { vars, rows } = bindings;
+    let idx_of: HashMap<&Arc<str>, usize> = vars.iter().enumerate().map(|(i, v)| (v, i)).collect();
+    rows.retain(|row| {
+        join_constraints.iter().all(|c| {
+            let val = |t: &Term| -> Val {
+                match t {
+                    Term::Const(c) => *c,
+                    Term::Var(v) => row.0[idx_of[v]],
+                }
+            };
+            c.op.certainly_holds(&val(&c.lhs), &val(&c.rhs))
+        })
+    });
 }
 
-/// Semi-naive join expansion over fragments with per-round deltas: for each
+/// One fragment's state at the head node: the accumulated full extension
+/// plus the rows that just arrived.
+#[derive(Debug, Clone, Copy)]
+pub struct PartDelta<'a> {
+    /// Accumulated extension so far (including `delta`).
+    pub full: RowsView<'a>,
+    /// Newly arrived rows (subset of `full.rows`).
+    pub delta: RowsView<'a>,
+}
+
+/// Semi-naive join expansion over fragments with deltas: for each
 /// fragment, joins its *delta* against the other fragments' accumulated
 /// *fulls*, and unions the per-fragment results (deduplicated). Any binding
 /// using at least one new row is produced; bindings entirely over old rows
-/// were produced in an earlier round. Fragments whose delta is empty
-/// contribute no term of their own but still participate as fulls.
-pub fn join_parts_seminaive(parts: &[PartDelta], join_constraints: &[Constraint]) -> VarRows {
+/// were produced when the last of their rows arrived. Fragments whose delta
+/// is empty contribute no term of their own but still participate as fulls.
+/// Each term starts from its delta, so its intermediate results stay
+/// proportional to the delta, not to the product of the fulls; columns come
+/// out in first-occurrence order over `parts`, whichever term produced them.
+pub fn join_parts_seminaive(parts: &[PartDelta<'_>], join_constraints: &[Constraint]) -> VarRows {
     let mut out = VarRows::default();
-    let mut seen: std::collections::HashSet<Tuple> = std::collections::HashSet::new();
+    for p in parts {
+        for v in p.full.vars {
+            if !out.vars.contains(v) {
+                out.vars.push(v.clone());
+            }
+        }
+    }
+    let mut seen: FxHashSet<Tuple> = FxHashSet::default();
+    let mut vals: Vec<Val> = Vec::new();
     for (i, p) in parts.iter().enumerate() {
         if p.delta.rows.is_empty() {
             continue;
         }
-        let staged: Vec<VarRows> = parts
-            .iter()
-            .enumerate()
-            .map(|(j, q)| {
-                if i == j {
-                    p.delta.clone()
-                } else {
-                    q.full.clone()
-                }
-            })
-            .collect();
-        let joined = join_parts(&staged, join_constraints);
-        if out.vars.is_empty() {
-            out.vars = joined.vars;
-        } else {
-            debug_assert_eq!(out.vars, joined.vars);
+        let mut staged = vec![p.delta];
+        staged.extend(
+            parts
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .map(|(_, q)| q.full),
+        );
+        let joined = join_views(&staged, join_constraints);
+        if joined.rows.is_empty() {
+            continue;
         }
-        for row in joined.rows {
-            if seen.insert(row.clone()) {
-                out.rows.push(row);
+        // A non-empty join went through every fragment, so it binds every
+        // variable; its columns start with this term's delta.
+        let column: Vec<usize> = out
+            .vars
+            .iter()
+            .filter_map(|v| joined.vars.iter().position(|jv| jv == v))
+            .collect();
+        debug_assert_eq!(column.len(), out.vars.len());
+        for row in &joined.rows {
+            vals.clear();
+            vals.extend(column.iter().map(|&c| row.0[c]));
+            let t = Tuple::from_row(&vals);
+            if seen.insert(t.clone()) {
+                out.rows.push(t);
             }
         }
     }
     out
 }
 
-fn hash_join(left: &VarRows, right: &VarRows) -> VarRows {
+fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
     // Shared variables and the right-only variables to append.
     let shared: Vec<(usize, usize)> = left
         .vars
@@ -198,7 +253,7 @@ fn hash_join(left: &VarRows, right: &VarRows) -> VarRows {
         .filter(|ri| !shared.iter().any(|(_, r)| r == ri))
         .collect();
 
-    let mut out_vars = left.vars.clone();
+    let mut out_vars = left.vars.to_vec();
     out_vars.extend(right_only.iter().map(|&ri| right.vars[ri].clone()));
 
     // Hash the right side on the shared projection — `u64` key hashes with
@@ -213,7 +268,7 @@ fn hash_join(left: &VarRows, right: &VarRows) -> VarRows {
     let mut out_rows = Vec::new();
     let mut seen: FxHashSet<Tuple> = FxHashSet::default();
     let mut vals: Vec<Val> = Vec::new();
-    for lrow in &left.rows {
+    for lrow in left.rows {
         let hash = key_hash(shared.iter().map(|&(li, _)| &lrow.0[li]));
         let Some(matches) = index.get(&hash) else {
             continue;
@@ -370,12 +425,12 @@ mod tests {
         let new = join_parts_seminaive(
             &[
                 PartDelta {
-                    full: left_full.clone(),
-                    delta: left_delta,
+                    full: left_full.view(),
+                    delta: left_delta.view(),
                 },
                 PartDelta {
-                    full: right_full.clone(),
-                    delta: right_delta,
+                    full: right_full.view(),
+                    delta: right_delta.view(),
                 },
             ],
             &[],
@@ -399,12 +454,12 @@ mod tests {
         let out = join_parts_seminaive(
             &[
                 PartDelta {
-                    full: left,
-                    delta: vr(&["X", "Y"], &[]),
+                    full: left.view(),
+                    delta: vr(&["X", "Y"], &[]).view(),
                 },
                 PartDelta {
-                    full: right,
-                    delta: vr(&["Y", "Z"], &[]),
+                    full: right.view(),
+                    delta: vr(&["Y", "Z"], &[]).view(),
                 },
             ],
             &[],

@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// The serialized form omits the optional sections (`null_depths`, `marks`,
 /// `dict`) when empty — ground answers under the default configuration pay
 /// zero bytes for machinery they don't use.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnswerRows {
     /// Variable names, defining the column order of `rows`.
     pub vars: Vec<Arc<str>>,
@@ -36,14 +36,14 @@ pub struct AnswerRows {
     pub rows: Vec<Tuple>,
     /// Chase depths of labeled nulls occurring in `rows` (receivers feed
     /// these into their own chase state so the depth safety valve is global).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub null_depths: Vec<(NullId, u32)>,
     /// The answerer's per-relation insertion watermarks at evaluation time.
     /// Durable receivers log these with the answer; after a crash they are
     /// the resync cursor — the restarted peer asks only for rows derived
     /// from facts beyond the last watermark it durably processed. Empty on
     /// payload-free acknowledgements (stale acks, reopen notices).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     pub marks: BTreeMap<Arc<str>, usize>,
     /// First-use dictionary delta: `(symbol, string)` definitions for
     /// interned constants in `rows` that the sender has never shipped to
@@ -52,27 +52,8 @@ pub struct AnswerRows {
     /// Definition 1 makes the constant set `C` network-wide. Each string
     /// crosses each pipe at most once; the receiver folds the delta into its
     /// catalog view before touching the rows.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub dict: Vec<(SymId, Arc<str>)>,
-}
-
-impl serde::Serialize for AnswerRows {
-    fn to_content(&self) -> serde::Content {
-        let mut m: Vec<(String, serde::Content)> = vec![
-            ("vars".to_string(), self.vars.to_content()),
-            ("rows".to_string(), self.rows.to_content()),
-        ];
-        if !self.null_depths.is_empty() {
-            m.push(("null_depths".to_string(), self.null_depths.to_content()));
-        }
-        if !self.marks.is_empty() {
-            m.push(("marks".to_string(), self.marks.to_content()));
-        }
-        if !self.dict.is_empty() {
-            m.push(("dict".to_string(), self.dict.to_content()));
-        }
-        serde::Content::Map(m)
-    }
 }
 
 impl AnswerRows {
@@ -163,6 +144,13 @@ pub enum ProtocolMsg {
         part: BodyPart,
         /// The dependency path the request travelled (the paper's `SN`).
         sn: Vec<NodeId>,
+        /// The sender still holds what earlier sessions shipped it for this
+        /// fragment, so the answerer may resume from its committed cursor
+        /// instead of shipping the full extension (see [`crate::peer`]).
+        /// `false` — first contact, or the state was lost — is omitted from
+        /// the encoding.
+        #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+        resume: bool,
     },
     /// `Answer(ID, QA, SN, state)`: fragment extension (delta or full).
     Answer {
@@ -244,8 +232,8 @@ pub enum ProtocolMsg {
         /// Full bindings as of the answerer's current state.
         rows: AnswerRows,
     },
-    /// Delta fragment extension for a round (`SystemConfig::delta_waves`):
-    /// only the rows derived from facts inserted since the answerer's last
+    /// Delta fragment extension for a round (off under
+    /// `SystemConfig::paper_faithful`): only the rows derived from facts inserted since the answerer's last
     /// answer to this requester **within this session**. First contact
     /// always uses a full [`ProtocolMsg::WaveAnswer`]; the requester merges
     /// deltas into its per-session fragment cache and joins semi-naively.
@@ -276,8 +264,9 @@ pub enum ProtocolMsg {
     /// degenerates to the full extension). This reuses the delta-wave
     /// watermark machinery, so recovery never re-propagates the world.
     ResyncRequest {
-        /// The session whose durable answer log the cursor came from (the
-        /// repaired rows flow back into that session's fragment cache).
+        /// The newest session in the requester's durable answer log: the
+        /// tag repair traffic is attributed to and logged under. The repaired
+        /// rows flow into the requester's per-peer fragment state.
         session: SessionId,
         /// The rule whose fragment is being reconciled.
         rule: RuleId,
@@ -290,7 +279,7 @@ pub enum ProtocolMsg {
     /// The body node's reply: the delta since the requested watermark (the
     /// payload's `marks` carry the new watermark, as in every answer).
     ResyncAnswer {
-        /// The session being repaired (echoed from the request).
+        /// The tag of the request, echoed.
         session: SessionId,
         /// The rule being reconciled.
         rule: RuleId,

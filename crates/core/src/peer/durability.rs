@@ -9,17 +9,18 @@
 //!   ([`p2p_storage::WalRecord::Insert`], written from
 //!   [`DbPeer::apply_rule_bindings`]);
 //! * every fragment answer it processes
-//!   ([`p2p_storage::WalRecord::Answer`]) — **session-tagged**: the rows
-//!   (so each interleaved session's head-side fragment caches can be
-//!   rebuilt) and the answerer's database watermarks (the **resync
-//!   cursor**, one per session-scoped delta stream).
+//!   ([`p2p_storage::WalRecord::Answer`]): the rows (so the head-side
+//!   fragment state, `DbPeer::fragments`, can be rebuilt) and the
+//!   answerer's watermarks of the fragment's relations (the **resync
+//!   cursor**).
 //!
 //! ## Crash and recovery
 //!
-//! A crash ([`DbPeer::crash_volatile_state`]) wipes everything in memory:
+//! A crash (`DbPeer::crash_volatile_state`) wipes everything in memory:
 //! database, null mint, chase depths, the whole per-session state table
 //! (update/rounds/Dijkstra–Scholten state of every interleaved session),
-//! discovery state, dedup sets. Static configuration — the coordination
+//! the per-peer subscription cursors and retained fragments, discovery
+//! state, dedup sets. Static configuration — the coordination
 //! rules targeting the node, its pipes, the roster — survives, just as a
 //! real peer would re-read the network rule file at boot (Section 5).
 //! Statistics survive too: they are the experiment's measurement apparatus,
@@ -27,19 +28,21 @@
 //!
 //! At restart ([`DbPeer::restart_and_resync`]) the peer replays
 //! `snapshot + WAL` into a database **tuple-identical** to the pre-crash
-//! one (soundness of recovery), re-creates one session entry per session
-//! found in the durable answer log (priming its fragment caches), and sends
-//! one [`crate::messages::ProtocolMsg::ResyncRequest`] per session and rule
-//! fragment, carrying the last durably-processed watermark of that
-//! fragment's body node *in that session*. The body node answers with a
-//! delta evaluation from exactly that watermark — the same machinery as the
-//! delta waves — so only facts inserted there *since the crash horizon* are
-//! re-shipped, never the full extension (completeness of recovery, at delta
-//! cost). FIFO pipes make the cursor sound: if the peer durably logged an
-//! answer with watermark `W`, it had processed every earlier answer of that
-//! subscription, so everything it can possibly be missing is derivable from
-//! facts past `W`. A crash mid-run therefore recovers **all** interleaved
-//! sessions, not just one.
+//! one (soundness of recovery), folds the durable answer log — whatever
+//! sessions carried it — into `DbPeer::fragments`, and sends one
+//! [`crate::messages::ProtocolMsg::ResyncRequest`] per rule fragment,
+//! carrying the newest durably-processed watermark of that fragment's body
+//! node. The body node answers with a delta evaluation from exactly that
+//! watermark — the same machinery as the delta waves — so only facts
+//! inserted there *since the crash horizon* are re-shipped, never the full
+//! extension (completeness of recovery, at delta cost). FIFO pipes make the
+//! cursor sound: if the peer durably logged an answer with watermark `W`,
+//! it had processed every earlier answer of that subscription, and every
+//! subscription started from the full extension or from a cursor an earlier
+//! logged session committed, so everything it can possibly be missing is
+//! derivable from facts past `W`. The request also voids the body node's
+//! own cursor for this peer, so the session after a restart is answered in
+//! full once.
 //!
 //! Liveness after a mid-wave crash is the driver's job: a crashed peer
 //! cannot echo, so the wave stalls and the simulator quiesces unclosed;
@@ -47,9 +50,9 @@
 //! session (a fresh round of the same session for rounds mode, a fresh
 //! session-tagged epoch for eager mode) until closure is re-certified.
 
-use crate::joins::{join_parts, VarRows};
+use crate::config::UpdateMode;
 use crate::messages::{AnswerRows, ProtocolMsg};
-use crate::peer::DbPeer;
+use crate::peer::{DbPeer, Marks};
 use crate::rule::{BodyPart, RuleId};
 use p2p_net::{Context, SessionId};
 use p2p_relational::chase::ChaseState;
@@ -58,9 +61,6 @@ use p2p_storage::{FragmentMark, PeerStorage, StorageResult, WalRecord};
 use p2p_topology::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Per-relation insertion watermarks (the resync cursor currency).
-type Marks = BTreeMap<Arc<str>, usize>;
 
 impl DbPeer {
     /// Attaches a durable store. A fresh store gets the initial snapshot
@@ -79,7 +79,6 @@ impl DbPeer {
                 for (id, depth) in rec.depths {
                     self.chase.record(id, depth);
                 }
-                self.prime_session_caches(&rec.marks);
             }
             None => storage.snapshot(&self.db, self.nulls.minted(), self.chase.export())?,
         }
@@ -192,22 +191,34 @@ impl DbPeer {
         }
     }
 
-    /// Rebuilds each logged session's head-side fragment caches from the
-    /// recovered marks: one session entry per session the durable answer
-    /// log knows, so every interleaved session a crash interrupted can
-    /// resume with its caches whole. Must run before any delta answer
-    /// arrives — a delta joins against the *full* cached extensions, so a
-    /// hole in a cache would silently lose bindings.
-    fn prime_session_caches(&mut self, marks: &BTreeMap<(SessionId, u32, NodeId), FragmentMark>) {
-        for (&(sid, rule_raw, node), mark) in marks {
-            self.sessions
-                .or_default(sid)
-                .rnd
-                .wave_cache
-                .entry((RuleId(rule_raw), node))
-                .or_default()
-                .merge(&mark.vars, mark.rows.clone());
+    /// Rebuilds `DbPeer::fragments` from the recovered answer log and
+    /// returns each fragment's resync cursor. The log is keyed by session,
+    /// the state is not: per `(rule, body node)` the rows of all sessions
+    /// are united (kept only where a rule joins several fragments) and the
+    /// newest watermark wins — watermarks are snapshots of one growing
+    /// database, so "newest" is the per-relation maximum. Must run before
+    /// any delta answer arrives: a delta joins against the *full* retained
+    /// extensions, so a hole would silently lose bindings.
+    fn prime_fragments(
+        &mut self,
+        marks: BTreeMap<(SessionId, u32, NodeId), FragmentMark>,
+    ) -> BTreeMap<(RuleId, NodeId), Marks> {
+        let mut cursors: BTreeMap<(RuleId, NodeId), Marks> = BTreeMap::new();
+        for ((_, rule_raw, node), mark) in marks {
+            let key = (RuleId(rule_raw), node);
+            let Some(rule) = self.rules.get(&key.0) else {
+                continue;
+            };
+            if rule.parts.len() > 1 {
+                self.fragments.or_default(key).merge(&mark.vars, mark.rows);
+            }
+            let cursor = cursors.entry(key).or_default();
+            for (relation, w) in mark.watermarks {
+                let seen = cursor.entry(relation).or_default();
+                *seen = (*seen).max(w);
+            }
         }
+        cursors
     }
 
     /// Churn: the process dies. Everything in memory goes — including the
@@ -217,6 +228,9 @@ impl DbPeer {
         self.stats.crashes += 1;
         self.db = Database::new(self.db.schema().clone());
         self.plans.clear();
+        self.cursors.clear();
+        self.held.clear();
+        self.fragments.clear();
         self.nulls = NullFactory::new(self.id.0);
         self.chase = ChaseState::new();
         self.sessions.clear();
@@ -228,11 +242,10 @@ impl DbPeer {
     }
 
     /// Churn: the process comes back. Rebuilds the database from storage,
-    /// resumes the null mint past every pre-crash id, re-creates the
-    /// session entries found in the durable answer log (priming their
-    /// head-side fragment caches), and asks every rule fragment's body node
-    /// for the delta since the last durably-processed watermark, per
-    /// session.
+    /// resumes the null mint past every pre-crash id, primes the retained
+    /// fragment state from the durable answer log, and asks every rule
+    /// fragment's body node for the delta since the newest
+    /// durably-processed watermark.
     pub(crate) fn restart_and_resync(&mut self, ctx: &mut Context<ProtocolMsg>) {
         let Some(st) = self.storage.as_ref() else {
             // Amnesia baseline: without storage there is no durable state to
@@ -261,12 +274,10 @@ impl DbPeer {
             Err(e) => self.fail(e),
         }
 
-        self.prime_session_caches(&marks);
-
-        // The sessions the log knows about, newest first as a fallback tag
-        // for fragments never durably answered in any session.
-        let logged_sessions: Vec<SessionId> = marks.keys().map(|k| k.0).collect();
-        let fallback = logged_sessions.iter().copied().max().unwrap_or_default();
+        // Resync traffic travels under the newest logged session's tag (the
+        // default tag when nothing was ever logged).
+        let tag = marks.keys().map(|k| k.0).max().unwrap_or_default();
+        let mut cursors = self.prime_fragments(marks);
 
         // Watermark-based resync (control plane, outside any session's
         // termination detector). Each request is tracked in
@@ -274,35 +285,23 @@ impl DbPeer {
         // close while any is outstanding and re-sends on every session
         // (re-)entry, so a dropped resync message stalls the session (which
         // the driver re-drives) instead of silently losing the missed rows
-        // forever.
+        // forever. A fragment never durably answered is asked from the
+        // empty watermark.
         let rules: Vec<_> = self.rules.values().cloned().collect();
         for rule in &rules {
             for part in &rule.parts {
-                // One request per session that durably processed answers of
-                // this fragment; a fragment with no durable answer at all is
-                // asked once, from the empty watermark, under the newest
-                // logged session's tag.
-                let mut tagged: Vec<(SessionId, Marks)> = marks
-                    .iter()
-                    .filter(|((_, r, n), _)| *r == rule.id.0 && *n == part.node)
-                    .map(|((sid, _, _), m)| (*sid, m.watermarks.clone()))
-                    .collect();
-                if tagged.is_empty() {
-                    tagged.push((fallback, Marks::new()));
-                }
-                for (sid, since) in tagged {
-                    self.pending_resync
-                        .insert((sid, rule.id, part.node), since.clone());
-                    ctx.send(
-                        part.node,
-                        ProtocolMsg::ResyncRequest {
-                            session: sid,
-                            rule: rule.id,
-                            part: part.clone(),
-                            since,
-                        },
-                    );
-                }
+                let since = cursors.remove(&(rule.id, part.node)).unwrap_or_default();
+                self.pending_resync
+                    .insert((tag, rule.id, part.node), since.clone());
+                ctx.send(
+                    part.node,
+                    ProtocolMsg::ResyncRequest {
+                        session: tag,
+                        rule: rule.id,
+                        part: part.clone(),
+                        since,
+                    },
+                );
             }
         }
     }
@@ -353,12 +352,13 @@ impl DbPeer {
     /// control-plane data movement.
     ///
     /// A resync request also means the requester **lost its volatile
-    /// fragment caches**: every delta subscription this node holds for that
-    /// requester and rule — in *any* session — is dropped, so the next wave
-    /// or cascade answer ships the full extension instead of a delta the
-    /// requester could not join soundly. (A delta joins against the full
-    /// cached extension; an answer stream resumed against a partially
-    /// recovered cache would silently lose bindings.)
+    /// fragment state**: the cursor this node committed for that requester
+    /// and rule, and every delta subscription it holds for them in *any*
+    /// live session, are dropped, so the next session, wave or cascade
+    /// answer ships the full extension instead of a delta the requester
+    /// could not join soundly. (A delta joins against the full retained
+    /// extension; an answer stream resumed against a partially recovered
+    /// one would silently lose bindings.)
     pub(crate) fn on_resync_request(
         &mut self,
         from: NodeId,
@@ -369,12 +369,13 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.add_pipe(from);
+        self.cursors.remove(&(from, rule));
         for st in self.sessions.values_mut() {
             st.rnd.wave_subs.remove(&(from, rule));
             st.upd.subs.remove(&(from, rule));
         }
         let rows = self.eval_part_delta_local(rule, &part, &since, ctx);
-        let payload = self.make_answer_rows(from, &part.vars, rows);
+        let payload = self.make_answer_rows(from, &part, rows);
         ctx.send(
             from,
             ProtocolMsg::ResyncAnswer {
@@ -385,18 +386,12 @@ impl DbPeer {
         );
     }
 
-    /// Requester side of resync: log the answer durably, merge it into the
-    /// tagged session's fragment cache — re-creating the entry if the tag
-    /// names a session this peer no longer (or never) holds, such as the
-    /// fallback tag of a fragment never durably answered — and re-derive
-    /// the rule once every fragment is cached, so the repair's derivations
-    /// land even without a driver re-drive. Insertions go through the
-    /// standard chase (and hence the WAL), so a crash *during* recovery is
-    /// itself recoverable. Once the last outstanding resync drains, entries
-    /// that only ever held repair caches are swept: their facts live in the
-    /// database (and WAL), and any resumed session's answers arrive as full
-    /// extensions anyway (the body dropped its delta subscriptions on the
-    /// resync request), so nothing references the caches again.
+    /// Requester side of resync: log the answer durably and absorb it like
+    /// any fragment answer — merged into the retained extension and joined
+    /// semi-naively against the primed other fragments — so the repair's
+    /// derivations land even without a driver re-drive. Insertions go
+    /// through the standard chase (and hence the WAL), so a crash *during*
+    /// recovery is itself recoverable.
     pub(crate) fn on_resync_answer(
         &mut self,
         sid: SessionId,
@@ -409,39 +404,17 @@ impl DbPeer {
         self.absorb_dict(from, &mut rows);
         self.absorb_null_depths(&rows);
         self.log_answer_mark(sid, rule, from, &rows);
-        let mut st = self.sessions.remove(&sid).unwrap_or_default();
-        st.rnd
-            .wave_cache
-            .entry((rule, from))
-            .or_default()
-            .merge(&rows.vars, rows.rows);
-        if let Some(rule_obj) = self.rules.get(&rule).cloned() {
-            if rule_obj
-                .parts
-                .iter()
-                .all(|p| st.rnd.wave_cache.contains_key(&(rule, p.node)))
-            {
-                let staged: Vec<VarRows> = rule_obj
-                    .parts
-                    .iter()
-                    .map(|p| {
-                        let c = &st.rnd.wave_cache[&(rule, p.node)];
-                        VarRows {
-                            vars: c.vars.clone(),
-                            rows: c.rows.clone(),
-                        }
-                    })
-                    .collect();
-                let bindings = join_parts(&staged, &rule_obj.join_constraints);
-                if self.apply_rule_bindings(&rule_obj, &bindings) > 0 {
-                    st.rnd.dirty_self = true;
-                }
+        if self.absorb_fragment(rule, from, &rows.vars, rows.rows) > 0 {
+            // A wave that is under way here must not certify a clean round
+            // over facts its earlier answers did not carry.
+            for st in self.sessions.values_mut() {
+                st.rnd.dirty_self |= st.rnd.active;
             }
         }
-        self.sessions.insert(sid, st);
-        if self.pending_resync.is_empty() {
-            self.sessions
-                .retain(|_, s| s.joined() || s.ds.engaged() || s.ds.deficit() > 0);
+        // Rounds sessions join against their own wave caches: there the
+        // primed rows served the repair only.
+        if self.config.mode == UpdateMode::Rounds && self.pending_resync.is_empty() {
+            self.fragments.clear();
         }
     }
 }
@@ -612,21 +585,35 @@ mod tests {
         );
     }
 
-    /// A crash wipes the whole per-session table; recovery re-creates one
-    /// entry per session the durable answer log knows, caches primed.
+    /// Recovery folds the durable answer log — whatever sessions carried it
+    /// — into one retained fragment per `(rule, body node)` with the newest
+    /// watermark as resync cursor, and creates no session entry.
     #[test]
-    fn recovery_primes_caches_per_session() {
-        let mut peer = DbPeer::new(NodeId(1), Database::new(schema()), durable_config());
+    fn recovery_primes_fragments_across_sessions() {
+        let resolve = |s: &str| match s {
+            "A" => Some(NodeId(1)),
+            "B" => Some(NodeId(3)),
+            "C" => Some(NodeId(4)),
+            _ => None,
+        };
+        let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
+        let mut peer = DbPeer::new(NodeId(1), Database::new(schema), durable_config());
+        let rule =
+            crate::rule::CoordinationRule::parse("r", "B:b(X), C:c(Y) => A:a(X,Y)", None, &resolve)
+                .unwrap();
+        let rule_id = rule.id;
+        peer.install_rule(rule);
         let st = PeerStorage::new(Box::<p2p_storage::MemoryBackend>::default(), 0);
         peer.attach_storage(st).unwrap();
         let s1 = SessionId::new(NodeId(0), 1);
         let s2 = SessionId::new(NodeId(2), 2);
-        for (sid, v) in [(s1, 1i64), (s2, 2)] {
+        // Logged out of watermark order on purpose: the newest wins.
+        for (sid, v) in [(s2, 2i64), (s1, 1)] {
             let mut marks = BTreeMap::new();
-            marks.insert(Arc::<str>::from("a"), v as usize);
+            marks.insert(Arc::<str>::from("b"), v as usize);
             peer.log_answer_mark(
                 sid,
-                RuleId(9),
+                rule_id,
                 NodeId(3),
                 &AnswerRows {
                     vars: vec![Arc::from("X")],
@@ -637,13 +624,22 @@ mod tests {
             );
         }
         peer.crash_volatile_state();
-        assert_eq!(peer.session_table_len(), 0, "crash wipes the table");
+        assert_eq!(peer.retained_entries(), (0, 0), "crash wipes the state");
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
         peer.restart_and_resync(&mut ctx);
-        assert_eq!(peer.session_table_len(), 2, "one primed entry per session");
-        for (sid, v) in [(s1, 1i64), (s2, 2)] {
-            let cache = &peer.session_state(sid).unwrap().rnd.wave_cache[&(RuleId(9), NodeId(3))];
-            assert_eq!(cache.rows, vec![Tuple::new(vec![Val::Int(v)])]);
-        }
+        assert_eq!(peer.session_table_len(), 0, "no placeholder sessions");
+        let cache = &peer.fragments[&(rule_id, NodeId(3))];
+        assert_eq!(
+            cache.rows,
+            vec![Tuple::new(vec![Val::Int(1)]), Tuple::new(vec![Val::Int(2)])],
+            "united in session order"
+        );
+        let out = ctx.take_outgoing();
+        assert_eq!(out.len(), 2, "one request per fragment, not per session");
+        let ProtocolMsg::ResyncRequest { session, since, .. } = &*out[0].msg else {
+            panic!("expected a resync request, got {:?}", out[0].msg);
+        };
+        assert_eq!(*session, s2, "tagged with the newest logged session");
+        assert_eq!(since[&Arc::<str>::from("b")], 2);
     }
 }

@@ -6,17 +6,23 @@
 //! answers with its fragment's current extension and **subscribes** the
 //! asker (the paper's `owner` array); every time a node's local database
 //! grows it re-answers all its subscribers (A5's trailing `foreach`), with
-//! deltas when the delta optimization is on. Loops quiesce because answers
+//! deltas unless the run is `paper_faithful`. Loops quiesce because answers
 //! only flow when they carry something new — the paper's "node N stops
 //! propagating a result set R iff N is contained in the path … and there is
 //! no new data in R".
 //!
-//! All of this state is **per session** ([`EagerState`] lives inside
-//! [`crate::peer::SessionState`]): concurrent sessions from different roots
-//! keep separate fragment progress, subscriptions and closure flags over
-//! the shared local database, so any number of initiators interleave
-//! soundly — monotone inserts commute, and each global session's
-//! subscription graph independently covers every rule.
+//! What decides when a session is over is **per session** ([`EagerState`]
+//! lives inside [`crate::peer::SessionState`]): concurrent sessions from
+//! different roots keep separate closure flags, fragment completeness and
+//! subscriptions — with each subscription's `sent` filter for what is in
+//! flight — over the shared local database, so any number of initiators
+//! interleave soundly: monotone inserts commute, and each global session's
+//! subscription graph independently covers every rule. What a session
+//! *ships* is per peer: a subscription starts from the cursor the last
+//! retired session committed for its `(subscriber, rule)`, and the head
+//! joins against the fragment rows it retained, so a session costs what
+//! changed since the previous one. The commit-at-retirement rule and the
+//! list of what discards that state are in the [`crate::peer`] module docs.
 //!
 //! Closure: answers carry the sender's `state_u` (A5's completeness flag);
 //! a node closes bottom-up when all its rules' fragments are complete (the
@@ -31,46 +37,35 @@
 
 use crate::messages::ProtocolMsg;
 use crate::peer::tables::VecMap;
-use crate::peer::{DbPeer, SessionState};
+use crate::peer::{DbPeer, Marks, SessionState};
 use crate::rule::{BodyPart, RuleId};
 use crate::stats::ClosedBy;
 use p2p_net::{Context, SessionId};
 use p2p_relational::Tuple;
 use p2p_topology::NodeId;
-use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
-type Watermarks = BTreeMap<Arc<str>, usize>;
-
-/// Progress of one rule fragment at the head node.
-#[derive(Debug, Clone, Default)]
-pub struct PartProgress {
-    /// Fragment variables (column order of `rows`).
-    pub vars: Vec<Arc<str>>,
-    /// Accumulated extension, in arrival order.
-    pub rows: Vec<Tuple>,
-    /// Fast membership for `rows`.
-    pub row_set: HashSet<Tuple>,
-    /// The body node reported `state_u == closed` (paper's rule flag).
-    pub complete: bool,
-    /// At least one answer arrived.
-    pub received: bool,
-}
-
-/// A subscription served to a rule's head node (body side).
+/// A subscription served to a rule's head node (body side), for the
+/// lifetime of one session.
 #[derive(Debug, Clone)]
 pub struct Subscription {
     /// The fragment to evaluate for this subscriber.
     pub part: BodyPart,
-    /// Rows already shipped (delta base).
+    /// Rows shipped in this session: the exactness layer over delta
+    /// evaluation, which may re-derive an already-shipped row from a new
+    /// fact.
     pub sent: HashSet<Tuple>,
+    /// Rows earlier sessions shipped on this subscription (the resumed
+    /// cursor's count; 0 when the subscription started from the full
+    /// extension).
+    pub resumed_rows: usize,
     /// Whether the last answer carried `complete = true`.
     pub sent_complete: bool,
-    /// Database watermarks as of the last fragment evaluation for this
-    /// subscriber. With `SystemConfig::delta_waves`, re-answers
-    /// delta-evaluate the fragment from here instead of re-running the full
-    /// conjunctive query — the hot-path saving on every cascade.
-    pub watermarks: Watermarks,
+    /// Watermarks of the fragment's relations as of the last evaluation for
+    /// this subscriber: re-answers delta-evaluate from here instead of
+    /// re-running the full conjunctive query, and retirement commits them as
+    /// the `(subscriber, rule)` cursor the next session resumes from.
+    pub watermarks: Marks,
 }
 
 /// Eager-mode state of one update session at one peer.
@@ -82,9 +77,11 @@ pub struct EagerState {
     pub flood_seen: bool,
     /// `state_u == closed`.
     pub closed: bool,
-    /// Per-(rule, body node) fragment progress (flat table, see
-    /// [`crate::peer::tables`]).
-    pub parts: VecMap<(RuleId, NodeId), PartProgress>,
+    /// The fragments this session queried, per (rule, body node): whether
+    /// the body node reported `state_u == closed` (the paper's rule flag).
+    /// Answers are applied only for fragments in here; retirement marks
+    /// them held, and replacing or deleting a rule drops its entries.
+    pub parts: VecMap<(RuleId, NodeId), bool>,
     /// Subscriptions served, keyed by (subscriber, rule).
     pub subs: VecMap<(NodeId, RuleId), Subscription>,
     /// Highest fix-point broadcast generation processed.
@@ -127,17 +124,6 @@ impl DbPeer {
             self.stats.closed_by = ClosedBy::Open;
         }
         let rules: Vec<_> = self.rules.values().cloned().collect();
-        for rule in &rules {
-            for part in &rule.parts {
-                st.upd.parts.insert(
-                    (rule.id, part.node),
-                    PartProgress {
-                        vars: part.vars.clone(),
-                        ..Default::default()
-                    },
-                );
-            }
-        }
         self.issue_queries(st, sid, &rules, ctx, sn_base);
         // Crash recovery: give any still-unanswered resync request another
         // chance with the new session (at-least-once; see `durability`).
@@ -171,7 +157,10 @@ impl DbPeer {
         sn.push(self.id);
         for rule in rules {
             for part in &rule.parts {
+                st.upd.parts.insert((rule.id, part.node), false);
                 self.stats.queries_sent += 1;
+                let resume =
+                    !self.config.paper_faithful && self.held.contains(&(rule.id, part.node));
                 self.send_basic(
                     st,
                     ctx,
@@ -181,6 +170,7 @@ impl DbPeer {
                         rule: rule.id,
                         part: part.clone(),
                         sn: sn.clone(),
+                        resume,
                     },
                 );
             }
@@ -204,7 +194,9 @@ impl DbPeer {
         }
     }
 
-    /// A4 — `Query(IDs, Q, SN)`.
+    /// A4 — `Query(IDs, Q, SN)`. Answers with the fragment's full extension,
+    /// or — when the subscriber says `resume` and a committed cursor for
+    /// this very fragment exists — with what changed since that cursor.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_query(
         &mut self,
@@ -214,6 +206,7 @@ impl DbPeer {
         rule: RuleId,
         part: BodyPart,
         sn: Vec<NodeId>,
+        resume: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.stats.queries_received += 1;
@@ -221,25 +214,42 @@ impl DbPeer {
         // Joining via a query = A4's forwarding: our own queries extend SN.
         self.begin_session(st, sid, ctx, &sn);
 
-        if st.upd.subs.contains_key(&(from, rule)) {
+        let key = (from, rule);
+        if st.upd.subs.contains_key(&key) {
             self.stats.duplicate_queries += 1;
         }
-        let mut sub = Subscription {
-            part,
-            sent: HashSet::new(),
-            sent_complete: false,
-            watermarks: Watermarks::new(),
+        let since = match self.cursors.get(&key) {
+            Some(cursor) if resume && cursor.part == part => {
+                Some((cursor.watermarks.clone(), cursor.rows))
+            }
+            _ => None,
         };
-        let rows = self.eval_part_local(rule, &sub.part.clone(), ctx);
-        sub.watermarks = self.db.watermarks();
+        let (rows, resumed_rows) = match &since {
+            Some((watermarks, shipped)) => {
+                self.stats.resumed_answers += 1;
+                self.stats.rows_saved += *shipped as u64;
+                let rows = self.eval_part_delta_local(rule, &part, watermarks, ctx);
+                (rows, *shipped)
+            }
+            None => {
+                // The subscriber holds nothing (any more), or asks for
+                // another fragment: the cursor is void.
+                self.cursors.remove(&key);
+                (self.eval_part_local(rule, &part, ctx), 0)
+            }
+        };
         let complete = st.upd.closed;
-        let ship: Vec<Tuple> = rows.clone();
-        sub.sent.extend(rows);
-        sub.sent_complete = complete;
         self.stats.answers_sent += 1;
-        self.stats.rows_shipped += ship.len() as u64;
-        let payload = self.make_answer_rows(from, &sub.part.vars.clone(), ship);
-        st.upd.subs.insert((from, rule), sub);
+        self.stats.rows_shipped += rows.len() as u64;
+        let sub = Subscription {
+            watermarks: self.part_marks(&part),
+            sent: rows.iter().cloned().collect(),
+            resumed_rows,
+            sent_complete: complete,
+            part,
+        };
+        let payload = self.make_answer_rows(from, &sub.part, rows);
+        st.upd.subs.insert(key, sub);
         self.send_basic(
             st,
             ctx,
@@ -282,130 +292,90 @@ impl DbPeer {
         }
         self.absorb_dict(from, &mut rows);
         self.absorb_null_depths(&rows);
-        // Durable peers log the processed answer (rows + the answerer's
-        // watermarks — the crash-resync cursor).
-        self.log_answer_mark(sid, rule, from, &rows);
-        let Some(part) = st.upd.parts.get_mut(&(rule, from)) else {
-            // The rule was deleted while the answer was in flight.
+        let Some(part_complete) = st.upd.parts.get_mut(&(rule, from)) else {
+            // The rule was deleted or replaced while the answer was in
+            // flight.
             return;
         };
-        let first = !part.received;
-        part.received = true;
-        let mut grew = false;
-        for t in rows.rows {
-            if part.row_set.insert(t.clone()) {
-                part.rows.push(t);
-                grew = true;
-            }
-        }
         if reopen {
-            part.complete = false;
+            *part_complete = false;
             st.upd.suppress_flag_closure = true;
             self.reopen_if_closed(st, sid, ctx);
         } else if complete {
-            part.complete = true;
+            *part_complete = true;
         }
-        if grew || first {
-            let inserted = self.recompute_rule(st, rule);
-            if inserted > 0 {
-                // New local facts: cascade to subscribers (A5's trailing
-                // `foreach node ∈ π₁(owner)`).
-                self.reopen_if_closed(st, sid, ctx);
-                self.push_deltas(st, sid, ctx);
-            }
+        // Durable peers log the processed answer (rows + the answerer's
+        // watermarks — the crash-resync cursor).
+        self.log_answer_mark(sid, rule, from, &rows);
+        if self.absorb_fragment(rule, from, &rows.vars, rows.rows) > 0 {
+            // New local facts: cascade to subscribers (A5's trailing
+            // `foreach node ∈ π₁(owner)`).
+            self.reopen_if_closed(st, sid, ctx);
+            self.push_deltas(st, sid, ctx);
         }
         self.maybe_close_by_rules(st, sid, ctx);
     }
 
-    /// A6 applied to one rule: joins accumulated fragments and chases.
-    pub(crate) fn recompute_rule(&mut self, st: &mut SessionState, rule_id: RuleId) -> usize {
-        let Some(rule) = self.rules.get(&rule_id) else {
-            return 0;
-        };
-        let mut parts = Vec::with_capacity(rule.parts.len());
-        for part in &rule.parts {
-            let Some(progress) = st.upd.parts.get(&(rule_id, part.node)) else {
-                return 0;
-            };
-            if !progress.received {
-                return 0;
-            }
-            parts.push(crate::joins::VarRows {
-                vars: progress.vars.clone(),
-                rows: progress.rows.clone(),
-            });
-        }
-        self.apply_rule(rule_id, parts)
-    }
-
     /// Re-answers subscribers whose fragment result changed.
     ///
-    /// With `delta_waves` (and the delta optimization) on, the fragment is
-    /// **delta-evaluated** from the subscription's watermarks — only
-    /// bindings using facts inserted since the last answer are computed —
-    /// instead of re-running the full conjunctive query on every cascade.
-    /// The `sent` filter stays as the exactness layer: delta evaluation may
-    /// re-derive an already-shipped row from a new fact.
+    /// The fragment is **delta-evaluated** from the subscription's
+    /// watermarks — only bindings using facts inserted since the last answer
+    /// are computed — and only rows not yet shipped in this session go out.
+    /// Under `paper_faithful` the fragment is re-evaluated in full and, when
+    /// anything is new, re-shipped in full.
     pub(crate) fn push_deltas(
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        let keys: Vec<(NodeId, RuleId)> = st.upd.subs.keys().copied().collect();
-        let delta_eval = self.config.delta_waves && self.config.delta_optimization;
-        for key in keys {
-            let part = st.upd.subs[&key].part.clone();
-            let rows = if delta_eval {
-                let watermarks = st.upd.subs[&key].watermarks.clone();
-                self.eval_part_delta_local(key.1, &part, &watermarks, ctx)
+        let faithful = self.config.paper_faithful;
+        let closed = st.upd.closed;
+        // Taken out while the loop sends through `st`.
+        let mut subs = std::mem::take(&mut st.upd.subs);
+        for (&(to, rule), sub) in subs.iter_mut() {
+            let rows = if faithful {
+                self.eval_part_local(rule, &sub.part, ctx)
             } else {
-                self.eval_part_local(key.1, &part, ctx)
+                self.eval_part_delta_local(rule, &sub.part, &sub.watermarks, ctx)
             };
-            let marks = self.db.watermarks();
-            let closed = st.upd.closed;
-            let Some(sub) = st.upd.subs.get_mut(&key) else {
-                continue;
-            };
-            sub.watermarks = marks;
+            sub.watermarks = self.part_marks(&sub.part);
             let delta: Vec<Tuple> = rows
                 .iter()
-                .filter(|t| !sub.sent.contains(*t))
+                .filter(|t| sub.sent.insert((*t).clone()))
                 .cloned()
                 .collect();
             let completeness_news = closed && !sub.sent_complete;
             if delta.is_empty() && !completeness_news {
                 continue;
             }
-            sub.sent.extend(rows.iter().cloned());
             sub.sent_complete = closed;
-            let ship = if self.config.delta_optimization {
-                delta
-            } else {
+            let ship = if faithful {
                 rows
-            };
-            if delta_eval {
+            } else {
                 // What a full re-ship would have re-sent: the whole current
-                // extension, which (by monotonicity) is exactly `sent`.
+                // extension, approximated by what the subscription shipped.
                 self.stats.delta_answers_sent += 1;
-                self.stats.rows_saved += (st.upd.subs[&key].sent.len() - ship.len()) as u64;
-            }
+                self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - delta.len()) as u64;
+                delta
+            };
             self.stats.answers_sent += 1;
             self.stats.rows_shipped += ship.len() as u64;
-            let payload = self.make_answer_rows(key.0, &part.vars, ship);
+            let payload = self.make_answer_rows(to, &sub.part, ship);
             self.send_basic(
                 st,
                 ctx,
-                key.0,
+                to,
                 ProtocolMsg::Answer {
                     session: sid,
-                    rule: key.1,
+                    rule,
                     rows: payload,
                     complete: closed,
                     reopen: false,
                 },
             );
         }
+        st.upd.subs = subs;
     }
 
     /// Lemma 1's `Rules` criterion: every fragment of every rule reported
@@ -427,7 +397,7 @@ impl DbPeer {
             .rules
             .values()
             .flat_map(|r| r.parts.iter().map(move |p| (r.id, p.node)))
-            .all(|key| st.upd.parts.get(&key).map(|p| p.complete).unwrap_or(false));
+            .all(|key| st.upd.parts.get(&key).copied().unwrap_or(false));
         if all_complete {
             self.close(st, sid, ClosedBy::RulesFlags, ctx);
         }
@@ -575,6 +545,9 @@ impl DbPeer {
         let parts: Vec<BodyPart> = rule.parts.clone();
         let rule_id = rule.id;
         self.install_rule(rule);
+        // As `forget_rule` does for the sessions in the table (this one is
+        // taken out while it is handled).
+        st.upd.parts.retain(|(r, _), _| *r != rule_id);
         if !st.upd.active {
             if sid.epoch == 0 {
                 return; // No session yet: queried at the next session start.
@@ -587,18 +560,10 @@ impl DbPeer {
             return;
         }
         st.upd.suppress_flag_closure = true;
-        for part in &parts {
-            st.upd.parts.insert(
-                (rule_id, part.node),
-                PartProgress {
-                    vars: part.vars.clone(),
-                    ..Default::default()
-                },
-            );
-        }
         self.reopen_if_closed(st, sid, ctx);
         let sn = vec![self.id];
         for part in parts {
+            st.upd.parts.insert((rule_id, part.node), false);
             self.stats.queries_sent += 1;
             self.send_basic(
                 st,
@@ -609,6 +574,8 @@ impl DbPeer {
                     rule: rule_id,
                     part,
                     sn: sn.clone(),
+                    // `install_rule` dropped whatever the id held before.
+                    resume: false,
                 },
             );
         }
@@ -627,7 +594,7 @@ impl DbPeer {
         let Some(rule) = self.rules.remove(&rule_id) else {
             return;
         };
-        self.plans.remove(&rule_id);
+        self.forget_rule(rule_id);
         // A pending resync for a deleted rule has nothing left to repair.
         self.pending_resync.retain(|(_, r, _), _| *r != rule_id);
         if st.upd.active {
@@ -651,8 +618,7 @@ impl DbPeer {
     /// Body-node side of `deleteRule`.
     pub(crate) fn on_unsubscribe(&mut self, st: &mut SessionState, from: NodeId, rule: RuleId) {
         self.plans.remove(&rule);
-        if st.upd.active {
-            st.upd.subs.remove(&(from, rule));
-        }
+        st.upd.subs.remove(&(from, rule));
+        self.cursors.remove(&(from, rule));
     }
 }

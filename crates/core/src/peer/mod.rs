@@ -19,15 +19,65 @@
 //! The update session is a first-class object: every session-tagged message
 //! carries a [`SessionId`] `(root, epoch)` and is routed to that session's
 //! entry in the peer's [`DbPeer::sessions`] table. Any number of sessions —
-//! initiated by any nodes — run interleaved; each owns its full protocol
-//! state ([`SessionState`]: eager subscriptions and fragment progress, its
-//! own Dijkstra–Scholten detector, rounds-mode wave state with session-
-//! scoped watermarks and caches). Entries are **retired** when the session's
-//! terminal broadcast lands (`Fixpoint` in eager mode, `RoundsClosed` in
-//! rounds mode) — the table must be empty again after every session reaches
-//! its fix-point, so interleaving leaks no state. A message of a newer
-//! same-root session retires any stranded state of older epochs (the
-//! churn-redrive path).
+//! initiated by any nodes — run interleaved. Entries are **retired** when
+//! the session's terminal broadcast lands (`Fixpoint` in eager mode,
+//! `RoundsClosed` in rounds mode) — the table must be empty again after
+//! every session reaches its fix-point, so interleaving leaks no state. A
+//! message of a newer same-root session retires any stranded state of older
+//! epochs (the churn-redrive path).
+//!
+//! ## What is per session and what is per peer
+//!
+//! **Per session** ([`SessionState`]) is what decides when *this* diffusing
+//! computation is over, and what is still in flight within it: the closure
+//! flags and per-fragment completeness, the session's own Dijkstra–Scholten
+//! detector, each served subscription's `sent` filter and its not yet
+//! committed watermarks, and all of rounds mode's wave state.
+//!
+//! **Per peer** is what a session leaves behind for the next one, so that a
+//! session costs what changed, not what exists:
+//!
+//! * body side, `DbPeer::cursors` — per `(subscriber, rule)`, the
+//!   watermarks up to which that subscriber holds the fragment's extension,
+//!   fingerprinted by the fragment like `DbPeer::plans`. A later session's
+//!   `Query` that says `resume` is answered by delta evaluation from there
+//!   instead of the full extension;
+//! * head side, `DbPeer::held` — the `(rule, body node)` fragments this
+//!   peer holds everything it was shipped of (what `resume` reports) — and,
+//!   for rules with more than one body node only, `DbPeer::fragments`: the
+//!   accumulated extension the other fragments' deltas are joined against.
+//!   A single-fragment rule chases each delta into the database and keeps
+//!   nothing.
+//!
+//! **Both ends commit only when the session that carried the rows retires**
+//! (`DbPeer::finish_session_event`), never at send or receive time: the
+//! body node its cursor, the head its `held` mark. The terminal broadcast
+//! follows Dijkstra–Scholten termination, which guarantees every query and
+//! answer of the session was delivered and applied. A dropped message or a
+//! stranded, re-driven epoch therefore re-ships from the last committed
+//! point, and a head says `resume` only for a fragment some retired session
+//! of its own queried and got answered. Sound because the fix-point is
+//! monotone: a tuple derived at the head stays derived, so shipping it
+//! again is pure cost.
+//!
+//! Both sides are **discarded** wherever the plan cache is, plus wherever
+//! the subscriber may have lost what it was sent — and each of these falls
+//! back to the full extension:
+//!
+//! * `AddRule` / [`DbPeer::install_rule`] and `DeleteRule` (head state of the
+//!   rule — and the rule's entries in every live session's `parts`, so an
+//!   answer still in flight on a subscription opened before the change is
+//!   neither applied nor lets that session commit the fragment as held),
+//!   `Unsubscribe` (its cursor), a rule-file broadcast (everything);
+//! * `DbPeer::crash_volatile_state` on either side (everything; a durable
+//!   head re-primes `DbPeer::fragments` from its answer log);
+//! * an incoming `ResyncRequest` (the requester restarted: its cursor);
+//! * a `Query` without `resume` — first contact, or the head lost or
+//!   dropped its state (its cursor), and one whose fragment differs from
+//!   the cursor's.
+//!
+//! Under [`SystemConfig::paper_faithful`] no cursor is ever committed and no
+//! query says `resume`.
 //!
 //! Handlers are atomic; all cross-node effects go through the runtime
 //! context, and every observable iteration order is deterministic.
@@ -52,19 +102,23 @@ use p2p_topology::NodeId;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
+/// Per-relation insertion watermarks (the delta-cursor currency).
+pub(crate) type Marks = BTreeMap<Arc<str>, usize>;
+
 pub use discovery::DiscoveryState;
-pub use eager::{EagerState, PartProgress, Subscription};
-pub use rounds::RoundsState;
+pub use eager::{EagerState, Subscription};
+pub use rounds::{PartCache, RoundsState};
 pub use superpeer::SuperState;
 pub use tables::VecMap;
 
-/// Everything one peer holds for one update session. One entry per
-/// interleaved session lives in [`DbPeer::sessions`]; the entry is created
-/// on first contact with the session's traffic and retired when the
-/// session's terminal broadcast lands.
+/// Everything one peer holds for one update session only (see the module
+/// docs for what outlives it). One entry per interleaved session lives in
+/// [`DbPeer::sessions`]; the entry is created on first contact with the
+/// session's traffic and retired when the session's terminal broadcast
+/// lands.
 #[derive(Debug, Clone, Default)]
 pub struct SessionState {
-    /// Eager-mode state: fragment progress, subscriptions, closure flags.
+    /// Eager-mode state: fragment completeness, subscriptions, closure flags.
     pub upd: EagerState,
     /// This session's own Dijkstra–Scholten detector — one diffusing
     /// computation per session, as Dijkstra–Scholten intends.
@@ -83,8 +137,8 @@ pub struct SessionState {
 }
 
 impl SessionState {
-    /// The peer joined this session (as opposed to a placeholder entry
-    /// holding only recovered caches).
+    /// The peer joined this session (as opposed to an entry created as a
+    /// side effect of a dropped or ignored message).
     pub fn joined(&self) -> bool {
         self.upd.active || self.rnd.active
     }
@@ -102,15 +156,11 @@ impl SessionState {
         self.joined() && !self.closed(mode)
     }
 
-    /// Nothing worth keeping: never joined, not engaged in termination
-    /// detection, and no recovered caches. Entries created as a side effect
-    /// of dropped or ignored messages are swept through this.
+    /// Nothing worth keeping: never joined and not engaged in termination
+    /// detection. Entries created as a side effect of dropped or ignored
+    /// messages are swept through this.
     fn vacant(&self) -> bool {
-        !self.joined()
-            && !self.ds.engaged()
-            && self.ds.deficit() == 0
-            && self.rnd.wave_cache.is_empty()
-            && self.rnd.wave_subs.is_empty()
+        !self.joined() && !self.ds.engaged() && self.ds.deficit() == 0
     }
 }
 
@@ -125,6 +175,21 @@ pub(crate) struct CachedPlans {
     pub(crate) part: crate::rule::BodyPart,
     /// Full + per-atom delta plans.
     pub(crate) body: crate::joins::CompiledBody,
+}
+
+/// Body side of a subscription between sessions: how much of one rule
+/// fragment one subscriber holds. Committed when a session retires.
+#[derive(Debug, Clone)]
+pub(crate) struct Cursor {
+    /// The fragment the watermarks were advanced for (the fingerprint, as
+    /// in [`CachedPlans`]).
+    pub(crate) part: crate::rule::BodyPart,
+    /// Watermarks of the fragment's relations: the subscriber holds every
+    /// row derivable from the facts below them.
+    pub(crate) watermarks: Marks,
+    /// Rows shipped on the subscription so far, over all its sessions (the
+    /// `rows_saved` statistic: what a full re-ship would re-send).
+    pub(crate) rows: usize,
 }
 
 /// A database peer: local database, coordination rules targeting it, and
@@ -154,6 +219,18 @@ pub struct DbPeer {
     /// on `AddRule`/`DeleteRule`/`Unsubscribe`. Volatile: a crash clears it
     /// and the next evaluation recompiles.
     pub(crate) plans: FxHashMap<RuleId, CachedPlans>,
+    /// Body side, per `(subscriber, rule)`: the committed delta cursor of
+    /// each subscription this peer served (module docs). Bounded by rules ×
+    /// neighbours; volatile.
+    pub(crate) cursors: VecMap<(NodeId, RuleId), Cursor>,
+    /// Head side: the `(rule, body node)` fragments of this peer's own
+    /// rules of which it holds everything it was shipped — marked when a
+    /// session that queried them retires (module docs). Volatile.
+    pub(crate) held: BTreeSet<(RuleId, NodeId)>,
+    /// Head side, per `(rule, body node)` of the rules with more than one
+    /// body node: the rows that body node shipped so far. Volatile; a
+    /// durable peer re-primes it from its answer log.
+    pub(crate) fragments: VecMap<(RuleId, NodeId), PartCache>,
     /// Pipe neighbours (rule sources *and* rule targets, Section 5).
     pub(crate) pipes: BTreeSet<NodeId>,
     /// Whether this node lies on a dependency cycle (used by rounds mode to
@@ -215,6 +292,9 @@ impl DbPeer {
             chase: ChaseState::new(),
             rules: BTreeMap::new(),
             plans: FxHashMap::default(),
+            cursors: VecMap::default(),
+            held: BTreeSet::new(),
+            fragments: VecMap::default(),
             pipes: BTreeSet::new(),
             in_cycle: true,
             stats: PeerStats::default(),
@@ -245,15 +325,29 @@ impl DbPeer {
         self.sup.all_nodes = all_nodes.into();
     }
 
-    /// Installs a rule with head at this node. Any cached plan for the id is
-    /// invalidated (`AddRule` may replace a rule's body).
+    /// Installs a rule with head at this node. Whatever was cached under
+    /// the id is invalidated (`AddRule` may replace a rule's body).
     pub fn install_rule(&mut self, rule: CoordinationRule) {
         debug_assert_eq!(rule.head_node, self.id);
         for p in &rule.parts {
             self.pipes.insert(p.node);
         }
-        self.plans.remove(&rule.id);
+        self.forget_rule(rule.id);
         self.rules.insert(rule.id, rule);
+    }
+
+    /// Drops what this peer cached for a rule as its head: the compiled
+    /// plan and the retained fragment state, so the next `Query` of each
+    /// fragment goes out without `resume`. The live sessions forget that
+    /// they queried the rule: what their subscriptions still deliver
+    /// belongs to the state just dropped.
+    pub(crate) fn forget_rule(&mut self, rule: RuleId) {
+        self.plans.remove(&rule);
+        self.held.retain(|(r, _)| *r != rule);
+        self.fragments.retain(|(r, _), _| *r != rule);
+        for st in self.sessions.values_mut() {
+            st.upd.parts.retain(|(r, _), _| *r != rule);
+        }
     }
 
     /// Registers a pipe neighbour (rule sources learn their targets when the
@@ -336,9 +430,22 @@ impl DbPeer {
 
     /// Live session-table entries. The retirement invariant every test can
     /// lean on: after all sessions reach their fix-point, this is 0 — no
-    /// leaked `DiffusingState`, watermarks or fragment caches.
+    /// leaked `DiffusingState`, subscriptions or wave state.
     pub fn session_table_len(&self) -> usize {
         self.sessions.len()
+    }
+
+    /// Entries of the two per-peer tables that outlive sessions: committed
+    /// subscription cursors and held rule fragments. Bounded by rules ×
+    /// neighbours, whatever the number of sessions.
+    pub fn retained_entries(&self) -> (usize, usize) {
+        (self.cursors.len(), self.held.len())
+    }
+
+    /// Fragment rows retained across sessions (rules with more than one
+    /// body node only).
+    pub fn retained_rows(&self) -> usize {
+        self.fragments.values().map(|c| c.rows.len()).sum()
     }
 
     /// Read access to one live session entry (assertions).
@@ -505,6 +612,66 @@ impl DbPeer {
         rows
     }
 
+    /// The local database's insertion watermarks of the relations `part`
+    /// reads — the cursor currency of every delta stream. Other relations
+    /// cannot change the fragment's extension, and a missing entry already
+    /// reads as "the whole relation is new", so nothing else is carried.
+    pub(crate) fn part_marks(&self, part: &crate::rule::BodyPart) -> Marks {
+        part.atoms
+            .iter()
+            .filter_map(|a| {
+                let len = self.db.relation(&a.relation).ok()?.len();
+                Some((a.relation.clone(), len))
+            })
+            .collect()
+    }
+
+    /// A6 for one arriving fragment answer: merges the rows into what this
+    /// peer retains of the fragment and chases the bindings that use at
+    /// least one new row (semi-naive; combinations of old rows were chased
+    /// when the last of them arrived). Returns the number of facts
+    /// inserted.
+    pub(crate) fn absorb_fragment(
+        &mut self,
+        rule_id: RuleId,
+        from: NodeId,
+        vars: &[Arc<str>],
+        rows: Vec<Tuple>,
+    ) -> usize {
+        let Some(rule) = self.rules.get(&rule_id).cloned() else {
+            return 0;
+        };
+        let bindings = if rule.parts.len() == 1 {
+            // Nothing to join against: the delta is chased and not kept.
+            let mut delta = crate::joins::VarRows {
+                vars: vars.to_vec(),
+                rows,
+            };
+            crate::joins::retain_constrained(&mut delta, &rule.join_constraints);
+            delta
+        } else {
+            let fresh = self.fragments.or_default((rule_id, from)).merge(vars, rows);
+            let empty = PartCache::default();
+            let staged: Vec<crate::joins::PartDelta<'_>> = rule
+                .parts
+                .iter()
+                .map(|p| {
+                    let full = self.fragments.get(&(rule_id, p.node)).unwrap_or(&empty);
+                    let delta = if p.node == from { &fresh[..] } else { &[] };
+                    crate::joins::PartDelta {
+                        full: full.view(),
+                        delta: crate::joins::RowsView {
+                            vars: &full.vars,
+                            rows: delta,
+                        },
+                    }
+                })
+                .collect();
+            crate::joins::join_parts_seminaive(&staged, &rule.join_constraints)
+        };
+        self.apply_rule_bindings(&rule, &bindings)
+    }
+
     /// Joins the given fragment extensions for `rule` and chases the head
     /// into the local database. Returns the number of facts inserted.
     pub(crate) fn apply_rule(
@@ -554,7 +721,7 @@ impl DbPeer {
     pub(crate) fn make_answer_rows(
         &mut self,
         to: NodeId,
-        vars: &[Arc<str>],
+        part: &crate::rule::BodyPart,
         rows: Vec<Tuple>,
     ) -> crate::messages::AnswerRows {
         let mut null_depths = Vec::new();
@@ -576,18 +743,16 @@ impl DbPeer {
         let dict = ConstCatalog::global().export(fresh);
         self.stats.dict_entries_sent += dict.len() as u64;
         let payload = crate::messages::AnswerRows {
-            vars: vars.to_vec(),
+            vars: part.vars.clone(),
             rows,
             null_depths,
             dict,
             // With durability on, the answerer's current watermarks ride
             // along so durable receivers can log a resync cursor (see
             // `peer::durability`). Without it nobody would log them, so the
-            // map (and its wire bytes) stays empty — keeping the default
-            // configuration's byte accounting identical to the delta-wave
-            // baselines.
+            // map (and its wire bytes) stays empty.
             marks: if self.config.durability {
-                self.db.watermarks()
+                self.part_marks(part)
             } else {
                 BTreeMap::new()
             },
@@ -831,8 +996,37 @@ impl DbPeer {
     /// completed epoch per root — staleness and reporting both read the
     /// newest entry, so a long-lived system's summary stays bounded by its
     /// root count, not its session count.
+    ///
+    /// Retirement is also where the session **commits** (module docs) — its
+    /// subscriptions their cursors, its queried fragments as held: the
+    /// terminal broadcast certifies that every answer was delivered and
+    /// applied.
     fn finish_session_event(&mut self, sid: SessionId, st: SessionState) {
         if st.retired {
+            if !self.config.paper_faithful {
+                self.held.extend(st.upd.parts.keys().copied());
+                for (key, sub) in st.upd.subs {
+                    // Interleaved sessions retire in any order; watermarks
+                    // are snapshots of one growing database, so the later
+                    // snapshot dominates and is the one to keep.
+                    let newer = self.cursors.get(&key).is_none_or(|c| {
+                        c.part != sub.part
+                            || c.watermarks
+                                .iter()
+                                .all(|(rel, w)| sub.watermarks.get(rel).is_some_and(|n| n >= w))
+                    });
+                    if newer {
+                        self.cursors.insert(
+                            key,
+                            Cursor {
+                                rows: sub.resumed_rows + sub.sent.len(),
+                                part: sub.part,
+                                watermarks: sub.watermarks,
+                            },
+                        );
+                    }
+                }
+            }
             let superseded: Vec<SessionId> = self
                 .done
                 .range(SessionId::new(sid.root, 0)..sid)
@@ -896,7 +1090,7 @@ impl DbPeer {
             return;
         }
         self.supersede_older(sid);
-        self.done.remove(&sid);
+        let completed = self.done.remove(&sid);
 
         let mut st = self.sessions.remove(&sid).unwrap_or_default();
         let ack = if self.config.mode == UpdateMode::Eager && msg.is_basic() {
@@ -909,9 +1103,13 @@ impl DbPeer {
             ProtocolMsg::StartUpdate { .. } => self.start_update(&mut st, sid, ctx),
             ProtocolMsg::StartScopedUpdate { .. } => self.start_scoped_update(&mut st, sid, ctx),
             ProtocolMsg::UpdateFlood { .. } => self.on_update_flood(&mut st, sid, from, ctx),
-            ProtocolMsg::Query { rule, part, sn, .. } => {
-                self.on_query(&mut st, sid, from, rule, part, sn, ctx)
-            }
+            ProtocolMsg::Query {
+                rule,
+                part,
+                sn,
+                resume,
+                ..
+            } => self.on_query(&mut st, sid, from, rule, part, sn, resume, ctx),
             ProtocolMsg::Answer {
                 rule,
                 rows,
@@ -951,7 +1149,14 @@ impl DbPeer {
             ctx.send(from, ProtocolMsg::Ack { session: sid });
         }
         self.after_event(&mut st, sid, ctx);
-        self.finish_session_event(sid, st);
+        match completed {
+            // The message could have re-woken the completed session but did
+            // not (a `DeleteRule` re-joins nothing): it is still complete.
+            Some(rounds) if st.vacant() => {
+                self.done.insert(sid, rounds);
+            }
+            _ => self.finish_session_event(sid, st),
+        }
     }
 }
 
@@ -1051,5 +1256,215 @@ mod tests {
         assert_eq!(peer.stats.plan_cache_hits, 1);
         assert_eq!(peer.eval_part_rows(id, &new, None).unwrap(), rows);
         assert_eq!(peer.stats.plan_cache_hits, 2);
+    }
+
+    /// The body side of one subscription over three sessions: the cursor
+    /// moves when the session retires (not when the answer is sent), a
+    /// `resume` query is then served the delta, and a `resume` query for a
+    /// different fragment under the same rule id is served in full.
+    #[test]
+    fn cursor_commits_at_retirement_and_is_fingerprinted_by_fragment() {
+        let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
+        db.insert_values("b", vec![Val::Int(1), Val::Int(2)])
+            .unwrap();
+        let mut peer = DbPeer::new(NodeId(1), db, SystemConfig::default());
+        let resolve = |s: &str| match s {
+            "A" => Some(NodeId(0)),
+            "B" => Some(NodeId(1)),
+            _ => None,
+        };
+        let part = |text: &str| {
+            CoordinationRule::parse("r", text, None, &resolve)
+                .unwrap()
+                .parts
+                .remove(0)
+        };
+        let (copy, filtered) = (
+            part("B:b(X,Y) => A:a(X,Y)"),
+            part("B:b(X,Y), X > 0 => A:a(X,Y)"),
+        );
+        let (head, rule) = (NodeId(0), RuleId(7));
+
+        // One session as the head sees it: query, ack of the answer, and —
+        // unless the session strands — the fix-point broadcast. Returns the
+        // rows of the answer.
+        let mut epoch = 0;
+        let mut session = |peer: &mut DbPeer, part: &crate::rule::BodyPart, resume, retire| {
+            epoch += 1;
+            let session = SessionId::new(head, epoch);
+            let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+            let query = ProtocolMsg::Query {
+                session,
+                rule,
+                part: part.clone(),
+                sn: vec![head],
+                resume,
+            };
+            peer.on_message(head, query, &mut ctx);
+            let shipped = ctx
+                .take_outgoing()
+                .iter()
+                .find_map(|out| match &*out.msg {
+                    ProtocolMsg::Answer { rows, .. } => Some(rows.rows.len()),
+                    _ => None,
+                })
+                .expect("the query is answered");
+            peer.on_message(head, ProtocolMsg::Ack { session }, &mut ctx);
+            if retire {
+                let generation = 1;
+                peer.on_message(
+                    head,
+                    ProtocolMsg::Fixpoint {
+                        session,
+                        generation,
+                    },
+                    &mut ctx,
+                );
+                assert_eq!(peer.session_table_len(), 0);
+            }
+            shipped
+        };
+
+        assert_eq!(session(&mut peer, &copy, false, false), 1, "first contact");
+        assert_eq!(peer.retained_entries().0, 0, "sent is not committed");
+        assert_eq!(
+            session(&mut peer, &copy, true, true),
+            1,
+            "nothing to resume"
+        );
+        assert_eq!(peer.retained_entries().0, 1, "retired is committed");
+        peer.db
+            .insert_values("b", vec![Val::Int(3), Val::Int(4)])
+            .unwrap();
+        assert_eq!(session(&mut peer, &copy, true, true), 1, "the delta");
+        assert_eq!(peer.stats.resumed_answers, 1);
+        assert_eq!(
+            session(&mut peer, &filtered, true, true),
+            2,
+            "other fragment"
+        );
+        assert_eq!(
+            session(&mut peer, &filtered, false, true),
+            2,
+            "head lost it"
+        );
+        assert_eq!(peer.stats.resumed_answers, 1);
+    }
+
+    /// The head side of a rule over two body nodes, with two sessions live
+    /// while the rule is replaced under its id: what the older session's
+    /// subscriptions still deliver belongs to the state the replacement
+    /// dropped. It is neither applied nor lets that session, when it
+    /// retires, mark the fragment as held — so the next session's query
+    /// does not say `resume` over a hole, even though the replacement's own
+    /// full answers were lost.
+    #[test]
+    fn fragment_is_held_only_through_a_retired_session_that_queried_it() {
+        let schema = DatabaseSchema::parse("a(x: int, z: int).").unwrap();
+        let mut peer = DbPeer::new(NodeId(0), Database::new(schema), SystemConfig::default());
+        let resolve = |s: &str| match s {
+            "A" => Some(NodeId(0)),
+            "B" => Some(NodeId(1)),
+            "C" => Some(NodeId(2)),
+            _ => None,
+        };
+        let rule =
+            CoordinationRule::parse("r", "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)", None, &resolve).unwrap();
+        peer.install_rule(rule.clone());
+
+        // Delivers one message; acknowledges every basic message the
+        // handler sent unless `lost`; returns the `resume` flags of the
+        // queries it sent.
+        fn deliver(peer: &mut DbPeer, from: NodeId, msg: ProtocolMsg, lost: bool) -> Vec<bool> {
+            let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
+            peer.on_message(from, msg, &mut ctx);
+            let sent = ctx.take_outgoing();
+            for out in sent.iter().filter(|out| out.msg.is_basic() && !lost) {
+                let session = out.msg.session().unwrap();
+                peer.on_message(out.to, ProtocolMsg::Ack { session }, &mut ctx);
+            }
+            sent.iter()
+                .filter_map(|out| match &*out.msg {
+                    ProtocolMsg::Query { resume, .. } => Some(*resume),
+                    _ => None,
+                })
+                .collect()
+        }
+        let answer = |session, from: NodeId, row: [i64; 2]| {
+            let part = rule.parts.iter().find(|p| p.node == from).unwrap();
+            ProtocolMsg::Answer {
+                session,
+                rule: rule.id,
+                rows: crate::messages::AnswerRows {
+                    vars: part.vars.clone(),
+                    rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
+                    ..Default::default()
+                },
+                complete: false,
+                reopen: false,
+            }
+        };
+        let (b, c) = (NodeId(1), NodeId(2));
+        let (s1, s2) = (SessionId::new(b, 1), SessionId::new(c, 2));
+
+        for (root, session) in [(b, s1), (c, s2)] {
+            let resumes = deliver(&mut peer, root, ProtocolMsg::UpdateFlood { session }, false);
+            assert_eq!(resumes, [false, false], "first contact");
+            deliver(&mut peer, b, answer(session, b, [1, 2]), false);
+            deliver(&mut peer, c, answer(session, c, [2, 3]), false);
+        }
+        assert_eq!(peer.database().total_tuples(), 1, "a(1,3)");
+        assert_eq!(peer.retained_rows(), 2);
+
+        // The rule is replaced within session 1, whose new queries — or
+        // their answers — are lost.
+        let replace = ProtocolMsg::AddRule {
+            session: s1,
+            rule: rule.clone(),
+        };
+        assert_eq!(deliver(&mut peer, b, replace, true), [false, false]);
+        assert_eq!(peer.retained_rows(), 0);
+
+        // Session 2's subscription, opened before, still pushes a delta.
+        deliver(&mut peer, b, answer(s2, b, [5, 2]), false);
+        assert_eq!(peer.retained_rows(), 0, "not applied");
+        let fixpoint = ProtocolMsg::Fixpoint {
+            session: s2,
+            generation: 1,
+        };
+        deliver(&mut peer, c, fixpoint, false);
+        assert!(peer.session_closed(s2) && peer.session_state(s2).is_none());
+        assert_eq!(peer.retained_entries().1, 0, "and not held");
+
+        let s3 = SessionId::new(b, 3);
+        let resumes = deliver(
+            &mut peer,
+            b,
+            ProtocolMsg::UpdateFlood { session: s3 },
+            false,
+        );
+        assert_eq!(
+            resumes,
+            [false, false],
+            "the full extensions are asked again"
+        );
+        // Answered in full and retired, the fragments are held.
+        deliver(&mut peer, b, answer(s3, b, [5, 2]), false);
+        deliver(&mut peer, c, answer(s3, c, [2, 3]), false);
+        let fixpoint = ProtocolMsg::Fixpoint {
+            session: s3,
+            generation: 1,
+        };
+        deliver(&mut peer, b, fixpoint, false);
+        assert_eq!(peer.retained_entries().1, 2);
+        assert_eq!(peer.session_table_len(), 0);
+        let s4 = SessionId::new(b, 4);
+        let resumes = deliver(
+            &mut peer,
+            b,
+            ProtocolMsg::UpdateFlood { session: s4 },
+            false,
+        );
+        assert_eq!(resumes, [true, true]);
     }
 }

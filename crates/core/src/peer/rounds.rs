@@ -26,14 +26,16 @@
 //! initiating root — run interleaved, each with its own round counter, echo
 //! tree, wave bookkeeping and delta machinery over the shared database.
 //! `RoundsClosed` retires the session's entry; the table is empty again
-//! once every session certified its fix-point.
+//! once every session certified its fix-point. (The per-peer cursors of
+//! [`crate::peer`] serve eager sessions and crash recovery; a rounds
+//! session's first answer to each requester is always the full extension.)
 //!
-//! ## Delta-driven wave answers (`SystemConfig::delta_waves`, default on)
+//! ## Delta-driven wave answers (off under `SystemConfig::paper_faithful`)
 //!
 //! The paper's fix-point re-evaluates every rule body each round; shipped
 //! naively, the extension of every fragment crosses the wire *every* round,
-//! so bytes grow quadratically with rounds on cyclic topologies. With
-//! `delta_waves` enabled the protocol is **semi-naive** instead:
+//! so bytes grow quadratically with rounds on cyclic topologies. By default
+//! the protocol is **semi-naive** instead:
 //!
 //! * **Answer side** — a peer keeps, per session and per
 //!   `(requester, rule)` subscription, the database watermarks
@@ -57,11 +59,11 @@
 //!   bindings entirely over old rows were derived in an earlier round.
 //!
 //! Termination, the dirty-bit accounting and the echo tree are unchanged;
-//! only the payloads shrink. With `delta_waves` off, every answer re-ships
-//! the full current extension — the paper-faithful baseline the delta mode
-//! is checked against (tuple-identical final databases).
+//! only the payloads shrink. Under `paper_faithful`, every answer re-ships
+//! the full current extension — the baseline the delta mode is checked
+//! against (tuple-identical final databases).
 
-use crate::joins::{join_parts_seminaive, PartDelta, VarRows};
+use crate::joins::{join_parts_seminaive, PartDelta, RowsView, VarRows};
 use crate::messages::ProtocolMsg;
 use crate::peer::{DbPeer, SessionState};
 use crate::rule::{BodyPart, RuleId};
@@ -86,7 +88,9 @@ pub struct WaveSub {
     pub rows_sent: u64,
 }
 
-/// Head-side per-fragment cache: the extension accumulated across rounds.
+/// Head-side per-fragment cache: the accumulated extension — across the
+/// rounds of a session here, across sessions in
+/// `crate::peer::DbPeer::fragments`.
 #[derive(Debug, Clone, Default)]
 pub struct PartCache {
     /// Column variables (fixed by the fragment).
@@ -106,7 +110,8 @@ impl PartCache {
     /// new ones (in arrival order). Sets the column variables on first
     /// contact. Keeps `rows` and `set` in lockstep — the invariant the
     /// semi-naive join's determinism rests on — so every merge site
-    /// (wave answers, resync answers, recovery priming) goes through here.
+    /// (wave answers, eager answers, resync answers, recovery priming) goes
+    /// through here.
     pub fn merge(&mut self, vars: &[Arc<str>], rows: Vec<Tuple>) -> Vec<Tuple> {
         if self.vars.is_empty() {
             self.vars = vars.to_vec();
@@ -119,6 +124,14 @@ impl PartCache {
             }
         }
         fresh
+    }
+
+    /// Borrows the accumulated extension for a join.
+    pub fn view(&self) -> RowsView<'_> {
+        RowsView {
+            vars: &self.vars,
+            rows: &self.rows,
+        }
     }
 }
 
@@ -146,8 +159,8 @@ pub struct RoundsState {
     /// Queries deferred until own fragments answered.
     pub deferred: Vec<(NodeId, RuleId, BodyPart)>,
     /// Fragment extensions received this round, per `(rule, body node)`:
-    /// with `delta_waves` the rows *new to the cache* this round, otherwise
-    /// the full shipped extension.
+    /// the rows *new to the cache* this round, or under `paper_faithful` the
+    /// full shipped extension.
     pub wave_parts: BTreeMap<(RuleId, NodeId), WaveRows>,
     /// Answer-side delta subscriptions, per `(requester, rule)`. Survives
     /// round resets (a session-lifetime map; retired with the session).
@@ -365,8 +378,8 @@ impl DbPeer {
         }
     }
 
-    /// Ships one wave answer: a full extension on first contact (or with
-    /// `delta_waves` off), a semi-naive delta afterwards.
+    /// Ships one wave answer: a full extension on first contact (or under
+    /// `paper_faithful`), a semi-naive delta afterwards.
     #[allow(clippy::too_many_arguments)]
     fn answer_wave(
         &mut self,
@@ -379,23 +392,18 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
     ) {
         let key = (to, rule);
-        if self.config.delta_waves && st.rnd.wave_subs.contains_key(&key) {
+        if let Some(sub) = st.rnd.wave_subs.get_mut(&key) {
             // Re-answer: only rows derived from facts inserted since the
             // last answer to this requester within this session.
-            let prev_sent = st.rnd.wave_subs[&key].rows_sent;
-            let watermarks = st.rnd.wave_subs[&key].watermarks.clone();
-            let rows = self.eval_part_delta_local(rule, part, &watermarks, ctx);
+            let rows = self.eval_part_delta_local(rule, part, &sub.watermarks, ctx);
             let shipped = rows.len() as u64;
             self.stats.answers_sent += 1;
             self.stats.delta_answers_sent += 1;
             self.stats.rows_shipped += shipped;
-            self.stats.rows_saved += prev_sent;
-            let payload = self.make_answer_rows(to, &part.vars, rows);
-            let marks = self.db.watermarks();
-            if let Some(sub) = st.rnd.wave_subs.get_mut(&key) {
-                sub.watermarks = marks;
-                sub.rows_sent += shipped;
-            }
+            self.stats.rows_saved += sub.rows_sent;
+            sub.watermarks = self.part_marks(part);
+            sub.rows_sent += shipped;
+            let payload = self.make_answer_rows(to, part, rows);
             ctx.send(
                 to,
                 ProtocolMsg::WaveAnswerDelta {
@@ -410,16 +418,16 @@ impl DbPeer {
         let rows = self.eval_part_local(rule, part, ctx);
         self.stats.answers_sent += 1;
         self.stats.rows_shipped += rows.len() as u64;
-        if self.config.delta_waves {
+        if !self.config.paper_faithful {
             st.rnd.wave_subs.insert(
                 key,
                 WaveSub {
-                    watermarks: self.db.watermarks(),
+                    watermarks: self.part_marks(part),
                     rows_sent: rows.len() as u64,
                 },
             );
         }
-        let payload = self.make_answer_rows(to, &part.vars, rows);
+        let payload = self.make_answer_rows(to, part, rows);
         ctx.send(
             to,
             ProtocolMsg::WaveAnswer {
@@ -455,7 +463,7 @@ impl DbPeer {
         self.log_answer_mark(sid, rule, from, &rows);
         // A delta answer always goes through the cache, even if this peer's
         // own toggle is off (the sender's config decides the payload shape).
-        let use_cache = self.config.delta_waves || is_delta;
+        let use_cache = !self.config.paper_faithful || is_delta;
         if use_cache {
             let cache = st.rnd.wave_cache.entry((rule, from)).or_default();
             let fresh = cache.merge(&rows.vars, rows.rows);
@@ -487,14 +495,8 @@ impl DbPeer {
                         let cache = &st.rnd.wave_cache[&(rule, p.node)];
                         let (vars, fresh) = &st.rnd.wave_parts[&(rule, p.node)];
                         PartDelta {
-                            full: VarRows {
-                                vars: cache.vars.clone(),
-                                rows: cache.rows.clone(),
-                            },
-                            delta: VarRows {
-                                vars: vars.clone(),
-                                rows: fresh.clone(),
-                            },
+                            full: cache.view(),
+                            delta: RowsView { vars, rows: fresh },
                         }
                     })
                     .collect();

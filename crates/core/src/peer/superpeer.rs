@@ -137,6 +137,7 @@ impl DbPeer {
                 ChangeOp::DeleteLink { rule, head } => {
                     if head == self.id {
                         self.rules.remove(&rule);
+                        self.forget_rule(rule);
                         self.pending_resync.retain(|(_, r, _), _| *r != rule);
                     } else {
                         ctx.send(
@@ -291,6 +292,9 @@ impl DbPeer {
         // Adopt the new rule set.
         self.rules.clear();
         self.pipes.clear();
+        self.cursors.clear();
+        self.held.clear();
+        self.fragments.clear();
         for rule in rules {
             if rule.head_node == self.id {
                 self.install_rule(rule.clone());

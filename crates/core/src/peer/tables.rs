@@ -124,6 +124,11 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 
+    /// Entries in key order, values mutable.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    }
+
     /// Entries within a key range, in order — two binary searches and a
     /// slice walk (the supersession scans in the session dispatcher live on
     /// this).
@@ -153,6 +158,14 @@ impl<K: Ord + Copy, V> std::ops::Index<&K> for VecMap<K, V> {
     type Output = V;
     fn index(&self, key: &K) -> &V {
         self.get(key).expect("no entry found for key")
+    }
+}
+
+impl<K, V> IntoIterator for VecMap<K, V> {
+    type Item = (K, V);
+    type IntoIter = std::vec::IntoIter<(K, V)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.into_iter()
     }
 }
 

@@ -43,12 +43,9 @@ pub struct PeerStats {
     /// Delta answers sent (`WaveAnswerDelta` in rounds mode; watermark-based
     /// delta re-answers in eager mode). Subset of `answers_sent`.
     pub delta_answers_sent: u64,
-    /// Rows a **full re-ship** (`delta_waves = false` in rounds mode,
-    /// `delta_optimization = false` in eager mode) would have re-sent but a
+    /// Rows a **full re-ship** (`paper_faithful`) would have re-sent but a
     /// delta answer did not, approximated by the rows already shipped on
-    /// that subscription. In eager mode with the delta optimization already
-    /// on, the wire traffic is unchanged and this measures the rows whose
-    /// *re-evaluation* the watermark skipped.
+    /// that subscription.
     pub rows_saved: u64,
     /// Empty acknowledgements sent for wave queries of already-finished
     /// rounds: pure protocol overhead, kept out of `answers_sent` /
@@ -67,6 +64,12 @@ pub struct PeerStats {
     /// Compared against `local_evaluations` this is the plan-cache hit rate;
     /// invalidated on `AddRule`/`DeleteRule` and on crash.
     pub plan_cache_hits: u64,
+    /// First answers of a subscription served by delta evaluation from a
+    /// cursor an earlier session committed, instead of the fragment's full
+    /// extension. Compared against `queries_received` this is how often a
+    /// session started from what changed rather than from what exists.
+    #[serde(default)]
+    pub resumed_answers: u64,
     /// Facts inserted into the local database by the update algorithm.
     pub tuples_inserted: u64,
     /// Labeled nulls minted for existential head variables.
@@ -144,6 +147,7 @@ impl PeerStats {
         self.rows_scanned += other.rows_scanned;
         self.index_probes += other.index_probes;
         self.plan_cache_hits += other.plan_cache_hits;
+        self.resumed_answers += other.resumed_answers;
         self.tuples_inserted += other.tuples_inserted;
         self.nulls_minted += other.nulls_minted;
         self.discovery_requests += other.discovery_requests;
@@ -165,7 +169,7 @@ impl fmt::Display for PeerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "q_in={} (dup={}) q_out={} a_out={} (delta={} stale={}) a_in={} rows={} saved={} evals={} scanned={} probes={} plan_hits={} ins={} nulls={} crashes={} recoveries={} resync_rows={} sessions={} peak={} closed_by={:?}",
+            "q_in={} (dup={}) q_out={} a_out={} (delta={} stale={}) a_in={} rows={} saved={} evals={} scanned={} probes={} plan_hits={} resumed={} ins={} nulls={} crashes={} recoveries={} resync_rows={} sessions={} peak={} closed_by={:?}",
             self.queries_received,
             self.duplicate_queries,
             self.queries_sent,
@@ -179,6 +183,7 @@ impl fmt::Display for PeerStats {
             self.rows_scanned,
             self.index_probes,
             self.plan_cache_hits,
+            self.resumed_answers,
             self.tuples_inserted,
             self.nulls_minted,
             self.crashes,

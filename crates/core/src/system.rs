@@ -428,18 +428,7 @@ impl P2PSystem {
     /// the centralized fix-point oracle — interleaving changes wall-clock,
     /// never results.
     pub fn run_updates(&mut self, roots: &[NodeId]) -> Vec<UpdateReport> {
-        let (sids, before_msgs, before_bytes) = self.begin_sessions(roots);
-        for &sid in &sids {
-            self.sim.inject(
-                sid.root,
-                sid.root,
-                ProtocolMsg::StartUpdate { session: sid },
-            );
-        }
-        let outcome = self.sim.run();
-        sids.into_iter()
-            .map(|sid| self.report(sid, outcome, before_msgs, before_bytes))
-            .collect()
+        self.run_updates_with_script(roots, &ChangeScript::new())
     }
 
     /// Runs a **query-dependent** update rooted at `node` (Section 5): only
@@ -468,13 +457,26 @@ impl P2PSystem {
     /// Runs a global update session with a dynamic-change script applied at
     /// its scheduled virtual times (Section 4).
     pub fn run_update_with_script(&mut self, script: &ChangeScript) -> UpdateReport {
-        let (sids, before_msgs, before_bytes) = self.begin_sessions(&[self.super_peer]);
-        let sid = sids[0];
-        self.sim.inject(
-            self.super_peer,
-            self.super_peer,
-            ProtocolMsg::StartUpdate { session: sid },
-        );
+        self.run_updates_with_script(&[self.super_peer], script)
+            .pop()
+            .expect("one root, one report")
+    }
+
+    /// [`P2PSystem::run_updates`] with a dynamic-change script applied (at
+    /// the super-peer) while the sessions interleave.
+    pub fn run_updates_with_script(
+        &mut self,
+        roots: &[NodeId],
+        script: &ChangeScript,
+    ) -> Vec<UpdateReport> {
+        let (sids, before_msgs, before_bytes) = self.begin_sessions(roots);
+        for &sid in &sids {
+            self.sim.inject(
+                sid.root,
+                sid.root,
+                ProtocolMsg::StartUpdate { session: sid },
+            );
+        }
         let base = self.sim.now();
         for change in script.sorted() {
             self.sim.inject_at(
@@ -485,7 +487,9 @@ impl P2PSystem {
             );
         }
         let outcome = self.sim.run();
-        self.report(sid, outcome, before_msgs, before_bytes)
+        sids.into_iter()
+            .map(|sid| self.report(sid, outcome, before_msgs, before_bytes))
+            .collect()
     }
 
     /// Runs a global update session **to closure under churn**: the N=1
@@ -648,6 +652,19 @@ impl P2PSystem {
             db.insert_values(relation, vals)?;
         }
         Ok(())
+    }
+
+    /// Replaces the simulator's fault plan from here on (drops /
+    /// duplication / outages); [`FaultPlan::none`] restores reliable pipes.
+    pub fn set_fault(&mut self, fault: FaultPlan) {
+        self.sim.set_fault_plan(fault);
+    }
+
+    /// Installs a churn plan for the **next** update session (offsets are
+    /// relative to its start), as [`P2PSystemBuilder::set_churn`] does for
+    /// the first one.
+    pub fn set_churn(&mut self, churn: ChurnPlan) {
+        self.churn = Some(churn);
     }
 
     /// Builds an `addLink` change op from rule text (assigning a fresh id

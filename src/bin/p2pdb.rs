@@ -6,7 +6,7 @@
 //!                [--size N] [--records N] [--overlap PCT] [--seed N]
 //!                                               generate a network file
 //! p2pdb run <network.json> [--mode eager|rounds] [--discover]
-//!                [--no-delta-waves] [--query NODE QUERY] [--stats]
+//!                [--paper-faithful] [--query NODE QUERY] [--stats]
 //!                [--durable] [--churn N] [--snapshot-every K]
 //!                [--concurrent N] [--codec json|binary]
 //!                [--runtime sim|threaded|sharded] [--threads N]
@@ -200,7 +200,7 @@ fn cmd_workload(args: &[String]) -> CliResult {
 const RUN_FLAGS: &[(&str, usize)] = &[
     ("--mode", 1),
     ("--discover", 0),
-    ("--no-delta-waves", 0),
+    ("--paper-faithful", 0),
     ("--query", 2),
     ("--stats", 0),
     ("--durable", 0),
@@ -248,10 +248,11 @@ fn cmd_run(args: &[String]) -> CliResult {
         "rounds" => builder.config_mut().mode = UpdateMode::Rounds,
         other => return Err(format!("unknown mode `{other}`").into()),
     }
-    if args.iter().any(|a| a == "--no-delta-waves") {
-        // Full re-ship baseline: every wave answer carries the fragment's
-        // whole current extension (delta-driven answers are the default).
-        builder.config_mut().delta_waves = false;
+    if args.iter().any(|a| a == "--paper-faithful") {
+        // The baseline: every answer re-evaluates its fragment and carries
+        // the whole current extension (delta-driven answers are the
+        // default).
+        builder.config_mut().paper_faithful = true;
     }
     if args.iter().any(|a| a == "--trace") {
         builder.config_mut().trace_capacity = 256;

@@ -19,7 +19,7 @@ fn ring_builder(mode: UpdateMode, delta_waves: bool, durable: bool) -> P2PSystem
     })
     .unwrap();
     b.config_mut().mode = mode;
-    b.config_mut().delta_waves = delta_waves;
+    b.config_mut().paper_faithful = !delta_waves;
     b.config_mut().durability = durable;
     b.config_mut().snapshot_every = 16;
     b.config_mut().max_events = 50_000_000;

@@ -512,6 +512,7 @@ fn run_rejects_unknown_flags_but_not_flag_values() {
     let flags = [
         ["--no-plan", "-cache"].concat(),
         ["--no-", "indexes"].concat(),
+        ["--no-delta", "-waves"].concat(),
         "--durabel".to_string(),
     ];
     for flag in &flags {
@@ -523,6 +524,15 @@ fn run_rejects_unknown_flags_but_not_flag_values() {
             "{flag}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{flag}: nothing may run");
+    }
+
+    // The baseline switch that replaced the last of them is known, in both
+    // modes.
+    for mode in ["eager", "rounds"] {
+        let out = p2pdb(&["run", net, "--mode", mode, "--paper-faithful"]);
+        assert!(out.status.success(), "{mode}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("all closed: true"), "{mode}: {stdout}");
     }
 
     // Values are not flags: a query text and an export path starting with

@@ -36,7 +36,7 @@ fn paper_builder(delta_waves: bool) -> P2PSystemBuilder {
         b.insert(4, "e", vec![Val::Int(x), Val::Int(y)]).unwrap();
     }
     b.config_mut().mode = UpdateMode::Rounds;
-    b.config_mut().delta_waves = delta_waves;
+    b.config_mut().paper_faithful = !delta_waves;
     b
 }
 
@@ -95,7 +95,7 @@ fn run_ring(delta_waves: bool) -> (P2PSystem, PeerStats) {
     };
     let mut b = build_system(&cfg).unwrap();
     b.config_mut().mode = UpdateMode::Rounds;
-    b.config_mut().delta_waves = delta_waves;
+    b.config_mut().paper_faithful = !delta_waves;
     b.config_mut().max_events = 50_000_000;
     let mut sys = b.build().unwrap();
     let report = sys.run_update();

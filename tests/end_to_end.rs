@@ -224,7 +224,7 @@ fn delta_off_same_result_more_bytes() {
     };
     let run = |delta: bool| {
         let mut b = build_system(&cfg).unwrap();
-        b.config_mut().delta_optimization = delta;
+        b.config_mut().paper_faithful = !delta;
         let mut sys = b.build().unwrap();
         let r = sys.run_update();
         assert!(r.all_closed);

@@ -97,7 +97,7 @@ fn session() -> impl Strategy<Value = SessionId> {
 /// path), the session-scalar control messages, and discovery traffic.
 fn msg() -> impl Strategy<Value = ProtocolMsg> {
     (
-        (0u8..13, session(), any::<u32>(), 0u32..100_000),
+        (0u8..14, session(), any::<u32>(), 0u32..100_000),
         answer_rows(),
         (any::<bool>(), any::<bool>()),
         proptest::collection::vec((0u32..200, 0u32..200), 0..6),
@@ -168,6 +168,18 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                             vars: vec![Arc::from("X")],
                         },
                         since,
+                    },
+                    12 => ProtocolMsg::Query {
+                        session,
+                        rule,
+                        part: p2pdb::core::rule::BodyPart {
+                            node: NodeId(session.root.0),
+                            atoms: vec![],
+                            local_constraints: vec![],
+                            vars: vec![Arc::from("X")],
+                        },
+                        sn: edge_list.into_iter().map(|(a, _)| NodeId(a)).collect(),
+                        resume: b1,
                     },
                     _ => ProtocolMsg::RoundsClosed {
                         session,

@@ -1,16 +1,23 @@
 //! Property-based tests over randomly generated networks, data and change
 //! scripts: the distributed update always agrees with the centralized
 //! fix-point oracle; dynamic runs always land inside the Definition 9
-//! envelope; duplication never changes results.
+//! envelope; duplication never changes results; and a long-lived system
+//! keeps agreeing with the oracle session after session — the
+//! subscription cursors that outlive a session never hide a row — under
+//! inserts, concurrent roots, rule changes, crashes and dropped messages.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::dynamic::{lower_reference, upper_reference, ChangeScript};
-use p2pdb::core::system::P2PSystemBuilder;
-use p2pdb::net::{FaultPlan, SimTime};
+use p2pdb::core::dynamic::{lower_reference, upper_reference, ChangeOp, ChangeScript};
+use p2pdb::core::oracle::{global_fixpoint, GlobalDb};
+use p2pdb::core::system::{P2PSystem, P2PSystemBuilder, UpdateReport};
+use p2pdb::core::RuleSet;
+use p2pdb::net::fault::LinkOutage;
+use p2pdb::net::{ChurnPlan, Codec, FaultPlan, SimTime};
 use p2pdb::relational::hom::contained_modulo_nulls;
-use p2pdb::relational::Val;
+use p2pdb::relational::{Database, Val};
 use p2pdb::topology::NodeId;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A random network description small enough to oracle-check.
 #[derive(Debug, Clone)]
@@ -151,4 +158,477 @@ proptest! {
             );
         }
     }
+}
+
+// ------------------------------------------------------------------
+// Many sessions on one long-lived system
+// ------------------------------------------------------------------
+
+/// One step of a long-lived system's schedule. Node and rule indices are
+/// reduced modulo what the network has.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A fresh base tuple at a node.
+    Insert(u32, i64, i64),
+    /// One global session from a root.
+    Session(u32),
+    /// Two interleaved sessions from two roots.
+    Concurrent(u32, u32),
+    /// A session at the super-peer with one rule change: a fresh copy rule
+    /// (`add`) or a build-time rule deleted, either while the session runs
+    /// or long after its fix-point (`late`). Eager mode only.
+    Change {
+        add: bool,
+        pick: usize,
+        late: bool,
+        also: Option<u32>,
+    },
+    /// A non-super peer crashes and restarts mid-session (with its store,
+    /// or with amnesia, as the run is configured); re-driven to closure.
+    Crash(u32, Option<u32>),
+    /// Sessions under random drops and duplicates, re-driven; then reliable
+    /// pipes again and re-driven to closure.
+    Drops(u8, u64, Option<u32>),
+}
+
+/// The last three kinds run at the super-peer; half the time (`also`) a
+/// second root's session interleaves with it, so a subscription of one
+/// session is live while the other loses a message, a peer or a rule.
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..24, 0u32..8, 0u32..8, 0i64..6, 0i64..6).prop_map(|(kind, a, b, x, y)| {
+        let also = |root| (kind >= 12).then_some(root);
+        match kind % 12 {
+            0..=3 => Step::Insert(a, x, y),
+            4..=5 => Step::Session(a),
+            6 => Step::Concurrent(a, b),
+            7..=8 => Step::Change {
+                add: x % 2 == 0,
+                pick: b as usize,
+                late: y % 2 == 0,
+                also: also(a),
+            },
+            9 => Step::Crash(a, also(b)),
+            _ => Step::Drops(5 + (x as u8) * 5, u64::from(a * 8 + b), also(a)),
+        }
+    })
+}
+
+/// A network with cycles allowed, at least three nodes, and — besides the
+/// copy rules of [`build`] — one rule joining fragments of two body nodes.
+fn multi_builder(
+    spec: &NetSpec,
+    mode: UpdateMode,
+    codec: Codec,
+    durable: bool,
+) -> P2PSystemBuilder {
+    let mut b = build(spec, mode);
+    let n = spec.nodes as u32;
+    let (head, left, right) = (
+        spec.edges[0].0 % n,
+        (spec.edges[0].0 + 1) % n,
+        (spec.edges[0].0 + 2) % n,
+    );
+    b.add_rule(
+        "join",
+        &format!(
+            "{}:t{left}(X,Y), {}:t{right}(Y,Z) => {}:t{head}(X,Z)",
+            NodeId(left).letter(),
+            NodeId(right).letter(),
+            NodeId(head).letter()
+        ),
+    )
+    .unwrap();
+    b.config_mut().codec = codec;
+    b.config_mut().durability = durable;
+    b.config_mut().snapshot_every = 8;
+    b
+}
+
+fn insert_into(dbs: &mut BTreeMap<NodeId, Database>, node: u32, x: i64, y: i64) {
+    dbs.get_mut(&NodeId(node))
+        .unwrap()
+        .insert_values(&format!("t{node}"), vec![Val::Int(x), Val::Int(y)])
+        .unwrap();
+}
+
+fn fixpoint(dbs: &BTreeMap<NodeId, Database>, rules: &RuleSet) -> GlobalDb {
+    global_fixpoint(dbs, rules, 64).unwrap()
+}
+
+fn contained(a: &GlobalDb, b: &GlobalDb) -> bool {
+    a.0.iter()
+        .all(|(node, db)| contained_modulo_nulls(db, b.node(*node).unwrap()))
+}
+
+/// What the schedule should have produced so far.
+struct Model {
+    /// Expected state of every node (exact while no peer lost data).
+    state: BTreeMap<NodeId, Database>,
+    /// Every base tuple ever inserted: with all rules ever known, the upper
+    /// bound for runs in which a peer lost its data.
+    base: BTreeMap<NodeId, Database>,
+    /// The rules in force.
+    rules: RuleSet,
+    /// Every rule ever in force.
+    ever: RuleSet,
+    /// A peer restarted without its data: exactness is gone for good.
+    amnesia: bool,
+}
+
+impl Model {
+    /// Checks the system against the model after a step whose sessions all
+    /// closed, and advances the model.
+    fn check_closed(&mut self, sys: &P2PSystem, what: &Step) -> Result<(), TestCaseError> {
+        let actual = sys.snapshot();
+        if self.amnesia {
+            let upper = fixpoint(&self.base, &self.ever);
+            prop_assert!(contained(&actual, &upper), "unsound after {what:?}");
+            // Nothing a surviving cursor could have hidden: the state is
+            // closed under the rules in force.
+            prop_assert!(
+                fixpoint(&actual.0, &self.rules).equivalent(&actual),
+                "not a fix-point after {what:?}"
+            );
+        } else {
+            let expected = fixpoint(&self.state, &self.rules);
+            prop_assert!(
+                actual.equivalent(&expected),
+                "differs from the oracle after {what:?}"
+            );
+            self.state = expected.0;
+        }
+        Self::check_retired(sys, what)
+    }
+
+    /// Checks the system after a session during or after which the rules
+    /// changed from `before` to `self.rules`. A change reaches the nodes
+    /// its notification re-wakes, not the whole network, so the run lands
+    /// inside Definition 9's envelope — between the fix-points under the
+    /// smaller and the larger rule set — and the *next* full session is
+    /// exact again, from wherever inside it this one stopped.
+    fn check_changed(
+        &mut self,
+        sys: &P2PSystem,
+        what: &Step,
+        before: &RuleSet,
+    ) -> Result<(), TestCaseError> {
+        let actual = sys.snapshot();
+        if self.amnesia {
+            let upper = fixpoint(&self.base, &self.ever);
+            prop_assert!(contained(&actual, &upper), "unsound after {what:?}");
+        } else {
+            let (a, b) = (
+                fixpoint(&self.state, before),
+                fixpoint(&self.state, &self.rules),
+            );
+            let (lower, upper) = if before.len() < self.rules.len() {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            prop_assert!(contained(&actual, &upper), "unsound after {what:?}");
+            prop_assert!(contained(&lower, &actual), "incomplete after {what:?}");
+            self.state = actual.0;
+        }
+        Self::check_retired(sys, what)
+    }
+
+    fn check_retired(sys: &P2PSystem, what: &Step) -> Result<(), TestCaseError> {
+        for (id, peer) in sys.peers() {
+            prop_assert_eq!(
+                peer.session_table_len(),
+                0,
+                "leak at {} after {:?}",
+                id,
+                what
+            );
+        }
+        Ok(())
+    }
+}
+
+fn all_closed(reports: &[UpdateReport]) -> bool {
+    reports
+        .iter()
+        .all(|r| r.outcome.quiescent && r.all_closed && r.errors.is_empty())
+}
+
+fn run_schedule(
+    spec: &NetSpec,
+    mode: UpdateMode,
+    codec: Codec,
+    durable: bool,
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let n = spec.nodes as u32;
+    let mut sys = multi_builder(spec, mode, codec, durable).build().unwrap();
+    let base = sys.snapshot().0;
+    let mut model = Model {
+        state: base.clone(),
+        base,
+        rules: sys.rules().clone(),
+        ever: sys.rules().clone(),
+        amnesia: false,
+    };
+    let static_rules: Vec<String> = sys.rules().iter().map(|r| r.name.to_string()).collect();
+    let roots = |also: Option<u32>| -> Vec<NodeId> {
+        [Some(0), also]
+            .into_iter()
+            .flatten()
+            .map(|r| NodeId(r % n))
+            .collect()
+    };
+
+    for (i, what) in steps.iter().enumerate() {
+        match *what {
+            Step::Insert(node, x, y) => {
+                let node = node % n;
+                sys.insert(
+                    NodeId(node),
+                    &format!("t{node}"),
+                    vec![Val::Int(x), Val::Int(y)],
+                )
+                .unwrap();
+                insert_into(&mut model.state, node, x, y);
+                insert_into(&mut model.base, node, x, y);
+            }
+            Step::Session(root) => {
+                let report = sys.run_update_from(NodeId(root % n));
+                prop_assert!(all_closed(&[report]), "{what:?} did not close");
+                model.check_closed(&sys, what)?;
+            }
+            Step::Concurrent(a, b) => {
+                let reports = sys.run_updates(&[NodeId(a % n), NodeId(b % n)]);
+                prop_assert!(all_closed(&reports), "{what:?} did not close");
+                model.check_closed(&sys, what)?;
+            }
+            Step::Change {
+                add,
+                pick,
+                late,
+                also,
+            } => {
+                if mode != UpdateMode::Eager {
+                    continue;
+                }
+                let op = if add {
+                    let head = pick as u32 % n;
+                    let body = (head + 1 + i as u32) % n;
+                    if head == body {
+                        continue;
+                    }
+                    let text = format!(
+                        "{}:t{body}(X,Y) => {}:t{head}(X,Y)",
+                        NodeId(body).letter(),
+                        NodeId(head).letter()
+                    );
+                    sys.make_add_link(&format!("dyn{i}"), &text).unwrap()
+                } else {
+                    sys.make_delete_link(&static_rules[pick % static_rules.len()])
+                        .unwrap()
+                };
+                let mut script = ChangeScript::new();
+                let at = if late { 60_000 } else { 2 };
+                script.push(SimTime::from_millis(at), op.clone());
+                let reports = sys.run_updates_with_script(&roots(also), &script);
+                prop_assert!(all_closed(&reports), "{what:?} did not close");
+                let before = model.rules.clone();
+                match op {
+                    ChangeOp::AddLink { rule } => {
+                        model.rules.add(rule.clone()).unwrap();
+                        model.ever.add(rule).unwrap();
+                    }
+                    ChangeOp::DeleteLink { rule, .. } => {
+                        model.rules.remove(rule);
+                    }
+                }
+                model.check_changed(&sys, what, &before)?;
+            }
+            Step::Crash(node, also) => {
+                let victim = NodeId(1 + node % (n - 1));
+                // The crash is the victim's to survive, not a root's.
+                let also = also.filter(|r| NodeId(r % n) != victim);
+                sys.set_churn(ChurnPlan::none().with_crash(
+                    victim,
+                    SimTime::from_millis(2),
+                    SimTime::from_millis(6),
+                ));
+                model.amnesia |= !durable;
+                let reports = sys.run_updates_resilient(&roots(also), 4);
+                prop_assert!(all_closed(&reports), "{what:?} did not close");
+                model.check_closed(&sys, what)?;
+            }
+            Step::Drops(percent, seed, also) => {
+                sys.set_fault(FaultPlan::random(percent, 10, seed));
+                sys.run_updates_resilient(&roots(also), 2);
+                sys.set_fault(FaultPlan::none());
+                let reports = sys.run_updates_resilient(&roots(also), 3);
+                prop_assert!(all_closed(&reports), "{what:?} did not close");
+                model.check_closed(&sys, what)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+fn multi_spec() -> impl Strategy<Value = NetSpec> {
+    net_spec().prop_filter("three nodes for the join rule", |s| s.nodes >= 3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random topology (cycles included, one rule over two body nodes) ×
+    /// eager/rounds × JSON/binary × with or without stores × a random
+    /// schedule: after every step that closes, runs in which no peer lost
+    /// data equal the oracle, the others stay inside it and at a fix-point.
+    #[test]
+    fn long_lived_systems_agree_with_the_oracle_after_every_step(
+        spec in multi_spec(),
+        rounds in any::<bool>(),
+        binary in any::<bool>(),
+        durable in any::<bool>(),
+        steps in proptest::collection::vec(step(), 4..16),
+    ) {
+        let mode = if rounds { UpdateMode::Rounds } else { UpdateMode::Eager };
+        let codec = if binary { Codec::Binary } else { Codec::Json };
+        run_schedule(&spec, mode, codec, durable, &steps).map_err(|e| {
+            TestCaseError::fail(format!(
+                "{e}\n{mode:?} {codec:?} durable={durable}\n{spec:?}\n{steps:?}"
+            ))
+        })?;
+    }
+}
+
+/// `H:h ← B:b` behind a rule-less root, so the head can crash without
+/// taking the session's root with it.
+fn head_body_system() -> P2PSystem {
+    let mut b = P2PSystemBuilder::new();
+    b.add_node_with_schema(0, "a(x: int).").unwrap();
+    b.add_node_with_schema(1, "h(x: int, y: int). u(x: int, y: int).")
+        .unwrap();
+    b.add_node_with_schema(2, "b(x: int, y: int).").unwrap();
+    b.add_rule("r", "C:b(X,Y) => B:h(X,Y)").unwrap();
+    for x in 0..20 {
+        b.insert(2, "b", vec![Val::Int(x), Val::Int(x + 1)])
+            .unwrap();
+    }
+    b.build().unwrap()
+}
+
+const HEAD: NodeId = NodeId(1);
+const BODY: NodeId = NodeId(2);
+
+fn rows(sys: &P2PSystem, node: NodeId, relation: &str) -> usize {
+    sys.database(node)
+        .unwrap()
+        .relation(relation)
+        .unwrap()
+        .len()
+}
+
+/// A cursor moves when the session that carried the rows retires, not when
+/// they are sent: rows of a dropped `Answer` are shipped again by the
+/// re-drive, from the last committed point — not lost, and not the world.
+#[test]
+fn dropped_answer_is_reshipped_by_the_redrive_from_the_committed_cursor() {
+    let mut sys = head_body_system();
+    assert!(sys.run_update().all_closed);
+    assert_eq!(rows(&sys, HEAD, "h"), 20);
+
+    for x in 100..103 {
+        sys.insert(BODY, "b", vec![Val::Int(x), Val::Int(x)])
+            .unwrap();
+    }
+    // Everything the body sends the head is lost: the answer with the three
+    // new rows, and the acks — the session cannot terminate.
+    sys.set_fault(FaultPlan::none().with_outage(LinkOutage {
+        from: BODY,
+        to: HEAD,
+        start: SimTime::ZERO,
+        end: SimTime(u64::MAX),
+    }));
+    let stranded = sys.run_update();
+    assert!(
+        !stranded.all_closed,
+        "a lost answer must not certify a fix-point"
+    );
+    assert_eq!(rows(&sys, HEAD, "h"), 20);
+
+    sys.set_fault(FaultPlan::none());
+    let before = sys.sum_stats();
+    let redrive = sys.run_update_resilient(1);
+    assert!(
+        redrive.all_closed && redrive.errors.is_empty(),
+        "{redrive:?}"
+    );
+    assert_eq!(rows(&sys, HEAD, "h"), 23);
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+    let after = sys.sum_stats();
+    assert_eq!(after.resumed_answers - before.resumed_answers, 1);
+    assert_eq!(
+        after.rows_shipped - before.rows_shipped,
+        3,
+        "the dropped rows, not the full extension"
+    );
+}
+
+/// A head that restarts without its data says so in its next `Query`, and
+/// gets the fragment's full extension again instead of a delta it could do
+/// nothing with.
+#[test]
+fn amnesiac_head_gets_the_full_extension_again() {
+    let mut sys = head_body_system();
+    assert!(sys.run_update().all_closed);
+    assert!(sys.run_update().all_closed);
+    assert_eq!(sys.sum_stats().resumed_answers, 1, "second session resumed");
+    assert_eq!(rows(&sys, HEAD, "h"), 20);
+
+    sys.set_churn(ChurnPlan::none().with_crash(
+        HEAD,
+        SimTime::from_millis(1),
+        SimTime::from_millis(4),
+    ));
+    let report = sys.run_update_resilient(3);
+    assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
+    assert_eq!(sys.sum_stats().crashes, 1);
+    assert_eq!(
+        rows(&sys, HEAD, "h"),
+        20,
+        "everything the body holds, again"
+    );
+    let (cursors, _) = sys.peer(BODY).unwrap().retained_entries();
+    assert_eq!(cursors, 1, "and a cursor to resume from next time");
+}
+
+/// A cursor is fingerprinted by its fragment: a rule replaced under the
+/// same id starts from the full extension of its new body.
+#[test]
+fn rule_replaced_under_the_same_id_is_not_served_from_the_old_cursor() {
+    let mut sys = head_body_system();
+    assert!(sys.run_update().all_closed);
+    let old = sys.rules().by_name("r").unwrap().id;
+    let mut op = sys
+        .make_add_link("r2", "C:b(X,Y), X < 10 => B:u(X,Y)")
+        .unwrap();
+    let ChangeOp::AddLink { rule } = &mut op else {
+        unreachable!()
+    };
+    rule.id = old;
+    let mut script = ChangeScript::new();
+    script.push(SimTime::from_millis(60_000), op);
+    let before = sys.sum_stats().resumed_answers;
+    let report = sys.run_update_with_script(&script);
+    assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
+    assert_eq!(rows(&sys, HEAD, "u"), 10, "the new body's whole extension");
+    assert_eq!(
+        sys.sum_stats().resumed_answers - before,
+        1,
+        "the session's own query resumed; the replaced rule's did not"
+    );
+    // The next session resumes on the new fragment's cursor and ships nothing.
+    let shipped = sys.sum_stats().rows_shipped;
+    assert!(sys.run_update().all_closed);
+    assert_eq!(sys.sum_stats().rows_shipped, shipped);
+    assert_eq!(rows(&sys, HEAD, "u"), 10);
 }
