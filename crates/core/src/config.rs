@@ -65,8 +65,10 @@ pub struct SystemConfig {
     /// (the default), a crash loses everything the peer ever held — the
     /// amnesia baseline.
     pub durability: bool,
-    /// With durability on: WAL records between automatic snapshots
-    /// (bounding recovery replay). 0 keeps only the initial snapshot.
+    /// With durability on: the fewest WAL records between automatic
+    /// snapshots — one is taken once this many records *and* the previous
+    /// snapshot's bytes of log have accumulated, which bounds what is held
+    /// and replayed at ~2× the state. 0 keeps only the initial snapshot.
     pub snapshot_every: u64,
     /// Wire codec for protocol messages and (with durability on) WAL /
     /// snapshot frames: JSON text by default, or the compact binary

@@ -9,10 +9,14 @@
 //!   ([`p2p_storage::WalRecord::Insert`], written from
 //!   [`DbPeer::apply_rule_bindings`]);
 //! * every fragment answer it processes
-//!   ([`p2p_storage::WalRecord::Answer`]): the rows (so the head-side
-//!   fragment state, `DbPeer::fragments`, can be rebuilt) and the
-//!   answerer's watermarks of the fragment's relations (the **resync
-//!   cursor**).
+//!   ([`p2p_storage::WalRecord::Answer`]): the answerer's watermarks of the
+//!   fragment's relations (the **resync cursor**) and — for a rule with
+//!   more than one body node, whose head retains fragment rows in
+//!   `DbPeer::fragments` — the rows, so that state can be rebuilt.
+//!
+//! When the store reports a checkpoint as due the peer snapshots its
+//! database right there; the store adds the answer log folded to one mark
+//! per `(rule, body node)` and drops the frames the snapshot covers.
 //!
 //! ## Crash and recovery
 //!
@@ -28,8 +32,9 @@
 //!
 //! At restart ([`DbPeer::restart_and_resync`]) the peer replays
 //! `snapshot + WAL` into a database **tuple-identical** to the pre-crash
-//! one (soundness of recovery), folds the durable answer log — whatever
-//! sessions carried it — into `DbPeer::fragments`, and sends one
+//! one (soundness of recovery), primes `DbPeer::fragments` from the
+//! recovered fragment marks — whatever sessions carried the answers — and
+//! sends one
 //! [`crate::messages::ProtocolMsg::ResyncRequest`] per rule fragment,
 //! carrying the newest durably-processed watermark of that fragment's body
 //! node. The body node answers with a delta evaluation from exactly that
@@ -67,13 +72,13 @@ impl DbPeer {
     /// (base data, pre-session) so recovery always has a schema-bearing
     /// starting point; a store that already holds state — e.g. a reopened
     /// [`p2p_storage::FileBackend`] from a previous process — is adopted
-    /// instead: the disk is the truth, and overwriting its snapshot with
-    /// this peer's base data (while the WAL cursor points past the logged
-    /// frames) would silently amputate every previously logged fact from
-    /// recovery.
+    /// instead: the disk is the truth, and checkpointing this peer's base
+    /// data over it would silently amputate every previously logged fact
+    /// from recovery.
     pub fn attach_storage(&mut self, mut storage: PeerStorage) -> StorageResult<()> {
         match storage.recover(self.id.0)? {
             Some(rec) => {
+                storage.adopt(&rec);
                 self.db = rec.db;
                 self.nulls = NullFactory::resume(self.id.0, rec.nulls_next);
                 for (id, depth) in rec.depths {
@@ -82,7 +87,7 @@ impl DbPeer {
             }
             None => storage.snapshot(&self.db, self.nulls.minted(), self.chase.export())?,
         }
-        self.storage = Some(storage);
+        self.storage = Some(Box::new(storage));
         Ok(())
     }
 
@@ -110,37 +115,25 @@ impl DbPeer {
 
     /// Write-ahead-logs freshly applied insertions (no-op without storage).
     pub(crate) fn log_insertions(&mut self, inserted: &[(Arc<str>, Tuple)]) {
-        if self.storage.is_none() || inserted.is_empty() {
-            return;
-        }
-        let mut snapshot_due = false;
-        let mut errors = Vec::new();
-        if let Some(st) = self.storage.as_mut() {
-            for (relation, tuple) in inserted {
-                let record = WalRecord::Insert {
-                    relation: relation.clone(),
-                    tuple: tuple.clone(),
-                    depths: self.chase.depths_for(tuple),
-                    dict: st.first_use_dict(tuple.values()),
-                };
-                match st.log(&record) {
-                    Ok(due) => snapshot_due |= due,
-                    Err(e) => errors.push(format!("WAL append failed: {e}")),
-                }
-            }
-        }
-        if snapshot_due {
-            self.take_snapshot();
-        }
-        for e in errors {
-            self.fail(e);
+        for (relation, tuple) in inserted {
+            let Some(st) = self.storage.as_mut() else {
+                return;
+            };
+            let record = WalRecord::Insert {
+                relation: relation.clone(),
+                tuple: tuple.clone(),
+                depths: self.chase.depths_for(tuple),
+                dict: st.first_use_dict(tuple.values()),
+            };
+            self.log(&record);
         }
     }
 
     /// Write-ahead-logs one processed fragment answer: the session it
-    /// belongs to, the rows (cache rebuild) and the answerer's watermarks
-    /// (resync cursor). Payload-free acknowledgements (empty `marks`) carry
-    /// no durable information.
+    /// belongs to, the answerer's watermarks (resync cursor) and — for a
+    /// rule with more than one body node, whose head retains fragment rows
+    /// — the rows (cache rebuild). Payload-free acknowledgements (empty
+    /// `marks`) carry no durable information.
     pub(crate) fn log_answer_mark(
         &mut self,
         sid: SessionId,
@@ -148,63 +141,57 @@ impl DbPeer {
         from: NodeId,
         rows: &AnswerRows,
     ) {
-        if self.storage.is_none() || rows.marks.is_empty() {
+        let Some(st) = self.storage.as_mut() else {
+            return;
+        };
+        if rows.marks.is_empty() {
             return;
         }
-        let mut snapshot_due = false;
-        let mut error = None;
-        if let Some(st) = self.storage.as_mut() {
-            let record = WalRecord::Answer {
-                session: sid,
-                rule: rule.0,
-                node: from,
-                vars: rows.vars.clone(),
-                rows: rows.rows.clone(),
-                watermarks: rows.marks.clone(),
-                dict: st.first_use_dict(rows.rows.iter().flat_map(|t| t.0.iter())),
-            };
-            match st.log(&record) {
-                Ok(due) => snapshot_due = due,
-                Err(e) => error = Some(format!("WAL append failed: {e}")),
-            }
-        }
-        if snapshot_due {
-            self.take_snapshot();
-        }
-        if let Some(e) = error {
-            self.fail(e);
-        }
+        let (vars, kept) = if self.rules.get(&rule).is_some_and(|r| r.parts.len() > 1) {
+            (rows.vars.clone(), rows.rows.clone())
+        } else {
+            Default::default()
+        };
+        let record = WalRecord::Answer {
+            session: sid,
+            rule: rule.0,
+            node: from,
+            dict: st.first_use_dict(kept.iter().flat_map(Tuple::values)),
+            vars,
+            rows: kept,
+            watermarks: rows.marks.clone(),
+        };
+        self.log(&record);
     }
 
-    /// Writes a snapshot of the current database and chase bookkeeping.
-    fn take_snapshot(&mut self) {
-        let nulls_next = self.nulls.minted();
-        let depths = self.chase.export();
-        let mut error = None;
-        if let Some(st) = self.storage.as_mut() {
+    /// Appends one record and checkpoints when the store says one is due.
+    fn log(&mut self, record: &WalRecord) {
+        let Some(st) = self.storage.as_mut() else {
+            return;
+        };
+        let due = match st.log(record) {
+            Ok(due) => due,
+            Err(e) => return self.fail(format!("WAL append failed: {e}")),
+        };
+        if due {
+            let (nulls_next, depths) = (self.nulls.minted(), self.chase.export());
             if let Err(e) = st.snapshot(&self.db, nulls_next, depths) {
-                error = Some(format!("snapshot failed: {e}"));
+                self.fail(format!("snapshot failed: {e}"));
             }
-        }
-        if let Some(e) = error {
-            self.fail(e);
         }
     }
 
-    /// Rebuilds `DbPeer::fragments` from the recovered answer log and
-    /// returns each fragment's resync cursor. The log is keyed by session,
-    /// the state is not: per `(rule, body node)` the rows of all sessions
-    /// are united (kept only where a rule joins several fragments) and the
-    /// newest watermark wins — watermarks are snapshots of one growing
-    /// database, so "newest" is the per-relation maximum. Must run before
-    /// any delta answer arrives: a delta joins against the *full* retained
-    /// extensions, so a hole would silently lose bindings.
+    /// Rebuilds `DbPeer::fragments` from the recovered answer log — one
+    /// mark per `(rule, body node)`, rows only where a rule joins several
+    /// fragments — and returns each fragment's resync cursor. Must run
+    /// before any delta answer arrives: a delta joins against the *full*
+    /// retained extensions, so a hole would silently lose bindings.
     fn prime_fragments(
         &mut self,
-        marks: BTreeMap<(SessionId, u32, NodeId), FragmentMark>,
+        marks: BTreeMap<(u32, NodeId), FragmentMark>,
     ) -> BTreeMap<(RuleId, NodeId), Marks> {
-        let mut cursors: BTreeMap<(RuleId, NodeId), Marks> = BTreeMap::new();
-        for ((_, rule_raw, node), mark) in marks {
+        let mut cursors = BTreeMap::new();
+        for ((rule_raw, node), mark) in marks {
             let key = (RuleId(rule_raw), node);
             let Some(rule) = self.rules.get(&key.0) else {
                 continue;
@@ -212,11 +199,7 @@ impl DbPeer {
             if rule.parts.len() > 1 {
                 self.fragments.or_default(key).merge(&mark.vars, mark.rows);
             }
-            let cursor = cursors.entry(key).or_default();
-            for (relation, w) in mark.watermarks {
-                let seen = cursor.entry(relation).or_default();
-                *seen = (*seen).max(w);
-            }
+            cursors.insert(key, mark.watermarks);
         }
         cursors
     }
@@ -247,36 +230,31 @@ impl DbPeer {
     /// fragment's body node for the delta since the newest
     /// durably-processed watermark.
     pub(crate) fn restart_and_resync(&mut self, ctx: &mut Context<ProtocolMsg>) {
-        let Some(st) = self.storage.as_ref() else {
+        let Some(st) = self.storage.as_mut() else {
             // Amnesia baseline: without storage there is no durable state to
             // recover and no watermark to resync from — the peer genuinely
             // lost everything and rejoins empty at the next session.
             return;
         };
-        let mut marks: BTreeMap<(SessionId, u32, NodeId), FragmentMark> = BTreeMap::new();
-        let mut outcome: Result<bool, String> = Ok(false);
+        // Resync traffic travels under the newest logged session's tag (the
+        // default tag when nothing was ever logged).
+        let mut tag = SessionId::default();
+        let mut marks = BTreeMap::new();
         match st.recover(self.id.0) {
             Ok(Some(rec)) => {
+                st.adopt(&rec);
                 self.db = rec.db;
                 self.nulls = NullFactory::resume(self.id.0, rec.nulls_next);
                 for (id, depth) in rec.depths {
                     self.chase.record(id, depth);
                 }
+                tag = rec.last_session;
                 marks = rec.marks;
-                outcome = Ok(true);
+                self.stats.recoveries += 1;
             }
             Ok(None) => {}
-            Err(e) => outcome = Err(format!("recovery failed: {e}")),
+            Err(e) => self.fail(format!("recovery failed: {e}")),
         }
-        match outcome {
-            Ok(true) => self.stats.recoveries += 1,
-            Ok(false) => {}
-            Err(e) => self.fail(e),
-        }
-
-        // Resync traffic travels under the newest logged session's tag (the
-        // default tag when nothing was ever logged).
-        let tag = marks.keys().map(|k| k.0).max().unwrap_or_default();
         let mut cursors = self.prime_fragments(marks);
 
         // Watermark-based resync (control plane, outside any session's
@@ -585,9 +563,10 @@ mod tests {
         );
     }
 
-    /// Recovery folds the durable answer log — whatever sessions carried it
-    /// — into one retained fragment per `(rule, body node)` with the newest
-    /// watermark as resync cursor, and creates no session entry.
+    /// Recovery takes the durable answer log — whatever sessions carried it,
+    /// through a checkpoint or not — as one retained fragment per
+    /// `(rule, body node)` with the newest watermark as resync cursor, and
+    /// creates no session entry.
     #[test]
     fn recovery_primes_fragments_across_sessions() {
         let resolve = |s: &str| match s {
@@ -631,8 +610,8 @@ mod tests {
         let cache = &peer.fragments[&(rule_id, NodeId(3))];
         assert_eq!(
             cache.rows,
-            vec![Tuple::new(vec![Val::Int(1)]), Tuple::new(vec![Val::Int(2)])],
-            "united in session order"
+            vec![Tuple::new(vec![Val::Int(2)]), Tuple::new(vec![Val::Int(1)])],
+            "united in log order"
         );
         let out = ctx.take_outgoing();
         assert_eq!(out.len(), 2, "one request per fragment, not per session");

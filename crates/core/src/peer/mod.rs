@@ -261,7 +261,8 @@ pub struct DbPeer {
     pub(crate) seen_msgs: FxHashSet<(NodeId, u64)>,
     /// Durable store (WAL + snapshots) when `SystemConfig::durability` is
     /// on; `None` = the amnesia baseline, where a crash loses everything.
-    pub(crate) storage: Option<p2p_storage::PeerStorage>,
+    /// Boxed, so a peer without one pays a pointer, not the store's size.
+    pub(crate) storage: Option<Box<p2p_storage::PeerStorage>>,
     /// Resync requests sent after a restart whose answers have not arrived
     /// yet, keyed by the session they repair, with the watermark each was
     /// asked from. While non-empty the peer refuses to close **any**

@@ -198,7 +198,7 @@ pub struct ServeConfig {
     /// snapshot store under `<dir>/node-<id>` and resyncs over the socket
     /// after a restart.
     pub state_dir: Option<PathBuf>,
-    /// WAL records between snapshots (durable only).
+    /// Fewest WAL records between snapshots (durable only).
     pub snapshot_every: u64,
     /// Connection attempts for outgoing pipes (cluster cold-start budget).
     pub connect_attempts: u32,

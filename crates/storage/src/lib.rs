@@ -2,33 +2,59 @@
 //!
 //! Durable peer state for the P2P database network. Everything a peer
 //! derives during an update session lives in memory; this crate is what
-//! survives a process crash:
+//! survives a process crash — a **checkpointed log**:
 //!
-//! * a serde-framed, append-only **write-ahead log** ([`WalRecord`]) of
-//!   every fact insertion the update algorithm applies, plus every
-//!   fragment answer the peer processed (rows and the answerer's database
-//!   watermarks — the resync cursor);
-//! * periodic **database snapshots** ([`DatabaseSnapshot`]) bounding how
-//!   much of the log a recovery must replay to rebuild the database;
-//! * a [`PeerStorage::recover`] path that replays the log onto the latest
-//!   snapshot and returns a [`RecoveredState`] tuple-identical to the
-//!   pre-crash database, with the null mint and chase depths restored.
+//! * an append-only **write-ahead log** ([`WalRecord`]) of every fact
+//!   insertion the update algorithm applies, plus a mark for every fragment
+//!   answer the peer processed (the answerer's database watermarks — the
+//!   resync cursor — and, for rules that join several fragments, the rows);
+//! * **snapshots** ([`DatabaseSnapshot`]) of the database, the chase
+//!   bookkeeping and the answer log folded to one mark per fragment.
+//!   Writing one is a *checkpoint*: the backend then drops the frames it
+//!   covers, so what a peer holds and what a recovery replays follow the
+//!   size of its state, not the length of its history;
+//! * a [`PeerStorage::recover`] path that replays the frames since the
+//!   newest snapshot onto it and returns a [`RecoveredState`]
+//!   tuple-identical to the pre-crash database, with the null mint, chase
+//!   depths and fragment marks restored.
+//!
+//! ## Cadence
+//!
+//! [`PeerStorage::log`] reports a checkpoint as due once `snapshot_every`
+//! records *and* as many frame bytes as the last snapshot took have been
+//! appended. Rewriting the state is thus paid for by as much log as it
+//! replaces: bytes written stay within ~2× the bytes logged, bytes held
+//! within 2× the newest snapshot plus one record, and a recovery reads at
+//! most that — with no setting to tune as the database grows.
+//!
+//! ## Backends and their contract
 //!
 //! Two interchangeable [`StorageBackend`]s exist: an fsync-free
 //! [`MemoryBackend`] for the deterministic simulator (a crash there is a
 //! state wipe inside one process, so an in-memory "disk" is the honest
-//! model), and a [`FileBackend`] writing a newline-delimited JSON log plus
-//! a snapshot file, for runs that must survive a real process exit.
+//! model), and a [`FileBackend`] for runs that must survive a real process
+//! exit. The contract, as it now stands: `write_snapshot*` is a checkpoint
+//! (afterwards `read_snapshot*` returns that snapshot, and the backend may
+//! drop every earlier frame); `read_wal*` returns at least every frame
+//! appended since the newest snapshot, in order.
+//!
+//! [`FileBackend`]'s on-disk layout — generation-named `snapshot-<g>` /
+//! `wal-<g>` files, a CRC-32 on every frame and a checksum trailer on every
+//! snapshot, what is deleted when, how a torn tail is cut off at open — is
+//! specified in the [`backend`] module docs. Directories written in the
+//! earlier `wal.jsonl`/`snapshot.json` layout are not read.
 //!
 //! ## Recovery invariant
 //!
-//! Replaying the WAL over the latest snapshot is **idempotent**: records
-//! older than the snapshot re-insert tuples that are already present (the
-//! relation layer deduplicates), so recovery is correct from *any*
-//! snapshot, not just the newest one. Fragment-answer records are folded
-//! across the whole log into per-`(rule, peer)` marks; the restarted peer
-//! resyncs from those watermarks, so only facts inserted at the answerer
-//! *after the last durably-processed answer* ever cross the wire again.
+//! Replay is **idempotent**: re-inserting a tuple that is already present
+//! is a no-op at the relation layer, null counters, chase depths and
+//! fragment watermarks merge by maximum, fragment rows deduplicate. So
+//! frames older than the snapshot — which a backend may hand back, and
+//! which a crash between writing a snapshot and dropping its frames leaves
+//! behind — change nothing, and no position bookkeeping ties a snapshot to
+//! a place in the log. The restarted peer resyncs from the recovered
+//! watermarks, so only facts inserted at the answerer *after the last
+//! durably-processed answer* ever cross the wire again.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +74,8 @@ use std::fmt;
 pub enum StorageError {
     /// An I/O failure of the file backend.
     Io(String),
-    /// A frame or snapshot failed to parse back.
+    /// A frame or snapshot failed its checksum (other than a torn tail,
+    /// which is cut off) or failed to parse back.
     Corrupt(String),
 }
 

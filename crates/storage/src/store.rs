@@ -1,4 +1,4 @@
-//! The per-peer store: WAL append, snapshot cadence, and recovery.
+//! The per-peer store: WAL append, checkpoint cadence, and recovery.
 
 use crate::backend::StorageBackend;
 use crate::wal::WalRecord;
@@ -7,43 +7,73 @@ use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
 use p2p_relational::{ConstCatalog, Database, SymId, SymRemap, Tuple, Val};
 use p2p_topology::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-/// A point-in-time image of a peer's durable state.
-///
-/// `wal_len` records how many WAL frames precede the snapshot; recovery may
-/// skip re-inserting those (they are already in `db`), though replaying them
-/// anyway is harmless by idempotence. `catalog` carries the `(SymId, string)`
-/// definition of every interned constant in `db`, so the snapshot is
-/// self-contained: a reader process with a different catalog re-interns and
-/// remaps.
+/// A point-in-time image of a peer's durable state: the database, the
+/// chase bookkeeping and the answer log folded to one mark per fragment.
+/// Writing one is a **checkpoint** — the backend drops the WAL frames it
+/// covers — so a snapshot must hold everything those frames said.
+/// `catalog` carries the `(SymId, string)` definition of every interned
+/// constant in `db` and `marks`, so the snapshot is self-contained: a
+/// reader process with a different catalog re-interns and remaps.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DatabaseSnapshot {
-    /// WAL frames already reflected in `db`.
-    pub wal_len: u64,
     /// The null factory's next counter at snapshot time.
     pub nulls_next: u64,
     /// Chase depths of every null known to the peer.
     pub depths: Vec<(NullId, u32)>,
-    /// Symbol definitions for every interned constant in `db`.
+    /// Symbol definitions for every interned constant in `db` and `marks`.
     #[serde(default)]
     pub catalog: Vec<(SymId, Arc<str>)>,
+    /// The folded answer log: one mark per `(raw rule id, answering peer)`.
+    #[serde(default)]
+    pub marks: Vec<(u32, NodeId, FragmentMark)>,
+    /// The newest session any folded answer belonged to.
+    #[serde(default)]
+    pub last_session: SessionId,
     /// The full local database.
     pub db: Database,
 }
 
-/// The latest durable knowledge about one `(session, rule, answering peer)`
-/// fragment: accumulated rows (head-side cache rebuild) and the answerer's
-/// watermarks as of the last processed answer (the resync cursor).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// [`DatabaseSnapshot`] over borrowed parts, so a checkpoint serializes
+/// the live database without cloning it. The vendored derive takes no
+/// lifetimes; field names and order are `DatabaseSnapshot`'s (unit test
+/// `borrowed_snapshot_encodes_like_the_owned_one`).
+struct SnapshotRef<'a> {
+    nulls_next: u64,
+    depths: &'a [(NullId, u32)],
+    catalog: &'a [(SymId, Arc<str>)],
+    marks: Vec<(u32, NodeId, &'a FragmentMark)>,
+    last_session: SessionId,
+    db: &'a Database,
+}
+
+impl Serialize for SnapshotRef<'_> {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("nulls_next".to_string(), self.nulls_next.to_content()),
+            ("depths".to_string(), self.depths.to_content()),
+            ("catalog".to_string(), self.catalog.to_content()),
+            ("marks".to_string(), self.marks.to_content()),
+            ("last_session".to_string(), self.last_session.to_content()),
+            ("db".to_string(), self.db.to_content()),
+        ])
+    }
+}
+
+/// The durable knowledge about one `(rule, answering peer)` fragment:
+/// accumulated rows (head-side cache rebuild, kept only where the owner
+/// logged them — rules with more than one body node) and the answerer's
+/// newest watermarks among the processed answers (the resync cursor).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FragmentMark {
     /// Column variables of `rows`.
     pub vars: Vec<Arc<str>>,
     /// Accumulated fragment rows, deduplicated, in first-arrival order.
     pub rows: Vec<Tuple>,
-    /// The answerer's per-relation watermarks at the last processed answer.
+    /// Per relation, the highest watermark any processed answer carried.
     pub watermarks: BTreeMap<Arc<str>, usize>,
 }
 
@@ -56,13 +86,60 @@ pub struct RecoveredState {
     pub nulls_next: u64,
     /// Recovered chase depths.
     pub depths: Vec<(NullId, u32)>,
-    /// Per-`(session, raw rule id, answering peer)` fragment marks — one
-    /// entry per interleaved session the durable answer log knows about.
-    pub marks: BTreeMap<(SessionId, u32, NodeId), FragmentMark>,
+    /// Per-`(raw rule id, answering peer)` fragment marks, whatever
+    /// sessions carried the answers.
+    pub marks: BTreeMap<(u32, NodeId), FragmentMark>,
+    /// The newest session any logged answer belonged to (the default id
+    /// when none was).
+    pub last_session: SessionId,
 }
 
-/// A peer's durable store: appends WAL records, takes snapshots every
-/// `snapshot_every` records, and recovers the pre-crash state.
+/// The answer log folded as it is written: what the next snapshot carries
+/// of it, and what recovery rebuilds from a snapshot plus the frames after
+/// it. Folding is idempotent — rows deduplicate, watermarks merge by
+/// per-relation maximum — so frames a snapshot already covers may be
+/// folded again.
+#[derive(Debug, Default)]
+struct AnswerFold {
+    marks: BTreeMap<(u32, NodeId), FragmentMark>,
+    /// Membership of each mark's `rows`.
+    seen: BTreeMap<(u32, NodeId), HashSet<Tuple>>,
+    last_session: SessionId,
+}
+
+impl AnswerFold {
+    fn fold(
+        &mut self,
+        session: SessionId,
+        key: (u32, NodeId),
+        vars: &[Arc<str>],
+        rows: &[Tuple],
+        watermarks: &BTreeMap<Arc<str>, usize>,
+        remap: &SymRemap,
+    ) {
+        self.last_session = self.last_session.max(session);
+        let mark = self.marks.entry(key).or_default();
+        if mark.vars.is_empty() {
+            mark.vars = vars.to_vec();
+        }
+        if !rows.is_empty() {
+            let seen = self.seen.entry(key).or_default();
+            for t in rows {
+                let t = remap_tuple(remap, t.clone());
+                if seen.insert(t.clone()) {
+                    mark.rows.push(t);
+                }
+            }
+        }
+        for (relation, w) in watermarks {
+            let newest = mark.watermarks.entry(relation.clone()).or_default();
+            *newest = (*newest).max(*w);
+        }
+    }
+}
+
+/// A peer's durable store: appends WAL records, says when a checkpoint is
+/// due, and recovers the pre-crash state.
 #[derive(Debug)]
 pub struct PeerStorage {
     backend: Box<dyn StorageBackend>,
@@ -70,52 +147,45 @@ pub struct PeerStorage {
     codec: Codec,
     /// WAL records between automatic snapshots (0 = only explicit ones).
     snapshot_every: u64,
+    /// Records and frame bytes logged since the last snapshot, and that
+    /// snapshot's size: what the cadence weighs.
     since_snapshot: u64,
-    wal_len: u64,
-    /// Symbols whose `(id, string)` definition this store has already
-    /// persisted — the first-use filter for WAL dictionaries.
+    bytes_since_snapshot: u64,
+    snapshot_bytes: u64,
+    /// Symbols whose `(id, string)` definition the newest snapshot or a
+    /// frame after it carries — the first-use filter for WAL dictionaries.
     persisted_syms: HashSet<SymId>,
+    answers: AnswerFold,
 }
 
 impl PeerStorage {
-    /// Wraps a backend with the historical JSON framing. `snapshot_every`
-    /// is the number of WAL records between automatic snapshots (0 disables
-    /// the cadence; the initial snapshot is always written explicitly by
-    /// the owner).
+    /// Wraps a backend with JSON framing. `snapshot_every` is the number
+    /// of WAL records between automatic snapshots (0 disables the cadence;
+    /// the initial snapshot is always written explicitly by the owner).
     pub fn new(backend: Box<dyn StorageBackend>, snapshot_every: u64) -> Self {
         Self::with_codec(backend, snapshot_every, Codec::Json)
     }
 
-    /// Wraps a backend with an explicit frame codec. `Json` keeps the
-    /// `wal.jsonl`/`snapshot.json` files byte-compatible with every earlier
-    /// release; `Binary` writes [`binpack`] frames to the backend's byte
-    /// channel instead.
+    /// Wraps a backend with an explicit frame codec: `Json` uses the
+    /// backend's text frames, `Binary` writes [`binpack`] frames to its
+    /// byte channel. Reads nothing: what the backend holds is seen by
+    /// [`PeerStorage::recover`], which reports its errors.
     pub fn with_codec(backend: Box<dyn StorageBackend>, snapshot_every: u64, codec: Codec) -> Self {
-        let wal_len = match codec {
-            Codec::Json => backend.read_wal().map(|w| w.len() as u64).unwrap_or(0),
-            Codec::Binary => backend
-                .read_wal_bytes()
-                .map(|w| w.len() as u64)
-                .unwrap_or(0),
-        };
         PeerStorage {
             backend,
             codec,
             snapshot_every,
             since_snapshot: 0,
-            wal_len,
+            bytes_since_snapshot: 0,
+            snapshot_bytes: 0,
             persisted_syms: HashSet::new(),
+            answers: AnswerFold::default(),
         }
     }
 
     /// The frame codec this store was built with.
     pub fn codec(&self) -> Codec {
         self.codec
-    }
-
-    /// Number of WAL frames appended so far.
-    pub fn wal_len(&self) -> u64 {
-        self.wal_len
     }
 
     /// The first-use dictionary for a set of values: `(id, string)` pairs
@@ -134,9 +204,14 @@ impl PeerStorage {
         ConstCatalog::global().export(fresh)
     }
 
-    /// Appends one record. Returns `true` when the snapshot cadence is due
-    /// — the owner should follow up with [`PeerStorage::snapshot`] (the
-    /// store cannot take one itself: it does not own the database).
+    /// Appends one record. Returns `true` when a checkpoint is due — the
+    /// owner should follow up with [`PeerStorage::snapshot`] (the store
+    /// cannot take one itself: it does not own the database). One is due
+    /// after `snapshot_every` records **and** at least the last snapshot's
+    /// bytes of frames: rewriting the state is paid for by as much log as
+    /// it replaces, so the bytes written, the bytes held and the frames a
+    /// recovery replays all stay within a constant factor of the state
+    /// however large it grows.
     ///
     /// On append failure the record's dictionary symbols are un-marked, so
     /// a later record re-ships their definitions — otherwise a single
@@ -144,54 +219,100 @@ impl PeerStorage {
     /// recovery in another process could not resolve them.
     pub fn log(&mut self, record: &WalRecord) -> StorageResult<bool> {
         let appended = match self.codec {
-            Codec::Json => self.backend.append_wal(&record.to_frame()),
-            Codec::Binary => self.backend.append_wal_bytes(&record.to_frame_bytes()),
-        };
-        if let Err(e) = appended {
-            for (id, _) in record.dict() {
-                self.persisted_syms.remove(id);
+            Codec::Json => {
+                let frame = record.to_frame();
+                self.backend.append_wal(&frame).map(|()| frame.len())
             }
-            return Err(e);
+            Codec::Binary => {
+                let frame = record.to_frame_bytes();
+                self.backend.append_wal_bytes(&frame).map(|()| frame.len())
+            }
+        };
+        let len = match appended {
+            Ok(len) => len,
+            Err(e) => {
+                for (id, _) in record.dict() {
+                    self.persisted_syms.remove(id);
+                }
+                return Err(e);
+            }
+        };
+        if let WalRecord::Answer {
+            session,
+            rule,
+            node,
+            vars,
+            rows,
+            watermarks,
+            dict: _,
+        } = record
+        {
+            let remap = SymRemap::default();
+            self.answers
+                .fold(*session, (*rule, *node), vars, rows, watermarks, &remap);
         }
-        self.wal_len += 1;
         self.since_snapshot += 1;
-        Ok(self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every)
+        self.bytes_since_snapshot += len as u64;
+        Ok(self.snapshot_every > 0
+            && self.since_snapshot >= self.snapshot_every
+            && self.bytes_since_snapshot >= self.snapshot_bytes)
     }
 
-    /// Writes a snapshot of the current database and chase bookkeeping,
-    /// including the symbol dictionary that makes it self-contained.
+    /// Checkpoints: writes a snapshot of the current database, the chase
+    /// bookkeeping and the folded answer log, with the symbol dictionary
+    /// that makes it self-contained; the backend then drops the frames it
+    /// covers. A failed write leaves the store as it was — in particular
+    /// no symbol counts as persisted on the strength of a snapshot that
+    /// was not written.
     pub fn snapshot(
         &mut self,
         db: &Database,
         nulls_next: u64,
         depths: Vec<(NullId, u32)>,
     ) -> StorageResult<()> {
-        let syms = db.syms();
-        self.persisted_syms.extend(syms.iter().copied());
-        let snap = DatabaseSnapshot {
-            wal_len: self.wal_len,
+        let mut syms = db.syms();
+        let mark_rows = self.answers.marks.values().flat_map(|m| &m.rows);
+        syms.extend(mark_rows.flat_map(Tuple::values).filter_map(Val::as_sym));
+        let catalog = ConstCatalog::global().export(syms);
+        let snap = SnapshotRef {
             nulls_next,
-            depths,
-            catalog: ConstCatalog::global().export(syms),
-            db: db.clone(),
+            depths: &depths,
+            catalog: &catalog,
+            marks: (self.answers.marks.iter())
+                .map(|((rule, node), mark)| (*rule, *node, mark))
+                .collect(),
+            last_session: self.answers.last_session,
+            db,
         };
-        match self.codec {
+        let encode =
+            |e: &dyn std::fmt::Display| StorageError::Corrupt(format!("snapshot encode: {e}"));
+        let len = match self.codec {
             Codec::Json => {
-                let text = serde_json::to_string(&snap)
-                    .map_err(|e| StorageError::Corrupt(format!("snapshot encode: {e}")))?;
+                let text = serde_json::to_string(&snap).map_err(|e| encode(&e))?;
                 self.backend.write_snapshot(&text)?;
+                text.len()
             }
             Codec::Binary => {
-                let bytes = binpack::to_bytes(&snap)
-                    .map_err(|e| StorageError::Corrupt(format!("snapshot encode: {e}")))?;
+                let bytes = binpack::to_bytes(&snap).map_err(|e| encode(&e))?;
                 self.backend.write_snapshot_bytes(&bytes)?;
+                bytes.len()
             }
-        }
+        };
+        // The dictionaries of the dropped frames went with them: what is
+        // persisted now is exactly what this snapshot defines.
+        self.persisted_syms = catalog.iter().map(|(id, _)| *id).collect();
         self.since_snapshot = 0;
+        self.bytes_since_snapshot = 0;
+        self.snapshot_bytes = len as u64;
         Ok(())
     }
 
-    /// Rebuilds the pre-crash state: latest snapshot + WAL replay.
+    /// Rebuilds the pre-crash state: newest snapshot + WAL replay.
+    ///
+    /// Replay is idempotent — inserts deduplicate, null counters, depths
+    /// and marks merge by maximum — so frames the snapshot already covers
+    /// (a backend may hand them back, and a crash inside a checkpoint
+    /// leaves them behind) change nothing.
     ///
     /// Every persisted dictionary — the snapshot's catalog section and each
     /// record's first-use delta — is folded into the live catalog first, and
@@ -205,20 +326,20 @@ impl PeerStorage {
     /// the owner writes the initial snapshot at attach time, so this only
     /// happens for a store that never belonged to a peer).
     pub fn recover(&self, node: u32) -> StorageResult<Option<RecoveredState>> {
+        let decode =
+            |e: &dyn std::fmt::Display| StorageError::Corrupt(format!("snapshot decode: {e}"));
         let snap: DatabaseSnapshot = match self.codec {
             Codec::Json => {
                 let Some(text) = self.backend.read_snapshot()? else {
                     return Ok(None);
                 };
-                serde_json::from_str(&text)
-                    .map_err(|e| StorageError::Corrupt(format!("snapshot decode: {e}")))?
+                serde_json::from_str(&text).map_err(|e| decode(&e))?
             }
             Codec::Binary => {
                 let Some(bytes) = self.backend.read_snapshot_bytes()? else {
                     return Ok(None);
                 };
-                binpack::from_bytes(&bytes)
-                    .map_err(|e| StorageError::Corrupt(format!("snapshot decode: {e}")))?
+                binpack::from_bytes(&bytes).map_err(|e| decode(&e))?
             }
         };
         let catalog = ConstCatalog::global();
@@ -229,8 +350,21 @@ impl PeerStorage {
         }
         let mut nulls_next = snap.nulls_next;
         let mut depths: BTreeMap<NullId, u32> = snap.depths.into_iter().collect();
-        let mut marks: BTreeMap<(SessionId, u32, NodeId), FragmentMark> = BTreeMap::new();
-        let mut mark_sets: BTreeMap<(SessionId, u32, NodeId), HashSet<Tuple>> = BTreeMap::new();
+        let mut answers = AnswerFold {
+            last_session: snap.last_session,
+            ..AnswerFold::default()
+        };
+        for (rule, from, mark) in &snap.marks {
+            let (session, key) = (snap.last_session, (*rule, *from));
+            answers.fold(
+                session,
+                key,
+                &mark.vars,
+                &mark.rows,
+                &mark.watermarks,
+                &remap,
+            );
+        }
 
         let records: Vec<WalRecord> = match self.codec {
             Codec::Json => self
@@ -246,7 +380,7 @@ impl PeerStorage {
                 .map(|f| WalRecord::from_frame_bytes(f))
                 .collect::<StorageResult<_>>()?,
         };
-        for (pos, record) in records.into_iter().enumerate() {
+        for record in records {
             remap.extend(catalog.absorb(record.dict()));
             match record {
                 WalRecord::Insert {
@@ -256,10 +390,6 @@ impl PeerStorage {
                     dict: _,
                 } => {
                     let tuple = remap_tuple(&remap, tuple);
-                    // Frames already reflected in the snapshot are skipped
-                    // for the database (replaying them would be a dedup
-                    // no-op anyway) but still feed the null mint and depth
-                    // maps, which merge idempotently.
                     for v in tuple.values() {
                         if let Val::Null(id) = v {
                             if id.node() == node && id.counter() + 1 > nulls_next {
@@ -273,10 +403,8 @@ impl PeerStorage {
                             *e = d;
                         }
                     }
-                    if (pos as u64) >= snap.wal_len {
-                        db.insert(&relation, tuple)
-                            .map_err(|e| StorageError::Corrupt(format!("WAL replay: {e}")))?;
-                    }
+                    db.insert(&relation, tuple)
+                        .map_err(|e| StorageError::Corrupt(format!("WAL replay: {e}")))?;
                 }
                 WalRecord::Answer {
                     session,
@@ -286,32 +414,31 @@ impl PeerStorage {
                     rows,
                     watermarks,
                     dict: _,
-                } => {
-                    // Fragment marks fold across the whole log: rows
-                    // accumulate (deduplicated), the watermark is replaced
-                    // by the latest record.
-                    let key = (session, rule, from);
-                    let mark = marks.entry(key).or_default();
-                    let seen = mark_sets.entry(key).or_default();
-                    if mark.vars.is_empty() {
-                        mark.vars = vars;
-                    }
-                    for t in rows {
-                        let t = remap_tuple(&remap, t);
-                        if seen.insert(t.clone()) {
-                            mark.rows.push(t);
-                        }
-                    }
-                    mark.watermarks = watermarks;
-                }
+                } => answers.fold(session, (rule, from), &vars, &rows, &watermarks, &remap),
             }
         }
         Ok(Some(RecoveredState {
             db,
             nulls_next,
             depths: depths.into_iter().collect(),
-            marks,
+            marks: answers.marks,
+            last_session: answers.last_session,
         }))
+    }
+
+    /// Takes over the answer log a [`PeerStorage::recover`] of this store
+    /// rebuilt, so the next snapshot carries it on. The owner calls this
+    /// whenever it restarts from the store: a store reopened by a new
+    /// process has folded nothing yet.
+    pub fn adopt(&mut self, recovered: &RecoveredState) {
+        self.answers = AnswerFold {
+            seen: (recovered.marks.iter())
+                .filter(|(_, mark)| !mark.rows.is_empty())
+                .map(|(key, mark)| (*key, mark.rows.iter().cloned().collect()))
+                .collect(),
+            marks: recovered.marks.clone(),
+            last_session: recovered.last_session,
+        };
     }
 }
 
@@ -333,16 +460,21 @@ fn remap_tuple(remap: &SymRemap, t: Tuple) -> Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemoryBackend;
+    use crate::backend::{FileBackend, MemoryBackend};
     use p2p_relational::DatabaseSchema;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn schema() -> DatabaseSchema {
         DatabaseSchema::parse("a(x: int, y: int). b(x: int). s(x: str).").unwrap()
     }
 
     fn store(snapshot_every: u64) -> (PeerStorage, Database) {
+        store_on(Box::<MemoryBackend>::default(), snapshot_every)
+    }
+
+    fn store_on(backend: Box<dyn StorageBackend>, snapshot_every: u64) -> (PeerStorage, Database) {
         let db = Database::new(schema());
-        let mut st = PeerStorage::new(Box::<MemoryBackend>::default(), snapshot_every);
+        let mut st = PeerStorage::new(backend, snapshot_every);
         st.snapshot(&db, 0, Vec::new()).unwrap();
         (st, db)
     }
@@ -358,6 +490,59 @@ mod tests {
             dict,
         })
         .unwrap()
+    }
+
+    fn answer(session: SessionId, rows: Vec<Tuple>, mark: usize) -> WalRecord {
+        let mut watermarks = BTreeMap::new();
+        watermarks.insert(Arc::<str>::from("b"), mark);
+        WalRecord::Answer {
+            session,
+            rule: 5,
+            node: NodeId(2),
+            vars: vec![Arc::from("X")],
+            rows,
+            watermarks,
+            dict: vec![],
+        }
+    }
+
+    /// A backend that keeps every frame ever appended — the loosest reading
+    /// of the contract ("at least every frame since the newest snapshot"),
+    /// and what a crash inside a checkpoint leaves behind: the new snapshot
+    /// present, the frames it covers not yet dropped.
+    #[derive(Debug, Default)]
+    struct KeepsEveryFrame {
+        wal: Vec<String>,
+        snapshot: Option<String>,
+    }
+
+    impl StorageBackend for KeepsEveryFrame {
+        fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+            self.wal.push(frame.to_string());
+            Ok(())
+        }
+        fn read_wal(&self) -> StorageResult<Vec<String>> {
+            Ok(self.wal.clone())
+        }
+        fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
+            self.snapshot = Some(snapshot.to_string());
+            Ok(())
+        }
+        fn read_snapshot(&self) -> StorageResult<Option<String>> {
+            Ok(self.snapshot.clone())
+        }
+        fn append_wal_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
+            unimplemented!("text frames only")
+        }
+        fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
+            unimplemented!("text frames only")
+        }
+        fn write_snapshot_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
+            unimplemented!("text frames only")
+        }
+        fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
+            unimplemented!("text frames only")
+        }
     }
 
     #[test]
@@ -376,17 +561,47 @@ mod tests {
         assert!(st.recover(0).unwrap().is_none());
     }
 
+    /// A checkpoint is due once `snapshot_every` records *and* as many
+    /// frame bytes as the last snapshot took have been logged: a small
+    /// state checkpoints every k records, a large one when its log has
+    /// grown to its own size.
     #[test]
-    fn snapshot_cadence_fires_every_k_records() {
+    fn checkpoint_is_due_after_k_records_and_a_snapshot_of_bytes() {
         let (mut st, mut db) = store(2);
-        assert!(!insert(&mut st, &mut db, "b", vec![Val::Int(1)]));
-        assert!(insert(&mut st, &mut db, "b", vec![Val::Int(2)]));
+        let mut logged = 0;
+        let mut next = |st: &mut PeerStorage, db: &mut Database| {
+            logged += 1;
+            insert(st, db, "b", vec![Val::Int(logged)])
+        };
+        // The empty database's snapshot outweighs two records.
+        assert!(!next(&mut st, &mut db));
+        assert!(!next(&mut st, &mut db), "k records, but too few bytes");
+        let mut records = 2;
+        while !next(&mut st, &mut db) {
+            records += 1;
+        }
+        assert!(st.bytes_since_snapshot >= st.snapshot_bytes);
+        assert!(
+            st.bytes_since_snapshot < st.snapshot_bytes + 100,
+            "and no later"
+        );
         st.snapshot(&db, 0, Vec::new()).unwrap();
-        assert!(!insert(&mut st, &mut db, "b", vec![Val::Int(3)]));
-        assert!(insert(&mut st, &mut db, "b", vec![Val::Int(4)]));
+        // The snapshot grew, so the next one takes more records.
+        let mut again = 1;
+        while !next(&mut st, &mut db) {
+            again += 1;
+        }
+        assert!(again > records, "{again} records after {records}");
         // Recovery from the mid-stream snapshot is still exact.
         let rec = st.recover(0).unwrap().unwrap();
         assert_eq!(rec.db.all_facts(), db.all_facts());
+
+        // With the bytes already there, the record count still binds.
+        let (mut st, mut db) = store(3);
+        st.snapshot_bytes = 0;
+        assert!(!insert(&mut st, &mut db, "b", vec![Val::Int(1)]));
+        assert!(!insert(&mut st, &mut db, "b", vec![Val::Int(2)]));
+        assert!(insert(&mut st, &mut db, "b", vec![Val::Int(3)]));
     }
 
     #[test]
@@ -416,70 +631,95 @@ mod tests {
         let sid = SessionId::new(NodeId(0), 1);
         let row1 = Tuple::new(vec![Val::Int(1)]);
         let row2 = Tuple::new(vec![Val::Int(2)]);
-        let mut w1 = BTreeMap::new();
-        w1.insert(Arc::<str>::from("b"), 1usize);
-        let mut w2 = BTreeMap::new();
-        w2.insert(Arc::<str>::from("b"), 4usize);
-        for (rows, marks) in [
-            (vec![row1.clone()], w1),
-            (vec![row1.clone(), row2.clone()], w2.clone()),
-        ] {
-            st.log(&WalRecord::Answer {
-                session: sid,
-                rule: 5,
-                node: NodeId(2),
-                vars: vec![Arc::from("X")],
-                rows,
-                watermarks: marks,
-                dict: vec![],
-            })
+        // Logged out of watermark order on purpose: the maximum wins.
+        st.log(&answer(sid, vec![row1.clone(), row2.clone()], 4))
             .unwrap();
-        }
+        st.log(&answer(sid, vec![row1.clone()], 1)).unwrap();
         let rec = st.recover(0).unwrap().unwrap();
-        let mark = &rec.marks[&(sid, 5, NodeId(2))];
+        let mark = &rec.marks[&(5, NodeId(2))];
         assert_eq!(mark.rows, vec![row1, row2]); // deduplicated, in order
-        assert_eq!(mark.watermarks, w2); // latest watermark wins
+        assert_eq!(mark.watermarks[&Arc::<str>::from("b")], 4);
+        assert_eq!(rec.last_session, sid);
     }
 
+    /// The answers of interleaved sessions fold into one mark per fragment:
+    /// rows united, the newest watermark and the newest session kept.
     #[test]
-    fn marks_of_interleaved_sessions_stay_separate() {
+    fn marks_of_interleaved_sessions_fold_per_fragment() {
         let (mut st, _db) = store(0);
         let s1 = SessionId::new(NodeId(0), 1);
         let s2 = SessionId::new(NodeId(3), 1);
-        for (sid, row, mark) in [(s1, 1i64, 2usize), (s2, 7, 9)] {
-            let mut w = BTreeMap::new();
-            w.insert(Arc::<str>::from("b"), mark);
-            st.log(&WalRecord::Answer {
-                session: sid,
-                rule: 5,
-                node: NodeId(2),
-                vars: vec![Arc::from("X")],
-                rows: vec![Tuple::new(vec![Val::Int(row)])],
-                watermarks: w,
-                dict: vec![],
-            })
+        st.log(&answer(s2, vec![Tuple::new(vec![Val::Int(7)])], 9))
             .unwrap();
-        }
+        st.log(&answer(s1, vec![Tuple::new(vec![Val::Int(1)])], 2))
+            .unwrap();
         let rec = st.recover(0).unwrap().unwrap();
-        assert_eq!(rec.marks.len(), 2);
+        assert_eq!(rec.marks.len(), 1);
+        let mark = &rec.marks[&(5, NodeId(2))];
         assert_eq!(
-            rec.marks[&(s1, 5, NodeId(2))].rows,
-            vec![Tuple::new(vec![Val::Int(1)])]
+            mark.rows,
+            vec![Tuple::new(vec![Val::Int(7)]), Tuple::new(vec![Val::Int(1)])]
         );
-        assert_eq!(
-            rec.marks[&(s2, 5, NodeId(2))].watermarks[&Arc::<str>::from("b")],
-            9
-        );
+        assert_eq!(mark.watermarks[&Arc::<str>::from("b")], 9);
+        assert_eq!(rec.last_session, s2);
     }
 
+    /// A snapshot carries the folded answer log, so the answer frames it
+    /// covers can go — on both codecs, through a checkpoint and a reopen by
+    /// a store that has folded nothing itself.
+    #[test]
+    fn marks_survive_the_checkpoint_that_drops_their_frames() {
+        let sid = SessionId::new(NodeId(1), 4);
+        for codec in [Codec::Json, Codec::Binary] {
+            let dir = std::env::temp_dir()
+                .join(format!("p2p_storage_marks_{}_{codec}", std::process::id()));
+            let db = Database::new(schema());
+            let rows = vec![Tuple::new(vec![Val::str("mark-only-sym")])];
+            {
+                let backend = Box::new(FileBackend::open(&dir).unwrap());
+                let mut st = PeerStorage::with_codec(backend, 0, codec);
+                st.snapshot(&db, 0, Vec::new()).unwrap();
+                let mut record = answer(sid, rows.clone(), 3);
+                if let WalRecord::Answer { dict, rows, .. } = &mut record {
+                    *dict = st.first_use_dict(rows.iter().flat_map(Tuple::values));
+                    assert_eq!(dict.len(), 1);
+                }
+                st.log(&record).unwrap();
+                st.snapshot(&db, 0, Vec::new()).unwrap();
+            }
+            let backend = Box::new(FileBackend::open(&dir).unwrap());
+            let mut st = PeerStorage::with_codec(backend, 0, codec);
+            let rec = st.recover(0).unwrap().unwrap();
+            assert_eq!(rec.marks[&(5, NodeId(2))].rows, rows, "{codec}");
+            assert_eq!(rec.last_session, sid);
+            // … and through the next checkpoint of the reopened store.
+            st.adopt(&rec);
+            st.snapshot(&db, 0, Vec::new()).unwrap();
+            let again = st.recover(0).unwrap().unwrap();
+            assert_eq!(again.marks, rec.marks, "{codec}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// The crash window of a checkpoint, and any backend that hands back
+    /// more than it must: frames the snapshot covers are replayed over it
+    /// and change nothing — same database, same order, same marks.
     #[test]
     fn replay_is_idempotent_over_stale_snapshot_boundary() {
-        // Log records, snapshot, log more, then lie about wal_len by
-        // recovering from a storage whose snapshot predates some frames:
-        // the dedup guarantees an exact rebuild regardless.
-        let (mut st, mut db) = store(0);
+        let (mut st, mut db) = store_on(Box::<KeepsEveryFrame>::default(), 0);
+        let sid = SessionId::new(NodeId(0), 2);
         insert(&mut st, &mut db, "b", vec![Val::Int(1)]);
+        insert(&mut st, &mut db, "s", vec![Val::str("stale-sym")]);
+        st.log(&answer(sid, vec![Tuple::new(vec![Val::Int(1)])], 5))
+            .unwrap();
+        let before = st.recover(0).unwrap().unwrap();
         st.snapshot(&db, 0, Vec::new()).unwrap();
+        let after = st.recover(0).unwrap().unwrap();
+        assert_eq!(after.db.all_facts(), db.all_facts());
+        assert_eq!(after.db.watermarks(), db.watermarks());
+        assert_eq!(after.marks, before.marks);
+        assert_eq!(after.last_session, sid);
+
         insert(&mut st, &mut db, "b", vec![Val::Int(2)]);
         insert(&mut st, &mut db, "b", vec![Val::Int(1)]); // dup in WAL
         let rec = st.recover(0).unwrap().unwrap();
@@ -509,6 +749,95 @@ mod tests {
         assert!(st.first_use_dict([v].iter()).is_empty());
     }
 
+    /// A memory backend whose next snapshot write fails while the shared
+    /// flag is set.
+    #[derive(Debug)]
+    struct FailingSnapshots {
+        inner: MemoryBackend,
+        fail: Arc<AtomicBool>,
+    }
+
+    impl StorageBackend for FailingSnapshots {
+        fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+            self.inner.append_wal(frame)
+        }
+        fn read_wal(&self) -> StorageResult<Vec<String>> {
+            self.inner.read_wal()
+        }
+        fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
+            if self.fail.load(Ordering::Relaxed) {
+                return Err(StorageError::Io("disk full".into()));
+            }
+            self.inner.write_snapshot(snapshot)
+        }
+        fn read_snapshot(&self) -> StorageResult<Option<String>> {
+            self.inner.read_snapshot()
+        }
+        fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
+            self.inner.append_wal_bytes(frame)
+        }
+        fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
+            self.inner.read_wal_bytes()
+        }
+        fn write_snapshot_bytes(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+            self.inner.write_snapshot_bytes(snapshot)
+        }
+        fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
+            self.inner.read_snapshot_bytes()
+        }
+    }
+
+    /// Regression: `snapshot` used to mark the database's symbols as
+    /// persisted before the write. When the write failed, later WAL records
+    /// left those symbols' definitions out for good, and a recovery in
+    /// another process could not resolve them.
+    #[test]
+    fn failed_snapshot_persists_no_symbols() {
+        let fail = Arc::new(AtomicBool::new(false));
+        let backend = FailingSnapshots {
+            inner: MemoryBackend::default(),
+            fail: fail.clone(),
+        };
+        let (mut st, mut db) = store_on(Box::new(backend), 0);
+        // In the database but in no WAL record — as base data is.
+        let (lost, kept) = (
+            Val::str("saw-a-failed-snapshot"),
+            Val::str("saw-a-good-one"),
+        );
+        db.insert("s", Tuple::new(vec![lost])).unwrap();
+        fail.store(true, Ordering::Relaxed);
+        assert!(matches!(
+            st.snapshot(&db, 0, Vec::new()),
+            Err(StorageError::Io(_))
+        ));
+        assert_eq!(
+            st.first_use_dict([lost].iter()).len(),
+            1,
+            "the definition must still be shipped"
+        );
+        // A snapshot that is written does persist its symbols.
+        fail.store(false, Ordering::Relaxed);
+        db.insert("s", Tuple::new(vec![kept])).unwrap();
+        st.snapshot(&db, 0, Vec::new()).unwrap();
+        assert!(st.first_use_dict([kept].iter()).is_empty());
+    }
+
+    /// A checkpoint drops the frames whose dictionaries defined a symbol,
+    /// so the snapshot's catalog must define every symbol it mentions, and
+    /// a symbol it does not mention counts as unpersisted again.
+    #[test]
+    fn checkpoint_resets_the_first_use_filter_to_its_catalog() {
+        let (mut st, mut db) = store(0);
+        insert(&mut st, &mut db, "s", vec![Val::str("kept-in-db")]);
+        let gone = Val::str("in-a-dropped-frame-only");
+        assert_eq!(st.first_use_dict([gone].iter()).len(), 1);
+        st.snapshot(&db, 0, Vec::new()).unwrap();
+        assert!(st
+            .first_use_dict([Val::str("kept-in-db")].iter())
+            .is_empty());
+        assert_eq!(st.first_use_dict([gone].iter()).len(), 1);
+    }
+
     /// Regression: the pre-columnar `Relation` serialized a `present` set —
     /// a byte-for-byte duplicate of every tuple — into every snapshot. The
     /// new form must carry each row exactly once, making data-dominated
@@ -524,10 +853,11 @@ mod tests {
                 .unwrap();
         }
         let snap = DatabaseSnapshot {
-            wal_len: 0,
             nulls_next: 0,
             depths: Vec::new(),
             catalog: Vec::new(),
+            marks: Vec::new(),
+            last_session: SessionId::default(),
             db: db.clone(),
         };
         let text = serde_json::to_string(&snap).unwrap();
@@ -572,6 +902,43 @@ mod tests {
         }
     }
 
+    /// `SnapshotRef` is hand-written because the derive takes no
+    /// lifetimes; it must stay `DatabaseSnapshot`'s encoding.
+    #[test]
+    fn borrowed_snapshot_encodes_like_the_owned_one() {
+        let mut db = Database::new(schema());
+        db.insert_values("s", vec![Val::str("borrowed")]).unwrap();
+        let mark = FragmentMark {
+            vars: vec![Arc::from("X")],
+            rows: vec![Tuple::new(vec![Val::Int(3)])],
+            watermarks: [(Arc::<str>::from("b"), 2usize)].into_iter().collect(),
+        };
+        let owned = DatabaseSnapshot {
+            nulls_next: 7,
+            depths: vec![(NullId::new(1, 2), 3)],
+            catalog: ConstCatalog::global().export(db.syms()),
+            marks: vec![(5, NodeId(2), mark)],
+            last_session: SessionId::new(NodeId(1), 9),
+            db,
+        };
+        let borrowed = SnapshotRef {
+            nulls_next: owned.nulls_next,
+            depths: &owned.depths,
+            catalog: &owned.catalog,
+            marks: owned.marks.iter().map(|(r, n, m)| (*r, *n, m)).collect(),
+            last_session: owned.last_session,
+            db: &owned.db,
+        };
+        assert_eq!(
+            serde_json::to_string(&borrowed).unwrap(),
+            serde_json::to_string(&owned).unwrap()
+        );
+        assert_eq!(
+            binpack::to_bytes(&borrowed).unwrap(),
+            binpack::to_bytes(&owned).unwrap()
+        );
+    }
+
     #[test]
     fn binary_store_recovers_identically_to_json() {
         // The same durable history through both codecs rebuilds the same
@@ -585,18 +952,9 @@ mod tests {
             insert(&mut st, &mut db, "a", vec![Val::Int(3), Val::Int(4)]);
             st.snapshot(&db, 0, Vec::new()).unwrap();
             insert(&mut st, &mut db, "s", vec![Val::str("cross-codec-sym")]);
-            let mut w = BTreeMap::new();
-            w.insert(Arc::<str>::from("b"), 2usize);
-            st.log(&WalRecord::Answer {
-                session: SessionId::new(NodeId(0), 1),
-                rule: 9,
-                node: NodeId(1),
-                vars: vec![Arc::from("X")],
-                rows: vec![Tuple::new(vec![Val::Int(5)])],
-                watermarks: w,
-                dict: vec![],
-            })
-            .unwrap();
+            let sid = SessionId::new(NodeId(0), 1);
+            st.log(&answer(sid, vec![Tuple::new(vec![Val::Int(5)])], 2))
+                .unwrap();
             let rec = st.recover(0).unwrap().unwrap();
             assert_eq!(rec.db.all_facts(), db.all_facts());
             recovered.push(rec);
@@ -608,7 +966,6 @@ mod tests {
 
     #[test]
     fn binary_file_store_survives_reopen() {
-        use crate::backend::FileBackend;
         let dir = std::env::temp_dir().join(format!(
             "p2p_storage_store_bin_{}_{}",
             std::process::id(),
@@ -622,14 +979,15 @@ mod tests {
             insert(&mut st, &mut db, "b", vec![Val::Int(11)]);
             insert(&mut st, &mut db, "s", vec![Val::str("bin-reopen")]);
         }
-        // No JSON artifacts: the binary store writes wal.bin/snapshot.bin.
-        assert!(!dir.join("wal.jsonl").exists());
-        assert!(!dir.join("snapshot.json").exists());
-        assert!(dir.join("wal.bin").exists());
-        assert!(dir.join("snapshot.bin").exists());
+        // No JSON artifacts: the binary store writes its own family.
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["snapshot-1.bin", "wal-1.bin"]);
         let backend = Box::new(FileBackend::open(&dir).unwrap());
         let st = PeerStorage::with_codec(backend, 0, Codec::Binary);
-        assert_eq!(st.wal_len(), 2);
         let rec = st.recover(0).unwrap().unwrap();
         assert_eq!(rec.db.all_facts(), db.all_facts());
         assert!(rec

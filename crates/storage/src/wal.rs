@@ -1,11 +1,11 @@
 //! Write-ahead-log records.
 //!
-//! One record per durable event, serde-framed (one JSON document per
-//! frame; the file backend stores one frame per line). Records are
-//! designed to be **replay-idempotent**: inserting an already-present
-//! tuple is a no-op at the relation layer and depth records merge by
-//! maximum, so recovery may safely replay the whole log over any
-//! snapshot.
+//! One record per durable event, serde-framed (one JSON or [`binpack`]
+//! document per frame; the backend delimits and checksums frames).
+//! Records are designed to be **replay-idempotent**: inserting an
+//! already-present tuple is a no-op at the relation layer, depth records
+//! and answer watermarks merge by maximum and answer rows deduplicate, so
+//! recovery may safely replay frames the snapshot already covers.
 //!
 //! Rows carry interned [`p2p_relational::Val`]s, whose 4-byte symbol ids
 //! are only meaningful relative to a catalog. Every record therefore ships
@@ -39,23 +39,24 @@ pub enum WalRecord {
         #[serde(default)]
         dict: Vec<(SymId, Arc<str>)>,
     },
-    /// A fragment answer this peer processed: the rows and, crucially, the
-    /// answerer's database watermarks at answer time. The latest record per
-    /// `(session, rule, peer)` is the resync cursor — after a crash the peer
-    /// asks the answerer only for rows derived from facts beyond this
-    /// watermark. Records are **session-tagged** so recovery can rebuild the
-    /// head-side fragment caches of every interleaved session a crash
-    /// interrupted, not just one.
+    /// A fragment answer this peer processed: crucially the answerer's
+    /// database watermarks at answer time, whose newest values per
+    /// `(rule, peer)` are the resync cursor — after a crash the peer asks
+    /// the answerer only for rows derived from facts beyond them — and,
+    /// where the head retains fragment rows (a rule with more than one
+    /// body node), the rows, so recovery can rebuild that state.
     Answer {
-        /// The update session the answer belonged to.
+        /// The update session the answer belonged to (resync traffic
+        /// travels under the newest one's tag).
         session: SessionId,
         /// Rule the answer served (raw id; `p2p_core` owns the typed form).
         rule: u32,
         /// The answering peer.
         node: NodeId,
-        /// Column variables of the shipped rows.
+        /// Column variables of `rows`.
         vars: Vec<Arc<str>>,
-        /// The shipped rows (head-side fragment cache rebuild).
+        /// The shipped rows (head-side fragment rebuild); empty for a rule
+        /// with a single body node, whose head keeps none.
         rows: Vec<Tuple>,
         /// The answerer's per-relation insertion watermarks at answer time.
         watermarks: BTreeMap<Arc<str>, usize>,

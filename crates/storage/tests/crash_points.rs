@@ -1,0 +1,172 @@
+//! Kill at every byte offset: a real `FileBackend` directory, cut where a
+//! process could have died — inside each of the last three WAL frames, and
+//! inside a snapshot being written — always recovers to a prefix of the
+//! acknowledged writes, and the store accepts appends and checkpoints
+//! afterwards. Both codecs.
+
+use p2p_net::{Codec, SessionId};
+use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
+use p2p_storage::{FileBackend, FragmentMark, MemoryBackend, PeerStorage, WalRecord};
+use p2p_topology::NodeId;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+const NODE: u32 = 2;
+const RECORDS: usize = 6;
+
+fn temp_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("p2p_storage_crash_{tag}_{}", std::process::id()))
+}
+
+fn open(dir: &Path, codec: Codec) -> PeerStorage {
+    PeerStorage::with_codec(Box::new(FileBackend::open(dir).unwrap()), 0, codec)
+}
+
+/// The `i`-th write of the history, one frame each: facts with strings (so
+/// frames carry dictionaries), every third write an answer mark instead.
+fn write(st: &mut PeerStorage, db: &mut Database, i: usize) {
+    let record = if i % 3 == 2 {
+        WalRecord::Answer {
+            session: SessionId::new(NodeId(0), i as u64),
+            rule: 1,
+            node: NodeId(5),
+            vars: Vec::new(),
+            rows: Vec::new(),
+            watermarks: [(Arc::<str>::from("r"), i)].into_iter().collect(),
+            dict: Vec::new(),
+        }
+    } else {
+        let tuple = Tuple::new(vec![Val::Int(i as i64), Val::str(format!("crash-{i}"))]);
+        db.insert("r", tuple.clone()).unwrap();
+        WalRecord::Insert {
+            relation: Arc::from("r"),
+            dict: st.first_use_dict(tuple.values()),
+            tuple,
+            depths: Vec::new(),
+        }
+    };
+    st.log(&record).unwrap();
+}
+
+/// What recovery must report after the first `k` writes.
+type Expected = (Database, BTreeMap<(u32, NodeId), FragmentMark>);
+
+fn expected(k: usize) -> Expected {
+    let mut db = Database::new(schema());
+    let mut st = PeerStorage::new(Box::<MemoryBackend>::default(), 0);
+    st.snapshot(&db, 0, Vec::new()).unwrap();
+    for i in 0..k {
+        write(&mut st, &mut db, i);
+    }
+    let marks = st.recover(NODE).unwrap().unwrap().marks;
+    (db, marks)
+}
+
+fn schema() -> DatabaseSchema {
+    DatabaseSchema::parse("r(x: int, name: str).").unwrap()
+}
+
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn restore(dir: &Path, files: &[(String, Vec<u8>)]) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+}
+
+/// Recovers `dir`, checks it against the first `k` writes, then makes the
+/// next write and a checkpoint and checks again — through a reopen each.
+fn recovers_to_and_carries_on(
+    dir: &Path,
+    codec: Codec,
+    k: usize,
+    expected: &[Expected],
+    what: &str,
+) {
+    let (mut db, marks) = expected[k].clone();
+    let mut st = open(dir, codec);
+    let rec = st.recover(NODE).unwrap().expect("the first snapshot");
+    assert_eq!(rec.db.all_facts(), db.all_facts(), "{what}");
+    assert_eq!(rec.marks, marks, "{what}");
+    st.adopt(&rec);
+
+    write(&mut st, &mut db, k);
+    let rec = open(dir, codec).recover(NODE).unwrap().unwrap();
+    assert_eq!(rec.db.all_facts(), db.all_facts(), "{what}, appended");
+    assert_eq!(rec.marks, expected[k + 1].1, "{what}, appended");
+
+    st.snapshot(&db, 0, Vec::new()).unwrap();
+    write(&mut st, &mut db, k + 1);
+    let rec = open(dir, codec).recover(NODE).unwrap().unwrap();
+    assert_eq!(rec.db.all_facts(), db.all_facts(), "{what}, checkpointed");
+    assert_eq!(rec.marks, expected[k + 2].1, "{what}, checkpointed");
+}
+
+#[test]
+fn kill_at_every_byte_offset_recovers_a_prefix_and_carries_on() {
+    let expected: Vec<Expected> = (0..=RECORDS + 2).map(expected).collect();
+    for codec in [Codec::Json, Codec::Binary] {
+        let golden = temp_dir(&format!("golden_{codec}"));
+        let scratch = temp_dir(&format!("scratch_{codec}"));
+        let _ = std::fs::remove_dir_all(&golden);
+        let (snapshot, log) = match codec {
+            Codec::Json => ("snapshot-1.json", "wal-1.jsonl"),
+            Codec::Binary => ("snapshot-1.bin", "wal-1.bin"),
+        };
+
+        // The acknowledged history, and the log's length after each write.
+        let mut db = Database::new(schema());
+        let mut st = open(&golden, codec);
+        st.snapshot(&db, 0, Vec::new()).unwrap();
+        let mut acked = vec![0usize];
+        for i in 0..RECORDS {
+            write(&mut st, &mut db, i);
+            acked.push(std::fs::metadata(golden.join(log)).unwrap().len() as usize);
+        }
+        let before = files(&golden);
+        assert_eq!(
+            before.iter().map(|(n, _)| &n[..]).collect::<Vec<_>>(),
+            [snapshot, log]
+        );
+
+        // Die inside each of the last three writes' frames.
+        for cut in acked[RECORDS - 3]..=acked[RECORDS] {
+            let mut files = before.clone();
+            files[1].1.truncate(cut);
+            restore(&scratch, &files);
+            let k = acked.iter().rposition(|len| *len <= cut).unwrap();
+            let what = format!("{codec} log cut at {cut}");
+            recovers_to_and_carries_on(&scratch, codec, k, &expected, &what);
+        }
+
+        // Die inside the checkpoint: the next snapshot at every length up
+        // to complete, the generation it replaces still in place.
+        st.snapshot(&db, 0, Vec::new()).unwrap();
+        let after = files(&golden);
+        assert_eq!(after.len(), 1, "the checkpoint dropped generation 1");
+        let (next_name, next_bytes) = &after[0];
+        for cut in 0..=next_bytes.len() {
+            let mut files = before.clone();
+            files.push((next_name.clone(), next_bytes[..cut].to_vec()));
+            restore(&scratch, &files);
+            let what = format!("{codec} snapshot cut at {cut} of {}", next_bytes.len());
+            recovers_to_and_carries_on(&scratch, codec, RECORDS, &expected, &what);
+        }
+        std::fs::remove_dir_all(&golden).unwrap();
+        std::fs::remove_dir_all(&scratch).unwrap();
+    }
+}

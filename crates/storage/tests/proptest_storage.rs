@@ -1,12 +1,17 @@
-//! Property: for arbitrary insertion sequences with interleaved snapshots,
-//! `snapshot + WAL replay == live Database` — exactly, including insertion
-//! order (watermarks), the null mint, and chase depths.
+//! Properties of the store. For arbitrary insertion sequences with
+//! interleaved snapshots, `snapshot + WAL replay == live Database` —
+//! exactly, including insertion order (watermarks), the null mint, and
+//! chase depths. And whatever bytes sit in a `FileBackend` directory,
+//! opening and recovering it gives a typed error or a prefix of the
+//! acknowledged writes, never a panic.
 
+use p2p_net::Codec;
 use p2p_relational::value::NullId;
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
-use p2p_storage::{MemoryBackend, PeerStorage, WalRecord};
+use p2p_storage::{FileBackend, MemoryBackend, PeerStorage, StorageBackend, WalRecord};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// One step of a peer's durable life.
@@ -115,5 +120,137 @@ proptest! {
         prop_assert_eq!(rec.nulls_next, nulls_next);
         let rec_depths: BTreeMap<NullId, u32> = rec.depths.into_iter().collect();
         prop_assert_eq!(rec_depths, depths);
+    }
+}
+
+/// How a directory's files are damaged before it is reopened.
+#[derive(Debug, Clone)]
+struct Damage {
+    /// 0 = replace the file, 1 = flip one byte, 2 = append, 3 = cut, then
+    /// append.
+    how: u8,
+    /// The snapshot (true) or the log (false).
+    snapshot: bool,
+    /// Where (reduced modulo the file's length).
+    at: usize,
+    noise: Vec<u8>,
+}
+
+fn damage() -> impl Strategy<Value = Damage> {
+    (
+        0..4u8,
+        any::<bool>(),
+        0..4096usize,
+        proptest::collection::vec(any::<u8>(), 0..48),
+    )
+        .prop_map(|(how, snapshot, at, noise)| Damage {
+            how,
+            snapshot,
+            at,
+            noise,
+        })
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("p2p_storage_hostile_{tag}_{}", std::process::id()))
+}
+
+/// Five acknowledged inserts on top of an empty snapshot; returns the facts
+/// in insertion order.
+fn acknowledged_history(dir: &std::path::Path, codec: Codec) -> Vec<(Arc<str>, Tuple)> {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut db = Database::new(DatabaseSchema::parse("t(x: int, name: str).").unwrap());
+    let backend = Box::new(FileBackend::open(dir).unwrap());
+    let mut store = PeerStorage::with_codec(backend, 0, codec);
+    store.snapshot(&db, 0, Vec::new()).unwrap();
+    for i in 0..5i64 {
+        let tuple = Tuple::new(vec![Val::Int(i), Val::str(format!("hostile-{i}"))]);
+        db.insert("t", tuple.clone()).unwrap();
+        let dict = store.first_use_dict(tuple.values());
+        store
+            .log(&WalRecord::Insert {
+                relation: Arc::from("t"),
+                tuple,
+                depths: Vec::new(),
+                dict,
+            })
+            .unwrap();
+    }
+    db.all_facts()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Arbitrary bytes in the WAL and snapshot files: a typed error or a
+    /// prefix of the acknowledged writes.
+    #[test]
+    fn hostile_files_give_a_typed_error_or_an_acknowledged_prefix(
+        damage in damage(),
+        binary in any::<bool>(),
+    ) {
+        let codec = if binary { Codec::Binary } else { Codec::Json };
+        let dir = scratch_dir(&format!("files_{codec}"));
+        let facts = acknowledged_history(&dir, codec);
+        let name = match (damage.snapshot, binary) {
+            (true, false) => "snapshot-1.json",
+            (true, true) => "snapshot-1.bin",
+            (false, false) => "wal-1.jsonl",
+            (false, true) => "wal-1.bin",
+        };
+        let mut bytes = std::fs::read(dir.join(name)).unwrap();
+        let at = damage.at % bytes.len();
+        match damage.how {
+            0 => bytes = damage.noise.clone(),
+            1 => bytes[at] ^= damage.noise.first().copied().unwrap_or(0) | 1,
+            2 => bytes.extend_from_slice(&damage.noise),
+            _ => {
+                bytes.truncate(at);
+                bytes.extend_from_slice(&damage.noise);
+            }
+        }
+        std::fs::write(dir.join(name), &bytes).unwrap();
+
+        let recovered = FileBackend::open(&dir)
+            .and_then(|b| PeerStorage::with_codec(Box::new(b), 0, codec).recover(0));
+        match recovered {
+            Ok(Some(rec)) => {
+                let got = rec.db.all_facts();
+                prop_assert!(
+                    got.len() <= facts.len() && got[..] == facts[..got.len()],
+                    "recovered {:?}, which is no prefix of the acknowledged writes", got
+                );
+            }
+            Ok(None) => prop_assert!(false, "a log without its snapshot read as an empty store"),
+            Err(_) => {}
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Arbitrary payloads under valid framing — what a bug in a writer, or
+    /// another program's file, would leave: the checksums pass, the
+    /// decoders must still answer with a typed error.
+    #[test]
+    fn well_framed_garbage_is_a_typed_error(
+        frame in proptest::collection::vec(any::<u8>(), 0..64),
+        in_snapshot in any::<bool>(),
+        binary in any::<bool>(),
+    ) {
+        let codec = if binary { Codec::Binary } else { Codec::Json };
+        let dir = scratch_dir(&format!("framed_{codec}"));
+        acknowledged_history(&dir, codec);
+        let mut backend = FileBackend::open(&dir).unwrap();
+        let text: String = frame.iter().map(|b| (b % 0x5f + 0x20) as char).collect();
+        match (in_snapshot, binary) {
+            (true, false) => backend.write_snapshot(&text).unwrap(),
+            (true, true) => backend.write_snapshot_bytes(&frame).unwrap(),
+            (false, false) => backend.append_wal(&text).unwrap(),
+            (false, true) => backend.append_wal_bytes(&frame).unwrap(),
+        }
+        drop(backend);
+        let backend = FileBackend::open(&dir).unwrap();
+        let recovered = PeerStorage::with_codec(Box::new(backend), 0, codec).recover(0);
+        prop_assert!(recovered.is_err(), "garbage decoded: {:?}", frame);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -42,8 +42,9 @@
 //! Durability & churn: `--durable` gives every peer a write-ahead log plus
 //! snapshot store; `--churn N` schedules `N` peer crash/restart events
 //! spread across the non-super peers mid-session (the run is then driven
-//! to closure with bounded re-drives); `--snapshot-every K` sets the WAL
-//! records between snapshots. `--churn`/`--snapshot-every` require
+//! to closure with bounded re-drives); `--snapshot-every K` sets the fewest
+//! WAL records between snapshots (a snapshot also waits for its own size
+//! in log bytes). `--churn`/`--snapshot-every` require
 //! `--durable` — without storage a crashed peer would lose its data for
 //! good.
 //!

@@ -10,7 +10,7 @@ use p2pdb::core::rule::RuleId;
 use p2pdb::net::{Codec, SessionId};
 use p2pdb::relational::value::NullId;
 use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, SymId, Tuple, Val};
-use p2pdb::storage::{DatabaseSnapshot, MemoryBackend, PeerStorage, WalRecord};
+use p2pdb::storage::{DatabaseSnapshot, FragmentMark, MemoryBackend, PeerStorage, WalRecord};
 use p2pdb::topology::NodeId;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -242,10 +242,11 @@ fn snapshot() -> impl Strategy<Value = DatabaseSnapshot> {
             }
             let syms = db.syms();
             DatabaseSnapshot {
-                wal_len: 3,
                 nulls_next,
                 depths,
                 catalog: ConstCatalog::global().export(syms),
+                marks: vec![(3, NodeId(1), FragmentMark::default())],
+                last_session: SessionId::new(NodeId(0), nulls_next),
                 db,
             }
         })

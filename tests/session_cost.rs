@@ -1,14 +1,26 @@
 //! A session costs what changed, not what exists: on a long-lived system the
 //! rows a session ships follow the delta inserted before it, not the size
 //! the databases have grown to — because subscription cursors outlive the
-//! session. Deterministic counts on the simulator, no timing.
+//! session. And durability costs what changed, too: what a durable peer
+//! holds on disk and replays at a restart follows its state, not its
+//! history. Deterministic counts on the simulator, no timing.
 
+use p2pdb::core::oracle::global_fixpoint;
+use p2pdb::core::peer::DbPeer;
 use p2pdb::core::stats::PeerStats;
 use p2pdb::core::system::P2PSystem;
+use p2pdb::core::ProtocolMsg;
+use p2pdb::net::{ChurnPlan, Codec, ConstantLatency, SessionId, SimTime, Simulator};
+use p2pdb::storage::{
+    FileBackend, MemoryBackend, PeerStorage, StorageBackend, StorageError, StorageResult,
+};
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{
     build_system, DblpGenerator, Distribution, Publication, SchemaFamily, WorkloadConfig,
 };
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 const NODES: u32 = 8;
 const SESSIONS: usize = 30;
@@ -144,4 +156,270 @@ fn thirty_sessions_of_two_publications_ship_the_delta_not_the_database() {
         last.rows_shipped,
         first.rows_shipped
     );
+}
+
+/// A `MemoryBackend` the test keeps a second handle on, to read what a
+/// peer's store holds.
+#[derive(Debug, Clone, Default)]
+struct SharedMemory(Arc<Mutex<MemoryBackend>>);
+
+impl SharedMemory {
+    fn with<T>(&self, f: impl FnOnce(&mut MemoryBackend) -> T) -> T {
+        f(&mut self.0.lock().expect("no test thread panics holding it"))
+    }
+}
+
+impl StorageBackend for SharedMemory {
+    fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+        self.with(|b| b.append_wal(frame))
+    }
+    fn read_wal(&self) -> StorageResult<Vec<String>> {
+        self.with(|b| b.read_wal())
+    }
+    fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
+        self.with(|b| b.write_snapshot(snapshot))
+    }
+    fn read_snapshot(&self) -> StorageResult<Option<String>> {
+        self.with(|b| b.read_snapshot())
+    }
+    fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
+        self.with(|b| b.append_wal_bytes(frame))
+    }
+    fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
+        self.with(|b| b.read_wal_bytes())
+    }
+    fn write_snapshot_bytes(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+        self.with(|b| b.write_snapshot_bytes(snapshot))
+    }
+    fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
+        self.with(|b| b.read_snapshot_bytes())
+    }
+}
+
+/// Where a durable ring keeps its peers' stores, and how the test reads
+/// them back: a second handle on the same memory, or the directory reopened
+/// the way a restarted process would.
+enum Disk {
+    Memory(BTreeMap<NodeId, SharedMemory>),
+    Files(PathBuf),
+}
+
+impl Disk {
+    fn backend(&mut self, node: NodeId) -> StorageResult<Box<dyn StorageBackend>> {
+        Ok(match self {
+            Disk::Memory(stores) => Box::new(stores.entry(node).or_default().clone()),
+            Disk::Files(dir) => Box::new(FileBackend::open(Self::node_dir(dir, node))?),
+        })
+    }
+
+    fn node_dir(dir: &Path, node: NodeId) -> PathBuf {
+        dir.join(format!("node-{}", node.0))
+    }
+
+    /// Bytes of every file in a peer's directory, and how many there are.
+    fn dir_bytes(dir: &Path) -> (u64, usize) {
+        let sizes: Vec<u64> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .collect();
+        (sizes.iter().sum(), sizes.len())
+    }
+}
+
+/// What one peer's store holds: the newest snapshot's bytes and the frames
+/// since it.
+struct Held {
+    snapshot: usize,
+    frames: Vec<usize>,
+}
+
+impl Held {
+    fn read(backend: &dyn StorageBackend) -> Held {
+        Held {
+            snapshot: backend.read_snapshot().unwrap().expect("attached").len(),
+            frames: (backend.read_wal().unwrap().iter())
+                .map(String::len)
+                .collect(),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.snapshot + self.frames.iter().sum::<usize>()
+    }
+}
+
+const DURABLE_SESSIONS: usize = 150;
+const CRASH_EVERY: usize = 10;
+
+/// `writers_ring`'s shape made durable — DBLP ring(8), two fresh
+/// publications at a rotating writer before each of 150 sessions, default
+/// snapshot cadence — with a non-root peer crashed and restarted before
+/// every tenth session.
+fn durable_ring_stays_bounded(mut disk: Disk) {
+    let mut b = build_system(&WorkloadConfig {
+        topology: Topology::Ring { n: NODES },
+        records_per_node: 40,
+        distribution: Distribution::Disjoint,
+        seed: 3,
+    })
+    .unwrap();
+    let config = *b.config_mut();
+    let rules = b.rules().clone();
+    let mut sim = Simulator::new(Box::new(ConstantLatency(SimTime::from_millis(1))));
+    sim.set_max_events(config.effective_max_events(NODES as usize));
+    let mut truth = BTreeMap::new();
+    for (id, mut peer) in b.build_peers().unwrap() {
+        truth.insert(id, peer.database().clone());
+        let store = PeerStorage::with_codec(
+            disk.backend(id).unwrap(),
+            config.snapshot_every,
+            Codec::Json,
+        );
+        peer.attach_storage(store).unwrap();
+        sim.add_peer(id, peer);
+    }
+    let root = NodeId(0);
+    let read = |disk: &mut Disk, node: NodeId| Held::read(&*disk.backend(node).unwrap());
+    let recovered = |disk: &mut Disk, node: NodeId| {
+        PeerStorage::with_codec(disk.backend(node).unwrap(), 0, Codec::Json)
+            .recover(node.0)
+            .unwrap()
+            .expect("attached")
+    };
+
+    let mut fresh = DblpGenerator::new(0xd07a_b1e5);
+    let mut replayed = Vec::new();
+    let mut largest_frame = 0;
+    for k in 0..DURABLE_SESSIONS {
+        if k > 0 && k % CRASH_EVERY == 0 {
+            let victim = NodeId(1 + (k / CRASH_EVERY) as u32 % (NODES - 1));
+            replayed.push(read(&mut disk, victim).frames.len());
+            let plan = ChurnPlan::none().with_crash(
+                victim,
+                SimTime::from_millis(1),
+                SimTime::from_millis(2),
+            );
+            sim.schedule_churn(&plan, sim.now());
+            assert!(sim.run().quiescent, "recovery before session {k}");
+        }
+        let writer = NodeId(k as u32 % NODES);
+        for mut p in fresh.batch(2) {
+            p.id += 10_000_000;
+            for (relation, vals) in SchemaFamily::for_node(writer.0).tuples_for(&p) {
+                let peer = sim.peer_mut(writer).unwrap();
+                peer.insert_base_fact(relation, vals.clone()).unwrap();
+                let truth = truth.get_mut(&writer).unwrap();
+                truth.insert_values(relation, vals).unwrap();
+            }
+        }
+        let sid = SessionId::new(root, k as u64 + 1);
+        sim.inject(root, root, ProtocolMsg::StartUpdate { session: sid });
+        assert!(sim.run().quiescent, "session {k}");
+        for (id, peer) in sim.peers() {
+            assert!(peer.session_closed(sid), "session {k} open at {id}");
+            assert!(peer.errors().is_empty(), "{id}: {:?}", peer.errors());
+            // What the peer holds is bounded by what it is, not by what it
+            // has been through: twice its newest snapshot plus one record.
+            let held = read(&mut disk, *id);
+            largest_frame = largest_frame.max(held.frames.iter().copied().max().unwrap_or(0));
+            assert!(
+                held.bytes() <= 2 * held.snapshot + largest_frame,
+                "session {k} at {id}: {} bytes held beside a {}-byte snapshot",
+                held.bytes(),
+                held.snapshot
+            );
+            if let Disk::Files(dir) = &disk {
+                // … and on disk that is one snapshot and at most one log,
+                // ten bytes of checksum and framing on each frame and on
+                // the snapshot.
+                let (bytes, files) = Disk::dir_bytes(&Disk::node_dir(dir, *id));
+                assert!(files <= 2, "session {k} at {id}: {files} files");
+                assert_eq!(bytes as usize, held.bytes() + 10 * (held.frames.len() + 1));
+            }
+        }
+    }
+
+    // The frames a recovery replays did not grow with the session index:
+    // the last recoveries replay what the first ones did, give or take the
+    // database's growth (the log may reach its snapshot's size).
+    assert_eq!(replayed.len(), DURABLE_SESSIONS / CRASH_EVERY - 1);
+    let (early, late) = replayed.split_at(replayed.len() / 2);
+    let most = |part: &[usize]| part.iter().copied().max().unwrap();
+    assert!(
+        most(late) <= 3 * most(early).max(config.snapshot_every as usize),
+        "frames replayed per recovery: {replayed:?}"
+    );
+
+    // Every acknowledged write survives: a restarted process would recover
+    // each peer's live database, and the network is at the oracle's
+    // fix-point over the base data plus every insert.
+    let mut live = BTreeMap::new();
+    for (id, peer) in sim.peers() {
+        let rec = recovered(&mut disk, *id);
+        assert_eq!(rec.db.all_facts(), peer.database().all_facts(), "{id}");
+        live.insert(*id, peer.database().clone());
+    }
+    let oracle = global_fixpoint(&truth, &rules, config.max_null_depth).unwrap();
+    assert!(p2pdb::core::oracle::GlobalDb(live).equivalent(&oracle));
+    let stats = sim.peers().fold(PeerStats::default(), |mut total, (_, p)| {
+        total.merge(p.stats());
+        total
+    });
+    assert_eq!(stats.crashes, replayed.len() as u64);
+    assert_eq!(stats.recoveries, stats.crashes);
+}
+
+#[test]
+fn durable_ring_holds_and_replays_its_state_not_its_history_in_memory() {
+    durable_ring_stays_bounded(Disk::Memory(BTreeMap::new()));
+}
+
+#[test]
+fn durable_ring_holds_and_replays_its_state_not_its_history_on_files() {
+    let dir = std::env::temp_dir().join(format!("p2pdb_durable_ring_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    durable_ring_stays_bounded(Disk::Files(dir.clone()));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store that cannot be read fails `attach_storage` with the typed error
+/// — it is not mistaken for an empty one, and nothing panics.
+#[test]
+fn unreadable_store_fails_attach_with_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("p2pdb_bad_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let peer = || {
+        let mut b = build_system(&WorkloadConfig {
+            topology: Topology::Ring { n: 3 },
+            records_per_node: 2,
+            distribution: Distribution::Disjoint,
+            seed: 1,
+        })
+        .unwrap();
+        b.build_peers().unwrap().remove(0).1
+    };
+    let attach = |peer: &mut DbPeer| {
+        let backend = Box::new(FileBackend::open(&dir)?);
+        peer.attach_storage(PeerStorage::new(backend, 0))
+    };
+    attach(&mut peer()).unwrap();
+    attach(&mut peer()).unwrap();
+
+    // Damage the snapshot's body under a matching trailer …
+    let mut backend = FileBackend::open(&dir).unwrap();
+    backend.write_snapshot("{\"not\":\"a snapshot\"}").unwrap();
+    drop(backend);
+    assert!(matches!(attach(&mut peer()), Err(StorageError::Corrupt(_))));
+    // … and one that fails its trailer with a log behind it.
+    let mut backend = FileBackend::open(&dir).unwrap();
+    backend.append_wal("{}").unwrap();
+    drop(backend);
+    let newest = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "json"))
+        .unwrap();
+    std::fs::write(newest, "torn").unwrap();
+    assert!(matches!(attach(&mut peer()), Err(StorageError::Corrupt(_))));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
