@@ -45,6 +45,7 @@ fn dblp_answer(rows: usize) -> ProtocolMsg {
         },
         complete: false,
         reopen: false,
+        pushed: false,
     }
 }
 

@@ -982,10 +982,10 @@ pub fn e12_growth() -> Table {
 // E13 — initiation ablation: flood vs strict-A4 query propagation
 // ---------------------------------------------------------------------------
 
-/// E13: how the global start request spreads — pipe flood with roster
-/// backstop (default) vs the pseudocode's pure query propagation. On
-/// super-peer-rooted topologies both cover everything; the flood pays a few
-/// extra control messages for its coverage guarantee.
+/// E13: how the global start request spreads — the root's send to every
+/// rostered node (default) vs the pseudocode's pure query propagation. On
+/// super-peer-rooted topologies both cover everything; the flood pays one
+/// request and its acknowledgement per node for its coverage guarantee.
 pub fn e13_initiation(scale: Scale) -> Table {
     let mut table = Table::new(&["topology", "initiation", "messages", "bytes", "closed"]);
     for topology in [
@@ -1573,6 +1573,7 @@ fn fanout_microbench(receivers: usize) -> (f64, f64) {
         },
         complete: true,
         reopen: false,
+        pushed: false,
     };
 
     let t = Instant::now();

@@ -9,8 +9,9 @@
 //! ## Layout
 //!
 //! A message is a 1-byte **variant tag** (declaration order of
-//! [`ProtocolMsg`]'s variants; `Query` with `resume` set takes a second tag
-//! instead of a flag byte) followed by its fields:
+//! [`ProtocolMsg`]'s variants up to 27, then in order of introduction;
+//! `Query` with `resume` set and `Answer` with `pushed` set each take a
+//! second tag instead of a flag byte) followed by its fields:
 //!
 //! * Session ids, node ids, rule ids, rounds, counters — varints (zigzag
 //!   where negative values are possible).
@@ -378,6 +379,9 @@ pub fn encoded_rows_len(rows: &AnswerRows) -> usize {
 
 /// Second tag of [`ProtocolMsg::Query`]: the same fields, `resume` set.
 const QUERY_RESUME: u8 = 28;
+const CURSOR_VOID: u8 = 29;
+/// Second tag of [`ProtocolMsg::Answer`]: the same fields, `pushed` set.
+const ANSWER_PUSHED: u8 = 30;
 
 fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
     match msg {
@@ -449,8 +453,11 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
             rows,
             complete,
             reopen,
+            pushed,
         } => {
-            w.put_u8(12);
+            // Like `resume`: an answer that was asked for costs what it
+            // always did.
+            w.put_u8(if *pushed { ANSWER_PUSHED } else { 12 });
             put_session(w, *session);
             w.put_varint(u64::from(rule.0));
             put_rows(w, rows)?;
@@ -461,6 +468,10 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
             w.put_u8(13);
             put_session(w, *session);
             w.put_varint(u64::from(rule.0));
+        }
+        ProtocolMsg::CursorVoid { session } => {
+            w.put_u8(CURSOR_VOID);
+            put_session(w, *session);
         }
         ProtocolMsg::Fixpoint {
             session,
@@ -634,12 +645,13 @@ fn read_msg(r: &mut Reader<'_>) -> Result<ProtocolMsg, Error> {
                 resume: tag == QUERY_RESUME,
             }
         }
-        12 => ProtocolMsg::Answer {
+        tag @ (12 | ANSWER_PUSHED) => ProtocolMsg::Answer {
             session: get_session(r)?,
             rule: get_rule(r)?,
             rows: get_rows(r)?,
             complete: get_bool(r)?,
             reopen: get_bool(r)?,
+            pushed: tag == ANSWER_PUSHED,
         },
         13 => ProtocolMsg::Unsubscribe {
             session: get_session(r)?,
@@ -719,6 +731,9 @@ fn read_msg(r: &mut Reader<'_>) -> Result<ProtocolMsg, Error> {
             rule: get_rule(r)?,
         },
         27 => ProtocolMsg::StatsReport { stats: get_doc(r)? },
+        CURSOR_VOID => ProtocolMsg::CursorVoid {
+            session: get_session(r)?,
+        },
         tag => return Err(Error::BadTag(tag)),
     })
 }
@@ -779,6 +794,7 @@ mod tests {
             rows: sample_rows(),
             complete: true,
             reopen: false,
+            pushed: false,
         };
         assert_same(&roundtrip(&msg), &msg);
     }
@@ -806,6 +822,7 @@ mod tests {
                 session: sid(3),
                 rule: RuleId(7),
             },
+            ProtocolMsg::CursorVoid { session: sid(3) },
             ProtocolMsg::Fixpoint {
                 session: sid(3),
                 generation: 2,
@@ -872,6 +889,33 @@ mod tests {
             .contains("\"resume\":true"));
     }
 
+    /// `pushed` rides like `resume`: an answer that was asked for is the
+    /// bytes it was before the field existed, in both codecs.
+    #[test]
+    fn answer_pushed_rides_in_the_tag_and_is_omitted_when_false() {
+        let answer = |pushed| ProtocolMsg::Answer {
+            session: sid(5),
+            rule: RuleId(2),
+            rows: sample_rows(),
+            complete: false,
+            reopen: false,
+            pushed,
+        };
+        let (asked, standing) = (answer(false), answer(true));
+        for msg in [&asked, &standing] {
+            assert_same(&roundtrip(msg), msg);
+            let json = serde_json::to_string(msg).unwrap();
+            assert_same(&serde_json::from_str(&json).unwrap(), msg);
+        }
+        let (plain, pushed) = (encode_msg(&asked), encode_msg(&standing));
+        assert_eq!((plain[0], pushed[0]), (12, ANSWER_PUSHED));
+        assert_eq!(plain[1..], pushed[1..]);
+        assert!(!serde_json::to_string(&asked).unwrap().contains("pushed"));
+        assert!(serde_json::to_string(&standing)
+            .unwrap()
+            .contains("\"pushed\":true"));
+    }
+
     #[test]
     fn binary_is_much_smaller_than_json_on_row_payloads() {
         let msg = ProtocolMsg::Answer {
@@ -880,6 +924,7 @@ mod tests {
             rows: sample_rows(),
             complete: true,
             reopen: false,
+            pushed: false,
         };
         let json = serde_json::to_string(&msg).unwrap().len();
         let binary = encoded_msg_len(&msg);

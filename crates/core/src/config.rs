@@ -22,10 +22,16 @@ pub enum UpdateMode {
 /// How the global update request reaches the nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Initiation {
-    /// Flood the start request along pipes in both directions (Section 5:
-    /// pipes exist toward rule sources *and* rule targets), so every node of
-    /// the super-peer's weakly-connected component participates. This is
-    /// what makes the *global* update reach nodes that nothing depends on.
+    /// Send the start request to every node: the root sends it once to
+    /// each rostered node (the rule file is network-wide knowledge,
+    /// Section 5), which is what makes the *global* update reach nodes that
+    /// nothing depends on and components no pipe connects to the root.
+    /// Because every node hears of the session, body nodes serve the
+    /// fragments their heads hold from standing subscriptions and only the
+    /// others are queried (see [`crate::peer`]). Under
+    /// [`SystemConfig::paper_faithful`] each receiver also forwards the
+    /// request along its pipes in both directions (pipes exist toward rule
+    /// sources *and* rule targets), as the paper propagates it.
     #[default]
     Flood,
     /// Strict algorithm-A4 propagation: a node starts participating when the
@@ -49,12 +55,18 @@ pub struct SystemConfig {
     /// data transfer and duplication"), re-answers delta-**evaluate** from
     /// the subscription's watermarks instead of re-running the fragment
     /// query (rounds mode: [`crate::messages::ProtocolMsg::WaveAnswerDelta`]
-    /// plus semi-naive joins at the head), and in eager mode the cursor
+    /// plus semi-naive joins at the head), in eager mode the cursor
     /// outlives the session, so a later session ships what changed since
-    /// the last one (see [`crate::peer`]). `true` is the paper-faithful,
-    /// oracle-comparable baseline: every answer re-evaluates the fragment
-    /// and re-ships its full current extension, and no cursor is kept.
-    /// Message *counts* are identical either way; sizes differ.
+    /// the last one, and under [`Initiation::Flood`] so does the
+    /// subscription: nobody asks again for what it holds, nobody answers
+    /// with nothing, and the start request is not forwarded (see
+    /// [`crate::peer`]). `true` is the paper-faithful, oracle-comparable
+    /// baseline, message for message: the start request travels along
+    /// every pipe, every session queries every fragment, every answer
+    /// re-evaluates the fragment and re-ships its full current extension,
+    /// and no cursor is kept. Rounds mode sends the same messages either
+    /// way; eager mode sends far fewer by default once a session is not
+    /// the first (`tests/session_cost.rs` pins both).
     pub paper_faithful: bool,
     /// Durable peers. When true, every peer owns a `p2p_storage` write-ahead
     /// log plus snapshot store: applied insertions and processed fragment

@@ -166,6 +166,14 @@ pub enum ProtocolMsg {
         /// Sender re-opened after a dynamic change: the recipient must
         /// invalidate the completeness it recorded for this rule.
         reopen: bool,
+        /// Sent on a standing subscription — one the sender opened from its
+        /// committed cursor when the session's flood reached it, without
+        /// having been asked in this session (see [`crate::peer`]). The
+        /// recipient applies it only to a fragment it holds. `false` — the
+        /// answer to a `Query` and everything after it — is omitted from
+        /// the encoding.
+        #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+        pushed: bool,
     },
     /// Head node dropped the rule (dynamic `deleteLink`); the body node
     /// removes the subscription.
@@ -174,6 +182,16 @@ pub enum ProtocolMsg {
         session: SessionId,
         /// Rule whose subscription dies.
         rule: RuleId,
+    },
+    /// Cursor-void notice: the sender discarded the cursors of the
+    /// subscriptions it served without its subscribers having asked (it
+    /// restarted, or adopted a new rule file), so its silence on a standing
+    /// subscription no longer means "nothing new". The recipient stops
+    /// holding the sender's fragments and queries them afresh within the
+    /// same session.
+    CursorVoid {
+        /// Update session.
+        session: SessionId,
     },
     /// Root's fix-point broadcast: the diffusing computation terminated;
     /// everyone still open closes (`ClosedBy::RootBroadcast`) and retires
@@ -337,6 +355,7 @@ impl ProtocolMsg {
                 | ProtocolMsg::Query { .. }
                 | ProtocolMsg::Answer { .. }
                 | ProtocolMsg::Unsubscribe { .. }
+                | ProtocolMsg::CursorVoid { .. }
                 | ProtocolMsg::AddRule { .. }
                 | ProtocolMsg::DeleteRule { .. }
         )
@@ -353,6 +372,7 @@ impl ProtocolMsg {
             | ProtocolMsg::Query { session, .. }
             | ProtocolMsg::Answer { session, .. }
             | ProtocolMsg::Unsubscribe { session, .. }
+            | ProtocolMsg::CursorVoid { session }
             | ProtocolMsg::Fixpoint { session, .. }
             | ProtocolMsg::Ack { session }
             | ProtocolMsg::RoundStart { session, .. }
@@ -409,6 +429,7 @@ impl Wire for ProtocolMsg {
             ProtocolMsg::Query { .. } => "Query",
             ProtocolMsg::Answer { .. } => "Answer",
             ProtocolMsg::Unsubscribe { .. } => "Unsubscribe",
+            ProtocolMsg::CursorVoid { .. } => "CursorVoid",
             ProtocolMsg::Fixpoint { .. } => "Fixpoint",
             ProtocolMsg::Ack { .. } => "Ack",
             ProtocolMsg::RoundStart { .. } => "RoundStart",
@@ -492,6 +513,7 @@ mod tests {
             rows: AnswerRows::default(),
             complete: false,
             reopen: false,
+            pushed: false,
         };
         let full = ProtocolMsg::Answer {
             session: sid(1),
@@ -505,6 +527,7 @@ mod tests {
             },
             complete: false,
             reopen: false,
+            pushed: false,
         };
         assert!(full.wire_size() > empty.wire_size() + 80);
     }
@@ -526,6 +549,7 @@ mod tests {
             },
             complete: true,
             reopen: false,
+            pushed: false,
         };
         assert_eq!(msg.wire_size(), serde_json::to_string(&msg).unwrap().len());
     }

@@ -47,7 +47,9 @@
 //! logged session committed, so everything it can possibly be missing is
 //! derivable from facts past `W`. The request also voids the body node's
 //! own cursor for this peer, so the session after a restart is answered in
-//! full once.
+//! full once. And the restarted peer lost the cursors *it* served: it owes
+//! its pipe neighbours a cursor-void notice with the next flood it sees
+//! (see [`crate::peer`]), amnesiac or not.
 //!
 //! Liveness after a mid-wave crash is the driver's job: a crashed peer
 //! cannot echo, so the wave stalls and the simulator quiesces unclosed;
@@ -212,6 +214,7 @@ impl DbPeer {
         self.db = Database::new(self.db.schema().clone());
         self.plans.clear();
         self.cursors.clear();
+        self.void_owed = true;
         self.held.clear();
         self.fragments.clear();
         self.nulls = NullFactory::new(self.id.0);
@@ -230,6 +233,10 @@ impl DbPeer {
     /// fragment's body node for the delta since the newest
     /// durably-processed watermark.
     pub(crate) fn restart_and_resync(&mut self, ctx: &mut Context<ProtocolMsg>) {
+        // A process that comes back serves no cursor, whatever it committed
+        // before (a restarted `serve` process starts here, with no crash
+        // hook behind it).
+        self.void_owed = true;
         let Some(st) = self.storage.as_mut() else {
             // Amnesia baseline: without storage there is no durable state to
             // recover and no watermark to resync from — the peer genuinely

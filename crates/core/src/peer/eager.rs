@@ -21,19 +21,24 @@
 //! *ships* is per peer: a subscription starts from the cursor the last
 //! retired session committed for its `(subscriber, rule)`, and the head
 //! joins against the fragment rows it retained, so a session costs what
-//! changed since the previous one. The commit-at-retirement rule and the
-//! list of what discards that state are in the [`crate::peer`] module docs.
+//! changed since the previous one. By default the subscription itself
+//! outlives the session too: a flooded session opens it from the cursor
+//! without a `Query`, and it speaks only when it has rows. The
+//! commit-at-retirement rule, the standing subscriptions and what keeps
+//! their silence unambiguous are in the [`crate::peer`] module docs.
 //!
 //! Closure: answers carry the sender's `state_u` (A5's completeness flag);
 //! a node closes bottom-up when all its rules' fragments are complete (the
 //! `Rules` flag criterion of Lemma 1), which resolves all of any acyclic
-//! region. Cyclic regions cannot self-certify this way; there the session
-//! root's Dijkstra–Scholten detector (see [`crate::termination`], one
-//! instance per session) observes the session's quiescence and broadcasts
-//! `Fixpoint`, standing in for the paper's maximal-dependency-path flags
-//! (DESIGN.md §3, substitution 3). The broadcast also **retires** the
-//! session's state everywhere — sound because Dijkstra–Scholten guarantees
-//! no session traffic is still in flight at termination.
+//! region that was queried. Cyclic regions cannot self-certify this way,
+//! and a fragment served by a standing subscription never reports
+//! completeness; there the session root's Dijkstra–Scholten detector (see
+//! [`crate::termination`], one instance per session) observes the session's
+//! quiescence and broadcasts `Fixpoint`, standing in for the paper's
+//! maximal-dependency-path flags, whose number is factorial in clique size.
+//! The broadcast also **retires** the session's state everywhere — sound
+//! because Dijkstra–Scholten guarantees no session traffic is still in
+//! flight at termination.
 
 use crate::messages::ProtocolMsg;
 use crate::peer::tables::VecMap;
@@ -61,11 +66,28 @@ pub struct Subscription {
     pub resumed_rows: usize,
     /// Whether the last answer carried `complete = true`.
     pub sent_complete: bool,
+    /// Opened from the committed cursor when the session's flood arrived,
+    /// not by a `Query` of this session: its answers go out marked `pushed`
+    /// and only when they carry rows, and it takes no part in the
+    /// completeness flags. A `Query` that meets it makes it an ordinary
+    /// subscription.
+    pub standing: bool,
     /// Watermarks of the fragment's relations as of the last evaluation for
     /// this subscriber: re-answers delta-evaluate from here instead of
     /// re-running the full conjunctive query, and retirement commits them as
     /// the `(subscriber, rule)` cursor the next session resumes from.
     pub watermarks: Marks,
+}
+
+/// One fragment of one of this peer's rules, as one session sees it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Part {
+    /// The body node reported `state_u == closed` (the paper's rule flag).
+    pub complete: bool,
+    /// This session sent the body node a `Query` for the fragment. `false`
+    /// for a fragment registered because the peer already holds it and the
+    /// body node's standing subscription serves it.
+    pub queried: bool,
 }
 
 /// Eager-mode state of one update session at one peer.
@@ -77,11 +99,12 @@ pub struct EagerState {
     pub flood_seen: bool,
     /// `state_u == closed`.
     pub closed: bool,
-    /// The fragments this session queried, per (rule, body node): whether
-    /// the body node reported `state_u == closed` (the paper's rule flag).
-    /// Answers are applied only for fragments in here; retirement marks
-    /// them held, and replacing or deleting a rule drops its entries.
-    pub parts: VecMap<(RuleId, NodeId), bool>,
+    /// The fragments this session listens to, per (rule, body node).
+    /// Answers are applied only for fragments in here, and replacing or
+    /// deleting a rule drops its entries. Every entry is either `queried`
+    /// by this session or was held when it was registered; retirement
+    /// marks the queried ones held (`DbPeer::finish_session_event`).
+    pub parts: VecMap<(RuleId, NodeId), Part>,
     /// Subscriptions served, keyed by (subscriber, rule).
     pub subs: VecMap<(NodeId, RuleId), Subscription>,
     /// Highest fix-point broadcast generation processed.
@@ -94,18 +117,25 @@ pub struct EagerState {
     /// stale completeness). Closure then comes from the root's fix-point
     /// broadcast, which is always sound.
     pub suppress_flag_closure: bool,
+    /// This peer's cursor-void notice went out with this session's flood;
+    /// the debt is cleared when the session retires.
+    pub void_sent: bool,
 }
 
 impl DbPeer {
     /// Starts (or joins) the update session. `sn_base` is the path of the
     /// query that caused the node to join (empty when joining via flood or
-    /// as the initiator). Returns true if participation began now.
+    /// as the initiator). `by_flood`: the session's flood is what brought
+    /// the node in, so every body node sees the flood too and serves the
+    /// fragments this peer holds from its standing subscriptions — only the
+    /// others are queried. Returns true if participation began now.
     pub(crate) fn begin_session(
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
         ctx: &mut Context<ProtocolMsg>,
         sn_base: &[NodeId],
+        by_flood: bool,
     ) -> bool {
         if st.upd.active {
             return false;
@@ -124,7 +154,7 @@ impl DbPeer {
             self.stats.closed_by = ClosedBy::Open;
         }
         let rules: Vec<_> = self.rules.values().cloned().collect();
-        self.issue_queries(st, sid, &rules, ctx, sn_base);
+        self.issue_queries(st, sid, &rules, ctx, sn_base, by_flood);
         // Crash recovery: give any still-unanswered resync request another
         // chance with the new session (at-least-once; see `durability`).
         self.resend_pending_resyncs(ctx);
@@ -152,28 +182,77 @@ impl DbPeer {
         rules: &[crate::rule::CoordinationRule],
         ctx: &mut Context<ProtocolMsg>,
         sn_base: &[NodeId],
+        by_flood: bool,
     ) {
         let mut sn = sn_base.to_vec();
         sn.push(self.id);
         for rule in rules {
             for part in &rule.parts {
-                st.upd.parts.insert((rule.id, part.node), false);
-                self.stats.queries_sent += 1;
-                let resume =
-                    !self.config.paper_faithful && self.held.contains(&(rule.id, part.node));
-                self.send_basic(
-                    st,
-                    ctx,
-                    part.node,
-                    ProtocolMsg::Query {
-                        session: sid,
-                        rule: rule.id,
-                        part: part.clone(),
-                        sn: sn.clone(),
-                        resume,
+                let key = (rule.id, part.node);
+                let held = !self.config.paper_faithful && self.held.contains(&key);
+                let queried = !(by_flood && held);
+                st.upd.parts.insert(
+                    key,
+                    Part {
+                        complete: false,
+                        queried,
                     },
                 );
+                if queried {
+                    self.send_query(st, sid, rule.id, part.clone(), sn.clone(), held, ctx);
+                }
             }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn send_query(
+        &mut self,
+        st: &mut SessionState,
+        sid: SessionId,
+        rule: RuleId,
+        part: BodyPart,
+        sn: Vec<NodeId>,
+        resume: bool,
+        ctx: &mut Context<ProtocolMsg>,
+    ) {
+        self.stats.queries_sent += 1;
+        self.send_basic(
+            st,
+            ctx,
+            part.node,
+            ProtocolMsg::Query {
+                session: sid,
+                rule,
+                part,
+                sn,
+                resume,
+            },
+        );
+    }
+
+    /// Queries afresh (`resume = false`) the fragment `(rule, node)` this
+    /// session registered without querying: the peer turned out not to hold
+    /// it. A fragment already queried, or one the session does not listen
+    /// to, is left alone.
+    fn requery_unheld(
+        &mut self,
+        st: &mut SessionState,
+        sid: SessionId,
+        rule: RuleId,
+        node: NodeId,
+        ctx: &mut Context<ProtocolMsg>,
+    ) {
+        match st.upd.parts.get_mut(&(rule, node)) {
+            Some(part) if !part.queried => part.queried = true,
+            _ => return,
+        }
+        let part = self
+            .rules
+            .get(&rule)
+            .and_then(|r| r.parts.iter().find(|p| p.node == node).cloned());
+        if let Some(part) = part {
+            self.send_query(st, sid, rule, part, vec![self.id], false, ctx);
         }
     }
 
@@ -185,39 +264,89 @@ impl DbPeer {
         from: NodeId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.add_pipe(from);
-        self.begin_session(st, sid, ctx, &[]);
-        if !st.upd.flood_seen {
-            st.upd.flood_seen = true;
+        let faithful = self.config.paper_faithful;
+        self.begin_session(st, sid, ctx, &[], !faithful);
+        if st.upd.flood_seen {
+            return;
+        }
+        st.upd.flood_seen = true;
+        if faithful {
+            // The paper's propagation: along the acquaintances, of which
+            // the sender is one.
+            self.add_pipe(from);
             let targets: Vec<NodeId> = self.pipes.iter().copied().filter(|p| *p != from).collect();
             self.send_basic_many(st, ctx, targets, ProtocolMsg::UpdateFlood { session: sid });
+        } else {
+            // The root's roster send is the flood; nothing to forward.
+            self.open_standing(st, sid, ctx);
         }
     }
 
-    /// A4 — `Query(IDs, Q, SN)`. Answers with the fragment's full extension,
-    /// or — when the subscriber says `resume` and a committed cursor for
-    /// this very fragment exists — with what changed since that cursor.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_query(
+    /// Body side of the flood's arrival (and of the root's own start): the
+    /// committed cursors *are* the subscriptions, so each is opened for this
+    /// session without waiting to be asked, and its delta goes out only if
+    /// there is one — no news is no message. A peer that discarded cursors
+    /// its subscribers still count on says so first.
+    pub(crate) fn open_standing(
+        &mut self,
+        st: &mut SessionState,
+        sid: SessionId,
+        ctx: &mut Context<ProtocolMsg>,
+    ) {
+        if self.void_owed && !st.upd.void_sent {
+            st.upd.void_sent = true;
+            let pipes: Vec<NodeId> = self.pipes.iter().copied().collect();
+            self.send_basic_many(st, ctx, pipes, ProtocolMsg::CursorVoid { session: sid });
+        }
+        let unopened: Vec<(NodeId, RuleId)> = (self.cursors.keys().copied())
+            .filter(|key| !st.upd.subs.contains_key(key))
+            .collect();
+        for (to, rule) in unopened {
+            let part = self.cursors[&(to, rule)].part.clone();
+            let (mut sub, rows) = self.open_subscription(to, rule, part, true, ctx);
+            sub.standing = true;
+            if !rows.is_empty() {
+                self.send_answer(st, sid, to, rule, &sub, rows, ctx);
+            }
+            st.upd.subs.insert((to, rule), sub);
+        }
+    }
+
+    /// Cursor-void notice from a body node: whatever it served this peer
+    /// before, its cursors are gone. Its fragments are not held any more —
+    /// a later session queries them — and this session, if it counted on
+    /// the body node's standing subscriptions, queries them now.
+    pub(crate) fn on_cursor_void(
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
         from: NodeId,
-        rule: RuleId,
-        part: BodyPart,
-        sn: Vec<NodeId>,
-        resume: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.stats.queries_received += 1;
-        self.add_pipe(from);
-        // Joining via a query = A4's forwarding: our own queries extend SN.
-        self.begin_session(st, sid, ctx, &sn);
-
-        let key = (from, rule);
-        if st.upd.subs.contains_key(&key) {
-            self.stats.duplicate_queries += 1;
+        self.held.retain(|(_, node)| *node != from);
+        let served: Vec<RuleId> = (st.upd.parts.keys())
+            .filter(|(_, node)| *node == from)
+            .map(|(rule, _)| *rule)
+            .collect();
+        for rule in served {
+            self.requery_unheld(st, sid, rule, from, ctx);
         }
+    }
+
+    /// Opens the subscription of `(to, rule)` for one session — the one
+    /// path every subscription starts on: from the committed cursor when
+    /// `resume` and the cursor is for this very fragment, otherwise from the
+    /// fragment's full extension, voiding the cursor. Returns the
+    /// subscription and the rows to ship first.
+    fn open_subscription(
+        &mut self,
+        to: NodeId,
+        rule: RuleId,
+        part: BodyPart,
+        resume: bool,
+        ctx: &mut Context<ProtocolMsg>,
+    ) -> (Subscription, Vec<Tuple>) {
+        let key = (to, rule);
         let since = match self.cursors.get(&key) {
             Some(cursor) if resume && cursor.part == part => {
                 Some((cursor.watermarks.clone(), cursor.rows))
@@ -233,35 +362,126 @@ impl DbPeer {
             }
             None => {
                 // The subscriber holds nothing (any more), or asks for
-                // another fragment: the cursor is void.
-                self.cursors.remove(&key);
+                // another fragment: the cursor goes back to zero. It is
+                // not removed — the subscriber may come to hold the
+                // fragment through a session whose retirement this peer
+                // misses (a lost broadcast), and must then still find a
+                // standing subscription here, however far back it starts.
+                if !self.config.paper_faithful {
+                    self.cursors
+                        .insert(key, crate::peer::Cursor::zero(part.clone()));
+                }
                 (self.eval_part_local(rule, &part, ctx), 0)
             }
         };
-        let complete = st.upd.closed;
-        self.stats.answers_sent += 1;
-        self.stats.rows_shipped += rows.len() as u64;
         let sub = Subscription {
             watermarks: self.part_marks(&part),
             sent: rows.iter().cloned().collect(),
             resumed_rows,
-            sent_complete: complete,
+            sent_complete: false,
+            standing: false,
             part,
         };
-        let payload = self.make_answer_rows(from, &sub.part, rows);
-        st.upd.subs.insert(key, sub);
+        (sub, rows)
+    }
+
+    /// Re-evaluates a subscription's fragment — the delta since its last
+    /// evaluation, or under `paper_faithful` the full extension — and moves
+    /// its watermarks. Returns the evaluated rows and those among them not
+    /// yet shipped in this session.
+    fn advance_subscription(
+        &mut self,
+        rule: RuleId,
+        sub: &mut Subscription,
+        ctx: &mut Context<ProtocolMsg>,
+    ) -> (Vec<Tuple>, Vec<Tuple>) {
+        let rows = if self.config.paper_faithful {
+            self.eval_part_local(rule, &sub.part, ctx)
+        } else {
+            self.eval_part_delta_local(rule, &sub.part, &sub.watermarks, ctx)
+        };
+        sub.watermarks = self.part_marks(&sub.part);
+        let unsent = (rows.iter())
+            .filter(|t| sub.sent.insert((*t).clone()))
+            .cloned()
+            .collect();
+        (rows, unsent)
+    }
+
+    /// Ships `rows` on a subscription. A standing subscription marks its
+    /// answers `pushed` and stays out of the completeness flags.
+    #[allow(clippy::too_many_arguments)]
+    fn send_answer(
+        &mut self,
+        st: &mut SessionState,
+        sid: SessionId,
+        to: NodeId,
+        rule: RuleId,
+        sub: &Subscription,
+        rows: Vec<Tuple>,
+        ctx: &mut Context<ProtocolMsg>,
+    ) {
+        self.stats.answers_sent += 1;
+        self.stats.rows_shipped += rows.len() as u64;
+        let payload = self.make_answer_rows(to, &sub.part, rows);
         self.send_basic(
             st,
             ctx,
-            from,
+            to,
             ProtocolMsg::Answer {
                 session: sid,
                 rule,
                 rows: payload,
-                complete,
+                complete: sub.sent_complete,
                 reopen: false,
+                pushed: sub.standing,
             },
         );
+    }
+
+    /// A4 — `Query(IDs, Q, SN)`. Answers with the fragment's full extension,
+    /// or — when the subscriber says `resume` — with what changed since the
+    /// standing subscription this session already opened for it, or else
+    /// since the committed cursor for this very fragment.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn on_query(
+        &mut self,
+        st: &mut SessionState,
+        sid: SessionId,
+        from: NodeId,
+        rule: RuleId,
+        part: BodyPart,
+        sn: Vec<NodeId>,
+        resume: bool,
+        ctx: &mut Context<ProtocolMsg>,
+    ) {
+        self.stats.queries_received += 1;
+        self.add_pipe(from);
+        // Joining via a query = A4's forwarding: our own queries extend SN.
+        self.begin_session(st, sid, ctx, &sn, false);
+
+        let key = (from, rule);
+        let standing = match st.upd.subs.remove(&key) {
+            Some(sub) if sub.standing => (resume && sub.part == part).then_some(sub),
+            Some(_) => {
+                self.stats.duplicate_queries += 1;
+                None
+            }
+            None => None,
+        };
+        let (mut sub, rows) = match standing {
+            // Not re-opened from the cursor: what the subscription pushed
+            // since is on its way to the subscriber already.
+            Some(mut sub) => {
+                let (_, unsent) = self.advance_subscription(rule, &mut sub, ctx);
+                sub.standing = false;
+                (sub, unsent)
+            }
+            None => self.open_subscription(from, rule, part, resume, ctx),
+        };
+        sub.sent_complete = st.upd.closed;
+        self.send_answer(st, sid, from, rule, &sub, rows, ctx);
+        st.upd.subs.insert(key, sub);
     }
 
     /// A5 — `Answer(ID, QA, SN, state)`.
@@ -275,9 +495,24 @@ impl DbPeer {
         mut rows: crate::messages::AnswerRows,
         complete: bool,
         reopen: bool,
+        pushed: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.stats.answers_received += 1;
+        // The sender counts these symbols as known here from now on,
+        // whatever becomes of the rows.
+        self.absorb_dict(from, &mut rows);
+        if pushed && !self.rules.contains_key(&rule) {
+            // A cursor nobody listens to: the rule went away outside any
+            // session the body node took part in.
+            self.send_basic(
+                st,
+                ctx,
+                from,
+                ProtocolMsg::Unsubscribe { session: sid, rule },
+            );
+            return;
+        }
         if !st.upd.active {
             if rows.rows.is_empty() {
                 return;
@@ -288,21 +523,30 @@ impl DbPeer {
             // silently drop a cascade a re-woken session pushed to it.
             // Re-join; the fresh queries rebuild fragment progress and the
             // session re-quiesces through the normal machinery.
-            self.begin_session(st, sid, ctx, &[]);
+            self.begin_session(st, sid, ctx, &[], false);
         }
-        self.absorb_dict(from, &mut rows);
+        if pushed && !self.held.contains(&(rule, from)) {
+            // A push continues from what the body node believes this peer
+            // holds, and it does not (the rule was replaced, the peer
+            // restarted, a notice of the body node's voided the mark): the
+            // rows mean nothing here. What does is the full extension, in
+            // this session — the body node commits its cursor past these
+            // rows when the session retires.
+            self.requery_unheld(st, sid, rule, from, ctx);
+            return;
+        }
         self.absorb_null_depths(&rows);
-        let Some(part_complete) = st.upd.parts.get_mut(&(rule, from)) else {
+        let Some(part) = st.upd.parts.get_mut(&(rule, from)) else {
             // The rule was deleted or replaced while the answer was in
             // flight.
             return;
         };
         if reopen {
-            *part_complete = false;
+            part.complete = false;
             st.upd.suppress_flag_closure = true;
             self.reopen_if_closed(st, sid, ctx);
         } else if complete {
-            *part_complete = true;
+            part.complete = true;
         }
         // Durable peers log the processed answer (rows + the answerer's
         // watermarks — the crash-resync cursor).
@@ -334,22 +578,14 @@ impl DbPeer {
         // Taken out while the loop sends through `st`.
         let mut subs = std::mem::take(&mut st.upd.subs);
         for (&(to, rule), sub) in subs.iter_mut() {
-            let rows = if faithful {
-                self.eval_part_local(rule, &sub.part, ctx)
-            } else {
-                self.eval_part_delta_local(rule, &sub.part, &sub.watermarks, ctx)
-            };
-            sub.watermarks = self.part_marks(&sub.part);
-            let delta: Vec<Tuple> = rows
-                .iter()
-                .filter(|t| sub.sent.insert((*t).clone()))
-                .cloned()
-                .collect();
-            let completeness_news = closed && !sub.sent_complete;
+            let (rows, delta) = self.advance_subscription(rule, sub, ctx);
+            // Completeness is news to a subscriber that asked; a standing
+            // subscription speaks only when it has rows.
+            let completeness_news = closed && !sub.sent_complete && !sub.standing;
             if delta.is_empty() && !completeness_news {
                 continue;
             }
-            sub.sent_complete = closed;
+            sub.sent_complete = closed && !sub.standing;
             let ship = if faithful {
                 rows
             } else {
@@ -359,21 +595,7 @@ impl DbPeer {
                 self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - delta.len()) as u64;
                 delta
             };
-            self.stats.answers_sent += 1;
-            self.stats.rows_shipped += ship.len() as u64;
-            let payload = self.make_answer_rows(to, &sub.part, ship);
-            self.send_basic(
-                st,
-                ctx,
-                to,
-                ProtocolMsg::Answer {
-                    session: sid,
-                    rule,
-                    rows: payload,
-                    complete: closed,
-                    reopen: false,
-                },
-            );
+            self.send_answer(st, sid, to, rule, sub, ship, ctx);
         }
         st.upd.subs = subs;
     }
@@ -397,7 +619,7 @@ impl DbPeer {
             .rules
             .values()
             .flat_map(|r| r.parts.iter().map(move |p| (r.id, p.node)))
-            .all(|key| st.upd.parts.get(&key).copied().unwrap_or(false));
+            .all(|key| st.upd.parts.get(&key).is_some_and(|p| p.complete));
         if all_complete {
             self.close(st, sid, ClosedBy::RulesFlags, ctx);
         }
@@ -459,6 +681,7 @@ impl DbPeer {
                     rows: Default::default(),
                     complete: false,
                     reopen: true,
+                    pushed: false,
                 },
             );
         }
@@ -555,29 +778,22 @@ impl DbPeer {
             // The change reached a retired (or not-yet-joined) session
             // entry: re-join so the change propagates within this run. The
             // session start queries every rule, including the new one.
-            self.begin_session(st, sid, ctx, &[]);
+            self.begin_session(st, sid, ctx, &[], false);
             st.upd.suppress_flag_closure = true;
             return;
         }
         st.upd.suppress_flag_closure = true;
         self.reopen_if_closed(st, sid, ctx);
-        let sn = vec![self.id];
         for part in parts {
-            st.upd.parts.insert((rule_id, part.node), false);
-            self.stats.queries_sent += 1;
-            self.send_basic(
-                st,
-                ctx,
-                part.node,
-                ProtocolMsg::Query {
-                    session: sid,
-                    rule: rule_id,
-                    part,
-                    sn: sn.clone(),
-                    // `install_rule` dropped whatever the id held before.
-                    resume: false,
+            st.upd.parts.insert(
+                (rule_id, part.node),
+                Part {
+                    complete: false,
+                    queried: true,
                 },
             );
+            // `install_rule` dropped whatever the id held before.
+            self.send_query(st, sid, rule_id, part, vec![self.id], false, ctx);
         }
     }
 
@@ -615,10 +831,15 @@ impl DbPeer {
         }
     }
 
-    /// Body-node side of `deleteRule`.
+    /// Body-node side of `deleteRule`: the subscription dies in every live
+    /// session, not only the one the notification travelled in — one left
+    /// behind would commit the cursor again when its session retires.
     pub(crate) fn on_unsubscribe(&mut self, st: &mut SessionState, from: NodeId, rule: RuleId) {
         self.plans.remove(&rule);
         st.upd.subs.remove(&(from, rule));
+        for other in self.sessions.values_mut() {
+            other.upd.subs.remove(&(from, rule));
+        }
         self.cursors.remove(&(from, rule));
     }
 }

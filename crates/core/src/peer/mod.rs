@@ -30,54 +30,99 @@
 //!
 //! **Per session** ([`SessionState`]) is what decides when *this* diffusing
 //! computation is over, and what is still in flight within it: the closure
-//! flags and per-fragment completeness, the session's own Dijkstra–Scholten
-//! detector, each served subscription's `sent` filter and its not yet
-//! committed watermarks, and all of rounds mode's wave state.
+//! flags, which fragments the session listens to and which of them it
+//! queried, the session's own Dijkstra–Scholten detector, each served
+//! subscription's `sent` filter and its not yet committed watermarks, and
+//! all of rounds mode's wave state.
 //!
 //! **Per peer** is what a session leaves behind for the next one, so that a
 //! session costs what changed, not what exists:
 //!
 //! * body side, `DbPeer::cursors` — per `(subscriber, rule)`, the
 //!   watermarks up to which that subscriber holds the fragment's extension,
-//!   fingerprinted by the fragment like `DbPeer::plans`. A later session's
-//!   `Query` that says `resume` is answered by delta evaluation from there
-//!   instead of the full extension;
+//!   fingerprinted by the fragment like `DbPeer::plans`. It exists from the
+//!   first subscription on (at zero: "holds nothing"), and it **is** the
+//!   subscription between sessions;
 //! * head side, `DbPeer::held` — the `(rule, body node)` fragments this
-//!   peer holds everything it was shipped of (what `resume` reports) — and,
-//!   for rules with more than one body node only, `DbPeer::fragments`: the
-//!   accumulated extension the other fragments' deltas are joined against.
-//!   A single-fragment rule chases each delta into the database and keeps
+//!   peer holds everything it was shipped of — and, for rules with more
+//!   than one body node only, `DbPeer::fragments`: the accumulated
+//!   extension the other fragments' deltas are joined against. A
+//!   single-fragment rule chases each delta into the database and keeps
 //!   nothing.
 //!
 //! **Both ends commit only when the session that carried the rows retires**
 //! (`DbPeer::finish_session_event`), never at send or receive time: the
-//! body node its cursor, the head its `held` mark. The terminal broadcast
-//! follows Dijkstra–Scholten termination, which guarantees every query and
-//! answer of the session was delivered and applied. A dropped message or a
+//! body node its cursor, the head its `held` mark — and only for a fragment
+//! that session *queried*. The terminal broadcast follows
+//! Dijkstra–Scholten termination, which guarantees every query, answer and
+//! notice of the session was delivered and applied. A dropped message or a
 //! stranded, re-driven epoch therefore re-ships from the last committed
-//! point, and a head says `resume` only for a fragment some retired session
-//! of its own queried and got answered. Sound because the fix-point is
-//! monotone: a tuple derived at the head stays derived, so shipping it
-//! again is pure cost.
+//! point. Sound because the fix-point is monotone: a tuple derived at the
+//! head stays derived, so shipping it again is pure cost — and an answer
+//! with nothing new changes nothing, so not sending it is sound too,
+//! provided silence is never ambiguous.
 //!
-//! Both sides are **discarded** wherever the plan cache is, plus wherever
-//! the subscriber may have lost what it was sent — and each of these falls
-//! back to the full extension:
+//! ## The subscription outlives the session
 //!
-//! * `AddRule` / [`DbPeer::install_rule`] and `DeleteRule` (head state of the
-//!   rule — and the rule's entries in every live session's `parts`, so an
-//!   answer still in flight on a subscription opened before the change is
-//!   neither applied nor lets that session commit the fragment as held),
-//!   `Unsubscribe` (its cursor), a rule-file broadcast (everything);
-//! * `DbPeer::crash_volatile_state` on either side (everything; a durable
-//!   head re-primes `DbPeer::fragments` from its answer log);
-//! * an incoming `ResyncRequest` (the requester restarted: its cursor);
-//! * a `Query` without `resume` — first contact, or the head lost or
-//!   dropped its state (its cursor), and one whose fragment differs from
-//!   the cursor's.
+//! Under the default configuration ([`SystemConfig::paper_faithful`] off,
+//! [`crate::config::Initiation::Flood`]) a session says only what the
+//! cursors do not already mean. The root sends the start request once, to
+//! every rostered node, and nobody forwards it. When it arrives (and at the
+//! root when the session starts):
 //!
-//! Under [`SystemConfig::paper_faithful`] no cursor is ever committed and no
-//! query says `resume`.
+//! * a **body node** opens one *standing* subscription per committed cursor
+//!   — through the same code a `Query { resume }` runs — delta-evaluates
+//!   from the cursor and sends an `Answer`, marked `pushed`, only if rows
+//!   came out. A standing subscription never sends a completeness-only
+//!   answer;
+//! * a **head** sends a `Query` only for the fragments it does not hold,
+//!   and listens to the others. It closes by the root's `Fixpoint`.
+//!
+//! A node that joins any other way — a `Query` reached it first, a late
+//! answer or a rule change re-woke it, a query-dependent update,
+//! `Initiation::QueryPropagation` — cannot know a flood is coming and asks
+//! for every fragment with `Query { resume }`, as the paper's A4 does; a
+//! `resume` query that meets the standing subscription already opened for
+//! it is answered from that subscription's state.
+//!
+//! Four rules keep silence unambiguous:
+//!
+//! 1. **A body node that discards cursors unasked says so.** After
+//!    `DbPeer::crash_volatile_state`, a process restart, or a rule-file
+//!    broadcast the peer owes every pipe neighbour a
+//!    [`ProtocolMsg::CursorVoid`], sent with the first flood it sees. The
+//!    notice is a *basic* message: lost, it is never acknowledged, the
+//!    session cannot terminate and is re-driven. The debt is cleared only
+//!    when a session that carried the notice retires. The receiver stops
+//!    holding the sender's fragments and queries them afresh in that same
+//!    session.
+//! 2. **A push is only as good as the head's `held` mark.** A head does not
+//!    apply a `pushed` answer for a fragment it does not hold (the rule was
+//!    replaced, the head restarted, a notice voided the mark): it makes
+//!    sure the session queries the fragment in full, and where it no longer
+//!    has the rule at all it answers `Unsubscribe`, so the orphaned cursor
+//!    dies.
+//! 3. **A cursor that is reset is not removed.** Opening a subscription
+//!    from scratch leaves a zero cursor behind, so a head that comes to
+//!    hold the fragment through a session whose retirement the body node
+//!    missed (a lost broadcast) still finds a standing subscription — one
+//!    that ships everything, once.
+//! 4. **Everything else that discards, the head asked for** and therefore
+//!    knows: `AddRule` / [`DbPeer::install_rule`] and `DeleteRule` drop the
+//!    rule's `held` marks and fragments — and the rule's entries in every
+//!    live session's `parts`, so an answer still in flight on a
+//!    subscription opened before the change is neither applied nor lets
+//!    that session commit the fragment as held; `Unsubscribe` kills the
+//!    cursor and the subscription in every live session, and so does an
+//!    incoming `ResyncRequest` (the requester restarted, and will ask); a
+//!    `Query` without `resume` or for another fragment resets the cursor
+//!    to zero; a crash clears the head side too (a durable head re-primes
+//!    `DbPeer::fragments` from its answer log).
+//!
+//! Under [`SystemConfig::paper_faithful`] none of this happens: the start
+//! request is forwarded along every pipe, every session asks for every
+//! fragment, every answer is the full extension, no cursor is kept — the
+//! paper's protocol, message for message.
 //!
 //! Handlers are atomic; all cross-node effects go through the runtime
 //! context, and every observable iteration order is deterministic.
@@ -106,7 +151,7 @@ use std::sync::Arc;
 pub(crate) type Marks = BTreeMap<Arc<str>, usize>;
 
 pub use discovery::DiscoveryState;
-pub use eager::{EagerState, Subscription};
+pub use eager::{EagerState, Part, Subscription};
 pub use rounds::{PartCache, RoundsState};
 pub use superpeer::SuperState;
 pub use tables::VecMap;
@@ -192,6 +237,35 @@ pub(crate) struct Cursor {
     pub(crate) rows: usize,
 }
 
+impl Cursor {
+    /// The cursor of a subscriber that holds nothing of `part`: resuming
+    /// from it ships the full extension.
+    pub(crate) fn zero(part: crate::rule::BodyPart) -> Self {
+        Cursor {
+            part,
+            watermarks: Marks::new(),
+            rows: 0,
+        }
+    }
+}
+
+/// A deliberate corruption of one peer's subscription state — each the
+/// residue of a bug the protocol must not have — for the tests that show
+/// the oracle comparison catches it (`tests/proptest_protocol.rs`). Not
+/// part of the protocol; nothing in the program seeds one.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeededFault {
+    /// The cursor-void notice this peer owes is never sent.
+    ForgetVoidNotice,
+    /// Every fragment of this peer's rules counts as held, whatever became
+    /// of the rule or of the rows.
+    HoldEverything,
+    /// Every committed cursor claims the subscriber holds everything the
+    /// database derives right now.
+    CursorsToNow,
+}
+
 /// A database peer: local database, coordination rules targeting it, and
 /// all protocol state.
 #[derive(Debug)]
@@ -231,6 +305,11 @@ pub struct DbPeer {
     /// body node: the rows that body node shipped so far. Volatile; a
     /// durable peer re-primes it from its answer log.
     pub(crate) fragments: VecMap<(RuleId, NodeId), PartCache>,
+    /// Body side: this peer discarded `cursors` without its subscribers
+    /// having asked, and owes every pipe neighbour a
+    /// [`ProtocolMsg::CursorVoid`] with the next flood it sees. Cleared when
+    /// a session that carried the notice retires (module docs).
+    pub(crate) void_owed: bool,
     /// Pipe neighbours (rule sources *and* rule targets, Section 5).
     pub(crate) pipes: BTreeSet<NodeId>,
     /// Whether this node lies on a dependency cycle (used by rounds mode to
@@ -296,6 +375,7 @@ impl DbPeer {
             cursors: VecMap::default(),
             held: BTreeSet::new(),
             fragments: VecMap::default(),
+            void_owed: false,
             pipes: BTreeSet::new(),
             in_cycle: true,
             stats: PeerStats::default(),
@@ -348,6 +428,27 @@ impl DbPeer {
         self.fragments.retain(|(r, _), _| *r != rule);
         for st in self.sessions.values_mut() {
             st.upd.parts.retain(|(r, _), _| *r != rule);
+        }
+    }
+
+    /// Corrupts the subscription state as `fault` describes.
+    #[doc(hidden)]
+    pub fn seed_fault(&mut self, fault: SeededFault) {
+        match fault {
+            SeededFault::ForgetVoidNotice => self.void_owed = false,
+            SeededFault::HoldEverything => {
+                let fragments =
+                    (self.rules.values()).flat_map(|r| r.parts.iter().map(move |p| (r.id, p.node)));
+                self.held.extend(fragments);
+            }
+            SeededFault::CursorsToNow => {
+                let now: Vec<Marks> = (self.cursors.values())
+                    .map(|c| self.part_marks(&c.part))
+                    .collect();
+                for (cursor, marks) in self.cursors.values_mut().zip(now) {
+                    cursor.watermarks = marks;
+                }
+            }
         }
     }
 
@@ -924,6 +1025,7 @@ impl DbPeer {
             | ProtocolMsg::StartScopedUpdate { .. }
             | ProtocolMsg::UpdateFlood { .. }
             | ProtocolMsg::Query { .. }
+            | ProtocolMsg::CursorVoid { .. }
             | ProtocolMsg::AddRule { .. }
             | ProtocolMsg::DeleteRule { .. }
             | ProtocolMsg::ResumeRounds { .. } => true,
@@ -999,13 +1101,23 @@ impl DbPeer {
     /// root count, not its session count.
     ///
     /// Retirement is also where the session **commits** (module docs) — its
-    /// subscriptions their cursors, its queried fragments as held: the
-    /// terminal broadcast certifies that every answer was delivered and
-    /// applied.
+    /// subscriptions their cursors, its queried fragments as held, its
+    /// cursor-void notice as delivered: the terminal broadcast certifies
+    /// that every query, answer and notice was delivered and applied.
+    ///
+    /// Only a fragment the session **queried** becomes held. The others in
+    /// `parts` were registered because they were held already, and a rule
+    /// change or a cursor-void notice that un-held one since must stay in
+    /// force: each either dropped the entry (`DbPeer::forget_rule`) or had
+    /// this session query the fragment after all, or the next session will.
     fn finish_session_event(&mut self, sid: SessionId, st: SessionState) {
         if st.retired {
             if !self.config.paper_faithful {
-                self.held.extend(st.upd.parts.keys().copied());
+                let queried = st.upd.parts.iter().filter(|(_, part)| part.queried);
+                self.held.extend(queried.map(|(key, _)| *key));
+                if st.upd.void_sent {
+                    self.void_owed = false;
+                }
                 for (key, sub) in st.upd.subs {
                     // Interleaved sessions retire in any order; watermarks
                     // are snapshots of one growing database, so the later
@@ -1056,7 +1168,11 @@ impl DbPeer {
         // Dijkstra–Scholten ack fast path: debit the session's detector.
         if let ProtocolMsg::Ack { .. } = msg {
             if let Some(mut st) = self.sessions.remove(&sid) {
-                st.ds.on_ack();
+                // Only a peer that lost its counters in a crash can be
+                // acknowledged for a send it does not remember.
+                if !st.ds.on_ack() && self.stats.crashes == 0 {
+                    self.fail(format!("{sid}: acknowledgement from {from} without a send"));
+                }
                 self.after_event(&mut st, sid, ctx);
                 self.finish_session_event(sid, st);
             }
@@ -1116,9 +1232,13 @@ impl DbPeer {
                 rows,
                 complete,
                 reopen,
+                pushed,
                 ..
-            } => self.on_answer(&mut st, sid, from, rule, rows, complete, reopen, ctx),
+            } => self.on_answer(
+                &mut st, sid, from, rule, rows, complete, reopen, pushed, ctx,
+            ),
             ProtocolMsg::Unsubscribe { rule, .. } => self.on_unsubscribe(&mut st, from, rule),
+            ProtocolMsg::CursorVoid { .. } => self.on_cursor_void(&mut st, sid, from, ctx),
             ProtocolMsg::Fixpoint { generation, .. } => self.on_fixpoint(&mut st, generation),
             ProtocolMsg::AddRule { rule, .. } => self.on_add_rule(&mut st, sid, rule, ctx),
             ProtocolMsg::DeleteRule { rule, .. } => self.on_delete_rule(&mut st, sid, rule, ctx),
@@ -1260,9 +1380,11 @@ mod tests {
     }
 
     /// The body side of one subscription over three sessions: the cursor
-    /// moves when the session retires (not when the answer is sent), a
-    /// `resume` query is then served the delta, and a `resume` query for a
-    /// different fragment under the same rule id is served in full.
+    /// exists from first contact on — at zero, "the subscriber holds
+    /// nothing" — and moves when the session retires (not when the answer
+    /// is sent), a `resume` query is then served the delta, and a `resume`
+    /// query for a different fragment under the same rule id is served in
+    /// full.
     #[test]
     fn cursor_commits_at_retirement_and_is_fingerprinted_by_fragment() {
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
@@ -1327,18 +1449,25 @@ mod tests {
         };
 
         assert_eq!(session(&mut peer, &copy, false, false), 1, "first contact");
-        assert_eq!(peer.retained_entries().0, 0, "sent is not committed");
+        assert_eq!(peer.retained_entries().0, 1);
+        assert!(
+            peer.cursors[&(head, rule)].watermarks.is_empty(),
+            "sent is not committed"
+        );
         assert_eq!(
             session(&mut peer, &copy, true, true),
             1,
-            "nothing to resume"
+            "resumed from zero: everything"
         );
-        assert_eq!(peer.retained_entries().0, 1, "retired is committed");
+        assert!(
+            !peer.cursors[&(head, rule)].watermarks.is_empty(),
+            "retired is committed"
+        );
         peer.db
             .insert_values("b", vec![Val::Int(3), Val::Int(4)])
             .unwrap();
         assert_eq!(session(&mut peer, &copy, true, true), 1, "the delta");
-        assert_eq!(peer.stats.resumed_answers, 1);
+        assert_eq!(peer.stats.resumed_answers, 2);
         assert_eq!(
             session(&mut peer, &filtered, true, true),
             2,
@@ -1349,18 +1478,12 @@ mod tests {
             2,
             "head lost it"
         );
-        assert_eq!(peer.stats.resumed_answers, 1);
+        assert_eq!(peer.stats.resumed_answers, 2);
     }
 
-    /// The head side of a rule over two body nodes, with two sessions live
-    /// while the rule is replaced under its id: what the older session's
-    /// subscriptions still deliver belongs to the state the replacement
-    /// dropped. It is neither applied nor lets that session, when it
-    /// retires, mark the fragment as held — so the next session's query
-    /// does not say `resume` over a hole, even though the replacement's own
-    /// full answers were lost.
-    #[test]
-    fn fragment_is_held_only_through_a_retired_session_that_queried_it() {
+    /// A head `A` with `B:b(X,Y), C:c(Y,Z) => A:a(X,Z)` installed, and the
+    /// rule.
+    fn head_over_two_body_nodes() -> (DbPeer, CoordinationRule) {
         let schema = DatabaseSchema::parse("a(x: int, z: int).").unwrap();
         let mut peer = DbPeer::new(NodeId(0), Database::new(schema), SystemConfig::default());
         let resolve = |s: &str| match s {
@@ -1372,47 +1495,125 @@ mod tests {
         let rule =
             CoordinationRule::parse("r", "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)", None, &resolve).unwrap();
         peer.install_rule(rule.clone());
+        (peer, rule)
+    }
 
-        // Delivers one message; acknowledges every basic message the
-        // handler sent unless `lost`; returns the `resume` flags of the
-        // queries it sent.
-        fn deliver(peer: &mut DbPeer, from: NodeId, msg: ProtocolMsg, lost: bool) -> Vec<bool> {
-            let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
-            peer.on_message(from, msg, &mut ctx);
-            let sent = ctx.take_outgoing();
-            for out in sent.iter().filter(|out| out.msg.is_basic() && !lost) {
-                let session = out.msg.session().unwrap();
-                peer.on_message(out.to, ProtocolMsg::Ack { session }, &mut ctx);
-            }
-            sent.iter()
-                .filter_map(|out| match &*out.msg {
-                    ProtocolMsg::Query { resume, .. } => Some(*resume),
-                    _ => None,
-                })
-                .collect()
+    const B: NodeId = NodeId(1);
+    const C: NodeId = NodeId(2);
+
+    /// Delivers one message; acknowledges every basic message the handler
+    /// sent unless `lost`; returns what the peer sent, handling the
+    /// acknowledgements included.
+    fn deliver(peer: &mut DbPeer, from: NodeId, msg: ProtocolMsg, lost: bool) -> Vec<ProtocolMsg> {
+        let mut ctx = Context::new(p2p_net::SimTime::ZERO, peer.id);
+        peer.on_message(from, msg, &mut ctx);
+        let mut sent = ctx.take_outgoing();
+        for out in sent.iter().filter(|out| out.msg.is_basic() && !lost) {
+            let session = out.msg.session().unwrap();
+            peer.on_message(out.to, ProtocolMsg::Ack { session }, &mut ctx);
         }
-        let answer = |session, from: NodeId, row: [i64; 2]| {
-            let part = rule.parts.iter().find(|p| p.node == from).unwrap();
-            ProtocolMsg::Answer {
-                session,
-                rule: rule.id,
-                rows: crate::messages::AnswerRows {
-                    vars: part.vars.clone(),
-                    rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
-                    ..Default::default()
-                },
-                complete: false,
-                reopen: false,
-            }
-        };
-        let (b, c) = (NodeId(1), NodeId(2));
-        let (s1, s2) = (SessionId::new(b, 1), SessionId::new(c, 2));
+        sent.extend(ctx.take_outgoing());
+        sent.iter().map(|out| (*out.msg).clone()).collect()
+    }
 
-        for (root, session) in [(b, s1), (c, s2)] {
-            let resumes = deliver(&mut peer, root, ProtocolMsg::UpdateFlood { session }, false);
-            assert_eq!(resumes, [false, false], "first contact");
-            deliver(&mut peer, b, answer(session, b, [1, 2]), false);
-            deliver(&mut peer, c, answer(session, c, [2, 3]), false);
+    /// The `(body node, resume)` of every `Query` among `sent`.
+    fn queries(sent: &[ProtocolMsg]) -> Vec<(NodeId, bool)> {
+        sent.iter()
+            .filter_map(|msg| match msg {
+                ProtocolMsg::Query { part, resume, .. } => Some((part.node, *resume)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// One row of `from`'s fragment of `rule`, as an `Answer`.
+    fn answer(
+        rule: &CoordinationRule,
+        session: SessionId,
+        from: NodeId,
+        row: [i64; 2],
+        pushed: bool,
+    ) -> ProtocolMsg {
+        let part = rule.parts.iter().find(|p| p.node == from).unwrap();
+        ProtocolMsg::Answer {
+            session,
+            rule: rule.id,
+            rows: crate::messages::AnswerRows {
+                vars: part.vars.clone(),
+                rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
+                ..Default::default()
+            },
+            complete: false,
+            reopen: false,
+            pushed,
+        }
+    }
+
+    fn fixpoint(session: SessionId) -> ProtocolMsg {
+        ProtocolMsg::Fixpoint {
+            session,
+            generation: 1,
+        }
+    }
+
+    /// Floods `session` in from its root, answers both fragments in full
+    /// and retires it: afterwards the head holds both.
+    fn first_contact(peer: &mut DbPeer, rule: &CoordinationRule, session: SessionId) {
+        let sent = deliver(
+            peer,
+            session.root,
+            ProtocolMsg::UpdateFlood { session },
+            false,
+        );
+        assert_eq!(queries(&sent), [(B, false), (C, false)], "first contact");
+        deliver(peer, B, answer(rule, session, B, [1, 2], false), false);
+        deliver(peer, C, answer(rule, session, C, [2, 3], false), false);
+        deliver(peer, session.root, fixpoint(session), false);
+        assert_eq!(peer.retained_entries().1, 2);
+        assert_eq!(peer.session_table_len(), 0);
+    }
+
+    /// The head side of a rule over two body nodes, with two sessions live
+    /// while the rule is replaced under its id: what the older session's
+    /// subscriptions still deliver belongs to the state the replacement
+    /// dropped. It is neither applied nor lets that session, when it
+    /// retires, mark the fragment as held — so the next session queries the
+    /// full extensions again instead of resuming, or listening to a
+    /// standing subscription, over a hole, even though the replacement's
+    /// own full answers were lost. Once a session that queried them
+    /// retires they are held: a flood then brings no query at all, and a
+    /// session joined any other way says `resume`.
+    #[test]
+    fn fragment_is_held_only_through_a_retired_session_that_queried_it() {
+        let (mut peer, rule) = head_over_two_body_nodes();
+        let (s1, s2) = (SessionId::new(B, 1), SessionId::new(C, 2));
+
+        for session in [s1, s2] {
+            let sent = deliver(
+                &mut peer,
+                session.root,
+                ProtocolMsg::UpdateFlood { session },
+                false,
+            );
+            assert_eq!(queries(&sent), [(B, false), (C, false)], "first contact");
+            assert!(
+                !sent
+                    .iter()
+                    .any(|m| matches!(m, ProtocolMsg::UpdateFlood { .. })),
+                "a receiver does not forward the flood"
+            );
+            deliver(
+                &mut peer,
+                B,
+                answer(&rule, session, B, [1, 2], false),
+                false,
+            );
+            deliver(
+                &mut peer,
+                C,
+                answer(&rule, session, C, [2, 3], false),
+                false,
+            );
         }
         assert_eq!(peer.database().total_tuples(), 1, "a(1,3)");
         assert_eq!(peer.retained_rows(), 2);
@@ -1423,49 +1624,235 @@ mod tests {
             session: s1,
             rule: rule.clone(),
         };
-        assert_eq!(deliver(&mut peer, b, replace, true), [false, false]);
+        let sent = deliver(&mut peer, B, replace, true);
+        assert_eq!(queries(&sent), [(B, false), (C, false)]);
         assert_eq!(peer.retained_rows(), 0);
 
         // Session 2's subscription, opened before, still pushes a delta.
-        deliver(&mut peer, b, answer(s2, b, [5, 2]), false);
+        deliver(&mut peer, B, answer(&rule, s2, B, [5, 2], false), false);
         assert_eq!(peer.retained_rows(), 0, "not applied");
-        let fixpoint = ProtocolMsg::Fixpoint {
-            session: s2,
-            generation: 1,
-        };
-        deliver(&mut peer, c, fixpoint, false);
+        deliver(&mut peer, C, fixpoint(s2), false);
         assert!(peer.session_closed(s2) && peer.session_state(s2).is_none());
         assert_eq!(peer.retained_entries().1, 0, "and not held");
 
-        let s3 = SessionId::new(b, 3);
-        let resumes = deliver(
+        let s3 = SessionId::new(B, 3);
+        let sent = deliver(
             &mut peer,
-            b,
+            B,
             ProtocolMsg::UpdateFlood { session: s3 },
             false,
         );
         assert_eq!(
-            resumes,
-            [false, false],
+            queries(&sent),
+            [(B, false), (C, false)],
             "the full extensions are asked again"
         );
         // Answered in full and retired, the fragments are held.
-        deliver(&mut peer, b, answer(s3, b, [5, 2]), false);
-        deliver(&mut peer, c, answer(s3, c, [2, 3]), false);
-        let fixpoint = ProtocolMsg::Fixpoint {
-            session: s3,
-            generation: 1,
-        };
-        deliver(&mut peer, b, fixpoint, false);
+        deliver(&mut peer, B, answer(&rule, s3, B, [5, 2], false), false);
+        deliver(&mut peer, C, answer(&rule, s3, C, [2, 3], false), false);
+        deliver(&mut peer, B, fixpoint(s3), false);
         assert_eq!(peer.retained_entries().1, 2);
         assert_eq!(peer.session_table_len(), 0);
-        let s4 = SessionId::new(b, 4);
-        let resumes = deliver(
+
+        // Held: the flood of the next session brings no query — the body
+        // nodes' standing subscriptions serve it, and what they push is
+        // applied.
+        let s4 = SessionId::new(B, 4);
+        let sent = deliver(
             &mut peer,
-            b,
+            B,
             ProtocolMsg::UpdateFlood { session: s4 },
             false,
         );
-        assert_eq!(resumes, [true, true]);
+        assert!(matches!(&sent[..], [ProtocolMsg::Ack { .. }]), "{sent:?}");
+        deliver(&mut peer, B, answer(&rule, s4, B, [7, 2], true), false);
+        assert_eq!(peer.retained_rows(), 3);
+        assert_eq!(peer.database().total_tuples(), 3, "a(7,3) too");
+        deliver(&mut peer, B, fixpoint(s4), false);
+        assert_eq!(peer.retained_entries().1, 2);
+
+        // Joined without a flood, the session cannot count on the body
+        // nodes having heard of it: it asks, and says what it holds.
+        let s5 = SessionId::new(peer.id, 5);
+        let sent = deliver(
+            &mut peer,
+            NodeId(0),
+            ProtocolMsg::StartScopedUpdate { session: s5 },
+            false,
+        );
+        assert_eq!(queries(&sent), [(B, true), (C, true)]);
+    }
+
+    /// The commit rule under a cursor-void notice, head side. Two sessions
+    /// joined by flood both listen to `B`'s standing subscription without
+    /// having queried it. `B`'s notice arrives in one of them: the fragment
+    /// stops being held and that session queries it in full. The other
+    /// session retiring does not hold it again — it never queried it — and
+    /// only the retirement of the session that did, does. (Were the notice
+    /// lost instead, `B` would never be acknowledged, its session would
+    /// never terminate, and nothing would be committed: the body side of
+    /// this is `cursor_void_notice_is_owed_until_a_session_carrying_it_retires`.)
+    #[test]
+    fn cursor_void_notice_unholds_until_a_session_that_requeried_retires() {
+        let (mut peer, rule) = head_over_two_body_nodes();
+        first_contact(&mut peer, &rule, SessionId::new(B, 1));
+
+        let (s2, s3) = (SessionId::new(B, 2), SessionId::new(C, 3));
+        for session in [s2, s3] {
+            let flood = ProtocolMsg::UpdateFlood { session };
+            assert!(queries(&deliver(&mut peer, session.root, flood, false)).is_empty());
+        }
+
+        let sent = deliver(&mut peer, B, ProtocolMsg::CursorVoid { session: s2 }, false);
+        assert_eq!(queries(&sent), [(B, false)], "only B's, and in full");
+        assert_eq!(peer.retained_entries().1, 1, "B's fragment is not held");
+        // A second notice (B's other sessions carry it too) asks nothing
+        // more of a session that already asked.
+        let again = deliver(&mut peer, B, ProtocolMsg::CursorVoid { session: s2 }, false);
+        assert!(queries(&again).is_empty());
+
+        deliver(&mut peer, C, fixpoint(s3), false);
+        assert!(peer.session_closed(s3));
+        assert_eq!(
+            peer.retained_entries().1,
+            1,
+            "a session that did not query the fragment does not hold it again"
+        );
+
+        deliver(&mut peer, B, answer(&rule, s2, B, [1, 2], false), false);
+        deliver(&mut peer, B, fixpoint(s2), false);
+        assert_eq!(
+            peer.retained_entries().1,
+            2,
+            "re-queried in full, then held"
+        );
+        assert_eq!(peer.session_table_len(), 0);
+    }
+
+    /// A push is only as good as the head's `held` mark: a pushed answer
+    /// for a fragment the head does not hold is not applied — the session
+    /// asks for the full extension instead, once — and one for a rule the
+    /// head no longer has is answered with `Unsubscribe`.
+    #[test]
+    fn pushed_answer_for_a_fragment_not_held_is_requeried_not_applied() {
+        let (mut peer, rule) = head_over_two_body_nodes();
+        first_contact(&mut peer, &rule, SessionId::new(B, 1));
+
+        // The head re-reads its rule file between sessions: same id.
+        peer.install_rule(rule.clone());
+        assert_eq!(peer.retained_entries().1, 0);
+        // B's push overtakes the flood: the head joins on it, asking for
+        // everything, and does not apply the rows.
+        let s2 = SessionId::new(C, 2);
+        let sent = deliver(&mut peer, B, answer(&rule, s2, B, [9, 2], true), false);
+        assert_eq!(queries(&sent), [(B, false), (C, false)]);
+        assert_eq!(peer.retained_rows(), 0, "not applied");
+        let sent = deliver(&mut peer, B, answer(&rule, s2, B, [8, 2], true), false);
+        assert!(queries(&sent).is_empty(), "asked already: {sent:?}");
+        deliver(&mut peer, C, fixpoint(s2), false);
+
+        // Held again; now C loses the head's mark through a notice that
+        // reaches the head in another session than the push does.
+        assert_eq!(peer.retained_entries().1, 2);
+        let (s3, s4) = (SessionId::new(B, 3), SessionId::new(C, 4));
+        for session in [s3, s4] {
+            let flood = ProtocolMsg::UpdateFlood { session };
+            assert!(queries(&deliver(&mut peer, session.root, flood, false)).is_empty());
+        }
+        deliver(&mut peer, C, ProtocolMsg::CursorVoid { session: s3 }, false);
+        let sent = deliver(&mut peer, C, answer(&rule, s4, C, [2, 4], true), false);
+        assert_eq!(queries(&sent), [(C, false)], "this session asks too");
+        assert_eq!(peer.database().total_tuples(), 1, "a(1,3) only");
+
+        // The rule goes away outside any session: the cursor is orphaned.
+        peer.rules.remove(&rule.id);
+        peer.forget_rule(rule.id);
+        let live = peer.session_table_len();
+        let s5 = SessionId::new(NodeId(9), 5);
+        let sent = deliver(&mut peer, B, answer(&rule, s5, B, [6, 2], true), false);
+        assert!(
+            matches!(&sent[..], [ProtocolMsg::Unsubscribe { rule: id, .. }, ProtocolMsg::Ack { .. }] if *id == rule.id),
+            "{sent:?}"
+        );
+        assert_eq!(
+            peer.session_table_len(),
+            live,
+            "and no session state for it"
+        );
+    }
+
+    /// A Dijkstra–Scholten deficit never goes negative: an acknowledgement
+    /// no send of a live session accounts for is a protocol error and is
+    /// reported as one — except at a peer that crashed, whose pre-crash
+    /// sends may still be acknowledged after it forgot them.
+    #[test]
+    fn acknowledgement_without_a_send_is_reported() {
+        let (mut peer, rule) = head_over_two_body_nodes();
+        let s1 = SessionId::new(B, 1);
+        // Both queries acknowledged, the answers outstanding: zero deficit.
+        deliver(
+            &mut peer,
+            B,
+            ProtocolMsg::UpdateFlood { session: s1 },
+            false,
+        );
+        deliver(&mut peer, B, answer(&rule, s1, B, [1, 2], false), false);
+        assert!(peer.errors().is_empty());
+        deliver(&mut peer, C, ProtocolMsg::Ack { session: s1 }, false);
+        assert_eq!(peer.errors().len(), 1, "{:?}", peer.errors());
+
+        peer.crash_volatile_state();
+        let s2 = SessionId::new(B, 2);
+        deliver(
+            &mut peer,
+            B,
+            ProtocolMsg::UpdateFlood { session: s2 },
+            false,
+        );
+        deliver(&mut peer, B, answer(&rule, s2, B, [1, 2], false), false);
+        deliver(&mut peer, C, ProtocolMsg::Ack { session: s2 }, false);
+        assert_eq!(peer.errors().len(), 1, "tolerated after a crash");
+    }
+
+    /// The body side of the cursor-void notice: a restarted peer sends it
+    /// to every pipe with the first flood it sees, keeps owing it while no
+    /// session that carried it retires — a lost notice is never
+    /// acknowledged, so that session cannot terminate and commits nothing —
+    /// and stops once one does.
+    #[test]
+    fn cursor_void_notice_is_owed_until_a_session_carrying_it_retires() {
+        let schema = DatabaseSchema::parse("b(x: int, y: int).").unwrap();
+        let mut peer = DbPeer::new(B, Database::new(schema), SystemConfig::default());
+        peer.add_pipe(NodeId(0));
+        peer.add_pipe(C);
+        let root = NodeId(7);
+        let notices = |sent: &[ProtocolMsg]| {
+            sent.iter()
+                .filter(|m| matches!(m, ProtocolMsg::CursorVoid { .. }))
+                .count()
+        };
+        let flood = |peer: &mut DbPeer, epoch, lost| {
+            let session = SessionId::new(root, epoch);
+            deliver(peer, root, ProtocolMsg::UpdateFlood { session }, lost)
+        };
+
+        assert_eq!(notices(&flood(&mut peer, 1, false)), 0, "nothing to void");
+        deliver(&mut peer, root, fixpoint(SessionId::new(root, 1)), false);
+
+        peer.crash_volatile_state();
+        let sent = flood(&mut peer, 2, true);
+        assert_eq!(notices(&sent), 2, "one per pipe");
+        assert!(
+            !sent.iter().any(|m| matches!(m, ProtocolMsg::Ack { .. })),
+            "unacknowledged, the peer stays engaged: the session stalls"
+        );
+        // The re-drive carries the notice again, and retires.
+        let sent = flood(&mut peer, 3, false);
+        assert_eq!(notices(&sent), 2);
+        assert!(matches!(sent.last(), Some(ProtocolMsg::Ack { .. })));
+        assert!(peer.void_owed, "sent is not delivered");
+        deliver(&mut peer, root, fixpoint(SessionId::new(root, 3)), false);
+        assert!(!peer.void_owed);
+        assert_eq!(notices(&flood(&mut peer, 4, false)), 0);
     }
 }

@@ -210,7 +210,7 @@ impl DbPeer {
         st.rnd.rounds_done = round;
         // Pipes plus the full roster: components not pipe-connected to the
         // root must still participate in the wave (same rationale as the
-        // eager flood's direct-coverage backstop).
+        // eager flood's roster send).
         let mut targets: std::collections::BTreeSet<NodeId> = self.pipes.clone();
         targets.extend(self.sup.all_nodes.iter().copied());
         targets.remove(&self.id);

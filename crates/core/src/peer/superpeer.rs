@@ -59,15 +59,18 @@ impl DbPeer {
                 st.ds.reset();
                 st.ds.engage_as_root();
                 st.root_quiet = false;
-                self.begin_session(st, sid, ctx, &[]);
-                if self.config.initiation == crate::config::Initiation::Flood {
+                let flood = self.config.initiation == crate::config::Initiation::Flood;
+                let standing = flood && !self.config.paper_faithful;
+                self.begin_session(st, sid, ctx, &[], standing);
+                if flood {
                     st.upd.flood_seen = true;
-                    // Acquaintance flood (the paper's propagation) plus a
-                    // direct send to every rostered node: the rule file is
-                    // network-wide knowledge (Section 5), so the root can
-                    // reach components no pipe path connects it to —
+                    // A direct send to every rostered node: the rule file
+                    // is network-wide knowledge (Section 5), so the root
+                    // reaches components no pipe path connects it to —
                     // otherwise the *global* update would silently skip
-                    // them.
+                    // them. By default this send *is* the flood; under
+                    // `paper_faithful` the receivers also forward it along
+                    // their acquaintances, as the paper propagates it.
                     let mut targets = self.pipes.clone();
                     targets.extend(self.sup.all_nodes.iter().copied());
                     targets.remove(&self.id);
@@ -77,6 +80,11 @@ impl DbPeer {
                         targets,
                         ProtocolMsg::UpdateFlood { session: sid },
                     );
+                }
+                if standing {
+                    // After the flood, so a subscriber hears of the session
+                    // from the flood before a push of the root's reaches it.
+                    self.open_standing(st, sid, ctx);
                 }
             }
             UpdateMode::Rounds => self.start_rounds(st, sid, ctx),
@@ -101,7 +109,7 @@ impl DbPeer {
         st.ds.reset();
         st.ds.engage_as_root();
         st.root_quiet = false;
-        self.begin_session(st, sid, ctx, &[]);
+        self.begin_session(st, sid, ctx, &[], false);
     }
 
     /// Driver command: apply a dynamic change (Section 4). The super-peer
@@ -168,7 +176,7 @@ impl DbPeer {
             // `RootTerminated` hook only re-broadcasts for an *active*
             // root, and the re-woken region can only close through that
             // broadcast.
-            self.begin_session(&mut st, sid, ctx, &[]);
+            self.begin_session(&mut st, sid, ctx, &[], false);
         }
         match change {
             ChangeOp::AddLink { rule } => {
@@ -293,6 +301,7 @@ impl DbPeer {
         self.rules.clear();
         self.pipes.clear();
         self.cursors.clear();
+        self.void_owed = true;
         self.held.clear();
         self.fragments.clear();
         for rule in rules {

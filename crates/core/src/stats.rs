@@ -64,10 +64,11 @@ pub struct PeerStats {
     /// Compared against `local_evaluations` this is the plan-cache hit rate;
     /// invalidated on `AddRule`/`DeleteRule` and on crash.
     pub plan_cache_hits: u64,
-    /// First answers of a subscription served by delta evaluation from a
-    /// cursor an earlier session committed, instead of the fragment's full
-    /// extension. Compared against `queries_received` this is how often a
-    /// session started from what changed rather than from what exists.
+    /// Subscriptions opened by delta evaluation from a cursor an earlier
+    /// session committed, instead of from the fragment's full extension —
+    /// by a `Query` that says `resume`, or standing, when the session's
+    /// flood arrives. Per session this is how many subscriptions started
+    /// from what changed rather than from what exists.
     #[serde(default)]
     pub resumed_answers: u64,
     /// Facts inserted into the local database by the update algorithm.

@@ -681,6 +681,36 @@ impl P2PSystem {
         Ok(ChangeOp::AddLink { rule })
     }
 
+    /// Installs `rule` at its head node **outside any session**, under the
+    /// id it carries — the head re-reads its rule file, replacing whatever
+    /// it had under that id — and opens the pipes. Nobody else is told:
+    /// the next session finds out. ([`P2PSystem::rules`] keeps describing
+    /// the build-time rule set, as it does under change scripts.)
+    pub fn install_rule(&mut self, rule: CoordinationRule) -> CoreResult<()> {
+        let head = rule.head_node;
+        for part in &rule.parts {
+            let body = (self.sim.peer_mut(part.node))
+                .ok_or_else(|| CoreError::UnknownNode(part.node.to_string()))?;
+            body.add_pipe(head);
+        }
+        let peer =
+            (self.sim.peer_mut(head)).ok_or_else(|| CoreError::UnknownNode(head.to_string()))?;
+        peer.install_rule(rule);
+        Ok(())
+    }
+
+    /// Seeds `fault` at every peer (tests of the tests: see
+    /// [`crate::peer::SeededFault`]).
+    #[doc(hidden)]
+    pub fn seed_fault(&mut self, fault: crate::peer::SeededFault) {
+        let nodes: Vec<NodeId> = self.sim.peers().map(|(id, _)| *id).collect();
+        for node in nodes {
+            if let Some(peer) = self.sim.peer_mut(node) {
+                peer.seed_fault(fault);
+            }
+        }
+    }
+
     /// Builds a `deleteLink` change op for a rule registered at build time.
     pub fn make_delete_link(&self, name: &str) -> CoreResult<ChangeOp> {
         let rule = self

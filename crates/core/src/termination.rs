@@ -8,7 +8,7 @@
 //! Dijkstra–Scholten (1980) detects the identical condition with one
 //! acknowledgement per message and one counter per node, which is what
 //! makes the update scale to the paper's 31-node networks with cyclic
-//! topologies (see DESIGN.md §3, substitution 3).
+//! topologies.
 //!
 //! One [`DiffusingState`] instance exists **per session** (inside each
 //! peer's session table): concurrent sessions are independent diffusing
@@ -112,12 +112,16 @@ impl DiffusingState {
         self.deficit += 1;
     }
 
-    /// Records an acknowledgement of one of our sends. An ack with no
-    /// outstanding send is silently dropped: after a crash the node's
-    /// deficit is rebuilt from zero, yet acks for pre-crash sends may
-    /// still be in flight and arrive post-restart.
-    pub fn on_ack(&mut self) {
-        self.deficit = self.deficit.saturating_sub(1);
+    /// Records an acknowledgement of one of our sends; `false` if none was
+    /// outstanding, in which case the deficit stays at zero instead of
+    /// going negative. That is legitimate after a crash — the node's
+    /// deficit is rebuilt from zero, yet acks for pre-crash sends may still
+    /// be in flight and arrive post-restart — and a protocol error
+    /// otherwise.
+    pub fn on_ack(&mut self) -> bool {
+        let outstanding = self.deficit > 0;
+        self.deficit -= u64::from(outstanding);
+        outstanding
     }
 
     /// Called whenever the node becomes passive (for us: at the end of every
@@ -156,10 +160,13 @@ mod tests {
         ds.on_send();
         ds.on_send();
         assert_eq!(ds.try_disengage(), Disengage::None);
-        ds.on_ack();
+        assert!(ds.on_ack());
         assert_eq!(ds.try_disengage(), Disengage::None);
-        ds.on_ack();
+        assert!(ds.on_ack());
         assert_eq!(ds.try_disengage(), Disengage::RootTerminated);
+        // One acknowledgement too many: refused, and the deficit stays put.
+        assert!(!ds.on_ack());
+        assert_eq!(ds.deficit(), 0);
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn session() -> impl Strategy<Value = SessionId> {
 /// path), the session-scalar control messages, and discovery traffic.
 fn msg() -> impl Strategy<Value = ProtocolMsg> {
     (
-        (0u8..14, session(), any::<u32>(), 0u32..100_000),
+        (0u8..15, session(), any::<u32>(), 0u32..100_000),
         answer_rows(),
         (any::<bool>(), any::<bool>()),
         proptest::collection::vec((0u32..200, 0u32..200), 0..6),
@@ -115,6 +115,7 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                         rows,
                         complete: b1,
                         reopen: b2,
+                        pushed: round % 2 == 0,
                     },
                     3 => ProtocolMsg::WaveAnswer {
                         session,
@@ -181,6 +182,7 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                         sn: edge_list.into_iter().map(|(a, _)| NodeId(a)).collect(),
                         resume: b1,
                     },
+                    13 => ProtocolMsg::CursorVoid { session },
                     _ => ProtocolMsg::RoundsClosed {
                         session,
                         rounds: round,
@@ -277,6 +279,35 @@ proptest! {
         let json = serde_json::to_string(&msg).unwrap();
         let via_json: ProtocolMsg = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(encode_msg(&via_json), encode_msg(&msg));
+    }
+
+    /// An `Answer` without the `pushed` flag — every answer a pre-flag peer
+    /// ever wrote — decodes as not pushed in both codecs, and a binary tag
+    /// no variant owns is a typed error, not a panic.
+    #[test]
+    fn absent_pushed_flag_is_false_and_unknown_tags_are_typed_errors(
+        msg in msg(),
+        tag in 31u8..=255,
+    ) {
+        if let ProtocolMsg::Answer { session, rule, rows, complete, reopen, .. } = msg {
+            let asked = ProtocolMsg::Answer {
+                session, rule, rows, complete, reopen, pushed: false,
+            };
+            let json = serde_json::to_string(&asked).unwrap();
+            prop_assert!(!json.contains("pushed"));
+            for decoded in [
+                serde_json::from_str(&json).unwrap(),
+                decode_msg(&encode_msg(&asked)).unwrap(),
+            ] {
+                let ProtocolMsg::Answer { pushed, .. } = decoded else {
+                    return Err(TestCaseError::fail("not an answer"));
+                };
+                prop_assert!(!pushed);
+            }
+            let mut bytes = encode_msg(&asked);
+            bytes[0] = tag;
+            prop_assert!(matches!(decode_msg(&bytes), Err(binpack::Error::BadTag(t)) if t == tag));
+        }
     }
 
     /// WAL records round-trip byte-for-byte through the binary frame codec

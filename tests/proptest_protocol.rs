@@ -3,12 +3,15 @@
 //! fix-point oracle; dynamic runs always land inside the Definition 9
 //! envelope; duplication never changes results; and a long-lived system
 //! keeps agreeing with the oracle session after session — the
-//! subscription cursors that outlive a session never hide a row — under
-//! inserts, concurrent roots, rule changes, crashes and dropped messages.
+//! subscription cursors that outlive a session, and the standing
+//! subscriptions they are, never hide a row — under inserts, concurrent
+//! roots, rule changes inside and outside sessions, crashes and dropped
+//! messages; and that net is tight enough to catch three seeded faults.
 
 use p2pdb::core::config::UpdateMode;
 use p2pdb::core::dynamic::{lower_reference, upper_reference, ChangeOp, ChangeScript};
 use p2pdb::core::oracle::{global_fixpoint, GlobalDb};
+use p2pdb::core::peer::SeededFault;
 use p2pdb::core::system::{P2PSystem, P2PSystemBuilder, UpdateReport};
 use p2pdb::core::RuleSet;
 use p2pdb::net::fault::LinkOutage;
@@ -17,6 +20,7 @@ use p2pdb::relational::hom::contained_modulo_nulls;
 use p2pdb::relational::{Database, Val};
 use p2pdb::topology::NodeId;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use std::collections::BTreeMap;
 
 /// A random network description small enough to oracle-check.
@@ -189,15 +193,19 @@ enum Step {
     /// Sessions under random drops and duplicates, re-driven; then reliable
     /// pipes again and re-driven to closure.
     Drops(u8, u64, Option<u32>),
+    /// Outside any session: a fresh tuple at the body node of a build-time
+    /// copy rule, and the rule replaced under its id at its head by one
+    /// that swaps the head's columns. Nobody else is told.
+    Replace { pick: usize, x: i64, y: i64 },
 }
 
 /// The last three kinds run at the super-peer; half the time (`also`) a
 /// second root's session interleaves with it, so a subscription of one
 /// session is live while the other loses a message, a peer or a rule.
 fn step() -> impl Strategy<Value = Step> {
-    (0u8..24, 0u32..8, 0u32..8, 0i64..6, 0i64..6).prop_map(|(kind, a, b, x, y)| {
-        let also = |root| (kind >= 12).then_some(root);
-        match kind % 12 {
+    (0u8..26, 0u32..8, 0u32..8, 0i64..6, 0i64..6).prop_map(|(kind, a, b, x, y)| {
+        let also = |root| (kind >= 13).then_some(root);
+        match kind % 13 {
             0..=3 => Step::Insert(a, x, y),
             4..=5 => Step::Session(a),
             6 => Step::Concurrent(a, b),
@@ -208,7 +216,12 @@ fn step() -> impl Strategy<Value = Step> {
                 also: also(a),
             },
             9 => Step::Crash(a, also(b)),
-            _ => Step::Drops(5 + (x as u8) * 5, u64::from(a * 8 + b), also(a)),
+            10..=11 => Step::Drops(5 + (x as u8) * 5, u64::from(a * 8 + b), also(a)),
+            _ => Step::Replace {
+                pick: b as usize,
+                x,
+                y,
+            },
         }
     })
 }
@@ -353,12 +366,45 @@ fn all_closed(reports: &[UpdateReport]) -> bool {
         .all(|r| r.outcome.quiescent && r.all_closed && r.errors.is_empty())
 }
 
+/// What outlives a session at every peer.
+fn retained(sys: &P2PSystem) -> Vec<(usize, usize)> {
+    sys.peers().map(|(_, p)| p.retained_entries()).collect()
+}
+
+/// Plain sessions from `roots`: they close, agree with the oracle, and — if
+/// the step before was one of these too, with nothing inserted in between —
+/// leave the retained per-peer state as they found it.
+fn plain_sessions(
+    sys: &mut P2PSystem,
+    model: &mut Model,
+    roots: &[NodeId],
+    what: &Step,
+    was_settled: bool,
+) -> Result<(), TestCaseError> {
+    let before = retained(sys);
+    let reports = sys.run_updates(roots);
+    prop_assert!(all_closed(&reports), "{what:?} did not close");
+    model.check_closed(sys, what)?;
+    if was_settled {
+        prop_assert_eq!(retained(sys), before, "retained state moved in {:?}", what);
+    }
+    Ok(())
+}
+
+/// Runs one schedule. Besides the oracle comparison after every step that
+/// closes, every session's report must be free of peer errors — which is
+/// where a Dijkstra–Scholten deficit driven below zero (an acknowledgement
+/// without a send) surfaces — every closed step must leave every session
+/// table empty, and a session that follows a settled one with nothing
+/// inserted in between must leave the retained per-peer state as it found
+/// it. `fault`, if any, is seeded where it can do its damage.
 fn run_schedule(
     spec: &NetSpec,
     mode: UpdateMode,
     codec: Codec,
     durable: bool,
     steps: &[Step],
+    fault: Option<SeededFault>,
 ) -> Result<(), TestCaseError> {
     let n = spec.nodes as u32;
     let mut sys = multi_builder(spec, mode, codec, durable).build().unwrap();
@@ -371,6 +417,12 @@ fn run_schedule(
         amnesia: false,
     };
     let static_rules: Vec<String> = sys.rules().iter().map(|r| r.name.to_string()).collect();
+    // The model's id of each build-time rule (a replacement gets a new one
+    // there; the system keeps the id).
+    let mut model_ids: Vec<_> = sys.rules().iter().map(|r| r.id).collect();
+    // The last step was a plain session that closed: everything there is
+    // to commit is committed.
+    let mut settled = false;
     let roots = |also: Option<u32>| -> Vec<NodeId> {
         [Some(0), also]
             .into_iter()
@@ -380,6 +432,7 @@ fn run_schedule(
     };
 
     for (i, what) in steps.iter().enumerate() {
+        let was_settled = std::mem::take(&mut settled);
         match *what {
             Step::Insert(node, x, y) => {
                 let node = node % n;
@@ -391,16 +444,18 @@ fn run_schedule(
                 .unwrap();
                 insert_into(&mut model.state, node, x, y);
                 insert_into(&mut model.base, node, x, y);
+                if fault == Some(SeededFault::CursorsToNow) {
+                    sys.seed_fault(SeededFault::CursorsToNow);
+                }
             }
             Step::Session(root) => {
-                let report = sys.run_update_from(NodeId(root % n));
-                prop_assert!(all_closed(&[report]), "{what:?} did not close");
-                model.check_closed(&sys, what)?;
+                plain_sessions(&mut sys, &mut model, &[NodeId(root % n)], what, was_settled)?;
+                settled = true;
             }
             Step::Concurrent(a, b) => {
-                let reports = sys.run_updates(&[NodeId(a % n), NodeId(b % n)]);
-                prop_assert!(all_closed(&reports), "{what:?} did not close");
-                model.check_closed(&sys, what)?;
+                let roots = [NodeId(a % n), NodeId(b % n)];
+                plain_sessions(&mut sys, &mut model, &roots, what, was_settled)?;
+                settled = true;
             }
             Step::Change {
                 add,
@@ -427,6 +482,7 @@ fn run_schedule(
                     sys.make_delete_link(&static_rules[pick % static_rules.len()])
                         .unwrap()
                 };
+                let deleted = model_ids[pick % static_rules.len()];
                 let mut script = ChangeScript::new();
                 let at = if late { 60_000 } else { 2 };
                 script.push(SimTime::from_millis(at), op.clone());
@@ -438,8 +494,8 @@ fn run_schedule(
                         model.rules.add(rule.clone()).unwrap();
                         model.ever.add(rule).unwrap();
                     }
-                    ChangeOp::DeleteLink { rule, .. } => {
-                        model.rules.remove(rule);
+                    ChangeOp::DeleteLink { .. } => {
+                        model.rules.remove(deleted);
                     }
                 }
                 model.check_changed(&sys, what, &before)?;
@@ -454,6 +510,12 @@ fn run_schedule(
                     SimTime::from_millis(6),
                 ));
                 model.amnesia |= !durable;
+                if fault == Some(SeededFault::ForgetVoidNotice) {
+                    // The crash and the restart fall into this run; what the
+                    // victim owes would go out with the re-drive's flood.
+                    sys.run_updates(&roots(also));
+                    sys.seed_fault(SeededFault::ForgetVoidNotice);
+                }
                 let reports = sys.run_updates_resilient(&roots(also), 4);
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 model.check_closed(&sys, what)?;
@@ -465,6 +527,36 @@ fn run_schedule(
                 let reports = sys.run_updates_resilient(&roots(also), 3);
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 model.check_closed(&sys, what)?;
+            }
+            Step::Replace { pick, x, y } => {
+                let k = pick % spec.edges.len();
+                let (head, body) = spec.edges[k];
+                sys.insert(
+                    NodeId(body),
+                    &format!("t{body}"),
+                    vec![Val::Int(x), Val::Int(y)],
+                )
+                .unwrap();
+                insert_into(&mut model.state, body, x, y);
+                insert_into(&mut model.base, body, x, y);
+                let text = format!(
+                    "{}:t{body}(X,Y) => {}:t{head}(Y,X)",
+                    NodeId(body).letter(),
+                    NodeId(head).letter()
+                );
+                let ChangeOp::AddLink { mut rule } =
+                    sys.make_add_link(&format!("r{k}v{i}"), &text).unwrap()
+                else {
+                    unreachable!()
+                };
+                rule.id = sys.rules().by_name(&static_rules[k]).unwrap().id;
+                sys.install_rule(rule.clone()).unwrap();
+                if fault == Some(SeededFault::HoldEverything) {
+                    sys.seed_fault(SeededFault::HoldEverything);
+                }
+                model.rules.remove(model_ids[k]);
+                model_ids[k] = model.rules.add(rule.clone()).unwrap();
+                model.ever.add(rule).unwrap();
             }
         }
     }
@@ -492,11 +584,55 @@ proptest! {
     ) {
         let mode = if rounds { UpdateMode::Rounds } else { UpdateMode::Eager };
         let codec = if binary { Codec::Binary } else { Codec::Json };
-        run_schedule(&spec, mode, codec, durable, &steps).map_err(|e| {
+        run_schedule(&spec, mode, codec, durable, &steps, None).map_err(|e| {
             TestCaseError::fail(format!(
                 "{e}\n{mode:?} {codec:?} durable={durable}\n{spec:?}\n{steps:?}"
             ))
         })?;
+    }
+}
+
+/// The net has no hole where it matters: with each of three faults seeded
+/// into the peers' subscription state — a cursor-void notice that is never
+/// sent, a head that counts a fragment as held after its rule was replaced
+/// under the same id, a cursor ahead of what its subscriber was shipped —
+/// some schedule of the generator's first 256 (eager mode; the rounds have
+/// no cursors) ends in a state the oracle comparison rejects.
+#[test]
+fn seeded_faults_are_caught_by_the_oracle_comparison() {
+    let seed = (std::env::var("PROPTEST_SEED").ok())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(TestRng::__default_seed);
+    let cases = (
+        multi_spec(),
+        any::<bool>(),
+        any::<bool>(),
+        proptest::collection::vec(step(), 4..16),
+    );
+    for fault in [
+        SeededFault::ForgetVoidNotice,
+        SeededFault::HoldEverything,
+        SeededFault::CursorsToNow,
+    ] {
+        let mut rng = TestRng::from_seed(seed);
+        let caught = (0..256).any(|_| {
+            let (spec, binary, durable, steps) = cases.generate(&mut rng);
+            let codec = if binary { Codec::Binary } else { Codec::Json };
+            // A corrupted peer may also trip one of the program's own
+            // assertions: caught just the same.
+            std::panic::catch_unwind(|| {
+                run_schedule(
+                    &spec,
+                    UpdateMode::Eager,
+                    codec,
+                    durable,
+                    &steps,
+                    Some(fault),
+                )
+            })
+            .map_or(true, |outcome| outcome.is_err())
+        });
+        assert!(caught, "{fault:?} went unnoticed (seed {seed})");
     }
 }
 
@@ -571,6 +707,56 @@ fn dropped_answer_is_reshipped_by_the_redrive_from_the_committed_cursor() {
         3,
         "the dropped rows, not the full extension"
     );
+}
+
+/// Both ends commit when the broadcast reaches them, and it may reach only
+/// one: a head that holds a fragment does not ask again, so the body node
+/// must have a standing subscription for it even if it missed the
+/// retirement of the only session that ever served it. Its cursor exists
+/// from first contact on, at zero; the next session pushes from there —
+/// everything, once — instead of keeping a silence the head would take for
+/// "nothing new".
+#[test]
+fn body_node_that_missed_the_broadcast_still_serves_the_head_that_holds() {
+    let mut sys = head_body_system();
+    // The root's broadcast to the body node is lost (its flood is not).
+    sys.set_fault(FaultPlan::none().with_outage(LinkOutage {
+        from: NodeId(0),
+        to: BODY,
+        start: SimTime::from_millis(2),
+        end: SimTime(u64::MAX),
+    }));
+    let first = sys.run_update();
+    // (A rule-less node reads closed from the moment it joins, so not even
+    // the driver notices.)
+    assert!(first.all_closed);
+    assert_eq!(
+        sys.peer(BODY).unwrap().session_table_len(),
+        1,
+        "the body node never retired the session"
+    );
+    assert_eq!(rows(&sys, HEAD, "h"), 20);
+    let (_, held) = sys.peer(HEAD).unwrap().retained_entries();
+    assert_eq!(
+        held, 1,
+        "the head retired the session and holds the fragment"
+    );
+
+    sys.set_fault(FaultPlan::none());
+    for x in 100..103 {
+        sys.insert(BODY, "b", vec![Val::Int(x), Val::Int(x)])
+            .unwrap();
+    }
+    let before = sys.net_stats().sent_of_kind("Query");
+    let second = sys.run_update();
+    assert!(second.all_closed && second.errors.is_empty(), "{second:?}");
+    assert_eq!(
+        sys.net_stats().sent_of_kind("Query"),
+        before,
+        "nobody asked"
+    );
+    assert_eq!(rows(&sys, HEAD, "h"), 23);
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
 }
 
 /// A head that restarts without its data says so in its next `Query`, and

@@ -94,6 +94,7 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                     rows,
                     complete: round % 2 == 0,
                     reopen: round % 3 == 0,
+                    pushed: round % 5 == 0,
                 },
                 2 => ProtocolMsg::WaveAnswerDelta {
                     session,

@@ -1,7 +1,9 @@
 //! A session costs what changed, not what exists: on a long-lived system the
 //! rows a session ships follow the delta inserted before it, not the size
 //! the databases have grown to — because subscription cursors outlive the
-//! session. And durability costs what changed, too: what a durable peer
+//! session — and so do its messages: the cursors are standing
+//! subscriptions, so nobody asks again and nobody answers with nothing.
+//! And durability costs what changed, too: what a durable peer
 //! holds on disk and replays at a restart follows its state, not its
 //! history. Deterministic counts on the simulator, no timing.
 
@@ -10,7 +12,7 @@ use p2pdb::core::peer::DbPeer;
 use p2pdb::core::stats::PeerStats;
 use p2pdb::core::system::P2PSystem;
 use p2pdb::core::ProtocolMsg;
-use p2pdb::net::{ChurnPlan, Codec, ConstantLatency, SessionId, SimTime, Simulator};
+use p2pdb::net::{ChurnPlan, Codec, ConstantLatency, NetStats, SessionId, SimTime, Simulator};
 use p2pdb::storage::{
     FileBackend, MemoryBackend, PeerStorage, StorageBackend, StorageError, StorageResult,
 };
@@ -54,17 +56,36 @@ struct Cost {
     tuples_inserted: u64,
     resumed_answers: u64,
     messages: u64,
+    /// Sends by kind: `UpdateFlood`, `Query`, `Answer`, `Ack`, `Fixpoint`,
+    /// `CursorVoid`.
+    sent: [u64; 6],
+}
+
+const KINDS: [&str; 6] = [
+    "UpdateFlood",
+    "Query",
+    "Answer",
+    "Ack",
+    "Fixpoint",
+    "CursorVoid",
+];
+
+fn sent_by_kind(net: &NetStats) -> [u64; 6] {
+    KINDS.map(|kind| net.sent_of_kind(kind))
 }
 
 fn session(sys: &mut P2PSystem, before: &mut PeerStats) -> Cost {
+    let sent_before = sent_by_kind(sys.net_stats());
     let report = sys.run_update();
     assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
     let after = sys.sum_stats();
+    let sent_after = sent_by_kind(sys.net_stats());
     let cost = Cost {
         rows_shipped: after.rows_shipped - before.rows_shipped,
         tuples_inserted: after.tuples_inserted - before.tuples_inserted,
         resumed_answers: after.resumed_answers - before.resumed_answers,
         messages: report.messages,
+        sent: std::array::from_fn(|i| sent_after[i] - sent_before[i]),
     };
     *before = after;
     cost
@@ -75,6 +96,7 @@ fn thirty_sessions_of_two_publications_ship_the_delta_not_the_database() {
     let mut sys = ring(false);
     let mut baseline = ring(true);
     let rules = sys.rules().len();
+    let n = u64::from(NODES);
     let mut fresh = DblpGenerator::new(0x5e55_1075);
     let (mut seen, mut seen_baseline) = (PeerStats::default(), PeerStats::default());
     let mut costs = Vec::new();
@@ -95,12 +117,41 @@ fn thirty_sessions_of_two_publications_ship_the_delta_not_the_database() {
 
         let cost = session(&mut sys, &mut seen);
         let full = session(&mut baseline, &mut seen_baseline);
+        // The paper's skeleton, every session: the start request forwarded
+        // along every pipe on top of the roster send, every fragment asked
+        // for again.
+        let [floods, queries, _, _, fixpoints, notices] = full.sent;
         assert_eq!(
-            cost.messages, full.messages,
-            "session {k}: the skeleton of queries, answers, acks and the \
-             broadcast is the paper-faithful one; only the row sets shrink"
+            (floods, queries, fixpoints, notices),
+            (19, rules as u64, n - 1, 0),
+            "session {k}, paper-faithful"
         );
         assert_eq!(full.resumed_answers, 0, "the baseline keeps no cursor");
+        // By default only the first contact asks; from then on a session is
+        // the start request once per node, an answer where there are rows,
+        // one acknowledgement for each of those, and the broadcast.
+        let [floods, queries, answers, acks, fixpoints, notices] = cost.sent;
+        assert_eq!(
+            (floods, fixpoints, notices),
+            (n - 1, n - 1, 0),
+            "session {k}"
+        );
+        assert_eq!(
+            queries,
+            if k == 0 { rules as u64 } else { 0 },
+            "session {k}"
+        );
+        assert_eq!(acks, floods + queries + answers, "session {k}");
+        assert_eq!(
+            cost.messages,
+            1 + floods + queries + answers + acks + fixpoints
+        );
+        if k > 0 {
+            assert!(
+                answers > 0 && answers <= rules as u64,
+                "session {k}: {answers}"
+            );
+        }
         assert!(
             sys.snapshot().equivalent(&sys.oracle().unwrap()),
             "session {k}: fix-point differs from the oracle"
@@ -156,6 +207,97 @@ fn thirty_sessions_of_two_publications_ship_the_delta_not_the_database() {
         last.rows_shipped,
         first.rows_shipped
     );
+
+    // A session with nothing new is its skeleton and nothing else: the
+    // injected start command, then flood, its acknowledgement and the
+    // broadcast, once per other node.
+    let idle = session(&mut sys, &mut seen);
+    assert_eq!(idle.sent, [n - 1, 0, 0, n - 1, n - 1, 0]);
+    assert_eq!(idle.messages, 1 + 3 * (n - 1));
+    assert_eq!((idle.rows_shipped, idle.tuples_inserted), (0, 0));
+
+    // The paper-faithful twin is message for message what it was before
+    // the default protocol learned to keep quiet: the totals of this very
+    // script at the parent of the commit that introduced standing
+    // subscriptions. (Bytes depend on the order symbols are interned in,
+    // which other tests of this process share; the integer-only chain in
+    // `mediator_and_ds` pins those.)
+    let net = baseline.net_stats();
+    assert_eq!(sent_by_kind(net), [570, 390, 504, 1464, 210, 0]);
+    assert_eq!(net.total_messages, 3168);
+}
+
+/// Silence is never ambiguous: a body node that lost its cursors says so.
+/// The first session after a durable peer's crash carries its notice to
+/// each of its pipes, and what is asked again — in full — is that node's
+/// fragments and nothing else: by its heads because of the notice, and by
+/// the node itself, whose own `held` marks went with the crash. The session
+/// after that is quiet again.
+#[test]
+fn first_session_after_a_crash_carries_the_notice_and_requeries_that_node_only() {
+    let mut b = build_system(&WorkloadConfig {
+        topology: Topology::Ring { n: NODES },
+        records_per_node: 40,
+        distribution: Distribution::Disjoint,
+        seed: 3,
+    })
+    .unwrap();
+    b.config_mut().durability = true;
+    let mut sys = b.build().unwrap();
+    let victim = NodeId(3);
+    let mut seen = PeerStats::default();
+    session(&mut sys, &mut seen);
+    assert_eq!(session(&mut sys, &mut seen).sent[1], 0, "settled: no query");
+
+    // The crash and the restart (with its resync) happen long after the
+    // next session's fix-point, inside the same run.
+    sys.set_churn(ChurnPlan::none().with_crash(
+        victim,
+        SimTime::from_millis(60_000),
+        SimTime::from_millis(60_001),
+    ));
+    // (The victim forgets that session with everything else, so this run
+    // does not read as closed everywhere.)
+    assert!(sys.run_update().errors.is_empty());
+    seen = sys.sum_stats();
+    assert_eq!(seen.crashes, 1);
+
+    let rules = sys.rules().clone();
+    let edges = || (rules.iter()).flat_map(|r| r.parts.iter().map(move |p| (r.head_node, p.node)));
+    let fragments = |pick: &dyn Fn(NodeId, NodeId) -> bool| {
+        edges().filter(|(head, body)| pick(*head, *body)).count() as u64
+    };
+    let served = fragments(&|head, body| body == victim && head != victim);
+    let headed = fragments(&|head, _| head == victim);
+    assert!(served > 0 && headed > 0);
+    // deg(victim): the other end of every rule it heads or serves.
+    let pipes: std::collections::BTreeSet<NodeId> = edges()
+        .filter(|(head, body)| (*head == victim) != (*body == victim))
+        .map(|(head, body)| if head == victim { body } else { head })
+        .collect();
+    let queries_before: BTreeMap<NodeId, u64> = (sys.net_stats().per_node.iter())
+        .map(|(id, n)| (*id, n.sent_by_kind.get("Query").copied().unwrap_or(0)))
+        .collect();
+
+    let after_crash = session(&mut sys, &mut seen);
+    let [floods, queries, _, _, fixpoints, notices] = after_crash.sent;
+    let n = u64::from(NODES);
+    assert_eq!((floods, fixpoints), (n - 1, n - 1));
+    assert_eq!(notices, pipes.len() as u64, "one notice per pipe");
+    assert_eq!(queries, served + headed);
+    for (id, node) in &sys.net_stats().per_node {
+        let asked = node.sent_by_kind.get("Query").copied().unwrap_or(0) - queries_before[id];
+        let expected = if *id == victim {
+            headed
+        } else {
+            fragments(&|head, body| head == *id && body == victim)
+        };
+        assert_eq!(asked, expected, "queries sent by {id}");
+    }
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+
+    let quiet = session(&mut sys, &mut seen);
+    assert_eq!(quiet.sent, [n - 1, 0, 0, n - 1, n - 1, 0]);
 }
 
 /// A `MemoryBackend` the test keeps a second handle on, to read what a
