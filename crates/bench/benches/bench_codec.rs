@@ -11,8 +11,9 @@ use p2p_bench::experiments::e18_codec;
 use p2p_bench::Scale;
 use p2p_core::codec::{decode_msg, encode_msg};
 use p2p_core::messages::{AnswerRows, ProtocolMsg};
-use p2p_core::rule::RuleId;
-use p2p_net::SessionId;
+use p2p_core::rule::{BodyPart, RuleId};
+use p2p_net::{Codec, SessionId, Wire};
+use p2p_relational::query::ast::{Atom, Term};
 use p2p_relational::{SymId, Tuple, Val};
 use p2p_topology::NodeId;
 use p2p_workload::DblpGenerator;
@@ -49,6 +50,28 @@ fn dblp_answer(rows: usize) -> ProtocolMsg {
     }
 }
 
+/// A first-contact query for a two-atom fragment with one constant.
+fn dblp_query() -> ProtocolMsg {
+    let var = |names: &[&str]| names.iter().map(Term::var).collect::<Vec<_>>();
+    let mut written = var(&["I", "A"]);
+    written.push(Term::Const(Val::str("open")));
+    ProtocolMsg::Query {
+        session: SessionId::new(NodeId(0), 1),
+        rule: RuleId(2),
+        part: BodyPart {
+            node: NodeId(3),
+            atoms: vec![
+                Atom::new("pub", var(&["I", "T", "Y"])),
+                Atom::new("wrote", written),
+            ],
+            local_constraints: vec![],
+            vars: ["I", "T", "Y", "A"].map(Arc::from).to_vec(),
+        },
+        sn: vec![NodeId(0), NodeId(1), NodeId(3)],
+        resume: false,
+    }
+}
+
 fn bench_codec(c: &mut Criterion) {
     let (table, summary) = e18_codec(Scale::Quick);
     println!("\nE18 — binary wire codec (whole-run ledger)\n");
@@ -77,6 +100,29 @@ fn bench_codec(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("decode_binary", rows), &rows, |b, _| {
             b.iter(|| black_box(decode_msg(&binary).expect("binary decode")))
         });
+    }
+    group.finish();
+
+    // What every in-process runtime pays per send: sizing, under either
+    // codec, without keeping the encoding. One sizing is tens of
+    // nanoseconds, so a timed iteration is 10 000 of them.
+    let mut group = c.benchmark_group("e18_measure_x10k");
+    group.sample_size(20);
+    let session = SessionId::new(NodeId(0), 1);
+    for (name, msg) in [
+        ("ack", ProtocolMsg::Ack { session }),
+        ("query", dblp_query()),
+        ("answer_20", dblp_answer(20)),
+    ] {
+        for (codec, label) in [(Codec::Json, "json"), (Codec::Binary, "binary")] {
+            group.bench_with_input(BenchmarkId::new(label, name), &msg, |b, msg| {
+                b.iter(|| {
+                    (0..10_000)
+                        .map(|_| black_box(msg).wire_size_with(codec))
+                        .sum::<usize>()
+                })
+            });
+        }
     }
     group.finish();
 }

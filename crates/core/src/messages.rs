@@ -405,7 +405,9 @@ impl Wire for ProtocolMsg {
     /// Codec-true size: JSON length under [`p2p_net::Codec::Json`], the
     /// specialized binary encoding's length under
     /// [`p2p_net::Codec::Binary`]. Either way the measurement is one
-    /// encode pass; the runtimes call this once per send.
+    /// encode pass; the runtimes call this once per send. The JSON length
+    /// is counted as the message streams by — no text, no allocation; the
+    /// binary length is that of the frame, which is built and dropped.
     fn wire_size_with(&self, codec: p2p_net::Codec) -> usize {
         match codec {
             p2p_net::Codec::Json => self.wire_size(),

@@ -78,7 +78,9 @@ pub trait Wire: Clone + fmt::Debug + Send + 'static {
     /// codec and reports [`Wire::wire_size`]; message types that support
     /// the binary codec override this to report the codec-true length.
     /// The runtimes call it **once per send** and carry the result on the
-    /// envelope — implementations are the single measurement point.
+    /// envelope — implementations are the single measurement point. Under
+    /// [`Codec::Json`](crate::codec::Codec) that is [`encoded_wire_size`],
+    /// which allocates nothing; a binary length is the encoded frame's.
     fn wire_size_with(&self, codec: crate::codec::Codec) -> usize {
         let _ = codec;
         self.wire_size()
@@ -99,8 +101,9 @@ pub trait Wire: Clone + fmt::Debug + Send + 'static {
 /// accounting, bandwidth-aware latency and the experiments all see what a
 /// real transport would carry.
 ///
-/// The length comes out of the serializer's single counting pass (protocol
-/// messages carry no floats, so the encoder cannot fail), and each call
+/// The message streams itself into the JSON writer's byte counter: one
+/// walk, no text, no tree and **no allocation** (protocol messages carry no
+/// floats and nest a few levels, so the encoder cannot fail). Each call
 /// registers one encode pass with [`crate::codec::encode_passes`] — the
 /// hook the hot-path regression tests use to prove messages are measured
 /// once per send, not re-serialized at every hop.

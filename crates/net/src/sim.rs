@@ -40,7 +40,13 @@
 //!
 //! Peers themselves sit in a dense `Vec` indexed by a `NodeId → slot` table,
 //! so the per-delivery peer lookup is two array loads instead of a
-//! `BTreeMap` walk.
+//! `BTreeMap` walk. The pipe tails sit in one hash table keyed by the
+//! `(from, to)` pair under the workspace's Fx hasher: a 10k-peer session
+//! touches ~100k pipes and every message looks its pipe up on send and on
+//! delivery, which as an ordered map was 17 levels of pointer chasing each
+//! time. The table is never iterated, and pairs are keyed by `NodeId` — not
+//! by peer slot — so a sender or receiver the simulator hosts no peer for
+//! (the external driver, a node that left) keeps its FIFO floor too.
 
 use crate::codec::Codec;
 use crate::fault::{FaultDecision, FaultPlan};
@@ -48,9 +54,10 @@ use crate::latency::LatencyModel;
 use crate::message::{SimTime, Wire};
 use crate::stats::NetStats;
 use crate::trace::{Trace, TraceEntry};
+use p2p_topology::fxhash::FxHashMap;
 use p2p_topology::NodeId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A protocol participant. One instance per node; handlers are atomic (run
@@ -269,7 +276,9 @@ pub struct Simulator<M: Wire, P: Peer<M>> {
     next_msg_id: u64,
     max_events: u64,
     fifo_pipes: bool,
-    pipes: BTreeMap<(NodeId, NodeId), PipeTail>,
+    /// Hash-keyed, never iterated: a session touches ~100k pipes at 10k
+    /// peers and looks one up on every send and every delivery.
+    pipes: FxHashMap<(NodeId, NodeId), PipeTail>,
     /// Per-drain measurement memo: `(payload address, measured size)` of
     /// already-encoded payloads, so a fan-out is serialized once. Addresses
     /// are stored as `usize` (never dereferenced) and the memo never
@@ -301,7 +310,7 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
             next_msg_id: 0,
             max_events: 10_000_000,
             fifo_pipes: true,
-            pipes: BTreeMap::new(),
+            pipes: FxHashMap::default(),
             measured: Vec::new(),
             codec: Codec::default(),
         }
@@ -1096,6 +1105,63 @@ mod tests {
         }
         // One payload measured once, reused for the 7 other receivers.
         assert_eq!(sim.stats().shared_payload_sends, 7);
+    }
+
+    /// The pipe table under a sender with far more than 1 000 pipes (the
+    /// root's roster fan-out): every pipe keeps its own FIFO floor — a
+    /// message sent after a delayed one waits for it instead of overtaking
+    /// — and its own tail slot, so the three messages of one pipe that end
+    /// up due at one instant share a heap entry, round after round.
+    #[test]
+    fn wide_fan_out_keeps_per_pipe_floors_and_batches() {
+        const LEAVES: u32 = 1_500;
+        enum Node {
+            Hub,
+            Leaf(Vec<u32>),
+        }
+        impl Peer<Ping> for Node {
+            fn on_message(&mut self, _from: NodeId, msg: Ping, ctx: &mut Context<Ping>) {
+                match self {
+                    Node::Hub => {
+                        for leaf in (1..=LEAVES).map(NodeId) {
+                            ctx.send_after(SimTime(50), leaf, Ping(1));
+                            ctx.send(leaf, Ping(2));
+                            ctx.send(leaf, Ping(3));
+                        }
+                    }
+                    Node::Leaf(got) => got.push(msg.0),
+                }
+            }
+        }
+        let mut sim: Simulator<Ping, Node> = Simulator::new(Box::new(ConstantLatency(SimTime(7))));
+        sim.add_peer(NodeId(0), Node::Hub);
+        for i in 1..=LEAVES {
+            sim.add_peer(NodeId(i), Node::Leaf(vec![]));
+        }
+        for round in 1..=2u32 {
+            let start = sim.now();
+            sim.inject(NodeId(LEAVES + 1), NodeId(0), Ping(0));
+            assert!(sim.step(), "the trigger reaches the hub");
+            assert_eq!(sim.heap.len(), LEAVES as usize, "one batch per pipe");
+            assert_eq!(sim.pipes.len(), LEAVES as usize + 1);
+            let o = sim.run();
+            assert!(o.quiescent);
+            assert_eq!(o.delivered, 3 * u64::from(LEAVES));
+            // Trigger latency, then the delayed message's 50 + 7; the two
+            // undelayed ones were floored to it.
+            assert_eq!(o.virtual_time, start + SimTime(7 + 50 + 7));
+            for i in 1..=LEAVES {
+                match sim.peer(NodeId(i)).unwrap() {
+                    Node::Leaf(got) => assert_eq!(got.len(), 3 * round as usize),
+                    Node::Hub => unreachable!(),
+                }
+            }
+        }
+        match sim.peer(NodeId(LEAVES)).unwrap() {
+            Node::Leaf(got) => assert_eq!(got, &[1, 2, 3, 1, 2, 3]),
+            Node::Hub => unreachable!(),
+        }
+        assert_eq!(sim.stats().dropped, 0);
     }
 
     /// The event arena recycles slots: a long run keeps the arena small

@@ -62,7 +62,6 @@ pub mod catalog;
 pub mod chase;
 pub mod database;
 pub mod error;
-pub mod fxhash;
 pub mod hom;
 pub mod query;
 pub mod relation;
@@ -73,7 +72,7 @@ pub mod value;
 pub use catalog::{ConstCatalog, SymId, SymRemap};
 pub use database::Database;
 pub use error::{Error, Result};
-pub use fxhash::{fx_hash, FxHashMap, FxHashSet};
+pub use p2p_topology::fxhash::{self, fx_hash, FxHashMap, FxHashSet};
 pub use relation::{key_hash, Index, Relation};
 pub use schema::{ColumnType, DatabaseSchema, RelationSchema};
 pub use tuple::Tuple;

@@ -1,7 +1,7 @@
 //! Abstract syntax for conjunctive queries and rule formulas.
 
 use crate::value::{Val, Value};
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -24,11 +24,19 @@ pub enum Term {
 // without prior dictionary sync, and the wire accounting pays for the
 // string honestly. Deserialization re-interns.
 impl Serialize for Term {
-    fn to_content(&self) -> Content {
+    fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
+        out.map_begin(1)?;
         match self {
-            Term::Var(v) => Content::Map(vec![("Var".to_string(), v.to_content())]),
-            Term::Const(c) => Content::Map(vec![("Const".to_string(), c.to_value().to_content())]),
+            Term::Var(v) => {
+                out.map_key("Var")?;
+                v.serialize(out)?;
+            }
+            Term::Const(c) => {
+                out.map_key("Const")?;
+                c.to_value().serialize(out)?;
+            }
         }
+        out.map_end()
     }
 }
 

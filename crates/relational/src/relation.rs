@@ -18,7 +18,7 @@ use crate::fxhash::{fx_hash, FxHashMap};
 use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 use crate::value::Val;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::fmt;
 
 /// Hashes one row slice (used for membership buckets).
@@ -276,15 +276,17 @@ impl ExactSizeIterator for RowIter<'_> {}
 // read. The old derived form additionally serialized a `present` set — a
 // byte-for-byte duplicate of every tuple that roughly doubled snapshots.
 impl Serialize for Relation {
-    fn to_content(&self) -> Content {
-        let rows: Vec<Content> = self
-            .iter()
-            .map(|row| Content::Seq(row.iter().map(|v| v.to_content()).collect()))
-            .collect();
-        Content::Map(vec![
-            ("schema".to_string(), self.schema.to_content()),
-            ("rows".to_string(), Content::Seq(rows)),
-        ])
+    fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
+        out.map_begin(2)?;
+        out.map_key("schema")?;
+        self.schema.serialize(out)?;
+        out.map_key("rows")?;
+        out.seq_begin(self.len)?;
+        for row in self.iter() {
+            row.serialize(out)?;
+        }
+        out.seq_end()?;
+        out.map_end()
     }
 }
 

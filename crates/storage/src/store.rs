@@ -7,7 +7,7 @@ use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
 use p2p_relational::{ConstCatalog, Database, SymId, SymRemap, Tuple, Val};
 use p2p_topology::NodeId;
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -51,15 +51,21 @@ struct SnapshotRef<'a> {
 }
 
 impl Serialize for SnapshotRef<'_> {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("nulls_next".to_string(), self.nulls_next.to_content()),
-            ("depths".to_string(), self.depths.to_content()),
-            ("catalog".to_string(), self.catalog.to_content()),
-            ("marks".to_string(), self.marks.to_content()),
-            ("last_session".to_string(), self.last_session.to_content()),
-            ("db".to_string(), self.db.to_content()),
-        ])
+    fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
+        out.map_begin(6)?;
+        out.map_key("nulls_next")?;
+        self.nulls_next.serialize(out)?;
+        out.map_key("depths")?;
+        self.depths.serialize(out)?;
+        out.map_key("catalog")?;
+        self.catalog.serialize(out)?;
+        out.map_key("marks")?;
+        self.marks.serialize(out)?;
+        out.map_key("last_session")?;
+        self.last_session.serialize(out)?;
+        out.map_key("db")?;
+        self.db.serialize(out)?;
+        out.map_end()
     }
 }
 
@@ -866,7 +872,7 @@ mod tests {
         assert!(!text.contains("present"));
 
         // Reconstruct the old duplicated form and compare sizes.
-        let old_form = match snap.to_content() {
+        let old_form = match snap.to_content().unwrap() {
             Content::Map(mut fields) => {
                 for (_, v) in fields.iter_mut() {
                     duplicate_rows_as_present(v);
@@ -937,6 +943,7 @@ mod tests {
             binpack::to_bytes(&borrowed).unwrap(),
             binpack::to_bytes(&owned).unwrap()
         );
+        assert_eq!(borrowed.to_content().unwrap(), owned.to_content().unwrap());
     }
 
     #[test]

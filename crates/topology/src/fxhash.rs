@@ -1,12 +1,13 @@
-//! A fast, non-cryptographic hasher for the join/membership hot paths.
+//! A fast, non-cryptographic hasher for the join/membership hot paths and
+//! the simulator's per-message pipe lookup.
 //!
-//! The data plane hashes fixed-width [`crate::Val`] words constantly: every
+//! The data plane hashes fixed-width `Val` words constantly: every
 //! membership probe, every join-index build, every dedup. The standard
 //! library's SipHash is DoS-resistant but pays for it per word; this is the
 //! Fowler-style multiply-rotate scheme popularised by rustc (`FxHash`),
 //! which is 2–4× faster on short keys. Keys here are not
-//! attacker-controlled (they come from the operator's own databases), so
-//! the trade is sound.
+//! attacker-controlled (they come from the operator's own databases and
+//! its own node ids), so the trade is sound.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -20,10 +20,15 @@
 //!   (the premise of Theorem 3);
 //! * [`scc`] — Tarjan strongly-connected components, acyclicity tests and
 //!   topological order (needed by the acyclic baseline of Halevy et al.).
+//!
+//! As the crate every other one builds on, it also carries the workspace's
+//! non-cryptographic hasher, [`fxhash`] (the relational data plane and the
+//! simulator's pipe table key with it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fxhash;
 pub mod generators;
 pub mod graph;
 pub mod paths;

@@ -3,16 +3,25 @@
 //! the binary codec **byte-for-byte** — encode → decode → re-encode yields
 //! identical bytes — and (b) decode to exactly the value the JSON path
 //! produces, including foreign-dictionary `SymRemap` on recovery.
+//!
+//! And for the serializer under both codecs: what a value *streams* into a
+//! sink is, byte for byte, what its `Content` tree renders to — compact and
+//! pretty JSON, the counted length, the binary document — the two fail on
+//! exactly the same inputs, and every output still decodes.
 
 use p2pdb::core::codec::{decode_msg, encode_msg};
 use p2pdb::core::messages::{AnswerRows, ProtocolMsg};
+use p2pdb::core::netfile::{NetworkFile, NodeDecl, RuleDecl};
 use p2pdb::core::rule::RuleId;
-use p2pdb::net::{Codec, SessionId};
+use p2pdb::core::stats::PeerStats;
+use p2pdb::net::{Codec, NetStats, SessionId};
 use p2pdb::relational::value::NullId;
+use p2pdb::relational::Value;
 use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, SymId, Tuple, Val};
 use p2pdb::storage::{DatabaseSnapshot, FragmentMark, MemoryBackend, PeerStorage, WalRecord};
 use p2pdb::topology::NodeId;
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -254,8 +263,168 @@ fn snapshot() -> impl Strategy<Value = DatabaseSnapshot> {
         })
 }
 
+/// A rule file as the super-peer reads and re-exports it: named and
+/// unnamed nodes, base data in the boundary `Value` form, strings that
+/// need every kind of JSON escape.
+fn network_file() -> impl Strategy<Value = NetworkFile> {
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0u8..9, 0..12).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|k| ["a", "Ż", "\"", "\\", "\n", "\u{1}", "😀", " ", "/"][k as usize])
+                .collect()
+        })
+    }
+    let row = proptest::collection::vec((val(), 0u16..600), 0..4).prop_map(|vals| {
+        vals.into_iter()
+            .map(|(v, n)| match v {
+                Val::Sym(_) => Value::Str(Arc::from(format!("net-{n}"))),
+                other => other.to_value(),
+            })
+            .collect::<Vec<Value>>()
+    });
+    let node = (
+        any::<u32>(),
+        proptest::option::of(text()),
+        proptest::collection::vec((0u8..4, proptest::collection::vec(row, 0..4)), 0..3),
+    )
+        .prop_map(|(id, name, relations)| NodeDecl {
+            id,
+            name,
+            schema: "a(x: int, y: int).".into(),
+            data: relations
+                .into_iter()
+                .map(|(k, rows)| (format!("rel{k}"), rows))
+                .collect(),
+        });
+    (
+        any::<u32>(),
+        proptest::collection::vec(node, 0..4),
+        proptest::collection::vec((text(), text()), 0..4),
+    )
+        .prop_map(|(super_peer, nodes, rules)| NetworkFile {
+            super_peer,
+            nodes,
+            rules: rules
+                .into_iter()
+                .map(|(name, text)| RuleDecl { name, text })
+                .collect(),
+        })
+}
+
+/// Transport statistics; with `keyed_by_session` the per-session table is
+/// filled, whose `SessionId` keys no sink can render — an encode error on
+/// every path, where it used to be a panic.
+fn net_stats() -> impl Strategy<Value = NetStats> {
+    (
+        proptest::collection::vec((0u32..50, 0u8..4, 1usize..5000), 0..12),
+        session(),
+        any::<bool>(),
+    )
+        .prop_map(|(sends, session, keyed_by_session)| {
+            let mut stats = NetStats::default();
+            for (node, kind, size) in sends {
+                let kind = ["Query", "Answer", "Ack", "odd \"kind\""][kind as usize];
+                stats.record_send(NodeId(node), kind, size);
+                stats.record_delivery(NodeId(node), size, keyed_by_session.then_some(session));
+            }
+            stats
+        })
+}
+
+fn peer_stats() -> impl Strategy<Value = PeerStats> {
+    (any::<u64>(), any::<u64>(), 0u64..1000).prop_map(|(a, b, c)| PeerStats {
+        queries_received: a,
+        answers_sent: b,
+        duplicate_queries: c,
+        ..PeerStats::default()
+    })
+}
+
+/// Floats, finite and not, at the root, in sequences and under map keys
+/// (no protocol or storage type carries one; the benchmark's reports do).
+fn floats() -> impl Strategy<Value = (f64, Vec<f32>, BTreeMap<i64, Option<f64>>)> {
+    fn float() -> impl Strategy<Value = f64> {
+        (0u8..8, any::<i64>()).prop_map(|(kind, bits)| match kind {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => bits as f64 * 1e290,
+            4 => bits as f64 / 1024.0,
+            _ => (bits % 1000) as f64,
+        })
+    }
+    (
+        float(),
+        proptest::collection::vec(float().prop_map(|f| f as f32), 0..4),
+        proptest::collection::vec((any::<i64>(), proptest::option::of(float())), 0..4)
+            .prop_map(|entries| entries.into_iter().collect()),
+    )
+}
+
+/// Streamed ≡ tree: every encoder gives, for `v`, exactly what it gives for
+/// `v`'s `Content` tree — or fails exactly when that fails — and what it
+/// gives decodes to a value that encodes the same again.
+fn streams_like_its_tree<T: Serialize + Deserialize>(v: &T) -> Result<(), TestCaseError> {
+    let text = serde_json::to_string(v).ok();
+    let pretty = serde_json::to_string_pretty(v).ok();
+    let bytes = binpack::to_bytes(v).ok();
+    prop_assert_eq!(
+        serde_json::encoded_len(v).ok(),
+        text.as_ref().map(String::len)
+    );
+    match v.to_content() {
+        Ok(tree) => {
+            prop_assert_eq!(&text, &serde_json::to_string(&tree).ok());
+            prop_assert_eq!(&pretty, &serde_json::to_string_pretty(&tree).ok());
+            prop_assert_eq!(&bytes, &binpack::content_to_bytes(&tree).ok());
+            // Both codecs refuse the same values.
+            prop_assert_eq!(text.is_some(), pretty.is_some());
+            prop_assert_eq!(text.is_some(), bytes.is_some());
+        }
+        // A map key no sink can render: nothing encodes.
+        Err(_) => prop_assert!(text.is_none() && pretty.is_none() && bytes.is_none()),
+    }
+    if let (Some(text), Some(pretty), Some(bytes)) = (text, pretty, bytes) {
+        for json in [&text, &pretty] {
+            let back: T =
+                serde_json::from_str(json).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(&serde_json::to_string(&back).unwrap(), &text);
+        }
+        let back: T =
+            binpack::from_bytes(&bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(binpack::to_bytes(&back).unwrap(), bytes);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn messages_stream_like_their_trees(msg in msg()) {
+        streams_like_its_tree(&msg)?;
+    }
+
+    #[test]
+    fn storage_documents_stream_like_their_trees(rec in wal_record(), snap in snapshot()) {
+        streams_like_its_tree(&rec)?;
+        streams_like_its_tree(&snap)?;
+    }
+
+    #[test]
+    fn files_and_reports_stream_like_their_trees(
+        file in network_file(),
+        net in net_stats(),
+        peer in peer_stats(),
+        floats in floats(),
+    ) {
+        streams_like_its_tree(&file)?;
+        prop_assert_eq!(&NetworkFile::from_json(&file.to_json()).unwrap(), &file);
+        streams_like_its_tree(&net)?;
+        streams_like_its_tree(&peer)?;
+        streams_like_its_tree(&floats)?;
+    }
 
     /// Binary encode → decode → re-encode is byte-for-byte stable, and the
     /// decoded message is (observed through JSON, the codec-independent
