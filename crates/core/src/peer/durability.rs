@@ -1,22 +1,34 @@
-//! Durable peers: WAL logging, crash wipe, storage recovery and the
-//! watermark-based resync protocol.
+//! Durable peers: WAL logging, crash wipe, storage recovery, and a restart
+//! that resumes its subscriptions on both ends through the watermark-based
+//! resync protocol.
 //!
 //! With [`crate::config::SystemConfig::durability`] on, every peer owns a
-//! [`p2p_storage::PeerStorage`] and logs two kinds of events as they
-//! happen, atomically with the handler that caused them:
+//! [`p2p_storage::PeerStorage`] and logs what its subscriptions rest on as
+//! it happens, atomically with the handler that caused it:
 //!
 //! * every fact the update algorithm inserts
 //!   ([`p2p_storage::WalRecord::Insert`], written from
 //!   [`DbPeer::apply_rule_bindings`]);
-//! * every fragment answer it processes
+//! * head side, every fragment answer it processes
 //!   ([`p2p_storage::WalRecord::Answer`]): the answerer's watermarks of the
 //!   fragment's relations (the **resync cursor**) and — for a rule with
 //!   more than one body node, whose head retains fragment rows in
-//!   `DbPeer::fragments` — the rows, so that state can be rebuilt.
+//!   `DbPeer::fragments` — the rows, so that state can be rebuilt. The
+//!   mark follows the insertions the answer derived, never the other way
+//!   round: wherever the log is cut, a mark it holds vouches for rows whose
+//!   derivations it holds too. Replacing or deleting the rule forgets its
+//!   marks ([`p2p_storage::WalRecord::ForgetRule`]);
+//! * body side, every move of a cursor a subscriber may come to rely on
+//!   ([`p2p_storage::WalRecord::Cursor`], from `DbPeer::set_cursor` and
+//!   `DbPeer::drop_cursor`): the zero cursor when a subscription starts from
+//!   scratch — before the answer leaves — the advance when a retired
+//!   session that shipped rows commits it, the removal on `Unsubscribe`.
+//!   The fragment rides as an opaque document in a key's first record only.
 //!
 //! When the store reports a checkpoint as due the peer snapshots its
 //! database right there; the store adds the answer log folded to one mark
-//! per `(rule, body node)` and drops the frames the snapshot covers.
+//! per `(rule, body node)` and the cursor log folded to one cursor per
+//! `(subscriber, rule)`, and drops the frames the snapshot covers.
 //!
 //! ## Crash and recovery
 //!
@@ -32,24 +44,41 @@
 //!
 //! At restart ([`DbPeer::restart_and_resync`]) the peer replays
 //! `snapshot + WAL` into a database **tuple-identical** to the pre-crash
-//! one (soundness of recovery), primes `DbPeer::fragments` from the
-//! recovered fragment marks — whatever sessions carried the answers — and
-//! sends one
+//! one (soundness of recovery) — once: a restarted process keeps what
+//! [`DbPeer::attach_storage`] replayed — and resumes its subscriptions on
+//! both ends, so that a crash costs what was at risk, not what is held.
+//!
+//! **As a body node** it takes back the cursors its store holds. Each was
+//! committed behind Dijkstra–Scholten termination, when its subscriber had
+//! applied — and, durable itself, logged — every answer up to it, and the
+//! store never runs ahead of memory, so the invariant of [`crate::peer`]
+//! holds across the restart: *for every fragment a head holds, its body
+//! node's store has a cursor no further than what the head holds*. The
+//! next flood finds standing subscriptions and ships `(cursor, now]`. Only a
+//! peer that cannot vouch for its cursors — no store, a store that does not
+//! read back, a cursor that counts rows the recovered relation does not
+//! have — owes its pipe neighbours the cursor-void notice.
+//!
+//! **As a head** it primes `DbPeer::fragments` from the recovered fragment
+//! marks — whatever sessions carried the answers — and sends one
 //! [`crate::messages::ProtocolMsg::ResyncRequest`] per rule fragment,
 //! carrying the newest durably-processed watermark of that fragment's body
-//! node. The body node answers with a delta evaluation from exactly that
-//! watermark — the same machinery as the delta waves — so only facts
-//! inserted there *since the crash horizon* are re-shipped, never the full
-//! extension (completeness of recovery, at delta cost). FIFO pipes make the
-//! cursor sound: if the peer durably logged an answer with watermark `W`,
-//! it had processed every earlier answer of that subscription, and every
-//! subscription started from the full extension or from a cursor an earlier
-//! logged session committed, so everything it can possibly be missing is
-//! derivable from facts past `W`. The request also voids the body node's
-//! own cursor for this peer, so the session after a restart is answered in
-//! full once. And the restarted peer lost the cursors *it* served: it owes
-//! its pipe neighbours a cursor-void notice with the next flood it sees
-//! (see [`crate::peer`]), amnesiac or not.
+//! node. The body node answers with a delta evaluation — the same machinery
+//! as the delta waves — so only facts inserted there *since the crash
+//! horizon* are re-shipped, never the full extension (completeness of
+//! recovery, at delta cost). Under the default protocol it evaluates from
+//! the per-relation minimum of that claim and its own committed cursor
+//! (`DbPeer::on_resync_request` says why the claim alone may overshoot),
+//! leaves the cursor where it is, and the head holds the fragment again
+//! once it has absorbed the answer: no query follows. FIFO pipes make the
+//! rest sound: if the peer durably logged an answer with watermark `W`, it
+//! had processed every earlier answer of that subscription that reached
+//! it, and every subscription started from the full extension or from a
+//! cursor an earlier logged session committed, so everything it can
+//! possibly be missing is derivable from facts past the smaller of `W` and
+//! the cursor. In rounds mode and under `paper_faithful` nothing outlives
+//! a session, every session re-ships what it needs, and the request is
+//! answered from the claim as it always was.
 //!
 //! Liveness after a mid-wave crash is the driver's job: a crashed peer
 //! cannot echo, so the wave stalls and the simulator quiesces unclosed;
@@ -59,15 +88,50 @@
 
 use crate::config::UpdateMode;
 use crate::messages::{AnswerRows, ProtocolMsg};
-use crate::peer::{DbPeer, Marks};
+use crate::peer::{Cursor, DbPeer, Marks, SeededFault};
 use crate::rule::{BodyPart, RuleId};
 use p2p_net::{Context, SessionId};
 use p2p_relational::chase::ChaseState;
 use p2p_relational::{Database, NullFactory, Tuple};
-use p2p_storage::{FragmentMark, PeerStorage, StorageResult, WalRecord};
+use p2p_storage::{
+    CursorMark, FragmentMark, PeerStorage, RecoveredState, StorageResult, WalRecord,
+};
 use p2p_topology::NodeId;
+use serde::{Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// A peer's durable side: its store, and — from
+/// [`DbPeer::attach_storage`] until the restart hook resumes from it, so a
+/// restarted process reads its store once — what a store that already held
+/// state was replayed into.
+#[derive(Debug)]
+pub(crate) struct Durable {
+    store: PeerStorage,
+    replayed: Option<Replayed>,
+}
+
+/// What a replay of the attached store rebuilt besides the database: the
+/// subscription state of both ends, which a restart resumes from.
+#[derive(Debug)]
+struct Replayed {
+    /// Head side: one mark per `(raw rule id, body node)`.
+    marks: BTreeMap<(u32, NodeId), FragmentMark>,
+    /// Body side: one cursor per `(subscriber, raw rule id)`.
+    cursors: BTreeMap<(NodeId, u32), CursorMark>,
+    /// The newest session of the answer log (the resync tag).
+    last_session: SessionId,
+}
+
+/// What a processed fragment answer leaves in the write-ahead log, taken
+/// before the answer's rows are absorbed and logged after the insertions
+/// they derive ([`DbPeer::log_answer_mark`]).
+#[derive(Debug)]
+pub(crate) struct AnswerMark {
+    vars: Vec<Arc<str>>,
+    rows: Vec<Tuple>,
+    watermarks: Marks,
+}
 
 impl DbPeer {
     /// Attaches a durable store. A fresh store gets the initial snapshot
@@ -77,25 +141,57 @@ impl DbPeer {
     /// instead: the disk is the truth, and checkpointing this peer's base
     /// data over it would silently amputate every previously logged fact
     /// from recovery.
-    pub fn attach_storage(&mut self, mut storage: PeerStorage) -> StorageResult<()> {
-        match storage.recover(self.id.0)? {
+    ///
+    /// What the replay rebuilt besides the database is kept for the restart
+    /// hook (`DbPeer::restart_and_resync`), so a restarted process reads
+    /// its store once.
+    pub fn attach_storage(&mut self, mut store: PeerStorage) -> StorageResult<()> {
+        let replayed = match store.recover(self.id.0)? {
             Some(rec) => {
-                storage.adopt(&rec);
-                self.db = rec.db;
-                self.nulls = NullFactory::resume(self.id.0, rec.nulls_next);
-                for (id, depth) in rec.depths {
-                    self.chase.record(id, depth);
-                }
+                store.adopt(&rec);
+                Some(self.adopt_recovered(rec))
             }
-            None => storage.snapshot(&self.db, self.nulls.minted(), self.chase.export())?,
-        }
-        self.storage = Some(Box::new(storage));
+            None => {
+                store.snapshot(&self.db, self.nulls.minted(), self.chase.export())?;
+                None
+            }
+        };
+        self.storage = Some(Box::new(Durable { store, replayed }));
         Ok(())
+    }
+
+    /// Subscriptions outlive sessions here — cursors, `held` marks, standing
+    /// subscriptions — so a restart has something to resume (eager mode,
+    /// not `paper_faithful`).
+    fn keeps_subscriptions(&self) -> bool {
+        self.config.mode == UpdateMode::Eager && !self.config.paper_faithful
     }
 
     /// Whether a durable store is attached.
     pub fn has_storage(&self) -> bool {
         self.storage.is_some()
+    }
+
+    /// Whether the attached store already held state, which this peer
+    /// adopted and no restart has resumed from yet: the process is a
+    /// restarted one.
+    pub fn adopted_stored_state(&self) -> bool {
+        (self.storage.as_ref()).is_some_and(|st| st.replayed.is_some())
+    }
+
+    /// Takes a replayed store's database, null mint and chase depths as
+    /// this peer's own; returns the rest.
+    fn adopt_recovered(&mut self, rec: RecoveredState) -> Replayed {
+        self.db = rec.db;
+        self.nulls = NullFactory::resume(self.id.0, rec.nulls_next);
+        for (id, depth) in rec.depths {
+            self.chase.record(id, depth);
+        }
+        Replayed {
+            marks: rec.marks,
+            cursors: rec.cursors,
+            last_session: rec.last_session,
+        }
     }
 
     /// Inserts one base fact **durably**: into the live database and — when
@@ -125,45 +221,106 @@ impl DbPeer {
                 relation: relation.clone(),
                 tuple: tuple.clone(),
                 depths: self.chase.depths_for(tuple),
-                dict: st.first_use_dict(tuple.values()),
+                dict: st.store.first_use_dict(tuple.values()),
             };
             self.log(&record);
         }
     }
 
-    /// Write-ahead-logs one processed fragment answer: the session it
-    /// belongs to, the answerer's watermarks (resync cursor) and — for a
-    /// rule with more than one body node, whose head retains fragment rows
-    /// — the rows (cache rebuild). Payload-free acknowledgements (empty
-    /// `marks`) carry no durable information.
-    pub(crate) fn log_answer_mark(
-        &mut self,
-        sid: SessionId,
-        rule: RuleId,
-        from: NodeId,
-        rows: &AnswerRows,
-    ) {
-        let Some(st) = self.storage.as_mut() else {
-            return;
-        };
-        if rows.marks.is_empty() {
-            return;
+    /// What a fragment answer about to be absorbed will leave in the log:
+    /// the answerer's watermarks (resync cursor) and — for a rule with more
+    /// than one body node, whose head retains fragment rows — the rows
+    /// (cache rebuild). `None` without a store, and for payload-free
+    /// acknowledgements (empty `marks`), which carry no durable information.
+    pub(crate) fn answer_mark(&self, rule: RuleId, rows: &AnswerRows) -> Option<AnswerMark> {
+        if self.storage.is_none() || rows.marks.is_empty() {
+            return None;
         }
         let (vars, kept) = if self.rules.get(&rule).is_some_and(|r| r.parts.len() > 1) {
             (rows.vars.clone(), rows.rows.clone())
         } else {
             Default::default()
         };
+        Some(AnswerMark {
+            vars,
+            rows: kept,
+            watermarks: rows.marks.clone(),
+        })
+    }
+
+    /// Write-ahead-logs one processed fragment answer, **after** the
+    /// insertions it derived ([`DbPeer::absorb_fragment`] logs those): a log
+    /// cut anywhere, or a checkpoint taken anywhere, then never holds a mark
+    /// ahead of the database — a mark vouches for its rows' derivations,
+    /// and a restart trusts it.
+    pub(crate) fn log_answer_mark(
+        &mut self,
+        sid: SessionId,
+        rule: RuleId,
+        from: NodeId,
+        mark: Option<AnswerMark>,
+    ) {
+        let (Some(st), Some(mark)) = (self.storage.as_mut(), mark) else {
+            return;
+        };
         let record = WalRecord::Answer {
             session: sid,
             rule: rule.0,
             node: from,
-            dict: st.first_use_dict(kept.iter().flat_map(Tuple::values)),
-            vars,
-            rows: kept,
-            watermarks: rows.marks.clone(),
+            dict: (st.store).first_use_dict(mark.rows.iter().flat_map(Tuple::values)),
+            vars: mark.vars,
+            rows: mark.rows,
+            watermarks: mark.watermarks,
         };
         self.log(&record);
+    }
+
+    /// Sets the body-side cursor of `key` and write-ahead-logs it where a
+    /// subscriber may come to rely on the change: always when the fragment
+    /// is new for the key, and when the watermarks differ and `moved` says
+    /// the difference matters — a reset does; an advance over facts that
+    /// derived no row for the subscriber does not (resumed from the older
+    /// mark, the same facts derive nothing again). The fragment rides as an
+    /// opaque document in the key's first record only.
+    pub(crate) fn set_cursor(&mut self, key: (NodeId, RuleId), cursor: Cursor, moved: bool) {
+        let held = self.cursors.get(&key);
+        let new_part = held.is_none_or(|c| c.part != cursor.part);
+        let differs = held.is_none_or(|c| c.watermarks != cursor.watermarks);
+        if self.storage.is_some() && (new_part || (differs && moved)) {
+            let part = if new_part {
+                (cursor.part.to_content()).expect("a fragment is plain data")
+            } else {
+                Content::Null
+            };
+            let mark = CursorMark {
+                part,
+                watermarks: cursor.watermarks.clone(),
+                rows: cursor.rows,
+            };
+            self.log_cursor(key, Some(mark));
+        }
+        self.cursors.insert(key, cursor);
+    }
+
+    /// Drops the body-side cursor of `key`, durably.
+    pub(crate) fn drop_cursor(&mut self, key: (NodeId, RuleId)) {
+        if self.cursors.remove(&key).is_some() {
+            self.log_cursor(key, None);
+        }
+    }
+
+    fn log_cursor(&mut self, (subscriber, rule): (NodeId, RuleId), mark: Option<CursorMark>) {
+        self.log(&WalRecord::Cursor {
+            subscriber,
+            rule: rule.0,
+            mark,
+        });
+    }
+
+    /// Write-ahead-logs that `rule` was replaced or deleted here: the marks
+    /// of its answers are not the new rule's.
+    pub(crate) fn log_forget_rule(&mut self, rule: RuleId) {
+        self.log(&WalRecord::ForgetRule { rule: rule.0 });
     }
 
     /// Appends one record and checkpoints when the store says one is due.
@@ -171,13 +328,13 @@ impl DbPeer {
         let Some(st) = self.storage.as_mut() else {
             return;
         };
-        let due = match st.log(record) {
+        let due = match st.store.log(record) {
             Ok(due) => due,
             Err(e) => return self.fail(format!("WAL append failed: {e}")),
         };
         if due {
             let (nulls_next, depths) = (self.nulls.minted(), self.chase.export());
-            if let Err(e) = st.snapshot(&self.db, nulls_next, depths) {
+            if let Err(e) = st.store.snapshot(&self.db, nulls_next, depths) {
                 self.fail(format!("snapshot failed: {e}"));
             }
         }
@@ -217,6 +374,9 @@ impl DbPeer {
         self.void_owed = true;
         self.held.clear();
         self.fragments.clear();
+        if let Some(st) = self.storage.as_mut() {
+            st.replayed = None;
+        }
         self.nulls = NullFactory::new(self.id.0);
         self.chase = ChaseState::new();
         self.sessions.clear();
@@ -227,15 +387,43 @@ impl DbPeer {
         self.sym_sent.clear();
     }
 
-    /// Churn: the process comes back. Rebuilds the database from storage,
-    /// resumes the null mint past every pre-crash id, primes the retained
-    /// fragment state from the durable answer log, and asks every rule
-    /// fragment's body node for the delta since the newest
-    /// durably-processed watermark.
+    /// Restores the body side of the recovered subscriptions. A cursor is
+    /// taken back only if the recovered database vouches for it — its
+    /// fragment reads back and no watermark lies beyond the relation it
+    /// counts in. Returns whether every cursor was.
+    fn restore_cursors(&mut self, cursors: BTreeMap<(NodeId, u32), CursorMark>) -> bool {
+        let mut vouched = true;
+        for ((subscriber, rule), mark) in cursors {
+            let within = mark.watermarks.iter().all(|(relation, w)| {
+                (self.db.relation(relation)).is_ok_and(|stored| *w <= stored.len())
+            });
+            match BodyPart::from_content(&mark.part) {
+                Ok(part) if within => {
+                    let cursor = Cursor {
+                        part,
+                        watermarks: mark.watermarks,
+                        rows: mark.rows,
+                    };
+                    self.cursors.insert((subscriber, RuleId(rule)), cursor);
+                }
+                // Left in the store: every restart finds it wanting again,
+                // until the subscriber's fresh query replaces it.
+                _ => vouched = false,
+            }
+        }
+        vouched
+    }
+
+    /// Churn: the process comes back. Rebuilds the database from storage —
+    /// unless [`DbPeer::attach_storage`] just did — resumes the null mint
+    /// past every pre-crash id, takes back the cursors of the
+    /// subscriptions it serves, primes the retained fragment state from the
+    /// durable answer log, and asks every rule fragment's body node for
+    /// the delta since the newest durably-processed watermark.
     pub(crate) fn restart_and_resync(&mut self, ctx: &mut Context<ProtocolMsg>) {
-        // A process that comes back serves no cursor, whatever it committed
-        // before (a restarted `serve` process starts here, with no crash
-        // hook behind it).
+        // Whatever cursors this peer served, it can vouch for none of them
+        // until its store says otherwise (a restarted `serve` process
+        // starts here, with no crash hook behind it).
         self.void_owed = true;
         let Some(st) = self.storage.as_mut() else {
             // Amnesia baseline: without storage there is no durable state to
@@ -243,26 +431,38 @@ impl DbPeer {
             // lost everything and rejoins empty at the next session.
             return;
         };
+        let replayed = match st.replayed.take() {
+            Some(replayed) => Some(replayed),
+            None => match st.store.recover(self.id.0) {
+                Ok(Some(rec)) => {
+                    st.store.adopt(&rec);
+                    Some(self.adopt_recovered(rec))
+                }
+                Ok(None) => None,
+                Err(e) => {
+                    self.fail(format!("recovery failed: {e}"));
+                    None
+                }
+            },
+        };
         // Resync traffic travels under the newest logged session's tag (the
         // default tag when nothing was ever logged).
         let mut tag = SessionId::default();
         let mut marks = BTreeMap::new();
-        match st.recover(self.id.0) {
-            Ok(Some(rec)) => {
-                st.adopt(&rec);
-                self.db = rec.db;
-                self.nulls = NullFactory::resume(self.id.0, rec.nulls_next);
-                for (id, depth) in rec.depths {
-                    self.chase.record(id, depth);
-                }
-                tag = rec.last_session;
-                marks = rec.marks;
-                self.stats.recoveries += 1;
-            }
-            Ok(None) => {}
-            Err(e) => self.fail(format!("recovery failed: {e}")),
+        if let Some(replayed) = replayed {
+            self.stats.recoveries += 1;
+            tag = replayed.last_session;
+            marks = replayed.marks;
+            // The subscriptions go on where the store left them; only a
+            // peer that cannot say where that is owes its subscribers a
+            // notice.
+            self.void_owed = !self.restore_cursors(replayed.cursors);
         }
         let mut cursors = self.prime_fragments(marks);
+        let fault = self.armed_fault.take();
+        if fault == Some(SeededFault::RecoveredCursorsToNow) {
+            self.seed_fault(SeededFault::CursorsToNow);
+        }
 
         // Watermark-based resync (control plane, outside any session's
         // termination detector). Each request is tracked in
@@ -275,6 +475,10 @@ impl DbPeer {
         let rules: Vec<_> = self.rules.values().cloned().collect();
         for rule in &rules {
             for part in &rule.parts {
+                if fault == Some(SeededFault::HoldWithoutResync) {
+                    self.held.insert((rule.id, part.node));
+                    continue;
+                }
                 let since = cursors.remove(&(rule.id, part.node)).unwrap_or_default();
                 self.pending_resync
                     .insert((tag, rule.id, part.node), since.clone());
@@ -329,21 +533,30 @@ impl DbPeer {
         }
     }
 
-    /// Body-node side of resync: evaluate the fragment's delta past the
-    /// requester's durable watermark and ship it. An empty `since` (the
-    /// requester never durably processed an answer) degenerates to the full
-    /// extension — of this one fragment, never of the network. Answered
-    /// regardless of what this node holds for the session: repair is
-    /// control-plane data movement.
+    /// Body-node side of resync: evaluate the fragment's delta past what
+    /// the requester durably holds and ship it — of this one fragment, never
+    /// of the network. Answered regardless of what this node holds for the
+    /// session: repair is control-plane data movement.
     ///
-    /// A resync request also means the requester **lost its volatile
-    /// fragment state**: the cursor this node committed for that requester
-    /// and rule, and every delta subscription it holds for them in *any*
-    /// live session, are dropped, so the next session, wave or cascade
-    /// answer ships the full extension instead of a delta the requester
-    /// could not join soundly. (A delta joins against the full retained
-    /// extension; an answer stream resumed against a partially recovered
-    /// one would silently lose bindings.)
+    /// Where subscriptions outlive sessions (eager mode, not
+    /// `paper_faithful`) the requester's claim is not taken at its word: it
+    /// logs a mark when an answer *arrives*, so an earlier answer that was
+    /// dropped, then a crash, leave a mark beyond rows it never saw — while
+    /// this node's cursor was committed behind Dijkstra–Scholten
+    /// termination, when every answer up to it had been applied and logged.
+    /// The delta starts from the per-relation minimum of the two, the
+    /// cursor stays where it is, and the requester holds the fragment again
+    /// once it has absorbed the answer: the next session ships
+    /// `(cursor, now]`. Without a cursor for this very fragment the answer
+    /// is the full extension, and a zero cursor is left behind for the
+    /// subscription that answer starts (as `DbPeer::open_subscription`
+    /// does).
+    ///
+    /// Elsewhere nothing outlives a session but the requester's marks: an
+    /// empty `since` degenerates to the full extension, and every delta
+    /// subscription this node holds for the requester in a live session is
+    /// dropped, so the next wave or cascade answer is the full extension
+    /// rather than a delta the restarted requester has nothing to join to.
     pub(crate) fn on_resync_request(
         &mut self,
         from: NodeId,
@@ -354,12 +567,24 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.add_pipe(from);
-        self.cursors.remove(&(from, rule));
-        for st in self.sessions.values_mut() {
-            st.rnd.wave_subs.remove(&(from, rule));
-            st.upd.subs.remove(&(from, rule));
-        }
-        let rows = self.eval_part_delta_local(rule, &part, &since, ctx);
+        let rows = if !self.keeps_subscriptions() {
+            for st in self.sessions.values_mut() {
+                st.rnd.wave_subs.remove(&(from, rule));
+                st.upd.subs.remove(&(from, rule));
+            }
+            self.eval_part_delta_local(rule, &part, &since, ctx)
+        } else if let Some(cursor) = (self.cursors.get(&(from, rule))).filter(|c| c.part == part) {
+            let held: Marks = (since.into_iter())
+                .map(|(relation, w)| {
+                    let committed = cursor.watermarks.get(&relation).copied().unwrap_or(0);
+                    (relation, w.min(committed))
+                })
+                .collect();
+            self.eval_part_delta_local(rule, &part, &held, ctx)
+        } else {
+            self.set_cursor((from, rule), Cursor::zero(part.clone()), true);
+            self.eval_part_local(rule, &part, ctx)
+        };
         let payload = self.make_answer_rows(from, &part, rows);
         ctx.send(
             from,
@@ -371,12 +596,16 @@ impl DbPeer {
         );
     }
 
-    /// Requester side of resync: log the answer durably and absorb it like
-    /// any fragment answer — merged into the retained extension and joined
-    /// semi-naively against the primed other fragments — so the repair's
-    /// derivations land even without a driver re-drive. Insertions go
-    /// through the standard chase (and hence the WAL), so a crash *during*
-    /// recovery is itself recoverable.
+    /// Requester side of resync: absorb the answer like any fragment answer
+    /// — merged into the retained extension and joined semi-naively against
+    /// the primed other fragments — so the repair's derivations land even
+    /// without a driver re-drive, then log it. Insertions go through the
+    /// standard chase (and hence the WAL), so a crash *during* recovery is
+    /// itself recoverable. With the answer absorbed the peer holds the
+    /// fragment up to the body node's present, which is at or past the
+    /// cursor the body node kept: where subscriptions outlive sessions it
+    /// is `held` again. An answer nobody is waiting for — a duplicate, or
+    /// the rule changed since — is dropped.
     pub(crate) fn on_resync_answer(
         &mut self,
         sid: SessionId,
@@ -384,17 +613,23 @@ impl DbPeer {
         rule: RuleId,
         mut rows: AnswerRows,
     ) {
-        self.pending_resync.remove(&(sid, rule, from));
+        if self.pending_resync.remove(&(sid, rule, from)).is_none() {
+            return;
+        }
         self.stats.resync_rows += rows.rows.len() as u64;
         self.absorb_dict(from, &mut rows);
         self.absorb_null_depths(&rows);
-        self.log_answer_mark(sid, rule, from, &rows);
+        let mark = self.answer_mark(rule, &rows);
         if self.absorb_fragment(rule, from, &rows.vars, rows.rows) > 0 {
             // A wave that is under way here must not certify a clean round
             // over facts its earlier answers did not carry.
             for st in self.sessions.values_mut() {
                 st.rnd.dirty_self |= st.rnd.active;
             }
+        }
+        self.log_answer_mark(sid, rule, from, mark);
+        if self.keeps_subscriptions() {
+            self.held.insert((rule, from));
         }
         // Rounds sessions join against their own wave caches: there the
         // primed rows served the repair only.
@@ -597,17 +832,14 @@ mod tests {
         for (sid, v) in [(s2, 2i64), (s1, 1)] {
             let mut marks = BTreeMap::new();
             marks.insert(Arc::<str>::from("b"), v as usize);
-            peer.log_answer_mark(
-                sid,
-                rule_id,
-                NodeId(3),
-                &AnswerRows {
-                    vars: vec![Arc::from("X")],
-                    rows: vec![Tuple::new(vec![Val::Int(v)])],
-                    marks,
-                    ..Default::default()
-                },
-            );
+            let rows = AnswerRows {
+                vars: vec![Arc::from("X")],
+                rows: vec![Tuple::new(vec![Val::Int(v)])],
+                marks,
+                ..Default::default()
+            };
+            let mark = peer.answer_mark(rule_id, &rows);
+            peer.log_answer_mark(sid, rule_id, NodeId(3), mark);
         }
         peer.crash_volatile_state();
         assert_eq!(peer.retained_entries(), (0, 0), "crash wipes the state");
@@ -627,5 +859,212 @@ mod tests {
         };
         assert_eq!(*session, s2, "tagged with the newest logged session");
         assert_eq!(since[&Arc::<str>::from("b")], 2);
+    }
+
+    /// Regression: a rule replaced under its id kept its durable answer
+    /// mark — vars set once, rows accumulated, watermarks merged by maximum
+    /// — so a restart primed the *new* rule's fragment with the old rule's
+    /// rows and asked the body node for a delta past the old relation's
+    /// watermark.
+    #[test]
+    fn replaced_rule_does_not_prime_the_restart_with_the_old_fragment() {
+        let resolve = |s: &str| match s {
+            "A" => Some(NodeId(1)),
+            "B" => Some(NodeId(3)),
+            "C" => Some(NodeId(4)),
+            _ => None,
+        };
+        let parse =
+            |text: &str| crate::rule::CoordinationRule::parse("r", text, None, &resolve).unwrap();
+        let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
+        let mut peer = DbPeer::new(NodeId(1), Database::new(schema), durable_config());
+        let rule = parse("B:b(X), C:c(Y) => A:a(X,Y)");
+        let rule_id = rule.id;
+        peer.install_rule(rule);
+        let st = PeerStorage::new(Box::<p2p_storage::MemoryBackend>::default(), 0);
+        peer.attach_storage(st).unwrap();
+        let rows = AnswerRows {
+            vars: vec![Arc::from("X")],
+            rows: vec![Tuple::new(vec![Val::Int(1)])],
+            marks: [(Arc::<str>::from("b"), 9usize)].into_iter().collect(),
+            ..Default::default()
+        };
+        let mark = peer.answer_mark(rule_id, &rows);
+        peer.log_answer_mark(SessionId::new(NodeId(0), 1), rule_id, NodeId(3), mark);
+
+        let mut replacement = parse("B:b2(Z), C:c(Y) => A:a(Z,Y)");
+        replacement.id = rule_id;
+        peer.install_rule(replacement);
+        peer.crash_volatile_state();
+        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        peer.restart_and_resync(&mut ctx);
+        assert_eq!(peer.retained_rows(), 0, "nothing of the old fragment");
+        for out in ctx.take_outgoing() {
+            let ProtocolMsg::ResyncRequest { since, .. } = &*out.msg else {
+                panic!("expected a resync request, got {:?}", out.msg);
+            };
+            assert!(since.is_empty(), "asked since {since:?}");
+        }
+    }
+
+    /// A body node `B` serving `B:b(X) => A:a(X)` to head `A`, with a store
+    /// on `backend`, one fact, and the subscription taken through one
+    /// retired session: the cursor stands at one row.
+    fn body_node_with_a_committed_cursor(
+        backend: Box<dyn p2p_storage::StorageBackend>,
+    ) -> (DbPeer, RuleId) {
+        use p2p_net::Peer as _;
+        let schema = DatabaseSchema::parse("b(x: int).").unwrap();
+        let mut peer = DbPeer::new(NodeId(1), Database::new(schema), durable_config());
+        peer.attach_storage(PeerStorage::new(backend, 0)).unwrap();
+        peer.insert_base_fact("b", vec![Val::Int(1)]).unwrap();
+        let resolve = |s: &str| match s {
+            "A" => Some(NodeId(0)),
+            "B" => Some(NodeId(1)),
+            _ => None,
+        };
+        let rule =
+            crate::rule::CoordinationRule::parse("r", "B:b(X) => A:a(X)", None, &resolve).unwrap();
+        let (head, session) = (NodeId(0), SessionId::new(NodeId(0), 1));
+        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        let query = ProtocolMsg::Query {
+            session,
+            rule: rule.id,
+            part: rule.parts[0].clone(),
+            sn: vec![head],
+            resume: false,
+        };
+        peer.on_message(head, query, &mut ctx);
+        peer.on_message(head, ProtocolMsg::Ack { session }, &mut ctx);
+        let generation = 1;
+        peer.on_message(
+            head,
+            ProtocolMsg::Fixpoint {
+                session,
+                generation,
+            },
+            &mut ctx,
+        );
+        assert_eq!(peer.cursors[&(head, rule.id)].rows, 1);
+        (peer, rule.id)
+    }
+
+    /// A restart resumes the cursors the store holds and owes no notice;
+    /// one that recovers nothing, or a cursor the recovered database cannot
+    /// vouch for, voids instead of resuming.
+    #[test]
+    fn restart_resumes_its_cursors_or_voids_when_it_cannot_vouch_for_them() {
+        let head = NodeId(0);
+        let restart = |peer: &mut DbPeer| {
+            peer.crash_volatile_state();
+            assert!(peer.void_owed && peer.cursors.is_empty());
+            let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+            peer.restart_and_resync(&mut ctx);
+        };
+
+        let (mut peer, rule) =
+            body_node_with_a_committed_cursor(Box::<p2p_storage::MemoryBackend>::default());
+        restart(&mut peer);
+        assert!(!peer.void_owed, "the store vouches for the cursor");
+        let cursor = &peer.cursors[&(head, rule)];
+        assert_eq!((cursor.rows, cursor.watermarks["b"]), (1, 1));
+        assert_eq!(cursor.part.atoms[0].relation.as_ref(), "b");
+
+        // The same log without its insertion's frame: the cursor counts a
+        // row the recovered relation does not have.
+        let disk = TestDisk {
+            drops_insertions: true,
+            ..TestDisk::default()
+        };
+        let (mut peer, rule) = body_node_with_a_committed_cursor(Box::new(disk));
+        restart(&mut peer);
+        assert!(peer.void_owed, "a cursor past the database is not resumed");
+        assert!(!peer.cursors.contains_key(&(head, rule)));
+
+        // A store that cannot be read back recovers nothing.
+        let disk = TestDisk {
+            unreadable_once_logged: true,
+            ..TestDisk::default()
+        };
+        let (mut peer, _) = body_node_with_a_committed_cursor(Box::new(disk));
+        restart(&mut peer);
+        assert!(peer.void_owed && peer.cursors.is_empty());
+        assert_eq!(peer.errors().len(), 1, "{:?}", peer.errors());
+    }
+
+    /// A text-frame store in memory that outlives the handle a peer owns,
+    /// counts how often it is replayed, and can be told to misbehave.
+    #[derive(Debug, Clone, Default)]
+    struct TestDisk {
+        disk: Arc<std::sync::Mutex<p2p_storage::MemoryBackend>>,
+        replays: Arc<AtomicU64>,
+        /// Loses every `Insert` frame — what going around the log leaves.
+        drops_insertions: bool,
+        /// The snapshot does not read back once a frame was logged.
+        unreadable_once_logged: bool,
+    }
+
+    impl TestDisk {
+        fn with<T>(&self, f: impl FnOnce(&mut p2p_storage::MemoryBackend) -> T) -> T {
+            f(&mut self.disk.lock().expect("no test thread panics holding it"))
+        }
+    }
+
+    impl p2p_storage::StorageBackend for TestDisk {
+        fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+            if self.drops_insertions && frame.starts_with("{\"Insert\"") {
+                return Ok(());
+            }
+            self.with(|b| b.append_wal(frame))
+        }
+        fn read_wal(&self) -> StorageResult<Vec<String>> {
+            self.with(|b| b.read_wal())
+        }
+        fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
+            self.with(|b| b.write_snapshot(snapshot))
+        }
+        fn read_snapshot(&self) -> StorageResult<Option<String>> {
+            self.replays.fetch_add(1, Ordering::Relaxed);
+            if self.unreadable_once_logged && !self.read_wal()?.is_empty() {
+                return Err(p2p_storage::StorageError::Io("unreadable".into()));
+            }
+            self.with(|b| b.read_snapshot())
+        }
+        fn append_wal_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
+            unimplemented!("text frames only")
+        }
+        fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
+            unimplemented!("text frames only")
+        }
+        fn write_snapshot_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
+            unimplemented!("text frames only")
+        }
+        fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
+            unimplemented!("text frames only")
+        }
+    }
+
+    /// A `serve` process that restarts reads its store once: what
+    /// `attach_storage` replayed is what the restart hook resumes from.
+    #[test]
+    fn attach_then_restart_replays_the_store_once() {
+        // "First process": a cursor committed, then the process is gone.
+        let disk = TestDisk::default();
+        drop(body_node_with_a_committed_cursor(Box::new(disk.clone())));
+        disk.replays.store(0, Ordering::Relaxed);
+
+        let schema = DatabaseSchema::parse("b(x: int).").unwrap();
+        let mut peer = DbPeer::new(NodeId(1), Database::new(schema), durable_config());
+        peer.attach_storage(PeerStorage::new(Box::new(disk.clone()), 0))
+            .unwrap();
+        assert!(peer.adopted_stored_state());
+        assert_eq!(peer.database().total_tuples(), 1);
+        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        peer.restart_and_resync(&mut ctx);
+        assert_eq!(disk.replays.load(Ordering::Relaxed), 1, "one replay");
+        assert!(!peer.adopted_stored_state(), "consumed");
+        assert_eq!(peer.stats.recoveries, 1);
+        assert!(!peer.void_owed);
+        assert_eq!(peer.retained_entries().0, 1, "the cursor is served again");
     }
 }

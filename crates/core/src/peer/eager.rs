@@ -367,9 +367,10 @@ impl DbPeer {
                 // fragment through a session whose retirement this peer
                 // misses (a lost broadcast), and must then still find a
                 // standing subscription here, however far back it starts.
+                // Logged before the answer leaves: what the subscriber comes
+                // to hold must find a cursor in this peer's store too.
                 if !self.config.paper_faithful {
-                    self.cursors
-                        .insert(key, crate::peer::Cursor::zero(part.clone()));
+                    self.set_cursor(key, crate::peer::Cursor::zero(part.clone()), true);
                 }
                 (self.eval_part_local(rule, &part, ctx), 0)
             }
@@ -549,9 +550,12 @@ impl DbPeer {
             part.complete = true;
         }
         // Durable peers log the processed answer (rows + the answerer's
-        // watermarks — the crash-resync cursor).
-        self.log_answer_mark(sid, rule, from, &rows);
-        if self.absorb_fragment(rule, from, &rows.vars, rows.rows) > 0 {
+        // watermarks — the crash-resync cursor), behind the insertions it
+        // derives.
+        let mark = self.answer_mark(rule, &rows);
+        let inserted = self.absorb_fragment(rule, from, &rows.vars, rows.rows);
+        self.log_answer_mark(sid, rule, from, mark);
+        if inserted > 0 {
             // New local facts: cascade to subscribers (A5's trailing
             // `foreach node ∈ π₁(owner)`).
             self.reopen_if_closed(st, sid, ctx);
@@ -811,8 +815,6 @@ impl DbPeer {
             return;
         };
         self.forget_rule(rule_id);
-        // A pending resync for a deleted rule has nothing left to repair.
-        self.pending_resync.retain(|(_, r, _), _| *r != rule_id);
         if st.upd.active {
             st.upd.suppress_flag_closure = true;
             for part in &rule.parts {
@@ -840,6 +842,6 @@ impl DbPeer {
         for other in self.sessions.values_mut() {
             other.upd.subs.remove(&(from, rule));
         }
-        self.cursors.remove(&(from, rule));
+        self.drop_cursor((from, rule));
     }
 }

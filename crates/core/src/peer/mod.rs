@@ -87,37 +87,59 @@
 //!
 //! Four rules keep silence unambiguous:
 //!
-//! 1. **A body node that discards cursors unasked says so.** After
-//!    `DbPeer::crash_volatile_state`, a process restart, or a rule-file
-//!    broadcast the peer owes every pipe neighbour a
-//!    [`ProtocolMsg::CursorVoid`], sent with the first flood it sees. The
+//! 1. **A body node that discards cursors unasked says so.** A peer that
+//!    restarts and cannot vouch for the cursors it served — it has no
+//!    store, its store does not read back, or a recovered cursor counts
+//!    rows the recovered database does not have — and a peer that adopts a
+//!    rule-file broadcast owe every pipe neighbour a
+//!    [`ProtocolMsg::CursorVoid`], sent with the first flood they see. The
 //!    notice is a *basic* message: lost, it is never acknowledged, the
 //!    session cannot terminate and is re-driven. The debt is cleared only
 //!    when a session that carried the notice retires. The receiver stops
 //!    holding the sender's fragments and queries them afresh in that same
-//!    session.
+//!    session. A durable peer whose store gives its cursors back discards
+//!    nothing and owes nothing. The debt itself is not stored: a restart
+//!    re-derives it from what the store gives back. The one debt that does
+//!    not come back that way is a broadcast's — the store holds the
+//!    removals, not that nobody asked for them — and the broadcast covers
+//!    it: it reaches every rostered peer, which drops its own `held` marks.
 //! 2. **A push is only as good as the head's `held` mark.** A head does not
 //!    apply a `pushed` answer for a fragment it does not hold (the rule was
-//!    replaced, the head restarted, a notice voided the mark): it makes
-//!    sure the session queries the fragment in full, and where it no longer
-//!    has the rule at all it answers `Unsubscribe`, so the orphaned cursor
-//!    dies.
+//!    replaced, the head restarted and its resync is not through, a notice
+//!    voided the mark): it makes sure the session queries the fragment in
+//!    full, and where it no longer has the rule at all it answers
+//!    `Unsubscribe`, so the orphaned cursor dies.
 //! 3. **A cursor that is reset is not removed.** Opening a subscription
 //!    from scratch leaves a zero cursor behind, so a head that comes to
 //!    hold the fragment through a session whose retirement the body node
 //!    missed (a lost broadcast) still finds a standing subscription — one
-//!    that ships everything, once.
+//!    that ships everything, once. A resync request for a fragment this
+//!    peer has no cursor for leaves one too, for the same reason.
 //! 4. **Everything else that discards, the head asked for** and therefore
 //!    knows: `AddRule` / [`DbPeer::install_rule`] and `DeleteRule` drop the
-//!    rule's `held` marks and fragments — and the rule's entries in every
-//!    live session's `parts`, so an answer still in flight on a
-//!    subscription opened before the change is neither applied nor lets
-//!    that session commit the fragment as held; `Unsubscribe` kills the
-//!    cursor and the subscription in every live session, and so does an
-//!    incoming `ResyncRequest` (the requester restarted, and will ask); a
+//!    rule's `held` marks, fragments and durable answer marks — and the
+//!    rule's entries in every live session's `parts`, so an answer still in
+//!    flight on a subscription opened before the change is neither applied
+//!    nor lets that session commit the fragment as held; `Unsubscribe`
+//!    kills the cursor and the subscription in every live session; a
 //!    `Query` without `resume` or for another fragment resets the cursor
-//!    to zero; a crash clears the head side too (a durable head re-primes
-//!    `DbPeer::fragments` from its answer log).
+//!    to zero; a crash clears the head side, and the restarted head holds
+//!    a fragment again only when it has absorbed the answer to its
+//!    `ResyncRequest` — which discards nothing at the body node: the answer
+//!    starts no later than the cursor, and the cursor stays.
+//!
+//! One invariant carries all of this across a restart of either end: **for
+//! every fragment a head holds, its body node's store has a cursor — for
+//! that very fragment — no further than what the head holds.** It is
+//! established where a subscription starts (the zero cursor is logged
+//! before the first answer leaves), kept where it moves (a cursor advances,
+//! in memory and then in the store, only behind Dijkstra–Scholten
+//! termination of a session whose answers the head applied and, durable
+//! itself, logged before acknowledging them; every step back — a reset, a
+//! removal — is logged as it happens), and used where a peer comes back
+//! (see [`durability`]): the body node resumes from its store, the head
+//! from its log plus one delta, and the next session ships what was at
+//! risk.
 //!
 //! Under [`SystemConfig::paper_faithful`] none of this happens: the start
 //! request is forwarded along every pipe, every session asks for every
@@ -264,6 +286,13 @@ pub enum SeededFault {
     /// Every committed cursor claims the subscriber holds everything the
     /// database derives right now.
     CursorsToNow,
+    /// Armed until the next restart: the cursors the store gives back are
+    /// set to now, as if the restart itself had shipped what lay between.
+    RecoveredCursorsToNow,
+    /// Armed until the next restart: the peer holds every fragment of its
+    /// rules from the moment it is back, without asking a body node for
+    /// what its log does not cover.
+    HoldWithoutResync,
 }
 
 /// A database peer: local database, coordination rules targeting it, and
@@ -295,7 +324,9 @@ pub struct DbPeer {
     pub(crate) plans: FxHashMap<RuleId, CachedPlans>,
     /// Body side, per `(subscriber, rule)`: the committed delta cursor of
     /// each subscription this peer served (module docs). Bounded by rules ×
-    /// neighbours; volatile.
+    /// neighbours. A durable peer logs every move a subscriber may rely on
+    /// (`DbPeer::set_cursor`, `DbPeer::drop_cursor`) and takes the cursors
+    /// back from its store at a restart.
     pub(crate) cursors: VecMap<(NodeId, RuleId), Cursor>,
     /// Head side: the `(rule, body node)` fragments of this peer's own
     /// rules of which it holds everything it was shipped — marked when a
@@ -306,7 +337,8 @@ pub struct DbPeer {
     /// durable peer re-primes it from its answer log.
     pub(crate) fragments: VecMap<(RuleId, NodeId), PartCache>,
     /// Body side: this peer discarded `cursors` without its subscribers
-    /// having asked, and owes every pipe neighbour a
+    /// having asked — or came back unable to vouch for them — and owes
+    /// every pipe neighbour a
     /// [`ProtocolMsg::CursorVoid`] with the next flood it sees. Cleared when
     /// a session that carried the notice retires (module docs).
     pub(crate) void_owed: bool,
@@ -341,7 +373,7 @@ pub struct DbPeer {
     /// Durable store (WAL + snapshots) when `SystemConfig::durability` is
     /// on; `None` = the amnesia baseline, where a crash loses everything.
     /// Boxed, so a peer without one pays a pointer, not the store's size.
-    pub(crate) storage: Option<Box<p2p_storage::PeerStorage>>,
+    pub(crate) storage: Option<Box<durability::Durable>>,
     /// Resync requests sent after a restart whose answers have not arrived
     /// yet, keyed by the session they repair, with the watermark each was
     /// asked from. While non-empty the peer refuses to close **any**
@@ -355,6 +387,8 @@ pub struct DbPeer {
     /// — each constant string crosses each pipe at most once. Volatile: a
     /// crash forgets it and later answers conservatively re-ship.
     pub(crate) sym_sent: VecMap<NodeId, FxHashSet<SymId>>,
+    /// A [`SeededFault`] that does its damage at the next restart.
+    pub(crate) armed_fault: Option<SeededFault>,
 }
 
 impl DbPeer {
@@ -388,6 +422,7 @@ impl DbPeer {
             storage: None,
             pending_resync: BTreeMap::new(),
             sym_sent: VecMap::default(),
+            armed_fault: None,
         }
     }
 
@@ -418,12 +453,17 @@ impl DbPeer {
     }
 
     /// Drops what this peer cached for a rule as its head: the compiled
-    /// plan and the retained fragment state, so the next `Query` of each
-    /// fragment goes out without `resume`. The live sessions forget that
-    /// they queried the rule: what their subscriptions still deliver
+    /// plan and the retained fragment state — in the store too, where the
+    /// answer marks logged for the rule would otherwise prime the next
+    /// restart with another rule's rows and watermarks — so the next
+    /// `Query` of each fragment goes out without `resume`. The live
+    /// sessions forget that they queried the rule, and a resync under way
+    /// that it was asked for: what their subscriptions still deliver
     /// belongs to the state just dropped.
     pub(crate) fn forget_rule(&mut self, rule: RuleId) {
         self.plans.remove(&rule);
+        self.log_forget_rule(rule);
+        self.pending_resync.retain(|(_, r, _), _| *r != rule);
         self.held.retain(|(r, _)| *r != rule);
         self.fragments.retain(|(r, _), _| *r != rule);
         for st in self.sessions.values_mut() {
@@ -448,6 +488,9 @@ impl DbPeer {
                 for (cursor, marks) in self.cursors.values_mut().zip(now) {
                     cursor.watermarks = marks;
                 }
+            }
+            SeededFault::RecoveredCursorsToNow | SeededFault::HoldWithoutResync => {
+                self.armed_fault = Some(fault)
             }
         }
     }
@@ -1129,14 +1172,13 @@ impl DbPeer {
                                 .all(|(rel, w)| sub.watermarks.get(rel).is_some_and(|n| n >= w))
                     });
                     if newer {
-                        self.cursors.insert(
-                            key,
-                            Cursor {
-                                rows: sub.resumed_rows + sub.sent.len(),
-                                part: sub.part,
-                                watermarks: sub.watermarks,
-                            },
-                        );
+                        let shipped = !sub.sent.is_empty();
+                        let cursor = Cursor {
+                            rows: sub.resumed_rows + sub.sent.len(),
+                            part: sub.part,
+                            watermarks: sub.watermarks,
+                        };
+                        self.set_cursor(key, cursor, shipped);
                     }
                 }
             }

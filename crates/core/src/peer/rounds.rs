@@ -459,8 +459,9 @@ impl DbPeer {
         self.absorb_dict(from, &mut rows);
         self.absorb_null_depths(&rows);
         // Durable peers log the processed answer (rows + the answerer's
-        // watermarks — the crash-resync cursor).
-        self.log_answer_mark(sid, rule, from, &rows);
+        // watermarks — the crash-resync cursor), behind the insertions this
+        // arrival derives below.
+        let mark = self.answer_mark(rule, &rows);
         // A delta answer always goes through the cache, even if this peer's
         // own toggle is off (the sender's config decides the payload shape).
         let use_cache = !self.config.paper_faithful || is_delta;
@@ -524,6 +525,7 @@ impl DbPeer {
                 st.rnd.dirty_self = true;
             }
         }
+        self.log_answer_mark(sid, rule, from, mark);
 
         if st.rnd.waves_done() {
             // Serve the queries we held back.

@@ -14,7 +14,7 @@ use crate::config::UpdateMode;
 use crate::dynamic::ChangeOp;
 use crate::messages::ProtocolMsg;
 use crate::peer::{DbPeer, SessionState};
-use crate::rule::CoordinationRule;
+use crate::rule::{CoordinationRule, RuleId};
 use crate::stats::PeerStats;
 use p2p_net::{Context, SessionId};
 use p2p_topology::NodeId;
@@ -297,13 +297,18 @@ impl DbPeer {
                 },
             );
         }
-        // Adopt the new rule set.
-        self.rules.clear();
+        // Adopt the new rule set: nothing retained for the old one — as a
+        // head or as a body node, in memory or in the store — outlives it.
+        let heads: Vec<RuleId> = std::mem::take(&mut self.rules).into_keys().collect();
+        for rule in heads {
+            self.forget_rule(rule);
+        }
         self.pipes.clear();
-        self.cursors.clear();
+        let served: Vec<(NodeId, RuleId)> = self.cursors.keys().copied().collect();
+        for key in served {
+            self.drop_cursor(key);
+        }
         self.void_owed = true;
-        self.held.clear();
-        self.fragments.clear();
         for rule in rules {
             if rule.head_node == self.id {
                 self.install_rule(rule.clone());

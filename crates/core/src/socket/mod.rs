@@ -290,12 +290,10 @@ pub fn prepare(cfg: &ServeConfig) -> CoreResult<NodeServer> {
         let backend =
             FileBackend::open(&node_dir).map_err(|e| CoreError::Storage(e.to_string()))?;
         let storage = PeerStorage::with_codec(Box::new(backend), cfg.snapshot_every, cfg.codec);
-        recovered = storage
-            .recover(cfg.node)
-            .map_err(|e| CoreError::Storage(e.to_string()))?
-            .is_some();
+        // One replay: the peer keeps what it rebuilt for the restart hook.
         peer.attach_storage(storage)
             .map_err(|e| CoreError::Storage(e.to_string()))?;
+        recovered = peer.adopted_stored_state();
     }
 
     let mut socket = SocketConfig::new(node, cfg.listen);

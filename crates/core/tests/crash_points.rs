@@ -1,0 +1,238 @@
+//! A mark is never ahead of the database. A head that joins two fragments
+//! logs, for every answer it processes, the insertions the answer derives
+//! and then the answer's mark — rows and watermarks, which a restart trusts:
+//! primed rows count as joined already. So wherever the log is cut — at any
+//! byte of a `FileBackend` log, and between any two frames whatever
+//! checkpoints fell among them — every binding the recovered marks' rows
+//! join to must be in the recovered database.
+
+use p2p_core::messages::AnswerRows;
+use p2p_core::peer::DbPeer;
+use p2p_core::{CoordinationRule, ProtocolMsg, SystemConfig};
+use p2p_net::{Context, Peer, SessionId, SimTime};
+use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
+use p2p_storage::{
+    FileBackend, MemoryBackend, PeerStorage, RecoveredState, StorageBackend, StorageResult,
+};
+use p2p_topology::NodeId;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+
+const HEAD: NodeId = NodeId(0);
+const B: NodeId = NodeId(1);
+const C: NodeId = NodeId(2);
+
+fn rule() -> CoordinationRule {
+    let resolve = |s: &str| match s {
+        "A" => Some(HEAD),
+        "B" => Some(B),
+        "C" => Some(C),
+        _ => None,
+    };
+    CoordinationRule::parse("r", "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)", None, &resolve).unwrap()
+}
+
+/// The head of `B:b(X,Y), C:c(Y,Z) => A:a(X,Z)` on `storage`, with `pad`
+/// unrelated facts logged first (they move where a checkpoint falls).
+fn head(storage: PeerStorage, pad: i64) -> DbPeer {
+    let schema = DatabaseSchema::parse("a(x: int, z: int). pad(x: int).").unwrap();
+    let config = SystemConfig {
+        durability: true,
+        ..Default::default()
+    };
+    let mut peer = DbPeer::new(HEAD, Database::new(schema), config);
+    peer.install_rule(rule());
+    peer.attach_storage(storage).unwrap();
+    for x in 0..pad {
+        peer.insert_base_fact("pad", vec![Val::Int(x)]).unwrap();
+    }
+    peer
+}
+
+/// Two sessions as the head sees them: the flood, then one answer from
+/// each body node, every one deriving something. Session 2's rows join
+/// session 1's.
+fn two_sessions(peer: &mut DbPeer) {
+    let rule = rule();
+    let answers = [
+        (1, B, [1, 2], 1),
+        (1, C, [2, 3], 1),
+        (2, B, [5, 2], 2),
+        (2, C, [2, 4], 2),
+    ];
+    let mut flooded = 0;
+    for (epoch, from, row, watermark) in answers {
+        let session = SessionId::new(B, epoch);
+        let mut ctx = Context::new(SimTime::ZERO, HEAD);
+        if flooded < epoch {
+            flooded = epoch;
+            peer.on_message(B, ProtocolMsg::UpdateFlood { session }, &mut ctx);
+        }
+        let part = rule.parts.iter().find(|p| p.node == from).unwrap();
+        let relation = part.atoms[0].relation.clone();
+        let answer = ProtocolMsg::Answer {
+            session,
+            rule: rule.id,
+            rows: AnswerRows {
+                vars: part.vars.clone(),
+                rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
+                marks: [(relation, watermark)].into_iter().collect(),
+                ..Default::default()
+            },
+            complete: false,
+            reopen: false,
+            pushed: false,
+        };
+        peer.on_message(from, answer, &mut ctx);
+    }
+    assert!(peer.errors().is_empty(), "{:?}", peer.errors());
+    assert_eq!(peer.database().relation("a").unwrap().len(), 4);
+}
+
+fn ints(row: &[Val]) -> (i64, i64) {
+    match row {
+        [Val::Int(x), Val::Int(y)] => (*x, *y),
+        _ => panic!("two integers, not {row:?}"),
+    }
+}
+
+/// Every `(x, z)` the recovered marks' rows join to is a recovered `a`
+/// fact; returns how many there are.
+fn marks_are_covered(rec: &RecoveredState, what: &str) -> usize {
+    let rule = rule();
+    let rows = |node| {
+        (rec.marks.get(&(rule.id.0, node)).into_iter())
+            .flat_map(|mark| mark.rows.iter().map(|t| ints(&t.0)))
+            .collect::<Vec<_>>()
+    };
+    let a = rec.db.relation("a").unwrap();
+    let stored: BTreeSet<(i64, i64)> = a.iter().map(ints).collect();
+    let mut joined = 0;
+    for (x, y) in rows(B) {
+        for (y2, z) in rows(C) {
+            if y == y2 {
+                joined += 1;
+                assert!(
+                    stored.contains(&(x, z)),
+                    "{what}: the marks hold b({x},{y}) and c({y},{z}), the database no a({x},{z})"
+                );
+            }
+        }
+    }
+    joined
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("p2p_core_crash_{tag}_{}", std::process::id()))
+}
+
+fn open(dir: &Path) -> PeerStorage {
+    PeerStorage::new(Box::new(FileBackend::open(dir).unwrap()), 0)
+}
+
+#[test]
+fn log_cut_at_any_byte_recovers_no_mark_ahead_of_the_database() {
+    let (golden, scratch) = (temp_dir("golden"), temp_dir("scratch"));
+    let _ = std::fs::remove_dir_all(&golden);
+    two_sessions(&mut head(open(&golden), 0));
+    let snapshot = std::fs::read(golden.join("snapshot-1.json")).unwrap();
+    let log = std::fs::read(golden.join("wal-1.jsonl")).unwrap();
+
+    let mut most = 0;
+    for cut in 0..=log.len() {
+        let _ = std::fs::remove_dir_all(&scratch);
+        std::fs::create_dir_all(&scratch).unwrap();
+        std::fs::write(scratch.join("snapshot-1.json"), &snapshot).unwrap();
+        std::fs::write(scratch.join("wal-1.jsonl"), &log[..cut]).unwrap();
+        let rec = open(&scratch).recover(HEAD.0).unwrap().unwrap();
+        most = most.max(marks_are_covered(&rec, &format!("log cut at {cut}")));
+    }
+    assert_eq!(most, 4, "the whole log holds both sessions");
+    std::fs::remove_dir_all(&golden).unwrap();
+    std::fs::remove_dir_all(&scratch).unwrap();
+}
+
+/// What a text-frame store holds: the newest snapshot and the frames since.
+type Held = (Option<String>, Vec<String>);
+
+/// Everything a text-frame store held after each write it took.
+#[derive(Debug, Clone, Default)]
+struct Recording {
+    now: Arc<Mutex<Held>>,
+    history: Arc<Mutex<Vec<Held>>>,
+}
+
+impl Recording {
+    fn write(&self, f: impl FnOnce(&mut Held)) -> StorageResult<()> {
+        let mut now = self.now.lock().unwrap();
+        f(&mut now);
+        self.history.lock().unwrap().push(now.clone());
+        Ok(())
+    }
+}
+
+impl StorageBackend for Recording {
+    fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+        self.write(|(_, frames)| frames.push(frame.to_string()))
+    }
+    fn read_wal(&self) -> StorageResult<Vec<String>> {
+        Ok(self.now.lock().unwrap().1.clone())
+    }
+    fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
+        self.write(|now| *now = (Some(snapshot.to_string()), Vec::new()))
+    }
+    fn read_snapshot(&self) -> StorageResult<Option<String>> {
+        Ok(self.now.lock().unwrap().0.clone())
+    }
+    fn append_wal_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
+        unimplemented!("text frames only")
+    }
+    fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
+        unimplemented!("text frames only")
+    }
+    fn write_snapshot_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
+        unimplemented!("text frames only")
+    }
+    fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
+        unimplemented!("text frames only")
+    }
+}
+
+/// With a checkpoint due after every record that outweighs the last
+/// snapshot, and the padding moving where that is: one falls between the
+/// frames of one answer in some run, and no state the store ever held —
+/// after any frame, after any checkpoint — recovers a mark ahead of the
+/// database.
+#[test]
+fn checkpoint_between_any_two_frames_holds_no_mark_ahead_of_the_database() {
+    let mut checkpoints_inside_an_answer = 0;
+    for pad in 0..12 {
+        let disk = Recording::default();
+        two_sessions(&mut head(PeerStorage::new(Box::new(disk.clone()), 1), pad));
+        let history = disk.history.lock().unwrap().clone();
+        let mut last_frame = String::new();
+        for (i, (snapshot, frames)) in history.iter().enumerate() {
+            let mut backend = MemoryBackend::default();
+            backend.write_snapshot(snapshot.as_ref().unwrap()).unwrap();
+            for frame in frames {
+                backend.append_wal(frame).unwrap();
+            }
+            let rec = PeerStorage::new(Box::new(backend), 0)
+                .recover(HEAD.0)
+                .unwrap()
+                .unwrap();
+            marks_are_covered(&rec, &format!("pad {pad}, state {i}"));
+            // A checkpoint right behind an insertion into `a`: inside an
+            // answer's frames, before its mark.
+            if frames.is_empty() && last_frame.contains("\"relation\":\"a\"") {
+                checkpoints_inside_an_answer += 1;
+            }
+            last_frame = frames.last().cloned().unwrap_or_default();
+        }
+    }
+    assert!(
+        checkpoints_inside_an_answer > 0,
+        "the padding never put a checkpoint between an insertion and its mark"
+    );
+}

@@ -4,19 +4,29 @@
 //! derives during an update session lives in memory; this crate is what
 //! survives a process crash — a **checkpointed log**:
 //!
-//! * an append-only **write-ahead log** ([`WalRecord`]) of every fact
-//!   insertion the update algorithm applies, plus a mark for every fragment
-//!   answer the peer processed (the answerer's database watermarks — the
-//!   resync cursor — and, for rules that join several fragments, the rows);
+//! * an append-only **write-ahead log** of four record kinds
+//!   ([`WalRecord`]): `Insert`, every fact insertion the update algorithm
+//!   applies; `Answer`, a mark for every fragment answer the peer processed
+//!   as a rule's head (the answerer's database watermarks — the resync
+//!   cursor — and, for rules that join several fragments, the rows), logged
+//!   behind the insertions the answer derived; `ForgetRule`, the rule was
+//!   replaced or deleted and its marks with it; `Cursor`, a subscription the
+//!   peer serves as a body node moved — started from scratch, advanced by a
+//!   session that retired, dropped — with the fragment it serves riding as
+//!   an opaque document in a key's first record only (this crate knows
+//!   `p2p_core`'s rule fragments no better than its rule ids);
 //! * **snapshots** ([`DatabaseSnapshot`]) of the database, the chase
-//!   bookkeeping and the answer log folded to one mark per fragment.
-//!   Writing one is a *checkpoint*: the backend then drops the frames it
-//!   covers, so what a peer holds and what a recovery replays follow the
-//!   size of its state, not the length of its history;
+//!   bookkeeping, the answer log folded to one mark per fragment
+//!   ([`FragmentMark`]) and the cursor log folded to one cursor per
+//!   subscription served ([`CursorMark`], with its fragment). Writing one is
+//!   a *checkpoint*: the backend then drops the frames it covers, so what a
+//!   peer holds and what a recovery replays follow the size of its state,
+//!   not the length of its history;
 //! * a [`PeerStorage::recover`] path that replays the frames since the
 //!   newest snapshot onto it and returns a [`RecoveredState`]
 //!   tuple-identical to the pre-crash database, with the null mint, chase
-//!   depths and fragment marks restored.
+//!   depths, fragment marks and cursors restored — both ends of every
+//!   subscription, so a restart resumes them instead of starting over.
 //!
 //! ## Cadence
 //!
@@ -48,13 +58,16 @@
 //!
 //! Replay is **idempotent**: re-inserting a tuple that is already present
 //! is a no-op at the relation layer, null counters, chase depths and
-//! fragment watermarks merge by maximum, fragment rows deduplicate. So
+//! fragment watermarks merge by maximum, fragment rows deduplicate, and a
+//! cursor or a forgotten rule is whatever the newest record says. So
 //! frames older than the snapshot — which a backend may hand back, and
 //! which a crash between writing a snapshot and dropping its frames leaves
-//! behind — change nothing, and no position bookkeeping ties a snapshot to
-//! a place in the log. The restarted peer resyncs from the recovered
-//! watermarks, so only facts inserted at the answerer *after the last
-//! durably-processed answer* ever cross the wire again.
+//! behind — change nothing once they are replayed through (a checkpoint
+//! drops the frames it covers all at once, so they always are), and no
+//! position bookkeeping ties a snapshot to a place in the log. The
+//! restarted peer resyncs from the recovered watermarks, so only facts
+//! inserted at the answerer *after the last durably-processed answer* ever
+//! cross the wire again.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +77,7 @@ pub mod store;
 pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
-pub use store::{DatabaseSnapshot, FragmentMark, PeerStorage, RecoveredState};
+pub use store::{CursorMark, DatabaseSnapshot, FragmentMark, PeerStorage, RecoveredState};
 pub use wal::WalRecord;
 
 use std::fmt;

@@ -7,12 +7,13 @@ use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
 use p2p_relational::{ConstCatalog, Database, SymId, SymRemap, Tuple, Val};
 use p2p_topology::NodeId;
-use serde::{Deserialize, Serialize, Sink};
+use serde::{Content, Deserialize, Serialize, Sink};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// A point-in-time image of a peer's durable state: the database, the
-/// chase bookkeeping and the answer log folded to one mark per fragment.
+/// chase bookkeeping, the answer log folded to one mark per fragment and
+/// the cursor log folded to one cursor per subscription served.
 /// Writing one is a **checkpoint** — the backend drops the WAL frames it
 /// covers — so a snapshot must hold everything those frames said.
 /// `catalog` carries the `(SymId, string)` definition of every interned
@@ -30,6 +31,10 @@ pub struct DatabaseSnapshot {
     /// The folded answer log: one mark per `(raw rule id, answering peer)`.
     #[serde(default)]
     pub marks: Vec<(u32, NodeId, FragmentMark)>,
+    /// The folded cursor log: one cursor per `(subscriber, raw rule id)`,
+    /// each with its fragment.
+    #[serde(default)]
+    pub cursors: Vec<(NodeId, u32, CursorMark)>,
     /// The newest session any folded answer belonged to.
     #[serde(default)]
     pub last_session: SessionId,
@@ -46,13 +51,14 @@ struct SnapshotRef<'a> {
     depths: &'a [(NullId, u32)],
     catalog: &'a [(SymId, Arc<str>)],
     marks: Vec<(u32, NodeId, &'a FragmentMark)>,
+    cursors: Vec<(NodeId, u32, &'a CursorMark)>,
     last_session: SessionId,
     db: &'a Database,
 }
 
 impl Serialize for SnapshotRef<'_> {
     fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
-        out.map_begin(6)?;
+        out.map_begin(7)?;
         out.map_key("nulls_next")?;
         self.nulls_next.serialize(out)?;
         out.map_key("depths")?;
@@ -61,6 +67,8 @@ impl Serialize for SnapshotRef<'_> {
         self.catalog.serialize(out)?;
         out.map_key("marks")?;
         self.marks.serialize(out)?;
+        out.map_key("cursors")?;
+        self.cursors.serialize(out)?;
         out.map_key("last_session")?;
         self.last_session.serialize(out)?;
         out.map_key("db")?;
@@ -83,6 +91,22 @@ pub struct FragmentMark {
     pub watermarks: BTreeMap<Arc<str>, usize>,
 }
 
+/// The durable knowledge about the body side of one subscription: how much
+/// of one rule fragment one subscriber holds of this peer's data.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct CursorMark {
+    /// The fragment the cursor is for, as its owner serialized it — opaque
+    /// here, like the raw rule id. `Null` only inside a
+    /// [`WalRecord::Cursor`]: the fragment the key already has.
+    #[serde(default, skip_serializing_if = "Content::is_null")]
+    pub part: Content,
+    /// Per relation of the fragment, the watermark below which the
+    /// subscriber holds every row this peer's facts derive.
+    pub watermarks: BTreeMap<Arc<str>, usize>,
+    /// Rows shipped on the subscription so far (a statistic).
+    pub rows: usize,
+}
+
 /// Everything [`PeerStorage::recover`] rebuilds.
 #[derive(Debug, Clone)]
 pub struct RecoveredState {
@@ -95,26 +119,72 @@ pub struct RecoveredState {
     /// Per-`(raw rule id, answering peer)` fragment marks, whatever
     /// sessions carried the answers.
     pub marks: BTreeMap<(u32, NodeId), FragmentMark>,
+    /// Per-`(subscriber, raw rule id)` cursors of the subscriptions this
+    /// peer serves, each as its newest record left it.
+    pub cursors: BTreeMap<(NodeId, u32), CursorMark>,
     /// The newest session any logged answer belonged to (the default id
     /// when none was).
     pub last_session: SessionId,
 }
 
-/// The answer log folded as it is written: what the next snapshot carries
-/// of it, and what recovery rebuilds from a snapshot plus the frames after
-/// it. Folding is idempotent — rows deduplicate, watermarks merge by
-/// per-relation maximum — so frames a snapshot already covers may be
-/// folded again.
+/// The answer and cursor logs folded as they are written: what the next
+/// snapshot carries of them, and what recovery rebuilds from a snapshot plus
+/// the frames after it. Folding answers is idempotent — rows deduplicate,
+/// watermarks merge by per-relation maximum; cursors and forgotten rules
+/// are last-writer-wins — so frames a snapshot already covers may be folded
+/// again, in order (see [`crate::wal`]).
 #[derive(Debug, Default)]
-struct AnswerFold {
+struct LogFold {
     marks: BTreeMap<(u32, NodeId), FragmentMark>,
     /// Membership of each mark's `rows`.
     seen: BTreeMap<(u32, NodeId), HashSet<Tuple>>,
+    cursors: BTreeMap<(NodeId, u32), CursorMark>,
     last_session: SessionId,
 }
 
-impl AnswerFold {
-    fn fold(
+impl LogFold {
+    /// Folds one record (an `Insert` says nothing here).
+    fn fold(&mut self, record: &WalRecord, remap: &SymRemap) {
+        match record {
+            WalRecord::Insert { .. } => {}
+            WalRecord::Answer {
+                session,
+                rule,
+                node,
+                vars,
+                rows,
+                watermarks,
+                dict: _,
+            } => self.fold_answer(*session, (*rule, *node), vars, rows, watermarks, remap),
+            WalRecord::Cursor {
+                subscriber,
+                rule,
+                mark,
+            } => match mark {
+                None => {
+                    self.cursors.remove(&(*subscriber, *rule));
+                }
+                Some(mark) if !mark.part.is_null() => {
+                    self.cursors.insert((*subscriber, *rule), mark.clone());
+                }
+                // A key this fold does not know: a frame older than the
+                // snapshot that dropped it, and the frames up to that
+                // snapshot follow.
+                Some(mark) => {
+                    if let Some(cursor) = self.cursors.get_mut(&(*subscriber, *rule)) {
+                        cursor.watermarks = mark.watermarks.clone();
+                        cursor.rows = mark.rows;
+                    }
+                }
+            },
+            WalRecord::ForgetRule { rule } => {
+                self.marks.retain(|(r, _), _| r != rule);
+                self.seen.retain(|(r, _), _| r != rule);
+            }
+        }
+    }
+
+    fn fold_answer(
         &mut self,
         session: SessionId,
         key: (u32, NodeId),
@@ -161,7 +231,7 @@ pub struct PeerStorage {
     /// Symbols whose `(id, string)` definition the newest snapshot or a
     /// frame after it carries — the first-use filter for WAL dictionaries.
     persisted_syms: HashSet<SymId>,
-    answers: AnswerFold,
+    folded: LogFold,
 }
 
 impl PeerStorage {
@@ -185,7 +255,7 @@ impl PeerStorage {
             bytes_since_snapshot: 0,
             snapshot_bytes: 0,
             persisted_syms: HashSet::new(),
-            answers: AnswerFold::default(),
+            folded: LogFold::default(),
         }
     }
 
@@ -243,20 +313,7 @@ impl PeerStorage {
                 return Err(e);
             }
         };
-        if let WalRecord::Answer {
-            session,
-            rule,
-            node,
-            vars,
-            rows,
-            watermarks,
-            dict: _,
-        } = record
-        {
-            let remap = SymRemap::default();
-            self.answers
-                .fold(*session, (*rule, *node), vars, rows, watermarks, &remap);
-        }
+        self.folded.fold(record, &SymRemap::default());
         self.since_snapshot += 1;
         self.bytes_since_snapshot += len as u64;
         Ok(self.snapshot_every > 0
@@ -265,7 +322,8 @@ impl PeerStorage {
     }
 
     /// Checkpoints: writes a snapshot of the current database, the chase
-    /// bookkeeping and the folded answer log, with the symbol dictionary
+    /// bookkeeping and the folded answer and cursor logs, with the symbol
+    /// dictionary
     /// that makes it self-contained; the backend then drops the frames it
     /// covers. A failed write leaves the store as it was — in particular
     /// no symbol counts as persisted on the strength of a snapshot that
@@ -277,17 +335,20 @@ impl PeerStorage {
         depths: Vec<(NullId, u32)>,
     ) -> StorageResult<()> {
         let mut syms = db.syms();
-        let mark_rows = self.answers.marks.values().flat_map(|m| &m.rows);
+        let mark_rows = self.folded.marks.values().flat_map(|m| &m.rows);
         syms.extend(mark_rows.flat_map(Tuple::values).filter_map(Val::as_sym));
         let catalog = ConstCatalog::global().export(syms);
         let snap = SnapshotRef {
             nulls_next,
             depths: &depths,
             catalog: &catalog,
-            marks: (self.answers.marks.iter())
+            marks: (self.folded.marks.iter())
                 .map(|((rule, node), mark)| (*rule, *node, mark))
                 .collect(),
-            last_session: self.answers.last_session,
+            cursors: (self.folded.cursors.iter())
+                .map(|((subscriber, rule), cursor)| (*subscriber, *rule, cursor))
+                .collect(),
+            last_session: self.folded.last_session,
             db,
         };
         let encode =
@@ -316,9 +377,9 @@ impl PeerStorage {
     /// Rebuilds the pre-crash state: newest snapshot + WAL replay.
     ///
     /// Replay is idempotent — inserts deduplicate, null counters, depths
-    /// and marks merge by maximum — so frames the snapshot already covers
-    /// (a backend may hand them back, and a crash inside a checkpoint
-    /// leaves them behind) change nothing.
+    /// and marks merge by maximum, a cursor is its newest record — so
+    /// frames the snapshot already covers (a backend may hand them back,
+    /// and a crash inside a checkpoint leaves them behind) change nothing.
     ///
     /// Every persisted dictionary — the snapshot's catalog section and each
     /// record's first-use delta — is folded into the live catalog first, and
@@ -356,13 +417,16 @@ impl PeerStorage {
         }
         let mut nulls_next = snap.nulls_next;
         let mut depths: BTreeMap<NullId, u32> = snap.depths.into_iter().collect();
-        let mut answers = AnswerFold {
+        let mut folded = LogFold {
             last_session: snap.last_session,
-            ..AnswerFold::default()
+            cursors: (snap.cursors.into_iter())
+                .map(|(subscriber, rule, cursor)| ((subscriber, rule), cursor))
+                .collect(),
+            ..LogFold::default()
         };
         for (rule, from, mark) in &snap.marks {
             let (session, key) = (snap.last_session, (*rule, *from));
-            answers.fold(
+            folded.fold_answer(
                 session,
                 key,
                 &mark.vars,
@@ -388,61 +452,55 @@ impl PeerStorage {
         };
         for record in records {
             remap.extend(catalog.absorb(record.dict()));
-            match record {
-                WalRecord::Insert {
-                    relation,
-                    tuple,
-                    depths: rec_depths,
-                    dict: _,
-                } => {
-                    let tuple = remap_tuple(&remap, tuple);
-                    for v in tuple.values() {
-                        if let Val::Null(id) = v {
-                            if id.node() == node && id.counter() + 1 > nulls_next {
-                                nulls_next = id.counter() + 1;
-                            }
-                        }
+            folded.fold(&record, &remap);
+            let WalRecord::Insert {
+                relation,
+                tuple,
+                depths: rec_depths,
+                dict: _,
+            } = record
+            else {
+                continue;
+            };
+            let tuple = remap_tuple(&remap, tuple);
+            for v in tuple.values() {
+                if let Val::Null(id) = v {
+                    if id.node() == node && id.counter() + 1 > nulls_next {
+                        nulls_next = id.counter() + 1;
                     }
-                    for (id, d) in rec_depths {
-                        let e = depths.entry(id).or_insert(d);
-                        if d > *e {
-                            *e = d;
-                        }
-                    }
-                    db.insert(&relation, tuple)
-                        .map_err(|e| StorageError::Corrupt(format!("WAL replay: {e}")))?;
                 }
-                WalRecord::Answer {
-                    session,
-                    rule,
-                    node: from,
-                    vars,
-                    rows,
-                    watermarks,
-                    dict: _,
-                } => answers.fold(session, (rule, from), &vars, &rows, &watermarks, &remap),
             }
+            for (id, d) in rec_depths {
+                let e = depths.entry(id).or_insert(d);
+                if d > *e {
+                    *e = d;
+                }
+            }
+            db.insert(&relation, tuple)
+                .map_err(|e| StorageError::Corrupt(format!("WAL replay: {e}")))?;
         }
         Ok(Some(RecoveredState {
             db,
             nulls_next,
             depths: depths.into_iter().collect(),
-            marks: answers.marks,
-            last_session: answers.last_session,
+            marks: folded.marks,
+            cursors: folded.cursors,
+            last_session: folded.last_session,
         }))
     }
 
-    /// Takes over the answer log a [`PeerStorage::recover`] of this store
-    /// rebuilt, so the next snapshot carries it on. The owner calls this
-    /// whenever it restarts from the store: a store reopened by a new
-    /// process has folded nothing yet.
+    /// Takes over the answer and cursor logs a [`PeerStorage::recover`] of
+    /// this store rebuilt, so the next snapshot carries them on. The owner
+    /// calls this whenever it restarts from the store: a store reopened by
+    /// a new process has folded nothing yet.
     pub fn adopt(&mut self, recovered: &RecoveredState) {
-        self.answers = AnswerFold {
+        self.folded = LogFold {
             seen: (recovered.marks.iter())
                 .filter(|(_, mark)| !mark.rows.is_empty())
                 .map(|(key, mark)| (*key, mark.rows.iter().cloned().collect()))
                 .collect(),
             marks: recovered.marks.clone(),
+            cursors: recovered.cursors.clone(),
             last_session: recovered.last_session,
         };
     }
@@ -863,6 +921,7 @@ mod tests {
             depths: Vec::new(),
             catalog: Vec::new(),
             marks: Vec::new(),
+            cursors: Vec::new(),
             last_session: SessionId::default(),
             db: db.clone(),
         };
@@ -919,11 +978,17 @@ mod tests {
             rows: vec![Tuple::new(vec![Val::Int(3)])],
             watermarks: [(Arc::<str>::from("b"), 2usize)].into_iter().collect(),
         };
+        let cursor = CursorMark {
+            part: Content::Str("opaque".into()),
+            watermarks: [(Arc::<str>::from("b"), 1usize)].into_iter().collect(),
+            rows: 4,
+        };
         let owned = DatabaseSnapshot {
             nulls_next: 7,
             depths: vec![(NullId::new(1, 2), 3)],
             catalog: ConstCatalog::global().export(db.syms()),
             marks: vec![(5, NodeId(2), mark)],
+            cursors: vec![(NodeId(4), 5, cursor)],
             last_session: SessionId::new(NodeId(1), 9),
             db,
         };
@@ -932,6 +997,7 @@ mod tests {
             depths: &owned.depths,
             catalog: &owned.catalog,
             marks: owned.marks.iter().map(|(r, n, m)| (*r, *n, m)).collect(),
+            cursors: owned.cursors.iter().map(|(n, r, c)| (*n, *r, c)).collect(),
             last_session: owned.last_session,
             db: &owned.db,
         };
@@ -944,6 +1010,46 @@ mod tests {
             binpack::to_bytes(&owned).unwrap()
         );
         assert_eq!(borrowed.to_content().unwrap(), owned.to_content().unwrap());
+    }
+
+    /// A snapshot written before cursors were persisted has no `cursors`
+    /// section: it opens, with none.
+    #[test]
+    fn snapshot_without_a_cursor_section_still_loads() {
+        use serde::Content;
+        let mut db = Database::new(schema());
+        db.insert_values("b", vec![Val::Int(3)]).unwrap();
+        let snap = DatabaseSnapshot {
+            nulls_next: 2,
+            depths: Vec::new(),
+            catalog: Vec::new(),
+            marks: vec![(5, NodeId(2), FragmentMark::default())],
+            cursors: Vec::new(),
+            last_session: SessionId::new(NodeId(0), 3),
+            db: db.clone(),
+        };
+        let Content::Map(mut fields) = snap.to_content().unwrap() else {
+            panic!("a snapshot is a map");
+        };
+        fields.retain(|(key, _)| key != "cursors");
+        assert_eq!(fields.len(), 6, "the earlier layout");
+        let old = Content::Map(fields);
+        for codec in [Codec::Json, Codec::Binary] {
+            let mut backend = MemoryBackend::default();
+            match codec {
+                Codec::Json => backend
+                    .write_snapshot(&serde_json::to_string(&old).unwrap())
+                    .unwrap(),
+                Codec::Binary => backend
+                    .write_snapshot_bytes(&binpack::to_bytes(&old).unwrap())
+                    .unwrap(),
+            }
+            let st = PeerStorage::with_codec(Box::new(backend), 0, codec);
+            let rec = st.recover(0).unwrap().unwrap();
+            assert_eq!(rec.db.all_facts(), db.all_facts(), "{codec}");
+            assert!(rec.cursors.is_empty() && rec.marks.len() == 1, "{codec}");
+            assert_eq!(rec.last_session, snap.last_session);
+        }
     }
 
     #[test]

@@ -6,14 +6,14 @@
 
 use p2p_net::{Codec, SessionId};
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
-use p2p_storage::{FileBackend, FragmentMark, MemoryBackend, PeerStorage, WalRecord};
+use p2p_storage::{CursorMark, FileBackend, FragmentMark, MemoryBackend, PeerStorage, WalRecord};
 use p2p_topology::NodeId;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const NODE: u32 = 2;
-const RECORDS: usize = 6;
+const RECORDS: usize = 8;
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("p2p_storage_crash_{tag}_{}", std::process::id()))
@@ -24,9 +24,24 @@ fn open(dir: &Path, codec: Codec) -> PeerStorage {
 }
 
 /// The `i`-th write of the history, one frame each: facts with strings (so
-/// frames carry dictionaries), every third write an answer mark instead.
+/// frames carry dictionaries), every fourth write an answer mark instead,
+/// and every fourth a cursor of one subscription — started with its
+/// fragment, then advanced without it.
 fn write(st: &mut PeerStorage, db: &mut Database, i: usize) {
-    let record = if i % 3 == 2 {
+    let record = if i % 4 == 3 {
+        WalRecord::Cursor {
+            subscriber: NodeId(7),
+            rule: 1,
+            mark: Some(CursorMark {
+                part: match i {
+                    3 => serde::Content::Str("the fragment".into()),
+                    _ => serde::Content::Null,
+                },
+                watermarks: [(Arc::<str>::from("r"), i)].into_iter().collect(),
+                rows: i,
+            }),
+        }
+    } else if i % 4 == 2 {
         WalRecord::Answer {
             session: SessionId::new(NodeId(0), i as u64),
             rule: 1,
@@ -50,7 +65,11 @@ fn write(st: &mut PeerStorage, db: &mut Database, i: usize) {
 }
 
 /// What recovery must report after the first `k` writes.
-type Expected = (Database, BTreeMap<(u32, NodeId), FragmentMark>);
+type Expected = (
+    Database,
+    BTreeMap<(u32, NodeId), FragmentMark>,
+    BTreeMap<(NodeId, u32), CursorMark>,
+);
 
 fn expected(k: usize) -> Expected {
     let mut db = Database::new(schema());
@@ -59,8 +78,8 @@ fn expected(k: usize) -> Expected {
     for i in 0..k {
         write(&mut st, &mut db, i);
     }
-    let marks = st.recover(NODE).unwrap().unwrap().marks;
-    (db, marks)
+    let rec = st.recover(NODE).unwrap().unwrap();
+    (db, rec.marks, rec.cursors)
 }
 
 fn schema() -> DatabaseSchema {
@@ -97,23 +116,28 @@ fn recovers_to_and_carries_on(
     expected: &[Expected],
     what: &str,
 ) {
-    let (mut db, marks) = expected[k].clone();
+    let (mut db, marks, cursors) = expected[k].clone();
     let mut st = open(dir, codec);
     let rec = st.recover(NODE).unwrap().expect("the first snapshot");
     assert_eq!(rec.db.all_facts(), db.all_facts(), "{what}");
     assert_eq!(rec.marks, marks, "{what}");
+    assert_eq!(rec.cursors, cursors, "{what}");
     st.adopt(&rec);
 
     write(&mut st, &mut db, k);
     let rec = open(dir, codec).recover(NODE).unwrap().unwrap();
     assert_eq!(rec.db.all_facts(), db.all_facts(), "{what}, appended");
     assert_eq!(rec.marks, expected[k + 1].1, "{what}, appended");
+    assert_eq!(rec.cursors, expected[k + 1].2, "{what}, appended");
 
+    // The checkpoint drops the cursor's frames and keeps the cursor, with
+    // its fragment, for the frame after it to move.
     st.snapshot(&db, 0, Vec::new()).unwrap();
     write(&mut st, &mut db, k + 1);
     let rec = open(dir, codec).recover(NODE).unwrap().unwrap();
     assert_eq!(rec.db.all_facts(), db.all_facts(), "{what}, checkpointed");
     assert_eq!(rec.marks, expected[k + 2].1, "{what}, checkpointed");
+    assert_eq!(rec.cursors, expected[k + 2].2, "{what}, checkpointed");
 }
 
 #[test]

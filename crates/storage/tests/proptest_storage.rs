@@ -1,15 +1,22 @@
 //! Properties of the store. For arbitrary insertion sequences with
 //! interleaved snapshots, `snapshot + WAL replay == live Database` —
 //! exactly, including insertion order (watermarks), the null mint, and
-//! chase depths. And whatever bytes sit in a `FileBackend` directory,
-//! opening and recovering it gives a typed error or a prefix of the
-//! acknowledged writes, never a panic.
+//! chase depths. For arbitrary subscription histories, a cursor is its
+//! newest record and a forgotten rule has no mark, through checkpoints and
+//! over frames replayed twice. And whatever bytes sit in a `FileBackend`
+//! directory, opening and recovering it gives a typed error or a prefix of
+//! the acknowledged writes, never a panic.
 
-use p2p_net::Codec;
+use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
-use p2p_storage::{FileBackend, MemoryBackend, PeerStorage, StorageBackend, WalRecord};
+use p2p_storage::{
+    CursorMark, FileBackend, FragmentMark, MemoryBackend, PeerStorage, StorageBackend,
+    StorageResult, WalRecord,
+};
+use p2p_topology::NodeId;
 use proptest::prelude::*;
+use serde::Content;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -120,6 +127,193 @@ proptest! {
         prop_assert_eq!(rec.nulls_next, nulls_next);
         let rec_depths: BTreeMap<NullId, u32> = rec.depths.into_iter().collect();
         prop_assert_eq!(rec_depths, depths);
+    }
+}
+
+/// One step in the life of the subscriptions a peer serves and heads.
+#[derive(Debug, Clone)]
+enum SubOp {
+    /// The cursor of `key` starts from scratch for fragment `part`.
+    Start {
+        key: u8,
+        part: u8,
+    },
+    /// It advances (a record without the fragment).
+    Advance {
+        key: u8,
+        to: usize,
+    },
+    /// `Unsubscribe`.
+    Drop {
+        key: u8,
+    },
+    /// An answer of `rule`'s fragment at node `key` is processed.
+    Answer {
+        rule: u8,
+        key: u8,
+        mark: usize,
+    },
+    /// The rule is replaced at its head.
+    Forget {
+        rule: u8,
+    },
+    Snapshot,
+}
+
+fn sub_op() -> impl Strategy<Value = SubOp> {
+    (0..12u8, 0..3u8, 0..2u8, 0..40usize).prop_map(|(sel, key, small, n)| match sel {
+        0..=1 => SubOp::Start { key, part: small },
+        2..=4 => SubOp::Advance { key, to: n },
+        5 => SubOp::Drop { key },
+        6..=8 => SubOp::Answer {
+            rule: small,
+            key,
+            mark: n,
+        },
+        9 => SubOp::Forget { rule: small },
+        _ => SubOp::Snapshot,
+    })
+}
+
+/// A backend that hands back every frame ever appended, whatever snapshot
+/// was written since: the loosest reading of the contract, and what a crash
+/// inside a checkpoint leaves behind.
+#[derive(Debug, Default)]
+struct KeepsEveryFrame {
+    inner: MemoryBackend,
+    text: Vec<String>,
+    bytes: Vec<Vec<u8>>,
+}
+
+impl StorageBackend for KeepsEveryFrame {
+    fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+        self.text.push(frame.to_string());
+        Ok(())
+    }
+    fn read_wal(&self) -> StorageResult<Vec<String>> {
+        Ok(self.text.clone())
+    }
+    fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
+        self.inner.write_snapshot(snapshot)
+    }
+    fn read_snapshot(&self) -> StorageResult<Option<String>> {
+        self.inner.read_snapshot()
+    }
+    fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
+        self.bytes.push(frame.to_vec());
+        Ok(())
+    }
+    fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
+        Ok(self.bytes.clone())
+    }
+    fn write_snapshot_bytes(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+        self.inner.write_snapshot_bytes(snapshot)
+    }
+    fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
+        self.inner.read_snapshot_bytes()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A cursor is its newest record — started, advanced without its
+    /// fragment, dropped — and a forgotten rule has no mark, whichever of
+    /// those frames a checkpoint has folded and dropped since, on both
+    /// codecs; and folding the frames a snapshot covers over it again (a
+    /// backend that drops nothing) ends in the same place.
+    #[test]
+    fn cursors_and_marks_replay_to_their_newest_state(
+        ops in proptest::collection::vec(sub_op(), 0..60),
+        binary in any::<bool>(),
+        keeps_frames in any::<bool>(),
+    ) {
+        let codec = if binary { Codec::Binary } else { Codec::Json };
+        let backend: Box<dyn StorageBackend> = if keeps_frames {
+            Box::<KeepsEveryFrame>::default()
+        } else {
+            Box::<MemoryBackend>::default()
+        };
+        let db = Database::new(DatabaseSchema::parse("r(x: int).").unwrap());
+        let mut store = PeerStorage::with_codec(backend, 0, codec);
+        store.snapshot(&db, 0, Vec::new()).unwrap();
+
+        let mut cursors: BTreeMap<(NodeId, u32), CursorMark> = BTreeMap::new();
+        let mut marks: BTreeMap<(u32, NodeId), FragmentMark> = BTreeMap::new();
+        let marks_of = |n: usize| -> BTreeMap<Arc<str>, usize> {
+            [(Arc::<str>::from("r"), n)].into_iter().collect()
+        };
+        for o in &ops {
+            match *o {
+                SubOp::Start { key, part } => {
+                    let key = (NodeId(u32::from(key)), 7);
+                    let mark = CursorMark {
+                        part: Content::Str(format!("fragment {part}")),
+                        ..CursorMark::default()
+                    };
+                    cursors.insert(key, mark.clone());
+                    store.log(&WalRecord::Cursor {
+                        subscriber: key.0,
+                        rule: key.1,
+                        mark: Some(mark),
+                    }).unwrap();
+                }
+                SubOp::Advance { key, to } => {
+                    let key = (NodeId(u32::from(key)), 7);
+                    // The owner advances a cursor it has.
+                    let Some(cursor) = cursors.get_mut(&key) else { continue };
+                    cursor.watermarks = marks_of(to);
+                    cursor.rows = to;
+                    store.log(&WalRecord::Cursor {
+                        subscriber: key.0,
+                        rule: key.1,
+                        mark: Some(CursorMark {
+                            part: Content::Null,
+                            watermarks: marks_of(to),
+                            rows: to,
+                        }),
+                    }).unwrap();
+                }
+                SubOp::Drop { key } => {
+                    let key = (NodeId(u32::from(key)), 7);
+                    cursors.remove(&key);
+                    store.log(&WalRecord::Cursor {
+                        subscriber: key.0,
+                        rule: key.1,
+                        mark: None,
+                    }).unwrap();
+                }
+                SubOp::Answer { rule, key, mark } => {
+                    let key = (u32::from(rule), NodeId(u32::from(key)));
+                    let held = marks.entry(key).or_default();
+                    let newest = held.watermarks.entry(Arc::from("r")).or_default();
+                    *newest = (*newest).max(mark);
+                    store.log(&WalRecord::Answer {
+                        session: SessionId::default(),
+                        rule: key.0,
+                        node: key.1,
+                        vars: Vec::new(),
+                        rows: Vec::new(),
+                        watermarks: marks_of(mark),
+                        dict: Vec::new(),
+                    }).unwrap();
+                }
+                SubOp::Forget { rule } => {
+                    marks.retain(|(r, _), _| *r != u32::from(rule));
+                    store.log(&WalRecord::ForgetRule { rule: u32::from(rule) }).unwrap();
+                }
+                SubOp::Snapshot => store.snapshot(&db, 0, Vec::new()).unwrap(),
+            }
+        }
+        let rec = store.recover(NODE).unwrap().expect("initial snapshot exists");
+        prop_assert_eq!(&rec.cursors, &cursors);
+        prop_assert_eq!(&rec.marks, &marks);
+        // … and once more through the snapshot a reopened store writes.
+        store.adopt(&rec);
+        store.snapshot(&db, 0, Vec::new()).unwrap();
+        let again = store.recover(NODE).unwrap().unwrap();
+        prop_assert_eq!(again.cursors, cursors);
+        prop_assert_eq!(again.marks, marks);
     }
 }
 

@@ -18,7 +18,9 @@ use p2pdb::net::{Codec, NetStats, SessionId};
 use p2pdb::relational::value::NullId;
 use p2pdb::relational::Value;
 use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, SymId, Tuple, Val};
-use p2pdb::storage::{DatabaseSnapshot, FragmentMark, MemoryBackend, PeerStorage, WalRecord};
+use p2pdb::storage::{
+    CursorMark, DatabaseSnapshot, FragmentMark, MemoryBackend, PeerStorage, WalRecord,
+};
 use p2pdb::topology::NodeId;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -203,7 +205,7 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
 
 fn wal_record() -> impl Strategy<Value = WalRecord> {
     (
-        (0u8..2, session(), any::<u32>(), 0u32..9000),
+        (0u8..6, session(), any::<u32>(), 0u32..9000),
         proptest::collection::vec(val(), 0..8),
         null_depths(),
         marks(),
@@ -218,6 +220,24 @@ fn wal_record() -> impl Strategy<Value = WalRecord> {
                         depths,
                         dict,
                     }
+                } else if kind == 1 {
+                    WalRecord::ForgetRule { rule }
+                } else if kind <= 4 {
+                    // A key's first record (with the fragment, an opaque
+                    // document), a later one (without), a removal.
+                    let part = match kind {
+                        2 => fragment_doc(node),
+                        _ => serde::Content::Null,
+                    };
+                    WalRecord::Cursor {
+                        subscriber: NodeId(node),
+                        rule,
+                        mark: (kind < 4).then_some(CursorMark {
+                            part,
+                            watermarks,
+                            rows: vals.len(),
+                        }),
+                    }
                 } else {
                     WalRecord::Answer {
                         session,
@@ -231,6 +251,17 @@ fn wal_record() -> impl Strategy<Value = WalRecord> {
                 }
             },
         )
+}
+
+/// A rule fragment as `p2p_core` hands it to the store.
+fn fragment_doc(node: u32) -> serde::Content {
+    let part = p2pdb::core::rule::BodyPart {
+        node: NodeId(node),
+        atoms: vec![],
+        local_constraints: vec![],
+        vars: vec![Arc::from("X"), Arc::from("Y")],
+    };
+    part.to_content().unwrap()
 }
 
 fn snapshot() -> impl Strategy<Value = DatabaseSnapshot> {
@@ -257,6 +288,17 @@ fn snapshot() -> impl Strategy<Value = DatabaseSnapshot> {
                 depths,
                 catalog: ConstCatalog::global().export(syms),
                 marks: vec![(3, NodeId(1), FragmentMark::default())],
+                cursors: vec![(
+                    NodeId(2),
+                    3,
+                    CursorMark {
+                        part: fragment_doc(1),
+                        watermarks: [(Arc::<str>::from("a"), nulls_next as usize)]
+                            .into_iter()
+                            .collect(),
+                        rows: 9,
+                    },
+                )],
                 last_session: SessionId::new(NodeId(0), nulls_next),
                 db,
             }

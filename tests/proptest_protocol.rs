@@ -6,7 +6,8 @@
 //! subscription cursors that outlive a session, and the standing
 //! subscriptions they are, never hide a row — under inserts, concurrent
 //! roots, rule changes inside and outside sessions, crashes and dropped
-//! messages; and that net is tight enough to catch three seeded faults.
+//! messages, and a durable peer's restart re-ships none; and that net is
+//! tight enough to catch five seeded faults.
 
 use p2pdb::core::config::UpdateMode;
 use p2pdb::core::dynamic::{lower_reference, upper_reference, ChangeOp, ChangeScript};
@@ -187,9 +188,14 @@ enum Step {
         late: bool,
         also: Option<u32>,
     },
-    /// A non-super peer crashes and restarts mid-session (with its store,
-    /// or with amnesia, as the run is configured); re-driven to closure.
-    Crash(u32, Option<u32>),
+    /// A non-super peer crashes — before anything of the session reaches
+    /// it (`early`), or mid-session — and restarts (with its store, or with
+    /// amnesia, as the run is configured); re-driven to closure.
+    Crash {
+        node: u32,
+        also: Option<u32>,
+        early: bool,
+    },
     /// Sessions under random drops and duplicates, re-driven; then reliable
     /// pipes again and re-driven to closure.
     Drops(u8, u64, Option<u32>),
@@ -215,7 +221,11 @@ fn step() -> impl Strategy<Value = Step> {
                 late: y % 2 == 0,
                 also: also(a),
             },
-            9 => Step::Crash(a, also(b)),
+            9 => Step::Crash {
+                node: a,
+                also: also(b),
+                early: x % 2 == 0,
+            },
             10..=11 => Step::Drops(5 + (x as u8) * 5, u64::from(a * 8 + b), also(a)),
             _ => Step::Replace {
                 pick: b as usize,
@@ -366,6 +376,16 @@ fn all_closed(reports: &[UpdateReport]) -> bool {
         .all(|r| r.outcome.quiescent && r.all_closed && r.errors.is_empty())
 }
 
+/// Rows shipped in answers, `Query`s and cursor-void notices sent so far.
+fn shipped(sys: &P2PSystem) -> (u64, u64, u64) {
+    let net = sys.net_stats();
+    (
+        sys.sum_stats().rows_shipped,
+        net.sent_of_kind("Query"),
+        net.sent_of_kind("CursorVoid"),
+    )
+}
+
 /// What outlives a session at every peer.
 fn retained(sys: &P2PSystem) -> Vec<(usize, usize)> {
     sys.peers().map(|(_, p)| p.retained_entries()).collect()
@@ -500,13 +520,13 @@ fn run_schedule(
                 }
                 model.check_changed(&sys, what, &before)?;
             }
-            Step::Crash(node, also) => {
+            Step::Crash { node, also, early } => {
                 let victim = NodeId(1 + node % (n - 1));
                 // The crash is the victim's to survive, not a root's.
                 let also = also.filter(|r| NodeId(r % n) != victim);
                 sys.set_churn(ChurnPlan::none().with_crash(
                     victim,
-                    SimTime::from_millis(2),
+                    SimTime::from_millis(if early { 0 } else { 2 }),
                     SimTime::from_millis(6),
                 ));
                 model.amnesia |= !durable;
@@ -516,9 +536,24 @@ fn run_schedule(
                     sys.run_updates(&roots(also));
                     sys.seed_fault(SeededFault::ForgetVoidNotice);
                 }
+                if let Some(
+                    at_restart @ (SeededFault::RecoveredCursorsToNow
+                    | SeededFault::HoldWithoutResync),
+                ) = fault
+                {
+                    sys.seed_fault(at_restart);
+                }
+                let before = shipped(&sys);
                 let reports = sys.run_updates_resilient(&roots(also), 4);
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 model.check_closed(&sys, what)?;
+                // A crash costs what was at risk: with everything committed
+                // and nothing inserted since, a durable peer's restart puts
+                // no row on the wire again — neither one it held nor one its
+                // subscribers did — and nobody has to ask or be told.
+                if was_settled && durable && mode == UpdateMode::Eager && fault.is_none() {
+                    prop_assert_eq!(shipped(&sys), before, "re-shipped after {:?}", what);
+                }
             }
             Step::Drops(percent, seed, also) => {
                 sys.set_fault(FaultPlan::random(percent, 10, seed));
@@ -592,12 +627,15 @@ proptest! {
     }
 }
 
-/// The net has no hole where it matters: with each of three faults seeded
+/// The net has no hole where it matters: with each of five faults seeded
 /// into the peers' subscription state — a cursor-void notice that is never
 /// sent, a head that counts a fragment as held after its rule was replaced
-/// under the same id, a cursor ahead of what its subscriber was shipped —
-/// some schedule of the generator's first 256 (eager mode; the rounds have
-/// no cursors) ends in a state the oracle comparison rejects.
+/// under the same id, a cursor ahead of what its subscriber was shipped,
+/// and the two ways a restart that resumes can be wrong: a recovered cursor
+/// moved to now, a fragment held without the resync that covers what the
+/// log does not — some schedule of the generator's first 256 (eager mode;
+/// the rounds have no cursors) ends in a state the oracle comparison
+/// rejects.
 #[test]
 fn seeded_faults_are_caught_by_the_oracle_comparison() {
     let seed = (std::env::var("PROPTEST_SEED").ok())
@@ -613,6 +651,8 @@ fn seeded_faults_are_caught_by_the_oracle_comparison() {
         SeededFault::ForgetVoidNotice,
         SeededFault::HoldEverything,
         SeededFault::CursorsToNow,
+        SeededFault::RecoveredCursorsToNow,
+        SeededFault::HoldWithoutResync,
     ] {
         let mut rng = TestRng::from_seed(seed);
         let caught = (0..256).any(|_| {
@@ -785,6 +825,177 @@ fn amnesiac_head_gets_the_full_extension_again() {
     );
     let (cursors, _) = sys.peer(BODY).unwrap().retained_entries();
     assert_eq!(cursors, 1, "and a cursor to resume from next time");
+}
+
+/// [`head_body_system`] with a store at every peer, taken through two
+/// sessions: the subscription is committed on both ends.
+fn settled_durable_head_body_system() -> P2PSystem {
+    let mut b = P2PSystemBuilder::new();
+    b.add_node_with_schema(0, "a(x: int).").unwrap();
+    b.add_node_with_schema(1, "h(x: int, y: int).").unwrap();
+    b.add_node_with_schema(2, "b(x: int, y: int).").unwrap();
+    b.add_node_with_schema(3, "c(x: int, y: int).").unwrap();
+    b.add_rule("r", "C:b(X,Y) => B:h(X,Y)").unwrap();
+    b.add_rule("s", "D:c(X,Y) => C:b(X,Y)").unwrap();
+    for x in 0..20 {
+        b.insert(2, "b", vec![Val::Int(x), Val::Int(x + 1)])
+            .unwrap();
+    }
+    b.config_mut().durability = true;
+    let mut sys = b.build().unwrap();
+    assert!(sys.run_update().all_closed);
+    assert!(sys.run_update().all_closed);
+    assert_eq!(rows(&sys, HEAD, "h"), 20);
+    sys
+}
+
+const SOURCE: NodeId = NodeId(3);
+
+/// Both ends of one pipe restart in the same run — the head with its marks,
+/// the body node with its cursor — while rows are on their way: the re-drive
+/// still reaches the oracle's fix-point, and what it ships is what was at
+/// risk.
+#[test]
+fn head_and_body_node_restarting_together_still_reach_the_oracle() {
+    let mut sys = settled_durable_head_body_system();
+    for x in 100..103 {
+        sys.insert(BODY, "b", vec![Val::Int(x), Val::Int(x)])
+            .unwrap();
+    }
+    let (ms, before) = (SimTime::from_millis, sys.sum_stats());
+    sys.set_churn(
+        ChurnPlan::none()
+            .with_crash(HEAD, ms(1), ms(5))
+            .with_crash(BODY, ms(2), ms(4)),
+    );
+    let report = sys.run_update_resilient(3);
+    assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+    assert_eq!(rows(&sys, HEAD, "h"), 23);
+    let after = sys.sum_stats();
+    assert_eq!((after.crashes, after.recoveries), (2, 2));
+    assert_eq!(sys.net_stats().sent_of_kind("CursorVoid"), 0, "both vouch");
+    assert!(
+        after.rows_shipped - before.rows_shipped + after.resync_rows <= 2 * 3,
+        "the three rows at risk, at most once by resync and once by session: {} + {}",
+        after.rows_shipped - before.rows_shipped,
+        after.resync_rows
+    );
+    // Quiet again, both subscriptions standing.
+    let queries = sys.net_stats().sent_of_kind("Query");
+    let shipped = sys.sum_stats().rows_shipped;
+    assert!(sys.run_update().all_closed);
+    assert_eq!(sys.net_stats().sent_of_kind("Query"), queries);
+    assert_eq!(sys.sum_stats().rows_shipped, shipped);
+}
+
+/// The head holds a fragment again only once it has absorbed the resync
+/// answer: while that answer is lost the fragment stays un-held, and the
+/// request is sent again when the peer next enters a session.
+#[test]
+fn dropped_resync_answer_leaves_the_fragment_unheld_and_is_asked_again() {
+    let mut sys = settled_durable_head_body_system();
+    let held = |sys: &P2PSystem| sys.peer(HEAD).unwrap().retained_entries().1;
+    assert_eq!(held(&sys), 1);
+    // Whatever the body node sends the head is lost, the resync answer
+    // included.
+    sys.set_fault(FaultPlan::none().with_outage(LinkOutage {
+        from: BODY,
+        to: HEAD,
+        start: SimTime::ZERO,
+        end: SimTime(u64::MAX),
+    }));
+    sys.set_churn(ChurnPlan::none().with_crash(
+        HEAD,
+        SimTime::from_millis(60_000),
+        SimTime::from_millis(60_001),
+    ));
+    sys.run_update();
+    assert_eq!(sys.sum_stats().recoveries, 1);
+    assert_eq!(sys.net_stats().sent_of_kind("ResyncRequest"), 1);
+    assert_eq!(sys.net_stats().sent_of_kind("ResyncAnswer"), 1);
+    assert_eq!(held(&sys), 0, "no answer, not held");
+
+    sys.set_fault(FaultPlan::none());
+    for x in 100..103 {
+        sys.insert(BODY, "b", vec![Val::Int(x), Val::Int(x)])
+            .unwrap();
+    }
+    let report = sys.run_update_resilient(2);
+    assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
+    assert_eq!(
+        sys.net_stats().sent_of_kind("ResyncRequest"),
+        2,
+        "asked again"
+    );
+    assert_eq!(held(&sys), 1);
+    assert_eq!(rows(&sys, HEAD, "h"), 23);
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+}
+
+/// A head logs a mark when an answer arrives, the body node commits its
+/// cursor when the session retires. Here the session's first answer to the
+/// head is lost, its second arrives — the head's mark now lies beyond rows
+/// it never saw — and the head crashes. The resync is answered from the
+/// body node's committed cursor, not from the mark the head claims: the
+/// head is whole again before any session runs.
+#[test]
+fn dropped_answer_then_head_crash_is_reshipped_from_the_committed_cursor() {
+    let mut sys = settled_durable_head_body_system();
+    let t0 = sys.run_update().outcome.virtual_time;
+    for x in 100..103 {
+        sys.insert(BODY, "b", vec![Val::Int(x), Val::Int(x)])
+            .unwrap();
+    }
+    // … and two that reach the body node, and through it the head, one hop
+    // later than the body node's own.
+    for x in 200..202 {
+        sys.insert(SOURCE, "c", vec![Val::Int(x), Val::Int(x)])
+            .unwrap();
+    }
+    // The start command takes one hop (1 ms) to the root and the flood one
+    // to the body node, whose first answer leaves then; its second leaves a
+    // hop later, when the source's rows have arrived.
+    let at = |micros: u64| SimTime(t0.0 + SimTime::from_micros(micros).0);
+    sys.set_fault(FaultPlan::none().with_outage(LinkOutage {
+        from: BODY,
+        to: HEAD,
+        start: t0,
+        end: at(2_700),
+    }));
+    sys.set_churn(ChurnPlan::none().with_crash(
+        HEAD,
+        SimTime::from_millis(6),
+        SimTime::from_millis(7),
+    ));
+    let before = sys.sum_stats();
+    let stranded = sys.run_update();
+    assert!(
+        !stranded.all_closed,
+        "the lost answer is never acknowledged"
+    );
+    let after = sys.sum_stats();
+    assert_eq!(
+        after.answers_sent - before.answers_sent,
+        3,
+        "c→b, then b→h twice"
+    );
+    assert_eq!(
+        after.answers_received - before.answers_received,
+        2,
+        "the first b→h answer was lost"
+    );
+    assert_eq!(after.recoveries, 1);
+    assert_eq!(
+        after.resync_rows, 5,
+        "the three rows of the lost answer and the two behind the mark"
+    );
+    assert_eq!(rows(&sys, HEAD, "h"), 25, "whole before any re-drive");
+
+    sys.set_fault(FaultPlan::none());
+    let report = sys.run_update_resilient(1);
+    assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
 }
 
 /// A cursor is fingerprinted by its fragment: a rule replaced under the

@@ -227,14 +227,34 @@ fn thirty_sessions_of_two_publications_ship_the_delta_not_the_database() {
     assert_eq!(net.total_messages, 3168);
 }
 
-/// Silence is never ambiguous: a body node that lost its cursors says so.
-/// The first session after a durable peer's crash carries its notice to
-/// each of its pipes, and what is asked again — in full — is that node's
-/// fragments and nothing else: by its heads because of the notice, and by
-/// the node itself, whose own `held` marks went with the crash. The session
-/// after that is quiet again.
-#[test]
-fn first_session_after_a_crash_carries_the_notice_and_requeries_that_node_only() {
+/// Two fresh publications at `writer`, then a session: its cost and the
+/// bytes it put on the wire.
+fn written_session(
+    sys: &mut P2PSystem,
+    seen: &mut PeerStats,
+    fresh: &mut DblpGenerator,
+    writer: NodeId,
+) -> (Cost, u64) {
+    let pubs: Vec<Publication> = (fresh.batch(2).into_iter())
+        .map(|mut p| {
+            p.id += 10_000_000;
+            p
+        })
+        .collect();
+    insert(sys, writer, &pubs);
+    let before = sys.net_stats().total_bytes;
+    let cost = session(sys, seen);
+    (cost, sys.net_stats().total_bytes - before)
+}
+
+/// The settled DBLP ring, taken through `warm`, with `victim` then crashed
+/// and restarted — and, with a store, resynced — long after the fix-point
+/// of one more session, inside that session's run.
+fn ring_with_a_restarted_peer(
+    durable: bool,
+    victim: NodeId,
+    warm: impl FnOnce(&mut P2PSystem, &mut PeerStats),
+) -> (P2PSystem, PeerStats) {
     let mut b = build_system(&WorkloadConfig {
         topology: Topology::Ring { n: NODES },
         records_per_node: 40,
@@ -242,15 +262,13 @@ fn first_session_after_a_crash_carries_the_notice_and_requeries_that_node_only()
         seed: 3,
     })
     .unwrap();
-    b.config_mut().durability = true;
+    b.config_mut().durability = durable;
     let mut sys = b.build().unwrap();
-    let victim = NodeId(3);
     let mut seen = PeerStats::default();
     session(&mut sys, &mut seen);
     assert_eq!(session(&mut sys, &mut seen).sent[1], 0, "settled: no query");
+    warm(&mut sys, &mut seen);
 
-    // The crash and the restart (with its resync) happen long after the
-    // next session's fix-point, inside the same run.
     sys.set_churn(ChurnPlan::none().with_crash(
         victim,
         SimTime::from_millis(60_000),
@@ -261,6 +279,19 @@ fn first_session_after_a_crash_carries_the_notice_and_requeries_that_node_only()
     assert!(sys.run_update().errors.is_empty());
     seen = sys.sum_stats();
     assert_eq!(seen.crashes, 1);
+    (sys, seen)
+}
+
+/// Silence is never ambiguous: a body node that lost its cursors says so.
+/// The first session after the crash of a peer without a store carries its
+/// notice to each of its pipes, and what is asked again — in full — is that
+/// node's fragments and nothing else: by its heads because of the notice,
+/// and by the node itself, whose own `held` marks went with the crash. The
+/// session after that is quiet again.
+#[test]
+fn first_session_after_an_amnesiac_restart_carries_the_notice_and_requeries_that_node_only() {
+    let victim = NodeId(3);
+    let (mut sys, mut seen) = ring_with_a_restarted_peer(false, victim, |_, _| {});
 
     let rules = sys.rules().clone();
     let edges = || (rules.iter()).flat_map(|r| r.parts.iter().map(move |p| (r.head_node, p.node)));
@@ -294,10 +325,78 @@ fn first_session_after_a_crash_carries_the_notice_and_requeries_that_node_only()
         };
         assert_eq!(asked, expected, "queries sent by {id}");
     }
-    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+    // (No oracle comparison: the victim's own base data went with the crash.)
 
     let quiet = session(&mut sys, &mut seen);
     assert_eq!(quiet.sent, [n - 1, 0, 0, n - 1, n - 1, 0]);
+}
+
+/// A crash costs what was at risk, not what is held: a durable peer comes
+/// back with the cursors it served, and its resync leaves it holding the
+/// fragments it heads — so the first session after its restart is an
+/// ordinary one. No notice, no query, and, with two fresh publications
+/// inserted before each, no more rows than an ordinary session ships and
+/// hardly more bytes than the session before the crash; with nothing
+/// inserted, the skeleton only.
+#[test]
+fn first_session_after_a_durable_restart_is_an_ordinary_session() {
+    let n = u64::from(NODES);
+    let (victim, writer) = (NodeId(3), NodeId(5));
+    let mut fresh = DblpGenerator::new(0x0c4a_54ed);
+
+    let mut ordinary = Vec::new();
+    let (mut sys, mut seen) = ring_with_a_restarted_peer(true, victim, |sys, seen| {
+        ordinary.push(written_session(sys, seen, &mut fresh, writer));
+        ordinary.push(written_session(sys, seen, &mut fresh, writer));
+    });
+    assert_eq!(seen.recoveries, 1);
+    let (after_crash, bytes) = written_session(&mut sys, &mut seen, &mut fresh, writer);
+    let [floods, queries, answers, acks, fixpoints, notices] = after_crash.sent;
+    assert_eq!((queries, notices), (0, 0));
+    assert_eq!((floods, fixpoints), (n - 1, n - 1));
+    assert_eq!(acks, floods + answers);
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+    ordinary.push(written_session(&mut sys, &mut seen, &mut fresh, writer));
+
+    let most_rows = ordinary.iter().map(|(c, _)| c.rows_shipped).max().unwrap();
+    assert!(
+        after_crash.rows_shipped <= most_rows,
+        "{} rows after the restart, at most {most_rows} in an ordinary session",
+        after_crash.rows_shipped
+    );
+    let (_, before_crash) = ordinary[1];
+    assert!(
+        2 * bytes <= 3 * before_crash,
+        "{bytes} bytes after the restart, {before_crash} in the session before the crash"
+    );
+
+    // And quiet again: a session with nothing new is its skeleton, leaves
+    // no session state behind and moves neither retained table.
+    let retained: Vec<(usize, usize)> = sys.peers().map(|(_, p)| p.retained_entries()).collect();
+    let idle = session(&mut sys, &mut seen);
+    assert_eq!(idle.sent, [n - 1, 0, 0, n - 1, n - 1, 0]);
+    assert_eq!(idle.rows_shipped, 0);
+
+    // The same right after a restart, with nothing inserted in between.
+    let (mut sys, mut seen) = ring_with_a_restarted_peer(true, victim, |_, _| {});
+    let retained_after_restart: Vec<(usize, usize)> =
+        sys.peers().map(|(_, p)| p.retained_entries()).collect();
+    assert_eq!(
+        retained_after_restart, retained,
+        "the restart gave every entry back"
+    );
+    let idle = session(&mut sys, &mut seen);
+    assert_eq!(idle.sent, [n - 1, 0, 0, n - 1, n - 1, 0]);
+    assert_eq!(idle.rows_shipped, 0);
+    for ((id, peer), before) in sys.peers().zip(&retained) {
+        assert_eq!(peer.session_table_len(), 0, "leak at {id}");
+        assert_eq!(
+            peer.retained_entries(),
+            *before,
+            "retained state moved at {id}"
+        );
+    }
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
 }
 
 /// A `MemoryBackend` the test keeps a second handle on, to read what a
