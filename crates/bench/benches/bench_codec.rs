@@ -1,14 +1,10 @@
-//! E18 — binary wire codec: encode/decode throughput of the two codecs on
-//! representative protocol messages, plus the whole-run wire ledger.
+//! Per-message codec timings: encode/decode throughput of the two codecs on
+//! representative protocol messages, and the cost of sizing one.
 //!
-//! The ledger (wire bytes and virtual time per codec on e18's three
-//! workloads) is printed once before timing; the acceptance bar — ≥3×
-//! whole-run wire shrink with tuple-identical fix-points — is asserted
-//! here as well as in the `repro e18` smoke.
+//! These are the only nanosecond-resolution codec numbers; whole-run wire
+//! bytes and codec time per session are the benchmark's `codec.*` metrics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use p2p_bench::experiments::e18_codec;
-use p2p_bench::Scale;
 use p2p_core::codec::{decode_msg, encode_msg};
 use p2p_core::messages::{AnswerRows, ProtocolMsg};
 use p2p_core::rule::{BodyPart, RuleId};
@@ -73,16 +69,7 @@ fn dblp_query() -> ProtocolMsg {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    let (table, summary) = e18_codec(Scale::Quick);
-    println!("\nE18 — binary wire codec (whole-run ledger)\n");
-    println!("{}", table.render());
-    println!(
-        "all workloads: {} wire bytes (json) vs {} (binary) — {:.2}x shrink\n",
-        summary.json_bytes, summary.binary_bytes, summary.shrink,
-    );
-    assert!(summary.ok(), "codec regression: {summary:?}");
-
-    let mut group = c.benchmark_group("e18_codec");
+    let mut group = c.benchmark_group("codec");
     group.sample_size(20);
     for rows in [20usize, 200] {
         let msg = dblp_answer(rows);
@@ -106,7 +93,7 @@ fn bench_codec(c: &mut Criterion) {
     // What every in-process runtime pays per send: sizing, under either
     // codec, without keeping the encoding. One sizing is tens of
     // nanoseconds, so a timed iteration is 10 000 of them.
-    let mut group = c.benchmark_group("e18_measure_x10k");
+    let mut group = c.benchmark_group("measure_x10k");
     group.sample_size(20);
     let session = SessionId::new(NodeId(0), 1);
     for (name, msg) in [

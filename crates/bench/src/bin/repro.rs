@@ -31,7 +31,7 @@ fn main() {
 
     if want("e1") {
         println!("E1 — Section 2: maximal dependency paths of the running example");
-        println!("(corrected per Definitions 6–7; see EXPERIMENTS.md for the diff)\n");
+        println!("(the PDF's typographical slips corrected: rows follow Definitions 6–7)\n");
         println!("{}", exp::e1_paper_paths().render());
     }
     if want("e2") {
@@ -152,129 +152,6 @@ fn main() {
             } else {
                 "FAILED (fix-point mismatch, unclosed session, leaked session state, \
                  or no interleaving speedup)"
-            }
-        );
-    }
-    if want("e18") {
-        println!("E18 — binary wire codec: whole-run wire bytes and time per codec\n");
-        let (table, summary) = exp::e18_codec(scale);
-        println!("{}", table.render());
-        println!(
-            "all workloads: {} wire bytes (json) vs {} (binary) — {:.2}x shrink; \
-             payloads {} B vs {} B ({:.2}x); {} vs {} messages",
-            summary.json_bytes,
-            summary.binary_bytes,
-            summary.shrink,
-            summary.payload_bytes_json,
-            summary.payload_bytes_binary,
-            summary.payload_bytes_json as f64 / summary.payload_bytes_binary.max(1) as f64,
-            summary.json_messages,
-            summary.binary_messages,
-        );
-        let json = exp::codec_summary_json(&summary);
-        match std::fs::write("BENCH_e18.json", &json) {
-            Ok(()) => println!("wrote BENCH_e18.json"),
-            Err(e) => println!("could not write BENCH_e18.json: {e}"),
-        }
-        println!(
-            "codec smoke: {}\n",
-            if summary.ok() {
-                "OK"
-            } else {
-                "FAILED (fix-point mismatch, message-count drift, or wire shrink below 3x)"
-            }
-        );
-    }
-    if want("e19") {
-        println!("E19 — scaling: 10k-peer updates, expander overlays, shared fan-out\n");
-        let (table, summary) = exp::e19_scale(scale);
-        println!("{}", table.render());
-        println!(
-            "largest expander run: {} peers in {:.0} ms wall clock; \
-             fan-out to {} receivers: {:.2} ms per-receiver encodes vs {:.2} ms shared ({:.0}x)",
-            summary.big_run_nodes,
-            summary.big_run_wall_ms,
-            summary.fanout_receivers,
-            summary.fanout_legacy_ms,
-            summary.fanout_shared_ms,
-            summary.fanout_speedup,
-        );
-        let json = exp::scale_summary_json(&summary);
-        match std::fs::write("BENCH_e19.json", &json) {
-            Ok(()) => println!("wrote BENCH_e19.json"),
-            Err(e) => println!("could not write BENCH_e19.json: {e}"),
-        }
-        println!(
-            "scale smoke: {}\n",
-            if summary.ok() {
-                "OK"
-            } else {
-                "FAILED (unclosed run, fix-point off the closed form, 10k run \
-                 over 30s, or fan-out speedup below 5x)"
-            }
-        );
-    }
-    if want("e20") {
-        println!("E20 — real sockets: 8-process ring cluster vs the in-process simulator\n");
-        match exp::e20_transport(scale) {
-            Ok((table, summary)) => {
-                println!("{}", table.render());
-                println!(
-                    "cluster of {}: {} frames / {} B (json) vs {} frames / {} B (binary) \
-                     on real TCP; sim shipped {} / {} messages",
-                    summary.nodes,
-                    summary.json.frames,
-                    summary.json.bytes,
-                    summary.binary.frames,
-                    summary.binary.bytes,
-                    summary.json.sim_messages,
-                    summary.binary.sim_messages,
-                );
-                let json = exp::transport_summary_json(&summary);
-                match std::fs::write("BENCH_e20.json", &json) {
-                    Ok(()) => println!("wrote BENCH_e20.json"),
-                    Err(e) => println!("could not write BENCH_e20.json: {e}"),
-                }
-                println!(
-                    "transport smoke: {}\n",
-                    if summary.ok() {
-                        "OK"
-                    } else {
-                        "FAILED (cluster fix-point diverged from the simulator/oracle, \
-                         no frames crossed the wire, or binary shipped more bytes than json)"
-                    }
-                );
-            }
-            Err(e) => println!("transport smoke: FAILED ({e})\n"),
-        }
-    }
-    if want("e21") {
-        println!("E21 — parallel runtime: sharded worker pool vs the simulator\n");
-        let (table, summary) = exp::e21_parallel(scale);
-        println!("{}", table.render());
-        println!(
-            "host cores: {}; 1k expander at 4 shards: {:.2}x vs 1 shard; \
-             10k at 8 shards: {:.2}x; ring placement: {} cross-shard sends \
-             round-robin vs {} contiguous blocks",
-            summary.host_cores,
-            summary.speedup_small_4,
-            summary.speedup_big_8,
-            summary.rr_cross_shard,
-            summary.blocks_cross_shard,
-        );
-        let json = exp::parallel_summary_json(&summary);
-        match std::fs::write("BENCH_e21.json", &json) {
-            Ok(()) => println!("wrote BENCH_e21.json"),
-            Err(e) => println!("could not write BENCH_e21.json: {e}"),
-        }
-        println!(
-            "parallel smoke: {}\n",
-            if summary.ok() {
-                "OK"
-            } else {
-                "FAILED (unclosed run, fix-point off the simulator/closed form/\
-                 oracle, placement probe inverted, or wall-clock speedup below \
-                 the 1.5x/2x gates on a multi-core host)"
             }
         );
     }

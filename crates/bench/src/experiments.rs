@@ -1,15 +1,18 @@
-//! The experiment suite: one function per table/figure of EXPERIMENTS.md.
+//! The experiment suite: one function per table or figure of the paper
+//! (e1–e13), plus the delta-wave, churn and concurrent-session experiments
+//! (e14, e15, e17).
 //!
 //! Everything here is shared between the Criterion benches and the `repro`
-//! binary, so the numbers in EXPERIMENTS.md are regenerated by exactly the
-//! code the benches time.
+//! binary, so the tables `repro` prints are regenerated by exactly the code
+//! the benches time. Performance is measured by the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/`), not here.
 
 use crate::table::{linear_fit, Table};
 use p2p_baselines::{acyclic_update, centralized_update};
 use p2p_core::config::UpdateMode;
 use p2p_core::dynamic::{ChangeOp, ChangeScript};
 use p2p_core::system::{P2PSystemBuilder, UpdateReport};
-use p2p_net::{Codec, SimTime};
+use p2p_net::SimTime;
 use p2p_relational::hom::contained_modulo_nulls;
 use p2p_relational::Val;
 use p2p_topology::paths::format_path;
@@ -1216,1187 +1219,9 @@ pub fn concurrent_summary_json(s: &ConcurrentSummary) -> String {
     )
 }
 
-// ---------------------------------------------------------------------------
-// E18 — binary wire codec: whole-run wire bytes and time per codec
-// ---------------------------------------------------------------------------
-
-/// Machine-readable outcome of the codec experiment (the CI smoke asserts
-/// [`CodecSummary::ok`]; `repro e18` also writes it to `BENCH_e18.json`).
-#[derive(Debug, Clone)]
-pub struct CodecSummary {
-    /// Total wire bytes across every workload run under the JSON codec.
-    pub json_bytes: u64,
-    /// The same runs under the binary codec.
-    pub binary_bytes: u64,
-    /// `json_bytes / binary_bytes` — the whole-run wire shrink.
-    pub shrink: f64,
-    /// Summed virtual time of the JSON runs, milliseconds.
-    pub json_time_ms: f64,
-    /// Summed virtual time of the binary runs, milliseconds.
-    pub binary_time_ms: f64,
-    /// Deliveries under the JSON codec.
-    pub json_messages: u64,
-    /// Deliveries under the binary codec — must equal the JSON count: the
-    /// codec changes bytes, never the protocol.
-    pub binary_messages: u64,
-    /// Per-answer payload bytes at the JSON size (the per-codec counters
-    /// in `PeerStats`, summed over every run).
-    pub payload_bytes_json: u64,
-    /// The same payloads at the binary-codec size.
-    pub payload_bytes_binary: u64,
-    /// Every run closed at every peer.
-    pub all_closed: bool,
-    /// Each workload's fix-point is tuple-identical across the two codecs
-    /// and equivalent to the centralized oracle.
-    pub identical: bool,
-}
-
-impl CodecSummary {
-    /// The acceptance bar: identical fix-points, full closure, identical
-    /// message counts, and ≥3× whole-run wire shrink.
-    pub fn ok(&self) -> bool {
-        self.identical
-            && self.all_closed
-            && self.binary_bytes > 0
-            && self.binary_bytes * 3 <= self.json_bytes
-            && self.json_messages == self.binary_messages
-    }
-}
-
-/// Canonical per-node fact rendering: the deterministic simulator makes
-/// runs under both codecs content-identical, so exact string equality (not
-/// just equivalence modulo nulls) is the comparison.
-fn rendered_facts(
-    sys: &p2p_core::system::P2PSystem,
-) -> std::collections::BTreeMap<NodeId, Vec<String>> {
-    sys.snapshot()
-        .0
-        .iter()
-        .map(|(node, db)| {
-            let mut v: Vec<String> = db
-                .all_facts()
-                .iter()
-                .map(|(rel, t)| format!("{rel}{t}"))
-                .collect();
-            v.sort();
-            (*node, v)
-        })
-        .collect()
-}
-
-/// E18: the wire-codec ablation. Three workloads — the paper's
-/// running example, the ring(8) DBLP workload, and the four-writer
-/// concurrent scenario — runs end to end under the JSON codec and again
-/// under the binary codec. Byte/message/time ledgers per run; the summary
-/// demands tuple-identical fix-points and a ≥3× whole-run wire shrink.
-pub fn e18_codec(scale: Scale) -> (Table, CodecSummary) {
-    let mut table = Table::new(&[
-        "workload",
-        "codec",
-        "messages",
-        "wire_bytes",
-        "time_ms",
-        "oracle_identical",
-    ]);
-    let mut summary = CodecSummary {
-        json_bytes: 0,
-        binary_bytes: 0,
-        shrink: 0.0,
-        json_time_ms: 0.0,
-        binary_time_ms: 0.0,
-        json_messages: 0,
-        binary_messages: 0,
-        payload_bytes_json: 0,
-        payload_bytes_binary: 0,
-        all_closed: true,
-        identical: true,
-    };
-    let record = |summary: &mut CodecSummary,
-                  codec: Codec,
-                  bytes: u64,
-                  messages: u64,
-                  time_ms: f64,
-                  stats: &p2p_core::stats::PeerStats| {
-        match codec {
-            Codec::Json => {
-                summary.json_bytes += bytes;
-                summary.json_messages += messages;
-                summary.json_time_ms += time_ms;
-                // The payload counters measure both codec sizes per send,
-                // so one codec's run suffices for the pair.
-                summary.payload_bytes_json += stats.payload_bytes;
-                summary.payload_bytes_binary += stats.payload_bytes_binary;
-            }
-            Codec::Binary => {
-                summary.binary_bytes += bytes;
-                summary.binary_messages += messages;
-                summary.binary_time_ms += time_ms;
-            }
-        }
-    };
-
-    // -- the sequential workload pair: paper example + ring(8) DBLP --------
-    let ring = Topology::Ring { n: 8 };
-    type BuilderFn = Box<dyn Fn() -> P2PSystemBuilder>;
-    let builders: Vec<(String, BuilderFn)> = vec![
-        ("paper example".to_string(), Box::new(paper_example_builder)),
-        (
-            ring.to_string(),
-            Box::new(move || {
-                build_system(&WorkloadConfig {
-                    topology: ring,
-                    records_per_node: scale.records(),
-                    distribution: Distribution::Disjoint,
-                    seed: 7,
-                })
-                .expect("workload builds")
-            }),
-        ),
-    ];
-    for (label, make) in &builders {
-        let mut rendered = Vec::new();
-        for codec in [Codec::Json, Codec::Binary] {
-            let mut b = make();
-            b.config_mut().codec = codec;
-            b.config_mut().measure_payload_bytes = true;
-            let mut sys = b.build().expect("system builds");
-            let report = sys.run_update();
-            assert!(report.errors.is_empty(), "peer errors: {:?}", report.errors);
-            let time_ms = report.outcome.virtual_time.as_millis_f64();
-            let oracle_identical = sys.snapshot().equivalent(&sys.oracle().expect("oracle"));
-            summary.all_closed &= report.all_closed;
-            summary.identical &= oracle_identical;
-            record(
-                &mut summary,
-                codec,
-                report.bytes,
-                report.messages,
-                time_ms,
-                &sys.sum_stats(),
-            );
-            rendered.push(rendered_facts(&sys));
-            table.row(vec![
-                label.clone(),
-                codec.to_string(),
-                report.messages.to_string(),
-                report.bytes.to_string(),
-                fmt_ms(time_ms),
-                oracle_identical.to_string(),
-            ]);
-        }
-        summary.identical &= rendered[0] == rendered[1];
-    }
-
-    // -- the e17 workload: four interleaved writer sessions on ring(8) -----
-    {
-        let cfg = concurrent_writers_config(scale);
-        let mut rendered = Vec::new();
-        for codec in [Codec::Json, Codec::Binary] {
-            let scenario = p2p_workload::concurrent_scenario(&cfg).expect("scenario");
-            let roots = scenario.roots();
-            let mut b = scenario.builder;
-            b.config_mut().codec = codec;
-            b.config_mut().measure_payload_bytes = true;
-            let mut sys = b.build().expect("system builds");
-            for d in &scenario.deltas {
-                for (rel, vals) in &d.tuples {
-                    sys.insert(d.node, rel, vals.clone()).expect("writer delta");
-                }
-            }
-            let reports = sys.run_updates(&roots);
-            let time_ms = reports[0].outcome.virtual_time.as_millis_f64();
-            let oracle_identical = sys.snapshot().equivalent(&sys.oracle().expect("oracle"));
-            summary.all_closed &= reports.iter().all(|r| r.all_closed);
-            summary.identical &= oracle_identical;
-            record(
-                &mut summary,
-                codec,
-                reports[0].bytes,
-                reports[0].messages,
-                time_ms,
-                &sys.sum_stats(),
-            );
-            rendered.push(rendered_facts(&sys));
-            table.row(vec![
-                "ring(8) ×4 writers".to_string(),
-                codec.to_string(),
-                reports[0].messages.to_string(),
-                reports[0].bytes.to_string(),
-                fmt_ms(time_ms),
-                oracle_identical.to_string(),
-            ]);
-        }
-        summary.identical &= rendered[0] == rendered[1];
-    }
-
-    summary.shrink = summary.json_bytes as f64 / summary.binary_bytes.max(1) as f64;
-    (table, summary)
-}
-
-/// Renders a [`CodecSummary`] as the machine-readable `BENCH_e18.json`
-/// document (`repro e18` writes it next to the tables).
-pub fn codec_summary_json(s: &CodecSummary) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"e18_codec\",\n",
-            "  \"json_bytes\": {},\n",
-            "  \"binary_bytes\": {},\n",
-            "  \"wire_shrink\": {:.3},\n",
-            "  \"json_time_ms\": {:.3},\n",
-            "  \"binary_time_ms\": {:.3},\n",
-            "  \"json_messages\": {},\n",
-            "  \"binary_messages\": {},\n",
-            "  \"payload_bytes_json\": {},\n",
-            "  \"payload_bytes_binary\": {},\n",
-            "  \"payload_shrink\": {:.3},\n",
-            "  \"all_closed\": {},\n",
-            "  \"identical\": {}\n",
-            "}}\n"
-        ),
-        s.json_bytes,
-        s.binary_bytes,
-        s.shrink,
-        s.json_time_ms,
-        s.binary_time_ms,
-        s.json_messages,
-        s.binary_messages,
-        s.payload_bytes_json,
-        s.payload_bytes_binary,
-        s.payload_bytes_json as f64 / s.payload_bytes_binary.max(1) as f64,
-        s.all_closed,
-        s.identical,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// E19 — scaling the simulator: 10k-peer updates on expander overlays
-// ---------------------------------------------------------------------------
-
-/// One point of the e19 scaling curves.
-#[derive(Debug, Clone)]
-pub struct ScalePoint {
-    /// Topology family (`ring`, `random`, `expander`, `smallworld`).
-    pub family: &'static str,
-    /// Node count.
-    pub nodes: usize,
-    /// Wall-clock time of the full update run, milliseconds.
-    pub wall_ms: f64,
-    /// Virtual (simulated) time, milliseconds.
-    pub virtual_ms: f64,
-    /// Messages delivered.
-    pub messages: u64,
-    /// Bytes delivered.
-    pub bytes: u64,
-}
-
-/// Machine-readable outcome of the scaling experiment (the CI smoke asserts
-/// [`ScaleSummary::ok`]; `repro e19` also writes it to `BENCH_e19.json`).
-#[derive(Debug, Clone)]
-pub struct ScaleSummary {
-    /// `item` tuples seeded per node.
-    pub records_per_node: usize,
-    /// The peers-vs-wall-clock / peers-vs-bytes curves, one point per
-    /// (family, size) cell.
-    pub points: Vec<ScalePoint>,
-    /// Every run reached full closure at every peer.
-    pub all_closed: bool,
-    /// Every run's fix-point hit the scenario's closed-form tuple count
-    /// (`(nodes + edges) × records`) exactly — the 10k-peer equivalent of
-    /// an oracle check, without paying for a 10k-peer chase.
-    pub counts_exact: bool,
-    /// The small runs (smallest grid size, where the centralized chase is
-    /// affordable) are equivalent to the oracle.
-    pub oracle_identical: bool,
-    /// Node count of the largest run in the grid.
-    pub big_run_nodes: usize,
-    /// Wall-clock milliseconds of the largest expander run — the headline
-    /// "10k-peer update" number the acceptance gate bounds at 30 s.
-    pub big_run_wall_ms: f64,
-    /// Receivers in the fan-out microbenchmark.
-    pub fanout_receivers: usize,
-    /// Milliseconds to ship one answer payload to every receiver the
-    /// pre-refactor way: clone the message and encode it once per receiver.
-    pub fanout_legacy_ms: f64,
-    /// The same fan-out the current way: encode once, share the payload
-    /// behind an `Arc` across receivers.
-    pub fanout_shared_ms: f64,
-    /// `fanout_legacy_ms / fanout_shared_ms` — the per-payload broadcast
-    /// speedup delivered by the shared-payload transport.
-    pub fanout_speedup: f64,
-}
-
-impl ScaleSummary {
-    /// The acceptance bar: full closure and exact closed-form fix-points
-    /// everywhere, oracle equivalence where affordable, a ≥10k-peer run
-    /// under 30 s of wall clock, and a ≥5× fan-out speedup over the
-    /// per-receiver-encode baseline.
-    pub fn ok(&self) -> bool {
-        self.all_closed
-            && self.counts_exact
-            && self.oracle_identical
-            && self.big_run_nodes >= 10_000
-            && self.big_run_wall_ms < 30_000.0
-            && self.fanout_speedup >= 5.0
-    }
-}
-
-/// The per-receiver-encode fan-out baseline vs the shared-payload path, on
-/// one representative answer message (256 two-column rows). Returns
-/// `(legacy_ms, shared_ms)`.
-///
-/// The pre-refactor transport cloned and re-encoded the payload once per
-/// receiver; the refactored one measures the payload once and hands every
-/// receiver an `Arc` to the same bytes. The end-to-end pre-refactor binary
-/// is gone from the tree, so this isolates exactly the per-receiver cost
-/// the refactor removed — the dominant term of a broadcast at n=1k+.
-fn fanout_microbench(receivers: usize) -> (f64, f64) {
-    use p2p_core::messages::{AnswerRows, ProtocolMsg};
-    use p2p_core::rule::RuleId;
-    use p2p_net::{SessionId, Wire};
-    use std::collections::BTreeMap;
-    use std::hint::black_box;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let msg = ProtocolMsg::Answer {
-        session: SessionId::new(NodeId(0), 1),
-        rule: RuleId(0),
-        rows: AnswerRows {
-            vars: vec![Arc::from("I"), Arc::from("S")],
-            rows: (0..256)
-                .map(|i| p2p_relational::Tuple::new(vec![Val::Int(i), Val::Int(i * 7)]))
-                .collect(),
-            null_depths: vec![],
-            marks: BTreeMap::new(),
-            dict: vec![],
-        },
-        complete: true,
-        reopen: false,
-        pushed: false,
-    };
-
-    let t = Instant::now();
-    let mut legacy_bytes = 0usize;
-    for _ in 0..receivers {
-        let copy = msg.clone();
-        legacy_bytes += black_box(copy.wire_size_with(Codec::Binary));
-    }
-    let legacy_ms = t.elapsed().as_secs_f64() * 1000.0;
-
-    let t = Instant::now();
-    let shared = Arc::new(msg);
-    let size = shared.wire_size_with(Codec::Binary);
-    let mut shared_bytes = 0usize;
-    for _ in 0..receivers {
-        let handle = Arc::clone(&shared);
-        black_box(&handle);
-        shared_bytes += size;
-    }
-    let shared_ms = t.elapsed().as_secs_f64() * 1000.0;
-
-    assert_eq!(legacy_bytes, shared_bytes, "both paths ship the same bytes");
-    (legacy_ms, shared_ms)
-}
-
-/// The (family, size) grid of the scaling experiment. `Random` (edge
-/// *probability*, integral percent) is capped at 1000 nodes: the sparsest
-/// spec at 10k nodes already means ~10^6 edges — a different experiment
-/// (density scaling), not peer scaling. Above that the random curve
-/// switches to `RandomDegree` (edge *count*, `G(n, m)`), which holds the
-/// mean degree flat at 8 — the same regime the expander/small-world
-/// generators live in, so the 10k random point is comparable.
-fn scale_grid(max_nodes: usize) -> Vec<(&'static str, Topology)> {
-    let sizes = [100u32, 1_000, 10_000];
-    let mut grid = Vec::new();
-    for n in sizes {
-        if n as usize > max_nodes {
-            continue;
-        }
-        grid.push(("ring", Topology::Ring { n }));
-        if n <= 1_000 {
-            // 100 → ~8% ≈ 8 out-edges/node; 1000 → 1% ≈ 10 out-edges/node.
-            let p_percent = if n <= 100 { 8 } else { 1 };
-            grid.push((
-                "random",
-                Topology::Random {
-                    n,
-                    p_percent,
-                    seed: 9,
-                },
-            ));
-        } else {
-            grid.push((
-                "random",
-                Topology::RandomDegree {
-                    n,
-                    degree: 8,
-                    seed: 9,
-                },
-            ));
-        }
-        grid.push((
-            "expander",
-            Topology::Expander {
-                n,
-                degree: 4,
-                seed: 7,
-            },
-        ));
-        grid.push((
-            "smallworld",
-            Topology::SmallWorld {
-                n,
-                k: 4,
-                rewire_percent: 10,
-                seed: 7,
-            },
-        ));
-    }
-    grid
-}
-
-/// E19 with an explicit node-count ceiling — the unit tests run the same
-/// code at toy sizes; `repro` and CI use [`e19_scale`] (full grid).
-pub fn e19_scale_up_to(scale: Scale, max_nodes: usize) -> (Table, ScaleSummary) {
-    use p2p_workload::{expected_total_tuples, scale_system, ScaleConfig};
-    use std::time::Instant;
-
-    let records = match scale {
-        Scale::Quick => 4,
-        Scale::Standard => 10,
-        Scale::Paper => 20,
-    };
-    let mut table = Table::new(&[
-        "family",
-        "nodes",
-        "wall_ms",
-        "virtual_ms",
-        "messages",
-        "bytes",
-        "msgs_per_s",
-        "exact_fixpoint",
-    ]);
-    let mut summary = ScaleSummary {
-        records_per_node: records,
-        points: Vec::new(),
-        all_closed: true,
-        counts_exact: true,
-        oracle_identical: true,
-        big_run_nodes: 0,
-        big_run_wall_ms: 0.0,
-        fanout_receivers: 1024,
-        fanout_legacy_ms: 0.0,
-        fanout_shared_ms: 0.0,
-        fanout_speedup: 0.0,
-    };
-
-    let grid = scale_grid(max_nodes);
-    let smallest = grid.iter().map(|(_, t)| t.node_count()).min().unwrap_or(0);
-    for (family, topology) in grid {
-        let cfg = ScaleConfig {
-            topology,
-            records_per_node: records,
-        };
-        let mut sys = scale_system(&cfg)
-            .expect("scale workload builds")
-            .build()
-            .expect("system builds");
-        let t = Instant::now();
-        let report = sys.run_update();
-        let wall_ms = t.elapsed().as_secs_f64() * 1000.0;
-        assert!(report.errors.is_empty(), "{topology}: {:?}", report.errors);
-
-        let nodes = topology.node_count();
-        let exact = sys.snapshot().total_tuples() == expected_total_tuples(&cfg);
-        summary.all_closed &= report.all_closed;
-        summary.counts_exact &= exact;
-        if nodes == smallest {
-            summary.oracle_identical &= sys.snapshot().equivalent(&sys.oracle().expect("oracle"));
-        }
-        if family == "expander" && nodes > summary.big_run_nodes {
-            summary.big_run_nodes = nodes;
-            summary.big_run_wall_ms = wall_ms;
-        }
-        let msgs_per_s = report.messages as f64 / (wall_ms / 1000.0).max(1e-9);
-        table.row(vec![
-            family.to_string(),
-            nodes.to_string(),
-            fmt_ms(wall_ms),
-            fmt_ms(report.outcome.virtual_time.as_millis_f64()),
-            report.messages.to_string(),
-            report.bytes.to_string(),
-            format!("{msgs_per_s:.0}"),
-            exact.to_string(),
-        ]);
-        summary.points.push(ScalePoint {
-            family,
-            nodes,
-            wall_ms,
-            virtual_ms: report.outcome.virtual_time.as_millis_f64(),
-            messages: report.messages,
-            bytes: report.bytes,
-        });
-    }
-
-    let (legacy_ms, shared_ms) = fanout_microbench(summary.fanout_receivers);
-    summary.fanout_legacy_ms = legacy_ms;
-    summary.fanout_shared_ms = shared_ms;
-    summary.fanout_speedup = legacy_ms / shared_ms.max(1e-9);
-    (table, summary)
-}
-
-/// E19: the scaling experiment. The flat `scale` scenario (one-hop copy
-/// rules, closed-form fix-point — see `p2p_workload::scale`) runs across
-/// {ring, random, expander, small-world} at n ∈ {100, 1k, 10k}, measuring
-/// wall-clock, virtual time, messages and bytes per point, plus the
-/// fan-out microbenchmark isolating the shared-payload speedup.
-pub fn e19_scale(scale: Scale) -> (Table, ScaleSummary) {
-    e19_scale_up_to(scale, 10_000)
-}
-
-/// Renders a [`ScaleSummary`] as the machine-readable `BENCH_e19.json`
-/// document (`repro e19` writes it next to the tables).
-pub fn scale_summary_json(s: &ScaleSummary) -> String {
-    let mut curves = String::new();
-    for (i, p) in s.points.iter().enumerate() {
-        let sep = if i + 1 == s.points.len() { "" } else { "," };
-        curves.push_str(&format!(
-            "    {{\"family\": \"{}\", \"nodes\": {}, \"wall_ms\": {:.3}, \
-             \"virtual_ms\": {:.3}, \"messages\": {}, \"bytes\": {}}}{sep}\n",
-            p.family, p.nodes, p.wall_ms, p.virtual_ms, p.messages, p.bytes,
-        ));
-    }
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"e19_scale\",\n",
-            "  \"records_per_node\": {},\n",
-            "  \"curves\": [\n{}  ],\n",
-            "  \"big_run_nodes\": {},\n",
-            "  \"big_run_wall_ms\": {:.3},\n",
-            "  \"fanout_receivers\": {},\n",
-            "  \"fanout_legacy_ms\": {:.3},\n",
-            "  \"fanout_shared_ms\": {:.3},\n",
-            "  \"fanout_speedup\": {:.3},\n",
-            "  \"all_closed\": {},\n",
-            "  \"counts_exact\": {},\n",
-            "  \"oracle_identical\": {}\n",
-            "}}\n"
-        ),
-        s.records_per_node,
-        curves,
-        s.big_run_nodes,
-        s.big_run_wall_ms,
-        s.fanout_receivers,
-        s.fanout_legacy_ms,
-        s.fanout_shared_ms,
-        s.fanout_speedup,
-        s.all_closed,
-        s.counts_exact,
-        s.oracle_identical,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// E20 — real sockets: multi-process cluster vs the in-process simulator
-// ---------------------------------------------------------------------------
-
-/// One codec's side of the transport experiment.
-#[derive(Debug, Clone)]
-pub struct TransportRun {
-    /// Codec label (`json` / `binary`).
-    pub codec: String,
-    /// Wall-clock from first spawn to cluster fix-point, milliseconds.
-    pub wall_ms: f64,
-    /// Frames sent across all pipes.
-    pub frames: u64,
-    /// Payload bytes sent across all pipes.
-    pub bytes: u64,
-    /// Mid-stream pipe reconnects (0 on a healthy loopback run).
-    pub reconnects: u64,
-    /// The cluster database matched the simulator *and* the oracle.
-    pub verified: bool,
-    /// Messages the in-process simulator delivered on the same workload.
-    pub sim_messages: u64,
-    /// Bytes the in-process simulator shipped on the same workload.
-    pub sim_bytes: u64,
-}
-
-/// Machine-readable outcome of the transport experiment (the CI smoke
-/// asserts [`TransportSummary::ok`]; `repro e20` writes `BENCH_e20.json`).
-#[derive(Debug, Clone)]
-pub struct TransportSummary {
-    /// Nodes in the cluster (one OS process each).
-    pub nodes: usize,
-    /// The JSON-codec cluster run.
-    pub json: TransportRun,
-    /// The binary-codec cluster run.
-    pub binary: TransportRun,
-}
-
-impl TransportSummary {
-    /// The acceptance bar: both clusters converged to the simulator's (and
-    /// the oracle's) exact fix-point, real frames crossed the wire, and
-    /// the binary codec shipped fewer bytes than JSON end-to-end.
-    pub fn ok(&self) -> bool {
-        self.json.verified
-            && self.binary.verified
-            && self.json.frames > 0
-            && self.binary.frames > 0
-            && self.binary.bytes < self.json.bytes
-    }
-}
-
-/// Where the `p2pdb` binary lives: `$P2PDB_BIN` if set, else next to the
-/// running executable (both binaries land in the same `target/<profile>`).
-fn p2pdb_bin() -> Result<std::path::PathBuf, String> {
-    if let Ok(p) = std::env::var("P2PDB_BIN") {
-        let p = std::path::PathBuf::from(p);
-        if p.is_file() {
-            return Ok(p);
-        }
-        return Err(format!("P2PDB_BIN={} does not exist", p.display()));
-    }
-    let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let sibling = me.with_file_name("p2pdb");
-    if sibling.is_file() {
-        return Ok(sibling);
-    }
-    Err(format!(
-        "p2pdb binary not found at {} — build it first (`cargo build --release --bin p2pdb`) \
-         or point P2PDB_BIN at it",
-        sibling.display()
-    ))
-}
-
-/// E20: the ring(8) DBLP workload as a *real* cluster — eight `p2pdb
-/// serve` OS processes on loopback TCP, driven to the update fix-point and
-/// verified tuple-for-tuple against the in-process simulator and the
-/// centralized oracle, once per wire codec. Errs (rather than panicking)
-/// when the `p2pdb` binary is missing, so `repro` can report it plainly.
-pub fn e20_transport(scale: Scale) -> Result<(Table, TransportSummary), String> {
-    let bin = p2pdb_bin()?;
-    let cfg = WorkloadConfig {
-        topology: Topology::Ring { n: 8 },
-        records_per_node: scale.records(),
-        distribution: Distribution::Disjoint,
-        seed: 7,
-    };
-    let sys = build_system(&cfg)
-        .map_err(|e| e.to_string())?
-        .build()
-        .map_err(|e| e.to_string())?;
-    let netfile = p2p_core::netfile::NetworkFile::from_databases(
-        sys.super_peer(),
-        &sys.snapshot().0,
-        sys.rules(),
-    );
-    let dir = std::env::temp_dir().join("p2pdb_e20");
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let netfile_path = dir.join("ring8.json");
-    std::fs::write(&netfile_path, netfile.to_json()).map_err(|e| e.to_string())?;
-
-    let mut table = Table::new(&[
-        "codec",
-        "wall_ms",
-        "frames",
-        "wire_bytes",
-        "reconnects",
-        "sim_messages",
-        "sim_bytes",
-        "verified",
-    ]);
-    let mut runs = Vec::new();
-    for codec in [Codec::Json, Codec::Binary] {
-        let mut ccfg = p2p_core::socket::ClusterConfig::new(netfile_path.clone(), bin.clone());
-        ccfg.codec = codec;
-        let outcome =
-            p2p_core::socket::launch_cluster(&ccfg, &mut |_| {}).map_err(|e| e.to_string())?;
-        let t = &outcome.transport_total;
-        let run = TransportRun {
-            codec: codec.name().to_string(),
-            wall_ms: outcome.converge_wall.as_secs_f64() * 1e3,
-            frames: t.frames_sent,
-            bytes: t.bytes_sent,
-            reconnects: t.reconnects,
-            verified: outcome.verified == Some(true),
-            sim_messages: outcome.sim_messages,
-            sim_bytes: outcome.sim_bytes,
-        };
-        table.row(vec![
-            run.codec.clone(),
-            fmt_ms(run.wall_ms),
-            run.frames.to_string(),
-            run.bytes.to_string(),
-            run.reconnects.to_string(),
-            run.sim_messages.to_string(),
-            run.sim_bytes.to_string(),
-            run.verified.to_string(),
-        ]);
-        runs.push(run);
-    }
-    let binary = runs.pop().expect("two runs");
-    let json = runs.pop().expect("two runs");
-    Ok((
-        table,
-        TransportSummary {
-            nodes: 8,
-            json,
-            binary,
-        },
-    ))
-}
-
-fn transport_run_json(r: &TransportRun) -> String {
-    format!(
-        "{{\"codec\": \"{}\", \"wall_ms\": {:.3}, \"frames\": {}, \"bytes\": {}, \
-         \"reconnects\": {}, \"verified\": {}, \"sim_messages\": {}, \"sim_bytes\": {}}}",
-        r.codec,
-        r.wall_ms,
-        r.frames,
-        r.bytes,
-        r.reconnects,
-        r.verified,
-        r.sim_messages,
-        r.sim_bytes,
-    )
-}
-
-/// Renders a [`TransportSummary`] as the machine-readable `BENCH_e20.json`
-/// document (`repro e20` writes it next to the tables).
-pub fn transport_summary_json(s: &TransportSummary) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"e20_transport\",\n",
-            "  \"nodes\": {},\n",
-            "  \"json\": {},\n",
-            "  \"binary\": {},\n",
-            "  \"ok\": {}\n",
-            "}}\n"
-        ),
-        s.nodes,
-        transport_run_json(&s.json),
-        transport_run_json(&s.binary),
-        s.ok(),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// E21 — parallel runtime: sharded worker pool vs the single-thread simulator
-// ---------------------------------------------------------------------------
-
-/// One (size, shard-count) cell of the parallel experiment. `shards == 0`
-/// is the deterministic simulator baseline for that size.
-#[derive(Debug, Clone)]
-pub struct ParallelPoint {
-    /// Node count of the expander run.
-    pub nodes: usize,
-    /// Shard threads (0 = simulator baseline).
-    pub shards: usize,
-    /// Wall-clock time of the full update run, milliseconds.
-    pub wall_ms: f64,
-    /// Messages delivered.
-    pub messages: u64,
-    /// Sends that crossed a shard boundary (0 for the simulator).
-    pub cross_shard_sends: u64,
-    /// Wall-clock of the 1-shard run divided by this cell's wall-clock
-    /// (1.0 for the 1-shard cell itself; 0.0 for the simulator baseline).
-    pub speedup: f64,
-    /// The sharded fix-point is equivalent (modulo null renaming) to the
-    /// simulator's fix-point on the same workload (true for the baseline).
-    pub matches_simulator: bool,
-    /// The fix-point hit the closed-form tuple count exactly.
-    pub exact_fixpoint: bool,
-}
-
-/// Machine-readable outcome of the parallel-runtime experiment (the CI
-/// smoke asserts [`ParallelSummary::ok`]; `repro e21` also writes it to
-/// `BENCH_e21.json`).
-#[derive(Debug, Clone)]
-pub struct ParallelSummary {
-    /// `item` tuples seeded per node.
-    pub records_per_node: usize,
-    /// `std::thread::available_parallelism()` on the measuring host. The
-    /// speedup gates only bind when this is ≥ 4: a sharded runtime cannot
-    /// beat single-thread wall-clock on a single-core box, and pretending
-    /// otherwise would just make CI green-on-my-machine.
-    pub host_cores: usize,
-    /// The (size × shard-count) wall-clock grid, simulator baselines
-    /// included.
-    pub points: Vec<ParallelPoint>,
-    /// Every run (simulator and sharded) reached full closure.
-    pub all_closed: bool,
-    /// Every run's fix-point hit the closed-form tuple count exactly.
-    pub counts_exact: bool,
-    /// Every sharded fix-point is equivalent to the simulator's.
-    pub matches_simulator: bool,
-    /// The smallest sharded run is equivalent to the centralized oracle
-    /// (the sizes where the chase is affordable).
-    pub oracle_identical: bool,
-    /// Node count of the largest run in the grid.
-    pub big_run_nodes: usize,
-    /// 1k-node expander: wall(1 shard) / wall(4 shards). 0.0 if the grid
-    /// was capped below 1k nodes (toy/unit-test runs).
-    pub speedup_small_4: f64,
-    /// 10k-node expander: wall(1 shard) / wall(8 shards). 0.0 if capped.
-    pub speedup_big_8: f64,
-    /// Ring placement probe: cross-shard sends under round-robin placement
-    /// (peer i on shard i mod T — every ring hop crosses).
-    pub rr_cross_shard: u64,
-    /// The same ring under contiguous-blocks placement (only the block
-    /// seams cross).
-    pub blocks_cross_shard: u64,
-}
-
-impl ParallelSummary {
-    /// The acceptance bar. Correctness gates are unconditional: full
-    /// closure, exact closed-form fix-points, equivalence with the
-    /// simulator everywhere, oracle identity where affordable, and the
-    /// blocks placement strictly beating round-robin on ring locality.
-    /// The wall-clock gates (≥1.5× at 4 shards on 1k nodes, ≥2× at 8
-    /// shards on 10k) additionally require a host with ≥ 4 cores and a
-    /// grid that actually ran those sizes.
-    pub fn ok(&self) -> bool {
-        let correct = self.all_closed
-            && self.counts_exact
-            && self.matches_simulator
-            && self.oracle_identical
-            && self.blocks_cross_shard < self.rr_cross_shard;
-        let gates_bind = self.host_cores >= 4;
-        let small_ok = self.speedup_small_4 <= 0.0 || self.speedup_small_4 >= 1.5;
-        let big_ok = self.speedup_big_8 <= 0.0 || self.speedup_big_8 >= 2.0;
-        correct && (!gates_bind || (small_ok && big_ok))
-    }
-}
-
-/// Shard counts every size is measured at.
-const E21_SHARDS: [usize; 4] = [1, 2, 4, 8];
-
-/// E21 with an explicit node-count ceiling — the unit tests run the same
-/// code at toy sizes; `repro` and CI use [`e21_parallel`] (full grid).
-pub fn e21_parallel_up_to(scale: Scale, max_nodes: usize) -> (Table, ParallelSummary) {
-    use p2p_core::system::run_update_sharded;
-    use p2p_net::ShardPlacement;
-    use p2p_workload::{expected_total_tuples, scale_system, ScaleConfig};
-    use std::time::Instant;
-
-    let records = match scale {
-        Scale::Quick => 4,
-        Scale::Standard => 10,
-        Scale::Paper => 20,
-    };
-    let mut table = Table::new(&[
-        "nodes",
-        "runtime",
-        "shards",
-        "wall_ms",
-        "messages",
-        "cross_shard",
-        "speedup",
-        "matches_sim",
-        "exact_fixpoint",
-    ]);
-    let mut summary = ParallelSummary {
-        records_per_node: records,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        points: Vec::new(),
-        all_closed: true,
-        counts_exact: true,
-        matches_simulator: true,
-        oracle_identical: true,
-        big_run_nodes: 0,
-        speedup_small_4: 0.0,
-        speedup_big_8: 0.0,
-        rr_cross_shard: 0,
-        blocks_cross_shard: 0,
-    };
-
-    let sizes: Vec<u32> = [100u32, 1_000, 10_000]
-        .into_iter()
-        .filter(|&n| n as usize <= max_nodes)
-        .collect();
-    let smallest = sizes.first().copied().unwrap_or(0);
-    for &n in &sizes {
-        let cfg = ScaleConfig {
-            topology: Topology::Expander {
-                n,
-                degree: 4,
-                seed: 7,
-            },
-            records_per_node: records,
-        };
-        let expected = expected_total_tuples(&cfg);
-
-        // Simulator baseline: the deterministic single-thread fix-point the
-        // sharded runs must reproduce (modulo null renaming).
-        let mut sys = scale_system(&cfg)
-            .expect("scale workload builds")
-            .build()
-            .expect("system builds");
-        let t = Instant::now();
-        let report = sys.run_update();
-        let sim_wall = t.elapsed().as_secs_f64() * 1000.0;
-        assert!(
-            report.errors.is_empty(),
-            "{}: {:?}",
-            cfg.topology,
-            report.errors
-        );
-        let sim_db = sys.snapshot();
-        let sim_exact = sim_db.total_tuples() == expected;
-        summary.all_closed &= report.all_closed;
-        summary.counts_exact &= sim_exact;
-        summary.big_run_nodes = summary.big_run_nodes.max(n as usize);
-        summary.points.push(ParallelPoint {
-            nodes: n as usize,
-            shards: 0,
-            wall_ms: sim_wall,
-            messages: report.messages,
-            cross_shard_sends: 0,
-            speedup: 0.0,
-            matches_simulator: true,
-            exact_fixpoint: sim_exact,
-        });
-
-        let mut one_shard_wall = 0.0f64;
-        for shards in E21_SHARDS {
-            let builder = scale_system(&cfg).expect("scale workload builds");
-            let t = Instant::now();
-            let (db, stats, closed) =
-                run_update_sharded(builder, shards, ShardPlacement::RoundRobin)
-                    .expect("sharded run");
-            let wall = t.elapsed().as_secs_f64() * 1000.0;
-            if shards == 1 {
-                one_shard_wall = wall;
-            }
-            let matches = db.equivalent(&sim_db);
-            let exact = db.total_tuples() == expected;
-            summary.all_closed &= closed;
-            summary.counts_exact &= exact;
-            summary.matches_simulator &= matches;
-            if n == smallest {
-                summary.oracle_identical &= db.equivalent(&sys.oracle().expect("oracle"));
-            }
-            let speedup = one_shard_wall / wall.max(1e-9);
-            if n == 1_000 && shards == 4 {
-                summary.speedup_small_4 = speedup;
-            }
-            if n == 10_000 && shards == 8 {
-                summary.speedup_big_8 = speedup;
-            }
-            summary.points.push(ParallelPoint {
-                nodes: n as usize,
-                shards,
-                wall_ms: wall,
-                messages: stats.total_messages,
-                cross_shard_sends: stats.cross_shard_sends,
-                speedup,
-                matches_simulator: matches,
-                exact_fixpoint: exact,
-            });
-        }
-    }
-
-    for p in &summary.points {
-        table.row(vec![
-            p.nodes.to_string(),
-            if p.shards == 0 { "sim" } else { "sharded" }.to_string(),
-            if p.shards == 0 {
-                "-".to_string()
-            } else {
-                p.shards.to_string()
-            },
-            fmt_ms(p.wall_ms),
-            p.messages.to_string(),
-            p.cross_shard_sends.to_string(),
-            if p.shards == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.2}x", p.speedup)
-            },
-            p.matches_simulator.to_string(),
-            p.exact_fixpoint.to_string(),
-        ]);
-    }
-
-    // Placement probe: the same ring update under both placements. On a
-    // ring every pipe joins neighbours, so round-robin (i mod T) makes
-    // every hop cross-shard while contiguous blocks only pay at the seams.
-    let ring = ScaleConfig {
-        topology: Topology::Ring { n: 256 },
-        records_per_node: records,
-    };
-    for (placement, slot) in [
-        (ShardPlacement::RoundRobin, &mut summary.rr_cross_shard),
-        (ShardPlacement::Blocks, &mut summary.blocks_cross_shard),
-    ] {
-        let builder = scale_system(&ring).expect("scale workload builds");
-        let (_, stats, closed) = run_update_sharded(builder, 4, placement).expect("ring run");
-        summary.all_closed &= closed;
-        *slot = stats.cross_shard_sends;
-    }
-
-    (table, summary)
-}
-
-/// E21: the parallel-runtime experiment. The closed-form `scale` scenario
-/// on expander overlays (degree 4) runs once on the simulator and once per
-/// shard count T ∈ {1, 2, 4, 8} on the sharded runtime, at n ∈
-/// {100, 1k, 10k} — measuring wall-clock against shard count and checking
-/// every sharded fix-point against the simulator, the closed form and (at
-/// n=100) the centralized oracle. A ring probe compares round-robin and
-/// contiguous-blocks placement by [`p2p_net::NetStats::cross_shard_sends`].
-pub fn e21_parallel(scale: Scale) -> (Table, ParallelSummary) {
-    e21_parallel_up_to(scale, 10_000)
-}
-
-/// Renders a [`ParallelSummary`] as the machine-readable `BENCH_e21.json`
-/// document (`repro e21` writes it next to the tables).
-pub fn parallel_summary_json(s: &ParallelSummary) -> String {
-    let mut curves = String::new();
-    for (i, p) in s.points.iter().enumerate() {
-        let sep = if i + 1 == s.points.len() { "" } else { "," };
-        curves.push_str(&format!(
-            "    {{\"nodes\": {}, \"runtime\": \"{}\", \"shards\": {}, \
-             \"wall_ms\": {:.3}, \"messages\": {}, \"cross_shard_sends\": {}, \
-             \"speedup\": {:.3}, \"matches_simulator\": {}, \
-             \"exact_fixpoint\": {}}}{sep}\n",
-            p.nodes,
-            if p.shards == 0 { "sim" } else { "sharded" },
-            p.shards,
-            p.wall_ms,
-            p.messages,
-            p.cross_shard_sends,
-            p.speedup,
-            p.matches_simulator,
-            p.exact_fixpoint,
-        ));
-    }
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"e21_parallel\",\n",
-            "  \"records_per_node\": {},\n",
-            "  \"host_cores\": {},\n",
-            "  \"curves\": [\n{}  ],\n",
-            "  \"big_run_nodes\": {},\n",
-            "  \"speedup_small_4\": {:.3},\n",
-            "  \"speedup_big_8\": {:.3},\n",
-            "  \"rr_cross_shard\": {},\n",
-            "  \"blocks_cross_shard\": {},\n",
-            "  \"all_closed\": {},\n",
-            "  \"counts_exact\": {},\n",
-            "  \"matches_simulator\": {},\n",
-            "  \"oracle_identical\": {},\n",
-            "  \"ok\": {}\n",
-            "}}\n"
-        ),
-        s.records_per_node,
-        s.host_cores,
-        curves,
-        s.big_run_nodes,
-        s.speedup_small_4,
-        s.speedup_big_8,
-        s.rr_cross_shard,
-        s.blocks_cross_shard,
-        s.all_closed,
-        s.counts_exact,
-        s.matches_simulator,
-        s.oracle_identical,
-        s.ok(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn e19_scale_toy_grid_is_exact_and_fanout_is_shared() {
-        // The full grid (10k peers) belongs to `repro --quick e19` in
-        // release; the unit test runs the identical code at n=100.
-        let (table, summary) = e19_scale_up_to(Scale::Quick, 100);
-        let rendered = table.render();
-        assert!(summary.all_closed, "{rendered}");
-        assert!(summary.counts_exact, "{rendered}");
-        assert!(summary.oracle_identical, "{rendered}");
-        assert_eq!(summary.points.len(), 4, "{rendered}");
-        assert!(
-            summary.fanout_speedup >= 5.0,
-            "shared fan-out must beat per-receiver encodes 5x, got {:.1}x",
-            summary.fanout_speedup
-        );
-        let json = scale_summary_json(&summary);
-        assert!(json.contains("\"experiment\": \"e19_scale\""), "{json}");
-        assert!(json.contains("\"family\": \"expander\""), "{json}");
-    }
-
-    #[test]
-    fn e21_parallel_toy_grid_matches_simulator_and_oracle() {
-        // The full grid (10k peers, 8 shards) belongs to `repro e21` in
-        // release; the unit test runs the identical code at n=100.
-        let (table, summary) = e21_parallel_up_to(Scale::Quick, 100);
-        let rendered = table.render();
-        assert!(summary.all_closed, "{rendered}");
-        assert!(summary.counts_exact, "{rendered}");
-        assert!(summary.matches_simulator, "{rendered}");
-        assert!(summary.oracle_identical, "{rendered}");
-        // n=100, sim baseline + 4 shard counts.
-        assert_eq!(summary.points.len(), 5, "{rendered}");
-        assert!(
-            summary.blocks_cross_shard < summary.rr_cross_shard,
-            "blocks placement must beat round-robin on a ring: {} vs {}",
-            summary.blocks_cross_shard,
-            summary.rr_cross_shard
-        );
-        // Toy grid never ran 1k/10k, so the speedup gates must not bind.
-        assert_eq!(summary.speedup_small_4, 0.0);
-        assert_eq!(summary.speedup_big_8, 0.0);
-        assert!(summary.ok(), "{rendered}");
-        let json = parallel_summary_json(&summary);
-        assert!(json.contains("\"experiment\": \"e21_parallel\""), "{json}");
-        assert!(json.contains("\"host_cores\""), "{json}");
-    }
-
-    #[test]
-    fn e20_transport_summary_gates_on_verification_and_shrink() {
-        // Launching the 8-process cluster belongs to `repro e20` (it needs
-        // the p2pdb binary on disk); the summary logic and the JSON
-        // document are unit-testable as-is.
-        let run = |codec: &str, bytes: u64, verified: bool| TransportRun {
-            codec: codec.into(),
-            wall_ms: 80.0,
-            frames: 61,
-            bytes,
-            reconnects: 0,
-            verified,
-            sim_messages: 70,
-            sim_bytes: 16_000,
-        };
-        let good = TransportSummary {
-            nodes: 8,
-            json: run("json", 16_000, true),
-            binary: run("binary", 5_000, true),
-        };
-        assert!(good.ok());
-        let diverged = TransportSummary {
-            binary: run("binary", 5_000, false),
-            ..good.clone()
-        };
-        assert!(!diverged.ok(), "an unverified run must fail the smoke");
-        let no_shrink = TransportSummary {
-            binary: run("binary", 16_000, true),
-            ..good.clone()
-        };
-        assert!(!no_shrink.ok(), "binary must ship fewer bytes than json");
-
-        let json = transport_summary_json(&good);
-        assert!(json.contains("\"experiment\": \"e20_transport\""), "{json}");
-        assert!(json.contains("\"ok\": true"), "{json}");
-        assert!(json.contains("\"codec\": \"binary\""), "{json}");
-    }
 
     #[test]
     fn e1_matches_corrected_table() {
@@ -2468,24 +1293,6 @@ mod tests {
             json.contains("\"experiment\": \"e17_concurrent\""),
             "{json}"
         );
-    }
-
-    #[test]
-    fn e18_codec_shrinks_3x_with_identical_fixpoints() {
-        let (table, summary) = e18_codec(Scale::Quick);
-        let s = table.render();
-        assert!(
-            summary.ok(),
-            "summary {summary:?} failed the acceptance bar\n{s}"
-        );
-        assert_eq!(summary.json_messages, summary.binary_messages);
-        assert!(
-            summary.payload_bytes_binary > 0
-                && summary.payload_bytes_binary < summary.payload_bytes_json,
-            "{summary:?}"
-        );
-        let json = codec_summary_json(&summary);
-        assert!(json.contains("\"experiment\": \"e18_codec\""), "{json}");
     }
 
     #[test]

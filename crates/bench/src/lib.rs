@@ -1,10 +1,10 @@
 //! # p2p-bench
 //!
-//! Benchmark harness reproducing every table and figure of the paper's
-//! evaluation (see EXPERIMENTS.md at the workspace root for the index and
-//! the recorded outputs). The [`experiments`] module contains one function
-//! per experiment; the `repro` binary prints them all; the Criterion benches
-//! under `benches/` time the same functions.
+//! Harness reproducing every table and figure of the paper's evaluation.
+//! The [`experiments`] module contains one function per experiment; the
+//! `repro` binary prints them all; the Criterion benches under `benches/`
+//! time the same functions. End-to-end and per-layer performance is the
+//! repo benchmark's job (`BENCHMARK.json`, `benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,9 @@
 //! Binary wire codec for [`ProtocolMsg`].
 //!
 //! The JSON codec spells out field names and decimal digits on every
-//! message; measured `payload_bytes` showed most wire bytes were syntax,
-//! not data. This module is the compact alternative: a hand-specialized
-//! framing for the protocol's hot shapes, built on the vendored
+//! message; measured, most of its wire bytes were syntax, not data. This
+//! module is the compact alternative: a hand-specialized framing for the
+//! protocol's hot shapes, built on the vendored
 //! [`binpack`] primitives (varints, zigzag folding, length prefixes).
 //!
 //! ## Layout
@@ -365,14 +365,6 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
         marks,
         dict,
     })
-}
-
-/// The binary-encoded size of an answer payload alone (the per-codec
-/// `payload_bytes` counter in `PeerStats` reads this).
-pub fn encoded_rows_len(rows: &AnswerRows) -> usize {
-    let mut w = Writer::new();
-    put_rows(&mut w, rows).expect("answer rows carry no floats");
-    w.len()
 }
 
 // ------------------------------------------------------------- messages
@@ -968,8 +960,15 @@ mod tests {
         let rows = sample_rows();
         let mut w = Writer::new();
         put_rows(&mut w, &rows).unwrap();
-        assert_eq!(encoded_rows_len(&rows), w.len());
         let bytes = w.into_bytes();
+        // A `ResyncAnswer` ends with its rows block: the standalone
+        // encoding is exactly the bytes the message embeds.
+        let msg = encode_msg(&ProtocolMsg::ResyncAnswer {
+            session: sid(1),
+            rule: RuleId(0),
+            rows: rows.clone(),
+        });
+        assert!(msg.ends_with(&bytes), "rows block not embedded verbatim");
         let mut r = Reader::new(&bytes);
         assert_eq!(get_rows(&mut r).unwrap(), rows);
         assert!(r.is_at_end());

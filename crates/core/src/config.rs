@@ -87,11 +87,6 @@ pub struct SystemConfig {
     /// encoding of [`crate::codec`]. Netfiles and the CLI always speak
     /// JSON regardless — the codec is a transport/storage property.
     pub codec: p2p_net::Codec,
-    /// Measure per-answer payload bytes (`PeerStats::payload_bytes`) and
-    /// their binary-codec size (`payload_bytes_binary`). Off by default —
-    /// each measurement re-encodes the payload, which is pure overhead
-    /// outside experiment e18.
-    pub measure_payload_bytes: bool,
     /// Require the rule set to be weakly acyclic at build time. On by
     /// default; turn off only to study the chase-depth safety valve.
     pub require_weak_acyclicity: bool,
@@ -121,7 +116,6 @@ impl Default for SystemConfig {
             durability: false,
             snapshot_every: 64,
             codec: p2p_net::Codec::Json,
-            measure_payload_bytes: false,
             require_weak_acyclicity: true,
             max_null_depth: 64,
             cost_per_tuple: SimTime::from_micros(10),

@@ -43,16 +43,7 @@ pub enum CoreError {
         /// Deliveries processed before giving up.
         delivered: u64,
     },
-    /// The threaded runtime (one OS thread per peer) was asked to host
-    /// more peers than its cap admits. Large networks belong on the
-    /// sharded runtime, which multiplexes peers over a bounded pool.
-    TooManyPeers {
-        /// Requested peer count.
-        peers: usize,
-        /// The threaded runtime's cap.
-        cap: usize,
-    },
-    /// A peer's handler panicked during a threaded run (the network was
+    /// A peer's handler panicked during a parallel run (the network was
     /// drained to quiescence first; see `p2p_net::WorkerPanic`).
     PeerPanicked {
         /// The node whose handler panicked.
@@ -109,13 +100,8 @@ impl fmt::Display for CoreError {
                 f,
                 "network did not quiesce within the event budget ({delivered} deliveries)"
             ),
-            CoreError::TooManyPeers { peers, cap } => write!(
-                f,
-                "threaded runtime cannot host {peers} peers (cap {cap}): \
-                 use the sharded runtime (`--runtime sharded`) for large networks"
-            ),
             CoreError::PeerPanicked { node, detail } => {
-                write!(f, "peer {node} panicked during a threaded run: {detail}")
+                write!(f, "peer {node} panicked during a parallel run: {detail}")
             }
             CoreError::Listen { addr, detail } => {
                 write!(f, "cannot listen on {addr}: {detail}")

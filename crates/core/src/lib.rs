@@ -4,7 +4,7 @@
 //! sharing and updates in P2P database networks"* (Franconi, Kuper,
 //! Lopatenko, Zaihrayeu — EDBT P2P&DB'04), implemented on the substrates
 //! `p2p-relational` (local databases, conjunctive queries, restricted chase)
-//! and `p2p-net` (deterministic simulator / threaded runtime standing in for
+//! and `p2p-net` (deterministic simulator / sharded runtime standing in for
 //! JXTA).
 //!
 //! ## What lives here

@@ -13,7 +13,8 @@
 //! of the pseudocode deadlocks on cycles (nodes B and C of the running
 //! example each wait for the other) — broadcasts `DiscoveryClosed` so every
 //! participant closes and derives its paths from its accumulated edges.
-//! This deviation is documented in DESIGN.md §7.
+//! That broadcast is the one deviation from the pseudocode: without it,
+//! discovery never closes on a cyclic topology.
 
 use crate::messages::ProtocolMsg;
 use crate::peer::DbPeer;

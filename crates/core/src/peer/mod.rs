@@ -887,7 +887,7 @@ impl DbPeer {
             .collect();
         let dict = ConstCatalog::global().export(fresh);
         self.stats.dict_entries_sent += dict.len() as u64;
-        let payload = crate::messages::AnswerRows {
+        crate::messages::AnswerRows {
             vars: part.vars.clone(),
             rows,
             null_depths,
@@ -901,15 +901,7 @@ impl DbPeer {
             } else {
                 BTreeMap::new()
             },
-        };
-        // Data-plane byte accounting (experiment e18 only — each side of the
-        // comparison re-encodes the payload, so it is opt-in): what this
-        // payload costs on the wire and what the binary codec packs it into.
-        if self.config.measure_payload_bytes {
-            self.stats.payload_bytes += payload.wire_size() as u64;
-            self.stats.payload_bytes_binary += crate::codec::encoded_rows_len(&payload) as u64;
         }
-        payload
     }
 
     /// Records null depths arriving with an answer.

@@ -12,7 +12,8 @@
 //! standard syntactic condition (Fagin et al., data exchange) under which
 //! the chase, and therefore the distributed update fix-point, terminates.
 //! The paper asserts termination (Lemma 1.2) without stating a restriction;
-//! see DESIGN.md §3 for how we reconcile that.
+//! we reconcile that by rejecting rule sets that are not weakly acyclic at
+//! build time (`SystemConfig::require_weak_acyclicity`, on by default).
 
 use crate::error::{CoreError, CoreResult};
 use p2p_relational::query::{parse_implication, Atom, Constraint, Term};

@@ -3,7 +3,7 @@
 //! the cluster launcher drives it with.
 //!
 //! The peer logic is **unchanged** — the same `DbPeer` the simulator and
-//! the threaded runtime host, with its Dijkstra–Scholten termination and
+//! the sharded runtime host, with its Dijkstra–Scholten termination and
 //! per-session routing, runs behind [`p2p_transport::SocketRuntime`].
 //! What this module adds is the glue:
 //!
@@ -19,7 +19,7 @@
 //! * [`Controller`] — the client side of the control protocol.
 //! * [`cluster`] — the multi-process launcher (`p2pdb launch`).
 //!
-//! Eager mode only: like the threaded runtime, real sockets have no
+//! Eager mode only: like the sharded runtime, real sockets have no
 //! global lock-step, so the rounds variant (which the paper frames as the
 //! synchronous alternative) stays simulator-only.
 

@@ -94,18 +94,6 @@ pub struct PeerStats {
     /// that pipe. Bounded by (distinct constants × pipes) for the whole
     /// run — the price of never re-shipping a string.
     pub dict_entries_sent: u64,
-    /// Total encoded bytes of the answer payloads this peer shipped
-    /// (interned rows + dictionary deltas) — the data-plane slice of the
-    /// transport layer's byte counters. Only counted under
-    /// `SystemConfig::measure_payload_bytes` (experiment e18); zero
-    /// otherwise.
-    pub payload_bytes: u64,
-    /// What those same payloads cost under the **binary** codec (varint
-    /// columnar delta blocks) — measured per payload at send time under
-    /// `SystemConfig::measure_payload_bytes`. `payload_bytes /
-    /// payload_bytes_binary` is experiment e18's per-payload shrink
-    /// figure, independent of which codec the run actually carried.
-    pub payload_bytes_binary: u64,
     /// Update sessions this peer participated in (activated a session
     /// entry for — as initiator, via flood, or via a query/wave joining it).
     pub sessions_participated: u64,
@@ -158,8 +146,6 @@ impl PeerStats {
         self.recoveries += other.recoveries;
         self.resync_rows += other.resync_rows;
         self.dict_entries_sent += other.dict_entries_sent;
-        self.payload_bytes += other.payload_bytes;
-        self.payload_bytes_binary += other.payload_bytes_binary;
         self.sessions_participated += other.sessions_participated;
         self.concurrent_peak = self.concurrent_peak.max(other.concurrent_peak);
         self.rounds = self.rounds.max(other.rounds);

@@ -3,8 +3,8 @@
 //! [`P2PSystemBuilder`] collects node schemas, base data and coordination
 //! rules, validates everything (schema conformance, weak acyclicity), and
 //! produces a [`P2PSystem`] running on the deterministic simulator — or a
-//! bag of peers for the threaded runtime via
-//! [`P2PSystemBuilder::build_peers`] / [`run_update_threaded`].
+//! bag of peers for the sharded runtime via
+//! [`P2PSystemBuilder::build_peers`] / [`run_update_sharded`].
 
 use crate::config::{SystemConfig, UpdateMode};
 use crate::dynamic::{ChangeOp, ChangeScript};
@@ -16,7 +16,7 @@ use crate::rule::{CoordinationRule, RuleId, RuleSet};
 use crate::stats::PeerStats;
 use p2p_net::{
     BandwidthLatency, ChurnPlan, ConstantLatency, FaultPlan, LatencyModel, NetStats, RunOutcome,
-    SessionId, ShardPlacement, ShardedNetwork, SimTime, Simulator, ThreadedNetwork, UniformLatency,
+    SessionId, ShardPlacement, ShardedNetwork, SimTime, Simulator, UniformLatency,
 };
 use p2p_relational::query::{evaluate_certain, parse_query};
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
@@ -168,7 +168,7 @@ impl P2PSystemBuilder {
     /// relative to the start of the first update session). Usually paired
     /// with `config_mut().durability = true` — without durability a crash
     /// loses the peer's data for good — and driven to closure with
-    /// [`P2PSystem::run_update_resilient`]. Simulator-only: the threaded
+    /// [`P2PSystem::run_update_resilient`]. Simulator-only: the sharded
     /// runtime does not execute churn plans.
     pub fn set_churn(&mut self, churn: ChurnPlan) {
         self.churn = Some(churn);
@@ -838,7 +838,7 @@ impl P2PSystem {
 /// launched concurrently would supersede (and thereby kill) the first
 /// mid-flight, which is the redrive semantics, not a way to run twice.
 /// Shared by the simulator driver (monotone system-wide epochs) and the
-/// threaded runner (per-run epochs), so session-identity rules live in one
+/// sharded runner (per-run epochs), so session-identity rules live in one
 /// place.
 fn assign_sessions(roots: &[NodeId], mut next_epoch: impl FnMut() -> u64) -> Vec<SessionId> {
     let mut seen = std::collections::BTreeSet::new();
@@ -849,64 +849,10 @@ fn assign_sessions(roots: &[NodeId], mut next_epoch: impl FnMut() -> u64) -> Vec
         .collect()
 }
 
-/// Runs one update session on the **threaded** runtime (real parallelism,
-/// non-deterministic interleavings). Returns the final databases, closure
-/// flag and merged transport stats.
-pub fn run_update_threaded(builder: P2PSystemBuilder) -> CoreResult<(GlobalDb, NetStats, bool)> {
-    let super_peer = builder.super_peer;
-    run_updates_threaded(builder, &[super_peer])
-}
-
-/// Runs **concurrent update sessions** on the threaded runtime: one global
-/// session per **distinct** root (duplicates collapsed, as in
-/// [`P2PSystem::run_updates`]), all injected up front, interleaving on real
-/// threads. Returns the final databases, merged transport stats (with
-/// per-session attribution), and whether every session closed at every
-/// peer.
-pub fn run_updates_threaded(
-    mut builder: P2PSystemBuilder,
-    roots: &[NodeId],
-) -> CoreResult<(GlobalDb, NetStats, bool)> {
-    builder.config.mode = crate::config::UpdateMode::Eager;
-    let codec = builder.config.codec;
-    let peers = builder.build_peers()?;
-    let mut net = ThreadedNetwork::new();
-    net.set_codec(codec);
-    for (id, peer) in peers {
-        net.add_peer(id, peer);
-    }
-    let mut epoch = 0u64;
-    let sids: Vec<SessionId> = assign_sessions(roots, || {
-        epoch += 1;
-        epoch
-    });
-    let initial = sids
-        .iter()
-        .map(|&sid| {
-            (
-                sid.root,
-                sid.root,
-                ProtocolMsg::StartUpdate { session: sid },
-            )
-        })
-        .collect();
-    let (peers, stats) = net.run(initial).map_err(|e| match e {
-        p2p_net::ThreadedError::TooManyPeers { peers, cap } => {
-            CoreError::TooManyPeers { peers, cap }
-        }
-        p2p_net::ThreadedError::Panic(p) => CoreError::PeerPanicked {
-            node: p.node,
-            detail: p.payload,
-        },
-    })?;
-    finish_parallel_run(peers, stats, &sids)
-}
-
-/// Runs one update session on the **sharded** runtime: `shards` worker
-/// threads (0 = one per core) multiplexing all peers, placed by
-/// `placement`. Returns the final databases, merged transport stats and
-/// closure flag, exactly like [`run_update_threaded`] — but scales to 10k+
-/// peers.
+/// Runs one update session on the **sharded** runtime (real parallelism,
+/// non-deterministic interleavings): `shards` worker threads (0 = one per
+/// core) multiplexing all peers, placed by `placement`. Returns the final
+/// databases, merged transport stats and closure flag.
 pub fn run_update_sharded(
     builder: P2PSystemBuilder,
     shards: usize,
@@ -957,16 +903,6 @@ pub fn run_updates_sharded(
         node: p.node,
         detail: p.payload,
     })?;
-    finish_parallel_run(peers, stats, &sids)
-}
-
-/// Shared tail of the threaded and sharded drivers: closure check plus the
-/// final database collection.
-fn finish_parallel_run(
-    peers: Vec<(NodeId, DbPeer)>,
-    stats: NetStats,
-    sids: &[SessionId],
-) -> CoreResult<(GlobalDb, NetStats, bool)> {
     let all_closed = peers
         .iter()
         .all(|(_, p)| sids.iter().all(|&sid| p.session_closed(sid)));

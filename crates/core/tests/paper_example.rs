@@ -106,7 +106,8 @@ fn discovery_learns_the_paper_paths() {
         p.sort();
         p
     };
-    // The corrected Section 2 table (see EXPERIMENTS.md E1).
+    // The Section 2 table, corrected for the PDF's typographical slips:
+    // these rows follow Definitions 6–7 exactly.
     assert_eq!(paths_of(0), vec!["ABCA", "ABCB", "ABCDA", "ABE"]);
     assert_eq!(paths_of(1), vec!["BCAB", "BCB", "BCDAB", "BE"]);
     assert_eq!(

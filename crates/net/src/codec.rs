@@ -6,7 +6,7 @@
 //! built on the vendored `binpack` crate (varints, length-prefixed
 //! strings, delta-packed columnar row blocks). The codec is a property of
 //! the *transport*: [`crate::Simulator::set_codec`] /
-//! [`crate::ThreadedNetwork::set_codec`] pick it, and every
+//! [`crate::ShardedNetwork::set_codec`] pick it, and every
 //! [`crate::Wire::wire_size_with`] measurement and byte counter follows.
 //!
 //! This module also hosts the **encode-pass counter**, a thread-local

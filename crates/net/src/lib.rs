@@ -13,17 +13,12 @@
 //!   hooks), byte accounting and quiescence detection. Virtual time makes
 //!   the paper's "execution time" metric reproducible, which the original
 //!   testbed could not be.
-//! * [`threaded::ThreadedNetwork`] — a real multi-threaded runtime over
-//!   crossbeam channels, one thread per peer, with quiescence detected by an
-//!   outstanding-message counter. It runs the *same* [`Peer`] code, giving
-//!   the asynchronous execution model of the paper on actual parallelism.
-//!   Capped at a configurable peer count — beyond it, use the sharded
-//!   runtime.
-//! * [`sharded::ShardedNetwork`] — the scalable parallel runtime: `T` shard
-//!   threads multiplex `n/T` peers each (mailbox scheduling, work stealing,
-//!   crossbeam cross-shard hand-off), with the outstanding-message counter
-//!   generalized to a sharded quiescence barrier. Runs 10k+ peers on all
-//!   cores.
+//! * [`sharded::ShardedNetwork`] — the parallel runtime: `T` shard threads
+//!   multiplex `n/T` peers each (mailbox scheduling, work stealing,
+//!   crossbeam cross-shard hand-off), with quiescence detected by an
+//!   outstanding-message counter shared as a barrier. It runs the *same*
+//!   [`Peer`] code, giving the asynchronous execution model of the paper on
+//!   actual parallelism, at 10k+ peers on all cores.
 //!
 //! Protocol crates implement [`Peer`] and never talk to a runtime directly;
 //! everything observable (message counts, bytes, traces) flows through
@@ -42,7 +37,6 @@ pub mod session;
 pub mod sharded;
 pub mod sim;
 pub mod stats;
-pub mod threaded;
 pub mod trace;
 
 pub use churn::{ChurnPlan, CrashEvent};
@@ -53,8 +47,7 @@ pub use latency::{
 };
 pub use message::{encoded_wire_size, Envelope, SimTime, Wire};
 pub use session::SessionId;
-pub use sharded::{ShardPlacement, ShardedNetwork};
+pub use sharded::{ShardPlacement, ShardedNetwork, WorkerPanic};
 pub use sim::{Context, Peer, RunOutcome, Simulator};
 pub use stats::{NetStats, NodeNetStats, SessionNetStats};
-pub use threaded::{ThreadedError, ThreadedNetwork, WorkerPanic};
 pub use trace::{Trace, TraceEntry};

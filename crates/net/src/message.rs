@@ -6,7 +6,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Virtual time in microseconds. The discrete-event simulator advances this;
-/// the threaded runtime reports wall-clock time through the same type so the
+/// the sharded runtime reports wall-clock time through the same type so the
 /// statistics pipeline is runtime-agnostic.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,

@@ -1,11 +1,11 @@
 //! Sharded worker-pool runtime: `T` shard threads multiplex `n/T` peers each.
 //!
-//! [`crate::threaded::ThreadedNetwork`] proves the protocol on real
-//! parallelism but spawns one OS thread per peer, so it cannot even be
-//! instantiated at the 10k-peer scales the simulator reaches. This runtime
-//! keeps the thread count bounded: peers are *placed* on shards
+//! This is the paper's asynchronous model of communications on real
+//! parallelism, at the 10k-peer scales the simulator reaches: the thread
+//! count stays bounded because peers are *placed* on shards
 //! ([`ShardPlacement`]), each shard thread owns a run queue of scheduled
-//! peers, and idle shards steal runnable peers from their neighbours.
+//! peers, and idle shards steal runnable peers from their neighbours. With
+//! `T ≥ n` it is one thread per peer.
 //!
 //! Scheduling is the classic actor-mailbox protocol. Every peer owns a
 //! FIFO inbox plus a `scheduled` flag; a sender enqueues the work item and
@@ -26,16 +26,17 @@
 //!   policy is judged by. The split is decided by *home* shards, so the
 //!   counter measures placement quality, not scheduling accidents.
 //!
-//! Termination generalizes the threaded runtime's outstanding-message
-//! counter into a sharded quiescence barrier: the counter is incremented
-//! before any item is enqueued (inbox or channel) and decremented only
-//! after the receiving handler *and all sends it performed* completed, so
-//! it reads zero exactly at the Dijkstra–Scholten fix-point — at which
-//! moment no inbox, run queue or channel holds work and no handler is
-//! running, and every shard thread exits. A panicking peer is poisoned:
+//! Termination is an outstanding-message counter shared by all shards as a
+//! quiescence barrier: it is incremented before any item is enqueued
+//! (inbox or channel) and decremented only after the receiving handler
+//! *and all sends it performed* completed, so it reads zero exactly at the
+//! Dijkstra–Scholten fix-point — at which moment no inbox, run queue or
+//! channel holds work and no handler is running, and every shard thread
+//! exits. A panicking peer is poisoned:
 //! its remaining and future items are dropped (still decrementing the
 //! counter) so the barrier releases, and [`ShardedNetwork::run`] reports
-//! the first [`WorkerPanic`] exactly like the threaded runtime.
+//! the first [`WorkerPanic`] naming the node instead of propagating the
+//! panic into the driver thread.
 //!
 //! Statistics stay off the hot path: every shard thread keeps a private
 //! [`NetStats`] merged once at quiescence.
@@ -44,14 +45,43 @@ use crate::codec::Codec;
 use crate::message::{SimTime, Wire};
 use crate::sim::{Context, Peer};
 use crate::stats::NetStats;
-use crate::threaded::WorkerPanic;
 use p2p_topology::NodeId;
 use std::collections::VecDeque;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// A peer handler panicked during a sharded run: which node, and the
+/// panic payload (stringified). The rest of the network was drained to
+/// quiescence before this was reported, so no worker thread is leaked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkerPanic {
+    /// The node whose handler panicked (first panic wins if several did).
+    pub node: NodeId,
+    /// The panic payload, if it was a string (the common `panic!` case).
+    pub payload: String,
+}
+
+impl fmt::Display for WorkerPanic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "peer {} panicked: {}", self.node, self.payload)
+    }
+}
+
+impl std::error::Error for WorkerPanic {}
+
+fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// How peers are assigned to shard threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,10 +171,9 @@ impl<M, P> Shared<M, P> {
 
 /// A network of peers multiplexed over a bounded pool of shard threads.
 ///
-/// Runs the same [`Peer`] code as [`crate::Simulator`] and
-/// [`crate::ThreadedNetwork`]; like the latter it is *not* deterministic,
-/// and tests compare its fix-points with simulator runs modulo null
-/// renaming.
+/// Runs the same [`Peer`] code as [`crate::Simulator`] but is *not*
+/// deterministic: tests compare its fix-points with simulator runs modulo
+/// null renaming.
 pub struct ShardedNetwork<M: Wire, P: Peer<M> + 'static> {
     peers: Vec<(NodeId, P)>,
     codec: Codec,
@@ -309,7 +338,7 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
                     if slot.is_none() {
                         *slot = Some(WorkerPanic {
                             node: NodeId(u32::MAX),
-                            payload: crate::threaded::payload_string(panic.as_ref()),
+                            payload: payload_string(panic.as_ref()),
                         });
                     }
                 }
@@ -476,11 +505,11 @@ fn process<M: Wire + Sync, P: Peer<M>>(
         if slot.is_none() {
             *slot = Some(WorkerPanic {
                 node: cell.id,
-                payload: crate::threaded::payload_string(panic.as_ref()),
+                payload: payload_string(panic.as_ref()),
             });
         }
     }
-    // Sends queued before a panic still go out, as in the threaded runtime.
+    // Sends queued before a panic still go out.
     measured.clear();
     for out in ctx.take_outgoing() {
         let addr = Arc::as_ptr(&out.msg) as usize;
@@ -696,6 +725,7 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err.node, NodeId(2), "shards={shards}");
             assert!(err.payload.contains("boom"), "payload: {}", err.payload);
+            assert!(err.to_string().contains("peer C"), "display: {err}");
         }
     }
 

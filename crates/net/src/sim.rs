@@ -123,7 +123,7 @@ impl<M> Context<M> {
         }
     }
 
-    /// Current time (virtual in the simulator, wall-clock in the threaded
+    /// Current time (virtual in the simulator, wall-clock in the sharded
     /// runtime).
     pub fn now(&self) -> SimTime {
         self.now

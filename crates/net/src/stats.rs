@@ -112,8 +112,8 @@ impl NetStats {
         self.per_session.get(&sid).copied().unwrap_or_default()
     }
 
-    /// Merges another stats object into this one (used by the threaded
-    /// runtime, where each worker keeps local counters).
+    /// Merges another stats object into this one (used by the sharded
+    /// runtime, where each shard thread keeps local counters).
     pub fn merge(&mut self, other: &NetStats) {
         for (node, s) in &other.per_node {
             let e = self.per_node.entry(*node).or_default();

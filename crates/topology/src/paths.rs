@@ -9,7 +9,7 @@
 //!
 //! The number of maximal paths is factorial in clique size — the very reason
 //! the paper's path-flag closure bookkeeping is exponential and our default
-//! update mode uses Dijkstra–Scholten termination instead (see DESIGN.md).
+//! update mode uses Dijkstra–Scholten termination instead.
 //! Enumeration therefore takes an explicit budget and fails loudly rather
 //! than hanging.
 
@@ -142,8 +142,8 @@ mod tests {
         p
     }
 
-    /// The §2 table, corrected for the PDF's typographical slips (see
-    /// EXPERIMENTS.md E1): enumeration follows Definitions 6–7 exactly.
+    /// The §2 table, corrected for the PDF's typographical slips:
+    /// enumeration follows Definitions 6–7 exactly, not the printed rows.
     #[test]
     fn paper_example_paths_node_a() {
         assert_eq!(paths_of(0), vec!["ABCA", "ABCB", "ABCDA", "ABE"]);

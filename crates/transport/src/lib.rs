@@ -1,7 +1,7 @@
 //! `p2p_transport` — a TCP transport for P2P database networks.
 //!
 //! Everything before this crate ran in one OS process: the discrete-event
-//! simulator and the threaded runtime both deliver messages through
+//! simulator and the sharded runtime both deliver messages through
 //! in-memory queues. This crate implements the same `Wire`-pipe delivery
 //! contract over `std::net` TCP sockets, which is what lets `p2pdb serve`
 //! run one peer per *process* and a launcher drive a whole network of

@@ -2,7 +2,7 @@
 //! inbound connection, one writer thread per outgoing pipe, and a
 //! single-threaded main loop that owns the peer.
 //!
-//! The delivery contract is the same one the simulator and the threaded
+//! The delivery contract is the same one the simulator and the sharded
 //! runtime honour: handlers run to completion one at a time, communicate
 //! only through [`Context`], and each FIFO pipe preserves send order (a
 //! pipe is one TCP connection, so ordering comes for free). Fan-out

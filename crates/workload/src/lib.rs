@@ -15,8 +15,9 @@
 //! We cannot redistribute the DBLP dump, so [`dblp::DblpGenerator`]
 //! synthesises publications (seeded pools of author names, venues, title
 //! words) with the same record counts and the same three-schema
-//! organisation; DESIGN.md §3 (substitution 2) argues why this preserves
-//! the behaviours the experiments measure.
+//! organisation. The experiments measure record counts, overlap and the
+//! schema mappings between nodes, never the text of a record, so synthetic
+//! values preserve what they measure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,7 +22,8 @@
 //! network-wide. Experiments can therefore verify a 10k-peer run without
 //! paying for a 10k-peer centralized oracle — and the cost of a run is
 //! dominated by the transport: flood, queries, answers, acks, fix-point
-//! broadcast. Exactly the axis the scalability experiment (e19) measures.
+//! broadcast. Exactly the axis the benchmark's `flood_sim` and
+//! `flood_sharded` workloads measure.
 
 use p2p_core::error::CoreResult;
 use p2p_core::system::P2PSystemBuilder;

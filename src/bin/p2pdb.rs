@@ -9,7 +9,7 @@
 //!                [--paper-faithful] [--query NODE QUERY] [--stats]
 //!                [--durable] [--churn N] [--snapshot-every K]
 //!                [--concurrent N] [--codec json|binary]
-//!                [--runtime sim|threaded|sharded] [--threads N]
+//!                [--runtime sim|sharded] [--threads N]
 //!                [--trace] [--export FILE]      run discovery + update
 //! p2pdb serve <network.json> --node N --listen ADDR
 //!                [--peer M=ADDR]... [--codec json|binary]
@@ -54,13 +54,13 @@
 //! self-describing JSON. Network files and exports are JSON either way.
 //!
 //! Runtimes: `--runtime sim` (default) runs the deterministic discrete-event
-//! simulator with virtual time; `--runtime threaded` runs one OS thread per
-//! peer (capped — refuses large networks); `--runtime sharded` multiplexes
-//! all peers over `--threads N` shard threads (default: one per core) and
-//! reports cross-shard send counts. The parallel runtimes force eager
-//! propagation and reject the simulator-only flags (`--discover`, `--trace`,
-//! `--churn`, `--stats`, `--query`, `--export`); `--threads` outside
-//! `--runtime sharded` and `--threads 0` are usage errors (exit 2).
+//! simulator with virtual time; `--runtime sharded` runs the peers on real
+//! threads, multiplexed over `--threads N` shard threads (default: one per
+//! core), and reports cross-shard send counts. The sharded runtime forces
+//! eager propagation and rejects the simulator-only flags (`--discover`,
+//! `--trace`, `--churn`, `--stats`, `--query`, `--export`); any other
+//! runtime, `--threads` outside `--runtime sharded` and `--threads 0` are
+//! usage errors (exit 2).
 //!
 //! Example session:
 //!
@@ -262,13 +262,13 @@ fn cmd_run(args: &[String]) -> CliResult {
         builder.config_mut().codec = codec.parse::<p2pdb::net::Codec>()?;
     }
 
-    // Runtime selection: the deterministic simulator (default), one OS
-    // thread per peer, or the sharded worker pool that multiplexes all
-    // peers over `--threads` shard threads (default: one per core).
+    // Runtime selection: the deterministic simulator (default) or the
+    // sharded worker pool that multiplexes all peers over `--threads` shard
+    // threads (default: one per core).
     let runtime = flag_value(args, "--runtime").unwrap_or("sim");
-    if !matches!(runtime, "sim" | "threaded" | "sharded") {
+    if !matches!(runtime, "sim" | "sharded") {
         return Err(usage(format!(
-            "unknown runtime `{runtime}`: expected sim, threaded or sharded"
+            "unknown runtime `{runtime}`: expected sim or sharded"
         )));
     }
     let threads: Option<usize> = match flag_value(args, "--threads") {
@@ -285,15 +285,10 @@ fn cmd_run(args: &[String]) -> CliResult {
         ));
     }
     if threads.is_some() && runtime != "sharded" {
-        return Err(usage(format!(
-            "--threads only applies to --runtime sharded (the {runtime} runtime \
-             {} by design)",
-            if runtime == "sim" {
-                "is single-threaded"
-            } else {
-                "spawns one thread per peer"
-            }
-        )));
+        return Err(usage(
+            "--threads only applies to --runtime sharded (the sim runtime is \
+             single-threaded by design)",
+        ));
     }
 
     // Concurrent sessions.
@@ -366,8 +361,8 @@ fn cmd_run(args: &[String]) -> CliResult {
         None => vec![NodeId(file.super_peer)],
     };
 
-    if runtime != "sim" {
-        // The parallel runtimes drive peers to fix-point without the
+    if runtime == "sharded" {
+        // The sharded runtime drives peers to fix-point without the
         // discrete-event machinery; everything that needs the simulator's
         // virtual time, trace or in-run system handle is rejected up front.
         for flag in [
@@ -386,35 +381,29 @@ fn cmd_run(args: &[String]) -> CliResult {
         }
         if flag_value(args, "--mode") == Some("rounds") {
             return Err(usage(
-                "--mode rounds is simulator-only: the parallel runtimes force \
+                "--mode rounds is simulator-only: the sharded runtime forces \
                  eager propagation",
             ));
         }
-        use p2pdb::core::system::{run_updates_sharded, run_updates_threaded};
-        let (_dbs, stats, all_closed) = match runtime {
-            "threaded" => run_updates_threaded(builder, &roots)?,
-            _ => run_updates_sharded(
-                builder,
-                &roots,
-                threads.unwrap_or(0),
-                p2pdb::net::ShardPlacement::RoundRobin,
-            )?,
-        };
+        let (_dbs, stats, all_closed) = p2pdb::core::system::run_updates_sharded(
+            builder,
+            &roots,
+            threads.unwrap_or(0),
+            p2pdb::net::ShardPlacement::RoundRobin,
+        )?;
         println!(
             "update: {} messages, {} bytes, {} wall, all closed: {}",
             stats.total_messages, stats.total_bytes, stats.finished_at, all_closed
         );
-        if runtime == "sharded" {
-            println!(
-                "sharded: {} threads, {} cross-shard sends",
-                threads.unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|c| c.get())
-                        .unwrap_or(1)
-                }),
-                stats.cross_shard_sends
-            );
-        }
+        println!(
+            "sharded: {} threads, {} cross-shard sends",
+            threads.unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|c| c.get())
+                    .unwrap_or(1)
+            }),
+            stats.cross_shard_sends
+        );
         return Ok(());
     }
 

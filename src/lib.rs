@@ -9,7 +9,7 @@
 //!   conjunctive queries and the restricted chase;
 //! * [`topology`] — dependency graphs, maximal dependency paths, topology
 //!   generators and separation analysis;
-//! * [`net`] — deterministic discrete-event simulator and threaded runtime
+//! * [`net`] — deterministic discrete-event simulator and sharded runtime
 //!   (the JXTA-layer substitute), with fault injection and peer churn;
 //! * [`transport`] — real TCP sockets: length-prefixed frames, the
 //!   `(node, codec)` handshake, and the socket runtime behind

@@ -435,10 +435,10 @@ fn serve_and_launch_usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// The parallel runtimes behind `--runtime`: threaded and sharded reach a
-/// fully closed fix-point, the sharded runtime reports its shard count and
-/// cross-shard locality, and the new flags are validated as one-line usage
-/// errors with exit code 2.
+/// The parallel runtime behind `--runtime sharded` reaches a fully closed
+/// fix-point and reports its shard count and cross-shard locality; its
+/// flags are validated as one-line usage errors with exit code 2, and the
+/// retired `threaded` runtime is an unknown one.
 #[test]
 fn run_parallel_runtimes_and_flag_validation() {
     let dir = std::env::temp_dir().join("p2pdb_cli_parallel");
@@ -448,15 +448,6 @@ fn run_parallel_runtimes_and_flag_validation() {
     assert!(out.status.success());
     std::fs::write(&net, &out.stdout).unwrap();
     let net = net.to_str().unwrap();
-
-    let out = p2pdb(&["run", net, "--runtime", "threaded"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("all closed: true"), "{text}");
 
     let out = p2pdb(&["run", net, "--runtime", "sharded", "--threads", "2"]);
     assert!(
@@ -487,6 +478,7 @@ fn run_parallel_runtimes_and_flag_validation() {
     );
     usage(&["run", net, "--threads", "2"], "--threads only applies");
     usage(&["run", net, "--runtime", "warp"], "unknown runtime");
+    usage(&["run", net, "--runtime", "threaded"], "unknown runtime");
     usage(
         &["run", net, "--runtime", "sharded", "--trace", "5"],
         "simulator-only",

@@ -14,12 +14,13 @@
 //!   watermarks or fragment caches), including after a churn-broken session
 //!   is redriven;
 //! * **attribution** — the transport layer tags traces and per-session
-//!   counters with the session each message belongs to;
-//! * **threaded parity** — two concurrent sessions on the real-thread
-//!   runtime reach the simulator's fix-point (modulo null renaming).
+//!   counters with the session each message belongs to.
+//!
+//! Concurrent sessions on real threads are `tests/parallel.rs`'s
+//! `sharded_concurrent_sessions_match_simulator`.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::system::{run_updates_threaded, LatencySpec, P2PSystemBuilder};
+use p2pdb::core::system::{LatencySpec, P2PSystemBuilder};
 use p2pdb::net::{SessionId, SimTime};
 use p2pdb::relational::Val;
 use p2pdb::topology::{NodeId, Topology};
@@ -212,33 +213,6 @@ fn trace_and_counters_attribute_messages_to_sessions() {
     assert!(attributed <= sys.net_stats().total_messages);
     let untagged = entries.iter().filter(|e| e.session.is_none()).count() as u64;
     assert_eq!(attributed + untagged, sys.net_stats().total_messages);
-}
-
-/// Two concurrent sessions on the **threaded** runtime (real parallelism,
-/// nondeterministic interleavings) reach the simulator's fix-point modulo
-/// null renaming — extends the existing threaded-vs-sim oracle pattern to
-/// the multi-session control plane.
-#[test]
-fn threaded_concurrent_sessions_match_simulator() {
-    let roots = [NodeId(0), NodeId(2)];
-    let mut sim_sys = cyclic_builder().build().unwrap();
-    let sim_reports = sim_sys.run_updates(&roots);
-    assert!(sim_reports.iter().all(|r| r.all_closed));
-    let sim_result = sim_sys.snapshot();
-
-    for _ in 0..3 {
-        let (threaded, stats, all_closed) = run_updates_threaded(cyclic_builder(), &roots).unwrap();
-        assert!(all_closed, "threaded concurrent run must close everywhere");
-        assert!(
-            threaded.equivalent(&sim_result),
-            "threaded concurrent fix-point differs from simulated one"
-        );
-        // Per-session attribution exists on the threaded runtime too.
-        for (i, &root) in roots.iter().enumerate() {
-            let sid = SessionId::new(root, (i + 1) as u64);
-            assert!(stats.session(sid).messages > 0, "{sid} unattributed");
-        }
-    }
 }
 
 /// Scoped sessions interleave with global ones: a query-dependent session

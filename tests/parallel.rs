@@ -248,10 +248,14 @@ fn sharded_panic_is_contained_and_named() {
 
 fn proptest_topology(idx: u8, n: u8) -> Topology {
     let n = 3 + (n % 4) as u32; // 3..=6 nodes
-    match idx % 3 {
+    match idx % 4 {
         0 => Topology::Ring { n },
         1 => Topology::Chain { n },
-        _ => Topology::Clique { n: n.min(4) },
+        2 => Topology::Clique { n: n.min(4) },
+        _ => Topology::Tree {
+            branching: 2,
+            depth: 1 + n % 2, // 3 or 7 nodes
+        },
     }
 }
 
@@ -277,7 +281,7 @@ proptest! {
     /// the simulator's and the centralized oracle's modulo null renaming.
     #[test]
     fn sharded_equals_simulator_equals_oracle(
-        topo_idx in 0u8..3,
+        topo_idx in 0u8..4,
         size in 0u8..4,
         data_seed in 0u64..500,
         shards in 1usize..9,

@@ -1,15 +1,15 @@
 //! Robustness tests: the "robust" of the paper's title under transport
-//! faults and real-thread nondeterminism.
+//! faults.
 //!
 //! * message **duplication** must not change the result (handlers are
 //!   idempotent — re-delivered queries re-subscribe, re-delivered answers
 //!   re-insert already-present tuples);
 //! * message **drops** may cost liveness but never safety: no unsound data,
-//!   and never a false `closed` state at the super-peer;
-//! * the **threaded runtime** (real parallelism, nondeterministic
-//!   interleavings) must reach the same fix-point as the simulator.
+//!   and never a false `closed` state at the super-peer.
+//!
+//! Real-thread nondeterminism is `tests/parallel.rs`'s subject.
 
-use p2pdb::core::system::{run_update_threaded, P2PSystemBuilder};
+use p2pdb::core::system::P2PSystemBuilder;
 use p2pdb::net::FaultPlan;
 use p2pdb::relational::hom::contained_modulo_nulls;
 use p2pdb::relational::Val;
@@ -99,44 +99,4 @@ fn link_outage_delays_but_data_stays_sound() {
     for (node, db) in &sys.snapshot().0 {
         assert!(contained_modulo_nulls(db, oracle.node(*node).unwrap()));
     }
-}
-
-#[test]
-fn threaded_runtime_matches_simulator_fixpoint() {
-    // The simulator's deterministic answer…
-    let mut sim_sys = builder().build().unwrap();
-    let sim_report = sim_sys.run_update();
-    assert!(sim_report.all_closed);
-    let sim_result = sim_sys.snapshot();
-
-    // …must be reproduced by real threads under arbitrary interleavings.
-    for _ in 0..3 {
-        let (threaded, stats, all_closed) = run_update_threaded(builder()).unwrap();
-        assert!(all_closed, "threaded run must close");
-        assert!(
-            threaded.equivalent(&sim_result),
-            "threaded fix-point differs from simulated one"
-        );
-        assert!(stats.total_messages > 0);
-    }
-}
-
-#[test]
-fn threaded_runtime_on_workload_tree() {
-    use p2pdb::topology::Topology;
-    use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
-    let cfg = WorkloadConfig {
-        topology: Topology::Tree {
-            branching: 2,
-            depth: 2,
-        },
-        records_per_node: 10,
-        distribution: Distribution::Disjoint,
-        seed: 1,
-    };
-    let mut sim_sys = build_system(&cfg).unwrap().build().unwrap();
-    sim_sys.run_update();
-    let (threaded, _, all_closed) = run_update_threaded(build_system(&cfg).unwrap()).unwrap();
-    assert!(all_closed);
-    assert!(threaded.equivalent(&sim_sys.snapshot()));
 }

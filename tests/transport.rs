@@ -1,7 +1,8 @@
 //! End-to-end tests of the real-socket stack: `p2pdb serve` children on
 //! loopback, handshake rejection of misconfigured peers, full multi-process
-//! cluster convergence under both codecs, durable restart + resync over
-//! TCP, and child reaping on failed launches.
+//! cluster convergence under both codecs (the binary one shipping fewer
+//! bytes), durable restart + resync over TCP, and child reaping on failed
+//! launches.
 
 use p2pdb::core::messages::ProtocolMsg;
 use p2pdb::core::oracle::GlobalDb;
@@ -9,9 +10,11 @@ use p2pdb::core::socket::Controller;
 use p2pdb::net::{Codec, SessionId};
 use p2pdb::topology::NodeId;
 use p2pdb::transport::{client_handshake, Hello, RejectReason, TransportError, DEFAULT_MAX_FRAME};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
@@ -137,24 +140,49 @@ fn handshake_rejects_misconfigured_peers() {
     assert!(status.success(), "serve exited with {status}");
 }
 
-fn launch_and_check(net: &std::path::Path, codec: &str) {
+/// `bytes_sent` of each codec's launch on the same network: whichever of
+/// the two launch tests finishes second compares them, so the binary
+/// codec's saving over real TCP is checked without a third cluster.
+static BYTES_SENT: Mutex<BTreeMap<&str, u64>> = Mutex::new(BTreeMap::new());
+
+/// The value of `"key":` in the one-line JSON summary of `launch --json`.
+fn json_field<'a>(summary: &'a str, key: &str) -> &'a str {
+    let start = summary
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {key} in {summary}"))
+        + key.len()
+        + 3;
+    let rest = &summary[start..];
+    &rest[..rest.find([',', '}']).unwrap_or(rest.len())]
+}
+
+fn launch_and_check(net: &std::path::Path, codec: &'static str) {
     let out = Command::new(bin())
         .arg("launch")
         .arg(net)
-        .args(["--codec", codec])
+        .args(["--codec", codec, "--json"])
         .output()
         .expect("launch runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "launch {codec}: {stdout}\n{stderr}");
+    let summary = stdout.trim();
+    assert_eq!(json_field(summary, "verified"), "true", "launch {codec}");
     assert!(
-        stdout.contains("verified: MATCH"),
-        "launch {codec}: {stdout}"
+        stderr.contains("children exited cleanly"),
+        "launch {codec}: {stderr}"
     );
-    assert!(
-        stdout.contains("children exited cleanly"),
-        "launch {codec}: {stdout}"
-    );
+    let bytes: u64 = json_field(summary, "bytes_sent").parse().unwrap();
+    assert!(bytes > 0, "launch {codec}: nothing crossed the wire");
+
+    let mut sent = BYTES_SENT.lock().unwrap_or_else(PoisonError::into_inner);
+    sent.insert(codec, bytes);
+    if let (Some(&json), Some(&binary)) = (sent.get("json"), sent.get("binary")) {
+        assert!(
+            binary < json,
+            "binary shipped {binary} B over TCP, JSON {json} B"
+        );
+    }
 }
 
 #[test]
