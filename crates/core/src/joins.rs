@@ -3,10 +3,17 @@
 //! shipped extensions at the head node) and by the global fix-point oracle
 //! (joining local evaluations) — which is precisely why distributed results
 //! can be compared against the oracle tuple-for-tuple.
+//!
+//! Both ends of a rule are compiled once: the body fragment into a
+//! [`CompiledBody`] at the body node, the head into a [`CompiledHead`] at
+//! the head node (both cached by [`crate::peer::DbPeer`] per rule). A
+//! fragment's rows are its plan's binding rows copied out once, and a
+//! binding row reaches the head database as one buffer fill per head atom;
+//! existential head variables get their nulls in first-occurrence order.
 
 use crate::error::CoreResult;
 use crate::rule::{BodyPart, CoordinationRule};
-use p2p_relational::chase::{apply_head, ChaseConfig, ChaseOutcome, ChaseState};
+use p2p_relational::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use p2p_relational::query::ast::Term;
 use p2p_relational::query::{
     evaluate_bindings, evaluate_bindings_since, evaluate_bindings_since_planned, execute_plan,
@@ -16,11 +23,19 @@ use p2p_relational::{key_hash, Database, FxHashMap, FxHashSet, NullFactory, Tupl
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+pub use p2p_relational::chase::CompiledHead;
 pub use p2p_relational::query::{CompiledBody, EvalMetrics};
 
-/// Projects a fragment's bindings onto `part.vars` (deduplicated,
-/// deterministic order).
-fn project_part(part: &BodyPart, bindings: &Bindings) -> CoreResult<Vec<Tuple>> {
+/// A fragment's bindings as rows over `part.vars` (deduplicated,
+/// deterministic order). A plan's slot table lists the fragment's variables
+/// in first-occurrence order, and so does `part.vars` of every parsed rule:
+/// then each binding row *is* a row over `part.vars`, already deduplicated
+/// by the executor, and is copied out once. Any other `vars` list (a
+/// hand-built fragment) is projected.
+fn part_rows(part: &BodyPart, bindings: &Bindings) -> CoreResult<Vec<Tuple>> {
+    if bindings.vars == part.vars {
+        return Ok(bindings.rows().map(Tuple::from_row).collect());
+    }
     let head_terms: Vec<Term> = part.vars.iter().cloned().map(Term::Var).collect();
     Ok(bindings.project(&head_terms)?)
 }
@@ -29,7 +44,7 @@ fn project_part(part: &BodyPart, bindings: &Bindings) -> CoreResult<Vec<Tuple>> 
 /// `part.vars` (deduplicated, deterministic order).
 pub fn eval_part(part: &BodyPart, db: &Database) -> CoreResult<Vec<Tuple>> {
     let bindings = evaluate_bindings(&part.atoms, &part.local_constraints, db)?;
-    project_part(part, &bindings)
+    part_rows(part, &bindings)
 }
 
 /// Delta evaluation of one body fragment: the rows over `part.vars`
@@ -44,11 +59,11 @@ pub fn eval_part_delta(
     watermarks: &BTreeMap<Arc<str>, usize>,
 ) -> CoreResult<Vec<Tuple>> {
     let bindings = evaluate_bindings_since(&part.atoms, &part.local_constraints, db, watermarks)?;
-    project_part(part, &bindings)
+    part_rows(part, &bindings)
 }
 
-/// Compiles one body fragment into a [`CompiledBody`] (full plan plus one
-/// semi-naive delta plan per atom) for the plan cache in
+/// Compiles one body fragment into a [`CompiledBody`] (full plan now, one
+/// semi-naive delta plan per atom on first use) for the plan cache in
 /// [`crate::peer::DbPeer`].
 pub fn compile_part(part: &BodyPart, db: &Database) -> CoreResult<CompiledBody> {
     Ok(CompiledBody::compile(
@@ -73,7 +88,7 @@ pub fn eval_part_planned(
         body.full.ensure_indexes(db)?;
     }
     let bindings = execute_plan(&body.full, db, 0, metrics)?;
-    project_part(part, &bindings)
+    part_rows(part, &bindings)
 }
 
 /// [`eval_part_delta`] over an already compiled body: each delta atom scans
@@ -92,7 +107,7 @@ pub fn eval_part_delta_planned(
         body.ensure_delta_indexes(db, watermarks)?;
     }
     let bindings = evaluate_bindings_since_planned(body, db, watermarks, metrics)?;
-    project_part(part, &bindings)
+    part_rows(part, &bindings)
 }
 
 /// A set of rows tagged with their variable names.
@@ -293,8 +308,10 @@ fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
     }
 }
 
-/// Applies a rule's head to `head_db` for every joined binding. Returns the
-/// aggregate chase outcome.
+/// Applies a rule's head to `head_db` for every joined binding, compiling
+/// the head for this one call (the oracle and the baselines; a peer keeps
+/// its compiled heads). Returns the aggregate chase outcome; no binding
+/// means no work and no error.
 pub fn apply_rule_head(
     rule: &CoordinationRule,
     bindings: &VarRows,
@@ -303,19 +320,24 @@ pub fn apply_rule_head(
     chase: &mut ChaseState,
     cfg: &ChaseConfig,
 ) -> CoreResult<ChaseOutcome> {
-    let mut total = ChaseOutcome::default();
-    for row in &bindings.rows {
-        let map: HashMap<Arc<str>, Val> = bindings
-            .vars
-            .iter()
-            .cloned()
-            .zip(row.values().copied())
-            .collect();
-        let out = apply_head(head_db, &rule.head, &map, nulls, chase, cfg)?;
-        total.nulls_minted += out.nulls_minted;
-        total.inserted.extend(out.inserted);
+    if bindings.rows.is_empty() {
+        return Ok(ChaseOutcome::default());
     }
-    Ok(total)
+    let mut head = CompiledHead::compile(&rule.head, &bindings.vars, head_db.schema())?;
+    apply_compiled_head(&mut head, bindings, head_db, nulls, chase, cfg)
+}
+
+/// Applies a head compiled for `bindings.vars` to every binding, in order.
+pub(crate) fn apply_compiled_head(
+    head: &mut CompiledHead,
+    bindings: &VarRows,
+    head_db: &mut Database,
+    nulls: &mut NullFactory,
+    chase: &mut ChaseState,
+    cfg: &ChaseConfig,
+) -> CoreResult<ChaseOutcome> {
+    let rows = bindings.rows.iter().map(|t| &t.0[..]);
+    Ok(head.apply_rows(head_db, rows, nulls, chase, cfg)?)
 }
 
 #[cfg(test)]

@@ -370,6 +370,7 @@ impl DbPeer {
         self.stats.crashes += 1;
         self.db = Database::new(self.db.schema().clone());
         self.plans.clear();
+        self.heads.clear();
         self.cursors.clear();
         self.void_owed = true;
         self.held.clear();
@@ -400,7 +401,7 @@ impl DbPeer {
             match BodyPart::from_content(&mark.part) {
                 Ok(part) if within => {
                     let cursor = Cursor {
-                        part,
+                        part: Arc::new(part),
                         watermarks: mark.watermarks,
                         rows: mark.rows,
                     };
@@ -567,6 +568,7 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.add_pipe(from);
+        let part = Arc::new(part);
         let rows = if !self.keeps_subscriptions() {
             for st in self.sessions.values_mut() {
                 st.rnd.wave_subs.remove(&(from, rule));
@@ -620,7 +622,7 @@ impl DbPeer {
         self.absorb_dict(from, &mut rows);
         self.absorb_null_depths(&rows);
         let mark = self.answer_mark(rule, &rows);
-        if self.absorb_fragment(rule, from, &rows.vars, rows.rows) > 0 {
+        if self.absorb_fragment(rule, from, rows.vars, rows.rows) > 0 {
             // A wave that is under way here must not certify a clean round
             // over facts its earlier answers did not carry.
             for st in self.sessions.values_mut() {

@@ -49,13 +49,15 @@ use p2p_net::{Context, SessionId};
 use p2p_relational::Tuple;
 use p2p_topology::NodeId;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A subscription served to a rule's head node (body side), for the
 /// lifetime of one session.
 #[derive(Debug, Clone)]
 pub struct Subscription {
-    /// The fragment to evaluate for this subscriber.
-    pub part: BodyPart,
+    /// The fragment to evaluate for this subscriber (shared with the plan
+    /// cache and the cursor it commits to).
+    pub part: Arc<BodyPart>,
     /// Rows shipped in this session: the exactness layer over delta
     /// evaluation, which may re-derive an already-shipped row from a new
     /// fact.
@@ -179,7 +181,7 @@ impl DbPeer {
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
-        rules: &[crate::rule::CoordinationRule],
+        rules: &[Arc<crate::rule::CoordinationRule>],
         ctx: &mut Context<ProtocolMsg>,
         sn_base: &[NodeId],
         by_flood: bool,
@@ -342,7 +344,7 @@ impl DbPeer {
         &mut self,
         to: NodeId,
         rule: RuleId,
-        part: BodyPart,
+        part: Arc<BodyPart>,
         resume: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) -> (Subscription, Vec<Tuple>) {
@@ -389,13 +391,21 @@ impl DbPeer {
     /// Re-evaluates a subscription's fragment — the delta since its last
     /// evaluation, or under `paper_faithful` the full extension — and moves
     /// its watermarks. Returns the evaluated rows and those among them not
-    /// yet shipped in this session.
-    fn advance_subscription(
+    /// yet shipped in this session. A delta over relations that did not grow
+    /// is empty, so it is not evaluated at all: the watermarks already read
+    /// the relations' lengths, and nothing is allocated. (Public, but hidden
+    /// from the docs, so that `tests/sizing_allocates_nothing.rs` can price
+    /// it.)
+    #[doc(hidden)]
+    pub fn advance_subscription(
         &mut self,
         rule: RuleId,
         sub: &mut Subscription,
         ctx: &mut Context<ProtocolMsg>,
     ) -> (Vec<Tuple>, Vec<Tuple>) {
+        if !self.config.paper_faithful && !self.grew_past(&sub.part, &sub.watermarks) {
+            return (Vec::new(), Vec::new());
+        }
         let rows = if self.config.paper_faithful {
             self.eval_part_local(rule, &sub.part, ctx)
         } else {
@@ -463,7 +473,7 @@ impl DbPeer {
 
         let key = (from, rule);
         let standing = match st.upd.subs.remove(&key) {
-            Some(sub) if sub.standing => (resume && sub.part == part).then_some(sub),
+            Some(sub) if sub.standing => (resume && *sub.part == part).then_some(sub),
             Some(_) => {
                 self.stats.duplicate_queries += 1;
                 None
@@ -478,7 +488,7 @@ impl DbPeer {
                 sub.standing = false;
                 (sub, unsent)
             }
-            None => self.open_subscription(from, rule, part, resume, ctx),
+            None => self.open_subscription(from, rule, Arc::new(part), resume, ctx),
         };
         sub.sent_complete = st.upd.closed;
         self.send_answer(st, sid, from, rule, &sub, rows, ctx);
@@ -553,7 +563,7 @@ impl DbPeer {
         // watermarks — the crash-resync cursor), behind the insertions it
         // derives.
         let mark = self.answer_mark(rule, &rows);
-        let inserted = self.absorb_fragment(rule, from, &rows.vars, rows.rows);
+        let inserted = self.absorb_fragment(rule, from, rows.vars, rows.rows);
         self.log_answer_mark(sid, rule, from, mark);
         if inserted > 0 {
             // New local facts: cascade to subscribers (A5's trailing

@@ -239,9 +239,44 @@ impl SessionState {
 #[derive(Debug, Clone)]
 pub(crate) struct CachedPlans {
     /// The fragment the plans were compiled from.
-    pub(crate) part: crate::rule::BodyPart,
+    pub(crate) part: Arc<crate::rule::BodyPart>,
     /// Full + per-atom delta plans.
     pub(crate) body: crate::joins::CompiledBody,
+}
+
+/// One rule's compiled head, for the rule it was compiled from (an
+/// `Arc::ptr_eq` fingerprint: installing a rule under the id, even an equal
+/// one, allocates a new `Arc`) and the binding layout it expects.
+#[derive(Debug, Clone)]
+pub(crate) struct CachedHead {
+    rule: Arc<CoordinationRule>,
+    head: crate::joins::CompiledHead,
+}
+
+impl CachedHead {
+    /// The head of `rule` compiled for bindings over `vars`: the cached one
+    /// when it fits, else compiled against `schema` into `cache`.
+    fn fetch<'c>(
+        cache: &'c mut FxHashMap<RuleId, CachedHead>,
+        rule: &Arc<CoordinationRule>,
+        vars: &[Arc<str>],
+        schema: &p2p_relational::DatabaseSchema,
+    ) -> crate::error::CoreResult<&'c mut crate::joins::CompiledHead> {
+        use std::collections::hash_map::Entry;
+        let cached = match cache.entry(rule.id) {
+            Entry::Occupied(hit)
+                if Arc::ptr_eq(&hit.get().rule, rule) && hit.get().head.vars() == vars =>
+            {
+                hit.into_mut()
+            }
+            entry => {
+                let head = crate::joins::CompiledHead::compile(&rule.head, vars, schema)?;
+                let rule = rule.clone();
+                entry.insert_entry(CachedHead { rule, head }).into_mut()
+            }
+        };
+        Ok(&mut cached.head)
+    }
 }
 
 /// Body side of a subscription between sessions: how much of one rule
@@ -249,8 +284,9 @@ pub(crate) struct CachedPlans {
 #[derive(Debug, Clone)]
 pub(crate) struct Cursor {
     /// The fragment the watermarks were advanced for (the fingerprint, as
-    /// in [`CachedPlans`]).
-    pub(crate) part: crate::rule::BodyPart,
+    /// in [`CachedPlans`]), shared with the subscription it was committed
+    /// from.
+    pub(crate) part: Arc<crate::rule::BodyPart>,
     /// Watermarks of the fragment's relations: the subscriber holds every
     /// row derivable from the facts below them.
     pub(crate) watermarks: Marks,
@@ -262,7 +298,7 @@ pub(crate) struct Cursor {
 impl Cursor {
     /// The cursor of a subscriber that holds nothing of `part`: resuming
     /// from it ships the full extension.
-    pub(crate) fn zero(part: crate::rule::BodyPart) -> Self {
+    pub(crate) fn zero(part: Arc<crate::rule::BodyPart>) -> Self {
         Cursor {
             part,
             watermarks: Marks::new(),
@@ -314,14 +350,20 @@ pub struct DbPeer {
     /// Chase configuration.
     pub(crate) chase_cfg: ChaseConfig,
     /// Coordination rules whose head is this node (the paper: "initially
-    /// each node knows all rules of which it is a target").
-    pub(crate) rules: BTreeMap<RuleId, CoordinationRule>,
+    /// each node knows all rules of which it is a target"). Shared, so a
+    /// handler that needs a rule while it mutates the peer holds a refcount,
+    /// not a copy.
+    pub(crate) rules: BTreeMap<RuleId, Arc<CoordinationRule>>,
     /// Compiled-plan cache, one entry per rule this peer evaluates a body
     /// fragment for (head rules *and* fragments received via subscriptions
     /// or waves). Validated against the fragment on every hit; invalidated
     /// on `AddRule`/`DeleteRule`/`Unsubscribe`. Volatile: a crash clears it
     /// and the next evaluation recompiles.
     pub(crate) plans: FxHashMap<RuleId, CachedPlans>,
+    /// Compiled-head cache, one entry per rule of this peer that derived a
+    /// binding. Validated against the rule and the binding layout on every
+    /// hit; dropped with the rule. Volatile, like `plans`.
+    pub(crate) heads: FxHashMap<RuleId, CachedHead>,
     /// Body side, per `(subscriber, rule)`: the committed delta cursor of
     /// each subscription this peer served (module docs). Bounded by rules ×
     /// neighbours. A durable peer logs every move a subscriber may rely on
@@ -406,6 +448,7 @@ impl DbPeer {
             chase: ChaseState::new(),
             rules: BTreeMap::new(),
             plans: FxHashMap::default(),
+            heads: FxHashMap::default(),
             cursors: VecMap::default(),
             held: BTreeSet::new(),
             fragments: VecMap::default(),
@@ -449,7 +492,7 @@ impl DbPeer {
             self.pipes.insert(p.node);
         }
         self.forget_rule(rule.id);
-        self.rules.insert(rule.id, rule);
+        self.rules.insert(rule.id, Arc::new(rule));
     }
 
     /// Drops what this peer cached for a rule as its head: the compiled
@@ -462,6 +505,7 @@ impl DbPeer {
     /// belongs to the state just dropped.
     pub(crate) fn forget_rule(&mut self, rule: RuleId) {
         self.plans.remove(&rule);
+        self.heads.remove(&rule);
         self.log_forget_rule(rule);
         self.pending_resync.retain(|(_, r, _), _| *r != rule);
         self.held.retain(|(r, _)| *r != rule);
@@ -670,7 +714,7 @@ impl DbPeer {
     pub(crate) fn eval_part_local(
         &mut self,
         rule: RuleId,
-        part: &crate::rule::BodyPart,
+        part: &Arc<crate::rule::BodyPart>,
         ctx: &mut Context<ProtocolMsg>,
     ) -> Vec<Tuple> {
         self.stats.local_evaluations += 1;
@@ -694,7 +738,7 @@ impl DbPeer {
     pub(crate) fn eval_part_delta_local(
         &mut self,
         rule: RuleId,
-        part: &crate::rule::BodyPart,
+        part: &Arc<crate::rule::BodyPart>,
         watermarks: &BTreeMap<Arc<str>, usize>,
         ctx: &mut Context<ProtocolMsg>,
     ) -> Vec<Tuple> {
@@ -722,7 +766,7 @@ impl DbPeer {
     fn eval_part_rows(
         &mut self,
         rule: RuleId,
-        part: &crate::rule::BodyPart,
+        part: &Arc<crate::rule::BodyPart>,
         watermarks: Option<&BTreeMap<Arc<str>, usize>>,
     ) -> crate::error::CoreResult<Vec<Tuple>> {
         use std::collections::hash_map::Entry;
@@ -771,6 +815,20 @@ impl DbPeer {
             .collect()
     }
 
+    /// Whether some relation `part` reads holds a row count other than its
+    /// entry in `marks` (a missing entry included): only then can a delta
+    /// from `marks` be non-empty, or [`DbPeer::part_marks`] read anything
+    /// but `marks`. A relation the database lacks counts, so that evaluation
+    /// reports it.
+    pub(crate) fn grew_past(&self, part: &crate::rule::BodyPart, marks: &Marks) -> bool {
+        part.atoms
+            .iter()
+            .any(|a| match self.db.relation(&a.relation) {
+                Ok(relation) => marks.get(&a.relation) != Some(&relation.len()),
+                Err(_) => true,
+            })
+    }
+
     /// A6 for one arriving fragment answer: merges the rows into what this
     /// peer retains of the fragment and chases the bindings that use at
     /// least one new row (semi-naive; combinations of old rows were chased
@@ -780,7 +838,7 @@ impl DbPeer {
         &mut self,
         rule_id: RuleId,
         from: NodeId,
-        vars: &[Arc<str>],
+        vars: Vec<Arc<str>>,
         rows: Vec<Tuple>,
     ) -> usize {
         let Some(rule) = self.rules.get(&rule_id).cloned() else {
@@ -788,14 +846,14 @@ impl DbPeer {
         };
         let bindings = if rule.parts.len() == 1 {
             // Nothing to join against: the delta is chased and not kept.
-            let mut delta = crate::joins::VarRows {
-                vars: vars.to_vec(),
-                rows,
-            };
+            let mut delta = crate::joins::VarRows { vars, rows };
             crate::joins::retain_constrained(&mut delta, &rule.join_constraints);
             delta
         } else {
-            let fresh = self.fragments.or_default((rule_id, from)).merge(vars, rows);
+            let fresh = self
+                .fragments
+                .or_default((rule_id, from))
+                .merge(&vars, rows);
             let empty = PartCache::default();
             let staged: Vec<crate::joins::PartDelta<'_>> = rule
                 .parts
@@ -817,35 +875,31 @@ impl DbPeer {
         self.apply_rule_bindings(&rule, &bindings)
     }
 
-    /// Joins the given fragment extensions for `rule` and chases the head
-    /// into the local database. Returns the number of facts inserted.
-    pub(crate) fn apply_rule(
-        &mut self,
-        rule_id: RuleId,
-        parts: Vec<crate::joins::VarRows>,
-    ) -> usize {
-        let Some(rule) = self.rules.get(&rule_id).cloned() else {
-            return 0;
-        };
-        let bindings = crate::joins::join_parts(&parts, &rule.join_constraints);
-        self.apply_rule_bindings(&rule, &bindings)
-    }
-
-    /// Chases already-joined bindings for `rule` into the local database.
-    /// Returns the number of facts inserted.
+    /// Chases already-joined bindings for `rule` into the local database
+    /// through the rule's cached [`crate::joins::CompiledHead`], compiling
+    /// it on the first binding (or when the rule or the binding layout
+    /// changed). Returns the number of facts inserted.
     pub(crate) fn apply_rule_bindings(
         &mut self,
-        rule: &crate::rule::CoordinationRule,
+        rule: &Arc<CoordinationRule>,
         bindings: &crate::joins::VarRows,
     ) -> usize {
-        match crate::joins::apply_rule_head(
-            rule,
-            bindings,
-            &mut self.db,
-            &mut self.nulls,
-            &mut self.chase,
-            &self.chase_cfg,
-        ) {
+        if bindings.rows.is_empty() {
+            return 0;
+        }
+        let DbPeer {
+            heads,
+            db,
+            nulls,
+            chase,
+            chase_cfg,
+            ..
+        } = self;
+        let outcome =
+            CachedHead::fetch(heads, rule, &bindings.vars, db.schema()).and_then(|head| {
+                crate::joins::apply_compiled_head(head, bindings, db, nulls, chase, chase_cfg)
+            });
+        match outcome {
             Ok(outcome) => {
                 self.stats.tuples_inserted += outcome.inserted.len() as u64;
                 self.stats.nulls_minted += outcome.nulls_minted as u64;
@@ -1390,10 +1444,12 @@ mod tests {
             _ => None,
         };
         let part = |text: &str| {
-            CoordinationRule::parse("r", text, None, &resolve)
-                .unwrap()
-                .parts
-                .remove(0)
+            Arc::new(
+                CoordinationRule::parse("r", text, None, &resolve)
+                    .unwrap()
+                    .parts
+                    .remove(0),
+            )
         };
         let (old, new) = (
             part("B:b(X,Y) => A:a(X,Y)"),
@@ -1431,10 +1487,12 @@ mod tests {
             _ => None,
         };
         let part = |text: &str| {
-            CoordinationRule::parse("r", text, None, &resolve)
-                .unwrap()
-                .parts
-                .remove(0)
+            Arc::new(
+                CoordinationRule::parse("r", text, None, &resolve)
+                    .unwrap()
+                    .parts
+                    .remove(0),
+            )
         };
         let (copy, filtered) = (
             part("B:b(X,Y) => A:a(X,Y)"),

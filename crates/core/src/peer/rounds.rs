@@ -63,7 +63,7 @@
 //! the full current extension — the baseline the delta mode is checked
 //! against (tuple-identical final databases).
 
-use crate::joins::{join_parts_seminaive, PartDelta, RowsView, VarRows};
+use crate::joins::{join_parts_seminaive, join_views, PartDelta, RowsView};
 use crate::messages::ProtocolMsg;
 use crate::peer::{DbPeer, SessionState};
 use crate::rule::{BodyPart, RuleId};
@@ -157,7 +157,7 @@ pub struct RoundsState {
     /// Echo already sent this round.
     pub echoed: bool,
     /// Queries deferred until own fragments answered.
-    pub deferred: Vec<(NodeId, RuleId, BodyPart)>,
+    pub deferred: Vec<(NodeId, RuleId, Arc<BodyPart>)>,
     /// Fragment extensions received this round, per `(rule, body node)`:
     /// the rows *new to the cache* this round, or under `paper_faithful` the
     /// full shipped extension.
@@ -370,6 +370,7 @@ impl DbPeer {
             );
             return;
         }
+        let part = Arc::new(part);
         let defer = !self.in_cycle && !st.rnd.waves_done();
         if defer {
             st.rnd.deferred.push((from, rule, part));
@@ -388,7 +389,7 @@ impl DbPeer {
         to: NodeId,
         round: u32,
         rule: RuleId,
-        part: &BodyPart,
+        part: &Arc<BodyPart>,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         let key = (to, rule);
@@ -477,21 +478,15 @@ impl DbPeer {
         st.rnd.pending_answers = st.rnd.pending_answers.saturating_sub(1);
 
         // Recompute the rule if all its fragments arrived this round.
-        let arrived = self
-            .rules
-            .get(&rule)
-            .map(|r| r.parts.clone())
-            .filter(|parts| {
-                parts
-                    .iter()
-                    .all(|p| st.rnd.wave_parts.contains_key(&(rule, p.node)))
+        let arrived =
+            self.rules.get(&rule).cloned().filter(|r| {
+                (r.parts.iter()).all(|p| st.rnd.wave_parts.contains_key(&(rule, p.node)))
             });
-        if let Some(parts) = arrived {
-            let inserted = if use_cache {
+        if let Some(rule_obj) = arrived {
+            let bindings = if use_cache {
                 // Semi-naive expansion: each fragment's delta against the
                 // other fragments' accumulated fulls.
-                let staged: Vec<PartDelta> = parts
-                    .iter()
+                let staged: Vec<PartDelta> = (rule_obj.parts.iter())
                     .map(|p| {
                         let cache = &st.rnd.wave_cache[&(rule, p.node)];
                         let (vars, fresh) = &st.rnd.wave_parts[&(rule, p.node)];
@@ -501,26 +496,17 @@ impl DbPeer {
                         }
                     })
                     .collect();
-                match self.rules.get(&rule).cloned() {
-                    Some(rule_obj) => {
-                        let bindings = join_parts_seminaive(&staged, &rule_obj.join_constraints);
-                        self.apply_rule_bindings(&rule_obj, &bindings)
-                    }
-                    None => 0,
-                }
+                join_parts_seminaive(&staged, &rule_obj.join_constraints)
             } else {
-                let staged: Vec<VarRows> = parts
-                    .iter()
+                let staged: Vec<RowsView> = (rule_obj.parts.iter())
                     .map(|p| {
                         let (vars, rows) = &st.rnd.wave_parts[&(rule, p.node)];
-                        VarRows {
-                            vars: vars.clone(),
-                            rows: rows.clone(),
-                        }
+                        RowsView { vars, rows }
                     })
                     .collect();
-                self.apply_rule(rule, staged)
+                join_views(&staged, &rule_obj.join_constraints)
             };
+            let inserted = self.apply_rule_bindings(&rule_obj, &bindings);
             if inserted > 0 {
                 st.rnd.dirty_self = true;
             }

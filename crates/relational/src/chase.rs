@@ -13,12 +13,20 @@
 //! bounds null invention. A configurable null-derivation-depth limit guards
 //! against rule sets that are not weakly acyclic (on which any chase may
 //! diverge; see `p2p-core`'s weak-acyclicity checker).
+//!
+//! A head is compiled once per rule and binding layout ([`CompiledHead`]):
+//! each head column is resolved to a binding column, a constant or an
+//! existential slot, so a binding row costs one buffer fill per head atom
+//! and a [`Tuple`] per fact actually inserted. Existential variables get
+//! their nulls in first-occurrence order over the head, which makes the
+//! chase — and every database it writes — a deterministic function of its
+//! inputs.
 
 use crate::database::Database;
 use crate::error::{Error, Result};
-use crate::hom::{satisfiable, FactPattern, PatTerm};
 use crate::query::ast::{Atom, Constraint, Term};
 use crate::query::eval::evaluate_bindings;
+use crate::schema::DatabaseSchema;
 use crate::tuple::Tuple;
 use crate::value::{NullFactory, NullId, Val};
 use std::collections::HashMap;
@@ -111,110 +119,249 @@ impl ChaseOutcome {
     }
 }
 
-/// Applies an instantiated head conjunction to `db` under one binding.
+/// Where one head column's value comes from, fixed when the head is
+/// compiled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// A universal variable: this column of the binding row.
+    Bound(usize),
+    /// A constant of the head text.
+    Const(Val),
+    /// An existential variable: the `k`-th distinct one of the head, counted
+    /// in first-occurrence order.
+    Fresh(usize),
+}
+
+/// One compiled head atom.
+#[derive(Debug, Clone)]
+struct HeadAtom {
+    relation: Arc<str>,
+    /// One source per column.
+    cols: Box<[Source]>,
+    /// `cols` reads the binding row column for column (a copy rule's
+    /// head): the row itself is the fact.
+    copy: bool,
+    /// The existential slots that occur first in this atom — what matching
+    /// it binds in the satisfaction search, and resets when backtracking.
+    binds: Box<[usize]>,
+}
+
+/// A rule head compiled once against a binding layout (the variables of
+/// the rows it will be applied to, in column order) and the head
+/// database's schema — the head-side counterpart of a compiled body plan.
 ///
-/// * `head` — unqualified head atoms; variables present in `binding` are
-///   universal, the rest are existential.
-/// * `binding` — values for the universal variables.
-///
-/// Returns the facts inserted (empty when the guard found the head already
-/// satisfied).
-pub fn apply_head(
-    db: &mut Database,
-    head: &[Atom],
-    binding: &HashMap<Arc<str>, Val>,
-    nulls: &mut NullFactory,
-    state: &mut ChaseState,
-    config: &ChaseConfig,
-) -> Result<ChaseOutcome> {
-    // Build the satisfaction pattern: universal positions fixed, existential
-    // positions flexible (shared across atoms by variable name).
-    let mut flex_of: HashMap<Arc<str>, usize> = HashMap::new();
-    let mut patterns = Vec::with_capacity(head.len());
-    for atom in head {
-        if atom.qualifier.is_some() {
-            return Err(Error::QualifiedAtom(atom.to_string()));
-        }
-        let schema = db.schema().relation_or_err(&atom.relation)?;
-        if schema.arity() != atom.terms.len() {
-            return Err(Error::ArityMismatch {
-                relation: atom.relation.to_string(),
-                expected: schema.arity(),
-                got: atom.terms.len(),
+/// Every head column becomes a binding column, a constant or an existential
+/// slot, so applying the head to a row is filling one reused buffer per atom
+/// (or, for an atom that copies the row, not even that) and inserting it:
+/// no per-row map, pattern or value vector, and a [`Tuple`] only for a fact
+/// that was actually inserted. Heads without
+/// existential variables skip the satisfaction guard (inserting an existing
+/// fact is a no-op anyway); heads with them run it, and mint one fresh null
+/// per existential variable in first-occurrence order, so which column gets
+/// which null is a function of the head text alone.
+#[derive(Debug, Clone)]
+pub struct CompiledHead {
+    vars: Vec<Arc<str>>,
+    atoms: Box<[HeadAtom]>,
+    /// Reused per row: the fact being instantiated (never allocated when
+    /// every atom copies the row).
+    fact: Vec<Val>,
+    /// Reused per row, one per distinct existential variable: the
+    /// satisfaction search's assignment, then the nulls minted.
+    slots: Vec<Option<Val>>,
+}
+
+impl CompiledHead {
+    /// Compiles `head` (unqualified atoms over `schema`) for binding rows over
+    /// `vars`: head variables in `vars` are universal, the rest existential.
+    ///
+    /// Errors, atom by atom, on a qualified atom, an unknown relation or an
+    /// arity mismatch.
+    pub fn compile(head: &[Atom], vars: &[Arc<str>], schema: &DatabaseSchema) -> Result<Self> {
+        let mut existential: Vec<&Arc<str>> = Vec::new();
+        let mut atoms = Vec::with_capacity(head.len());
+        for atom in head {
+            if atom.qualifier.is_some() {
+                return Err(Error::QualifiedAtom(atom.to_string()));
+            }
+            let relation = schema.relation_or_err(&atom.relation)?;
+            if relation.arity() != atom.terms.len() {
+                return Err(Error::ArityMismatch {
+                    relation: atom.relation.to_string(),
+                    expected: relation.arity(),
+                    got: atom.terms.len(),
+                });
+            }
+            let mut binds = Vec::new();
+            let cols: Box<[Source]> = (atom.terms.iter())
+                .map(|t| match t {
+                    Term::Const(c) => Source::Const(*c),
+                    Term::Var(v) => match vars.iter().position(|b| b == v) {
+                        Some(col) => Source::Bound(col),
+                        None => Source::Fresh(match existential.iter().position(|e| *e == v) {
+                            Some(k) => k,
+                            None => {
+                                existential.push(v);
+                                binds.push(existential.len() - 1);
+                                existential.len() - 1
+                            }
+                        }),
+                    },
+                })
+                .collect();
+            let copy = cols.len() == vars.len()
+                && (cols.iter().enumerate()).all(|(c, col)| *col == Source::Bound(c));
+            atoms.push(HeadAtom {
+                relation: atom.relation.clone(),
+                cols,
+                copy,
+                binds: binds.into(),
             });
         }
-        let terms = atom
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => PatTerm::Fixed(*c),
-                Term::Var(v) => match binding.get(v) {
-                    Some(val) => PatTerm::Fixed(*val),
+        Ok(CompiledHead {
+            vars: vars.to_vec(),
+            atoms: atoms.into(),
+            fact: Vec::new(),
+            slots: vec![None; existential.len()],
+        })
+    }
+
+    /// The binding layout the head was compiled for.
+    pub fn vars(&self) -> &[Arc<str>] {
+        &self.vars
+    }
+
+    /// Applies the head to one binding row over [`CompiledHead::vars`],
+    /// appending what it inserted (and the nulls it minted) to `out`.
+    ///
+    /// With existential variables the restricted-chase guard runs first:
+    /// when the database already satisfies the instantiated head up to a
+    /// homomorphism of the existential positions nothing is inserted.
+    /// Otherwise fresh nulls are minted one derivation level deeper than the
+    /// row's deepest null, or [`Error::ChaseDepthExceeded`] is returned. A
+    /// fact failing its relation's column types is an error; facts of
+    /// earlier atoms stay inserted.
+    pub fn apply(
+        &mut self,
+        db: &mut Database,
+        row: &[Val],
+        nulls: &mut NullFactory,
+        state: &mut ChaseState,
+        config: &ChaseConfig,
+        out: &mut ChaseOutcome,
+    ) -> Result<()> {
+        debug_assert_eq!(row.len(), self.vars.len());
+        let CompiledHead {
+            atoms, fact, slots, ..
+        } = self;
+        if !slots.is_empty() {
+            slots.fill(None);
+            if satisfied(atoms, row, db, slots) {
+                return Ok(());
+            }
+            // The new nulls derive from the row's deepest null.
+            let depth = row.iter().map(|v| state.depth_of(v)).max().unwrap_or(0) + 1;
+            if depth > config.max_null_depth {
+                return Err(Error::ChaseDepthExceeded {
+                    limit: config.max_null_depth,
+                });
+            }
+            for slot in slots.iter_mut() {
+                let null = nulls.fresh();
+                if let Val::Null(id) = null {
+                    state.record(id, depth);
+                }
+                *slot = Some(null);
+            }
+            out.nulls_minted += slots.len();
+        }
+        for atom in atoms.iter() {
+            let values: &[Val] = if atom.copy {
+                row
+            } else {
+                fact.clear();
+                fact.extend(atom.cols.iter().map(|col| match *col {
+                    Source::Bound(c) => row[c],
+                    Source::Const(v) => v,
+                    Source::Fresh(k) => slots[k].expect("minted above"),
+                }));
+                fact
+            };
+            let relation = db.relation_mut(&atom.relation)?;
+            relation.schema().check(values)?;
+            if relation.insert_row(values) {
+                out.inserted
+                    .push((atom.relation.clone(), Tuple::from_row(values)));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`CompiledHead::apply`] over every row, in order.
+    pub fn apply_rows<'r>(
+        &mut self,
+        db: &mut Database,
+        rows: impl IntoIterator<Item = &'r [Val]>,
+        nulls: &mut NullFactory,
+        state: &mut ChaseState,
+        config: &ChaseConfig,
+    ) -> Result<ChaseOutcome> {
+        let mut out = ChaseOutcome::default();
+        for row in rows {
+            self.apply(db, row, nulls, state, config, &mut out)?;
+        }
+        Ok(out)
+    }
+}
+
+/// The restricted-chase guard: true iff some assignment of the existential
+/// slots makes every atom of `atoms`, instantiated under `row`, a fact of
+/// `db`, with `slots` all `None` on entry. Backtracking over the atoms in
+/// order (heads are 1–3 atoms); every slot an atom binds is unbound again
+/// before its next candidate fact.
+fn satisfied(atoms: &[HeadAtom], row: &[Val], db: &Database, slots: &mut [Option<Val>]) -> bool {
+    let Some((atom, rest)) = atoms.split_first() else {
+        return true;
+    };
+    let Ok(relation) = db.relation(&atom.relation) else {
+        return false;
+    };
+    'facts: for candidate in relation.iter() {
+        for (col, value) in atom.cols.iter().zip(candidate) {
+            let matches = match *col {
+                Source::Bound(c) => row[c] == *value,
+                Source::Const(v) => v == *value,
+                Source::Fresh(k) => match slots[k] {
+                    Some(bound) => bound == *value,
                     None => {
-                        let next = flex_of.len();
-                        PatTerm::Flex(*flex_of.entry(v.clone()).or_insert(next))
+                        slots[k] = Some(*value);
+                        true
                     }
                 },
-            })
-            .collect();
-        patterns.push(FactPattern {
-            relation: atom.relation.clone(),
-            terms,
-        });
-    }
-
-    if satisfiable(&patterns, db) {
-        return Ok(ChaseOutcome::default());
-    }
-
-    // Depth guard: the new nulls derive from the binding's deepest null.
-    let parent_depth = binding
-        .values()
-        .map(|v| state.depth_of(v))
-        .max()
-        .unwrap_or(0);
-    let new_depth = parent_depth + 1;
-    if !flex_of.is_empty() && new_depth > config.max_null_depth {
-        return Err(Error::ChaseDepthExceeded {
-            limit: config.max_null_depth,
-        });
-    }
-
-    // Mint one fresh null per distinct existential variable.
-    let mut fresh: HashMap<Arc<str>, Val> = HashMap::new();
-    for (var, _) in flex_of.iter() {
-        let n = nulls.fresh();
-        if let Val::Null(id) = n {
-            state.record(id, new_depth);
+            };
+            if !matches {
+                unbind(slots, &atom.binds);
+                continue 'facts;
+            }
         }
-        fresh.insert(var.clone(), n);
-    }
-
-    let mut outcome = ChaseOutcome {
-        inserted: Vec::new(),
-        nulls_minted: fresh.len(),
-    };
-    for atom in head {
-        let values: Vec<Val> = atom
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => *c,
-                Term::Var(v) => binding.get(v).copied().unwrap_or_else(|| fresh[v]),
-            })
-            .collect();
-        let tuple = Tuple::new(values);
-        if db.insert(&atom.relation, tuple.clone())? {
-            outcome.inserted.push((atom.relation.clone(), tuple));
+        if satisfied(rest, row, db, slots) {
+            return true;
         }
+        unbind(slots, &atom.binds);
     }
-    Ok(outcome)
+    false
+}
+
+fn unbind(slots: &mut [Option<Val>], binds: &[usize]) {
+    for &k in binds {
+        slots[k] = None;
+    }
 }
 
 /// Evaluates a rule entirely locally (body and head over the same database)
-/// and chases every binding. Used by the global fix-point oracle and by
-/// tests; the distributed layer instead evaluates bodies remotely and calls
-/// [`apply_head`] with shipped bindings.
+/// and chases every binding. Used by tests and benches; the distributed
+/// layer and the global fix-point oracle evaluate bodies per node and apply
+/// a [`CompiledHead`] to the joined bindings.
 pub fn apply_rule_local(
     db: &mut Database,
     body: &[Atom],
@@ -225,27 +372,17 @@ pub fn apply_rule_local(
     config: &ChaseConfig,
 ) -> Result<ChaseOutcome> {
     let bindings = evaluate_bindings(body, constraints, db)?;
-    let mut total = ChaseOutcome::default();
-    for i in 0..bindings.len() {
-        let row = bindings.row(i);
-        let map: HashMap<Arc<str>, Val> = bindings
-            .vars
-            .iter()
-            .cloned()
-            .zip(row.iter().copied())
-            .collect();
-        let outcome = apply_head(db, head, &map, nulls, state, config)?;
-        total.nulls_minted += outcome.nulls_minted;
-        total.inserted.extend(outcome.inserted);
+    if bindings.is_empty() {
+        return Ok(ChaseOutcome::default());
     }
-    Ok(total)
+    let mut head = CompiledHead::compile(head, &bindings.vars, db.schema())?;
+    head.apply_rows(db, bindings.rows(), nulls, state, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::parser::{parse_atom, parse_query};
-    use crate::schema::DatabaseSchema;
 
     fn db() -> Database {
         Database::new(
@@ -262,8 +399,71 @@ mod tests {
         )
     }
 
-    fn bind(pairs: &[(&str, Val)]) -> HashMap<Arc<str>, Val> {
-        pairs.iter().map(|(k, v)| (Arc::from(*k), *v)).collect()
+    /// One binding row: its variables and their values.
+    fn bind(pairs: &[(&str, Val)]) -> (Vec<Arc<str>>, Vec<Val>) {
+        pairs
+            .iter()
+            .map(|(k, v)| (Arc::<str>::from(*k), *v))
+            .unzip()
+    }
+
+    /// Compiles `head` for the binding's layout and applies it to its row.
+    fn apply_head(
+        db: &mut Database,
+        head: &[Atom],
+        (vars, row): &(Vec<Arc<str>>, Vec<Val>),
+        nulls: &mut NullFactory,
+        state: &mut ChaseState,
+        config: &ChaseConfig,
+    ) -> Result<ChaseOutcome> {
+        let mut compiled = CompiledHead::compile(head, vars, db.schema())?;
+        compiled.apply_rows(db, [&row[..]], nulls, state, config)
+    }
+
+    #[test]
+    fn nulls_are_minted_in_first_occurrence_order() {
+        // The shape of `B:b(X) => A:a(X,P,Q,R)`: three existentials. Each
+        // application starts from a fresh database and a fresh mint, so each
+        // must write the very same fact.
+        let head = vec![parse_atom("a(X, P, Q, R)").unwrap()];
+        let schema = DatabaseSchema::parse("a(x: int, p: int, q: int, r: int).").unwrap();
+        let mut expected_mint = NullFactory::new(0);
+        let expected: Vec<Val> = std::iter::once(Val::Int(1))
+            .chain((0..3).map(|_| expected_mint.fresh()))
+            .collect();
+        for _ in 0..32 {
+            let mut d = Database::new(schema.clone());
+            let (mut nf, mut st) = (NullFactory::new(0), ChaseState::new());
+            let b = bind(&[("X", Val::Int(1))]);
+            let o =
+                apply_head(&mut d, &head, &b, &mut nf, &mut st, &ChaseConfig::default()).unwrap();
+            assert_eq!(o.nulls_minted, 3);
+            assert_eq!(&*o.inserted[0].1 .0, &expected[..]);
+            assert_eq!(d.relation("a").unwrap().row(0), &expected[..]);
+        }
+    }
+
+    #[test]
+    fn ground_head_skips_the_guard_but_not_the_types() {
+        let (mut d, mut nf, mut st, cfg) = setup();
+        // c(1, 2) present, s(7) not: the head is not satisfied, and only the
+        // missing fact is reported.
+        d.insert_values("c", vec![Val::Int(1), Val::Int(2)])
+            .unwrap();
+        let head = vec![parse_atom("c(X, Y)").unwrap(), parse_atom("s(7)").unwrap()];
+        let b = bind(&[("X", Val::Int(1)), ("Y", Val::Int(2))]);
+        let o = apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg).unwrap();
+        assert_eq!(
+            o.inserted,
+            vec![(Arc::from("s"), Tuple::new(vec![Val::Int(7)]))]
+        );
+        // A value of the wrong type is rejected, not stored.
+        let b = bind(&[("X", Val::str("x")), ("Y", Val::Int(2))]);
+        assert!(matches!(
+            apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg),
+            Err(Error::TypeMismatch { .. })
+        ));
+        assert_eq!(d.relation("c").unwrap().len(), 1);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Homomorphism checks between fact sets containing labeled nulls.
 //!
-//! Two distinct jobs share this machinery:
+//! Two distinct jobs share this question:
 //!
 //! 1. **The restricted-chase guard** (algorithm A6): before instantiating a
 //!    rule head, the updater asks whether some homomorphic image of the head
 //!    — universal positions fixed by the binding, existential positions
 //!    flexible — already exists in the database. If so, inserting would add
 //!    no information and is skipped; this is what bounds null invention.
+//!    [`crate::chase::CompiledHead`] runs the same backtracking search over
+//!    its compiled atoms instead of building [`FactPattern`]s per binding.
 //! 2. **Comparing databases modulo null renaming**: two runs of the
 //!    distributed algorithm (or a run vs. the global fix-point oracle) mint
 //!    differently-labeled nulls for the same existential facts. Database

@@ -28,12 +28,13 @@
 //!   themselves, built-ins involving nulls are *unknown* and therefore
 //!   excluded — sound for certain answers of positive queries);
 //! * [`hom`] — homomorphism checks between sets of facts with nulls, used
-//!   both by the restricted chase and by tests that compare distributed
-//!   results with the global fix-point oracle *modulo null renaming*;
-//! * [`chase`] — restricted-chase application of rule heads: a head is
-//!   instantiated only when no homomorphic image of it is already present,
-//!   which is what bounds null invention and guarantees termination of the
-//!   update fix-point for weakly-acyclic rule sets.
+//!   by tests that compare distributed results with the global fix-point
+//!   oracle *modulo null renaming*;
+//! * [`chase`] — restricted-chase application of rule heads, compiled once
+//!   per rule: a head is instantiated only when no homomorphic image of it
+//!   is already present, which is what bounds null invention and guarantees
+//!   termination of the update fix-point for weakly-acyclic rule sets; its
+//!   nulls are minted in first-occurrence order.
 //!
 //! The engine is deliberately self-contained (no external storage, no SQL)
 //! and deterministic: all iteration that can influence observable behaviour

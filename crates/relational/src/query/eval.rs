@@ -27,7 +27,7 @@ use crate::query::plan::{
 };
 use crate::tuple::Tuple;
 use crate::value::Val;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// The result of evaluating a body: a table of variable bindings stored as
@@ -93,6 +93,18 @@ impl Bindings {
                 &self.data[i * width..i * width + width]
             }
         })
+    }
+
+    /// A table over `vars` holding the rows of `data`, row-major (caller
+    /// guarantees dedup, and that `vars` is non-empty and divides `data`).
+    pub(crate) fn from_flat(vars: Vec<Arc<str>>, data: Vec<Val>) -> Self {
+        debug_assert!(!vars.is_empty() && data.len().is_multiple_of(vars.len()));
+        Bindings {
+            width: vars.len(),
+            vars,
+            data,
+            nonempty_zero_width: false,
+        }
     }
 
     /// Appends one row (caller guarantees dedup and width).
@@ -212,17 +224,16 @@ pub(crate) fn push_dedup(
 }
 
 /// Validates a body against a database and returns its variable slot table:
-/// variables in first-occurrence order plus the name → slot map — the first
-/// step of plan compilation ([`crate::query::plan::compile_body`]).
+/// the variables in first-occurrence order, slot `i` holding `vars[i]` — the
+/// first step of plan compilation ([`crate::query::plan::compile_body`]).
 ///
 /// Errors if an atom is peer-qualified, references an unknown relation, has
 /// the wrong arity, or if a constraint mentions a variable bound by no atom.
-#[allow(clippy::type_complexity)]
 pub(crate) fn validate_body(
     atoms: &[Atom],
     constraints: &[Constraint],
     db: &Database,
-) -> Result<(Vec<Arc<str>>, HashMap<Arc<str>, usize>)> {
+) -> Result<Vec<Arc<str>>> {
     for a in atoms {
         if a.qualifier.is_some() {
             return Err(Error::QualifiedAtom(a.to_string()));
@@ -237,25 +248,33 @@ pub(crate) fn validate_body(
         }
     }
     let mut vars: Vec<Arc<str>> = Vec::new();
-    let mut slot_of: HashMap<Arc<str>, usize> = HashMap::new();
     for a in atoms {
         for t in &a.terms {
             if let Term::Var(v) = t {
-                if !slot_of.contains_key(v) {
-                    slot_of.insert(v.clone(), vars.len());
+                if !vars.contains(v) {
                     vars.push(v.clone());
                 }
             }
         }
     }
     for c in constraints {
-        for v in c.variables() {
-            if !slot_of.contains_key(&v) {
-                return Err(Error::UnboundVariable(v.to_string()));
+        for t in [&c.lhs, &c.rhs] {
+            if let Term::Var(v) = t {
+                if !vars.contains(v) {
+                    return Err(Error::UnboundVariable(v.to_string()));
+                }
             }
         }
     }
-    Ok((vars, slot_of))
+    Ok(vars)
+}
+
+/// The slot of variable `v` in a slot table from [`validate_body`] (bodies
+/// have a handful of variables, so a scan beats a map).
+pub(crate) fn slot_of(vars: &[Arc<str>], v: &str) -> usize {
+    vars.iter()
+        .position(|x| **x == *v)
+        .expect("validated: every body variable has a slot")
 }
 
 /// Greedy atom ordering: repeatedly pick the atom with the most positions
@@ -267,55 +286,45 @@ pub(crate) fn validate_body(
 pub(crate) fn greedy_order(
     atoms: &[Atom],
     db: &Database,
-    slot_of: &HashMap<Arc<str>, usize>,
+    vars: &[Arc<str>],
     restricted: Option<usize>,
 ) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(atoms.len());
-    let mut statically_bound: HashSet<usize> = HashSet::new();
-    if let Some(restricted) = restricted {
-        if restricted < atoms.len() {
-            remaining.retain(|&ai| ai != restricted);
-            for t in &atoms[restricted].terms {
-                if let Term::Var(v) = t {
-                    statically_bound.insert(slot_of[v]);
-                }
-            }
-            order.push(restricted);
-        }
+    // `order[..placed]` is decided; the rest are the candidates.
+    let mut order: Vec<usize> = (0..atoms.len()).collect();
+    if atoms.len() < 2 {
+        return order;
     }
-    while !remaining.is_empty() {
-        let mut best = 0usize;
-        let mut best_score = (usize::MIN, usize::MAX, usize::MAX);
-        for (k, &ai) in remaining.iter().enumerate() {
-            let atom = &atoms[ai];
-            let bound_positions = atom
-                .terms
-                .iter()
-                .filter(|t| match t {
-                    Term::Const(_) => true,
-                    Term::Var(v) => statically_bound.contains(&slot_of[v]),
-                })
-                .count();
-            let size = db.relation(&atom.relation).map(|r| r.len()).unwrap_or(0);
-            // Maximize bound positions; minimize relation size; then stable.
-            let score = (bound_positions, size, ai);
-            let better = score.0 > best_score.0
-                || (score.0 == best_score.0
-                    && (score.1 < best_score.1
-                        || (score.1 == best_score.1 && score.2 < best_score.2)));
-            if k == 0 || better {
-                best = k;
-                best_score = score;
+    let restricted = restricted.filter(|&r| r < atoms.len());
+    let mut statically_bound: Vec<bool> = vec![false; vars.len()];
+    for placed in 0..atoms.len() {
+        let best = match restricted {
+            // Nothing is placed yet, so atom `r` still sits at index `r`.
+            Some(r) if placed == 0 => r,
+            _ => {
+                // Maximize bound positions; minimize relation size; then
+                // stable.
+                let score = |ai: usize| {
+                    let atom = &atoms[ai];
+                    let bound_positions = (atom.terms.iter())
+                        .filter(|t| match t {
+                            Term::Const(_) => true,
+                            Term::Var(v) => statically_bound[slot_of(vars, v)],
+                        })
+                        .count();
+                    let size = db.relation(&atom.relation).map_or(0, |r| r.len());
+                    (std::cmp::Reverse(bound_positions), size, ai)
+                };
+                (placed..atoms.len())
+                    .min_by_key(|&k| score(order[k]))
+                    .expect("a candidate is left")
             }
-        }
-        let ai = remaining.swap_remove(best);
-        for t in &atoms[ai].terms {
+        };
+        order.swap(placed, best);
+        for t in &atoms[order[placed]].terms {
             if let Term::Var(v) = t {
-                statically_bound.insert(slot_of[v]);
+                statically_bound[slot_of(vars, v)] = true;
             }
         }
-        order.push(ai);
     }
     order
 }

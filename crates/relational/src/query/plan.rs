@@ -9,8 +9,9 @@
 //!   evolves deterministically), so a plan compiles once per
 //!   `(rule, restricted-atom)` and is cached by the peer until the rule
 //!   changes. [`CompiledBody`] bundles the full plan with one delta plan per
-//!   atom for semi-naive evaluation. The `&Database` entry points in
-//!   [`crate::query::eval`] compile and execute in one call.
+//!   atom for semi-naive evaluation, each compiled on its first use. The
+//!   `&Database` entry points in [`crate::query::eval`] compile and execute
+//!   in one call.
 //!
 //! * **Probe an index if there is one** — for every keyed join step
 //!   [`execute_plan`] probes the relation's persistent
@@ -32,11 +33,11 @@ use crate::database::Database;
 use crate::error::Result;
 use crate::fxhash::FxHashMap;
 use crate::query::ast::{Atom, CmpOp, Constraint, Term};
-use crate::query::eval::{greedy_order, push_dedup, validate_body, Bindings};
+use crate::query::eval::{greedy_order, push_dedup, slot_of, validate_body, Bindings};
 use crate::relation::{key_hash, Index};
 use crate::value::Val;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Work counters for plan execution, for observing the incremental win.
 ///
@@ -147,35 +148,73 @@ pub struct QueryPlan {
 }
 
 /// The full plan plus one delta plan per atom — what a peer caches per rule.
+///
+/// The full plan is compiled with the body and each delta plan on its first
+/// use, so a body that is only ever evaluated in full, or whose relations
+/// never grow, compiles one plan.
+/// Delta plans read relation sizes when they are compiled (the greedy atom
+/// order breaks ties on them), so their atom order depends on when that is;
+/// the set of rows they produce does not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledBody {
     /// Unrestricted plan.
     pub full: QueryPlan,
+    /// The body, for compiling the delta plans.
+    atoms: Vec<Atom>,
+    constraints: Vec<Constraint>,
     /// `delta[i]` restricts atom `i` to its post-watermark suffix.
-    pub delta: Vec<QueryPlan>,
+    delta: Box<[OnceLock<QueryPlan>]>,
 }
 
 impl CompiledBody {
-    /// Compiles a body's full plan and every semi-naive delta plan.
+    /// Compiles a body's full plan (validating the body); the semi-naive
+    /// delta plans follow on demand.
     pub fn compile(atoms: &[Atom], constraints: &[Constraint], db: &Database) -> Result<Self> {
         let full = compile_body(atoms, constraints, db, None)?;
-        let delta = (0..atoms.len())
-            .map(|i| compile_body(atoms, constraints, db, Some(i)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(CompiledBody { full, delta })
+        Ok(CompiledBody {
+            full,
+            atoms: atoms.to_vec(),
+            constraints: constraints.to_vec(),
+            delta: atoms.iter().map(|_| OnceLock::new()).collect(),
+        })
+    }
+
+    /// The delta plan restricting atom `i`, compiled against `db` on first
+    /// use.
+    fn delta_plan(&self, i: usize, db: &Database) -> Result<&QueryPlan> {
+        if let Some(plan) = self.delta[i].get() {
+            return Ok(plan);
+        }
+        let plan = compile_body(&self.atoms, &self.constraints, db, Some(i))?;
+        Ok(self.delta[i].get_or_init(|| plan))
+    }
+
+    /// For delta plan `i`: the watermark its restricted atom scans from, or
+    /// `None` when that relation holds no row past it (missing watermark
+    /// entries mean 0, i.e. the whole relation is new).
+    fn pending_since(
+        &self,
+        i: usize,
+        db: &Database,
+        watermarks: &BTreeMap<Arc<str>, usize>,
+    ) -> Result<Option<usize>> {
+        let relation = &self.atoms[i].relation;
+        let watermark = watermarks.get(relation).copied().unwrap_or(0);
+        Ok((db.relation(relation)?.len() > watermark).then_some(watermark))
     }
 
     /// [`QueryPlan::ensure_indexes`] for exactly the delta plans
     /// [`evaluate_bindings_since_planned`] would execute over `watermarks`:
-    /// a delta plan whose relation saw no new rows builds nothing.
+    /// a delta plan whose relation saw no new rows builds nothing (and is
+    /// not compiled).
     pub fn ensure_delta_indexes(
         &self,
         db: &mut Database,
         watermarks: &BTreeMap<Arc<str>, usize>,
     ) -> Result<()> {
-        for plan in &self.delta {
-            if plan.pending_since(db, watermarks)?.is_some() {
-                plan.ensure_indexes(db)?;
+        for i in 0..self.delta.len() {
+            if self.pending_since(i, db, watermarks)?.is_some() {
+                self.delta_plan(i, db)?.ensure_indexes(db)?;
             }
         }
         Ok(())
@@ -194,19 +233,6 @@ impl QueryPlan {
         }
         Ok(())
     }
-
-    /// For a delta plan: the watermark its restricted atom scans from, or
-    /// `None` when that relation holds no row past it (missing watermark
-    /// entries mean 0, i.e. the whole relation is new).
-    fn pending_since(
-        &self,
-        db: &Database,
-        watermarks: &BTreeMap<Arc<str>, usize>,
-    ) -> Result<Option<usize>> {
-        let relation = &self.steps[0].relation;
-        let watermark = watermarks.get(relation).copied().unwrap_or(0);
-        Ok((db.relation(relation)?.len() > watermark).then_some(watermark))
-    }
 }
 
 /// Compiles one body into a [`QueryPlan`], optionally restricting atom
@@ -222,16 +248,20 @@ pub fn compile_body(
     db: &Database,
     restricted: Option<usize>,
 ) -> Result<QueryPlan> {
-    let (vars, slot_of) = validate_body(atoms, constraints, db)?;
+    let vars = validate_body(atoms, constraints, db)?;
     let restricted = restricted.filter(|&r| r < atoms.len());
-    let order = greedy_order(atoms, db, &slot_of, restricted);
+    let order = greedy_order(atoms, db, &vars, restricted);
 
+    let compile_term = |t: &Term| match t {
+        Term::Const(c) => KeySource::Const(*c),
+        Term::Var(v) => KeySource::Slot(slot_of(&vars, v)),
+    };
     let compiled_constraints: Vec<CompiledConstraint> = constraints
         .iter()
         .map(|c| CompiledConstraint {
-            lhs: compile_term(&c.lhs, &slot_of),
+            lhs: compile_term(&c.lhs),
             op: c.op,
-            rhs: compile_term(&c.rhs, &slot_of),
+            rhs: compile_term(&c.rhs),
         })
         .collect();
 
@@ -240,11 +270,14 @@ pub fn compile_body(
     // which all its variables are bound.
     let mut bound: Vec<bool> = vec![false; vars.len()];
     let mut scheduled: Vec<bool> = vec![false; constraints.len()];
-    let ready = |bound: &[bool], c: &Constraint| -> bool {
-        c.variables().iter().all(|v| bound[slot_of[v]])
+    let ready = |bound: &[bool], c: &CompiledConstraint| -> bool {
+        [&c.lhs, &c.rhs].into_iter().all(|side| match side {
+            KeySource::Const(_) => true,
+            KeySource::Slot(s) => bound[*s],
+        })
     };
     let mut pre_constraints: Vec<usize> = Vec::new();
-    for (ci, c) in constraints.iter().enumerate() {
+    for (ci, c) in compiled_constraints.iter().enumerate() {
         if ready(&bound, c) {
             scheduled[ci] = true;
             pre_constraints.push(ci);
@@ -256,16 +289,16 @@ pub fn compile_body(
         let atom = &atoms[ai];
         let mut key: Vec<(usize, KeySource)> = Vec::new();
         let mut actions: Vec<PosAction> = Vec::new();
-        let mut bound_here: Vec<usize> = Vec::new();
         for (pos, t) in atom.terms.iter().enumerate() {
             match t {
                 Term::Const(c) => key.push((pos, KeySource::Const(*c))),
                 Term::Var(v) => {
-                    let slot = slot_of[v];
+                    let slot = slot_of(&vars, v);
+                    let bound_here = (actions.iter())
+                        .any(|a| matches!(a, PosAction::Bind { slot: s, .. } if *s == slot));
                     if bound[slot] {
                         key.push((pos, KeySource::Slot(slot)));
-                    } else if !bound_here.contains(&slot) {
-                        bound_here.push(slot);
+                    } else if !bound_here {
                         actions.push(PosAction::Bind { pos, slot });
                     } else {
                         actions.push(PosAction::Recheck { pos, slot });
@@ -275,11 +308,11 @@ pub fn compile_body(
         }
         for t in &atom.terms {
             if let Term::Var(v) = t {
-                bound[slot_of[v]] = true;
+                bound[slot_of(&vars, v)] = true;
             }
         }
         let mut constraints_after: Vec<usize> = Vec::new();
-        for (ci, c) in constraints.iter().enumerate() {
+        for (ci, c) in compiled_constraints.iter().enumerate() {
             if !scheduled[ci] && ready(&bound, c) {
                 scheduled[ci] = true;
                 constraints_after.push(ci);
@@ -302,13 +335,6 @@ pub fn compile_body(
         pre_constraints,
         restricted: restricted.is_some(),
     })
-}
-
-fn compile_term(t: &Term, slot_of: &std::collections::HashMap<Arc<str>, usize>) -> KeySource {
-    match t {
-        Term::Const(c) => KeySource::Const(*c),
-        Term::Var(v) => KeySource::Slot(slot_of[v]),
-    }
 }
 
 /// Executes a compiled plan. `watermark` applies only to a restricted plan's
@@ -406,12 +432,18 @@ pub fn execute_plan(
         apply_constraints(plan, &step.constraints_after, &mut rows, &mut nrows, width);
     }
 
-    // Materialise with hash-bucket dedup (no per-row allocation).
+    // No two bindings coincide, so the buffer is the result as it stands:
+    // a binding is one stored row per atom, each row fully determined by
+    // the binding (an atom's terms are variables and constants), and no
+    // step visits a stored row twice for one partial binding — distinct row
+    // combinations give distinct bindings.
+    if nvars == width {
+        return Ok(Bindings::from_flat(plan.vars.clone(), rows));
+    }
+    // No variables: at most the one empty binding.
     let mut out = Bindings::empty(plan.vars.clone());
-    let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for i in 0..nrows {
-        let row = &rows[i * width..i * width + width];
-        push_dedup(&mut out, &mut seen, &row[..nvars]);
+    if nrows > 0 {
+        out.push_row(&[]);
     }
     Ok(out)
 }
@@ -453,11 +485,11 @@ pub fn evaluate_bindings_since_planned(
 ) -> Result<Bindings> {
     let mut out = Bindings::empty(body.full.vars.clone());
     let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for plan in &body.delta {
-        let Some(watermark) = plan.pending_since(db, watermarks)? else {
+    for i in 0..body.delta.len() {
+        let Some(watermark) = body.pending_since(i, db, watermarks)? else {
             continue; // No new tuples in this atom's relation.
         };
-        let delta = execute_plan(plan, db, watermark, m)?;
+        let delta = execute_plan(body.delta_plan(i, db)?, db, watermark, m)?;
         for row in delta.rows() {
             push_dedup(&mut out, &mut seen, row);
         }

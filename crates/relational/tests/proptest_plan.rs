@@ -1,7 +1,7 @@
 //! Property tests for the one query engine. Full evaluation: the executor's
 //! index-present branch, its index-absent branch and the independent legacy
 //! reference evaluator (`legacy/mod.rs`) agree on random databases × random
-//! queries. Delta evaluation: a plan compiled once stays sound and complete
+//! queries, and the executor's rows are distinct without a dedup pass. Delta evaluation: a plan compiled once stays sound and complete
 //! (`since(w) ⊆ full(after)`, `full(before) ∪ since(w) == full(after)`)
 //! while inserts land underneath it.
 
@@ -145,6 +145,8 @@ proptest! {
         let (probed, _) = full(&body, &db);
         prop_assert_eq!(&probed, &transient);
 
+        // The executor does not deduplicate: its rows must come out distinct.
+        prop_assert_eq!(row_set(&probed).len(), probed.len());
         prop_assert_eq!(value_rows(&probed), reference(&cq, &probed.vars, &db));
     }
 

@@ -96,6 +96,35 @@ fn run_rounds_mode_and_export() {
     assert_eq!(file.nodes.len(), 4);
 }
 
+/// Two processes chasing the same netfile export the same bytes: which
+/// column gets which labeled null does not depend on a process's hash seed.
+/// The fixture's rule has two existential variables and eight bindings, so
+/// minting in hash-map order would differ between two runs with odds of
+/// 255 in 256.
+#[test]
+fn export_with_existentials_is_the_same_in_every_process() {
+    let dir = std::env::temp_dir().join("p2pdb_cli_existentials");
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/two_existentials.json"
+    );
+    let exports: Vec<String> = (0..2)
+        .map(|k| {
+            let exported = dir.join(format!("out{k}.json"));
+            let out = p2pdb(&["run", net, "--export", exported.to_str().unwrap()]);
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            std::fs::read_to_string(&exported).unwrap()
+        })
+        .collect();
+    assert!(exports[0].contains("Null"), "{}", exports[0]);
+    assert_eq!(exports[0], exports[1]);
+}
+
 /// `--concurrent N` launches N interleaved sessions with per-session
 /// attribution and the new session counters; `--concurrent 0` is rejected
 /// with a clear error.
