@@ -1,10 +1,11 @@
 //! # p2p-bench
 //!
 //! Harness reproducing every table and figure of the paper's evaluation.
-//! The [`experiments`] module contains one function per experiment; the
-//! `repro` binary prints them all; the Criterion benches under `benches/`
-//! time the same functions. End-to-end and per-layer performance is the
-//! repo benchmark's job (`BENCHMARK.json`, `benchmark/`).
+//! The [`experiments`] module holds one module per experiment and the
+//! registry both the `repro` binary and the tier-1 golden test render
+//! through; `REPRO.txt` at the repo root is the `--quick` report. End-to-end
+//! and per-layer performance is the repo benchmark's job (`BENCHMARK.json`,
+//! `benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,5 +13,5 @@
 pub mod experiments;
 pub mod table;
 
-pub use experiments::{RunPoint, Scale};
+pub use experiments::{report, Scale, EXPERIMENTS};
 pub use table::{linear_fit, Table};
