@@ -204,9 +204,8 @@ impl DbPeer {
         relation: &str,
         values: Vec<p2p_relational::Val>,
     ) -> p2p_relational::error::Result<()> {
-        let tuple = Tuple::new(values);
-        if self.db.insert(relation, tuple.clone())? {
-            self.log_insertions(&[(Arc::from(relation), tuple)]);
+        if self.db.insert_row(relation, &values)? {
+            self.log_insertions(&[(Arc::from(relation), Tuple::new(values))]);
         }
         Ok(())
     }

@@ -124,7 +124,8 @@ impl P2PSystemBuilder {
             .data
             .get_mut(&node)
             .ok_or_else(|| CoreError::UnknownNode(node.to_string()))?;
-        db.insert_values(relation, values.into_iter().map(Into::into).collect())?;
+        let row: Vec<Val> = values.into_iter().map(Into::into).collect();
+        db.insert_row(relation, &row)?;
         Ok(())
     }
 
@@ -649,7 +650,7 @@ impl P2PSystem {
             .ok_or_else(|| CoreError::UnknownNode(node.to_string()))?;
         peer.insert_base_fact(relation, vals.clone())?;
         if let Some(db) = self.initial.get_mut(&node) {
-            db.insert_values(relation, vals)?;
+            db.insert_row(relation, &vals)?;
         }
         Ok(())
     }

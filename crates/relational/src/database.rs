@@ -50,19 +50,22 @@ impl Database {
             .ok_or_else(|| Error::UnknownRelation(name.to_string()))
     }
 
+    /// Checks a row against the relation's schema and stores a copy of it;
+    /// returns `true` iff it was new.
+    pub fn insert_row(&mut self, relation: &str, row: &[Val]) -> Result<bool> {
+        let rel = self.relation_mut(relation)?;
+        rel.schema().check(row)?;
+        Ok(rel.insert_row(row))
+    }
+
     /// Inserts a validated tuple; returns `true` iff it was new.
     pub fn insert(&mut self, relation: &str, tuple: Tuple) -> Result<bool> {
-        let rel = self
-            .relations
-            .get_mut(relation)
-            .ok_or_else(|| Error::UnknownRelation(relation.to_string()))?;
-        rel.schema().check(&tuple.0)?;
-        Ok(rel.insert(tuple))
+        self.insert_row(relation, &tuple.0)
     }
 
     /// Convenience: insert from a `Vec<Val>`.
     pub fn insert_values(&mut self, relation: &str, values: Vec<Val>) -> Result<bool> {
-        self.insert(relation, Tuple::new(values))
+        self.insert_row(relation, &values)
     }
 
     /// Iterates `(name, relation)` pairs in name order.

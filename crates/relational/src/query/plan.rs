@@ -420,7 +420,7 @@ pub fn execute_plan(
                 let binding = &rows[bi * width..bi * width + width];
                 key.clear();
                 key.extend(step.key.iter().map(|(_, src)| src.value(binding)));
-                for &ri in idx.candidates(key_hash(key.iter())) {
+                for ri in idx.candidates(key_hash(key.iter())) {
                     m.rows_scanned += 1;
                     extend(binding, rel.row(ri as usize), &key);
                 }

@@ -2,11 +2,17 @@
 //! rows with lazily built join-key hash indexes.
 //!
 //! Storage is one flat `Vec<Val>` in row-major order with stride = arity —
-//! a row is a contiguous 16-byte-per-field slice, cache-friendly to scan and
-//! free of per-row allocations. Membership (deduplication) is a hash of the
-//! row slice mapping to candidate positions; there is **no** second
+//! a row is a contiguous 16-byte-per-field slice, cache-friendly to scan.
+//! Membership (deduplication) and the join indexes are one structure, an
+//! [`Index`]: membership is the index on every column, and a probe compares
+//! the row slice of each candidate position. There is **no** second
 //! serialized copy of the data (the old `present: HashSet<Tuple>` both
-//! doubled memory and doubled every snapshot on disk).
+//! doubled memory and doubled every snapshot on disk), and no heap
+//! allocation per row or per key: a stored row costs its `16 × arity`
+//! bytes plus, in membership and in each join index, one 4-byte chain link;
+//! a distinct hash costs one 16-byte map entry per index. Inserting grows
+//! these buffers by amortised doubling, and cloning a relation copies them
+//! with one allocation each.
 //!
 //! Insertion order is preserved so that (a) iteration is deterministic and
 //! (b) *watermarks* work: the update protocol's delta optimization sends a
@@ -14,17 +20,12 @@
 //! previous answer, which is exactly the "delta optimization … to minimize
 //! data transfer and duplication" the paper sketches in Section 3.
 
-use crate::fxhash::{fx_hash, FxHashMap};
+use crate::fxhash::FxHashMap;
 use crate::schema::RelationSchema;
-use crate::tuple::Tuple;
 use crate::value::Val;
 use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::fmt;
-
-/// Hashes one row slice (used for membership buckets).
-fn row_hash(row: &[Val]) -> u64 {
-    fx_hash(row)
-}
+use std::sync::Arc;
 
 /// Hashes a join key, value by value. Index maintenance (projecting a stored
 /// row onto the key columns) and probes (projecting a partial binding) must
@@ -39,61 +40,142 @@ pub fn key_hash<'a>(vals: impl IntoIterator<Item = &'a Val>) -> u64 {
     h.finish()
 }
 
+/// The chain link of a bucket's newest position: never read, because a
+/// walk stops at the bucket's recorded newest position.
+const UNLINKED: u32 = u32::MAX;
+
 /// A persistent hash index over a subset of columns: key hash → candidate
-/// row positions. Collisions are possible; callers must verify the key
-/// columns of each candidate against the probe values (which the join loop
-/// needs anyway for repeated-variable rechecks).
+/// row positions, in insertion order. Collisions are possible; callers must
+/// verify the key columns of each candidate against the probe values (which
+/// the join loop needs anyway for repeated-variable rechecks).
 ///
-/// Built lazily by [`Relation::ensure_index`] and maintained incrementally
-/// by [`Relation::insert_row`], so repeated evaluation never rebuilds it.
-#[derive(Debug, Clone, Default)]
+/// Every index covers every row of its relation. Built lazily by
+/// [`Relation::ensure_index`] and maintained incrementally by
+/// [`Relation::insert_row`], so repeated evaluation never rebuilds it.
+#[derive(Debug, Clone)]
 pub struct Index {
-    cols: Box<[usize]>,
-    buckets: FxHashMap<u64, Vec<u32>>,
+    /// Key columns in probe order (shared, so a clone does not copy them).
+    cols: Arc<[usize]>,
+    /// Key hash → the oldest and the newest position with that hash.
+    buckets: FxHashMap<u64, (u32, u32)>,
+    /// `next[pos]`: the next newer position whose key hash equals `pos`'s
+    /// ([`UNLINKED`] while `pos` is its bucket's newest). One per row.
+    next: Vec<u32>,
 }
 
 impl Index {
+    /// An empty index on `cols`, with room for `rows` rows.
+    fn with_capacity(cols: Arc<[usize]>, rows: usize) -> Self {
+        let mut buckets = FxHashMap::default();
+        buckets.reserve(rows);
+        Index {
+            cols,
+            buckets,
+            next: Vec::with_capacity(rows),
+        }
+    }
+
     /// The indexed column positions, in probe order.
     pub fn cols(&self) -> &[usize] {
         &self.cols
     }
 
-    /// Candidate row positions whose key columns hash to `hash`.
-    pub fn candidates(&self, hash: u64) -> &[u32] {
-        self.buckets.get(&hash).map(Vec::as_slice).unwrap_or(&[])
+    /// Candidate row positions whose key columns hash to `hash`, oldest
+    /// first.
+    pub fn candidates(&self, hash: u64) -> Candidates<'_> {
+        Candidates {
+            next: &self.next,
+            span: self.buckets.get(&hash).copied(),
+        }
+    }
+
+    /// Appends the next row position (`next.len()`) to the chain of `hash`.
+    fn link(&mut self, hash: u64) {
+        let pos = self.next.len() as u32;
+        let span = self.buckets.entry(hash).or_insert((pos, pos));
+        if span.1 != pos {
+            self.next[span.1 as usize] = pos;
+            span.1 = pos;
+        }
+        self.next.push(UNLINKED);
+    }
+
+    /// [`Index::link`], unless `same` accepts a position already on the
+    /// chain of `hash` — then nothing changes and the result is `false`.
+    /// One map lookup either way.
+    fn link_unless(&mut self, hash: u64, same: impl FnMut(u32) -> bool) -> bool {
+        let pos = self.next.len() as u32;
+        let span = self.buckets.entry(hash).or_insert((pos, pos));
+        if span.1 != pos {
+            let mut chain = Candidates {
+                next: &self.next,
+                span: Some(*span),
+            };
+            if chain.any(same) {
+                return false;
+            }
+            self.next[span.1 as usize] = pos;
+            span.1 = pos;
+        }
+        self.next.push(UNLINKED);
+        true
+    }
+}
+
+/// Iterator over the row positions of one [`Index`] bucket, oldest first.
+/// A bucket with one position never reads the chain.
+#[derive(Debug, Clone)]
+pub struct Candidates<'a> {
+    next: &'a [u32],
+    /// The position to yield next and the bucket's newest; `None` when done.
+    span: Option<(u32, u32)>,
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let (at, newest) = self.span?;
+        self.span = (at != newest).then(|| (self.next[at as usize], newest));
+        Some(at)
     }
 }
 
 /// A relation instance.
 #[derive(Debug, Clone)]
 pub struct Relation {
-    schema: RelationSchema,
+    /// The signature, shared by every clone.
+    schema: Arc<RelationSchema>,
     /// Column count, cached (`schema.arity()`).
     arity: usize,
     /// Row-major flat storage: row `i` is `data[i*arity .. (i+1)*arity]`.
     data: Vec<Val>,
-    /// Number of rows (tracked separately so arity-0 relations work).
-    len: usize,
-    /// Membership: row-slice hash → positions with that hash (collisions
-    /// resolved by comparing slices). Rebuilt on deserialize, never stored.
-    seen: FxHashMap<u64, Vec<u32>>,
-    /// Lazily built multi-column join indexes keyed by column subset.
+    /// Membership: the index on every column, which also counts the rows
+    /// (so arity-0 relations work). Collisions are resolved by comparing
+    /// row slices. Rebuilt on deserialize and remap, never stored.
+    seen: Index,
+    /// Lazily built multi-column join indexes, one per column list (a
+    /// relation has a handful, so they are found by a linear scan).
     /// Maintained incrementally by [`Relation::insert_row`]; cleared on
     /// symbol remap (key hashes go stale) and never serialized.
-    key_indexes: FxHashMap<Box<[usize]>, Index>,
+    key_indexes: Vec<Index>,
 }
 
 impl Relation {
     /// Creates an empty relation with the given signature.
     pub fn new(schema: RelationSchema) -> Self {
+        Self::with_capacity(schema, 0)
+    }
+
+    /// An empty relation with room for `rows` rows.
+    fn with_capacity(schema: RelationSchema, rows: usize) -> Self {
         let arity = schema.arity();
         Relation {
-            schema,
+            schema: Arc::new(schema),
             arity,
-            data: Vec::new(),
-            len: 0,
-            seen: FxHashMap::default(),
-            key_indexes: FxHashMap::default(),
+            data: Vec::with_capacity(rows * arity),
+            seen: Index::with_capacity((0..arity).collect(), rows),
+            key_indexes: Vec::new(),
         }
     }
 
@@ -104,56 +186,52 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.len
+        self.seen.next.len()
     }
 
     /// True iff the relation holds no tuple.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Membership test on a row slice.
     pub fn contains(&self, row: &[Val]) -> bool {
-        if row.len() != self.arity {
-            return false;
-        }
-        match self.seen.get(&row_hash(row)) {
-            Some(positions) => positions.iter().any(|&p| self.row(p as usize) == row),
-            None => false,
-        }
+        row.len() == self.arity
+            && self
+                .seen
+                .candidates(key_hash(row))
+                .any(|p| self.row(p as usize) == row)
     }
 
     /// Inserts a row by copy; returns `true` iff it was new. The caller is
     /// expected to have validated the row against the schema (see
-    /// [`crate::Database::insert`], which does).
+    /// [`crate::Database::insert_row`], which does).
     pub fn insert_row(&mut self, row: &[Val]) -> bool {
-        debug_assert_eq!(row.len(), self.arity);
-        let hash = row_hash(row);
-        let bucket = self.seen.entry(hash).or_default();
-        // Membership probe against flat storage (no borrow of `self.row`
-        // here because `bucket` borrows `self.seen` mutably).
-        let arity = self.arity;
-        let data = &self.data;
-        if bucket
-            .iter()
-            .any(|&p| &data[p as usize * arity..p as usize * arity + arity] == row)
-        {
-            return false;
-        }
-        let pos = self.len as u32;
-        bucket.push(pos);
-        self.data.extend_from_slice(row);
-        self.len += 1;
-        for idx in self.key_indexes.values_mut() {
-            let hash = key_hash(idx.cols.iter().map(|&c| &row[c]));
-            idx.buckets.entry(hash).or_default().push(pos);
-        }
-        true
+        self.insert_hashed(row, |cols| key_hash(cols.iter().map(|&c| &row[c])))
     }
 
-    /// Inserts a tuple (convenience over [`Relation::insert_row`]).
-    pub fn insert(&mut self, tuple: Tuple) -> bool {
-        self.insert_row(&tuple.0)
+    /// [`Relation::insert_row`] with the hashing supplied: `hash(cols)` is
+    /// the hash of `row` projected onto `cols`, for membership (every
+    /// column) and for each join index. Tests pass a constant here to put
+    /// every row in one bucket.
+    fn insert_hashed(&mut self, row: &[Val], hash: impl Fn(&[usize]) -> u64) -> bool {
+        debug_assert_eq!(row.len(), self.arity);
+        // Row positions are `u32`, and `UNLINKED` is not one.
+        assert!(
+            self.len() < UNLINKED as usize,
+            "a relation holds fewer than 2³² − 1 rows"
+        );
+        let (data, arity) = (&self.data, self.arity);
+        let new = self.seen.link_unless(hash(&self.seen.cols), |p| {
+            &data[p as usize * arity..][..arity] == row
+        });
+        if new {
+            self.data.extend_from_slice(row);
+            for idx in &mut self.key_indexes {
+                idx.link(hash(&idx.cols));
+            }
+        }
+        new
     }
 
     /// Row at insertion position `pos`, as a slice into columnar storage.
@@ -171,7 +249,7 @@ impl Relation {
     pub fn since(&self, watermark: usize) -> RowIter<'_> {
         RowIter {
             rel: self,
-            next: watermark.min(self.len),
+            next: watermark.min(self.len()),
         }
     }
 
@@ -180,38 +258,40 @@ impl Relation {
     /// calls maintain it incrementally. Pair with [`Relation::index`] when
     /// rows must be read while the index is borrowed.
     pub fn ensure_index(&mut self, cols: &[usize]) {
-        if !self.key_indexes.contains_key(cols) {
-            let idx = self.build_index(cols);
-            self.key_indexes.insert(cols.into(), idx);
-        }
+        self.index_on(cols);
     }
 
     /// Builds an index on `cols` over the current rows without storing it —
     /// what a join falls back to when no persistent index exists.
     pub(crate) fn build_index(&self, cols: &[usize]) -> Index {
         debug_assert!(cols.iter().all(|&c| c < self.arity));
-        let mut idx = Index {
-            cols: cols.into(),
-            buckets: FxHashMap::default(),
-        };
-        for (pos, row) in self.iter().enumerate() {
-            let hash = key_hash(cols.iter().map(|&c| &row[c]));
-            idx.buckets.entry(hash).or_default().push(pos as u32);
+        let mut idx = Index::with_capacity(cols.into(), self.len());
+        for row in self.iter() {
+            idx.link(key_hash(cols.iter().map(|&c| &row[c])));
         }
+        // Sized for one key per row; give back what repeated keys left idle.
+        idx.buckets.shrink_to_fit();
         idx
     }
 
     /// The persistent index on `cols`, if [`Relation::ensure_index`] has
     /// built it. Immutable, so candidate rows can be read while probing.
     pub fn index(&self, cols: &[usize]) -> Option<&Index> {
-        self.key_indexes.get(cols)
+        self.key_indexes.iter().find(|idx| *idx.cols == *cols)
     }
 
     /// Ensures and returns the persistent index on `cols` (convenience over
     /// [`Relation::ensure_index`] + [`Relation::index`]).
     pub fn index_on(&mut self, cols: &[usize]) -> &Index {
-        self.ensure_index(cols);
-        &self.key_indexes[cols]
+        let at = match self.key_indexes.iter().position(|idx| *idx.cols == *cols) {
+            Some(at) => at,
+            None => {
+                let idx = self.build_index(cols);
+                self.key_indexes.push(idx);
+                self.key_indexes.len() - 1
+            }
+        };
+        &self.key_indexes[at]
     }
 
     /// Every distinct [`crate::catalog::SymId`] occurring in this relation —
@@ -221,26 +301,16 @@ impl Relation {
     }
 
     /// Rewrites every symbol through `f` (crash recovery remaps foreign
-    /// catalog ids through the live catalog). Membership buckets are
-    /// rebuilt; join indexes are dropped (their key hashes went stale).
+    /// catalog ids through the live catalog). Membership is rebuilt; join
+    /// indexes are dropped (their key hashes went stale).
     pub fn remap_syms(&mut self, f: &impl Fn(crate::catalog::SymId) -> crate::catalog::SymId) {
         for v in &mut self.data {
             if let Val::Sym(id) = v {
                 *id = f(*id);
             }
         }
-        self.rebuild_membership();
+        self.seen = self.build_index(&self.seen.cols);
         self.key_indexes.clear();
-    }
-
-    /// Rebuilds the membership buckets from flat storage (deserialize,
-    /// remap).
-    fn rebuild_membership(&mut self) {
-        self.seen.clear();
-        for pos in 0..self.len {
-            let hash = row_hash(&self.data[pos * self.arity..pos * self.arity + self.arity]);
-            self.seen.entry(hash).or_default().push(pos as u32);
-        }
     }
 }
 
@@ -255,7 +325,7 @@ impl<'a> Iterator for RowIter<'a> {
     type Item = &'a [Val];
 
     fn next(&mut self) -> Option<&'a [Val]> {
-        if self.next >= self.rel.len {
+        if self.next >= self.rel.len() {
             return None;
         }
         let row = self.rel.row(self.next);
@@ -264,7 +334,7 @@ impl<'a> Iterator for RowIter<'a> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.rel.len - self.next;
+        let rem = self.rel.len() - self.next;
         (rem, Some(rem))
     }
 }
@@ -281,7 +351,7 @@ impl Serialize for Relation {
         out.map_key("schema")?;
         self.schema.serialize(out)?;
         out.map_key("rows")?;
-        out.seq_begin(self.len)?;
+        out.seq_begin(self.len())?;
         for row in self.iter() {
             row.serialize(out)?;
         }
@@ -302,7 +372,7 @@ impl Deserialize for Relation {
             .ok_or_else(|| DeError::missing_field("rows", "Relation"))?
             .as_seq()
             .ok_or_else(|| DeError::expected("array", "Relation::rows"))?;
-        let mut rel = Relation::new(schema);
+        let mut rel = Relation::with_capacity(schema, rows.len());
         let mut buf: Vec<Val> = Vec::with_capacity(rel.arity);
         for row in rows {
             let fields = row
@@ -323,7 +393,7 @@ impl Deserialize for Relation {
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} [{} tuples]", self.schema, self.len)?;
+        writeln!(f, "{} [{} tuples]", self.schema, self.len())?;
         for row in self.iter() {
             write!(f, "  (")?;
             for (i, v) in row.iter().enumerate() {
@@ -393,8 +463,6 @@ mod tests {
     fn probe(r: &Relation, cols: &[usize], key: &[Val]) -> Vec<u32> {
         let idx = r.index(cols).expect("index built");
         idx.candidates(key_hash(key.iter()))
-            .iter()
-            .copied()
             .filter(|&p| {
                 cols.iter()
                     .zip(key)
@@ -446,6 +514,40 @@ mod tests {
         assert_eq!(probe(&r, &[0], &[Val::Int(1)]), &[0, 2]);
         // index_on is ensure + get.
         assert_eq!(r.index_on(&[0, 1]).cols(), &[0, 1]);
+    }
+
+    /// Every row hashes alike through the hashed-insert seam, so membership
+    /// and the index each hold one chain: dedup must still compare slices
+    /// along all of it, candidates come oldest first, and a clone extends
+    /// its own chain without touching the original's.
+    #[test]
+    fn colliding_rows_share_one_chain() {
+        let same = |_: &[usize]| 7;
+        let mut r = rel();
+        r.ensure_index(&[1]);
+        let fresh: Vec<bool> = [(1, 1), (2, 2), (1, 1), (3, 1), (2, 2), (3, 1)]
+            .iter()
+            .map(|&(x, y)| r.insert_hashed(&tup(x, y), same))
+            .collect();
+        assert_eq!(fresh, [true, true, false, true, false, false]);
+        assert_eq!(r.len(), 3);
+        let chain = |idx: &Index| idx.candidates(7).collect::<Vec<u32>>();
+        assert_eq!(chain(&r.seen), [0, 1, 2]);
+        assert_eq!(chain(r.index(&[1]).unwrap()), [0, 1, 2]);
+        assert_eq!(r.seen.candidates(8).count(), 0);
+
+        let mut copy = r.clone();
+        assert!(copy.insert_hashed(&tup(4, 4), same));
+        assert!(!copy.insert_hashed(&tup(4, 4), same));
+        assert_eq!(chain(&copy.seen), [0, 1, 2, 3]);
+        assert_eq!(chain(copy.index(&[1]).unwrap()), [0, 1, 2, 3]);
+        assert_eq!(chain(&r.seen), [0, 1, 2], "the original is untouched");
+        assert_eq!(r.len(), 3);
+
+        // Rebuilding membership from storage uses the real hashes again.
+        copy.remap_syms(&|id| id);
+        assert!(copy.contains(&tup(4, 4)) && copy.contains(&tup(1, 1)));
+        assert!(!copy.insert_row(&tup(3, 1)));
     }
 
     #[test]

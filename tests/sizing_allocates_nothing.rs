@@ -5,8 +5,9 @@
 //!
 //! The same allocator prices the per-message protocol path: a whole eager
 //! session per delivered message, a copied row (one `Tuple` when it is new,
-//! nothing when it is not), and a served subscription whose fragment did not
-//! grow (nothing).
+//! nothing when it is not), a served subscription whose fragment did not
+//! grow (nothing), and a stored row (nothing of its own: its relation's
+//! buffers grow by doubling, and a clone copies each buffer once).
 //!
 //! The counting allocator below is this test binary's global allocator; it
 //! counts per thread, so the test harness's own threads do not disturb it.
@@ -18,7 +19,10 @@ use p2pdb::core::SystemConfig;
 use p2pdb::net::{Codec, Context, SessionId, SimTime, Wire};
 use p2pdb::relational::chase::{ChaseConfig, ChaseOutcome, ChaseState, CompiledHead};
 use p2pdb::relational::query::{Atom, Term};
-use p2pdb::relational::{Database, DatabaseSchema, NullFactory, SymId, Tuple, Val};
+use p2pdb::relational::{
+    key_hash, ColumnType, Database, DatabaseSchema, NullFactory, Relation, RelationSchema, SymId,
+    Tuple, Val,
+};
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{scale_system, ScaleConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -148,8 +152,9 @@ fn json_encoding_allocates_for_its_output_only() {
 /// Allocations per delivered message of one first-contact eager session on
 /// a 500-peer degree-4 expander of single-atom copy rules (the `scale`
 /// scenario `flood_sim` runs at 10 000 peers): 19.71 before rule heads were
-/// compiled and rules shared, 8.92 after.
-const SESSION_ALLOCATIONS_PER_MESSAGE: f64 = 8.92;
+/// compiled and rules shared, 8.92 after, 8.47 once a stored row and a join
+/// key stopped owning a `Vec`.
+const SESSION_ALLOCATIONS_PER_MESSAGE: f64 = 8.47;
 const BEFORE_ALLOCATIONS_PER_MESSAGE: f64 = 19.71;
 
 #[test]
@@ -246,4 +251,41 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
     assert_eq!(rows, vec![Tuple::new(vec![Val::Int(9), Val::Int(1)])]);
     assert_eq!(unsent, rows);
     assert_eq!(sub.watermarks[&Arc::<str>::from("item")], 5);
+}
+
+/// A stored row owns no heap block: membership and each join index are a
+/// hash map of `(oldest, newest)` positions plus one chain link per row, so
+/// inserting grows seven buffers (rows, membership map and chain, two per
+/// index) by amortised doubling, and a clone copies each of them once.
+/// One `Vec` per row and per key made this > 20 000 allocations.
+#[test]
+fn a_stored_row_allocates_nothing_of_its_own() {
+    let schema = RelationSchema::new("r", vec![("x", ColumnType::Int), ("y", ColumnType::Int)]);
+    let row = |i: i64| [Val::Int(i), Val::Int(i % 1000)];
+    let mut rel = Relation::new(schema);
+    rel.ensure_index(&[0]);
+    rel.ensure_index(&[1]);
+    let (fresh, from_empty) =
+        allocations_in(|| (0..10_000).filter(|&i| rel.insert_row(&row(i))).count());
+    assert_eq!(fresh, 10_000);
+    assert!(
+        from_empty <= 7 * 14,
+        "{from_empty} allocations: more than seven buffers doubling up to 10 000 rows"
+    );
+    let (fresh, growing) = allocations_in(|| {
+        (10_000..20_000)
+            .filter(|&i| rel.insert_row(&row(i)))
+            .count()
+    });
+    assert_eq!(fresh, 10_000);
+    assert!(growing <= 64, "{growing} allocations for 10 000 more rows");
+    let (present, again) =
+        allocations_in(|| (0..20_000).filter(|&i| rel.insert_row(&row(i))).count());
+    assert_eq!((present, again), (0, 0), "a present row costs nothing");
+
+    let (copy, cloned) = allocations_in(|| rel.clone());
+    assert!(cloned <= 8, "{cloned} allocations to clone");
+    assert_eq!(copy.len(), 20_000);
+    let seven = key_hash(&[Val::Int(7)]);
+    assert_eq!(copy.index(&[1]).unwrap().candidates(seven).count(), 20);
 }
