@@ -1,6 +1,5 @@
 //! Configuration of a P2P system run.
 
-use p2p_net::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Which variant of the distributed update algorithm to run.
@@ -87,16 +86,8 @@ pub struct SystemConfig {
     /// encoding of [`crate::codec`]. Netfiles and the CLI always speak
     /// JSON regardless — the codec is a transport/storage property.
     pub codec: p2p_net::Codec,
-    /// Require the rule set to be weakly acyclic at build time. On by
-    /// default; turn off only to study the chase-depth safety valve.
-    pub require_weak_acyclicity: bool,
     /// Maximum null-derivation depth for the restricted chase.
     pub max_null_depth: u32,
-    /// Per-tuple local evaluation cost charged to handlers (models query
-    /// processing time; drives the execution-time axis of the experiments).
-    pub cost_per_tuple: SimTime,
-    /// Fixed per-message handling cost.
-    pub cost_per_message: SimTime,
     /// Simulator event budget (safety net). `0` means **auto**: the budget
     /// is derived from the node count at build time
     /// ([`SystemConfig::effective_max_events`]) so a 10k-peer run is not
@@ -116,10 +107,7 @@ impl Default for SystemConfig {
             durability: false,
             snapshot_every: 64,
             codec: p2p_net::Codec::Json,
-            require_weak_acyclicity: true,
             max_null_depth: 64,
-            cost_per_tuple: SimTime::from_micros(10),
-            cost_per_message: SimTime::from_micros(50),
             max_events: 0,
             trace_capacity: 0,
         }
@@ -160,7 +148,6 @@ mod tests {
         assert_eq!(c.mode, UpdateMode::Eager);
         assert_eq!(c.initiation, Initiation::Flood);
         assert!(!c.paper_faithful);
-        assert!(c.require_weak_acyclicity);
         assert_eq!(c.codec, p2p_net::Codec::Json);
     }
 

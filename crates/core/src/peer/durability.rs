@@ -167,11 +167,6 @@ impl DbPeer {
         self.config.mode == UpdateMode::Eager && !self.config.paper_faithful
     }
 
-    /// Whether a durable store is attached.
-    pub fn has_storage(&self) -> bool {
-        self.storage.is_some()
-    }
-
     /// Whether the attached store already held state, which this peer
     /// adopted and no restart has resumed from yet: the process is a
     /// restarted one.

@@ -161,13 +161,21 @@ use crate::messages::ProtocolMsg;
 use crate::rule::{CoordinationRule, RuleId};
 use crate::stats::{ClosedBy, PeerStats};
 use crate::termination::{AckDecision, DiffusingState, Disengage};
-use p2p_net::{Context, Peer, SessionId};
+use p2p_net::{Context, Peer, SessionId, SimTime};
 use p2p_relational::chase::{ChaseConfig, ChaseState};
 use p2p_relational::fxhash::{FxHashMap, FxHashSet};
 use p2p_relational::{ConstCatalog, Database, NullFactory, SymId, Tuple, Val};
 use p2p_topology::NodeId;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
+
+/// Virtual processing time charged per fragment row a handler evaluates:
+/// models query processing and drives the execution-time axis of the
+/// experiments.
+pub(crate) const COST_PER_TUPLE: SimTime = SimTime(10);
+
+/// Virtual processing time charged per handled message.
+pub(crate) const COST_PER_MESSAGE: SimTime = SimTime(50);
 
 /// Per-relation insertion watermarks (the delta-cursor currency).
 pub(crate) type Marks = BTreeMap<Arc<str>, usize>;
@@ -679,11 +687,6 @@ impl DbPeer {
         &self.errors
     }
 
-    /// Rules currently installed at this node.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     // ----------------------------------------------------------------
     // Shared helpers
     // ----------------------------------------------------------------
@@ -720,8 +723,7 @@ impl DbPeer {
         self.stats.local_evaluations += 1;
         match self.eval_part_rows(rule, part, None) {
             Ok(rows) => {
-                let cost =
-                    p2p_net::SimTime(self.config.cost_per_tuple.as_micros() * rows.len() as u64);
+                let cost = p2p_net::SimTime(COST_PER_TUPLE.as_micros() * rows.len() as u64);
                 ctx.charge(cost);
                 rows
             }
@@ -745,8 +747,7 @@ impl DbPeer {
         self.stats.local_evaluations += 1;
         match self.eval_part_rows(rule, part, Some(watermarks)) {
             Ok(rows) => {
-                let cost =
-                    p2p_net::SimTime(self.config.cost_per_tuple.as_micros() * rows.len() as u64);
+                let cost = p2p_net::SimTime(COST_PER_TUPLE.as_micros() * rows.len() as u64);
                 ctx.charge(cost);
                 rows
             }
@@ -1385,7 +1386,7 @@ impl Peer<ProtocolMsg> for DbPeer {
     }
 
     fn on_message(&mut self, from: NodeId, msg: ProtocolMsg, ctx: &mut Context<ProtocolMsg>) {
-        ctx.charge(self.config.cost_per_message);
+        ctx.charge(COST_PER_MESSAGE);
 
         if let Some(sid) = msg.session() {
             self.on_session_message(from, sid, msg, ctx);

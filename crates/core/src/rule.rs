@@ -13,7 +13,7 @@
 //! the chase, and therefore the distributed update fix-point, terminates.
 //! The paper asserts termination (Lemma 1.2) without stating a restriction;
 //! we reconcile that by rejecting rule sets that are not weakly acyclic at
-//! build time (`SystemConfig::require_weak_acyclicity`, on by default).
+//! build time (`P2PSystemBuilder::build_peers` always checks).
 
 use crate::error::{CoreError, CoreResult};
 use p2p_relational::query::{parse_implication, Atom, Constraint, Term};
@@ -348,12 +348,6 @@ impl RuleSet {
     /// True iff empty.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Rules whose head is at `node` (the rules that node "is a target of",
-    /// which the paper assumes each node initially knows).
-    pub fn with_head(&self, node: NodeId) -> Vec<&CoordinationRule> {
-        self.iter().filter(|r| r.head_node == node).collect()
     }
 
     /// The induced dependency graph (Definition 5): an edge `head → body

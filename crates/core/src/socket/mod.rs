@@ -31,7 +31,7 @@ use crate::messages::ProtocolMsg;
 use crate::netfile::NetworkFile;
 use crate::peer::DbPeer;
 use crate::stats::PeerStats;
-use p2p_net::sim::Peer as _;
+use p2p_net::Peer as _;
 use p2p_net::{Codec, SessionId};
 use p2p_relational::{ConstCatalog, Database, SymId};
 use p2p_storage::{FileBackend, PeerStorage};

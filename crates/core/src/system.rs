@@ -4,7 +4,7 @@
 //! rules, validates everything (schema conformance, weak acyclicity), and
 //! produces a [`P2PSystem`] running on the deterministic simulator — or a
 //! bag of peers for the sharded runtime via
-//! [`P2PSystemBuilder::build_peers`] / [`run_update_sharded`].
+//! [`P2PSystemBuilder::build_peers`] / [`run_updates_sharded`].
 
 use crate::config::{SystemConfig, UpdateMode};
 use crate::dynamic::{ChangeOp, ChangeScript};
@@ -15,61 +15,14 @@ use crate::peer::DbPeer;
 use crate::rule::{CoordinationRule, RuleId, RuleSet};
 use crate::stats::PeerStats;
 use p2p_net::{
-    BandwidthLatency, ChurnPlan, ConstantLatency, FaultPlan, LatencyModel, NetStats, RunOutcome,
-    SessionId, ShardPlacement, ShardedNetwork, SimTime, Simulator, UniformLatency,
+    ChurnPlan, ConstantLatency, FaultPlan, LatencyModel, NetStats, RunOutcome, SessionId,
+    ShardPlacement, ShardedNetwork, SimTime, Simulator,
 };
 use p2p_relational::query::{evaluate_certain, parse_query};
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
 use p2p_storage::{MemoryBackend, PeerStorage};
 use p2p_topology::{scc, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Link latency specification (materialised into a model at build time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatencySpec {
-    /// Fixed delay per message.
-    Constant(SimTime),
-    /// Seeded uniform jitter.
-    Uniform {
-        /// Minimum delay.
-        min: SimTime,
-        /// Maximum delay.
-        max: SimTime,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Propagation delay plus per-byte transmission cost.
-    Bandwidth {
-        /// Propagation delay.
-        base: SimTime,
-        /// Nanoseconds per byte.
-        nanos_per_byte: u64,
-    },
-}
-
-impl Default for LatencySpec {
-    fn default() -> Self {
-        LatencySpec::Constant(SimTime::from_millis(1))
-    }
-}
-
-impl LatencySpec {
-    fn boxed(self) -> Box<dyn LatencyModel> {
-        match self {
-            LatencySpec::Constant(t) => Box::new(ConstantLatency(t)),
-            LatencySpec::Uniform { min, max, seed } => {
-                Box::new(UniformLatency::new(min, max, seed))
-            }
-            LatencySpec::Bandwidth {
-                base,
-                nanos_per_byte,
-            } => Box::new(BandwidthLatency {
-                base,
-                nanos_per_byte,
-            }),
-        }
-    }
-}
 
 /// Builder for a P2P database system.
 #[derive(Default)]
@@ -79,7 +32,8 @@ pub struct P2PSystemBuilder {
     names: BTreeMap<String, NodeId>,
     rules: RuleSet,
     config: SystemConfig,
-    latency: LatencySpec,
+    /// `None`: a constant 1 ms on every link.
+    latency: Option<Box<dyn LatencyModel>>,
     fault: Option<FaultPlan>,
     churn: Option<ChurnPlan>,
     super_peer: NodeId,
@@ -155,9 +109,9 @@ impl P2PSystemBuilder {
         &mut self.config
     }
 
-    /// Sets the latency model.
-    pub fn set_latency(&mut self, latency: LatencySpec) {
-        self.latency = latency;
+    /// Sets the latency model (default: a constant 1 ms on every link).
+    pub fn set_latency(&mut self, latency: impl LatencyModel + 'static) {
+        self.latency = Some(Box::new(latency));
     }
 
     /// Installs a fault plan (drops / duplication / outages).
@@ -188,10 +142,8 @@ impl P2PSystemBuilder {
         for rule in self.rules.iter() {
             rule.validate(&self.schemas)?;
         }
-        if self.config.require_weak_acyclicity {
-            if let Err(witness) = self.rules.check_weak_acyclicity() {
-                return Err(CoreError::NotWeaklyAcyclic { witness });
-            }
+        if let Err(witness) = self.rules.check_weak_acyclicity() {
+            return Err(CoreError::NotWeaklyAcyclic { witness });
         }
         let graph = self.rules.dependency_graph();
         let cyclic = scc::cyclic_nodes(&graph);
@@ -243,7 +195,9 @@ impl P2PSystemBuilder {
     /// Builds the simulator-backed system.
     pub fn build(mut self) -> CoreResult<P2PSystem> {
         let peers = self.build_peers()?;
-        let mut sim = Simulator::new(self.latency.boxed());
+        let latency = (self.latency.take())
+            .unwrap_or_else(|| Box::new(ConstantLatency(SimTime::from_millis(1))));
+        let mut sim = Simulator::new(latency);
         if let Some(fault) = self.fault.take() {
             sim.set_fault_plan(fault);
         }
@@ -848,19 +802,6 @@ fn assign_sessions(roots: &[NodeId], mut next_epoch: impl FnMut() -> u64) -> Vec
         .filter(|&&root| seen.insert(root))
         .map(|&root| SessionId::new(root, next_epoch()))
         .collect()
-}
-
-/// Runs one update session on the **sharded** runtime (real parallelism,
-/// non-deterministic interleavings): `shards` worker threads (0 = one per
-/// core) multiplexing all peers, placed by `placement`. Returns the final
-/// databases, merged transport stats and closure flag.
-pub fn run_update_sharded(
-    builder: P2PSystemBuilder,
-    shards: usize,
-    placement: ShardPlacement,
-) -> CoreResult<(GlobalDb, NetStats, bool)> {
-    let super_peer = builder.super_peer;
-    run_updates_sharded(builder, &[super_peer], shards, placement)
 }
 
 /// Runs **concurrent update sessions** on the sharded runtime: one global

@@ -4,7 +4,7 @@
 
 use p2p_core::dynamic::{ChangeOp, ChangeScript};
 use p2p_core::system::P2PSystemBuilder;
-use p2p_net::SimTime;
+use p2p_net::{SimTime, UniformLatency};
 use p2p_relational::hom::contained_modulo_nulls;
 use p2p_relational::Value;
 use p2p_topology::NodeId;
@@ -217,16 +217,16 @@ fn change_long_after_fixpoint_rewakes_session_and_recloses() {
     // newer generation) retires everything again — same run, no new epoch.
     let latencies = [
         None, // constant latency: deterministic post-retirement delivery
-        Some(p2p_core::system::LatencySpec::Uniform {
-            min: SimTime::from_micros(200),
-            max: SimTime::from_millis(20),
-            seed: 21,
-        }),
+        Some(UniformLatency::new(
+            SimTime::from_micros(200),
+            SimTime::from_millis(20),
+            21,
+        )),
     ];
     for latency in latencies {
         let mut b = three_node_builder();
-        if let Some(spec) = latency {
-            b.set_latency(spec);
+        if let Some(latency) = latency {
+            b.set_latency(latency);
         }
         let mut sys = b.build().unwrap();
         let mut script = ChangeScript::new();

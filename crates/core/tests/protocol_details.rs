@@ -4,8 +4,8 @@
 
 use p2p_core::config::Initiation;
 use p2p_core::rule::{CoordinationRule, RuleSet};
-use p2p_core::system::{LatencySpec, P2PSystemBuilder};
-use p2p_net::SimTime;
+use p2p_core::system::P2PSystemBuilder;
+use p2p_net::{BandwidthLatency, SimTime, UniformLatency};
 use p2p_relational::Value;
 use p2p_topology::NodeId;
 
@@ -179,11 +179,11 @@ fn flood_initiation_covers_dependants_too() {
 fn jitter_reordering_does_not_break_the_protocol() {
     for seed in [1u64, 7, 23, 99] {
         let mut b = chain_builder();
-        b.set_latency(LatencySpec::Uniform {
-            min: SimTime::from_micros(100),
-            max: SimTime::from_millis(50),
+        b.set_latency(UniformLatency::new(
+            SimTime::from_micros(100),
+            SimTime::from_millis(50),
             seed,
-        });
+        ));
         let mut sys = b.build().unwrap();
         let report = sys.run_update();
         assert!(report.all_closed, "seed {seed}");
@@ -205,7 +205,7 @@ fn bandwidth_latency_penalises_bulk_transfers() {
             b.insert(1, "b", vec![Value::Int(i), Value::Int(i)])
                 .unwrap();
         }
-        b.set_latency(LatencySpec::Bandwidth {
+        b.set_latency(BandwidthLatency {
             base: SimTime::from_millis(1),
             nanos_per_byte: 1_000_000, // 1 ms per byte: data dominates
         });

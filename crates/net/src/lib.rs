@@ -4,19 +4,25 @@
 //! the JXTA layer the paper's prototype was built on (Section 5). JXTA gave
 //! the authors peer naming, reliable pipes, message envelopes and resource
 //! discovery; this crate provides the same capabilities as a library, in two
-//! interchangeable runtimes:
+//! interchangeable runtimes on one peer host.
+//!
+//! [`host`] owns what the runtimes share: [`Peer`] and its [`Context`], the
+//! peer table, the once-per-payload [`PayloadMemo`] (which the socket
+//! runtime of `p2p_transport` encodes frames through too), and the send and
+//! delivery steps that size and count every message. A runtime adds only
+//! how it schedules deliveries:
 //!
 //! * [`sim::Simulator`] — a **deterministic discrete-event simulator**:
-//!   seeded latency models, per-event ordering by `(time, sequence)`,
+//!   per-event ordering by `(time, sequence)`, seeded latency models,
 //!   fault injection (drops, duplication, link outages), scheduled peer
 //!   churn (crash/restart with [`Peer::on_crash`]/[`Peer::on_restart`]
-//!   hooks), byte accounting and quiescence detection. Virtual time makes
-//!   the paper's "execution time" metric reproducible, which the original
-//!   testbed could not be.
+//!   hooks) and quiescence detection. Virtual time makes the paper's
+//!   "execution time" metric reproducible, which the original testbed
+//!   could not be.
 //! * [`sharded::ShardedNetwork`] — the parallel runtime: `T` shard threads
 //!   multiplex `n/T` peers each (mailbox scheduling, work stealing,
-//!   crossbeam cross-shard hand-off), with quiescence detected by an
-//!   outstanding-message counter shared as a barrier. It runs the *same*
+//!   cross-shard hand-off over `mpsc` channels), with quiescence detected by
+//!   an outstanding-message counter shared as a barrier. It runs the *same*
 //!   [`Peer`] code, giving the asynchronous execution model of the paper on
 //!   actual parallelism, at 10k+ peers on all cores.
 //!
@@ -31,6 +37,7 @@
 pub mod churn;
 pub mod codec;
 pub mod fault;
+pub mod host;
 pub mod latency;
 pub mod message;
 pub mod session;
@@ -42,12 +49,13 @@ pub mod trace;
 pub use churn::{ChurnPlan, CrashEvent};
 pub use codec::Codec;
 pub use fault::FaultPlan;
+pub use host::{Context, Outgoing, PayloadMemo, Peer};
 pub use latency::{
     BandwidthLatency, ConstantLatency, LatencyModel, PerEdgeLatency, UniformLatency,
 };
 pub use message::{encoded_wire_size, Envelope, SimTime, Wire};
 pub use session::SessionId;
 pub use sharded::{ShardPlacement, ShardedNetwork, WorkerPanic};
-pub use sim::{Context, Peer, RunOutcome, Simulator};
+pub use sim::{RunOutcome, Simulator};
 pub use stats::{NetStats, NodeNetStats, SessionNetStats};
 pub use trace::{Trace, TraceEntry};

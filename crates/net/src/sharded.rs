@@ -7,6 +7,12 @@
 //! peers, and idle shards steal runnable peers from their neighbours. With
 //! `T ≥ n` it is one thread per peer.
 //!
+//! The peers live on the shared [`crate::host`]: its peer table holds one
+//! cell per peer, and every send and delivery goes through the host's send
+//! and delivery steps, exactly as on the simulator. What this runtime adds
+//! is its scheduling — run queues, cross-shard channels, stealing, the
+//! outstanding-message barrier and panic poisoning.
+//!
 //! Scheduling is the classic actor-mailbox protocol. Every peer owns a
 //! FIFO inbox plus a `scheduled` flag; a sender enqueues the work item and
 //! claims the flag with a `swap`, and exactly the claimant that observes
@@ -21,7 +27,7 @@
 //!   target's inbox (payload still behind the sender's `Arc`, no channel
 //!   hop) and the peer onto the home shard's run queue;
 //! * **cross-shard** sends hand the `(from, msg)` item to the target's home
-//!   shard over a crossbeam channel and are counted in
+//!   shard over an `mpsc` channel and are counted in
 //!   [`NetStats::cross_shard_sends`] — the locality metric a placement
 //!   policy is judged by. The split is decided by *home* shards, so the
 //!   counter measures placement quality, not scheduling accidents.
@@ -42,15 +48,15 @@
 //! [`NetStats`] merged once at quiescence.
 
 use crate::codec::Codec;
+use crate::host::{Context, Meter, Outgoing, Parcel, Peer, PeerTable};
 use crate::message::{SimTime, Wire};
-use crate::sim::{Context, Peer};
 use crate::stats::NetStats;
 use p2p_topology::NodeId;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -109,15 +115,12 @@ impl ShardPlacement {
 /// One queued delivery: the `(from, msg)` work item of a shard run queue.
 struct WorkItem<M> {
     from: NodeId,
-    msg_id: u64,
-    msg: Arc<M>,
-    /// Wire size under the run's codec, measured once by the sender.
-    size: usize,
+    parcel: Parcel<M>,
 }
 
 /// Cross-shard hand-off traffic.
 enum ShardMsg<M> {
-    /// A work item for the peer at cell index `cell` (homed on the
+    /// A work item for the peer in peer-table slot `cell` (homed on the
     /// receiving shard).
     Work { cell: u32, item: WorkItem<M> },
     /// Quiescence nudge: re-check the outstanding counter.
@@ -135,9 +138,9 @@ struct CellState<P> {
     poisoned: bool,
 }
 
-/// One peer slot: identity, home shard, mailbox and claim flag.
+/// One peer's cell in the host's peer table: home shard, mailbox and
+/// claim flag.
 struct PeerCell<M, P> {
-    id: NodeId,
     home: usize,
     scheduled: AtomicBool,
     inbox: Mutex<VecDeque<WorkItem<M>>>,
@@ -146,11 +149,12 @@ struct PeerCell<M, P> {
 
 /// State shared by all shard threads.
 struct Shared<M, P> {
-    /// All peers, sorted by id (binary-searchable).
-    cells: Vec<PeerCell<M, P>>,
-    /// Per-shard run queues of runnable cell indices. The owning shard
+    cells: PeerTable<PeerCell<M, P>>,
+    /// Per-shard run queues of runnable cell slots. The owning shard
     /// pops from the front; idle thieves pop from the back.
     runnable: Vec<Mutex<VecDeque<u32>>>,
+    /// Per-shard hand-off channels.
+    handoff: Vec<Sender<ShardMsg<M>>>,
     /// The sharded quiescence barrier: >0 while any item is queued or any
     /// handler is running; zero exactly at fix-point.
     outstanding: AtomicI64,
@@ -160,22 +164,13 @@ struct Shared<M, P> {
     epoch: Instant,
 }
 
-impl<M, P> Shared<M, P> {
-    fn cell_index(&self, id: NodeId) -> Option<u32> {
-        self.cells
-            .binary_search_by_key(&id, |c| c.id)
-            .ok()
-            .map(|i| i as u32)
-    }
-}
-
 /// A network of peers multiplexed over a bounded pool of shard threads.
 ///
 /// Runs the same [`Peer`] code as [`crate::Simulator`] but is *not*
 /// deterministic: tests compare its fix-points with simulator runs modulo
 /// null renaming.
 pub struct ShardedNetwork<M: Wire, P: Peer<M> + 'static> {
-    peers: Vec<(NodeId, P)>,
+    peers: PeerTable<P>,
     codec: Codec,
     shards: usize,
     placement: ShardPlacement,
@@ -192,7 +187,7 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
     /// An empty network with as many shards as the host has cores.
     pub fn new() -> Self {
         ShardedNetwork {
-            peers: Vec::new(),
+            peers: PeerTable::default(),
             codec: Codec::default(),
             shards: 0,
             placement: ShardPlacement::default(),
@@ -200,9 +195,9 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
         }
     }
 
-    /// Registers a peer.
+    /// Registers a peer (replacing any previous peer under the same id).
     pub fn add_peer(&mut self, id: NodeId, peer: P) {
-        self.peers.push((id, peer));
+        self.peers.insert(id, peer);
     }
 
     /// Selects the wire codec messages are measured in.
@@ -239,20 +234,17 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
     /// stats — or the first [`WorkerPanic`].
     #[allow(clippy::type_complexity)]
     pub fn run(
-        mut self,
+        self,
         initial: Vec<(NodeId, NodeId, M)>,
     ) -> Result<(Vec<(NodeId, P)>, NetStats), WorkerPanic> {
         let started = Instant::now();
         let shards = self.effective_shards();
-        self.peers.sort_by_key(|(id, _)| *id);
-        let n = self.peers.len();
         let placement = self.placement;
-        let cells: Vec<PeerCell<M, P>> = self
-            .peers
-            .into_iter()
-            .enumerate()
-            .map(|(i, (id, peer))| PeerCell {
-                id,
+        let sorted = self.peers.into_sorted();
+        let n = sorted.len();
+        let mut cells = PeerTable::default();
+        for (i, (id, peer)) in sorted.into_iter().enumerate() {
+            let cell = PeerCell {
                 home: placement.shard_of(i, n, shards),
                 scheduled: AtomicBool::new(false),
                 inbox: Mutex::new(VecDeque::new()),
@@ -260,11 +252,14 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
                     peer,
                     poisoned: false,
                 }),
-            })
-            .collect();
+            };
+            cells.insert(id, cell);
+        }
+        let (handoff, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
         let shared = Arc::new(Shared {
             cells,
             runnable: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
+            handoff,
             outstanding: AtomicI64::new(0),
             msg_ids: AtomicU64::new(0),
             first_panic: Mutex::new(None),
@@ -274,73 +269,32 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
 
         // Count and enqueue the initial messages before any thread starts,
         // so the barrier can never transiently read zero while work remains.
-        let mut stats = NetStats::default();
-        let mut any = false;
+        let mut meter = Meter::new(self.codec);
         for (from, to, msg) in initial {
-            let Some(idx) = shared.cell_index(to) else {
-                continue;
-            };
-            any = true;
-            let size = msg.wire_size_with(shared.codec);
-            stats.record_send(from, msg.kind(), size);
-            shared.outstanding.fetch_add(1, Ordering::SeqCst);
-            let msg_id = shared.msg_ids.fetch_add(1, Ordering::Relaxed);
-            let cell = &shared.cells[idx as usize];
-            cell.inbox.lock().expect("inbox lock").push_back(WorkItem {
-                from,
-                msg_id,
+            let out = vec![Outgoing {
+                to,
                 msg: Arc::new(msg),
-                size,
+                delay: SimTime::ZERO,
+            }];
+            meter.send_all(from, out, |stats, o, size| {
+                post(&shared, stats, None, from, o, size)
             });
-            if !cell.scheduled.swap(true, Ordering::SeqCst) {
-                shared.runnable[cell.home]
-                    .lock()
-                    .expect("runnable lock")
-                    .push_back(idx);
-            }
         }
-        if !any {
-            // Nothing to do: skip thread spin-up entirely.
-            let shared = Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!());
-            let peers = shared
-                .cells
-                .into_iter()
-                .map(|c| (c.id, c.state.into_inner().expect("state lock").peer))
+        // With nothing to deliver, no shard thread is spun up.
+        if shared.outstanding.load(Ordering::SeqCst) > 0 {
+            let handles: Vec<_> = (receivers.into_iter().enumerate())
+                .map(|(shard, rx)| {
+                    let shared = Arc::clone(&shared);
+                    std::thread::spawn(move || shard_loop(shard, &shared, rx))
+                })
                 .collect();
-            return Ok((peers, stats));
-        }
-
-        let mut senders = Vec::with_capacity(shards);
-        let mut receivers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = crossbeam::channel::unbounded::<ShardMsg<M>>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let senders = senders.clone();
-            handles.push(std::thread::spawn(move || {
-                shard_loop(shard, &shared, rx, &senders)
-            }));
-        }
-        drop(senders);
-
-        for h in handles {
-            match h.join() {
-                Ok(shard_stats) => stats.merge(&shard_stats),
-                Err(panic) => {
+            for h in handles {
+                match h.join() {
+                    Ok(shard_stats) => meter.stats.merge(&shard_stats),
                     // Handlers panic inside catch_unwind, so a dead thread
                     // means the shard loop itself failed; surface it rather
                     // than aborting the driver.
-                    let mut slot = shared.first_panic.lock().expect("panic slot");
-                    if slot.is_none() {
-                        *slot = Some(WorkerPanic {
-                            node: NodeId(u32::MAX),
-                            payload: payload_string(panic.as_ref()),
-                        });
-                    }
+                    Err(panic) => record_panic(&shared, NodeId(u32::MAX), panic.as_ref()),
                 }
             }
         }
@@ -348,13 +302,22 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
         if let Some(panic) = shared.first_panic.into_inner().expect("panic slot") {
             return Err(panic);
         }
-        let peers = shared
-            .cells
-            .into_iter()
-            .map(|c| (c.id, c.state.into_inner().expect("state lock").peer))
+        let peers = (shared.cells.into_sorted().into_iter())
+            .map(|(id, c)| (id, c.state.into_inner().expect("state lock").peer))
             .collect();
-        stats.finished_at = SimTime(started.elapsed().as_micros() as u64);
-        Ok((peers, stats))
+        meter.stats.finished_at = SimTime(started.elapsed().as_micros() as u64);
+        Ok((peers, meter.stats))
+    }
+}
+
+/// Keeps the first panic of the run.
+fn record_panic<M, P>(shared: &Shared<M, P>, node: NodeId, panic: &(dyn std::any::Any + Send)) {
+    let mut slot = shared.first_panic.lock().expect("panic slot");
+    if slot.is_none() {
+        *slot = Some(WorkerPanic {
+            node,
+            payload: payload_string(panic),
+        });
     }
 }
 
@@ -363,30 +326,28 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
 fn shard_loop<M: Wire + Sync, P: Peer<M>>(
     shard: usize,
     shared: &Shared<M, P>,
-    rx: crossbeam::channel::Receiver<ShardMsg<M>>,
-    senders: &[crossbeam::channel::Sender<ShardMsg<M>>],
+    rx: Receiver<ShardMsg<M>>,
 ) -> NetStats {
-    let mut stats = NetStats::default();
-    let mut measured: Vec<(usize, usize)> = Vec::new();
+    let mut meter = Meter::new(shared.codec);
     loop {
         let local = shared.runnable[shard]
             .lock()
             .expect("runnable lock")
             .pop_front();
         if let Some(idx) = local {
-            drain_cell(idx, shared, senders, &mut stats, &mut measured);
+            drain_cell(idx, shared, &mut meter);
             continue;
         }
         match rx.try_recv() {
             Ok(msg) => {
-                accept(msg, shard, shared);
+                accept(msg, shared);
                 continue;
             }
             Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => break,
         }
         if let Some(idx) = steal(shard, shared) {
-            drain_cell(idx, shared, senders, &mut stats, &mut measured);
+            drain_cell(idx, shared, &mut meter);
             continue;
         }
         // Nothing local, nothing handed off, nothing stealable: quiescent
@@ -397,28 +358,69 @@ fn shard_loop<M: Wire + Sync, P: Peer<M>>(
             break;
         }
         match rx.recv_timeout(Duration::from_micros(200)) {
-            Ok(msg) => accept(msg, shard, shared),
+            Ok(msg) => accept(msg, shared),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    stats
+    meter.stats
 }
 
 /// Routes one cross-shard hand-off into the local mailbox/run queue.
-fn accept<M: Wire + Sync, P: Peer<M>>(msg: ShardMsg<M>, shard: usize, shared: &Shared<M, P>) {
+fn accept<M, P>(msg: ShardMsg<M>, shared: &Shared<M, P>) {
     match msg {
         ShardMsg::Wake => {}
-        ShardMsg::Work { cell, item } => {
-            let c = &shared.cells[cell as usize];
-            c.inbox.lock().expect("inbox lock").push_back(item);
-            if !c.scheduled.swap(true, Ordering::SeqCst) {
-                shared.runnable[shard]
-                    .lock()
-                    .expect("runnable lock")
-                    .push_back(cell);
-            }
+        ShardMsg::Work { cell, item } => schedule(shared, cell, item),
+    }
+}
+
+/// Puts `item` into the mailbox of the peer in `cell` and, when this call
+/// claims the peer's flag, the peer onto its home shard's run queue.
+fn schedule<M, P>(shared: &Shared<M, P>, cell: u32, item: WorkItem<M>) {
+    let c = &shared.cells[cell as usize];
+    c.inbox.lock().expect("inbox lock").push_back(item);
+    if !c.scheduled.swap(true, Ordering::SeqCst) {
+        shared.runnable[c.home]
+            .lock()
+            .expect("runnable lock")
+            .push_back(cell);
+    }
+}
+
+/// Routes one counted send. A send to a node no peer is hosted under is
+/// dropped. Any other becomes one more outstanding item. It goes straight
+/// into the target's mailbox when the target is homed on the sending shard
+/// (`from_home`), or when no shard sends it (`None`: the driver's initial
+/// messages). Otherwise it goes over the target home's hand-off channel.
+fn post<M, P>(
+    shared: &Shared<M, P>,
+    stats: &mut NetStats,
+    from_home: Option<usize>,
+    from: NodeId,
+    out: Outgoing<M>,
+    size: usize,
+) {
+    let Some(slot) = shared.cells.slot(out.to) else {
+        stats.dropped += 1;
+        return;
+    };
+    shared.outstanding.fetch_add(1, Ordering::SeqCst);
+    let msg_id = shared.msg_ids.fetch_add(1, Ordering::Relaxed);
+    let parcel = Parcel {
+        msg_id,
+        msg: out.msg,
+        size,
+    };
+    let item = WorkItem { from, parcel };
+    let (cell, home) = (slot as u32, shared.cells[slot].home);
+    match from_home {
+        Some(h) if h != home => {
+            stats.cross_shard_sends += 1;
+            let _ = shared.handoff[home].send(ShardMsg::Work { cell, item });
         }
+        // Intra-shard short-circuit: no channel hop, payload still behind
+        // the sender's Arc.
+        _ => schedule(shared, cell, item),
     }
 }
 
@@ -443,21 +445,14 @@ fn steal<M, P>(me: usize, shared: &Shared<M, P>) -> Option<u32> {
 /// item and routing the sends. The exit re-check (`store(false)`, look
 /// again, re-`swap`) closes the race with a concurrent enqueuer: exactly
 /// one of the two observes `false` and keeps the peer scheduled.
-fn drain_cell<M: Wire + Sync, P: Peer<M>>(
-    idx: u32,
-    shared: &Shared<M, P>,
-    senders: &[crossbeam::channel::Sender<ShardMsg<M>>],
-    stats: &mut NetStats,
-    measured: &mut Vec<(usize, usize)>,
-) {
-    let cell = &shared.cells[idx as usize];
+fn drain_cell<M: Wire + Sync, P: Peer<M>>(idx: u32, shared: &Shared<M, P>, meter: &mut Meter) {
+    let slot = idx as usize;
+    let cell = &shared.cells[slot];
     let mut state = cell.state.lock().expect("state lock");
     loop {
         let item = cell.inbox.lock().expect("inbox lock").pop_front();
         match item {
-            Some(item) => {
-                process(cell, &mut state, item, shared, senders, stats, measured);
-            }
+            Some(item) => process(slot, &mut state, item, shared, meter),
             None => {
                 cell.scheduled.store(false, Ordering::SeqCst);
                 let refilled = !cell.inbox.lock().expect("inbox lock").is_empty();
@@ -470,103 +465,43 @@ fn drain_cell<M: Wire + Sync, P: Peer<M>>(
     }
 }
 
-/// Delivers one work item: runs the handler (panic-safe) and routes the
-/// sends it queued, sharing one serialization across a fan-out's receivers
-/// via the address memo.
-#[allow(clippy::too_many_arguments)]
+/// Delivers one work item through the host's delivery step (panic-safe)
+/// and routes the sends it queued through the send step.
 fn process<M: Wire + Sync, P: Peer<M>>(
-    cell: &PeerCell<M, P>,
+    slot: usize,
     state: &mut CellState<P>,
     item: WorkItem<M>,
     shared: &Shared<M, P>,
-    senders: &[crossbeam::channel::Sender<ShardMsg<M>>],
-    stats: &mut NetStats,
-    measured: &mut Vec<(usize, usize)>,
+    meter: &mut Meter,
 ) {
     if state.poisoned {
-        stats.dropped += 1;
-        dec_outstanding(shared, senders);
+        meter.stats.dropped += 1;
+        dec_outstanding(shared);
         return;
     }
-    stats.record_delivery(cell.id, item.size, item.msg.session());
-    // A fan-out's last reference moves out of the Arc; earlier ones clone —
-    // the payload allocation is shared right up to delivery.
-    let owned = Arc::try_unwrap(item.msg).unwrap_or_else(|shared_msg| (*shared_msg).clone());
+    let id = shared.cells.id(slot);
     let now = SimTime(shared.epoch.elapsed().as_micros() as u64);
-    let mut ctx = Context::new(now, cell.id);
+    let mut ctx = Context::new(now, id);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        state
-            .peer
-            .on_envelope(item.from, item.msg_id, owned, &mut ctx)
+        meter.deliver(&mut state.peer, item.from, item.parcel, &mut ctx)
     }));
     if let Err(panic) = outcome {
         state.poisoned = true;
-        let mut slot = shared.first_panic.lock().expect("panic slot");
-        if slot.is_none() {
-            *slot = Some(WorkerPanic {
-                node: cell.id,
-                payload: payload_string(panic.as_ref()),
-            });
-        }
+        record_panic(shared, id, panic.as_ref());
     }
     // Sends queued before a panic still go out.
-    measured.clear();
-    for out in ctx.take_outgoing() {
-        let addr = Arc::as_ptr(&out.msg) as usize;
-        let size = match measured.iter().find(|(a, _)| *a == addr) {
-            Some(&(_, size)) => {
-                stats.shared_payload_sends += 1;
-                size
-            }
-            None => {
-                let size = out.msg.wire_size_with(shared.codec);
-                measured.push((addr, size));
-                size
-            }
-        };
-        stats.record_send(cell.id, out.msg.kind(), size);
-        let Some(tidx) = shared.cell_index(out.to) else {
-            stats.dropped += 1;
-            continue;
-        };
-        shared.outstanding.fetch_add(1, Ordering::SeqCst);
-        let msg_id = shared.msg_ids.fetch_add(1, Ordering::Relaxed);
-        let witem = WorkItem {
-            from: cell.id,
-            msg_id,
-            msg: out.msg,
-            size,
-        };
-        let target = &shared.cells[tidx as usize];
-        if target.home == cell.home {
-            // Intra-shard short-circuit: straight into the mailbox, no
-            // channel hop, payload still behind the sender's Arc.
-            target.inbox.lock().expect("inbox lock").push_back(witem);
-            if !target.scheduled.swap(true, Ordering::SeqCst) {
-                shared.runnable[target.home]
-                    .lock()
-                    .expect("runnable lock")
-                    .push_back(tidx);
-            }
-        } else {
-            stats.cross_shard_sends += 1;
-            let _ = senders[target.home].send(ShardMsg::Work {
-                cell: tidx,
-                item: witem,
-            });
-        }
-    }
-    dec_outstanding(shared, senders);
+    let home = shared.cells[slot].home;
+    meter.send_all(id, ctx.take_outgoing(), |stats, o, size| {
+        post(shared, stats, Some(home), id, o, size)
+    });
+    dec_outstanding(shared);
 }
 
 /// Decrements the quiescence barrier; the decrement that reaches zero
 /// nudges every shard so sleepers re-check and exit.
-fn dec_outstanding<M, P>(
-    shared: &Shared<M, P>,
-    senders: &[crossbeam::channel::Sender<ShardMsg<M>>],
-) {
+fn dec_outstanding<M, P>(shared: &Shared<M, P>) {
     if shared.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-        for tx in senders {
+        for tx in &shared.handoff {
             let _ = tx.send(ShardMsg::Wake);
         }
     }
@@ -665,7 +600,11 @@ mod tests {
             },
         );
         let (_, stats) = net.run(vec![(NodeId(0), NodeId(42), Token(1))]).unwrap();
+        // Counted like a handler's send to an unknown node, and like the
+        // simulator counts one: sent once, dropped once, never delivered.
         assert_eq!(stats.total_messages, 0);
+        assert_eq!(stats.sent_of_kind("Token"), 1);
+        assert_eq!(stats.dropped, 1);
     }
 
     #[test]

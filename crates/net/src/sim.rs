@@ -6,22 +6,19 @@
 //! assert exact message counts and lets experiments be reproduced bit-for-bit
 //! — the one capability the paper's JXTA testbed fundamentally lacked.
 //!
-//! ## The scale-out hot path (PR 7)
-//!
-//! The original loop kept peers in a `BTreeMap`, pushed a full
-//! [`Envelope`] (payload included) into the binary heap per receiver, and
-//! cloned the message once per fan-out destination. At 10k+ peers that
-//! means gigabytes of payload copies and a heap of fat events. The loop is
-//! now arranged around three ideas:
+//! The peers live on the shared [`crate::host`]: its peer table, send step
+//! and delivery step. What the simulator adds is its clock — latency,
+//! faults, churn and the trace around an event loop arranged for 10k+ peers
+//! by three ideas:
 //!
 //! * **Shared payloads** — handlers queue [`Outgoing`] entries carrying
 //!   `Arc<M>`; a fan-out ([`Context::send_to_many`]) allocates the message
-//!   once and every receiver shares it. The payload is serialized exactly
-//!   once per *unique* message (a per-drain memo keyed on the `Arc`'s
-//!   address reuses the measured size), and unwrapped without a copy at the
-//!   last delivery (`Arc::try_unwrap`). [`NetStats::shared_payload_sends`]
-//!   counts the re-uses, and the `tests/codec.rs` regression test asserts
-//!   encode passes == unique messages.
+//!   once and every receiver shares it. The host's send step serializes it
+//!   exactly once per *unique* message and the delivery step unwraps it
+//!   without a copy at the last delivery (`Arc::try_unwrap`).
+//!   [`NetStats::shared_payload_sends`] counts the re-uses, and the
+//!   `tests/codec.rs` regression test asserts encode passes == unique
+//!   messages.
 //! * **Flat event arena + index heap** — queued events live in a slab of
 //!   reusable slots; the `BinaryHeap` orders bare `(time, seq, slot)`
 //!   triples (24 bytes) instead of whole envelopes, so heap sift-ups move
@@ -38,9 +35,9 @@
 //!   deliveries scheduled for the same instant remain simultaneous in
 //!   virtual time.
 //!
-//! Peers themselves sit in a dense `Vec` indexed by a `NodeId → slot` table,
-//! so the per-delivery peer lookup is two array loads instead of a
-//! `BTreeMap` walk. The pipe tails sit in one hash table keyed by the
+//! Pipes are always FIFO: JXTA pipes (and any TCP-backed transport) never
+//! reorder messages on one link, and the update protocol's completeness
+//! flags rely on that. The pipe tails sit in one hash table keyed by the
 //! `(from, to)` pair under the workspace's Fx hasher: a 10k-peer session
 //! touches ~100k pipes and every message looks its pipe up on send and on
 //! delivery, which as an ordered map was 17 levels of pointer chasing each
@@ -50,6 +47,7 @@
 
 use crate::codec::Codec;
 use crate::fault::{FaultDecision, FaultPlan};
+use crate::host::{Context, Meter, Outgoing, Parcel, Peer, PeerTable};
 use crate::latency::LatencyModel;
 use crate::message::{SimTime, Wire};
 use crate::stats::NetStats;
@@ -59,134 +57,6 @@ use p2p_topology::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// A protocol participant. One instance per node; handlers are atomic (run
-/// to completion) and communicate only through the [`Context`].
-pub trait Peer<M>: Send {
-    /// Handles one delivered message.
-    fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Context<M>);
-
-    /// Delivery entry point used by the runtimes. `msg_id` identifies the
-    /// *send*: fault-injected duplicates share it, so an implementation can
-    /// provide exactly-once semantics by remembering seen ids (the default
-    /// just forwards to [`Peer::on_message`], i.e. at-least-once).
-    fn on_envelope(&mut self, from: NodeId, msg_id: u64, msg: M, ctx: &mut Context<M>) {
-        let _ = msg_id;
-        self.on_message(from, msg, ctx);
-    }
-
-    /// Churn hook: the peer's process dies. All in-memory state should be
-    /// wiped here; only what the peer persisted elsewhere may survive. No
-    /// context — a dying process sends nothing.
-    fn on_crash(&mut self) {}
-
-    /// Churn hook: the peer's process comes back after a crash. This is
-    /// where a durable peer recovers from storage and sends whatever
-    /// resynchronisation traffic its protocol defines.
-    fn on_restart(&mut self, ctx: &mut Context<M>) {
-        let _ = ctx;
-    }
-}
-
-/// An outgoing message queued by a handler. The payload is `Arc`-shared:
-/// a unicast send holds the only reference (delivery unwraps it without a
-/// copy), a [`Context::send_to_many`] fan-out shares one allocation across
-/// all receivers.
-#[derive(Debug, Clone)]
-pub struct Outgoing<M> {
-    /// Recipient.
-    pub to: NodeId,
-    /// Payload (shared across fan-out receivers).
-    pub msg: Arc<M>,
-    /// Extra delay beyond link latency (processing cost, scheduled work).
-    pub delay: SimTime,
-}
-
-/// Handler-side view of the network: the only way peers interact with the
-/// outside world.
-#[derive(Debug)]
-pub struct Context<M> {
-    now: SimTime,
-    id: NodeId,
-    charged: SimTime,
-    outgoing: Vec<Outgoing<M>>,
-}
-
-impl<M> Context<M> {
-    /// Creates a context for one handler invocation (used by both runtimes).
-    pub fn new(now: SimTime, id: NodeId) -> Self {
-        Context {
-            now,
-            id,
-            charged: SimTime::ZERO,
-            outgoing: Vec::new(),
-        }
-    }
-
-    /// Current time (virtual in the simulator, wall-clock in the sharded
-    /// runtime).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The handling node's own id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Sends a message (subject to link latency and any charged processing
-    /// time).
-    pub fn send(&mut self, to: NodeId, msg: M) {
-        self.outgoing.push(Outgoing {
-            to,
-            msg: Arc::new(msg),
-            delay: self.charged,
-        });
-    }
-
-    /// Sends one message to many receivers, sharing a single payload
-    /// allocation (and, in the simulator, a single serialization) across
-    /// the whole fan-out. This is the broadcast primitive floods and
-    /// fix-point announcements should use.
-    pub fn send_to_many(&mut self, to: impl IntoIterator<Item = NodeId>, msg: M) {
-        let shared = Arc::new(msg);
-        for t in to {
-            self.outgoing.push(Outgoing {
-                to: t,
-                msg: Arc::clone(&shared),
-                delay: self.charged,
-            });
-        }
-    }
-
-    /// Sends after an explicit additional delay.
-    pub fn send_after(&mut self, delay: SimTime, to: NodeId, msg: M) {
-        self.outgoing.push(Outgoing {
-            to,
-            msg: Arc::new(msg),
-            delay: self.charged + delay,
-        });
-    }
-
-    /// Charges local processing time: all *subsequent* sends from this
-    /// handler are delayed by the accumulated charge. Models per-tuple query
-    /// evaluation cost without a full node-busy queueing model.
-    pub fn charge(&mut self, cost: SimTime) {
-        self.charged += cost;
-    }
-
-    /// Number of sends queued so far in this handler invocation (lets
-    /// callers of the fan-out primitives account per-receiver bookkeeping
-    /// without materialising the target list twice).
-    pub fn pending_sends(&self) -> usize {
-        self.outgoing.len()
-    }
-
-    /// Drains queued sends (runtime internal).
-    pub fn take_outgoing(&mut self) -> Vec<Outgoing<M>> {
-        std::mem::take(&mut self.outgoing)
-    }
-}
 
 /// Outcome of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,13 +68,6 @@ pub struct RunOutcome {
     /// True iff the event queue drained; false iff the event budget was hit
     /// (a diverging protocol, or faults that stranded the run).
     pub quiescent: bool,
-}
-
-/// One queued message inside a batch slot.
-struct BatchItem<M> {
-    msg: Arc<M>,
-    msg_id: u64,
-    size: usize,
 }
 
 /// What an arena slot currently holds.
@@ -225,7 +88,7 @@ struct Slot<M> {
     kind: SlotKind,
     from: NodeId,
     to: NodeId,
-    items: Vec<BatchItem<M>>,
+    items: Vec<Parcel<M>>,
 }
 
 /// Per-pipe FIFO state: the monotone delivery floor plus the appendable
@@ -252,214 +115,26 @@ impl Default for PipeTail {
     }
 }
 
-/// The discrete-event simulator over a homogeneous peer type `P`.
-pub struct Simulator<M: Wire, P: Peer<M>> {
-    /// Dense peer storage; `ids[i]` names `peers[i]`.
-    ids: Vec<NodeId>,
-    peers: Vec<P>,
-    /// `NodeId.0 → peer slot` (NO_SLOT = unknown node).
-    node_slot: Vec<u32>,
-    /// Peer-slot-indexed crash flags.
-    down: Vec<bool>,
+/// The simulator's clock: the event arena and its index heap, the pipe
+/// tails, latency and faults.
+struct Agenda<M> {
     /// Event arena + free list + recycled item vectors.
     slots: Vec<Slot<M>>,
     free_slots: Vec<u32>,
-    vec_pool: Vec<Vec<BatchItem<M>>>,
+    vec_pool: Vec<Vec<Parcel<M>>>,
     /// Index heap over the arena: `(fire time, seq, slot)`.
     heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     latency: Box<dyn LatencyModel>,
     fault: FaultPlan,
-    stats: NetStats,
-    trace: Trace,
     now: SimTime,
     seq: u64,
     next_msg_id: u64,
-    max_events: u64,
-    fifo_pipes: bool,
     /// Hash-keyed, never iterated: a session touches ~100k pipes at 10k
     /// peers and looks one up on every send and every delivery.
     pipes: FxHashMap<(NodeId, NodeId), PipeTail>,
-    /// Per-drain measurement memo: `(payload address, measured size)` of
-    /// already-encoded payloads, so a fan-out is serialized once. Addresses
-    /// are stored as `usize` (never dereferenced) and the memo never
-    /// outlives the drain that filled it.
-    measured: Vec<(usize, usize)>,
-    /// Wire codec messages are measured (and notionally carried) in.
-    codec: Codec,
 }
 
-impl<M: Wire, P: Peer<M>> Simulator<M, P> {
-    /// Creates a simulator with the given latency model, reliable transport
-    /// and tracing off.
-    pub fn new(latency: Box<dyn LatencyModel>) -> Self {
-        Simulator {
-            ids: Vec::new(),
-            peers: Vec::new(),
-            node_slot: Vec::new(),
-            down: Vec::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            vec_pool: Vec::new(),
-            heap: BinaryHeap::new(),
-            latency,
-            fault: FaultPlan::none(),
-            stats: NetStats::default(),
-            trace: Trace::default(),
-            now: SimTime::ZERO,
-            seq: 0,
-            next_msg_id: 0,
-            max_events: 10_000_000,
-            fifo_pipes: true,
-            pipes: FxHashMap::default(),
-            measured: Vec::new(),
-            codec: Codec::default(),
-        }
-    }
-
-    /// Selects the wire codec. Every message sent from now on is measured
-    /// (once, at send) under this codec.
-    pub fn set_codec(&mut self, codec: Codec) {
-        self.codec = codec;
-    }
-
-    /// The wire codec in effect.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// Enables/disables per-link FIFO delivery. On by default: JXTA pipes
-    /// (and any TCP-backed transport) never reorder messages on one link, and
-    /// the update protocol's completeness flags rely on that. Disable only to
-    /// study protocol behaviour under adversarial reordering. (Same-instant
-    /// batching rides on the FIFO tail state, so disabling FIFO also
-    /// disables batching.)
-    pub fn set_fifo_pipes(&mut self, fifo: bool) {
-        self.fifo_pipes = fifo;
-    }
-
-    /// Installs a fault plan.
-    pub fn set_fault_plan(&mut self, fault: FaultPlan) {
-        self.fault = fault;
-    }
-
-    /// Schedules a churn plan: each crash/restart pair becomes a pair of
-    /// control events at `base + offset`. While a peer is down, deliveries
-    /// to it are dropped; at the restart event its
-    /// [`Peer::on_restart`] hook runs (with a context, so it can send).
-    pub fn schedule_churn(&mut self, plan: &crate::churn::ChurnPlan, base: SimTime) {
-        for ev in plan.events() {
-            for (at, kind) in [
-                (base + ev.crash_at, SlotKind::Crash(ev.node)),
-                (base + ev.restart_at, SlotKind::Restart(ev.node)),
-            ] {
-                let slot = self.alloc_slot(kind, ev.node, ev.node);
-                let seq = self.seq;
-                self.seq += 1;
-                self.heap.push(Reverse((at, seq, slot)));
-            }
-        }
-    }
-
-    /// True iff `node` is currently crashed.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.slot_of(node).is_some_and(|s| self.down[s])
-    }
-
-    /// Enables message tracing with the given capacity.
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace = Trace::with_capacity(capacity);
-    }
-
-    /// Caps the number of deliveries per [`Simulator::run`] (safety net
-    /// against diverging protocols).
-    pub fn set_max_events(&mut self, max_events: u64) {
-        self.max_events = max_events;
-    }
-
-    /// Registers a peer (replacing any previous peer under the same id).
-    pub fn add_peer(&mut self, id: NodeId, peer: P) {
-        let key = id.0 as usize;
-        if key >= self.node_slot.len() {
-            self.node_slot.resize(key + 1, NO_SLOT);
-        }
-        match self.node_slot[key] {
-            NO_SLOT => {
-                self.node_slot[key] = self.peers.len() as u32;
-                self.ids.push(id);
-                self.peers.push(peer);
-                self.down.push(false);
-            }
-            slot => {
-                self.peers[slot as usize] = peer;
-                self.down[slot as usize] = false;
-            }
-        }
-    }
-
-    fn slot_of(&self, id: NodeId) -> Option<usize> {
-        match self.node_slot.get(id.0 as usize) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
-            _ => None,
-        }
-    }
-
-    /// Immutable access to a peer's state (assertions, result extraction).
-    pub fn peer(&self, id: NodeId) -> Option<&P> {
-        self.slot_of(id).map(|s| &self.peers[s])
-    }
-
-    /// Mutable access to a peer's state.
-    pub fn peer_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.slot_of(id).map(|s| &mut self.peers[s])
-    }
-
-    /// Iterates peers in id order.
-    pub fn peers(&self) -> impl Iterator<Item = (&NodeId, &P)> {
-        let mut order: Vec<usize> = (0..self.ids.len()).collect();
-        order.sort_by_key(|&s| self.ids[s]);
-        order.into_iter().map(|s| (&self.ids[s], &self.peers[s]))
-    }
-
-    /// Transport statistics so far.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// The trace (empty unless enabled).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Injects a message from an external driver, delivered after link
-    /// latency from the current time.
-    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let size = msg.wire_size_with(self.codec);
-        self.route(from, to, Arc::new(msg), SimTime::ZERO, size);
-    }
-
-    /// Schedules a message for delivery at an absolute time (dynamic-change
-    /// scripts). No latency is added: `at` *is* the delivery time.
-    pub fn inject_at(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
-        let size = msg.wire_size_with(self.codec);
-        self.stats.record_send(from, msg.kind(), size);
-        let msg_id = self.next_msg_id;
-        self.next_msg_id += 1;
-        let slot = self.alloc_slot(SlotKind::Deliver, from, to);
-        self.slots[slot as usize].items.push(BatchItem {
-            msg: Arc::new(msg),
-            msg_id,
-            size,
-        });
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse((at, seq, slot)));
-    }
-
+impl<M> Agenda<M> {
     fn alloc_slot(&mut self, kind: SlotKind, from: NodeId, to: NodeId) -> u32 {
         if let Some(idx) = self.free_slots.pop() {
             let s = &mut self.slots[idx as usize];
@@ -479,7 +154,7 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
         }
     }
 
-    fn free_slot(&mut self, idx: u32, mut items: Vec<BatchItem<M>>) {
+    fn free_slot(&mut self, idx: u32, mut items: Vec<Parcel<M>>) {
         items.clear();
         let s = &mut self.slots[idx as usize];
         s.kind = SlotKind::Free;
@@ -494,39 +169,35 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
         self.free_slots.push(idx);
     }
 
-    /// Routes all sends queued by one handler invocation, sharing one
-    /// serialization across a fan-out's receivers via the address memo.
-    fn drain_outgoing(&mut self, from: NodeId, ctx: &mut Context<M>) {
-        let out = ctx.take_outgoing();
-        self.measured.clear();
-        for o in out {
-            let addr = Arc::as_ptr(&o.msg) as usize;
-            let size = match self.measured.iter().find(|(a, _)| *a == addr) {
-                Some(&(_, size)) => {
-                    self.stats.shared_payload_sends += 1;
-                    size
-                }
-                None => {
-                    let size = o.msg.wire_size_with(self.codec);
-                    self.measured.push((addr, size));
-                    size
-                }
-            };
-            self.route(from, o.to, o.msg, o.delay, size);
-        }
-        self.measured.clear();
+    /// Queues `slot` to fire at `at`, after everything already due then.
+    fn push(&mut self, at: SimTime, slot: u32) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
-    fn route(&mut self, from: NodeId, to: NodeId, msg: Arc<M>, extra: SimTime, size: usize) {
-        self.stats.record_send(from, msg.kind(), size);
+    /// Queues one parcel as a delivery slot of its own; returns the slot.
+    fn push_parcel(&mut self, at: SimTime, from: NodeId, to: NodeId, parcel: Parcel<M>) -> u32 {
+        let slot = self.alloc_slot(SlotKind::Deliver, from, to);
+        self.slots[slot as usize].items.push(parcel);
+        self.push(at, slot);
+        slot
+    }
+
+    /// Schedules one counted send: the fault plan decides how many copies
+    /// travel, each arrives after link latency and the handler's charge, no
+    /// earlier than its pipe's floor, and joins the pipe's tail batch when
+    /// that fires at the same instant.
+    fn route(&mut self, stats: &mut NetStats, from: NodeId, out: Outgoing<M>, size: usize) {
+        let to = out.to;
         let copies = match self.fault.decide(from, to, self.now) {
             FaultDecision::Drop => {
-                self.stats.dropped += 1;
+                stats.dropped += 1;
                 0
             }
             FaultDecision::Deliver => 1,
             FaultDecision::Duplicate => {
-                self.stats.duplicated += 1;
+                stats.duplicated += 1;
                 2
             }
         };
@@ -534,65 +205,207 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
         self.next_msg_id += 1;
         for _ in 0..copies {
             let latency = self.latency.latency(from, to, size);
-            let mut at = self.now + extra + latency;
-            if self.fifo_pipes {
-                let tail = self.pipes.entry((from, to)).or_default();
-                if at < tail.floor {
-                    at = tail.floor;
-                }
-                tail.floor = at;
-                let (tail_slot, tail_at) = (tail.slot, tail.slot_at);
-                if tail_slot != NO_SLOT && tail_at == at {
-                    // Same pipe, same instant: coalesce into the queued
-                    // tail batch instead of growing the heap.
-                    self.slots[tail_slot as usize].items.push(BatchItem {
-                        msg: Arc::clone(&msg),
-                        msg_id,
-                        size,
-                    });
-                    continue;
-                }
-            }
-            let slot = self.alloc_slot(SlotKind::Deliver, from, to);
-            self.slots[slot as usize].items.push(BatchItem {
-                msg: Arc::clone(&msg),
+            let tail = self.pipes.entry((from, to)).or_default();
+            let at = (self.now + out.delay + latency).max(tail.floor);
+            tail.floor = at;
+            let parcel = Parcel {
                 msg_id,
+                msg: Arc::clone(&out.msg),
                 size,
-            });
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Reverse((at, seq, slot)));
-            if self.fifo_pipes {
-                let tail = self.pipes.entry((from, to)).or_default();
-                tail.slot = slot;
-                tail.slot_at = at;
+            };
+            if tail.slot != NO_SLOT && tail.slot_at == at {
+                // Same pipe, same instant: coalesce into the queued tail
+                // batch instead of growing the heap.
+                let tail_slot = tail.slot;
+                self.slots[tail_slot as usize].items.push(parcel);
+                continue;
+            }
+            let slot = self.push_parcel(at, from, to, parcel);
+            let tail = self.pipes.entry((from, to)).or_default();
+            tail.slot = slot;
+            tail.slot_at = at;
+        }
+    }
+}
+
+/// The discrete-event simulator over a homogeneous peer type `P`.
+pub struct Simulator<M: Wire, P: Peer<M>> {
+    peers: PeerTable<P>,
+    /// Peer-slot-indexed crash flags.
+    down: Vec<bool>,
+    meter: Meter,
+    agenda: Agenda<M>,
+    trace: Trace,
+    max_events: u64,
+}
+
+impl<M: Wire, P: Peer<M>> Simulator<M, P> {
+    /// Creates a simulator with the given latency model, reliable transport
+    /// and tracing off.
+    pub fn new(latency: Box<dyn LatencyModel>) -> Self {
+        Simulator {
+            peers: PeerTable::default(),
+            down: Vec::new(),
+            meter: Meter::new(Codec::default()),
+            agenda: Agenda {
+                slots: Vec::new(),
+                free_slots: Vec::new(),
+                vec_pool: Vec::new(),
+                heap: BinaryHeap::new(),
+                latency,
+                fault: FaultPlan::none(),
+                now: SimTime::ZERO,
+                seq: 0,
+                next_msg_id: 0,
+                pipes: FxHashMap::default(),
+            },
+            trace: Trace::default(),
+            max_events: 10_000_000,
+        }
+    }
+
+    /// Selects the wire codec. Every message sent from now on is measured
+    /// (once, at send) under this codec.
+    pub fn set_codec(&mut self, codec: Codec) {
+        self.meter.codec = codec;
+    }
+
+    /// Installs a fault plan.
+    pub fn set_fault_plan(&mut self, fault: FaultPlan) {
+        self.agenda.fault = fault;
+    }
+
+    /// Schedules a churn plan: each crash/restart pair becomes a pair of
+    /// control events at `base + offset`. While a peer is down, deliveries
+    /// to it are dropped; at the restart event its
+    /// [`Peer::on_restart`] hook runs (with a context, so it can send).
+    pub fn schedule_churn(&mut self, plan: &crate::churn::ChurnPlan, base: SimTime) {
+        for ev in plan.events() {
+            for (at, kind) in [
+                (base + ev.crash_at, SlotKind::Crash(ev.node)),
+                (base + ev.restart_at, SlotKind::Restart(ev.node)),
+            ] {
+                let slot = self.agenda.alloc_slot(kind, ev.node, ev.node);
+                self.agenda.push(at, slot);
             }
         }
     }
 
-    /// Delivers the next event (a whole pipe batch counts as one event here
-    /// but as `items.len()` deliveries against the budget); returns `false`
-    /// when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.step_counted().is_some()
+    /// True iff `node` is currently crashed.
+    pub fn is_down(&self, node: NodeId) -> bool {
+        self.peers.slot(node).is_some_and(|s| self.down[s])
+    }
+
+    /// Enables message tracing with the given capacity.
+    pub fn set_trace_capacity(&mut self, capacity: usize) {
+        self.trace = Trace::with_capacity(capacity);
+    }
+
+    /// Caps the number of deliveries per [`Simulator::run`] (safety net
+    /// against diverging protocols).
+    pub fn set_max_events(&mut self, max_events: u64) {
+        self.max_events = max_events;
+    }
+
+    /// Registers a peer (replacing any previous peer under the same id).
+    pub fn add_peer(&mut self, id: NodeId, peer: P) {
+        let slot = self.peers.insert(id, peer);
+        if slot == self.down.len() {
+            self.down.push(false);
+        } else {
+            self.down[slot] = false;
+        }
+    }
+
+    /// Immutable access to a peer's state (assertions, result extraction).
+    pub fn peer(&self, id: NodeId) -> Option<&P> {
+        self.peers.slot(id).map(|s| &self.peers[s])
+    }
+
+    /// Mutable access to a peer's state.
+    pub fn peer_mut(&mut self, id: NodeId) -> Option<&mut P> {
+        let slot = self.peers.slot(id)?;
+        Some(&mut self.peers[slot])
+    }
+
+    /// Iterates peers in id order.
+    pub fn peers(&self) -> impl Iterator<Item = (&NodeId, &P)> {
+        self.peers.iter()
+    }
+
+    /// Transport statistics so far.
+    pub fn stats(&self) -> &NetStats {
+        &self.meter.stats
+    }
+
+    /// The trace (empty unless enabled).
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.agenda.now
+    }
+
+    /// Injects a message from an external driver, delivered after link
+    /// latency from the current time.
+    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
+        self.send(
+            from,
+            vec![Outgoing {
+                to,
+                msg: Arc::new(msg),
+                delay: SimTime::ZERO,
+            }],
+        );
+    }
+
+    /// Schedules a message for delivery at an absolute time (dynamic-change
+    /// scripts). No latency is added: `at` *is* the delivery time.
+    pub fn inject_at(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
+        let out = vec![Outgoing {
+            to,
+            msg: Arc::new(msg),
+            delay: SimTime::ZERO,
+        }];
+        let agenda = &mut self.agenda;
+        self.meter.send_all(from, out, |_, o, size| {
+            let msg_id = agenda.next_msg_id;
+            agenda.next_msg_id += 1;
+            let parcel = Parcel {
+                msg_id,
+                msg: o.msg,
+                size,
+            };
+            agenda.push_parcel(at, from, o.to, parcel);
+        });
+    }
+
+    /// Routes the sends of one drain through the host's send step.
+    fn send(&mut self, from: NodeId, out: Vec<Outgoing<M>>) {
+        let agenda = &mut self.agenda;
+        self.meter.send_all(from, out, |stats, o, size| {
+            agenda.route(stats, from, o, size)
+        });
     }
 
     /// Pops and processes one heap entry, returning how many budgeted
     /// events it contained (`None` when the queue is empty).
     fn step_counted(&mut self) -> Option<u64> {
-        let Reverse((at, _seq, slot_idx)) = self.heap.pop()?;
-        self.now = at;
-        let slot = &mut self.slots[slot_idx as usize];
+        let Reverse((at, _seq, slot_idx)) = self.agenda.heap.pop()?;
+        self.agenda.now = at;
+        let slot = &mut self.agenda.slots[slot_idx as usize];
         let kind = std::mem::replace(&mut slot.kind, SlotKind::Free);
         match kind {
             SlotKind::Free => unreachable!("popped a free slot"),
             SlotKind::Crash(node) => {
-                self.free_slots.push(slot_idx);
+                self.agenda.free_slots.push(slot_idx);
                 self.crash(node);
                 Some(1)
             }
             SlotKind::Restart(node) => {
-                self.free_slots.push(slot_idx);
+                self.agenda.free_slots.push(slot_idx);
                 self.restart(node);
                 Some(1)
             }
@@ -602,58 +415,49 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
                 let items = std::mem::take(&mut slot.items);
                 // The popped slot can no longer accept same-instant
                 // appends; new sends on this pipe must open a fresh slot.
-                if let Some(tail) = self.pipes.get_mut(&(from, to)) {
+                if let Some(tail) = self.agenda.pipes.get_mut(&(from, to)) {
                     if tail.slot == slot_idx {
                         tail.slot = NO_SLOT;
                     }
                 }
                 let n = items.len() as u64;
                 let items = self.deliver_batch(from, to, items);
-                self.free_slot(slot_idx, items);
+                self.agenda.free_slot(slot_idx, items);
                 Some(n)
             }
         }
     }
 
     fn crash(&mut self, node: NodeId) {
-        if let Some(s) = self.slot_of(node) {
+        self.meter.stats.peer_crashes += 1;
+        self.trace_churn(node, "Crash");
+        if let Some(s) = self.peers.slot(node) {
             self.down[s] = true;
-        }
-        self.stats.peer_crashes += 1;
-        if self.trace.enabled() {
-            self.trace.record(TraceEntry {
-                at: self.now,
-                from: node,
-                to: node,
-                kind: "Crash",
-                session: None,
-                detail: String::new(),
-            });
-        }
-        if let Some(s) = self.slot_of(node) {
             self.peers[s].on_crash();
         }
     }
 
     fn restart(&mut self, node: NodeId) {
-        if let Some(s) = self.slot_of(node) {
+        self.meter.stats.peer_restarts += 1;
+        self.trace_churn(node, "Restart");
+        if let Some(s) = self.peers.slot(node) {
             self.down[s] = false;
+            let mut ctx = Context::new(self.agenda.now, node);
+            self.peers[s].on_restart(&mut ctx);
+            self.send(node, ctx.take_outgoing());
         }
-        self.stats.peer_restarts += 1;
+    }
+
+    fn trace_churn(&mut self, node: NodeId, kind: &'static str) {
         if self.trace.enabled() {
             self.trace.record(TraceEntry {
-                at: self.now,
+                at: self.agenda.now,
                 from: node,
                 to: node,
-                kind: "Restart",
+                kind,
                 session: None,
                 detail: String::new(),
             });
-        }
-        if let Some(s) = self.slot_of(node) {
-            let mut ctx = Context::new(self.now, node);
-            self.peers[s].on_restart(&mut ctx);
-            self.drain_outgoing(node, &mut ctx);
         }
     }
 
@@ -664,46 +468,41 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
         &mut self,
         from: NodeId,
         to: NodeId,
-        mut items: Vec<BatchItem<M>>,
-    ) -> Vec<BatchItem<M>> {
-        let Some(to_slot) = self.slot_of(to) else {
+        mut items: Vec<Parcel<M>>,
+    ) -> Vec<Parcel<M>> {
+        let Some(to_slot) = self.peers.slot(to) else {
             // Messages to a node that does not exist (yet / anymore) —
             // exactly like packets to a dead process.
-            self.stats.dropped += items.len() as u64;
+            self.meter.stats.dropped += items.len() as u64;
             items.clear();
             return items;
         };
-        for item in items.drain(..) {
+        for parcel in items.drain(..) {
             if self.down[to_slot] {
-                self.stats.dropped += 1;
+                self.meter.stats.dropped += 1;
                 continue;
             }
-            let BatchItem { msg, msg_id, size } = item;
-            self.stats.record_delivery(to, size, msg.session());
             if self.trace.enabled() {
                 self.trace.record(TraceEntry {
-                    at: self.now,
+                    at: self.agenda.now,
                     from,
                     to,
-                    kind: msg.kind(),
-                    session: msg.session(),
+                    kind: parcel.msg.kind(),
+                    session: parcel.msg.session(),
                     detail: String::new(),
                 });
             }
-            // Last (usually only) reference: take the payload without a
-            // copy. A shared fan-out payload clones only while other
-            // deliveries of it are still in flight.
-            let owned = Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
-            let mut ctx = Context::new(self.now, to);
-            self.peers[to_slot].on_envelope(from, msg_id, owned, &mut ctx);
-            self.drain_outgoing(to, &mut ctx);
+            let mut ctx = Context::new(self.agenda.now, to);
+            self.meter
+                .deliver(&mut self.peers[to_slot], from, parcel, &mut ctx);
+            self.send(to, ctx.take_outgoing());
         }
         items
     }
 
     /// Runs until quiescence or the event budget.
     pub fn run(&mut self) -> RunOutcome {
-        let start_messages = self.stats.total_messages;
+        let start_messages = self.meter.stats.total_messages;
         let mut processed = 0u64;
         let quiescent = loop {
             if processed >= self.max_events {
@@ -714,10 +513,11 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
                 None => break true,
             }
         };
-        self.stats.finished_at = self.now;
+        let now = self.agenda.now;
+        self.meter.stats.finished_at = now;
         RunOutcome {
-            virtual_time: self.now,
-            delivered: self.stats.total_messages - start_messages,
+            virtual_time: now,
+            delivered: self.meter.stats.total_messages - start_messages,
             quiescent,
         }
     }
@@ -725,9 +525,7 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
     /// Consumes the simulator, returning its peers (id order) — used by
     /// drivers that need to hand peer state onward.
     pub fn into_peers(self) -> Vec<(NodeId, P)> {
-        let mut out: Vec<(NodeId, P)> = self.ids.into_iter().zip(self.peers).collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
+        self.peers.into_sorted()
     }
 }
 
@@ -1141,9 +939,9 @@ mod tests {
         for round in 1..=2u32 {
             let start = sim.now();
             sim.inject(NodeId(LEAVES + 1), NodeId(0), Ping(0));
-            assert!(sim.step(), "the trigger reaches the hub");
-            assert_eq!(sim.heap.len(), LEAVES as usize, "one batch per pipe");
-            assert_eq!(sim.pipes.len(), LEAVES as usize + 1);
+            assert!(sim.step_counted().is_some(), "the trigger reaches the hub");
+            assert_eq!(sim.agenda.heap.len(), LEAVES as usize, "one batch per pipe");
+            assert_eq!(sim.agenda.pipes.len(), LEAVES as usize + 1);
             let o = sim.run();
             assert!(o.quiescent);
             assert_eq!(o.delivered, 3 * u64::from(LEAVES));
@@ -1174,9 +972,9 @@ mod tests {
         assert!(o.quiescent);
         assert_eq!(o.delivered, 501);
         assert!(
-            sim.slots.len() <= 4,
+            sim.agenda.slots.len() <= 4,
             "arena grew to {} slots for a 1-in-flight workload",
-            sim.slots.len()
+            sim.agenda.slots.len()
         );
     }
 }

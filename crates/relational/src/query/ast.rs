@@ -62,14 +62,6 @@ impl Term {
     pub fn var(name: impl AsRef<str>) -> Self {
         Term::Var(Arc::from(name.as_ref()))
     }
-
-    /// The variable name, if this term is a variable.
-    pub fn as_var(&self) -> Option<&Arc<str>> {
-        match self {
-            Term::Var(v) => Some(v),
-            Term::Const(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {

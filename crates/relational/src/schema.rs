@@ -138,15 +138,6 @@ impl DatabaseSchema {
         Self::default()
     }
 
-    /// Builds a schema from relation signatures, rejecting duplicates.
-    pub fn from_relations(relations: Vec<RelationSchema>) -> Result<Self> {
-        let mut s = DatabaseSchema::new();
-        for r in relations {
-            s.add_relation(r)?;
-        }
-        Ok(s)
-    }
-
     /// Adds one relation signature, rejecting duplicates.
     pub fn add_relation(&mut self, rel: RelationSchema) -> Result<()> {
         if self.relations.contains_key(&rel.name) {

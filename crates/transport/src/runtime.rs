@@ -7,8 +7,8 @@
 //! only through [`Context`], and each FIFO pipe preserves send order (a
 //! pipe is one TCP connection, so ordering comes for free). Fan-out
 //! payloads queued via `Context::send_to_many` share one `Arc`, and the
-//! runtime encodes each unique message exactly once per drain — the
-//! per-`Arc` memo the simulator grew in PR 7, applied to real bytes.
+//! runtime encodes each unique message exactly once per drain through the
+//! same [`PayloadMemo`] the in-memory runtimes size messages with.
 //!
 //! Threads communicate over `std::sync::mpsc`; every failure travels as a
 //! typed [`TransportError`] event into the main loop, never as a panic.
@@ -17,7 +17,7 @@ use crate::error::{TransportError, TransportResult};
 use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use crate::handshake::{client_handshake, server_handshake, Hello, HelloKind};
 use crate::stats::{StatCells, TransportStats};
-use p2p_net::{Codec, Context, Peer, SimTime};
+use p2p_net::{Codec, Context, Outgoing, PayloadMemo, Peer, SimTime};
 use p2p_topology::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{BufWriter, Write};
@@ -288,25 +288,18 @@ where
     /// unique `Arc` payload is encoded once; self-sends loop back locally.
     fn ship(
         &mut self,
-        outgoing: Vec<p2p_net::sim::Outgoing<M>>,
+        outgoing: Vec<Outgoing<M>>,
         loopback: &mut VecDeque<(NodeId, M)>,
     ) -> TransportResult<()> {
-        let mut memo: Vec<(*const M, Arc<Vec<u8>>)> = Vec::new();
+        let mut encoded = PayloadMemo::default();
         for out in outgoing {
             if out.to == self.config.node {
                 let msg = Arc::try_unwrap(out.msg).unwrap_or_else(|s| (*s).clone());
                 loopback.push_back((self.config.node, msg));
                 continue;
             }
-            let ptr = Arc::as_ptr(&out.msg);
-            let bytes = match memo.iter().find(|(p, _)| *p == ptr) {
-                Some((_, b)) => Arc::clone(b),
-                None => {
-                    let b = Arc::new(self.codec.encode(&out.msg));
-                    memo.push((ptr, Arc::clone(&b)));
-                    b
-                }
-            };
+            let (bytes, _) =
+                encoded.get_or_insert_with(&out.msg, |m| Arc::new(self.codec.encode(m)));
             StatCells::bump(&self.stats.frames_sent);
             StatCells::add(&self.stats.bytes_sent, bytes.len() as u64);
             let to = out.to;

@@ -4,8 +4,8 @@
 //! — at a repair cost far below a full re-propagation.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::system::{LatencySpec, P2PSystem, P2PSystemBuilder};
-use p2pdb::net::{ChurnPlan, SimTime};
+use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
+use p2pdb::net::{ChurnPlan, SimTime, UniformLatency};
 use p2pdb::relational::hom::contained_modulo_nulls;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
@@ -91,14 +91,11 @@ fn ring8_two_crashes_converges_identically_with_cheap_resync() {
 /// stalled wave is re-driven, and the result is still the oracle's.
 #[test]
 fn crash_mid_wave_under_uniform_latency_still_converges() {
-    let latency = LatencySpec::Uniform {
-        min: SimTime::from_micros(300),
-        max: SimTime::from_micros(2_000),
-        seed: 99,
-    };
+    let jitter =
+        |seed| UniformLatency::new(SimTime::from_micros(300), SimTime::from_micros(2_000), seed);
     // Clean jittered run for the reference fix-point and session length.
     let mut clean_b = ring_builder(UpdateMode::Rounds, true, true);
-    clean_b.set_latency(latency);
+    clean_b.set_latency(jitter(99));
     let mut clean = clean_b.build().unwrap();
     let clean_report = clean.run_update();
     assert!(clean_report.all_closed);
@@ -106,11 +103,7 @@ fn crash_mid_wave_under_uniform_latency_still_converges() {
 
     for seed in [99u64, 100, 101] {
         let mut b = ring_builder(UpdateMode::Rounds, true, true);
-        b.set_latency(LatencySpec::Uniform {
-            min: SimTime::from_micros(300),
-            max: SimTime::from_micros(2_000),
-            seed,
-        });
+        b.set_latency(jitter(seed));
         // One crash squarely mid-session, long enough to break the round.
         b.set_churn(ChurnPlan::none().with_crash(
             NodeId(4),

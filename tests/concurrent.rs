@@ -20,8 +20,8 @@
 //! `sharded_concurrent_sessions_match_simulator`.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::system::{LatencySpec, P2PSystemBuilder};
-use p2pdb::net::{SessionId, SimTime};
+use p2pdb::core::system::P2PSystemBuilder;
+use p2pdb::net::{SessionId, SimTime, UniformLatency};
 use p2pdb::relational::Val;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
@@ -299,11 +299,11 @@ fn builder_for(topology: Topology, mode: UpdateMode, seed: u64) -> P2PSystemBuil
     // The interleaving knob: seeded jitter reorders deliveries across
     // sessions, so every seed is a different interleaving of the same
     // sessions.
-    b.set_latency(LatencySpec::Uniform {
-        min: SimTime::from_micros(100),
-        max: SimTime::from_micros(4_000),
+    b.set_latency(UniformLatency::new(
+        SimTime::from_micros(100),
+        SimTime::from_micros(4_000),
         seed,
-    });
+    ));
     b
 }
 

@@ -4,12 +4,12 @@
 //! The worker-pool runtime trades the simulator's determinism for real
 //! parallelism, so its contract is *equivalence*, not identity:
 //!
-//! * **simulator parity** — `run_update_sharded` /  `run_updates_sharded`
-//!   reach a final global database tuple-identical modulo null renaming to
-//!   the simulator (and the centralized oracle) on the same workload, for
-//!   every shard count — including one shard (pure multiplexing) and more
-//!   shards than peers (idle workers), deterministic cases plus a proptest
-//!   over topologies × latency seeds × shard counts;
+//! * **simulator parity** — `run_updates_sharded` from the super-peer or
+//!   from several roots reaches a final global database tuple-identical
+//!   modulo null renaming to the simulator (and the centralized oracle) on
+//!   the same workload, for every shard count — including one shard (pure
+//!   multiplexing) and more shards than peers (idle workers), deterministic
+//!   cases plus a proptest over topologies × latency seeds × shard counts;
 //! * **locality accounting** — one shard means zero cross-shard sends;
 //!   contiguous-blocks placement beats round-robin on a ring;
 //! * **panic containment** — a peer whose handler panics surfaces as a
@@ -17,12 +17,15 @@
 //!   a hung run, at any shard count.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::system::{run_update_sharded, run_updates_sharded, P2PSystemBuilder};
+use p2pdb::core::system::{run_updates_sharded, P2PSystemBuilder};
 use p2pdb::net::{Context, Peer, SessionId, ShardPlacement, ShardedNetwork};
 use p2pdb::relational::Val;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
 use proptest::prelude::*;
+
+/// The super-peer of every builder here (the builder's default).
+const SUPER_PEER: NodeId = NodeId(0);
 
 /// A cyclic three-node system (A→C→B→A) with data at every node — the same
 /// shape `tests/concurrent.rs` uses, so the sharded runtime is measured
@@ -121,7 +124,8 @@ fn sharded_matches_simulator_across_shard_counts() {
 
         for shards in [1usize, 2, 3, 8, 16] {
             let (db, stats, all_closed) =
-                run_update_sharded(builder(), shards, ShardPlacement::RoundRobin).unwrap();
+                run_updates_sharded(builder(), &[SUPER_PEER], shards, ShardPlacement::RoundRobin)
+                    .unwrap();
             assert!(all_closed, "{name}, {shards} shards: unclosed run");
             assert!(
                 db.equivalent(&sim_db),
@@ -172,9 +176,15 @@ fn placement_changes_locality_not_the_fixpoint() {
     assert!(sim.run_update().all_closed);
     let sim_db = sim.snapshot();
 
-    let (rr_db, rr, _) =
-        run_update_sharded(ring_builder(16), 4, ShardPlacement::RoundRobin).unwrap();
-    let (bl_db, bl, _) = run_update_sharded(ring_builder(16), 4, ShardPlacement::Blocks).unwrap();
+    let (rr_db, rr, _) = run_updates_sharded(
+        ring_builder(16),
+        &[SUPER_PEER],
+        4,
+        ShardPlacement::RoundRobin,
+    )
+    .unwrap();
+    let (bl_db, bl, _) =
+        run_updates_sharded(ring_builder(16), &[SUPER_PEER], 4, ShardPlacement::Blocks).unwrap();
     assert!(rr_db.equivalent(&sim_db));
     assert!(bl_db.equivalent(&sim_db));
     assert!(
@@ -292,8 +302,9 @@ proptest! {
         let report = sim.run_update();
         prop_assert!(report.all_closed, "simulator unclosed on {topology}");
 
-        let (db, _, all_closed) = run_update_sharded(
+        let (db, _, all_closed) = run_updates_sharded(
             builder_for(topology, data_seed),
+            &[SUPER_PEER],
             shards,
             ShardPlacement::RoundRobin,
         ).unwrap();
