@@ -43,6 +43,7 @@ fn dblp_answer(rows: usize) -> ProtocolMsg {
         complete: false,
         reopen: false,
         pushed: false,
+        acks: false,
     }
 }
 

@@ -10,8 +10,8 @@
 //!
 //! A message is a 1-byte **variant tag** (declaration order of
 //! [`ProtocolMsg`]'s variants up to 27, then in order of introduction;
-//! `Query` with `resume` set and `Answer` with `pushed` set each take a
-//! second tag instead of a flag byte) followed by its fields:
+//! `Query` with `resume` set and `Answer` with `pushed`, `acks` or both set
+//! take further tags instead of a flag byte) followed by its fields:
 //!
 //! * Session ids, node ids, rule ids, rounds, counters — varints (zigzag
 //!   where negative values are possible).
@@ -372,8 +372,11 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
 /// Second tag of [`ProtocolMsg::Query`]: the same fields, `resume` set.
 const QUERY_RESUME: u8 = 28;
 const CURSOR_VOID: u8 = 29;
-/// Second tag of [`ProtocolMsg::Answer`]: the same fields, `pushed` set.
+/// Further tags of [`ProtocolMsg::Answer`]: the same fields, with `pushed`,
+/// `acks` or both set.
 const ANSWER_PUSHED: u8 = 30;
+const ANSWER_ACKS: u8 = 31;
+const ANSWER_PUSHED_ACKS: u8 = 32;
 
 fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
     match msg {
@@ -446,10 +449,16 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
             complete,
             reopen,
             pushed,
+            acks,
         } => {
-            // Like `resume`: an answer that was asked for costs what it
-            // always did.
-            w.put_u8(if *pushed { ANSWER_PUSHED } else { 12 });
+            // Like `resume`: an answer costs what it did before either flag
+            // existed.
+            w.put_u8(match (*pushed, *acks) {
+                (false, false) => 12,
+                (true, false) => ANSWER_PUSHED,
+                (false, true) => ANSWER_ACKS,
+                (true, true) => ANSWER_PUSHED_ACKS,
+            });
             put_session(w, *session);
             w.put_varint(u64::from(rule.0));
             put_rows(w, rows)?;
@@ -637,13 +646,14 @@ fn read_msg(r: &mut Reader<'_>) -> Result<ProtocolMsg, Error> {
                 resume: tag == QUERY_RESUME,
             }
         }
-        tag @ (12 | ANSWER_PUSHED) => ProtocolMsg::Answer {
+        tag @ (12 | ANSWER_PUSHED | ANSWER_ACKS | ANSWER_PUSHED_ACKS) => ProtocolMsg::Answer {
             session: get_session(r)?,
             rule: get_rule(r)?,
             rows: get_rows(r)?,
             complete: get_bool(r)?,
             reopen: get_bool(r)?,
-            pushed: tag == ANSWER_PUSHED,
+            pushed: matches!(tag, ANSWER_PUSHED | ANSWER_PUSHED_ACKS),
+            acks: matches!(tag, ANSWER_ACKS | ANSWER_PUSHED_ACKS),
         },
         13 => ProtocolMsg::Unsubscribe {
             session: get_session(r)?,
@@ -787,6 +797,7 @@ mod tests {
             complete: true,
             reopen: false,
             pushed: false,
+            acks: false,
         };
         assert_same(&roundtrip(&msg), &msg);
     }
@@ -881,31 +892,37 @@ mod tests {
             .contains("\"resume\":true"));
     }
 
-    /// `pushed` rides like `resume`: an answer that was asked for is the
-    /// bytes it was before the field existed, in both codecs.
+    /// `pushed` and `acks` ride like `resume`: an answer with neither is
+    /// the bytes it was before the fields existed, in both codecs, and one
+    /// with either costs no byte more in binary.
     #[test]
     fn answer_pushed_rides_in_the_tag_and_is_omitted_when_false() {
-        let answer = |pushed| ProtocolMsg::Answer {
+        let answer = |pushed, acks| ProtocolMsg::Answer {
             session: sid(5),
             rule: RuleId(2),
             rows: sample_rows(),
             complete: false,
             reopen: false,
             pushed,
+            acks,
         };
-        let (asked, standing) = (answer(false), answer(true));
-        for msg in [&asked, &standing] {
-            assert_same(&roundtrip(msg), msg);
-            let json = serde_json::to_string(msg).unwrap();
-            assert_same(&serde_json::from_str(&json).unwrap(), msg);
+        let plain = encode_msg(&answer(false, false));
+        for (pushed, acks, tag) in [
+            (false, false, 12),
+            (true, false, ANSWER_PUSHED),
+            (false, true, ANSWER_ACKS),
+            (true, true, ANSWER_PUSHED_ACKS),
+        ] {
+            let msg = answer(pushed, acks);
+            assert_same(&roundtrip(&msg), &msg);
+            let json = serde_json::to_string(&msg).unwrap();
+            assert_same(&serde_json::from_str(&json).unwrap(), &msg);
+            assert_eq!(json.contains("\"pushed\":true"), pushed);
+            assert_eq!(json.contains("\"acks\":true"), acks);
+            let bytes = encode_msg(&msg);
+            assert_eq!(bytes[0], tag);
+            assert_eq!(bytes[1..], plain[1..]);
         }
-        let (plain, pushed) = (encode_msg(&asked), encode_msg(&standing));
-        assert_eq!((plain[0], pushed[0]), (12, ANSWER_PUSHED));
-        assert_eq!(plain[1..], pushed[1..]);
-        assert!(!serde_json::to_string(&asked).unwrap().contains("pushed"));
-        assert!(serde_json::to_string(&standing)
-            .unwrap()
-            .contains("\"pushed\":true"));
     }
 
     #[test]
@@ -917,6 +934,7 @@ mod tests {
             complete: true,
             reopen: false,
             pushed: false,
+            acks: false,
         };
         let json = serde_json::to_string(&msg).unwrap().len();
         let binary = encoded_msg_len(&msg);

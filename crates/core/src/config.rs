@@ -63,9 +63,10 @@ pub struct SystemConfig {
     /// baseline, message for message: the start request travels along
     /// every pipe, every session queries every fragment, every answer
     /// re-evaluates the fragment and re-ships its full current extension,
-    /// and no cursor is kept. Rounds mode sends the same messages either
-    /// way; eager mode sends far fewer by default once a session is not
-    /// the first (`tests/session_cost.rs` pins both).
+    /// every basic message gets an `Ack` of its own, and no cursor is kept.
+    /// Rounds mode sends the same messages either way; eager mode sends far
+    /// fewer by default once a session is not the first
+    /// (`tests/session_cost.rs` pins both).
     pub paper_faithful: bool,
     /// Durable peers. When true, every peer owns a `p2p_storage` write-ahead
     /// log plus snapshot store: applied insertions and processed fragment

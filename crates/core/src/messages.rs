@@ -153,6 +153,9 @@ pub enum ProtocolMsg {
         resume: bool,
     },
     /// `Answer(ID, QA, SN, state)`: fragment extension (delta or full).
+    /// Like every basic message it is acknowledged by its recipient; the
+    /// answer to a `Query` that found its answerer already engaged in the
+    /// session also acknowledges that `Query` (`acks`).
     Answer {
         /// Update session.
         session: SessionId,
@@ -174,6 +177,14 @@ pub enum ProtocolMsg {
         /// the encoding.
         #[serde(default, skip_serializing_if = "std::ops::Not::not")]
         pushed: bool,
+        /// Also the Dijkstra–Scholten acknowledgement of the `Query` this
+        /// answers: the recipient handles the answer, then debits its
+        /// deficit once, as if an `Ack` had followed on the pipe — which is
+        /// then not sent. Never set under
+        /// [`crate::config::SystemConfig::paper_faithful`]. `false` is
+        /// omitted from the encoding.
+        #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+        acks: bool,
     },
     /// Head node dropped the rule (dynamic `deleteLink`); the body node
     /// removes the subscription.
@@ -205,7 +216,8 @@ pub enum ProtocolMsg {
     },
     /// Dijkstra–Scholten acknowledgement (control plane). Session-tagged so
     /// the receiver debits the right session's deficit counter — each
-    /// session is its own diffusing computation with its own detector.
+    /// session is its own diffusing computation with its own detector. A
+    /// `Query` acknowledged at once gets none: its `Answer` acknowledges it.
     Ack {
         /// The session whose basic message is being acknowledged.
         session: SessionId,
@@ -516,6 +528,7 @@ mod tests {
             complete: false,
             reopen: false,
             pushed: false,
+            acks: false,
         };
         let full = ProtocolMsg::Answer {
             session: sid(1),
@@ -530,6 +543,7 @@ mod tests {
             complete: false,
             reopen: false,
             pushed: false,
+            acks: false,
         };
         assert!(full.wire_size() > empty.wire_size() + 80);
     }
@@ -552,6 +566,7 @@ mod tests {
             complete: true,
             reopen: false,
             pushed: false,
+            acks: false,
         };
         assert_eq!(msg.wire_size(), serde_json::to_string(&msg).unwrap().len());
     }

@@ -308,7 +308,7 @@ impl DbPeer {
             let (mut sub, rows) = self.open_subscription(to, rule, part, true, ctx);
             sub.standing = true;
             if !rows.is_empty() {
-                self.send_answer(st, sid, to, rule, &sub, rows, ctx);
+                self.send_answer(st, sid, to, rule, &sub, rows, false, ctx);
             }
             st.upd.subs.insert((to, rule), sub);
         }
@@ -420,7 +420,8 @@ impl DbPeer {
     }
 
     /// Ships `rows` on a subscription. A standing subscription marks its
-    /// answers `pushed` and stays out of the completeness flags.
+    /// answers `pushed` and stays out of the completeness flags. `acks`:
+    /// the answer also acknowledges the `Query` it replies to.
     #[allow(clippy::too_many_arguments)]
     fn send_answer(
         &mut self,
@@ -430,9 +431,11 @@ impl DbPeer {
         rule: RuleId,
         sub: &Subscription,
         rows: Vec<Tuple>,
+        acks: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.stats.answers_sent += 1;
+        self.stats.acking_answers += u64::from(acks);
         self.stats.rows_shipped += rows.len() as u64;
         let payload = self.make_answer_rows(to, &sub.part, rows);
         self.send_basic(
@@ -446,6 +449,7 @@ impl DbPeer {
                 complete: sub.sent_complete,
                 reopen: false,
                 pushed: sub.standing,
+                acks,
             },
         );
     }
@@ -453,7 +457,8 @@ impl DbPeer {
     /// A4 — `Query(IDs, Q, SN)`. Answers with the fragment's full extension,
     /// or — when the subscriber says `resume` — with what changed since the
     /// standing subscription this session already opened for it, or else
-    /// since the committed cursor for this very fragment.
+    /// since the committed cursor for this very fragment. `acks`: the
+    /// answer also acknowledges the query (the caller sends no `Ack`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_query(
         &mut self,
@@ -464,6 +469,7 @@ impl DbPeer {
         part: BodyPart,
         sn: Vec<NodeId>,
         resume: bool,
+        acks: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.stats.queries_received += 1;
@@ -491,7 +497,7 @@ impl DbPeer {
             None => self.open_subscription(from, rule, Arc::new(part), resume, ctx),
         };
         sub.sent_complete = st.upd.closed;
-        self.send_answer(st, sid, from, rule, &sub, rows, ctx);
+        self.send_answer(st, sid, from, rule, &sub, rows, acks, ctx);
         st.upd.subs.insert(key, sub);
     }
 
@@ -609,7 +615,7 @@ impl DbPeer {
                 self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - delta.len()) as u64;
                 delta
             };
-            self.send_answer(st, sid, to, rule, sub, ship, ctx);
+            self.send_answer(st, sid, to, rule, sub, ship, false, ctx);
         }
         st.upd.subs = subs;
     }
@@ -696,6 +702,7 @@ impl DbPeer {
                     complete: false,
                     reopen: true,
                     pushed: false,
+                    acks: false,
                 },
             );
         }

@@ -141,10 +141,21 @@
 //! from its log plus one delta, and the next session ships what was at
 //! risk.
 //!
+//! ## A reply carries its request's acknowledgement
+//!
+//! A `Query` that reaches a peer already engaged in its session's
+//! Dijkstra–Scholten tree is acknowledged at once, and the `Answer` to it
+//! leaves the same handler for the same peer: that answer says both
+//! (`Answer { acks: true }`), and no `Ack` is sent. The querier handles the
+//! answer in full, its own sends counted, and only then debits its deficit —
+//! the two events it saw before, in the same order. A `Query` that engages
+//! its receiver keeps its deferred `Ack`.
+//!
 //! Under [`SystemConfig::paper_faithful`] none of this happens: the start
 //! request is forwarded along every pipe, every session asks for every
-//! fragment, every answer is the full extension, no cursor is kept — the
-//! paper's protocol, message for message.
+//! fragment, every answer is the full extension, every basic message has an
+//! `Ack` of its own, no cursor is kept — the paper's protocol, message for
+//! message.
 //!
 //! Handlers are atomic; all cross-node effects go through the runtime
 //! context, and every observable iteration order is deterministic.
@@ -1243,6 +1254,20 @@ impl DbPeer {
         }
     }
 
+    /// Dijkstra–Scholten ack fast path: debits the session's detector — for
+    /// an `Ack`, and for the `Query` an acking `Answer` replies to.
+    fn on_ack(&mut self, from: NodeId, sid: SessionId, ctx: &mut Context<ProtocolMsg>) {
+        if let Some(mut st) = self.sessions.remove(&sid) {
+            // Only a peer that lost its counters in a crash can be
+            // acknowledged for a send it does not remember.
+            if !st.ds.on_ack() && self.stats.crashes == 0 {
+                self.fail(format!("{sid}: acknowledgement from {from} without a send"));
+            }
+            self.after_event(&mut st, sid, ctx);
+            self.finish_session_event(sid, st);
+        }
+    }
+
     /// Routes one session-tagged message: takes the session's entry out of
     /// the table (creating it on first contact), runs the per-session
     /// Dijkstra–Scholten transport layer and the protocol handler, then
@@ -1254,17 +1279,8 @@ impl DbPeer {
         msg: ProtocolMsg,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        // Dijkstra–Scholten ack fast path: debit the session's detector.
         if let ProtocolMsg::Ack { .. } = msg {
-            if let Some(mut st) = self.sessions.remove(&sid) {
-                // Only a peer that lost its counters in a crash can be
-                // acknowledged for a send it does not remember.
-                if !st.ds.on_ack() && self.stats.crashes == 0 {
-                    self.fail(format!("{sid}: acknowledgement from {from} without a send"));
-                }
-                self.after_event(&mut st, sid, ctx);
-                self.finish_session_event(sid, st);
-            }
+            self.on_ack(from, sid, ctx);
             return;
         }
 
@@ -1304,6 +1320,11 @@ impl DbPeer {
         } else {
             None
         };
+        // A query this peer acknowledges at once is acknowledged by its
+        // answer, which leaves this handler for the same peer anyway.
+        let folded = ack == Some(AckDecision::Immediate)
+            && !self.config.paper_faithful
+            && matches!(msg, ProtocolMsg::Query { .. });
 
         match msg {
             ProtocolMsg::StartUpdate { .. } => self.start_update(&mut st, sid, ctx),
@@ -1315,7 +1336,7 @@ impl DbPeer {
                 sn,
                 resume,
                 ..
-            } => self.on_query(&mut st, sid, from, rule, part, sn, resume, ctx),
+            } => self.on_query(&mut st, sid, from, rule, part, sn, resume, folded, ctx),
             ProtocolMsg::Answer {
                 rule,
                 rows,
@@ -1355,7 +1376,7 @@ impl DbPeer {
             _ => {}
         }
 
-        if ack == Some(AckDecision::Immediate) {
+        if ack == Some(AckDecision::Immediate) && !folded {
             ctx.send(from, ProtocolMsg::Ack { session: sid });
         }
         self.after_event(&mut st, sid, ctx);
@@ -1389,7 +1410,14 @@ impl Peer<ProtocolMsg> for DbPeer {
         ctx.charge(COST_PER_MESSAGE);
 
         if let Some(sid) = msg.session() {
+            // An acking answer is handled in full first, then acknowledges,
+            // as if an `Ack` had followed it on the pipe — whatever became
+            // of the answer (a stale session, a crash since the query).
+            let acks = matches!(msg, ProtocolMsg::Answer { acks: true, .. });
             self.on_session_message(from, sid, msg, ctx);
+            if acks {
+                self.on_ack(from, sid, ctx);
+            }
             return;
         }
 
@@ -1578,21 +1606,30 @@ mod tests {
     /// rule.
     fn head_over_two_body_nodes() -> (DbPeer, CoordinationRule) {
         let schema = DatabaseSchema::parse("a(x: int, z: int).").unwrap();
-        let mut peer = DbPeer::new(NodeId(0), Database::new(schema), SystemConfig::default());
-        let resolve = |s: &str| match s {
-            "A" => Some(NodeId(0)),
-            "B" => Some(NodeId(1)),
-            "C" => Some(NodeId(2)),
-            _ => None,
-        };
-        let rule =
-            CoordinationRule::parse("r", "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)", None, &resolve).unwrap();
+        let mut peer = DbPeer::new(A, Database::new(schema), SystemConfig::default());
+        let rule = rule(0, "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)");
         peer.install_rule(rule.clone());
         (peer, rule)
     }
 
+    const A: NodeId = NodeId(0);
     const B: NodeId = NodeId(1);
     const C: NodeId = NodeId(2);
+    const D: NodeId = NodeId(3);
+
+    /// A rule over the nodes `A`–`D`, under the id `id`.
+    fn rule(id: u32, text: &str) -> CoordinationRule {
+        let resolve = |s: &str| match s {
+            "A" => Some(A),
+            "B" => Some(B),
+            "C" => Some(C),
+            "D" => Some(D),
+            _ => None,
+        };
+        let mut rule = CoordinationRule::parse("r", text, None, &resolve).unwrap();
+        rule.id = RuleId(id);
+        rule
+    }
 
     /// Delivers one message; acknowledges every basic message the handler
     /// sent unless `lost`; returns what the peer sent, handling the
@@ -1639,6 +1676,7 @@ mod tests {
             complete: false,
             reopen: false,
             pushed,
+            acks: false,
         }
     }
 
@@ -1647,6 +1685,110 @@ mod tests {
             session,
             generation: 1,
         }
+    }
+
+    /// The `Query` of `rule`'s (first) fragment, from its head.
+    fn query(rule: &CoordinationRule, session: SessionId) -> ProtocolMsg {
+        ProtocolMsg::Query {
+            session,
+            rule: rule.id,
+            part: rule.parts[0].clone(),
+            sn: vec![rule.head_node],
+            resume: false,
+        }
+    }
+
+    /// What body node `B`, holding `b(1,2)`, sends for each of two queries
+    /// of one session, `A`'s and then `C`'s. The first engages `B`; its
+    /// answer is acknowledged unless `lost`.
+    fn two_queries(config: SystemConfig, lost: bool) -> (DbPeer, [Vec<ProtocolMsg>; 2]) {
+        let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
+        db.insert_values("b", vec![Val::Int(1), Val::Int(2)])
+            .unwrap();
+        let mut peer = DbPeer::new(B, db, config);
+        let session = SessionId::new(A, 1);
+        let of_a = rule(1, "B:b(X,Y) => A:a(X,Y)");
+        let of_c = rule(2, "B:b(X,Y) => C:c(X,Y)");
+        let first = deliver(&mut peer, A, query(&of_a, session), lost);
+        let second = deliver(&mut peer, C, query(&of_c, session), true);
+        (peer, [first, second])
+    }
+
+    /// The kind of each of `sent`, and whether it acknowledges the query it
+    /// answers.
+    fn shape(sent: &[ProtocolMsg]) -> Vec<(&'static str, bool)> {
+        let acks = |msg: &ProtocolMsg| matches!(msg, ProtocolMsg::Answer { acks: true, .. });
+        sent.iter()
+            .map(|msg| (p2p_net::Wire::kind(msg), acks(msg)))
+            .collect()
+    }
+
+    /// A query that finds its body node engaged in the session already is
+    /// acknowledged by its answer: one message, no `Ack` after it.
+    #[test]
+    fn a_query_to_an_engaged_peer_is_acknowledged_by_its_answer() {
+        let (peer, [first, second]) = two_queries(SystemConfig::default(), true);
+        assert_eq!(shape(&first), [("Answer", false)]);
+        assert_eq!(shape(&second), [("Answer", true)]);
+        assert_eq!(peer.stats().acking_answers, 1);
+    }
+
+    /// A query that engages its body node is answered without the
+    /// acknowledgement, which the body node defers until it is passive.
+    #[test]
+    fn a_query_that_engages_its_peer_keeps_its_deferred_ack() {
+        let (peer, [first, _]) = two_queries(SystemConfig::default(), false);
+        assert_eq!(shape(&first), [("Answer", false), ("Ack", false)]);
+        assert!(peer.errors().is_empty());
+    }
+
+    /// The paper's protocol acknowledges every basic message with an `Ack`
+    /// of its own, answers included.
+    #[test]
+    fn paper_faithful_answers_do_not_acknowledge() {
+        let config = SystemConfig {
+            paper_faithful: true,
+            ..SystemConfig::default()
+        };
+        let (peer, [_, second]) = two_queries(config, true);
+        assert_eq!(shape(&second), [("Answer", false), ("Ack", false)]);
+        assert_eq!(peer.stats().acking_answers, 0);
+    }
+
+    /// The querier's side: an acking answer is handled in full before it
+    /// debits the deficit, once. Here the answer brings `a(1,2)`, which the
+    /// session's root `A` owes its own subscriber `D`: the push is counted
+    /// first, so the root cannot terminate until `D` acknowledges it.
+    #[test]
+    fn an_acking_answer_debits_the_querier_once_after_its_own_sends() {
+        let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
+        let mut peer = DbPeer::new(A, Database::new(schema), SystemConfig::default());
+        let of_a = rule(1, "B:b(X,Y) => A:a(X,Y)");
+        peer.install_rule(of_a.clone());
+        let s = SessionId::new(A, 1);
+        let deficit = |peer: &DbPeer| peer.session_state(s).unwrap().ds.deficit();
+
+        let start = ProtocolMsg::StartScopedUpdate { session: s };
+        assert_eq!(queries(&deliver(&mut peer, A, start, true)), [(B, false)]);
+        // `D` subscribes; its (empty) answer is acknowledged.
+        let of_d = rule(2, "A:a(X,Y) => D:d(X,Y)");
+        deliver(&mut peer, D, query(&of_d, s), false);
+        assert_eq!(deficit(&peer), 1, "the query to B");
+
+        let mut acking = answer(&of_a, s, B, [1, 2], false);
+        if let ProtocolMsg::Answer { acks, .. } = &mut acking {
+            *acks = true;
+        }
+        let sent = deliver(&mut peer, B, acking, true);
+        // The push to D, then the answer's own acknowledgement.
+        assert_eq!(shape(&sent), [("Answer", false), ("Ack", false)]);
+        assert_eq!(deficit(&peer), 1, "the push to D");
+        assert!(!peer.session_closed(s));
+
+        deliver(&mut peer, D, ProtocolMsg::Ack { session: s }, true);
+        assert!(peer.session_closed(s));
+        assert_eq!(peer.session_table_len(), 0);
+        assert!(peer.errors().is_empty());
     }
 
     /// Floods `session` in from its root, answers both fragments in full

@@ -36,6 +36,11 @@ pub struct PeerStats {
     pub queries_sent: u64,
     /// Answers sent (initial + delta re-answers).
     pub answers_sent: u64,
+    /// Answers sent that also acknowledged the `Query` they reply to (a
+    /// Dijkstra–Scholten `Ack` each did not need). Subset of `answers_sent`;
+    /// omitted from the encoding while zero.
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub acking_answers: u64,
     /// Answers received.
     pub answers_received: u64,
     /// Answer rows shipped out (tuple count).
@@ -107,6 +112,10 @@ pub struct PeerStats {
     pub rounds: u64,
 }
 
+fn is_zero(n: &u64) -> bool {
+    *n == 0
+}
+
 impl PeerStats {
     /// Resets every counter — the super-peer's "reset statistics at all
     /// peers" command.
@@ -127,6 +136,7 @@ impl PeerStats {
         self.duplicate_queries += other.duplicate_queries;
         self.queries_sent += other.queries_sent;
         self.answers_sent += other.answers_sent;
+        self.acking_answers += other.acking_answers;
         self.answers_received += other.answers_received;
         self.rows_shipped += other.rows_shipped;
         self.delta_answers_sent += other.delta_answers_sent;

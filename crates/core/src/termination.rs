@@ -16,12 +16,17 @@
 //! intends — acks are session-tagged on the wire and debit only their own
 //! session's deficit.
 //!
-//! Mechanics: every *basic* (protocol) message is eventually acknowledged.
-//! A node's first unacknowledged basic message of a session makes the
-//! sender its *parent* in that session's tree; the ack for that engaging
-//! message is deferred until the node is passive and all messages *it* sent
-//! for the session have been acknowledged. The root detects termination
-//! when its own deficit returns to zero.
+//! Mechanics: every *basic* (protocol) message is eventually acknowledged,
+//! by an `Ack` or by the `Answer` replying to it. A node's first
+//! unacknowledged basic message of a session makes the sender its *parent*
+//! in that session's tree; the ack for that engaging message is deferred
+//! until the node is passive and all messages *it* sent for the session have
+//! been acknowledged. Any other message is acknowledged at once — a `Query`
+//! by the `Answer` the same handler sends back (`Answer { acks: true }`,
+//! except under `paper_faithful`), which its receiver handles in full before
+//! it debits its deficit, exactly as if an `Ack` had followed the answer on
+//! the pipe. The root detects termination when its own deficit returns to
+//! zero.
 
 use p2p_topology::NodeId;
 use serde::{Deserialize, Serialize};
@@ -29,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// What to do about acknowledging a just-processed basic message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckDecision {
-    /// Acknowledge immediately after processing.
+    /// Acknowledge immediately after processing (a `Query`: by its answer).
     Immediate,
     /// This message engaged the node; the ack is deferred until disengage.
     Deferred,

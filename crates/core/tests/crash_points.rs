@@ -83,6 +83,7 @@ fn two_sessions(peer: &mut DbPeer) {
             complete: false,
             reopen: false,
             pushed: false,
+            acks: false,
         };
         peer.on_message(from, answer, &mut ctx);
     }

@@ -127,6 +127,7 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                         complete: b1,
                         reopen: b2,
                         pushed: round % 2 == 0,
+                        acks: round % 3 == 0,
                     },
                     3 => ProtocolMsg::WaveAnswer {
                         session,
@@ -440,6 +441,10 @@ fn streams_like_its_tree<T: Serialize + Deserialize>(v: &T) -> Result<(), TestCa
     Ok(())
 }
 
+/// One past the highest binary message tag (`Answer` with `pushed` and
+/// `acks` both set).
+const FIRST_UNUSED_TAG: u8 = 33;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -492,32 +497,35 @@ proptest! {
         prop_assert_eq!(encode_msg(&via_json), encode_msg(&msg));
     }
 
-    /// An `Answer` without the `pushed` flag — every answer a pre-flag peer
-    /// ever wrote — decodes as not pushed in both codecs, and a binary tag
-    /// no variant owns is a typed error, not a panic.
+    /// An `Answer` without the `pushed` and `acks` flags — every answer a
+    /// peer wrote before they existed — decodes with both unset in both
+    /// codecs, and a binary tag no variant owns (the first unused one
+    /// included) is a typed error, not a panic.
     #[test]
     fn absent_pushed_flag_is_false_and_unknown_tags_are_typed_errors(
         msg in msg(),
-        tag in 31u8..=255,
+        tag in FIRST_UNUSED_TAG..=255,
     ) {
         if let ProtocolMsg::Answer { session, rule, rows, complete, reopen, .. } = msg {
             let asked = ProtocolMsg::Answer {
-                session, rule, rows, complete, reopen, pushed: false,
+                session, rule, rows, complete, reopen, pushed: false, acks: false,
             };
             let json = serde_json::to_string(&asked).unwrap();
-            prop_assert!(!json.contains("pushed"));
+            prop_assert!(!json.contains("pushed") && !json.contains("acks"));
             for decoded in [
                 serde_json::from_str(&json).unwrap(),
                 decode_msg(&encode_msg(&asked)).unwrap(),
             ] {
-                let ProtocolMsg::Answer { pushed, .. } = decoded else {
+                let ProtocolMsg::Answer { pushed, acks, .. } = decoded else {
                     return Err(TestCaseError::fail("not an answer"));
                 };
-                prop_assert!(!pushed);
+                prop_assert!(!pushed && !acks);
             }
-            let mut bytes = encode_msg(&asked);
-            bytes[0] = tag;
-            prop_assert!(matches!(decode_msg(&bytes), Err(binpack::Error::BadTag(t)) if t == tag));
+            for tag in [FIRST_UNUSED_TAG, tag] {
+                let mut bytes = encode_msg(&asked);
+                bytes[0] = tag;
+                prop_assert!(matches!(decode_msg(&bytes), Err(binpack::Error::BadTag(t)) if t == tag));
+            }
         }
     }
 

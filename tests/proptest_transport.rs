@@ -95,6 +95,7 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                     complete: round % 2 == 0,
                     reopen: round % 3 == 0,
                     pushed: round % 5 == 0,
+                    acks: round % 7 == 0,
                 },
                 2 => ProtocolMsg::WaveAnswerDelta {
                     session,
