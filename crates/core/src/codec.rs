@@ -10,8 +10,9 @@
 //!
 //! A message is a 1-byte **variant tag** (declaration order of
 //! [`ProtocolMsg`]'s variants up to 27, then in order of introduction;
-//! `Query` with `resume` set and `Answer` with `pushed`, `acks` or both set
-//! take further tags instead of a flag byte) followed by its fields:
+//! `Query` and `WaveQuery` with `resume` set and `Answer` with `pushed`,
+//! `acks` or both set take further tags instead of a flag byte) followed by
+//! its fields:
 //!
 //! * Session ids, node ids, rule ids, rounds, counters — varints (zigzag
 //!   where negative values are possible).
@@ -377,6 +378,8 @@ const CURSOR_VOID: u8 = 29;
 const ANSWER_PUSHED: u8 = 30;
 const ANSWER_ACKS: u8 = 31;
 const ANSWER_PUSHED_ACKS: u8 = 32;
+/// Second tag of [`ProtocolMsg::WaveQuery`]: the same fields, `resume` set.
+const WAVE_QUERY_RESUME: u8 = 33;
 
 fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
     match msg {
@@ -506,8 +509,9 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
             round,
             rule,
             part,
+            resume,
         } => {
-            w.put_u8(18);
+            w.put_u8(if *resume { WAVE_QUERY_RESUME } else { 18 });
             put_session(w, *session);
             w.put_varint(u64::from(*round));
             w.put_varint(u64::from(rule.0));
@@ -675,11 +679,12 @@ fn read_msg(r: &mut Reader<'_>) -> Result<ProtocolMsg, Error> {
             round: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
             dirty: get_bool(r)?,
         },
-        18 => ProtocolMsg::WaveQuery {
+        tag @ (18 | WAVE_QUERY_RESUME) => ProtocolMsg::WaveQuery {
             session: get_session(r)?,
             round: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
             rule: get_rule(r)?,
             part: get_doc(r)?,
+            resume: tag == WAVE_QUERY_RESUME,
         },
         19 => ProtocolMsg::WaveAnswer {
             session: get_session(r)?,

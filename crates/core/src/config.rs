@@ -54,19 +54,20 @@ pub struct SystemConfig {
     /// data transfer and duplication"), re-answers delta-**evaluate** from
     /// the subscription's watermarks instead of re-running the fragment
     /// query (rounds mode: [`crate::messages::ProtocolMsg::WaveAnswerDelta`]
-    /// plus semi-naive joins at the head), in eager mode the cursor
-    /// outlives the session, so a later session ships what changed since
-    /// the last one, and under [`Initiation::Flood`] so does the
-    /// subscription: nobody asks again for what it holds, nobody answers
-    /// with nothing, and the start request is not forwarded (see
+    /// plus semi-naive joins at the head), under both modes the cursor
+    /// outlives the session — committed when the session retires, at
+    /// `Fixpoint` or `RoundsClosed` — so a later session ships what changed
+    /// since the last one, and in eager mode under [`Initiation::Flood`] so
+    /// does the subscription: nobody asks again for what it holds, nobody
+    /// answers with nothing, and the start request is not forwarded (see
     /// [`crate::peer`]). `true` is the paper-faithful, oracle-comparable
     /// baseline, message for message: the start request travels along
     /// every pipe, every session queries every fragment, every answer
     /// re-evaluates the fragment and re-ships its full current extension,
     /// every basic message gets an `Ack` of its own, and no cursor is kept.
-    /// Rounds mode sends the same messages either way; eager mode sends far
-    /// fewer by default once a session is not the first
-    /// (`tests/session_cost.rs` pins both).
+    /// Rounds mode sends the same messages either way, and ships far fewer
+    /// rows by default once a session is not the first; eager mode sends
+    /// far fewer messages too (`tests/session_cost.rs` pins both).
     pub paper_faithful: bool,
     /// Durable peers. When true, every peer owns a `p2p_storage` write-ahead
     /// log plus snapshot store: applied insertions and processed fragment

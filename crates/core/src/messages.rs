@@ -250,6 +250,14 @@ pub enum ProtocolMsg {
         rule: RuleId,
         /// Fragment to evaluate.
         part: BodyPart,
+        /// The sender holds everything the answerer shipped it for this
+        /// fragment — up to the committed cursor, and every answer of this
+        /// session — so the answer may be a delta (see
+        /// [`crate::peer::rounds`]). `false` — the session's first query of
+        /// a fragment not held, or an answer went missing — is omitted from
+        /// the encoding.
+        #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+        resume: bool,
     },
     /// Fragment extension for a round.
     WaveAnswer {
@@ -263,10 +271,12 @@ pub enum ProtocolMsg {
         rows: AnswerRows,
     },
     /// Delta fragment extension for a round (off under
-    /// `SystemConfig::paper_faithful`): only the rows derived from facts inserted since the answerer's last
-    /// answer to this requester **within this session**. First contact
-    /// always uses a full [`ProtocolMsg::WaveAnswer`]; the requester merges
-    /// deltas into its per-session fragment cache and joins semi-naively.
+    /// `SystemConfig::paper_faithful`): only the rows, not yet shipped in
+    /// this session, derived from facts inserted since the answerer's last
+    /// answer to this requester. A session's first answer to a query is a
+    /// [`ProtocolMsg::WaveAnswer`] — the full extension, or the delta since
+    /// the committed cursor; the requester merges either into what it holds
+    /// of the fragment and joins semi-naively.
     WaveAnswerDelta {
         /// Update session.
         session: SessionId,
@@ -319,8 +329,8 @@ pub enum ProtocolMsg {
     /// Driver command: resume a stalled rounds-mode session at `round`
     /// after churn broke a wave (a crashed peer cannot echo, so the echo
     /// tree never completes; the driver detects the stall at quiescence and
-    /// re-drives). Delta state — wave subscriptions and caches — survives,
-    /// so the resumed wave ships deltas, not the world.
+    /// re-drives). The session's subscriptions survive, so the resumed wave
+    /// ships deltas, not the world.
     ResumeRounds {
         /// The stalled session to resume.
         session: SessionId,

@@ -49,12 +49,13 @@
 //! both ends, so that a crash costs what was at risk, not what is held.
 //!
 //! **As a body node** it takes back the cursors its store holds. Each was
-//! committed behind Dijkstra–Scholten termination, when its subscriber had
-//! applied — and, durable itself, logged — every answer up to it, and the
-//! store never runs ahead of memory, so the invariant of [`crate::peer`]
-//! holds across the restart: *for every fragment a head holds, its body
-//! node's store has a cursor no further than what the head holds*. The
-//! next flood finds standing subscriptions and ships `(cursor, now]`. Only a
+//! committed behind its session's terminal broadcast, when its subscriber
+//! had applied — and, durable itself, logged — every answer up to it, and
+//! the store never runs ahead of memory, so the invariant of
+//! [`crate::peer`] holds across the restart: *for every fragment a head
+//! holds, its body node's store has a cursor no further than what the head
+//! holds*. The next flood finds standing subscriptions (the next wave, a
+//! `resume` query) and ships `(cursor, now]`. Only a
 //! peer that cannot vouch for its cursors — no store, a store that does not
 //! read back, a cursor that counts rows the recovered relation does not
 //! have — owes its pipe neighbours the cursor-void notice.
@@ -76,9 +77,11 @@
 //! it, and every subscription started from the full extension or from a
 //! cursor an earlier logged session committed, so everything it can
 //! possibly be missing is derivable from facts past the smaller of `W` and
-//! the cursor. In rounds mode and under `paper_faithful` nothing outlives
-//! a session, every session re-ships what it needs, and the request is
-//! answered from the claim as it always was.
+//! the cursor. This holds under both update modes, since a rounds session
+//! commits its cursors at `RoundsClosed` as an eager one does at
+//! `Fixpoint`. Under `paper_faithful` nothing outlives a session, every
+//! session re-ships what it needs, and the request is answered from the
+//! claim as it always was.
 //!
 //! Liveness after a mid-wave crash is the driver's job: a crashed peer
 //! cannot echo, so the wave stalls and the simulator quiesces unclosed;
@@ -86,7 +89,6 @@
 //! session (a fresh round of the same session for rounds mode, a fresh
 //! session-tagged epoch for eager mode) until closure is re-certified.
 
-use crate::config::UpdateMode;
 use crate::messages::{AnswerRows, ProtocolMsg};
 use crate::peer::{Cursor, DbPeer, Marks, SeededFault};
 use crate::rule::{BodyPart, RuleId};
@@ -158,13 +160,6 @@ impl DbPeer {
         };
         self.storage = Some(Box::new(Durable { store, replayed }));
         Ok(())
-    }
-
-    /// Subscriptions outlive sessions here — cursors, `held` marks, standing
-    /// subscriptions — so a restart has something to resume (eager mode,
-    /// not `paper_faithful`).
-    fn keeps_subscriptions(&self) -> bool {
-        self.config.mode == UpdateMode::Eager && !self.config.paper_faithful
     }
 
     /// Whether the attached store already held state, which this peer
@@ -312,9 +307,12 @@ impl DbPeer {
     }
 
     /// Write-ahead-logs that `rule` was replaced or deleted here: the marks
-    /// of its answers are not the new rule's.
+    /// of its answers are not the new rule's. A store that holds none says
+    /// nothing.
     pub(crate) fn log_forget_rule(&mut self, rule: RuleId) {
-        self.log(&WalRecord::ForgetRule { rule: rule.0 });
+        if (self.storage.as_ref()).is_some_and(|st| st.store.has_marks(rule.0)) {
+            self.log(&WalRecord::ForgetRule { rule: rule.0 });
+        }
     }
 
     /// Appends one record and checkpoints when the store says one is due.
@@ -533,12 +531,12 @@ impl DbPeer {
     /// of the network. Answered regardless of what this node holds for the
     /// session: repair is control-plane data movement.
     ///
-    /// Where subscriptions outlive sessions (eager mode, not
-    /// `paper_faithful`) the requester's claim is not taken at its word: it
-    /// logs a mark when an answer *arrives*, so an earlier answer that was
-    /// dropped, then a crash, leave a mark beyond rows it never saw — while
-    /// this node's cursor was committed behind Dijkstra–Scholten
-    /// termination, when every answer up to it had been applied and logged.
+    /// Where subscriptions outlive sessions (not under `paper_faithful`) the
+    /// requester's claim is not taken at its word: it logs a mark when an
+    /// answer *arrives*, so an earlier answer that was dropped, then a
+    /// crash, leave a mark beyond rows it never saw — while this node's
+    /// cursor was committed behind the session's terminal broadcast, when
+    /// every answer up to it had been applied and logged.
     /// The delta starts from the per-relation minimum of the two, the
     /// cursor stays where it is, and the requester holds the fragment again
     /// once it has absorbed the answer: the next session ships
@@ -547,11 +545,11 @@ impl DbPeer {
     /// subscription that answer starts (as `DbPeer::open_subscription`
     /// does).
     ///
-    /// Elsewhere nothing outlives a session but the requester's marks: an
-    /// empty `since` degenerates to the full extension, and every delta
+    /// Under `paper_faithful` nothing outlives a session but the requester's
+    /// marks: an empty `since` degenerates to the full extension, and every
     /// subscription this node holds for the requester in a live session is
-    /// dropped, so the next wave or cascade answer is the full extension
-    /// rather than a delta the restarted requester has nothing to join to.
+    /// dropped, so the next cascade answer is the full extension rather
+    /// than a delta the restarted requester has nothing to join to.
     pub(crate) fn on_resync_request(
         &mut self,
         from: NodeId,
@@ -563,12 +561,11 @@ impl DbPeer {
     ) {
         self.add_pipe(from);
         let part = Arc::new(part);
-        let rows = if !self.keeps_subscriptions() {
+        let rows = if self.config.paper_faithful {
             for st in self.sessions.values_mut() {
-                st.rnd.wave_subs.remove(&(from, rule));
-                st.upd.subs.remove(&(from, rule));
+                st.subs.remove(&(from, rule));
             }
-            self.eval_part_delta_local(rule, &part, &since, ctx)
+            self.eval_part_local(rule, &part, Some(&since), ctx)
         } else if let Some(cursor) = (self.cursors.get(&(from, rule))).filter(|c| c.part == part) {
             let held: Marks = (since.into_iter())
                 .map(|(relation, w)| {
@@ -576,10 +573,10 @@ impl DbPeer {
                     (relation, w.min(committed))
                 })
                 .collect();
-            self.eval_part_delta_local(rule, &part, &held, ctx)
+            self.eval_part_local(rule, &part, Some(&held), ctx)
         } else {
             self.set_cursor((from, rule), Cursor::zero(part.clone()), true);
-            self.eval_part_local(rule, &part, ctx)
+            self.eval_part_local(rule, &part, None, ctx)
         };
         let payload = self.make_answer_rows(from, &part, rows);
         ctx.send(
@@ -599,9 +596,9 @@ impl DbPeer {
     /// standard chase (and hence the WAL), so a crash *during* recovery is
     /// itself recoverable. With the answer absorbed the peer holds the
     /// fragment up to the body node's present, which is at or past the
-    /// cursor the body node kept: where subscriptions outlive sessions it
-    /// is `held` again. An answer nobody is waiting for — a duplicate, or
-    /// the rule changed since — is dropped.
+    /// cursor the body node kept: where subscriptions outlive sessions (not
+    /// under `paper_faithful`) it is `held` again. An answer nobody is
+    /// waiting for — a duplicate, or the rule changed since — is dropped.
     pub(crate) fn on_resync_answer(
         &mut self,
         sid: SessionId,
@@ -624,13 +621,8 @@ impl DbPeer {
             }
         }
         self.log_answer_mark(sid, rule, from, mark);
-        if self.keeps_subscriptions() {
+        if !self.config.paper_faithful {
             self.held.insert((rule, from));
-        }
-        // Rounds sessions join against their own wave caches: there the
-        // primed rows served the repair only.
-        if self.config.mode == UpdateMode::Rounds && self.pending_resync.is_empty() {
-            self.fragments.clear();
         }
     }
 }
@@ -901,6 +893,51 @@ mod tests {
             };
             assert!(since.is_empty(), "asked since {since:?}");
         }
+    }
+
+    /// Replacing a rule the store holds no answer mark for appends nothing;
+    /// replacing one it holds marks for logs `ForgetRule`, and recovery
+    /// drops those marks.
+    #[test]
+    fn forget_rule_is_logged_only_over_marks() {
+        use p2p_storage::StorageBackend as _;
+        let resolve = |s: &str| match s {
+            "A" => Some(NodeId(1)),
+            "B" => Some(NodeId(3)),
+            "C" => Some(NodeId(4)),
+            _ => None,
+        };
+        let rule =
+            crate::rule::CoordinationRule::parse("r", "B:b(X), C:c(Y) => A:a(X,Y)", None, &resolve)
+                .unwrap();
+        let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
+        let mut peer = DbPeer::new(NodeId(1), Database::new(schema), durable_config());
+        peer.install_rule(rule.clone());
+        let disk = TestDisk::default();
+        peer.attach_storage(PeerStorage::new(Box::new(disk.clone()), 0))
+            .unwrap();
+        let frames = || disk.read_wal().unwrap().len();
+
+        peer.install_rule(rule.clone());
+        assert_eq!(frames(), 0, "no marks, no frame");
+        let rows = AnswerRows {
+            vars: vec![Arc::from("X")],
+            rows: vec![Tuple::new(vec![Val::Int(1)])],
+            marks: [(Arc::<str>::from("b"), 1usize)].into_iter().collect(),
+            ..Default::default()
+        };
+        let mark = peer.answer_mark(rule.id, &rows);
+        peer.log_answer_mark(SessionId::new(NodeId(0), 1), rule.id, NodeId(3), mark);
+        assert_eq!(frames(), 1);
+        peer.install_rule(rule.clone());
+        assert_eq!(frames(), 2, "the marks are forgotten");
+        let recovered = PeerStorage::new(Box::new(disk.clone()), 0)
+            .recover(1)
+            .unwrap()
+            .unwrap();
+        assert!(recovered.marks.is_empty());
+        peer.install_rule(rule);
+        assert_eq!(frames(), 2, "and forgetting them again says nothing");
     }
 
     /// A body node `B` serving `B:b(X) => A:a(X)` to head `A`, with a store

@@ -41,7 +41,6 @@
 //! flight at termination.
 
 use crate::messages::ProtocolMsg;
-use crate::peer::tables::VecMap;
 use crate::peer::{DbPeer, Marks, SessionState};
 use crate::rule::{BodyPart, RuleId};
 use crate::stats::ClosedBy;
@@ -52,7 +51,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A subscription served to a rule's head node (body side), for the
-/// lifetime of one session.
+/// lifetime of one session — of either update mode: a rounds session serves
+/// its wave queries from one too.
 #[derive(Debug, Clone)]
 pub struct Subscription {
     /// The fragment to evaluate for this subscriber (shared with the plan
@@ -84,11 +84,13 @@ pub struct Subscription {
 /// One fragment of one of this peer's rules, as one session sees it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Part {
-    /// The body node reported `state_u == closed` (the paper's rule flag).
+    /// The body node reported `state_u == closed` (the paper's rule flag;
+    /// eager mode only).
     pub complete: bool,
-    /// This session sent the body node a `Query` for the fragment. `false`
-    /// for a fragment registered because the peer already holds it and the
-    /// body node's standing subscription serves it.
+    /// This session sent the body node a `Query` for the fragment (a rounds
+    /// session queries every fragment). `false` for a fragment registered
+    /// because the peer already holds it and the body node's standing
+    /// subscription serves it.
     pub queried: bool,
 }
 
@@ -101,14 +103,6 @@ pub struct EagerState {
     pub flood_seen: bool,
     /// `state_u == closed`.
     pub closed: bool,
-    /// The fragments this session listens to, per (rule, body node).
-    /// Answers are applied only for fragments in here, and replacing or
-    /// deleting a rule drops its entries. Every entry is either `queried`
-    /// by this session or was held when it was registered; retirement
-    /// marks the queried ones held (`DbPeer::finish_session_event`).
-    pub parts: VecMap<(RuleId, NodeId), Part>,
-    /// Subscriptions served, keyed by (subscriber, rule).
-    pub subs: VecMap<(NodeId, RuleId), Subscription>,
     /// Highest fix-point broadcast generation processed.
     pub fixpoint_gen: u32,
     /// A dynamic change touched this node (rule added/removed here, or a
@@ -193,7 +187,7 @@ impl DbPeer {
                 let key = (rule.id, part.node);
                 let held = !self.config.paper_faithful && self.held.contains(&key);
                 let queried = !(by_flood && held);
-                st.upd.parts.insert(
+                st.parts.insert(
                     key,
                     Part {
                         complete: false,
@@ -245,7 +239,7 @@ impl DbPeer {
         node: NodeId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        match st.upd.parts.get_mut(&(rule, node)) {
+        match st.parts.get_mut(&(rule, node)) {
             Some(part) if !part.queried => part.queried = true,
             _ => return,
         }
@@ -301,7 +295,7 @@ impl DbPeer {
             self.send_basic_many(st, ctx, pipes, ProtocolMsg::CursorVoid { session: sid });
         }
         let unopened: Vec<(NodeId, RuleId)> = (self.cursors.keys().copied())
-            .filter(|key| !st.upd.subs.contains_key(key))
+            .filter(|key| !st.subs.contains_key(key))
             .collect();
         for (to, rule) in unopened {
             let part = self.cursors[&(to, rule)].part.clone();
@@ -310,7 +304,7 @@ impl DbPeer {
             if !rows.is_empty() {
                 self.send_answer(st, sid, to, rule, &sub, rows, false, ctx);
             }
-            st.upd.subs.insert((to, rule), sub);
+            st.subs.insert((to, rule), sub);
         }
     }
 
@@ -326,7 +320,7 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.held.retain(|(_, node)| *node != from);
-        let served: Vec<RuleId> = (st.upd.parts.keys())
+        let served: Vec<RuleId> = (st.parts.keys())
             .filter(|(_, node)| *node == from)
             .map(|(rule, _)| *rule)
             .collect();
@@ -340,7 +334,7 @@ impl DbPeer {
     /// `resume` and the cursor is for this very fragment, otherwise from the
     /// fragment's full extension, voiding the cursor. Returns the
     /// subscription and the rows to ship first.
-    fn open_subscription(
+    pub(crate) fn open_subscription(
         &mut self,
         to: NodeId,
         rule: RuleId,
@@ -359,7 +353,7 @@ impl DbPeer {
             Some((watermarks, shipped)) => {
                 self.stats.resumed_answers += 1;
                 self.stats.rows_saved += *shipped as u64;
-                let rows = self.eval_part_delta_local(rule, &part, watermarks, ctx);
+                let rows = self.eval_part_local(rule, &part, Some(watermarks), ctx);
                 (rows, *shipped)
             }
             None => {
@@ -374,7 +368,7 @@ impl DbPeer {
                 if !self.config.paper_faithful {
                     self.set_cursor(key, crate::peer::Cursor::zero(part.clone()), true);
                 }
-                (self.eval_part_local(rule, &part, ctx), 0)
+                (self.eval_part_local(rule, &part, None, ctx), 0)
             }
         };
         let sub = Subscription {
@@ -406,11 +400,8 @@ impl DbPeer {
         if !self.config.paper_faithful && !self.grew_past(&sub.part, &sub.watermarks) {
             return (Vec::new(), Vec::new());
         }
-        let rows = if self.config.paper_faithful {
-            self.eval_part_local(rule, &sub.part, ctx)
-        } else {
-            self.eval_part_delta_local(rule, &sub.part, &sub.watermarks, ctx)
-        };
+        let since = (!self.config.paper_faithful).then_some(&sub.watermarks);
+        let rows = self.eval_part_local(rule, &sub.part, since, ctx);
         sub.watermarks = self.part_marks(&sub.part);
         let unsent = (rows.iter())
             .filter(|t| sub.sent.insert((*t).clone()))
@@ -478,7 +469,7 @@ impl DbPeer {
         self.begin_session(st, sid, ctx, &sn, false);
 
         let key = (from, rule);
-        let standing = match st.upd.subs.remove(&key) {
+        let standing = match st.subs.remove(&key) {
             Some(sub) if sub.standing => (resume && *sub.part == part).then_some(sub),
             Some(_) => {
                 self.stats.duplicate_queries += 1;
@@ -498,7 +489,7 @@ impl DbPeer {
         };
         sub.sent_complete = st.upd.closed;
         self.send_answer(st, sid, from, rule, &sub, rows, acks, ctx);
-        st.upd.subs.insert(key, sub);
+        st.subs.insert(key, sub);
     }
 
     /// A5 — `Answer(ID, QA, SN, state)`.
@@ -553,7 +544,7 @@ impl DbPeer {
             return;
         }
         self.absorb_null_depths(&rows);
-        let Some(part) = st.upd.parts.get_mut(&(rule, from)) else {
+        let Some(part) = st.parts.get_mut(&(rule, from)) else {
             // The rule was deleted or replaced while the answer was in
             // flight.
             return;
@@ -596,7 +587,7 @@ impl DbPeer {
         let faithful = self.config.paper_faithful;
         let closed = st.upd.closed;
         // Taken out while the loop sends through `st`.
-        let mut subs = std::mem::take(&mut st.upd.subs);
+        let mut subs = std::mem::take(&mut st.subs);
         for (&(to, rule), sub) in subs.iter_mut() {
             let (rows, delta) = self.advance_subscription(rule, sub, ctx);
             // Completeness is news to a subscriber that asked; a standing
@@ -617,7 +608,7 @@ impl DbPeer {
             };
             self.send_answer(st, sid, to, rule, sub, ship, false, ctx);
         }
-        st.upd.subs = subs;
+        st.subs = subs;
     }
 
     /// Lemma 1's `Rules` criterion: every fragment of every rule reported
@@ -639,7 +630,7 @@ impl DbPeer {
             .rules
             .values()
             .flat_map(|r| r.parts.iter().map(move |p| (r.id, p.node)))
-            .all(|key| st.upd.parts.get(&key).is_some_and(|p| p.complete));
+            .all(|key| st.parts.get(&key).is_some_and(|p| p.complete));
         if all_complete {
             self.close(st, sid, ClosedBy::RulesFlags, ctx);
         }
@@ -676,11 +667,11 @@ impl DbPeer {
         st.upd.suppress_flag_closure = true;
         self.stats.reopened += 1;
         self.stats.closed_by = ClosedBy::Open;
-        let keys: Vec<(NodeId, RuleId)> = st.upd.subs.keys().copied().collect();
+        let keys: Vec<(NodeId, RuleId)> = st.subs.keys().copied().collect();
         for key in keys {
             // Only subscribers that saw `complete = true` hold stale
             // completeness to invalidate.
-            let needs_reopen = match st.upd.subs.get_mut(&key) {
+            let needs_reopen = match st.subs.get_mut(&key) {
                 Some(sub) if sub.sent_complete => {
                     sub.sent_complete = false;
                     true
@@ -791,7 +782,7 @@ impl DbPeer {
         self.install_rule(rule);
         // As `forget_rule` does for the sessions in the table (this one is
         // taken out while it is handled).
-        st.upd.parts.retain(|(r, _), _| *r != rule_id);
+        st.parts.retain(|(r, _), _| *r != rule_id);
         if !st.upd.active {
             if sid.epoch == 0 {
                 return; // No session yet: queried at the next session start.
@@ -806,7 +797,7 @@ impl DbPeer {
         st.upd.suppress_flag_closure = true;
         self.reopen_if_closed(st, sid, ctx);
         for part in parts {
-            st.upd.parts.insert(
+            st.parts.insert(
                 (rule_id, part.node),
                 Part {
                     complete: false,
@@ -835,7 +826,7 @@ impl DbPeer {
         if st.upd.active {
             st.upd.suppress_flag_closure = true;
             for part in &rule.parts {
-                st.upd.parts.remove(&(rule_id, part.node));
+                st.parts.remove(&(rule_id, part.node));
                 self.send_basic(
                     st,
                     ctx,
@@ -855,9 +846,9 @@ impl DbPeer {
     /// behind would commit the cursor again when its session retires.
     pub(crate) fn on_unsubscribe(&mut self, st: &mut SessionState, from: NodeId, rule: RuleId) {
         self.plans.remove(&rule);
-        st.upd.subs.remove(&(from, rule));
+        st.subs.remove(&(from, rule));
         for other in self.sessions.values_mut() {
-            other.upd.subs.remove(&(from, rule));
+            other.subs.remove(&(from, rule));
         }
         self.drop_cursor((from, rule));
     }

@@ -31,12 +31,13 @@
 //! **Per session** ([`SessionState`]) is what decides when *this* diffusing
 //! computation is over, and what is still in flight within it: the closure
 //! flags, which fragments the session listens to and which of them it
-//! queried, the session's own Dijkstra–Scholten detector, each served
-//! subscription's `sent` filter and its not yet committed watermarks, and
-//! all of rounds mode's wave state.
+//! queried, the session's own Dijkstra–Scholten detector, rounds mode's echo
+//! tree and round counter, and each served subscription's `sent` filter and
+//! its not yet committed watermarks. Both update modes keep the last two in
+//! the same tables (`SessionState::parts`, `SessionState::subs`).
 //!
-//! **Per peer** is what a session leaves behind for the next one, so that a
-//! session costs what changed, not what exists:
+//! **Per peer** is what a session leaves behind for the next one, under
+//! either mode, so that a session costs what changed, not what exists:
 //!
 //! * body side, `DbPeer::cursors` — per `(subscriber, rule)`, the
 //!   watermarks up to which that subscriber holds the fragment's extension,
@@ -53,22 +54,30 @@
 //! **Both ends commit only when the session that carried the rows retires**
 //! (`DbPeer::finish_session_event`), never at send or receive time: the
 //! body node its cursor, the head its `held` mark — and only for a fragment
-//! that session *queried*. The terminal broadcast follows
+//! that session *queried*. The terminal broadcast certifies that every
+//! answer of the session was applied: an eager `Fixpoint` follows
 //! Dijkstra–Scholten termination, which guarantees every query, answer and
-//! notice of the session was delivered and applied. A dropped message or a
-//! stranded, re-driven epoch therefore re-ships from the last committed
-//! point. Sound because the fix-point is monotone: a tuple derived at the
-//! head stays derived, so shipping it again is pure cost — and an answer
-//! with nothing new changes nothing, so not sending it is sound too,
-//! provided silence is never ambiguous.
+//! notice was delivered; a `RoundsClosed` follows a clean round, in which
+//! every head took its last answers in, after asking afresh for any
+//! fragment whose answer an earlier round missed ([`rounds`]). A dropped
+//! message or a stranded, re-driven epoch therefore re-ships from the last
+//! committed point. Sound because the fix-point is monotone: a tuple
+//! derived at the head stays derived, so shipping it again is pure cost —
+//! and an answer with nothing new changes nothing, so not sending it is
+//! sound too, provided silence is never ambiguous.
+//!
+//! A rounds session asks every fragment every round — the wave is its
+//! schedule — with `WaveQuery { resume }`, and a body node answers it from
+//! the same subscription a `Query { resume }` opens; everything below about
+//! standing subscriptions, notices and pushes is eager mode's.
 //!
 //! ## The subscription outlives the session
 //!
 //! Under the default configuration ([`SystemConfig::paper_faithful`] off,
-//! [`crate::config::Initiation::Flood`]) a session says only what the
-//! cursors do not already mean. The root sends the start request once, to
-//! every rostered node, and nobody forwards it. When it arrives (and at the
-//! root when the session starts):
+//! eager mode, [`crate::config::Initiation::Flood`]) a session says only
+//! what the cursors do not already mean. The root sends the start request
+//! once, to every rostered node, and nobody forwards it. When it arrives
+//! (and at the root when the session starts):
 //!
 //! * a **body node** opens one *standing* subscription per committed cursor
 //!   — through the same code a `Query { resume }` runs — delta-evaluates
@@ -193,7 +202,7 @@ pub(crate) type Marks = BTreeMap<Arc<str>, usize>;
 
 pub use discovery::DiscoveryState;
 pub use eager::{EagerState, Part, Subscription};
-pub use rounds::{PartCache, RoundsState};
+pub use rounds::RoundsState;
 pub use superpeer::SuperState;
 pub use tables::VecMap;
 
@@ -204,13 +213,22 @@ pub use tables::VecMap;
 /// lands.
 #[derive(Debug, Clone, Default)]
 pub struct SessionState {
-    /// Eager-mode state: fragment completeness, subscriptions, closure flags.
+    /// The fragments this session listens to, per (rule, body node).
+    /// Answers are applied only for fragments in here (eager mode), and
+    /// replacing or deleting a rule drops its entries. Every entry is either
+    /// `queried` by this session or was held when it was registered;
+    /// retirement marks the queried ones held
+    /// (`DbPeer::finish_session_event`).
+    pub parts: VecMap<(RuleId, NodeId), Part>,
+    /// Subscriptions served, keyed by (subscriber, rule); retirement commits
+    /// each as the cursor of its key.
+    pub subs: VecMap<(NodeId, RuleId), Subscription>,
+    /// Eager-mode state: fragment completeness, closure flags.
     pub upd: EagerState,
     /// This session's own Dijkstra–Scholten detector — one diffusing
     /// computation per session, as Dijkstra–Scholten intends.
     pub ds: DiffusingState,
-    /// Rounds-mode state: echo tree, session-scoped wave watermarks and
-    /// fragment caches.
+    /// Rounds-mode state: round counter, echo tree, awaited answers.
     pub rnd: RoundsState,
     /// Root side: the root already broadcast for the current quiet period.
     /// (The broadcast generation itself lives in
@@ -322,6 +340,52 @@ impl Cursor {
             part,
             watermarks: Marks::new(),
             rows: 0,
+        }
+    }
+}
+
+/// Head side of one fragment between sessions: the rows its body node
+/// shipped so far (`DbPeer::fragments`).
+#[derive(Debug, Clone, Default)]
+pub struct PartCache {
+    /// Column variables (fixed by the fragment).
+    pub vars: Vec<Arc<str>>,
+    /// Accumulated rows, in arrival order. Kept alongside `set` because the
+    /// semi-naive join stages from here: iterating the `HashSet` instead
+    /// would leak nondeterministic order into join output, insertion order
+    /// and shipped rows — every observable order in this crate is
+    /// deterministic by design.
+    pub rows: Vec<Tuple>,
+    /// Fast membership for `rows`.
+    pub set: HashSet<Tuple>,
+}
+
+impl PartCache {
+    /// Merges shipped rows into the cache, returning only the genuinely
+    /// new ones (in arrival order). Sets the column variables on first
+    /// contact. Keeps `rows` and `set` in lockstep — the invariant the
+    /// semi-naive join's determinism rests on — so every merge site
+    /// (answers of either mode, resync answers, recovery priming) goes
+    /// through here.
+    pub fn merge(&mut self, vars: &[Arc<str>], rows: Vec<Tuple>) -> Vec<Tuple> {
+        if self.vars.is_empty() {
+            self.vars = vars.to_vec();
+        }
+        let mut fresh = Vec::new();
+        for t in rows {
+            if self.set.insert(t.clone()) {
+                self.rows.push(t.clone());
+                fresh.push(t);
+            }
+        }
+        fresh
+    }
+
+    /// Borrows the accumulated extension for a join.
+    pub fn view(&self) -> crate::joins::RowsView<'_> {
+        crate::joins::RowsView {
+            vars: &self.vars,
+            rows: &self.rows,
         }
     }
 }
@@ -530,7 +594,7 @@ impl DbPeer {
         self.held.retain(|(r, _)| *r != rule);
         self.fragments.retain(|(r, _), _| *r != rule);
         for st in self.sessions.values_mut() {
-            st.upd.parts.retain(|(r, _), _| *r != rule);
+            st.parts.retain(|(r, _), _| *r != rule);
         }
     }
 
@@ -724,15 +788,18 @@ impl DbPeer {
     }
 
     /// Evaluates one fragment over the local database via the compiled-plan
-    /// cache, with statistics and processing-cost accounting.
+    /// cache — in full, or `since` some watermarks: only the rows derived
+    /// from facts inserted past them — with statistics and processing-cost
+    /// accounting.
     pub(crate) fn eval_part_local(
         &mut self,
         rule: RuleId,
         part: &Arc<crate::rule::BodyPart>,
+        since: Option<&Marks>,
         ctx: &mut Context<ProtocolMsg>,
     ) -> Vec<Tuple> {
         self.stats.local_evaluations += 1;
-        match self.eval_part_rows(rule, part, None) {
+        match self.eval_part_rows(rule, part, since) {
             Ok(rows) => {
                 let cost = p2p_net::SimTime(COST_PER_TUPLE.as_micros() * rows.len() as u64);
                 ctx.charge(cost);
@@ -745,36 +812,11 @@ impl DbPeer {
         }
     }
 
-    /// Delta-evaluates one fragment (rows derived from facts inserted since
-    /// `watermarks`) via the compiled-plan cache, with statistics and
-    /// processing-cost accounting.
-    pub(crate) fn eval_part_delta_local(
-        &mut self,
-        rule: RuleId,
-        part: &Arc<crate::rule::BodyPart>,
-        watermarks: &BTreeMap<Arc<str>, usize>,
-        ctx: &mut Context<ProtocolMsg>,
-    ) -> Vec<Tuple> {
-        self.stats.local_evaluations += 1;
-        match self.eval_part_rows(rule, part, Some(watermarks)) {
-            Ok(rows) => {
-                let cost = p2p_net::SimTime(COST_PER_TUPLE.as_micros() * rows.len() as u64);
-                ctx.charge(cost);
-                rows
-            }
-            Err(e) => {
-                self.fail(format!("fragment delta evaluation failed: {e}"));
-                Vec::new()
-            }
-        }
-    }
-
-    /// Shared plan-cache path of [`DbPeer::eval_part_local`] /
-    /// [`DbPeer::eval_part_delta_local`]: fetch (or compile) the fragment's
-    /// [`crate::joins::CompiledBody`], create the persistent indexes the
-    /// executed plans probe where missing, execute, and fold the work
-    /// counters into [`PeerStats`]. `watermarks: None` is full evaluation;
-    /// `Some(w)` the semi-naive delta.
+    /// The plan-cache path of [`DbPeer::eval_part_local`]: fetch (or
+    /// compile) the fragment's [`crate::joins::CompiledBody`], create the
+    /// persistent indexes the executed plans probe where missing, execute,
+    /// and fold the work counters into [`PeerStats`]. `watermarks: None` is
+    /// full evaluation; `Some(w)` the semi-naive delta.
     fn eval_part_rows(
         &mut self,
         rule: RuleId,
@@ -1137,13 +1179,13 @@ impl DbPeer {
 
     /// Minimal response to a message of a stale or completed session, so
     /// the sender's bookkeeping drains without re-creating any state: basic
-    /// messages get their Dijkstra–Scholten ack, wave queries an empty
-    /// stale acknowledgement, round floods a clean echo.
+    /// messages get their Dijkstra–Scholten ack, wave queries what
+    /// `DbPeer::answer_stale_wave` gives them, round floods a clean echo.
     fn acknowledge_stale(
         &mut self,
         from: NodeId,
         sid: SessionId,
-        msg: &ProtocolMsg,
+        msg: ProtocolMsg,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         // Delivery counters keep their transport-level meaning even for
@@ -1163,33 +1205,13 @@ impl DbPeer {
         }
         match msg {
             ProtocolMsg::WaveQuery {
-                round, rule, part, ..
-            } => {
-                self.stats.stale_answers_sent += 1;
-                let payload = crate::messages::AnswerRows {
-                    vars: part.vars.clone(),
-                    ..Default::default()
-                };
-                ctx.send(
-                    from,
-                    ProtocolMsg::WaveAnswer {
-                        session: sid,
-                        round: *round,
-                        rule: *rule,
-                        rows: payload,
-                    },
-                );
-            }
-            ProtocolMsg::RoundStart { round, .. } => {
-                ctx.send(
-                    from,
-                    ProtocolMsg::RoundEcho {
-                        session: sid,
-                        round: *round,
-                        dirty: false,
-                    },
-                );
-            }
+                round,
+                rule,
+                part,
+                resume,
+                ..
+            } => self.answer_stale_wave(from, sid, round, rule, Arc::new(part), resume, ctx),
+            ProtocolMsg::RoundStart { round, .. } => ctx.send(from, rounds::clean_echo(sid, round)),
             _ => {}
         }
     }
@@ -1201,10 +1223,10 @@ impl DbPeer {
     /// newest entry, so a long-lived system's summary stays bounded by its
     /// root count, not its session count.
     ///
-    /// Retirement is also where the session **commits** (module docs) — its
-    /// subscriptions their cursors, its queried fragments as held, its
-    /// cursor-void notice as delivered: the terminal broadcast certifies
-    /// that every query, answer and notice was delivered and applied.
+    /// Retirement is also where the session **commits** (module docs), under
+    /// either mode — its subscriptions their cursors, its queried fragments
+    /// as held, its cursor-void notice as delivered: the terminal broadcast
+    /// certifies that every answer was applied, and every notice delivered.
     ///
     /// Only a fragment the session **queried** becomes held. The others in
     /// `parts` were registered because they were held already, and a rule
@@ -1214,12 +1236,12 @@ impl DbPeer {
     fn finish_session_event(&mut self, sid: SessionId, st: SessionState) {
         if st.retired {
             if !self.config.paper_faithful {
-                let queried = st.upd.parts.iter().filter(|(_, part)| part.queried);
+                let queried = st.parts.iter().filter(|(_, part)| part.queried);
                 self.held.extend(queried.map(|(key, _)| *key));
                 if st.upd.void_sent {
                     self.void_owed = false;
                 }
-                for (key, sub) in st.upd.subs {
+                for (key, sub) in st.subs {
                     // Interleaved sessions retire in any order; watermarks
                     // are snapshots of one growing database, so the later
                     // snapshot dominates and is the one to keep.
@@ -1279,11 +1301,6 @@ impl DbPeer {
         msg: ProtocolMsg,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        if let ProtocolMsg::Ack { .. } = msg {
-            self.on_ack(from, sid, ctx);
-            return;
-        }
-
         // Crash-recovery resync is control-plane: it repairs the database
         // regardless of what this peer currently holds for the session
         // (the requester may be reconciling an epoch the redrive already
@@ -1291,24 +1308,18 @@ impl DbPeer {
         // session), so both directions bypass the staleness rules below —
         // a dropped repair would leave `pending_resync` outstanding forever
         // and wedge every later closure.
-        if matches!(msg, ProtocolMsg::ResyncRequest { .. }) {
-            if let ProtocolMsg::ResyncRequest {
+        let msg = match msg {
+            ProtocolMsg::Ack { .. } => return self.on_ack(from, sid, ctx),
+            ProtocolMsg::ResyncRequest {
                 rule, part, since, ..
-            } = msg
-            {
-                self.on_resync_request(from, sid, rule, part, since, ctx);
+            } => return self.on_resync_request(from, sid, rule, part, since, ctx),
+            ProtocolMsg::ResyncAnswer { rule, rows, .. } => {
+                return self.on_resync_answer(sid, from, rule, rows)
             }
-            return;
-        }
-        if matches!(msg, ProtocolMsg::ResyncAnswer { .. }) {
-            if let ProtocolMsg::ResyncAnswer { rule, rows, .. } = msg {
-                self.on_resync_answer(sid, from, rule, rows);
-            }
-            return;
-        }
-
+            msg => msg,
+        };
         if self.session_is_stale(sid) || (self.done.contains_key(&sid) && !Self::can_rewake(&msg)) {
-            self.acknowledge_stale(from, sid, &msg, ctx);
+            self.acknowledge_stale(from, sid, msg, ctx);
             return;
         }
         self.supersede_older(sid);
@@ -1359,14 +1370,18 @@ impl DbPeer {
                 self.on_round_echo(&mut st, sid, round, dirty, ctx)
             }
             ProtocolMsg::WaveQuery {
-                round, rule, part, ..
-            } => self.on_wave_query(&mut st, sid, from, round, rule, part, ctx),
+                round,
+                rule,
+                part,
+                resume,
+                ..
+            } => self.on_wave_query(&mut st, sid, from, round, rule, part, resume, ctx),
             ProtocolMsg::WaveAnswer {
                 round, rule, rows, ..
-            } => self.on_wave_answer(&mut st, sid, from, round, rule, rows, false, ctx),
-            ProtocolMsg::WaveAnswerDelta {
+            }
+            | ProtocolMsg::WaveAnswerDelta {
                 round, rule, rows, ..
-            } => self.on_wave_answer(&mut st, sid, from, round, rule, rows, true, ctx),
+            } => self.on_wave_answer(&mut st, sid, from, round, rule, rows, ctx),
             ProtocolMsg::RoundsClosed { rounds, .. } => self.on_rounds_closed(&mut st, rounds),
             ProtocolMsg::ResumeRounds { round, .. } => {
                 self.on_resume_rounds(&mut st, sid, round, ctx)

@@ -21,119 +21,65 @@
 //!    produced no new data anywhere (exactly the condition its
 //!    maximal-dependency-path flags certify).
 //!
-//! All of this is **per session**: [`RoundsState`] lives inside
+//! The wave bookkeeping is **per session**: [`RoundsState`] lives inside
 //! [`crate::peer::SessionState`], so several rounds-mode sessions — one per
-//! initiating root — run interleaved, each with its own round counter, echo
-//! tree, wave bookkeeping and delta machinery over the shared database.
-//! `RoundsClosed` retires the session's entry; the table is empty again
-//! once every session certified its fix-point. (The per-peer cursors of
-//! [`crate::peer`] serve eager sessions and crash recovery; a rounds
-//! session's first answer to each requester is always the full extension.)
+//! initiating root — run interleaved, each with its own round counter and
+//! echo tree over the shared database. `RoundsClosed` retires the session's
+//! entry; the table is empty again once every session certified its
+//! fix-point.
 //!
 //! ## Delta-driven wave answers (off under `SystemConfig::paper_faithful`)
 //!
 //! The paper's fix-point re-evaluates every rule body each round; shipped
 //! naively, the extension of every fragment crosses the wire *every* round,
 //! so bytes grow quadratically with rounds on cyclic topologies. By default
-//! the protocol is **semi-naive** instead:
+//! the protocol is **semi-naive** instead, on the tables an eager session
+//! uses (see [`crate::peer`]): waves decide *when* a body node answers, the
+//! subscriptions and their cursors decide *what* it ships.
 //!
-//! * **Answer side** — a peer keeps, per session and per
-//!   `(requester, rule)` subscription, the database watermarks
-//!   ([`p2p_relational::Database::watermarks`]) as of its last answer *in
-//!   that session*. Watermarks are session-scoped on purpose: two
-//!   interleaved sessions ship independent delta streams to the same
-//!   requester, and each stream's cursor must only advance with its own
-//!   answers — a shared cursor would silently swallow rows from the other
-//!   session's stream. The first answer of a session ships the full
-//!   extension (`WaveAnswer`); every later one delta-evaluates the fragment
-//!   over [`p2p_relational::Database::facts_since`] — only bindings using at
-//!   least one fact inserted since the session's watermark — and ships just
-//!   those rows as a [`crate::messages::ProtocolMsg::WaveAnswerDelta`].
-//! * **Head side** — the head node caches each fragment's accumulated
-//!   extension across rounds ([`RoundsState::wave_cache`], again per
-//!   session) and merges incoming deltas into it. When all fragments of a
-//!   rule have answered in a round, it applies the standard semi-naive
-//!   expansion ([`crate::joins::join_parts_seminaive`]): each fragment's
-//!   *delta* joined against the other fragments' cached *fulls*, union over
-//!   the fragments — every binding using a new row is derived exactly once,
-//!   bindings entirely over old rows were derived in an earlier round.
+//! * **Answer side** — a `WaveQuery` is served by the session's
+//!   subscription of `(requester, rule)`, opened on the path a `Query` takes
+//!   (`DbPeer::open_subscription`): from the committed cursor when the
+//!   requester says `resume`, else from the full extension. The first answer
+//!   of a session is a `WaveAnswer`; every later one delta-evaluates from
+//!   the subscription's watermarks and ships the rows not yet sent in this
+//!   session as a [`crate::messages::ProtocolMsg::WaveAnswerDelta`]. Two
+//!   interleaved sessions keep two subscriptions, so each delta stream
+//!   advances with its own answers only.
+//! * **Head side** — every arriving answer goes through
+//!   `DbPeer::absorb_fragment`, as an eager one does: its rows merge into
+//!   what the peer holds of the fragment (`DbPeer::fragments`, for rules
+//!   with more than one body node), and only bindings that use a new row
+//!   are chased. The rows are applied whatever round they belong to — they
+//!   are rows of the fragment either way; only the round's bookkeeping
+//!   ignores a stale answer.
+//! * **`resume`** — a head says it when it holds everything the
+//!   subscription shipped it: on the session's first query, a fragment a
+//!   retired session committed as held; on a later one, a fragment whose
+//!   answer arrived in the round before. A fragment whose answer a round
+//!   missed (dropped, or lost with a crashed peer) is asked without
+//!   `resume`, and the body node starts its subscription over.
+//! * **Commit** — `RoundsClosed` retires the session as `Fixpoint` retires
+//!   an eager one: the body node commits each subscription as its cursor,
+//!   the head each fragment as held (`DbPeer::finish_session_event`). The
+//!   clean round before it delivered every head its last answers, so no
+//!   cursor is ahead of what its head holds, and the next session resumes
+//!   from there: it ships what changed since, not the extensions again.
 //!
 //! Termination, the dirty-bit accounting and the echo tree are unchanged;
-//! only the payloads shrink. Under `paper_faithful`, every answer re-ships
-//! the full current extension — the baseline the delta mode is checked
-//! against (tuple-identical final databases).
+//! only the payloads shrink. Under `paper_faithful` no head says `resume`,
+//! every answer re-evaluates and re-ships the full current extension, and no
+//! cursor is kept — the baseline the delta mode is checked against
+//! (tuple-identical final databases).
 
-use crate::joins::{join_parts_seminaive, join_views, PartDelta, RowsView};
-use crate::messages::ProtocolMsg;
-use crate::peer::{DbPeer, SessionState};
+use crate::messages::{AnswerRows, ProtocolMsg};
+use crate::peer::{DbPeer, Part, SessionState};
 use crate::rule::{BodyPart, RuleId};
 use crate::stats::ClosedBy;
 use p2p_net::{Context, SessionId};
-use p2p_relational::Tuple;
 use p2p_topology::NodeId;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// A shipped fragment extension: variable names plus rows over them.
-pub type WaveRows = (Vec<Arc<str>>, Vec<Tuple>);
-
-/// Answer-side delta subscription: what this peer remembers about the last
-/// wave answer it shipped to one `(requester, rule)` within one session.
-#[derive(Debug, Clone, Default)]
-pub struct WaveSub {
-    /// Per-relation insertion watermarks at the time of the last answer.
-    pub watermarks: BTreeMap<Arc<str>, usize>,
-    /// Cumulative rows shipped on this subscription (what a full re-ship
-    /// would have re-sent; feeds the `rows_saved` statistic).
-    pub rows_sent: u64,
-}
-
-/// Head-side per-fragment cache: the accumulated extension — across the
-/// rounds of a session here, across sessions in
-/// `crate::peer::DbPeer::fragments`.
-#[derive(Debug, Clone, Default)]
-pub struct PartCache {
-    /// Column variables (fixed by the fragment).
-    pub vars: Vec<Arc<str>>,
-    /// Accumulated rows, in arrival order. Kept alongside `set` because the
-    /// semi-naive join stages from here: iterating the `HashSet` instead
-    /// would leak nondeterministic order into join output, insertion order
-    /// and shipped rows — every observable order in this crate is
-    /// deterministic by design.
-    pub rows: Vec<Tuple>,
-    /// Fast membership for `rows`.
-    pub set: HashSet<Tuple>,
-}
-
-impl PartCache {
-    /// Merges shipped rows into the cache, returning only the genuinely
-    /// new ones (in arrival order). Sets the column variables on first
-    /// contact. Keeps `rows` and `set` in lockstep — the invariant the
-    /// semi-naive join's determinism rests on — so every merge site
-    /// (wave answers, eager answers, resync answers, recovery priming) goes
-    /// through here.
-    pub fn merge(&mut self, vars: &[Arc<str>], rows: Vec<Tuple>) -> Vec<Tuple> {
-        if self.vars.is_empty() {
-            self.vars = vars.to_vec();
-        }
-        let mut fresh = Vec::new();
-        for t in rows {
-            if self.set.insert(t.clone()) {
-                self.rows.push(t.clone());
-                fresh.push(t);
-            }
-        }
-        fresh
-    }
-
-    /// Borrows the accumulated extension for a join.
-    pub fn view(&self) -> RowsView<'_> {
-        RowsView {
-            vars: &self.vars,
-            rows: &self.rows,
-        }
-    }
-}
 
 /// Rounds-mode state of one update session at one peer.
 #[derive(Debug, Clone, Default)]
@@ -150,24 +96,16 @@ pub struct RoundsState {
     pub pending_echoes: usize,
     /// Aggregated dirtiness of children subtrees.
     pub child_dirty: bool,
-    /// Wave answers still expected for own fragments.
-    pub pending_answers: usize,
+    /// Own fragments, per `(rule, body node)`, whose answer this round still
+    /// awaits. What is left when the peer moves to a later round missed its
+    /// answer.
+    pub awaiting: BTreeSet<(RuleId, NodeId)>,
     /// Facts were inserted at this node this round.
     pub dirty_self: bool,
     /// Echo already sent this round.
     pub echoed: bool,
-    /// Queries deferred until own fragments answered.
-    pub deferred: Vec<(NodeId, RuleId, Arc<BodyPart>)>,
-    /// Fragment extensions received this round, per `(rule, body node)`:
-    /// the rows *new to the cache* this round, or under `paper_faithful` the
-    /// full shipped extension.
-    pub wave_parts: BTreeMap<(RuleId, NodeId), WaveRows>,
-    /// Answer-side delta subscriptions, per `(requester, rule)`. Survives
-    /// round resets (a session-lifetime map; retired with the session).
-    pub wave_subs: BTreeMap<(NodeId, RuleId), WaveSub>,
-    /// Head-side fragment caches, per `(rule, body node)`. Survives round
-    /// resets (a session-lifetime map; retired with the session).
-    pub wave_cache: BTreeMap<(RuleId, NodeId), PartCache>,
+    /// Queries deferred until own fragments answered, with their `resume`.
+    pub deferred: Vec<(NodeId, RuleId, Arc<BodyPart>, bool)>,
     /// Fix-point reached.
     pub closed: bool,
     /// Total rounds executed (set at closure; at the root, running count).
@@ -176,27 +114,24 @@ pub struct RoundsState {
 
 impl RoundsState {
     fn waves_done(&self) -> bool {
-        self.pending_answers == 0
+        self.awaiting.is_empty()
+    }
+}
+
+/// The echo of a subtree with nothing to report in `round`: a stale or
+/// duplicate flood, or one of a session this peer is done with.
+pub(crate) fn clean_echo(session: SessionId, round: u32) -> ProtocolMsg {
+    ProtocolMsg::RoundEcho {
+        session,
+        round,
+        dirty: false,
     }
 }
 
 impl DbPeer {
-    /// Root: begin a rounds-mode session.
-    pub(crate) fn start_rounds(
-        &mut self,
-        st: &mut SessionState,
-        sid: SessionId,
-        ctx: &mut Context<ProtocolMsg>,
-    ) {
-        st.rnd = RoundsState {
-            active: true,
-            ..Default::default()
-        };
-        st.retired = false;
-        self.note_session_joined();
-        self.start_round(st, sid, 1, ctx);
-    }
-
+    /// Root: begin round `round` of the session — its first, the next after
+    /// a dirty one, or one a stalled session is resumed at
+    /// (`ProtocolMsg::ResumeRounds`).
     pub(crate) fn start_round(
         &mut self,
         st: &mut SessionState,
@@ -211,7 +146,7 @@ impl DbPeer {
         // Pipes plus the full roster: components not pipe-connected to the
         // root must still participate in the wave (same rationale as the
         // eager flood's roster send).
-        let mut targets: std::collections::BTreeSet<NodeId> = self.pipes.clone();
+        let mut targets: BTreeSet<NodeId> = self.pipes.clone();
         targets.extend(self.sup.all_nodes.iter().copied());
         targets.remove(&self.id);
         st.rnd.pending_echoes = targets.len();
@@ -227,8 +162,8 @@ impl DbPeer {
 
     /// Resets per-round state and issues this node's wave queries. Called on
     /// first contact with a round (flood or query, whichever arrives first).
-    /// The session-scoped delta-wave maps (`wave_subs`, `wave_cache`) carry
-    /// over across rounds.
+    /// Each query says `resume` when this peer holds everything its
+    /// fragment's subscription shipped it (module docs).
     fn enter_round(
         &mut self,
         st: &mut SessionState,
@@ -244,21 +179,27 @@ impl DbPeer {
             st.retired = false;
         }
         self.stats.rounds += 1;
-        let wave_subs = std::mem::take(&mut st.rnd.wave_subs);
-        let wave_cache = std::mem::take(&mut st.rnd.wave_cache);
+        let missed = std::mem::take(&mut st.rnd.awaiting);
         st.rnd = RoundsState {
             active: true,
             round,
-            closed: false,
-            wave_subs,
-            wave_cache,
             ..Default::default()
         };
         let rules: Vec<_> = self.rules.values().cloned().collect();
-        let mut expected = 0usize;
         for rule in &rules {
             for part in &rule.parts {
-                expected += 1;
+                let key = (rule.id, part.node);
+                let resume = !self.config.paper_faithful
+                    && match st.parts.get(&key) {
+                        Some(_) => !missed.contains(&key),
+                        None => self.held.contains(&key),
+                    };
+                let asked = Part {
+                    complete: false,
+                    queried: true,
+                };
+                st.parts.insert(key, asked);
+                st.rnd.awaiting.insert(key);
                 self.stats.queries_sent += 1;
                 ctx.send(
                     part.node,
@@ -267,11 +208,11 @@ impl DbPeer {
                         round,
                         rule: rule.id,
                         part: part.clone(),
+                        resume,
                     },
                 );
             }
         }
-        st.rnd.pending_answers = expected;
         // Crash recovery: give any still-unanswered resync request another
         // chance with the new round (at-least-once; see `durability`).
         self.resend_pending_resyncs(ctx);
@@ -288,43 +229,24 @@ impl DbPeer {
     ) {
         self.add_pipe(from);
         self.enter_round(st, sid, round, ctx);
-        if round < st.rnd.round {
-            // Stale flood from a previous round: answer so the (obsolete)
-            // counter drains; the sender ignores stale echoes.
-            ctx.send(
-                from,
-                ProtocolMsg::RoundEcho {
-                    session: sid,
-                    round,
-                    dirty: false,
-                },
-            );
+        if round < st.rnd.round || st.rnd.flood_seen {
+            // A stale flood from a previous round (its sender ignores the
+            // echo), or a duplicate contact: a non-child echo.
+            ctx.send(from, clean_echo(sid, round));
             return;
         }
-        if !st.rnd.flood_seen {
-            st.rnd.flood_seen = true;
-            st.rnd.flood_parent = Some(from);
-            let targets: Vec<NodeId> = self.pipes.iter().copied().filter(|p| *p != from).collect();
-            st.rnd.pending_echoes = targets.len();
-            ctx.send_to_many(
-                targets,
-                ProtocolMsg::RoundStart {
-                    session: sid,
-                    round,
-                },
-            );
-            self.maybe_echo(st, sid, ctx);
-        } else {
-            // Duplicate contact: immediate non-child echo.
-            ctx.send(
-                from,
-                ProtocolMsg::RoundEcho {
-                    session: sid,
-                    round,
-                    dirty: false,
-                },
-            );
-        }
+        st.rnd.flood_seen = true;
+        st.rnd.flood_parent = Some(from);
+        let targets: Vec<NodeId> = self.pipes.iter().copied().filter(|p| *p != from).collect();
+        st.rnd.pending_echoes = targets.len();
+        ctx.send_to_many(
+            targets,
+            ProtocolMsg::RoundStart {
+                session: sid,
+                round,
+            },
+        );
+        self.maybe_echo(st, sid, ctx);
     }
 
     /// Wave query handler.
@@ -337,50 +259,71 @@ impl DbPeer {
         round: u32,
         rule: RuleId,
         part: BodyPart,
+        resume: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.stats.queries_received += 1;
         self.add_pipe(from);
         self.enter_round(st, sid, round, ctx);
+        let part = Arc::new(part);
         if round < st.rnd.round {
-            // Stale: the requester has moved past this round and
-            // `on_wave_answer` will drop the payload unread, so shipping the
-            // full current extension would be pure waste (and would
-            // misattribute the bytes as useful traffic). Send an empty
-            // acknowledgement — enough to drain the old round's counter if
-            // anyone is still waiting — accounted separately.
-            self.stats.stale_answers_sent += 1;
-            let payload = crate::messages::AnswerRows {
-                vars: part.vars.clone(),
-                rows: Vec::new(),
-                null_depths: Vec::new(),
-                // No watermarks: a stale ack is not a processed answer and
-                // must not advance anyone's resync cursor.
-                marks: BTreeMap::new(),
-                dict: Vec::new(),
-            };
-            ctx.send(
-                from,
-                ProtocolMsg::WaveAnswer {
-                    session: sid,
-                    round,
-                    rule,
-                    rows: payload,
-                },
-            );
+            self.answer_stale_wave(from, sid, round, rule, part, resume, ctx);
             return;
         }
-        let part = Arc::new(part);
-        let defer = !self.in_cycle && !st.rnd.waves_done();
-        if defer {
-            st.rnd.deferred.push((from, rule, part));
+        if !self.in_cycle && !st.rnd.waves_done() {
+            st.rnd.deferred.push((from, rule, part, resume));
         } else {
-            self.answer_wave(st, sid, from, round, rule, &part, ctx);
+            self.answer_wave(st, sid, from, round, rule, part, resume, ctx);
         }
     }
 
-    /// Ships one wave answer: a full extension on first contact (or under
-    /// `paper_faithful`), a semi-naive delta afterwards.
+    /// Answers a wave query of a round or a session this peer is past — a
+    /// late query, or one of a head in a session resumed after this peer
+    /// retired it — without taking part again. A requester that
+    /// holds everything it was shipped (`resume`) gets an empty
+    /// acknowledgement, enough to drain its round's counter, counted apart
+    /// from the useful answers; no watermarks ride along, as it must not
+    /// advance anyone's resync cursor. One that asked afresh gets the full
+    /// extension it asked for.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn answer_stale_wave(
+        &mut self,
+        to: NodeId,
+        session: SessionId,
+        round: u32,
+        rule: RuleId,
+        part: Arc<BodyPart>,
+        resume: bool,
+        ctx: &mut Context<ProtocolMsg>,
+    ) {
+        let rows = if resume {
+            self.stats.stale_answers_sent += 1;
+            AnswerRows {
+                vars: part.vars.clone(),
+                ..Default::default()
+            }
+        } else {
+            let rows = self.eval_part_local(rule, &part, None, ctx);
+            self.stats.answers_sent += 1;
+            self.stats.rows_shipped += rows.len() as u64;
+            self.make_answer_rows(to, &part, rows)
+        };
+        ctx.send(
+            to,
+            ProtocolMsg::WaveAnswer {
+                session,
+                round,
+                rule,
+                rows,
+            },
+        );
+    }
+
+    /// Ships one wave answer on the session's subscription of `(to, rule)`:
+    /// the delta since its last answer when the requester holds everything
+    /// it shipped (`resume`), else the first answer of a subscription opened
+    /// anew — from the committed cursor when the requester says `resume`,
+    /// from the full extension otherwise.
     #[allow(clippy::too_many_arguments)]
     fn answer_wave(
         &mut self,
@@ -389,55 +332,45 @@ impl DbPeer {
         to: NodeId,
         round: u32,
         rule: RuleId,
-        part: &Arc<BodyPart>,
+        part: Arc<BodyPart>,
+        resume: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         let key = (to, rule);
-        if let Some(sub) = st.rnd.wave_subs.get_mut(&key) {
-            // Re-answer: only rows derived from facts inserted since the
-            // last answer to this requester within this session.
-            let rows = self.eval_part_delta_local(rule, part, &sub.watermarks, ctx);
-            let shipped = rows.len() as u64;
-            self.stats.answers_sent += 1;
-            self.stats.delta_answers_sent += 1;
-            self.stats.rows_shipped += shipped;
-            self.stats.rows_saved += sub.rows_sent;
-            sub.watermarks = self.part_marks(part);
-            sub.rows_sent += shipped;
-            let payload = self.make_answer_rows(to, part, rows);
-            ctx.send(
-                to,
-                ProtocolMsg::WaveAnswerDelta {
-                    session: sid,
-                    round,
-                    rule,
-                    rows: payload,
-                },
-            );
-            return;
-        }
-        let rows = self.eval_part_local(rule, part, ctx);
+        let (sub, rows, delta) = match st.subs.remove(&key) {
+            Some(mut sub) if resume && sub.part == part => {
+                let (_, unsent) = self.advance_subscription(rule, &mut sub, ctx);
+                self.stats.delta_answers_sent += 1;
+                // What a full re-ship would have re-sent.
+                self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - unsent.len()) as u64;
+                (sub, unsent, true)
+            }
+            _ => {
+                let (sub, rows) = self.open_subscription(to, rule, part, resume, ctx);
+                (sub, rows, false)
+            }
+        };
         self.stats.answers_sent += 1;
         self.stats.rows_shipped += rows.len() as u64;
-        if !self.config.paper_faithful {
-            st.rnd.wave_subs.insert(
-                key,
-                WaveSub {
-                    watermarks: self.part_marks(part),
-                    rows_sent: rows.len() as u64,
-                },
-            );
-        }
-        let payload = self.make_answer_rows(to, part, rows);
-        ctx.send(
-            to,
-            ProtocolMsg::WaveAnswer {
-                session: sid,
+        let rows = self.make_answer_rows(to, &sub.part, rows);
+        let session = sid;
+        let msg = if delta {
+            ProtocolMsg::WaveAnswerDelta {
+                session,
                 round,
                 rule,
-                rows: payload,
-            },
-        );
+                rows,
+            }
+        } else {
+            ProtocolMsg::WaveAnswer {
+                session,
+                round,
+                rule,
+                rows,
+            }
+        };
+        ctx.send(to, msg);
+        st.subs.insert(key, sub);
     }
 
     /// Wave answer handler (both the full and the delta flavour).
@@ -449,76 +382,30 @@ impl DbPeer {
         from: NodeId,
         round: u32,
         rule: RuleId,
-        mut rows: crate::messages::AnswerRows,
-        is_delta: bool,
+        mut rows: AnswerRows,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         self.stats.answers_received += 1;
-        if !st.rnd.active || round != st.rnd.round {
-            return; // Stale answer for a finished round.
-        }
         self.absorb_dict(from, &mut rows);
         self.absorb_null_depths(&rows);
         // Durable peers log the processed answer (rows + the answerer's
-        // watermarks — the crash-resync cursor), behind the insertions this
-        // arrival derives below.
+        // watermarks — the crash-resync cursor), behind the insertions it
+        // derives.
         let mark = self.answer_mark(rule, &rows);
-        // A delta answer always goes through the cache, even if this peer's
-        // own toggle is off (the sender's config decides the payload shape).
-        let use_cache = !self.config.paper_faithful || is_delta;
-        if use_cache {
-            let cache = st.rnd.wave_cache.entry((rule, from)).or_default();
-            let fresh = cache.merge(&rows.vars, rows.rows);
-            st.rnd.wave_parts.insert((rule, from), (rows.vars, fresh));
-        } else {
-            st.rnd
-                .wave_parts
-                .insert((rule, from), (rows.vars.clone(), rows.rows));
-        }
-        st.rnd.pending_answers = st.rnd.pending_answers.saturating_sub(1);
-
-        // Recompute the rule if all its fragments arrived this round.
-        let arrived =
-            self.rules.get(&rule).cloned().filter(|r| {
-                (r.parts.iter()).all(|p| st.rnd.wave_parts.contains_key(&(rule, p.node)))
-            });
-        if let Some(rule_obj) = arrived {
-            let bindings = if use_cache {
-                // Semi-naive expansion: each fragment's delta against the
-                // other fragments' accumulated fulls.
-                let staged: Vec<PartDelta> = (rule_obj.parts.iter())
-                    .map(|p| {
-                        let cache = &st.rnd.wave_cache[&(rule, p.node)];
-                        let (vars, fresh) = &st.rnd.wave_parts[&(rule, p.node)];
-                        PartDelta {
-                            full: cache.view(),
-                            delta: RowsView { vars, rows: fresh },
-                        }
-                    })
-                    .collect();
-                join_parts_seminaive(&staged, &rule_obj.join_constraints)
-            } else {
-                let staged: Vec<RowsView> = (rule_obj.parts.iter())
-                    .map(|p| {
-                        let (vars, rows) = &st.rnd.wave_parts[&(rule, p.node)];
-                        RowsView { vars, rows }
-                    })
-                    .collect();
-                join_views(&staged, &rule_obj.join_constraints)
-            };
-            let inserted = self.apply_rule_bindings(&rule_obj, &bindings);
-            if inserted > 0 {
-                st.rnd.dirty_self = true;
-            }
-        }
+        let inserted = self.absorb_fragment(rule, from, rows.vars, rows.rows);
         self.log_answer_mark(sid, rule, from, mark);
-
+        if !st.rnd.active {
+            return;
+        }
+        st.rnd.dirty_self |= inserted > 0;
+        if round != st.rnd.round || !st.rnd.awaiting.remove(&(rule, from)) {
+            return; // Stale: its rows are in, its round is over.
+        }
         if st.rnd.waves_done() {
             // Serve the queries we held back.
             let deferred = std::mem::take(&mut st.rnd.deferred);
-            let r = st.rnd.round;
-            for (to, d_rule, d_part) in deferred {
-                self.answer_wave(st, sid, to, r, d_rule, &d_part, ctx);
+            for (to, d_rule, d_part, resume) in deferred {
+                self.answer_wave(st, sid, to, round, d_rule, d_part, resume, ctx);
             }
             self.maybe_echo(st, sid, ctx);
         }
@@ -558,37 +445,30 @@ impl DbPeer {
         // session with a silent hole). The forced next round re-sends the
         // request.
         let dirty = st.rnd.dirty_self || st.rnd.child_dirty || !self.pending_resync.is_empty();
+        let round = st.rnd.round;
         match st.rnd.flood_parent {
             Some(parent) => {
                 ctx.send(
                     parent,
                     ProtocolMsg::RoundEcho {
                         session: sid,
-                        round: st.rnd.round,
+                        round,
                         dirty,
                     },
                 );
             }
+            // Root: the round is complete.
+            None if dirty => self.start_round(st, sid, round + 1, ctx),
             None => {
-                // Root: the round is complete.
-                if dirty {
-                    let next = st.rnd.round + 1;
-                    self.start_round(st, sid, next, ctx);
-                } else {
-                    let rounds = st.rnd.round;
-                    st.rnd.closed = true;
-                    st.rnd.rounds_done = rounds;
-                    st.retired = true;
-                    self.stats.closed_by = ClosedBy::CleanRound;
-                    let me = self.id;
-                    ctx.send_to_many(
-                        self.sup.all_nodes.iter().copied().filter(|n| *n != me),
-                        ProtocolMsg::RoundsClosed {
-                            session: sid,
-                            rounds,
-                        },
-                    );
-                }
+                self.close_rounds(st, round);
+                let me = self.id;
+                ctx.send_to_many(
+                    self.sup.all_nodes.iter().copied().filter(|n| *n != me),
+                    ProtocolMsg::RoundsClosed {
+                        session: sid,
+                        rounds: round,
+                    },
+                );
             }
         }
     }
@@ -608,9 +488,15 @@ impl DbPeer {
         }
         if !st.rnd.active {
             self.note_session_joined();
+            st.rnd.active = true;
         }
+        self.close_rounds(st, rounds);
+    }
+
+    /// The session's fix-point, here, after `rounds` rounds: closed and
+    /// retired, which commits what it shipped and was shipped.
+    fn close_rounds(&mut self, st: &mut SessionState, rounds: u32) {
         st.rnd.closed = true;
-        st.rnd.active = true;
         st.rnd.rounds_done = rounds;
         st.retired = true;
         self.stats.closed_by = ClosedBy::CleanRound;

@@ -87,7 +87,7 @@ impl DbPeer {
                     self.open_standing(st, sid, ctx);
                 }
             }
-            UpdateMode::Rounds => self.start_rounds(st, sid, ctx),
+            UpdateMode::Rounds => self.start_round(st, sid, 1, ctx),
         }
     }
 
@@ -213,10 +213,11 @@ impl DbPeer {
     /// Driver command: resume a stalled rounds-mode session (churn broke a
     /// wave — a crashed peer cannot echo, so the round never completed).
     /// Starting a fresh round strictly above every peer's current one
-    /// restarts the wave machinery while keeping all session-scoped delta
-    /// state (wave subscriptions, fragment caches), so the resumed session
-    /// ships deltas, not the world, and its clean round re-certifies the
-    /// fix-point.
+    /// restarts the wave machinery while keeping the session's
+    /// subscriptions, so the resumed session ships deltas, not the world:
+    /// only a fragment whose answer went missing is asked for afresh. Its
+    /// clean round re-certifies the fix-point, and its `RoundsClosed`
+    /// commits the cursors the next session resumes from.
     pub(crate) fn on_resume_rounds(
         &mut self,
         st: &mut SessionState,
@@ -228,12 +229,6 @@ impl DbPeer {
             self.fail("ResumeRounds requires the rounds update mode");
             return;
         }
-        if !st.rnd.active {
-            self.note_session_joined();
-        }
-        st.rnd.active = true;
-        st.rnd.closed = false;
-        st.retired = false;
         self.start_round(st, sid, round, ctx);
     }
 

@@ -264,6 +264,13 @@ impl PeerStorage {
         self.codec
     }
 
+    /// Whether what this store holds — its newest snapshot and the frames
+    /// after it — has an answer mark for `rule`: only then does forgetting
+    /// the rule need a [`WalRecord::ForgetRule`].
+    pub fn has_marks(&self, rule: u32) -> bool {
+        self.folded.marks.keys().any(|(r, _)| *r == rule)
+    }
+
     /// The first-use dictionary for a set of values: `(id, string)` pairs
     /// for every symbol among `vals` that this store has not yet persisted,
     /// which are thereby marked persisted. The caller puts the result in the

@@ -127,11 +127,13 @@ fn cyclic_ring_delta_ships_at_least_3x_fewer_rows() {
     assert!(ds.rows_saved > 0);
 }
 
-/// Regression: a wave query for an already-finished round is answered with
-/// an **empty** acknowledgement counted under `stale_answers_sent`, not
-/// with the full current extension counted as useful traffic. The lagging
-/// peer is simulated by injecting its round-1 query after the session
-/// closed under a jittery latency model.
+/// Regression: a wave query for an already-finished round, from a peer that
+/// holds everything it was shipped (`resume`), is answered with an
+/// **empty** acknowledgement counted under `stale_answers_sent`, not with
+/// the full current extension counted as useful traffic. The lagging peer
+/// is simulated by injecting its round-1 query after the session closed
+/// under a jittery latency model. Asked afresh instead, the finished peer
+/// ships the full extension the requester asked for.
 #[test]
 fn stale_wave_query_ships_empty_ack_not_full_extension() {
     let mut b = P2PSystemBuilder::new();
@@ -180,16 +182,14 @@ fn stale_wave_query_ships_empty_ack_not_full_extension() {
         _ => None,
     };
     let rule = CoordinationRule::parse("lag", "C:c(X,Y) => B:b(X,Y)", None, &resolve).unwrap();
-    sim.inject(
-        NodeId(1),
-        NodeId(2),
-        ProtocolMsg::WaveQuery {
-            session: sid,
-            round: 1,
-            rule: rule.id,
-            part: rule.parts[0].clone(),
-        },
-    );
+    let lagging = |resume| ProtocolMsg::WaveQuery {
+        session: sid,
+        round: 1,
+        rule: rule.id,
+        part: rule.parts[0].clone(),
+        resume,
+    };
+    sim.inject(NodeId(1), NodeId(2), lagging(true));
     sim.run();
 
     let after = sim.peer(NodeId(2)).unwrap().stats().clone();
@@ -207,6 +207,14 @@ fn stale_wave_query_ships_empty_ack_not_full_extension() {
     let b_peer = sim.peer(NodeId(1)).unwrap();
     assert!(b_peer.update_closed());
     assert_eq!(b_peer.stats().answers_received, b_received_before + 1);
+
+    sim.inject(NodeId(1), NodeId(2), lagging(false));
+    sim.run();
+    let fresh = sim.peer(NodeId(2)).unwrap().stats().clone();
+    let extension = sim.peer(NodeId(2)).unwrap().database().total_tuples() as u64;
+    assert_eq!(fresh.stale_answers_sent, 1);
+    assert_eq!(fresh.answers_sent, after.answers_sent + 1);
+    assert_eq!(fresh.rows_shipped, after.rows_shipped + extension);
 }
 
 // ---------------------------------------------------------------------------

@@ -104,11 +104,23 @@ fn session() -> impl Strategy<Value = SessionId> {
     (0u32..9000, 0u64..1_000_000).prop_map(|(root, epoch)| SessionId::new(NodeId(root), epoch))
 }
 
+/// A rule fragment. A cold structured field: it travels as an embedded
+/// generic document, so one shape suffices here.
+fn part(node: u32) -> p2pdb::core::rule::BodyPart {
+    p2pdb::core::rule::BodyPart {
+        node: NodeId(node),
+        atoms: vec![],
+        local_constraints: vec![],
+        vars: vec![Arc::from("X")],
+    }
+}
+
 /// A spread of protocol messages: every answer-carrying variant (the hot
-/// path), the session-scalar control messages, and discovery traffic.
+/// path), the queries, the session-scalar control messages, and discovery
+/// traffic.
 fn msg() -> impl Strategy<Value = ProtocolMsg> {
     (
-        (0u8..15, session(), any::<u32>(), 0u32..100_000),
+        (0u8..16, session(), any::<u32>(), 0u32..100_000),
         answer_rows(),
         (any::<bool>(), any::<bool>()),
         proptest::collection::vec((0u32..200, 0u32..200), 0..6),
@@ -172,29 +184,24 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                     11 => ProtocolMsg::ResyncRequest {
                         session,
                         rule,
-                        // Cold structured field: travels as an embedded
-                        // generic document, so one shape suffices here.
-                        part: p2pdb::core::rule::BodyPart {
-                            node: NodeId(session.root.0),
-                            atoms: vec![],
-                            local_constraints: vec![],
-                            vars: vec![Arc::from("X")],
-                        },
+                        part: part(session.root.0),
                         since,
                     },
                     12 => ProtocolMsg::Query {
                         session,
                         rule,
-                        part: p2pdb::core::rule::BodyPart {
-                            node: NodeId(session.root.0),
-                            atoms: vec![],
-                            local_constraints: vec![],
-                            vars: vec![Arc::from("X")],
-                        },
+                        part: part(session.root.0),
                         sn: edge_list.into_iter().map(|(a, _)| NodeId(a)).collect(),
                         resume: b1,
                     },
                     13 => ProtocolMsg::CursorVoid { session },
+                    14 => ProtocolMsg::WaveQuery {
+                        session,
+                        round,
+                        rule,
+                        part: part(session.root.0),
+                        resume: b1,
+                    },
                     _ => ProtocolMsg::RoundsClosed {
                         session,
                         rounds: round,
@@ -441,9 +448,9 @@ fn streams_like_its_tree<T: Serialize + Deserialize>(v: &T) -> Result<(), TestCa
     Ok(())
 }
 
-/// One past the highest binary message tag (`Answer` with `pushed` and
-/// `acks` both set).
-const FIRST_UNUSED_TAG: u8 = 33;
+/// One past the highest binary message tag (`WaveQuery` with `resume`
+/// set).
+const FIRST_UNUSED_TAG: u8 = 34;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -525,6 +532,40 @@ proptest! {
                 let mut bytes = encode_msg(&asked);
                 bytes[0] = tag;
                 prop_assert!(matches!(decode_msg(&bytes), Err(binpack::Error::BadTag(t)) if t == tag));
+            }
+        }
+    }
+
+    /// A wave query's `resume` costs nothing until it says something: one
+    /// without it is the bytes it was before the field existed in both
+    /// codecs, and one with it is the same bytes under its own binary tag.
+    #[test]
+    fn wave_query_resume_rides_in_the_tag_and_is_omitted_when_false(
+        session in session(),
+        rule in any::<u32>(),
+        round in 0u32..100_000,
+        node in 0u32..9000,
+    ) {
+        let query = |resume| ProtocolMsg::WaveQuery {
+            session,
+            round,
+            rule: RuleId(rule),
+            part: part(node),
+            resume,
+        };
+        for (resume, tag) in [(false, 18), (true, FIRST_UNUSED_TAG - 1)] {
+            let msg = query(resume);
+            let json = serde_json::to_string(&msg).unwrap();
+            prop_assert_eq!(json.contains("resume"), resume);
+            let bytes = encode_msg(&msg);
+            prop_assert_eq!(bytes[0], tag);
+            prop_assert_eq!(&bytes[1..], &encode_msg(&query(false))[1..]);
+            for decoded in [serde_json::from_str(&json).unwrap(), decode_msg(&bytes).unwrap()] {
+                let ProtocolMsg::WaveQuery { resume: back, .. } = &decoded else {
+                    return Err(TestCaseError::fail("not a wave query"));
+                };
+                prop_assert_eq!(*back, resume);
+                prop_assert_eq!(&encode_msg(&decoded), &bytes);
             }
         }
     }

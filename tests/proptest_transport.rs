@@ -81,7 +81,7 @@ fn session() -> impl Strategy<Value = SessionId> {
 /// the row-carrying hot path plus the session-scalar control messages.
 fn msg() -> impl Strategy<Value = ProtocolMsg> {
     (
-        (0u8..6, session(), any::<u32>(), 0u32..10_000),
+        (0u8..7, session(), any::<u32>(), 0u32..10_000),
         answer_rows(),
     )
         .prop_map(|((kind, session, rule, round), rows)| {
@@ -108,6 +108,18 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                     generation: round,
                 },
                 4 => ProtocolMsg::Ack { session },
+                5 => ProtocolMsg::WaveQuery {
+                    session,
+                    round,
+                    rule,
+                    part: p2pdb::core::rule::BodyPart {
+                        node: NodeId(session.root.0),
+                        atoms: vec![],
+                        local_constraints: vec![],
+                        vars: vec![Arc::from("X")],
+                    },
+                    resume: round % 2 == 0,
+                },
                 _ => ProtocolMsg::Unsubscribe { session, rule },
             }
         })

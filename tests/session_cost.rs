@@ -7,6 +7,7 @@
 //! holds on disk and replays at a restart follows its state, not its
 //! history. Deterministic counts on the simulator, no timing.
 
+use p2pdb::core::config::UpdateMode;
 use p2pdb::core::oracle::global_fixpoint;
 use p2pdb::core::peer::DbPeer;
 use p2pdb::core::stats::PeerStats;
@@ -30,7 +31,7 @@ const SESSIONS: usize = 30;
 /// DBLP ring(8): three schema families round-robin, translation rules along
 /// every ring edge (cyclic, with existential heads), 40 disjoint base
 /// publications per node.
-fn ring(paper_faithful: bool) -> P2PSystem {
+fn ring(mode: UpdateMode, paper_faithful: bool) -> P2PSystem {
     let mut b = build_system(&WorkloadConfig {
         topology: Topology::Ring { n: NODES },
         records_per_node: 40,
@@ -38,8 +39,20 @@ fn ring(paper_faithful: bool) -> P2PSystem {
         seed: 3,
     })
     .unwrap();
+    b.config_mut().mode = mode;
     b.config_mut().paper_faithful = paper_faithful;
     b.build().unwrap()
+}
+
+/// Two fresh publications, their ids far above anything the base data
+/// holds.
+fn fresh_pubs(fresh: &mut DblpGenerator) -> Vec<Publication> {
+    (fresh.batch(2).into_iter())
+        .map(|mut p| {
+            p.id += 10_000_000;
+            p
+        })
+        .collect()
 }
 
 fn insert(sys: &mut P2PSystem, node: NodeId, pubs: &[Publication]) {
@@ -96,8 +109,8 @@ fn session(sys: &mut P2PSystem, before: &mut PeerStats) -> Cost {
 
 #[test]
 fn thirty_sessions_of_two_publications_ship_the_delta_not_the_database() {
-    let mut sys = ring(false);
-    let mut baseline = ring(true);
+    let mut sys = ring(UpdateMode::Eager, false);
+    let mut baseline = ring(UpdateMode::Eager, true);
     let rules = sys.rules().len();
     let n = u64::from(NODES);
     let mut fresh = DblpGenerator::new(0x5e55_1075);
@@ -107,14 +120,7 @@ fn thirty_sessions_of_two_publications_ship_the_delta_not_the_database() {
 
     for k in 0..SESSIONS {
         let writer = NodeId(k as u32 % NODES);
-        let pubs: Vec<Publication> = fresh
-            .batch(2)
-            .into_iter()
-            .map(|mut p| {
-                p.id += 10_000_000; // far above anything the base data holds
-                p
-            })
-            .collect();
+        let pubs = fresh_pubs(&mut fresh);
         insert(&mut sys, writer, &pubs);
         insert(&mut baseline, writer, &pubs);
 
@@ -237,6 +243,51 @@ fn thirty_sessions_of_two_publications_ship_the_delta_not_the_database() {
     assert_eq!(net.total_messages, 3168);
 }
 
+/// Rounds mode keeps the same per-peer tables: `RoundsClosed` commits the
+/// cursors and the held fragments as `Fixpoint` does, so from the second
+/// session on each fragment's first wave query resumes from its cursor, and
+/// a session ships the delta inserted before it, not the extensions again.
+#[test]
+fn later_rounds_sessions_ship_the_delta_not_the_database() {
+    let mut sys = ring(UpdateMode::Rounds, false);
+    let mut baseline = ring(UpdateMode::Rounds, true);
+    let rules = sys.rules().len() as u64;
+    let mut fresh = DblpGenerator::new(0x0520_0d5e);
+    let (mut seen, mut seen_baseline) = (PeerStats::default(), PeerStats::default());
+    let mut retained_at_first = None;
+
+    for k in 0..12 {
+        let writer = NodeId(k % NODES);
+        let pubs = fresh_pubs(&mut fresh);
+        insert(&mut sys, writer, &pubs);
+        insert(&mut baseline, writer, &pubs);
+        let cost = session(&mut sys, &mut seen);
+        let full = session(&mut baseline, &mut seen_baseline);
+        assert!(
+            sys.snapshot().equivalent(&sys.oracle().unwrap()),
+            "session {k}: fix-point differs from the oracle"
+        );
+        for (id, peer) in sys.peers() {
+            assert_eq!(peer.session_table_len(), 0, "session {k}: leak at {id}");
+        }
+        let retained: Vec<(usize, usize)> =
+            sys.peers().map(|(_, p)| p.retained_entries()).collect();
+        match &retained_at_first {
+            None => retained_at_first = Some(retained),
+            Some(first) => assert_eq!(&retained, first, "session {k}: retained state moved"),
+        }
+        if k > 0 {
+            assert_eq!(cost.resumed_answers, rules, "session {k}");
+            assert!(
+                cost.rows_shipped * 10 < full.rows_shipped,
+                "session {k}: {} rows against the baseline's {}",
+                cost.rows_shipped,
+                full.rows_shipped
+            );
+        }
+    }
+}
+
 /// Two fresh publications at `writer`, then a session: its cost and the
 /// bytes it put on the wire.
 fn written_session(
@@ -245,12 +296,7 @@ fn written_session(
     fresh: &mut DblpGenerator,
     writer: NodeId,
 ) -> (Cost, u64) {
-    let pubs: Vec<Publication> = (fresh.batch(2).into_iter())
-        .map(|mut p| {
-            p.id += 10_000_000;
-            p
-        })
-        .collect();
+    let pubs = fresh_pubs(fresh);
     insert(sys, writer, &pubs);
     let before = sys.net_stats().total_bytes;
     let cost = session(sys, seen);
