@@ -85,10 +85,7 @@ pub fn acyclic_update(
                         .iter()
                         .map(|t| p2p_net::encoded_wire_size(t) as u64)
                         .sum::<u64>();
-                parts.push(VarRows {
-                    vars: part.vars.clone(),
-                    rows,
-                });
+                parts.push(VarRows::from_tuples(part.vars.clone(), &rows));
             }
             if !ok {
                 continue;

@@ -34,7 +34,8 @@
 //! constants collapse to 1–2 bytes each. Dictionaries ship sorted
 //! `SymId`s, so they delta the same way. Ragged row sets (possible after
 //! deserializing foreign input) fall back to a generic document, flagged
-//! in the block header.
+//! in the block header; a peer refuses them where they arrive. A block of
+//! no rows declares arity 0, and decoding rejects any other.
 //!
 //! ## LZ block layer
 //!
@@ -210,22 +211,33 @@ impl ColDelta {
                 Val::Int(i)
             }
             VAL_SYM => {
-                let id = self.prev_sym + r.get_zigzag()?;
+                let id = add_delta(self.prev_sym, r)?;
                 self.prev_sym = id;
                 Val::Sym(SymId(u32::try_from(id).map_err(|_| Error::BadVarint)?))
             }
             VAL_NULL => {
-                let node = self.prev_null_node + r.get_zigzag()?;
-                let counter = self.prev_null_counter + r.get_zigzag()?;
+                let node = add_delta(self.prev_null_node, r)?;
+                let counter = add_delta(self.prev_null_counter, r)?;
                 self.prev_null_node = node;
                 self.prev_null_counter = counter;
-                Val::Null(NullId::new(
-                    u32::try_from(node).map_err(|_| Error::BadVarint)?,
-                    u64::try_from(counter).map_err(|_| Error::BadVarint)?,
-                ))
+                Val::Null(null_id(node, counter)?)
             }
             tag => return Err(Error::BadTag(tag)),
         })
+    }
+}
+
+/// `prev` plus the next zigzag delta of `r`; a sum past `i64` is malformed.
+fn add_delta(prev: i64, r: &mut Reader<'_>) -> Result<i64, Error> {
+    prev.checked_add(r.get_zigzag()?).ok_or(Error::BadVarint)
+}
+
+/// A labeled null from decoded parts; parts no [`NullId`] holds — a node
+/// past its 24 bits, a counter past its 40 — are malformed input.
+fn null_id(node: i64, counter: i64) -> Result<NullId, Error> {
+    match (u32::try_from(node), u64::try_from(counter)) {
+        (Ok(n), Ok(c)) if n < 1 << 24 && c >> NullId::COUNTER_BITS == 0 => Ok(NullId::new(n, c)),
+        _ => Err(Error::BadVarint),
     }
 }
 
@@ -309,6 +321,12 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
         ROWS_COLUMNAR => {
             let nrows = r.get_varint()? as usize;
             let arity = r.get_varint()? as usize;
+            // The encoder writes arity 0 for a block of no rows, so any
+            // other arity there is malformed; otherwise every value takes a
+            // byte, which bounds the arity by the input.
+            if nrows == 0 && arity != 0 {
+                return Err(Error::De(format!("no rows of arity {arity}")));
+            }
             if nrows
                 .checked_mul(arity.max(1))
                 .map(|cells| cells > r.remaining() + 1)
@@ -316,17 +334,15 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
             {
                 return Err(Error::Truncated);
             }
-            let mut columns: Vec<Vec<Val>> = Vec::with_capacity(arity);
-            for _ in 0..arity {
+            let mut flat = vec![Val::Int(0); nrows * arity];
+            for col in 0..arity {
                 let mut delta = ColDelta::default();
-                let mut col = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    col.push(delta.get(r)?);
+                for row in 0..nrows {
+                    flat[row * arity + col] = delta.get(r)?;
                 }
-                columns.push(col);
             }
             (0..nrows)
-                .map(|i| Tuple::new(columns.iter().map(|c| c[i]).collect()))
+                .map(|i| Tuple::from_row(&flat[i * arity..][..arity]))
                 .collect()
         }
         ROWS_GENERIC => get_doc(r)?,
@@ -335,10 +351,9 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
     let ndepths = r.get_varint()? as usize;
     let mut null_depths = Vec::with_capacity(ndepths.min(r.remaining() + 1));
     for _ in 0..ndepths {
-        let node = u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?;
-        let counter = r.get_varint()?;
+        let null = null_id(r.get_varint()? as i64, r.get_varint()? as i64)?;
         let depth = u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?;
-        null_depths.push((NullId::new(node, counter), depth));
+        null_depths.push((null, depth));
     }
     let nmarks = r.get_varint()? as usize;
     let mut marks = BTreeMap::new();
@@ -351,7 +366,7 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
     let mut dict = Vec::with_capacity(ndict.min(r.remaining() + 1));
     let mut prev_sym = 0i64;
     for _ in 0..ndict {
-        let id = prev_sym + r.get_zigzag()?;
+        let id = add_delta(prev_sym, r)?;
         prev_sym = id;
         let text = Arc::<str>::from(r.get_str()?);
         dict.push((
@@ -965,6 +980,55 @@ mod tests {
             rows,
         };
         assert_same(&roundtrip(&msg), &msg);
+    }
+
+    /// A row block of no rows that declares an arity of 2⁶¹ is a typed
+    /// error, not a capacity overflow; so is one whose symbol deltas run
+    /// past `i64`, and one holding a null no `NullId` can carry.
+    #[test]
+    fn hostile_row_blocks_are_typed_errors() {
+        let block = |inner: &[u8]| {
+            let mut w = Writer::new();
+            w.put_u8(12);
+            put_session(&mut w, sid(1));
+            w.put_varint(2);
+            w.put_u8(BLOCK_RAW);
+            w.put_bytes(inner);
+            w.into_bytes()
+        };
+        let mut huge = vec![0, ROWS_COLUMNAR, 0];
+        let mut arity = Writer::new();
+        arity.put_varint(1 << 61);
+        huge.extend(arity.into_bytes());
+        let frame = block(&huge);
+        assert_eq!(frame.len(), 18);
+        assert!(matches!(decode_msg(&frame), Err(Error::De(_))));
+        assert!(decode_msg(&frame[..15]).is_err());
+
+        let mut far = Writer::new();
+        far.put_varint(0);
+        far.put_u8(ROWS_COLUMNAR);
+        far.put_varint(2);
+        far.put_varint(1);
+        for delta in [i64::from(u32::MAX), i64::MAX] {
+            far.put_u8(VAL_SYM);
+            far.put_zigzag(delta);
+        }
+        assert!(decode_msg(&block(&far.into_bytes())).is_err());
+
+        // A null whose counter needs more than its 40 bits.
+        let mut wide = Writer::new();
+        wide.put_varint(0);
+        wide.put_u8(ROWS_COLUMNAR);
+        wide.put_varint(1);
+        wide.put_varint(1);
+        wide.put_u8(VAL_NULL);
+        wide.put_zigzag(1);
+        wide.put_zigzag(1 << NullId::COUNTER_BITS);
+        assert!(matches!(
+            decode_msg(&block(&wide.into_bytes())),
+            Err(Error::BadVarint)
+        ));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! fragment's rows are its plan's binding rows copied out once, and a
 //! binding row reaches the head database as one buffer fill per head atom;
 //! existential head variables get their nulls in first-occurrence order.
+//! Fragment extensions, join results and semi-naive unions are
+//! [`RowSet`]s: no join allocates a row, a key or a `Tuple` of its own.
 
 use crate::error::CoreResult;
 use crate::rule::{BodyPart, CoordinationRule};
@@ -19,8 +21,8 @@ use p2p_relational::query::{
     evaluate_bindings, evaluate_bindings_since, evaluate_bindings_since_planned, execute_plan,
     Bindings, Constraint,
 };
-use p2p_relational::{key_hash, Database, FxHashMap, FxHashSet, NullFactory, Tuple, Val};
-use std::collections::{BTreeMap, HashMap};
+use p2p_relational::{key_hash, Database, Index, NullFactory, RowSet, Tuple, Val};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use p2p_relational::chase::CompiledHead;
@@ -115,29 +117,65 @@ pub fn eval_part_delta_planned(
 pub struct VarRows {
     /// Column variables.
     pub vars: Vec<Arc<str>>,
-    /// Rows over `vars`.
-    pub rows: Vec<Tuple>,
+    /// Rows over `vars`, `vars.len()` values each.
+    pub rows: RowSet,
 }
 
 impl VarRows {
-    /// Borrows the rows for a join.
+    /// A fragment's evaluation (rows over `vars`) as a set.
+    pub fn from_tuples(vars: Vec<Arc<str>>, rows: &[Tuple]) -> Self {
+        let mut set = RowSet::with_capacity(vars.len(), rows.len());
+        set.extend(rows.iter().map(|t| &t.0[..]));
+        VarRows { vars, rows: set }
+    }
+
+    /// Merges rows over `vars` into the set — at the head, every site that
+    /// takes a fragment's shipped rows in goes through here — and returns
+    /// where the genuinely new ones start: they are the suffix of `rows`
+    /// from there. `vars` is taken while the set holds no row; rows over
+    /// other columns than the ones it holds rows over belong to another
+    /// version of the rule and change nothing (`None`).
+    pub fn merge<'r>(
+        &mut self,
+        vars: &[Arc<str>],
+        rows: impl IntoIterator<Item = &'r [Val]>,
+    ) -> Option<usize> {
+        if self.vars != vars {
+            if !self.rows.is_empty() {
+                return None;
+            }
+            *self = VarRows {
+                vars: vars.to_vec(),
+                rows: RowSet::new(vars.len()),
+            };
+        }
+        let since = self.rows.len();
+        self.rows.extend(rows);
+        Some(since)
+    }
+
+    /// Borrows every row for a join.
     pub fn view(&self) -> RowsView<'_> {
         RowsView {
             vars: &self.vars,
             rows: &self.rows,
+            start: 0,
         }
     }
 }
 
-/// A borrowed [`VarRows`]: what the joins read. The head node joins
-/// fragment extensions it keeps for many sessions, so the joins must not
-/// need their own copy.
+/// A borrowed [`VarRows`], from a start position on: what the joins read.
+/// The head node joins fragment extensions it keeps for many sessions, and
+/// the newest rows of one of them, so the joins must not need their own
+/// copy.
 #[derive(Debug, Clone, Copy)]
 pub struct RowsView<'a> {
     /// Column variables.
     pub vars: &'a [Arc<str>],
     /// Rows over `vars`.
-    pub rows: &'a [Tuple],
+    pub rows: &'a RowSet,
+    /// The first row in view: the view is `rows.since(start)`.
+    pub start: usize,
 }
 
 /// Joins fragment extensions on their shared variables and filters by the
@@ -162,42 +200,51 @@ pub fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]) -> Va
             break;
         }
     }
-    let mut acc = acc.unwrap_or_else(|| VarRows {
-        vars: first.vars.to_vec(),
-        rows: first.rows.to_vec(),
+    let mut acc = acc.unwrap_or_else(|| {
+        let mut rows = RowSet::new(first.vars.len());
+        rows.extend(first.rows.since(first.start));
+        VarRows {
+            vars: first.vars.to_vec(),
+            rows,
+        }
     });
-    retain_constrained(&mut acc, join_constraints);
+    if !join_constraints.is_empty() {
+        let holds = join_filter(&acc.vars, join_constraints);
+        let mut kept = RowSet::new(acc.vars.len());
+        kept.extend(acc.rows.iter().filter(|row| holds(row)));
+        acc.rows = kept;
+    }
     acc
 }
 
-/// Drops the bindings that fail a cross-fragment constraint.
-pub fn retain_constrained(bindings: &mut VarRows, join_constraints: &[Constraint]) {
-    if join_constraints.is_empty() {
-        return;
+/// A rule's cross-fragment constraints over binding rows of `vars`: whether
+/// a row satisfies every one. A constraint over a variable `vars` lacks
+/// holds for no row.
+pub fn join_filter(vars: &[Arc<str>], join_constraints: &[Constraint]) -> impl Fn(&[Val]) -> bool {
+    // A side is a constant (`Ok`) or a binding column (`Err`).
+    let side = |t: &Term| match t {
+        Term::Const(c) => Some(Ok(*c)),
+        Term::Var(v) => vars.iter().position(|x| x == v).map(Err),
+    };
+    let sides: Option<Vec<_>> = (join_constraints.iter())
+        .map(|c| Some((side(&c.lhs)?, c.op, side(&c.rhs)?)))
+        .collect();
+    move |row| {
+        let val = |side: Result<Val, usize>| side.unwrap_or_else(|col| row[col]);
+        (sides.as_ref())
+            .is_some_and(|s| (s.iter()).all(|&(l, op, r)| op.certainly_holds(&val(l), &val(r))))
     }
-    let VarRows { vars, rows } = bindings;
-    let idx_of: HashMap<&Arc<str>, usize> = vars.iter().enumerate().map(|(i, v)| (v, i)).collect();
-    rows.retain(|row| {
-        join_constraints.iter().all(|c| {
-            let val = |t: &Term| -> Val {
-                match t {
-                    Term::Const(c) => *c,
-                    Term::Var(v) => row.0[idx_of[v]],
-                }
-            };
-            c.op.certainly_holds(&val(&c.lhs), &val(&c.rhs))
-        })
-    });
 }
 
-/// One fragment's state at the head node: the accumulated full extension
-/// plus the rows that just arrived.
+/// One fragment's state at the head node: the accumulated full extension,
+/// whose rows from `since` on are the ones that just arrived — the delta is
+/// a suffix of the full extension.
 #[derive(Debug, Clone, Copy)]
 pub struct PartDelta<'a> {
-    /// Accumulated extension so far (including `delta`).
+    /// Accumulated extension so far (including the delta).
     pub full: RowsView<'a>,
-    /// Newly arrived rows (subset of `full.rows`).
-    pub delta: RowsView<'a>,
+    /// Where the newly arrived rows start in `full.rows`.
+    pub since: usize,
 }
 
 /// Semi-naive join expansion over fragments with deltas: for each
@@ -209,22 +256,27 @@ pub struct PartDelta<'a> {
 /// Each term starts from its delta, so its intermediate results stay
 /// proportional to the delta, not to the product of the fulls; columns come
 /// out in first-occurrence order over `parts`, whichever term produced them.
+/// Allocates only buffers that grow by doubling, never a row of its own.
 pub fn join_parts_seminaive(parts: &[PartDelta<'_>], join_constraints: &[Constraint]) -> VarRows {
-    let mut out = VarRows::default();
+    let mut vars: Vec<Arc<str>> = Vec::new();
     for p in parts {
         for v in p.full.vars {
-            if !out.vars.contains(v) {
-                out.vars.push(v.clone());
+            if !vars.contains(v) {
+                vars.push(v.clone());
             }
         }
     }
-    let mut seen: FxHashSet<Tuple> = FxHashSet::default();
+    let mut rows = RowSet::new(vars.len());
     let mut vals: Vec<Val> = Vec::new();
     for (i, p) in parts.iter().enumerate() {
-        if p.delta.rows.is_empty() {
+        let delta = RowsView {
+            start: p.since,
+            ..p.full
+        };
+        if delta.start >= delta.rows.len() {
             continue;
         }
-        let mut staged = vec![p.delta];
+        let mut staged = vec![delta];
         staged.extend(
             parts
                 .iter()
@@ -238,22 +290,18 @@ pub fn join_parts_seminaive(parts: &[PartDelta<'_>], join_constraints: &[Constra
         }
         // A non-empty join went through every fragment, so it binds every
         // variable; its columns start with this term's delta.
-        let column: Vec<usize> = out
-            .vars
+        let column: Vec<usize> = vars
             .iter()
             .filter_map(|v| joined.vars.iter().position(|jv| jv == v))
             .collect();
-        debug_assert_eq!(column.len(), out.vars.len());
-        for row in &joined.rows {
+        debug_assert_eq!(column.len(), vars.len());
+        for row in joined.rows.iter() {
             vals.clear();
-            vals.extend(column.iter().map(|&c| row.0[c]));
-            let t = Tuple::from_row(&vals);
-            if seen.insert(t.clone()) {
-                out.rows.push(t);
-            }
+            vals.extend(column.iter().map(|&c| row[c]));
+            rows.insert(&vals);
         }
     }
-    out
+    VarRows { vars, rows }
 }
 
 fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
@@ -268,44 +316,31 @@ fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
         .filter(|ri| !shared.iter().any(|(_, r)| r == ri))
         .collect();
 
-    let mut out_vars = left.vars.to_vec();
-    out_vars.extend(right_only.iter().map(|&ri| right.vars[ri].clone()));
+    let mut vars = left.vars.to_vec();
+    vars.extend(right_only.iter().map(|&ri| right.vars[ri].clone()));
 
-    // Hash the right side on the shared projection — `u64` key hashes with
-    // candidate lists; collisions are resolved by re-comparing the shared
-    // columns at probe time, so no per-row key allocation happens.
-    let mut index: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    for (pos, row) in right.rows.iter().enumerate() {
-        let hash = key_hash(shared.iter().map(|&(_, ri)| &row.0[ri]));
-        index.entry(hash).or_default().push(pos);
-    }
+    // Index the rows in view on the right on the shared projection (a
+    // candidate's position counts from `right.start`); collisions are
+    // resolved by re-comparing the shared columns at probe time.
+    let right_cols: Vec<usize> = shared.iter().map(|&(_, ri)| ri).collect();
+    let index = Index::build(&right_cols, right.rows.since(right.start));
 
-    let mut out_rows = Vec::new();
-    let mut seen: FxHashSet<Tuple> = FxHashSet::default();
-    let mut vals: Vec<Val> = Vec::new();
-    for lrow in left.rows {
-        let hash = key_hash(shared.iter().map(|&(li, _)| &lrow.0[li]));
-        let Some(matches) = index.get(&hash) else {
-            continue;
-        };
-        for &pos in matches {
-            let rrow = &right.rows[pos];
-            if shared.iter().any(|&(li, ri)| lrow.0[li] != rrow.0[ri]) {
+    let mut rows = RowSet::new(vars.len());
+    let mut vals: Vec<Val> = Vec::with_capacity(vars.len());
+    for lrow in left.rows.since(left.start) {
+        let hash = key_hash(shared.iter().map(|&(li, _)| &lrow[li]));
+        for pos in index.candidates(hash) {
+            let rrow = right.rows.row(right.start + pos as usize);
+            if shared.iter().any(|&(li, ri)| lrow[li] != rrow[ri]) {
                 continue; // Hash collision on the shared projection.
             }
             vals.clear();
-            vals.extend_from_slice(&lrow.0);
-            vals.extend(right_only.iter().map(|&ri| rrow.0[ri]));
-            let t = Tuple::from_row(&vals);
-            if seen.insert(t.clone()) {
-                out_rows.push(t);
-            }
+            vals.extend_from_slice(lrow);
+            vals.extend(right_only.iter().map(|&ri| rrow[ri]));
+            rows.insert(&vals);
         }
     }
-    VarRows {
-        vars: out_vars,
-        rows: out_rows,
-    }
+    VarRows { vars, rows }
 }
 
 /// Applies a rule's head to `head_db` for every joined binding, compiling
@@ -324,20 +359,7 @@ pub fn apply_rule_head(
         return Ok(ChaseOutcome::default());
     }
     let mut head = CompiledHead::compile(&rule.head, &bindings.vars, head_db.schema())?;
-    apply_compiled_head(&mut head, bindings, head_db, nulls, chase, cfg)
-}
-
-/// Applies a head compiled for `bindings.vars` to every binding, in order.
-pub(crate) fn apply_compiled_head(
-    head: &mut CompiledHead,
-    bindings: &VarRows,
-    head_db: &mut Database,
-    nulls: &mut NullFactory,
-    chase: &mut ChaseState,
-    cfg: &ChaseConfig,
-) -> CoreResult<ChaseOutcome> {
-    let rows = bindings.rows.iter().map(|t| &t.0[..]);
-    Ok(head.apply_rows(head_db, rows, nulls, chase, cfg)?)
+    Ok(head.apply_rows(head_db, bindings.rows.iter(), nulls, chase, cfg)?)
 }
 
 #[cfg(test)]
@@ -346,6 +368,7 @@ mod tests {
     use crate::rule::CoordinationRule;
     use p2p_relational::DatabaseSchema;
     use p2p_topology::NodeId;
+    use std::collections::HashSet;
 
     fn resolve(s: &str) -> Option<NodeId> {
         match s {
@@ -357,13 +380,15 @@ mod tests {
     }
 
     fn vr(vars: &[&str], rows: &[&[i64]]) -> VarRows {
-        VarRows {
-            vars: vars.iter().map(|v| Arc::from(*v)).collect(),
-            rows: rows
-                .iter()
-                .map(|r| Tuple::new(r.iter().map(|&v| Val::Int(v)).collect()))
-                .collect(),
-        }
+        let rows: Vec<Tuple> = (rows.iter())
+            .map(|r| Tuple::new(r.iter().map(|&v| Val::Int(v)).collect()))
+            .collect();
+        VarRows::from_tuples(vars.iter().map(|v| Arc::from(*v)).collect(), &rows)
+    }
+
+    /// The rows of `v`, as a set.
+    fn set(v: &VarRows) -> HashSet<&[Val]> {
+        v.rows.iter().collect()
     }
 
     #[test]
@@ -398,7 +423,7 @@ mod tests {
         };
         let out = join_parts(&[left, right], &[c]);
         assert_eq!(out.rows.len(), 1);
-        assert_eq!(out.rows[0].0[0], Val::Int(1));
+        assert_eq!(out.rows.row(0)[0], Val::Int(1));
     }
 
     #[test]
@@ -439,34 +464,29 @@ mod tests {
         let before = join_parts(&[left_old.clone(), right_old.clone()], &[]);
         assert_eq!(before.rows.len(), 1);
 
-        // A delta arrives on each side.
+        // A delta arrives on each side: the suffix of its full extension.
         let left_full = vr(&["X", "Y"], &[&[1, 2], &[3, 2]]);
-        let left_delta = vr(&["X", "Y"], &[&[3, 2]]);
         let right_full = vr(&["Y", "Z"], &[&[2, 9], &[2, 8]]);
-        let right_delta = vr(&["Y", "Z"], &[&[2, 8]]);
         let new = join_parts_seminaive(
             &[
                 PartDelta {
                     full: left_full.view(),
-                    delta: left_delta.view(),
+                    since: 1,
                 },
                 PartDelta {
                     full: right_full.view(),
-                    delta: right_delta.view(),
+                    since: 1,
                 },
             ],
             &[],
         );
         // (old ∪ new) == full join of the full extensions.
         let full = join_parts(&[left_full, right_full], &[]);
-        let mut union: std::collections::HashSet<Tuple> = before.rows.into_iter().collect();
-        union.extend(new.rows.iter().cloned());
-        let expect: std::collections::HashSet<Tuple> = full.rows.into_iter().collect();
-        assert_eq!(union, expect);
+        let mut union = set(&before);
+        union.extend(set(&new));
+        assert_eq!(union, set(&full));
         // The purely-old combination (1,2,9) is not re-derived.
-        assert!(!new
-            .rows
-            .contains(&Tuple::new(vec![Val::Int(1), Val::Int(2), Val::Int(9)])));
+        assert!(!new.rows.contains(&[Val::Int(1), Val::Int(2), Val::Int(9)]));
     }
 
     #[test]
@@ -477,11 +497,11 @@ mod tests {
             &[
                 PartDelta {
                     full: left.view(),
-                    delta: vr(&["X", "Y"], &[]).view(),
+                    since: 1,
                 },
                 PartDelta {
                     full: right.view(),
-                    delta: vr(&["Y", "Z"], &[]).view(),
+                    since: 1,
                 },
             ],
             &[],
@@ -502,9 +522,9 @@ mod tests {
             .unwrap();
         let delta = eval_part_delta(&rule.parts[0], &db, &w).unwrap();
         let after = eval_part(&rule.parts[0], &db).unwrap();
-        let mut union: std::collections::HashSet<Tuple> = before.into_iter().collect();
-        union.extend(delta);
-        assert_eq!(union, after.into_iter().collect());
+        let mut union: HashSet<&[Val]> = before.iter().map(|t| &t.0[..]).collect();
+        union.extend(delta.iter().map(|t| &t.0[..]));
+        assert_eq!(union, after.iter().map(|t| &t.0[..]).collect());
     }
 
     #[test]

@@ -61,6 +61,12 @@ impl AnswerRows {
     pub fn wire_size(&self) -> usize {
         p2p_net::encoded_wire_size(self)
     }
+
+    /// True iff some row is not `vars.len()` values wide: both codecs carry
+    /// such rows, and a peer refuses them where they arrive.
+    pub fn is_ragged(&self) -> bool {
+        self.rows.iter().any(|t| t.arity() != self.vars.len())
+    }
 }
 
 /// All messages exchanged by peers (and by the external driver with the
@@ -381,6 +387,17 @@ impl ProtocolMsg {
                 | ProtocolMsg::AddRule { .. }
                 | ProtocolMsg::DeleteRule { .. }
         )
+    }
+
+    /// The rows an answer of either update mode or a resync answer carries.
+    pub fn answer_rows(&self) -> Option<&AnswerRows> {
+        match self {
+            ProtocolMsg::Answer { rows, .. }
+            | ProtocolMsg::WaveAnswer { rows, .. }
+            | ProtocolMsg::WaveAnswerDelta { rows, .. }
+            | ProtocolMsg::ResyncAnswer { rows, .. } => Some(rows),
+            _ => None,
+        }
     }
 
     /// The update session the message belongs to, if any. Session-tagged

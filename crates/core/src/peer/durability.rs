@@ -125,16 +125,6 @@ struct Replayed {
     last_session: SessionId,
 }
 
-/// What a processed fragment answer leaves in the write-ahead log, taken
-/// before the answer's rows are absorbed and logged after the insertions
-/// they derive ([`DbPeer::log_answer_mark`]).
-#[derive(Debug)]
-pub(crate) struct AnswerMark {
-    vars: Vec<Arc<str>>,
-    rows: Vec<Tuple>,
-    watermarks: Marks,
-}
-
 impl DbPeer {
     /// Attaches a durable store. A fresh store gets the initial snapshot
     /// (base data, pre-session) so recovery always has a schema-bearing
@@ -216,50 +206,39 @@ impl DbPeer {
         }
     }
 
-    /// What a fragment answer about to be absorbed will leave in the log:
-    /// the answerer's watermarks (resync cursor) and — for a rule with more
-    /// than one body node, whose head retains fragment rows — the rows
-    /// (cache rebuild). `None` without a store, and for payload-free
-    /// acknowledgements (empty `marks`), which carry no durable information.
-    pub(crate) fn answer_mark(&self, rule: RuleId, rows: &AnswerRows) -> Option<AnswerMark> {
-        if self.storage.is_none() || rows.marks.is_empty() {
-            return None;
-        }
-        let (vars, kept) = if self.rules.get(&rule).is_some_and(|r| r.parts.len() > 1) {
-            (rows.vars.clone(), rows.rows.clone())
-        } else {
-            Default::default()
-        };
-        Some(AnswerMark {
-            vars,
-            rows: kept,
-            watermarks: rows.marks.clone(),
-        })
-    }
-
     /// Write-ahead-logs one processed fragment answer, **after** the
-    /// insertions it derived ([`DbPeer::absorb_fragment`] logs those): a log
-    /// cut anywhere, or a checkpoint taken anywhere, then never holds a mark
-    /// ahead of the database — a mark vouches for its rows' derivations,
-    /// and a restart trusts it.
+    /// insertions it derived ([`DbPeer::absorb_fragment`] logs those): the
+    /// answerer's watermarks (resync cursor) and — for a rule with more than
+    /// one body node, whose head retains fragment rows — the rows (cache
+    /// rebuild). A log cut anywhere, or a checkpoint taken anywhere, then
+    /// never holds a mark ahead of the database — a mark vouches for its
+    /// rows' derivations, and a restart trusts it. Nothing without a store,
+    /// and nothing for a payload-free acknowledgement (empty `marks`), which
+    /// carries no durable information.
     pub(crate) fn log_answer_mark(
         &mut self,
         sid: SessionId,
         rule: RuleId,
         from: NodeId,
-        mark: Option<AnswerMark>,
+        answer: AnswerRows,
     ) {
-        let (Some(st), Some(mark)) = (self.storage.as_mut(), mark) else {
+        let keeps_rows = self.rules.get(&rule).is_some_and(|r| r.parts.len() > 1);
+        let Some(st) = self.storage.as_mut().filter(|_| !answer.marks.is_empty()) else {
             return;
+        };
+        let (vars, rows) = if keeps_rows {
+            (answer.vars, answer.rows)
+        } else {
+            Default::default()
         };
         let record = WalRecord::Answer {
             session: sid,
             rule: rule.0,
             node: from,
-            dict: (st.store).first_use_dict(mark.rows.iter().flat_map(Tuple::values)),
-            vars: mark.vars,
-            rows: mark.rows,
-            watermarks: mark.watermarks,
+            dict: (st.store).first_use_dict(rows.iter().flat_map(Tuple::values)),
+            vars,
+            rows,
+            watermarks: answer.marks,
         };
         self.log(&record);
     }
@@ -348,7 +327,8 @@ impl DbPeer {
                 continue;
             };
             if rule.parts.len() > 1 {
-                self.fragments.or_default(key).merge(&mark.vars, mark.rows);
+                let cache = self.fragments.or_default(key);
+                cache.merge(&mark.vars, mark.rows.iter());
             }
             cursors.insert(key, mark.watermarks);
         }
@@ -612,15 +592,14 @@ impl DbPeer {
         self.stats.resync_rows += rows.rows.len() as u64;
         self.absorb_dict(from, &mut rows);
         self.absorb_null_depths(&rows);
-        let mark = self.answer_mark(rule, &rows);
-        if self.absorb_fragment(rule, from, rows.vars, rows.rows) > 0 {
+        if self.absorb_fragment(rule, from, &rows.vars, &rows.rows) > 0 {
             // A wave that is under way here must not certify a clean round
             // over facts its earlier answers did not carry.
             for st in self.sessions.values_mut() {
                 st.rnd.dirty_self |= st.rnd.active;
             }
         }
-        self.log_answer_mark(sid, rule, from, mark);
+        self.log_answer_mark(sid, rule, from, rows);
         if !self.config.paper_faithful {
             self.held.insert((rule, from));
         }
@@ -826,8 +805,7 @@ mod tests {
                 marks,
                 ..Default::default()
             };
-            let mark = peer.answer_mark(rule_id, &rows);
-            peer.log_answer_mark(sid, rule_id, NodeId(3), mark);
+            peer.log_answer_mark(sid, rule_id, NodeId(3), rows);
         }
         peer.crash_volatile_state();
         assert_eq!(peer.retained_entries(), (0, 0), "crash wipes the state");
@@ -836,8 +814,8 @@ mod tests {
         assert_eq!(peer.session_table_len(), 0, "no placeholder sessions");
         let cache = &peer.fragments[&(rule_id, NodeId(3))];
         assert_eq!(
-            cache.rows,
-            vec![Tuple::new(vec![Val::Int(2)]), Tuple::new(vec![Val::Int(1)])],
+            cache.rows.iter().collect::<Vec<_>>(),
+            [[Val::Int(2)], [Val::Int(1)]],
             "united in log order"
         );
         let out = ctx.take_outgoing();
@@ -877,8 +855,7 @@ mod tests {
             marks: [(Arc::<str>::from("b"), 9usize)].into_iter().collect(),
             ..Default::default()
         };
-        let mark = peer.answer_mark(rule_id, &rows);
-        peer.log_answer_mark(SessionId::new(NodeId(0), 1), rule_id, NodeId(3), mark);
+        peer.log_answer_mark(SessionId::new(NodeId(0), 1), rule_id, NodeId(3), rows);
 
         let mut replacement = parse("B:b2(Z), C:c(Y) => A:a(Z,Y)");
         replacement.id = rule_id;
@@ -926,8 +903,7 @@ mod tests {
             marks: [(Arc::<str>::from("b"), 1usize)].into_iter().collect(),
             ..Default::default()
         };
-        let mark = peer.answer_mark(rule.id, &rows);
-        peer.log_answer_mark(SessionId::new(NodeId(0), 1), rule.id, NodeId(3), mark);
+        peer.log_answer_mark(SessionId::new(NodeId(0), 1), rule.id, NodeId(3), rows);
         assert_eq!(frames(), 1);
         peer.install_rule(rule.clone());
         assert_eq!(frames(), 2, "the marks are forgotten");

@@ -45,9 +45,8 @@ use crate::peer::{DbPeer, Marks, SessionState};
 use crate::rule::{BodyPart, RuleId};
 use crate::stats::ClosedBy;
 use p2p_net::{Context, SessionId};
-use p2p_relational::Tuple;
+use p2p_relational::{RowSet, Tuple};
 use p2p_topology::NodeId;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A subscription served to a rule's head node (body side), for the
@@ -58,10 +57,10 @@ pub struct Subscription {
     /// The fragment to evaluate for this subscriber (shared with the plan
     /// cache and the cursor it commits to).
     pub part: Arc<BodyPart>,
-    /// Rows shipped in this session: the exactness layer over delta
-    /// evaluation, which may re-derive an already-shipped row from a new
-    /// fact.
-    pub sent: HashSet<Tuple>,
+    /// Rows shipped in this session, over the fragment's variables: the
+    /// exactness layer over delta evaluation, which may re-derive an
+    /// already-shipped row from a new fact.
+    pub sent: RowSet,
     /// Rows earlier sessions shipped on this subscription (the resumed
     /// cursor's count; 0 when the subscription started from the full
     /// extension).
@@ -371,9 +370,11 @@ impl DbPeer {
                 (self.eval_part_local(rule, &part, None, ctx), 0)
             }
         };
+        let mut sent = RowSet::with_capacity(part.vars.len(), rows.len());
+        sent.extend(rows.iter().map(|t| &t.0[..]));
         let sub = Subscription {
             watermarks: self.part_marks(&part),
-            sent: rows.iter().cloned().collect(),
+            sent,
             resumed_rows,
             sent_complete: false,
             standing: false,
@@ -404,7 +405,7 @@ impl DbPeer {
         let rows = self.eval_part_local(rule, &sub.part, since, ctx);
         sub.watermarks = self.part_marks(&sub.part);
         let unsent = (rows.iter())
-            .filter(|t| sub.sent.insert((*t).clone()))
+            .filter(|t| sub.sent.insert(&t.0))
             .cloned()
             .collect();
         (rows, unsent)
@@ -559,9 +560,8 @@ impl DbPeer {
         // Durable peers log the processed answer (rows + the answerer's
         // watermarks — the crash-resync cursor), behind the insertions it
         // derives.
-        let mark = self.answer_mark(rule, &rows);
-        let inserted = self.absorb_fragment(rule, from, rows.vars, rows.rows);
-        self.log_answer_mark(sid, rule, from, mark);
+        let inserted = self.absorb_fragment(rule, from, &rows.vars, &rows.rows);
+        self.log_answer_mark(sid, rule, from, rows);
         if inserted > 0 {
             // New local facts: cascade to subscribers (A5's trailing
             // `foreach node ∈ π₁(owner)`).

@@ -177,7 +177,7 @@ pub mod superpeer;
 pub mod tables;
 
 use crate::config::{SystemConfig, UpdateMode};
-use crate::messages::ProtocolMsg;
+use crate::messages::{AnswerRows, ProtocolMsg};
 use crate::rule::{CoordinationRule, RuleId};
 use crate::stats::{ClosedBy, PeerStats};
 use crate::termination::{AckDecision, DiffusingState, Disengage};
@@ -344,52 +344,6 @@ impl Cursor {
     }
 }
 
-/// Head side of one fragment between sessions: the rows its body node
-/// shipped so far (`DbPeer::fragments`).
-#[derive(Debug, Clone, Default)]
-pub struct PartCache {
-    /// Column variables (fixed by the fragment).
-    pub vars: Vec<Arc<str>>,
-    /// Accumulated rows, in arrival order. Kept alongside `set` because the
-    /// semi-naive join stages from here: iterating the `HashSet` instead
-    /// would leak nondeterministic order into join output, insertion order
-    /// and shipped rows — every observable order in this crate is
-    /// deterministic by design.
-    pub rows: Vec<Tuple>,
-    /// Fast membership for `rows`.
-    pub set: HashSet<Tuple>,
-}
-
-impl PartCache {
-    /// Merges shipped rows into the cache, returning only the genuinely
-    /// new ones (in arrival order). Sets the column variables on first
-    /// contact. Keeps `rows` and `set` in lockstep — the invariant the
-    /// semi-naive join's determinism rests on — so every merge site
-    /// (answers of either mode, resync answers, recovery priming) goes
-    /// through here.
-    pub fn merge(&mut self, vars: &[Arc<str>], rows: Vec<Tuple>) -> Vec<Tuple> {
-        if self.vars.is_empty() {
-            self.vars = vars.to_vec();
-        }
-        let mut fresh = Vec::new();
-        for t in rows {
-            if self.set.insert(t.clone()) {
-                self.rows.push(t.clone());
-                fresh.push(t);
-            }
-        }
-        fresh
-    }
-
-    /// Borrows the accumulated extension for a join.
-    pub fn view(&self) -> crate::joins::RowsView<'_> {
-        crate::joins::RowsView {
-            vars: &self.vars,
-            rows: &self.rows,
-        }
-    }
-}
-
 /// A deliberate corruption of one peer's subscription state — each the
 /// residue of a bug the protocol must not have — for the tests that show
 /// the oracle comparison catches it (`tests/proptest_protocol.rs`). Not
@@ -458,9 +412,12 @@ pub struct DbPeer {
     /// session that queried them retires (module docs). Volatile.
     pub(crate) held: BTreeSet<(RuleId, NodeId)>,
     /// Head side, per `(rule, body node)` of the rules with more than one
-    /// body node: the rows that body node shipped so far. Volatile; a
-    /// durable peer re-primes it from its answer log.
-    pub(crate) fragments: VecMap<(RuleId, NodeId), PartCache>,
+    /// body node: the rows that body node shipped so far, deduplicated, in
+    /// arrival order — the order the semi-naive join stages from, so join
+    /// output, insertion order and shipped rows stay deterministic. Every
+    /// answer's rows go in through [`crate::joins::VarRows::merge`].
+    /// Volatile; a durable peer re-primes it from its answer log.
+    pub(crate) fragments: VecMap<(RuleId, NodeId), crate::joins::VarRows>,
     /// Body side: this peer discarded `cursors` without its subscribers
     /// having asked — or came back unable to vouch for them — and owes
     /// every pipe neighbour a
@@ -886,59 +843,59 @@ impl DbPeer {
     /// A6 for one arriving fragment answer: merges the rows into what this
     /// peer retains of the fragment and chases the bindings that use at
     /// least one new row (semi-naive; combinations of old rows were chased
-    /// when the last of them arrived). Returns the number of facts
-    /// inserted.
+    /// when the last of them arrived). A rule with one body node has
+    /// nothing to join against: its rows are chased as they arrived and
+    /// not kept. Returns the number of facts inserted.
     pub(crate) fn absorb_fragment(
         &mut self,
         rule_id: RuleId,
         from: NodeId,
-        vars: Vec<Arc<str>>,
-        rows: Vec<Tuple>,
+        vars: &[Arc<str>],
+        rows: &[Tuple],
     ) -> usize {
         let Some(rule) = self.rules.get(&rule_id).cloned() else {
             return 0;
         };
-        let bindings = if rule.parts.len() == 1 {
-            // Nothing to join against: the delta is chased and not kept.
-            let mut delta = crate::joins::VarRows { vars, rows };
-            crate::joins::retain_constrained(&mut delta, &rule.join_constraints);
-            delta
-        } else {
-            let fresh = self
-                .fragments
-                .or_default((rule_id, from))
-                .merge(&vars, rows);
-            let empty = PartCache::default();
-            let staged: Vec<crate::joins::PartDelta<'_>> = rule
-                .parts
-                .iter()
-                .map(|p| {
-                    let full = self.fragments.get(&(rule_id, p.node)).unwrap_or(&empty);
-                    let delta = if p.node == from { &fresh[..] } else { &[] };
-                    crate::joins::PartDelta {
-                        full: full.view(),
-                        delta: crate::joins::RowsView {
-                            vars: &full.vars,
-                            rows: delta,
-                        },
-                    }
-                })
-                .collect();
-            crate::joins::join_parts_seminaive(&staged, &rule.join_constraints)
+        let rows = rows.iter().map(|t| &t.0[..]);
+        if rule.parts.len() == 1 {
+            let holds = crate::joins::join_filter(vars, &rule.join_constraints);
+            return self.apply_rule_bindings(&rule, vars, rows.filter(|row| holds(row)));
+        }
+        let cache = self.fragments.or_default((rule_id, from));
+        let Some(since) = cache.merge(vars, rows) else {
+            return 0;
         };
-        self.apply_rule_bindings(&rule, &bindings)
+        let empty = crate::joins::VarRows::default();
+        let staged: Vec<crate::joins::PartDelta<'_>> = (rule.parts.iter())
+            .map(|p| {
+                let full = self.fragments.get(&(rule_id, p.node)).unwrap_or(&empty);
+                crate::joins::PartDelta {
+                    full: full.view(),
+                    since: if p.node == from {
+                        since
+                    } else {
+                        full.rows.len()
+                    },
+                }
+            })
+            .collect();
+        let bindings = crate::joins::join_parts_seminaive(&staged, &rule.join_constraints);
+        self.apply_rule_bindings(&rule, &bindings.vars, bindings.rows.iter())
     }
 
-    /// Chases already-joined bindings for `rule` into the local database
-    /// through the rule's cached [`crate::joins::CompiledHead`], compiling
-    /// it on the first binding (or when the rule or the binding layout
-    /// changed). Returns the number of facts inserted.
-    pub(crate) fn apply_rule_bindings(
+    /// Chases already-joined binding rows over `vars` for `rule` into the
+    /// local database through the rule's cached
+    /// [`crate::joins::CompiledHead`], compiling it on the first binding
+    /// (or when the rule or the binding layout changed). Returns the number
+    /// of facts inserted.
+    pub(crate) fn apply_rule_bindings<'r>(
         &mut self,
         rule: &Arc<CoordinationRule>,
-        bindings: &crate::joins::VarRows,
+        vars: &[Arc<str>],
+        rows: impl IntoIterator<Item = &'r [Val]>,
     ) -> usize {
-        if bindings.rows.is_empty() {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
             return 0;
         }
         let DbPeer {
@@ -949,10 +906,8 @@ impl DbPeer {
             chase_cfg,
             ..
         } = self;
-        let outcome =
-            CachedHead::fetch(heads, rule, &bindings.vars, db.schema()).and_then(|head| {
-                crate::joins::apply_compiled_head(head, bindings, db, nulls, chase, chase_cfg)
-            });
+        let outcome = CachedHead::fetch(heads, rule, vars, db.schema())
+            .and_then(|head| Ok(head.apply_rows(db, rows, nulls, chase, chase_cfg)?));
         match outcome {
             Ok(outcome) => {
                 self.stats.tuples_inserted += outcome.inserted.len() as u64;
@@ -1033,20 +988,8 @@ impl DbPeer {
         let remap = ConstCatalog::global().absorb(&rows.dict);
         if !remap.is_identity() {
             for tuple in &mut rows.rows {
-                if tuple
-                    .values()
-                    .any(|v| matches!(v, p2p_relational::Val::Sym(id) if remap.map(*id) != *id))
-                {
-                    let mapped: Vec<p2p_relational::Val> = tuple
-                        .values()
-                        .map(|v| match v {
-                            p2p_relational::Val::Sym(id) => {
-                                p2p_relational::Val::Sym(remap.map(*id))
-                            }
-                            other => *other,
-                        })
-                        .collect();
-                    *tuple = p2p_relational::Tuple::new(mapped);
+                if tuple.values().any(|v| remap.val(*v) != *v) {
+                    *tuple = Tuple::new(tuple.values().map(|v| remap.val(*v)).collect());
                 }
             }
             for (id, _) in &mut rows.dict {
@@ -1422,6 +1365,14 @@ impl Peer<ProtocolMsg> for DbPeer {
     }
 
     fn on_message(&mut self, from: NodeId, msg: ProtocolMsg, ctx: &mut Context<ProtocolMsg>) {
+        // An answer whose rows are not as wide as its variables is refused
+        // before anything changes, as if it had been lost.
+        if msg.answer_rows().is_some_and(AnswerRows::is_ragged) {
+            let kind = p2p_net::Wire::kind(&msg);
+            return self.fail(format!(
+                "{kind} from {from}: a row of another width than its variables"
+            ));
+        }
         ctx.charge(COST_PER_MESSAGE);
 
         if let Some(sid) = msg.session() {
@@ -1736,6 +1687,79 @@ mod tests {
         sent.iter()
             .map(|msg| (p2p_net::Wire::kind(msg), acks(msg)))
             .collect()
+    }
+
+    /// An answer of any kind whose rows are not as wide as its variables is
+    /// refused where it arrives, at a head with an open session and a
+    /// resync under way: recorded as an error, nothing sent, nothing
+    /// inserted, no deficit debited and no resync settled — as if it had
+    /// been lost, so its well-formed twin is absorbed afterwards.
+    #[test]
+    fn a_ragged_answer_of_any_kind_is_refused_as_if_lost() {
+        let s = SessionId::new(A, 1);
+        let of_a = rule(1, "B:b(X,Y) => A:a(X,Y)");
+        let rows = crate::messages::AnswerRows {
+            vars: of_a.parts[0].vars.clone(),
+            rows: vec![Tuple::new(vec![Val::Int(1), Val::Int(2)])],
+            ..Default::default()
+        };
+        let kinds: [fn(SessionId, RuleId, crate::messages::AnswerRows) -> ProtocolMsg; 4] = [
+            |session, rule, rows| ProtocolMsg::Answer {
+                session,
+                rule,
+                rows,
+                complete: false,
+                reopen: false,
+                pushed: false,
+                acks: false,
+            },
+            |session, rule, rows| ProtocolMsg::WaveAnswer {
+                session,
+                round: 0,
+                rule,
+                rows,
+            },
+            |session, rule, rows| ProtocolMsg::WaveAnswerDelta {
+                session,
+                round: 0,
+                rule,
+                rows,
+            },
+            |session, rule, rows| ProtocolMsg::ResyncAnswer {
+                session,
+                rule,
+                rows,
+            },
+        ];
+        for (kind, wide) in kinds.into_iter().zip([1, 3, 0, 1]) {
+            let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
+            let mut peer = DbPeer::new(A, Database::new(schema), SystemConfig::default());
+            peer.install_rule(of_a.clone());
+            let start = ProtocolMsg::StartScopedUpdate { session: s };
+            assert_eq!(queries(&deliver(&mut peer, A, start, true)), [(B, false)]);
+            peer.pending_resync.insert((s, of_a.id, B), Marks::new());
+            let state = |peer: &DbPeer| {
+                let deficit = peer.session_state(s).unwrap().ds.deficit();
+                (
+                    deficit,
+                    peer.pending_resync.len(),
+                    peer.database().total_tuples(),
+                )
+            };
+            let before = state(&peer);
+
+            let mut ragged = rows.clone();
+            ragged.rows.push(Tuple::new(vec![Val::Int(9); wide]));
+            let msg = kind(s, of_a.id, ragged);
+            let name = p2p_net::Wire::kind(&msg);
+            assert!(deliver(&mut peer, B, msg, false).is_empty(), "{name}");
+            assert_eq!(peer.errors().len(), 1, "{name}: {:?}", peer.errors());
+            assert_eq!(state(&peer), before, "{name}");
+
+            deliver(&mut peer, B, kind(s, of_a.id, rows.clone()), false);
+            assert_eq!(peer.database().total_tuples(), 1, "{name}: the twin");
+            assert_eq!(peer.errors().len(), 1, "{name}");
+        }
     }
 
     /// A query that finds its body node engaged in the session already is

@@ -391,9 +391,8 @@ impl DbPeer {
         // Durable peers log the processed answer (rows + the answerer's
         // watermarks — the crash-resync cursor), behind the insertions it
         // derives.
-        let mark = self.answer_mark(rule, &rows);
-        let inserted = self.absorb_fragment(rule, from, rows.vars, rows.rows);
-        self.log_answer_mark(sid, rule, from, mark);
+        let inserted = self.absorb_fragment(rule, from, &rows.vars, &rows.rows);
+        self.log_answer_mark(sid, rule, from, rows);
         if !st.rnd.active {
             return;
         }

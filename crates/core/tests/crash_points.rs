@@ -104,7 +104,7 @@ fn marks_are_covered(rec: &RecoveredState, what: &str) -> usize {
     let rule = rule();
     let rows = |node| {
         (rec.marks.get(&(rule.id.0, node)).into_iter())
-            .flat_map(|mark| mark.rows.iter().map(|t| ints(&t.0)))
+            .flat_map(|mark| mark.rows.iter().map(ints))
             .collect::<Vec<_>>()
     };
     let a = rec.db.relation("a").unwrap();

@@ -17,6 +17,7 @@
 //! the remap is the identity, and [`SymRemap::is_identity`] lets hot paths
 //! skip the rewrite entirely.
 
+use crate::value::Val;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -186,6 +187,14 @@ impl SymRemap {
     /// then already be valid in the reader's catalog).
     pub fn map(&self, id: SymId) -> SymId {
         self.map.get(&id).copied().unwrap_or(id)
+    }
+
+    /// Maps the id of a symbol value; other values map to themselves.
+    pub fn val(&self, v: Val) -> Val {
+        match v {
+            Val::Sym(id) => Val::Sym(self.map(id)),
+            other => other,
+        }
     }
 
     /// Folds another remap in (recovery accumulates one remap across a

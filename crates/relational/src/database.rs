@@ -75,7 +75,7 @@ impl Database {
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|r| r.len()).sum()
     }
 
     /// True iff no relation holds any tuple.

@@ -19,9 +19,10 @@
 //!   form carrying strings verbatim for the external JSON formats;
 //! * [`schema::RelationSchema`] / [`schema::DatabaseSchema`] — typed,
 //!   named relation signatures (the paper's `DBS` module);
-//! * [`Relation`] / [`Database`] — deduplicated, insertion-ordered
-//!   **columnar** tuple stores (one flat `Vec<Val>` per relation) with
-//!   lazily built, incrementally maintained join-key hash indexes;
+//! * [`RowSet`] — the one deduplicated, insertion-ordered **columnar** row
+//!   set (one flat `Vec<Val>`, no allocation per row); [`Relation`] /
+//!   [`Database`] — schemas over row sets, with lazily built, incrementally
+//!   maintained join-key hash indexes;
 //! * [`query`] — a conjunctive-query AST, a text parser
 //!   (`q(X,Y) :- r(X,Z), s(Z,Y), X != Y`), and one compiled-plan hash-join
 //!   evaluator under naive-table semantics (labeled nulls join only with
@@ -74,7 +75,7 @@ pub use catalog::{ConstCatalog, SymId, SymRemap};
 pub use database::Database;
 pub use error::{Error, Result};
 pub use p2p_topology::fxhash::{self, fx_hash, FxHashMap, FxHashSet};
-pub use relation::{key_hash, Index, Relation};
+pub use relation::{key_hash, Index, Relation, RowSet};
 pub use schema::{ColumnType, DatabaseSchema, RelationSchema};
 pub use tuple::Tuple;
 pub use value::{NullFactory, NullId, Val, Value};

@@ -20,41 +20,36 @@
 
 use crate::database::Database;
 use crate::error::{Error, Result};
-use crate::fxhash::{fx_hash, FxHashMap};
 use crate::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
 use crate::query::plan::{
     compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,
 };
+use crate::relation::RowSet;
 use crate::tuple::Tuple;
 use crate::value::Val;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The result of evaluating a body: a table of variable bindings stored as
-/// one flat buffer (`row i` = `data[i*width .. (i+1)*width]`, column `j` =
-/// the value of `vars[j]`). Rows are deduplicated and listed in a
-/// deterministic order.
+/// one flat buffer (`row i` = `data[i*width .. (i+1)*width]` with `width =
+/// vars.len()`, column `j` = the value of `vars[j]`). Rows are deduplicated
+/// and listed in a deterministic order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bindings {
     /// Variable names, in slot order.
     pub vars: Vec<Arc<str>>,
-    width: usize,
+    /// Number of rows: a zero-variable body has at most one (empty)
+    /// satisfying assignment, which the buffer alone cannot count.
+    len: usize,
     data: Vec<Val>,
-    /// A zero-variable body has at most one (empty) satisfying assignment,
-    /// which the flat buffer cannot represent — this flag does.
-    nonempty_zero_width: bool,
 }
 
 impl Bindings {
-    /// An empty table over the given variables.
-    pub fn empty(vars: Vec<Arc<str>>) -> Self {
-        let width = vars.len();
-        Bindings {
-            vars,
-            width,
-            data: Vec::new(),
-            nonempty_zero_width: false,
-        }
+    /// A table over `vars` holding `len` rows, row-major at the front of
+    /// `data` (caller guarantees dedup).
+    pub(crate) fn from_flat(vars: Vec<Arc<str>>, len: usize, mut data: Vec<Val>) -> Self {
+        data.truncate(len * vars.len());
+        Bindings { vars, len, data }
     }
 
     /// Slot index of a variable.
@@ -64,62 +59,18 @@ impl Bindings {
 
     /// Number of satisfying assignments.
     pub fn len(&self) -> usize {
-        match self.data.len().checked_div(self.width) {
-            Some(n) => n,
-            // Zero-variable body: at most one (empty) assignment.
-            None => usize::from(self.nonempty_zero_width),
-        }
+        self.len
     }
 
     /// True iff the body has no satisfying assignment.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Row accessor.
-    pub fn row(&self, i: usize) -> &[Val] {
-        &self.data[i * self.width..i * self.width + self.width]
+        self.len == 0
     }
 
     /// Iterates rows as slices.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Val]> {
-        // `chunks_exact(0)` panics, so special-case zero width.
-        let width = self.width.max(1);
-        let n = self.len();
-        (0..n).map(move |i| {
-            if self.width == 0 {
-                &self.data[0..0]
-            } else {
-                &self.data[i * width..i * width + width]
-            }
-        })
-    }
-
-    /// A table over `vars` holding the rows of `data`, row-major (caller
-    /// guarantees dedup, and that `vars` is non-empty and divides `data`).
-    pub(crate) fn from_flat(vars: Vec<Arc<str>>, data: Vec<Val>) -> Self {
-        debug_assert!(!vars.is_empty() && data.len().is_multiple_of(vars.len()));
-        Bindings {
-            width: vars.len(),
-            vars,
-            data,
-            nonempty_zero_width: false,
-        }
-    }
-
-    /// Appends one row (caller guarantees dedup and width).
-    pub fn push_row(&mut self, row: &[Val]) {
-        debug_assert_eq!(row.len(), self.width);
-        if self.width == 0 {
-            self.nonempty_zero_width = true;
-        }
-        self.data.extend_from_slice(row);
-    }
-
-    /// Drops all rows, keeping the columns.
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.nonempty_zero_width = false;
+        let width = self.vars.len();
+        (0..self.len).map(move |i| &self.data[i * width..][..width])
     }
 
     /// Projects the bindings onto head terms, deduplicating while preserving
@@ -137,8 +88,7 @@ impl Bindings {
                 Term::Const(c) => slots.push(Err(*c)),
             }
         }
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
+        let mut set = RowSet::new(head.len());
         let mut buf: Vec<Val> = Vec::with_capacity(head.len());
         for row in self.rows() {
             buf.clear();
@@ -146,12 +96,9 @@ impl Bindings {
                 Ok(idx) => row[*idx],
                 Err(c) => *c,
             }));
-            let tuple = Tuple::from_row(&buf);
-            if seen.insert(tuple.clone()) {
-                out.push(tuple);
-            }
+            set.insert(&buf);
         }
-        Ok(out)
+        Ok(set.iter().map(Tuple::from_row).collect())
     }
 }
 
@@ -202,25 +149,6 @@ pub fn evaluate_bindings_since(
 ) -> Result<Bindings> {
     let body = CompiledBody::compile(atoms, constraints, db)?;
     evaluate_bindings_since_planned(&body, db, watermarks, &mut EvalMetrics::default())
-}
-
-/// Appends `row` to `out` unless already present, using `seen` as a
-/// hash-bucket membership structure over `out`'s rows (bucket entries are
-/// row indices; collisions resolved by comparing slices). Returns `true`
-/// iff the row was new. Allocation-free per accepted row beyond the flat
-/// buffer growth — no per-row `Box<[Val]>` keys.
-pub(crate) fn push_dedup(
-    out: &mut Bindings,
-    seen: &mut FxHashMap<u64, Vec<u32>>,
-    row: &[Val],
-) -> bool {
-    let bucket = seen.entry(fx_hash(row)).or_default();
-    if bucket.iter().any(|&i| out.row(i as usize) == row) {
-        return false;
-    }
-    bucket.push(out.len() as u32);
-    out.push_row(row);
-    true
 }
 
 /// Validates a body against a database and returns its variable slot table:
@@ -350,7 +278,7 @@ mod tests {
         db
     }
 
-    fn row_set(b: &Bindings) -> HashSet<Vec<Val>> {
+    fn row_set(b: &Bindings) -> std::collections::HashSet<Vec<Val>> {
         b.rows().map(<[Val]>::to_vec).collect()
     }
 

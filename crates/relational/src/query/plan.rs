@@ -31,10 +31,9 @@
 
 use crate::database::Database;
 use crate::error::Result;
-use crate::fxhash::FxHashMap;
 use crate::query::ast::{Atom, CmpOp, Constraint, Term};
-use crate::query::eval::{greedy_order, push_dedup, slot_of, validate_body, Bindings};
-use crate::relation::{key_hash, Index};
+use crate::query::eval::{greedy_order, slot_of, validate_body, Bindings};
+use crate::relation::{key_hash, Index, RowSet};
 use crate::value::Val;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -347,8 +346,7 @@ pub fn execute_plan(
     watermark: usize,
     m: &mut EvalMetrics,
 ) -> Result<Bindings> {
-    let nvars = plan.vars.len();
-    let width = nvars.max(1);
+    let width = plan.vars.len().max(1);
     let mut rows: Vec<Val> = vec![Val::Int(0); width]; // one empty binding
     let mut nrows: usize = 1;
     apply_constraints(plan, &plan.pre_constraints, &mut rows, &mut nrows, width);
@@ -412,7 +410,7 @@ pub fn execute_plan(
                 }
                 None => {
                     m.rows_scanned += rel.len() as u64;
-                    transient = rel.build_index(&step.key_cols);
+                    transient = Index::build(&step.key_cols, rel.iter());
                     &transient
                 }
             };
@@ -437,15 +435,8 @@ pub fn execute_plan(
     // the binding (an atom's terms are variables and constants), and no
     // step visits a stored row twice for one partial binding — distinct row
     // combinations give distinct bindings.
-    if nvars == width {
-        return Ok(Bindings::from_flat(plan.vars.clone(), rows));
-    }
-    // No variables: at most the one empty binding.
-    let mut out = Bindings::empty(plan.vars.clone());
-    if nrows > 0 {
-        out.push_row(&[]);
-    }
-    Ok(out)
+    // A zero-variable plan carries one placeholder value per binding.
+    Ok(Bindings::from_flat(plan.vars.clone(), nrows, rows))
 }
 
 fn apply_constraints(
@@ -475,26 +466,41 @@ fn apply_constraints(
 }
 
 /// Semi-naive delta evaluation over a compiled body: the union of every
-/// delta plan's rows, deduplicated, over the given per-relation watermarks
-/// (see [`crate::query::eval::evaluate_bindings_since`] for the semantics).
+/// delta plan's rows, deduplicated in first-occurrence order, over the given
+/// per-relation watermarks (see
+/// [`crate::query::eval::evaluate_bindings_since`] for the semantics). When
+/// only one delta plan has rows to scan, its bindings — distinct already —
+/// are the result as they stand.
 pub fn evaluate_bindings_since_planned(
     body: &CompiledBody,
     db: &Database,
     watermarks: &BTreeMap<Arc<str>, usize>,
     m: &mut EvalMetrics,
 ) -> Result<Bindings> {
-    let mut out = Bindings::empty(body.full.vars.clone());
-    let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    let mut first: Option<Bindings> = None;
+    let mut union: Option<RowSet> = None;
     for i in 0..body.delta.len() {
         let Some(watermark) = body.pending_since(i, db, watermarks)? else {
             continue; // No new tuples in this atom's relation.
         };
         let delta = execute_plan(body.delta_plan(i, db)?, db, watermark, m)?;
-        for row in delta.rows() {
-            push_dedup(&mut out, &mut seen, row);
-        }
+        let Some(first) = &first else {
+            first = Some(delta);
+            continue;
+        };
+        let union = union.get_or_insert_with(|| {
+            let mut set = RowSet::new(first.vars.len());
+            set.extend(first.rows());
+            set
+        });
+        union.extend(delta.rows());
     }
-    Ok(out)
+    let vars = body.full.vars.clone();
+    Ok(match (first, union) {
+        (None, _) => Bindings::from_flat(vars, 0, Vec::new()),
+        (Some(only), None) => only,
+        (Some(_), Some(set)) => Bindings::from_flat(vars, set.len(), set.into_flat()),
+    })
 }
 
 #[cfg(test)]

@@ -1,18 +1,20 @@
-//! A single relation instance: columnar, deduplicated, insertion-ordered
-//! rows with lazily built join-key hash indexes.
+//! [`RowSet`] — the one deduplicated, insertion-ordered row collection:
+//! relations keep their rows in one, and so does every peer-side collection
+//! that dedups or outlives a handler (shipped fragments, what a
+//! subscription sent, join and delta-union results, the durable answer
+//! fold) — and [`Relation`], a schema over a row set with lazily built
+//! join-key hash indexes.
 //!
 //! Storage is one flat `Vec<Val>` in row-major order with stride = arity —
 //! a row is a contiguous 16-byte-per-field slice, cache-friendly to scan.
 //! Membership (deduplication) and the join indexes are one structure, an
-//! [`Index`]: membership is the index on every column, and a probe compares
-//! the row slice of each candidate position. There is **no** second
-//! serialized copy of the data (the old `present: HashSet<Tuple>` both
-//! doubled memory and doubled every snapshot on disk), and no heap
-//! allocation per row or per key: a stored row costs its `16 × arity`
+//! [`Index`] of row positions per hash; a probe compares the row slice of
+//! each candidate position. There is no second copy of the data and no
+//! heap allocation per row or per key: a stored row costs its `16 × arity`
 //! bytes plus, in membership and in each join index, one 4-byte chain link;
 //! a distinct hash costs one 16-byte map entry per index. Inserting grows
-//! these buffers by amortised doubling, and cloning a relation copies them
-//! with one allocation each.
+//! these buffers by amortised doubling, and cloning copies them with one
+//! allocation each.
 //!
 //! Insertion order is preserved so that (a) iteration is deterministic and
 //! (b) *watermarks* work: the update protocol's delta optimization sends a
@@ -44,44 +46,50 @@ pub fn key_hash<'a>(vals: impl IntoIterator<Item = &'a Val>) -> u64 {
 /// walk stops at the bucket's recorded newest position.
 const UNLINKED: u32 = u32::MAX;
 
-/// A persistent hash index over a subset of columns: key hash → candidate
-/// row positions, in insertion order. Collisions are possible; callers must
-/// verify the key columns of each candidate against the probe values (which
-/// the join loop needs anyway for repeated-variable rechecks).
+/// A hash index of row positions: key hash → the positions whose key hashes
+/// to it, in insertion order — one map entry per distinct hash and one
+/// chain link per row. It knows no columns: [`RowSet`] membership indexes
+/// whole rows, a relation's join indexes the key columns they are kept
+/// under. Collisions are possible; callers compare the candidate rows
+/// (which the join loop does anyway for repeated-variable rechecks).
 ///
-/// Every index covers every row of its relation. Built lazily by
+/// A relation's join indexes cover every row of it: built lazily by
 /// [`Relation::ensure_index`] and maintained incrementally by
-/// [`Relation::insert_row`], so repeated evaluation never rebuilds it.
-#[derive(Debug, Clone)]
+/// [`Relation::insert_row`], so repeated evaluation never rebuilds them.
+/// [`Index::build`] indexes any sequence of rows once.
+#[derive(Debug, Clone, Default)]
 pub struct Index {
-    /// Key columns in probe order (shared, so a clone does not copy them).
-    cols: Arc<[usize]>,
     /// Key hash → the oldest and the newest position with that hash.
     buckets: FxHashMap<u64, (u32, u32)>,
-    /// `next[pos]`: the next newer position whose key hash equals `pos`'s
+    /// `next[pos]`: the next newer position whose hash equals `pos`'s
     /// ([`UNLINKED`] while `pos` is its bucket's newest). One per row.
     next: Vec<u32>,
 }
 
 impl Index {
-    /// An empty index on `cols`, with room for `rows` rows.
-    fn with_capacity(cols: Arc<[usize]>, rows: usize) -> Self {
+    /// Empty, with room for `rows` rows.
+    fn with_capacity(rows: usize) -> Self {
         let mut buckets = FxHashMap::default();
         buckets.reserve(rows);
         Index {
-            cols,
             buckets,
             next: Vec::with_capacity(rows),
         }
     }
 
-    /// The indexed column positions, in probe order.
-    pub fn cols(&self) -> &[usize] {
-        &self.cols
+    /// Indexes `rows` on the columns `cols`: a row's position is its place
+    /// in the sequence.
+    pub fn build<'a>(cols: &[usize], rows: impl ExactSizeIterator<Item = &'a [Val]>) -> Self {
+        let mut idx = Index::with_capacity(rows.len());
+        for row in rows {
+            idx.link(key_hash(cols.iter().map(|&c| &row[c])));
+        }
+        // Sized for one key per row; give back what repeated keys left idle.
+        idx.buckets.shrink_to_fit();
+        idx
     }
 
-    /// Candidate row positions whose key columns hash to `hash`, oldest
-    /// first.
+    /// Candidate row positions whose key hashes to `hash`, oldest first.
     pub fn candidates(&self, hash: u64) -> Candidates<'_> {
         Candidates {
             next: &self.next,
@@ -141,40 +149,199 @@ impl Iterator for Candidates<'_> {
     }
 }
 
+/// A deduplicated, insertion-ordered set of rows of one fixed arity (zero
+/// included): one flat `Vec<Val>` plus its membership chains.
+///
+/// Serialized as the array of its rows — byte for byte what a `Vec` of
+/// [`crate::Tuple`]s holding the same rows writes. Reading one back takes
+/// the arity from the first row and rejects a row of any other width.
+#[derive(Debug, Clone, Default)]
+pub struct RowSet {
+    arity: usize,
+    /// Row-major flat storage: row `i` is `data[i*arity .. (i+1)*arity]`.
+    data: Vec<Val>,
+    /// Membership: the index of whole rows, which also counts them (so
+    /// arity 0 works). Never stored.
+    seen: Index,
+}
+
+impl RowSet {
+    /// An empty set of rows `arity` values wide.
+    pub fn new(arity: usize) -> Self {
+        Self::with_capacity(arity, 0)
+    }
+
+    /// An empty set with room for `rows` rows.
+    pub fn with_capacity(arity: usize, rows: usize) -> Self {
+        RowSet {
+            arity,
+            data: Vec::with_capacity(rows * arity),
+            seen: Index::with_capacity(rows),
+        }
+    }
+
+    /// The width of every row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.seen.next.len()
+    }
+
+    /// True iff the set holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Membership test on a row slice.
+    pub fn contains(&self, row: &[Val]) -> bool {
+        let mut at = self.seen.candidates(key_hash(row));
+        row.len() == self.arity && at.any(|p| self.row(p as usize) == row)
+    }
+
+    /// Inserts a row by copy; returns `true` iff it was new.
+    ///
+    /// # Panics
+    /// If the row is not [`RowSet::arity`] values wide: rows from outside
+    /// are checked where they arrive.
+    pub fn insert(&mut self, row: &[Val]) -> bool {
+        self.insert_hashed(row, key_hash(row))
+    }
+
+    /// [`RowSet::insert`] with the row's hash supplied. Tests pass a
+    /// constant here to put every row in one bucket.
+    fn insert_hashed(&mut self, row: &[Val], hash: u64) -> bool {
+        assert_eq!(row.len(), self.arity, "a row of the set's arity");
+        // Row positions are `u32`, and `UNLINKED` is not one.
+        assert!(
+            self.len() < UNLINKED as usize,
+            "a row set holds fewer than 2³² − 1 rows"
+        );
+        let (data, arity) = (&self.data, self.arity);
+        let new = (self.seen).link_unless(hash, |p| &data[p as usize * arity..][..arity] == row);
+        if new {
+            self.data.extend_from_slice(row);
+        }
+        new
+    }
+
+    /// Row at insertion position `pos`, as a slice into the flat store.
+    pub fn row(&self, pos: usize) -> &[Val] {
+        &self.data[pos * self.arity..pos * self.arity + self.arity]
+    }
+
+    /// Iterates rows in insertion order (zero-copy slices).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Val]> + Clone {
+        self.since(0)
+    }
+
+    /// Rows inserted at or after position `from`, in order. `from >= len()`
+    /// yields an empty iterator.
+    pub fn since(&self, from: usize) -> impl ExactSizeIterator<Item = &[Val]> + Clone {
+        (from.min(self.len())..self.len()).map(|pos| self.row(pos))
+    }
+
+    /// The rows, flat and row-major.
+    pub fn into_flat(self) -> Vec<Val> {
+        self.data
+    }
+
+    /// Every [`crate::catalog::SymId`] occurring in the rows — the symbols
+    /// a persisted copy must carry a dictionary for.
+    pub fn syms(&self) -> impl Iterator<Item = crate::catalog::SymId> + '_ {
+        self.data.iter().filter_map(Val::as_sym)
+    }
+
+    /// Rewrites every symbol through `f` (crash recovery remaps foreign
+    /// catalog ids through the live catalog) and rebuilds membership.
+    pub fn remap_syms(&mut self, f: &impl Fn(crate::catalog::SymId) -> crate::catalog::SymId) {
+        for v in &mut self.data {
+            if let Val::Sym(id) = v {
+                *id = f(*id);
+            }
+        }
+        self.seen = Index::build(&(0..self.arity).collect::<Vec<_>>(), self.iter());
+    }
+
+    /// Reads the rows of `rows` (arrays of `arity` values each) into a set.
+    fn from_rows(arity: usize, rows: &[Content], what: &'static str) -> Result<Self, DeError> {
+        let mut set = RowSet::with_capacity(arity, rows.len());
+        let mut buf: Vec<Val> = Vec::with_capacity(arity);
+        for row in rows {
+            let fields = row
+                .as_seq()
+                .ok_or_else(|| DeError::expected("array", what))?;
+            if fields.len() != arity {
+                return Err(DeError::expected("rows of one width", what));
+            }
+            buf.clear();
+            for f in fields {
+                buf.push(Val::from_content(f)?);
+            }
+            set.insert(&buf);
+        }
+        Ok(set)
+    }
+}
+
+impl<'a> Extend<&'a [Val]> for RowSet {
+    fn extend<I: IntoIterator<Item = &'a [Val]>>(&mut self, rows: I) {
+        for row in rows {
+            self.insert(row);
+        }
+    }
+}
+
+/// Equal when they hold the same rows in the same order.
+impl PartialEq for RowSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Serialize for RowSet {
+    fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
+        out.seq_begin(self.len())?;
+        for row in self.iter() {
+            row.serialize(out)?;
+        }
+        out.seq_end()
+    }
+}
+
+impl Deserialize for RowSet {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let rows = c
+            .as_seq()
+            .ok_or_else(|| DeError::expected("array", "RowSet"))?;
+        let arity = rows.first().and_then(Content::as_seq).map_or(0, <[_]>::len);
+        RowSet::from_rows(arity, rows, "RowSet row")
+    }
+}
+
 /// A relation instance.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// The signature, shared by every clone.
     schema: Arc<RelationSchema>,
-    /// Column count, cached (`schema.arity()`).
-    arity: usize,
-    /// Row-major flat storage: row `i` is `data[i*arity .. (i+1)*arity]`.
-    data: Vec<Val>,
-    /// Membership: the index on every column, which also counts the rows
-    /// (so arity-0 relations work). Collisions are resolved by comparing
-    /// row slices. Rebuilt on deserialize and remap, never stored.
-    seen: Index,
-    /// Lazily built multi-column join indexes, one per column list (a
-    /// relation has a handful, so they are found by a linear scan).
-    /// Maintained incrementally by [`Relation::insert_row`]; cleared on
-    /// symbol remap (key hashes go stale) and never serialized.
-    key_indexes: Vec<Index>,
+    /// The rows, of the schema's arity.
+    rows: RowSet,
+    /// Lazily built multi-column join indexes, each under its key columns
+    /// (shared, so a clone does not copy them; a relation has a handful, so
+    /// they are found by a linear scan). Maintained incrementally by
+    /// [`Relation::insert_row`]; cleared on symbol remap (key hashes go
+    /// stale) and never serialized.
+    key_indexes: Vec<(Arc<[usize]>, Index)>,
 }
 
 impl Relation {
     /// Creates an empty relation with the given signature.
     pub fn new(schema: RelationSchema) -> Self {
-        Self::with_capacity(schema, 0)
-    }
-
-    /// An empty relation with room for `rows` rows.
-    fn with_capacity(schema: RelationSchema, rows: usize) -> Self {
-        let arity = schema.arity();
         Relation {
+            rows: RowSet::new(schema.arity()),
             schema: Arc::new(schema),
-            arity,
-            data: Vec::with_capacity(rows * arity),
-            seen: Index::with_capacity((0..arity).collect(), rows),
             key_indexes: Vec::new(),
         }
     }
@@ -184,73 +351,32 @@ impl Relation {
         &self.schema
     }
 
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.seen.next.len()
-    }
-
-    /// True iff the relation holds no tuple.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Membership test on a row slice.
-    pub fn contains(&self, row: &[Val]) -> bool {
-        row.len() == self.arity
-            && self
-                .seen
-                .candidates(key_hash(row))
-                .any(|p| self.row(p as usize) == row)
-    }
-
     /// Inserts a row by copy; returns `true` iff it was new. The caller is
     /// expected to have validated the row against the schema (see
     /// [`crate::Database::insert_row`], which does).
     pub fn insert_row(&mut self, row: &[Val]) -> bool {
-        self.insert_hashed(row, |cols| key_hash(cols.iter().map(|&c| &row[c])))
+        self.insert_hashed(row, key_hash(row), |cols| {
+            key_hash(cols.iter().map(|&c| &row[c]))
+        })
     }
 
-    /// [`Relation::insert_row`] with the hashing supplied: `hash(cols)` is
-    /// the hash of `row` projected onto `cols`, for membership (every
-    /// column) and for each join index. Tests pass a constant here to put
-    /// every row in one bucket.
-    fn insert_hashed(&mut self, row: &[Val], hash: impl Fn(&[usize]) -> u64) -> bool {
-        debug_assert_eq!(row.len(), self.arity);
-        // Row positions are `u32`, and `UNLINKED` is not one.
-        assert!(
-            self.len() < UNLINKED as usize,
-            "a relation holds fewer than 2³² − 1 rows"
-        );
-        let (data, arity) = (&self.data, self.arity);
-        let new = self.seen.link_unless(hash(&self.seen.cols), |p| {
-            &data[p as usize * arity..][..arity] == row
-        });
+    /// [`Relation::insert_row`] with the hashing supplied: `row_hash` for
+    /// membership, and `hash(cols)`, the hash of `row` projected onto
+    /// `cols`, for each join index. Tests pass constants here to put every
+    /// row in one bucket.
+    fn insert_hashed(
+        &mut self,
+        row: &[Val],
+        row_hash: u64,
+        hash: impl Fn(&[usize]) -> u64,
+    ) -> bool {
+        let new = self.rows.insert_hashed(row, row_hash);
         if new {
-            self.data.extend_from_slice(row);
-            for idx in &mut self.key_indexes {
-                idx.link(hash(&idx.cols));
+            for (cols, idx) in &mut self.key_indexes {
+                idx.link(hash(cols));
             }
         }
         new
-    }
-
-    /// Row at insertion position `pos`, as a slice into columnar storage.
-    pub fn row(&self, pos: usize) -> &[Val] {
-        &self.data[pos * self.arity..pos * self.arity + self.arity]
-    }
-
-    /// Iterates rows in insertion order (zero-copy slices).
-    pub fn iter(&self) -> RowIter<'_> {
-        RowIter { rel: self, next: 0 }
-    }
-
-    /// Rows inserted at or after `watermark` (insertion index), in order.
-    /// `watermark >= len()` yields an empty iterator.
-    pub fn since(&self, watermark: usize) -> RowIter<'_> {
-        RowIter {
-            rel: self,
-            next: watermark.min(self.len()),
-        }
     }
 
     /// Ensures a persistent multi-column index on `cols` exists, building it
@@ -261,85 +387,46 @@ impl Relation {
         self.index_on(cols);
     }
 
-    /// Builds an index on `cols` over the current rows without storing it —
-    /// what a join falls back to when no persistent index exists.
-    pub(crate) fn build_index(&self, cols: &[usize]) -> Index {
-        debug_assert!(cols.iter().all(|&c| c < self.arity));
-        let mut idx = Index::with_capacity(cols.into(), self.len());
-        for row in self.iter() {
-            idx.link(key_hash(cols.iter().map(|&c| &row[c])));
-        }
-        // Sized for one key per row; give back what repeated keys left idle.
-        idx.buckets.shrink_to_fit();
-        idx
-    }
-
     /// The persistent index on `cols`, if [`Relation::ensure_index`] has
     /// built it. Immutable, so candidate rows can be read while probing.
     pub fn index(&self, cols: &[usize]) -> Option<&Index> {
-        self.key_indexes.iter().find(|idx| *idx.cols == *cols)
+        let mut indexes = self.key_indexes.iter();
+        indexes.find(|(on, _)| **on == *cols).map(|(_, idx)| idx)
     }
 
     /// Ensures and returns the persistent index on `cols` (convenience over
     /// [`Relation::ensure_index`] + [`Relation::index`]).
     pub fn index_on(&mut self, cols: &[usize]) -> &Index {
-        let at = match self.key_indexes.iter().position(|idx| *idx.cols == *cols) {
+        let at = match self.key_indexes.iter().position(|(on, _)| **on == *cols) {
             Some(at) => at,
             None => {
-                let idx = self.build_index(cols);
-                self.key_indexes.push(idx);
+                let idx = Index::build(cols, self.iter());
+                self.key_indexes.push((cols.into(), idx));
                 self.key_indexes.len() - 1
             }
         };
-        &self.key_indexes[at]
-    }
-
-    /// Every distinct [`crate::catalog::SymId`] occurring in this relation —
-    /// the symbols a persisted copy must carry a dictionary for.
-    pub fn syms(&self) -> impl Iterator<Item = crate::catalog::SymId> + '_ {
-        self.data.iter().filter_map(Val::as_sym)
+        &self.key_indexes[at].1
     }
 
     /// Rewrites every symbol through `f` (crash recovery remaps foreign
     /// catalog ids through the live catalog). Membership is rebuilt; join
     /// indexes are dropped (their key hashes went stale).
     pub fn remap_syms(&mut self, f: &impl Fn(crate::catalog::SymId) -> crate::catalog::SymId) {
-        for v in &mut self.data {
-            if let Val::Sym(id) = v {
-                *id = f(*id);
-            }
-        }
-        self.seen = self.build_index(&self.seen.cols);
+        self.rows.remap_syms(f);
         self.key_indexes.clear();
     }
 }
 
-/// Iterator over a relation's rows as slices.
-#[derive(Debug, Clone)]
-pub struct RowIter<'a> {
-    rel: &'a Relation,
-    next: usize,
-}
+/// A relation reads as its rows: length, membership, iteration and
+/// watermark suffixes are its [`RowSet`]'s. Inserting goes through
+/// [`Relation::insert_row`], which keeps the join indexes in step.
+impl std::ops::Deref for Relation {
+    type Target = RowSet;
 
-impl<'a> Iterator for RowIter<'a> {
-    type Item = &'a [Val];
-
-    fn next(&mut self) -> Option<&'a [Val]> {
-        if self.next >= self.rel.len() {
-            return None;
-        }
-        let row = self.rel.row(self.next);
-        self.next += 1;
-        Some(row)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.rel.len() - self.next;
-        (rem, Some(rem))
+    fn deref(&self) -> &RowSet {
+        &self.rows
     }
 }
-
-impl ExactSizeIterator for RowIter<'_> {}
 
 // Serialization carries the schema and the rows exactly once, as nested
 // arrays (`"rows": [[...], ...]`); membership and indexes are rebuilt on
@@ -351,11 +438,7 @@ impl Serialize for Relation {
         out.map_key("schema")?;
         self.schema.serialize(out)?;
         out.map_key("rows")?;
-        out.seq_begin(self.len())?;
-        for row in self.iter() {
-            row.serialize(out)?;
-        }
-        out.seq_end()?;
+        self.rows.serialize(out)?;
         out.map_end()
     }
 }
@@ -372,22 +455,11 @@ impl Deserialize for Relation {
             .ok_or_else(|| DeError::missing_field("rows", "Relation"))?
             .as_seq()
             .ok_or_else(|| DeError::expected("array", "Relation::rows"))?;
-        let mut rel = Relation::with_capacity(schema, rows.len());
-        let mut buf: Vec<Val> = Vec::with_capacity(rel.arity);
-        for row in rows {
-            let fields = row
-                .as_seq()
-                .ok_or_else(|| DeError::expected("array", "Relation row"))?;
-            if fields.len() != rel.arity {
-                return Err(DeError::expected("row of schema arity", "Relation row"));
-            }
-            buf.clear();
-            for f in fields {
-                buf.push(Val::from_content(f)?);
-            }
-            rel.insert_row(&buf);
-        }
-        Ok(rel)
+        Ok(Relation {
+            rows: RowSet::from_rows(schema.arity(), rows, "Relation row")?,
+            schema: Arc::new(schema),
+            key_indexes: Vec::new(),
+        })
     }
 }
 
@@ -513,7 +585,10 @@ mod tests {
         r.ensure_index(&[0]);
         assert_eq!(probe(&r, &[0], &[Val::Int(1)]), &[0, 2]);
         // index_on is ensure + get.
-        assert_eq!(r.index_on(&[0, 1]).cols(), &[0, 1]);
+        let on: Vec<u32> = (r.index_on(&[0, 1]))
+            .candidates(key_hash(key(2, 20).iter()))
+            .collect();
+        assert_eq!(on, probe(&r, &[0, 1], &key(2, 20)));
     }
 
     /// Every row hashes alike through the hashed-insert seam, so membership
@@ -527,21 +602,21 @@ mod tests {
         r.ensure_index(&[1]);
         let fresh: Vec<bool> = [(1, 1), (2, 2), (1, 1), (3, 1), (2, 2), (3, 1)]
             .iter()
-            .map(|&(x, y)| r.insert_hashed(&tup(x, y), same))
+            .map(|&(x, y)| r.insert_hashed(&tup(x, y), 7, same))
             .collect();
         assert_eq!(fresh, [true, true, false, true, false, false]);
         assert_eq!(r.len(), 3);
         let chain = |idx: &Index| idx.candidates(7).collect::<Vec<u32>>();
-        assert_eq!(chain(&r.seen), [0, 1, 2]);
+        assert_eq!(chain(&r.rows.seen), [0, 1, 2]);
         assert_eq!(chain(r.index(&[1]).unwrap()), [0, 1, 2]);
-        assert_eq!(r.seen.candidates(8).count(), 0);
+        assert_eq!(r.rows.seen.candidates(8).count(), 0);
 
         let mut copy = r.clone();
-        assert!(copy.insert_hashed(&tup(4, 4), same));
-        assert!(!copy.insert_hashed(&tup(4, 4), same));
-        assert_eq!(chain(&copy.seen), [0, 1, 2, 3]);
+        assert!(copy.insert_hashed(&tup(4, 4), 7, same));
+        assert!(!copy.insert_hashed(&tup(4, 4), 7, same));
+        assert_eq!(chain(&copy.rows.seen), [0, 1, 2, 3]);
         assert_eq!(chain(copy.index(&[1]).unwrap()), [0, 1, 2, 3]);
-        assert_eq!(chain(&r.seen), [0, 1, 2], "the original is untouched");
+        assert_eq!(chain(&r.rows.seen), [0, 1, 2], "the original is untouched");
         assert_eq!(r.len(), 3);
 
         // Rebuilding membership from storage uses the real hashes again.
@@ -603,5 +678,75 @@ mod tests {
         r.remap_syms(&|id| if id == a_id { b_id } else { id });
         assert!(r.contains(&[b]));
         assert!(!r.contains(&[a]));
+    }
+
+    /// Value `k` of a small domain mixing ints and nulls, so rows repeat.
+    fn small(k: u8) -> Val {
+        match k % 2 {
+            0 => Val::Int(i64::from(k)),
+            _ => Val::Null(crate::value::NullId::new(1, u64::from(k))),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A row set against the `Vec` of tuples and the `HashSet` it
+        /// replaced, kept in lockstep: random inserts with frequent
+        /// duplicates over arity 0–3, every row hashed alike (one chain)
+        /// half the time. `insert`'s result, the order, `len`, `contains`
+        /// and every `since` suffix agree, and the set serializes to the
+        /// bytes of the `Vec` and reads back equal.
+        #[test]
+        fn row_set_matches_a_vec_and_a_hash_set(
+            arity in 0usize..4,
+            picks in proptest::collection::vec(proptest::collection::vec(0u8..4, 3..4), 0..40),
+            collide in proptest::prelude::any::<bool>(),
+        ) {
+            use proptest::prelude::*;
+            let hash = |row: &[Val]| if collide { 7 } else { key_hash(row) };
+            let mut set = RowSet::new(arity);
+            let mut rows: Vec<crate::Tuple> = Vec::new();
+            let mut seen: std::collections::HashSet<Vec<Val>> = Default::default();
+            for pick in &picks {
+                let row: Vec<Val> = pick[..arity].iter().map(|&k| small(k)).collect();
+                let fresh = seen.insert(row.clone());
+                if fresh {
+                    rows.push(crate::Tuple::new(row.clone()));
+                }
+                prop_assert_eq!(set.insert_hashed(&row, hash(&row)), fresh);
+                prop_assert_eq!(set.len(), rows.len());
+                prop_assert!(!set.insert_hashed(&row, hash(&row)), "present now");
+            }
+            for other in rows.iter().map(|t| t.0.to_vec()).chain([
+                vec![Val::Int(9); arity],
+                vec![Val::Int(0); arity + 1],
+            ]) {
+                // Membership reads the real hash: the same chain unless collided.
+                if !collide {
+                    prop_assert_eq!(set.contains(&other), seen.contains(&other));
+                }
+            }
+            for from in 0..=rows.len() + 1 {
+                let suffix: Vec<&[Val]> = set.since(from).collect();
+                let model: Vec<&[Val]> = rows.iter().skip(from).map(|t| &t.0[..]).collect();
+                prop_assert_eq!(suffix, model);
+            }
+            let text = serde_json::to_string(&set).unwrap();
+            prop_assert_eq!(&text, &serde_json::to_string(&rows).unwrap());
+            let back: RowSet = serde_json::from_str(&text).unwrap();
+            prop_assert_eq!(&back, &set);
+            prop_assert_eq!(back.arity(), if rows.is_empty() { 0 } else { arity });
+        }
+    }
+
+    /// Reading rows back rejects a row of another width than the first.
+    #[test]
+    fn a_ragged_row_set_does_not_read_back() {
+        for text in [r#"[[{"Int":1}],[]]"#, r#"[[],[{"Int":1}]]"#, r#"[5]"#] {
+            assert!(serde_json::from_str::<RowSet>(text).is_err(), "{text}");
+        }
+        let unit: RowSet = serde_json::from_str("[[]]").unwrap();
+        assert_eq!((unit.arity(), unit.len()), (0, 1));
     }
 }

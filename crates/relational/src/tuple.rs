@@ -9,11 +9,10 @@ use std::sync::Arc;
 ///
 /// Tuples are the in-flight row representation: query answers, protocol
 /// messages and WAL records all ship them, and `Arc<[Val]>` keeps those
-/// copies O(1). At rest, rows live flattened inside [`crate::Relation`]'s
-/// columnar store; a `Tuple` is materialised only at that boundary. Equality,
-/// hashing and ordering are structural (by content), so a tuple can be used
-/// directly for deduplication in answer sets and for the insertion guard of
-/// algorithm A6.
+/// copies O(1). At rest, rows live flattened in a [`crate::RowSet`] — a
+/// relation's, or any other row collection that dedups or outlives a
+/// handler — and a `Tuple` is materialised only at that boundary, never to
+/// deduplicate. Equality, hashing and ordering are structural (by content).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Tuple(pub Arc<[Val]>);
 

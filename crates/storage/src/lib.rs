@@ -17,7 +17,8 @@
 //!   `p2p_core`'s rule fragments no better than its rule ids);
 //! * **snapshots** ([`DatabaseSnapshot`]) of the database, the chase
 //!   bookkeeping, the answer log folded to one mark per fragment
-//!   ([`FragmentMark`]) and the cursor log folded to one cursor per
+//!   ([`FragmentMark`], whose rows are one `p2p_relational::RowSet`: the
+//!   fold's only copy, membership included) and the cursor log folded to one cursor per
 //!   subscription served ([`CursorMark`], with its fragment). Writing one is
 //!   a *checkpoint*: the backend then drops the frames it covers, so what a
 //!   peer holds and what a recovery replays follow the size of its state,
@@ -58,7 +59,8 @@
 //!
 //! Replay is **idempotent**: re-inserting a tuple that is already present
 //! is a no-op at the relation layer, null counters, chase depths and
-//! fragment watermarks merge by maximum, fragment rows deduplicate, and a
+//! fragment watermarks merge by maximum, fragment rows deduplicate in their
+//! mark's row set, and a
 //! cursor or a forgotten rule is whatever the newest record says. So
 //! frames older than the snapshot — which a backend may hand back, and
 //! which a crash between writing a snapshot and dropping its frames leaves

@@ -5,7 +5,7 @@ use crate::wal::WalRecord;
 use crate::{StorageError, StorageResult};
 use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
-use p2p_relational::{ConstCatalog, Database, SymId, SymRemap, Tuple, Val};
+use p2p_relational::{ConstCatalog, Database, RowSet, SymId, SymRemap, Tuple, Val};
 use p2p_topology::NodeId;
 use serde::{Content, Deserialize, Serialize, Sink};
 use std::collections::{BTreeMap, HashSet};
@@ -81,12 +81,15 @@ impl Serialize for SnapshotRef<'_> {
 /// accumulated rows (head-side cache rebuild, kept only where the owner
 /// logged them — rules with more than one body node) and the answerer's
 /// newest watermarks among the processed answers (the resync cursor).
+/// Encoded as it was when `rows` was a list of tuples, byte for byte.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FragmentMark {
     /// Column variables of `rows`.
     pub vars: Vec<Arc<str>>,
-    /// Accumulated fragment rows, deduplicated, in first-arrival order.
-    pub rows: Vec<Tuple>,
+    /// Accumulated fragment rows over `vars`, deduplicated, in
+    /// first-arrival order: the one copy the fold keeps, membership
+    /// included.
+    pub rows: RowSet,
     /// Per relation, the highest watermark any processed answer carried.
     pub watermarks: BTreeMap<Arc<str>, usize>,
 }
@@ -129,22 +132,21 @@ pub struct RecoveredState {
 
 /// The answer and cursor logs folded as they are written: what the next
 /// snapshot carries of them, and what recovery rebuilds from a snapshot plus
-/// the frames after it. Folding answers is idempotent — rows deduplicate,
-/// watermarks merge by per-relation maximum; cursors and forgotten rules
-/// are last-writer-wins — so frames a snapshot already covers may be folded
-/// again, in order (see [`crate::wal`]).
+/// the frames after it. Folding answers is idempotent — rows deduplicate in
+/// each mark's [`RowSet`], watermarks merge by per-relation maximum;
+/// cursors and forgotten rules are last-writer-wins — so frames a snapshot
+/// already covers may be folded again, in order (see [`crate::wal`]).
 #[derive(Debug, Default)]
 struct LogFold {
     marks: BTreeMap<(u32, NodeId), FragmentMark>,
-    /// Membership of each mark's `rows`.
-    seen: BTreeMap<(u32, NodeId), HashSet<Tuple>>,
     cursors: BTreeMap<(NodeId, u32), CursorMark>,
     last_session: SessionId,
 }
 
 impl LogFold {
-    /// Folds one record (an `Insert` says nothing here).
-    fn fold(&mut self, record: &WalRecord, remap: &SymRemap) {
+    /// Folds one record (an `Insert` says nothing here). An answer whose
+    /// rows are not as wide as its mark's is corrupt.
+    fn fold(&mut self, record: &WalRecord, remap: &SymRemap) -> StorageResult<()> {
         match record {
             WalRecord::Insert { .. } => {}
             WalRecord::Answer {
@@ -155,7 +157,7 @@ impl LogFold {
                 rows,
                 watermarks,
                 dict: _,
-            } => self.fold_answer(*session, (*rule, *node), vars, rows, watermarks, remap),
+            } => self.fold_answer(*session, (*rule, *node), vars, rows, watermarks, remap)?,
             WalRecord::Cursor {
                 subscriber,
                 rule,
@@ -177,11 +179,9 @@ impl LogFold {
                     }
                 }
             },
-            WalRecord::ForgetRule { rule } => {
-                self.marks.retain(|(r, _), _| r != rule);
-                self.seen.retain(|(r, _), _| r != rule);
-            }
+            WalRecord::ForgetRule { rule } => self.marks.retain(|(r, _), _| r != rule),
         }
+        Ok(())
     }
 
     fn fold_answer(
@@ -192,25 +192,31 @@ impl LogFold {
         rows: &[Tuple],
         watermarks: &BTreeMap<Arc<str>, usize>,
         remap: &SymRemap,
-    ) {
-        self.last_session = self.last_session.max(session);
+    ) -> StorageResult<()> {
         let mark = self.marks.entry(key).or_default();
         if mark.vars.is_empty() {
             mark.vars = vars.to_vec();
         }
-        if !rows.is_empty() {
-            let seen = self.seen.entry(key).or_default();
-            for t in rows {
-                let t = remap_tuple(remap, t.clone());
-                if seen.insert(t.clone()) {
-                    mark.rows.push(t);
-                }
+        if mark.rows.is_empty() {
+            mark.rows = RowSet::new(mark.vars.len());
+        }
+        let mut buf = Vec::new();
+        for t in rows {
+            if t.arity() != mark.rows.arity() {
+                return Err(StorageError::Corrupt(format!(
+                    "an answer row of {} values for a mark of {}",
+                    t.arity(),
+                    mark.rows.arity()
+                )));
             }
+            mark.rows.insert(remap_row(remap, &t.0, &mut buf));
         }
         for (relation, w) in watermarks {
             let newest = mark.watermarks.entry(relation.clone()).or_default();
             *newest = (*newest).max(*w);
         }
+        self.last_session = self.last_session.max(session);
+        Ok(())
     }
 }
 
@@ -320,7 +326,7 @@ impl PeerStorage {
                 return Err(e);
             }
         };
-        self.folded.fold(record, &SymRemap::default());
+        self.folded.fold(record, &SymRemap::default())?;
         self.since_snapshot += 1;
         self.bytes_since_snapshot += len as u64;
         Ok(self.snapshot_every > 0
@@ -342,8 +348,7 @@ impl PeerStorage {
         depths: Vec<(NullId, u32)>,
     ) -> StorageResult<()> {
         let mut syms = db.syms();
-        let mark_rows = self.folded.marks.values().flat_map(|m| &m.rows);
-        syms.extend(mark_rows.flat_map(Tuple::values).filter_map(Val::as_sym));
+        syms.extend(self.folded.marks.values().flat_map(|m| m.rows.syms()));
         let catalog = ConstCatalog::global().export(syms);
         let snap = SnapshotRef {
             nulls_next,
@@ -431,16 +436,18 @@ impl PeerStorage {
                 .collect(),
             ..LogFold::default()
         };
-        for (rule, from, mark) in &snap.marks {
-            let (session, key) = (snap.last_session, (*rule, *from));
-            folded.fold_answer(
-                session,
-                key,
-                &mark.vars,
-                &mark.rows,
-                &mark.watermarks,
-                &remap,
-            );
+        for (rule, from, mut mark) in snap.marks {
+            if !mark.rows.is_empty() && mark.rows.arity() != mark.vars.len() {
+                return Err(decode(&format!(
+                    "the mark of rule {rule} from {from} holds rows of {} values over {} columns",
+                    mark.rows.arity(),
+                    mark.vars.len()
+                )));
+            }
+            if !remap.is_identity() {
+                mark.rows.remap_syms(&|id| remap.map(id));
+            }
+            folded.marks.insert((rule, from), mark);
         }
 
         let records: Vec<WalRecord> = match self.codec {
@@ -457,9 +464,10 @@ impl PeerStorage {
                 .map(|f| WalRecord::from_frame_bytes(f))
                 .collect::<StorageResult<_>>()?,
         };
+        let mut buf = Vec::new();
         for record in records {
             remap.extend(catalog.absorb(record.dict()));
-            folded.fold(&record, &remap);
+            folded.fold(&record, &remap)?;
             let WalRecord::Insert {
                 relation,
                 tuple,
@@ -469,8 +477,8 @@ impl PeerStorage {
             else {
                 continue;
             };
-            let tuple = remap_tuple(&remap, tuple);
-            for v in tuple.values() {
+            let row = remap_row(&remap, &tuple.0, &mut buf);
+            for v in row {
                 if let Val::Null(id) = v {
                     if id.node() == node && id.counter() + 1 > nulls_next {
                         nulls_next = id.counter() + 1;
@@ -483,7 +491,7 @@ impl PeerStorage {
                     *e = d;
                 }
             }
-            db.insert(&relation, tuple)
+            db.insert_row(&relation, row)
                 .map_err(|e| StorageError::Corrupt(format!("WAL replay: {e}")))?;
         }
         Ok(Some(RecoveredState {
@@ -502,10 +510,6 @@ impl PeerStorage {
     /// a new process has folded nothing yet.
     pub fn adopt(&mut self, recovered: &RecoveredState) {
         self.folded = LogFold {
-            seen: (recovered.marks.iter())
-                .filter(|(_, mark)| !mark.rows.is_empty())
-                .map(|(key, mark)| (*key, mark.rows.iter().cloned().collect()))
-                .collect(),
             marks: recovered.marks.clone(),
             cursors: recovered.cursors.clone(),
             last_session: recovered.last_session,
@@ -513,19 +517,15 @@ impl PeerStorage {
     }
 }
 
-/// Rewrites a tuple's symbols through the recovery remap (identity ⇒ free).
-fn remap_tuple(remap: &SymRemap, t: Tuple) -> Tuple {
+/// A row with its symbols rewritten through the recovery remap: the row
+/// itself under the identity, else its rewrite in `buf`.
+fn remap_row<'a>(remap: &SymRemap, row: &'a [Val], buf: &'a mut Vec<Val>) -> &'a [Val] {
     if remap.is_identity() {
-        return t;
+        return row;
     }
-    Tuple::new(
-        t.0.iter()
-            .map(|v| match v {
-                Val::Sym(id) => Val::Sym(remap.map(*id)),
-                other => *other,
-            })
-            .collect(),
-    )
+    buf.clear();
+    buf.extend(row.iter().map(|v| remap.val(*v)));
+    buf
 }
 
 #[cfg(test)]
@@ -561,6 +561,10 @@ mod tests {
             dict,
         })
         .unwrap()
+    }
+
+    fn tuples(rows: &RowSet) -> Vec<Tuple> {
+        rows.iter().map(Tuple::from_row).collect()
     }
 
     fn answer(session: SessionId, rows: Vec<Tuple>, mark: usize) -> WalRecord {
@@ -708,7 +712,7 @@ mod tests {
         st.log(&answer(sid, vec![row1.clone()], 1)).unwrap();
         let rec = st.recover(0).unwrap().unwrap();
         let mark = &rec.marks[&(5, NodeId(2))];
-        assert_eq!(mark.rows, vec![row1, row2]); // deduplicated, in order
+        assert_eq!(tuples(&mark.rows), vec![row1, row2]); // deduplicated, in order
         assert_eq!(mark.watermarks[&Arc::<str>::from("b")], 4);
         assert_eq!(rec.last_session, sid);
     }
@@ -728,7 +732,7 @@ mod tests {
         assert_eq!(rec.marks.len(), 1);
         let mark = &rec.marks[&(5, NodeId(2))];
         assert_eq!(
-            mark.rows,
+            tuples(&mark.rows),
             vec![Tuple::new(vec![Val::Int(7)]), Tuple::new(vec![Val::Int(1)])]
         );
         assert_eq!(mark.watermarks[&Arc::<str>::from("b")], 9);
@@ -761,7 +765,7 @@ mod tests {
             let backend = Box::new(FileBackend::open(&dir).unwrap());
             let mut st = PeerStorage::with_codec(backend, 0, codec);
             let rec = st.recover(0).unwrap().unwrap();
-            assert_eq!(rec.marks[&(5, NodeId(2))].rows, rows, "{codec}");
+            assert_eq!(tuples(&rec.marks[&(5, NodeId(2))].rows), rows, "{codec}");
             assert_eq!(rec.last_session, sid);
             // … and through the next checkpoint of the reopened store.
             st.adopt(&rec);
@@ -982,7 +986,11 @@ mod tests {
         db.insert_values("s", vec![Val::str("borrowed")]).unwrap();
         let mark = FragmentMark {
             vars: vec![Arc::from("X")],
-            rows: vec![Tuple::new(vec![Val::Int(3)])],
+            rows: {
+                let mut rows = RowSet::new(1);
+                rows.insert(&[Val::Int(3)]);
+                rows
+            },
             watermarks: [(Arc::<str>::from("b"), 2usize)].into_iter().collect(),
         };
         let cursor = CursorMark {
@@ -1017,6 +1025,113 @@ mod tests {
             binpack::to_bytes(&owned).unwrap()
         );
         assert_eq!(borrowed.to_content().unwrap(), owned.to_content().unwrap());
+    }
+
+    /// A snapshot whose fold holds a rows-bearing mark encodes to bytes
+    /// pinned in both codecs — the bytes a mark holding its rows as a list
+    /// of tuples wrote — and a recovery adopted by the store writes them
+    /// again.
+    #[test]
+    fn a_rows_bearing_mark_snapshots_to_pinned_bytes() {
+        const JSON: &str = concat!(
+            r#"{"nulls_next":3,"depths":[[4398046511106,1]],"catalog":[],"marks":[[5,"#,
+            r#"2,{"vars":["X","Y"],"rows":[[{"Int":7},{"Int":-1}],[{"Int":0},{"Null":"#,
+            r#"4398046511106}],[{"Null":4398046511106},{"Int":9}]],"watermarks":{"b":"#,
+            r#"4}}]],"cursors":[],"last_session":{"root":1,"epoch":3},"db":{"schema":"#,
+            r#"{"relations":{"b":{"name":"b","columns":[{"name":"x","ty":"Int"}]}}},""#,
+            r#"relations":{"b":{"schema":{"name":"b","columns":[{"name":"x","ty":"Int"#,
+            r#""}]},"rows":[]}}}}"#,
+        );
+        const BINARY: &str = concat!(
+            "0807000a6e756c6c735f6e6578740403000664657074687307010702048280808080800104010007",
+            "636174616c6f67070000056d61726b73070107030405040208030004766172730702060158060159",
+            "0004726f77730703070208010003496e74030e080107030107020801070300080100044e756c6c04",
+            "82808080808001070208010804828080808080010801070312000a77617465726d61726b73080100",
+            "016204040007637572736f72730700000c6c6173745f73657373696f6e08020004726f6f74040100",
+            "0565706f636804030002646208020006736368656d610801000972656c6174696f6e7308010a0802",
+            "00046e616d650601620007636f6c756d6e730701080212060178000274790603496e741108010a08",
+            "0210080212060162130701080212060178140603496e74060700",
+        );
+        let row = |vals: &[Val]| Tuple::new(vals.to_vec());
+        let null = Val::Null(NullId::new(4, 2));
+        let answer = |rows: Vec<Tuple>, mark: usize| {
+            let mut record = answer(SessionId::new(NodeId(1), 3), rows, mark);
+            if let WalRecord::Answer { vars, .. } = &mut record {
+                *vars = vec![Arc::from("X"), Arc::from("Y")];
+            }
+            record
+        };
+        let db = Database::new(DatabaseSchema::parse("b(x: int).").unwrap());
+        for codec in [Codec::Json, Codec::Binary] {
+            let mut st = PeerStorage::with_codec(Box::<MemoryBackend>::default(), 0, codec);
+            let (seven, zero) = ([Val::Int(7), Val::Int(-1)], [Val::Int(0), null]);
+            st.log(&answer(vec![row(&seven), row(&zero)], 2)).unwrap();
+            st.log(&answer(vec![row(&zero), row(&[null, Val::Int(9)])], 4))
+                .unwrap();
+            let written = |st: &mut PeerStorage| {
+                st.snapshot(&db, 3, vec![(NullId::new(4, 2), 1)]).unwrap();
+                match codec {
+                    Codec::Json => st.backend.read_snapshot().unwrap().unwrap(),
+                    Codec::Binary => (st.backend.read_snapshot_bytes().unwrap().unwrap())
+                        .iter()
+                        .map(|b| format!("{b:02x}"))
+                        .collect(),
+                }
+            };
+            let bytes = written(&mut st);
+            let pinned = match codec {
+                Codec::Json => JSON,
+                Codec::Binary => BINARY,
+            };
+            assert_eq!(bytes, pinned, "{codec}");
+            let rec = st.recover(4).unwrap().unwrap();
+            st.adopt(&rec);
+            assert_eq!(written(&mut st), pinned, "{codec} after recovery");
+        }
+    }
+
+    /// A snapshot whose mark holds a row of another width than the mark's
+    /// other rows, or than its variables, is a corrupt store in both codecs
+    /// — a typed error, not a panic.
+    #[test]
+    fn a_snapshot_whose_mark_holds_a_ragged_row_is_corrupt() {
+        let mark = FragmentMark {
+            vars: vec![Arc::from("X"), Arc::from("Y")],
+            rows: {
+                let mut rows = RowSet::new(2);
+                rows.insert(&[Val::Int(1), Val::Int(2)]);
+                rows
+            },
+            watermarks: BTreeMap::new(),
+        };
+        let snap = DatabaseSnapshot {
+            nulls_next: 0,
+            depths: Vec::new(),
+            catalog: Vec::new(),
+            marks: vec![(5, NodeId(2), mark)],
+            cursors: Vec::new(),
+            last_session: SessionId::default(),
+            db: Database::new(schema()),
+        };
+        let text = serde_json::to_string(&snap).unwrap();
+        let pair = r#"[[{"Int":1},{"Int":2}]]"#;
+        assert!(text.contains(pair));
+        for ragged in [r#"[[{"Int":1},{"Int":2}],[{"Int":3}]]"#, r#"[[{"Int":1}]]"#] {
+            let text = text.replace(pair, ragged);
+            let doc: Content = serde_json::from_str(&text).unwrap();
+            for codec in [Codec::Json, Codec::Binary] {
+                let mut backend = MemoryBackend::default();
+                match codec {
+                    Codec::Json => backend.write_snapshot(&text).unwrap(),
+                    Codec::Binary => backend
+                        .write_snapshot_bytes(&binpack::to_bytes(&doc).unwrap())
+                        .unwrap(),
+                }
+                let st = PeerStorage::with_codec(Box::new(backend), 0, codec);
+                let err = st.recover(0).unwrap_err();
+                assert!(matches!(err, StorageError::Corrupt(_)), "{codec}: {err}");
+            }
+        }
     }
 
     /// A snapshot written before cursors were persisted has no `cursors`

@@ -17,7 +17,7 @@ use p2pdb::core::stats::PeerStats;
 use p2pdb::net::{Codec, NetStats, SessionId};
 use p2pdb::relational::value::NullId;
 use p2pdb::relational::Value;
-use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, SymId, Tuple, Val};
+use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, RowSet, SymId, Tuple, Val};
 use p2pdb::storage::{
     CursorMark, DatabaseSnapshot, FragmentMark, MemoryBackend, PeerStorage, WalRecord,
 };
@@ -570,6 +570,28 @@ proptest! {
         }
     }
 
+    /// Encoder output with bytes overwritten, inserted and cut off decodes
+    /// to a message or to a typed error — never a panic, which in a pipe
+    /// reader thread would end the thread without a word.
+    #[test]
+    fn mutated_messages_decode_or_fail_without_panicking(
+        msg in msg(),
+        edits in proptest::collection::vec((0u8..4, any::<u64>(), any::<u8>()), 1..5),
+    ) {
+        let mut bytes = encode_msg(&msg);
+        for (op, at, byte) in edits {
+            let at = (at % (bytes.len() as u64 + 1)) as usize;
+            match op {
+                0 | 1 if at < bytes.len() => bytes[at] = byte,
+                2 => bytes.insert(at, byte),
+                3 => bytes.truncate(at),
+                _ => {}
+            }
+        }
+        let decoded = std::panic::catch_unwind(|| decode_msg(&bytes).map(|_| ()));
+        prop_assert!(decoded.is_ok(), "decoding {:?} panicked", bytes);
+    }
+
     /// WAL records round-trip byte-for-byte through the binary frame codec
     /// and agree with the JSON frame path.
     #[test]
@@ -594,6 +616,31 @@ proptest! {
         prop_assert_eq!(&serde_json::to_string(&decoded).unwrap(), &json);
         let via_json: DatabaseSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(serde_json::to_string(&via_json).unwrap(), json);
+    }
+
+    /// A row set encodes, in both codecs, to the bytes of the list of
+    /// tuples holding its rows — what a fragment mark or any other stored
+    /// row list wrote before row sets — and reads back equal, order kept.
+    #[test]
+    fn row_sets_encode_like_their_tuple_lists(
+        arity in 0usize..4,
+        vals in proptest::collection::vec(val(), 0..24),
+    ) {
+        let mut set = RowSet::new(arity);
+        let mut tuples = Vec::new();
+        for row in vals.chunks(arity.max(1)).filter(|row| row.len() == arity) {
+            if set.insert(row) {
+                tuples.push(Tuple::from_row(row));
+            }
+        }
+        let bytes = binpack::to_bytes(&set).unwrap();
+        prop_assert_eq!(&bytes, &binpack::to_bytes(&tuples).unwrap());
+        let text = serde_json::to_string(&set).unwrap();
+        prop_assert_eq!(&text, &serde_json::to_string(&tuples).unwrap());
+        let from_bytes: RowSet = binpack::from_bytes(&bytes).unwrap();
+        let from_text: RowSet = serde_json::from_str(&text).unwrap();
+        prop_assert_eq!(&from_bytes, &set);
+        prop_assert_eq!(&from_text, &set);
     }
 
     /// Foreign-process dictionaries (symbol ids minted in another catalog)
