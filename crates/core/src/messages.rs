@@ -159,9 +159,9 @@ pub enum ProtocolMsg {
         resume: bool,
     },
     /// `Answer(ID, QA, SN, state)`: fragment extension (delta or full).
-    /// Like every basic message it is acknowledged by its recipient; the
-    /// answer to a `Query` that found its answerer already engaged in the
-    /// session also acknowledges that `Query` (`acks`).
+    /// A basic message acknowledged by its recipient — except the answer to
+    /// a `Query` that found its answerer already engaged in the session,
+    /// which acknowledges that `Query` instead (`acks`).
     Answer {
         /// Update session.
         session: SessionId,
@@ -183,10 +183,11 @@ pub enum ProtocolMsg {
         /// the encoding.
         #[serde(default, skip_serializing_if = "std::ops::Not::not")]
         pushed: bool,
-        /// Also the Dijkstra–Scholten acknowledgement of the `Query` this
-        /// answers: the recipient handles the answer, then debits its
-        /// deficit once, as if an `Ack` had followed on the pipe — which is
-        /// then not sent. Never set under
+        /// The Dijkstra–Scholten acknowledgement of the `Query` this
+        /// answers, and not a basic message itself: the sender does not
+        /// count it, and the recipient acknowledges it with nothing. The
+        /// recipient handles the answer, then debits its deficit once, as
+        /// if an `Ack` had followed on the pipe. Never set under
         /// [`crate::config::SystemConfig::paper_faithful`]. `false` is
         /// omitted from the encoding.
         #[serde(default, skip_serializing_if = "std::ops::Not::not")]
@@ -223,7 +224,8 @@ pub enum ProtocolMsg {
     /// Dijkstra–Scholten acknowledgement (control plane). Session-tagged so
     /// the receiver debits the right session's deficit counter — each
     /// session is its own diffusing computation with its own detector. A
-    /// `Query` acknowledged at once gets none: its `Answer` acknowledges it.
+    /// `Query` acknowledged at once gets none: its `Answer` acknowledges it,
+    /// and that answer gets none either.
     Ack {
         /// The session whose basic message is being acknowledged.
         session: SessionId,
@@ -375,18 +377,25 @@ impl ProtocolMsg {
     /// traffic is deliberately control-plane: it flows outside any
     /// session's detector (a restarted peer has no Dijkstra–Scholten
     /// state), and the driver's post-stall re-drive is what re-certifies
-    /// closure.
+    /// closure. An acking answer (`Answer { acks: true }`) is not basic
+    /// either: it is the acknowledgement of a basic message.
     pub fn is_basic(&self) -> bool {
         matches!(
             self,
             ProtocolMsg::UpdateFlood { .. }
                 | ProtocolMsg::Query { .. }
-                | ProtocolMsg::Answer { .. }
+                | ProtocolMsg::Answer { acks: false, .. }
                 | ProtocolMsg::Unsubscribe { .. }
                 | ProtocolMsg::CursorVoid { .. }
                 | ProtocolMsg::AddRule { .. }
                 | ProtocolMsg::DeleteRule { .. }
         )
+    }
+
+    /// True iff the message is an `Answer` that also acknowledges the
+    /// `Query` it replies to.
+    pub(crate) fn acks_query(&self) -> bool {
+        matches!(self, ProtocolMsg::Answer { acks: true, .. })
     }
 
     /// The rows an answer of either update mode or a resync answer carries.
@@ -514,6 +523,17 @@ mod tests {
         }
         .is_basic());
         assert!(!ProtocolMsg::RequestNodes { owner: NodeId(0) }.is_basic());
+        let answer = |acks| ProtocolMsg::Answer {
+            session: sid(1),
+            rule: RuleId(0),
+            rows: AnswerRows::default(),
+            complete: false,
+            reopen: false,
+            pushed: false,
+            acks,
+        };
+        assert!(answer(false).is_basic() && !answer(false).acks_query());
+        assert!(!answer(true).is_basic() && answer(true).acks_query());
         assert!(!ProtocolMsg::RoundStart {
             session: sid(1),
             round: 1

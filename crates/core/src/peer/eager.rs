@@ -413,7 +413,8 @@ impl DbPeer {
 
     /// Ships `rows` on a subscription. A standing subscription marks its
     /// answers `pushed` and stays out of the completeness flags. `acks`:
-    /// the answer also acknowledges the `Query` it replies to.
+    /// the answer acknowledges the `Query` it replies to, so it is no basic
+    /// message and the session's deficit does not count it.
     #[allow(clippy::too_many_arguments)]
     fn send_answer(
         &mut self,
@@ -430,20 +431,20 @@ impl DbPeer {
         self.stats.acking_answers += u64::from(acks);
         self.stats.rows_shipped += rows.len() as u64;
         let payload = self.make_answer_rows(to, &sub.part, rows);
-        self.send_basic(
-            st,
-            ctx,
-            to,
-            ProtocolMsg::Answer {
-                session: sid,
-                rule,
-                rows: payload,
-                complete: sub.sent_complete,
-                reopen: false,
-                pushed: sub.standing,
-                acks,
-            },
-        );
+        let answer = ProtocolMsg::Answer {
+            session: sid,
+            rule,
+            rows: payload,
+            complete: sub.sent_complete,
+            reopen: false,
+            pushed: sub.standing,
+            acks,
+        };
+        if acks {
+            ctx.send(to, answer);
+        } else {
+            self.send_basic(st, ctx, to, answer);
+        }
     }
 
     /// A4 — `Query(IDs, Q, SN)`. Answers with the fragment's full extension,

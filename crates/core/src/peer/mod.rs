@@ -155,10 +155,20 @@
 //! A `Query` that reaches a peer already engaged in its session's
 //! Dijkstra–Scholten tree is acknowledged at once, and the `Answer` to it
 //! leaves the same handler for the same peer: that answer says both
-//! (`Answer { acks: true }`), and no `Ack` is sent. The querier handles the
-//! answer in full, its own sends counted, and only then debits its deficit —
-//! the two events it saw before, in the same order. A `Query` that engages
-//! its receiver keeps its deferred `Ack`.
+//! (`Answer { acks: true }`), and no `Ack` is sent. Being an
+//! acknowledgement, the answer is no basic message itself: the answerer
+//! does not count it, and the querier sends no `Ack` for it — not even
+//! when its session is stale or retired there. The querier's deficit counts
+//! the query until the answer arrives, so the querier and its parent chain
+//! up to the root stay engaged while the answer is in flight; a lost answer
+//! stalls the querier, and the session is re-driven, as any lost message
+//! makes it. The querier handles the answer in full, its own sends counted,
+//! and only then debits its deficit. A querier that lost its counters in a
+//! crash engages on the answer without a parent and owes nobody an `Ack`.
+//!
+//! A `Query` that engages its receiver keeps its deferred `Ack`, and its
+//! answer is an ordinary basic message: were that answer lost while the
+//! `Ack` arrived, the session could close without the answer's rows.
 //!
 //! Under [`SystemConfig::paper_faithful`] none of this happens: the start
 //! request is forwarded along every pipe, every session asks for every
@@ -1219,17 +1229,22 @@ impl DbPeer {
         }
     }
 
-    /// Dijkstra–Scholten ack fast path: debits the session's detector — for
-    /// an `Ack`, and for the `Query` an acking `Answer` replies to.
+    /// Dijkstra–Scholten ack fast path: debits the session's detector.
     fn on_ack(&mut self, from: NodeId, sid: SessionId, ctx: &mut Context<ProtocolMsg>) {
         if let Some(mut st) = self.sessions.remove(&sid) {
-            // Only a peer that lost its counters in a crash can be
-            // acknowledged for a send it does not remember.
-            if !st.ds.on_ack() && self.stats.crashes == 0 {
-                self.fail(format!("{sid}: acknowledgement from {from} without a send"));
-            }
+            self.debit(&mut st, from, sid, true);
             self.after_event(&mut st, sid, ctx);
             self.finish_session_event(sid, st);
+        }
+    }
+
+    /// Debits one acknowledgement from `from` — an `Ack`, or an acking
+    /// `Answer` once handled — if `counted` says the deficit still holds
+    /// the send it acknowledges. Only a peer that lost its counters in a
+    /// crash can be acknowledged for a send it does not remember.
+    fn debit(&mut self, st: &mut SessionState, from: NodeId, sid: SessionId, counted: bool) {
+        if !(counted && st.ds.on_ack()) && self.stats.crashes == 0 {
+            self.fail(format!("{sid}: acknowledgement from {from} without a send"));
         }
     }
 
@@ -1274,6 +1289,9 @@ impl DbPeer {
         } else {
             None
         };
+        // An acking answer is handled in full first, then debits its query,
+        // as if an `Ack` had followed it on the pipe.
+        let reply = msg.acks_query().then(|| st.ds.on_receive_reply());
         // A query this peer acknowledges at once is acknowledged by its
         // answer, which leaves this handler for the same peer anyway.
         let folded = ack == Some(AckDecision::Immediate)
@@ -1337,6 +1355,9 @@ impl DbPeer {
         if ack == Some(AckDecision::Immediate) && !folded {
             ctx.send(from, ProtocolMsg::Ack { session: sid });
         }
+        if let Some(counted) = reply {
+            self.debit(&mut st, from, sid, counted);
+        }
         self.after_event(&mut st, sid, ctx);
         match completed {
             // The message could have re-woken the completed session but did
@@ -1376,15 +1397,7 @@ impl Peer<ProtocolMsg> for DbPeer {
         ctx.charge(COST_PER_MESSAGE);
 
         if let Some(sid) = msg.session() {
-            // An acking answer is handled in full first, then acknowledges,
-            // as if an `Ack` had followed it on the pipe — whatever became
-            // of the answer (a stale session, a crash since the query).
-            let acks = matches!(msg, ProtocolMsg::Answer { acks: true, .. });
-            self.on_session_message(from, sid, msg, ctx);
-            if acks {
-                self.on_ack(from, sid, ctx);
-            }
-            return;
+            return self.on_session_message(from, sid, msg, ctx);
         }
 
         match msg {
@@ -1683,9 +1696,8 @@ mod tests {
     /// The kind of each of `sent`, and whether it acknowledges the query it
     /// answers.
     fn shape(sent: &[ProtocolMsg]) -> Vec<(&'static str, bool)> {
-        let acks = |msg: &ProtocolMsg| matches!(msg, ProtocolMsg::Answer { acks: true, .. });
         sent.iter()
-            .map(|msg| (p2p_net::Wire::kind(msg), acks(msg)))
+            .map(|msg| (p2p_net::Wire::kind(msg), msg.acks_query()))
             .collect()
     }
 
@@ -1763,13 +1775,66 @@ mod tests {
     }
 
     /// A query that finds its body node engaged in the session already is
-    /// acknowledged by its answer: one message, no `Ack` after it.
+    /// acknowledged by its answer: one message, no `Ack` after it, and not
+    /// counted in the body node's deficit.
     #[test]
     fn a_query_to_an_engaged_peer_is_acknowledged_by_its_answer() {
         let (peer, [first, second]) = two_queries(SystemConfig::default(), true);
         assert_eq!(shape(&first), [("Answer", false)]);
         assert_eq!(shape(&second), [("Answer", true)]);
         assert_eq!(peer.stats().acking_answers, 1);
+        let s = SessionId::new(A, 1);
+        assert_eq!(peer.session_state(s).unwrap().ds.deficit(), 1, "A's answer");
+    }
+
+    /// Head `C` with `B:b(X,Y) => C:c(X,Y)` (the rule `C` asks `B` for in
+    /// [`two_queries`]), flooded into `A`'s session 1 by `A`: its query to
+    /// `B` is outstanding.
+    fn querier_c() -> DbPeer {
+        let schema = DatabaseSchema::parse("c(x: int, y: int).").unwrap();
+        let mut peer = DbPeer::new(C, Database::new(schema), SystemConfig::default());
+        peer.install_rule(rule(2, "B:b(X,Y) => C:c(X,Y)"));
+        let flood = ProtocolMsg::UpdateFlood {
+            session: SessionId::new(A, 1),
+        };
+        assert_eq!(queries(&deliver(&mut peer, A, flood, true)), [(B, false)]);
+        peer
+    }
+
+    /// An acking answer that reaches its querier after the session went
+    /// stale there is dropped like any stale message — and, acknowledging
+    /// rather than being acknowledged, gets no `Ack`: its sender never
+    /// counted it, and would report one as an acknowledgement without a send.
+    #[test]
+    fn an_acking_answer_for_a_stale_session_gets_no_ack() {
+        let (body, [_, reply]) = two_queries(SystemConfig::default(), true);
+        let mut head = querier_c();
+        let newer = ProtocolMsg::UpdateFlood {
+            session: SessionId::new(A, 2),
+        };
+        deliver(&mut head, A, newer, true);
+
+        let sent = deliver(&mut head, B, reply[0].clone(), false);
+        assert!(sent.is_empty(), "{sent:?}");
+        assert_eq!(head.database().total_tuples(), 0);
+        assert!(head.errors().is_empty() && body.errors().is_empty());
+    }
+
+    /// A querier that crashed while its query was outstanding has no
+    /// counters left when the acking answer arrives: it engages without a
+    /// parent, handles the answer (here re-joining the session, so it asks
+    /// again), and disengages without owing anyone an `Ack`.
+    #[test]
+    fn an_acking_answer_to_a_restarted_querier_engages_it_without_a_parent() {
+        let (body, [_, reply]) = two_queries(SystemConfig::default(), true);
+        let mut head = querier_c();
+        head.crash_volatile_state();
+
+        let sent = deliver(&mut head, B, reply[0].clone(), false);
+        assert_eq!(shape(&sent), [("Query", false)], "{sent:?}");
+        let st = head.session_state(SessionId::new(A, 1)).unwrap();
+        assert!(!st.ds.engaged() && st.ds.deficit() == 0);
+        assert!(head.errors().is_empty() && body.errors().is_empty());
     }
 
     /// A query that engages its body node is answered without the
@@ -1819,8 +1884,8 @@ mod tests {
             *acks = true;
         }
         let sent = deliver(&mut peer, B, acking, true);
-        // The push to D, then the answer's own acknowledgement.
-        assert_eq!(shape(&sent), [("Answer", false), ("Ack", false)]);
+        // The push to D, and no acknowledgement of the answer.
+        assert_eq!(shape(&sent), [("Answer", false)]);
         assert_eq!(deficit(&peer), 1, "the push to D");
         assert!(!peer.session_closed(s));
 

@@ -19,14 +19,23 @@
 //! Mechanics: every *basic* (protocol) message is eventually acknowledged,
 //! by an `Ack` or by the `Answer` replying to it. A node's first
 //! unacknowledged basic message of a session makes the sender its *parent*
-//! in that session's tree; the ack for that engaging message is deferred
-//! until the node is passive and all messages *it* sent for the session have
-//! been acknowledged. Any other message is acknowledged at once — a `Query`
-//! by the `Answer` the same handler sends back (`Answer { acks: true }`,
-//! except under `paper_faithful`), which its receiver handles in full before
-//! it debits its deficit, exactly as if an `Ack` had followed the answer on
-//! the pipe. The root detects termination when its own deficit returns to
-//! zero.
+//! in that session's tree, and its acknowledgement is one of three kinds:
+//!
+//! - **deferred** — the ack for that engaging message waits until the node
+//!   is passive and all messages *it* sent for the session have been
+//!   acknowledged;
+//! - **immediate** — any other basic message is acknowledged at once, by
+//!   an `Ack` after the handler;
+//! - **by the reply** — a `Query` that does not engage its receiver is
+//!   acknowledged by the `Answer` the same handler sends back
+//!   (`Answer { acks: true }`, except under `paper_faithful`). That answer
+//!   is not basic: its sender does not count it, and its receiver sends no
+//!   `Ack` for it ([`DiffusingState::on_receive_reply`]). The receiver's
+//!   deficit still counts the query, so it and its parent chain up to the
+//!   root stay engaged while the answer is in flight; it handles the answer
+//!   in full, its own sends counted, and only then debits the query.
+//!
+//! The root detects termination when its own deficit returns to zero.
 
 use p2p_topology::NodeId;
 use serde::{Deserialize, Serialize};
@@ -111,6 +120,22 @@ impl DiffusingState {
         }
     }
 
+    /// Records the receipt of a reply that acknowledges one of our basic
+    /// messages (an acking `Answer`): not basic itself, so it makes nobody
+    /// a parent and is owed no acknowledgement. Returns whether the request
+    /// is still counted, to be debited once the reply is handled. A node
+    /// that is not engaged lost its counters in a crash since it sent the
+    /// request: it engages without a parent, so that the handler's sends are
+    /// counted, and owes nobody an acknowledgement when it disengages.
+    pub fn on_receive_reply(&mut self) -> bool {
+        if self.engaged {
+            return true;
+        }
+        self.engaged = true;
+        self.parent = None;
+        false
+    }
+
     /// Records the sending of one basic message.
     pub fn on_send(&mut self) {
         debug_assert!(self.engaged, "only engaged nodes send basic messages");
@@ -141,9 +166,12 @@ impl DiffusingState {
             // broadcasts the fix-point.
             return Disengage::RootTerminated;
         }
-        let parent = self.parent.take().expect("engaged non-root has a parent");
         self.engaged = false;
-        Disengage::AckParent(parent)
+        // Engaged by a reply after a crash: nobody waits for this node.
+        match self.parent.take() {
+            Some(parent) => Disengage::AckParent(parent),
+            None => Disengage::None,
+        }
     }
 }
 
@@ -201,6 +229,35 @@ mod tests {
         assert_eq!(ds.on_receive(NodeId(1)), AckDecision::Deferred);
         assert_eq!(ds.try_disengage(), Disengage::AckParent(NodeId(1)));
         // A later message re-engages with a possibly different parent.
+        assert_eq!(ds.on_receive(NodeId(2)), AckDecision::Deferred);
+        assert_eq!(ds.try_disengage(), Disengage::AckParent(NodeId(2)));
+    }
+
+    #[test]
+    fn reply_is_debited_after_the_sends_it_causes() {
+        let mut ds = DiffusingState::new();
+        assert_eq!(ds.on_receive(NodeId(7)), AckDecision::Deferred);
+        ds.on_send(); // the query
+        assert!(ds.on_receive_reply(), "the query is still counted");
+        ds.on_send(); // what handling the reply sends
+        assert!(ds.on_ack()); // the reply debits the query
+        assert_eq!(ds.try_disengage(), Disengage::None);
+        assert!(ds.on_ack());
+        assert_eq!(ds.try_disengage(), Disengage::AckParent(NodeId(7)));
+    }
+
+    #[test]
+    fn reply_after_lost_counters_engages_without_a_parent() {
+        let mut ds = DiffusingState::new();
+        assert!(!ds.on_receive_reply(), "nothing to debit");
+        assert!(ds.engaged() && ds.parent().is_none());
+        ds.on_send();
+        assert_eq!(ds.try_disengage(), Disengage::None);
+        assert!(ds.on_ack());
+        // Nobody waits for this node: it disengages without an ack.
+        assert_eq!(ds.try_disengage(), Disengage::None);
+        assert!(!ds.engaged());
+        // A later basic message engages it as usual.
         assert_eq!(ds.on_receive(NodeId(2)), AckDecision::Deferred);
         assert_eq!(ds.try_disengage(), Disengage::AckParent(NodeId(2)));
     }

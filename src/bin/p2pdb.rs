@@ -73,6 +73,7 @@ use p2pdb::core::config::UpdateMode;
 use p2pdb::core::netfile::NetworkFile;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -93,6 +94,8 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that stopped early (`p2pdb … | head`) is not an error.
+        Err(e) if e.is::<ReaderGone>() => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             if e.downcast_ref::<Usage>().is_some() {
@@ -123,6 +126,34 @@ fn usage(msg: impl Into<String>) -> Box<dyn std::error::Error> {
     Box::new(Usage(msg.into()))
 }
 
+/// Stdout's reader went away: the command stops, and exits 0.
+#[derive(Debug)]
+struct ReaderGone;
+
+impl std::fmt::Display for ReaderGone {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("stdout closed")
+    }
+}
+
+impl std::error::Error for ReaderGone {}
+
+/// Writes one line to stdout; a closed pipe is [`ReaderGone`].
+fn say(line: std::fmt::Arguments<'_>) -> CliResult {
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Err(Box::new(ReaderGone)),
+        written => Ok(written?),
+    }
+}
+
+/// `println!` that ends the command instead of panicking when stdout's
+/// reader is gone.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))?
+    };
+}
+
 fn cmd_sample() -> CliResult {
     let sample = NetworkFile::from_json(
         r#"{
@@ -135,7 +166,7 @@ fn cmd_sample() -> CliResult {
         "rules": [ { "name": "r1", "text": "B:b(X,Y) => A:a(X,Y)" } ]
     }"#,
     )?;
-    println!("{}", sample.to_json());
+    outln!("{}", sample.to_json());
     Ok(())
 }
 
@@ -193,7 +224,7 @@ fn cmd_workload(args: &[String]) -> CliResult {
     // once and exporting its initial state.
     let sys = build_system(&cfg)?.build()?;
     let file = NetworkFile::from_databases(sys.super_peer(), &sys.snapshot().0, sys.rules());
-    println!("{}", file.to_json());
+    outln!("{}", file.to_json());
     Ok(())
 }
 
@@ -391,11 +422,14 @@ fn cmd_run(args: &[String]) -> CliResult {
             threads.unwrap_or(0),
             p2pdb::net::ShardPlacement::RoundRobin,
         )?;
-        println!(
+        outln!(
             "update: {} messages, {} bytes, {} wall, all closed: {}",
-            stats.total_messages, stats.total_bytes, stats.finished_at, all_closed
+            stats.total_messages,
+            stats.total_bytes,
+            stats.finished_at,
+            all_closed
         );
-        println!(
+        outln!(
             "sharded: {} threads, {} cross-shard sends",
             threads.unwrap_or_else(|| {
                 std::thread::available_parallelism()
@@ -411,9 +445,11 @@ fn cmd_run(args: &[String]) -> CliResult {
 
     if args.iter().any(|a| a == "--discover") {
         let report = sys.run_discovery();
-        println!(
+        outln!(
             "discovery: {} messages, {} virtual time, closed: {}",
-            report.messages, report.outcome.virtual_time, report.all_closed
+            report.messages,
+            report.outcome.virtual_time,
+            report.all_closed
         );
         for (node, peer) in sys.peers() {
             if let Some(paths) = peer.paths() {
@@ -422,7 +458,7 @@ fn cmd_run(args: &[String]) -> CliResult {
                     .map(|p| p2pdb::topology::paths::format_path(p))
                     .collect();
                 shown.sort();
-                println!(
+                outln!(
                     "  {node}: {}",
                     if shown.is_empty() {
                         "∅".into()
@@ -442,7 +478,7 @@ fn cmd_run(args: &[String]) -> CliResult {
         sys.run_updates(&roots)
     };
     let report = &reports[0];
-    println!(
+    outln!(
         "update: {} messages, {} bytes, {} virtual time, all closed: {}",
         report.messages,
         report.bytes,
@@ -451,15 +487,18 @@ fn cmd_run(args: &[String]) -> CliResult {
     );
     if reports.len() > 1 {
         for r in &reports {
-            println!(
+            outln!(
                 "  session {}: {} messages, {} bytes, closed: {}",
-                r.session, r.session_messages, r.session_bytes, r.all_closed
+                r.session,
+                r.session_messages,
+                r.session_bytes,
+                r.all_closed
             );
         }
     }
     if churn_n.unwrap_or(0) > 0 {
         let s = sys.sum_stats();
-        println!(
+        outln!(
             "churn: {} crashes, {} recoveries, {} resync rows, {} redrive(s)",
             s.crashes,
             s.recoveries,
@@ -477,7 +516,7 @@ fn cmd_run(args: &[String]) -> CliResult {
 
     if args.iter().any(|a| a == "--trace") {
         let columns: Vec<NodeId> = sys.peers().map(|(id, _)| *id).take(6).collect();
-        println!("{}", sys.trace().render_sequence_diagram(&columns));
+        outln!("{}", sys.trace().render_sequence_diagram(&columns));
     }
 
     if let Some(i) = args.iter().position(|a| a == "--query") {
@@ -487,20 +526,20 @@ fn cmd_run(args: &[String]) -> CliResult {
             .parse()?;
         let query = args.get(i + 2).ok_or("--query needs NODE and QUERY")?;
         let answers = sys.query(NodeId(node), query)?;
-        println!("{} answers at node {}:", answers.len(), NodeId(node));
+        outln!("{} answers at node {}:", answers.len(), NodeId(node));
         for t in answers.iter().take(25) {
-            println!("  {t}");
+            outln!("  {t}");
         }
         if answers.len() > 25 {
-            println!("  … ({} more)", answers.len() - 25);
+            outln!("  … ({} more)", answers.len() - 25);
         }
     }
 
     if args.iter().any(|a| a == "--stats") {
-        println!("per-peer statistics:");
+        outln!("per-peer statistics:");
         let collected = sys.collect_stats();
         for (node, stats) in &collected {
-            println!("  {node}: {stats}");
+            outln!("  {node}: {stats}");
         }
         let total_sessions: u64 = collected.values().map(|s| s.sessions_participated).sum();
         let peak = collected
@@ -508,7 +547,7 @@ fn cmd_run(args: &[String]) -> CliResult {
             .map(|s| s.concurrent_peak)
             .max()
             .unwrap_or(0);
-        println!(
+        outln!(
             "sessions: {} launched, {} peer-participations, peak {} concurrent",
             roots.len(),
             total_sessions,
@@ -519,7 +558,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     if let Some(out) = flag_value(args, "--export") {
         let export = NetworkFile::from_databases(sys.super_peer(), &sys.snapshot().0, sys.rules());
         std::fs::write(out, export.to_json())?;
-        println!("exported materialised state to {out}");
+        outln!("exported materialised state to {out}");
     }
     Ok(())
 }
@@ -641,7 +680,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         }
         Err(e) => return Err(e.into()),
     };
-    println!(
+    outln!(
         "serving node {} on {} (codec {}, {})",
         node,
         server.local_addr(),
@@ -655,7 +694,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         }
     );
     let outcome = server.run()?;
-    println!(
+    outln!(
         "node {} done: {} frames / {} bytes sent, {} frames / {} bytes received, \
          {} reconnects",
         outcome.node,
@@ -708,7 +747,9 @@ fn cmd_launch(args: &[String]) -> CliResult {
         if json_out {
             eprintln!("{line}");
         } else {
-            println!("{line}");
+            // The cluster is reaped either way; a closed stdout ends the
+            // command after that.
+            let _ = say(format_args!("{line}"));
         }
     };
     let outcome = launch_cluster(&cfg, &mut progress)?;
@@ -728,10 +769,10 @@ fn cmd_launch(args: &[String]) -> CliResult {
             fields.push(format!("\"sim_messages\":{}", outcome.sim_messages));
             fields.push(format!("\"sim_bytes\":{}", outcome.sim_bytes));
         }
-        println!("{{{}}}", fields.join(","));
+        outln!("{{{}}}", fields.join(","));
     } else {
         for (node, c) in &outcome.counters {
-            println!(
+            outln!(
                 "node {}: {} frames / {} bytes sent, {} frames / {} bytes received, \
                  {} reconnects, {} tuples inserted",
                 node,
@@ -747,7 +788,7 @@ fn cmd_launch(args: &[String]) -> CliResult {
             }
         }
         let t = &outcome.transport_total;
-        println!(
+        outln!(
             "cluster: {} nodes, {} frames / {} bytes on the wire, {} reconnects, \
              converged in {:.1?}",
             outcome.counters.len(),
@@ -757,12 +798,13 @@ fn cmd_launch(args: &[String]) -> CliResult {
             outcome.converge_wall,
         );
         match outcome.verified {
-            Some(true) => println!(
+            Some(true) => outln!(
                 "verified: MATCH vs simulator and oracle (sim shipped {} messages / {} bytes)",
-                outcome.sim_messages, outcome.sim_bytes
+                outcome.sim_messages,
+                outcome.sim_bytes
             ),
             Some(false) => {}
-            None => println!("verification skipped (--no-verify)"),
+            None => outln!("verification skipped (--no-verify)"),
         }
     }
     if outcome.verified == Some(false) {

@@ -20,6 +20,26 @@ fn sample_emits_loadable_json() {
     assert_eq!(file.rules.len(), 1);
 }
 
+/// A reader that stops early (`p2pdb workload … | head -c 10`) ends the
+/// command quietly, with status 0. Here the reader is gone before the first
+/// byte is written.
+#[test]
+fn a_closed_stdout_is_not_an_error() {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_p2pdb"))
+        .args(["workload", "--topology", "tree", "--size", "31"])
+        .args(["--records", "200"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
 #[test]
 fn workload_then_run_round_trips() {
     let dir = std::env::temp_dir().join("p2pdb_cli_test");
