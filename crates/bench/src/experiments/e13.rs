@@ -2,14 +2,14 @@
 
 use super::Scale;
 use crate::table::Table;
-use p2p_core::config::Initiation;
 use p2p_topology::Topology;
 use p2p_workload::{build_system, Distribution, WorkloadConfig};
 
-/// E13: how the global start request spreads — the root's send to every
-/// rostered node (default) vs the pseudocode's pure query propagation. On
-/// super-peer-rooted topologies both cover everything; the flood pays one
-/// request and its acknowledgement per node for its coverage guarantee.
+/// E13: how the start request spreads — the global update's send to every
+/// rostered node vs the pseudocode's pure query propagation, which is the
+/// query-dependent update rooted at the super-peer. On super-peer-rooted
+/// topologies both cover everything; the flood pays one request and its
+/// acknowledgement per node for its coverage guarantee.
 pub fn e13_initiation(scale: Scale) -> Table {
     let mut table = Table::new(&["topology", "initiation", "messages", "bytes", "closed"]);
     for topology in [
@@ -19,20 +19,19 @@ pub fn e13_initiation(scale: Scale) -> Table {
         },
         Topology::Ring { n: 6 },
     ] {
-        for (initiation, name) in [
-            (Initiation::Flood, "flood"),
-            (Initiation::QueryPropagation, "query-prop"),
-        ] {
+        for scoped in [false, true] {
             let cfg = WorkloadConfig {
                 topology,
                 records_per_node: scale.records(),
                 distribution: Distribution::Disjoint,
                 seed: 42,
             };
-            let mut b = build_system(&cfg).expect("builds");
-            b.config_mut().initiation = initiation;
-            let mut sys = b.build().expect("builds");
-            let report = sys.run_update();
+            let mut sys = build_system(&cfg).expect("builds").build().expect("builds");
+            let (name, report) = if scoped {
+                ("scoped", sys.run_scoped_update(sys.super_peer()))
+            } else {
+                ("flood", sys.run_update())
+            };
             table.row(vec![
                 topology.to_string(),
                 name.to_string(),

@@ -8,11 +8,11 @@ use p2p_topology::NodeId;
 pub fn e2_figure1_trace() -> String {
     let mut b = paper_example(&[(1, 2), (2, 3)]);
     b.config_mut().trace_capacity = 64;
-    // Figure 1 shows strict A4-style propagation (no flood).
-    b.config_mut().initiation = p2p_core::config::Initiation::QueryPropagation;
     let mut sys = b.build().unwrap();
     sys.run_discovery();
-    sys.run_update();
+    // Figure 1 shows strict A4-style propagation (no flood): the
+    // query-dependent update rooted at the super-peer.
+    sys.run_scoped_update(sys.super_peer());
     sys.trace()
         .render_sequence_diagram(&[NodeId(0), NodeId(1), NodeId(2), NodeId(4)])
 }

@@ -18,36 +18,24 @@ pub enum UpdateMode {
     Rounds,
 }
 
-/// How the global update request reaches the nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Initiation {
-    /// Send the start request to every node: the root sends it once to
-    /// each rostered node (the rule file is network-wide knowledge,
-    /// Section 5), which is what makes the *global* update reach nodes that
-    /// nothing depends on and components no pipe connects to the root.
-    /// Because every node hears of the session, body nodes serve the
-    /// fragments their heads hold from standing subscriptions and only the
-    /// others are queried (see [`crate::peer`]). Under
-    /// [`SystemConfig::paper_faithful`] each receiver also forwards the
-    /// request along its pipes in both directions (pipes exist toward rule
-    /// sources *and* rule targets), as the paper propagates it.
-    #[default]
-    Flood,
-    /// Strict algorithm-A4 propagation: a node starts participating when the
-    /// first `Query` reaches it, so only nodes on dependency paths from the
-    /// super-peer take part. Faithful to the pseudocode; used by the paper
-    /// trace reproduction.
-    QueryPropagation,
-}
-
 /// Knobs of one run. `Default` gives the configuration used throughout the
-/// examples: eager mode, flooded initiation, delta evaluation on.
+/// examples: eager mode, delta evaluation on.
+///
+/// A global update reaches every node: in eager mode the root sends the
+/// start request once to each rostered node (the rule file is network-wide
+/// knowledge, Section 5), which is what makes the update reach nodes that
+/// nothing depends on and components no pipe connects to the root. Because
+/// every node hears of the session, body nodes serve the fragments their
+/// heads hold from standing subscriptions and only the others are queried
+/// (see [`crate::peer`]). Under [`SystemConfig::paper_faithful`] each
+/// receiver also forwards the request along its pipes in both directions,
+/// as the paper propagates it. The pseudocode's strict A4 propagation — a
+/// node joins when the first `Query` reaches it — is the query-dependent
+/// update, [`crate::system::P2PSystem::run_scoped_update`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Update algorithm variant.
     pub mode: UpdateMode,
-    /// Start-request dissemination.
-    pub initiation: Initiation,
     /// The baseline switch of the delta ladder. `false` (the default) runs
     /// all three rungs: answers carry only rows not yet sent to that
     /// subscriber (the paper's "delta optimization … in order to minimize
@@ -57,17 +45,17 @@ pub struct SystemConfig {
     /// plus semi-naive joins at the head), under both modes the cursor
     /// outlives the session — committed when the session retires, at
     /// `Fixpoint` or `RoundsClosed` — so a later session ships what changed
-    /// since the last one, and in eager mode under [`Initiation::Flood`] so
-    /// does the subscription: nobody asks again for what it holds, nobody
-    /// answers with nothing, and the start request is not forwarded (see
-    /// [`crate::peer`]). `true` is the paper-faithful, oracle-comparable
-    /// baseline, message for message: the start request travels along
-    /// every pipe, every session queries every fragment, every answer
-    /// re-evaluates the fragment and re-ships its full current extension,
-    /// every basic message gets an `Ack` of its own, and no cursor is kept.
-    /// Rounds mode sends the same messages either way, and ships far fewer
-    /// rows by default once a session is not the first; eager mode sends
-    /// far fewer messages too (`tests/session_cost.rs` pins both).
+    /// since the last one, and in eager mode so does the subscription:
+    /// nobody asks again for what it holds, nobody answers with nothing, and
+    /// the start request is not forwarded (see [`crate::peer`]). `true` is
+    /// the paper-faithful, oracle-comparable baseline, message for message:
+    /// the start request travels along every pipe, every session queries
+    /// every fragment, every answer re-evaluates the fragment and re-ships
+    /// its full current extension, every basic message gets an `Ack` of its
+    /// own, and no cursor is kept. Rounds mode sends the same messages
+    /// either way, and ships far fewer rows by default once a session is
+    /// not the first; eager mode sends far fewer messages too
+    /// (`tests/session_cost.rs` pins both).
     pub paper_faithful: bool,
     /// Durable peers. When true, every peer owns a `p2p_storage` write-ahead
     /// log plus snapshot store: applied insertions and processed fragment
@@ -104,7 +92,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             mode: UpdateMode::Eager,
-            initiation: Initiation::Flood,
             paper_faithful: false,
             durability: false,
             snapshot_every: 64,
@@ -148,7 +135,6 @@ mod tests {
     fn defaults_are_eager_flood_delta() {
         let c = SystemConfig::default();
         assert_eq!(c.mode, UpdateMode::Eager);
-        assert_eq!(c.initiation, Initiation::Flood);
         assert!(!c.paper_faithful);
         assert_eq!(c.codec, p2p_net::Codec::Json);
     }

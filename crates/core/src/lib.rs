@@ -74,7 +74,7 @@ pub mod stats;
 pub mod system;
 pub mod termination;
 
-pub use config::{Initiation, SystemConfig, UpdateMode};
+pub use config::{SystemConfig, UpdateMode};
 pub use error::{CoreError, CoreResult};
 pub use messages::ProtocolMsg;
 pub use oracle::{global_fixpoint, GlobalDb};

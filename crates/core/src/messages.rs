@@ -133,8 +133,8 @@ pub enum ProtocolMsg {
     DiscoveryClosed,
 
     // ---------------- update, eager mode (A4–A6) ----------------
-    /// Global update request flooded along pipes (see
-    /// [`crate::config::Initiation::Flood`]).
+    /// Global update request: the root sends it to every rostered node (see
+    /// [`crate::config::SystemConfig`]).
     UpdateFlood {
         /// Update session.
         session: SessionId,

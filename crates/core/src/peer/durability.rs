@@ -36,7 +36,7 @@
 //! database, null mint, chase depths, the whole per-session state table
 //! (update/rounds/Dijkstra–Scholten state of every interleaved session),
 //! the per-peer subscription cursors and retained fragments, discovery
-//! state, dedup sets. Static configuration — the coordination
+//! state. Static configuration — the coordination
 //! rules targeting the node, its pipes, the roster — survives, just as a
 //! real peer would re-read the network rule file at boot (Section 5).
 //! Statistics survive too: they are the experiment's measurement apparatus,
@@ -355,7 +355,6 @@ impl DbPeer {
         self.sessions.clear();
         self.done.clear();
         self.disc = Default::default();
-        self.seen_msgs.clear();
         self.pending_resync.clear();
         self.sym_sent.clear();
     }

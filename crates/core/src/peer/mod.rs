@@ -74,10 +74,10 @@
 //! ## The subscription outlives the session
 //!
 //! Under the default configuration ([`SystemConfig::paper_faithful`] off,
-//! eager mode, [`crate::config::Initiation::Flood`]) a session says only
-//! what the cursors do not already mean. The root sends the start request
-//! once, to every rostered node, and nobody forwards it. When it arrives
-//! (and at the root when the session starts):
+//! eager mode) a global session says only what the cursors do not already
+//! mean. The root sends the start request once, to every rostered node,
+//! and nobody forwards it. When it arrives (and at the root when the
+//! session starts):
 //!
 //! * a **body node** opens one *standing* subscription per committed cursor
 //!   — through the same code a `Query { resume }` runs — delta-evaluates
@@ -88,11 +88,11 @@
 //!   and listens to the others. It closes by the root's `Fixpoint`.
 //!
 //! A node that joins any other way — a `Query` reached it first, a late
-//! answer or a rule change re-woke it, a query-dependent update,
-//! `Initiation::QueryPropagation` — cannot know a flood is coming and asks
-//! for every fragment with `Query { resume }`, as the paper's A4 does; a
-//! `resume` query that meets the standing subscription already opened for
-//! it is answered from that subscription's state.
+//! answer or a rule change re-woke it, a query-dependent update — cannot
+//! know a flood is coming and asks for every fragment with
+//! `Query { resume }`, as the paper's A4 does; a `resume` query that meets
+//! the standing subscription already opened for it is answered from that
+//! subscription's state.
 //!
 //! Four rules keep silence unambiguous:
 //!
@@ -456,12 +456,6 @@ pub struct DbPeer {
     /// Errors recorded during handlers (runtime handlers cannot return
     /// `Result`; the system driver surfaces these after the run).
     pub(crate) errors: Vec<String>,
-    /// Exactly-once dedup: `(sender, msg_id)` pairs already processed.
-    /// Fault-injected duplicate deliveries share the sender-assigned id, so
-    /// dropping repeats here keeps both the data plane and the
-    /// Dijkstra–Scholten accounting sound under duplication (TCP/JXTA pipes
-    /// provide the same guarantee).
-    pub(crate) seen_msgs: FxHashSet<(NodeId, u64)>,
     /// Durable store (WAL + snapshots) when `SystemConfig::durability` is
     /// on; `None` = the amnesia baseline, where a crash loses everything.
     /// Boxed, so a peer without one pays a pointer, not the store's size.
@@ -511,7 +505,6 @@ impl DbPeer {
             done: VecMap::default(),
             sup: SuperState::default(),
             errors: Vec::new(),
-            seen_msgs: FxHashSet::default(),
             storage: None,
             pending_resync: BTreeMap::new(),
             sym_sent: VecMap::default(),
@@ -1371,20 +1364,6 @@ impl DbPeer {
 }
 
 impl Peer<ProtocolMsg> for DbPeer {
-    fn on_envelope(
-        &mut self,
-        from: NodeId,
-        msg_id: u64,
-        msg: ProtocolMsg,
-        ctx: &mut Context<ProtocolMsg>,
-    ) {
-        // Exactly-once: fault-injected duplicates carry the same msg_id.
-        if !self.seen_msgs.insert((from, msg_id)) {
-            return;
-        }
-        self.on_message(from, msg, ctx);
-    }
-
     fn on_message(&mut self, from: NodeId, msg: ProtocolMsg, ctx: &mut Context<ProtocolMsg>) {
         // An answer whose rows are not as wide as its variables is refused
         // before anything changes, as if it had been lost.

@@ -59,28 +59,20 @@ impl DbPeer {
                 st.ds.reset();
                 st.ds.engage_as_root();
                 st.root_quiet = false;
-                let flood = self.config.initiation == crate::config::Initiation::Flood;
-                let standing = flood && !self.config.paper_faithful;
+                let standing = !self.config.paper_faithful;
                 self.begin_session(st, sid, ctx, &[], standing);
-                if flood {
-                    st.upd.flood_seen = true;
-                    // A direct send to every rostered node: the rule file
-                    // is network-wide knowledge (Section 5), so the root
-                    // reaches components no pipe path connects it to —
-                    // otherwise the *global* update would silently skip
-                    // them. By default this send *is* the flood; under
-                    // `paper_faithful` the receivers also forward it along
-                    // their acquaintances, as the paper propagates it.
-                    let mut targets = self.pipes.clone();
-                    targets.extend(self.sup.all_nodes.iter().copied());
-                    targets.remove(&self.id);
-                    self.send_basic_many(
-                        st,
-                        ctx,
-                        targets,
-                        ProtocolMsg::UpdateFlood { session: sid },
-                    );
-                }
+                st.upd.flood_seen = true;
+                // A direct send to every rostered node: the rule file is
+                // network-wide knowledge (Section 5), so the root reaches
+                // components no pipe path connects it to — otherwise the
+                // *global* update would silently skip them. By default this
+                // send *is* the flood; under `paper_faithful` the receivers
+                // also forward it along their acquaintances, as the paper
+                // propagates it.
+                let mut targets = self.pipes.clone();
+                targets.extend(self.sup.all_nodes.iter().copied());
+                targets.remove(&self.id);
+                self.send_basic_many(st, ctx, targets, ProtocolMsg::UpdateFlood { session: sid });
                 if standing {
                     // After the flood, so a subscriber hears of the session
                     // from the flood before a push of the root's reaches it.

@@ -1,8 +1,7 @@
 //! Protocol-detail tests: super-peer commands (statistics collection/reset,
-//! rule-file broadcast — the Section 5 implementation features), initiation
-//! modes, and behaviour under latency jitter.
+//! rule-file broadcast — the Section 5 implementation features), the global
+//! update's reach, and behaviour under latency jitter.
 
-use p2p_core::config::Initiation;
 use p2p_core::rule::{CoordinationRule, RuleSet};
 use p2p_core::system::P2PSystemBuilder;
 use p2p_net::{BandwidthLatency, SimTime, UniformLatency};
@@ -122,35 +121,6 @@ fn broadcast_rules_resets_discovery_knowledge() {
     assert!(
         !edges.contains(&(NodeId(0), NodeId(1))),
         "stale pre-broadcast edge survived: {edges:?}"
-    );
-}
-
-#[test]
-fn query_propagation_initiation_covers_only_reachable_nodes() {
-    // Same chain plus an unrelated node D with a rule from A: under strict
-    // A4 propagation (no flood), D never participates because nothing on a
-    // dependency path from the super-peer leads to it.
-    let mut b = chain_builder();
-    b.add_node_with_schema(3, "d(x: int, y: int).").unwrap();
-    b.add_rule("rd", "A:a(X,Y) => D:d(X,Y)").unwrap();
-    b.config_mut().initiation = Initiation::QueryPropagation;
-    let mut sys = b.build().unwrap();
-    let report = sys.run_update();
-    assert!(report.outcome.quiescent);
-    // A, B, C participated and closed…
-    assert!(sys.closed(NodeId(0)));
-    assert!(sys.closed(NodeId(1)));
-    assert!(sys.closed(NodeId(2)));
-    // …D has a rule but was never reached: open and empty (its rule's body
-    // is at A, and A never *forwards* to dependants under pure A4).
-    assert!(!report.all_closed);
-    assert_eq!(
-        sys.database(NodeId(3))
-            .unwrap()
-            .relation("d")
-            .unwrap()
-            .len(),
-        0
     );
 }
 

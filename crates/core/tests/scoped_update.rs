@@ -62,6 +62,34 @@ fn scoped_update_fills_only_the_reachable_region() {
 }
 
 #[test]
+fn scoped_update_never_reaches_a_dependant_of_the_root() {
+    // F imports from A: under strict A4 propagation A never *forwards* to
+    // its dependants, so F has a rule yet never participates.
+    let mut b = builder();
+    b.add_node_with_schema(5, "f(x: int, y: int).").unwrap();
+    b.add_rule("r4", "A:a(X,Y) => F:f(X,Y)").unwrap();
+    let mut sys = b.build().unwrap();
+    let report = sys.run_scoped_update(NodeId(0));
+    assert!(report.outcome.quiescent);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    // A, B, C participated and closed…
+    for node in 0..3 {
+        assert!(sys.closed(NodeId(node)), "node {node}");
+    }
+    // …F stayed open and empty.
+    assert!(!report.all_closed);
+    assert!(!sys.closed(NodeId(5)));
+    assert_eq!(
+        sys.database(NodeId(5))
+            .unwrap()
+            .relation("f")
+            .unwrap()
+            .len(),
+        0
+    );
+}
+
+#[test]
 fn scoped_update_from_mid_chain() {
     let mut sys = builder().build().unwrap();
     sys.run_scoped_update(NodeId(1));

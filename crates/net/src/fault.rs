@@ -5,7 +5,8 @@
 //! assumption deliberately: random drops, random duplication, and scheduled
 //! link outages. The protocol-level claims under test are:
 //!
-//! * duplication must not change results (handler idempotence);
+//! * duplication must not change results: the simulator's link is
+//!   exactly-once, as TCP is, so it counts each copy and delivers none;
 //! * drops may prevent closure (liveness) but must never produce unsound
 //!   data or a false `closed` state (safety).
 
@@ -32,7 +33,8 @@ pub struct LinkOutage {
 pub enum FaultDecision {
     /// Deliver exactly once.
     Deliver,
-    /// Deliver twice (duplicate).
+    /// The link made a second copy. The simulator counts it in
+    /// [`crate::NetStats::duplicated`] and delivers the message once.
     Duplicate,
     /// Silently drop.
     Drop,

@@ -27,9 +27,11 @@ pub trait Peer<M>: Send {
     fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Context<M>);
 
     /// Delivery entry point used by the runtimes. `msg_id` identifies the
-    /// *send*: fault-injected duplicates share it, so an implementation can
-    /// provide exactly-once semantics by remembering seen ids (the default
-    /// just forwards to [`Peer::on_message`], i.e. at-least-once).
+    /// send. The links are exactly-once — the simulator absorbs injected
+    /// duplicates, the shard pool hands each send over once, the socket
+    /// runtime rides on TCP — so a peer keeps no per-delivery state. The
+    /// default forwards to [`Peer::on_message`]; an override wraps it (a
+    /// tracing host, say).
     fn on_envelope(&mut self, from: NodeId, msg_id: u64, msg: M, ctx: &mut Context<M>) {
         let _ = msg_id;
         self.on_message(from, msg, ctx);
@@ -187,7 +189,7 @@ impl<V: Clone> PayloadMemo<V> {
 }
 
 /// Slot of a node no peer is hosted under.
-const NO_SLOT: u32 = u32::MAX;
+const UNHOSTED: u32 = u32::MAX;
 
 /// The hosted peers: a dense `Vec` behind a `NodeId → slot` table. Slots
 /// are handed out in insertion order and never move; adding a peer under an
@@ -213,10 +215,10 @@ impl<P> PeerTable<P> {
     pub(crate) fn insert(&mut self, id: NodeId, peer: P) -> usize {
         let key = id.0 as usize;
         if key >= self.slot_of.len() {
-            self.slot_of.resize(key + 1, NO_SLOT);
+            self.slot_of.resize(key + 1, UNHOSTED);
         }
         match self.slot_of[key] {
-            NO_SLOT => {
+            UNHOSTED => {
                 self.slot_of[key] = self.peers.len() as u32;
                 self.peers.push((id, peer));
                 self.peers.len() - 1
@@ -231,7 +233,7 @@ impl<P> PeerTable<P> {
     /// The slot of the peer hosted under `id`, if any.
     pub(crate) fn slot(&self, id: NodeId) -> Option<usize> {
         match self.slot_of.get(id.0 as usize) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
+            Some(&s) if s != UNHOSTED => Some(s as usize),
             _ => None,
         }
     }
@@ -269,8 +271,8 @@ impl<P> IndexMut<usize> for PeerTable<P> {
     }
 }
 
-/// One message on its way to a receiver: the send's identity (duplicates
-/// share it), the payload, and its wire size measured at the send.
+/// One message on its way to a receiver: the send's identity, the payload,
+/// and its wire size measured at the send.
 pub(crate) struct Parcel<M> {
     pub(crate) msg_id: u64,
     pub(crate) msg: Arc<M>,

@@ -13,12 +13,12 @@
 //! how it schedules deliveries:
 //!
 //! * [`sim::Simulator`] — a **deterministic discrete-event simulator**:
-//!   per-event ordering by `(time, sequence)`, seeded latency models,
-//!   fault injection (drops, duplication, link outages), scheduled peer
-//!   churn (crash/restart with [`Peer::on_crash`]/[`Peer::on_restart`]
-//!   hooks) and quiescence detection. Virtual time makes the paper's
-//!   "execution time" metric reproducible, which the original testbed
-//!   could not be.
+//!   one event heap ordered by `(time, sequence)`, FIFO exactly-once
+//!   pipes, seeded latency models, fault injection (drops, absorbed
+//!   duplicates, link outages), scheduled peer churn (crash/restart with
+//!   [`Peer::on_crash`]/[`Peer::on_restart`] hooks) and quiescence
+//!   detection. Virtual time makes the paper's "execution time" metric
+//!   reproducible, which the original testbed could not be.
 //! * [`sharded::ShardedNetwork`] — the parallel runtime: `T` shard threads
 //!   multiplex `n/T` peers each (mailbox scheduling, work stealing,
 //!   cross-shard hand-off over `mpsc` channels), with quiescence detected by
@@ -53,7 +53,7 @@ pub use host::{Context, Outgoing, PayloadMemo, Peer};
 pub use latency::{
     BandwidthLatency, ConstantLatency, LatencyModel, PerEdgeLatency, UniformLatency,
 };
-pub use message::{encoded_wire_size, Envelope, SimTime, Wire};
+pub use message::{encoded_wire_size, SimTime, Wire};
 pub use session::SessionId;
 pub use sharded::{ShardPlacement, ShardedNetwork, WorkerPanic};
 pub use sim::{RunOutcome, Simulator};

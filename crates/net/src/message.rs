@@ -1,6 +1,5 @@
 //! Message envelopes, virtual time, and the [`Wire`] trait.
 
-use p2p_topology::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -110,30 +109,6 @@ pub trait Wire: Clone + fmt::Debug + Send + 'static {
 pub fn encoded_wire_size<T: serde::Serialize>(msg: &T) -> usize {
     crate::codec::note_encode_pass();
     serde_json::encoded_len(msg).expect("wire messages serialize without floats")
-}
-
-/// A message in flight.
-#[derive(Debug, Clone)]
-pub struct Envelope<M> {
-    /// Sender.
-    pub from: NodeId,
-    /// Recipient.
-    pub to: NodeId,
-    /// Payload.
-    pub msg: M,
-    /// Time the message was sent.
-    pub sent_at: SimTime,
-    /// Global sequence number (total order of sends; ties in delivery time
-    /// are broken by it, making the simulator deterministic).
-    pub seq: u64,
-    /// Message identity, assigned at *send* time: fault-injected duplicate
-    /// deliveries share one `msg_id`, which is what lets receivers implement
-    /// exactly-once processing (see `Peer::on_envelope`).
-    pub msg_id: u64,
-    /// Wire size in bytes under the runtime's configured codec, measured
-    /// **once** when the message was sent. Delivery-side accounting reads
-    /// this instead of re-serializing the payload.
-    pub size: usize,
 }
 
 #[cfg(test)]

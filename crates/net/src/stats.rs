@@ -51,7 +51,8 @@ pub struct NetStats {
     /// Messages dropped by fault injection (or addressed to a crashed or
     /// unknown node).
     pub dropped: u64,
-    /// Extra deliveries due to duplication.
+    /// Copies the fault plan made of a send. The link is exactly-once, as
+    /// TCP is: it absorbs every copy, so none of them is delivered.
     pub duplicated: u64,
     /// Peer crashes executed from the churn plan.
     pub peer_crashes: u64,

@@ -6,7 +6,6 @@
 //! cargo run --example paper_example
 //! ```
 
-use p2pdb::core::config::Initiation;
 use p2pdb::core::system::P2PSystemBuilder;
 use p2pdb::relational::Val;
 use p2pdb::topology::paths::format_path;
@@ -65,15 +64,15 @@ fn main() {
 
     // ---- Phase 2: the distributed update on the cyclic network -----------
     let mut b = builder();
-    // Tracing + strict A4 propagation reproduces Figure 1's message flow.
+    // Tracing + strict A4 propagation (the query-dependent update rooted at
+    // the super-peer) reproduces Figure 1's message flow.
     b.config_mut().trace_capacity = 48;
-    b.config_mut().initiation = Initiation::QueryPropagation;
     // Seed E with a 3-cycle of e-facts.
     for (x, y) in [(1, 2), (2, 3), (3, 1)] {
         b.insert(4, "e", vec![Val::Int(x), Val::Int(y)]).unwrap();
     }
     let mut sys = b.build().unwrap();
-    let report = sys.run_update();
+    let report = sys.run_scoped_update(sys.super_peer());
     println!(
         "\nupdate: virtual time {}, {} messages, all closed: {}",
         report.outcome.virtual_time, report.messages, report.all_closed

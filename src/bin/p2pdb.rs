@@ -5,6 +5,9 @@
 //! p2pdb workload [--topology tree|layered|clique|ring|chain]
 //!                [--size N] [--records N] [--overlap PCT] [--seed N]
 //!                                               generate a network file
+//!                                               (an unknown flag or a
+//!                                               topology of too few nodes
+//!                                               exits 2)
 //! p2pdb run <network.json> [--mode eager|rounds] [--discover]
 //!                [--paper-faithful] [--query NODE QUERY] [--stats]
 //!                [--durable] [--churn N] [--snapshot-every K]
@@ -177,7 +180,17 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Every flag `workload` understands, with the number of values it consumes.
+const WORKLOAD_FLAGS: &[(&str, usize)] = &[
+    ("--topology", 1),
+    ("--size", 1),
+    ("--records", 1),
+    ("--overlap", 1),
+    ("--seed", 1),
+];
+
 fn cmd_workload(args: &[String]) -> CliResult {
+    reject_unknown_flags("workload", WORKLOAD_FLAGS, args)?;
     let size: u32 = flag_value(args, "--size").unwrap_or("7").parse()?;
     let records: usize = flag_value(args, "--records").unwrap_or("50").parse()?;
     let overlap: u8 = flag_value(args, "--overlap").unwrap_or("0").parse()?;
@@ -208,8 +221,11 @@ fn cmd_workload(args: &[String]) -> CliResult {
         "clique" => Topology::Clique { n: size },
         "ring" => Topology::Ring { n: size.max(2) },
         "chain" => Topology::Chain { n: size },
-        other => return Err(format!("unknown topology `{other}`").into()),
+        other => return Err(usage(format!("workload: unknown topology `{other}`"))),
     };
+    topology
+        .validate()
+        .map_err(|e| usage(format!("workload: {topology}: {e}")))?;
     let cfg = WorkloadConfig {
         topology,
         records_per_node: records,
@@ -246,20 +262,20 @@ const RUN_FLAGS: &[(&str, usize)] = &[
     ("--export", 1),
 ];
 
-/// Rejects any `--flag` that `run` does not know: flags are looked up by
+/// Rejects any `--flag` that `cmd` does not know: flags are looked up by
 /// name wherever they stand, so a typo or a removed flag would otherwise
 /// run the default configuration without a word. Flag values are skipped,
 /// whatever they look like.
-fn reject_unknown_run_flags(args: &[String]) -> CliResult {
+fn reject_unknown_flags(cmd: &str, flags: &[(&str, usize)], args: &[String]) -> CliResult {
     let mut i = 0;
     while let Some(arg) = args.get(i) {
         i += 1;
-        if let Some((_, values)) = RUN_FLAGS.iter().find(|(flag, _)| flag == arg) {
+        if let Some((_, values)) = flags.iter().find(|(flag, _)| flag == arg) {
             i += values;
         } else if arg.starts_with("--") {
-            let known: Vec<&str> = RUN_FLAGS.iter().map(|(flag, _)| *flag).collect();
+            let known: Vec<&str> = flags.iter().map(|(flag, _)| *flag).collect();
             return Err(usage(format!(
-                "run: unknown flag `{arg}` (known: {})",
+                "{cmd}: unknown flag `{arg}` (known: {})",
                 known.join(" ")
             )));
         }
@@ -271,7 +287,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err("run: missing <network.json>".into());
     };
-    reject_unknown_run_flags(&args[1..])?;
+    reject_unknown_flags("run", RUN_FLAGS, &args[1..])?;
     let text = std::fs::read_to_string(path)?;
     let file = NetworkFile::from_json(&text)?;
     let mut builder = file.into_builder()?;

@@ -592,3 +592,28 @@ fn run_rejects_unknown_flags_but_not_flag_values() {
     assert!(!stderr.contains("unknown flag"), "{stderr}");
     assert_eq!(out.status.code(), Some(1), "{stderr}");
 }
+
+/// `workload` validates what it is asked for before it builds anything: a
+/// topology of too few nodes, an unknown topology and an unknown flag are
+/// usage errors (exit 2) that name the culprit, and nothing is printed.
+#[test]
+fn workload_rejects_bad_topologies_and_unknown_flags() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--topology", "clique", "--size", "0"], "clique(n=0)"),
+        (&["--topology", "chain", "--size", "0"], "chain(n=0)"),
+        (&["--topology", "moebius"], "unknown topology `moebius`"),
+        (&["--topolgy", "ring"], "unknown flag `--topolgy`"),
+    ];
+    for (args, culprit) in cases {
+        let out = p2pdb(&[&["workload"], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may be generated");
+    }
+    // The smallest valid sizes still generate.
+    for topology in ["clique", "chain"] {
+        let out = p2pdb(&["workload", "--topology", topology, "--size", "1"]);
+        assert!(out.status.success(), "{topology}");
+    }
+}

@@ -1,10 +1,9 @@
 //! Scaling integration: the flat `scale` scenario (one-hop copy rules,
 //! closed-form fix-point — see `p2pdb::workload::scale`) exercised across
-//! topology families and seeds, as the end-to-end check of the batched
-//! transport (shared payloads, per-pipe same-instant batching, flat event
-//! arena) and the flat per-peer tables: whatever the transport coalesces,
-//! the fix-point must stay tuple-identical to the centralized oracle and
-//! hit the scenario's closed-form size exactly.
+//! topology families and seeds, as the end-to-end check of the simulator
+//! (shared payloads, one event heap, FIFO exactly-once pipes) and the flat
+//! per-peer tables: the fix-point must stay tuple-identical to the
+//! centralized oracle and hit the scenario's closed-form size exactly.
 //!
 //! Also the derived event budget: `max_events = 0` (auto) must carry runs
 //! that the old flat cap was never sized for.
