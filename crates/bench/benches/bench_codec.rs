@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2p_core::codec::{decode_msg, encode_msg};
-use p2p_core::messages::{AnswerRows, ProtocolMsg};
+use p2p_core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use p2p_core::rule::{BodyPart, RuleId};
 use p2p_net::{Codec, SessionId, Wire};
 use p2p_relational::query::ast::{Atom, Term};
@@ -30,7 +30,7 @@ fn dblp_answer(rows: usize) -> ProtocolMsg {
             Val::Int(p.year),
         ]));
     }
-    ProtocolMsg::Answer {
+    ProtocolMsg::Answer(Answer {
         session: SessionId::new(NodeId(0), 1),
         rule: RuleId(2),
         rows: AnswerRows {
@@ -44,7 +44,8 @@ fn dblp_answer(rows: usize) -> ProtocolMsg {
         reopen: false,
         pushed: false,
         acks: false,
-    }
+        via: Via::Session,
+    })
 }
 
 /// A first-contact query for a two-atom fragment with one constant.
@@ -52,7 +53,7 @@ fn dblp_query() -> ProtocolMsg {
     let var = |names: &[&str]| names.iter().map(Term::var).collect::<Vec<_>>();
     let mut written = var(&["I", "A"]);
     written.push(Term::Const(Val::str("open")));
-    ProtocolMsg::Query {
+    ProtocolMsg::Query(Query {
         session: SessionId::new(NodeId(0), 1),
         rule: RuleId(2),
         part: BodyPart {
@@ -65,8 +66,9 @@ fn dblp_query() -> ProtocolMsg {
             vars: ["I", "T", "Y", "A"].map(Arc::from).to_vec(),
         },
         sn: vec![NodeId(0), NodeId(1), NodeId(3)],
-        resume: false,
-    }
+        from: Start::Fresh,
+        via: Via::Session,
+    })
 }
 
 fn bench_codec(c: &mut Criterion) {

@@ -8,11 +8,11 @@
 //!
 //! ## Layout
 //!
-//! A message is a 1-byte **variant tag** (declaration order of
-//! [`ProtocolMsg`]'s variants up to 27, then in order of introduction;
-//! `Query` and `WaveQuery` with `resume` set and `Answer` with `pushed`,
-//! `acks` or both set take further tags instead of a flag byte) followed by
-//! its fields:
+//! A message is a 1-byte **variant tag** followed by its fields. Tags are
+//! never reused (a retired kind's — 18–20, 22, 23, 33 — is unknown, as is
+//! every tag from 49 on), and a `Query`'s [`Start`] and [`Via`] and an
+//! `Answer`'s `Via` and flags take one tag per combination, not a flag byte:
+//! eager queries and answers cost what they did before those fields. Fields:
 //!
 //! * Session ids, node ids, rule ids, rounds, counters — varints (zigzag
 //!   where negative values are possible).
@@ -51,14 +51,14 @@
 //! round-trip equivalent on the same message values — the differential
 //! proptests in `tests/proptest_codec.rs` hold both codecs to that.
 
-use crate::messages::{AnswerRows, ProtocolMsg};
+use crate::messages::{Answer, AnswerRows, Marks, ProtocolMsg, Query, Start, Via};
 use crate::rule::RuleId;
 use binpack::{Error, Reader, Writer};
 use p2p_net::SessionId;
 use p2p_relational::value::NullId;
 use p2p_relational::{SymId, Tuple, Val};
 use p2p_topology::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Encodes a message under the binary codec. Infallible for protocol
@@ -97,16 +97,35 @@ fn get_session(r: &mut Reader<'_>) -> Result<SessionId, Error> {
     Ok(SessionId::new(root, epoch))
 }
 
+fn get_u32(r: &mut Reader<'_>) -> Result<u32, Error> {
+    u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)
+}
+
 fn get_node(r: &mut Reader<'_>) -> Result<NodeId, Error> {
-    Ok(NodeId(
-        u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
-    ))
+    Ok(NodeId(get_u32(r)?))
 }
 
 fn get_rule(r: &mut Reader<'_>) -> Result<RuleId, Error> {
-    Ok(RuleId(
-        u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
-    ))
+    Ok(RuleId(get_u32(r)?))
+}
+
+fn put_marks(w: &mut Writer, marks: &Marks) {
+    w.put_varint(marks.len() as u64);
+    for (rel, mark) in marks {
+        w.put_str(rel);
+        w.put_varint(*mark as u64);
+    }
+}
+
+fn get_marks(r: &mut Reader<'_>) -> Result<Marks, Error> {
+    let n = r.get_varint()? as usize;
+    let mut marks = Marks::new();
+    for _ in 0..n {
+        let rel = Arc::<str>::from(r.get_str()?);
+        let mark = usize::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?;
+        marks.insert(rel, mark);
+    }
+    Ok(marks)
 }
 
 fn put_bool(w: &mut Writer, b: bool) {
@@ -293,11 +312,7 @@ fn put_rows_inner(w: &mut Writer, rows: &AnswerRows) -> Result<(), Error> {
         w.put_varint(null.counter());
         w.put_varint(u64::from(*depth));
     }
-    w.put_varint(rows.marks.len() as u64);
-    for (rel, mark) in &rows.marks {
-        w.put_str(rel);
-        w.put_varint(*mark as u64);
-    }
+    put_marks(w, &rows.marks);
     w.put_varint(rows.dict.len() as u64);
     let mut prev_sym = 0i64;
     for (sym, text) in &rows.dict {
@@ -352,16 +367,9 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
     let mut null_depths = Vec::with_capacity(ndepths.min(r.remaining() + 1));
     for _ in 0..ndepths {
         let null = null_id(r.get_varint()? as i64, r.get_varint()? as i64)?;
-        let depth = u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?;
-        null_depths.push((null, depth));
+        null_depths.push((null, get_u32(r)?));
     }
-    let nmarks = r.get_varint()? as usize;
-    let mut marks = BTreeMap::new();
-    for _ in 0..nmarks {
-        let rel = Arc::<str>::from(r.get_str()?);
-        let mark = usize::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?;
-        marks.insert(rel, mark);
-    }
+    let marks = get_marks(r)?;
     let ndict = r.get_varint()? as usize;
     let mut dict = Vec::with_capacity(ndict.min(r.remaining() + 1));
     let mut prev_sym = 0i64;
@@ -385,16 +393,74 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
 
 // ------------------------------------------------------------- messages
 
-/// Second tag of [`ProtocolMsg::Query`]: the same fields, `resume` set.
-const QUERY_RESUME: u8 = 28;
+/// Tags of [`ProtocolMsg::Query`], by `3 × via + start` — via session,
+/// round, repair; start fresh, resume, since. After the fields, `since`
+/// adds its watermarks and a round its number.
+const QUERY_TAGS: [u8; 9] = [11, 28, 34, 35, 36, 37, 38, 39, 40];
+/// Tags of [`ProtocolMsg::Answer`], by `4 × via + 2 × acks + pushed`. After
+/// the fields, a round adds its number.
+const ANSWER_TAGS: [u8; 12] = [12, 30, 31, 32, 41, 42, 43, 44, 45, 46, 47, 48];
 const CURSOR_VOID: u8 = 29;
-/// Further tags of [`ProtocolMsg::Answer`]: the same fields, with `pushed`,
-/// `acks` or both set.
-const ANSWER_PUSHED: u8 = 30;
-const ANSWER_ACKS: u8 = 31;
-const ANSWER_PUSHED_ACKS: u8 = 32;
-/// Second tag of [`ProtocolMsg::WaveQuery`]: the same fields, `resume` set.
-const WAVE_QUERY_RESUME: u8 = 33;
+
+fn via_index(via: Via) -> usize {
+    match via {
+        Via::Session => 0,
+        Via::Round(_) => 1,
+        Via::Repair => 2,
+    }
+}
+
+fn put_round(w: &mut Writer, via: Via) {
+    if let Via::Round(round) = via {
+        w.put_varint(u64::from(round));
+    }
+}
+
+fn get_via(r: &mut Reader<'_>, index: usize) -> Result<Via, Error> {
+    Ok(match index {
+        0 => Via::Session,
+        1 => Via::Round(get_u32(r)?),
+        _ => Via::Repair,
+    })
+}
+
+fn read_query(r: &mut Reader<'_>, index: usize) -> Result<Query, Error> {
+    let session = get_session(r)?;
+    let rule = get_rule(r)?;
+    let part = get_doc(r)?;
+    let nsn = r.get_varint()? as usize;
+    let mut sn = Vec::with_capacity(nsn.min(r.remaining() + 1));
+    for _ in 0..nsn {
+        sn.push(get_node(r)?);
+    }
+    let from = match index % 3 {
+        0 => Start::Fresh,
+        1 => Start::Resume,
+        _ => Start::Since(get_marks(r)?),
+    };
+    let via = get_via(r, index / 3)?;
+    Ok(Query {
+        session,
+        rule,
+        part,
+        sn,
+        from,
+        via,
+    })
+}
+
+fn read_answer(r: &mut Reader<'_>, index: usize) -> Result<Answer, Error> {
+    Ok(Answer {
+        session: get_session(r)?,
+        rule: get_rule(r)?,
+        rows: get_rows(r)?,
+        complete: get_bool(r)?,
+        reopen: get_bool(r)?,
+        pushed: index % 2 == 1,
+        acks: index % 4 >= 2,
+        via: get_via(r, index / 4)?,
+    })
+}
 
 fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
     match msg {
@@ -442,46 +508,34 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
             w.put_u8(10);
             put_session(w, *session);
         }
-        ProtocolMsg::Query {
-            session,
-            rule,
-            part,
-            sn,
-            resume,
-        } => {
-            // `resume` rides in the tag, so a first-contact query costs
-            // what it always did.
-            w.put_u8(if *resume { QUERY_RESUME } else { 11 });
-            put_session(w, *session);
-            w.put_varint(u64::from(rule.0));
-            put_doc(w, part)?;
-            w.put_varint(sn.len() as u64);
-            for n in sn {
+        ProtocolMsg::Query(q) => {
+            let start = match q.from {
+                Start::Fresh => 0,
+                Start::Resume => 1,
+                Start::Since(_) => 2,
+            };
+            w.put_u8(QUERY_TAGS[3 * via_index(q.via) + start]);
+            put_session(w, q.session);
+            w.put_varint(u64::from(q.rule.0));
+            put_doc(w, &q.part)?;
+            w.put_varint(q.sn.len() as u64);
+            for n in &q.sn {
                 w.put_varint(u64::from(n.0));
             }
+            if let Start::Since(marks) = &q.from {
+                put_marks(w, marks);
+            }
+            put_round(w, q.via);
         }
-        ProtocolMsg::Answer {
-            session,
-            rule,
-            rows,
-            complete,
-            reopen,
-            pushed,
-            acks,
-        } => {
-            // Like `resume`: an answer costs what it did before either flag
-            // existed.
-            w.put_u8(match (*pushed, *acks) {
-                (false, false) => 12,
-                (true, false) => ANSWER_PUSHED,
-                (false, true) => ANSWER_ACKS,
-                (true, true) => ANSWER_PUSHED_ACKS,
-            });
-            put_session(w, *session);
-            w.put_varint(u64::from(rule.0));
-            put_rows(w, rows)?;
-            put_bool(w, *complete);
-            put_bool(w, *reopen);
+        ProtocolMsg::Answer(a) => {
+            let flags = 2 * usize::from(a.acks) + usize::from(a.pushed);
+            w.put_u8(ANSWER_TAGS[4 * via_index(a.via) + flags]);
+            put_session(w, a.session);
+            w.put_varint(u64::from(a.rule.0));
+            put_rows(w, &a.rows)?;
+            put_bool(w, a.complete);
+            put_bool(w, a.reopen);
+            put_round(w, a.via);
         }
         ProtocolMsg::Unsubscribe { session, rule } => {
             w.put_u8(13);
@@ -519,73 +573,10 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
             w.put_varint(u64::from(*round));
             put_bool(w, *dirty);
         }
-        ProtocolMsg::WaveQuery {
-            session,
-            round,
-            rule,
-            part,
-            resume,
-        } => {
-            w.put_u8(if *resume { WAVE_QUERY_RESUME } else { 18 });
-            put_session(w, *session);
-            w.put_varint(u64::from(*round));
-            w.put_varint(u64::from(rule.0));
-            put_doc(w, part)?;
-        }
-        ProtocolMsg::WaveAnswer {
-            session,
-            round,
-            rule,
-            rows,
-        } => {
-            w.put_u8(19);
-            put_session(w, *session);
-            w.put_varint(u64::from(*round));
-            w.put_varint(u64::from(rule.0));
-            put_rows(w, rows)?;
-        }
-        ProtocolMsg::WaveAnswerDelta {
-            session,
-            round,
-            rule,
-            rows,
-        } => {
-            w.put_u8(20);
-            put_session(w, *session);
-            w.put_varint(u64::from(*round));
-            w.put_varint(u64::from(rule.0));
-            put_rows(w, rows)?;
-        }
         ProtocolMsg::RoundsClosed { session, rounds } => {
             w.put_u8(21);
             put_session(w, *session);
             w.put_varint(u64::from(*rounds));
-        }
-        ProtocolMsg::ResyncRequest {
-            session,
-            rule,
-            part,
-            since,
-        } => {
-            w.put_u8(22);
-            put_session(w, *session);
-            w.put_varint(u64::from(rule.0));
-            put_doc(w, part)?;
-            w.put_varint(since.len() as u64);
-            for (rel, mark) in since {
-                w.put_str(rel);
-                w.put_varint(*mark as u64);
-            }
-        }
-        ProtocolMsg::ResyncAnswer {
-            session,
-            rule,
-            rows,
-        } => {
-            w.put_u8(23);
-            put_session(w, *session);
-            w.put_varint(u64::from(rule.0));
-            put_rows(w, rows)?;
         }
         ProtocolMsg::ResumeRounds { session, round } => {
             w.put_u8(24);
@@ -611,7 +602,14 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
 }
 
 fn read_msg(r: &mut Reader<'_>) -> Result<ProtocolMsg, Error> {
-    Ok(match r.get_u8()? {
+    let tag = r.get_u8()?;
+    if let Some(index) = QUERY_TAGS.iter().position(|t| *t == tag) {
+        return Ok(ProtocolMsg::Query(read_query(r, index)?));
+    }
+    if let Some(index) = ANSWER_TAGS.iter().position(|t| *t == tag) {
+        return Ok(ProtocolMsg::Answer(read_answer(r, index)?));
+    }
+    Ok(match tag {
         0 => ProtocolMsg::StartDiscovery,
         1 => ProtocolMsg::StartUpdate {
             session: get_session(r)?,
@@ -648,101 +646,33 @@ fn read_msg(r: &mut Reader<'_>) -> Result<ProtocolMsg, Error> {
         10 => ProtocolMsg::UpdateFlood {
             session: get_session(r)?,
         },
-        tag @ (11 | QUERY_RESUME) => {
-            let session = get_session(r)?;
-            let rule = get_rule(r)?;
-            let part = get_doc(r)?;
-            let nsn = r.get_varint()? as usize;
-            let mut sn = Vec::with_capacity(nsn.min(r.remaining() + 1));
-            for _ in 0..nsn {
-                sn.push(get_node(r)?);
-            }
-            ProtocolMsg::Query {
-                session,
-                rule,
-                part,
-                sn,
-                resume: tag == QUERY_RESUME,
-            }
-        }
-        tag @ (12 | ANSWER_PUSHED | ANSWER_ACKS | ANSWER_PUSHED_ACKS) => ProtocolMsg::Answer {
-            session: get_session(r)?,
-            rule: get_rule(r)?,
-            rows: get_rows(r)?,
-            complete: get_bool(r)?,
-            reopen: get_bool(r)?,
-            pushed: matches!(tag, ANSWER_PUSHED | ANSWER_PUSHED_ACKS),
-            acks: matches!(tag, ANSWER_ACKS | ANSWER_PUSHED_ACKS),
-        },
         13 => ProtocolMsg::Unsubscribe {
             session: get_session(r)?,
             rule: get_rule(r)?,
         },
         14 => ProtocolMsg::Fixpoint {
             session: get_session(r)?,
-            generation: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
+            generation: get_u32(r)?,
         },
         15 => ProtocolMsg::Ack {
             session: get_session(r)?,
         },
         16 => ProtocolMsg::RoundStart {
             session: get_session(r)?,
-            round: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
+            round: get_u32(r)?,
         },
         17 => ProtocolMsg::RoundEcho {
             session: get_session(r)?,
-            round: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
+            round: get_u32(r)?,
             dirty: get_bool(r)?,
-        },
-        tag @ (18 | WAVE_QUERY_RESUME) => ProtocolMsg::WaveQuery {
-            session: get_session(r)?,
-            round: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
-            rule: get_rule(r)?,
-            part: get_doc(r)?,
-            resume: tag == WAVE_QUERY_RESUME,
-        },
-        19 => ProtocolMsg::WaveAnswer {
-            session: get_session(r)?,
-            round: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
-            rule: get_rule(r)?,
-            rows: get_rows(r)?,
-        },
-        20 => ProtocolMsg::WaveAnswerDelta {
-            session: get_session(r)?,
-            round: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
-            rule: get_rule(r)?,
-            rows: get_rows(r)?,
         },
         21 => ProtocolMsg::RoundsClosed {
             session: get_session(r)?,
-            rounds: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
-        },
-        22 => {
-            let session = get_session(r)?;
-            let rule = get_rule(r)?;
-            let part = get_doc(r)?;
-            let nsince = r.get_varint()? as usize;
-            let mut since = BTreeMap::new();
-            for _ in 0..nsince {
-                let rel = Arc::<str>::from(r.get_str()?);
-                let mark = usize::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?;
-                since.insert(rel, mark);
-            }
-            ProtocolMsg::ResyncRequest {
-                session,
-                rule,
-                part,
-                since,
-            }
-        }
-        23 => ProtocolMsg::ResyncAnswer {
-            session: get_session(r)?,
-            rule: get_rule(r)?,
-            rows: get_rows(r)?,
+            rounds: get_u32(r)?,
         },
         24 => ProtocolMsg::ResumeRounds {
             session: get_session(r)?,
-            round: u32::try_from(r.get_varint()?).map_err(|_| Error::BadVarint)?,
+            round: get_u32(r)?,
         },
         25 => ProtocolMsg::AddRule {
             session: get_session(r)?,
@@ -810,15 +740,10 @@ mod tests {
 
     #[test]
     fn answer_with_rows_roundtrips() {
-        let msg = ProtocolMsg::Answer {
-            session: sid(5),
-            rule: RuleId(2),
-            rows: sample_rows(),
+        let msg = ProtocolMsg::Answer(Answer {
             complete: true,
-            reopen: false,
-            pushed: false,
-            acks: false,
-        };
+            ..Answer::new(sid(5), RuleId(2), sample_rows(), Via::Session)
+        });
         assert_same(&roundtrip(&msg), &msg);
     }
 
@@ -885,26 +810,29 @@ mod tests {
     /// query is the bytes it was before the field existed, in both codecs.
     #[test]
     fn query_resume_rides_in_the_tag_and_is_omitted_when_false() {
-        let query = |resume| ProtocolMsg::Query {
-            session: sid(3),
-            rule: RuleId(7),
-            part: crate::rule::BodyPart {
-                node: NodeId(1),
-                atoms: vec![],
-                local_constraints: vec![],
-                vars: vec![Arc::from("X")],
-            },
-            sn: vec![NodeId(0), NodeId(2)],
-            resume,
+        let query = |from| {
+            ProtocolMsg::Query(Query {
+                session: sid(3),
+                rule: RuleId(7),
+                part: crate::rule::BodyPart {
+                    node: NodeId(1),
+                    atoms: vec![],
+                    local_constraints: vec![],
+                    vars: vec![Arc::from("X")],
+                },
+                sn: vec![NodeId(0), NodeId(2)],
+                from,
+                via: Via::Session,
+            })
         };
-        let (first, again) = (query(false), query(true));
+        let (first, again) = (query(Start::Fresh), query(Start::Resume));
         for msg in [&first, &again] {
             assert_same(&roundtrip(msg), msg);
             let json = serde_json::to_string(msg).unwrap();
             assert_same(&serde_json::from_str(&json).unwrap(), msg);
         }
         let (plain, resumed) = (encode_msg(&first), encode_msg(&again));
-        assert_eq!((plain[0], resumed[0]), (11, QUERY_RESUME));
+        assert_eq!((plain[0], resumed[0]), (11, 28));
         assert_eq!(plain[1..], resumed[1..]);
         assert!(!serde_json::to_string(&first).unwrap().contains("resume"));
         assert!(serde_json::to_string(&again)
@@ -917,21 +845,20 @@ mod tests {
     /// with either costs no byte more in binary.
     #[test]
     fn answer_pushed_rides_in_the_tag_and_is_omitted_when_false() {
-        let answer = |pushed, acks| ProtocolMsg::Answer {
-            session: sid(5),
-            rule: RuleId(2),
-            rows: sample_rows(),
-            complete: false,
-            reopen: false,
-            pushed,
-            acks,
+        let answer = |pushed, acks| {
+            let plain = Answer::new(sid(5), RuleId(2), sample_rows(), Via::Session);
+            ProtocolMsg::Answer(Answer {
+                pushed,
+                acks,
+                ..plain
+            })
         };
         let plain = encode_msg(&answer(false, false));
         for (pushed, acks, tag) in [
             (false, false, 12),
-            (true, false, ANSWER_PUSHED),
-            (false, true, ANSWER_ACKS),
-            (true, true, ANSWER_PUSHED_ACKS),
+            (true, false, 30),
+            (false, true, 31),
+            (true, true, 32),
         ] {
             let msg = answer(pushed, acks);
             assert_same(&roundtrip(&msg), &msg);
@@ -945,17 +872,78 @@ mod tests {
         }
     }
 
+    /// The exact bytes, in both codecs, of the eager queries and answers a
+    /// peer wrote before queries carried a start and answers an exchange:
+    /// an eager session does not pay for the fold.
+    #[test]
+    fn eager_queries_and_answers_keep_their_bytes() {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let part = crate::rule::BodyPart {
+            node: NodeId(1),
+            atoms: vec![],
+            local_constraints: vec![],
+            vars: vec![Arc::from("X")],
+        };
+        let query_json = r#"{"Query":{"session":{"root":3,"epoch":5},"rule":7,"part":{"node":1,"atoms":[],"local_constraints":[],"vars":["X"]},"sn":[0,2]"#;
+        let query_bin = "0305070033080400046e6f64650401000561746f6d73070000116c6f63616c5f636f6e73747261696e747307000004766172730701060158020002";
+        for (from, tag, tail) in [
+            (Start::Fresh, "0b", ""),
+            (Start::Resume, "1c", r#","resume":true"#),
+        ] {
+            let msg = ProtocolMsg::Query(Query {
+                session: SessionId::new(NodeId(3), 5),
+                rule: RuleId(7),
+                part: part.clone(),
+                sn: vec![NodeId(0), NodeId(2)],
+                from,
+                via: Via::Session,
+            });
+            let json = serde_json::to_string(&msg).unwrap();
+            assert_eq!(json, format!("{query_json}{tail}}}}}"));
+            assert_eq!(hex(&encode_msg(&msg)), format!("{tag}{query_bin}"));
+        }
+        let rows = AnswerRows {
+            vars: vec![Arc::from("X"), Arc::from("Y")],
+            rows: vec![
+                Tuple::new(vec![Val::Int(-4), Val::Sym(SymId(700))]),
+                Tuple::new(vec![Val::Int(9), Val::Null(NullId::new(2, 41))]),
+            ],
+            null_depths: vec![(NullId::new(2, 41), 1)],
+            marks: [(Arc::<str>::from("b"), 17usize)].into_iter().collect(),
+            dict: vec![(SymId(700), Arc::from("alpha"))],
+        };
+        let answer_json = r#"{"Answer":{"session":{"root":3,"epoch":5},"rule":7,"rows":{"vars":["X","Y"],"rows":[[{"Int":-4},{"Sym":700}],[{"Int":9},{"Null":2199023255593}]],"null_depths":[[2199023255593,1]],"marks":{"b":17},"dict":[[700,"alpha"]]},"complete":true,"reopen":false"#;
+        let answer_bin =
+            "030507002302015801590002020007001a01f80a020452010229010101621101f80a05616c7068610100";
+        for (pushed, acks, tag, tail) in [
+            (false, false, "0c", ""),
+            (true, false, "1e", r#","pushed":true"#),
+            (false, true, "1f", r#","acks":true"#),
+            (true, true, "20", r#","pushed":true,"acks":true"#),
+        ] {
+            let msg = ProtocolMsg::Answer(Answer {
+                complete: true,
+                pushed,
+                acks,
+                ..Answer::new(
+                    SessionId::new(NodeId(3), 5),
+                    RuleId(7),
+                    rows.clone(),
+                    Via::Session,
+                )
+            });
+            let json = serde_json::to_string(&msg).unwrap();
+            assert_eq!(json, format!("{answer_json}{tail}}}}}"));
+            assert_eq!(hex(&encode_msg(&msg)), format!("{tag}{answer_bin}"));
+        }
+    }
+
     #[test]
     fn binary_is_much_smaller_than_json_on_row_payloads() {
-        let msg = ProtocolMsg::Answer {
-            session: sid(5),
-            rule: RuleId(2),
-            rows: sample_rows(),
+        let msg = ProtocolMsg::Answer(Answer {
             complete: true,
-            reopen: false,
-            pushed: false,
-            acks: false,
-        };
+            ..Answer::new(sid(5), RuleId(2), sample_rows(), Via::Session)
+        });
         let json = serde_json::to_string(&msg).unwrap().len();
         let binary = encoded_msg_len(&msg);
         assert!(
@@ -974,11 +962,7 @@ mod tests {
             ],
             ..AnswerRows::default()
         };
-        let msg = ProtocolMsg::ResyncAnswer {
-            session: sid(1),
-            rule: RuleId(0),
-            rows,
-        };
+        let msg = ProtocolMsg::Answer(Answer::new(sid(1), RuleId(0), rows, Via::Repair));
         assert_same(&roundtrip(&msg), &msg);
     }
 
@@ -1048,14 +1032,14 @@ mod tests {
         let mut w = Writer::new();
         put_rows(&mut w, &rows).unwrap();
         let bytes = w.into_bytes();
-        // A `ResyncAnswer` ends with its rows block: the standalone
-        // encoding is exactly the bytes the message embeds.
-        let msg = encode_msg(&ProtocolMsg::ResyncAnswer {
-            session: sid(1),
-            rule: RuleId(0),
-            rows: rows.clone(),
-        });
-        assert!(msg.ends_with(&bytes), "rows block not embedded verbatim");
+        // A repair answer ends with its rows block and two flag bytes: the
+        // standalone encoding is exactly the bytes the message embeds.
+        let answer = Answer::new(sid(1), RuleId(0), rows.clone(), Via::Repair);
+        let msg = encode_msg(&ProtocolMsg::Answer(answer));
+        assert!(
+            msg[..msg.len() - 2].ends_with(&bytes),
+            "rows block not embedded verbatim"
+        );
         let mut r = Reader::new(&bytes);
         assert_eq!(get_rows(&mut r).unwrap(), rows);
         assert!(r.is_at_end());

@@ -41,9 +41,8 @@ pub struct SystemConfig {
     /// subscriber (the paper's "delta optimization … in order to minimize
     /// data transfer and duplication"), re-answers delta-**evaluate** from
     /// the subscription's watermarks instead of re-running the fragment
-    /// query (rounds mode: [`crate::messages::ProtocolMsg::WaveAnswerDelta`]
-    /// plus semi-naive joins at the head), under both modes the cursor
-    /// outlives the session — committed when the session retires, at
+    /// query (rounds mode too, plus semi-naive joins at the head), under
+    /// both modes the cursor outlives the session — committed when it retires, at
     /// `Fixpoint` or `RoundsClosed` — so a later session ships what changed
     /// since the last one, and in eager mode so does the subscription:
     /// nobody asks again for what it holds, nobody answers with nothing, and
@@ -61,10 +60,9 @@ pub struct SystemConfig {
     /// log plus snapshot store: applied insertions and processed fragment
     /// answers are logged as they happen, and a crashed peer rebuilds its
     /// pre-crash database from storage at restart, then reconciles missed
-    /// traffic through the watermark-based
-    /// [`crate::messages::ProtocolMsg::ResyncRequest`] protocol. When false
-    /// (the default), a crash loses everything the peer ever held — the
-    /// amnesia baseline.
+    /// traffic through watermark-based repair queries
+    /// ([`crate::messages::Via::Repair`]). When false (the default), a crash
+    /// loses everything the peer ever held — the amnesia baseline.
     pub durability: bool,
     /// With durability on: the fewest WAL records between automatic
     /// snapshots — one is taken once this many records *and* the previous

@@ -44,7 +44,7 @@ pub struct AnswerRows {
     /// from facts beyond the last watermark it durably processed. Empty on
     /// payload-free acknowledgements (stale acks, reopen notices).
     #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
-    pub marks: BTreeMap<Arc<str>, usize>,
+    pub marks: Marks,
     /// First-use dictionary delta: `(symbol, string)` definitions for
     /// interned constants in `rows` that the sender has never shipped to
     /// this recipient before. Rows carry 4-byte `SymId`s; this is the sync
@@ -66,6 +66,162 @@ impl AnswerRows {
     /// such rows, and a peer refuses them where they arrive.
     pub fn is_ragged(&self) -> bool {
         self.rows.iter().any(|t| t.arity() != self.vars.len())
+    }
+}
+
+/// Per-relation insertion watermarks: the delta-cursor currency.
+pub type Marks = BTreeMap<Arc<str>, usize>;
+
+/// Where a query's evaluation starts.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Start {
+    /// From scratch: the full extension. The asker holds nothing of the
+    /// fragment — first contact, or its state was lost.
+    #[default]
+    Fresh,
+    /// From the cursor the answerer committed for this very fragment: the
+    /// asker still holds what earlier sessions shipped it (see
+    /// [`crate::peer`]).
+    Resume,
+    /// From the asker's own claim — the watermark of the last answer it
+    /// durably processed (a restart's repair). Empty means never answered.
+    Since(Marks),
+}
+
+/// Serialized under the key `resume` — `true` for `Resume`, the claim's
+/// watermarks for `Since`, nothing for `Fresh` — so that an eager query's
+/// start costs the bytes a `resume` flag does.
+impl Serialize for Start {
+    fn serialize<S: serde::Sink>(&self, out: &mut S) -> Result<(), S::Error> {
+        match self {
+            Start::Fresh => out.bool(false),
+            Start::Resume => out.bool(true),
+            Start::Since(marks) => marks.serialize(out),
+        }
+    }
+}
+
+impl Deserialize for Start {
+    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
+        match c {
+            serde::Content::Bool(resume) => Ok(if *resume { Start::Resume } else { Start::Fresh }),
+            marks => Ok(Start::Since(Deserialize::from_content(marks)?)),
+        }
+    }
+}
+
+/// Which exchange a query or an answer belongs to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Via {
+    /// An eager session: a Dijkstra–Scholten basic message (an answer that
+    /// acknowledges its query excepted).
+    #[default]
+    Session,
+    /// Round `k` of a rounds-mode session.
+    Round(u32),
+    /// A restarted peer's repair: control plane, outside every session's
+    /// Dijkstra–Scholten detector and staleness rules.
+    Repair,
+}
+
+/// Whether `value` is its type's default (`Start::Fresh`, `Via::Session`),
+/// which the encodings leave out.
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
+/// `Query(IDs, Q, SN)`: the head node of `rule` asks a body node for its
+/// fragment's extension, subscribing itself for deltas (eager sessions and
+/// rounds; a repair subscribes nothing).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Query {
+    /// Update session (a repair: the newest session of the asker's durable
+    /// answer log, which the repaired rows are logged under).
+    pub session: SessionId,
+    /// The rule this query serves.
+    pub rule: RuleId,
+    /// The fragment to evaluate (atoms + pushed-down constraints).
+    pub part: BodyPart,
+    /// The dependency path the request travelled (the paper's `SN`; empty
+    /// outside eager sessions, and then omitted).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub sn: Vec<NodeId>,
+    /// Where the answerer's evaluation starts. `Fresh` is omitted from the
+    /// encoding, so a first-contact query costs what it did before.
+    #[serde(rename = "resume", default, skip_serializing_if = "is_default")]
+    pub from: Start,
+    /// The exchange the query belongs to; `Session` is omitted.
+    #[serde(default, skip_serializing_if = "is_default")]
+    pub via: Via,
+}
+
+impl Query {
+    /// A query of `part` for `rule`, starting `from`, on `via`, with an
+    /// empty `SN`.
+    pub fn new(session: SessionId, rule: RuleId, part: BodyPart, from: Start, via: Via) -> Self {
+        Query {
+            session,
+            rule,
+            part,
+            sn: Vec::new(),
+            from,
+            via,
+        }
+    }
+}
+
+/// `Answer(ID, QA, SN, state)`: fragment extension (delta or full). In an
+/// eager session a basic message acknowledged by its recipient — except the
+/// answer to a `Query` that found its answerer already engaged in the
+/// session, which acknowledges that `Query` instead (`acks`).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Answer {
+    /// Update session (a repair: the tag of its query, echoed).
+    pub session: SessionId,
+    /// The rule being answered.
+    pub rule: RuleId,
+    /// The bindings.
+    pub rows: AnswerRows,
+    /// Sender's `state_u == closed` at send time — the paper's completeness
+    /// flag feeding the per-rule closure criterion.
+    pub complete: bool,
+    /// Sender re-opened after a dynamic change: the recipient must
+    /// invalidate the completeness it recorded for this rule.
+    pub reopen: bool,
+    /// Sent on a standing subscription — one the sender opened from its
+    /// committed cursor when the session's flood reached it, without having
+    /// been asked in this session (see [`crate::peer`]). The recipient
+    /// applies it only to a fragment it holds. `false` — the answer to a
+    /// `Query` and everything after it — is omitted from the encoding.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+    pub pushed: bool,
+    /// The Dijkstra–Scholten acknowledgement of the `Query` this answers,
+    /// and not a basic message itself: the sender does not count it, and the
+    /// recipient acknowledges it with nothing. The recipient handles the
+    /// answer, then debits its deficit once, as if an `Ack` had followed on
+    /// the pipe. Never set under
+    /// [`crate::config::SystemConfig::paper_faithful`]. `false` is omitted
+    /// from the encoding.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+    pub acks: bool,
+    /// The exchange the answer serves: its query's. `Session` is omitted.
+    #[serde(default, skip_serializing_if = "is_default")]
+    pub via: Via,
+}
+
+impl Answer {
+    /// An answer of `rows` on `via` with no flag set.
+    pub fn new(session: SessionId, rule: RuleId, rows: AnswerRows, via: Via) -> Self {
+        Answer {
+            session,
+            rule,
+            rows,
+            complete: false,
+            reopen: false,
+            pushed: false,
+            acks: false,
+            via,
+        }
     }
 }
 
@@ -139,60 +295,11 @@ pub enum ProtocolMsg {
         /// Update session.
         session: SessionId,
     },
-    /// `Query(IDs, Q, SN)`: the head node of `rule` asks a body node for its
-    /// fragment's extension, subscribing itself for deltas.
-    Query {
-        /// Update session.
-        session: SessionId,
-        /// The rule this query serves.
-        rule: RuleId,
-        /// The fragment to evaluate (atoms + pushed-down constraints).
-        part: BodyPart,
-        /// The dependency path the request travelled (the paper's `SN`).
-        sn: Vec<NodeId>,
-        /// The sender still holds what earlier sessions shipped it for this
-        /// fragment, so the answerer may resume from its committed cursor
-        /// instead of shipping the full extension (see [`crate::peer`]).
-        /// `false` — first contact, or the state was lost — is omitted from
-        /// the encoding.
-        #[serde(default, skip_serializing_if = "std::ops::Not::not")]
-        resume: bool,
-    },
+    /// `Query(IDs, Q, SN)`: a head node asks a body node for its fragment's
+    /// extension — in an eager session, in a round, or to repair a restart.
+    Query(Query),
     /// `Answer(ID, QA, SN, state)`: fragment extension (delta or full).
-    /// A basic message acknowledged by its recipient — except the answer to
-    /// a `Query` that found its answerer already engaged in the session,
-    /// which acknowledges that `Query` instead (`acks`).
-    Answer {
-        /// Update session.
-        session: SessionId,
-        /// The rule being answered.
-        rule: RuleId,
-        /// The bindings.
-        rows: AnswerRows,
-        /// Sender's `state_u == closed` at send time — the paper's
-        /// completeness flag feeding the per-rule closure criterion.
-        complete: bool,
-        /// Sender re-opened after a dynamic change: the recipient must
-        /// invalidate the completeness it recorded for this rule.
-        reopen: bool,
-        /// Sent on a standing subscription — one the sender opened from its
-        /// committed cursor when the session's flood reached it, without
-        /// having been asked in this session (see [`crate::peer`]). The
-        /// recipient applies it only to a fragment it holds. `false` — the
-        /// answer to a `Query` and everything after it — is omitted from
-        /// the encoding.
-        #[serde(default, skip_serializing_if = "std::ops::Not::not")]
-        pushed: bool,
-        /// The Dijkstra–Scholten acknowledgement of the `Query` this
-        /// answers, and not a basic message itself: the sender does not
-        /// count it, and the recipient acknowledges it with nothing. The
-        /// recipient handles the answer, then debits its deficit once, as
-        /// if an `Ack` had followed on the pipe. Never set under
-        /// [`crate::config::SystemConfig::paper_faithful`]. `false` is
-        /// omitted from the encoding.
-        #[serde(default, skip_serializing_if = "std::ops::Not::not")]
-        acks: bool,
-    },
+    Answer(Answer),
     /// Head node dropped the rule (dynamic `deleteLink`); the body node
     /// removes the subscription.
     Unsubscribe {
@@ -248,53 +355,6 @@ pub enum ProtocolMsg {
         /// Whether anything was inserted in the subtree this round.
         dirty: bool,
     },
-    /// Per-rule fragment query within a round.
-    WaveQuery {
-        /// Update session.
-        session: SessionId,
-        /// Round number.
-        round: u32,
-        /// Rule served.
-        rule: RuleId,
-        /// Fragment to evaluate.
-        part: BodyPart,
-        /// The sender holds everything the answerer shipped it for this
-        /// fragment — up to the committed cursor, and every answer of this
-        /// session — so the answer may be a delta (see
-        /// [`crate::peer::rounds`]). `false` — the session's first query of
-        /// a fragment not held, or an answer went missing — is omitted from
-        /// the encoding.
-        #[serde(default, skip_serializing_if = "std::ops::Not::not")]
-        resume: bool,
-    },
-    /// Fragment extension for a round.
-    WaveAnswer {
-        /// Update session.
-        session: SessionId,
-        /// Round number.
-        round: u32,
-        /// Rule served.
-        rule: RuleId,
-        /// Full bindings as of the answerer's current state.
-        rows: AnswerRows,
-    },
-    /// Delta fragment extension for a round (off under
-    /// `SystemConfig::paper_faithful`): only the rows, not yet shipped in
-    /// this session, derived from facts inserted since the answerer's last
-    /// answer to this requester. A session's first answer to a query is a
-    /// [`ProtocolMsg::WaveAnswer`] — the full extension, or the delta since
-    /// the committed cursor; the requester merges either into what it holds
-    /// of the fragment and joins semi-naively.
-    WaveAnswerDelta {
-        /// Update session.
-        session: SessionId,
-        /// Round number.
-        round: u32,
-        /// Rule served.
-        rule: RuleId,
-        /// The new bindings only.
-        rows: AnswerRows,
-    },
     /// Clean-round broadcast: fix-point reached, close everywhere and retire
     /// the session's state.
     RoundsClosed {
@@ -302,37 +362,6 @@ pub enum ProtocolMsg {
         session: SessionId,
         /// Total rounds executed.
         rounds: u32,
-    },
-
-    // ---------------- durability & churn ----------------
-    /// A restarted peer asks a rule fragment's body node for everything it
-    /// missed while down: rows of `part` derived from facts the body node
-    /// inserted after `since` — the watermark of the last answer the
-    /// requester **durably** processed (empty = never answered, which
-    /// degenerates to the full extension). This reuses the delta-wave
-    /// watermark machinery, so recovery never re-propagates the world.
-    ResyncRequest {
-        /// The newest session in the requester's durable answer log: the
-        /// tag repair traffic is attributed to and logged under. The repaired
-        /// rows flow into the requester's per-peer fragment state.
-        session: SessionId,
-        /// The rule whose fragment is being reconciled.
-        rule: RuleId,
-        /// The fragment to evaluate.
-        part: BodyPart,
-        /// The requester's last durable watermark of the answerer's
-        /// database.
-        since: BTreeMap<Arc<str>, usize>,
-    },
-    /// The body node's reply: the delta since the requested watermark (the
-    /// payload's `marks` carry the new watermark, as in every answer).
-    ResyncAnswer {
-        /// The tag of the request, echoed.
-        session: SessionId,
-        /// The rule being reconciled.
-        rule: RuleId,
-        /// The missed rows.
-        rows: AnswerRows,
     },
     /// Driver command: resume a stalled rounds-mode session at `round`
     /// after churn broke a wave (a crashed peer cannot echo, so the echo
@@ -373,38 +402,44 @@ pub enum ProtocolMsg {
 
 impl ProtocolMsg {
     /// True iff the message belongs to an eager update's diffusing
-    /// computation and must be tracked by Dijkstra–Scholten. Resync
-    /// traffic is deliberately control-plane: it flows outside any
-    /// session's detector (a restarted peer has no Dijkstra–Scholten
-    /// state), and the driver's post-stall re-drive is what re-certifies
-    /// closure. An acking answer (`Answer { acks: true }`) is not basic
-    /// either: it is the acknowledgement of a basic message.
+    /// computation and must be tracked by Dijkstra–Scholten. Rounds and
+    /// repair traffic are not: a repair deliberately flows outside any
+    /// session's detector (a restarted peer has no Dijkstra–Scholten state),
+    /// and the driver's post-stall re-drive is what re-certifies closure. An
+    /// acking answer (`Answer { acks: true }`) is not basic either: it is the
+    /// acknowledgement of a basic message.
     pub fn is_basic(&self) -> bool {
-        matches!(
-            self,
+        match self {
+            ProtocolMsg::Query(q) => q.via == Via::Session,
+            ProtocolMsg::Answer(a) => a.via == Via::Session && !a.acks,
             ProtocolMsg::UpdateFlood { .. }
-                | ProtocolMsg::Query { .. }
-                | ProtocolMsg::Answer { acks: false, .. }
-                | ProtocolMsg::Unsubscribe { .. }
-                | ProtocolMsg::CursorVoid { .. }
-                | ProtocolMsg::AddRule { .. }
-                | ProtocolMsg::DeleteRule { .. }
-        )
+            | ProtocolMsg::Unsubscribe { .. }
+            | ProtocolMsg::CursorVoid { .. }
+            | ProtocolMsg::AddRule { .. }
+            | ProtocolMsg::DeleteRule { .. } => true,
+            _ => false,
+        }
     }
 
     /// True iff the message is an `Answer` that also acknowledges the
     /// `Query` it replies to.
     pub(crate) fn acks_query(&self) -> bool {
-        matches!(self, ProtocolMsg::Answer { acks: true, .. })
+        matches!(self, ProtocolMsg::Answer(a) if a.acks)
     }
 
-    /// The rows an answer of either update mode or a resync answer carries.
+    /// The exchange a query or an answer belongs to.
+    pub fn via(&self) -> Option<Via> {
+        match self {
+            ProtocolMsg::Query(q) => Some(q.via),
+            ProtocolMsg::Answer(a) => Some(a.via),
+            _ => None,
+        }
+    }
+
+    /// The rows an answer carries.
     pub fn answer_rows(&self) -> Option<&AnswerRows> {
         match self {
-            ProtocolMsg::Answer { rows, .. }
-            | ProtocolMsg::WaveAnswer { rows, .. }
-            | ProtocolMsg::WaveAnswerDelta { rows, .. }
-            | ProtocolMsg::ResyncAnswer { rows, .. } => Some(rows),
+            ProtocolMsg::Answer(a) => Some(&a.rows),
             _ => None,
         }
     }
@@ -414,23 +449,18 @@ impl ProtocolMsg {
     /// peer; the rest is session-less control or discovery traffic.
     pub fn session(&self) -> Option<SessionId> {
         match self {
-            ProtocolMsg::StartUpdate { session }
+            ProtocolMsg::Query(Query { session, .. })
+            | ProtocolMsg::Answer(Answer { session, .. })
+            | ProtocolMsg::StartUpdate { session }
             | ProtocolMsg::StartScopedUpdate { session }
             | ProtocolMsg::UpdateFlood { session }
-            | ProtocolMsg::Query { session, .. }
-            | ProtocolMsg::Answer { session, .. }
             | ProtocolMsg::Unsubscribe { session, .. }
             | ProtocolMsg::CursorVoid { session }
             | ProtocolMsg::Fixpoint { session, .. }
             | ProtocolMsg::Ack { session }
             | ProtocolMsg::RoundStart { session, .. }
             | ProtocolMsg::RoundEcho { session, .. }
-            | ProtocolMsg::WaveQuery { session, .. }
-            | ProtocolMsg::WaveAnswer { session, .. }
-            | ProtocolMsg::WaveAnswerDelta { session, .. }
             | ProtocolMsg::RoundsClosed { session, .. }
-            | ProtocolMsg::ResyncRequest { session, .. }
-            | ProtocolMsg::ResyncAnswer { session, .. }
             | ProtocolMsg::ResumeRounds { session, .. }
             | ProtocolMsg::AddRule { session, .. }
             | ProtocolMsg::DeleteRule { session, .. } => Some(*session),
@@ -476,20 +506,15 @@ impl Wire for ProtocolMsg {
             ProtocolMsg::DiscoveryAnswer { .. } => "processAnswer",
             ProtocolMsg::DiscoveryClosed => "DiscoveryClosed",
             ProtocolMsg::UpdateFlood { .. } => "UpdateFlood",
-            ProtocolMsg::Query { .. } => "Query",
-            ProtocolMsg::Answer { .. } => "Answer",
+            ProtocolMsg::Query(_) => "Query",
+            ProtocolMsg::Answer(_) => "Answer",
             ProtocolMsg::Unsubscribe { .. } => "Unsubscribe",
             ProtocolMsg::CursorVoid { .. } => "CursorVoid",
             ProtocolMsg::Fixpoint { .. } => "Fixpoint",
             ProtocolMsg::Ack { .. } => "Ack",
             ProtocolMsg::RoundStart { .. } => "RoundStart",
             ProtocolMsg::RoundEcho { .. } => "RoundEcho",
-            ProtocolMsg::WaveQuery { .. } => "WaveQuery",
-            ProtocolMsg::WaveAnswer { .. } => "WaveAnswer",
-            ProtocolMsg::WaveAnswerDelta { .. } => "WaveAnswerDelta",
             ProtocolMsg::RoundsClosed { .. } => "RoundsClosed",
-            ProtocolMsg::ResyncRequest { .. } => "ResyncRequest",
-            ProtocolMsg::ResyncAnswer { .. } => "ResyncAnswer",
             ProtocolMsg::ResumeRounds { .. } => "ResumeRounds",
             ProtocolMsg::AddRule { .. } => "addRule",
             ProtocolMsg::DeleteRule { .. } => "deleteRule",
@@ -523,17 +548,15 @@ mod tests {
         }
         .is_basic());
         assert!(!ProtocolMsg::RequestNodes { owner: NodeId(0) }.is_basic());
-        let answer = |acks| ProtocolMsg::Answer {
-            session: sid(1),
-            rule: RuleId(0),
-            rows: AnswerRows::default(),
-            complete: false,
-            reopen: false,
-            pushed: false,
-            acks,
+        let answer = |acks, via| {
+            let plain = Answer::new(sid(1), RuleId(0), AnswerRows::default(), via);
+            ProtocolMsg::Answer(Answer { acks, ..plain })
         };
-        assert!(answer(false).is_basic() && !answer(false).acks_query());
-        assert!(!answer(true).is_basic() && answer(true).acks_query());
+        assert!(answer(false, Via::Session).is_basic());
+        assert!(!answer(false, Via::Session).acks_query());
+        assert!(!answer(true, Via::Session).is_basic() && answer(true, Via::Session).acks_query());
+        // Rounds and repair traffic stay outside Dijkstra–Scholten.
+        assert!(!answer(false, Via::Round(1)).is_basic() && !answer(false, Via::Repair).is_basic());
         assert!(!ProtocolMsg::RoundStart {
             session: sid(1),
             round: 1
@@ -568,86 +591,52 @@ mod tests {
 
     #[test]
     fn answer_size_scales_with_rows() {
-        let empty = ProtocolMsg::Answer {
-            session: sid(1),
-            rule: RuleId(0),
-            rows: AnswerRows::default(),
-            complete: false,
-            reopen: false,
-            pushed: false,
-            acks: false,
-        };
-        let full = ProtocolMsg::Answer {
-            session: sid(1),
-            rule: RuleId(0),
-            rows: AnswerRows {
-                vars: vec![Arc::from("X")],
-                rows: (0..10).map(|i| Tuple::new(vec![Val::Int(i)])).collect(),
-                null_depths: vec![],
-                marks: BTreeMap::new(),
-                dict: vec![],
-            },
-            complete: false,
-            reopen: false,
-            pushed: false,
-            acks: false,
-        };
+        let answer = |rows| ProtocolMsg::Answer(Answer::new(sid(1), RuleId(0), rows, Via::Session));
+        let empty = answer(AnswerRows::default());
+        let full = answer(AnswerRows {
+            vars: vec![Arc::from("X")],
+            rows: (0..10).map(|i| Tuple::new(vec![Val::Int(i)])).collect(),
+            ..AnswerRows::default()
+        });
         assert!(full.wire_size() > empty.wire_size() + 80);
     }
 
     #[test]
     fn wire_size_is_the_exact_encoded_length() {
-        let msg = ProtocolMsg::Answer {
-            session: sid(3),
-            rule: RuleId(1),
-            rows: AnswerRows {
-                vars: vec![Arc::from("X")],
-                rows: vec![Tuple::new(vec![Val::str("wire-exact")])],
-                null_depths: vec![(NullId::new(1, 2), 3)],
-                marks: BTreeMap::new(),
-                dict: vec![(
-                    Val::str("wire-exact").as_sym().unwrap(),
-                    Arc::from("wire-exact"),
-                )],
-            },
-            complete: true,
-            reopen: false,
-            pushed: false,
-            acks: false,
+        let rows = AnswerRows {
+            vars: vec![Arc::from("X")],
+            rows: vec![Tuple::new(vec![Val::str("wire-exact")])],
+            null_depths: vec![(NullId::new(1, 2), 3)],
+            marks: BTreeMap::new(),
+            dict: vec![(
+                Val::str("wire-exact").as_sym().unwrap(),
+                Arc::from("wire-exact"),
+            )],
         };
+        let msg = ProtocolMsg::Answer(Answer {
+            complete: true,
+            ..Answer::new(sid(3), RuleId(1), rows, Via::Repair)
+        });
         assert_eq!(msg.wire_size(), serde_json::to_string(&msg).unwrap().len());
     }
 
     #[test]
     fn dict_strings_cost_bytes_once_rows_cost_ids() {
         let row = || Tuple::new(vec![Val::str("a-rather-long-shared-constant")]);
-        let with_dict = ProtocolMsg::WaveAnswer {
-            session: sid(1),
-            round: 1,
-            rule: RuleId(0),
-            rows: AnswerRows {
+        let answer = |dict| {
+            let rows = AnswerRows {
                 vars: vec![Arc::from("X")],
                 rows: vec![row()],
-                null_depths: vec![],
-                marks: BTreeMap::new(),
-                dict: vec![(
-                    row().0[0].as_sym().unwrap(),
-                    Arc::from("a-rather-long-shared-constant"),
-                )],
-            },
+                dict,
+                ..AnswerRows::default()
+            };
+            ProtocolMsg::Answer(Answer::new(sid(1), RuleId(0), rows, Via::Round(1)))
         };
-        let without_dict = ProtocolMsg::WaveAnswer {
-            session: sid(1),
-            round: 1,
-            rule: RuleId(0),
-            rows: AnswerRows {
-                vars: vec![Arc::from("X")],
-                rows: vec![row()],
-                null_depths: vec![],
-                marks: BTreeMap::new(),
-                dict: vec![],
-            },
-        };
+        let with_dict = answer(vec![(
+            row().0[0].as_sym().unwrap(),
+            Arc::from("a-rather-long-shared-constant"),
+        )]);
+        let without_dict = answer(vec![]);
         // First use pays the string; later rows carry only the 4-byte id.
         assert!(with_dict.wire_size() > without_dict.wire_size() + 29);
     }

@@ -61,27 +61,27 @@
 //! have — owes its pipe neighbours the cursor-void notice.
 //!
 //! **As a head** it primes `DbPeer::fragments` from the recovered fragment
-//! marks — whatever sessions carried the answers — and sends one
-//! [`crate::messages::ProtocolMsg::ResyncRequest`] per rule fragment,
-//! carrying the newest durably-processed watermark of that fragment's body
-//! node. The body node answers with a delta evaluation — the same machinery
-//! as the delta waves — so only facts inserted there *since the crash
-//! horizon* are re-shipped, never the full extension (completeness of
-//! recovery, at delta cost). Under the default protocol it evaluates from
-//! the per-relation minimum of that claim and its own committed cursor
-//! (`DbPeer::on_resync_request` says why the claim alone may overshoot),
-//! leaves the cursor where it is, and the head holds the fragment again
-//! once it has absorbed the answer: no query follows. FIFO pipes make the
-//! rest sound: if the peer durably logged an answer with watermark `W`, it
-//! had processed every earlier answer of that subscription that reached
-//! it, and every subscription started from the full extension or from a
-//! cursor an earlier logged session committed, so everything it can
-//! possibly be missing is derivable from facts past the smaller of `W` and
-//! the cursor. This holds under both update modes, since a rounds session
-//! commits its cursors at `RoundsClosed` as an eager one does at
-//! `Fixpoint`. Under `paper_faithful` nothing outlives a session, every
-//! session re-ships what it needs, and the request is answered from the
-//! claim as it always was.
+//! marks — whatever sessions carried the answers — and sends one repair
+//! query per rule fragment: a `Query` on [`Via::Repair`], starting
+//! [`Start::Since`] the newest durably-processed watermark of that
+//! fragment's body node. The body node answers with a delta evaluation, so
+//! only facts inserted there *since the crash horizon* are re-shipped, never
+//! the full extension (completeness of recovery, at delta cost). Under the
+//! default protocol it evaluates from the per-relation minimum of that claim
+//! and its own committed cursor (`DbPeer::eval_from` says why the claim
+//! alone may overshoot), leaves the cursor where it is, and the head holds
+//! the fragment again once it has absorbed the answer — through the chase
+//! and the WAL, like any answer, so a crash *during* recovery is recoverable
+//! too: no query follows. FIFO pipes make the rest sound: if the peer
+//! durably logged an answer with watermark `W`, it had processed every
+//! earlier answer of that subscription that reached it, and every
+//! subscription started from the full extension or from a cursor an earlier
+//! logged session committed, so everything it can possibly be missing is
+//! derivable from facts past the smaller of `W` and the cursor. This holds
+//! under both update modes, since a rounds session commits its cursors at
+//! `RoundsClosed` as an eager one does at `Fixpoint`. Under `paper_faithful`
+//! nothing outlives a session, every session re-ships what it needs, and the
+//! repair is answered from the claim as it always was.
 //!
 //! Liveness after a mid-wave crash is the driver's job: a crashed peer
 //! cannot echo, so the wave stalls and the simulator quiesces unclosed;
@@ -89,7 +89,7 @@
 //! session (a fresh round of the same session for rounds mode, a fresh
 //! session-tagged epoch for eager mode) until closure is re-certified.
 
-use crate::messages::{AnswerRows, ProtocolMsg};
+use crate::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use crate::peer::{Cursor, DbPeer, Marks, SeededFault};
 use crate::rule::{BodyPart, RuleId};
 use p2p_net::{Context, SessionId};
@@ -436,172 +436,71 @@ impl DbPeer {
             self.seed_fault(SeededFault::CursorsToNow);
         }
 
-        // Watermark-based resync (control plane, outside any session's
-        // termination detector). Each request is tracked in
+        // Watermark-based repair (control plane, outside any session's
+        // termination detector). Each query is tracked in
         // `pending_resync` until its answer arrives: the peer refuses to
         // close while any is outstanding and re-sends on every session
         // (re-)entry, so a dropped resync message stalls the session (which
         // the driver re-drives) instead of silently losing the missed rows
         // forever. A fragment never durably answered is asked from the
         // empty watermark.
-        let rules: Vec<_> = self.rules.values().cloned().collect();
-        for rule in &rules {
+        for rule in self.rules.values() {
             for part in &rule.parts {
                 if fault == Some(SeededFault::HoldWithoutResync) {
                     self.held.insert((rule.id, part.node));
                     continue;
                 }
                 let since = cursors.remove(&(rule.id, part.node)).unwrap_or_default();
-                self.pending_resync
-                    .insert((tag, rule.id, part.node), since.clone());
-                ctx.send(
-                    part.node,
-                    ProtocolMsg::ResyncRequest {
-                        session: tag,
-                        rule: rule.id,
-                        part: part.clone(),
-                        since,
-                    },
-                );
+                self.pending_resync.insert((tag, rule.id, part.node), since);
             }
         }
+        self.resend_pending_resyncs(ctx);
     }
 
-    /// Re-sends every outstanding resync request (at-least-once delivery;
-    /// both ends are idempotent — the answerer just delta-evaluates again,
-    /// the requester's cache merge deduplicates). Called when the peer
-    /// (re-)enters an update session, which is exactly when the driver's
-    /// re-drive gives lost resync traffic another chance.
+    /// Sends every outstanding repair query — at a restart, and again
+    /// (at-least-once delivery; both ends are idempotent — the answerer just
+    /// delta-evaluates again, the requester's cache merge deduplicates)
+    /// whenever the peer (re-)enters an update session, which is exactly
+    /// when the driver's re-drive gives lost repair traffic another chance.
     pub(crate) fn resend_pending_resyncs(&mut self, ctx: &mut Context<ProtocolMsg>) {
-        if self.pending_resync.is_empty() {
-            return;
-        }
-        let pending: Vec<((SessionId, RuleId, NodeId), Marks)> = self
-            .pending_resync
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        for ((sid, rule, node), since) in pending {
-            let part = self
-                .rules
-                .get(&rule)
+        for ((sid, rule, node), since) in std::mem::take(&mut self.pending_resync) {
+            let part = (self.rules.get(&rule))
                 .and_then(|r| r.parts.iter().find(|p| p.node == node).cloned());
-            match part {
-                Some(part) => ctx.send(
-                    node,
-                    ProtocolMsg::ResyncRequest {
-                        session: sid,
-                        rule,
-                        part,
-                        since,
-                    },
-                ),
-                // The rule (or this fragment) is gone — nothing left to
-                // reconcile.
-                None => {
-                    self.pending_resync.remove(&(sid, rule, node));
-                }
+            // The rule (or this fragment) gone, nothing is left to reconcile.
+            if let Some(part) = part {
+                let query = Query::new(sid, rule, part, Start::Since(since.clone()), Via::Repair);
+                ctx.send(node, ProtocolMsg::Query(query));
+                self.pending_resync.insert((sid, rule, node), since);
             }
         }
     }
 
-    /// Body-node side of resync: evaluate the fragment's delta past what
-    /// the requester durably holds and ship it — of this one fragment, never
-    /// of the network. Answered regardless of what this node holds for the
-    /// session: repair is control-plane data movement.
-    ///
-    /// Where subscriptions outlive sessions (not under `paper_faithful`) the
-    /// requester's claim is not taken at its word: it logs a mark when an
-    /// answer *arrives*, so an earlier answer that was dropped, then a
-    /// crash, leave a mark beyond rows it never saw — while this node's
-    /// cursor was committed behind the session's terminal broadcast, when
-    /// every answer up to it had been applied and logged.
-    /// The delta starts from the per-relation minimum of the two, the
-    /// cursor stays where it is, and the requester holds the fragment again
-    /// once it has absorbed the answer: the next session ships
-    /// `(cursor, now]`. Without a cursor for this very fragment the answer
-    /// is the full extension, and a zero cursor is left behind for the
-    /// subscription that answer starts (as `DbPeer::open_subscription`
-    /// does).
-    ///
-    /// Under `paper_faithful` nothing outlives a session but the requester's
-    /// marks: an empty `since` degenerates to the full extension, and every
-    /// subscription this node holds for the requester in a live session is
-    /// dropped, so the next cascade answer is the full extension rather
-    /// than a delta the restarted requester has nothing to join to.
-    pub(crate) fn on_resync_request(
+    /// Body-node side of a repair: the fragment's rows past where the
+    /// query starts ([`DbPeer::eval_from`]: the requester's claim, or this
+    /// node's cursor where that lies behind it) — of this one fragment,
+    /// never of the network. Answered regardless of what this node holds
+    /// for the session: repair is control-plane data movement. Under
+    /// `paper_faithful` every subscription this node holds for the requester
+    /// in a live session is dropped, so the next cascade answer is the full
+    /// extension rather than a delta the restarted requester has nothing to
+    /// join to.
+    pub(crate) fn answer_repair(
         &mut self,
-        from: NodeId,
         sid: SessionId,
-        rule: RuleId,
-        part: BodyPart,
-        since: BTreeMap<Arc<str>, usize>,
+        to: NodeId,
+        query: Query,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.add_pipe(from);
-        let part = Arc::new(part);
-        let rows = if self.config.paper_faithful {
+        if self.config.paper_faithful {
             for st in self.sessions.values_mut() {
-                st.subs.remove(&(from, rule));
-            }
-            self.eval_part_local(rule, &part, Some(&since), ctx)
-        } else if let Some(cursor) = (self.cursors.get(&(from, rule))).filter(|c| c.part == part) {
-            let held: Marks = (since.into_iter())
-                .map(|(relation, w)| {
-                    let committed = cursor.watermarks.get(&relation).copied().unwrap_or(0);
-                    (relation, w.min(committed))
-                })
-                .collect();
-            self.eval_part_local(rule, &part, Some(&held), ctx)
-        } else {
-            self.set_cursor((from, rule), Cursor::zero(part.clone()), true);
-            self.eval_part_local(rule, &part, None, ctx)
-        };
-        let payload = self.make_answer_rows(from, &part, rows);
-        ctx.send(
-            from,
-            ProtocolMsg::ResyncAnswer {
-                session: sid,
-                rule,
-                rows: payload,
-            },
-        );
-    }
-
-    /// Requester side of resync: absorb the answer like any fragment answer
-    /// — merged into the retained extension and joined semi-naively against
-    /// the primed other fragments — so the repair's derivations land even
-    /// without a driver re-drive, then log it. Insertions go through the
-    /// standard chase (and hence the WAL), so a crash *during* recovery is
-    /// itself recoverable. With the answer absorbed the peer holds the
-    /// fragment up to the body node's present, which is at or past the
-    /// cursor the body node kept: where subscriptions outlive sessions (not
-    /// under `paper_faithful`) it is `held` again. An answer nobody is
-    /// waiting for — a duplicate, or the rule changed since — is dropped.
-    pub(crate) fn on_resync_answer(
-        &mut self,
-        sid: SessionId,
-        from: NodeId,
-        rule: RuleId,
-        mut rows: AnswerRows,
-    ) {
-        if self.pending_resync.remove(&(sid, rule, from)).is_none() {
-            return;
-        }
-        self.stats.resync_rows += rows.rows.len() as u64;
-        self.absorb_dict(from, &mut rows);
-        self.absorb_null_depths(&rows);
-        if self.absorb_fragment(rule, from, &rows.vars, &rows.rows) > 0 {
-            // A wave that is under way here must not certify a clean round
-            // over facts its earlier answers did not carry.
-            for st in self.sessions.values_mut() {
-                st.rnd.dirty_self |= st.rnd.active;
+                st.subs.remove(&(to, query.rule));
             }
         }
-        self.log_answer_mark(sid, rule, from, rows);
-        if !self.config.paper_faithful {
-            self.held.insert((rule, from));
-        }
+        let part = Arc::new(query.part);
+        let (rows, _) = self.eval_from((to, query.rule), &part, &query.from, ctx);
+        let rows = self.make_answer_rows(to, &part, rows);
+        let answer = Answer::new(sid, query.rule, rows, Via::Repair);
+        ctx.send(to, ProtocolMsg::Answer(answer));
     }
 }
 
@@ -731,8 +630,14 @@ mod tests {
         // fallback tag and an empty cursor.
         let out = ctx.take_outgoing();
         assert_eq!(out.len(), 1);
-        let ProtocolMsg::ResyncRequest { session, since, .. } = &*out[0].msg else {
-            panic!("expected a resync request, got {:?}", out[0].msg);
+        let ProtocolMsg::Query(Query {
+            session,
+            from: Start::Since(since),
+            via: Via::Repair,
+            ..
+        }) = &*out[0].msg
+        else {
+            panic!("expected a repair query, got {:?}", out[0].msg);
         };
         assert_eq!(*session, SessionId::default());
         assert!(since.is_empty());
@@ -742,20 +647,14 @@ mod tests {
         marks.insert(Arc::<str>::from("b"), 1usize);
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
         use p2p_net::Peer as _;
-        peer.on_message(
-            NodeId(1),
-            ProtocolMsg::ResyncAnswer {
-                session: SessionId::default(),
-                rule: rule_id,
-                rows: AnswerRows {
-                    vars: rule.parts[0].vars.clone(),
-                    rows: vec![Tuple::new(vec![Val::Int(7)])],
-                    marks,
-                    ..Default::default()
-                },
-            },
-            &mut ctx,
-        );
+        let rows = AnswerRows {
+            vars: rule.parts[0].vars.clone(),
+            rows: vec![Tuple::new(vec![Val::Int(7)])],
+            marks,
+            ..Default::default()
+        };
+        let answer = Answer::new(SessionId::default(), rule_id, rows, Via::Repair);
+        peer.on_message(NodeId(1), ProtocolMsg::Answer(answer), &mut ctx);
         assert!(
             peer.database()
                 .relation("a")
@@ -819,8 +718,14 @@ mod tests {
         );
         let out = ctx.take_outgoing();
         assert_eq!(out.len(), 2, "one request per fragment, not per session");
-        let ProtocolMsg::ResyncRequest { session, since, .. } = &*out[0].msg else {
-            panic!("expected a resync request, got {:?}", out[0].msg);
+        let ProtocolMsg::Query(Query {
+            session,
+            from: Start::Since(since),
+            via: Via::Repair,
+            ..
+        }) = &*out[0].msg
+        else {
+            panic!("expected a repair query, got {:?}", out[0].msg);
         };
         assert_eq!(*session, s2, "tagged with the newest logged session");
         assert_eq!(since[&Arc::<str>::from("b")], 2);
@@ -864,8 +769,13 @@ mod tests {
         peer.restart_and_resync(&mut ctx);
         assert_eq!(peer.retained_rows(), 0, "nothing of the old fragment");
         for out in ctx.take_outgoing() {
-            let ProtocolMsg::ResyncRequest { since, .. } = &*out.msg else {
-                panic!("expected a resync request, got {:?}", out.msg);
+            let ProtocolMsg::Query(Query {
+                from: Start::Since(since),
+                via: Via::Repair,
+                ..
+            }) = &*out.msg
+            else {
+                panic!("expected a repair query, got {:?}", out.msg);
             };
             assert!(since.is_empty(), "asked since {since:?}");
         }
@@ -935,14 +845,18 @@ mod tests {
             crate::rule::CoordinationRule::parse("r", "B:b(X) => A:a(X)", None, &resolve).unwrap();
         let (head, session) = (NodeId(0), SessionId::new(NodeId(0), 1));
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
-        let query = ProtocolMsg::Query {
+        let query = Query::new(
             session,
-            rule: rule.id,
-            part: rule.parts[0].clone(),
+            rule.id,
+            rule.parts[0].clone(),
+            Start::Fresh,
+            Via::Session,
+        );
+        let query = Query {
             sn: vec![head],
-            resume: false,
+            ..query
         };
-        peer.on_message(head, query, &mut ctx);
+        peer.on_message(head, ProtocolMsg::Query(query), &mut ctx);
         peer.on_message(head, ProtocolMsg::Ack { session }, &mut ctx);
         let generation = 1;
         peer.on_message(

@@ -40,8 +40,8 @@
 //! because Dijkstra–Scholten guarantees no session traffic is still in
 //! flight at termination.
 
-use crate::messages::ProtocolMsg;
-use crate::peer::{DbPeer, Marks, SessionState};
+use crate::messages::{Answer, AnswerRows, Marks, ProtocolMsg, Query, Start, Via};
+use crate::peer::{DbPeer, SessionState};
 use crate::rule::{BodyPart, RuleId};
 use crate::stats::ClosedBy;
 use p2p_net::{Context, SessionId};
@@ -150,7 +150,7 @@ impl DbPeer {
         }
         let rules: Vec<_> = self.rules.values().cloned().collect();
         self.issue_queries(st, sid, &rules, ctx, sn_base, by_flood);
-        // Crash recovery: give any still-unanswered resync request another
+        // Crash recovery: give any still-unanswered repair query another
         // chance with the new session (at-least-once; see `durability`).
         self.resend_pending_resyncs(ctx);
         true
@@ -194,42 +194,31 @@ impl DbPeer {
                     },
                 );
                 if queried {
-                    self.send_query(st, sid, rule.id, part.clone(), sn.clone(), held, ctx);
+                    let from = if held { Start::Resume } else { Start::Fresh };
+                    let query = Query::new(sid, rule.id, part.clone(), from, Via::Session);
+                    let sn = sn.clone();
+                    self.send_query(st, ctx, Query { sn, ..query });
                 }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_query(
+    /// Sends a query of this peer's, of either update mode, to its body
+    /// node.
+    pub(crate) fn send_query(
         &mut self,
         st: &mut SessionState,
-        sid: SessionId,
-        rule: RuleId,
-        part: BodyPart,
-        sn: Vec<NodeId>,
-        resume: bool,
         ctx: &mut Context<ProtocolMsg>,
+        query: Query,
     ) {
         self.stats.queries_sent += 1;
-        self.send_basic(
-            st,
-            ctx,
-            part.node,
-            ProtocolMsg::Query {
-                session: sid,
-                rule,
-                part,
-                sn,
-                resume,
-            },
-        );
+        self.send(st, ctx, query.part.node, ProtocolMsg::Query(query));
     }
 
-    /// Queries afresh (`resume = false`) the fragment `(rule, node)` this
-    /// session registered without querying: the peer turned out not to hold
-    /// it. A fragment already queried, or one the session does not listen
-    /// to, is left alone.
+    /// Queries afresh the fragment `(rule, node)` this session registered
+    /// without querying: the peer turned out not to hold it. A fragment
+    /// already queried, or one the session does not listen to, is left
+    /// alone.
     fn requery_unheld(
         &mut self,
         st: &mut SessionState,
@@ -247,7 +236,9 @@ impl DbPeer {
             .get(&rule)
             .and_then(|r| r.parts.iter().find(|p| p.node == node).cloned());
         if let Some(part) = part {
-            self.send_query(st, sid, rule, part, vec![self.id], false, ctx);
+            let query = Query::new(sid, rule, part, Start::Fresh, Via::Session);
+            let sn = vec![self.id];
+            self.send_query(st, ctx, Query { sn, ..query });
         }
     }
 
@@ -298,10 +289,11 @@ impl DbPeer {
             .collect();
         for (to, rule) in unopened {
             let part = self.cursors[&(to, rule)].part.clone();
-            let (mut sub, rows) = self.open_subscription(to, rule, part, true, ctx);
+            let (mut sub, rows) = self.open_subscription(to, rule, part, &Start::Resume, ctx);
             sub.standing = true;
             if !rows.is_empty() {
-                self.send_answer(st, sid, to, rule, &sub, rows, false, ctx);
+                let answer = Answer::new(sid, rule, AnswerRows::default(), Via::Session);
+                self.send_answer(st, ctx, to, &sub, rows, answer);
             }
             st.subs.insert((to, rule), sub);
         }
@@ -329,47 +321,18 @@ impl DbPeer {
     }
 
     /// Opens the subscription of `(to, rule)` for one session — the one
-    /// path every subscription starts on: from the committed cursor when
-    /// `resume` and the cursor is for this very fragment, otherwise from the
-    /// fragment's full extension, voiding the cursor. Returns the
-    /// subscription and the rows to ship first.
+    /// path every subscription starts on — from where `from` says
+    /// ([`DbPeer::eval_from`]). Returns the subscription and the rows to
+    /// ship first.
     pub(crate) fn open_subscription(
         &mut self,
         to: NodeId,
         rule: RuleId,
         part: Arc<BodyPart>,
-        resume: bool,
+        from: &Start,
         ctx: &mut Context<ProtocolMsg>,
     ) -> (Subscription, Vec<Tuple>) {
-        let key = (to, rule);
-        let since = match self.cursors.get(&key) {
-            Some(cursor) if resume && cursor.part == part => {
-                Some((cursor.watermarks.clone(), cursor.rows))
-            }
-            _ => None,
-        };
-        let (rows, resumed_rows) = match &since {
-            Some((watermarks, shipped)) => {
-                self.stats.resumed_answers += 1;
-                self.stats.rows_saved += *shipped as u64;
-                let rows = self.eval_part_local(rule, &part, Some(watermarks), ctx);
-                (rows, *shipped)
-            }
-            None => {
-                // The subscriber holds nothing (any more), or asks for
-                // another fragment: the cursor goes back to zero. It is
-                // not removed — the subscriber may come to hold the
-                // fragment through a session whose retirement this peer
-                // misses (a lost broadcast), and must then still find a
-                // standing subscription here, however far back it starts.
-                // Logged before the answer leaves: what the subscriber comes
-                // to hold must find a cursor in this peer's store too.
-                if !self.config.paper_faithful {
-                    self.set_cursor(key, crate::peer::Cursor::zero(part.clone()), true);
-                }
-                (self.eval_part_local(rule, &part, None, ctx), 0)
-            }
-        };
+        let (rows, resumed_rows) = self.eval_from((to, rule), &part, from, ctx);
         let mut sent = RowSet::with_capacity(part.vars.len(), rows.len());
         sent.extend(rows.iter().map(|t| &t.0[..]));
         let sub = Subscription {
@@ -381,6 +344,57 @@ impl DbPeer {
             part,
         };
         (sub, rows)
+    }
+
+    /// Evaluates `part` for `(to, rule)` from where a query starts — the one
+    /// start-point rule of every query, of either mode and of a repair.
+    /// Returns the rows and how many the asker held already.
+    ///
+    /// * `Resume` starts from the cursor committed for this very fragment.
+    /// * `Since(claim)` starts from the per-relation minimum of the claim and
+    ///   that cursor, which stays where it is: a claim is the mark of the
+    ///   last answer that *arrived*, and lies beyond rows an earlier,
+    ///   dropped answer carried, while the cursor was committed when every
+    ///   answer up to it had been applied. Under `paper_faithful`, where no
+    ///   cursor is kept, from the claim.
+    /// * Without such a cursor, both start as `Fresh` does: from the full
+    ///   extension, the cursor back at zero — not removed, so that a
+    ///   subscriber who comes to hold the fragment through a session whose
+    ///   retirement this peer misses still finds a standing subscription,
+    ///   and logged before the answer leaves.
+    pub(crate) fn eval_from(
+        &mut self,
+        key: (NodeId, RuleId),
+        part: &Arc<BodyPart>,
+        from: &Start,
+        ctx: &mut Context<ProtocolMsg>,
+    ) -> (Vec<Tuple>, usize) {
+        let faithful = self.config.paper_faithful;
+        let cursor = self.cursors.get(&key).filter(|c| c.part == *part);
+        let start = match (from, cursor) {
+            (Start::Since(claim), _) if faithful => Some((claim.clone(), 0)),
+            (Start::Resume, Some(cursor)) => {
+                self.stats.resumed_answers += 1;
+                self.stats.rows_saved += cursor.rows as u64;
+                Some((cursor.watermarks.clone(), cursor.rows))
+            }
+            (Start::Since(claim), Some(cursor)) => {
+                let held: Marks = (claim.iter())
+                    .map(|(relation, w)| {
+                        let committed = cursor.watermarks.get(relation).copied().unwrap_or(0);
+                        (relation.clone(), (*w).min(committed))
+                    })
+                    .collect();
+                Some((held, 0))
+            }
+            _ => None,
+        };
+        if start.is_none() && !faithful {
+            self.set_cursor(key, crate::peer::Cursor::zero(part.clone()), true);
+        }
+        let since = start.as_ref().map(|(marks, _)| marks);
+        let rows = self.eval_part_local(key.1, part, since, ctx);
+        (rows, start.map_or(0, |(_, held)| held))
     }
 
     /// Re-evaluates a subscription's fragment — the delta since its last
@@ -411,121 +425,209 @@ impl DbPeer {
         (rows, unsent)
     }
 
-    /// Ships `rows` on a subscription. A standing subscription marks its
-    /// answers `pushed` and stays out of the completeness flags. `acks`:
-    /// the answer acknowledges the `Query` it replies to, so it is no basic
-    /// message and the session's deficit does not count it.
-    #[allow(clippy::too_many_arguments)]
+    /// Ships `rows` on `sub` as `reply`, which names the answer's session,
+    /// rule, exchange and `acks`. A standing subscription marks its answers
+    /// `pushed`.
     fn send_answer(
         &mut self,
         st: &mut SessionState,
-        sid: SessionId,
+        ctx: &mut Context<ProtocolMsg>,
         to: NodeId,
-        rule: RuleId,
         sub: &Subscription,
         rows: Vec<Tuple>,
-        acks: bool,
-        ctx: &mut Context<ProtocolMsg>,
+        reply: Answer,
     ) {
         self.stats.answers_sent += 1;
-        self.stats.acking_answers += u64::from(acks);
+        self.stats.acking_answers += u64::from(reply.acks);
         self.stats.rows_shipped += rows.len() as u64;
-        let payload = self.make_answer_rows(to, &sub.part, rows);
-        let answer = ProtocolMsg::Answer {
-            session: sid,
-            rule,
-            rows: payload,
+        let rows = self.make_answer_rows(to, &sub.part, rows);
+        let answer = Answer {
+            rows,
             complete: sub.sent_complete,
-            reopen: false,
             pushed: sub.standing,
-            acks,
+            ..reply
         };
-        if acks {
-            ctx.send(to, answer);
-        } else {
-            self.send_basic(st, ctx, to, answer);
-        }
+        self.send(st, ctx, to, ProtocolMsg::Answer(answer));
     }
 
-    /// A4 — `Query(IDs, Q, SN)`. Answers with the fragment's full extension,
-    /// or — when the subscriber says `resume` — with what changed since the
-    /// standing subscription this session already opened for it, or else
-    /// since the committed cursor for this very fragment. `acks`: the
-    /// answer also acknowledges the query (the caller sends no `Ack`).
-    #[allow(clippy::too_many_arguments)]
+    /// A4 — `Query(IDs, Q, SN)`, whichever exchange it belongs to: a repair
+    /// is answered outside every session; a session's query joins it (an
+    /// eager one by A4's forwarding, extending `SN`; a round's by entering
+    /// the round) and is served from the session's subscription, unless its
+    /// round is over here or it must wait at an acyclic node for the node's
+    /// own fragments. `acks`: the answer also acknowledges the query.
     pub(crate) fn on_query(
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
         from: NodeId,
-        rule: RuleId,
-        part: BodyPart,
-        sn: Vec<NodeId>,
-        resume: bool,
+        query: Query,
         acks: bool,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.stats.queries_received += 1;
         self.add_pipe(from);
-        // Joining via a query = A4's forwarding: our own queries extend SN.
-        self.begin_session(st, sid, ctx, &sn, false);
-
-        let key = (from, rule);
-        let standing = match st.subs.remove(&key) {
-            Some(sub) if sub.standing => (resume && *sub.part == part).then_some(sub),
-            Some(_) => {
-                self.stats.duplicate_queries += 1;
-                None
+        match query.via {
+            Via::Repair => return self.answer_repair(sid, from, query, ctx),
+            Via::Session => {
+                self.stats.queries_received += 1;
+                self.begin_session(st, sid, ctx, &query.sn, false);
             }
-            None => None,
-        };
-        let (mut sub, rows) = match standing {
-            // Not re-opened from the cursor: what the subscription pushed
-            // since is on its way to the subscriber already.
-            Some(mut sub) => {
-                let (_, unsent) = self.advance_subscription(rule, &mut sub, ctx);
+            Via::Round(round) => {
+                self.stats.queries_received += 1;
+                self.enter_round(st, sid, round, ctx);
+                if round < st.rnd.round {
+                    return self.answer_stale(sid, from, query, ctx);
+                }
+                if !self.in_cycle && !st.rnd.awaiting.is_empty() {
+                    return st.rnd.deferred.push((from, query));
+                }
+            }
+        }
+        self.answer_query(st, sid, from, query, acks, ctx);
+    }
+
+    /// Serves a session's query, of either mode, from the session's
+    /// subscription of `(to, rule)`: a `Resume` query that finds one open for
+    /// the same fragment advances it (what a standing one pushed is on its
+    /// way already); any other query opens it anew from where it starts.
+    pub(crate) fn answer_query(
+        &mut self,
+        st: &mut SessionState,
+        sid: SessionId,
+        to: NodeId,
+        query: Query,
+        acks: bool,
+        ctx: &mut Context<ProtocolMsg>,
+    ) {
+        let key = (to, query.rule);
+        let (mut sub, rows) = match st.subs.remove(&key) {
+            Some(mut sub) if query.from == Start::Resume && *sub.part == query.part => {
+                let (_, unsent) = self.advance_subscription(query.rule, &mut sub, ctx);
+                if !sub.standing {
+                    // What a full re-ship would have re-sent.
+                    self.stats.delta_answers_sent += 1;
+                    let saved = sub.resumed_rows + sub.sent.len() - unsent.len();
+                    self.stats.rows_saved += saved as u64;
+                }
                 sub.standing = false;
                 (sub, unsent)
             }
-            None => self.open_subscription(from, rule, Arc::new(part), resume, ctx),
+            open => {
+                if open.is_some_and(|sub| !sub.standing) && query.via == Via::Session {
+                    self.stats.duplicate_queries += 1;
+                }
+                let part = Arc::new(query.part);
+                self.open_subscription(to, query.rule, part, &query.from, ctx)
+            }
         };
-        sub.sent_complete = st.upd.closed;
-        self.send_answer(st, sid, from, rule, &sub, rows, acks, ctx);
+        // Completeness is an eager session's flag; a round's answer says none.
+        sub.sent_complete = st.upd.closed && query.via == Via::Session;
+        let reply = Answer::new(sid, query.rule, AnswerRows::default(), query.via);
+        self.send_answer(st, ctx, to, &sub, rows, Answer { acks, ..reply });
         st.subs.insert(key, sub);
     }
 
-    /// A5 — `Answer(ID, QA, SN, state)`.
-    #[allow(clippy::too_many_arguments)]
+    /// A5 — `Answer(ID, QA, SN, state)`, whichever exchange it serves. Every
+    /// answer's rows take one path — dictionary, null depths,
+    /// [`DbPeer::absorb_fragment`], the durable mark — between its exchange's
+    /// own bookkeeping: an eager session's checks and cascade, a round's
+    /// echo accounting, a repair's `pending_resync` and `held` mark.
     pub(crate) fn on_answer(
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
         from: NodeId,
-        rule: RuleId,
-        mut rows: crate::messages::AnswerRows,
-        complete: bool,
-        reopen: bool,
-        pushed: bool,
+        mut answer: Answer,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.stats.answers_received += 1;
+        let (rule, via) = (answer.rule, answer.via);
+        match via {
+            // Nobody is waiting for it — a duplicate, or the rule changed
+            // since.
+            Via::Repair if self.pending_resync.remove(&(sid, rule, from)).is_none() => return,
+            Via::Repair => self.stats.resync_rows += answer.rows.rows.len() as u64,
+            _ => self.stats.answers_received += 1,
+        }
         // The sender counts these symbols as known here from now on,
         // whatever becomes of the rows.
-        self.absorb_dict(from, &mut rows);
-        if pushed && !self.rules.contains_key(&rule) {
+        self.absorb_dict(from, &mut answer.rows);
+        if via == Via::Session && !self.admit_answer(st, sid, from, &answer, ctx) {
+            return;
+        }
+        for (id, depth) in &answer.rows.null_depths {
+            self.chase.record(*id, *depth);
+        }
+        // Durable peers log the processed answer (rows + the answerer's
+        // watermarks — the crash-resync cursor), behind the insertions it
+        // derives.
+        let inserted = self.absorb_fragment(rule, from, &answer.rows.vars, &answer.rows.rows);
+        self.log_answer_mark(sid, rule, from, answer.rows);
+        match via {
+            Via::Session => {
+                if inserted > 0 {
+                    // New local facts: cascade to subscribers (A5's trailing
+                    // `foreach node ∈ π₁(owner)`).
+                    self.reopen_if_closed(st, sid, ctx);
+                    self.push_deltas(st, sid, ctx);
+                }
+                self.maybe_close_by_rules(st, sid, ctx);
+            }
+            Via::Round(round) => {
+                st.rnd.dirty_self |= st.rnd.active && inserted > 0;
+                if !st.rnd.active || round != st.rnd.round || !st.rnd.awaiting.remove(&(rule, from))
+                {
+                    return; // Stale: its rows are in, its round is over.
+                }
+                if st.rnd.awaiting.is_empty() {
+                    // Serve the queries held back.
+                    for (to, query) in std::mem::take(&mut st.rnd.deferred) {
+                        self.answer_query(st, sid, to, query, false, ctx);
+                    }
+                    self.maybe_echo(st, sid, ctx);
+                }
+            }
+            Via::Repair => {
+                if inserted > 0 {
+                    // A wave that is under way here must not certify a clean
+                    // round over facts its earlier answers did not carry.
+                    for st in self.sessions.values_mut() {
+                        st.rnd.dirty_self |= st.rnd.active;
+                    }
+                }
+                // The peer now holds the fragment up to the body node's
+                // present, at or past the cursor the body node kept.
+                if !self.config.paper_faithful {
+                    self.held.insert((rule, from));
+                }
+            }
+        }
+    }
+
+    /// An eager session's checks before an answer's rows are taken in; false
+    /// when they are not.
+    fn admit_answer(
+        &mut self,
+        st: &mut SessionState,
+        sid: SessionId,
+        from: NodeId,
+        answer: &Answer,
+        ctx: &mut Context<ProtocolMsg>,
+    ) -> bool {
+        let rule = answer.rule;
+        if answer.pushed && !self.rules.contains_key(&rule) {
             // A cursor nobody listens to: the rule went away outside any
             // session the body node took part in.
-            self.send_basic(
+            self.send(
                 st,
                 ctx,
                 from,
                 ProtocolMsg::Unsubscribe { session: sid, rule },
             );
-            return;
+            return false;
         }
         if !st.upd.active {
-            if rows.rows.is_empty() {
-                return;
+            if answer.rows.rows.is_empty() {
+                return false;
             }
             // Data arrived for a session this peer is not (or no longer)
             // participating in — the defensive counterpart of the old
@@ -535,7 +637,7 @@ impl DbPeer {
             // session re-quiesces through the normal machinery.
             self.begin_session(st, sid, ctx, &[], false);
         }
-        if pushed && !self.held.contains(&(rule, from)) {
+        if answer.pushed && !self.held.contains(&(rule, from)) {
             // A push continues from what the body node believes this peer
             // holds, and it does not (the rule was replaced, the peer
             // restarted, a notice of the body node's voided the mark): the
@@ -543,33 +645,21 @@ impl DbPeer {
             // this session — the body node commits its cursor past these
             // rows when the session retires.
             self.requery_unheld(st, sid, rule, from, ctx);
-            return;
+            return false;
         }
-        self.absorb_null_depths(&rows);
         let Some(part) = st.parts.get_mut(&(rule, from)) else {
             // The rule was deleted or replaced while the answer was in
             // flight.
-            return;
+            return false;
         };
-        if reopen {
+        if answer.reopen {
             part.complete = false;
             st.upd.suppress_flag_closure = true;
             self.reopen_if_closed(st, sid, ctx);
-        } else if complete {
+        } else if answer.complete {
             part.complete = true;
         }
-        // Durable peers log the processed answer (rows + the answerer's
-        // watermarks — the crash-resync cursor), behind the insertions it
-        // derives.
-        let inserted = self.absorb_fragment(rule, from, &rows.vars, &rows.rows);
-        self.log_answer_mark(sid, rule, from, rows);
-        if inserted > 0 {
-            // New local facts: cascade to subscribers (A5's trailing
-            // `foreach node ∈ π₁(owner)`).
-            self.reopen_if_closed(st, sid, ctx);
-            self.push_deltas(st, sid, ctx);
-        }
-        self.maybe_close_by_rules(st, sid, ctx);
+        true
     }
 
     /// Re-answers subscribers whose fragment result changed.
@@ -607,7 +697,8 @@ impl DbPeer {
                 self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - delta.len()) as u64;
                 delta
             };
-            self.send_answer(st, sid, to, rule, sub, ship, false, ctx);
+            let answer = Answer::new(sid, rule, AnswerRows::default(), Via::Session);
+            self.send_answer(st, ctx, to, sub, ship, answer);
         }
         st.subs = subs;
     }
@@ -683,20 +774,12 @@ impl DbPeer {
                 continue;
             }
             self.stats.answers_sent += 1;
-            self.send_basic(
-                st,
-                ctx,
-                key.0,
-                ProtocolMsg::Answer {
-                    session: sid,
-                    rule: key.1,
-                    rows: Default::default(),
-                    complete: false,
-                    reopen: true,
-                    pushed: false,
-                    acks: false,
-                },
-            );
+            let answer = Answer::new(sid, key.1, AnswerRows::default(), Via::Session);
+            let reopen = ProtocolMsg::Answer(Answer {
+                reopen: true,
+                ..answer
+            });
+            self.send(st, ctx, key.0, reopen);
         }
     }
 
@@ -778,7 +861,6 @@ impl DbPeer {
         rule: crate::rule::CoordinationRule,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        let parts: Vec<BodyPart> = rule.parts.clone();
         let rule_id = rule.id;
         self.install_rule(rule);
         // As `forget_rule` does for the sessions in the table (this one is
@@ -797,17 +879,10 @@ impl DbPeer {
         }
         st.upd.suppress_flag_closure = true;
         self.reopen_if_closed(st, sid, ctx);
-        for part in parts {
-            st.parts.insert(
-                (rule_id, part.node),
-                Part {
-                    complete: false,
-                    queried: true,
-                },
-            );
-            // `install_rule` dropped whatever the id held before.
-            self.send_query(st, sid, rule_id, part, vec![self.id], false, ctx);
-        }
+        // `install_rule` dropped whatever the id held before: every fragment
+        // is queried afresh.
+        let rule = self.rules[&rule_id].clone();
+        self.issue_queries(st, sid, &[rule], ctx, &[], false);
     }
 
     /// `deleteRule` notification (dynamic change, Section 4). Previously
@@ -828,15 +903,11 @@ impl DbPeer {
             st.upd.suppress_flag_closure = true;
             for part in &rule.parts {
                 st.parts.remove(&(rule_id, part.node));
-                self.send_basic(
-                    st,
-                    ctx,
-                    part.node,
-                    ProtocolMsg::Unsubscribe {
-                        session: sid,
-                        rule: rule_id,
-                    },
-                );
+                let unsubscribe = ProtocolMsg::Unsubscribe {
+                    session: sid,
+                    rule: rule_id,
+                };
+                self.send(st, ctx, part.node, unsubscribe);
             }
             self.maybe_close_by_rules(st, sid, ctx);
         }

@@ -66,10 +66,16 @@
 //! and an answer with nothing new changes nothing, so not sending it is
 //! sound too, provided silence is never ambiguous.
 //!
-//! A rounds session asks every fragment every round — the wave is its
-//! schedule — with `WaveQuery { resume }`, and a body node answers it from
-//! the same subscription a `Query { resume }` opens; everything below about
-//! standing subscriptions, notices and pushes is eager mode's.
+//! ## One query, one answer
+//!
+//! Every request for a fragment is a [`ProtocolMsg::Query`], every reply an
+//! [`ProtocolMsg::Answer`]. A query says where evaluation starts
+//! ([`crate::messages::Start`]: from scratch, the committed cursor, or a
+//! restarted head's claim; `DbPeer::eval_from` decides), and both say which
+//! exchange they belong to ([`crate::messages::Via`]): an eager session,
+//! round *k*, or a repair. A rounds session asks every fragment every round
+//! — the wave is its schedule — from the same subscriptions; everything
+//! below about standing subscriptions, notices and pushes is eager mode's.
 //!
 //! ## The subscription outlives the session
 //!
@@ -122,8 +128,8 @@
 //!    from scratch leaves a zero cursor behind, so a head that comes to
 //!    hold the fragment through a session whose retirement the body node
 //!    missed (a lost broadcast) still finds a standing subscription — one
-//!    that ships everything, once. A resync request for a fragment this
-//!    peer has no cursor for leaves one too, for the same reason.
+//!    that ships everything, once. A repair of a fragment this peer has no
+//!    cursor for leaves one too, for the same reason.
 //! 4. **Everything else that discards, the head asked for** and therefore
 //!    knows: `AddRule` / [`DbPeer::install_rule`] and `DeleteRule` drop the
 //!    rule's `held` marks, fragments and durable answer marks — and the
@@ -133,9 +139,9 @@
 //!    kills the cursor and the subscription in every live session; a
 //!    `Query` without `resume` or for another fragment resets the cursor
 //!    to zero; a crash clears the head side, and the restarted head holds
-//!    a fragment again only when it has absorbed the answer to its
-//!    `ResyncRequest` — which discards nothing at the body node: the answer
-//!    starts no later than the cursor, and the cursor stays.
+//!    a fragment again only when it has absorbed the answer to its repair
+//!    query — which discards nothing at the body node: the answer starts no
+//!    later than the cursor, and the cursor stays.
 //!
 //! One invariant carries all of this across a restart of either end: **for
 //! every fragment a head holds, its body node's store has a cursor — for
@@ -187,7 +193,7 @@ pub mod superpeer;
 pub mod tables;
 
 use crate::config::{SystemConfig, UpdateMode};
-use crate::messages::{AnswerRows, ProtocolMsg};
+use crate::messages::{AnswerRows, ProtocolMsg, Via};
 use crate::rule::{CoordinationRule, RuleId};
 use crate::stats::{ClosedBy, PeerStats};
 use crate::termination::{AckDecision, DiffusingState, Disengage};
@@ -207,8 +213,7 @@ pub(crate) const COST_PER_TUPLE: SimTime = SimTime(10);
 /// Virtual processing time charged per handled message.
 pub(crate) const COST_PER_MESSAGE: SimTime = SimTime(50);
 
-/// Per-relation insertion watermarks (the delta-cursor currency).
-pub(crate) type Marks = BTreeMap<Arc<str>, usize>;
+pub(crate) use crate::messages::Marks;
 
 pub use discovery::DiscoveryState;
 pub use eager::{EagerState, Part, Subscription};
@@ -460,13 +465,13 @@ pub struct DbPeer {
     /// on; `None` = the amnesia baseline, where a crash loses everything.
     /// Boxed, so a peer without one pays a pointer, not the store's size.
     pub(crate) storage: Option<Box<durability::Durable>>,
-    /// Resync requests sent after a restart whose answers have not arrived
+    /// Repair queries sent after a restart whose answers have not arrived
     /// yet, keyed by the session they repair, with the watermark each was
     /// asked from. While non-empty the peer refuses to close **any**
     /// session (a lost resync message must stall, never silently lose
     /// data) and re-sends on every session (re-)entry — at-least-once
     /// delivery, idempotent at both ends.
-    pub(crate) pending_resync: BTreeMap<(SessionId, RuleId, NodeId), BTreeMap<Arc<str>, usize>>,
+    pub(crate) pending_resync: BTreeMap<(SessionId, RuleId, NodeId), Marks>,
     /// Per-pipe dictionary state: the interned symbols each neighbour is
     /// known to know (we shipped them a definition, or they shipped us one).
     /// Drives the first-use dictionary deltas in [`DbPeer::make_answer_rows`]
@@ -781,7 +786,7 @@ impl DbPeer {
         &mut self,
         rule: RuleId,
         part: &Arc<crate::rule::BodyPart>,
-        watermarks: Option<&BTreeMap<Arc<str>, usize>>,
+        watermarks: Option<&Marks>,
     ) -> crate::error::CoreResult<Vec<Tuple>> {
         use std::collections::hash_map::Entry;
         // Disjoint field borrows: the cached plan is read while the
@@ -970,13 +975,6 @@ impl DbPeer {
         }
     }
 
-    /// Records null depths arriving with an answer.
-    pub(crate) fn absorb_null_depths(&mut self, rows: &crate::messages::AnswerRows) {
-        for (id, depth) in &rows.null_depths {
-            self.chase.record(*id, *depth);
-        }
-    }
-
     /// Folds an answer's dictionary delta into the local catalog and
     /// records that `from` knows those symbols (no need to ship their
     /// definitions back). In one process every peer shares the catalog, so
@@ -1003,25 +1001,26 @@ impl DbPeer {
         known.extend(rows.dict.iter().map(|(id, _)| *id));
     }
 
-    /// Sends a Dijkstra–Scholten *basic* message of one session (eager
-    /// mode): counts the deficit on that session's detector and wakes its
-    /// root-quiet flag.
-    pub(crate) fn send_basic(
+    /// Sends a message of one session. A Dijkstra–Scholten *basic* message
+    /// ([`ProtocolMsg::is_basic`]: eager mode's) counts the deficit on that
+    /// session's detector and wakes its root-quiet flag.
+    pub(crate) fn send(
         &mut self,
         st: &mut SessionState,
         ctx: &mut Context<ProtocolMsg>,
         to: NodeId,
         msg: ProtocolMsg,
     ) {
-        debug_assert!(msg.is_basic(), "send_basic used for a control message");
-        st.ds.on_send();
-        st.root_quiet = false;
+        if msg.is_basic() {
+            st.ds.on_send();
+            st.root_quiet = false;
+        }
         ctx.send(to, msg);
     }
 
-    /// Fan-out variant of [`DbPeer::send_basic`]: one shared payload for the
-    /// whole target set ([`Context::send_to_many`]), with the session's
-    /// Dijkstra–Scholten deficit charged once per receiver.
+    /// Fan-out variant of [`DbPeer::send`] for basic messages: one shared
+    /// payload for the whole target set ([`Context::send_to_many`]), with
+    /// the session's Dijkstra–Scholten deficit charged once per receiver.
     pub(crate) fn send_basic_many(
         &mut self,
         st: &mut SessionState,
@@ -1105,28 +1104,31 @@ impl DbPeer {
     /// Message kinds that may re-create state for a completed session: a
     /// dynamic change arriving after the fix-point broadcast legitimately
     /// re-opens the session (the root then re-quiesces and re-broadcasts).
-    /// A row-carrying `Answer` re-wakes too — a re-woken region may cascade
-    /// data to a subscriber that already retired, and dropping it would
-    /// lose derived facts (the defensive re-join in `on_answer`).
+    /// An eager session's row-carrying `Answer` re-wakes too — a re-woken
+    /// region may cascade data to a subscriber that already retired, and
+    /// dropping it would lose derived facts (the defensive re-join in
+    /// `DbPeer::admit_answer`). A round's query or answer does not.
     fn can_rewake(msg: &ProtocolMsg) -> bool {
         match msg {
             ProtocolMsg::StartUpdate { .. }
             | ProtocolMsg::StartScopedUpdate { .. }
             | ProtocolMsg::UpdateFlood { .. }
-            | ProtocolMsg::Query { .. }
             | ProtocolMsg::CursorVoid { .. }
             | ProtocolMsg::AddRule { .. }
             | ProtocolMsg::DeleteRule { .. }
             | ProtocolMsg::ResumeRounds { .. } => true,
-            ProtocolMsg::Answer { rows, .. } => !rows.rows.is_empty(),
+            ProtocolMsg::Query(query) => query.via == Via::Session,
+            ProtocolMsg::Answer(answer) => {
+                answer.via == Via::Session && !answer.rows.rows.is_empty()
+            }
             _ => false,
         }
     }
 
     /// Minimal response to a message of a stale or completed session, so
     /// the sender's bookkeeping drains without re-creating any state: basic
-    /// messages get their Dijkstra–Scholten ack, wave queries what
-    /// `DbPeer::answer_stale_wave` gives them, round floods a clean echo.
+    /// messages get their Dijkstra–Scholten ack, a round's queries what
+    /// `DbPeer::answer_stale` gives them, round floods a clean echo.
     fn acknowledge_stale(
         &mut self,
         from: NodeId,
@@ -1137,12 +1139,8 @@ impl DbPeer {
         // Delivery counters keep their transport-level meaning even for
         // traffic of finished sessions.
         match msg {
-            ProtocolMsg::Answer { .. }
-            | ProtocolMsg::WaveAnswer { .. }
-            | ProtocolMsg::WaveAnswerDelta { .. } => self.stats.answers_received += 1,
-            ProtocolMsg::Query { .. } | ProtocolMsg::WaveQuery { .. } => {
-                self.stats.queries_received += 1
-            }
+            ProtocolMsg::Answer(_) => self.stats.answers_received += 1,
+            ProtocolMsg::Query(_) => self.stats.queries_received += 1,
             _ => {}
         }
         if self.config.mode == UpdateMode::Eager && msg.is_basic() {
@@ -1150,13 +1148,9 @@ impl DbPeer {
             return;
         }
         match msg {
-            ProtocolMsg::WaveQuery {
-                round,
-                rule,
-                part,
-                resume,
-                ..
-            } => self.answer_stale_wave(from, sid, round, rule, Arc::new(part), resume, ctx),
+            ProtocolMsg::Query(query) if matches!(query.via, Via::Round(_)) => {
+                self.answer_stale(sid, from, query, ctx)
+            }
             ProtocolMsg::RoundStart { round, .. } => ctx.send(from, rounds::clean_echo(sid, round)),
             _ => {}
         }
@@ -1252,31 +1246,29 @@ impl DbPeer {
         msg: ProtocolMsg,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        // Crash-recovery resync is control-plane: it repairs the database
-        // regardless of what this peer currently holds for the session
-        // (the requester may be reconciling an epoch the redrive already
+        if let ProtocolMsg::Ack { .. } = msg {
+            return self.on_ack(from, sid, ctx);
+        }
+        // Crash-recovery repair is control-plane: it repairs the database
+        // regardless of what this peer currently holds for the session (the
+        // requester may be reconciling an epoch the redrive already
         // superseded, or a fragment never durably answered under any
-        // session), so both directions bypass the staleness rules below —
-        // a dropped repair would leave `pending_resync` outstanding forever
-        // and wedge every later closure.
-        let msg = match msg {
-            ProtocolMsg::Ack { .. } => return self.on_ack(from, sid, ctx),
-            ProtocolMsg::ResyncRequest {
-                rule, part, since, ..
-            } => return self.on_resync_request(from, sid, rule, part, since, ctx),
-            ProtocolMsg::ResyncAnswer { rule, rows, .. } => {
-                return self.on_resync_answer(sid, from, rule, rows)
-            }
-            msg => msg,
-        };
-        if self.session_is_stale(sid) || (self.done.contains_key(&sid) && !Self::can_rewake(&msg)) {
+        // session), so both directions bypass the staleness rules below and
+        // run on a detached session state — a dropped repair would leave
+        // `pending_resync` outstanding forever and wedge every later
+        // closure.
+        let repair = msg.via() == Some(Via::Repair);
+        let retired = self.done.contains_key(&sid) && !Self::can_rewake(&msg);
+        if !repair && (retired || self.session_is_stale(sid)) {
             self.acknowledge_stale(from, sid, msg, ctx);
             return;
         }
-        self.supersede_older(sid);
-        let completed = self.done.remove(&sid);
-
-        let mut st = self.sessions.remove(&sid).unwrap_or_default();
+        let (mut st, mut completed) = (SessionState::default(), None);
+        if !repair {
+            self.supersede_older(sid);
+            completed = self.done.remove(&sid);
+            st = self.sessions.remove(&sid).unwrap_or_default();
+        }
         let ack = if self.config.mode == UpdateMode::Eager && msg.is_basic() {
             Some(st.ds.on_receive(from))
         } else {
@@ -1289,29 +1281,13 @@ impl DbPeer {
         // answer, which leaves this handler for the same peer anyway.
         let folded = ack == Some(AckDecision::Immediate)
             && !self.config.paper_faithful
-            && matches!(msg, ProtocolMsg::Query { .. });
-
+            && matches!(msg, ProtocolMsg::Query(_));
         match msg {
             ProtocolMsg::StartUpdate { .. } => self.start_update(&mut st, sid, ctx),
             ProtocolMsg::StartScopedUpdate { .. } => self.start_scoped_update(&mut st, sid, ctx),
             ProtocolMsg::UpdateFlood { .. } => self.on_update_flood(&mut st, sid, from, ctx),
-            ProtocolMsg::Query {
-                rule,
-                part,
-                sn,
-                resume,
-                ..
-            } => self.on_query(&mut st, sid, from, rule, part, sn, resume, folded, ctx),
-            ProtocolMsg::Answer {
-                rule,
-                rows,
-                complete,
-                reopen,
-                pushed,
-                ..
-            } => self.on_answer(
-                &mut st, sid, from, rule, rows, complete, reopen, pushed, ctx,
-            ),
+            ProtocolMsg::Query(query) => self.on_query(&mut st, sid, from, query, folded, ctx),
+            ProtocolMsg::Answer(answer) => self.on_answer(&mut st, sid, from, answer, ctx),
             ProtocolMsg::Unsubscribe { rule, .. } => self.on_unsubscribe(&mut st, from, rule),
             ProtocolMsg::CursorVoid { .. } => self.on_cursor_void(&mut st, sid, from, ctx),
             ProtocolMsg::Fixpoint { generation, .. } => self.on_fixpoint(&mut st, generation),
@@ -1323,25 +1299,11 @@ impl DbPeer {
             ProtocolMsg::RoundEcho { round, dirty, .. } => {
                 self.on_round_echo(&mut st, sid, round, dirty, ctx)
             }
-            ProtocolMsg::WaveQuery {
-                round,
-                rule,
-                part,
-                resume,
-                ..
-            } => self.on_wave_query(&mut st, sid, from, round, rule, part, resume, ctx),
-            ProtocolMsg::WaveAnswer {
-                round, rule, rows, ..
-            }
-            | ProtocolMsg::WaveAnswerDelta {
-                round, rule, rows, ..
-            } => self.on_wave_answer(&mut st, sid, from, round, rule, rows, ctx),
             ProtocolMsg::RoundsClosed { rounds, .. } => self.on_rounds_closed(&mut st, rounds),
             ProtocolMsg::ResumeRounds { round, .. } => {
                 self.on_resume_rounds(&mut st, sid, round, ctx)
             }
-            // Session-less kinds and the resync pair never reach this
-            // routing.
+            // Session-less kinds never reach this routing.
             _ => {}
         }
 
@@ -1415,6 +1377,7 @@ impl Peer<ProtocolMsg> for DbPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::{Answer, Query, Start};
     use p2p_relational::DatabaseSchema;
 
     #[test]
@@ -1495,21 +1458,16 @@ mod tests {
             epoch += 1;
             let session = SessionId::new(head, epoch);
             let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
-            let query = ProtocolMsg::Query {
-                session,
-                rule,
-                part: part.clone(),
+            let from = if resume { Start::Resume } else { Start::Fresh };
+            let query = Query {
                 sn: vec![head],
-                resume,
+                ..Query::new(session, rule, part.clone(), from, Via::Session)
             };
-            peer.on_message(head, query, &mut ctx);
+            peer.on_message(head, ProtocolMsg::Query(query), &mut ctx);
             let shipped = ctx
                 .take_outgoing()
                 .iter()
-                .find_map(|out| match &*out.msg {
-                    ProtocolMsg::Answer { rows, .. } => Some(rows.rows.len()),
-                    _ => None,
-                })
+                .find_map(|out| Some(out.msg.answer_rows()?.rows.len()))
                 .expect("the query is answered");
             peer.on_message(head, ProtocolMsg::Ack { session }, &mut ctx);
             if retire {
@@ -1608,7 +1566,7 @@ mod tests {
     fn queries(sent: &[ProtocolMsg]) -> Vec<(NodeId, bool)> {
         sent.iter()
             .filter_map(|msg| match msg {
-                ProtocolMsg::Query { part, resume, .. } => Some((part.node, *resume)),
+                ProtocolMsg::Query(query) => Some((query.part.node, query.from == Start::Resume)),
                 _ => None,
             })
             .collect()
@@ -1623,19 +1581,15 @@ mod tests {
         pushed: bool,
     ) -> ProtocolMsg {
         let part = rule.parts.iter().find(|p| p.node == from).unwrap();
-        ProtocolMsg::Answer {
-            session,
-            rule: rule.id,
-            rows: crate::messages::AnswerRows {
-                vars: part.vars.clone(),
-                rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
-                ..Default::default()
-            },
-            complete: false,
-            reopen: false,
+        let rows = AnswerRows {
+            vars: part.vars.clone(),
+            rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
+            ..Default::default()
+        };
+        ProtocolMsg::Answer(Answer {
             pushed,
-            acks: false,
-        }
+            ..Answer::new(session, rule.id, rows, Via::Session)
+        })
     }
 
     fn fixpoint(session: SessionId) -> ProtocolMsg {
@@ -1647,13 +1601,17 @@ mod tests {
 
     /// The `Query` of `rule`'s (first) fragment, from its head.
     fn query(rule: &CoordinationRule, session: SessionId) -> ProtocolMsg {
-        ProtocolMsg::Query {
+        let query = Query::new(
             session,
-            rule: rule.id,
-            part: rule.parts[0].clone(),
+            rule.id,
+            rule.parts[0].clone(),
+            Start::Fresh,
+            Via::Session,
+        );
+        ProtocolMsg::Query(Query {
             sn: vec![rule.head_node],
-            resume: false,
-        }
+            ..query
+        })
     }
 
     /// What body node `B`, holding `b(1,2)`, sends for each of two queries
@@ -1694,35 +1652,11 @@ mod tests {
             rows: vec![Tuple::new(vec![Val::Int(1), Val::Int(2)])],
             ..Default::default()
         };
-        let kinds: [fn(SessionId, RuleId, crate::messages::AnswerRows) -> ProtocolMsg; 4] = [
-            |session, rule, rows| ProtocolMsg::Answer {
-                session,
-                rule,
-                rows,
-                complete: false,
-                reopen: false,
-                pushed: false,
-                acks: false,
-            },
-            |session, rule, rows| ProtocolMsg::WaveAnswer {
-                session,
-                round: 0,
-                rule,
-                rows,
-            },
-            |session, rule, rows| ProtocolMsg::WaveAnswerDelta {
-                session,
-                round: 0,
-                rule,
-                rows,
-            },
-            |session, rule, rows| ProtocolMsg::ResyncAnswer {
-                session,
-                rule,
-                rows,
-            },
-        ];
-        for (kind, wide) in kinds.into_iter().zip([1, 3, 0, 1]) {
+        let kind =
+            |via, session, rule, rows| ProtocolMsg::Answer(Answer::new(session, rule, rows, via));
+        let vias = [Via::Session, Via::Round(0), Via::Round(1), Via::Repair];
+        for (via, wide) in vias.into_iter().zip([1, 3, 0, 1]) {
+            let kind = |session, rule, rows| kind(via, session, rule, rows);
             let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
             let mut peer = DbPeer::new(A, Database::new(schema), SystemConfig::default());
             peer.install_rule(of_a.clone());
@@ -1742,7 +1676,7 @@ mod tests {
             let mut ragged = rows.clone();
             ragged.rows.push(Tuple::new(vec![Val::Int(9); wide]));
             let msg = kind(s, of_a.id, ragged);
-            let name = p2p_net::Wire::kind(&msg);
+            let name = format!("{via:?}");
             assert!(deliver(&mut peer, B, msg, false).is_empty(), "{name}");
             assert_eq!(peer.errors().len(), 1, "{name}: {:?}", peer.errors());
             assert_eq!(state(&peer), before, "{name}");
@@ -1859,8 +1793,8 @@ mod tests {
         assert_eq!(deficit(&peer), 1, "the query to B");
 
         let mut acking = answer(&of_a, s, B, [1, 2], false);
-        if let ProtocolMsg::Answer { acks, .. } = &mut acking {
-            *acks = true;
+        if let ProtocolMsg::Answer(answer) = &mut acking {
+            answer.acks = true;
         }
         let sent = deliver(&mut peer, B, acking, true);
         // The push to D, and no acknowledgement of the answer.

@@ -7,8 +7,9 @@
 //!
 //! 1. the session root floods `RoundStart` along pipes, building a spanning
 //!    tree (first-contact parent);
-//! 2. every node issues `WaveQuery` for each of its rule fragments;
-//! 3. acyclic nodes *defer* their `WaveAnswer`s until their own fragments
+//! 2. every node sends a `Query` of the round ([`Via::Round`]) for each of
+//!    its rule fragments;
+//! 3. acyclic nodes *defer* their `Answer`s until their own fragments
 //!    have answered (so one wave carries data all the way up a DAG — this is
 //!    what keeps tree/layered execution time linear in depth); nodes on
 //!    dependency cycles answer immediately with current data (cutting the
@@ -37,13 +38,11 @@
 //! uses (see [`crate::peer`]): waves decide *when* a body node answers, the
 //! subscriptions and their cursors decide *what* it ships.
 //!
-//! * **Answer side** — a `WaveQuery` is served by the session's
-//!   subscription of `(requester, rule)`, opened on the path a `Query` takes
-//!   (`DbPeer::open_subscription`): from the committed cursor when the
-//!   requester says `resume`, else from the full extension. The first answer
-//!   of a session is a `WaveAnswer`; every later one delta-evaluates from
-//!   the subscription's watermarks and ships the rows not yet sent in this
-//!   session as a [`crate::messages::ProtocolMsg::WaveAnswerDelta`]. Two
+//! * **Answer side** — a round's query is served as an eager one is
+//!   (`DbPeer::answer_query`), from the session's subscription of
+//!   `(requester, rule)`: opened from the committed cursor or the full
+//!   extension, then advanced by every later `resume` query — the rows not
+//!   yet sent in this session, delta-evaluated from its watermarks. Two
 //!   interleaved sessions keep two subscriptions, so each delta stream
 //!   advances with its own answers only.
 //! * **Head side** — every arriving answer goes through
@@ -72,9 +71,9 @@
 //! cursor is kept — the baseline the delta mode is checked against
 //! (tuple-identical final databases).
 
-use crate::messages::{AnswerRows, ProtocolMsg};
+use crate::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use crate::peer::{DbPeer, Part, SessionState};
-use crate::rule::{BodyPart, RuleId};
+use crate::rule::RuleId;
 use crate::stats::ClosedBy;
 use p2p_net::{Context, SessionId};
 use p2p_topology::NodeId;
@@ -104,18 +103,12 @@ pub struct RoundsState {
     pub dirty_self: bool,
     /// Echo already sent this round.
     pub echoed: bool,
-    /// Queries deferred until own fragments answered, with their `resume`.
-    pub deferred: Vec<(NodeId, RuleId, Arc<BodyPart>, bool)>,
+    /// Queries deferred until own fragments answered, with their askers.
+    pub deferred: Vec<(NodeId, Query)>,
     /// Fix-point reached.
     pub closed: bool,
     /// Total rounds executed (set at closure; at the root, running count).
     pub rounds_done: u32,
-}
-
-impl RoundsState {
-    fn waves_done(&self) -> bool {
-        self.awaiting.is_empty()
-    }
 }
 
 /// The echo of a subtree with nothing to report in `round`: a stale or
@@ -164,7 +157,7 @@ impl DbPeer {
     /// first contact with a round (flood or query, whichever arrives first).
     /// Each query says `resume` when this peer holds everything its
     /// fragment's subscription shipped it (module docs).
-    fn enter_round(
+    pub(crate) fn enter_round(
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
@@ -200,20 +193,12 @@ impl DbPeer {
                 };
                 st.parts.insert(key, asked);
                 st.rnd.awaiting.insert(key);
-                self.stats.queries_sent += 1;
-                ctx.send(
-                    part.node,
-                    ProtocolMsg::WaveQuery {
-                        session: sid,
-                        round,
-                        rule: rule.id,
-                        part: part.clone(),
-                        resume,
-                    },
-                );
+                let from = if resume { Start::Resume } else { Start::Fresh };
+                let query = Query::new(sid, rule.id, part.clone(), from, Via::Round(round));
+                self.send_query(st, ctx, query);
             }
         }
-        // Crash recovery: give any still-unanswered resync request another
+        // Crash recovery: give any still-unanswered repair query another
         // chance with the new round (at-least-once; see `durability`).
         self.resend_pending_resyncs(ctx);
     }
@@ -249,165 +234,36 @@ impl DbPeer {
         self.maybe_echo(st, sid, ctx);
     }
 
-    /// Wave query handler.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_wave_query(
+    /// The stale branch of a round's query: its round or its session is
+    /// over here — a late query, or one of a head in a session resumed after
+    /// this peer retired it — and it is answered without taking part again.
+    /// A requester that holds everything it was shipped (`Resume`) gets an
+    /// empty acknowledgement, enough to drain its round's counter, counted
+    /// apart from the useful answers; no watermarks ride along, as it must
+    /// not advance anyone's resync cursor. One that asked afresh gets the
+    /// full extension it asked for.
+    pub(crate) fn answer_stale(
         &mut self,
-        st: &mut SessionState,
         sid: SessionId,
-        from: NodeId,
-        round: u32,
-        rule: RuleId,
-        part: BodyPart,
-        resume: bool,
-        ctx: &mut Context<ProtocolMsg>,
-    ) {
-        self.stats.queries_received += 1;
-        self.add_pipe(from);
-        self.enter_round(st, sid, round, ctx);
-        let part = Arc::new(part);
-        if round < st.rnd.round {
-            self.answer_stale_wave(from, sid, round, rule, part, resume, ctx);
-            return;
-        }
-        if !self.in_cycle && !st.rnd.waves_done() {
-            st.rnd.deferred.push((from, rule, part, resume));
-        } else {
-            self.answer_wave(st, sid, from, round, rule, part, resume, ctx);
-        }
-    }
-
-    /// Answers a wave query of a round or a session this peer is past — a
-    /// late query, or one of a head in a session resumed after this peer
-    /// retired it — without taking part again. A requester that
-    /// holds everything it was shipped (`resume`) gets an empty
-    /// acknowledgement, enough to drain its round's counter, counted apart
-    /// from the useful answers; no watermarks ride along, as it must not
-    /// advance anyone's resync cursor. One that asked afresh gets the full
-    /// extension it asked for.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn answer_stale_wave(
-        &mut self,
         to: NodeId,
-        session: SessionId,
-        round: u32,
-        rule: RuleId,
-        part: Arc<BodyPart>,
-        resume: bool,
+        query: Query,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        let rows = if resume {
+        let rows = if query.from == Start::Resume {
             self.stats.stale_answers_sent += 1;
             AnswerRows {
-                vars: part.vars.clone(),
+                vars: query.part.vars,
                 ..Default::default()
             }
         } else {
-            let rows = self.eval_part_local(rule, &part, None, ctx);
+            let part = Arc::new(query.part);
+            let rows = self.eval_part_local(query.rule, &part, None, ctx);
             self.stats.answers_sent += 1;
             self.stats.rows_shipped += rows.len() as u64;
             self.make_answer_rows(to, &part, rows)
         };
-        ctx.send(
-            to,
-            ProtocolMsg::WaveAnswer {
-                session,
-                round,
-                rule,
-                rows,
-            },
-        );
-    }
-
-    /// Ships one wave answer on the session's subscription of `(to, rule)`:
-    /// the delta since its last answer when the requester holds everything
-    /// it shipped (`resume`), else the first answer of a subscription opened
-    /// anew — from the committed cursor when the requester says `resume`,
-    /// from the full extension otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn answer_wave(
-        &mut self,
-        st: &mut SessionState,
-        sid: SessionId,
-        to: NodeId,
-        round: u32,
-        rule: RuleId,
-        part: Arc<BodyPart>,
-        resume: bool,
-        ctx: &mut Context<ProtocolMsg>,
-    ) {
-        let key = (to, rule);
-        let (sub, rows, delta) = match st.subs.remove(&key) {
-            Some(mut sub) if resume && sub.part == part => {
-                let (_, unsent) = self.advance_subscription(rule, &mut sub, ctx);
-                self.stats.delta_answers_sent += 1;
-                // What a full re-ship would have re-sent.
-                self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - unsent.len()) as u64;
-                (sub, unsent, true)
-            }
-            _ => {
-                let (sub, rows) = self.open_subscription(to, rule, part, resume, ctx);
-                (sub, rows, false)
-            }
-        };
-        self.stats.answers_sent += 1;
-        self.stats.rows_shipped += rows.len() as u64;
-        let rows = self.make_answer_rows(to, &sub.part, rows);
-        let session = sid;
-        let msg = if delta {
-            ProtocolMsg::WaveAnswerDelta {
-                session,
-                round,
-                rule,
-                rows,
-            }
-        } else {
-            ProtocolMsg::WaveAnswer {
-                session,
-                round,
-                rule,
-                rows,
-            }
-        };
-        ctx.send(to, msg);
-        st.subs.insert(key, sub);
-    }
-
-    /// Wave answer handler (both the full and the delta flavour).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_wave_answer(
-        &mut self,
-        st: &mut SessionState,
-        sid: SessionId,
-        from: NodeId,
-        round: u32,
-        rule: RuleId,
-        mut rows: AnswerRows,
-        ctx: &mut Context<ProtocolMsg>,
-    ) {
-        self.stats.answers_received += 1;
-        self.absorb_dict(from, &mut rows);
-        self.absorb_null_depths(&rows);
-        // Durable peers log the processed answer (rows + the answerer's
-        // watermarks — the crash-resync cursor), behind the insertions it
-        // derives.
-        let inserted = self.absorb_fragment(rule, from, &rows.vars, &rows.rows);
-        self.log_answer_mark(sid, rule, from, rows);
-        if !st.rnd.active {
-            return;
-        }
-        st.rnd.dirty_self |= inserted > 0;
-        if round != st.rnd.round || !st.rnd.awaiting.remove(&(rule, from)) {
-            return; // Stale: its rows are in, its round is over.
-        }
-        if st.rnd.waves_done() {
-            // Serve the queries we held back.
-            let deferred = std::mem::take(&mut st.rnd.deferred);
-            for (to, d_rule, d_part, resume) in deferred {
-                self.answer_wave(st, sid, to, round, d_rule, d_part, resume, ctx);
-            }
-            self.maybe_echo(st, sid, ctx);
-        }
+        let answer = Answer::new(sid, query.rule, rows, query.via);
+        ctx.send(to, ProtocolMsg::Answer(answer));
     }
 
     /// Echo handler.
@@ -427,13 +283,16 @@ impl DbPeer {
         self.maybe_echo(st, sid, ctx);
     }
 
-    fn maybe_echo(
+    pub(crate) fn maybe_echo(
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        if !st.rnd.flood_seen || st.rnd.echoed || !st.rnd.waves_done() || st.rnd.pending_echoes > 0
+        if !st.rnd.flood_seen
+            || st.rnd.echoed
+            || !st.rnd.awaiting.is_empty()
+            || st.rnd.pending_echoes > 0
         {
             return;
         }

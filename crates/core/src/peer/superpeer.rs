@@ -177,7 +177,7 @@ impl DbPeer {
                     // The change touches the root itself.
                     self.on_add_rule(&mut st, sid, rule, ctx);
                 } else {
-                    self.send_basic(
+                    self.send(
                         &mut st,
                         ctx,
                         head,
@@ -189,7 +189,7 @@ impl DbPeer {
                 if head == self.id {
                     self.on_delete_rule(&mut st, sid, rule, ctx);
                 } else {
-                    self.send_basic(
+                    self.send(
                         &mut st,
                         ctx,
                         head,

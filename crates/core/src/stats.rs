@@ -45,8 +45,8 @@ pub struct PeerStats {
     pub answers_received: u64,
     /// Answer rows shipped out (tuple count).
     pub rows_shipped: u64,
-    /// Delta answers sent (`WaveAnswerDelta` in rounds mode; watermark-based
-    /// delta re-answers in eager mode). Subset of `answers_sent`.
+    /// Delta answers sent: watermark-based re-answers on a subscription
+    /// (under either mode). Subset of `answers_sent`.
     pub delta_answers_sent: u64,
     /// Rows a **full re-ship** (`paper_faithful`) would have re-sent but a
     /// delta answer did not, approximated by the rows already shipped on

@@ -6,7 +6,7 @@
 //! checkpoints fell among them — every binding the recovered marks' rows
 //! join to must be in the recovered database.
 
-use p2p_core::messages::AnswerRows;
+use p2p_core::messages::{Answer, AnswerRows, Via};
 use p2p_core::peer::DbPeer;
 use p2p_core::{CoordinationRule, ProtocolMsg, SystemConfig};
 use p2p_net::{Context, Peer, SessionId, SimTime};
@@ -71,21 +71,14 @@ fn two_sessions(peer: &mut DbPeer) {
         }
         let part = rule.parts.iter().find(|p| p.node == from).unwrap();
         let relation = part.atoms[0].relation.clone();
-        let answer = ProtocolMsg::Answer {
-            session,
-            rule: rule.id,
-            rows: AnswerRows {
-                vars: part.vars.clone(),
-                rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
-                marks: [(relation, watermark)].into_iter().collect(),
-                ..Default::default()
-            },
-            complete: false,
-            reopen: false,
-            pushed: false,
-            acks: false,
+        let rows = AnswerRows {
+            vars: part.vars.clone(),
+            rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
+            marks: [(relation, watermark)].into_iter().collect(),
+            ..Default::default()
         };
-        peer.on_message(from, answer, &mut ctx);
+        let answer = Answer::new(session, rule.id, rows, Via::Session);
+        peer.on_message(from, ProtocolMsg::Answer(answer), &mut ctx);
     }
     assert!(peer.errors().is_empty(), "{:?}", peer.errors());
     assert_eq!(peer.database().relation("a").unwrap().len(), 4);

@@ -16,7 +16,7 @@ pub enum Term {
 }
 
 // Terms travel inside rules and query fragments (`AddRule`,
-// `BroadcastRules`, `Query`, `WaveQuery` …). Unlike answer rows — which
+// `BroadcastRules`, `Query` …). Unlike answer rows — which
 // amortise their symbols through per-pipe dictionary deltas — a rule is a
 // one-shot, tiny payload with no delta channel, so its constants serialize
 // in the **boundary** form, string inline (`{"Const":{"Str":"open"}}`,

@@ -75,12 +75,15 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> TransportResult<Option<V
             max: max_frame,
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    let got = read_full(r, &mut payload, "read frame payload")?;
-    if got < payload.len() {
+    // Grown as the payload arrives, not sized by the header alone: a header
+    // that announces more than follows costs what follows.
+    let mut payload = Vec::with_capacity((len as usize).min(1 << 16));
+    (r.take(u64::from(len)).read_to_end(&mut payload))
+        .map_err(|e| TransportError::io("read frame payload", &e))?;
+    if payload.len() < len as usize {
         return Err(TransportError::UnexpectedEof {
-            got,
-            needed: payload.len(),
+            got: payload.len(),
+            needed: len as usize,
         });
     }
     Ok(Some(payload))

@@ -29,8 +29,10 @@ use std::io::{Read, Write};
 /// Protocol magic: the first four bytes of every connection.
 pub const MAGIC: [u8; 4] = *b"P2PD";
 
-/// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+/// Protocol version spoken by this build. It moves whenever the message
+/// table does (2: one `Query`/`Answer` pair for every exchange), so a peer
+/// of another table is refused at the hello instead of misreading a frame.
+pub const VERSION: u16 = 2;
 
 /// Node id claimed by control connections (they are not peers).
 pub const CONTROL_NODE: u32 = u32::MAX;
@@ -177,7 +179,9 @@ impl HelloReply {
         out
     }
 
-    fn decode(buf: &[u8]) -> TransportResult<Self> {
+    /// Decodes a reply payload; anything shorter than its 5-byte header or
+    /// with an unknown status is a typed error.
+    pub fn decode(buf: &[u8]) -> TransportResult<Self> {
         if buf.len() < 5 {
             return Err(TransportError::MalformedHello {
                 detail: format!("handshake reply of {} bytes (want >= 5)", buf.len()),
@@ -355,22 +359,24 @@ mod tests {
         assert!(reply.detail.contains("binary"), "detail: {}", reply.detail);
     }
 
+    /// A peer of another version — version 1 spoke the retired round and
+    /// repair message kinds — is refused at the hello with the typed skew.
     #[test]
     fn acceptor_rejects_version_skew_and_bad_magic() {
-        let mut stale = Hello::pipe(NodeId(2), Codec::Json);
-        stale.version = 99;
-        let mut s = Duplex {
-            input: Cursor::new(framed(&stale.encode())),
-            output: Vec::new(),
-        };
-        let err = server_handshake(&mut s, NodeId(0), Codec::Json, |_| true, 1024).unwrap_err();
-        assert_eq!(
-            err,
-            TransportError::VersionMismatch {
-                got: 99,
-                want: VERSION
-            }
-        );
+        for version in [1, 99] {
+            let mut stale = Hello::pipe(NodeId(2), Codec::Binary);
+            stale.version = version;
+            let mut s = Duplex {
+                input: Cursor::new(framed(&stale.encode())),
+                output: Vec::new(),
+            };
+            let err =
+                server_handshake(&mut s, NodeId(0), Codec::Binary, |_| true, 1024).unwrap_err();
+            let want = VERSION;
+            assert_eq!(err, TransportError::VersionMismatch { got: version, want });
+            let reply = HelloReply::decode(&s.output[4..]).unwrap();
+            assert_eq!(reply.reject, Some(RejectReason::Version));
+        }
 
         let mut s = Duplex {
             input: Cursor::new(framed(b"GET / HTTP/1.1\r\n")),

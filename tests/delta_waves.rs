@@ -5,7 +5,7 @@
 
 use p2pdb::core::config::UpdateMode;
 use p2pdb::core::joins::{eval_part, eval_part_delta};
-use p2pdb::core::messages::ProtocolMsg;
+use p2pdb::core::messages::{ProtocolMsg, Query, Start, Via};
 use p2pdb::core::peer::DbPeer;
 use p2pdb::core::rule::CoordinationRule;
 use p2pdb::core::stats::PeerStats;
@@ -182,14 +182,11 @@ fn stale_wave_query_ships_empty_ack_not_full_extension() {
         _ => None,
     };
     let rule = CoordinationRule::parse("lag", "C:c(X,Y) => B:b(X,Y)", None, &resolve).unwrap();
-    let lagging = |resume| ProtocolMsg::WaveQuery {
-        session: sid,
-        round: 1,
-        rule: rule.id,
-        part: rule.parts[0].clone(),
-        resume,
+    let lagging = |from| {
+        let part = rule.parts[0].clone();
+        ProtocolMsg::Query(Query::new(sid, rule.id, part, from, Via::Round(1)))
     };
-    sim.inject(NodeId(1), NodeId(2), lagging(true));
+    sim.inject(NodeId(1), NodeId(2), lagging(Start::Resume));
     sim.run();
 
     let after = sim.peer(NodeId(2)).unwrap().stats().clone();
@@ -208,7 +205,7 @@ fn stale_wave_query_ships_empty_ack_not_full_extension() {
     assert!(b_peer.update_closed());
     assert_eq!(b_peer.stats().answers_received, b_received_before + 1);
 
-    sim.inject(NodeId(1), NodeId(2), lagging(false));
+    sim.inject(NodeId(1), NodeId(2), lagging(Start::Fresh));
     sim.run();
     let fresh = sim.peer(NodeId(2)).unwrap().stats().clone();
     let extension = sim.peer(NodeId(2)).unwrap().database().total_tuples() as u64;
@@ -236,7 +233,7 @@ proptest! {
     /// For arbitrary insert interleavings, the union of all shipped deltas
     /// (each taken against the previous answer's watermarks) equals a fresh
     /// full evaluation of the fragment — the invariant that makes
-    /// `WaveAnswerDelta` sound.
+    /// a round's delta answer sound.
     #[test]
     fn deltas_union_to_full_eval(batches in proptest::collection::vec(
         proptest::collection::vec((0..6i64, 0..6i64), 0..8), 1..6)) {

@@ -10,7 +10,7 @@
 //! exactly the same inputs, and every output still decodes.
 
 use p2pdb::core::codec::{decode_msg, encode_msg};
-use p2pdb::core::messages::{AnswerRows, ProtocolMsg};
+use p2pdb::core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use p2pdb::core::netfile::{NetworkFile, NodeDecl, RuleDecl};
 use p2pdb::core::rule::RuleId;
 use p2pdb::core::stats::PeerStats;
@@ -115,49 +115,49 @@ fn part(node: u32) -> p2pdb::core::rule::BodyPart {
     }
 }
 
-/// A spread of protocol messages: every answer-carrying variant (the hot
-/// path), the queries, the session-scalar control messages, and discovery
-/// traffic.
+/// A query's or an answer's exchange: each of the three, the round
+/// number drawn.
+fn via() -> impl Strategy<Value = Via> {
+    (0u8..3, 0u32..100_000).prop_map(|(kind, round)| match kind {
+        0 => Via::Session,
+        1 => Via::Round(round),
+        _ => Via::Repair,
+    })
+}
+
+/// Where a query starts: each of the three, the claim drawn.
+fn start() -> impl Strategy<Value = Start> {
+    (0u8..3, marks()).prop_map(|(kind, since)| match kind {
+        0 => Start::Fresh,
+        1 => Start::Resume,
+        _ => Start::Since(since),
+    })
+}
+
+/// A spread of protocol messages: answers (the hot path) and queries of
+/// every start and exchange, the session-scalar control messages, and
+/// discovery traffic.
 fn msg() -> impl Strategy<Value = ProtocolMsg> {
     (
-        (0u8..16, session(), any::<u32>(), 0u32..100_000),
+        (0u8..18, session(), any::<u32>(), 0u32..100_000),
         answer_rows(),
         (any::<bool>(), any::<bool>()),
         proptest::collection::vec((0u32..200, 0u32..200), 0..6),
-        marks(),
+        (start(), via()),
     )
         .prop_map(
-            |((kind, session, rule, round), rows, (b1, b2), edge_list, since)| {
+            |((kind, session, rule, round), rows, (b1, b2), edge_list, (from, via))| {
                 let rule = RuleId(rule);
                 match kind {
                     0 => ProtocolMsg::StartDiscovery,
                     1 => ProtocolMsg::StartUpdate { session },
-                    2 => ProtocolMsg::Answer {
-                        session,
-                        rule,
-                        rows,
+                    2..=5 => ProtocolMsg::Answer(Answer {
                         complete: b1,
                         reopen: b2,
                         pushed: round % 2 == 0,
                         acks: round % 3 == 0,
-                    },
-                    3 => ProtocolMsg::WaveAnswer {
-                        session,
-                        round,
-                        rule,
-                        rows,
-                    },
-                    4 => ProtocolMsg::WaveAnswerDelta {
-                        session,
-                        round,
-                        rule,
-                        rows,
-                    },
-                    5 => ProtocolMsg::ResyncAnswer {
-                        session,
-                        rule,
-                        rows,
-                    },
+                        ..Answer::new(session, rule, rows, via)
+                    }),
                     6 => ProtocolMsg::Fixpoint {
                         session,
                         generation: round,
@@ -181,27 +181,11 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                             finished: b2,
                         }
                     }
-                    11 => ProtocolMsg::ResyncRequest {
-                        session,
-                        rule,
-                        part: part(session.root.0),
-                        since,
-                    },
-                    12 => ProtocolMsg::Query {
-                        session,
-                        rule,
-                        part: part(session.root.0),
+                    11..=15 => ProtocolMsg::Query(Query {
                         sn: edge_list.into_iter().map(|(a, _)| NodeId(a)).collect(),
-                        resume: b1,
-                    },
-                    13 => ProtocolMsg::CursorVoid { session },
-                    14 => ProtocolMsg::WaveQuery {
-                        session,
-                        round,
-                        rule,
-                        part: part(session.root.0),
-                        resume: b1,
-                    },
+                        ..Query::new(session, rule, part(session.root.0), from, via)
+                    }),
+                    16 => ProtocolMsg::CursorVoid { session },
                     _ => ProtocolMsg::RoundsClosed {
                         session,
                         rounds: round,
@@ -448,9 +432,13 @@ fn streams_like_its_tree<T: Serialize + Deserialize>(v: &T) -> Result<(), TestCa
     Ok(())
 }
 
-/// One past the highest binary message tag (`WaveQuery` with `resume`
-/// set).
-const FIRST_UNUSED_TAG: u8 = 34;
+/// One past the highest binary message tag (`Answer` of a repair, with
+/// `pushed` and `acks` set).
+const FIRST_UNUSED_TAG: u8 = 49;
+
+/// The tags of the five round and repair kinds that were folded into
+/// `Query` and `Answer` (one of them had two): never reused.
+const RETIRED_TAGS: [u8; 6] = [18, 19, 20, 22, 23, 33];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -504,31 +492,35 @@ proptest! {
         prop_assert_eq!(encode_msg(&via_json), encode_msg(&msg));
     }
 
-    /// An `Answer` without the `pushed` and `acks` flags — every answer a
-    /// peer wrote before they existed — decodes with both unset in both
-    /// codecs, and a binary tag no variant owns (the first unused one
-    /// included) is a typed error, not a panic.
+    /// An eager `Answer` without the `pushed` and `acks` flags — every
+    /// answer a peer wrote before they existed — decodes with both unset in
+    /// both codecs, and a binary tag no variant owns (a retired one, the
+    /// first unused one) is a typed error, not a panic.
     #[test]
     fn absent_pushed_flag_is_false_and_unknown_tags_are_typed_errors(
         msg in msg(),
         tag in FIRST_UNUSED_TAG..=255,
     ) {
-        if let ProtocolMsg::Answer { session, rule, rows, complete, reopen, .. } = msg {
-            let asked = ProtocolMsg::Answer {
-                session, rule, rows, complete, reopen, pushed: false, acks: false,
-            };
+        if let ProtocolMsg::Answer(answer) = msg {
+            let asked = ProtocolMsg::Answer(Answer {
+                pushed: false,
+                acks: false,
+                via: Via::Session,
+                ..answer
+            });
             let json = serde_json::to_string(&asked).unwrap();
             prop_assert!(!json.contains("pushed") && !json.contains("acks"));
+            prop_assert!(!json.contains("via"));
             for decoded in [
                 serde_json::from_str(&json).unwrap(),
                 decode_msg(&encode_msg(&asked)).unwrap(),
             ] {
-                let ProtocolMsg::Answer { pushed, acks, .. } = decoded else {
+                let ProtocolMsg::Answer(Answer { pushed, acks, via, .. }) = decoded else {
                     return Err(TestCaseError::fail("not an answer"));
                 };
-                prop_assert!(!pushed && !acks);
+                prop_assert!(!pushed && !acks && via == Via::Session);
             }
-            for tag in [FIRST_UNUSED_TAG, tag] {
+            for tag in RETIRED_TAGS.into_iter().chain([FIRST_UNUSED_TAG, tag]) {
                 let mut bytes = encode_msg(&asked);
                 bytes[0] = tag;
                 prop_assert!(matches!(decode_msg(&bytes), Err(binpack::Error::BadTag(t)) if t == tag));
@@ -536,9 +528,46 @@ proptest! {
         }
     }
 
-    /// A wave query's `resume` costs nothing until it says something: one
-    /// without it is the bytes it was before the field existed in both
-    /// codecs, and one with it is the same bytes under its own binary tag.
+    /// Every start × exchange of a query, and every exchange × flags of an
+    /// answer, round-trips byte for byte in the binary codec and through
+    /// JSON, under a tag of its own.
+    #[test]
+    fn every_start_and_exchange_roundtrips_in_both_codecs(
+        session in session(),
+        rule in any::<u32>(),
+        round in 0u32..100_000,
+        since in marks(),
+        rows in answer_rows(),
+    ) {
+        let vias = [Via::Session, Via::Round(round), Via::Repair];
+        let starts = [Start::Fresh, Start::Resume, Start::Since(since)];
+        let mut msgs = Vec::new();
+        for via in vias {
+            for from in starts.clone() {
+                let query = Query::new(session, RuleId(rule), part(7), from, via);
+                msgs.push(ProtocolMsg::Query(query));
+            }
+            for (pushed, acks) in [(false, false), (true, false), (false, true), (true, true)] {
+                let answer = Answer::new(session, RuleId(rule), rows.clone(), via);
+                msgs.push(ProtocolMsg::Answer(Answer { pushed, acks, ..answer }));
+            }
+        }
+        let mut tags = BTreeSet::new();
+        for msg in &msgs {
+            let bytes = encode_msg(msg);
+            prop_assert!(tags.insert(bytes[0]), "tag {} taken twice", bytes[0]);
+            prop_assert!(!RETIRED_TAGS.contains(&bytes[0]) && bytes[0] < FIRST_UNUSED_TAG);
+            let json = serde_json::to_string(msg).unwrap();
+            for decoded in [decode_msg(&bytes).unwrap(), serde_json::from_str(&json).unwrap()] {
+                prop_assert_eq!(&encode_msg(&decoded), &bytes);
+                prop_assert_eq!(&serde_json::to_string(&decoded).unwrap(), &json);
+            }
+        }
+    }
+
+    /// A round's query says `resume` in its binary tag and is otherwise
+    /// the same bytes, and says nothing of it in JSON when it starts fresh;
+    /// its round travels in both codecs.
     #[test]
     fn wave_query_resume_rides_in_the_tag_and_is_omitted_when_false(
         session in session(),
@@ -546,25 +575,24 @@ proptest! {
         round in 0u32..100_000,
         node in 0u32..9000,
     ) {
-        let query = |resume| ProtocolMsg::WaveQuery {
-            session,
-            round,
-            rule: RuleId(rule),
-            part: part(node),
-            resume,
+        let query = |from| {
+            let query = Query::new(session, RuleId(rule), part(node), from, Via::Round(round));
+            ProtocolMsg::Query(query)
         };
-        for (resume, tag) in [(false, 18), (true, FIRST_UNUSED_TAG - 1)] {
-            let msg = query(resume);
+        for (from, tag) in [(Start::Fresh, 35), (Start::Resume, 36)] {
+            let resume = from == Start::Resume;
+            let msg = query(from);
             let json = serde_json::to_string(&msg).unwrap();
             prop_assert_eq!(json.contains("resume"), resume);
             let bytes = encode_msg(&msg);
             prop_assert_eq!(bytes[0], tag);
-            prop_assert_eq!(&bytes[1..], &encode_msg(&query(false))[1..]);
+            prop_assert_eq!(&bytes[1..], &encode_msg(&query(Start::Fresh))[1..]);
             for decoded in [serde_json::from_str(&json).unwrap(), decode_msg(&bytes).unwrap()] {
-                let ProtocolMsg::WaveQuery { resume: back, .. } = &decoded else {
-                    return Err(TestCaseError::fail("not a wave query"));
+                let ProtocolMsg::Query(Query { from: back, via, .. }) = &decoded else {
+                    return Err(TestCaseError::fail("not a query"));
                 };
-                prop_assert_eq!(*back, resume);
+                prop_assert_eq!(*back == Start::Resume, resume);
+                prop_assert_eq!(*via, Via::Round(round));
                 prop_assert_eq!(&encode_msg(&decoded), &bytes);
             }
         }

@@ -6,14 +6,17 @@
 //! is not a frame boundary must yield a typed `UnexpectedEof`, never a
 //! partial message.
 
-use p2pdb::core::messages::{AnswerRows, ProtocolMsg};
+use p2pdb::core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use p2pdb::core::rule::RuleId;
 use p2pdb::core::socket::ProtoCodec;
 use p2pdb::net::{Codec, SessionId};
 use p2pdb::relational::value::NullId;
 use p2pdb::relational::{SymId, Tuple, Val};
 use p2pdb::topology::NodeId;
-use p2pdb::transport::{read_frame, write_frame, FrameCodec, TransportError, DEFAULT_MAX_FRAME};
+use p2pdb::transport::handshake::HelloReply;
+use p2pdb::transport::{
+    read_frame, write_frame, FrameCodec, Hello, TransportError, DEFAULT_MAX_FRAME,
+};
 use proptest::prelude::*;
 use std::io::Read;
 use std::sync::Arc;
@@ -88,38 +91,33 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
             let rule = RuleId(rule);
             match kind {
                 0 => ProtocolMsg::StartUpdate { session },
-                1 => ProtocolMsg::Answer {
-                    session,
-                    rule,
-                    rows,
+                1 => ProtocolMsg::Answer(Answer {
                     complete: round % 2 == 0,
                     reopen: round % 3 == 0,
                     pushed: round % 5 == 0,
                     acks: round % 7 == 0,
-                },
-                2 => ProtocolMsg::WaveAnswerDelta {
-                    session,
-                    round,
-                    rule,
-                    rows,
-                },
+                    ..Answer::new(session, rule, rows, Via::Session)
+                }),
+                2 => ProtocolMsg::Answer(Answer::new(session, rule, rows, Via::Round(round))),
                 3 => ProtocolMsg::Fixpoint {
                     session,
                     generation: round,
                 },
                 4 => ProtocolMsg::Ack { session },
-                5 => ProtocolMsg::WaveQuery {
-                    session,
-                    round,
-                    rule,
-                    part: p2pdb::core::rule::BodyPart {
+                5 => {
+                    let part = p2pdb::core::rule::BodyPart {
                         node: NodeId(session.root.0),
                         atoms: vec![],
                         local_constraints: vec![],
                         vars: vec![Arc::from("X")],
-                    },
-                    resume: round % 2 == 0,
-                },
+                    };
+                    let from = if round % 2 == 0 {
+                        Start::Resume
+                    } else {
+                        Start::Fresh
+                    };
+                    ProtocolMsg::Query(Query::new(session, rule, part, from, Via::Round(round)))
+                }
                 _ => ProtocolMsg::Unsubscribe { session, rule },
             }
         })
@@ -194,6 +192,77 @@ proptest! {
                 }
                 Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
             }
+        }
+    }
+
+    /// Arbitrary bytes on a pipe — a header, possibly torn, announcing any
+    /// length, then any payload, read in any chunks under any frame cap —
+    /// read as frames no longer than the cap and the bytes that followed,
+    /// then a clean end or a typed error; never a panic. (A header that
+    /// announces up to `u32::MAX` under that cap is read as far as the bytes
+    /// go: the payload buffer grows with them.)
+    #[test]
+    fn arbitrary_bytes_read_as_frames_or_typed_errors(
+        (announce, header) in (0u8..3, any::<u32>()),
+        torn in 0usize..6,
+        payload in proptest::collection::vec(any::<u8>(), 0..48),
+        (small, cap) in (any::<bool>(), any::<u32>()),
+        plan in proptest::collection::vec(1usize..16, 1..4),
+    ) {
+        let len = match announce {
+            0 => header,
+            1 => payload.len() as u32,
+            _ => payload.len() as u32 + header % 8,
+        };
+        let max_frame = if small { cap % 64 } else { cap };
+        let mut data = len.to_le_bytes()[..4usize.saturating_sub(torn % 5)].to_vec();
+        data.extend(&payload);
+        let total = data.len();
+        let mut reader = Dribble { data, pos: 0, plan, next: 0 };
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut frames = Vec::new();
+            let end = loop {
+                match read_frame(&mut reader, max_frame) {
+                    Ok(Some(frame)) => frames.push(frame),
+                    end => break end.map(|_| ()),
+                }
+            };
+            (frames, end)
+        }));
+        let Ok((frames, _end)) = read else {
+            return Err(TestCaseError::fail("read_frame panicked"));
+        };
+        let framed: usize = frames.iter().map(|f| 4 + f.len()).sum();
+        prop_assert!(framed <= total);
+        for frame in &frames {
+            prop_assert!(frame.len() <= max_frame as usize);
+        }
+    }
+
+    /// A hello or a handshake reply made of arbitrary bytes decodes to a
+    /// value or a typed error, never a panic; a hello that decodes is the
+    /// twelve bytes it re-encodes to.
+    #[test]
+    fn arbitrary_handshake_bytes_decode_or_fail_typed(
+        bytes in proptest::collection::vec(any::<u8>(), 0..24),
+        magic in any::<bool>(),
+    ) {
+        let mut bytes = bytes;
+        if magic && bytes.len() >= 4 {
+            bytes[..4].copy_from_slice(b"P2PD");
+        }
+        let hello = std::panic::catch_unwind(|| Hello::decode(&bytes));
+        let Ok(hello) = hello else {
+            return Err(TestCaseError::fail("Hello::decode panicked"));
+        };
+        if let Ok(hello) = hello {
+            prop_assert_eq!(hello.encode(), bytes.clone());
+        }
+        let reply = std::panic::catch_unwind(|| HelloReply::decode(&bytes));
+        prop_assert!(reply.is_ok(), "HelloReply::decode panicked on {:?}", bytes);
+        if let Ok(Ok(reply)) = reply {
+            prop_assert!(bytes.len() >= 5);
+            prop_assert_eq!(reply.node.0.to_le_bytes(), [bytes[1], bytes[2], bytes[3], bytes[4]]);
         }
     }
 }

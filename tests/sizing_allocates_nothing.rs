@@ -13,7 +13,7 @@
 //! counts per thread, so the test harness's own threads do not disturb it.
 
 use p2pdb::core::joins::{join_parts_seminaive, PartDelta, VarRows};
-use p2pdb::core::messages::{AnswerRows, ProtocolMsg};
+use p2pdb::core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use p2pdb::core::peer::{DbPeer, Subscription};
 use p2pdb::core::rule::{BodyPart, CoordinationRule, RuleId};
 use p2pdb::core::system::P2PSystem;
@@ -69,7 +69,7 @@ fn samples() -> Vec<ProtocolMsg> {
     let var = |names: &[&str]| names.iter().map(Term::var).collect::<Vec<_>>();
     let mut wrote = var(&["I", "A"]);
     wrote.push(Term::Const(Val::str("open")));
-    let query = ProtocolMsg::Query {
+    let query = ProtocolMsg::Query(Query {
         session,
         rule: RuleId(2),
         part: BodyPart {
@@ -82,9 +82,10 @@ fn samples() -> Vec<ProtocolMsg> {
             vars: ["I", "T", "Y", "A"].map(Arc::from).to_vec(),
         },
         sn: vec![NodeId(0), NodeId(1), NodeId(3)],
-        resume: true,
-    };
-    let answer = ProtocolMsg::Answer {
+        from: Start::Resume,
+        via: Via::Session,
+    });
+    let answer = ProtocolMsg::Answer(Answer {
         session,
         rule: RuleId(2),
         rows: AnswerRows {
@@ -113,7 +114,8 @@ fn samples() -> Vec<ProtocolMsg> {
         reopen: false,
         pushed: true,
         acks: false,
-    };
+        via: Via::Session,
+    });
     vec![
         ProtocolMsg::Ack { session },
         ProtocolMsg::UpdateFlood { session },
