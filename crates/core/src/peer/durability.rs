@@ -3,98 +3,73 @@
 //! resync protocol.
 //!
 //! With [`crate::config::SystemConfig::durability`] on, every peer owns a
-//! [`p2p_storage::PeerStorage`] and logs what its subscriptions rest on as
-//! it happens, atomically with the handler that caused it:
+//! [`p2p_storage::PeerStorage`] and records, as [`p2p_storage::WalRecord`]s,
+//! what its subscriptions rest on: every fact the update algorithm inserts
+//! (`Insert`); as a head, every fragment answer it processes (`Answer`: the
+//! answerer's watermarks — the **resync cursor** — and, for a rule with more
+//! than one body node, the rows `DbPeer::fragments` retains), and the
+//! replacement or deletion of a rule, which forgets its marks
+//! (`ForgetRule`); as a body node, every move of a cursor a subscriber may
+//! come to rely on (`Cursor`, from `DbPeer::set_cursor` and
+//! `DbPeer::drop_cursor`).
 //!
-//! * every fact the update algorithm inserts
-//!   ([`p2p_storage::WalRecord::Insert`], written from
-//!   [`DbPeer::apply_rule_bindings`]);
-//! * head side, every fragment answer it processes
-//!   ([`p2p_storage::WalRecord::Answer`]): the answerer's watermarks of the
-//!   fragment's relations (the **resync cursor**) and — for a rule with
-//!   more than one body node, whose head retains fragment rows in
-//!   `DbPeer::fragments` — the rows, so that state can be rebuilt. The
-//!   mark follows the insertions the answer derived, never the other way
-//!   round: wherever the log is cut, a mark it holds vouches for rows whose
-//!   derivations it holds too. Replacing or deleting the rule forgets its
-//!   marks ([`p2p_storage::WalRecord::ForgetRule`]);
-//! * body side, every move of a cursor a subscriber may come to rely on
-//!   ([`p2p_storage::WalRecord::Cursor`], from `DbPeer::set_cursor` and
-//!   `DbPeer::drop_cursor`): the zero cursor when a subscription starts from
-//!   scratch — before the answer leaves — the advance when a retired
-//!   session that shipped rows commits it, the removal on `Unsubscribe`.
-//!   The fragment rides as an opaque document in a key's first record only.
-//!
-//! When the store reports a checkpoint as due the peer snapshots its
-//! database right there; the store adds the answer log folded to one mark
-//! per `(rule, body node)` and the cursor log folded to one cursor per
-//! `(subscriber, rule)`, and drops the frames the snapshot covers.
+//! **One delivery, one frame.** A handler never writes to its store: it
+//! adds records to a pending list, and `DbPeer::commit` writes the list as
+//! one frame, then takes a checkpoint if one is due. The commit ends every
+//! delivery and restart, before what the handler sent leaves, and every
+//! call from outside a delivery that records ([`DbPeer::insert_base_fact`],
+//! [`crate::system::P2PSystem::install_rule`]). A torn frame is dropped whole, so a log cut
+//! anywhere holds the state after some number of whole deliveries: no mark
+//! ahead of the insertions it derived, no subscriber holding rows past a
+//! cursor the store lacks.
 //!
 //! ## Crash and recovery
 //!
-//! A crash (`DbPeer::crash_volatile_state`) wipes everything in memory:
-//! database, null mint, chase depths, the whole per-session state table
-//! (update/rounds/Dijkstra–Scholten state of every interleaved session),
-//! the per-peer subscription cursors and retained fragments, discovery
-//! state. Static configuration — the coordination
-//! rules targeting the node, its pipes, the roster — survives, just as a
-//! real peer would re-read the network rule file at boot (Section 5).
-//! Statistics survive too: they are the experiment's measurement apparatus,
-//! not modelled peer state.
+//! A crash (`DbPeer::crash_volatile_state`) wipes everything in memory but
+//! static configuration — the rules targeting the node, its pipes, the
+//! roster, which a real peer re-reads at boot (Section 5) — and statistics.
 //!
-//! At restart ([`DbPeer::restart_and_resync`]) the peer replays
-//! `snapshot + WAL` into a database **tuple-identical** to the pre-crash
-//! one (soundness of recovery) — once: a restarted process keeps what
-//! [`DbPeer::attach_storage`] replayed — and resumes its subscriptions on
-//! both ends, so that a crash costs what was at risk, not what is held.
+//! At restart ([`DbPeer::restart_and_resync`]) the peer replays `snapshot +
+//! WAL` into a database **tuple-identical** to the pre-crash one — once: a
+//! restarted process keeps what [`DbPeer::attach_storage`] replayed — and
+//! resumes its subscriptions on both ends, so a crash costs what was at
+//! risk, not what is held.
 //!
 //! **As a body node** it takes back the cursors its store holds. Each was
 //! committed behind its session's terminal broadcast, when its subscriber
-//! had applied — and, durable itself, logged — every answer up to it, and
-//! the store never runs ahead of memory, so the invariant of
-//! [`crate::peer`] holds across the restart: *for every fragment a head
-//! holds, its body node's store has a cursor no further than what the head
-//! holds*. The next flood finds standing subscriptions (the next wave, a
-//! `resume` query) and ships `(cursor, now]`. Only a
+//! had applied — and, durable itself, logged — every answer up to it, so
+//! the invariant of [`crate::peer`] holds across the restart: *for every
+//! fragment a head holds, its body node's store has a cursor no further
+//! than what the head holds*, and the next flood ships `(cursor, now]`. A
 //! peer that cannot vouch for its cursors — no store, a store that does not
-//! read back, a cursor that counts rows the recovered relation does not
-//! have — owes its pipe neighbours the cursor-void notice.
+//! read back, a cursor counting rows the recovered relation lacks — owes
+//! its pipe neighbours the cursor-void notice.
 //!
-//! **As a head** it primes `DbPeer::fragments` from the recovered fragment
-//! marks — whatever sessions carried the answers — and sends one repair
-//! query per rule fragment: a `Query` on [`Via::Repair`], starting
-//! [`Start::Since`] the newest durably-processed watermark of that
-//! fragment's body node. The body node answers with a delta evaluation, so
-//! only facts inserted there *since the crash horizon* are re-shipped, never
-//! the full extension (completeness of recovery, at delta cost). Under the
-//! default protocol it evaluates from the per-relation minimum of that claim
-//! and its own committed cursor (`DbPeer::eval_from` says why the claim
-//! alone may overshoot), leaves the cursor where it is, and the head holds
-//! the fragment again once it has absorbed the answer — through the chase
-//! and the WAL, like any answer, so a crash *during* recovery is recoverable
-//! too: no query follows. FIFO pipes make the rest sound: if the peer
-//! durably logged an answer with watermark `W`, it had processed every
-//! earlier answer of that subscription that reached it, and every
-//! subscription started from the full extension or from a cursor an earlier
-//! logged session committed, so everything it can possibly be missing is
-//! derivable from facts past the smaller of `W` and the cursor. This holds
-//! under both update modes, since a rounds session commits its cursors at
-//! `RoundsClosed` as an eager one does at `Fixpoint`. Under `paper_faithful`
-//! nothing outlives a session, every session re-ships what it needs, and the
-//! repair is answered from the claim as it always was.
+//! **As a head** it primes `DbPeer::fragments` from the recovered marks
+//! and asks every rule fragment's body node for a delta: a `Query` on
+//! [`Via::Repair`] starting [`Start::Since`] the newest durably-processed
+//! watermark — or, under the default protocol, the body node's committed
+//! cursor where that lies behind (`DbPeer::eval_from`). The answer is
+//! absorbed through the chase and the WAL like any other, so a crash during
+//! recovery is recoverable too. FIFO pipes make this sound: a peer that
+//! logged an answer with watermark `W` had processed every earlier answer of
+//! that subscription, and every subscription started from scratch or from a
+//! logged session's cursor, so all it can miss derives from facts past the
+//! smaller of `W` and the cursor — in both update modes, as a rounds session
+//! commits its cursors at `RoundsClosed` as an eager one does at `Fixpoint`.
+//! Under `paper_faithful` the repair is answered from the claim.
 //!
-//! Liveness after a mid-wave crash is the driver's job: a crashed peer
-//! cannot echo, so the wave stalls and the simulator quiesces unclosed;
-//! [`crate::system::P2PSystem::run_update_resilient`] then re-drives the
-//! session (a fresh round of the same session for rounds mode, a fresh
-//! session-tagged epoch for eager mode) until closure is re-certified.
+//! Liveness after a mid-wave crash is the driver's job: the wave stalls,
+//! and [`crate::system::P2PSystem::run_update_resilient`] re-drives the
+//! session until closure is re-certified.
 
+use crate::error::{CoreError, CoreResult};
 use crate::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use crate::peer::{Cursor, DbPeer, Marks, SeededFault};
 use crate::rule::{BodyPart, RuleId};
 use p2p_net::{Context, SessionId};
 use p2p_relational::chase::ChaseState;
-use p2p_relational::{Database, NullFactory, Tuple};
+use p2p_relational::{Database, NullFactory, Tuple, Val};
 use p2p_storage::{
     CursorMark, FragmentMark, PeerStorage, RecoveredState, StorageResult, WalRecord,
 };
@@ -103,13 +78,13 @@ use serde::{Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A peer's durable side: its store, and — from
-/// [`DbPeer::attach_storage`] until the restart hook resumes from it, so a
-/// restarted process reads its store once — what a store that already held
-/// state was replayed into.
+/// A peer's durable side: its store, the records the running delivery made
+/// so far, and what a store that already held state was replayed into (kept
+/// until the restart hook resumes from it: a restarted process reads once).
 #[derive(Debug)]
 pub(crate) struct Durable {
     store: PeerStorage,
+    pending: Vec<WalRecord>,
     replayed: Option<Replayed>,
 }
 
@@ -131,12 +106,10 @@ impl DbPeer {
     /// starting point; a store that already holds state — e.g. a reopened
     /// [`p2p_storage::FileBackend`] from a previous process — is adopted
     /// instead: the disk is the truth, and checkpointing this peer's base
-    /// data over it would silently amputate every previously logged fact
-    /// from recovery.
-    ///
-    /// What the replay rebuilt besides the database is kept for the restart
-    /// hook (`DbPeer::restart_and_resync`), so a restarted process reads
-    /// its store once.
+    /// data over it would amputate every logged fact from recovery. What
+    /// the replay rebuilt besides the database is kept for the restart hook
+    /// (`DbPeer::restart_and_resync`), so a restarted process reads its
+    /// store once.
     pub fn attach_storage(&mut self, mut store: PeerStorage) -> StorageResult<()> {
         let replayed = match store.recover(self.id.0)? {
             Some(rec) => {
@@ -148,7 +121,11 @@ impl DbPeer {
                 None
             }
         };
-        self.storage = Some(Box::new(Durable { store, replayed }));
+        self.storage = Some(Box::new(Durable {
+            store,
+            pending: Vec::new(),
+            replayed,
+        }));
         Ok(())
     }
 
@@ -174,47 +151,33 @@ impl DbPeer {
         }
     }
 
-    /// Inserts one base fact **durably**: into the live database and — when
-    /// a store is attached — the write-ahead log, exactly like a
-    /// protocol-applied insertion. The seeding path for data arriving after
-    /// build time (concurrent-writer deltas); going around the WAL here
-    /// would make a later crash silently lose the fact.
-    pub fn insert_base_fact(
-        &mut self,
-        relation: &str,
-        values: Vec<p2p_relational::Val>,
-    ) -> p2p_relational::error::Result<()> {
+    /// Inserts one base fact **durably**: into the live database and — with
+    /// a store — the WAL, in a frame of its own written before this returns
+    /// (an error if it was not: the fact is in memory only). The seeding
+    /// path for data arriving after build time (concurrent-writer deltas).
+    pub fn insert_base_fact(&mut self, relation: &str, values: Vec<Val>) -> CoreResult<()> {
         if self.db.insert_row(relation, &values)? {
             self.log_insertions(&[(Arc::from(relation), Tuple::new(values))]);
         }
-        Ok(())
+        self.commit()
     }
 
-    /// Write-ahead-logs freshly applied insertions (no-op without storage).
+    /// Records freshly applied insertions (no-op without storage).
     pub(crate) fn log_insertions(&mut self, inserted: &[(Arc<str>, Tuple)]) {
-        for (relation, tuple) in inserted {
-            let Some(st) = self.storage.as_mut() else {
-                return;
-            };
-            let record = WalRecord::Insert {
-                relation: relation.clone(),
-                tuple: tuple.clone(),
-                depths: self.chase.depths_for(tuple),
-                dict: st.store.first_use_dict(tuple.values()),
-            };
-            self.log(&record);
+        if let Some(st) = self.storage.as_mut() {
+            st.pending
+                .extend(inserted.iter().map(|(relation, tuple)| WalRecord::Insert {
+                    relation: relation.clone(),
+                    tuple: tuple.clone(),
+                    depths: self.chase.depths_for(tuple),
+                }));
         }
     }
 
-    /// Write-ahead-logs one processed fragment answer, **after** the
-    /// insertions it derived ([`DbPeer::absorb_fragment`] logs those): the
-    /// answerer's watermarks (resync cursor) and — for a rule with more than
-    /// one body node, whose head retains fragment rows — the rows (cache
-    /// rebuild). A log cut anywhere, or a checkpoint taken anywhere, then
-    /// never holds a mark ahead of the database — a mark vouches for its
-    /// rows' derivations, and a restart trusts it. Nothing without a store,
-    /// and nothing for a payload-free acknowledgement (empty `marks`), which
-    /// carries no durable information.
+    /// Records one processed fragment answer: the answerer's watermarks
+    /// (resync cursor) and — for a rule with more than one body node, whose
+    /// head retains fragment rows — the rows (cache rebuild). Nothing for a
+    /// payload-free acknowledgement (empty `marks`).
     pub(crate) fn log_answer_mark(
         &mut self,
         sid: SessionId,
@@ -231,22 +194,20 @@ impl DbPeer {
         } else {
             Default::default()
         };
-        let record = WalRecord::Answer {
+        st.pending.push(WalRecord::Answer {
             session: sid,
             rule: rule.0,
             node: from,
-            dict: (st.store).first_use_dict(rows.iter().flat_map(Tuple::values)),
             vars,
             rows,
             watermarks: answer.marks,
-        };
-        self.log(&record);
+        });
     }
 
-    /// Sets the body-side cursor of `key` and write-ahead-logs it where a
-    /// subscriber may come to rely on the change: always when the fragment
-    /// is new for the key, and when the watermarks differ and `moved` says
-    /// the difference matters — a reset does; an advance over facts that
+    /// Sets the body-side cursor of `key` and records it where a subscriber
+    /// may come to rely on the change: always when the fragment is new for
+    /// the key, and when the watermarks differ and `moved` says the
+    /// difference matters — a reset does; an advance over facts that
     /// derived no row for the subscriber does not (resumed from the older
     /// mark, the same facts derive nothing again). The fragment rides as an
     /// opaque document in the key's first record only.
@@ -254,7 +215,11 @@ impl DbPeer {
         let held = self.cursors.get(&key);
         let new_part = held.is_none_or(|c| c.part != cursor.part);
         let differs = held.is_none_or(|c| c.watermarks != cursor.watermarks);
-        if self.storage.is_some() && (new_part || (differs && moved)) {
+        if let Some(st) = self
+            .storage
+            .as_mut()
+            .filter(|_| new_part || (differs && moved))
+        {
             let part = if new_part {
                 (cursor.part.to_content()).expect("a fragment is plain data")
             } else {
@@ -265,43 +230,43 @@ impl DbPeer {
                 watermarks: cursor.watermarks.clone(),
                 rows: cursor.rows,
             };
-            self.log_cursor(key, Some(mark));
+            st.pending.push(cursor_record(key, Some(mark)));
         }
         self.cursors.insert(key, cursor);
     }
 
     /// Drops the body-side cursor of `key`, durably.
     pub(crate) fn drop_cursor(&mut self, key: (NodeId, RuleId)) {
-        if self.cursors.remove(&key).is_some() {
-            self.log_cursor(key, None);
+        if let (Some(_), Some(st)) = (self.cursors.remove(&key), self.storage.as_mut()) {
+            st.pending.push(cursor_record(key, None));
         }
     }
 
-    fn log_cursor(&mut self, (subscriber, rule): (NodeId, RuleId), mark: Option<CursorMark>) {
-        self.log(&WalRecord::Cursor {
-            subscriber,
-            rule: rule.0,
-            mark,
-        });
-    }
-
-    /// Write-ahead-logs that `rule` was replaced or deleted here: the marks
-    /// of its answers are not the new rule's. A store that holds none says
-    /// nothing.
+    /// Records that `rule` was replaced or deleted here: the marks of its
+    /// answers are not the new rule's. A store that holds none says
+    /// nothing (no delivery both takes in an answer and replaces a rule, so
+    /// the committed marks are all there is to forget).
     pub(crate) fn log_forget_rule(&mut self, rule: RuleId) {
-        if (self.storage.as_ref()).is_some_and(|st| st.store.has_marks(rule.0)) {
-            self.log(&WalRecord::ForgetRule { rule: rule.0 });
+        if let Some(st) = (self.storage.as_mut()).filter(|st| st.store.has_marks(rule.0)) {
+            st.pending.push(WalRecord::ForgetRule { rule: rule.0 });
         }
     }
 
-    /// Appends one record and checkpoints when the store says one is due.
-    fn log(&mut self, record: &WalRecord) {
+    /// The one commit point (module docs): writes what was recorded since
+    /// the last commit as one WAL frame, then checkpoints if one is due. A
+    /// failed append loses the records, is recorded in [`DbPeer::errors`]
+    /// and returned.
+    pub fn commit(&mut self) -> CoreResult<()> {
         let Some(st) = self.storage.as_mut() else {
-            return;
+            return Ok(());
         };
-        let due = match st.store.log(record) {
+        let due = match st.store.commit(std::mem::take(&mut st.pending)) {
             Ok(due) => due,
-            Err(e) => return self.fail(format!("WAL append failed: {e}")),
+            Err(e) => {
+                let e = format!("WAL append failed: {e}");
+                self.fail(&e);
+                return Err(CoreError::Storage(e));
+            }
         };
         if due {
             let (nulls_next, depths) = (self.nulls.minted(), self.chase.export());
@@ -309,6 +274,7 @@ impl DbPeer {
                 self.fail(format!("snapshot failed: {e}"));
             }
         }
+        Ok(())
     }
 
     /// Rebuilds `DbPeer::fragments` from the recovered answer log — one
@@ -348,6 +314,7 @@ impl DbPeer {
         self.held.clear();
         self.fragments.clear();
         if let Some(st) = self.storage.as_mut() {
+            st.pending.clear();
             st.replayed = None;
         }
         self.nulls = NullFactory::new(self.id.0);
@@ -504,6 +471,14 @@ impl DbPeer {
     }
 }
 
+fn cursor_record((subscriber, rule): (NodeId, RuleId), mark: Option<CursorMark>) -> WalRecord {
+    WalRecord::Cursor {
+        subscriber,
+        rule: rule.0,
+        mark,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,6 +524,7 @@ mod tests {
             peer.attach_storage(st).unwrap();
             peer.db.insert_values("a", vec![Val::Int(7)]).unwrap();
             peer.log_insertions(&[(Arc::from("a"), Tuple::new(vec![Val::Int(7)]))]);
+            peer.commit().unwrap();
         }
         // "Second process": reopen the same store with a base-only peer.
         let mut peer = DbPeer::new(NodeId(1), Database::new(schema()), durable_config());
@@ -599,6 +575,22 @@ mod tests {
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
         peer.restart_and_resync(&mut ctx);
         assert_eq!(peer.database().total_tuples(), 1, "writer delta recovered");
+    }
+
+    /// A base fact the log did not take is the caller's error, not only an
+    /// entry in `errors()`: it would not survive a crash.
+    #[test]
+    fn insert_base_fact_reports_a_failed_append() {
+        let mut peer = DbPeer::new(NodeId(1), Database::new(schema()), durable_config());
+        let disk = TestDisk {
+            refuses_appends: true,
+            ..TestDisk::default()
+        };
+        peer.attach_storage(PeerStorage::new(Box::new(disk), 0))
+            .unwrap();
+        let err = peer.insert_base_fact("a", vec![Val::Int(41)]).unwrap_err();
+        assert!(matches!(err, crate::error::CoreError::Storage(_)), "{err}");
+        assert_eq!(peer.errors().len(), 1, "{:?}", peer.errors());
     }
 
     /// A head that crashed before durably processing **any** answer resyncs
@@ -705,6 +697,7 @@ mod tests {
             };
             peer.log_answer_mark(sid, rule_id, NodeId(3), rows);
         }
+        peer.commit().unwrap();
         peer.crash_volatile_state();
         assert_eq!(peer.retained_entries(), (0, 0), "crash wipes the state");
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
@@ -760,10 +753,12 @@ mod tests {
             ..Default::default()
         };
         peer.log_answer_mark(SessionId::new(NodeId(0), 1), rule_id, NodeId(3), rows);
+        peer.commit().unwrap();
 
         let mut replacement = parse("B:b2(Z), C:c(Y) => A:a(Z,Y)");
         replacement.id = rule_id;
         peer.install_rule(replacement);
+        peer.commit().unwrap();
         peer.crash_volatile_state();
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
         peer.restart_and_resync(&mut ctx);
@@ -804,7 +799,11 @@ mod tests {
             .unwrap();
         let frames = || disk.read_wal().unwrap().len();
 
-        peer.install_rule(rule.clone());
+        let install = |peer: &mut DbPeer| {
+            peer.install_rule(rule.clone());
+            peer.commit().unwrap();
+        };
+        install(&mut peer);
         assert_eq!(frames(), 0, "no marks, no frame");
         let rows = AnswerRows {
             vars: vec![Arc::from("X")],
@@ -813,15 +812,16 @@ mod tests {
             ..Default::default()
         };
         peer.log_answer_mark(SessionId::new(NodeId(0), 1), rule.id, NodeId(3), rows);
+        peer.commit().unwrap();
         assert_eq!(frames(), 1);
-        peer.install_rule(rule.clone());
+        install(&mut peer);
         assert_eq!(frames(), 2, "the marks are forgotten");
         let recovered = PeerStorage::new(Box::new(disk.clone()), 0)
             .recover(1)
             .unwrap()
             .unwrap();
         assert!(recovered.marks.is_empty());
-        peer.install_rule(rule);
+        install(&mut peer);
         assert_eq!(frames(), 2, "and forgetting them again says nothing");
     }
 
@@ -920,8 +920,10 @@ mod tests {
     struct TestDisk {
         disk: Arc<std::sync::Mutex<p2p_storage::MemoryBackend>>,
         replays: Arc<AtomicU64>,
-        /// Loses every `Insert` frame — what going around the log leaves.
+        /// Loses every `Insert` record — what going around the log leaves.
         drops_insertions: bool,
+        /// Fails every append.
+        refuses_appends: bool,
         /// The snapshot does not read back once a frame was logged.
         unreadable_once_logged: bool,
     }
@@ -934,7 +936,15 @@ mod tests {
 
     impl p2p_storage::StorageBackend for TestDisk {
         fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
-            if self.drops_insertions && frame.starts_with("{\"Insert\"") {
+            if self.refuses_appends {
+                return Err(p2p_storage::StorageError::Io("disk full".into()));
+            }
+            if self.drops_insertions {
+                let mut frame = p2p_storage::WalFrame::from_frame(frame)?;
+                (frame.records).retain(|r| !matches!(r, WalRecord::Insert { .. }));
+                if !frame.records.is_empty() {
+                    self.with(|b| b.append_wal(&frame.to_frame()))?;
+                }
                 return Ok(());
             }
             self.with(|b| b.append_wal(frame))

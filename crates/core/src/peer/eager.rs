@@ -361,7 +361,7 @@ impl DbPeer {
     ///   extension, the cursor back at zero — not removed, so that a
     ///   subscriber who comes to hold the fragment through a session whose
     ///   retirement this peer misses still finds a standing subscription,
-    ///   and logged before the answer leaves.
+    ///   and logged with the delivery that sends the answer.
     pub(crate) fn eval_from(
         &mut self,
         key: (NodeId, RuleId),
@@ -558,8 +558,8 @@ impl DbPeer {
             self.chase.record(*id, *depth);
         }
         // Durable peers log the processed answer (rows + the answerer's
-        // watermarks — the crash-resync cursor), behind the insertions it
-        // derives.
+        // watermarks — the crash-resync cursor) in the delivery's frame,
+        // with the insertions it derives.
         let inserted = self.absorb_fragment(rule, from, &answer.rows.vars, &answer.rows.rows);
         self.log_answer_mark(sid, rule, from, answer.rows);
         match via {

@@ -533,7 +533,9 @@ impl DbPeer {
     }
 
     /// Installs a rule with head at this node. Whatever was cached under
-    /// the id is invalidated (`AddRule` may replace a rule's body).
+    /// the id is invalidated (`AddRule` may replace a rule's body); what a
+    /// durable peer records for that commits with the running delivery, or
+    /// — called from outside one — at the caller's [`DbPeer::commit`].
     pub fn install_rule(&mut self, rule: CoordinationRule) {
         debug_assert_eq!(rule.head_node, self.id);
         for p in &rule.parts {
@@ -1323,10 +1325,9 @@ impl DbPeer {
             _ => self.finish_session_event(sid, st),
         }
     }
-}
 
-impl Peer<ProtocolMsg> for DbPeer {
-    fn on_message(&mut self, from: NodeId, msg: ProtocolMsg, ctx: &mut Context<ProtocolMsg>) {
+    /// Handles one delivered message; `on_message` commits what it recorded.
+    fn deliver(&mut self, from: NodeId, msg: ProtocolMsg, ctx: &mut Context<ProtocolMsg>) {
         // An answer whose rows are not as wide as its variables is refused
         // before anything changes, as if it had been lost.
         if msg.answer_rows().is_some_and(AnswerRows::is_ragged) {
@@ -1364,6 +1365,16 @@ impl Peer<ProtocolMsg> for DbPeer {
             _ => {}
         }
     }
+}
+
+/// Each delivery and each restart ends in [`DbPeer::commit`]: what it
+/// recorded is one WAL frame, written before the host takes its sends.
+/// A failed commit is in [`DbPeer::errors`]; what the handler sent leaves.
+impl Peer<ProtocolMsg> for DbPeer {
+    fn on_message(&mut self, from: NodeId, msg: ProtocolMsg, ctx: &mut Context<ProtocolMsg>) {
+        self.deliver(from, msg, ctx);
+        let _ = self.commit();
+    }
 
     fn on_crash(&mut self) {
         self.crash_volatile_state();
@@ -1371,6 +1382,7 @@ impl Peer<ProtocolMsg> for DbPeer {
 
     fn on_restart(&mut self, ctx: &mut Context<ProtocolMsg>) {
         self.restart_and_resync(ctx);
+        let _ = self.commit();
     }
 }
 

@@ -651,7 +651,7 @@ impl P2PSystem {
         let peer =
             (self.sim.peer_mut(head)).ok_or_else(|| CoreError::UnknownNode(head.to_string()))?;
         peer.install_rule(rule);
-        Ok(())
+        peer.commit()
     }
 
     /// Seeds `fault` at every peer (tests of the tests: see

@@ -1,10 +1,12 @@
-//! A mark is never ahead of the database. A head that joins two fragments
-//! logs, for every answer it processes, the insertions the answer derives
-//! and then the answer's mark — rows and watermarks, which a restart trusts:
-//! primed rows count as joined already. So wherever the log is cut — at any
-//! byte of a `FileBackend` log, and between any two frames whatever
-//! checkpoints fell among them — every binding the recovered marks' rows
-//! join to must be in the recovered database.
+//! One delivery, one frame. A head that joins two fragments records, for
+//! every answer it processes, the insertions the answer derives and the
+//! answer's mark — rows and watermarks, which a restart trusts: primed rows
+//! count as joined already — and the delivery writes them as one frame. So
+//! wherever the log is cut — at any byte of a `FileBackend` log, and between
+//! any two frames whatever checkpoints fell among them — recovery gives the
+//! state after some number of whole deliveries, and every binding the
+//! recovered marks' rows join to is in the recovered database. No
+//! checkpoint falls inside a delivery.
 
 use p2p_core::messages::{Answer, AnswerRows, Via};
 use p2p_core::peer::DbPeer;
@@ -52,8 +54,8 @@ fn head(storage: PeerStorage, pad: i64) -> DbPeer {
 
 /// Two sessions as the head sees them: the flood, then one answer from
 /// each body node, every one deriving something. Session 2's rows join
-/// session 1's.
-fn two_sessions(peer: &mut DbPeer) {
+/// session 1's. `delivered` sees the head after each delivery.
+fn two_sessions(peer: &mut DbPeer, mut delivered: impl FnMut(&DbPeer)) {
     let rule = rule();
     let answers = [
         (1, B, [1, 2], 1),
@@ -68,6 +70,7 @@ fn two_sessions(peer: &mut DbPeer) {
         if flooded < epoch {
             flooded = epoch;
             peer.on_message(B, ProtocolMsg::UpdateFlood { session }, &mut ctx);
+            delivered(peer);
         }
         let part = rule.parts.iter().find(|p| p.node == from).unwrap();
         let relation = part.atoms[0].relation.clone();
@@ -79,6 +82,7 @@ fn two_sessions(peer: &mut DbPeer) {
         };
         let answer = Answer::new(session, rule.id, rows, Via::Session);
         peer.on_message(from, ProtocolMsg::Answer(answer), &mut ctx);
+        delivered(peer);
     }
     assert!(peer.errors().is_empty(), "{:?}", peer.errors());
     assert_eq!(peer.database().relation("a").unwrap().len(), 4);
@@ -129,7 +133,7 @@ fn open(dir: &Path) -> PeerStorage {
 fn log_cut_at_any_byte_recovers_no_mark_ahead_of_the_database() {
     let (golden, scratch) = (temp_dir("golden"), temp_dir("scratch"));
     let _ = std::fs::remove_dir_all(&golden);
-    two_sessions(&mut head(open(&golden), 0));
+    two_sessions(&mut head(open(&golden), 0), |_| {});
     let snapshot = std::fs::read(golden.join("snapshot-1.json")).unwrap();
     let log = std::fs::read(golden.join("wal-1.jsonl")).unwrap();
 
@@ -143,6 +147,42 @@ fn log_cut_at_any_byte_recovers_no_mark_ahead_of_the_database() {
         most = most.max(marks_are_covered(&rec, &format!("log cut at {cut}")));
     }
     assert_eq!(most, 4, "the whole log holds both sessions");
+    std::fs::remove_dir_all(&golden).unwrap();
+    std::fs::remove_dir_all(&scratch).unwrap();
+}
+
+/// A log cut at any byte recovers exactly the database the head held after
+/// some whole number of deliveries — the number whose frames the cut left
+/// whole — never part of one.
+#[test]
+fn log_cut_at_any_byte_recovers_whole_deliveries() {
+    let (golden, scratch) = (temp_dir("whole_golden"), temp_dir("whole_scratch"));
+    let _ = std::fs::remove_dir_all(&golden);
+    let log_len = || std::fs::metadata(golden.join("wal-1.jsonl")).map_or(0, |m| m.len());
+    let mut after = vec![(0, Vec::new())];
+    let mut peer = head(open(&golden), 0);
+    two_sessions(&mut peer, |peer| {
+        after.push((log_len(), peer.database().all_facts()));
+    });
+    let snapshot = std::fs::read(golden.join("snapshot-1.json")).unwrap();
+    let log = std::fs::read(golden.join("wal-1.jsonl")).unwrap();
+    assert!(
+        after.windows(2).filter(|w| w[1].0 > w[0].0).count() == 4,
+        "the four answers logged a frame each, the floods none"
+    );
+
+    for cut in 0..=log.len() {
+        let _ = std::fs::remove_dir_all(&scratch);
+        std::fs::create_dir_all(&scratch).unwrap();
+        std::fs::write(scratch.join("snapshot-1.json"), &snapshot).unwrap();
+        std::fs::write(scratch.join("wal-1.jsonl"), &log[..cut]).unwrap();
+        let rec = open(&scratch).recover(HEAD.0).unwrap().unwrap();
+        let whole = after
+            .iter()
+            .rposition(|(len, _)| *len <= cut as u64)
+            .unwrap();
+        assert_eq!(rec.db.all_facts(), after[whole].1, "log cut at {cut}");
+    }
     std::fs::remove_dir_all(&golden).unwrap();
     std::fs::remove_dir_all(&scratch).unwrap();
 }
@@ -193,17 +233,18 @@ impl StorageBackend for Recording {
     }
 }
 
-/// With a checkpoint due after every record that outweighs the last
-/// snapshot, and the padding moving where that is: one falls between the
-/// frames of one answer in some run, and no state the store ever held —
-/// after any frame, after any checkpoint — recovers a mark ahead of the
-/// database.
+/// With a checkpoint due after every record once the log outweighs the
+/// last snapshot, and the padding moving where that is: checkpoints follow
+/// answers' frames in some runs, none falls between an answer's insertions
+/// and its mark, and no state the store ever held — after any frame, after
+/// any checkpoint — recovers a mark ahead of the database.
 #[test]
 fn checkpoint_between_any_two_frames_holds_no_mark_ahead_of_the_database() {
-    let mut checkpoints_inside_an_answer = 0;
+    let (mut checkpoints_after_an_answer, mut checkpoints_inside_an_answer) = (0, 0);
     for pad in 0..12 {
         let disk = Recording::default();
-        two_sessions(&mut head(PeerStorage::new(Box::new(disk.clone()), 1), pad));
+        let storage = PeerStorage::new(Box::new(disk.clone()), 1);
+        two_sessions(&mut head(storage, pad), |_| {});
         let history = disk.history.lock().unwrap().clone();
         let mut last_frame = String::new();
         for (i, (snapshot, frames)) in history.iter().enumerate() {
@@ -217,16 +258,24 @@ fn checkpoint_between_any_two_frames_holds_no_mark_ahead_of_the_database() {
                 .unwrap()
                 .unwrap();
             marks_are_covered(&rec, &format!("pad {pad}, state {i}"));
-            // A checkpoint right behind an insertion into `a`: inside an
-            // answer's frames, before its mark.
+            // A checkpoint right behind an insertion into `a`: behind an
+            // answer's frame, or — were its mark in a later frame — inside
+            // the answer.
             if frames.is_empty() && last_frame.contains("\"relation\":\"a\"") {
-                checkpoints_inside_an_answer += 1;
+                checkpoints_after_an_answer += 1;
+                if !last_frame.contains("\"Answer\"") {
+                    checkpoints_inside_an_answer += 1;
+                }
             }
             last_frame = frames.last().cloned().unwrap_or_default();
         }
     }
     assert!(
-        checkpoints_inside_an_answer > 0,
-        "the padding never put a checkpoint between an insertion and its mark"
+        checkpoints_after_an_answer > 0,
+        "the padding never put a checkpoint behind an answer"
+    );
+    assert_eq!(
+        checkpoints_inside_an_answer, 0,
+        "a checkpoint fell between an insertion and its mark"
     );
 }

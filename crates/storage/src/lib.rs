@@ -8,13 +8,16 @@
 //!   ([`WalRecord`]): `Insert`, every fact insertion the update algorithm
 //!   applies; `Answer`, a mark for every fragment answer the peer processed
 //!   as a rule's head (the answerer's database watermarks — the resync
-//!   cursor — and, for rules that join several fragments, the rows), logged
-//!   behind the insertions the answer derived; `ForgetRule`, the rule was
-//!   replaced or deleted and its marks with it; `Cursor`, a subscription the
-//!   peer serves as a body node moved — started from scratch, advanced by a
-//!   session that retired, dropped — with the fragment it serves riding as
-//!   an opaque document in a key's first record only (this crate knows
-//!   `p2p_core`'s rule fragments no better than its rule ids);
+//!   cursor — and, for rules that join several fragments, the rows);
+//!   `ForgetRule`, the rule was replaced or deleted and its marks with it;
+//!   `Cursor`, a subscription the peer serves as a body node moved —
+//!   started from scratch, advanced by a session that retired, dropped —
+//!   with the fragment it serves riding as an opaque document in a key's
+//!   first record only (this crate knows `p2p_core`'s rule fragments no
+//!   better than its rule ids). The records one delivery made are **one
+//!   frame** ([`WalFrame`], written by [`PeerStorage::commit`]) with one
+//!   first-use symbol dictionary, so a torn tail loses a whole delivery or
+//!   nothing;
 //! * **snapshots** ([`DatabaseSnapshot`]) of the database, the chase
 //!   bookkeeping, the answer log folded to one mark per fragment
 //!   ([`FragmentMark`], whose rows are one `p2p_relational::RowSet`: the
@@ -31,11 +34,12 @@
 //!
 //! ## Cadence
 //!
-//! [`PeerStorage::log`] reports a checkpoint as due once `snapshot_every`
+//! [`PeerStorage::commit`] reports a checkpoint as due once `snapshot_every`
 //! records *and* as many frame bytes as the last snapshot took have been
-//! appended. Rewriting the state is thus paid for by as much log as it
+//! appended; the owner takes it right after the commit, never inside a
+//! delivery. Rewriting the state is thus paid for by as much log as it
 //! replaces: bytes written stay within ~2× the bytes logged, bytes held
-//! within 2× the newest snapshot plus one record, and a recovery reads at
+//! within 2× the newest snapshot plus one frame, and a recovery reads at
 //! most that — with no setting to tune as the database grows.
 //!
 //! ## Backends and their contract
@@ -53,7 +57,8 @@
 //! `wal-<g>` files, a CRC-32 on every frame and a checksum trailer on every
 //! snapshot, what is deleted when, how a torn tail is cut off at open — is
 //! specified in the [`backend`] module docs. Directories written in the
-//! earlier `wal.jsonl`/`snapshot.json` layout are not read.
+//! earlier `wal.jsonl`/`snapshot.json` layout are not read; a log of
+//! one-record frames is refused as corrupt.
 //!
 //! ## Recovery invariant
 //!
@@ -80,7 +85,7 @@ pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use store::{CursorMark, DatabaseSnapshot, FragmentMark, PeerStorage, RecoveredState};
-pub use wal::WalRecord;
+pub use wal::{WalFrame, WalRecord};
 
 use std::fmt;
 

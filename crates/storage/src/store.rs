@@ -1,7 +1,8 @@
-//! The per-peer store: WAL append, checkpoint cadence, and recovery.
+//! The per-peer store: one WAL frame per commit, checkpoint cadence, and
+//! recovery.
 
 use crate::backend::StorageBackend;
-use crate::wal::WalRecord;
+use crate::wal::{WalFrame, WalRecord};
 use crate::{StorageError, StorageResult};
 use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
@@ -156,7 +157,6 @@ impl LogFold {
                 vars,
                 rows,
                 watermarks,
-                dict: _,
             } => self.fold_answer(*session, (*rule, *node), vars, rows, watermarks, remap)?,
             WalRecord::Cursor {
                 subscriber,
@@ -220,8 +220,8 @@ impl LogFold {
     }
 }
 
-/// A peer's durable store: appends WAL records, says when a checkpoint is
-/// due, and recovers the pre-crash state.
+/// A peer's durable store: commits WAL records a frame at a time, says when
+/// a checkpoint is due, and recovers the pre-crash state.
 #[derive(Debug)]
 pub struct PeerStorage {
     backend: Box<dyn StorageBackend>,
@@ -279,9 +279,8 @@ impl PeerStorage {
 
     /// The first-use dictionary for a set of values: `(id, string)` pairs
     /// for every symbol among `vals` that this store has not yet persisted,
-    /// which are thereby marked persisted. The caller puts the result in the
-    /// record it is about to [`PeerStorage::log`].
-    pub fn first_use_dict<'a>(
+    /// which are thereby marked persisted.
+    fn first_use_dict<'a>(
         &mut self,
         vals: impl IntoIterator<Item = &'a Val>,
     ) -> Vec<(SymId, Arc<str>)> {
@@ -293,41 +292,44 @@ impl PeerStorage {
         ConstCatalog::global().export(fresh)
     }
 
-    /// Appends one record. Returns `true` when a checkpoint is due — the
-    /// owner should follow up with [`PeerStorage::snapshot`] (the store
-    /// cannot take one itself: it does not own the database). One is due
-    /// after `snapshot_every` records **and** at least the last snapshot's
-    /// bytes of frames: rewriting the state is paid for by as much log as
-    /// it replaces, so the bytes written, the bytes held and the frames a
-    /// recovery replays all stay within a constant factor of the state
-    /// however large it grows.
-    ///
-    /// On append failure the record's dictionary symbols are un-marked, so
-    /// a later record re-ships their definitions — otherwise a single
-    /// failed write would permanently strip those symbols from the log and
-    /// recovery in another process could not resolve them.
-    pub fn log(&mut self, record: &WalRecord) -> StorageResult<bool> {
+    /// Writes one delivery's records, in order, as one frame with the
+    /// first-use dictionary of their rows' symbols; nothing when there are
+    /// none. Returns `true` when a checkpoint is due, for the owner (who
+    /// holds the database) to take with [`PeerStorage::snapshot`]: after
+    /// `snapshot_every` records **and** the last snapshot's bytes of frames,
+    /// so rewriting the state is paid for by as much log as it replaces and
+    /// what is written, held and replayed stays within a constant factor of
+    /// the state. A failed append un-marks the frame's symbols, so a later
+    /// frame ships their definitions again.
+    pub fn commit(&mut self, records: Vec<WalRecord>) -> StorageResult<bool> {
+        if records.is_empty() {
+            return Ok(false);
+        }
+        let dict = self.first_use_dict(records.iter().flat_map(WalRecord::values));
+        let frame = WalFrame { dict, records };
         let appended = match self.codec {
             Codec::Json => {
-                let frame = record.to_frame();
-                self.backend.append_wal(&frame).map(|()| frame.len())
+                let text = frame.to_frame();
+                self.backend.append_wal(&text).map(|()| text.len())
             }
             Codec::Binary => {
-                let frame = record.to_frame_bytes();
-                self.backend.append_wal_bytes(&frame).map(|()| frame.len())
+                let bytes = frame.to_frame_bytes();
+                self.backend.append_wal_bytes(&bytes).map(|()| bytes.len())
             }
         };
         let len = match appended {
             Ok(len) => len,
             Err(e) => {
-                for (id, _) in record.dict() {
+                for (id, _) in &frame.dict {
                     self.persisted_syms.remove(id);
                 }
                 return Err(e);
             }
         };
-        self.folded.fold(record, &SymRemap::default())?;
-        self.since_snapshot += 1;
+        for record in &frame.records {
+            self.folded.fold(record, &SymRemap::default())?;
+        }
+        self.since_snapshot += frame.records.len() as u64;
         self.bytes_since_snapshot += len as u64;
         Ok(self.snapshot_every > 0
             && self.since_snapshot >= self.snapshot_every
@@ -336,11 +338,9 @@ impl PeerStorage {
 
     /// Checkpoints: writes a snapshot of the current database, the chase
     /// bookkeeping and the folded answer and cursor logs, with the symbol
-    /// dictionary
-    /// that makes it self-contained; the backend then drops the frames it
-    /// covers. A failed write leaves the store as it was — in particular
-    /// no symbol counts as persisted on the strength of a snapshot that
-    /// was not written.
+    /// dictionary that makes it self-contained; the backend then drops the
+    /// frames it covers. A failed write leaves the store as it was — no
+    /// symbol counts as persisted on the strength of an unwritten snapshot.
     pub fn snapshot(
         &mut self,
         db: &Database,
@@ -386,24 +386,15 @@ impl PeerStorage {
         Ok(())
     }
 
-    /// Rebuilds the pre-crash state: newest snapshot + WAL replay.
-    ///
-    /// Replay is idempotent — inserts deduplicate, null counters, depths
-    /// and marks merge by maximum, a cursor is its newest record — so
-    /// frames the snapshot already covers (a backend may hand them back,
-    /// and a crash inside a checkpoint leaves them behind) change nothing.
-    ///
-    /// Every persisted dictionary — the snapshot's catalog section and each
-    /// record's first-use delta — is folded into the live catalog first, and
-    /// the accumulated [`SymRemap`] rewrites rows as they are replayed. In
-    /// the same process the remap is the identity and the rewrite is
-    /// skipped; a different process re-interns and lands on its own ids.
-    ///
-    /// `node` is the recovering peer's id, used to advance the null mint
-    /// past any own null that appears in replayed insertions. Returns
-    /// `None` when no snapshot was ever written (nothing to recover from —
-    /// the owner writes the initial snapshot at attach time, so this only
-    /// happens for a store that never belonged to a peer).
+    /// Rebuilds the pre-crash state: newest snapshot + WAL replay, which is
+    /// idempotent (see [`crate::wal`]): frames the snapshot already covers
+    /// — a backend may hand them back, a crash inside a checkpoint leaves
+    /// them — change nothing. The snapshot's catalog and each frame's
+    /// dictionary are interned as they come, and the accumulated
+    /// [`SymRemap`] (the identity in the writing process) rewrites rows.
+    /// Own nulls (`node` is the peer's id) in replayed insertions advance
+    /// the null mint. `None` when no snapshot was ever written: the owner
+    /// writes one at attach time, so the store never belonged to a peer.
     pub fn recover(&self, node: u32) -> StorageResult<Option<RecoveredState>> {
         let decode =
             |e: &dyn std::fmt::Display| StorageError::Corrupt(format!("snapshot decode: {e}"));
@@ -450,49 +441,40 @@ impl PeerStorage {
             folded.marks.insert((rule, from), mark);
         }
 
-        let records: Vec<WalRecord> = match self.codec {
-            Codec::Json => self
-                .backend
-                .read_wal()?
-                .iter()
-                .map(|f| WalRecord::from_frame(f))
+        let frames: Vec<WalFrame> = match self.codec {
+            Codec::Json => (self.backend.read_wal()?.iter())
+                .map(|f| WalFrame::from_frame(f))
                 .collect::<StorageResult<_>>()?,
-            Codec::Binary => self
-                .backend
-                .read_wal_bytes()?
-                .iter()
-                .map(|f| WalRecord::from_frame_bytes(f))
+            Codec::Binary => (self.backend.read_wal_bytes()?.iter())
+                .map(|f| WalFrame::from_frame_bytes(f))
                 .collect::<StorageResult<_>>()?,
         };
         let mut buf = Vec::new();
-        for record in records {
-            remap.extend(catalog.absorb(record.dict()));
-            folded.fold(&record, &remap)?;
-            let WalRecord::Insert {
-                relation,
-                tuple,
-                depths: rec_depths,
-                dict: _,
-            } = record
-            else {
-                continue;
-            };
-            let row = remap_row(&remap, &tuple.0, &mut buf);
-            for v in row {
-                if let Val::Null(id) = v {
-                    if id.node() == node && id.counter() + 1 > nulls_next {
-                        nulls_next = id.counter() + 1;
-                    }
+        for frame in frames {
+            remap.extend(catalog.absorb(&frame.dict));
+            for record in frame.records {
+                folded.fold(&record, &remap)?;
+                let WalRecord::Insert {
+                    relation,
+                    tuple,
+                    depths: rec_depths,
+                } = record
+                else {
+                    continue;
+                };
+                let row = remap_row(&remap, &tuple.0, &mut buf);
+                let own = row.iter().filter_map(|v| match v {
+                    Val::Null(id) if id.node() == node => Some(id.counter() + 1),
+                    _ => None,
+                });
+                nulls_next = own.fold(nulls_next, u64::max);
+                for (id, d) in rec_depths {
+                    let e = depths.entry(id).or_insert(d);
+                    *e = (*e).max(d);
                 }
+                db.insert_row(&relation, row)
+                    .map_err(|e| StorageError::Corrupt(format!("WAL replay: {e}")))?;
             }
-            for (id, d) in rec_depths {
-                let e = depths.entry(id).or_insert(d);
-                if d > *e {
-                    *e = d;
-                }
-            }
-            db.insert_row(&relation, row)
-                .map_err(|e| StorageError::Corrupt(format!("WAL replay: {e}")))?;
         }
         Ok(Some(RecoveredState {
             db,
@@ -553,14 +535,12 @@ mod tests {
     fn insert(st: &mut PeerStorage, db: &mut Database, rel: &str, vals: Vec<Val>) -> bool {
         let tuple = Tuple::new(vals);
         db.insert(rel, tuple.clone()).unwrap();
-        let dict = st.first_use_dict(tuple.values());
-        st.log(&WalRecord::Insert {
+        let record = WalRecord::Insert {
             relation: Arc::from(rel),
             tuple,
             depths: Vec::new(),
-            dict,
-        })
-        .unwrap()
+        };
+        st.commit(vec![record]).unwrap()
     }
 
     fn tuples(rows: &RowSet) -> Vec<Tuple> {
@@ -577,7 +557,6 @@ mod tests {
             vars: vec![Arc::from("X")],
             rows,
             watermarks,
-            dict: vec![],
         }
     }
 
@@ -677,6 +656,18 @@ mod tests {
         assert!(!insert(&mut st, &mut db, "b", vec![Val::Int(1)]));
         assert!(!insert(&mut st, &mut db, "b", vec![Val::Int(2)]));
         assert!(insert(&mut st, &mut db, "b", vec![Val::Int(3)]));
+
+        // A frame counts its records, not itself.
+        let (mut st, _db) = store(3);
+        st.snapshot_bytes = 0;
+        let sid = SessionId::new(NodeId(0), 1);
+        let batch = (1..=3).map(|mark| answer(sid, Vec::new(), mark)).collect();
+        assert!(st.commit(batch).unwrap());
+        assert_eq!(st.since_snapshot, 3);
+        assert!(
+            !st.commit(Vec::new()).unwrap(),
+            "an empty commit writes nothing"
+        );
     }
 
     #[test]
@@ -686,12 +677,11 @@ mod tests {
         let foreign = NullId::new(8, 100);
         db.insert("a", Tuple::new(vec![Val::Null(own), Val::Null(foreign)]))
             .unwrap();
-        st.log(&WalRecord::Insert {
+        st.commit(vec![WalRecord::Insert {
             relation: Arc::from("a"),
             tuple: Tuple::new(vec![Val::Null(own), Val::Null(foreign)]),
             depths: vec![(own, 2), (foreign, 5)],
-            dict: vec![],
-        })
+        }])
         .unwrap();
         let rec = st.recover(3).unwrap().unwrap();
         // Own counter advanced past 9; the foreign node's null is ignored.
@@ -707,9 +697,9 @@ mod tests {
         let row1 = Tuple::new(vec![Val::Int(1)]);
         let row2 = Tuple::new(vec![Val::Int(2)]);
         // Logged out of watermark order on purpose: the maximum wins.
-        st.log(&answer(sid, vec![row1.clone(), row2.clone()], 4))
+        st.commit(vec![answer(sid, vec![row1.clone(), row2.clone()], 4)])
             .unwrap();
-        st.log(&answer(sid, vec![row1.clone()], 1)).unwrap();
+        st.commit(vec![answer(sid, vec![row1.clone()], 1)]).unwrap();
         let rec = st.recover(0).unwrap().unwrap();
         let mark = &rec.marks[&(5, NodeId(2))];
         assert_eq!(tuples(&mark.rows), vec![row1, row2]); // deduplicated, in order
@@ -724,10 +714,11 @@ mod tests {
         let (mut st, _db) = store(0);
         let s1 = SessionId::new(NodeId(0), 1);
         let s2 = SessionId::new(NodeId(3), 1);
-        st.log(&answer(s2, vec![Tuple::new(vec![Val::Int(7)])], 9))
-            .unwrap();
-        st.log(&answer(s1, vec![Tuple::new(vec![Val::Int(1)])], 2))
-            .unwrap();
+        st.commit(vec![
+            answer(s2, vec![Tuple::new(vec![Val::Int(7)])], 9),
+            answer(s1, vec![Tuple::new(vec![Val::Int(1)])], 2),
+        ])
+        .unwrap();
         let rec = st.recover(0).unwrap().unwrap();
         assert_eq!(rec.marks.len(), 1);
         let mark = &rec.marks[&(5, NodeId(2))];
@@ -754,12 +745,8 @@ mod tests {
                 let backend = Box::new(FileBackend::open(&dir).unwrap());
                 let mut st = PeerStorage::with_codec(backend, 0, codec);
                 st.snapshot(&db, 0, Vec::new()).unwrap();
-                let mut record = answer(sid, rows.clone(), 3);
-                if let WalRecord::Answer { dict, rows, .. } = &mut record {
-                    *dict = st.first_use_dict(rows.iter().flat_map(Tuple::values));
-                    assert_eq!(dict.len(), 1);
-                }
-                st.log(&record).unwrap();
+                st.commit(vec![answer(sid, rows.clone(), 3)]).unwrap();
+                assert!(st.first_use_dict(rows[0].values()).is_empty());
                 st.snapshot(&db, 0, Vec::new()).unwrap();
             }
             let backend = Box::new(FileBackend::open(&dir).unwrap());
@@ -785,7 +772,7 @@ mod tests {
         let sid = SessionId::new(NodeId(0), 2);
         insert(&mut st, &mut db, "b", vec![Val::Int(1)]);
         insert(&mut st, &mut db, "s", vec![Val::str("stale-sym")]);
-        st.log(&answer(sid, vec![Tuple::new(vec![Val::Int(1)])], 5))
+        st.commit(vec![answer(sid, vec![Tuple::new(vec![Val::Int(1)])], 5)])
             .unwrap();
         let before = st.recover(0).unwrap().unwrap();
         st.snapshot(&db, 0, Vec::new()).unwrap();
@@ -824,16 +811,18 @@ mod tests {
         assert!(st.first_use_dict([v].iter()).is_empty());
     }
 
-    /// A memory backend whose next snapshot write fails while the shared
-    /// flag is set.
+    /// A memory backend whose writes fail while the shared flag is set.
     #[derive(Debug)]
-    struct FailingSnapshots {
+    struct Failing {
         inner: MemoryBackend,
         fail: Arc<AtomicBool>,
     }
 
-    impl StorageBackend for FailingSnapshots {
+    impl StorageBackend for Failing {
         fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+            if self.fail.load(Ordering::Relaxed) {
+                return Err(StorageError::Io("disk full".into()));
+            }
             self.inner.append_wal(frame)
         }
         fn read_wal(&self) -> StorageResult<Vec<String>> {
@@ -869,7 +858,7 @@ mod tests {
     #[test]
     fn failed_snapshot_persists_no_symbols() {
         let fail = Arc::new(AtomicBool::new(false));
-        let backend = FailingSnapshots {
+        let backend = Failing {
             inner: MemoryBackend::default(),
             fail: fail.clone(),
         };
@@ -895,6 +884,35 @@ mod tests {
         db.insert("s", Tuple::new(vec![kept])).unwrap();
         st.snapshot(&db, 0, Vec::new()).unwrap();
         assert!(st.first_use_dict([kept].iter()).is_empty());
+    }
+
+    /// A commit whose append fails folds none of its records and persists
+    /// none of its frame's symbols: the next frame ships them again.
+    #[test]
+    fn failed_commit_persists_no_symbols_and_folds_nothing() {
+        let fail = Arc::new(AtomicBool::new(true));
+        let backend = Failing {
+            inner: MemoryBackend::default(),
+            fail: fail.clone(),
+        };
+        let mut st = PeerStorage::new(Box::new(backend), 0);
+        let sym = Val::str("saw-a-failed-commit");
+        let batch = || {
+            let insert = WalRecord::Insert {
+                relation: Arc::from("s"),
+                tuple: Tuple::new(vec![sym]),
+                depths: Vec::new(),
+            };
+            vec![insert, answer(SessionId::new(NodeId(0), 1), Vec::new(), 1)]
+        };
+        assert!(matches!(st.commit(batch()), Err(StorageError::Io(_))));
+        assert!(!st.has_marks(5) && st.since_snapshot == 0);
+        fail.store(false, Ordering::Relaxed);
+        st.commit(batch()).unwrap();
+        assert!(st.has_marks(5));
+        let frames = st.backend.read_wal().unwrap();
+        assert_eq!(frames.len(), 1);
+        assert!(frames[0].contains("saw-a-failed-commit"), "{}", frames[0]);
     }
 
     /// A checkpoint drops the frames whose dictionaries defined a symbol,
@@ -1065,8 +1083,9 @@ mod tests {
         for codec in [Codec::Json, Codec::Binary] {
             let mut st = PeerStorage::with_codec(Box::<MemoryBackend>::default(), 0, codec);
             let (seven, zero) = ([Val::Int(7), Val::Int(-1)], [Val::Int(0), null]);
-            st.log(&answer(vec![row(&seven), row(&zero)], 2)).unwrap();
-            st.log(&answer(vec![row(&zero), row(&[null, Val::Int(9)])], 4))
+            st.commit(vec![answer(vec![row(&seven), row(&zero)], 2)])
+                .unwrap();
+            st.commit(vec![answer(vec![row(&zero), row(&[null, Val::Int(9)])], 4)])
                 .unwrap();
             let written = |st: &mut PeerStorage| {
                 st.snapshot(&db, 3, vec![(NullId::new(4, 2), 1)]).unwrap();
@@ -1188,7 +1207,7 @@ mod tests {
             st.snapshot(&db, 0, Vec::new()).unwrap();
             insert(&mut st, &mut db, "s", vec![Val::str("cross-codec-sym")]);
             let sid = SessionId::new(NodeId(0), 1);
-            st.log(&answer(sid, vec![Tuple::new(vec![Val::Int(5)])], 2))
+            st.commit(vec![answer(sid, vec![Tuple::new(vec![Val::Int(5)])], 2)])
                 .unwrap();
             let rec = st.recover(0).unwrap().unwrap();
             assert_eq!(rec.db.all_facts(), db.all_facts());

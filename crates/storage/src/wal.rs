@@ -1,34 +1,90 @@
-//! Write-ahead-log records.
+//! Write-ahead-log frames: one frame per delivery.
 //!
-//! One record per durable event, serde-framed (one JSON or [`binpack`]
-//! document per frame; the backend delimits and checksums frames).
-//! Records are designed to be **replay-idempotent**: inserting an
-//! already-present tuple is a no-op at the relation layer, depth records
-//! and answer watermarks merge by maximum and answer rows deduplicate, so
-//! recovery may safely replay frames the snapshot already covers. The two
-//! records that take something back — [`WalRecord::Cursor`], whose newest
-//! record per key wins, and [`WalRecord::ForgetRule`] — are idempotent in
-//! sequence instead: a checkpoint drops all the frames it covers at once,
-//! so stale frames are always replayed up to the snapshot that folded them
-//! and end where it stands.
+//! The [`WalRecord`]s one delivery of a peer made — or one call from outside
+//! any delivery — are written as **one frame** ([`WalFrame`]), in the order
+//! they were made, before anything the delivery sent leaves. The backend
+//! checksums frames and drops a torn tail whole, so wherever the log is cut
+//! it holds the state after some number of whole deliveries.
 //!
-//! Rows carry interned [`p2p_relational::Val`]s, whose 4-byte symbol ids
-//! are only meaningful relative to a catalog. Every record therefore ships
-//! a **first-use dictionary** (`dict`): the `(SymId, string)` definitions
-//! of symbols this store has never persisted before. Recovery folds those
-//! into the live catalog and remaps ids, so a log written by one process
-//! round-trips in another — the on-disk analogue of the wire protocol's
-//! dictionary deltas. A list that is empty is left out of the frame (most
-//! are: no nulls aboard, no new symbol, no rows kept) and reads back empty.
+//! Replay is idempotent: inserts deduplicate, depths and watermarks merge by
+//! maximum, answer rows deduplicate. The newest `Cursor` of a key wins and a
+//! `ForgetRule` drops the marks before it, idempotent in sequence: a
+//! checkpoint drops the frames it covers at once, so stale frames replay up
+//! to the snapshot that folded them and end where it stands.
+//!
+//! Symbol ids in rows mean something only against a catalog, so a frame
+//! carries a **first-use dictionary**: the `(SymId, string)` definitions of
+//! the symbols among its rows the store has not persisted before, which
+//! recovery interns and remaps by. Empty lists are left out of a frame. A
+//! frame of the one-record-per-frame layout — a bare record, or a record
+//! with a dictionary of its own — is corrupt, as is a frame without records.
 
 use crate::store::CursorMark;
+use crate::{StorageError, StorageResult};
 use p2p_net::SessionId;
 use p2p_relational::value::NullId;
-use p2p_relational::{SymId, Tuple};
+use p2p_relational::{SymId, Tuple, Val};
 use p2p_topology::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::{content_get, Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::sync::Arc;
+
+/// The records of one delivery, written and read back as one frame.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct WalFrame {
+    /// First-use symbol definitions for interned constants in the rows of
+    /// `records`.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub dict: Vec<(SymId, Arc<str>)>,
+    /// The records, in the order they were made.
+    pub records: Vec<WalRecord>,
+}
+
+impl WalFrame {
+    /// Serializes the frame.
+    pub fn to_frame(&self) -> String {
+        serde_json::to_string(self).expect("WAL records are plain data")
+    }
+
+    /// Parses a frame back.
+    pub fn from_frame(frame: &str) -> StorageResult<Self> {
+        Self::from_doc(serde_json::from_str(frame))
+    }
+
+    /// Serializes the frame in binary (the [`binpack`] wire form, used
+    /// when the store's codec is `Binary`).
+    pub fn to_frame_bytes(&self) -> Vec<u8> {
+        binpack::to_bytes(self).expect("WAL records are plain data")
+    }
+
+    /// Parses a binary frame back.
+    pub fn from_frame_bytes(frame: &[u8]) -> StorageResult<Self> {
+        Self::from_doc(binpack::from_bytes(frame))
+    }
+
+    /// A frame from its parsed document, refusing the earlier layout (the
+    /// derive skips unknown keys: a record's own `dict` would go unread).
+    fn from_doc(doc: Result<Content, impl Display>) -> StorageResult<Self> {
+        let corrupt = |e: &dyn Display| StorageError::Corrupt(format!("WAL frame: {e}"));
+        let doc = doc.map_err(|e| corrupt(&e))?;
+        let frame = Self::from_content(&doc).map_err(|e| corrupt(&e))?;
+        let records = (field(&doc, "records").and_then(Content::as_seq)).unwrap_or_default();
+        let mut bodies = records.iter().filter_map(Content::as_map).flatten();
+        if bodies.any(|(_, body)| field(body, "dict").is_some()) {
+            return Err(corrupt(&"a record with a dictionary of its own"));
+        }
+        if frame.records.is_empty() {
+            return Err(corrupt(&"no records"));
+        }
+        Ok(frame)
+    }
+}
+
+/// The `key` entry of a map document.
+fn field<'a>(doc: &'a Content, key: &str) -> Option<&'a Content> {
+    content_get(doc.as_map()?, key)
+}
 
 /// One durable event in a peer's write-ahead log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,9 +99,6 @@ pub enum WalRecord {
         /// null-depth safety valve must survive recovery).
         #[serde(default, skip_serializing_if = "Vec::is_empty")]
         depths: Vec<(NullId, u32)>,
-        /// First-use symbol definitions for interned constants in `tuple`.
-        #[serde(default, skip_serializing_if = "Vec::is_empty")]
-        dict: Vec<(SymId, Arc<str>)>,
     },
     /// A fragment answer this peer processed: crucially the answerer's
     /// database watermarks at answer time, whose newest values per
@@ -70,9 +123,6 @@ pub enum WalRecord {
         rows: Vec<Tuple>,
         /// The answerer's per-relation insertion watermarks at answer time.
         watermarks: BTreeMap<Arc<str>, usize>,
-        /// First-use symbol definitions for interned constants in `rows`.
-        #[serde(default, skip_serializing_if = "Vec::is_empty")]
-        dict: Vec<(SymId, Arc<str>)>,
     },
     /// The body side of a subscription moved: the cursor this peer serves
     /// `subscriber` from for `rule` was set (started from scratch, or
@@ -96,35 +146,14 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// Serializes the record into one frame.
-    pub fn to_frame(&self) -> String {
-        serde_json::to_string(self).expect("WAL records are plain data")
-    }
-
-    /// Parses a frame back.
-    pub fn from_frame(frame: &str) -> Result<Self, crate::StorageError> {
-        serde_json::from_str(frame)
-            .map_err(|e| crate::StorageError::Corrupt(format!("WAL frame: {e}")))
-    }
-
-    /// Serializes the record into one binary frame (the [`binpack`] wire
-    /// form, used when the store's codec is `Binary`).
-    pub fn to_frame_bytes(&self) -> Vec<u8> {
-        binpack::to_bytes(self).expect("WAL records are plain data")
-    }
-
-    /// Parses a binary frame back.
-    pub fn from_frame_bytes(frame: &[u8]) -> Result<Self, crate::StorageError> {
-        binpack::from_bytes(frame)
-            .map_err(|e| crate::StorageError::Corrupt(format!("binary WAL frame: {e}")))
-    }
-
-    /// The record's dictionary delta.
-    pub fn dict(&self) -> &[(SymId, Arc<str>)] {
-        match self {
-            WalRecord::Insert { dict, .. } | WalRecord::Answer { dict, .. } => dict,
-            WalRecord::Cursor { .. } | WalRecord::ForgetRule { .. } => &[],
-        }
+    /// The values of the record's rows: what its frame's dictionary covers.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &Val> {
+        let (tuple, rows): (&[Val], &[Tuple]) = match self {
+            WalRecord::Insert { tuple, .. } => (&tuple.0, &[]),
+            WalRecord::Answer { rows, .. } => (&[], rows),
+            WalRecord::Cursor { .. } | WalRecord::ForgetRule { .. } => (&[], &[]),
+        };
+        tuple.iter().chain(rows.iter().flat_map(|t| t.0.iter()))
     }
 }
 
@@ -133,47 +162,58 @@ mod tests {
     use super::*;
     use p2p_relational::Val;
 
-    #[test]
-    fn insert_record_roundtrips() {
-        let rec = WalRecord::Insert {
-            relation: Arc::from("a"),
-            tuple: Tuple::new(vec![Val::Int(1), Val::Null(NullId::new(2, 5))]),
-            depths: vec![(NullId::new(2, 5), 3)],
-            dict: vec![],
-        };
-        let frame = rec.to_frame();
-        assert_eq!(WalRecord::from_frame(&frame).unwrap(), rec);
+    fn one(record: WalRecord) -> WalFrame {
+        WalFrame {
+            dict: Vec::new(),
+            records: vec![record],
+        }
     }
 
     #[test]
+    fn insert_record_roundtrips() {
+        let frame = one(WalRecord::Insert {
+            relation: Arc::from("a"),
+            tuple: Tuple::new(vec![Val::Int(1), Val::Null(NullId::new(2, 5))]),
+            depths: vec![(NullId::new(2, 5), 3)],
+        });
+        assert_eq!(WalFrame::from_frame(&frame.to_frame()).unwrap(), frame);
+    }
+
+    /// The dictionary is the frame's, and covers the rows of every record
+    /// in it.
+    #[test]
     fn record_dict_roundtrips_symbol_definitions() {
         let v = Val::str("wal-dict-sym");
-        let rec = WalRecord::Insert {
+        let insert = WalRecord::Insert {
             relation: Arc::from("a"),
-            tuple: Tuple::new(vec![v]),
+            tuple: Tuple::new(vec![Val::Int(1), v]),
             depths: vec![],
-            dict: vec![(v.as_sym().unwrap(), Arc::from("wal-dict-sym"))],
         };
-        let frame = rec.to_frame();
-        assert!(frame.contains("wal-dict-sym"));
-        assert_eq!(WalRecord::from_frame(&frame).unwrap(), rec);
+        assert_eq!(insert.values().collect::<Vec<_>>(), [&Val::Int(1), &v]);
+        let frame = WalFrame {
+            dict: vec![(v.as_sym().unwrap(), Arc::from("wal-dict-sym"))],
+            records: vec![insert, WalRecord::ForgetRule { rule: 2 }],
+        };
+        let text = frame.to_frame();
+        assert!(text.starts_with(r#"{"dict":[["#) && text.contains("wal-dict-sym"));
+        assert_eq!(WalFrame::from_frame(&text).unwrap(), frame);
+        let bytes = frame.to_frame_bytes();
+        assert_eq!(WalFrame::from_frame_bytes(&bytes).unwrap(), frame);
     }
 
     #[test]
     fn answer_record_roundtrips_with_watermarks() {
         let mut watermarks = BTreeMap::new();
         watermarks.insert(Arc::<str>::from("b"), 7usize);
-        let rec = WalRecord::Answer {
+        let frame = one(WalRecord::Answer {
             session: SessionId::new(NodeId(0), 3),
             rule: 4,
             node: NodeId(3),
             vars: vec![Arc::from("X"), Arc::from("Y")],
             rows: vec![Tuple::new(vec![Val::Int(1), Val::Int(2)])],
             watermarks,
-            dict: vec![],
-        };
-        let frame = rec.to_frame();
-        assert_eq!(WalRecord::from_frame(&frame).unwrap(), rec);
+        });
+        assert_eq!(WalFrame::from_frame(&frame.to_frame()).unwrap(), frame);
     }
 
     #[test]
@@ -189,73 +229,83 @@ mod tests {
             rows: 12,
             ..CursorMark::default()
         };
-        for mark in [Some(start), Some(advance), None] {
-            let rec = WalRecord::Cursor {
+        let mut records: Vec<WalRecord> = [Some(start), Some(advance), None]
+            .into_iter()
+            .map(|mark| WalRecord::Cursor {
                 subscriber: NodeId(3),
                 rule: 4,
                 mark,
-            };
-            assert_eq!(WalRecord::from_frame(&rec.to_frame()).unwrap(), rec);
-            assert_eq!(
-                WalRecord::from_frame_bytes(&rec.to_frame_bytes()).unwrap(),
-                rec
-            );
+            })
+            .collect();
+        records.push(WalRecord::ForgetRule { rule: 9 });
+        for record in records {
+            let frame = one(record);
+            assert_eq!(WalFrame::from_frame(&frame.to_frame()).unwrap(), frame);
+            let bytes = frame.to_frame_bytes();
+            assert_eq!(WalFrame::from_frame_bytes(&bytes).unwrap(), frame);
         }
-        let rec = WalRecord::ForgetRule { rule: 9 };
-        assert_eq!(WalRecord::from_frame(&rec.to_frame()).unwrap(), rec);
     }
 
-    /// Empty lists are left out of a frame; a frame that spells them out —
-    /// every frame written before they were — reads the same.
+    /// Empty lists are left out of a frame; a frame that spells them out
+    /// reads the same.
     #[test]
     fn frames_leave_empty_lists_out_and_read_the_earlier_form() {
-        let rec = WalRecord::Insert {
-            relation: Arc::from("a"),
-            tuple: Tuple::new(vec![Val::Int(1)]),
-            depths: vec![],
-            dict: vec![],
-        };
-        let frame = rec.to_frame();
-        assert!(!frame.contains("depths") && !frame.contains("dict"));
-        let earlier = r#"{"Insert":{"relation":"a","tuple":[{"Int":1}],"depths":[],"dict":[]}}"#;
-        assert_eq!(WalRecord::from_frame(earlier).unwrap(), rec);
-
         let mut watermarks = BTreeMap::new();
         watermarks.insert(Arc::<str>::from("b"), 7usize);
-        let rec = WalRecord::Answer {
-            session: SessionId::new(NodeId(0), 3),
-            rule: 4,
-            node: NodeId(3),
-            vars: vec![],
-            rows: vec![],
-            watermarks,
+        let frame = WalFrame {
             dict: vec![],
+            records: vec![
+                WalRecord::Insert {
+                    relation: Arc::from("a"),
+                    tuple: Tuple::new(vec![Val::Int(1)]),
+                    depths: vec![],
+                },
+                WalRecord::Answer {
+                    session: SessionId::new(NodeId(0), 3),
+                    rule: 4,
+                    node: NodeId(3),
+                    vars: vec![],
+                    rows: vec![],
+                    watermarks,
+                },
+            ],
         };
-        let earlier = concat!(
+        let text = frame.to_frame();
+        assert!(!["dict", "depths", "vars", "rows"]
+            .iter()
+            .any(|k| text.contains(k)));
+        let spelled_out = concat!(
+            r#"{"dict":[],"records":[{"Insert":{"relation":"a","tuple":[{"Int":1}],"depths":[]}},"#,
             r#"{"Answer":{"session":{"root":0,"epoch":3},"rule":4,"node":3,"#,
-            r#""vars":[],"rows":[],"watermarks":{"b":7},"dict":[]}}"#
+            r#""vars":[],"rows":[],"watermarks":{"b":7}}}]}"#
         );
-        assert_eq!(WalRecord::from_frame(earlier).unwrap(), rec);
-        assert!(rec.to_frame().len() + 25 < earlier.len());
+        assert_eq!(WalFrame::from_frame(spelled_out).unwrap(), frame);
+        assert!(text.len() + 40 < spelled_out.len());
     }
 
+    /// Garbage, a frame of the one-record-per-frame layout (bare, or as a
+    /// record with its own dictionary), and a frame without records are all
+    /// corrupt, in both codecs.
     #[test]
     fn garbage_frame_is_a_corrupt_error() {
-        assert!(matches!(
-            WalRecord::from_frame("not json"),
-            Err(crate::StorageError::Corrupt(_))
-        ));
-        assert!(matches!(
-            WalRecord::from_frame_bytes(&[0xff, 0xff, 0xff]),
-            Err(crate::StorageError::Corrupt(_))
-        ));
+        let corrupt = |r: StorageResult<WalFrame>| matches!(r, Err(StorageError::Corrupt(_)));
+        assert!(corrupt(WalFrame::from_frame("not json")));
+        assert!(corrupt(WalFrame::from_frame_bytes(&[0xff, 0xff, 0xff])));
+        let earlier = r#"{"Insert":{"relation":"a","tuple":[{"Int":1}],"dict":[[9,"x"]]}}"#;
+        let nested = format!(r#"{{"records":[{earlier}]}}"#);
+        for text in [earlier, &nested, r#"{"records":[]}"#, r#"{"dict":[]}"#] {
+            let doc: Content = serde_json::from_str(text).unwrap();
+            assert!(corrupt(WalFrame::from_frame(text)), "{text}");
+            let bytes = binpack::to_bytes(&doc).unwrap();
+            assert!(corrupt(WalFrame::from_frame_bytes(&bytes)), "{text}");
+        }
     }
 
     #[test]
     fn binary_frames_roundtrip_and_undercut_json() {
         let mut watermarks = BTreeMap::new();
         watermarks.insert(Arc::<str>::from("b"), 7usize);
-        let rec = WalRecord::Answer {
+        let frame = one(WalRecord::Answer {
             session: SessionId::new(NodeId(0), 3),
             rule: 4,
             node: NodeId(3),
@@ -264,15 +314,14 @@ mod tests {
                 .map(|i| Tuple::new(vec![Val::Int(i), Val::Int(1_000_000 + i)]))
                 .collect(),
             watermarks,
-            dict: vec![],
-        };
-        let bytes = rec.to_frame_bytes();
-        assert_eq!(WalRecord::from_frame_bytes(&bytes).unwrap(), rec);
+        });
+        let bytes = frame.to_frame_bytes();
+        assert_eq!(WalFrame::from_frame_bytes(&bytes).unwrap(), frame);
         assert!(
-            bytes.len() * 3 < rec.to_frame().len() * 2,
+            bytes.len() * 3 < frame.to_frame().len() * 2,
             "binary frame {} should be well under the JSON frame {}",
             bytes.len(),
-            rec.to_frame().len()
+            frame.to_frame().len()
         );
     }
 }

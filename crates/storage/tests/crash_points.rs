@@ -1,8 +1,8 @@
 //! Kill at every byte offset: a real `FileBackend` directory, cut where a
 //! process could have died — inside each of the last three WAL frames, and
 //! inside a snapshot being written — always recovers to a prefix of the
-//! acknowledged writes, and the store accepts appends and checkpoints
-//! afterwards. Both codecs.
+//! acknowledged writes, whole frames of several records each, and the store
+//! accepts commits and checkpoints afterwards. Both codecs.
 
 use p2p_net::{Codec, SessionId};
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const NODE: u32 = 2;
-const RECORDS: usize = 8;
+const WRITES: usize = 8;
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("p2p_storage_crash_{tag}_{}", std::process::id()))
@@ -23,45 +23,49 @@ fn open(dir: &Path, codec: Codec) -> PeerStorage {
     PeerStorage::with_codec(Box::new(FileBackend::open(dir).unwrap()), 0, codec)
 }
 
-/// The `i`-th write of the history, one frame each: facts with strings (so
-/// frames carry dictionaries), every fourth write an answer mark instead,
-/// and every fourth a cursor of one subscription — started with its
-/// fragment, then advanced without it.
-fn write(st: &mut PeerStorage, db: &mut Database, i: usize) {
-    let record = if i % 4 == 3 {
+/// The `r`-th record of the history: facts with strings (so frames carry
+/// dictionaries), every fourth record an answer mark instead, and every
+/// fourth a cursor of one subscription — started with its fragment, then
+/// advanced without it.
+fn record(db: &mut Database, r: usize) -> WalRecord {
+    if r % 4 == 3 {
         WalRecord::Cursor {
             subscriber: NodeId(7),
             rule: 1,
             mark: Some(CursorMark {
-                part: match i {
+                part: match r {
                     3 => serde::Content::Str("the fragment".into()),
                     _ => serde::Content::Null,
                 },
-                watermarks: [(Arc::<str>::from("r"), i)].into_iter().collect(),
-                rows: i,
+                watermarks: [(Arc::<str>::from("r"), r)].into_iter().collect(),
+                rows: r,
             }),
         }
-    } else if i % 4 == 2 {
+    } else if r % 4 == 2 {
         WalRecord::Answer {
-            session: SessionId::new(NodeId(0), i as u64),
+            session: SessionId::new(NodeId(0), r as u64),
             rule: 1,
             node: NodeId(5),
             vars: Vec::new(),
             rows: Vec::new(),
-            watermarks: [(Arc::<str>::from("r"), i)].into_iter().collect(),
-            dict: Vec::new(),
+            watermarks: [(Arc::<str>::from("r"), r)].into_iter().collect(),
         }
     } else {
-        let tuple = Tuple::new(vec![Val::Int(i as i64), Val::str(format!("crash-{i}"))]);
+        let tuple = Tuple::new(vec![Val::Int(r as i64), Val::str(format!("crash-{r}"))]);
         db.insert("r", tuple.clone()).unwrap();
         WalRecord::Insert {
             relation: Arc::from("r"),
-            dict: st.first_use_dict(tuple.values()),
             tuple,
             depths: Vec::new(),
         }
-    };
-    st.log(&record).unwrap();
+    }
+}
+
+/// The `i`-th write of the history: one frame of one to three records.
+fn write(st: &mut PeerStorage, db: &mut Database, i: usize) {
+    let first: usize = (0..i).map(|j| 1 + j % 3).sum();
+    let batch = (first..=first + i % 3).map(|r| record(db, r)).collect();
+    st.commit(batch).unwrap();
 }
 
 /// What recovery must report after the first `k` writes.
@@ -142,7 +146,7 @@ fn recovers_to_and_carries_on(
 
 #[test]
 fn kill_at_every_byte_offset_recovers_a_prefix_and_carries_on() {
-    let expected: Vec<Expected> = (0..=RECORDS + 2).map(expected).collect();
+    let expected: Vec<Expected> = (0..=WRITES + 2).map(expected).collect();
     for codec in [Codec::Json, Codec::Binary] {
         let golden = temp_dir(&format!("golden_{codec}"));
         let scratch = temp_dir(&format!("scratch_{codec}"));
@@ -157,7 +161,7 @@ fn kill_at_every_byte_offset_recovers_a_prefix_and_carries_on() {
         let mut st = open(&golden, codec);
         st.snapshot(&db, 0, Vec::new()).unwrap();
         let mut acked = vec![0usize];
-        for i in 0..RECORDS {
+        for i in 0..WRITES {
             write(&mut st, &mut db, i);
             acked.push(std::fs::metadata(golden.join(log)).unwrap().len() as usize);
         }
@@ -168,7 +172,7 @@ fn kill_at_every_byte_offset_recovers_a_prefix_and_carries_on() {
         );
 
         // Die inside each of the last three writes' frames.
-        for cut in acked[RECORDS - 3]..=acked[RECORDS] {
+        for cut in acked[WRITES - 3]..=acked[WRITES] {
             let mut files = before.clone();
             files[1].1.truncate(cut);
             restore(&scratch, &files);
@@ -188,7 +192,7 @@ fn kill_at_every_byte_offset_recovers_a_prefix_and_carries_on() {
             files.push((next_name.clone(), next_bytes[..cut].to_vec()));
             restore(&scratch, &files);
             let what = format!("{codec} snapshot cut at {cut} of {}", next_bytes.len());
-            recovers_to_and_carries_on(&scratch, codec, RECORDS, &expected, &what);
+            recovers_to_and_carries_on(&scratch, codec, WRITES, &expected, &what);
         }
         std::fs::remove_dir_all(&golden).unwrap();
         std::fs::remove_dir_all(&scratch).unwrap();

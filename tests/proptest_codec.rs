@@ -19,7 +19,8 @@ use p2pdb::relational::value::NullId;
 use p2pdb::relational::Value;
 use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, RowSet, SymId, Tuple, Val};
 use p2pdb::storage::{
-    CursorMark, DatabaseSnapshot, FragmentMark, MemoryBackend, PeerStorage, WalRecord,
+    CursorMark, DatabaseSnapshot, FragmentMark, MemoryBackend, PeerStorage, StorageBackend,
+    WalFrame, WalRecord,
 };
 use p2pdb::topology::NodeId;
 use proptest::prelude::*;
@@ -201,48 +202,49 @@ fn wal_record() -> impl Strategy<Value = WalRecord> {
         proptest::collection::vec(val(), 0..8),
         null_depths(),
         marks(),
-        dict(),
     )
-        .prop_map(
-            |((kind, session, rule, node), vals, depths, watermarks, dict)| {
-                if kind == 0 {
-                    WalRecord::Insert {
-                        relation: Arc::from("rel"),
-                        tuple: Tuple::new(vals),
-                        depths,
-                        dict,
-                    }
-                } else if kind == 1 {
-                    WalRecord::ForgetRule { rule }
-                } else if kind <= 4 {
-                    // A key's first record (with the fragment, an opaque
-                    // document), a later one (without), a removal.
-                    let part = match kind {
-                        2 => fragment_doc(node),
-                        _ => serde::Content::Null,
-                    };
-                    WalRecord::Cursor {
-                        subscriber: NodeId(node),
-                        rule,
-                        mark: (kind < 4).then_some(CursorMark {
-                            part,
-                            watermarks,
-                            rows: vals.len(),
-                        }),
-                    }
-                } else {
-                    WalRecord::Answer {
-                        session,
-                        rule,
-                        node: NodeId(node),
-                        vars: vec![Arc::from("X")],
-                        rows: vals.chunks(1).map(|c| Tuple::new(c.to_vec())).collect(),
-                        watermarks,
-                        dict,
-                    }
+        .prop_map(|((kind, session, rule, node), vals, depths, watermarks)| {
+            if kind == 0 {
+                WalRecord::Insert {
+                    relation: Arc::from("rel"),
+                    tuple: Tuple::new(vals),
+                    depths,
                 }
-            },
-        )
+            } else if kind == 1 {
+                WalRecord::ForgetRule { rule }
+            } else if kind <= 4 {
+                // A key's first record (with the fragment, an opaque
+                // document), a later one (without), a removal.
+                let part = match kind {
+                    2 => fragment_doc(node),
+                    _ => serde::Content::Null,
+                };
+                WalRecord::Cursor {
+                    subscriber: NodeId(node),
+                    rule,
+                    mark: (kind < 4).then_some(CursorMark {
+                        part,
+                        watermarks,
+                        rows: vals.len(),
+                    }),
+                }
+            } else {
+                WalRecord::Answer {
+                    session,
+                    rule,
+                    node: NodeId(node),
+                    vars: vec![Arc::from("X")],
+                    rows: vals.chunks(1).map(|c| Tuple::new(c.to_vec())).collect(),
+                    watermarks,
+                }
+            }
+        })
+}
+
+/// One delivery's frame: one to six records and a dictionary.
+fn wal_frame() -> impl Strategy<Value = WalFrame> {
+    (dict(), proptest::collection::vec(wal_record(), 1..7))
+        .prop_map(|(dict, records)| WalFrame { dict, records })
 }
 
 /// A rule fragment as `p2p_core` hands it to the store.
@@ -620,17 +622,17 @@ proptest! {
         prop_assert!(decoded.is_ok(), "decoding {:?} panicked", bytes);
     }
 
-    /// WAL records round-trip byte-for-byte through the binary frame codec
-    /// and agree with the JSON frame path.
+    /// WAL frames of several records round-trip byte-for-byte through the
+    /// binary frame codec and agree with the JSON frame path.
     #[test]
-    fn wal_records_roundtrip_byte_for_byte(rec in wal_record()) {
-        let bytes = rec.to_frame_bytes();
-        let decoded = WalRecord::from_frame_bytes(&bytes).unwrap();
-        prop_assert_eq!(&decoded, &rec);
+    fn wal_records_roundtrip_byte_for_byte(frame in wal_frame()) {
+        let bytes = frame.to_frame_bytes();
+        let decoded = WalFrame::from_frame_bytes(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &frame);
         prop_assert_eq!(decoded.to_frame_bytes(), bytes);
-        let via_json = WalRecord::from_frame(&rec.to_frame()).unwrap();
-        prop_assert_eq!(&via_json, &rec);
-        prop_assert_eq!(via_json.to_frame_bytes(), rec.to_frame_bytes());
+        let via_json = WalFrame::from_frame(&frame.to_frame()).unwrap();
+        prop_assert_eq!(&via_json, &frame);
+        prop_assert_eq!(via_json.to_frame_bytes(), frame.to_frame_bytes());
     }
 
     /// Database snapshots round-trip byte-for-byte through binpack and
@@ -679,22 +681,49 @@ proptest! {
     ) {
         let mut recovered = Vec::new();
         for codec in [Codec::Json, Codec::Binary] {
-            let mut st =
-                PeerStorage::with_codec(Box::<MemoryBackend>::default(), 0, codec);
-            let db = Database::new(DatabaseSchema::parse("s(x: str).").unwrap());
-            st.snapshot(&db, 0, Vec::new()).unwrap();
-            for (i, n) in names.iter().enumerate() {
-                // Ids far outside the live catalog, as a foreign process
-                // would mint them; the record's dictionary defines them.
-                let foreign = SymId(3_000_000 + i as u32);
-                st.log(&WalRecord::Insert {
-                    relation: Arc::from("s"),
-                    tuple: Tuple::new(vec![Val::Sym(foreign)]),
-                    depths: vec![],
-                    dict: vec![(foreign, Arc::from(format!("fw-{n}")))],
+            let mut backend = MemoryBackend::default();
+            let snap = DatabaseSnapshot {
+                nulls_next: 0,
+                depths: Vec::new(),
+                catalog: Vec::new(),
+                marks: Vec::new(),
+                cursors: Vec::new(),
+                last_session: SessionId::default(),
+                db: Database::new(DatabaseSchema::parse("s(x: str).").unwrap()),
+            };
+            // Ids far outside the live catalog, as a foreign process would
+            // mint them, three to a frame; each frame's dictionary defines
+            // its own.
+            let foreign = |i: usize| SymId(3_000_000 + i as u32);
+            let frames: Vec<WalFrame> = (names.iter().enumerate().collect::<Vec<_>>().chunks(3))
+                .map(|chunk| WalFrame {
+                    dict: (chunk.iter())
+                        .map(|(i, n)| (foreign(*i), Arc::from(format!("fw-{n}"))))
+                        .collect(),
+                    records: (chunk.iter())
+                        .map(|(i, _)| WalRecord::Insert {
+                            relation: Arc::from("s"),
+                            tuple: Tuple::new(vec![Val::Sym(foreign(*i))]),
+                            depths: vec![],
+                        })
+                        .collect(),
                 })
-                .unwrap();
+                .collect();
+            match codec {
+                Codec::Json => {
+                    backend.write_snapshot(&serde_json::to_string(&snap).unwrap()).unwrap();
+                    for frame in &frames {
+                        backend.append_wal(&frame.to_frame()).unwrap();
+                    }
+                }
+                Codec::Binary => {
+                    backend.write_snapshot_bytes(&binpack::to_bytes(&snap).unwrap()).unwrap();
+                    for frame in &frames {
+                        backend.append_wal_bytes(&frame.to_frame_bytes()).unwrap();
+                    }
+                }
             }
+            let st = PeerStorage::with_codec(Box::new(backend), 0, codec);
             let rec = st.recover(0).unwrap().unwrap();
             for n in &names {
                 prop_assert!(

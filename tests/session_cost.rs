@@ -13,7 +13,9 @@ use p2pdb::core::peer::DbPeer;
 use p2pdb::core::stats::PeerStats;
 use p2pdb::core::system::P2PSystem;
 use p2pdb::core::ProtocolMsg;
-use p2pdb::net::{ChurnPlan, Codec, ConstantLatency, NetStats, SessionId, SimTime, Simulator};
+use p2pdb::net::{
+    ChurnPlan, Codec, ConstantLatency, Context, NetStats, Peer, SessionId, SimTime, Simulator,
+};
 use p2pdb::storage::{
     FileBackend, MemoryBackend, PeerStorage, StorageBackend, StorageError, StorageResult,
 };
@@ -22,7 +24,9 @@ use p2pdb::workload::{
     build_system, DblpGenerator, Distribution, Publication, SchemaFamily, WorkloadConfig,
 };
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 const NODES: u32 = 8;
@@ -494,6 +498,83 @@ impl StorageBackend for SharedMemory {
     }
 }
 
+/// A peer's store as its peer sees it, counting the frames appended to it.
+#[derive(Debug)]
+struct Counting(Box<dyn StorageBackend>, Arc<AtomicUsize>);
+
+impl StorageBackend for Counting {
+    fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.append_wal(frame)
+    }
+    fn read_wal(&self) -> StorageResult<Vec<String>> {
+        self.0.read_wal()
+    }
+    fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
+        self.0.write_snapshot(snapshot)
+    }
+    fn read_snapshot(&self) -> StorageResult<Option<String>> {
+        self.0.read_snapshot()
+    }
+    fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.append_wal_bytes(frame)
+    }
+    fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
+        self.0.read_wal_bytes()
+    }
+    fn write_snapshot_bytes(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+        self.0.write_snapshot_bytes(snapshot)
+    }
+    fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
+        self.0.read_snapshot_bytes()
+    }
+}
+
+/// A durable peer whose every delivery and restart writes at most one WAL
+/// frame; counts those that wrote one.
+struct OneFrame {
+    peer: DbPeer,
+    appends: Arc<AtomicUsize>,
+    recorded: usize,
+}
+
+impl OneFrame {
+    /// Runs `step` on the peer; returns the frames it appended, at most one.
+    fn frames(&mut self, step: impl FnOnce(&mut DbPeer)) -> usize {
+        let before = self.appends.load(Ordering::Relaxed);
+        step(&mut self.peer);
+        let frames = self.appends.load(Ordering::Relaxed) - before;
+        assert!(frames <= 1, "{}: one step, {frames} frames", self.peer.id());
+        frames
+    }
+}
+
+impl Peer<ProtocolMsg> for OneFrame {
+    fn on_message(&mut self, from: NodeId, msg: ProtocolMsg, ctx: &mut Context<ProtocolMsg>) {
+        self.recorded += self.frames(|peer| peer.on_message(from, msg, ctx));
+    }
+    fn on_crash(&mut self) {
+        self.peer.on_crash();
+    }
+    fn on_restart(&mut self, ctx: &mut Context<ProtocolMsg>) {
+        self.recorded += self.frames(|peer| peer.on_restart(ctx));
+    }
+}
+
+impl Deref for OneFrame {
+    type Target = DbPeer;
+    fn deref(&self) -> &DbPeer {
+        &self.peer
+    }
+}
+
+impl DerefMut for OneFrame {
+    fn deref_mut(&mut self) -> &mut DbPeer {
+        &mut self.peer
+    }
+}
+
 /// Where a durable ring keeps its peers' stores, and how the test reads
 /// them back: a second handle on the same memory, or the directory reopened
 /// the way a restarted process would.
@@ -552,7 +633,9 @@ const CRASH_EVERY: usize = 10;
 /// `writers_ring`'s shape made durable — DBLP ring(8), two fresh
 /// publications at a rotating writer before each of 150 sessions, default
 /// snapshot cadence — with a non-root peer crashed and restarted before
-/// every tenth session.
+/// every tenth session. Each delivery that records writes one frame, and
+/// each base fact inserted between sessions one more: nothing else
+/// appends.
 fn durable_ring_stays_bounded(mut disk: Disk) {
     let mut b = build_system(&WorkloadConfig {
         topology: Topology::Ring { n: NODES },
@@ -566,16 +649,23 @@ fn durable_ring_stays_bounded(mut disk: Disk) {
     let mut sim = Simulator::new(Box::new(ConstantLatency(SimTime::from_millis(1))));
     sim.set_max_events(config.effective_max_events(NODES as usize));
     let mut truth = BTreeMap::new();
+    let appends = Arc::new(AtomicUsize::new(0));
     for (id, mut peer) in b.build_peers().unwrap() {
         truth.insert(id, peer.database().clone());
-        let store = PeerStorage::with_codec(
-            disk.backend(id).unwrap(),
-            config.snapshot_every,
-            Codec::Json,
-        );
+        let backend = Counting(disk.backend(id).unwrap(), appends.clone());
+        let store = PeerStorage::with_codec(Box::new(backend), config.snapshot_every, Codec::Json);
         peer.attach_storage(store).unwrap();
-        sim.add_peer(id, peer);
+        let appends = appends.clone();
+        sim.add_peer(
+            id,
+            OneFrame {
+                peer,
+                appends,
+                recorded: 0,
+            },
+        );
     }
+    let mut base_frames = 0;
     let root = NodeId(0);
     let read = |disk: &mut Disk, node: NodeId| Held::read(&*disk.backend(node).unwrap());
     let recovered = |disk: &mut Disk, node: NodeId| {
@@ -605,7 +695,9 @@ fn durable_ring_stays_bounded(mut disk: Disk) {
             p.id += 10_000_000;
             for (relation, vals) in SchemaFamily::for_node(writer.0).tuples_for(&p) {
                 let peer = sim.peer_mut(writer).unwrap();
-                peer.insert_base_fact(relation, vals.clone()).unwrap();
+                base_frames += peer.frames(|peer| {
+                    peer.insert_base_fact(relation, vals.clone()).unwrap();
+                });
                 let truth = truth.get_mut(&writer).unwrap();
                 truth.insert_values(relation, vals).unwrap();
             }
@@ -665,6 +757,9 @@ fn durable_ring_stays_bounded(mut disk: Disk) {
     });
     assert_eq!(stats.crashes, replayed.len() as u64);
     assert_eq!(stats.recoveries, stats.crashes);
+    let recorded: usize = sim.peers().map(|(_, p)| p.recorded).sum();
+    assert!(base_frames > 0 && recorded > 0);
+    assert_eq!(appends.load(Ordering::Relaxed), recorded + base_frames);
 }
 
 #[test]
