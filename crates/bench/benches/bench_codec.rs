@@ -56,7 +56,7 @@ fn dblp_query() -> ProtocolMsg {
     ProtocolMsg::Query(Query {
         session: SessionId::new(NodeId(0), 1),
         rule: RuleId(2),
-        part: BodyPart {
+        part: Arc::new(BodyPart {
             node: NodeId(3),
             atoms: vec![
                 Atom::new("pub", var(&["I", "T", "Y"])),
@@ -64,7 +64,7 @@ fn dblp_query() -> ProtocolMsg {
             ],
             local_constraints: vec![],
             vars: ["I", "T", "Y", "A"].map(Arc::from).to_vec(),
-        },
+        }),
         sn: vec![NodeId(0), NodeId(1), NodeId(3)],
         from: Start::Fresh,
         via: Via::Session,

@@ -814,12 +814,12 @@ mod tests {
             ProtocolMsg::Query(Query {
                 session: sid(3),
                 rule: RuleId(7),
-                part: crate::rule::BodyPart {
+                part: Arc::new(crate::rule::BodyPart {
                     node: NodeId(1),
                     atoms: vec![],
                     local_constraints: vec![],
                     vars: vec![Arc::from("X")],
-                },
+                }),
                 sn: vec![NodeId(0), NodeId(2)],
                 from,
                 via: Via::Session,
@@ -878,12 +878,12 @@ mod tests {
     #[test]
     fn eager_queries_and_answers_keep_their_bytes() {
         let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
-        let part = crate::rule::BodyPart {
+        let part = Arc::new(crate::rule::BodyPart {
             node: NodeId(1),
             atoms: vec![],
             local_constraints: vec![],
             vars: vec![Arc::from("X")],
-        };
+        });
         let query_json = r#"{"Query":{"session":{"root":3,"epoch":5},"rule":7,"part":{"node":1,"atoms":[],"local_constraints":[],"vars":["X"]},"sn":[0,2]"#;
         let query_bin = "0305070033080400046e6f64650401000561746f6d73070000116c6f63616c5f636f6e73747261696e747307000004766172730701060158020002";
         for (from, tag, tail) in [

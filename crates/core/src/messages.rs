@@ -140,8 +140,11 @@ pub struct Query {
     pub session: SessionId,
     /// The rule this query serves.
     pub rule: RuleId,
-    /// The fragment to evaluate (atoms + pushed-down constraints).
-    pub part: BodyPart,
+    /// The fragment to evaluate (atoms + pushed-down constraints): the
+    /// head rule's own `Arc`, so an in-process answerer's cursor and plan
+    /// cache share it, and find it again by pointer. Decoded from bytes it
+    /// is a fresh allocation, equal by value.
+    pub part: Arc<BodyPart>,
     /// The dependency path the request travelled (the paper's `SN`; empty
     /// outside eager sessions, and then omitted).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
@@ -158,7 +161,13 @@ pub struct Query {
 impl Query {
     /// A query of `part` for `rule`, starting `from`, on `via`, with an
     /// empty `SN`.
-    pub fn new(session: SessionId, rule: RuleId, part: BodyPart, from: Start, via: Via) -> Self {
+    pub fn new(
+        session: SessionId,
+        rule: RuleId,
+        part: Arc<BodyPart>,
+        from: Start,
+        via: Via,
+    ) -> Self {
         Query {
             session,
             rule,
@@ -262,7 +271,7 @@ pub enum ProtocolMsg {
     /// relevant to it.
     BroadcastRules {
         /// The full new rule set.
-        rules: Vec<CoordinationRule>,
+        rules: Vec<Arc<CoordinationRule>>,
     },
 
     // ---------------- topology discovery (A1–A3) ----------------

@@ -463,9 +463,8 @@ impl DbPeer {
                 st.subs.remove(&(to, query.rule));
             }
         }
-        let part = Arc::new(query.part);
-        let (rows, _) = self.eval_from((to, query.rule), &part, &query.from, ctx);
-        let rows = self.make_answer_rows(to, &part, rows);
+        let (rows, _) = self.eval_from((to, query.rule), &query.part, &query.from, ctx);
+        let rows = self.make_answer_rows(to, &query.part, rows);
         let answer = Answer::new(sid, query.rule, rows, Via::Repair);
         ctx.send(to, ProtocolMsg::Answer(answer));
     }

@@ -501,7 +501,7 @@ impl DbPeer {
     ) {
         let key = (to, query.rule);
         let (mut sub, rows) = match st.subs.remove(&key) {
-            Some(mut sub) if query.from == Start::Resume && *sub.part == query.part => {
+            Some(mut sub) if query.from == Start::Resume && sub.part == query.part => {
                 let (_, unsent) = self.advance_subscription(query.rule, &mut sub, ctx);
                 if !sub.standing {
                     // What a full re-ship would have re-sent.
@@ -516,8 +516,7 @@ impl DbPeer {
                 if open.is_some_and(|sub| !sub.standing) && query.via == Via::Session {
                     self.stats.duplicate_queries += 1;
                 }
-                let part = Arc::new(query.part);
-                self.open_subscription(to, query.rule, part, &query.from, ctx)
+                self.open_subscription(to, query.rule, query.part, &query.from, ctx)
             }
         };
         // Completeness is an eager session's flag; a round's answer says none.

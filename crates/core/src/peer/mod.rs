@@ -297,8 +297,12 @@ pub(crate) struct CachedPlans {
 }
 
 /// One rule's compiled head, for the rule it was compiled from (an
-/// `Arc::ptr_eq` fingerprint: installing a rule under the id, even an equal
-/// one, allocates a new `Arc`) and the binding layout it expects.
+/// `Arc::ptr_eq` fingerprint) and the binding layout it expects.
+/// Installing a rule under the id drops the entry
+/// ([`DbPeer::forget_rule`]), and the fingerprint makes a stale hit
+/// impossible even so: a caller holding another rule under the id never
+/// reads this one's head. Rules are shared, so re-installing the very same
+/// `Arc` keeps the pointer — and the head it would compile is this one.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedHead {
     rule: Arc<CoordinationRule>,
@@ -536,13 +540,14 @@ impl DbPeer {
     /// the id is invalidated (`AddRule` may replace a rule's body); what a
     /// durable peer records for that commits with the running delivery, or
     /// — called from outside one — at the caller's [`DbPeer::commit`].
-    pub fn install_rule(&mut self, rule: CoordinationRule) {
+    pub fn install_rule(&mut self, rule: impl Into<Arc<CoordinationRule>>) {
+        let rule = rule.into();
         debug_assert_eq!(rule.head_node, self.id);
         for p in &rule.parts {
             self.pipes.insert(p.node);
         }
         self.forget_rule(rule.id);
-        self.rules.insert(rule.id, Arc::new(rule));
+        self.rules.insert(rule.id, rule);
     }
 
     /// Drops what this peer cached for a rule as its head: the compiled
@@ -1213,6 +1218,13 @@ impl DbPeer {
                 self.done.remove(&k);
             }
             self.done.insert(sid, st.rnd.rounds_done);
+            // The last live session gone, its slot goes too: a table kept
+            // at capacity would hold a whole `SessionState` per peer
+            // between sessions. (`VecMap::remove`, on every message, keeps
+            // the capacity the next re-insert needs.)
+            if self.sessions.is_empty() {
+                self.sessions = VecMap::default();
+            }
         } else if !st.vacant() {
             self.sessions.insert(sid, st);
         }
@@ -1406,12 +1418,10 @@ mod tests {
             _ => None,
         };
         let part = |text: &str| {
-            Arc::new(
-                CoordinationRule::parse("r", text, None, &resolve)
-                    .unwrap()
-                    .parts
-                    .remove(0),
-            )
+            CoordinationRule::parse("r", text, None, &resolve)
+                .unwrap()
+                .parts
+                .remove(0)
         };
         let (old, new) = (
             part("B:b(X,Y) => A:a(X,Y)"),
@@ -1449,12 +1459,10 @@ mod tests {
             _ => None,
         };
         let part = |text: &str| {
-            Arc::new(
-                CoordinationRule::parse("r", text, None, &resolve)
-                    .unwrap()
-                    .parts
-                    .remove(0),
-            )
+            CoordinationRule::parse("r", text, None, &resolve)
+                .unwrap()
+                .parts
+                .remove(0)
         };
         let (copy, filtered) = (
             part("B:b(X,Y) => A:a(X,Y)"),
@@ -1466,7 +1474,7 @@ mod tests {
         // unless the session strands — the fix-point broadcast. Returns the
         // rows of the answer.
         let mut epoch = 0;
-        let mut session = |peer: &mut DbPeer, part: &crate::rule::BodyPart, resume, retire| {
+        let mut session = |peer: &mut DbPeer, part: &Arc<crate::rule::BodyPart>, resume, retire| {
             epoch += 1;
             let session = SessionId::new(head, epoch);
             let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
@@ -2118,5 +2126,81 @@ mod tests {
         deliver(&mut peer, root, fixpoint(SessionId::new(root, 3)), false);
         assert!(!peer.void_owed);
         assert_eq!(notices(&flood(&mut peer, 4, false)), 0);
+    }
+
+    /// Build-time state exists once. Peers declared with one schema text
+    /// share its signatures; each peer holds the builder's own rule `Arc`;
+    /// on the simulator a body peer's cursor and plan cache hold the head
+    /// rule's fragment; and a rule replaced under its id (the
+    /// `DeleteRule`/`AddRule` path) still gets its plans and its head
+    /// compiled anew.
+    #[test]
+    fn build_time_state_is_shared_not_copied() {
+        use crate::dynamic::{ChangeOp, ChangeScript};
+        use crate::system::P2PSystemBuilder;
+        let mut b = P2PSystemBuilder::new();
+        for id in 0..3 {
+            b.add_node_with_schema(id, "r(x: int, y: int).").unwrap();
+        }
+        let rid = b.add_rule("r", "B:r(X,Y) => A:r(X,Y)").unwrap();
+        for (x, y) in [(1, 2), (3, 4)] {
+            b.insert(1, "r", vec![Val::Int(x), Val::Int(y)]).unwrap();
+        }
+        let (a, body) = (NodeId(0), NodeId(1));
+
+        let peers = b.build_peers().unwrap();
+        let signature = |p: &DbPeer| {
+            let declared = p.db.schema().relations().next().unwrap().clone();
+            let held = p.db.relation("r").unwrap().schema() as *const _;
+            assert!(
+                std::ptr::eq(held, &*declared),
+                "a relation holds its schema's"
+            );
+            declared
+        };
+        let first = signature(&peers[0].1);
+        for (_, peer) in &peers[1..] {
+            assert!(Arc::ptr_eq(&signature(peer), &first));
+        }
+        let built = b.rules().get(rid).unwrap();
+        assert!(Arc::ptr_eq(&peers[0].1.rules[&rid], built));
+
+        let mut sys = b.build().unwrap();
+        assert!(sys.run_update().all_closed);
+        let old = Arc::clone(&sys.peer(a).unwrap().rules[&rid]);
+        let served = sys.peer(body).unwrap();
+        assert!(Arc::ptr_eq(&served.cursors[&(a, rid)].part, &old.parts[0]));
+        assert!(Arc::ptr_eq(&served.plans[&rid].part, &old.parts[0]));
+
+        let mut script = ChangeScript::new();
+        let del = sys.make_delete_link("r").unwrap();
+        script.push(SimTime::from_millis(20), del);
+        let mut swapped = sys
+            .make_add_link("r", "B:r(X,Y), X > 1 => A:r(Y,X)")
+            .unwrap();
+        if let ChangeOp::AddLink { rule } = &mut swapped {
+            rule.id = rid;
+        }
+        script.push(SimTime::from_millis(40), swapped);
+        let report = sys.run_update_with_script(&script);
+        assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
+        let head = sys.peer(a).unwrap();
+        let new = &head.rules[&rid];
+        assert!(!Arc::ptr_eq(new, &old));
+        assert!(Arc::ptr_eq(&head.heads[&rid].rule, new), "head recompiled");
+        let served = sys.peer(body).unwrap();
+        assert!(
+            Arc::ptr_eq(&served.plans[&rid].part, &new.parts[0]),
+            "plan recompiled"
+        );
+        let r = head.db.relation("r").unwrap();
+        assert!(
+            r.contains(&[Val::Int(4), Val::Int(3)]),
+            "new body not applied: {r}"
+        );
+        assert!(
+            !r.contains(&[Val::Int(2), Val::Int(1)]),
+            "new constraint ignored: {r}"
+        );
     }
 }

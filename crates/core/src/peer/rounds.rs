@@ -78,7 +78,6 @@ use crate::stats::ClosedBy;
 use p2p_net::{Context, SessionId};
 use p2p_topology::NodeId;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Rounds-mode state of one update session at one peer.
 #[derive(Debug, Clone, Default)]
@@ -252,15 +251,14 @@ impl DbPeer {
         let rows = if query.from == Start::Resume {
             self.stats.stale_answers_sent += 1;
             AnswerRows {
-                vars: query.part.vars,
+                vars: query.part.vars.clone(),
                 ..Default::default()
             }
         } else {
-            let part = Arc::new(query.part);
-            let rows = self.eval_part_local(query.rule, &part, None, ctx);
+            let rows = self.eval_part_local(query.rule, &query.part, None, ctx);
             self.stats.answers_sent += 1;
             self.stats.rows_shipped += rows.len() as u64;
-            self.make_answer_rows(to, &part, rows)
+            self.make_answer_rows(to, &query.part, rows)
         };
         let answer = Answer::new(sid, query.rule, rows, query.via);
         ctx.send(to, ProtocolMsg::Answer(answer));

@@ -270,7 +270,7 @@ impl DbPeer {
     pub(crate) fn on_broadcast_rules(
         &mut self,
         _from: NodeId,
-        rules: Vec<CoordinationRule>,
+        rules: Vec<Arc<CoordinationRule>>,
         ctx: &mut Context<ProtocolMsg>,
     ) {
         if self.is_super {
@@ -298,7 +298,7 @@ impl DbPeer {
         self.void_owed = true;
         for rule in rules {
             if rule.head_node == self.id {
-                self.install_rule(rule.clone());
+                self.install_rule(Arc::clone(&rule));
             }
             if rule.parts.iter().any(|p| p.node == self.id) {
                 self.add_pipe(rule.head_node);

@@ -63,8 +63,10 @@ pub struct CoordinationRule {
     pub name: Arc<str>,
     /// The node importing data (rule head).
     pub head_node: NodeId,
-    /// Body fragments, one per body node, in node order.
-    pub parts: Vec<BodyPart>,
+    /// Body fragments, one per body node, in node order. Shared: a `Query`
+    /// carries its fragment's `Arc`, and so the body peer's cursor and plan
+    /// cache hold the rule's own allocation.
+    pub parts: Vec<Arc<BodyPart>>,
     /// Constraints spanning several fragments, applied at the head after the
     /// join.
     pub join_constraints: Vec<Constraint>,
@@ -148,7 +150,7 @@ impl CoordinationRule {
             join_constraints.push(c.clone());
         }
 
-        let parts: Vec<BodyPart> = parts
+        let parts: Vec<Arc<BodyPart>> = parts
             .into_iter()
             .map(|(node, atoms)| {
                 let mut vars = Vec::new();
@@ -159,12 +161,12 @@ impl CoordinationRule {
                         }
                     }
                 }
-                BodyPart {
+                Arc::new(BodyPart {
                     node,
                     atoms,
                     local_constraints: local.remove(&node).unwrap_or_default(),
                     vars,
-                }
+                })
             })
             .collect();
 
@@ -292,9 +294,13 @@ impl fmt::Display for CoordinationRule {
 }
 
 /// A validated set of coordination rules with id and name registries.
+///
+/// A rule is immutable once added, so the set holds it behind an `Arc`:
+/// the peers a builder makes hold the set's own allocation of each rule
+/// they are the head of, not a copy.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuleSet {
-    rules: BTreeMap<RuleId, CoordinationRule>,
+    rules: BTreeMap<RuleId, Arc<CoordinationRule>>,
     by_name: BTreeMap<Arc<str>, RuleId>,
     next_id: u32,
 }
@@ -314,29 +320,29 @@ impl RuleSet {
         self.next_id += 1;
         rule.id = id;
         self.by_name.insert(rule.name.clone(), id);
-        self.rules.insert(id, rule);
+        self.rules.insert(id, Arc::new(rule));
         Ok(id)
     }
 
     /// Removes a rule by id; returns it if present.
-    pub fn remove(&mut self, id: RuleId) -> Option<CoordinationRule> {
+    pub fn remove(&mut self, id: RuleId) -> Option<Arc<CoordinationRule>> {
         let rule = self.rules.remove(&id)?;
         self.by_name.remove(&rule.name);
         Some(rule)
     }
 
     /// Lookup by id.
-    pub fn get(&self, id: RuleId) -> Option<&CoordinationRule> {
+    pub fn get(&self, id: RuleId) -> Option<&Arc<CoordinationRule>> {
         self.rules.get(&id)
     }
 
     /// Lookup by name.
-    pub fn by_name(&self, name: &str) -> Option<&CoordinationRule> {
+    pub fn by_name(&self, name: &str) -> Option<&Arc<CoordinationRule>> {
         self.by_name.get(name).and_then(|id| self.rules.get(id))
     }
 
     /// Iterates rules in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &CoordinationRule> {
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<CoordinationRule>> {
         self.rules.values()
     }
 

@@ -22,12 +22,16 @@ use p2p_relational::query::{evaluate_certain, parse_query};
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
 use p2p_storage::{MemoryBackend, PeerStorage};
 use p2p_topology::{scc, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Builder for a P2P database system.
 #[derive(Default)]
 pub struct P2PSystemBuilder {
     schemas: BTreeMap<NodeId, DatabaseSchema>,
+    /// Every distinct schema text parsed so far: nodes declared with the
+    /// same text share one [`DatabaseSchema`] (a refcount each).
+    parsed: HashMap<String, DatabaseSchema>,
     data: BTreeMap<NodeId, Database>,
     names: BTreeMap<String, NodeId>,
     rules: RuleSet,
@@ -57,7 +61,14 @@ impl P2PSystemBuilder {
         if self.schemas.contains_key(&node) {
             return Err(CoreError::DuplicateNode(node));
         }
-        let schema = DatabaseSchema::parse(schema_text)?;
+        let schema = match self.parsed.get(schema_text) {
+            Some(schema) => schema.clone(),
+            None => {
+                let schema = DatabaseSchema::parse(schema_text)?;
+                self.parsed.insert(schema_text.to_string(), schema.clone());
+                schema
+            }
+        };
         self.data.insert(node, Database::new(schema.clone()));
         self.schemas.insert(node, schema);
         self.names.insert(name.to_string(), node);
@@ -147,13 +158,13 @@ impl P2PSystemBuilder {
         }
         let graph = self.rules.dependency_graph();
         let cyclic = scc::cyclic_nodes(&graph);
-        let all_nodes: std::sync::Arc<[NodeId]> = self.schemas.keys().copied().collect();
+        let all_nodes: Arc<[NodeId]> = self.schemas.keys().copied().collect();
 
         // One pass over the rule set builds the per-node views; the old
         // per-peer full scans made construction O(nodes × rules) — the first
-        // thing to break past a few thousand peers.
-        let mut rules_by_head: BTreeMap<NodeId, Vec<&crate::rule::CoordinationRule>> =
-            BTreeMap::new();
+        // thing to break past a few thousand peers. Each peer gets the rule
+        // set's own `Arc` of its rules, not a copy.
+        let mut rules_by_head: BTreeMap<NodeId, Vec<&Arc<CoordinationRule>>> = BTreeMap::new();
         let mut pipes_of: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
         for rule in self.rules.iter() {
             rules_by_head.entry(rule.head_node).or_default().push(rule);
@@ -168,15 +179,15 @@ impl P2PSystemBuilder {
             let db = self.data[&node].clone();
             let mut peer = DbPeer::new(node, db, self.config);
             for rule in rules_by_head.get(&node).into_iter().flatten() {
-                peer.install_rule((*rule).clone());
+                peer.install_rule(Arc::clone(rule));
             }
             for &neighbor in pipes_of.get(&node).into_iter().flatten() {
                 peer.add_pipe(neighbor);
             }
             peer.set_cycle_hint(cyclic.contains(&node));
-            peer.set_roster(std::sync::Arc::clone(&all_nodes));
+            peer.set_roster(Arc::clone(&all_nodes));
             if node == self.super_peer {
-                peer.make_super(std::sync::Arc::clone(&all_nodes));
+                peer.make_super(Arc::clone(&all_nodes));
             }
             if self.config.durability {
                 let storage = PeerStorage::with_codec(
@@ -777,7 +788,7 @@ impl P2PSystem {
     /// Broadcasts a replacement rule file through the protocol and adopts it
     /// as the system's rule set (Section 5's topology-swap feature).
     pub fn broadcast_rules(&mut self, rules: RuleSet) {
-        let all: Vec<CoordinationRule> = rules.iter().cloned().collect();
+        let all = rules.iter().cloned().collect();
         self.sim.inject(
             self.super_peer,
             self.super_peer,

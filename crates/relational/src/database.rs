@@ -5,28 +5,32 @@ use crate::relation::Relation;
 use crate::schema::DatabaseSchema;
 use crate::tuple::Tuple;
 use crate::value::Val;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// An in-memory database instance over a fixed [`DatabaseSchema`].
 ///
-/// Relations are kept in a `BTreeMap` so iteration (and hence everything
-/// downstream: query plans, messages, statistics) is deterministic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The relations live in one `Vec`, sorted by their own schema's name and
+/// found by binary search: a database holds a handful, and every peer holds
+/// one, so the index is the slice itself. Iteration is in name order, so
+/// everything downstream (query plans, messages, statistics) is
+/// deterministic. The serialized form is a name-keyed map:
+/// `{"schema": …, "relations": {name: relation, …}}`.
+#[derive(Debug, Clone)]
 pub struct Database {
     schema: DatabaseSchema,
-    relations: BTreeMap<Arc<str>, Relation>,
+    relations: Vec<Relation>,
 }
 
 impl Database {
     /// Creates an empty database over `schema`, with one (empty) relation
-    /// instance per declared relation.
+    /// instance per declared relation, each holding the schema's signature.
     pub fn new(schema: DatabaseSchema) -> Self {
         let relations = schema
             .relations()
-            .map(|r| (r.name.clone(), Relation::new(r.clone())))
+            .map(|r| Relation::new(Arc::clone(r)))
             .collect();
         Database { schema, relations }
     }
@@ -36,18 +40,22 @@ impl Database {
         &self.schema
     }
 
+    /// Where the relation called `name` sits in `relations`.
+    fn position(&self, name: &str) -> Result<usize> {
+        (self.relations)
+            .binary_search_by(|r| (*r.schema().name).cmp(name))
+            .map_err(|_| Error::UnknownRelation(name.to_string()))
+    }
+
     /// Immutable access to a relation instance.
     pub fn relation(&self, name: &str) -> Result<&Relation> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| Error::UnknownRelation(name.to_string()))
+        Ok(&self.relations[self.position(name)?])
     }
 
     /// Mutable access to a relation instance.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        self.relations
-            .get_mut(name)
-            .ok_or_else(|| Error::UnknownRelation(name.to_string()))
+        let at = self.position(name)?;
+        Ok(&mut self.relations[at])
     }
 
     /// Checks a row against the relation's schema and stores a copy of it;
@@ -70,12 +78,12 @@ impl Database {
 
     /// Iterates `(name, relation)` pairs in name order.
     pub fn relations(&self) -> impl Iterator<Item = (&Arc<str>, &Relation)> {
-        self.relations.iter()
+        self.relations.iter().map(|r| (&r.schema().name, r))
     }
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(|r| r.len()).sum()
+        self.relations.iter().map(|r| r.len()).sum()
     }
 
     /// True iff no relation holds any tuple.
@@ -88,7 +96,7 @@ impl Database {
     /// baseline) and when comparing against the fix-point oracle.
     pub fn all_facts(&self) -> Vec<(Arc<str>, Tuple)> {
         let mut out = Vec::with_capacity(self.total_tuples());
-        for (name, rel) in &self.relations {
+        for (name, rel) in self.relations() {
             for row in rel.iter() {
                 out.push((name.clone(), Tuple::from_row(row)));
             }
@@ -100,8 +108,7 @@ impl Database {
     /// later call to [`Database::facts_since`] with these watermarks yields
     /// exactly the facts inserted in between.
     pub fn watermarks(&self) -> BTreeMap<Arc<str>, usize> {
-        self.relations
-            .iter()
+        self.relations()
             .map(|(n, r)| (n.clone(), r.len()))
             .collect()
     }
@@ -109,7 +116,7 @@ impl Database {
     /// Facts inserted since the given watermarks (missing entries mean 0).
     pub fn facts_since(&self, watermarks: &BTreeMap<Arc<str>, usize>) -> Vec<(Arc<str>, Tuple)> {
         let mut out = Vec::new();
-        for (name, rel) in &self.relations {
+        for (name, rel) in self.relations() {
             let w = watermarks.get(name).copied().unwrap_or(0);
             for row in rel.since(w) {
                 out.push((name.clone(), Tuple::from_row(row)));
@@ -121,7 +128,7 @@ impl Database {
     /// Every distinct interned symbol occurring in the database — what a
     /// persisted copy must carry a dictionary for.
     pub fn syms(&self) -> Vec<crate::catalog::SymId> {
-        let mut out: Vec<_> = self.relations.values().flat_map(|r| r.syms()).collect();
+        let mut out: Vec<_> = self.relations.iter().flat_map(|r| r.syms()).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -130,15 +137,67 @@ impl Database {
     /// Rewrites every symbol id through `f` (crash recovery remaps foreign
     /// catalog ids through the live catalog).
     pub fn remap_syms(&mut self, f: &impl Fn(crate::catalog::SymId) -> crate::catalog::SymId) {
-        for rel in self.relations.values_mut() {
+        for rel in &mut self.relations {
             rel.remap_syms(f);
         }
     }
 }
 
+impl Serialize for Database {
+    fn serialize<S: Sink>(&self, out: &mut S) -> std::result::Result<(), S::Error> {
+        out.map_begin(2)?;
+        out.map_key("schema")?;
+        self.schema.serialize(out)?;
+        out.map_key("relations")?;
+        out.map_begin(self.relations.len())?;
+        for rel in &self.relations {
+            out.map_key(&rel.schema().name)?;
+            rel.serialize(out)?;
+        }
+        out.map_end()?;
+        out.map_end()
+    }
+}
+
+impl Deserialize for Database {
+    /// Reads the map form back; a relation filed under a name other than
+    /// its own schema's, or under a name twice, is refused.
+    fn from_content(c: &Content) -> std::result::Result<Self, DeError> {
+        let m = c
+            .as_map()
+            .ok_or_else(|| DeError::expected("object", "Database"))?;
+        let schema = serde::content_get(m, "schema")
+            .ok_or_else(|| DeError::missing_field("schema", "Database"))
+            .and_then(DatabaseSchema::from_content)?;
+        let entries = serde::content_get(m, "relations")
+            .ok_or_else(|| DeError::missing_field("relations", "Database"))?
+            .as_map()
+            .ok_or_else(|| DeError::expected("object", "Database::relations"))?;
+        let mut relations = Vec::with_capacity(entries.len());
+        for (name, rel) in entries {
+            let rel = Relation::from_content(rel)?;
+            if *rel.schema().name != **name {
+                return Err(DeError::custom(format!(
+                    "relation `{}` filed under `{name}`",
+                    rel.schema().name
+                )));
+            }
+            relations.push(rel);
+        }
+        relations.sort_by(|a, b| a.schema().name.cmp(&b.schema().name));
+        if let Some(twice) =
+            (relations.windows(2)).find(|w| w[0].schema().name == w[1].schema().name)
+        {
+            let name = &twice[0].schema().name;
+            return Err(DeError::custom(format!("relation `{name}` given twice")));
+        }
+        Ok(Database { schema, relations })
+    }
+}
+
 impl fmt::Display for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for rel in self.relations.values() {
+        for rel in &self.relations {
             write!(f, "{rel}")?;
         }
         Ok(())
@@ -206,5 +265,43 @@ mod tests {
         let facts = d.all_facts();
         assert_eq!(&*facts[0].0, "a"); // "a" sorts before "b"
         assert_eq!(&*facts[1].0, "b");
+    }
+
+    #[test]
+    fn serializes_as_the_name_keyed_map_and_reads_back() {
+        let mut d = Database::new(DatabaseSchema::parse("b(x: int, y: int). a(x: int).").unwrap());
+        d.insert_values("b", vec![Val::Int(1), Val::Int(2)])
+            .unwrap();
+        d.insert_values("a", vec![Val::Int(9)]).unwrap();
+        let a = r#"{"name":"a","columns":[{"name":"x","ty":"Int"}]}"#;
+        let b = r#"{"name":"b","columns":[{"name":"x","ty":"Int"},{"name":"y","ty":"Int"}]}"#;
+        let text = serde_json::to_string(&d).unwrap();
+        assert_eq!(
+            text,
+            format!(
+                r#"{{"schema":{{"relations":{{"a":{a},"b":{b}}}}},"relations":{{"a":{{"schema":{a},"rows":[[{{"Int":9}}]]}},"b":{{"schema":{b},"rows":[[{{"Int":1}},{{"Int":2}}]]}}}}}}"#
+            )
+        );
+        let back: Database = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.all_facts(), d.all_facts());
+        assert_eq!(back.schema(), d.schema());
+        assert!(back.relation("c").is_err());
+
+        let misfiled = text.replacen(
+            r#""relations":{"a":{"schema""#,
+            r#""relations":{"c":{"schema""#,
+            1,
+        );
+        assert!(serde_json::from_str::<Database>(&misfiled).is_err());
+    }
+
+    #[test]
+    fn relations_share_the_schema_signatures() {
+        let d = db();
+        let copy = d.clone();
+        for ((name, rel), declared) in copy.relations().zip(d.schema().relations()) {
+            assert_eq!(*name, declared.name);
+            assert!(std::ptr::eq(rel.schema(), &**declared));
+        }
     }
 }

@@ -337,11 +337,13 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Creates an empty relation with the given signature.
-    pub fn new(schema: RelationSchema) -> Self {
+    /// Creates an empty relation with the given signature (a
+    /// [`crate::DatabaseSchema`]'s shared one, or an owned one).
+    pub fn new(schema: impl Into<Arc<RelationSchema>>) -> Self {
+        let schema = schema.into();
         Relation {
             rows: RowSet::new(schema.arity()),
-            schema: Arc::new(schema),
+            schema,
             key_indexes: Vec::new(),
         }
     }

@@ -125,11 +125,15 @@ impl fmt::Display for RelationSchema {
 
 /// A full database schema: a set of relation signatures.
 ///
-/// Stored as a `BTreeMap` so that iteration order (and therefore everything
-/// derived from it: message contents, statistics, traces) is deterministic.
+/// Immutable once built, so it is shared rather than copied: the signatures
+/// are `Arc`s behind one `Arc`, a clone is a refcount, and every
+/// [`crate::Relation`] of a [`crate::Database`] over the schema holds the
+/// same signature allocation. Keyed by name in a `BTreeMap`, so iteration
+/// order (and therefore everything derived from it: message contents,
+/// statistics, traces) is deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DatabaseSchema {
-    relations: BTreeMap<Arc<str>, RelationSchema>,
+    relations: Arc<BTreeMap<Arc<str>, Arc<RelationSchema>>>,
 }
 
 impl DatabaseSchema {
@@ -138,18 +142,19 @@ impl DatabaseSchema {
         Self::default()
     }
 
-    /// Adds one relation signature, rejecting duplicates.
+    /// Adds one relation signature, rejecting duplicates. Copies the map
+    /// (not the signatures) if the schema is shared.
     pub fn add_relation(&mut self, rel: RelationSchema) -> Result<()> {
         if self.relations.contains_key(&rel.name) {
             return Err(Error::DuplicateRelation(rel.name.to_string()));
         }
-        self.relations.insert(rel.name.clone(), rel);
+        Arc::make_mut(&mut self.relations).insert(rel.name.clone(), Arc::new(rel));
         Ok(())
     }
 
     /// Looks up a relation signature by name.
     pub fn relation(&self, name: &str) -> Option<&RelationSchema> {
-        self.relations.get(name)
+        self.relations.get(name).map(|r| &**r)
     }
 
     /// Looks up a relation signature or errors.
@@ -159,7 +164,7 @@ impl DatabaseSchema {
     }
 
     /// Iterates relation signatures in name order.
-    pub fn relations(&self) -> impl Iterator<Item = &RelationSchema> {
+    pub fn relations(&self) -> impl Iterator<Item = &Arc<RelationSchema>> {
         self.relations.values()
     }
 

@@ -1,0 +1,94 @@
+//! What a peer costs in memory, pinned: live heap bytes per peer of a
+//! 2 000-peer degree-4 expander of copy rules (the `scale` scenario at a
+//! fifth of `flood_sim`'s size, 4 records per node) after the build, after
+//! the first-contact session, and after five more sessions.
+//!
+//! The build-time state a peer knows — its rules, its schema, its
+//! relations' signatures — is shared with the builder's rule set and with
+//! every other peer of the same schema, not copied per holder; a retired
+//! session leaves no slot behind. Either going back to a copy moves these
+//! numbers by kilobytes per peer.
+//!
+//! The counting allocator below is this test binary's global allocator; it
+//! counts per thread, so the test harness's own threads do not disturb it.
+
+use p2pdb::core::system::P2PSystem;
+use p2pdb::topology::Topology;
+use p2pdb::workload::{scale_system, ScaleConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn add(bytes: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a thread-local counter update, which neither allocates
+// (a const-initialised `Cell` with no destructor) nor unwinds (`try_with`).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        add(layout.size() as i64);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        add(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Bytes this thread has allocated and not freed.
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+const PEERS: u32 = 2_000;
+/// Live bytes per peer once the system is built.
+const AFTER_BUILD: i64 = 4_500;
+/// Live bytes per peer once the first-contact session retired.
+const AFTER_FIRST_CONTACT: i64 = 9_500;
+
+fn run_closed(sys: &mut P2PSystem) {
+    let report = sys.run_update();
+    assert!(report.all_closed && report.errors.is_empty());
+}
+
+#[test]
+fn a_peer_costs_these_bytes_after_build_and_after_sessions() {
+    let cfg = ScaleConfig {
+        topology: Topology::Expander {
+            n: PEERS,
+            degree: 4,
+            seed: 1,
+        },
+        records_per_node: 4,
+    };
+    let start = live();
+    let mut sys = scale_system(&cfg).unwrap().build().unwrap();
+    let built = (live() - start) / i64::from(PEERS);
+    run_closed(&mut sys);
+    let first = (live() - start) / i64::from(PEERS);
+    for _ in 0..5 {
+        run_closed(&mut sys);
+    }
+    let later = (live() - start) / i64::from(PEERS);
+    println!("live bytes per peer: {built} built, {first} after first contact, {later} after five more sessions");
+    assert!(built <= AFTER_BUILD, "{built} B per peer after build");
+    assert!(
+        first <= AFTER_FIRST_CONTACT,
+        "{first} B per peer after first contact"
+    );
+    assert_eq!(later, first, "sessions after the first hold nothing more");
+}

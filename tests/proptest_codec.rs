@@ -107,13 +107,13 @@ fn session() -> impl Strategy<Value = SessionId> {
 
 /// A rule fragment. A cold structured field: it travels as an embedded
 /// generic document, so one shape suffices here.
-fn part(node: u32) -> p2pdb::core::rule::BodyPart {
-    p2pdb::core::rule::BodyPart {
+fn part(node: u32) -> Arc<p2pdb::core::rule::BodyPart> {
+    Arc::new(p2pdb::core::rule::BodyPart {
         node: NodeId(node),
         atoms: vec![],
         local_constraints: vec![],
         vars: vec![Arc::from("X")],
-    }
+    })
 }
 
 /// A query's or an answer's exchange: each of the three, the round
