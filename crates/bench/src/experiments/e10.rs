@@ -2,7 +2,7 @@
 
 use super::{fmt_ms, Scale};
 use crate::table::Table;
-use p2p_topology::Topology;
+use p2p_topology::{NodeId, Topology};
 use p2p_workload::{build_system, Distribution, WorkloadConfig};
 
 /// E10: topology-discovery messages and time vs network size — both
@@ -48,11 +48,11 @@ pub fn e10_discovery() -> Table {
                 seed: 42,
             };
             let mut sys = build_system(&cfg).unwrap().build().unwrap();
-            let report = if all_owners {
-                sys.run_discovery_all()
-            } else {
-                sys.run_discovery()
+            let owners: Vec<NodeId> = match all_owners {
+                true => sys.peers().map(|(id, _)| *id).collect(),
+                false => Vec::new(),
             };
+            let report = sys.run_discovery(&owners);
             let paths = sys
                 .peer(sys.super_peer())
                 .and_then(|p| p.paths().map(<[_]>::len))

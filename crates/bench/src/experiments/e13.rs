@@ -2,6 +2,7 @@
 
 use super::Scale;
 use crate::table::Table;
+use p2p_core::system::RunSpec;
 use p2p_topology::Topology;
 use p2p_workload::{build_system, Distribution, WorkloadConfig};
 
@@ -28,7 +29,14 @@ pub fn e13_initiation(scale: Scale) -> Table {
             };
             let mut sys = build_system(&cfg).expect("builds").build().expect("builds");
             let (name, report) = if scoped {
-                ("scoped", sys.run_scoped_update(sys.super_peer()))
+                (
+                    "scoped",
+                    sys.run(&RunSpec {
+                        scoped: true,
+                        ..Default::default()
+                    })
+                    .remove(0),
+                )
             } else {
                 ("flood", sys.run_update())
             };

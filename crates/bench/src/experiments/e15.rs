@@ -4,7 +4,7 @@ use super::Scale;
 use crate::table::Table;
 use p2p_core::config::UpdateMode;
 use p2p_core::stats::PeerStats;
-use p2p_core::system::{P2PSystemBuilder, UpdateReport};
+use p2p_core::system::{P2PSystemBuilder, RunSpec, UpdateReport};
 use p2p_net::{ChurnPlan, SimTime};
 use p2p_topology::{NodeId, Topology};
 use p2p_workload::{build_system, Distribution, WorkloadConfig};
@@ -111,7 +111,12 @@ pub fn e15_churn(scale: Scale) -> (Table, ChurnSummary) {
             .with_crash(NodeId(5), SimTime(t / 2), SimTime(t / 2 + t / 6)),
     );
     let mut churned = b.build().expect("system builds");
-    let report = churned.run_update_resilient(8);
+    let report = churned
+        .run(&RunSpec {
+            redrives: 8,
+            ..Default::default()
+        })
+        .remove(0);
     assert!(report.errors.is_empty(), "peer errors: {:?}", report.errors);
     let stats = churned.sum_stats();
     row("2 crashes (durable)", &stats, &report);

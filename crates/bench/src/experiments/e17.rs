@@ -2,6 +2,7 @@
 
 use super::Scale;
 use crate::table::Table;
+use p2p_core::system::RunSpec;
 use p2p_topology::Topology;
 use p2p_workload::{concurrent_scenario, ConcurrentConfig, Distribution, WorkloadConfig};
 
@@ -75,7 +76,13 @@ pub fn e17_concurrent(scale: Scale) -> (Table, ConcurrentSummary) {
                 .insert(d.node, rel, vals.clone())
                 .expect("writer delta");
         }
-        serial_closed &= serial.run_update_from(d.node).all_closed;
+        serial_closed &= serial
+            .run(&RunSpec {
+                roots: vec![d.node],
+                ..Default::default()
+            })
+            .remove(0)
+            .all_closed;
     }
     let serial_time_ms = serial.net_stats().finished_at.as_millis_f64();
 
@@ -88,7 +95,10 @@ pub fn e17_concurrent(scale: Scale) -> (Table, ConcurrentSummary) {
             sys.insert(d.node, rel, vals.clone()).expect("writer delta");
         }
     }
-    let reports = sys.run_updates(&roots);
+    let reports = sys.run(&RunSpec {
+        roots: roots.to_vec(),
+        ..Default::default()
+    });
     let concurrent_time_ms = reports[0].outcome.virtual_time.as_millis_f64();
     let all_closed = serial_closed && reports.iter().all(|r| r.all_closed);
     let leaked_entries: usize = sys.peers().map(|(_, p)| p.session_table_len()).sum();

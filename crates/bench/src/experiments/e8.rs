@@ -3,7 +3,7 @@
 use super::Scale;
 use crate::table::Table;
 use p2p_core::dynamic::ChangeScript;
-use p2p_core::system::P2PSystemBuilder;
+use p2p_core::system::{P2PSystemBuilder, RunSpec};
 use p2p_net::SimTime;
 use p2p_relational::hom::contained_modulo_nulls;
 use p2p_relational::Val;
@@ -49,7 +49,12 @@ pub fn e8_dynamic() -> Table {
             };
             script.push(SimTime::from_millis(*at), op);
         }
-        let report = sys.run_update_with_script(&script);
+        let report = sys
+            .run(&RunSpec {
+                script: script.clone(),
+                ..Default::default()
+            })
+            .remove(0);
         let upper = sys
             .oracle_with(&p2p_core::dynamic::upper_reference(sys.rules(), &script))
             .unwrap();

@@ -3,7 +3,7 @@
 use super::Scale;
 use crate::table::Table;
 use p2p_core::dynamic::{ChangeOp, ChangeScript};
-use p2p_core::system::P2PSystemBuilder;
+use p2p_core::system::{P2PSystemBuilder, RunSpec};
 use p2p_net::SimTime;
 use p2p_relational::Val;
 use p2p_topology::NodeId;
@@ -48,7 +48,12 @@ pub fn e9_separation() -> Table {
                 );
             }
         }
-        let report = sys.run_update_with_script(&script);
+        let report = sys
+            .run(&RunSpec {
+                script,
+                ..Default::default()
+            })
+            .remove(0);
         table.row(vec![
             (churn_ops * 2).to_string(),
             (sys.closed(NodeId(0)) && sys.closed(NodeId(1))).to_string(),

@@ -31,7 +31,7 @@ pub enum UpdateMode {
 /// receiver also forwards the request along its pipes in both directions,
 /// as the paper propagates it. The pseudocode's strict A4 propagation — a
 /// node joins when the first `Query` reaches it — is the query-dependent
-/// update, [`crate::system::P2PSystem::run_scoped_update`].
+/// update, [`crate::system::RunSpec::scoped`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Update algorithm variant.

@@ -51,6 +51,9 @@ pub enum CoreError {
         /// The panic payload.
         detail: String,
     },
+    /// The sharded runtime was asked for what only the simulator runs:
+    /// rounds mode, a change script, re-drives, a churn or a fault plan.
+    ShardedUnsupported(&'static str),
     /// A socket-backed node could not bind its listen address (port in
     /// use, bad interface). Kept distinct from the generic transport
     /// error so the CLI can report it as a usage problem.
@@ -103,6 +106,10 @@ impl fmt::Display for CoreError {
             CoreError::PeerPanicked { node, detail } => {
                 write!(f, "peer {node} panicked during a parallel run: {detail}")
             }
+            CoreError::ShardedUnsupported(what) => write!(
+                f,
+                "the sharded runtime cannot run {what}: it is simulator-only"
+            ),
             CoreError::Listen { addr, detail } => {
                 write!(f, "cannot listen on {addr}: {detail}")
             }

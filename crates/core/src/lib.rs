@@ -79,4 +79,4 @@ pub use error::{CoreError, CoreResult};
 pub use messages::ProtocolMsg;
 pub use oracle::{global_fixpoint, GlobalDb};
 pub use rule::{CoordinationRule, RuleId, RuleSet};
-pub use system::{P2PSystem, P2PSystemBuilder, UpdateReport};
+pub use system::{P2PSystem, P2PSystemBuilder, RunSpec, UpdateReport};

@@ -29,7 +29,7 @@
 //! static configuration — the rules targeting the node, its pipes, the
 //! roster, which a real peer re-reads at boot (Section 5) — and statistics.
 //!
-//! At restart ([`DbPeer::restart_and_resync`]) the peer replays `snapshot +
+//! At restart (`DbPeer::restart_and_resync`) the peer replays `snapshot +
 //! WAL` into a database **tuple-identical** to the pre-crash one — once: a
 //! restarted process keeps what [`DbPeer::attach_storage`] replayed — and
 //! resumes its subscriptions on both ends, so a crash costs what was at
@@ -60,8 +60,9 @@
 //! Under `paper_faithful` the repair is answered from the claim.
 //!
 //! Liveness after a mid-wave crash is the driver's job: the wave stalls,
-//! and [`crate::system::P2PSystem::run_update_resilient`] re-drives the
-//! session until closure is re-certified.
+//! and [`crate::system::P2PSystem::run`] re-drives the session, within its
+//! [`crate::system::RunSpec::redrives`] budget, until closure is
+//! re-certified.
 
 use crate::error::{CoreError, CoreResult};
 use crate::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};

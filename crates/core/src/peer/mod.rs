@@ -18,7 +18,7 @@
 //!
 //! The update session is a first-class object: every session-tagged message
 //! carries a [`SessionId`] `(root, epoch)` and is routed to that session's
-//! entry in the peer's [`DbPeer::sessions`] table. Any number of sessions —
+//! entry in the peer's `DbPeer::sessions` table. Any number of sessions —
 //! initiated by any nodes — run interleaved. Entries are **retired** when
 //! the session's terminal broadcast lands (`Fixpoint` in eager mode,
 //! `RoundsClosed` in rounds mode) — the table must be empty again after
@@ -223,7 +223,7 @@ pub use tables::VecMap;
 
 /// Everything one peer holds for one update session only (see the module
 /// docs for what outlives it). One entry per interleaved session lives in
-/// [`DbPeer::sessions`]; the entry is created on first contact with the
+/// `DbPeer::sessions`; the entry is created on first contact with the
 /// session's traffic and retired when the session's terminal broadcast
 /// lands.
 #[derive(Debug, Clone, Default)]
@@ -251,7 +251,7 @@ pub struct SessionState {
     /// re-wake of the session.)
     pub root_quiet: bool,
     /// Terminal broadcast processed — the dispatcher moves the entry to
-    /// [`DbPeer::done`] instead of re-inserting it.
+    /// `DbPeer::done` instead of re-inserting it.
     pub retired: bool,
 }
 
@@ -2137,7 +2137,7 @@ mod tests {
     #[test]
     fn build_time_state_is_shared_not_copied() {
         use crate::dynamic::{ChangeOp, ChangeScript};
-        use crate::system::P2PSystemBuilder;
+        use crate::system::{P2PSystemBuilder, RunSpec};
         let mut b = P2PSystemBuilder::new();
         for id in 0..3 {
             b.add_node_with_schema(id, "r(x: int, y: int).").unwrap();
@@ -2182,7 +2182,12 @@ mod tests {
             rule.id = rid;
         }
         script.push(SimTime::from_millis(40), swapped);
-        let report = sys.run_update_with_script(&script);
+        let report = sys
+            .run(&RunSpec {
+                script,
+                ..Default::default()
+            })
+            .remove(0);
         assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
         let head = sys.peer(a).unwrap();
         let new = &head.rules[&rid];

@@ -9,7 +9,7 @@
 //! optionally verify the distributed result against the in-process
 //! simulator and the centralized oracle on the same netfile.
 //!
-//! Children are reaped on **every** exit path: the [`Fleet`] guard kills
+//! Children are reaped on **every** exit path: the `Fleet` guard kills
 //! and waits whatever is still alive when it drops, so a failed or timed
 //! out launch leaves no orphaned `serve` processes listening.
 

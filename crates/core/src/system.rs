@@ -133,9 +133,9 @@ impl P2PSystemBuilder {
     /// Installs a churn plan (scheduled peer crash/restart events, offsets
     /// relative to the start of the first update session). Usually paired
     /// with `config_mut().durability = true` — without durability a crash
-    /// loses the peer's data for good — and driven to closure with
-    /// [`P2PSystem::run_update_resilient`]. Simulator-only: the sharded
-    /// runtime does not execute churn plans.
+    /// loses the peer's data for good — and driven to closure with a
+    /// [`RunSpec::redrives`] budget. Simulator-only: [`run_updates_sharded`]
+    /// refuses a builder that has one.
     pub fn set_churn(&mut self, churn: ChurnPlan) {
         self.churn = Some(churn);
     }
@@ -233,13 +233,47 @@ impl P2PSystemBuilder {
     }
 }
 
+/// One update run: where its sessions start, which update they run, what
+/// changes while they run, and how often an unfinished one is re-driven.
+/// The default is one global session at the super-peer.
+#[derive(Debug, Clone, Default)]
+pub struct RunSpec {
+    /// One session per **distinct** root; empty means the super-peer.
+    pub roots: Vec<NodeId>,
+    /// Run the query-dependent update (Section 5) instead of the global
+    /// one: only peers on dependency paths from a root take part,
+    /// refreshing exactly the data its local queries depend on. A scoped
+    /// report's `all_closed` refers to all peers and is generally false;
+    /// check [`P2PSystem::closed`] on the root instead.
+    pub scoped: bool,
+    /// Dynamic changes (Section 4) applied at the super-peer at their
+    /// times after the sessions start.
+    pub script: ChangeScript,
+    /// How many times a global session still open after a drive is
+    /// re-driven. With no churn and no faults the first drive closes every
+    /// session, and any budget gives the reports of 0.
+    pub redrives: u32,
+}
+
+impl RunSpec {
+    /// The command that starts `session` at its root.
+    fn start(&self, session: SessionId) -> ProtocolMsg {
+        if self.scoped {
+            ProtocolMsg::StartScopedUpdate { session }
+        } else {
+            ProtocolMsg::StartUpdate { session }
+        }
+    }
+}
+
 /// Report of one update session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateReport {
     /// The session this report describes.
     pub session: SessionId,
-    /// Simulator outcome (virtual time, deliveries, quiescence). Shared by
-    /// every session of one [`P2PSystem::run_updates`] run.
+    /// Simulator outcome (virtual time, deliveries, quiescence), shared by
+    /// every session of one run; on the sharded runtime, the pool's wall
+    /// time and deliveries.
     pub outcome: RunOutcome,
     /// Messages delivered during the run (whole network, all sessions plus
     /// control traffic — the historical meaning; for the per-session slice
@@ -257,7 +291,7 @@ pub struct UpdateReport {
     /// Rounds executed by this session (rounds mode; 0 in eager mode).
     pub rounds: u32,
     /// Times the driver re-drove a stalled session
-    /// ([`P2PSystem::run_update_resilient`]; 0 on ordinary runs).
+    /// ([`RunSpec::redrives`]; 0 on ordinary runs).
     pub redrives: u32,
     /// Errors recorded at peers during the run.
     pub errors: Vec<(NodeId, String)>,
@@ -299,14 +333,16 @@ impl P2PSystem {
         &self.rules
     }
 
-    /// Runs topology discovery (algorithms A1–A3) to quiescence.
-    pub fn run_discovery(&mut self) -> DiscoveryReport {
+    /// Runs topology discovery (algorithms A1–A3) to quiescence, initiated
+    /// by each of `owners` (empty: the super-peer). Initiated by every node,
+    /// it leaves each node knowing its own maximal dependency paths, which
+    /// is the state the paper assumes before the update phase ("each node
+    /// first looks for the set of its maximal dependency paths").
+    pub fn run_discovery(&mut self, owners: &[NodeId]) -> DiscoveryReport {
         let before = self.sim.stats().total_messages;
-        self.sim.inject(
-            self.super_peer,
-            self.super_peer,
-            ProtocolMsg::StartDiscovery,
-        );
+        for &n in or_super_peer(owners, &self.super_peer) {
+            self.sim.inject(n, n, ProtocolMsg::StartDiscovery);
+        }
         let outcome = self.sim.run();
         // Closure is only meaningful for participants: discovery explores
         // the initiator's dependency-reachable region (paper A1–A3); nodes
@@ -323,128 +359,67 @@ impl P2PSystem {
         }
     }
 
-    /// Runs discovery initiated by **every** node (each becomes an owner):
-    /// afterwards every node of the network knows its own maximal
-    /// dependency paths, which is the state the paper assumes before the
-    /// update phase ("each node first looks for the set of its maximal
-    /// dependency paths").
-    pub fn run_discovery_all(&mut self) -> DiscoveryReport {
-        let before = self.sim.stats().total_messages;
-        let nodes: Vec<NodeId> = self.sim.peers().map(|(id, _)| *id).collect();
-        for n in nodes {
-            self.sim.inject(n, n, ProtocolMsg::StartDiscovery);
-        }
-        let outcome = self.sim.run();
-        let all_closed = self
-            .sim
-            .peers()
-            .filter(|(_, p)| p.discovery_started())
-            .all(|(_, p)| p.discovery_closed());
-        DiscoveryReport {
-            outcome,
-            messages: self.sim.stats().total_messages - before,
-            all_closed,
-        }
+    /// Runs a global update session rooted at the super-peer to quiescence:
+    /// [`P2PSystem::run`] with the default [`RunSpec`].
+    pub fn run_update(&mut self) -> UpdateReport {
+        self.run(&RunSpec::default())
+            .pop()
+            .expect("one root, one report")
     }
 
-    /// Session-run prologue shared by every driver entry point: assigns one
-    /// fresh session per **distinct** root (epoch bump), captures the
-    /// traffic baseline, and schedules any pending churn plan relative to
-    /// now. Session bookkeeping lives in exactly this one place. Duplicate
-    /// roots are collapsed: a root runs one session at a time — a second
-    /// same-root epoch launched concurrently would supersede (and thereby
-    /// kill) the first mid-flight, which is the redrive semantics, not a
-    /// way to run twice.
-    fn begin_sessions(&mut self, roots: &[NodeId]) -> (Vec<SessionId>, u64, u64) {
-        let before_msgs = self.sim.stats().total_messages;
-        let before_bytes = self.sim.stats().total_bytes;
-        let sids = assign_sessions(roots, || {
+    /// Runs one update run to quiescence and reports each of its sessions,
+    /// in the order of their roots.
+    ///
+    /// Every session starts at once, one per **distinct** root, in a single
+    /// simulator run; the script's changes arrive at the super-peer at
+    /// their times after the start. The sessions spread, interleave and
+    /// terminate independently (each with its own Dijkstra–Scholten
+    /// detector or echo waves), and each report is attributed from the
+    /// transport layer's session-tagged traffic counters. Interleaving
+    /// changes wall-clock, never results: the final global database is
+    /// tuple-identical (modulo null renaming) to running the sessions
+    /// serially, and to the centralized fix-point oracle.
+    ///
+    /// Then, as long as some session is still open somewhere (a crash broke
+    /// a wave or stranded an epoch) and re-drive budget remains, the driver
+    /// re-drives exactly the unfinished sessions — a fresh round of the
+    /// *same* session in rounds mode (session-scoped delta state survives,
+    /// so the resumed wave ships deltas), a fresh session-tagged epoch from
+    /// the same root in eager mode — and runs to quiescence again.
+    /// Crashed-and-recovered peers rejoin through the ordinary protocol; the
+    /// final clean run re-certifies each fix-point, so a crash mid-run
+    /// recovers **all** interleaved sessions. Each report counts whole-run
+    /// messages and bytes across all drives, and the re-drives its session
+    /// needed.
+    ///
+    /// # Panics
+    ///
+    /// If `spec` is scoped and has a re-drive budget: a re-drive re-sends a
+    /// global start, and a scoped session is generally not closed at every
+    /// peer.
+    pub fn run(&mut self, spec: &RunSpec) -> Vec<UpdateReport> {
+        assert!(
+            !(spec.scoped && spec.redrives > 0),
+            "a scoped update is not re-driven: a re-drive re-sends a global start"
+        );
+        let before = (
+            self.sim.stats().total_messages,
+            self.sim.stats().total_bytes,
+        );
+        let roots = or_super_peer(&spec.roots, &self.super_peer);
+        let mut sids = assign_sessions(roots, || {
             self.epoch += 1;
             self.epoch
         });
+        // A pending churn plan's offsets count from this run's start.
         if let Some(plan) = self.churn.take() {
             self.sim.schedule_churn(&plan, self.sim.now());
         }
-        (sids, before_msgs, before_bytes)
-    }
-
-    /// Runs a global update session rooted at the super-peer to quiescence.
-    pub fn run_update(&mut self) -> UpdateReport {
-        self.run_update_with_script(&ChangeScript::new())
-    }
-
-    /// Runs one global update session rooted at `root` — the N=1 special
-    /// case of [`P2PSystem::run_updates`].
-    pub fn run_update_from(&mut self, root: NodeId) -> UpdateReport {
-        self.run_updates(&[root])
-            .pop()
-            .expect("one root, one report")
-    }
-
-    /// Runs **any number of interleaved global update sessions**, one per
-    /// **distinct** root (duplicates are collapsed — a root runs one
-    /// session at a time), in a single simulator run: all `StartUpdate`
-    /// commands are injected up front, the sessions spread, interleave and
-    /// terminate independently (each with its own Dijkstra–Scholten
-    /// detector or echo waves), and the per-session reports are attributed
-    /// from the transport layer's session-tagged traffic counters.
-    ///
-    /// Correctness anchor: the final global database is tuple-identical
-    /// (modulo null renaming) to running the same sessions serially, and to
-    /// the centralized fix-point oracle — interleaving changes wall-clock,
-    /// never results.
-    pub fn run_updates(&mut self, roots: &[NodeId]) -> Vec<UpdateReport> {
-        self.run_updates_with_script(roots, &ChangeScript::new())
-    }
-
-    /// Runs a **query-dependent** update rooted at `node` (Section 5): only
-    /// peers on dependency paths from `node` participate, refreshing exactly
-    /// the data `node`'s local queries depend on. `all_closed` in the report
-    /// refers to all peers and is generally false for scoped runs; check
-    /// [`P2PSystem::closed`] on the root instead.
-    pub fn run_scoped_update(&mut self, node: NodeId) -> UpdateReport {
-        let (sids, before_msgs, before_bytes) = self.begin_sessions(&[node]);
-        let sid = sids[0];
-        self.sim
-            .inject(node, node, ProtocolMsg::StartScopedUpdate { session: sid });
-        let outcome = self.sim.run();
-        self.report(sid, outcome, before_msgs, before_bytes)
-    }
-
-    /// Distributed query answering via materialisation: refreshes `node`'s
-    /// dependency scope (query-dependent update), then answers locally. The
-    /// paper reduces query answering to data fetching under its assumptions
-    /// (Section 2); this is that reduction, made executable.
-    pub fn distributed_query(&mut self, node: NodeId, text: &str) -> CoreResult<Vec<Tuple>> {
-        self.run_scoped_update(node);
-        self.query(node, text)
-    }
-
-    /// Runs a global update session with a dynamic-change script applied at
-    /// its scheduled virtual times (Section 4).
-    pub fn run_update_with_script(&mut self, script: &ChangeScript) -> UpdateReport {
-        self.run_updates_with_script(&[self.super_peer], script)
-            .pop()
-            .expect("one root, one report")
-    }
-
-    /// [`P2PSystem::run_updates`] with a dynamic-change script applied (at
-    /// the super-peer) while the sessions interleave.
-    pub fn run_updates_with_script(
-        &mut self,
-        roots: &[NodeId],
-        script: &ChangeScript,
-    ) -> Vec<UpdateReport> {
-        let (sids, before_msgs, before_bytes) = self.begin_sessions(roots);
         for &sid in &sids {
-            self.sim.inject(
-                sid.root,
-                sid.root,
-                ProtocolMsg::StartUpdate { session: sid },
-            );
+            self.sim.inject(sid.root, sid.root, spec.start(sid));
         }
         let base = self.sim.now();
-        for change in script.sorted() {
+        for change in spec.script.sorted() {
             self.sim.inject_at(
                 base + change.at,
                 self.super_peer,
@@ -452,147 +427,60 @@ impl P2PSystem {
                 ProtocolMsg::ApplyChange { change: change.op },
             );
         }
-        let outcome = self.sim.run();
-        sids.into_iter()
-            .map(|sid| self.report(sid, outcome, before_msgs, before_bytes))
-            .collect()
-    }
+        let mut outcome = self.sim.run();
 
-    /// Runs a global update session **to closure under churn**: the N=1
-    /// case of [`P2PSystem::run_updates_resilient`].
-    pub fn run_update_resilient(&mut self, max_redrives: u32) -> UpdateReport {
-        self.run_updates_resilient(&[self.super_peer], max_redrives)
-            .pop()
-            .expect("one root, one report")
-    }
-
-    /// Runs interleaved sessions **to closure under churn**: after the
-    /// initial run, as long as some session is still open somewhere (a
-    /// crash broke a wave or stranded an epoch) and re-drive budget
-    /// remains, the driver re-drives exactly the unfinished sessions — a
-    /// fresh round of the *same* session in rounds mode (session-scoped
-    /// delta state survives, so the resumed wave ships deltas), a fresh
-    /// session-tagged epoch from the same root in eager mode — and runs to
-    /// quiescence again. Crashed-and-recovered peers rejoin through the
-    /// ordinary protocol; the final clean run re-certifies each fix-point,
-    /// so a crash mid-run recovers **all** interleaved sessions.
-    ///
-    /// Each report aggregates whole-run messages/bytes across all drives
-    /// and carries the number of re-drives its session needed. With no
-    /// churn and no faults the first run closes everything and this is
-    /// exactly [`P2PSystem::run_updates`].
-    pub fn run_updates_resilient(
-        &mut self,
-        roots: &[NodeId],
-        max_redrives: u32,
-    ) -> Vec<UpdateReport> {
-        let before_msgs = self.sim.stats().total_messages;
-        let before_bytes = self.sim.stats().total_bytes;
-        let mut reports = self.run_updates(roots);
-        let mut redrives = vec![0u32; reports.len()];
-        for _ in 0..max_redrives {
-            if reports.iter().all(|r| r.all_closed) {
+        let mut redrives = vec![0u32; sids.len()];
+        for _ in 0..spec.redrives {
+            let open: Vec<usize> = (0..sids.len())
+                .filter(|&i| !self.sim.peers().all(|(_, p)| p.session_closed(sids[i])))
+                .collect();
+            if open.is_empty() {
                 break;
             }
-            for (i, report) in reports.iter().enumerate() {
-                if report.all_closed {
-                    continue;
-                }
+            for i in open {
                 redrives[i] += 1;
-                let sid = report.session;
-                match self.config.mode {
-                    UpdateMode::Rounds => {
-                        // Resume the same session at a round strictly above
-                        // every peer's current one.
-                        let next = self
-                            .sim
-                            .peers()
+                let sid = sids[i];
+                let msg = match self.config.mode {
+                    // Resume the same session at a round strictly above
+                    // every peer's current one.
+                    UpdateMode::Rounds => ProtocolMsg::ResumeRounds {
+                        session: sid,
+                        round: (self.sim.peers())
                             .map(|(_, p)| p.session_round(sid))
                             .max()
                             .unwrap_or(0)
-                            + 1;
-                        self.sim.inject(
-                            sid.root,
-                            sid.root,
-                            ProtocolMsg::ResumeRounds {
-                                session: sid,
-                                round: next,
-                            },
-                        );
-                    }
+                            + 1,
+                    },
+                    // Fresh session from the same root; its first messages
+                    // retire the stranded epoch's state.
                     UpdateMode::Eager => {
-                        // Fresh session from the same root; its first
-                        // messages retire the stranded epoch's state.
                         self.epoch += 1;
-                        let fresh = SessionId::new(sid.root, self.epoch);
-                        self.sim.inject(
-                            fresh.root,
-                            fresh.root,
-                            ProtocolMsg::StartUpdate { session: fresh },
-                        );
+                        let session = SessionId::new(sid.root, self.epoch);
+                        ProtocolMsg::StartUpdate { session }
                     }
-                }
+                };
+                self.sim.inject(sid.root, sid.root, msg);
             }
-            let outcome = self.sim.run();
-            // Re-attribute: an eager re-drive continues under a fresh
-            // session id, so each report tracks its root's latest session.
-            reports = reports
-                .iter()
-                .map(|r| {
-                    let latest = self.latest_session_of(r.session.root).unwrap_or(r.session);
-                    self.report(latest, outcome, before_msgs, before_bytes)
-                })
-                .collect();
+            outcome = self.sim.run();
+            // An eager re-drive continues under a fresh session id, so each
+            // session is followed to its root's latest one.
+            let seen = self.sim.stats().per_session.keys();
+            for sid in &mut sids {
+                *sid = seen
+                    .clone()
+                    .filter(|s| s.root == sid.root)
+                    .max()
+                    .copied()
+                    .unwrap_or(*sid);
+            }
         }
-        for (report, n) in reports.iter_mut().zip(redrives) {
-            report.redrives = n;
-        }
-        reports
-    }
-
-    /// The newest session id assigned to `root` so far in this system.
-    fn latest_session_of(&self, root: NodeId) -> Option<SessionId> {
-        self.sim
-            .stats()
-            .per_session
-            .keys()
-            .filter(|s| s.root == root)
-            .max()
-            .copied()
-    }
-
-    fn report(
-        &self,
-        sid: SessionId,
-        outcome: RunOutcome,
-        before_msgs: u64,
-        before_bytes: u64,
-    ) -> UpdateReport {
-        let all_closed = self.sim.peers().all(|(_, p)| p.session_closed(sid));
-        let rounds = self
-            .sim
-            .peers()
-            .map(|(_, p)| p.session_rounds(sid))
-            .max()
-            .unwrap_or(0);
-        let errors = self
-            .sim
-            .peers()
-            .flat_map(|(id, p)| p.errors().iter().map(move |e| (*id, e.clone())))
-            .collect();
-        let per_session = self.sim.stats().session(sid);
-        UpdateReport {
-            session: sid,
-            outcome,
-            messages: self.sim.stats().total_messages - before_msgs,
-            bytes: self.sim.stats().total_bytes - before_bytes,
-            session_messages: per_session.messages,
-            session_bytes: per_session.bytes,
-            all_closed,
-            rounds,
-            redrives: 0,
-            errors,
-        }
+        sids.into_iter()
+            .zip(redrives)
+            .map(|(sid, redrives)| UpdateReport {
+                redrives,
+                ..session_report(self.sim.peers(), self.sim.stats(), sid, outcome, before)
+            })
+            .collect()
     }
 
     /// Inserts a base tuple at a node **after** build — the concurrent-
@@ -807,7 +695,7 @@ impl P2PSystem {
 /// sharded runner (per-run epochs), so session-identity rules live in one
 /// place.
 fn assign_sessions(roots: &[NodeId], mut next_epoch: impl FnMut() -> u64) -> Vec<SessionId> {
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen = BTreeSet::new();
     roots
         .iter()
         .filter(|&&root| seen.insert(root))
@@ -815,20 +703,81 @@ fn assign_sessions(roots: &[NodeId], mut next_epoch: impl FnMut() -> u64) -> Vec
         .collect()
 }
 
-/// Runs **concurrent update sessions** on the sharded runtime: one global
-/// session per **distinct** root (duplicates collapsed), all injected up
-/// front, interleaving across the shard pool. Returns the final databases,
+/// `roots`, or the super-peer when there are none.
+fn or_super_peer<'a>(roots: &'a [NodeId], super_peer: &'a NodeId) -> &'a [NodeId] {
+    if roots.is_empty() {
+        std::slice::from_ref(super_peer)
+    } else {
+        roots
+    }
+}
+
+/// One session's report from the peers and the transport counters after a
+/// run; `before` is the (messages, bytes) baseline the run started from.
+fn session_report<'a>(
+    peers: impl Iterator<Item = (&'a NodeId, &'a DbPeer)>,
+    stats: &NetStats,
+    sid: SessionId,
+    outcome: RunOutcome,
+    before: (u64, u64),
+) -> UpdateReport {
+    let mut all_closed = true;
+    let mut rounds = 0;
+    let mut errors = Vec::new();
+    for (id, p) in peers {
+        all_closed &= p.session_closed(sid);
+        rounds = rounds.max(p.session_rounds(sid));
+        errors.extend(p.errors().iter().map(|e| (*id, e.clone())));
+    }
+    let per_session = stats.session(sid);
+    UpdateReport {
+        session: sid,
+        outcome,
+        messages: stats.total_messages - before.0,
+        bytes: stats.total_bytes - before.1,
+        session_messages: per_session.messages,
+        session_bytes: per_session.bytes,
+        all_closed,
+        rounds,
+        redrives: 0,
+        errors,
+    }
+}
+
+/// Runs `spec`'s sessions on the sharded runtime: all injected up front,
+/// interleaving across the shard pool. Returns the final databases, the
 /// merged transport stats (with per-session attribution and
-/// [`NetStats::cross_shard_sends`] locality), and whether every session
-/// closed at every peer.
+/// [`NetStats::cross_shard_sends`] locality), and one report per session
+/// as [`P2PSystem::run`] gives it; a report's outcome is the pool's wall
+/// time and deliveries.
+///
+/// The pool runs eager sessions to quiescence and nothing else: rounds
+/// mode, a change script, a re-drive budget and a builder's churn or fault
+/// plan are refused with [`CoreError::ShardedUnsupported`].
 pub fn run_updates_sharded(
     mut builder: P2PSystemBuilder,
-    roots: &[NodeId],
+    spec: &RunSpec,
     shards: usize,
     placement: ShardPlacement,
-) -> CoreResult<(GlobalDb, NetStats, bool)> {
-    builder.config.mode = crate::config::UpdateMode::Eager;
+) -> CoreResult<(GlobalDb, NetStats, Vec<UpdateReport>)> {
+    let refused = [
+        (builder.config.mode == UpdateMode::Rounds, "rounds mode"),
+        (
+            builder.churn.as_ref().is_some_and(|c| !c.is_empty()),
+            "a churn plan",
+        ),
+        (
+            builder.fault.as_ref().is_some_and(|f| !f.is_reliable()),
+            "a fault plan",
+        ),
+        (!spec.script.is_empty(), "a change script"),
+        (spec.redrives > 0, "re-drives"),
+    ];
+    if let Some(&(_, what)) = refused.iter().find(|(refuse, _)| *refuse) {
+        return Err(CoreError::ShardedUnsupported(what));
+    }
     let codec = builder.config.codec;
+    let super_peer = builder.super_peer;
     let peers = builder.build_peers()?;
     let mut net = ShardedNetwork::new();
     net.set_codec(codec);
@@ -837,35 +786,44 @@ pub fn run_updates_sharded(
     for (id, peer) in peers {
         net.add_peer(id, peer);
     }
+    let roots = or_super_peer(&spec.roots, &super_peer);
     let mut epoch = 0u64;
-    let sids: Vec<SessionId> = assign_sessions(roots, || {
+    let sids = assign_sessions(roots, || {
         epoch += 1;
         epoch
     });
     let initial = sids
         .iter()
-        .map(|&sid| {
-            (
-                sid.root,
-                sid.root,
-                ProtocolMsg::StartUpdate { session: sid },
-            )
-        })
+        .map(|&sid| (sid.root, sid.root, spec.start(sid)))
         .collect();
     let (peers, stats) = net.run(initial).map_err(|p| CoreError::PeerPanicked {
         node: p.node,
         detail: p.payload,
     })?;
-    let all_closed = peers
-        .iter()
-        .all(|(_, p)| sids.iter().all(|&sid| p.session_closed(sid)));
+    let outcome = RunOutcome {
+        virtual_time: stats.finished_at,
+        delivered: stats.total_messages,
+        quiescent: true,
+    };
+    let reports = sids
+        .into_iter()
+        .map(|sid| {
+            session_report(
+                peers.iter().map(|(id, p)| (id, p)),
+                &stats,
+                sid,
+                outcome,
+                (0, 0),
+            )
+        })
+        .collect();
     let dbs = GlobalDb(
         peers
             .into_iter()
             .map(|(id, p)| (id, p.database().clone()))
             .collect(),
     );
-    Ok((dbs, stats, all_closed))
+    Ok((dbs, stats, reports))
 }
 
 #[cfg(test)]
@@ -940,7 +898,7 @@ mod tests {
     #[test]
     fn discovery_on_two_nodes() {
         let mut sys = two_node_builder().build().unwrap();
-        let report = sys.run_discovery();
+        let report = sys.run_discovery(&[]);
         assert!(report.outcome.quiescent);
         assert!(report.all_closed);
         let paths = sys.peer(NodeId(0)).unwrap().paths().unwrap();

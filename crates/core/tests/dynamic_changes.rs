@@ -3,7 +3,7 @@
 //! separated-subset closure (Theorem 3).
 
 use p2p_core::dynamic::{ChangeOp, ChangeScript};
-use p2p_core::system::P2PSystemBuilder;
+use p2p_core::system::{P2PSystemBuilder, RunSpec};
 use p2p_net::{SimTime, UniformLatency};
 use p2p_relational::hom::contained_modulo_nulls;
 use p2p_relational::Value;
@@ -24,6 +24,14 @@ fn three_node_builder() -> P2PSystemBuilder {
     b
 }
 
+/// One global session at the super-peer under `script`.
+fn with_script(script: ChangeScript) -> RunSpec {
+    RunSpec {
+        script,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn add_link_mid_run_terminates_and_imports() {
     // Theorem 2: finite change ⇒ termination; the added rule C→A must pull
@@ -33,7 +41,7 @@ fn add_link_mid_run_terminates_and_imports() {
     let add = sys.make_add_link("rx", "C:c(X,Y) => A:a(X,Y)").unwrap();
     script.push(SimTime::from_millis(3), add);
 
-    let report = sys.run_update_with_script(&script);
+    let report = sys.run(&with_script(script)).remove(0);
     assert!(report.outcome.quiescent, "Theorem 2: must terminate");
     assert!(report.all_closed, "must re-close after the change");
     assert!(report.errors.is_empty(), "{:?}", report.errors);
@@ -55,7 +63,7 @@ fn definition9_sandwich_holds() {
     let del = sys.make_delete_link("r0").unwrap();
     script.push(SimTime::from_millis(4), del);
 
-    let report = sys.run_update_with_script(&script);
+    let report = sys.run(&with_script(script.clone())).remove(0);
     assert!(report.outcome.quiescent);
     assert!(report.all_closed);
 
@@ -99,7 +107,7 @@ fn delete_link_keeps_already_imported_data() {
     let mut script = ChangeScript::new();
     let del = sys.make_delete_link("r0").unwrap();
     script.push(SimTime::from_millis(1), del);
-    let report = sys.run_update_with_script(&script);
+    let report = sys.run(&with_script(script)).remove(0);
     assert!(report.outcome.quiescent);
     assert!(report.all_closed);
     // Data survives the deletion.
@@ -131,7 +139,7 @@ fn repeated_changes_terminate() {
             },
         );
     }
-    let report = sys.run_update_with_script(&script);
+    let report = sys.run(&with_script(script)).remove(0);
     assert!(report.outcome.quiescent, "finite change must terminate");
     assert!(report.all_closed);
     // ry imported C's tuples into B, and r0 then relayed them to A.
@@ -193,7 +201,7 @@ fn separated_component_closes_despite_external_churn() {
         &graph_changes
     ));
 
-    let report = sys.run_update_with_script(&script);
+    let report = sys.run(&with_script(script)).remove(0);
     assert!(report.outcome.quiescent);
     assert!(sys.closed(NodeId(0)), "A must close (Theorem 3)");
     assert!(sys.closed(NodeId(1)), "B must close (Theorem 3)");
@@ -233,7 +241,7 @@ fn change_long_after_fixpoint_rewakes_session_and_recloses() {
         let add = sys.make_add_link("rx", "C:c(X,Y) => A:a(X,Y)").unwrap();
         // Far beyond any quiescence time of this tiny network.
         script.push(SimTime::from_millis(2_000), add);
-        let report = sys.run_update_with_script(&script);
+        let report = sys.run(&with_script(script)).remove(0);
         assert!(report.outcome.quiescent);
         assert!(report.all_closed, "re-woken session must re-close");
         assert!(report.errors.is_empty(), "{:?}", report.errors);
@@ -280,7 +288,7 @@ fn plan_cache_survives_add_and_delete_rule() {
     }
     script.push(SimTime::from_millis(40), swapped);
 
-    let report = sys.run_update_with_script(&script);
+    let report = sys.run(&with_script(script.clone())).remove(0);
     assert!(report.outcome.quiescent);
     assert!(report.all_closed);
     assert!(report.errors.is_empty(), "{:?}", report.errors);
@@ -328,7 +336,7 @@ fn change_after_closure_starts_new_epoch() {
     let mut script = ChangeScript::new();
     let add = sys.make_add_link("rx", "C:c(X,Y) => A:a(X,Y)").unwrap();
     script.push(SimTime::from_millis(1), add);
-    let r2 = sys.run_update_with_script(&script);
+    let r2 = sys.run(&with_script(script)).remove(0);
     assert!(r2.outcome.quiescent);
     assert!(r2.all_closed);
     assert_eq!(

@@ -90,7 +90,7 @@ fn sync_vs_async_tradeoff_holds() {
 #[test]
 fn discovery_learns_the_paper_paths() {
     let mut sys = example_builder(&[]).build().unwrap();
-    let report = sys.run_discovery();
+    let report = sys.run_discovery(&[]);
     assert!(report.outcome.quiescent);
     assert!(report.all_closed, "discovery must close everywhere");
 

@@ -97,7 +97,7 @@ fn broadcast_rules_resets_discovery_knowledge() {
     // rule broadcast: re-running discovery afterwards reports exactly the
     // new topology.
     let mut sys = chain_builder().build().unwrap();
-    sys.run_discovery_all();
+    sys.run_discovery(&[NodeId(0), NodeId(1), NodeId(2)]);
     assert!(sys
         .peer(NodeId(0))
         .unwrap()
@@ -115,7 +115,7 @@ fn broadcast_rules_resets_discovery_knowledge() {
         .add(CoordinationRule::parse("n1", "A:a(X,Y) => C:c(Y,X)", None, &names).unwrap())
         .unwrap();
     sys.broadcast_rules(new_rules);
-    sys.run_discovery_all();
+    sys.run_discovery(&[NodeId(0), NodeId(1), NodeId(2)]);
     let edges = sys.peer(NodeId(2)).unwrap().known_edges();
     assert!(edges.contains(&(NodeId(2), NodeId(0))), "{edges:?}");
     assert!(

@@ -1,9 +1,18 @@
 //! Query-dependent updates (Section 5): a scoped refresh rooted at one node
 //! touches exactly its dependency-reachable region.
 
-use p2p_core::system::P2PSystemBuilder;
+use p2p_core::system::{P2PSystemBuilder, RunSpec};
 use p2p_relational::Value;
 use p2p_topology::NodeId;
+
+/// The query-dependent update rooted at `root`.
+fn scoped_at(root: NodeId) -> RunSpec {
+    RunSpec {
+        roots: vec![root],
+        scoped: true,
+        ..Default::default()
+    }
+}
 
 /// Chain A ← B ← C (A imports from B, B from C) plus an unrelated pair
 /// D ← E; data at C and E.
@@ -27,7 +36,7 @@ fn builder() -> P2PSystemBuilder {
 #[test]
 fn scoped_update_fills_only_the_reachable_region() {
     let mut sys = builder().build().unwrap();
-    let report = sys.run_scoped_update(NodeId(0));
+    let report = sys.run(&scoped_at(NodeId(0))).remove(0);
     assert!(report.outcome.quiescent);
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     // A's chain is refreshed…
@@ -69,7 +78,7 @@ fn scoped_update_never_reaches_a_dependant_of_the_root() {
     b.add_node_with_schema(5, "f(x: int, y: int).").unwrap();
     b.add_rule("r4", "A:a(X,Y) => F:f(X,Y)").unwrap();
     let mut sys = b.build().unwrap();
-    let report = sys.run_scoped_update(NodeId(0));
+    let report = sys.run(&scoped_at(NodeId(0))).remove(0);
     assert!(report.outcome.quiescent);
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     // A, B, C participated and closed…
@@ -92,7 +101,7 @@ fn scoped_update_never_reaches_a_dependant_of_the_root() {
 #[test]
 fn scoped_update_from_mid_chain() {
     let mut sys = builder().build().unwrap();
-    sys.run_scoped_update(NodeId(1));
+    sys.run(&scoped_at(NodeId(1)));
     // B refreshed from C; A untouched (nothing depends *from* B on A).
     assert_eq!(
         sys.database(NodeId(1))
@@ -116,9 +125,13 @@ fn scoped_update_from_mid_chain() {
 fn distributed_query_materialises_then_answers() {
     let mut sys = builder().build().unwrap();
     let before = sys.net_stats().total_messages;
-    let ans = sys
-        .distributed_query(NodeId(0), "q(X, Y) :- a(X, Y)")
-        .unwrap();
+    let scoped = RunSpec {
+        roots: vec![NodeId(0)],
+        scoped: true,
+        ..Default::default()
+    };
+    sys.run(&scoped);
+    let ans = sys.query(NodeId(0), "q(X, Y) :- a(X, Y)").unwrap();
     assert_eq!(ans.len(), 1);
     assert!(
         sys.net_stats().total_messages > before,
@@ -127,9 +140,8 @@ fn distributed_query_materialises_then_answers() {
     // A second identical query needs no new data, but the scoped refresh
     // still runs (cheaply: everything already present, answers are empty
     // deltas).
-    let ans2 = sys
-        .distributed_query(NodeId(0), "q(X, Y) :- a(X, Y)")
-        .unwrap();
+    sys.run(&scoped);
+    let ans2 = sys.query(NodeId(0), "q(X, Y) :- a(X, Y)").unwrap();
     assert_eq!(ans2, ans);
 }
 
@@ -137,7 +149,7 @@ fn distributed_query_materialises_then_answers() {
 fn scoped_messages_cheaper_than_global() {
     let scoped_msgs = {
         let mut sys = builder().build().unwrap();
-        sys.run_scoped_update(NodeId(0)).messages
+        sys.run(&scoped_at(NodeId(0))).remove(0).messages
     };
     let global_msgs = {
         let mut sys = builder().build().unwrap();
@@ -159,7 +171,7 @@ fn scoped_update_on_cycle_terminates() {
     b.insert(1, "b", vec![Value::Int(1), Value::Int(2)])
         .unwrap();
     let mut sys = b.build().unwrap();
-    let report = sys.run_scoped_update(NodeId(0));
+    let report = sys.run(&scoped_at(NodeId(0))).remove(0);
     assert!(report.outcome.quiescent);
     assert!(sys.closed(NodeId(0)));
     // The cycle saturates: a(1,2), a(2,1); b(1,2), b(2,1).

@@ -1,7 +1,7 @@
 //! Transport counters: the socket-level equivalent of `p2p_net::NetStats`.
 //!
 //! The live cells are atomics shared across the acceptor, reader, writer
-//! and main threads; [`StatCells::snapshot`] materialises them into the
+//! and main threads; `StatCells::snapshot` materialises them into the
 //! serializable [`TransportStats`] the control plane ships to the cluster
 //! launcher.
 

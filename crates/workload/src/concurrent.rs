@@ -12,7 +12,7 @@
 //! * **serial** — for each writer in turn: insert its delta, run one global
 //!   session rooted at it, wait for the fix-point;
 //! * **concurrent** — insert every delta, then launch all sessions at once
-//!   (`P2PSystem::run_updates`) and let them interleave.
+//!   (`P2PSystem::run` with every writer as a root) and let them interleave.
 //!
 //! Both must reach the same final global database (modulo null renaming) —
 //! the serial-equivalence guarantee of the concurrent control plane — while
@@ -113,6 +113,7 @@ pub fn concurrent_scenario(cfg: &ConcurrentConfig) -> CoreResult<ConcurrentScena
 mod tests {
     use super::*;
     use crate::distribute::Distribution;
+    use p2p_core::system::RunSpec;
     use p2p_topology::Topology;
 
     fn cfg() -> ConcurrentConfig {
@@ -164,7 +165,10 @@ mod tests {
                     sys.insert(d.node, rel, vals.clone()).unwrap();
                 }
             }
-            let reports = sys.run_updates(&roots);
+            let reports = sys.run(&RunSpec {
+                roots: roots.to_vec(),
+                ..Default::default()
+            });
             assert!(reports.iter().all(|r| r.all_closed));
             sys.snapshot()
         };
@@ -175,7 +179,12 @@ mod tests {
                 for (rel, vals) in &d.tuples {
                     sys.insert(d.node, rel, vals.clone()).unwrap();
                 }
-                let report = sys.run_update_from(d.node);
+                let report = sys
+                    .run(&RunSpec {
+                        roots: vec![d.node],
+                        ..Default::default()
+                    })
+                    .remove(0);
                 assert!(report.all_closed);
             }
             sys.snapshot()

@@ -8,7 +8,7 @@
 //! ```
 
 use p2pdb::core::dynamic::{lower_reference, upper_reference, ChangeScript};
-use p2pdb::core::system::P2PSystemBuilder;
+use p2pdb::core::system::{P2PSystemBuilder, RunSpec};
 use p2pdb::net::SimTime;
 use p2pdb::relational::hom::contained_modulo_nulls;
 use p2pdb::relational::Val;
@@ -37,7 +37,12 @@ fn main() {
     script.push(SimTime::from_millis(6), del);
 
     println!("running update with a mid-flight addLink + deleteLink script…");
-    let report = sys.run_update_with_script(&script);
+    let report = sys
+        .run(&RunSpec {
+            script: script.clone(),
+            ..Default::default()
+        })
+        .remove(0);
     println!(
         "terminated: {} (Theorem 2), all closed: {}, {} messages",
         report.outcome.quiescent, report.all_closed, report.messages

@@ -8,7 +8,7 @@
 //! library surface).
 
 use p2pdb::core::dynamic::ChangeScript;
-use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
+use p2pdb::core::system::{P2PSystem, P2PSystemBuilder, RunSpec};
 use p2pdb::net::{ChurnPlan, SimTime};
 use p2pdb::relational::Val;
 use p2pdb::topology::NodeId;
@@ -19,7 +19,12 @@ use rand::{Rng, SeedableRng};
 /// went wrong, if anything did.
 fn durable_restart(sys: &mut P2PSystem, victim: NodeId) -> Result<(), String> {
     let closed = |sys: &mut P2PSystem, what: &str| {
-        let report = sys.run_update_resilient(4);
+        let report = sys
+            .run(&RunSpec {
+                redrives: 4,
+                ..Default::default()
+            })
+            .remove(0);
         if !(report.all_closed && report.errors.is_empty()) {
             return Err(format!("{what}: {report:?}"));
         }
@@ -122,7 +127,12 @@ fn main() {
                 }
             }
         }
-        let report = sys.run_update_with_script(&script);
+        let report = sys
+            .run(&RunSpec {
+                script,
+                ..Default::default()
+            })
+            .remove(0);
         worst = worst.max(report.outcome.delivered);
         if !report.outcome.quiescent {
             println!(

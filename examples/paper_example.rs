@@ -6,7 +6,7 @@
 //! cargo run --example paper_example
 //! ```
 
-use p2pdb::core::system::P2PSystemBuilder;
+use p2pdb::core::system::{P2PSystemBuilder, RunSpec};
 use p2pdb::relational::Val;
 use p2pdb::topology::paths::format_path;
 use p2pdb::topology::NodeId;
@@ -34,7 +34,7 @@ fn builder() -> P2PSystemBuilder {
 fn main() {
     // ---- Phase 1: topology discovery (algorithms A1–A3) ------------------
     let mut sys = builder().build().unwrap();
-    let report = sys.run_discovery();
+    let report = sys.run_discovery(&[]);
     println!(
         "discovery: {} messages, closed everywhere: {}\n",
         report.messages, report.all_closed
@@ -72,7 +72,12 @@ fn main() {
         b.insert(4, "e", vec![Val::Int(x), Val::Int(y)]).unwrap();
     }
     let mut sys = b.build().unwrap();
-    let report = sys.run_scoped_update(sys.super_peer());
+    let report = sys
+        .run(&RunSpec {
+            scoped: true,
+            ..Default::default()
+        })
+        .remove(0);
     println!(
         "\nupdate: virtual time {}, {} messages, all closed: {}",
         report.outcome.virtual_time, report.messages, report.all_closed

@@ -59,11 +59,11 @@
 //! Runtimes: `--runtime sim` (default) runs the deterministic discrete-event
 //! simulator with virtual time; `--runtime sharded` runs the peers on real
 //! threads, multiplexed over `--threads N` shard threads (default: one per
-//! core), and reports cross-shard send counts. The sharded runtime forces
-//! eager propagation and rejects the simulator-only flags (`--discover`,
-//! `--trace`, `--churn`, `--stats`, `--query`, `--export`); any other
-//! runtime, `--threads` outside `--runtime sharded` and `--threads 0` are
-//! usage errors (exit 2).
+//! core), and reports cross-shard send counts. The sharded runtime rejects
+//! the simulator-only flags (`--discover`, `--trace`, `--stats`, `--query`,
+//! `--export`); any other runtime, `--threads` outside `--runtime sharded`
+//! and `--threads 0` are usage errors (exit 2). What the shard pool cannot
+//! run — `--mode rounds`, `--churn` — the library refuses (exit 1).
 //!
 //! Example session:
 //!
@@ -74,6 +74,7 @@
 
 use p2pdb::core::config::UpdateMode;
 use p2pdb::core::netfile::NetworkFile;
+use p2pdb::core::system::{run_updates_sharded, RunSpec, UpdateReport};
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
 use std::io::{ErrorKind, Write};
@@ -407,60 +408,42 @@ fn cmd_run(args: &[String]) -> CliResult {
         }
         None => vec![NodeId(file.super_peer)],
     };
+    let churned = churn_n.unwrap_or(0) > 0;
+    let spec = RunSpec {
+        roots,
+        // Churn can stall a wave (a crashed peer cannot echo); drive the
+        // sessions to closure with bounded re-drives.
+        redrives: if churned { 8 } else { 0 },
+        ..Default::default()
+    };
 
     if runtime == "sharded" {
-        // The sharded runtime drives peers to fix-point without the
-        // discrete-event machinery; everything that needs the simulator's
-        // virtual time, trace or in-run system handle is rejected up front.
-        for flag in [
-            "--discover",
-            "--trace",
-            "--churn",
-            "--stats",
-            "--query",
-            "--export",
-        ] {
+        // The flags that need the simulator's virtual time, trace or system
+        // handle are rejected here; what the pool cannot run, the library
+        // refuses.
+        for flag in ["--discover", "--trace", "--stats", "--query", "--export"] {
             if args.iter().any(|a| a == flag) {
                 return Err(usage(format!(
                     "{flag} is simulator-only: drop the flag or use --runtime sim"
                 )));
             }
         }
-        if flag_value(args, "--mode") == Some("rounds") {
-            return Err(usage(
-                "--mode rounds is simulator-only: the sharded runtime forces \
-                 eager propagation",
-            ));
-        }
-        let (_dbs, stats, all_closed) = p2pdb::core::system::run_updates_sharded(
-            builder,
-            &roots,
-            threads.unwrap_or(0),
-            p2pdb::net::ShardPlacement::RoundRobin,
-        )?;
-        outln!(
-            "update: {} messages, {} bytes, {} wall, all closed: {}",
-            stats.total_messages,
-            stats.total_bytes,
-            stats.finished_at,
-            all_closed
-        );
-        outln!(
-            "sharded: {} threads, {} cross-shard sends",
-            threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|c| c.get())
-                    .unwrap_or(1)
-            }),
-            stats.cross_shard_sends
-        );
-        return Ok(());
+        let threads = threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|c| c.get())
+                .unwrap_or(1)
+        });
+        let placement = p2pdb::net::ShardPlacement::RoundRobin;
+        let (_, stats, reports) = run_updates_sharded(builder, &spec, threads, placement)?;
+        let cross = stats.cross_shard_sends;
+        let trailer = format!("sharded: {threads} threads, {cross} cross-shard sends");
+        return print_reports(&reports, "wall", Some(trailer));
     }
 
     let mut sys = builder.build()?;
 
     if args.iter().any(|a| a == "--discover") {
-        let report = sys.run_discovery();
+        let report = sys.run_discovery(&[]);
         outln!(
             "discovery: {} messages, {} virtual time, closed: {}",
             report.messages,
@@ -486,49 +469,18 @@ fn cmd_run(args: &[String]) -> CliResult {
         }
     }
 
-    let reports = if churn_n.unwrap_or(0) > 0 {
-        // Churn can stall a wave (a crashed peer cannot echo); drive the
-        // sessions to closure with bounded re-drives.
-        sys.run_updates_resilient(&roots, 8)
-    } else {
-        sys.run_updates(&roots)
-    };
-    let report = &reports[0];
-    outln!(
-        "update: {} messages, {} bytes, {} virtual time, all closed: {}",
-        report.messages,
-        report.bytes,
-        report.outcome.virtual_time,
-        reports.iter().all(|r| r.all_closed),
-    );
-    if reports.len() > 1 {
-        for r in &reports {
-            outln!(
-                "  session {}: {} messages, {} bytes, closed: {}",
-                r.session,
-                r.session_messages,
-                r.session_bytes,
-                r.all_closed
-            );
-        }
-    }
-    if churn_n.unwrap_or(0) > 0 {
+    let reports = sys.run(&spec);
+    let churn_line = churned.then(|| {
         let s = sys.sum_stats();
-        outln!(
+        format!(
             "churn: {} crashes, {} recoveries, {} resync rows, {} redrive(s)",
             s.crashes,
             s.recoveries,
             s.resync_rows,
             reports.iter().map(|r| r.redrives).max().unwrap_or(0)
-        );
-    }
-    let errors: Vec<_> = report.errors.clone();
-    if !errors.is_empty() {
-        for (node, err) in &errors {
-            eprintln!("  {node}: {err}");
-        }
-        return Err("peers reported errors".into());
-    }
+        )
+    });
+    print_reports(&reports, "virtual time", churn_line)?;
 
     if args.iter().any(|a| a == "--trace") {
         let columns: Vec<NodeId> = sys.peers().map(|(id, _)| *id).take(6).collect();
@@ -565,7 +517,7 @@ fn cmd_run(args: &[String]) -> CliResult {
             .unwrap_or(0);
         outln!(
             "sessions: {} launched, {} peer-participations, peak {} concurrent",
-            roots.len(),
+            spec.roots.len(),
             total_sessions,
             peak
         );
@@ -577,6 +529,42 @@ fn cmd_run(args: &[String]) -> CliResult {
         outln!("exported materialised state to {out}");
     }
     Ok(())
+}
+
+/// Prints an update run's reports, whichever runtime ran it: the whole
+/// run's traffic and closure, one line per session when there are several,
+/// then `trailer`. Fails if the peers recorded errors. `clock` names what
+/// the run's time measures.
+fn print_reports(reports: &[UpdateReport], clock: &str, trailer: Option<String>) -> CliResult {
+    let report = &reports[0];
+    outln!(
+        "update: {} messages, {} bytes, {} {clock}, all closed: {}",
+        report.messages,
+        report.bytes,
+        report.outcome.virtual_time,
+        reports.iter().all(|r| r.all_closed),
+    );
+    if reports.len() > 1 {
+        for r in reports {
+            outln!(
+                "  session {}: {} messages, {} bytes, closed: {}",
+                r.session,
+                r.session_messages,
+                r.session_bytes,
+                r.all_closed
+            );
+        }
+    }
+    if let Some(line) = trailer {
+        outln!("{line}");
+    }
+    if report.errors.is_empty() {
+        return Ok(());
+    }
+    for (node, err) in &report.errors {
+        eprintln!("  {node}: {err}");
+    }
+    Err("peers reported errors".into())
 }
 
 /// All occurrences of a repeatable flag's value (`--peer M=ADDR ...`).

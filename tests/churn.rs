@@ -4,7 +4,8 @@
 //! — at a repair cost far below a full re-propagation.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
+use p2pdb::core::dynamic::{lower_reference, upper_reference, ChangeScript};
+use p2pdb::core::system::{P2PSystem, P2PSystemBuilder, RunSpec};
 use p2pdb::net::{ChurnPlan, SimTime, UniformLatency};
 use p2pdb::relational::hom::contained_modulo_nulls;
 use p2pdb::topology::{NodeId, Topology};
@@ -24,6 +25,15 @@ fn ring_builder(mode: UpdateMode, delta_waves: bool, durable: bool) -> P2PSystem
     b.config_mut().snapshot_every = 16;
     b.config_mut().max_events = 50_000_000;
     b
+}
+
+/// One global session at the super-peer, re-driven up to `redrives`
+/// times while it stays open.
+fn redriven(redrives: u32) -> RunSpec {
+    RunSpec {
+        redrives,
+        ..Default::default()
+    }
 }
 
 /// Session length of the clean run, for placing crashes mid-session.
@@ -59,7 +69,7 @@ fn ring8_two_crashes_converges_identically_with_cheap_resync() {
     let mut b = ring_builder(UpdateMode::Rounds, true, true);
     b.set_churn(two_crashes(t));
     let mut sys = b.build().unwrap();
-    let report = sys.run_update_resilient(8);
+    let report = sys.run(&redriven(8)).remove(0);
     assert!(report.outcome.quiescent && report.all_closed, "{report:?}");
     assert!(report.errors.is_empty(), "{:?}", report.errors);
 
@@ -111,7 +121,7 @@ fn crash_mid_wave_under_uniform_latency_still_converges() {
             SimTime(t.0 * 3 / 5),
         ));
         let mut sys = b.build().unwrap();
-        let report = sys.run_update_resilient(8);
+        let report = sys.run(&redriven(8)).remove(0);
         assert!(report.all_closed, "seed {seed}: {report:?}");
         assert!(report.errors.is_empty(), "seed {seed}: {:?}", report.errors);
         assert!(sys.sum_stats().crashes >= 1);
@@ -135,7 +145,7 @@ fn eager_mode_churn_recovers_and_closes() {
     let mut b = ring_builder(UpdateMode::Eager, true, true);
     b.set_churn(two_crashes(t));
     let mut sys = b.build().unwrap();
-    let report = sys.run_update_resilient(8);
+    let report = sys.run(&redriven(8)).remove(0);
     assert!(report.outcome.quiescent && report.all_closed, "{report:?}");
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let stats = sys.sum_stats();
@@ -155,7 +165,7 @@ fn amnesia_baseline_stays_sound_but_loses_data() {
     let mut b = ring_builder(UpdateMode::Rounds, false, false);
     b.set_churn(two_crashes(t));
     let mut sys = b.build().unwrap();
-    let report = sys.run_update_resilient(4);
+    let report = sys.run(&redriven(4)).remove(0);
     assert!(report.outcome.quiescent);
     let oracle = sys.oracle().unwrap();
     for (node, db) in &sys.snapshot().0 {
@@ -178,7 +188,7 @@ fn tight_snapshot_cadence_recovers_identically() {
     b.config_mut().snapshot_every = 4;
     b.set_churn(two_crashes(t));
     let mut sys = b.build().unwrap();
-    let report = sys.run_update_resilient(8);
+    let report = sys.run(&redriven(8)).remove(0);
     assert!(report.all_closed, "{report:?}");
     assert!(sys.snapshot().equivalent(&clean.snapshot()));
     assert_eq!(sys.sum_stats().recoveries, 2);
@@ -198,7 +208,7 @@ fn churn_with_drops_never_falsely_closes() {
         b.set_churn(two_crashes(t));
         b.set_fault(FaultPlan::random(5, 0, seed));
         let mut sys = b.build().unwrap();
-        let report = sys.run_update_resilient(6);
+        let report = sys.run(&redriven(6)).remove(0);
         assert!(report.outcome.quiescent, "seed {seed}: {report:?}");
         let oracle = sys.oracle().unwrap();
         for (node, db) in &sys.snapshot().0 {
@@ -227,7 +237,7 @@ fn churn_composes_with_duplication() {
     b.set_churn(two_crashes(t));
     b.set_fault(FaultPlan::random(0, 30, 5));
     let mut sys = b.build().unwrap();
-    let report = sys.run_update_resilient(8);
+    let report = sys.run(&redriven(8)).remove(0);
     assert!(report.all_closed, "{report:?}");
     assert!(
         sys.net_stats().duplicated > 0,
@@ -235,4 +245,43 @@ fn churn_composes_with_duplication() {
     );
     assert!(sys.snapshot().equivalent(&clean.snapshot()));
     assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+}
+
+/// One run may carry a churn plan *and* a change script (eager mode, the
+/// one dynamic changes run in), from two roots: peers crash and recover
+/// while a link is deleted, and every session still closes without a peer
+/// error, its data inside the Definition 9 envelope of the script.
+#[test]
+fn churn_and_a_change_script_in_one_run_close() {
+    let (_, t) = probe(UpdateMode::Eager);
+    let mut b = ring_builder(UpdateMode::Eager, true, true);
+    b.set_churn(two_crashes(t));
+    let mut sys = b.build().unwrap();
+    let deleted = sys.rules().iter().next().unwrap().name.clone();
+    let mut script = ChangeScript::new();
+    script.push(SimTime(t.0 / 3), sys.make_delete_link(&deleted).unwrap());
+    let reports = sys.run(&RunSpec {
+        roots: vec![NodeId(0), NodeId(4)],
+        script: script.clone(),
+        redrives: 8,
+        ..Default::default()
+    });
+    for r in &reports {
+        assert!(r.all_closed, "{r:?}");
+        assert!(r.errors.is_empty(), "{:?}", r.errors);
+    }
+    assert_eq!(sys.sum_stats().crashes, 2);
+    let upper = sys.oracle_with(&upper_reference(sys.rules(), &script));
+    let lower = sys.oracle_with(&lower_reference(sys.rules(), &script));
+    let (upper, lower) = (upper.unwrap(), lower.unwrap());
+    for (node, db) in &sys.snapshot().0 {
+        assert!(
+            contained_modulo_nulls(db, upper.node(*node).unwrap()),
+            "unsound data at {node}"
+        );
+        assert!(
+            contained_modulo_nulls(lower.node(*node).unwrap(), db),
+            "incomplete data at {node}"
+        );
+    }
 }

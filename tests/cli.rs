@@ -534,6 +534,47 @@ fn run_parallel_runtimes_and_flag_validation() {
     );
 }
 
+/// `--runtime sharded` prints through the simulator's report path: with
+/// `--concurrent 2`, one closed line per session. What the shard pool
+/// cannot run — rounds mode, a churn plan — the library refuses (exit 1).
+#[test]
+fn sharded_run_reports_sessions_and_refuses_what_it_cannot_run() {
+    let dir = std::env::temp_dir().join("p2pdb_cli_sharded_sessions");
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = dir.join("net.json");
+    let out = p2pdb(&["workload", "--topology", "ring", "--size", "6"]);
+    assert!(out.status.success());
+    std::fs::write(&net, &out.stdout).unwrap();
+    let net = net.to_str().unwrap();
+
+    let sharded = ["run", net, "--runtime", "sharded", "--threads", "2"];
+    let out = p2pdb(&[&sharded[..], &["--concurrent", "2"]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("all closed: true"), "{text}");
+    assert!(text.contains("sharded: 2 threads"), "{text}");
+    let sessions: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("  session "))
+        .collect();
+    assert_eq!(sessions.len(), 2, "{text}");
+    assert!(
+        sessions.iter().all(|l| l.ends_with("closed: true")),
+        "{text}"
+    );
+
+    for (flags, refused) in [
+        (&["--mode", "rounds"][..], "rounds mode"),
+        (&["--durable", "--churn", "2"][..], "a churn plan"),
+    ] {
+        let out = p2pdb(&[&sharded[..], flags].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(refused), "{flags:?}: {stderr}");
+    }
+}
+
 /// `run` looks flags up by name, so an unknown one used to run the default
 /// configuration without a word. Now it is a usage error naming the flag —
 /// for a typo and for the two engine-selection flags that no longer exist —

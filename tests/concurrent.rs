@@ -4,9 +4,10 @@
 //! and initiated by any nodes — run interleaved in one network run. These
 //! tests pin the contract of that control plane:
 //!
-//! * **serial equivalence** — interleaved `run_updates(roots)` reaches a
-//!   final global database tuple-identical (modulo null renaming) to
-//!   running the same sessions serially, and to the centralized fix-point
+//! * **serial equivalence** — the interleaved sessions of one `RunSpec`
+//!   with many roots reach a final global database tuple-identical (modulo
+//!   null renaming) to running the same sessions serially, and to the
+//!   centralized fix-point
 //!   oracle (deterministic cases plus a proptest over random topologies ×
 //!   root sets × interleaving seeds);
 //! * **retirement** — after every session reaches its fix-point, every
@@ -20,7 +21,7 @@
 //! `sharded_concurrent_sessions_match_simulator`.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::system::P2PSystemBuilder;
+use p2pdb::core::system::{P2PSystemBuilder, RunSpec};
 use p2pdb::net::{SessionId, SimTime, UniformLatency};
 use p2pdb::relational::Val;
 use p2pdb::topology::{NodeId, Topology};
@@ -66,7 +67,10 @@ fn interleaved_sessions_match_serial_and_oracle_eager() {
     let roots = [NodeId(0), NodeId(1), NodeId(2)];
 
     let mut concurrent = cyclic_builder().build().unwrap();
-    let reports = concurrent.run_updates(&roots);
+    let reports = concurrent.run(&RunSpec {
+        roots: roots.to_vec(),
+        ..Default::default()
+    });
     assert_eq!(reports.len(), 3);
     for r in &reports {
         assert!(r.outcome.quiescent, "{r:?}");
@@ -77,7 +81,12 @@ fn interleaved_sessions_match_serial_and_oracle_eager() {
 
     let mut serial = cyclic_builder().build().unwrap();
     for &root in &roots {
-        let r = serial.run_update_from(root);
+        let r = serial
+            .run(&RunSpec {
+                roots: vec![root],
+                ..Default::default()
+            })
+            .remove(0);
         assert!(r.all_closed, "serial session at {root} must close");
     }
 
@@ -97,14 +106,25 @@ fn interleaved_sessions_match_serial_and_oracle_eager() {
 fn interleaved_sessions_match_serial_and_oracle_rounds() {
     let roots = [NodeId(0), NodeId(3), NodeId(6)];
     let mut concurrent = ring_builder(UpdateMode::Rounds).build().unwrap();
-    let reports = concurrent.run_updates(&roots);
+    let reports = concurrent.run(&RunSpec {
+        roots: roots.to_vec(),
+        ..Default::default()
+    });
     for r in &reports {
         assert!(r.all_closed, "{r:?}");
         assert!(r.rounds >= 1, "{r:?}");
     }
     let mut serial = ring_builder(UpdateMode::Rounds).build().unwrap();
     for &root in &roots {
-        assert!(serial.run_update_from(root).all_closed);
+        assert!(
+            serial
+                .run(&RunSpec {
+                    roots: vec![root],
+                    ..Default::default()
+                })
+                .remove(0)
+                .all_closed
+        );
     }
     assert!(concurrent.snapshot().equivalent(&serial.snapshot()));
     assert!(concurrent
@@ -122,7 +142,10 @@ fn session_tables_are_empty_after_fixpoint() {
         b.config_mut().mode = mode;
         let mut sys = b.build().unwrap();
         let roots = [NodeId(0), NodeId(2), NodeId(4), NodeId(6)];
-        let reports = sys.run_updates(&roots);
+        let reports = sys.run(&RunSpec {
+            roots: roots.to_vec(),
+            ..Default::default()
+        });
         assert!(reports.iter().all(|r| r.all_closed), "{mode:?}");
         for (id, p) in sys.peers() {
             assert_eq!(
@@ -158,7 +181,12 @@ fn session_tables_are_empty_after_churn_redrive() {
             SimTime(t.0 / 3 + t.0 / 5),
         ));
         let mut sys = b.build().unwrap();
-        let report = sys.run_update_resilient(8);
+        let report = sys
+            .run(&RunSpec {
+                redrives: 8,
+                ..Default::default()
+            })
+            .remove(0);
         assert!(report.all_closed, "{mode:?}: {report:?}");
         assert_eq!(sys.sum_stats().crashes, 1, "{mode:?}");
         assert_eq!(sys.sum_stats().recoveries, 1, "{mode:?}");
@@ -176,6 +204,30 @@ fn session_tables_are_empty_after_churn_redrive() {
     }
 }
 
+/// A re-drive budget costs nothing when nothing stalls: with no churn and
+/// no faults, a fresh copy of the same system run with `redrives: 8` gives
+/// reports equal field for field to `redrives: 0` — the same sessions,
+/// messages, bytes and outcome, and no re-drive.
+#[test]
+fn an_unused_redrive_budget_changes_no_report() {
+    for mode in [UpdateMode::Eager, UpdateMode::Rounds] {
+        let roots = vec![NodeId(0), NodeId(3), NodeId(6)];
+        let run = |redrives| {
+            let mut sys = ring_builder(mode).build().unwrap();
+            sys.run(&RunSpec {
+                roots: roots.clone(),
+                redrives,
+                ..Default::default()
+            })
+        };
+        let plain = run(0);
+        assert!(plain.iter().all(|r| r.all_closed), "{mode:?}: {plain:?}");
+        let redriven = run(8);
+        assert!(redriven.iter().all(|r| r.redrives == 0), "{mode:?}");
+        assert_eq!(redriven, plain, "{mode:?}");
+    }
+}
+
 /// Transport-layer attribution: trace entries carry the session tag of the
 /// message they record, both sessions appear, and the per-session counters
 /// agree with the tagged trace.
@@ -185,7 +237,10 @@ fn trace_and_counters_attribute_messages_to_sessions() {
     b.config_mut().trace_capacity = 100_000;
     let mut sys = b.build().unwrap();
     let roots = [NodeId(0), NodeId(2)];
-    let reports = sys.run_updates(&roots);
+    let reports = sys.run(&RunSpec {
+        roots: roots.to_vec(),
+        ..Default::default()
+    });
     assert!(reports.iter().all(|r| r.all_closed));
 
     let sids: Vec<SessionId> = reports.iter().map(|r| r.session).collect();
@@ -335,7 +390,11 @@ proptest! {
         roots.dedup();
 
         let mut concurrent = builder_for(topology, mode, seed).build().unwrap();
-        let reports = concurrent.run_updates(&roots);
+        let spec = RunSpec {
+            roots: roots.clone(),
+            ..Default::default()
+        };
+        let reports = concurrent.run(&spec);
         for r in &reports {
             prop_assert!(r.outcome.quiescent);
             prop_assert!(r.all_closed, "session {} unclosed", r.session);
@@ -344,7 +403,11 @@ proptest! {
 
         let mut serial = builder_for(topology, mode, seed.wrapping_add(1)).build().unwrap();
         for &root in &roots {
-            prop_assert!(serial.run_update_from(root).all_closed);
+            let one = RunSpec {
+                roots: vec![root],
+                ..Default::default()
+            };
+            prop_assert!(serial.run(&one).remove(0).all_closed);
         }
 
         prop_assert!(

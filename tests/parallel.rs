@@ -12,20 +12,30 @@
 //!   cases plus a proptest over topologies × latency seeds × shard counts;
 //! * **locality accounting** — one shard means zero cross-shard sends;
 //!   contiguous-blocks placement beats round-robin on a ring;
+//! * **refusals** — what only the simulator runs (rounds mode, a churn or
+//!   fault plan, a change script, re-drives) is a typed error, not a run
+//!   that quietly does something else;
 //! * **panic containment** — a peer whose handler panics surfaces as a
 //!   structured `WorkerPanic` naming the node, never as a poisoned lock or
 //!   a hung run, at any shard count.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::system::{run_updates_sharded, P2PSystemBuilder};
-use p2pdb::net::{Context, Peer, SessionId, ShardPlacement, ShardedNetwork};
+use p2pdb::core::dynamic::ChangeScript;
+use p2pdb::core::system::{run_updates_sharded, P2PSystemBuilder, RunSpec, UpdateReport};
+use p2pdb::core::CoreError;
+use p2pdb::net::{
+    ChurnPlan, Context, FaultPlan, Peer, SessionId, ShardPlacement, ShardedNetwork, SimTime,
+};
 use p2pdb::relational::Val;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
 use proptest::prelude::*;
 
-/// The super-peer of every builder here (the builder's default).
-const SUPER_PEER: NodeId = NodeId(0);
+/// Every session of a run closed at every peer, and no peer recorded an
+/// error.
+fn closed_cleanly(reports: &[UpdateReport]) -> bool {
+    reports.iter().all(|r| r.all_closed && r.errors.is_empty())
+}
 
 /// A cyclic three-node system (A→C→B→A) with data at every node — the same
 /// shape `tests/concurrent.rs` uses, so the sharded runtime is measured
@@ -123,10 +133,17 @@ fn sharded_matches_simulator_across_shard_counts() {
         }
 
         for shards in [1usize, 2, 3, 8, 16] {
-            let (db, stats, all_closed) =
-                run_updates_sharded(builder(), &[SUPER_PEER], shards, ShardPlacement::RoundRobin)
-                    .unwrap();
-            assert!(all_closed, "{name}, {shards} shards: unclosed run");
+            let (db, stats, reports) = run_updates_sharded(
+                builder(),
+                &RunSpec::default(),
+                shards,
+                ShardPlacement::RoundRobin,
+            )
+            .unwrap();
+            assert!(
+                closed_cleanly(&reports),
+                "{name}, {shards} shards: {reports:?}"
+            );
             assert!(
                 db.equivalent(&sim_db),
                 "{name}, {shards} shards: fix-point differs from the simulator"
@@ -149,22 +166,59 @@ fn sharded_matches_simulator_across_shard_counts() {
 #[test]
 fn sharded_concurrent_sessions_match_simulator() {
     let roots = [NodeId(0), NodeId(2)];
+    let spec = RunSpec {
+        roots: roots.to_vec(),
+        ..Default::default()
+    };
     let mut sim = cyclic_builder().build().unwrap();
-    let reports = sim.run_updates(&roots);
+    let reports = sim.run(&spec);
     assert!(reports.iter().all(|r| r.all_closed));
     let sim_db = sim.snapshot();
 
     for shards in [2usize, 4] {
-        let (db, stats, all_closed) =
-            run_updates_sharded(cyclic_builder(), &roots, shards, ShardPlacement::RoundRobin)
+        let (db, stats, reports) =
+            run_updates_sharded(cyclic_builder(), &spec, shards, ShardPlacement::RoundRobin)
                 .unwrap();
-        assert!(all_closed, "{shards} shards: some session unclosed");
+        assert!(closed_cleanly(&reports), "{shards} shards: {reports:?}");
         assert!(db.equivalent(&sim_db), "{shards} shards: != simulator");
-        for (i, &root) in roots.iter().enumerate() {
+        for ((i, &root), report) in roots.iter().enumerate().zip(&reports) {
             let sid = SessionId::new(root, (i + 1) as u64);
+            assert_eq!(report.session, sid);
             assert!(stats.session(sid).messages > 0, "{sid} unattributed");
+            assert_eq!(report.session_messages, stats.session(sid).messages);
+            assert_eq!(report.session_bytes, stats.session(sid).bytes);
         }
     }
+}
+
+/// The shard pool runs the query-dependent update from the same spec as
+/// the simulator: rooted mid-chain (A ← B ← C), it refreshes B from C and
+/// leaves A as it was, as the simulator does.
+#[test]
+fn sharded_scoped_update_matches_simulator() {
+    let chain = || {
+        let mut b = P2PSystemBuilder::new();
+        for (id, schema) in [(0, "a(x: int)."), (1, "b(x: int)."), (2, "c(x: int).")] {
+            b.add_node_with_schema(id, schema).unwrap();
+        }
+        b.add_rule("r1", "B:b(X) => A:a(X)").unwrap();
+        b.add_rule("r2", "C:c(X) => B:b(X)").unwrap();
+        b.insert(2, "c", vec![Val::Int(1)]).unwrap();
+        b
+    };
+    let spec = RunSpec {
+        roots: vec![NodeId(1)],
+        scoped: true,
+        ..Default::default()
+    };
+    let mut sim = chain().build().unwrap();
+    sim.run(&spec);
+    let scoped = sim.snapshot();
+    assert_eq!(scoped.total_tuples(), 2, "b(1) and c(1), no a(1)");
+    let (db, _, reports) =
+        run_updates_sharded(chain(), &spec, 2, ShardPlacement::RoundRobin).unwrap();
+    assert!(reports[0].errors.is_empty(), "{reports:?}");
+    assert!(db.equivalent(&scoped));
 }
 
 /// Placement is a pure locality knob: on a ring, contiguous blocks keep
@@ -176,15 +230,11 @@ fn placement_changes_locality_not_the_fixpoint() {
     assert!(sim.run_update().all_closed);
     let sim_db = sim.snapshot();
 
-    let (rr_db, rr, _) = run_updates_sharded(
-        ring_builder(16),
-        &[SUPER_PEER],
-        4,
-        ShardPlacement::RoundRobin,
-    )
-    .unwrap();
+    let one = RunSpec::default();
+    let (rr_db, rr, _) =
+        run_updates_sharded(ring_builder(16), &one, 4, ShardPlacement::RoundRobin).unwrap();
     let (bl_db, bl, _) =
-        run_updates_sharded(ring_builder(16), &[SUPER_PEER], 4, ShardPlacement::Blocks).unwrap();
+        run_updates_sharded(ring_builder(16), &one, 4, ShardPlacement::Blocks).unwrap();
     assert!(rr_db.equivalent(&sim_db));
     assert!(bl_db.equivalent(&sim_db));
     assert!(
@@ -193,6 +243,54 @@ fn placement_changes_locality_not_the_fixpoint() {
         bl.cross_shard_sends,
         rr.cross_shard_sends
     );
+}
+
+/// What the sharded runtime refuses: `builder` run under `spec` fails with
+/// `ShardedUnsupported(what)`.
+fn assert_refused(builder: P2PSystemBuilder, spec: RunSpec, what: &str) {
+    match run_updates_sharded(builder, &spec, 2, ShardPlacement::RoundRobin) {
+        Err(CoreError::ShardedUnsupported(refused)) => assert_eq!(refused, what),
+        other => panic!("{what}: expected a refusal, got {:?}", other.map(|r| r.2)),
+    }
+}
+
+#[test]
+fn sharded_refuses_rounds_mode() {
+    let mut b = cyclic_builder();
+    b.config_mut().mode = UpdateMode::Rounds;
+    assert_refused(b, RunSpec::default(), "rounds mode");
+}
+
+#[test]
+fn sharded_refuses_a_change_script() {
+    let sys = cyclic_builder().build().unwrap();
+    let mut script = ChangeScript::new();
+    script.push(SimTime::from_millis(1), sys.make_delete_link("r1").unwrap());
+    let spec = RunSpec {
+        script,
+        ..Default::default()
+    };
+    assert_refused(cyclic_builder(), spec, "a change script");
+}
+
+#[test]
+fn sharded_refuses_redrives() {
+    let spec = RunSpec {
+        redrives: 1,
+        ..Default::default()
+    };
+    assert_refused(cyclic_builder(), spec, "re-drives");
+}
+
+#[test]
+fn sharded_refuses_a_churn_or_fault_plan() {
+    let mut churned = cyclic_builder();
+    let at = SimTime::from_millis(2);
+    churned.set_churn(ChurnPlan::none().with_crash(NodeId(1), at, at + at));
+    assert_refused(churned, RunSpec::default(), "a churn plan");
+    let mut faulty = cyclic_builder();
+    faulty.set_fault(FaultPlan::random(5, 0, 1));
+    assert_refused(faulty, RunSpec::default(), "a fault plan");
 }
 
 /// A panicking peer handler surfaces as a structured error naming the node
@@ -270,17 +368,13 @@ fn proptest_topology(idx: u8, n: u8) -> Topology {
 }
 
 fn builder_for(topology: Topology, seed: u64) -> P2PSystemBuilder {
-    let mut b = build_system(&WorkloadConfig {
+    build_system(&WorkloadConfig {
         topology,
         records_per_node: 5,
         distribution: Distribution::Disjoint,
         seed,
     })
-    .unwrap();
-    // The sharded runtime forces eager mode; run the simulator reference
-    // in the same mode so the comparison is apples to apples.
-    b.config_mut().mode = UpdateMode::Eager;
-    b
+    .unwrap()
 }
 
 proptest! {
@@ -302,13 +396,13 @@ proptest! {
         let report = sim.run_update();
         prop_assert!(report.all_closed, "simulator unclosed on {topology}");
 
-        let (db, _, all_closed) = run_updates_sharded(
+        let (db, _, reports) = run_updates_sharded(
             builder_for(topology, data_seed),
-            &[SUPER_PEER],
+            &RunSpec::default(),
             shards,
             ShardPlacement::RoundRobin,
         ).unwrap();
-        prop_assert!(all_closed, "{shards} shards unclosed on {topology}");
+        prop_assert!(closed_cleanly(&reports), "{shards} shards unclosed on {topology}");
         prop_assert!(
             db.equivalent(&sim.snapshot()),
             "sharded != simulator on {topology} seed {data_seed} shards {shards}"

@@ -13,7 +13,7 @@ use p2pdb::core::config::UpdateMode;
 use p2pdb::core::dynamic::{lower_reference, upper_reference, ChangeOp, ChangeScript};
 use p2pdb::core::oracle::{global_fixpoint, GlobalDb};
 use p2pdb::core::peer::SeededFault;
-use p2pdb::core::system::{P2PSystem, P2PSystemBuilder, UpdateReport};
+use p2pdb::core::system::{P2PSystem, P2PSystemBuilder, RunSpec, UpdateReport};
 use p2pdb::core::RuleSet;
 use p2pdb::net::fault::LinkOutage;
 use p2pdb::net::{ChurnPlan, Codec, FaultPlan, SimTime};
@@ -148,7 +148,11 @@ proptest! {
                 }
             }
         }
-        let report = sys.run_update_with_script(&script);
+        let run = RunSpec {
+            script: script.clone(),
+            ..Default::default()
+        };
+        let report = sys.run(&run).remove(0);
         prop_assert!(report.outcome.quiescent, "Theorem 2 violated");
         let upper = sys.oracle_with(&upper_reference(sys.rules(), &script)).unwrap();
         let lower = sys.oracle_with(&lower_reference(sys.rules(), &script)).unwrap();
@@ -400,7 +404,10 @@ fn plain_sessions(
     was_settled: bool,
 ) -> Result<(), TestCaseError> {
     let before = retained(sys);
-    let reports = sys.run_updates(roots);
+    let reports = sys.run(&RunSpec {
+        roots: roots.to_vec(),
+        ..Default::default()
+    });
     prop_assert!(all_closed(&reports), "{what:?} did not close");
     model.check_closed(sys, what)?;
     if was_settled {
@@ -504,7 +511,11 @@ fn run_schedule(
                 let mut script = ChangeScript::new();
                 let at = if late { 60_000 } else { 2 };
                 script.push(SimTime::from_millis(at), op.clone());
-                let reports = sys.run_updates_with_script(&roots(also), &script);
+                let reports = sys.run(&RunSpec {
+                    roots: roots(also).to_vec(),
+                    script,
+                    ..Default::default()
+                });
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 let before = model.rules.clone();
                 match op {
@@ -531,7 +542,10 @@ fn run_schedule(
                 if fault == Some(SeededFault::ForgetVoidNotice) {
                     // The crash and the restart fall into this run; what the
                     // victim owes would go out with the re-drive's flood.
-                    sys.run_updates(&roots(also));
+                    sys.run(&RunSpec {
+                        roots: roots(also).to_vec(),
+                        ..Default::default()
+                    });
                     sys.seed_fault(SeededFault::ForgetVoidNotice);
                 }
                 if let Some(
@@ -542,7 +556,11 @@ fn run_schedule(
                     sys.seed_fault(at_restart);
                 }
                 let before = shipped(&sys);
-                let reports = sys.run_updates_resilient(&roots(also), 4);
+                let reports = sys.run(&RunSpec {
+                    roots: roots(also).to_vec(),
+                    redrives: 4,
+                    ..Default::default()
+                });
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 model.check_closed(&sys, what)?;
                 // A crash costs what was at risk: with everything committed
@@ -555,9 +573,17 @@ fn run_schedule(
             }
             Step::Drops(percent, seed, also) => {
                 sys.set_fault(FaultPlan::random(percent, 10, seed));
-                sys.run_updates_resilient(&roots(also), 2);
+                sys.run(&RunSpec {
+                    roots: roots(also).to_vec(),
+                    redrives: 2,
+                    ..Default::default()
+                });
                 sys.set_fault(FaultPlan::none());
-                let reports = sys.run_updates_resilient(&roots(also), 3);
+                let reports = sys.run(&RunSpec {
+                    roots: roots(also).to_vec(),
+                    redrives: 3,
+                    ..Default::default()
+                });
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 model.check_closed(&sys, what)?;
             }
@@ -674,6 +700,15 @@ fn seeded_faults_are_caught_by_the_oracle_comparison() {
     }
 }
 
+/// One global session at the super-peer, re-driven up to `redrives`
+/// times while it stays open.
+fn redriven(redrives: u32) -> RunSpec {
+    RunSpec {
+        redrives,
+        ..Default::default()
+    }
+}
+
 /// `H:h ← B:b` behind a rule-less root, so the head can crash without
 /// taking the session's root with it.
 fn head_body_system() -> P2PSystem {
@@ -731,7 +766,7 @@ fn dropped_answer_is_reshipped_by_the_redrive_from_the_committed_cursor() {
 
     sys.set_fault(FaultPlan::none());
     let before = sys.sum_stats();
-    let redrive = sys.run_update_resilient(1);
+    let redrive = sys.run(&redriven(1)).remove(0);
     assert!(
         redrive.all_closed && redrive.errors.is_empty(),
         "{redrive:?}"
@@ -813,7 +848,7 @@ fn amnesiac_head_gets_the_full_extension_again() {
         SimTime::from_millis(1),
         SimTime::from_millis(4),
     ));
-    let report = sys.run_update_resilient(3);
+    let report = sys.run(&redriven(3)).remove(0);
     assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
     assert_eq!(sys.sum_stats().crashes, 1);
     assert_eq!(
@@ -866,7 +901,7 @@ fn head_and_body_node_restarting_together_still_reach_the_oracle() {
             .with_crash(HEAD, ms(1), ms(5))
             .with_crash(BODY, ms(2), ms(4)),
     );
-    let report = sys.run_update_resilient(3);
+    let report = sys.run(&redriven(3)).remove(0);
     assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
     assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
     assert_eq!(rows(&sys, HEAD, "h"), 23);
@@ -928,7 +963,7 @@ fn dropped_resync_answer_leaves_the_fragment_unheld_and_is_asked_again() {
         sys.insert(BODY, "b", vec![Val::Int(x), Val::Int(x)])
             .unwrap();
     }
-    let report = sys.run_update_resilient(2);
+    let report = sys.run(&redriven(2)).remove(0);
     assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
     assert_eq!(repairs_sent(&sys).0, 2, "asked again");
     assert_eq!(held(&sys), 1);
@@ -996,7 +1031,7 @@ fn dropped_answer_then_head_crash_is_reshipped_from_the_committed_cursor() {
     assert_eq!(rows(&sys, HEAD, "h"), 25, "whole before any re-drive");
 
     sys.set_fault(FaultPlan::none());
-    let report = sys.run_update_resilient(1);
+    let report = sys.run(&redriven(1)).remove(0);
     assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
     assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
 }
@@ -1018,7 +1053,12 @@ fn rule_replaced_under_the_same_id_is_not_served_from_the_old_cursor() {
     let mut script = ChangeScript::new();
     script.push(SimTime::from_millis(60_000), op);
     let before = sys.sum_stats().resumed_answers;
-    let report = sys.run_update_with_script(&script);
+    let report = sys
+        .run(&RunSpec {
+            script,
+            ..Default::default()
+        })
+        .remove(0);
     assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
     assert_eq!(rows(&sys, HEAD, "u"), 10, "the new body's whole extension");
     assert_eq!(
