@@ -4,18 +4,22 @@
 //! protocol whose outcome does not depend on who delivers the messages.
 //! This module holds what is the same whoever delivers them: [`Peer`],
 //! [`Context`] and [`Outgoing`]; the peer table (a dense `Vec` behind a
-//! `NodeId → slot` table); the once-per-payload [`PayloadMemo`]; and the
-//! send and delivery steps (`Meter`). The send step sizes each unique
-//! payload of a drain once under the run's codec and counts every send;
-//! the delivery step counts the delivery, takes the payload without a copy
-//! at its last reference and calls [`Peer::on_envelope`]. The simulator
-//! ([`crate::sim`]) adds only its virtual clock, the shard pool
-//! ([`crate::sharded`]) only its threads, mailboxes and quiescence barrier,
-//! so a scenario reports the same counts on either.
+//! `NodeId → slot` table, `NodeRows`, that no id's value sizes); the
+//! once-per-payload [`PayloadMemo`]; and the send and delivery steps
+//! (`Meter`). The send step sizes each unique payload of a drain once under
+//! the run's codec and counts every send; the delivery step counts the
+//! delivery, takes the payload without a copy at its last reference and
+//! calls [`Peer::on_envelope`]. Counting walks no ordered map: [`NetStats`]
+//! finds the node's row through its own `NodeRows` and the kind's column
+//! by address, and bumps counters; once the node has sent that kind it
+//! allocates nothing. The simulator ([`crate::sim`]) adds only its virtual
+//! clock, the shard pool ([`crate::sharded`]) only its threads, mailboxes
+//! and quiescence barrier, so a scenario reports the same counts on either.
 
 use crate::codec::Codec;
 use crate::message::{SimTime, Wire};
 use crate::stats::NetStats;
+use p2p_topology::fxhash::FxHashMap;
 use p2p_topology::NodeId;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
@@ -188,23 +192,71 @@ impl<V: Clone> PayloadMemo<V> {
     }
 }
 
-/// Slot of a node no peer is hosted under.
-const UNHOSTED: u32 = u32::MAX;
+/// `NodeId → row` for a table whose rows are handed out in first-seen order
+/// and never move: the peer table's slots, [`NetStats`]'s counter rows. An
+/// id below twice the rows handed out so far, plus [`NodeRows::SLACK`],
+/// finds its row by indexing a table with its value (the common case: ids
+/// counted from 0); any other id is a hash map entry. So memory follows the
+/// ids present and never the largest id's value: `NodeId(u32::MAX)` costs
+/// one map entry.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeRows {
+    /// `id.0 → row`, [`NodeRows::NONE`] where `id` has none.
+    direct: Vec<u32>,
+    /// The rows of the ids that were past the direct table's bound.
+    sparse: FxHashMap<NodeId, u32>,
+    len: u32,
+}
+
+impl NodeRows {
+    const NONE: u32 = u32::MAX;
+    const SLACK: usize = 1024;
+
+    /// `id`'s row, if it has one.
+    #[inline]
+    pub(crate) fn get(&self, id: NodeId) -> Option<usize> {
+        match self.direct.get(id.0 as usize) {
+            Some(&row) if row != Self::NONE => Some(row as usize),
+            _ if self.sparse.is_empty() => None,
+            _ => self.sparse.get(&id).map(|&row| row as usize),
+        }
+    }
+
+    /// `id`'s row, handing out the next one (the count of rows so far)
+    /// when `id` is new.
+    #[inline]
+    pub(crate) fn row(&mut self, id: NodeId) -> usize {
+        if let Some(row) = self.get(id) {
+            return row;
+        }
+        let row = self.len;
+        self.len += 1;
+        let key = id.0 as usize;
+        if key < 2 * row as usize + Self::SLACK {
+            if key >= self.direct.len() {
+                self.direct.resize(key + 1, Self::NONE);
+            }
+            self.direct[key] = row;
+        } else {
+            self.sparse.insert(id, row);
+        }
+        row as usize
+    }
+}
 
 /// The hosted peers: a dense `Vec` behind a `NodeId → slot` table. Slots
 /// are handed out in insertion order and never move; adding a peer under an
 /// id already present replaces the peer in its slot.
 pub(crate) struct PeerTable<P> {
     peers: Vec<(NodeId, P)>,
-    /// `NodeId.0 → slot`.
-    slot_of: Vec<u32>,
+    slot_of: NodeRows,
 }
 
 impl<P> Default for PeerTable<P> {
     fn default() -> Self {
         PeerTable {
             peers: Vec::new(),
-            slot_of: Vec::new(),
+            slot_of: NodeRows::default(),
         }
     }
 }
@@ -213,29 +265,19 @@ impl<P> PeerTable<P> {
     /// Hosts `peer` under `id` (replacing the one already there) and returns
     /// its slot.
     pub(crate) fn insert(&mut self, id: NodeId, peer: P) -> usize {
-        let key = id.0 as usize;
-        if key >= self.slot_of.len() {
-            self.slot_of.resize(key + 1, UNHOSTED);
+        let slot = self.slot_of.row(id);
+        if slot == self.peers.len() {
+            self.peers.push((id, peer));
+        } else {
+            self.peers[slot].1 = peer;
         }
-        match self.slot_of[key] {
-            UNHOSTED => {
-                self.slot_of[key] = self.peers.len() as u32;
-                self.peers.push((id, peer));
-                self.peers.len() - 1
-            }
-            slot => {
-                self.peers[slot as usize].1 = peer;
-                slot as usize
-            }
-        }
+        slot
     }
 
     /// The slot of the peer hosted under `id`, if any.
+    #[inline]
     pub(crate) fn slot(&self, id: NodeId) -> Option<usize> {
-        match self.slot_of.get(id.0 as usize) {
-            Some(&s) if s != UNHOSTED => Some(s as usize),
-            _ => None,
-        }
+        self.slot_of.get(id)
     }
 
     /// The id of the peer in `slot`.
@@ -378,6 +420,46 @@ mod tests {
         assert_eq!(sorted, order);
     }
 
+    /// Rows come in first-seen order whichever side of the direct table's
+    /// bound an id falls on, and stay put when the table grows over an id
+    /// the map already holds.
+    #[test]
+    fn node_rows_keep_first_seen_order_on_both_sides_of_the_bound() {
+        let ids = [5_000u32, 3, u32::MAX, 0, 4_000_000_000, 2_000, 1];
+        let mut rows = NodeRows::default();
+        for (want, id) in ids.into_iter().enumerate() {
+            assert_eq!(rows.row(NodeId(id)), want, "id {id}");
+        }
+        assert_eq!(rows.sparse.len(), 4);
+        for id in 10..4_000 {
+            rows.row(NodeId(id));
+        }
+        for (want, id) in ids.into_iter().enumerate() {
+            assert_eq!(rows.get(NodeId(id)), Some(want), "id {id}");
+            assert_eq!(rows.row(NodeId(id)), want, "id {id}");
+        }
+        assert_eq!(rows.get(NodeId(7)), None);
+        assert_eq!(rows.get(NodeId(4_000)), None);
+        assert!(rows.direct.len() <= 2 * rows.len as usize + NodeRows::SLACK);
+    }
+
+    /// An id's value sizes nothing: the largest id takes one slot and one
+    /// map entry, as the smallest does.
+    #[test]
+    fn peer_table_hosts_the_largest_id_in_one_slot() {
+        let mut table = PeerTable::default();
+        assert_eq!(table.insert(NodeId(u32::MAX), "max"), 0);
+        assert_eq!(table.insert(NodeId(0), "zero"), 1);
+        assert_eq!(table.insert(NodeId(u32::MAX), "max, again"), 0);
+        assert_eq!(table.slot(NodeId(u32::MAX)), Some(0));
+        assert_eq!(table.slot(NodeId(u32::MAX - 1)), None);
+        assert_eq!(table[0], "max, again");
+        assert!(table.slot_of.direct.capacity() <= 2 * NodeRows::SLACK);
+        assert_eq!(table.slot_of.sparse.len(), 1);
+        let order: Vec<u32> = table.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(order, vec![0, u32::MAX]);
+    }
+
     /// A message kind per role, each with its own size, so a kind or a
     /// byte counted twice (or not at all) shows.
     #[derive(Debug, Clone)]
@@ -466,6 +548,12 @@ mod tests {
         assert_eq!(want.dropped, 1);
         assert_eq!(want.shared_payload_sends, 4);
         assert_eq!(want.sent_of_kind("Ack"), 6);
+        let by_node = |s: &NetStats| -> Vec<_> {
+            let kinds = ["Go", "Work", "Ack", "Token"];
+            (s.nodes())
+                .map(|(id, n)| (id, n, kinds.map(|k| s.node_sent_of_kind(id, k))))
+                .collect()
+        };
 
         for shards in [1usize, 2] {
             let mut net = ShardedNetwork::new();
@@ -476,7 +564,7 @@ mod tests {
             let (_, got) = net.run(initial()).unwrap();
             assert_eq!(got.total_messages, want.total_messages, "shards={shards}");
             assert_eq!(got.total_bytes, want.total_bytes, "shards={shards}");
-            assert_eq!(got.per_node, want.per_node, "shards={shards}");
+            assert_eq!(by_node(&got), by_node(&want), "shards={shards}");
             let shared = got.shared_payload_sends;
             assert_eq!(shared, want.shared_payload_sends, "shards={shards}");
             assert_eq!(got.dropped, want.dropped, "shards={shards}");

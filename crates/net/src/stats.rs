@@ -1,12 +1,25 @@
 //! Network statistics — the transport half of the paper's "statistical
 //! module" (Section 5: message counts, data volumes on pipes, per-kind
 //! breakdowns; the query/update counters live in `p2p-core::stats`).
+//!
+//! Counting a message is two counter bumps. Every node a [`NetStats`] has
+//! seen owns one dense row of [`NodeNetStats`], found by indexing with its
+//! id (a hash map entry for an id far past the count of nodes), and every
+//! message kind it has seen owns one column of per-row send counts. A
+//! [`crate::Wire::kind`] string is interned once per `NetStats`, matched by
+//! address and then by text. So once a node has sent a kind,
+//! [`NetStats::record_send`] and [`NetStats::record_delivery`] walk no
+//! ordered map and allocate nothing. Memory follows the nodes and kinds
+//! seen, never an id's value. [`NetStats::merge`] (the shard pool's
+//! quiescence) adds the other side's rows and columns into this one's.
 
+use crate::host::NodeRows;
 use crate::message::SimTime;
 use crate::session::SessionId;
+use p2p_topology::fxhash::FxHashMap;
 use p2p_topology::NodeId;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use serde::{Content, DeError, Deserialize, Serialize, Sink};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Per-update-session transport counters (attribution of deliveries to the
@@ -19,8 +32,9 @@ pub struct SessionNetStats {
     pub bytes: u64,
 }
 
-/// Per-node transport counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Per-node transport counters ([`NetStats::node`]; the node's sends of
+/// one kind are [`NetStats::node_sent_of_kind`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeNetStats {
     /// Messages sent by this node.
     pub sent: u64,
@@ -30,20 +44,199 @@ pub struct NodeNetStats {
     pub bytes_sent: u64,
     /// Bytes received.
     pub bytes_received: u64,
-    /// Sent-message counts per message kind.
-    pub sent_by_kind: BTreeMap<String, u64>,
+}
+
+impl NodeNetStats {
+    fn add(&mut self, other: &NodeNetStats) {
+        self.sent += other.sent;
+        self.received += other.received;
+        self.bytes_sent += other.bytes_sent;
+        self.bytes_received += other.bytes_received;
+    }
+}
+
+/// The per-node counters: one row per node seen, in first-seen order, and
+/// one column of send counts per kind seen. Two tables are equal when they
+/// count the same, whatever order they saw nodes and kinds in. The JSON is
+/// a map from node id to its four counters plus `sent_by_kind` (kind →
+/// sends, kinds sent at least once), both in key order.
+#[derive(Debug, Clone, Default)]
+struct PerNode {
+    row_of: NodeRows,
+    rows: Vec<(NodeId, NodeNetStats)>,
+    kinds: Vec<Cow<'static, str>>,
+    /// `sent_by_kind[column][row]`. A column ends at the last row that
+    /// sent its kind.
+    sent_by_kind: Vec<Vec<u64>>,
+}
+
+impl PerNode {
+    /// `id`'s row, added (zeroed) when `id` is new.
+    #[inline]
+    fn row(&mut self, id: NodeId) -> usize {
+        let row = self.row_of.row(id);
+        if row == self.rows.len() {
+            self.rows.push((id, NodeNetStats::default()));
+        }
+        row
+    }
+
+    /// `kind`'s column, added when `kind` is new. An interned kind is found
+    /// by address first — a [`crate::Wire::kind`] is a `'static` string,
+    /// the same one on every send — and only then by text.
+    #[inline]
+    fn column(&mut self, kind: Cow<'static, str>) -> usize {
+        let here = |k: &Cow<'static, str>| k.as_ptr() == kind.as_ptr() && k.len() == kind.len();
+        let found = (self.kinds.iter().position(here))
+            .or_else(|| self.kinds.iter().position(|k| *k == kind));
+        found.unwrap_or_else(|| {
+            self.kinds.push(kind);
+            self.sent_by_kind.push(Vec::new());
+            self.kinds.len() - 1
+        })
+    }
+
+    /// Adds `n` sends of `column`'s kind to `row`.
+    #[inline]
+    fn add_sends(&mut self, column: usize, row: usize, n: u64) {
+        let sends = &mut self.sent_by_kind[column];
+        if sends.len() <= row {
+            sends.resize(row + 1, 0);
+        }
+        sends[row] += n;
+    }
+
+    fn column_of(&self, kind: &str) -> Option<&[u64]> {
+        let column = self.kinds.iter().position(|k| k == kind)?;
+        Some(&self.sent_by_kind[column])
+    }
+
+    /// The rows in node id order.
+    fn in_id_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.rows.len()).collect();
+        order.sort_unstable_by_key(|&row| self.rows[row].0);
+        order
+    }
+
+    /// `row`'s sends per kind, kinds sent at least once, in text order.
+    fn kinds_sent(&self, row: usize) -> Vec<(&str, u64)> {
+        let mut sent: Vec<(&str, u64)> = (self.kinds.iter().zip(&self.sent_by_kind))
+            .filter_map(|(kind, sends)| Some((&**kind, *sends.get(row).filter(|&&n| n > 0)?)))
+            .collect();
+        sent.sort_unstable();
+        sent
+    }
+
+    fn merge(&mut self, other: &PerNode) {
+        let rows: Vec<usize> = (other.rows.iter())
+            .map(|(id, counts)| {
+                let row = self.row(*id);
+                self.rows[row].1.add(counts);
+                row
+            })
+            .collect();
+        for (kind, sends) in other.kinds.iter().zip(&other.sent_by_kind) {
+            let column = self.column(kind.clone());
+            for (&row, &n) in rows.iter().zip(sends).filter(|(_, &n)| n > 0) {
+                self.add_sends(column, row, n);
+            }
+        }
+    }
+}
+
+impl PartialEq for PerNode {
+    fn eq(&self, other: &PerNode) -> bool {
+        let (mine, theirs) = (self.in_id_order(), other.in_id_order());
+        mine.len() == theirs.len()
+            && mine.iter().zip(&theirs).all(|(&a, &b)| {
+                self.rows[a] == other.rows[b] && self.kinds_sent(a) == other.kinds_sent(b)
+            })
+    }
+}
+
+impl Eq for PerNode {}
+
+impl Serialize for PerNode {
+    fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
+        out.map_begin(self.rows.len())?;
+        for row in self.in_id_order() {
+            let (id, counts) = &self.rows[row];
+            out.map_key(&id.0.to_string())?;
+            out.map_begin(5)?;
+            for (name, n) in [
+                ("sent", counts.sent),
+                ("received", counts.received),
+                ("bytes_sent", counts.bytes_sent),
+                ("bytes_received", counts.bytes_received),
+            ] {
+                out.map_key(name)?;
+                out.u64(n)?;
+            }
+            out.map_key("sent_by_kind")?;
+            let kinds = self.kinds_sent(row);
+            out.map_begin(kinds.len())?;
+            for (kind, n) in kinds {
+                out.map_key(kind)?;
+                out.u64(n)?;
+            }
+            out.map_end()?;
+            out.map_end()?;
+        }
+        out.map_end()
+    }
+}
+
+impl Deserialize for PerNode {
+    /// Reads the map form back; a node given twice is refused.
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let entries = c
+            .as_map()
+            .ok_or_else(|| DeError::expected("object", "NetStats::per_node"))?;
+        let mut table = PerNode::default();
+        for (key, node) in entries {
+            let id: NodeId = serde::key_from_string(key)?;
+            let fields = node
+                .as_map()
+                .ok_or_else(|| DeError::expected("object", "NodeNetStats"))?;
+            let field = |name| {
+                serde::content_get(fields, name)
+                    .ok_or_else(|| DeError::missing_field(name, "NodeNetStats"))
+            };
+            let counts = NodeNetStats {
+                sent: u64::from_content(field("sent")?)?,
+                received: u64::from_content(field("received")?)?,
+                bytes_sent: u64::from_content(field("bytes_sent")?)?,
+                bytes_received: u64::from_content(field("bytes_received")?)?,
+            };
+            let kinds = field("sent_by_kind")?
+                .as_map()
+                .ok_or_else(|| DeError::expected("object", "NodeNetStats::sent_by_kind"))?;
+            let seen = table.rows.len();
+            let row = table.row(id);
+            if row < seen {
+                return Err(DeError::custom(format!("node {id} given twice")));
+            }
+            table.rows[row].1 = counts;
+            for (kind, n) in kinds {
+                let column = table.column(Cow::Owned(kind.clone()));
+                table.add_sends(column, row, u64::from_content(n)?);
+            }
+        }
+        Ok(table)
+    }
 }
 
 /// Whole-network transport counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
-    /// Per-node counters.
-    pub per_node: BTreeMap<NodeId, NodeNetStats>,
+    /// Per-node counters ([`NetStats::node`], [`NetStats::nodes`],
+    /// [`NetStats::node_sent_of_kind`]).
+    per_node: PerNode,
     /// Per-session counters, keyed by the session tag carried on delivered
     /// messages ([`crate::Wire::session`]); session-less control traffic is
     /// not attributed. In-memory only: JSON map keys must be scalars.
     #[serde(skip)]
-    pub per_session: BTreeMap<SessionId, SessionNetStats>,
+    pub per_session: FxHashMap<SessionId, SessionNetStats>,
     /// Total messages delivered.
     pub total_messages: u64,
     /// Total bytes delivered.
@@ -76,29 +269,26 @@ pub struct NetStats {
 
 impl NetStats {
     /// Records one send of `size` bytes and kind `kind` by `from`.
+    #[inline]
     pub fn record_send(&mut self, from: NodeId, kind: &'static str, size: usize) {
-        let e = self.per_node.entry(from).or_default();
-        e.sent += 1;
-        e.bytes_sent += size as u64;
-        // Probe with the &str first: the kind is almost always already
-        // present, and the owned key should only be allocated the first time
-        // a node sends that kind — not once per send.
-        match e.sent_by_kind.get_mut(kind) {
-            Some(count) => *count += 1,
-            None => {
-                e.sent_by_kind.insert(kind.to_string(), 1);
-            }
-        }
+        let row = self.per_node.row(from);
+        let counts = &mut self.per_node.rows[row].1;
+        counts.sent += 1;
+        counts.bytes_sent += size as u64;
+        let column = self.per_node.column(Cow::Borrowed(kind));
+        self.per_node.add_sends(column, row, 1);
     }
 
     /// Records one delivery of `size` bytes to `to`, attributed to
     /// `session` when the message carried a session tag ([`crate::Wire::session`]).
     /// Attribution is part of this call on purpose: a delivery site that
     /// could forget it would silently zero every per-session counter.
+    #[inline]
     pub fn record_delivery(&mut self, to: NodeId, size: usize, session: Option<SessionId>) {
-        let e = self.per_node.entry(to).or_default();
-        e.received += 1;
-        e.bytes_received += size as u64;
+        let row = self.per_node.row(to);
+        let counts = &mut self.per_node.rows[row].1;
+        counts.received += 1;
+        counts.bytes_received += size as u64;
         self.total_messages += 1;
         self.total_bytes += size as u64;
         if let Some(sid) = session {
@@ -113,19 +303,28 @@ impl NetStats {
         self.per_session.get(&sid).copied().unwrap_or_default()
     }
 
+    /// `id`'s counters (zero if never seen).
+    pub fn node(&self, id: NodeId) -> NodeNetStats {
+        (self.per_node.row_of.get(id))
+            .map_or_else(NodeNetStats::default, |row| self.per_node.rows[row].1)
+    }
+
+    /// Every node that sent or received, with its counters, in id order.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, NodeNetStats)> + '_ {
+        (self.per_node.in_id_order().into_iter()).map(|row| self.per_node.rows[row])
+    }
+
+    /// `id`'s sends of one kind.
+    pub fn node_sent_of_kind(&self, id: NodeId, kind: &str) -> u64 {
+        let sends = self.per_node.column_of(kind).unwrap_or_default();
+        let row = self.per_node.row_of.get(id);
+        row.and_then(|row| sends.get(row)).copied().unwrap_or(0)
+    }
+
     /// Merges another stats object into this one (used by the sharded
     /// runtime, where each shard thread keeps local counters).
     pub fn merge(&mut self, other: &NetStats) {
-        for (node, s) in &other.per_node {
-            let e = self.per_node.entry(*node).or_default();
-            e.sent += s.sent;
-            e.received += s.received;
-            e.bytes_sent += s.bytes_sent;
-            e.bytes_received += s.bytes_received;
-            for (k, v) in &s.sent_by_kind {
-                *e.sent_by_kind.entry(k.clone()).or_default() += v;
-            }
-        }
+        self.per_node.merge(&other.per_node);
         for (sid, s) in &other.per_session {
             let e = self.per_session.entry(*sid).or_default();
             e.messages += s.messages;
@@ -147,8 +346,9 @@ impl NetStats {
     /// Sum of one kind's sends across all nodes.
     pub fn sent_of_kind(&self, kind: &str) -> u64 {
         self.per_node
-            .values()
-            .map(|n| n.sent_by_kind.get(kind).copied().unwrap_or(0))
+            .column_of(kind)
+            .unwrap_or_default()
+            .iter()
             .sum()
     }
 
@@ -156,9 +356,8 @@ impl NetStats {
     /// baseline concentrates nearly all traffic here while the distributed
     /// algorithm spreads it (experiment E11).
     pub fn max_node_bytes_received(&self) -> u64 {
-        self.per_node
-            .values()
-            .map(|n| n.bytes_received)
+        (self.per_node.rows.iter())
+            .map(|(_, n)| n.bytes_received)
             .max()
             .unwrap_or(0)
     }
@@ -177,7 +376,7 @@ impl fmt::Display for NetStats {
             "messages={} bytes={} dropped={} duplicated={} finished_at={}",
             self.total_messages, self.total_bytes, self.dropped, self.duplicated, self.finished_at
         )?;
-        for (node, s) in &self.per_node {
+        for (node, s) in self.nodes() {
             writeln!(
                 f,
                 "  {node}: sent={} recv={} bytes_out={} bytes_in={}",
@@ -201,8 +400,11 @@ mod tests {
         s.record_delivery(NodeId(0), 300, None);
         assert_eq!(s.total_messages, 2);
         assert_eq!(s.total_bytes, 400);
-        assert_eq!(s.per_node[&NodeId(0)].sent, 1);
-        assert_eq!(s.per_node[&NodeId(0)].bytes_received, 300);
+        assert_eq!(s.node(NodeId(0)).sent, 1);
+        assert_eq!(s.node(NodeId(0)).bytes_received, 300);
+        assert_eq!(s.node(NodeId(7)), NodeNetStats::default());
+        assert_eq!(s.node_sent_of_kind(NodeId(1), "Answer"), 1);
+        assert_eq!(s.node_sent_of_kind(NodeId(1), "Query"), 0);
         assert_eq!(s.sent_of_kind("Query"), 1);
         assert_eq!(s.sent_of_kind("Answer"), 1);
         assert_eq!(s.sent_of_kind("nope"), 0);
@@ -237,7 +439,7 @@ mod tests {
         b.record_delivery(NodeId(1), 20, None);
         b.finished_at = SimTime(99);
         a.merge(&b);
-        assert_eq!(a.per_node[&NodeId(0)].sent, 2);
+        assert_eq!(a.node(NodeId(0)).sent, 2);
         assert_eq!(a.total_bytes, 30);
         assert_eq!(a.finished_at, SimTime(99));
         assert_eq!(a.sent_of_kind("Query"), 2);
@@ -257,5 +459,86 @@ mod tests {
         s.record_send(NodeId(0), "Query", 10);
         s.reset();
         assert_eq!(s, NetStats::default());
+    }
+
+    /// A small table's JSON and display, byte for byte as they were while
+    /// the counters lived in ordered maps keyed by node and kind name.
+    #[test]
+    fn json_and_display_keep_their_bytes() {
+        let sid = SessionId::new(NodeId(0), 3);
+        let mut s = NetStats::default();
+        s.record_send(NodeId(2), "Query", 100);
+        s.record_send(NodeId(2), "Query", 40);
+        s.record_send(NodeId(2), "Ack", 5);
+        s.record_send(NodeId(0), "odd \"kind\"", 7);
+        s.record_delivery(NodeId(4_000_000_000), 100, Some(sid));
+        s.record_delivery(NodeId(0), 45, None);
+        s.record_send(NodeId(4_000_000_000), "Answer", 300);
+        s.dropped = 1;
+        s.duplicated = 2;
+        s.peer_crashes = 3;
+        s.peer_restarts = 4;
+        s.shared_payload_sends = 5;
+        s.cross_shard_sends = 6;
+        s.finished_at = SimTime(77);
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"per_node":{"0":{"sent":1,"received":1,"bytes_sent":7,"bytes_received":45,"#,
+                r#""sent_by_kind":{"odd \"kind\"":1}},"2":{"sent":3,"received":0,"bytes_sent":145,"#,
+                r#""bytes_received":0,"sent_by_kind":{"Ack":1,"Query":2}},"4000000000":{"sent":1,"#,
+                r#""received":1,"bytes_sent":300,"bytes_received":100,"sent_by_kind":{"Answer":1}}},"#,
+                r#""total_messages":2,"total_bytes":145,"dropped":1,"duplicated":2,"peer_crashes":3,"#,
+                r#""peer_restarts":4,"shared_payload_sends":5,"cross_shard_sends":6,"finished_at":77}"#
+            )
+        );
+        assert_eq!(
+            s.to_string(),
+            "messages=2 bytes=145 dropped=1 duplicated=2 finished_at=0.077ms\n  \
+             A: sent=1 recv=1 bytes_out=7 bytes_in=45\n  \
+             C: sent=3 recv=0 bytes_out=145 bytes_in=0\n  \
+             N4000000000: sent=1 recv=1 bytes_out=300 bytes_in=100\n"
+        );
+        // Read back, it counts the same; only the session table, which
+        // JSON does not carry, is gone.
+        let back: NetStats = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        s.per_session.clear();
+        assert_eq!(back, s);
+    }
+
+    #[test]
+    fn a_node_given_twice_is_refused() {
+        let node = r#"{"sent":1,"received":0,"bytes_sent":1,"bytes_received":0,"sent_by_kind":{}}"#;
+        let json = format!(
+            r#"{{"per_node":{{"1":{node},"1":{node}}},"total_messages":0,"total_bytes":0,"dropped":0,"duplicated":0,"peer_crashes":0,"peer_restarts":0,"finished_at":0}}"#
+        );
+        let err = serde_json::from_str::<NetStats>(&json).unwrap_err();
+        assert!(err.to_string().contains("given twice"), "{err}");
+    }
+
+    /// Memory follows the nodes seen: the largest id costs one row.
+    #[test]
+    fn the_largest_id_costs_one_row() {
+        let mut s = NetStats::default();
+        s.record_send(NodeId(u32::MAX), "Query", 10);
+        s.record_delivery(NodeId(u32::MAX), 10, None);
+        assert_eq!(s.per_node.rows.len(), 1);
+        assert_eq!(s.per_node.sent_by_kind[0].len(), 1);
+        assert_eq!(s.node(NodeId(u32::MAX)).bytes_received, 10);
+        assert_eq!(s.node_sent_of_kind(NodeId(u32::MAX), "Query"), 1);
+    }
+
+    /// A kind is one column whatever address its text sits at.
+    #[test]
+    fn a_kind_is_one_column_by_text() {
+        let copy: &'static str = Box::leak(String::from("Query").into_boxed_str());
+        assert_ne!(copy.as_ptr(), "Query".as_ptr());
+        let mut s = NetStats::default();
+        s.record_send(NodeId(0), "Query", 1);
+        s.record_send(NodeId(0), copy, 1);
+        assert_eq!(s.per_node.kinds.len(), 1);
+        assert_eq!(s.node_sent_of_kind(NodeId(0), "Query"), 2);
     }
 }

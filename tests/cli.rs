@@ -245,6 +245,45 @@ fn deeply_nested_netfile_fails_cleanly_instead_of_overflowing() {
     assert!(stderr.contains("nesting depth"), "{stderr}");
 }
 
+/// A node id is a name, not a size: a network file whose peer is numbered
+/// 4 000 000 000 runs like any other, on the simulator and on the shard
+/// pool. Each run is capped at 4 GB of address space, so a table sized by
+/// the id's value (16 GB of slots) fails there, as an abort, instead of
+/// taking the machine's memory.
+#[test]
+#[cfg(unix)]
+fn a_node_id_of_four_billion_runs_without_a_table_sized_by_it() {
+    let sample = p2pdb(&["sample"]);
+    let mut file =
+        p2pdb::core::netfile::NetworkFile::from_json(&String::from_utf8_lossy(&sample.stdout))
+            .unwrap();
+    file.nodes[1].id = 4_000_000_000;
+    let dir = std::env::temp_dir().join("p2pdb_cli_huge_id");
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = dir.join("net.json");
+    std::fs::write(&net, file.to_json()).unwrap();
+
+    for runtime in ["sim", "sharded"] {
+        let out = Command::new("sh")
+            .args([
+                "-c",
+                r#"ulimit -v 4000000 && exec "$0" run "$1" --runtime "$2""#,
+            ])
+            .arg(env!("CARGO_BIN_EXE_p2pdb"))
+            .args([net.to_str().unwrap(), runtime])
+            .output()
+            .expect("shell runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "{runtime}: {:?}: {stderr}",
+            out.status
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("all closed: true"), "{runtime}: {text}");
+    }
+}
+
 /// Durability & churn flags: a churned durable run converges and reports
 /// the recovery counters; churn flags without `--durable` are rejected
 /// with a clear error instead of being silently ignored.

@@ -367,8 +367,9 @@ fn first_session_after_an_amnesiac_restart_carries_the_notice_and_requeries_that
         .filter(|(head, body)| (*head == victim) != (*body == victim))
         .map(|(head, body)| if head == victim { body } else { head })
         .collect();
-    let queries_before: BTreeMap<NodeId, u64> = (sys.net_stats().per_node.iter())
-        .map(|(id, n)| (*id, n.sent_by_kind.get("Query").copied().unwrap_or(0)))
+    let queries_of = |net: &NetStats, id| net.node_sent_of_kind(id, "Query");
+    let queries_before: BTreeMap<NodeId, u64> = (sys.net_stats().nodes())
+        .map(|(id, _)| (id, queries_of(sys.net_stats(), id)))
         .collect();
 
     let after_crash = session(&mut sys, &mut seen);
@@ -377,12 +378,12 @@ fn first_session_after_an_amnesiac_restart_carries_the_notice_and_requeries_that
     assert_eq!((floods, fixpoints), (n - 1, n - 1));
     assert_eq!(notices, pipes.len() as u64, "one notice per pipe");
     assert_eq!(queries, served + headed);
-    for (id, node) in &sys.net_stats().per_node {
-        let asked = node.sent_by_kind.get("Query").copied().unwrap_or(0) - queries_before[id];
-        let expected = if *id == victim {
+    for (id, _) in sys.net_stats().nodes() {
+        let asked = queries_of(sys.net_stats(), id) - queries_before[&id];
+        let expected = if id == victim {
             headed
         } else {
-            fragments(&|head, body| head == *id && body == victim)
+            fragments(&|head, body| head == id && body == victim)
         };
         assert_eq!(asked, expected, "queries sent by {id}");
     }
