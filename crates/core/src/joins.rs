@@ -6,9 +6,11 @@
 //!
 //! Both ends of a rule are compiled once: the body fragment into a
 //! [`CompiledBody`] at the body node, the head into a [`CompiledHead`] at
-//! the head node (both cached by [`crate::peer::DbPeer`] per rule). A
-//! fragment's rows are its plan's binding rows copied out once, and a
-//! binding row reaches the head database as one buffer fill per head atom;
+//! the head node. A [`crate::peer::DbPeer`] takes both from its system's
+//! [`p2p_relational::query::PlanCatalog`], where peers serving fragments or
+//! chasing heads of one shape share one compiled copy, and holds them per
+//! rule. A fragment's rows are its plan's binding rows copied out once, and
+//! a binding row reaches the head database as one buffer fill per head atom;
 //! existential head variables get their nulls in first-occurrence order.
 //! Fragment extensions, join results and semi-naive unions are
 //! [`RowSet`]s: no join allocates a row, a key or a `Tuple` of its own.
@@ -64,9 +66,9 @@ pub fn eval_part_delta(
     part_rows(part, &bindings)
 }
 
-/// Compiles one body fragment into a [`CompiledBody`] (full plan now, one
-/// semi-naive delta plan per atom on first use) for the plan cache in
-/// [`crate::peer::DbPeer`].
+/// Compiles one body fragment into a [`CompiledBody`] of its own (full plan
+/// now, one semi-naive delta plan per atom on first use), for a caller
+/// without a [`p2p_relational::query::PlanCatalog`] to take it from.
 pub fn compile_part(part: &BodyPart, db: &Database) -> CoreResult<CompiledBody> {
     Ok(CompiledBody::compile(
         &part.atoms,
@@ -105,10 +107,12 @@ pub fn eval_part_delta_planned(
     use_indexes: bool,
     metrics: &mut EvalMetrics,
 ) -> CoreResult<Vec<Tuple>> {
+    let (atoms, constraints) = (&part.atoms, &part.local_constraints);
     if use_indexes {
-        body.ensure_delta_indexes(db, watermarks)?;
+        body.ensure_delta_indexes(atoms, constraints, db, watermarks)?;
     }
-    let bindings = evaluate_bindings_since_planned(body, db, watermarks, metrics)?;
+    let bindings =
+        evaluate_bindings_since_planned(body, atoms, constraints, db, watermarks, metrics)?;
     part_rows(part, &bindings)
 }
 
@@ -358,7 +362,7 @@ pub fn apply_rule_head(
     if bindings.rows.is_empty() {
         return Ok(ChaseOutcome::default());
     }
-    let mut head = CompiledHead::compile(&rule.head, &bindings.vars, head_db.schema())?;
+    let head = CompiledHead::compile(&rule.head, &bindings.vars, head_db.schema())?;
     Ok(head.apply_rows(head_db, bindings.rows.iter(), nulls, chase, cfg)?)
 }
 

@@ -185,6 +185,7 @@
 //! Handlers are atomic; all cross-node effects go through the runtime
 //! context, and every observable iteration order is deterministic.
 
+mod catalog;
 pub mod discovery;
 pub mod durability;
 pub mod eager;
@@ -197,9 +198,11 @@ use crate::messages::{AnswerRows, ProtocolMsg, Via};
 use crate::rule::{CoordinationRule, RuleId};
 use crate::stats::{ClosedBy, PeerStats};
 use crate::termination::{AckDecision, DiffusingState, Disengage};
+use catalog::{CachedHead, CachedPlans};
 use p2p_net::{Context, Peer, SessionId, SimTime};
 use p2p_relational::chase::{ChaseConfig, ChaseState};
 use p2p_relational::fxhash::{FxHashMap, FxHashSet};
+use p2p_relational::query::PlanCatalog;
 use p2p_relational::{ConstCatalog, Database, NullFactory, SymId, Tuple, Val};
 use p2p_topology::NodeId;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -283,58 +286,6 @@ impl SessionState {
     }
 }
 
-/// One rule's cached compiled plans, fingerprinted by the body fragment
-/// they were compiled for. Rule ids are minted monotonically, but the
-/// fragment equality check makes a stale hit impossible even if an id were
-/// ever reused (or if a body peer serves different fragments under one id
-/// across sessions).
-#[derive(Debug, Clone)]
-pub(crate) struct CachedPlans {
-    /// The fragment the plans were compiled from.
-    pub(crate) part: Arc<crate::rule::BodyPart>,
-    /// Full + per-atom delta plans.
-    pub(crate) body: crate::joins::CompiledBody,
-}
-
-/// One rule's compiled head, for the rule it was compiled from (an
-/// `Arc::ptr_eq` fingerprint) and the binding layout it expects.
-/// Installing a rule under the id drops the entry
-/// ([`DbPeer::forget_rule`]), and the fingerprint makes a stale hit
-/// impossible even so: a caller holding another rule under the id never
-/// reads this one's head. Rules are shared, so re-installing the very same
-/// `Arc` keeps the pointer — and the head it would compile is this one.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedHead {
-    rule: Arc<CoordinationRule>,
-    head: crate::joins::CompiledHead,
-}
-
-impl CachedHead {
-    /// The head of `rule` compiled for bindings over `vars`: the cached one
-    /// when it fits, else compiled against `schema` into `cache`.
-    fn fetch<'c>(
-        cache: &'c mut FxHashMap<RuleId, CachedHead>,
-        rule: &Arc<CoordinationRule>,
-        vars: &[Arc<str>],
-        schema: &p2p_relational::DatabaseSchema,
-    ) -> crate::error::CoreResult<&'c mut crate::joins::CompiledHead> {
-        use std::collections::hash_map::Entry;
-        let cached = match cache.entry(rule.id) {
-            Entry::Occupied(hit)
-                if Arc::ptr_eq(&hit.get().rule, rule) && hit.get().head.vars() == vars =>
-            {
-                hit.into_mut()
-            }
-            entry => {
-                let head = crate::joins::CompiledHead::compile(&rule.head, vars, schema)?;
-                let rule = rule.clone();
-                entry.insert_entry(CachedHead { rule, head }).into_mut()
-            }
-        };
-        Ok(&mut cached.head)
-    }
-}
-
 /// Body side of a subscription between sessions: how much of one rule
 /// fragment one subscriber holds. Committed when a session retires.
 #[derive(Debug, Clone)]
@@ -403,22 +354,27 @@ pub struct DbPeer {
     pub(crate) nulls: NullFactory,
     /// Chase bookkeeping (null depths).
     pub(crate) chase: ChaseState,
-    /// Chase configuration.
-    pub(crate) chase_cfg: ChaseConfig,
     /// Coordination rules whose head is this node (the paper: "initially
     /// each node knows all rules of which it is a target"). Shared, so a
     /// handler that needs a rule while it mutates the peer holds a refcount,
     /// not a copy.
     pub(crate) rules: BTreeMap<RuleId, Arc<CoordinationRule>>,
-    /// Compiled-plan cache, one entry per rule this peer evaluates a body
+    /// The system's catalog of compiled plans and heads, shared by every
+    /// peer of one build ([`catalog`]); a peer made on its own has its own.
+    /// Consulted only where a plan or head would otherwise be compiled.
+    pub(crate) catalog: Arc<PlanCatalog>,
+    /// Compiled plans, one entry per rule this peer evaluates a body
     /// fragment for (head rules *and* fragments received via subscriptions
-    /// or waves). Validated against the fragment on every hit; invalidated
-    /// on `AddRule`/`DeleteRule`/`Unsubscribe`. Volatile: a crash clears it
-    /// and the next evaluation recompiles.
+    /// or waves): `Arc`s into `catalog`, shared with every peer that serves
+    /// a fragment of the same shape. Validated against the fragment on
+    /// every hit; invalidated on `AddRule`/`DeleteRule`/`Unsubscribe`.
+    /// Volatile: a crash drops them and the next evaluation takes them from
+    /// `catalog` again.
     pub(crate) plans: FxHashMap<RuleId, CachedPlans>,
-    /// Compiled-head cache, one entry per rule of this peer that derived a
-    /// binding. Validated against the rule and the binding layout on every
-    /// hit; dropped with the rule. Volatile, like `plans`.
+    /// Compiled heads, one entry per rule of this peer that derived a
+    /// binding: `Arc`s into `catalog`, like `plans`. Validated against the
+    /// rule and the binding layout on every hit; dropped with the rule.
+    /// Volatile, like `plans`.
     pub(crate) heads: FxHashMap<RuleId, CachedHead>,
     /// Body side, per `(subscriber, rule)`: the committed delta cursor of
     /// each subscription this peer served (module docs). Bounded by rules ×
@@ -492,14 +448,12 @@ impl DbPeer {
         DbPeer {
             id,
             is_super: false,
-            chase_cfg: ChaseConfig {
-                max_null_depth: config.max_null_depth,
-            },
             config,
             db,
             nulls: NullFactory::new(id.0),
             chase: ChaseState::new(),
             rules: BTreeMap::new(),
+            catalog: Arc::default(),
             plans: FxHashMap::default(),
             heads: FxHashMap::default(),
             cursors: VecMap::default(),
@@ -784,43 +738,33 @@ impl DbPeer {
         }
     }
 
-    /// The plan-cache path of [`DbPeer::eval_part_local`]: fetch (or
-    /// compile) the fragment's [`crate::joins::CompiledBody`], create the
-    /// persistent indexes the executed plans probe where missing, execute,
-    /// and fold the work counters into [`PeerStats`]. `watermarks: None` is
-    /// full evaluation; `Some(w)` the semi-naive delta.
+    /// The plan-cache path of [`DbPeer::eval_part_local`]: fetch the
+    /// fragment's [`crate::joins::CompiledBody`] (from the catalog on a
+    /// miss), create the persistent indexes the executed plans probe where
+    /// missing, execute, and fold the work counters into [`PeerStats`].
+    /// `watermarks: None` is full evaluation; `Some(w)` the semi-naive
+    /// delta.
     fn eval_part_rows(
         &mut self,
         rule: RuleId,
         part: &Arc<crate::rule::BodyPart>,
         watermarks: Option<&Marks>,
     ) -> crate::error::CoreResult<Vec<Tuple>> {
-        use std::collections::hash_map::Entry;
         // Disjoint field borrows: the cached plan is read while the
         // database is mutably borrowed (index creation only).
         let DbPeer {
-            plans, db, stats, ..
+            catalog,
+            plans,
+            db,
+            stats,
+            ..
         } = self;
-        let cached = match plans.entry(rule) {
-            Entry::Occupied(hit) if hit.get().part == *part => {
-                stats.plan_cache_hits += 1;
-                hit.into_mut()
-            }
-            // First evaluation of this rule, or a different fragment under
-            // its id: compile and (re)place.
-            entry => entry
-                .insert_entry(CachedPlans {
-                    part: part.clone(),
-                    body: crate::joins::compile_part(part, db)?,
-                })
-                .into_mut(),
-        };
+        let hits = &mut stats.plan_cache_hits;
+        let body = CachedPlans::fetch(plans, catalog, rule, part, db, watermarks, hits)?;
         let mut metrics = crate::joins::EvalMetrics::default();
         let rows = match watermarks {
-            Some(w) => {
-                crate::joins::eval_part_delta_planned(&cached.body, part, db, w, true, &mut metrics)
-            }
-            None => crate::joins::eval_part_planned(&cached.body, part, db, true, &mut metrics),
+            Some(w) => crate::joins::eval_part_delta_planned(body, part, db, w, true, &mut metrics),
+            None => crate::joins::eval_part_planned(body, part, db, true, &mut metrics),
         };
         stats.rows_scanned += metrics.rows_scanned;
         stats.index_probes += metrics.index_probes;
@@ -899,10 +843,9 @@ impl DbPeer {
     }
 
     /// Chases already-joined binding rows over `vars` for `rule` into the
-    /// local database through the rule's cached
-    /// [`crate::joins::CompiledHead`], compiling it on the first binding
-    /// (or when the rule or the binding layout changed). Returns the number
-    /// of facts inserted.
+    /// local database through the rule's [`crate::joins::CompiledHead`],
+    /// taken from the catalog on the first binding (or when the rule or the
+    /// binding layout changed). Returns the number of facts inserted.
     pub(crate) fn apply_rule_bindings<'r>(
         &mut self,
         rule: &Arc<CoordinationRule>,
@@ -914,15 +857,19 @@ impl DbPeer {
             return 0;
         }
         let DbPeer {
+            config,
+            catalog,
             heads,
             db,
             nulls,
             chase,
-            chase_cfg,
             ..
         } = self;
-        let outcome = CachedHead::fetch(heads, rule, vars, db.schema())
-            .and_then(|head| Ok(head.apply_rows(db, rows, nulls, chase, chase_cfg)?));
+        let cfg = ChaseConfig {
+            max_null_depth: config.max_null_depth,
+        };
+        let outcome = CachedHead::fetch(heads, catalog, rule, vars, db.schema())
+            .and_then(|head| Ok(head.apply_rows(db, rows, nulls, chase, &cfg)?));
         match outcome {
             Ok(outcome) => {
                 self.stats.tuples_inserted += outcome.inserted.len() as u64;
@@ -1429,16 +1376,86 @@ mod tests {
         );
         let id = RuleId(7);
 
+        // What the peer holds for `part` is the catalog's plan for it.
+        let held_from_catalog = |peer: &DbPeer, part: &crate::rule::BodyPart| {
+            let (atoms, constraints) = (&part.atoms, &part.local_constraints);
+            let shared = peer.catalog.body(atoms, constraints, &peer.db).unwrap();
+            Arc::ptr_eq(&peer.plans[&id].body.full, &shared.full)
+        };
+
         assert_eq!(peer.eval_part_rows(id, &old, None).unwrap().len(), 2);
         assert_eq!(peer.stats.plan_cache_hits, 0);
+        assert!(held_from_catalog(&peer, &old));
         assert_eq!(peer.eval_part_rows(id, &old, None).unwrap().len(), 2);
         assert_eq!(peer.stats.plan_cache_hits, 1, "same fragment: served");
-        // Same id, different fragment: recompiled, not served stale.
+        // Same id, different fragment: taken anew, not served stale.
         let rows = peer.eval_part_rows(id, &new, None).unwrap();
         assert_eq!(rows, vec![Tuple::new(vec![Val::Int(7), Val::Int(8)])]);
         assert_eq!(peer.stats.plan_cache_hits, 1);
+        assert!(held_from_catalog(&peer, &new) && !held_from_catalog(&peer, &old));
         assert_eq!(peer.eval_part_rows(id, &new, None).unwrap(), rows);
         assert_eq!(peer.stats.plan_cache_hits, 2);
+        assert_eq!(peer.catalog.len(), 2, "one plan per fragment");
+    }
+
+    /// A crash drops what the peer holds of the catalog, not the catalog:
+    /// after the restart the peer's plan for an unchanged fragment is the
+    /// catalog's very entry whenever its database's sizes give the same
+    /// atom order, and the plan of the other order, entered beside it, when
+    /// they do not. An `Unsubscribe` drops the plan too.
+    #[test]
+    fn a_restarted_peer_takes_its_plans_from_the_catalog_again() {
+        let schema = DatabaseSchema::parse("b(x: int, y: int). c(x: int, y: int).").unwrap();
+        let mut peer = DbPeer::new(B, Database::new(schema), SystemConfig::default());
+        let fill = |peer: &mut DbPeer, b: i64, c: i64| {
+            for (relation, n) in [("b", b), ("c", c)] {
+                for i in 0..n {
+                    let row = vec![Val::Int(i), Val::Int(i)];
+                    peer.db.insert_values(relation, row).unwrap();
+                }
+            }
+        };
+        let r = rule(3, "B:b(X,Y), B:c(Y,Z) => A:a(X,Z)");
+        let (id, part) = (r.id, &r.parts[0]);
+        let held = |peer: &mut DbPeer| {
+            assert_eq!(peer.eval_part_rows(id, part, None).unwrap().len(), 1);
+            Arc::clone(&peer.plans[&id].body.full)
+        };
+
+        // `b` is the smaller relation, so it goes first.
+        fill(&mut peer, 1, 3);
+        let first = held(&mut peer);
+        let own = crate::joins::CompiledBody::compile(&part.atoms, &[], &peer.db).unwrap();
+        assert_eq!(first, own.full);
+        let references = Arc::strong_count(&first);
+        peer.on_crash();
+        assert!(peer.plans.is_empty() && peer.heads.is_empty());
+        assert_eq!(Arc::strong_count(&first), references - 1, "dropped");
+        peer.on_restart(&mut Context::new(p2p_net::SimTime::ZERO, B));
+        fill(&mut peer, 1, 2);
+        assert!(
+            Arc::ptr_eq(&held(&mut peer), &first),
+            "same order, same plan"
+        );
+
+        // Now `c` is: the catalog enters the plan of that order.
+        peer.on_crash();
+        peer.on_restart(&mut Context::new(p2p_net::SimTime::ZERO, B));
+        fill(&mut peer, 2, 1);
+        let second = held(&mut peer);
+        assert!(!Arc::ptr_eq(&second, &first));
+        let own = crate::joins::CompiledBody::compile(&part.atoms, &[], &peer.db).unwrap();
+        assert_eq!(second, own.full);
+        assert_eq!(peer.catalog.len(), 2);
+
+        let session = SessionId::new(A, 1);
+        deliver(
+            &mut peer,
+            A,
+            ProtocolMsg::Unsubscribe { session, rule: id },
+            false,
+        );
+        assert!(!peer.plans.contains_key(&id), "unsubscribed");
     }
 
     /// The body side of one subscription over three sessions: the cursor
@@ -2129,11 +2146,12 @@ mod tests {
     }
 
     /// Build-time state exists once. Peers declared with one schema text
-    /// share its signatures; each peer holds the builder's own rule `Arc`;
-    /// on the simulator a body peer's cursor and plan cache hold the head
-    /// rule's fragment; and a rule replaced under its id (the
-    /// `DeleteRule`/`AddRule` path) still gets its plans and its head
-    /// compiled anew.
+    /// share its signatures; each peer holds the builder's own rule `Arc`,
+    /// and every peer the build's one catalog; on the simulator a body
+    /// peer's cursor and plan cache hold the head rule's fragment, its plan
+    /// and the head's compiled head are the catalog's; and a rule replaced
+    /// under its id (the `DeleteRule`/`AddRule` path) still gets its plans
+    /// and its head anew, again the catalog's.
     #[test]
     fn build_time_state_is_shared_not_copied() {
         use crate::dynamic::{ChangeOp, ChangeScript};
@@ -2164,6 +2182,22 @@ mod tests {
         }
         let built = b.rules().get(rid).unwrap();
         assert!(Arc::ptr_eq(&peers[0].1.rules[&rid], built));
+        for (_, peer) in &peers[1..] {
+            assert!(Arc::ptr_eq(&peer.catalog, &peers[0].1.catalog));
+        }
+        // What a peer holds of `rule` is the catalog's.
+        let from_catalog = |head: &DbPeer, served: &DbPeer, rule: &CoordinationRule| {
+            let part = &rule.parts[0];
+            let (atoms, constraints) = (&part.atoms, &part.local_constraints);
+            let plan = (served.catalog.body(atoms, constraints, &served.db)).unwrap();
+            let compiled = &head.heads[&rule.id].head;
+            let shared = (head
+                .catalog
+                .head(&rule.head, compiled.vars(), head.db.schema()))
+            .unwrap();
+            Arc::ptr_eq(&served.plans[&rule.id].body.full, &plan.full)
+                && Arc::ptr_eq(compiled, &shared)
+        };
 
         let mut sys = b.build().unwrap();
         assert!(sys.run_update().all_closed);
@@ -2171,6 +2205,10 @@ mod tests {
         let served = sys.peer(body).unwrap();
         assert!(Arc::ptr_eq(&served.cursors[&(a, rid)].part, &old.parts[0]));
         assert!(Arc::ptr_eq(&served.plans[&rid].part, &old.parts[0]));
+        assert!(from_catalog(sys.peer(a).unwrap(), served, &old));
+
+        let old_head = Arc::clone(&sys.peer(a).unwrap().heads[&rid].head);
+        let old_plan = Arc::clone(&served.plans[&rid].body.full);
 
         let mut script = ChangeScript::new();
         let del = sys.make_delete_link("r").unwrap();
@@ -2198,6 +2236,9 @@ mod tests {
             Arc::ptr_eq(&served.plans[&rid].part, &new.parts[0]),
             "plan recompiled"
         );
+        assert!(from_catalog(head, served, new));
+        assert!(!Arc::ptr_eq(&head.heads[&rid].head, &old_head));
+        assert!(!Arc::ptr_eq(&served.plans[&rid].body.full, &old_plan));
         let r = head.db.relation("r").unwrap();
         assert!(
             r.contains(&[Val::Int(4), Val::Int(3)]),

@@ -18,7 +18,7 @@ use p2p_net::{
     ChurnPlan, ConstantLatency, FaultPlan, LatencyModel, NetStats, RunOutcome, SessionId,
     ShardPlacement, ShardedNetwork, SimTime, Simulator,
 };
-use p2p_relational::query::{evaluate_certain, parse_query};
+use p2p_relational::query::{evaluate_certain, parse_query, PlanCatalog};
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
 use p2p_storage::{MemoryBackend, PeerStorage};
 use p2p_topology::{scc, NodeId};
@@ -174,10 +174,14 @@ impl P2PSystemBuilder {
             }
         }
 
+        // One catalog of compiled plans and heads for the whole system:
+        // peers serving fragments or chasing heads of one shape share them.
+        let catalog = Arc::new(PlanCatalog::default());
         let mut peers = Vec::with_capacity(all_nodes.len());
         for &node in self.schemas.keys() {
             let db = self.data[&node].clone();
             let mut peer = DbPeer::new(node, db, self.config);
+            peer.share_catalog(Arc::clone(&catalog));
             for rule in rules_by_head.get(&node).into_iter().flatten() {
                 peer.install_rule(Arc::clone(rule));
             }

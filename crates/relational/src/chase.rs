@@ -14,18 +14,21 @@
 //! against rule sets that are not weakly acyclic (on which any chase may
 //! diverge; see `p2p-core`'s weak-acyclicity checker).
 //!
-//! A head is compiled once per rule and binding layout ([`CompiledHead`]):
-//! each head column is resolved to a binding column, a constant or an
-//! existential slot, so a binding row costs one buffer fill per head atom
-//! and a [`Tuple`] per fact actually inserted. Existential variables get
-//! their nulls in first-occurrence order over the head, which makes the
-//! chase — and every database it writes — a deterministic function of its
-//! inputs.
+//! A head is compiled once per head shape, binding layout and schema
+//! ([`CompiledHead`], shared through a [`PlanCatalog`]): each head column is
+//! resolved to a binding column, a constant or an existential slot, so a
+//! binding row costs one buffer fill per head atom — in the caller's
+//! [`ChaseState`], a compiled head holds none — and a [`Tuple`] per
+//! fact actually inserted. Existential variables get their nulls in
+//! first-occurrence order over the head, which makes the chase — and every
+//! database it writes — a deterministic function of its inputs.
 
 use crate::database::Database;
 use crate::error::{Error, Result};
+use crate::fxhash::fx_hash;
 use crate::query::ast::{Atom, Constraint, Term};
 use crate::query::eval::evaluate_bindings;
+use crate::query::plan::PlanCatalog;
 use crate::schema::DatabaseSchema;
 use crate::tuple::Tuple;
 use crate::value::{NullFactory, NullId, Val};
@@ -51,10 +54,18 @@ impl Default for ChaseConfig {
 }
 
 /// Tracks null derivation depths across chase steps; owned by whoever owns
-/// the [`NullFactory`] (one per peer).
+/// the [`NullFactory`] (one per peer). Also holds the buffers a head
+/// application reuses from row to row, since a [`CompiledHead`] is shared
+/// and holds none.
 #[derive(Debug, Clone, Default)]
 pub struct ChaseState {
     depths: HashMap<NullId, u32>,
+    /// The fact being instantiated (never allocated while every head atom
+    /// copies its row).
+    fact: Vec<Val>,
+    /// One per distinct existential variable of the head being applied: the
+    /// satisfaction search's assignment, then the nulls minted.
+    slots: Vec<Option<Val>>,
 }
 
 impl ChaseState {
@@ -158,17 +169,16 @@ struct HeadAtom {
 /// existential variables skip the satisfaction guard (inserting an existing
 /// fact is a no-op anyway); heads with them run it, and mint one fresh null
 /// per existential variable in first-occurrence order, so which column gets
-/// which null is a function of the head text alone.
+/// which null is a function of the head text alone. Immutable once
+/// compiled — the per-row buffers are the caller's [`ChaseState`]'s — so
+/// one head serves every peer of a system that chases heads of its shape
+/// ([`PlanCatalog::head`]).
 #[derive(Debug, Clone)]
 pub struct CompiledHead {
     vars: Vec<Arc<str>>,
     atoms: Box<[HeadAtom]>,
-    /// Reused per row: the fact being instantiated (never allocated when
-    /// every atom copies the row).
-    fact: Vec<Val>,
-    /// Reused per row, one per distinct existential variable: the
-    /// satisfaction search's assignment, then the nulls minted.
-    slots: Vec<Option<Val>>,
+    /// Distinct existential variables.
+    existentials: usize,
 }
 
 impl CompiledHead {
@@ -221,8 +231,7 @@ impl CompiledHead {
         Ok(CompiledHead {
             vars: vars.to_vec(),
             atoms: atoms.into(),
-            fact: Vec::new(),
-            slots: vec![None; existential.len()],
+            existentials: existential.len(),
         })
     }
 
@@ -242,7 +251,7 @@ impl CompiledHead {
     /// fact failing its relation's column types is an error; facts of
     /// earlier atoms stay inserted.
     pub fn apply(
-        &mut self,
+        &self,
         db: &mut Database,
         row: &[Val],
         nulls: &mut NullFactory,
@@ -251,12 +260,10 @@ impl CompiledHead {
         out: &mut ChaseOutcome,
     ) -> Result<()> {
         debug_assert_eq!(row.len(), self.vars.len());
-        let CompiledHead {
-            atoms, fact, slots, ..
-        } = self;
-        if !slots.is_empty() {
-            slots.fill(None);
-            if satisfied(atoms, row, db, slots) {
+        state.slots.clear();
+        state.slots.resize(self.existentials, None);
+        if self.existentials > 0 {
+            if satisfied(&self.atoms, row, db, &mut state.slots) {
                 return Ok(());
             }
             // The new nulls derive from the row's deepest null.
@@ -266,26 +273,26 @@ impl CompiledHead {
                     limit: config.max_null_depth,
                 });
             }
-            for slot in slots.iter_mut() {
+            for k in 0..self.existentials {
                 let null = nulls.fresh();
                 if let Val::Null(id) = null {
                     state.record(id, depth);
                 }
-                *slot = Some(null);
+                state.slots[k] = Some(null);
             }
-            out.nulls_minted += slots.len();
+            out.nulls_minted += self.existentials;
         }
-        for atom in atoms.iter() {
+        for atom in self.atoms.iter() {
             let values: &[Val] = if atom.copy {
                 row
             } else {
-                fact.clear();
-                fact.extend(atom.cols.iter().map(|col| match *col {
+                state.fact.clear();
+                state.fact.extend(atom.cols.iter().map(|col| match *col {
                     Source::Bound(c) => row[c],
                     Source::Const(v) => v,
-                    Source::Fresh(k) => slots[k].expect("minted above"),
+                    Source::Fresh(k) => state.slots[k].expect("minted above"),
                 }));
-                fact
+                &state.fact
             };
             let relation = db.relation_mut(&atom.relation)?;
             relation.schema().check(values)?;
@@ -299,7 +306,7 @@ impl CompiledHead {
 
     /// [`CompiledHead::apply`] over every row, in order.
     pub fn apply_rows<'r>(
-        &mut self,
+        &self,
         db: &mut Database,
         rows: impl IntoIterator<Item = &'r [Val]>,
         nulls: &mut NullFactory,
@@ -311,6 +318,41 @@ impl CompiledHead {
             self.apply(db, row, nulls, state, config, &mut out)?;
         }
         Ok(out)
+    }
+}
+
+/// One shared head and the head text and schema it was compiled from (its
+/// binding layout is the head's own).
+pub(crate) struct HeadEntry {
+    head: Box<[Atom]>,
+    schema: DatabaseSchema,
+    compiled: Arc<CompiledHead>,
+}
+
+impl PlanCatalog {
+    /// The head [`CompiledHead::compile`] would compile for these
+    /// arguments: the catalog's entry when it holds one, else compiled and
+    /// entered.
+    pub fn head(
+        &self,
+        head: &[Atom],
+        vars: &[Arc<str>],
+        schema: &DatabaseSchema,
+    ) -> Result<Arc<CompiledHead>> {
+        let hash = fx_hash(&(head, vars));
+        let mut entries = self.heads.lock().expect("no compile panics");
+        let hit = (entries.get(&hash).into_iter().flatten())
+            .find(|e| *e.head == *head && e.compiled.vars() == vars && e.schema == *schema);
+        if let Some(entry) = hit {
+            return Ok(Arc::clone(&entry.compiled));
+        }
+        let compiled = Arc::new(CompiledHead::compile(head, vars, schema)?);
+        entries.entry(hash).or_default().push(HeadEntry {
+            head: head.into(),
+            schema: schema.clone(),
+            compiled: Arc::clone(&compiled),
+        });
+        Ok(compiled)
     }
 }
 
@@ -375,7 +417,7 @@ pub fn apply_rule_local(
     if bindings.is_empty() {
         return Ok(ChaseOutcome::default());
     }
-    let mut head = CompiledHead::compile(head, &bindings.vars, db.schema())?;
+    let head = CompiledHead::compile(head, &bindings.vars, db.schema())?;
     head.apply_rows(db, bindings.rows(), nulls, state, config)
 }
 
@@ -416,7 +458,7 @@ mod tests {
         state: &mut ChaseState,
         config: &ChaseConfig,
     ) -> Result<ChaseOutcome> {
-        let mut compiled = CompiledHead::compile(head, vars, db.schema())?;
+        let compiled = CompiledHead::compile(head, vars, db.schema())?;
         compiled.apply_rows(db, [&row[..]], nulls, state, config)
     }
 

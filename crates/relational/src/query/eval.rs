@@ -148,7 +148,8 @@ pub fn evaluate_bindings_since(
     watermarks: &BTreeMap<Arc<str>, usize>,
 ) -> Result<Bindings> {
     let body = CompiledBody::compile(atoms, constraints, db)?;
-    evaluate_bindings_since_planned(&body, db, watermarks, &mut EvalMetrics::default())
+    let m = &mut EvalMetrics::default();
+    evaluate_bindings_since_planned(&body, atoms, constraints, db, watermarks, m)
 }
 
 /// Validates a body against a database and returns its variable slot table:

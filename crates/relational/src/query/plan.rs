@@ -5,13 +5,16 @@
 //! * **Compile once** — [`compile_body`] turns a body (atoms + constraints)
 //!   into a [`QueryPlan`]: the slot table, the atom order, each atom's key
 //!   columns and [`PosAction`] list, and a static constraint schedule. All
-//!   of it is derivable from the body text alone (the bound-variable set
-//!   evolves deterministically), so a plan compiles once per
-//!   `(rule, restricted-atom)` and is cached by the peer until the rule
-//!   changes. [`CompiledBody`] bundles the full plan with one delta plan per
-//!   atom for semi-naive evaluation, each compiled on its first use. The
-//!   `&Database` entry points in [`crate::query::eval`] compile and execute
-//!   in one call.
+//!   of it follows from the body text, the schema it is validated against
+//!   and — for a body of two or more atoms — the atom order the greedy
+//!   heuristic picks from relation sizes at that moment. [`CompiledBody`]
+//!   bundles the full plan with one delta plan per atom for semi-naive
+//!   evaluation, each compiled on its first use. A [`PlanCatalog`] is keyed
+//!   by exactly those inputs, so every evaluator of one system that meets a
+//!   body of one shape shares one plan, and a shared plan is the plan it
+//!   would have compiled itself; a peer takes its plans from its system's
+//!   catalog and holds the `Arc`s until the rule changes. The `&Database`
+//!   entry points in [`crate::query::eval`] compile and execute in one call.
 //!
 //! * **Probe an index if there is one** — for every keyed join step
 //!   [`execute_plan`] probes the relation's persistent
@@ -31,12 +34,15 @@
 
 use crate::database::Database;
 use crate::error::Result;
+use crate::fxhash::{fx_hash, FxHashMap};
 use crate::query::ast::{Atom, CmpOp, Constraint, Term};
 use crate::query::eval::{greedy_order, slot_of, validate_body, Bindings};
 use crate::relation::{key_hash, Index, RowSet};
+use crate::schema::DatabaseSchema;
 use crate::value::Val;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Work counters for plan execution, for observing the incremental win.
 ///
@@ -146,23 +152,22 @@ pub struct QueryPlan {
     pub restricted: bool,
 }
 
-/// The full plan plus one delta plan per atom — what a peer caches per rule.
+/// The full plan plus one delta plan per atom — what a peer holds per rule.
 ///
 /// The full plan is compiled with the body and each delta plan on its first
 /// use, so a body that is only ever evaluated in full, or whose relations
-/// never grow, compiles one plan.
+/// never grow, compiles one plan. The body itself is not kept: whoever
+/// evaluates a delta passes the atoms and constraints the body was compiled
+/// from.
 /// Delta plans read relation sizes when they are compiled (the greedy atom
 /// order breaks ties on them), so their atom order depends on when that is;
 /// the set of rows they produce does not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledBody {
     /// Unrestricted plan.
-    pub full: QueryPlan,
-    /// The body, for compiling the delta plans.
-    atoms: Vec<Atom>,
-    constraints: Vec<Constraint>,
+    pub full: Arc<QueryPlan>,
     /// `delta[i]` restricts atom `i` to its post-watermark suffix.
-    delta: Box<[OnceLock<QueryPlan>]>,
+    delta: Box<[OnceLock<Arc<QueryPlan>>]>,
 }
 
 impl CompiledBody {
@@ -170,36 +175,30 @@ impl CompiledBody {
     /// delta plans follow on demand.
     pub fn compile(atoms: &[Atom], constraints: &[Constraint], db: &Database) -> Result<Self> {
         let full = compile_body(atoms, constraints, db, None)?;
-        Ok(CompiledBody {
-            full,
-            atoms: atoms.to_vec(),
-            constraints: constraints.to_vec(),
-            delta: atoms.iter().map(|_| OnceLock::new()).collect(),
-        })
+        Ok(CompiledBody::around(Arc::new(full)))
     }
 
-    /// The delta plan restricting atom `i`, compiled against `db` on first
-    /// use.
-    fn delta_plan(&self, i: usize, db: &Database) -> Result<&QueryPlan> {
+    /// A body around its full plan, with no delta plan yet (a validated
+    /// plan has one step per atom).
+    fn around(full: Arc<QueryPlan>) -> Self {
+        let delta = full.steps.iter().map(|_| OnceLock::new()).collect();
+        CompiledBody { full, delta }
+    }
+
+    /// The delta plan restricting atom `i` of the body `atoms` and
+    /// `constraints`, compiled against `db` on first use.
+    fn delta_plan(
+        &self,
+        i: usize,
+        atoms: &[Atom],
+        constraints: &[Constraint],
+        db: &Database,
+    ) -> Result<&QueryPlan> {
         if let Some(plan) = self.delta[i].get() {
             return Ok(plan);
         }
-        let plan = compile_body(&self.atoms, &self.constraints, db, Some(i))?;
+        let plan = Arc::new(compile_body(atoms, constraints, db, Some(i))?);
         Ok(self.delta[i].get_or_init(|| plan))
-    }
-
-    /// For delta plan `i`: the watermark its restricted atom scans from, or
-    /// `None` when that relation holds no row past it (missing watermark
-    /// entries mean 0, i.e. the whole relation is new).
-    fn pending_since(
-        &self,
-        i: usize,
-        db: &Database,
-        watermarks: &BTreeMap<Arc<str>, usize>,
-    ) -> Result<Option<usize>> {
-        let relation = &self.atoms[i].relation;
-        let watermark = watermarks.get(relation).copied().unwrap_or(0);
-        Ok((db.relation(relation)?.len() > watermark).then_some(watermark))
     }
 
     /// [`QueryPlan::ensure_indexes`] for exactly the delta plans
@@ -208,15 +207,158 @@ impl CompiledBody {
     /// not compiled).
     pub fn ensure_delta_indexes(
         &self,
+        atoms: &[Atom],
+        constraints: &[Constraint],
         db: &mut Database,
         watermarks: &BTreeMap<Arc<str>, usize>,
     ) -> Result<()> {
         for i in 0..self.delta.len() {
-            if self.pending_since(i, db, watermarks)?.is_some() {
-                self.delta_plan(i, db)?.ensure_indexes(db)?;
+            if pending_since(&atoms[i], db, watermarks)?.is_some() {
+                self.delta_plan(i, atoms, constraints, db)?
+                    .ensure_indexes(db)?;
             }
         }
         Ok(())
+    }
+}
+
+/// For the delta plan restricting `atom`: the watermark it scans from, or
+/// `None` when that relation holds no row past it (missing watermark
+/// entries mean 0, i.e. the whole relation is new).
+fn pending_since(
+    atom: &Atom,
+    db: &Database,
+    watermarks: &BTreeMap<Arc<str>, usize>,
+) -> Result<Option<usize>> {
+    let watermark = watermarks.get(&atom.relation).copied().unwrap_or(0);
+    Ok((db.relation(&atom.relation)?.len() > watermark).then_some(watermark))
+}
+
+/// The compiled plans of one system — body plans and rule heads — shared
+/// by every evaluator in it: one body plan per body shape, schema and, for
+/// bodies of two or more atoms, the atom order the greedy heuristic picks
+/// against the evaluator's database, full and delta plans apart; one head
+/// per head shape, binding layout and schema
+/// ([`crate::chase::CompiledHead`]).
+///
+/// That key is everything compilation reads, so what the catalog hands out
+/// is exactly what compiling against the caller's database at that moment
+/// would give, and two databases whose sizes order a body's atoms
+/// differently get two entries. Consulted only where a plan would
+/// otherwise be compiled; executing one never touches the catalog, so
+/// threads share it with no lock on the evaluation path. Entries live as
+/// long as the catalog.
+#[derive(Default)]
+pub struct PlanCatalog {
+    plans: Mutex<FxHashMap<u64, Vec<PlanEntry>>>,
+    pub(crate) heads: Mutex<FxHashMap<u64, Vec<crate::chase::HeadEntry>>>,
+}
+
+/// One shared plan and the body and schema it was compiled from (the rest
+/// of its key — the restricted atom and the atom order — is the plan's own).
+struct PlanEntry {
+    atoms: Box<[Atom]>,
+    constraints: Box<[Constraint]>,
+    schema: DatabaseSchema,
+    plan: Arc<QueryPlan>,
+}
+
+impl PlanCatalog {
+    /// The body's full plan from the catalog, with no delta plan yet: what
+    /// [`CompiledBody::compile`] would compile against `db`.
+    pub fn body(
+        &self,
+        atoms: &[Atom],
+        constraints: &[Constraint],
+        db: &Database,
+    ) -> Result<CompiledBody> {
+        let full = self.plan(atoms, constraints, db, None)?;
+        Ok(CompiledBody::around(full))
+    }
+
+    /// Gives `body` (compiled from `atoms` and `constraints`) from the
+    /// catalog each delta plan that evaluating it over `watermarks` will
+    /// execute and that it does not hold yet, so that evaluation compiles
+    /// nothing.
+    pub fn fill_deltas(
+        &self,
+        body: &CompiledBody,
+        atoms: &[Atom],
+        constraints: &[Constraint],
+        db: &Database,
+        watermarks: &BTreeMap<Arc<str>, usize>,
+    ) -> Result<()> {
+        for (i, slot) in body.delta.iter().enumerate() {
+            if slot.get().is_none() && pending_since(&atoms[i], db, watermarks)?.is_some() {
+                let _ = slot.set(self.plan(atoms, constraints, db, Some(i))?);
+            }
+        }
+        Ok(())
+    }
+
+    /// The plan [`compile_body`] would compile for these arguments now:
+    /// the catalog's entry when it holds one, else compiled and entered.
+    pub fn plan(
+        &self,
+        atoms: &[Atom],
+        constraints: &[Constraint],
+        db: &Database,
+        restricted: Option<usize>,
+    ) -> Result<Arc<QueryPlan>> {
+        let restricted = restricted.filter(|&r| r < atoms.len());
+        // What compiling reads from the data: the order of a body that has
+        // one to choose.
+        let order = match atoms.len() {
+            0 | 1 => None,
+            _ => {
+                let vars = validate_body(atoms, constraints, db)?;
+                Some(greedy_order(atoms, db, &vars, restricted))
+            }
+        };
+        let hash = fx_hash(&(atoms, constraints, restricted, &order));
+        let mut entries = self.plans.lock().expect("no compile panics");
+        let hit = (entries.get(&hash).into_iter().flatten()).find(|e| {
+            *e.atoms == *atoms
+                && *e.constraints == *constraints
+                && e.schema == *db.schema()
+                && e.plan.restricted == restricted.is_some()
+                && order.as_ref().is_none_or(|order| {
+                    (e.plan.steps.iter().map(|s| s.atom)).eq(order.iter().copied())
+                })
+        });
+        if let Some(entry) = hit {
+            return Ok(Arc::clone(&entry.plan));
+        }
+        let plan = Arc::new(compile_body(atoms, constraints, db, restricted)?);
+        entries.entry(hash).or_default().push(PlanEntry {
+            atoms: atoms.into(),
+            constraints: constraints.into(),
+            schema: db.schema().clone(),
+            plan: Arc::clone(&plan),
+        });
+        Ok(plan)
+    }
+
+    /// Number of entries held: body plans and heads.
+    pub fn len(&self) -> usize {
+        fn count<E>(map: &Mutex<FxHashMap<u64, Vec<E>>>) -> usize {
+            let map = map.lock().expect("no compile panics");
+            map.values().map(Vec::len).sum()
+        }
+        count(&self.plans) + count(&self.heads)
+    }
+
+    /// True iff nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl fmt::Debug for PlanCatalog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PlanCatalog")
+            .field("entries", &self.len())
+            .finish()
     }
 }
 
@@ -465,14 +607,16 @@ fn apply_constraints(
     }
 }
 
-/// Semi-naive delta evaluation over a compiled body: the union of every
-/// delta plan's rows, deduplicated in first-occurrence order, over the given
-/// per-relation watermarks (see
+/// Semi-naive delta evaluation over a body compiled from `atoms` and
+/// `constraints`: the union of every delta plan's rows, deduplicated in
+/// first-occurrence order, over the given per-relation watermarks (see
 /// [`crate::query::eval::evaluate_bindings_since`] for the semantics). When
 /// only one delta plan has rows to scan, its bindings — distinct already —
 /// are the result as they stand.
 pub fn evaluate_bindings_since_planned(
     body: &CompiledBody,
+    atoms: &[Atom],
+    constraints: &[Constraint],
     db: &Database,
     watermarks: &BTreeMap<Arc<str>, usize>,
     m: &mut EvalMetrics,
@@ -480,10 +624,15 @@ pub fn evaluate_bindings_since_planned(
     let mut first: Option<Bindings> = None;
     let mut union: Option<RowSet> = None;
     for i in 0..body.delta.len() {
-        let Some(watermark) = body.pending_since(i, db, watermarks)? else {
+        let Some(watermark) = pending_since(&atoms[i], db, watermarks)? else {
             continue; // No new tuples in this atom's relation.
         };
-        let delta = execute_plan(body.delta_plan(i, db)?, db, watermark, m)?;
+        let delta = execute_plan(
+            body.delta_plan(i, atoms, constraints, db)?,
+            db,
+            watermark,
+            m,
+        )?;
         let Some(first) = &first else {
             first = Some(delta);
             continue;
@@ -506,6 +655,7 @@ pub fn evaluate_bindings_since_planned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::ast::ConjunctiveQuery;
     use crate::query::parser::parse_query;
     use crate::schema::DatabaseSchema;
     use std::collections::HashSet;
@@ -524,9 +674,13 @@ mod tests {
         db_with_b(&pairs)
     }
 
-    fn compile(query: &str, db: &Database) -> CompiledBody {
+    /// A body compiled against `db`, with the query it came from.
+    fn compile(query: &str, db: &Database) -> (CompiledBody, ConjunctiveQuery) {
         let q = parse_query(query).unwrap();
-        CompiledBody::compile(&q.atoms, &q.constraints, db).unwrap()
+        (
+            CompiledBody::compile(&q.atoms, &q.constraints, db).unwrap(),
+            q,
+        )
     }
 
     fn row_set(b: &Bindings) -> HashSet<Vec<Val>> {
@@ -540,13 +694,23 @@ mod tests {
     }
 
     fn since(
-        body: &CompiledBody,
+        (body, q): &(CompiledBody, ConjunctiveQuery),
         db: &Database,
         w: &BTreeMap<Arc<str>, usize>,
     ) -> (Bindings, EvalMetrics) {
         let mut m = EvalMetrics::default();
-        let rows = evaluate_bindings_since_planned(body, db, w, &mut m).unwrap();
+        let rows =
+            evaluate_bindings_since_planned(body, &q.atoms, &q.constraints, db, w, &mut m).unwrap();
         (rows, m)
+    }
+
+    fn ensure_delta_indexes(
+        (body, q): &(CompiledBody, ConjunctiveQuery),
+        db: &mut Database,
+        w: &BTreeMap<Arc<str>, usize>,
+    ) {
+        body.ensure_delta_indexes(&q.atoms, &q.constraints, db, w)
+            .unwrap();
     }
 
     /// "Legacy" in the two tests below is the cost model of the pre-plan
@@ -565,7 +729,7 @@ mod tests {
             "q(1) :- b(8, 9)",
         ] {
             let mut db = db_with_b(&[(1, 2), (2, 3), (3, 4), (1, 1), (7, 7)]);
-            let body = compile(query, &db);
+            let (body, _) = compile(query, &db);
             let (transient, tm) = full(&body, &db);
             assert_eq!(tm.index_probes, 0, "{query}");
             body.full.ensure_indexes(&mut db).unwrap();
@@ -586,7 +750,7 @@ mod tests {
             .unwrap();
         let (transient, tm) = since(&body, &db, &w);
         assert_eq!(tm.index_probes, 0);
-        body.ensure_delta_indexes(&mut db, &w).unwrap();
+        ensure_delta_indexes(&body, &mut db, &w);
         let (probed, pm) = since(&body, &db, &w);
         assert!(pm.index_probes > 0);
         assert_eq!(probed, transient);
@@ -606,7 +770,7 @@ mod tests {
             let w = db.watermarks();
             db.insert_values("b", vec![Val::Int(n), Val::Int(n + 1)])
                 .unwrap();
-            body.ensure_delta_indexes(&mut db, &w).unwrap();
+            ensure_delta_indexes(&body, &mut db, &w);
             let (delta, m) = since(&body, &db, &w);
             // Appending (n, n+1) to the chain creates exactly one new join
             // result: (n-1, n, n+1).
@@ -625,7 +789,7 @@ mod tests {
             .unwrap();
         // No persistent index yet: every delta plan builds a transient one.
         let (_, rebuild) = since(&body, &db, &w);
-        body.ensure_delta_indexes(&mut db, &w).unwrap();
+        ensure_delta_indexes(&body, &mut db, &w);
         let (_, indexed) = since(&body, &db, &w);
         assert!(
             rebuild.rows_scanned >= 2 * 101,
@@ -645,7 +809,7 @@ mod tests {
         let db = db_with_b(&[(1, 2), (2, 3)]);
         let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
         let (delta, _) = since(&body, &db, &BTreeMap::new());
-        let (all, _) = full(&body, &db);
+        let (all, _) = full(&body.0, &db);
         assert_eq!(row_set(&delta), row_set(&all));
     }
 
@@ -654,14 +818,14 @@ mod tests {
         let mut db = db_with_b(&[(1, 2), (2, 3)]);
         let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
         let w = db.watermarks();
-        body.ensure_delta_indexes(&mut db, &w).unwrap();
+        ensure_delta_indexes(&body, &mut db, &w);
         assert!(
             db.relation("b").unwrap().index(&[0]).is_none(),
             "a delta plan with nothing to scan builds no index"
         );
         let (delta, m) = since(&body, &db, &w);
         assert!(delta.is_empty());
-        assert_eq!(delta.vars, body.full.vars);
+        assert_eq!(delta.vars, body.0.full.vars);
         assert_eq!(m.rows_scanned, 0);
         assert_eq!(m.index_probes, 0);
     }
@@ -669,7 +833,7 @@ mod tests {
     #[test]
     fn plans_survive_inserts_via_index_maintenance() {
         let mut db = db_with_b(&[(1, 2)]);
-        let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
+        let (body, _) = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
         body.full.ensure_indexes(&mut db).unwrap();
         // Interleave inserts with evaluations; the persistent index must
         // track them without recompilation or another ensure.

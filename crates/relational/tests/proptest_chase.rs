@@ -254,7 +254,7 @@ proptest! {
         let got = if rows.is_empty() {
             Ok(ChaseOutcome::default())
         } else {
-            CompiledHead::compile(&head, &vars, db.schema()).and_then(|mut compiled| {
+            CompiledHead::compile(&head, &vars, db.schema()).and_then(|compiled| {
                 let rows = rows.iter().map(Vec::as_slice);
                 compiled.apply_rows(&mut db, rows, &mut nulls, &mut state, &config)
             })

@@ -5,9 +5,10 @@
 //!
 //! The same allocator prices the per-message protocol path: a whole eager
 //! session, a copied row (one `Tuple` when it is new, nothing when it is
-//! not), a served subscription whose fragment did not grow (nothing), and a
-//! stored row (nothing of its own: its relation's buffers grow by doubling,
-//! and a clone copies each buffer once).
+//! not), a served subscription whose fragment did not grow (nothing), a
+//! fragment or head of a shape another peer of the system compiled already
+//! (no compile), and a stored row (nothing of its own: its relation's
+//! buffers grow by doubling, and a clone copies each buffer once).
 //!
 //! The counting allocator below is this test binary's global allocator; it
 //! counts per thread, so the test harness's own threads do not disturb it.
@@ -16,11 +17,11 @@ use p2pdb::core::joins::{join_parts_seminaive, PartDelta, VarRows};
 use p2pdb::core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use p2pdb::core::peer::{DbPeer, Subscription};
 use p2pdb::core::rule::{BodyPart, CoordinationRule, RuleId};
-use p2pdb::core::system::P2PSystem;
+use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
 use p2pdb::core::SystemConfig;
-use p2pdb::net::{Codec, Context, NetStats, SessionId, SimTime, Wire};
+use p2pdb::net::{Codec, Context, NetStats, Peer, SessionId, SimTime, Wire};
 use p2pdb::relational::chase::{ChaseConfig, ChaseOutcome, ChaseState, CompiledHead};
-use p2pdb::relational::query::{Atom, Term};
+use p2pdb::relational::query::{Atom, CompiledBody, Term};
 use p2pdb::relational::{
     key_hash, ColumnType, Database, DatabaseSchema, NullFactory, Relation, RelationSchema, RowSet,
     SymId, Tuple, Val,
@@ -29,6 +30,7 @@ use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{scale_system, ScaleConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 thread_local! {
@@ -202,7 +204,9 @@ fn counting_a_send_or_a_delivery_allocates_nothing() {
 /// that carries its rule's shared fragment instead of a deep copy (four
 /// allocations fewer each): 50 112 over 4 982. Send accounting in dense
 /// counters, with no `String` key per node and kind: 48 249 over 4 982.
-const SESSION_ALLOCATIONS: u64 = 48_249;
+/// Plans and heads taken from the system's catalog, compiled once per
+/// shape instead of once per peer: 38 263 over 4 982.
+const SESSION_ALLOCATIONS: u64 = 38_263;
 const SESSION_MESSAGES: u64 = 4_982;
 
 /// The system of that session, before it runs.
@@ -278,7 +282,7 @@ fn a_copy_head_allocates_one_tuple_per_new_fact_and_nothing_for_a_present_one() 
     let (mut db, mut twin) = (Database::new(schema.clone()), Database::new(schema));
     let vars: Vec<Arc<str>> = ["X", "Y"].map(Arc::from).to_vec();
     let head = [Atom::new("a", vec![Term::var("X"), Term::var("Y")])];
-    let mut head = CompiledHead::compile(&head, &vars, db.schema()).unwrap();
+    let head = CompiledHead::compile(&head, &vars, db.schema()).unwrap();
     let (mut nulls, mut state, cfg) = (
         NullFactory::new(0),
         ChaseState::new(),
@@ -319,14 +323,7 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
     let rule =
         CoordinationRule::parse("s1", "B:item(I,S) => A:inbox(I,S)", None, &resolve).unwrap();
     let marks = [(Arc::<str>::from("item"), 4usize)].into_iter().collect();
-    let mut sub = Subscription {
-        part: rule.parts[0].clone(),
-        sent: RowSet::new(2),
-        resumed_rows: 0,
-        sent_complete: false,
-        standing: false,
-        watermarks: marks,
-    };
+    let mut sub = subscription(&rule.parts[0], marks);
     let mut ctx = Context::new(SimTime::ZERO, NodeId(1));
     let ((rows, unsent), allocations) =
         allocations_in(|| peer.advance_subscription(rule.id, &mut sub, &mut ctx));
@@ -341,6 +338,108 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
     assert_eq!(rows, vec![Tuple::new(vec![Val::Int(9), Val::Int(1)])]);
     assert_eq!(unsent, rows);
     assert_eq!(sub.watermarks[&Arc::<str>::from("item")], 5);
+}
+
+/// A fresh subscription to `part` whose subscriber holds everything below
+/// `watermarks`.
+fn subscription(part: &Arc<BodyPart>, watermarks: BTreeMap<Arc<str>, usize>) -> Subscription {
+    Subscription {
+        part: Arc::clone(part),
+        sent: RowSet::new(2),
+        resumed_rows: 0,
+        sent_complete: false,
+        standing: false,
+        watermarks,
+    }
+}
+
+/// Peers of one build share their compiled plans and heads. Nodes B and C
+/// serve `item(I,S)` fragments of the same shape to heads D and E, over the
+/// same four rows: B's first evaluation compiles the plans, and C's takes
+/// them from the system's catalog, so it costs what C's next evaluation of
+/// the same rows costs plus one cache slot — the map's table and the
+/// slot's table of delta plans. Likewise D's first answer compiles the
+/// `inbox(I,S)` head, and E's, in the very same state, is cheaper by at
+/// least the compile.
+#[test]
+fn a_second_peer_of_one_shape_compiles_nothing() {
+    let schema = "item(id: int, src: int). inbox(id: int, src: int).";
+    let mut b = P2PSystemBuilder::new();
+    for id in 0..5 {
+        b.add_node_with_schema(id, schema).unwrap();
+    }
+    let (bd, ce) = (
+        b.add_rule("bd", "B:item(I,S) => D:inbox(I,S)").unwrap(),
+        b.add_rule("ce", "C:item(I,S) => E:inbox(I,S)").unwrap(),
+    );
+    for node in [1, 2] {
+        for i in 0..4 {
+            b.insert(node, "item", vec![Val::Int(i), Val::Int(node.into())])
+                .unwrap();
+        }
+    }
+    let parts = [bd, ce].map(|id| Arc::clone(&b.rules().get(id).unwrap().parts[0]));
+    let mut peers: Vec<DbPeer> = b
+        .build_peers()
+        .unwrap()
+        .into_iter()
+        .map(|(_, p)| p)
+        .collect();
+    let [_, body_b, body_c, head_d, head_e] = &mut peers[..] else {
+        unreachable!("five nodes")
+    };
+
+    // Everything is new to a subscriber that holds nothing.
+    let first = |peer: &mut DbPeer, rule: RuleId, part: &Arc<BodyPart>| {
+        let mut sub = subscription(part, BTreeMap::new());
+        let mut ctx = Context::new(SimTime::ZERO, peer.id());
+        allocations_in(|| peer.advance_subscription(rule, &mut sub, &mut ctx).0.len())
+    };
+    let (rows, compiled) = first(body_b, bd, &parts[0]);
+    assert_eq!(rows, 4);
+    let (rows, shared) = first(body_c, ce, &parts[1]);
+    assert_eq!(rows, 4);
+    let (rows, held) = first(body_c, ce, &parts[1]);
+    assert_eq!(rows, 4);
+    let db = body_c.database();
+    let (atoms, constraints) = (&parts[1].atoms, &parts[1].local_constraints);
+    let (_, compile) = allocations_in(|| CompiledBody::compile(atoms, constraints, db));
+    println!("first evaluations: {compiled} compiling, {shared} shared, {held} held; a compile {compile}");
+    assert!(shared <= held + 2, "{shared} allocations against {held}");
+    assert!(compiled >= shared + compile, "{compiled} against {shared}");
+
+    // The heads take the same answer in the same state.
+    let answer = |peer: &mut DbPeer, rule: RuleId, from: u32| {
+        let rows = (0..4).map(|i| Tuple::new(vec![Val::Int(i), Val::Int(1)]));
+        let msg = ProtocolMsg::Answer(Answer {
+            session: SessionId::new(NodeId(0), 1),
+            rule,
+            rows: AnswerRows {
+                vars: ["I", "S"].map(Arc::from).to_vec(),
+                rows: rows.collect(),
+                null_depths: vec![],
+                marks: [(Arc::<str>::from("item"), 4usize)].into_iter().collect(),
+                dict: vec![],
+            },
+            complete: true,
+            reopen: false,
+            pushed: false,
+            acks: false,
+            via: Via::Session,
+        });
+        let mut ctx = Context::new(SimTime::ZERO, peer.id());
+        let ((), allocations) = allocations_in(|| peer.on_message(NodeId(from), msg, &mut ctx));
+        assert_eq!(peer.database().relation("inbox").unwrap().len(), 4);
+        allocations
+    };
+    let compiled = answer(head_d, bd, 1);
+    let shared = answer(head_e, ce, 2);
+    let vars: Vec<Arc<str>> = ["I", "S"].map(Arc::from).to_vec();
+    let head = [Atom::new("inbox", vec![Term::var("I"), Term::var("S")])];
+    let schema = head_e.database().schema();
+    let (_, compile) = allocations_in(|| CompiledHead::compile(&head, &vars, schema));
+    println!("first answers: {compiled} compiling, {shared} shared; a compile {compile}");
+    assert!(compiled >= shared + compile, "{compiled} against {shared}");
 }
 
 /// A head's semi-naive join over two 10 000-row fragments, both entirely
