@@ -7,11 +7,10 @@
 //! what its subscriptions rest on: every fact the update algorithm inserts
 //! (`Insert`); as a head, every fragment answer it processes (`Answer`: the
 //! answerer's watermarks — the **resync cursor** — and, for a rule with more
-//! than one body node, the rows `DbPeer::fragments` retains), and the
-//! replacement or deletion of a rule, which forgets its marks
-//! (`ForgetRule`); as a body node, every move of a cursor a subscriber may
-//! come to rely on (`Cursor`, from `DbPeer::set_cursor` and
-//! `DbPeer::drop_cursor`).
+//! than one body node, the fragment rows it retains), and the replacement
+//! or deletion of a rule, which forgets its marks (`ForgetRule`); as a body
+//! node, every move of a cursor a subscriber may come to rely on
+//! (`Cursor`, which `Subscriptions` appends).
 //!
 //! **One delivery, one frame.** A handler never writes to its store: it
 //! adds records to a pending list, and `DbPeer::commit` writes the list as
@@ -43,11 +42,11 @@
 //! than what the head holds*, and the next flood ships `(cursor, now]`. A
 //! peer that cannot vouch for its cursors — no store, a store that does not
 //! read back, a cursor counting rows the recovered relation lacks — owes
-//! its pipe neighbours the cursor-void notice.
+//! its pipe neighbours the cursor-void notice (`Subscriptions::recover`).
 //!
-//! **As a head** it primes `DbPeer::fragments` from the recovered marks
-//! and asks every rule fragment's body node for a delta: a `Query` on
-//! [`Via::Repair`] starting [`Start::Since`] the newest durably-processed
+//! **As a head** it primes its retained fragment rows from the recovered
+//! marks and asks every rule fragment's body node for a delta: a `Query` on
+//! [`Via::Repair`] starting `Start::Since` the newest durably-processed
 //! watermark — or, under the default protocol, the body node's committed
 //! cursor where that lies behind (`DbPeer::eval_from`). The answer is
 //! absorbed through the chase and the WAL like any other, so a crash during
@@ -65,17 +64,15 @@
 //! re-certified.
 
 use crate::error::{CoreError, CoreResult};
-use crate::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
-use crate::peer::{Cursor, DbPeer, Marks, SeededFault};
-use crate::rule::{BodyPart, RuleId};
+use crate::messages::{Answer, AnswerRows, ProtocolMsg, Query, Via};
+use crate::peer::{DbPeer, Nulls};
+use crate::rule::RuleId;
 use p2p_net::{Context, SessionId};
-use p2p_relational::chase::ChaseState;
 use p2p_relational::{Database, NullFactory, Tuple, Val};
 use p2p_storage::{
     CursorMark, FragmentMark, PeerStorage, RecoveredState, StorageResult, WalRecord,
 };
 use p2p_topology::NodeId;
-use serde::{Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -89,16 +86,23 @@ pub(crate) struct Durable {
     replayed: Option<Replayed>,
 }
 
+impl Durable {
+    /// The records of the running delivery, which `DbPeer::commit` writes.
+    pub(crate) fn log(&mut self) -> &mut Vec<WalRecord> {
+        &mut self.pending
+    }
+}
+
 /// What a replay of the attached store rebuilt besides the database: the
 /// subscription state of both ends, which a restart resumes from.
 #[derive(Debug)]
-struct Replayed {
+pub(crate) struct Replayed {
     /// Head side: one mark per `(raw rule id, body node)`.
-    marks: BTreeMap<(u32, NodeId), FragmentMark>,
+    pub(crate) marks: BTreeMap<(u32, NodeId), FragmentMark>,
     /// Body side: one cursor per `(subscriber, raw rule id)`.
-    cursors: BTreeMap<(NodeId, u32), CursorMark>,
+    pub(crate) cursors: BTreeMap<(NodeId, u32), CursorMark>,
     /// The newest session of the answer log (the resync tag).
-    last_session: SessionId,
+    pub(crate) last_session: SessionId,
 }
 
 impl DbPeer {
@@ -118,7 +122,8 @@ impl DbPeer {
                 Some(self.adopt_recovered(rec))
             }
             None => {
-                store.snapshot(&self.db, self.nulls.minted(), self.chase.export())?;
+                let Nulls { mint, chase } = &self.nulls;
+                store.snapshot(&self.db, mint.minted(), chase.export())?;
                 None
             }
         };
@@ -141,9 +146,9 @@ impl DbPeer {
     /// this peer's own; returns the rest.
     fn adopt_recovered(&mut self, rec: RecoveredState) -> Replayed {
         self.db = rec.db;
-        self.nulls = NullFactory::resume(self.id.0, rec.nulls_next);
+        self.nulls.mint = NullFactory::resume(self.id.0, rec.nulls_next);
         for (id, depth) in rec.depths {
-            self.chase.record(id, depth);
+            self.nulls.chase.record(id, depth);
         }
         Replayed {
             marks: rec.marks,
@@ -170,7 +175,7 @@ impl DbPeer {
                 .extend(inserted.iter().map(|(relation, tuple)| WalRecord::Insert {
                     relation: relation.clone(),
                     tuple: tuple.clone(),
-                    depths: self.chase.depths_for(tuple),
+                    depths: self.nulls.chase.depths_for(tuple),
                 }));
         }
     }
@@ -205,44 +210,6 @@ impl DbPeer {
         });
     }
 
-    /// Sets the body-side cursor of `key` and records it where a subscriber
-    /// may come to rely on the change: always when the fragment is new for
-    /// the key, and when the watermarks differ and `moved` says the
-    /// difference matters — a reset does; an advance over facts that
-    /// derived no row for the subscriber does not (resumed from the older
-    /// mark, the same facts derive nothing again). The fragment rides as an
-    /// opaque document in the key's first record only.
-    pub(crate) fn set_cursor(&mut self, key: (NodeId, RuleId), cursor: Cursor, moved: bool) {
-        let held = self.cursors.get(&key);
-        let new_part = held.is_none_or(|c| c.part != cursor.part);
-        let differs = held.is_none_or(|c| c.watermarks != cursor.watermarks);
-        if let Some(st) = self
-            .storage
-            .as_mut()
-            .filter(|_| new_part || (differs && moved))
-        {
-            let part = if new_part {
-                (cursor.part.to_content()).expect("a fragment is plain data")
-            } else {
-                Content::Null
-            };
-            let mark = CursorMark {
-                part,
-                watermarks: cursor.watermarks.clone(),
-                rows: cursor.rows,
-            };
-            st.pending.push(cursor_record(key, Some(mark)));
-        }
-        self.cursors.insert(key, cursor);
-    }
-
-    /// Drops the body-side cursor of `key`, durably.
-    pub(crate) fn drop_cursor(&mut self, key: (NodeId, RuleId)) {
-        if let (Some(_), Some(st)) = (self.cursors.remove(&key), self.storage.as_mut()) {
-            st.pending.push(cursor_record(key, None));
-        }
-    }
-
     /// Records that `rule` was replaced or deleted here: the marks of its
     /// answers are not the new rule's. A store that holds none says
     /// nothing (no delivery both takes in an answer and replaces a rule, so
@@ -270,36 +237,12 @@ impl DbPeer {
             }
         };
         if due {
-            let (nulls_next, depths) = (self.nulls.minted(), self.chase.export());
-            if let Err(e) = st.store.snapshot(&self.db, nulls_next, depths) {
+            let Nulls { mint, chase } = &self.nulls;
+            if let Err(e) = st.store.snapshot(&self.db, mint.minted(), chase.export()) {
                 self.fail(format!("snapshot failed: {e}"));
             }
         }
         Ok(())
-    }
-
-    /// Rebuilds `DbPeer::fragments` from the recovered answer log — one
-    /// mark per `(rule, body node)`, rows only where a rule joins several
-    /// fragments — and returns each fragment's resync cursor. Must run
-    /// before any delta answer arrives: a delta joins against the *full*
-    /// retained extensions, so a hole would silently lose bindings.
-    fn prime_fragments(
-        &mut self,
-        marks: BTreeMap<(u32, NodeId), FragmentMark>,
-    ) -> BTreeMap<(RuleId, NodeId), Marks> {
-        let mut cursors = BTreeMap::new();
-        for ((rule_raw, node), mark) in marks {
-            let key = (RuleId(rule_raw), node);
-            let Some(rule) = self.rules.get(&key.0) else {
-                continue;
-            };
-            if rule.parts.len() > 1 {
-                let cache = self.fragments.or_default(key);
-                cache.merge(&mark.vars, mark.rows.iter());
-            }
-            cursors.insert(key, mark.watermarks);
-        }
-        cursors
     }
 
     /// Churn: the process dies. Everything in memory goes — including the
@@ -308,50 +251,16 @@ impl DbPeer {
     pub(crate) fn crash_volatile_state(&mut self) {
         self.stats.crashes += 1;
         self.db = Database::new(self.db.schema().clone());
-        self.plans.clear();
-        self.heads.clear();
-        self.cursors.clear();
-        self.void_owed = true;
-        self.held.clear();
-        self.fragments.clear();
+        self.compiled.crash();
+        self.subscriptions.discard(None);
         if let Some(st) = self.storage.as_mut() {
             st.pending.clear();
             st.replayed = None;
         }
-        self.nulls = NullFactory::new(self.id.0);
-        self.chase = ChaseState::new();
-        self.sessions.clear();
-        self.done.clear();
+        self.nulls = Nulls::new(self.id);
+        self.sessions.discard();
         self.disc = Default::default();
-        self.pending_resync.clear();
-        self.sym_sent.clear();
-    }
-
-    /// Restores the body side of the recovered subscriptions. A cursor is
-    /// taken back only if the recovered database vouches for it — its
-    /// fragment reads back and no watermark lies beyond the relation it
-    /// counts in. Returns whether every cursor was.
-    fn restore_cursors(&mut self, cursors: BTreeMap<(NodeId, u32), CursorMark>) -> bool {
-        let mut vouched = true;
-        for ((subscriber, rule), mark) in cursors {
-            let within = mark.watermarks.iter().all(|(relation, w)| {
-                (self.db.relation(relation)).is_ok_and(|stored| *w <= stored.len())
-            });
-            match BodyPart::from_content(&mark.part) {
-                Ok(part) if within => {
-                    let cursor = Cursor {
-                        part: Arc::new(part),
-                        watermarks: mark.watermarks,
-                        rows: mark.rows,
-                    };
-                    self.cursors.insert((subscriber, RuleId(rule)), cursor);
-                }
-                // Left in the store: every restart finds it wanting again,
-                // until the subscriber's fresh query replaces it.
-                _ => vouched = false,
-            }
-        }
-        vouched
+        self.pipes.known.clear();
     }
 
     /// Churn: the process comes back. Rebuilds the database from storage —
@@ -361,15 +270,13 @@ impl DbPeer {
     /// durable answer log, and asks every rule fragment's body node for
     /// the delta since the newest durably-processed watermark.
     pub(crate) fn restart_and_resync(&mut self, ctx: &mut Context<ProtocolMsg>) {
-        // Whatever cursors this peer served, it can vouch for none of them
-        // until its store says otherwise (a restarted `serve` process
-        // starts here, with no crash hook behind it).
-        self.void_owed = true;
         let Some(st) = self.storage.as_mut() else {
             // Amnesia baseline: without storage there is no durable state to
             // recover and no watermark to resync from — the peer genuinely
-            // lost everything and rejoins empty at the next session.
-            return;
+            // lost everything, owes its subscribers the notice (a restarted
+            // `serve` process starts here, with no crash hook behind it),
+            // and rejoins empty at the next session.
+            return self.subscriptions.discard(None);
         };
         let replayed = match st.replayed.take() {
             Some(replayed) => Some(replayed),
@@ -385,62 +292,16 @@ impl DbPeer {
                 }
             },
         };
-        // Resync traffic travels under the newest logged session's tag (the
-        // default tag when nothing was ever logged).
-        let mut tag = SessionId::default();
-        let mut marks = BTreeMap::new();
-        if let Some(replayed) = replayed {
-            self.stats.recoveries += 1;
-            tag = replayed.last_session;
-            marks = replayed.marks;
-            // The subscriptions go on where the store left them; only a
-            // peer that cannot say where that is owes its subscribers a
-            // notice.
-            self.void_owed = !self.restore_cursors(replayed.cursors);
-        }
-        let mut cursors = self.prime_fragments(marks);
-        let fault = self.armed_fault.take();
-        if fault == Some(SeededFault::RecoveredCursorsToNow) {
-            self.seed_fault(SeededFault::CursorsToNow);
-        }
-
+        self.stats.recoveries += u64::from(replayed.is_some());
         // Watermark-based repair (control plane, outside any session's
-        // termination detector). Each query is tracked in
-        // `pending_resync` until its answer arrives: the peer refuses to
-        // close while any is outstanding and re-sends on every session
-        // (re-)entry, so a dropped resync message stalls the session (which
-        // the driver re-drives) instead of silently losing the missed rows
-        // forever. A fragment never durably answered is asked from the
-        // empty watermark.
-        for rule in self.rules.values() {
-            for part in &rule.parts {
-                if fault == Some(SeededFault::HoldWithoutResync) {
-                    self.held.insert((rule.id, part.node));
-                    continue;
-                }
-                let since = cursors.remove(&(rule.id, part.node)).unwrap_or_default();
-                self.pending_resync.insert((tag, rule.id, part.node), since);
-            }
-        }
-        self.resend_pending_resyncs(ctx);
-    }
-
-    /// Sends every outstanding repair query — at a restart, and again
-    /// (at-least-once delivery; both ends are idempotent — the answerer just
-    /// delta-evaluates again, the requester's cache merge deduplicates)
-    /// whenever the peer (re-)enters an update session, which is exactly
-    /// when the driver's re-drive gives lost repair traffic another chance.
-    pub(crate) fn resend_pending_resyncs(&mut self, ctx: &mut Context<ProtocolMsg>) {
-        for ((sid, rule, node), since) in std::mem::take(&mut self.pending_resync) {
-            let part = (self.rules.get(&rule))
-                .and_then(|r| r.parts.iter().find(|p| p.node == node).cloned());
-            // The rule (or this fragment) gone, nothing is left to reconcile.
-            if let Some(part) = part {
-                let query = Query::new(sid, rule, part, Start::Since(since.clone()), Via::Repair);
-                ctx.send(node, ProtocolMsg::Query(query));
-                self.pending_resync.insert((sid, rule, node), since);
-            }
-        }
+        // termination detector). Each query stays outstanding until its
+        // answer arrives: the peer refuses to close while any is, and
+        // re-sends on every session (re-)entry, so a dropped resync message
+        // stalls the session (which the driver re-drives) instead of
+        // silently losing the missed rows forever. A fragment never durably
+        // answered is asked from the empty watermark.
+        (self.subscriptions).recover(replayed, &self.rules, &self.db);
+        self.subscriptions.resend(&self.rules, ctx);
     }
 
     /// Body-node side of a repair: the fragment's rows past where the
@@ -460,7 +321,7 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
     ) {
         if self.config.paper_faithful {
-            for st in self.sessions.values_mut() {
+            for st in self.sessions.live_mut(None) {
                 st.subs.remove(&(to, query.rule));
             }
         }
@@ -471,18 +332,11 @@ impl DbPeer {
     }
 }
 
-fn cursor_record((subscriber, rule): (NodeId, RuleId), mark: Option<CursorMark>) -> WalRecord {
-    WalRecord::Cursor {
-        subscriber,
-        rule: rule.0,
-        mark,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::messages::Start;
     use p2p_relational::{Database, DatabaseSchema, Val};
     use p2p_storage::FileBackend;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -654,7 +508,7 @@ mod tests {
                 .contains(&[Val::Int(7)]),
             "the repair must derive the head rule without a redrive"
         );
-        assert!(peer.pending_resync.is_empty());
+        assert!(!peer.subscriptions.resyncing());
         assert_eq!(
             peer.session_table_len(),
             0,
@@ -703,7 +557,7 @@ mod tests {
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
         peer.restart_and_resync(&mut ctx);
         assert_eq!(peer.session_table_len(), 0, "no placeholder sessions");
-        let cache = &peer.fragments[&(rule_id, NodeId(3))];
+        let cache = peer.subscriptions.fragment((rule_id, NodeId(3))).unwrap();
         assert_eq!(
             cache.rows.iter().collect::<Vec<_>>(),
             [[Val::Int(2)], [Val::Int(1)]],
@@ -867,7 +721,7 @@ mod tests {
             },
             &mut ctx,
         );
-        assert_eq!(peer.cursors[&(head, rule.id)].rows, 1);
+        assert_eq!(peer.subscriptions.cursor((head, rule.id)).unwrap().rows, 1);
         (peer, rule.id)
     }
 
@@ -879,7 +733,7 @@ mod tests {
         let head = NodeId(0);
         let restart = |peer: &mut DbPeer| {
             peer.crash_volatile_state();
-            assert!(peer.void_owed && peer.cursors.is_empty());
+            assert!(peer.subscriptions.owes_notice() && peer.retained_entries().0 == 0);
             let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
             peer.restart_and_resync(&mut ctx);
         };
@@ -887,8 +741,11 @@ mod tests {
         let (mut peer, rule) =
             body_node_with_a_committed_cursor(Box::<p2p_storage::MemoryBackend>::default());
         restart(&mut peer);
-        assert!(!peer.void_owed, "the store vouches for the cursor");
-        let cursor = &peer.cursors[&(head, rule)];
+        assert!(
+            !peer.subscriptions.owes_notice(),
+            "the store vouches for the cursor"
+        );
+        let cursor = peer.subscriptions.cursor((head, rule)).unwrap();
         assert_eq!((cursor.rows, cursor.watermarks["b"]), (1, 1));
         assert_eq!(cursor.part.atoms[0].relation.as_ref(), "b");
 
@@ -900,8 +757,11 @@ mod tests {
         };
         let (mut peer, rule) = body_node_with_a_committed_cursor(Box::new(disk));
         restart(&mut peer);
-        assert!(peer.void_owed, "a cursor past the database is not resumed");
-        assert!(!peer.cursors.contains_key(&(head, rule)));
+        assert!(
+            peer.subscriptions.owes_notice(),
+            "a cursor past the database is not resumed"
+        );
+        assert!(peer.subscriptions.cursor((head, rule)).is_none());
 
         // A store that cannot be read back recovers nothing.
         let disk = TestDisk {
@@ -910,7 +770,7 @@ mod tests {
         };
         let (mut peer, _) = body_node_with_a_committed_cursor(Box::new(disk));
         restart(&mut peer);
-        assert!(peer.void_owed && peer.cursors.is_empty());
+        assert!(peer.subscriptions.owes_notice() && peer.retained_entries().0 == 0);
         assert_eq!(peer.errors().len(), 1, "{:?}", peer.errors());
     }
 
@@ -996,7 +856,7 @@ mod tests {
         assert_eq!(disk.replays.load(Ordering::Relaxed), 1, "one replay");
         assert!(!peer.adopted_stored_state(), "consumed");
         assert_eq!(peer.stats.recoveries, 1);
-        assert!(!peer.void_owed);
+        assert!(!peer.subscriptions.owes_notice());
         assert_eq!(peer.retained_entries().0, 1, "the cursor is served again");
     }
 }

@@ -41,7 +41,8 @@
 //! flight at termination.
 
 use crate::messages::{Answer, AnswerRows, Marks, ProtocolMsg, Query, Start, Via};
-use crate::peer::{DbPeer, SessionState};
+use crate::peer::durability::Durable;
+use crate::peer::{part_marks, DbPeer, SessionState};
 use crate::rule::{BodyPart, RuleId};
 use crate::stats::ClosedBy;
 use p2p_net::{Context, SessionId};
@@ -152,7 +153,7 @@ impl DbPeer {
         self.issue_queries(st, sid, &rules, ctx, sn_base, by_flood);
         // Crash recovery: give any still-unanswered repair query another
         // chance with the new session (at-least-once; see `durability`).
-        self.resend_pending_resyncs(ctx);
+        self.subscriptions.resend(&self.rules, ctx);
         true
     }
 
@@ -161,12 +162,8 @@ impl DbPeer {
     /// being activated is not in the table while taken out, hence `+ 1`).
     pub(crate) fn note_session_joined(&mut self) {
         self.stats.sessions_participated += 1;
-        let open = self
-            .sessions
-            .values()
-            .filter(|s| s.open(self.config.mode))
-            .count() as u64
-            + 1;
+        let mode = self.config.mode;
+        let open = self.sessions.live().filter(|s| s.open(mode)).count() as u64 + 1;
         self.stats.concurrent_peak = self.stats.concurrent_peak.max(open);
     }
 
@@ -184,7 +181,7 @@ impl DbPeer {
         for rule in rules {
             for part in &rule.parts {
                 let key = (rule.id, part.node);
-                let held = !self.config.paper_faithful && self.held.contains(&key);
+                let held = !self.config.paper_faithful && self.subscriptions.holds(key);
                 let queried = !(by_flood && held);
                 st.parts.insert(
                     key,
@@ -260,7 +257,8 @@ impl DbPeer {
             // The paper's propagation: along the acquaintances, of which
             // the sender is one.
             self.add_pipe(from);
-            let targets: Vec<NodeId> = self.pipes.iter().copied().filter(|p| *p != from).collect();
+            let pipes = self.pipes.nodes.iter().copied();
+            let targets: Vec<NodeId> = pipes.filter(|p| *p != from).collect();
             self.send_basic_many(st, ctx, targets, ProtocolMsg::UpdateFlood { session: sid });
         } else {
             // The root's roster send is the flood; nothing to forward.
@@ -279,16 +277,16 @@ impl DbPeer {
         sid: SessionId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        if self.void_owed && !st.upd.void_sent {
+        if self.subscriptions.owes_notice() && !st.upd.void_sent {
             st.upd.void_sent = true;
-            let pipes: Vec<NodeId> = self.pipes.iter().copied().collect();
+            let pipes: Vec<NodeId> = self.pipes.nodes.iter().copied().collect();
             self.send_basic_many(st, ctx, pipes, ProtocolMsg::CursorVoid { session: sid });
         }
-        let unopened: Vec<(NodeId, RuleId)> = (self.cursors.keys().copied())
-            .filter(|key| !st.subs.contains_key(key))
+        let unopened: Vec<((NodeId, RuleId), Arc<BodyPart>)> = (self.subscriptions.cursors())
+            .filter(|(key, _)| !st.subs.contains_key(key))
+            .map(|(key, cursor)| (*key, cursor.part.clone()))
             .collect();
-        for (to, rule) in unopened {
-            let part = self.cursors[&(to, rule)].part.clone();
+        for ((to, rule), part) in unopened {
             let (mut sub, rows) = self.open_subscription(to, rule, part, &Start::Resume, ctx);
             sub.standing = true;
             if !rows.is_empty() {
@@ -310,7 +308,7 @@ impl DbPeer {
         from: NodeId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.held.retain(|(_, node)| *node != from);
+        self.subscriptions.voided_by(from);
         let served: Vec<RuleId> = (st.parts.keys())
             .filter(|(_, node)| *node == from)
             .map(|(rule, _)| *rule)
@@ -336,7 +334,7 @@ impl DbPeer {
         let mut sent = RowSet::with_capacity(part.vars.len(), rows.len());
         sent.extend(rows.iter().map(|t| &t.0[..]));
         let sub = Subscription {
-            watermarks: self.part_marks(&part),
+            watermarks: part_marks(&self.db, &part),
             sent,
             resumed_rows,
             sent_complete: false,
@@ -350,18 +348,8 @@ impl DbPeer {
     /// start-point rule of every query, of either mode and of a repair.
     /// Returns the rows and how many the asker held already.
     ///
-    /// * `Resume` starts from the cursor committed for this very fragment.
-    /// * `Since(claim)` starts from the per-relation minimum of the claim and
-    ///   that cursor, which stays where it is: a claim is the mark of the
-    ///   last answer that *arrived*, and lies beyond rows an earlier,
-    ///   dropped answer carried, while the cursor was committed when every
-    ///   answer up to it had been applied. Under `paper_faithful`, where no
-    ///   cursor is kept, from the claim.
-    /// * Without such a cursor, both start as `Fresh` does: from the full
-    ///   extension, the cursor back at zero — not removed, so that a
-    ///   subscriber who comes to hold the fragment through a session whose
-    ///   retirement this peer misses still finds a standing subscription,
-    ///   and logged with the delivery that sends the answer.
+    /// [`Subscriptions::start`](super::subscriptions::Subscriptions::start)
+    /// says where.
     pub(crate) fn eval_from(
         &mut self,
         key: (NodeId, RuleId),
@@ -370,27 +358,11 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
     ) -> (Vec<Tuple>, usize) {
         let faithful = self.config.paper_faithful;
-        let cursor = self.cursors.get(&key).filter(|c| c.part == *part);
-        let start = match (from, cursor) {
-            (Start::Since(claim), _) if faithful => Some((claim.clone(), 0)),
-            (Start::Resume, Some(cursor)) => {
-                self.stats.resumed_answers += 1;
-                self.stats.rows_saved += cursor.rows as u64;
-                Some((cursor.watermarks.clone(), cursor.rows))
-            }
-            (Start::Since(claim), Some(cursor)) => {
-                let held: Marks = (claim.iter())
-                    .map(|(relation, w)| {
-                        let committed = cursor.watermarks.get(relation).copied().unwrap_or(0);
-                        (relation.clone(), (*w).min(committed))
-                    })
-                    .collect();
-                Some((held, 0))
-            }
-            _ => None,
-        };
-        if start.is_none() && !faithful {
-            self.set_cursor(key, crate::peer::Cursor::zero(part.clone()), true);
+        let log = self.storage.as_deref_mut().map(Durable::log);
+        let start = self.subscriptions.start(key, part, from, faithful, log);
+        if let (Start::Resume, Some((_, rows))) = (from, &start) {
+            self.stats.resumed_answers += 1;
+            self.stats.rows_saved += *rows as u64;
         }
         let since = start.as_ref().map(|(marks, _)| marks);
         let rows = self.eval_part_local(key.1, part, since, ctx);
@@ -417,7 +389,7 @@ impl DbPeer {
         }
         let since = (!self.config.paper_faithful).then_some(&sub.watermarks);
         let rows = self.eval_part_local(rule, &sub.part, since, ctx);
-        sub.watermarks = self.part_marks(&sub.part);
+        sub.watermarks = part_marks(&self.db, &sub.part);
         let unsent = (rows.iter())
             .filter(|t| sub.sent.insert(&t.0))
             .cloned()
@@ -530,7 +502,7 @@ impl DbPeer {
     /// answer's rows take one path — dictionary, null depths,
     /// [`DbPeer::absorb_fragment`], the durable mark — between its exchange's
     /// own bookkeeping: an eager session's checks and cascade, a round's
-    /// echo accounting, a repair's `pending_resync` and `held` mark.
+    /// echo accounting, a repair's settling and `held` mark.
     pub(crate) fn on_answer(
         &mut self,
         st: &mut SessionState,
@@ -543,7 +515,7 @@ impl DbPeer {
         match via {
             // Nobody is waiting for it — a duplicate, or the rule changed
             // since.
-            Via::Repair if self.pending_resync.remove(&(sid, rule, from)).is_none() => return,
+            Via::Repair if !self.subscriptions.resync_answered((sid, rule, from)) => return,
             Via::Repair => self.stats.resync_rows += answer.rows.rows.len() as u64,
             _ => self.stats.answers_received += 1,
         }
@@ -554,7 +526,7 @@ impl DbPeer {
             return;
         }
         for (id, depth) in &answer.rows.null_depths {
-            self.chase.record(*id, *depth);
+            self.nulls.chase.record(*id, *depth);
         }
         // Durable peers log the processed answer (rows + the answerer's
         // watermarks — the crash-resync cursor) in the delivery's frame,
@@ -589,14 +561,14 @@ impl DbPeer {
                 if inserted > 0 {
                     // A wave that is under way here must not certify a clean
                     // round over facts its earlier answers did not carry.
-                    for st in self.sessions.values_mut() {
+                    for st in self.sessions.live_mut(None) {
                         st.rnd.dirty_self |= st.rnd.active;
                     }
                 }
                 // The peer now holds the fragment up to the body node's
                 // present, at or past the cursor the body node kept.
                 if !self.config.paper_faithful {
-                    self.held.insert((rule, from));
+                    self.subscriptions.hold((rule, from));
                 }
             }
         }
@@ -636,7 +608,7 @@ impl DbPeer {
             // session re-quiesces through the normal machinery.
             self.begin_session(st, sid, ctx, &[], false);
         }
-        if answer.pushed && !self.held.contains(&(rule, from)) {
+        if !self.subscriptions.admit_push(answer, from) {
             // A push continues from what the body node believes this peer
             // holds, and it does not (the rule was replaced, the peer
             // restarted, a notice of the body node's voided the mark): the
@@ -713,7 +685,7 @@ impl DbPeer {
         if st.upd.closed
             || !st.upd.active
             || st.upd.suppress_flag_closure
-            || !self.pending_resync.is_empty()
+            || self.subscriptions.resyncing()
         {
             return;
         }
@@ -816,7 +788,7 @@ impl DbPeer {
             return;
         }
         st.upd.fixpoint_gen = generation;
-        if !st.upd.closed && self.pending_resync.is_empty() {
+        if !st.upd.closed && !self.subscriptions.resyncing() {
             // A peer still reconciling a crash stays open — the driver sees
             // it and re-drives, which re-sends the resync. Closing here
             // would certify a fix-point with a silent hole if the resync
@@ -830,7 +802,7 @@ impl DbPeer {
     }
 
     /// Root side of the broadcast (invoked by the Dijkstra–Scholten hook).
-    /// The generation counter lives in [`crate::peer::SuperState`] so it
+    /// The generation counter lives outside the session entry so it
     /// survives a post-fixpoint re-wake of the session: the re-broadcast is
     /// strictly newer than any still-in-flight copy of the original.
     pub(crate) fn broadcast_fixpoint(
@@ -839,11 +811,9 @@ impl DbPeer {
         sid: SessionId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.sup.fixpoint_generation += 1;
-        let generation = self.sup.fixpoint_generation;
-        let me = self.id;
+        let generation = self.sessions.next_generation();
         ctx.send_to_many(
-            self.sup.all_nodes.iter().copied().filter(|n| *n != me),
+            self.sessions.others(self.id),
             ProtocolMsg::Fixpoint {
                 session: sid,
                 generation,
@@ -861,10 +831,7 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
     ) {
         let rule_id = rule.id;
-        self.install_rule(rule);
-        // As `forget_rule` does for the sessions in the table (this one is
-        // taken out while it is handled).
-        st.parts.retain(|(r, _), _| *r != rule_id);
+        self.replace_rule(Arc::new(rule), Some(st));
         if !st.upd.active {
             if sid.epoch == 0 {
                 return; // No session yet: queried at the next session start.
@@ -897,11 +864,10 @@ impl DbPeer {
         let Some(rule) = self.rules.remove(&rule_id) else {
             return;
         };
-        self.forget_rule(rule_id);
+        self.forget_rule(rule_id, Some(st));
         if st.upd.active {
             st.upd.suppress_flag_closure = true;
             for part in &rule.parts {
-                st.parts.remove(&(rule_id, part.node));
                 let unsubscribe = ProtocolMsg::Unsubscribe {
                     session: sid,
                     rule: rule_id,
@@ -916,11 +882,11 @@ impl DbPeer {
     /// session, not only the one the notification travelled in — one left
     /// behind would commit the cursor again when its session retires.
     pub(crate) fn on_unsubscribe(&mut self, st: &mut SessionState, from: NodeId, rule: RuleId) {
-        self.plans.remove(&rule);
-        st.subs.remove(&(from, rule));
-        for other in self.sessions.values_mut() {
-            other.subs.remove(&(from, rule));
+        self.compiled.plans.remove(&rule);
+        for st in self.sessions.live_mut(Some(st)) {
+            st.subs.remove(&(from, rule));
         }
-        self.drop_cursor((from, rule));
+        let log = self.storage.as_deref_mut().map(Durable::log);
+        self.subscriptions.unsubscribe((from, rule), log);
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! The update session is a first-class object: every session-tagged message
 //! carries a [`SessionId`] `(root, epoch)` and is routed to that session's
-//! entry in the peer's `DbPeer::sessions` table. Any number of sessions —
+//! entry in the peer's session table (`Sessions`). Any number of sessions —
 //! initiated by any nodes — run interleaved. Entries are **retired** when
 //! the session's terminal broadcast lands (`Fixpoint` in eager mode,
 //! `RoundsClosed` in rounds mode) — the table must be empty again after
@@ -36,23 +36,25 @@
 //! its not yet committed watermarks. Both update modes keep the last two in
 //! the same tables (`SessionState::parts`, `SessionState::subs`).
 //!
-//! **Per peer** is what a session leaves behind for the next one, under
-//! either mode, so that a session costs what changed, not what exists:
+//! **Per peer** (`Subscriptions`) is what a session leaves behind for the
+//! next one, under either mode, so that a session costs what changed, not
+//! what exists:
 //!
-//! * body side, `DbPeer::cursors` — per `(subscriber, rule)`, the
-//!   watermarks up to which that subscriber holds the fragment's extension,
-//!   fingerprinted by the fragment like `DbPeer::plans`. It exists from the
-//!   first subscription on (at zero: "holds nothing"), and it **is** the
+//! * body side, the cursors — per `(subscriber, rule)`, the watermarks up
+//!   to which that subscriber holds the fragment's extension, fingerprinted
+//!   by the fragment like the plan cache. It exists from the first
+//!   subscription on (at zero: "holds nothing"), and it **is** the
 //!   subscription between sessions;
-//! * head side, `DbPeer::held` — the `(rule, body node)` fragments this
+//! * head side, the `held` marks — the `(rule, body node)` fragments this
 //!   peer holds everything it was shipped of — and, for rules with more
-//!   than one body node only, `DbPeer::fragments`: the accumulated
+//!   than one body node only, the retained fragment rows: the accumulated
 //!   extension the other fragments' deltas are joined against. A
 //!   single-fragment rule chases each delta into the database and keeps
 //!   nothing.
 //!
 //! **Both ends commit only when the session that carried the rows retires**
-//! (`DbPeer::finish_session_event`), never at send or receive time: the
+//! (`Sessions::finish`, then `Subscriptions::commit`), never at send or
+//! receive time: the
 //! body node its cursor, the head its `held` mark — and only for a fragment
 //! that session *queried*. The terminal broadcast certifies that every
 //! answer of the session was applied: an eager `Fixpoint` follows
@@ -100,7 +102,8 @@
 //! the standing subscription already opened for it is answered from that
 //! subscription's state.
 //!
-//! Four rules keep silence unambiguous:
+//! Four rules keep silence unambiguous; each is a method of `Subscriptions`
+//! (named in brackets), and no other code touches what they guard:
 //!
 //! 1. **A body node that discards cursors unasked says so.** A peer that
 //!    restarts and cannot vouch for the cursors it served — it has no
@@ -118,18 +121,20 @@
 //!    not come back that way is a broadcast's — the store holds the
 //!    removals, not that nobody asked for them — and the broadcast covers
 //!    it: it reaches every rostered peer, which drops its own `held` marks.
+//!    (`discard` at a crash, an amnesiac restart or a broadcast; `recover`;
+//!    `owes_notice`; `commit` clears the debt; `voided_by` at the receiver.)
 //! 2. **A push is only as good as the head's `held` mark.** A head does not
 //!    apply a `pushed` answer for a fragment it does not hold (the rule was
 //!    replaced, the head restarted and its resync is not through, a notice
 //!    voided the mark): it makes sure the session queries the fragment in
 //!    full, and where it no longer has the rule at all it answers
-//!    `Unsubscribe`, so the orphaned cursor dies.
+//!    `Unsubscribe`, so the orphaned cursor dies. (`admit_push`.)
 //! 3. **A cursor that is reset is not removed.** Opening a subscription
 //!    from scratch leaves a zero cursor behind, so a head that comes to
 //!    hold the fragment through a session whose retirement the body node
 //!    missed (a lost broadcast) still finds a standing subscription — one
 //!    that ships everything, once. A repair of a fragment this peer has no
-//!    cursor for leaves one too, for the same reason.
+//!    cursor for leaves one too, for the same reason. (`start`.)
 //! 4. **Everything else that discards, the head asked for** and therefore
 //!    knows: `AddRule` / [`DbPeer::install_rule`] and `DeleteRule` drop the
 //!    rule's `held` marks, fragments and durable answer marks — and the
@@ -141,7 +146,8 @@
 //!    to zero; a crash clears the head side, and the restarted head holds
 //!    a fragment again only when it has absorbed the answer to its repair
 //!    query — which discards nothing at the body node: the answer starts no
-//!    later than the cursor, and the cursor stays.
+//!    later than the cursor, and the cursor stays. (`forget_rule`, with
+//!    `Sessions::forget_rule` for every live session; `unsubscribe`.)
 //!
 //! One invariant carries all of this across a restart of either end: **for
 //! every fragment a head holds, its body node's store has a cursor — for
@@ -154,7 +160,8 @@
 //! removal — is logged as it happens), and used where a peer comes back
 //! (see [`durability`]): the body node resumes from its store, the head
 //! from its log plus one delta, and the next session ships what was at
-//! risk.
+//! risk. `P2PSystem::check_subscriptions` checks it, and the per-peer rules
+//! (`Subscriptions::check`), on the rows themselves.
 //!
 //! ## A reply carries its request's acknowledgement
 //!
@@ -190,6 +197,8 @@ pub mod discovery;
 pub mod durability;
 pub mod eager;
 pub mod rounds;
+mod sessions;
+mod subscriptions;
 pub mod superpeer;
 pub mod tables;
 
@@ -197,16 +206,18 @@ use crate::config::{SystemConfig, UpdateMode};
 use crate::messages::{AnswerRows, ProtocolMsg, Via};
 use crate::rule::{CoordinationRule, RuleId};
 use crate::stats::{ClosedBy, PeerStats};
-use crate::termination::{AckDecision, DiffusingState, Disengage};
-use catalog::{CachedHead, CachedPlans};
+use crate::termination::{AckDecision, Disengage};
+use catalog::Compiled;
+use durability::Durable;
 use p2p_net::{Context, Peer, SessionId, SimTime};
 use p2p_relational::chase::{ChaseConfig, ChaseState};
-use p2p_relational::fxhash::{FxHashMap, FxHashSet};
-use p2p_relational::query::PlanCatalog;
+use p2p_relational::fxhash::FxHashSet;
 use p2p_relational::{ConstCatalog, Database, NullFactory, SymId, Tuple, Val};
 use p2p_topology::NodeId;
+use sessions::Sessions;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
+use subscriptions::Subscriptions;
 
 /// Virtual processing time charged per fragment row a handler evaluates:
 /// models query processing and drives the execution-time axis of the
@@ -221,121 +232,43 @@ pub(crate) use crate::messages::Marks;
 pub use discovery::DiscoveryState;
 pub use eager::{EagerState, Part, Subscription};
 pub use rounds::RoundsState;
-pub use superpeer::SuperState;
+pub use sessions::SessionState;
+pub use subscriptions::SeededFault;
 pub use tables::VecMap;
 
-/// Everything one peer holds for one update session only (see the module
-/// docs for what outlives it). One entry per interleaved session lives in
-/// `DbPeer::sessions`; the entry is created on first contact with the
-/// session's traffic and retired when the session's terminal broadcast
-/// lands.
-#[derive(Debug, Clone, Default)]
-pub struct SessionState {
-    /// The fragments this session listens to, per (rule, body node).
-    /// Answers are applied only for fragments in here (eager mode), and
-    /// replacing or deleting a rule drops its entries. Every entry is either
-    /// `queried` by this session or was held when it was registered;
-    /// retirement marks the queried ones held
-    /// (`DbPeer::finish_session_event`).
-    pub parts: VecMap<(RuleId, NodeId), Part>,
-    /// Subscriptions served, keyed by (subscriber, rule); retirement commits
-    /// each as the cursor of its key.
-    pub subs: VecMap<(NodeId, RuleId), Subscription>,
-    /// Eager-mode state: fragment completeness, closure flags.
-    pub upd: EagerState,
-    /// This session's own Dijkstra–Scholten detector — one diffusing
-    /// computation per session, as Dijkstra–Scholten intends.
-    pub ds: DiffusingState,
-    /// Rounds-mode state: round counter, echo tree, awaited answers.
-    pub rnd: RoundsState,
-    /// Root side: the root already broadcast for the current quiet period.
-    /// (The broadcast generation itself lives in
-    /// [`SuperState::fixpoint_generation`] so it survives a post-fixpoint
-    /// re-wake of the session.)
-    pub root_quiet: bool,
-    /// Terminal broadcast processed — the dispatcher moves the entry to
-    /// `DbPeer::done` instead of re-inserting it.
-    pub retired: bool,
+/// The chase's state at one peer: the fresh-null mint for existential head
+/// variables and the chase bookkeeping (null depths, per-row buffers).
+/// Reset together at a crash, written together into a checkpoint, and
+/// taken back together from a store.
+#[derive(Debug)]
+pub(crate) struct Nulls {
+    pub(crate) mint: NullFactory,
+    pub(crate) chase: ChaseState,
 }
 
-impl SessionState {
-    /// The peer joined this session (as opposed to an entry created as a
-    /// side effect of a dropped or ignored message).
-    pub fn joined(&self) -> bool {
-        self.upd.active || self.rnd.active
-    }
-
-    /// `state_u == closed` for this session under the given mode.
-    pub fn closed(&self, mode: UpdateMode) -> bool {
-        match mode {
-            UpdateMode::Eager => self.upd.closed,
-            UpdateMode::Rounds => self.rnd.closed,
-        }
-    }
-
-    /// Currently participating and not yet closed.
-    pub fn open(&self, mode: UpdateMode) -> bool {
-        self.joined() && !self.closed(mode)
-    }
-
-    /// Nothing worth keeping: never joined and not engaged in termination
-    /// detection. Entries created as a side effect of dropped or ignored
-    /// messages are swept through this.
-    fn vacant(&self) -> bool {
-        !self.joined() && !self.ds.engaged() && self.ds.deficit() == 0
-    }
-}
-
-/// Body side of a subscription between sessions: how much of one rule
-/// fragment one subscriber holds. Committed when a session retires.
-#[derive(Debug, Clone)]
-pub(crate) struct Cursor {
-    /// The fragment the watermarks were advanced for (the fingerprint, as
-    /// in [`CachedPlans`]), shared with the subscription it was committed
-    /// from.
-    pub(crate) part: Arc<crate::rule::BodyPart>,
-    /// Watermarks of the fragment's relations: the subscriber holds every
-    /// row derivable from the facts below them.
-    pub(crate) watermarks: Marks,
-    /// Rows shipped on the subscription so far, over all its sessions (the
-    /// `rows_saved` statistic: what a full re-ship would re-send).
-    pub(crate) rows: usize,
-}
-
-impl Cursor {
-    /// The cursor of a subscriber that holds nothing of `part`: resuming
-    /// from it ships the full extension.
-    pub(crate) fn zero(part: Arc<crate::rule::BodyPart>) -> Self {
-        Cursor {
-            part,
-            watermarks: Marks::new(),
-            rows: 0,
+impl Nulls {
+    fn new(node: NodeId) -> Self {
+        Nulls {
+            mint: NullFactory::new(node.0),
+            chase: ChaseState::new(),
         }
     }
 }
 
-/// A deliberate corruption of one peer's subscription state — each the
-/// residue of a bug the protocol must not have — for the tests that show
-/// the oracle comparison catches it (`tests/proptest_protocol.rs`). Not
-/// part of the protocol; nothing in the program seeds one.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeededFault {
-    /// The cursor-void notice this peer owes is never sent.
-    ForgetVoidNotice,
-    /// Every fragment of this peer's rules counts as held, whatever became
-    /// of the rule or of the rows.
-    HoldEverything,
-    /// Every committed cursor claims the subscriber holds everything the
-    /// database derives right now.
-    CursorsToNow,
-    /// Armed until the next restart: the cursors the store gives back are
-    /// set to now, as if the restart itself had shipped what lay between.
-    RecoveredCursorsToNow,
-    /// Armed until the next restart: the peer holds every fragment of its
-    /// rules from the moment it is back, without asking a body node for
-    /// what its log does not cover.
-    HoldWithoutResync,
+/// Per-pipe state: the neighbours, and what each is known to know of the
+/// dictionary.
+#[derive(Debug, Default)]
+pub(crate) struct Pipes {
+    /// Pipe neighbours (rule sources *and* rule targets, Section 5). Static
+    /// configuration: a crash keeps them, a rule-file broadcast recomputes
+    /// them.
+    pub(crate) nodes: BTreeSet<NodeId>,
+    /// The interned symbols each neighbour is known to know (we shipped
+    /// them a definition, or they shipped us one). Drives the first-use
+    /// dictionary deltas in [`DbPeer::make_answer_rows`] — each constant
+    /// string crosses each pipe at most once. Volatile: a crash forgets it
+    /// and later answers conservatively re-ship.
+    pub(crate) known: VecMap<NodeId, FxHashSet<SymId>>,
 }
 
 /// A database peer: local database, coordination rules targeting it, and
@@ -344,63 +277,27 @@ pub enum SeededFault {
 pub struct DbPeer {
     /// This node's id.
     pub(crate) id: NodeId,
-    /// Whether this node is the designated super-peer.
-    pub(crate) is_super: bool,
     /// Run configuration (shared across the network).
     pub(crate) config: SystemConfig,
     /// The local database (`LDB`).
     pub(crate) db: Database,
-    /// Fresh-null mint for existential head variables.
-    pub(crate) nulls: NullFactory,
-    /// Chase bookkeeping (null depths).
-    pub(crate) chase: ChaseState,
+    /// Fresh-null mint and chase bookkeeping.
+    pub(crate) nulls: Nulls,
     /// Coordination rules whose head is this node (the paper: "initially
     /// each node knows all rules of which it is a target"). Shared, so a
     /// handler that needs a rule while it mutates the peer holds a refcount,
     /// not a copy.
     pub(crate) rules: BTreeMap<RuleId, Arc<CoordinationRule>>,
-    /// The system's catalog of compiled plans and heads, shared by every
-    /// peer of one build ([`catalog`]); a peer made on its own has its own.
-    /// Consulted only where a plan or head would otherwise be compiled.
-    pub(crate) catalog: Arc<PlanCatalog>,
-    /// Compiled plans, one entry per rule this peer evaluates a body
-    /// fragment for (head rules *and* fragments received via subscriptions
-    /// or waves): `Arc`s into `catalog`, shared with every peer that serves
-    /// a fragment of the same shape. Validated against the fragment on
-    /// every hit; invalidated on `AddRule`/`DeleteRule`/`Unsubscribe`.
-    /// Volatile: a crash drops them and the next evaluation takes them from
-    /// `catalog` again.
-    pub(crate) plans: FxHashMap<RuleId, CachedPlans>,
-    /// Compiled heads, one entry per rule of this peer that derived a
-    /// binding: `Arc`s into `catalog`, like `plans`. Validated against the
-    /// rule and the binding layout on every hit; dropped with the rule.
-    /// Volatile, like `plans`.
-    pub(crate) heads: FxHashMap<RuleId, CachedHead>,
-    /// Body side, per `(subscriber, rule)`: the committed delta cursor of
-    /// each subscription this peer served (module docs). Bounded by rules ×
-    /// neighbours. A durable peer logs every move a subscriber may rely on
-    /// (`DbPeer::set_cursor`, `DbPeer::drop_cursor`) and takes the cursors
-    /// back from its store at a restart.
-    pub(crate) cursors: VecMap<(NodeId, RuleId), Cursor>,
-    /// Head side: the `(rule, body node)` fragments of this peer's own
-    /// rules of which it holds everything it was shipped — marked when a
-    /// session that queried them retires (module docs). Volatile.
-    pub(crate) held: BTreeSet<(RuleId, NodeId)>,
-    /// Head side, per `(rule, body node)` of the rules with more than one
-    /// body node: the rows that body node shipped so far, deduplicated, in
-    /// arrival order — the order the semi-naive join stages from, so join
-    /// output, insertion order and shipped rows stay deterministic. Every
-    /// answer's rows go in through [`crate::joins::VarRows::merge`].
-    /// Volatile; a durable peer re-primes it from its answer log.
-    pub(crate) fragments: VecMap<(RuleId, NodeId), crate::joins::VarRows>,
-    /// Body side: this peer discarded `cursors` without its subscribers
-    /// having asked — or came back unable to vouch for them — and owes
-    /// every pipe neighbour a
-    /// [`ProtocolMsg::CursorVoid`] with the next flood it sees. Cleared when
-    /// a session that carried the notice retires (module docs).
-    pub(crate) void_owed: bool,
-    /// Pipe neighbours (rule sources *and* rule targets, Section 5).
-    pub(crate) pipes: BTreeSet<NodeId>,
+    /// Compiled plans and heads, taken from the system's catalog
+    /// ([`catalog`]).
+    pub(crate) compiled: Compiled,
+    /// What outlives a session on both ends of every subscription —
+    /// cursors, held fragments, retained fragment rows, the cursor-void
+    /// debt, repairs under way — and the four rules that keep silence
+    /// unambiguous ([`subscriptions`]).
+    pub(crate) subscriptions: Subscriptions,
+    /// Pipe neighbours and per-pipe dictionary state.
+    pub(crate) pipes: Pipes,
     /// Whether this node lies on a dependency cycle (used by rounds mode to
     /// decide deferred vs. immediate wave answers; `true` is always safe).
     pub(crate) in_cycle: bool,
@@ -408,38 +305,16 @@ pub struct DbPeer {
     pub(crate) stats: PeerStats,
     /// Discovery protocol state.
     pub(crate) disc: DiscoveryState,
-    /// Per-session protocol state, keyed by session identity. The heart of
-    /// the concurrent control plane: each interleaved session lives in its
-    /// own entry and is retired on fix-point. Flat sorted-vec table
-    /// ([`VecMap`]): epochs grow monotonically, so inserts land at the end.
-    pub(crate) sessions: VecMap<SessionId, SessionState>,
-    /// Sessions that closed and retired here, with the rounds executed
-    /// (0 in eager mode) — the summary reports and supersession read.
-    pub(crate) done: VecMap<SessionId, u32>,
-    /// Super-peer driver state.
-    pub(crate) sup: SuperState,
+    /// Per-session protocol state, the sessions retired here and the
+    /// super-peer's driver state ([`sessions`]).
+    pub(crate) sessions: Sessions,
     /// Errors recorded during handlers (runtime handlers cannot return
     /// `Result`; the system driver surfaces these after the run).
     pub(crate) errors: Vec<String>,
     /// Durable store (WAL + snapshots) when `SystemConfig::durability` is
     /// on; `None` = the amnesia baseline, where a crash loses everything.
     /// Boxed, so a peer without one pays a pointer, not the store's size.
-    pub(crate) storage: Option<Box<durability::Durable>>,
-    /// Repair queries sent after a restart whose answers have not arrived
-    /// yet, keyed by the session they repair, with the watermark each was
-    /// asked from. While non-empty the peer refuses to close **any**
-    /// session (a lost resync message must stall, never silently lose
-    /// data) and re-sends on every session (re-)entry — at-least-once
-    /// delivery, idempotent at both ends.
-    pub(crate) pending_resync: BTreeMap<(SessionId, RuleId, NodeId), Marks>,
-    /// Per-pipe dictionary state: the interned symbols each neighbour is
-    /// known to know (we shipped them a definition, or they shipped us one).
-    /// Drives the first-use dictionary deltas in [`DbPeer::make_answer_rows`]
-    /// — each constant string crosses each pipe at most once. Volatile: a
-    /// crash forgets it and later answers conservatively re-ship.
-    pub(crate) sym_sent: VecMap<NodeId, FxHashSet<SymId>>,
-    /// A [`SeededFault`] that does its damage at the next restart.
-    pub(crate) armed_fault: Option<SeededFault>,
+    pub(crate) storage: Option<Box<Durable>>,
 }
 
 impl DbPeer {
@@ -447,31 +322,19 @@ impl DbPeer {
     pub fn new(id: NodeId, db: Database, config: SystemConfig) -> Self {
         DbPeer {
             id,
-            is_super: false,
             config,
             db,
-            nulls: NullFactory::new(id.0),
-            chase: ChaseState::new(),
+            nulls: Nulls::new(id),
             rules: BTreeMap::new(),
-            catalog: Arc::default(),
-            plans: FxHashMap::default(),
-            heads: FxHashMap::default(),
-            cursors: VecMap::default(),
-            held: BTreeSet::new(),
-            fragments: VecMap::default(),
-            void_owed: false,
-            pipes: BTreeSet::new(),
+            compiled: Compiled::default(),
+            subscriptions: Subscriptions::default(),
+            pipes: Pipes::default(),
             in_cycle: true,
             stats: PeerStats::default(),
             disc: DiscoveryState::default(),
-            sessions: VecMap::default(),
-            done: VecMap::default(),
-            sup: SuperState::default(),
+            sessions: Sessions::default(),
             errors: Vec::new(),
             storage: None,
-            pending_resync: BTreeMap::new(),
-            sym_sent: VecMap::default(),
-            armed_fault: None,
         }
     }
 
@@ -479,15 +342,14 @@ impl DbPeer {
     /// session; the super-peer additionally answers driver commands like
     /// statistics collection and rule broadcast).
     pub fn make_super(&mut self, all_nodes: impl Into<Arc<[NodeId]>>) {
-        self.is_super = true;
-        self.sup.all_nodes = all_nodes.into();
+        self.sessions.set_roster(all_nodes.into(), true);
     }
 
     /// Installs the node roster. The roster is `Arc`-shared: the system
     /// builder hands every peer the same allocation, so building n peers
     /// costs n refcounts, not n copies of an n-entry list.
     pub fn set_roster(&mut self, all_nodes: impl Into<Arc<[NodeId]>>) {
-        self.sup.all_nodes = all_nodes.into();
+        self.sessions.set_roster(all_nodes.into(), false);
     }
 
     /// Installs a rule with head at this node. Whatever was cached under
@@ -495,12 +357,21 @@ impl DbPeer {
     /// durable peer records for that commits with the running delivery, or
     /// — called from outside one — at the caller's [`DbPeer::commit`].
     pub fn install_rule(&mut self, rule: impl Into<Arc<CoordinationRule>>) {
-        let rule = rule.into();
+        self.replace_rule(rule.into(), None);
+    }
+
+    /// [`DbPeer::install_rule`], with `handled` the session taken out of
+    /// the table while its `AddRule` is handled.
+    pub(crate) fn replace_rule(
+        &mut self,
+        rule: Arc<CoordinationRule>,
+        handled: Option<&mut SessionState>,
+    ) {
         debug_assert_eq!(rule.head_node, self.id);
         for p in &rule.parts {
-            self.pipes.insert(p.node);
+            self.pipes.nodes.insert(p.node);
         }
-        self.forget_rule(rule.id);
+        self.forget_rule(rule.id, handled);
         self.rules.insert(rule.id, rule);
     }
 
@@ -509,50 +380,27 @@ impl DbPeer {
     /// answer marks logged for the rule would otherwise prime the next
     /// restart with another rule's rows and watermarks — so the next
     /// `Query` of each fragment goes out without `resume`. The live
-    /// sessions forget that they queried the rule, and a resync under way
-    /// that it was asked for: what their subscriptions still deliver
-    /// belongs to the state just dropped.
-    pub(crate) fn forget_rule(&mut self, rule: RuleId) {
-        self.plans.remove(&rule);
-        self.heads.remove(&rule);
+    /// sessions (`handled` among them) forget that they queried the rule,
+    /// and a resync under way that it was asked for: what their
+    /// subscriptions still deliver belongs to the state just dropped.
+    pub(crate) fn forget_rule(&mut self, rule: RuleId, handled: Option<&mut SessionState>) {
+        self.compiled.forget(rule);
         self.log_forget_rule(rule);
-        self.pending_resync.retain(|(_, r, _), _| *r != rule);
-        self.held.retain(|(r, _)| *r != rule);
-        self.fragments.retain(|(r, _), _| *r != rule);
-        for st in self.sessions.values_mut() {
-            st.parts.retain(|(r, _), _| *r != rule);
-        }
+        self.subscriptions.forget_rule(rule);
+        self.sessions.forget_rule(rule, handled);
     }
 
     /// Corrupts the subscription state as `fault` describes.
     #[doc(hidden)]
     pub fn seed_fault(&mut self, fault: SeededFault) {
-        match fault {
-            SeededFault::ForgetVoidNotice => self.void_owed = false,
-            SeededFault::HoldEverything => {
-                let fragments =
-                    (self.rules.values()).flat_map(|r| r.parts.iter().map(move |p| (r.id, p.node)));
-                self.held.extend(fragments);
-            }
-            SeededFault::CursorsToNow => {
-                let now: Vec<Marks> = (self.cursors.values())
-                    .map(|c| self.part_marks(&c.part))
-                    .collect();
-                for (cursor, marks) in self.cursors.values_mut().zip(now) {
-                    cursor.watermarks = marks;
-                }
-            }
-            SeededFault::RecoveredCursorsToNow | SeededFault::HoldWithoutResync => {
-                self.armed_fault = Some(fault)
-            }
-        }
+        self.subscriptions.seed_fault(fault, &self.rules, &self.db);
     }
 
     /// Registers a pipe neighbour (rule sources learn their targets when the
     /// target opens the pipe).
     pub fn add_pipe(&mut self, neighbor: NodeId) {
         if neighbor != self.id {
-            self.pipes.insert(neighbor);
+            self.pipes.nodes.insert(neighbor);
         }
     }
 
@@ -593,9 +441,9 @@ impl DbPeer {
     /// never saw any session (or whose sessions are stranded open) reads
     /// `false`.
     pub fn update_closed(&self) -> bool {
-        let joined: Vec<&SessionState> = self.sessions.values().filter(|st| st.joined()).collect();
+        let joined: Vec<&SessionState> = self.sessions.live().filter(|st| st.joined()).collect();
         if joined.is_empty() {
-            !self.done.is_empty()
+            self.sessions.len().1 > 0
         } else {
             joined.iter().all(|st| st.closed(self.config.mode))
         }
@@ -606,54 +454,54 @@ impl DbPeer {
     /// never reached by the session read `false` (Lemma 1: closed ⇔
     /// fix-point reached *here*).
     pub fn session_closed(&self, sid: SessionId) -> bool {
-        match self.sessions.get(&sid) {
+        match self.sessions.get(sid) {
             Some(st) => st.joined() && st.closed(self.config.mode),
-            None => self.done.contains_key(&sid),
+            None => self.sessions.completed(sid).is_some(),
         }
     }
 
     /// Rounds executed for one session at this peer (0 in eager mode or if
     /// unknown).
     pub fn session_rounds(&self, sid: SessionId) -> u32 {
-        match self.sessions.get(&sid) {
+        match self.sessions.get(sid) {
             Some(st) => st.rnd.rounds_done,
-            None => self.done.get(&sid).copied().unwrap_or(0),
+            None => self.sessions.completed(sid).unwrap_or(0),
         }
     }
 
     /// The current round of one session (rounds-mode redrive probe).
     pub fn session_round(&self, sid: SessionId) -> u32 {
-        self.sessions.get(&sid).map(|st| st.rnd.round).unwrap_or(0)
+        self.sessions.get(sid).map(|st| st.rnd.round).unwrap_or(0)
     }
 
     /// Live session-table entries. The retirement invariant every test can
     /// lean on: after all sessions reach their fix-point, this is 0 — no
     /// leaked `DiffusingState`, subscriptions or wave state.
     pub fn session_table_len(&self) -> usize {
-        self.sessions.len()
+        self.sessions.len().0
     }
 
     /// Entries of the two per-peer tables that outlive sessions: committed
     /// subscription cursors and held rule fragments. Bounded by rules ×
     /// neighbours, whatever the number of sessions.
     pub fn retained_entries(&self) -> (usize, usize) {
-        (self.cursors.len(), self.held.len())
+        self.subscriptions.retained_entries()
     }
 
     /// Fragment rows retained across sessions (rules with more than one
     /// body node only).
     pub fn retained_rows(&self) -> usize {
-        self.fragments.values().map(|c| c.rows.len()).sum()
+        self.subscriptions.retained_rows()
     }
 
     /// Read access to one live session entry (assertions).
     pub fn session_state(&self, sid: SessionId) -> Option<&SessionState> {
-        self.sessions.get(&sid)
+        self.sessions.get(sid)
     }
 
     /// Sessions that completed and retired at this peer.
     pub fn sessions_done(&self) -> usize {
-        self.done.len()
+        self.sessions.len().1
     }
 
     /// How the node closed (most recent closure event).
@@ -753,14 +601,12 @@ impl DbPeer {
         // Disjoint field borrows: the cached plan is read while the
         // database is mutably borrowed (index creation only).
         let DbPeer {
-            catalog,
-            plans,
+            compiled,
             db,
             stats,
             ..
         } = self;
-        let hits = &mut stats.plan_cache_hits;
-        let body = CachedPlans::fetch(plans, catalog, rule, part, db, watermarks, hits)?;
+        let body = compiled.body(rule, part, db, watermarks, &mut stats.plan_cache_hits)?;
         let mut metrics = crate::joins::EvalMetrics::default();
         let rows = match watermarks {
             Some(w) => crate::joins::eval_part_delta_planned(body, part, db, w, true, &mut metrics),
@@ -771,23 +617,9 @@ impl DbPeer {
         rows
     }
 
-    /// The local database's insertion watermarks of the relations `part`
-    /// reads — the cursor currency of every delta stream. Other relations
-    /// cannot change the fragment's extension, and a missing entry already
-    /// reads as "the whole relation is new", so nothing else is carried.
-    pub(crate) fn part_marks(&self, part: &crate::rule::BodyPart) -> Marks {
-        part.atoms
-            .iter()
-            .filter_map(|a| {
-                let len = self.db.relation(&a.relation).ok()?.len();
-                Some((a.relation.clone(), len))
-            })
-            .collect()
-    }
-
     /// Whether some relation `part` reads holds a row count other than its
     /// entry in `marks` (a missing entry included): only then can a delta
-    /// from `marks` be non-empty, or [`DbPeer::part_marks`] read anything
+    /// from `marks` be non-empty, or [`part_marks`] read anything
     /// but `marks`. A relation the database lacks counts, so that evaluation
     /// reports it.
     pub(crate) fn grew_past(&self, part: &crate::rule::BodyPart, marks: &Marks) -> bool {
@@ -820,26 +652,10 @@ impl DbPeer {
             let holds = crate::joins::join_filter(vars, &rule.join_constraints);
             return self.apply_rule_bindings(&rule, vars, rows.filter(|row| holds(row)));
         }
-        let cache = self.fragments.or_default((rule_id, from));
-        let Some(since) = cache.merge(vars, rows) else {
-            return 0;
-        };
-        let empty = crate::joins::VarRows::default();
-        let staged: Vec<crate::joins::PartDelta<'_>> = (rule.parts.iter())
-            .map(|p| {
-                let full = self.fragments.get(&(rule_id, p.node)).unwrap_or(&empty);
-                crate::joins::PartDelta {
-                    full: full.view(),
-                    since: if p.node == from {
-                        since
-                    } else {
-                        full.rows.len()
-                    },
-                }
-            })
-            .collect();
-        let bindings = crate::joins::join_parts_seminaive(&staged, &rule.join_constraints);
-        self.apply_rule_bindings(&rule, &bindings.vars, bindings.rows.iter())
+        match self.subscriptions.absorb(&rule, from, vars, rows) {
+            Some(bindings) => self.apply_rule_bindings(&rule, &bindings.vars, bindings.rows.iter()),
+            None => 0,
+        }
     }
 
     /// Chases already-joined binding rows over `vars` for `rule` into the
@@ -858,18 +674,17 @@ impl DbPeer {
         }
         let DbPeer {
             config,
-            catalog,
-            heads,
+            compiled,
             db,
             nulls,
-            chase,
             ..
         } = self;
         let cfg = ChaseConfig {
             max_null_depth: config.max_null_depth,
         };
-        let outcome = CachedHead::fetch(heads, catalog, rule, vars, db.schema())
-            .and_then(|head| Ok(head.apply_rows(db, rows, nulls, chase, &cfg)?));
+        let Nulls { mint, chase } = nulls;
+        let outcome = (compiled.head(rule, vars, db.schema()))
+            .and_then(|head| Ok(head.apply_rows(db, rows, mint, chase, &cfg)?));
         match outcome {
             Ok(outcome) => {
                 self.stats.tuples_inserted += outcome.inserted.len() as u64;
@@ -897,13 +712,13 @@ impl DbPeer {
         let mut null_depths = Vec::new();
         let mut seen = HashSet::new();
         for t in &rows {
-            for (id, depth) in self.chase.depths_for(t) {
+            for (id, depth) in self.nulls.chase.depths_for(t) {
                 if seen.insert(id) {
                     null_depths.push((id, depth));
                 }
             }
         }
-        let known = self.sym_sent.or_default(to);
+        let known = self.pipes.known.or_default(to);
         let fresh: Vec<SymId> = rows
             .iter()
             .flat_map(|t| t.values())
@@ -922,7 +737,7 @@ impl DbPeer {
             // `peer::durability`). Without it nobody would log them, so the
             // map (and its wire bytes) stays empty.
             marks: if self.config.durability {
-                self.part_marks(part)
+                part_marks(&self.db, part)
             } else {
                 BTreeMap::new()
             },
@@ -951,7 +766,7 @@ impl DbPeer {
                 *id = remap.map(*id);
             }
         }
-        let known = self.sym_sent.or_default(from);
+        let known = self.pipes.known.or_default(from);
         known.extend(rows.dict.iter().map(|(id, _)| *id));
     }
 
@@ -1021,40 +836,6 @@ impl DbPeer {
     // Session dispatch
     // ----------------------------------------------------------------
 
-    /// True iff traffic of `sid` is stale here: a newer session of the same
-    /// root is already known (live or completed) — the supersession
-    /// relation that retires churn-stranded epochs. `SessionId` orders
-    /// root-first, so one range probe past `sid` answers this in
-    /// O(log sessions) instead of scanning both maps.
-    fn session_is_stale(&self, sid: SessionId) -> bool {
-        fn newer_same_root<V>(map: &VecMap<SessionId, V>, sid: SessionId) -> bool {
-            map.range((
-                std::ops::Bound::Excluded(sid),
-                std::ops::Bound::Included(SessionId::new(sid.root, u64::MAX)),
-            ))
-            .next()
-            .is_some()
-        }
-        newer_same_root(&self.sessions, sid) || newer_same_root(&self.done, sid)
-    }
-
-    /// Retires live entries of older same-root sessions when `sid`'s first
-    /// message arrives: a churn-stranded epoch can leave a permanent
-    /// Dijkstra–Scholten deficit (acks addressed to a crashed peer were
-    /// dropped), which would otherwise leak and wedge nothing — but the
-    /// table must not grow without bound. Re-drives start from quiescence,
-    /// so nothing of the old session is in flight and dropping is safe.
-    fn supersede_older(&mut self, sid: SessionId) {
-        let older: Vec<SessionId> = self
-            .sessions
-            .range(SessionId::new(sid.root, 0)..sid)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in older {
-            self.sessions.remove(&k);
-        }
-    }
-
     /// Message kinds that may re-create state for a completed session: a
     /// dynamic change arriving after the fix-point broadcast legitimately
     /// re-opens the session (the root then re-quiesces and re-broadcasts).
@@ -1110,79 +891,25 @@ impl DbPeer {
         }
     }
 
-    /// Re-inserts a session entry after an event, retiring it if its
-    /// terminal broadcast was processed and sweeping placeholder entries
-    /// that hold nothing. The `done` summary keeps only the newest
-    /// completed epoch per root — staleness and reporting both read the
-    /// newest entry, so a long-lived system's summary stays bounded by its
-    /// root count, not its session count.
-    ///
-    /// Retirement is also where the session **commits** (module docs), under
+    /// Puts a session entry back after an event ([`Sessions::finish`]).
+    /// Retirement is where the session **commits** (module docs), under
     /// either mode — its subscriptions their cursors, its queried fragments
     /// as held, its cursor-void notice as delivered: the terminal broadcast
     /// certifies that every answer was applied, and every notice delivered.
-    ///
-    /// Only a fragment the session **queried** becomes held. The others in
-    /// `parts` were registered because they were held already, and a rule
-    /// change or a cursor-void notice that un-held one since must stay in
-    /// force: each either dropped the entry (`DbPeer::forget_rule`) or had
-    /// this session query the fragment after all, or the next session will.
-    fn finish_session_event(&mut self, sid: SessionId, st: SessionState) {
-        if st.retired {
-            if !self.config.paper_faithful {
-                let queried = st.parts.iter().filter(|(_, part)| part.queried);
-                self.held.extend(queried.map(|(key, _)| *key));
-                if st.upd.void_sent {
-                    self.void_owed = false;
-                }
-                for (key, sub) in st.subs {
-                    // Interleaved sessions retire in any order; watermarks
-                    // are snapshots of one growing database, so the later
-                    // snapshot dominates and is the one to keep.
-                    let newer = self.cursors.get(&key).is_none_or(|c| {
-                        c.part != sub.part
-                            || c.watermarks
-                                .iter()
-                                .all(|(rel, w)| sub.watermarks.get(rel).is_some_and(|n| n >= w))
-                    });
-                    if newer {
-                        let shipped = !sub.sent.is_empty();
-                        let cursor = Cursor {
-                            rows: sub.resumed_rows + sub.sent.len(),
-                            part: sub.part,
-                            watermarks: sub.watermarks,
-                        };
-                        self.set_cursor(key, cursor, shipped);
-                    }
-                }
-            }
-            let superseded: Vec<SessionId> = self
-                .done
-                .range(SessionId::new(sid.root, 0)..sid)
-                .map(|(k, _)| *k)
-                .collect();
-            for k in superseded {
-                self.done.remove(&k);
-            }
-            self.done.insert(sid, st.rnd.rounds_done);
-            // The last live session gone, its slot goes too: a table kept
-            // at capacity would hold a whole `SessionState` per peer
-            // between sessions. (`VecMap::remove`, on every message, keeps
-            // the capacity the next re-insert needs.)
-            if self.sessions.is_empty() {
-                self.sessions = VecMap::default();
-            }
-        } else if !st.vacant() {
-            self.sessions.insert(sid, st);
+    fn finish_session_event(&mut self, sid: SessionId, st: SessionState, completed: Option<u32>) {
+        let retired = self.sessions.finish(sid, st, completed);
+        if let Some(st) = retired.filter(|_| !self.config.paper_faithful) {
+            let log = self.storage.as_deref_mut().map(Durable::log);
+            self.subscriptions.commit(st, log);
         }
     }
 
     /// Dijkstra–Scholten ack fast path: debits the session's detector.
     fn on_ack(&mut self, from: NodeId, sid: SessionId, ctx: &mut Context<ProtocolMsg>) {
-        if let Some(mut st) = self.sessions.remove(&sid) {
+        if let Some(mut st) = self.sessions.take_live(sid) {
             self.debit(&mut st, from, sid, true);
             self.after_event(&mut st, sid, ctx);
-            self.finish_session_event(sid, st);
+            self.finish_session_event(sid, st, None);
         }
     }
 
@@ -1215,21 +942,19 @@ impl DbPeer {
         // requester may be reconciling an epoch the redrive already
         // superseded, or a fragment never durably answered under any
         // session), so both directions bypass the staleness rules below and
-        // run on a detached session state — a dropped repair would leave
-        // `pending_resync` outstanding forever and wedge every later
-        // closure.
+        // run on a detached session state — a dropped repair would stay
+        // outstanding forever and wedge every later closure.
         let repair = msg.via() == Some(Via::Repair);
-        let retired = self.done.contains_key(&sid) && !Self::can_rewake(&msg);
-        if !repair && (retired || self.session_is_stale(sid)) {
+        let retired = self.sessions.completed(sid).is_some() && !Self::can_rewake(&msg);
+        if !repair && (retired || self.sessions.is_stale(sid)) {
             self.acknowledge_stale(from, sid, msg, ctx);
             return;
         }
-        let (mut st, mut completed) = (SessionState::default(), None);
-        if !repair {
-            self.supersede_older(sid);
-            completed = self.done.remove(&sid);
-            st = self.sessions.remove(&sid).unwrap_or_default();
-        }
+        let (mut st, completed) = if repair {
+            Default::default()
+        } else {
+            self.sessions.take(sid)
+        };
         let ack = if self.config.mode == UpdateMode::Eager && msg.is_basic() {
             Some(st.ds.on_receive(from))
         } else {
@@ -1275,14 +1000,7 @@ impl DbPeer {
             self.debit(&mut st, from, sid, counted);
         }
         self.after_event(&mut st, sid, ctx);
-        match completed {
-            // The message could have re-woken the completed session but did
-            // not (a `DeleteRule` re-joins nothing): it is still complete.
-            Some(rounds) if st.vacant() => {
-                self.done.insert(sid, rounds);
-            }
-            _ => self.finish_session_event(sid, st),
-        }
+        self.finish_session_event(sid, st, completed);
     }
 
     /// Handles one delivered message; `on_message` commits what it recorded.
@@ -1345,6 +1063,16 @@ impl Peer<ProtocolMsg> for DbPeer {
     }
 }
 
+/// `db`'s insertion watermarks of the relations `part` reads — the cursor
+/// currency of every delta stream. Other relations cannot change the
+/// fragment's extension, and a missing entry already reads as "the whole
+/// relation is new", so nothing else is carried.
+pub(crate) fn part_marks(db: &Database, part: &crate::rule::BodyPart) -> Marks {
+    (part.atoms.iter())
+        .filter_map(|a| Some((a.relation.clone(), db.relation(&a.relation).ok()?.len())))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1379,8 +1107,12 @@ mod tests {
         // What the peer holds for `part` is the catalog's plan for it.
         let held_from_catalog = |peer: &DbPeer, part: &crate::rule::BodyPart| {
             let (atoms, constraints) = (&part.atoms, &part.local_constraints);
-            let shared = peer.catalog.body(atoms, constraints, &peer.db).unwrap();
-            Arc::ptr_eq(&peer.plans[&id].body.full, &shared.full)
+            let shared = peer
+                .compiled
+                .catalog
+                .body(atoms, constraints, &peer.db)
+                .unwrap();
+            Arc::ptr_eq(&peer.compiled.plans[&id].body.full, &shared.full)
         };
 
         assert_eq!(peer.eval_part_rows(id, &old, None).unwrap().len(), 2);
@@ -1395,7 +1127,7 @@ mod tests {
         assert!(held_from_catalog(&peer, &new) && !held_from_catalog(&peer, &old));
         assert_eq!(peer.eval_part_rows(id, &new, None).unwrap(), rows);
         assert_eq!(peer.stats.plan_cache_hits, 2);
-        assert_eq!(peer.catalog.len(), 2, "one plan per fragment");
+        assert_eq!(peer.compiled.catalog.len(), 2, "one plan per fragment");
     }
 
     /// A crash drops what the peer holds of the catalog, not the catalog:
@@ -1419,7 +1151,7 @@ mod tests {
         let (id, part) = (r.id, &r.parts[0]);
         let held = |peer: &mut DbPeer| {
             assert_eq!(peer.eval_part_rows(id, part, None).unwrap().len(), 1);
-            Arc::clone(&peer.plans[&id].body.full)
+            Arc::clone(&peer.compiled.plans[&id].body.full)
         };
 
         // `b` is the smaller relation, so it goes first.
@@ -1429,7 +1161,7 @@ mod tests {
         assert_eq!(first, own.full);
         let references = Arc::strong_count(&first);
         peer.on_crash();
-        assert!(peer.plans.is_empty() && peer.heads.is_empty());
+        assert!(peer.compiled.plans.is_empty() && peer.compiled.heads.is_empty());
         assert_eq!(Arc::strong_count(&first), references - 1, "dropped");
         peer.on_restart(&mut Context::new(p2p_net::SimTime::ZERO, B));
         fill(&mut peer, 1, 2);
@@ -1446,7 +1178,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&second, &first));
         let own = crate::joins::CompiledBody::compile(&part.atoms, &[], &peer.db).unwrap();
         assert_eq!(second, own.full);
-        assert_eq!(peer.catalog.len(), 2);
+        assert_eq!(peer.compiled.catalog.len(), 2);
 
         let session = SessionId::new(A, 1);
         deliver(
@@ -1455,7 +1187,7 @@ mod tests {
             ProtocolMsg::Unsubscribe { session, rule: id },
             false,
         );
-        assert!(!peer.plans.contains_key(&id), "unsubscribed");
+        assert!(!peer.compiled.plans.contains_key(&id), "unsubscribed");
     }
 
     /// The body side of one subscription over three sessions: the cursor
@@ -1525,7 +1257,11 @@ mod tests {
         assert_eq!(session(&mut peer, &copy, false, false), 1, "first contact");
         assert_eq!(peer.retained_entries().0, 1);
         assert!(
-            peer.cursors[&(head, rule)].watermarks.is_empty(),
+            peer.subscriptions
+                .cursor((head, rule))
+                .unwrap()
+                .watermarks
+                .is_empty(),
             "sent is not committed"
         );
         assert_eq!(
@@ -1534,7 +1270,12 @@ mod tests {
             "resumed from zero: everything"
         );
         assert!(
-            !peer.cursors[&(head, rule)].watermarks.is_empty(),
+            !peer
+                .subscriptions
+                .cursor((head, rule))
+                .unwrap()
+                .watermarks
+                .is_empty(),
             "retired is committed"
         );
         peer.db
@@ -1699,12 +1440,12 @@ mod tests {
             peer.install_rule(of_a.clone());
             let start = ProtocolMsg::StartScopedUpdate { session: s };
             assert_eq!(queries(&deliver(&mut peer, A, start, true)), [(B, false)]);
-            peer.pending_resync.insert((s, of_a.id, B), Marks::new());
+            (peer.subscriptions).await_resync((s, of_a.id, B), Marks::new());
             let state = |peer: &DbPeer| {
                 let deficit = peer.session_state(s).unwrap().ds.deficit();
                 (
                     deficit,
-                    peer.pending_resync.len(),
+                    peer.subscriptions.resyncs(),
                     peer.database().total_tuples(),
                 )
             };
@@ -2055,7 +1796,7 @@ mod tests {
 
         // The rule goes away outside any session: the cursor is orphaned.
         peer.rules.remove(&rule.id);
-        peer.forget_rule(rule.id);
+        peer.forget_rule(rule.id, None);
         let live = peer.session_table_len();
         let s5 = SessionId::new(NodeId(9), 5);
         let sent = deliver(&mut peer, B, answer(&rule, s5, B, [6, 2], true), false);
@@ -2139,9 +1880,9 @@ mod tests {
         let sent = flood(&mut peer, 3, false);
         assert_eq!(notices(&sent), 2);
         assert!(matches!(sent.last(), Some(ProtocolMsg::Ack { .. })));
-        assert!(peer.void_owed, "sent is not delivered");
+        assert!(peer.subscriptions.owes_notice(), "sent is not delivered");
         deliver(&mut peer, root, fixpoint(SessionId::new(root, 3)), false);
-        assert!(!peer.void_owed);
+        assert!(!peer.subscriptions.owes_notice());
         assert_eq!(notices(&flood(&mut peer, 4, false)), 0);
     }
 
@@ -2183,19 +1924,24 @@ mod tests {
         let built = b.rules().get(rid).unwrap();
         assert!(Arc::ptr_eq(&peers[0].1.rules[&rid], built));
         for (_, peer) in &peers[1..] {
-            assert!(Arc::ptr_eq(&peer.catalog, &peers[0].1.catalog));
+            assert!(Arc::ptr_eq(
+                &peer.compiled.catalog,
+                &peers[0].1.compiled.catalog
+            ));
         }
         // What a peer holds of `rule` is the catalog's.
         let from_catalog = |head: &DbPeer, served: &DbPeer, rule: &CoordinationRule| {
             let part = &rule.parts[0];
             let (atoms, constraints) = (&part.atoms, &part.local_constraints);
-            let plan = (served.catalog.body(atoms, constraints, &served.db)).unwrap();
-            let compiled = &head.heads[&rule.id].head;
-            let shared = (head
-                .catalog
-                .head(&rule.head, compiled.vars(), head.db.schema()))
-            .unwrap();
-            Arc::ptr_eq(&served.plans[&rule.id].body.full, &plan.full)
+            let plan = (served.compiled.catalog.body(atoms, constraints, &served.db)).unwrap();
+            let compiled = &head.compiled.heads[&rule.id].head;
+            let shared =
+                (head
+                    .compiled
+                    .catalog
+                    .head(&rule.head, compiled.vars(), head.db.schema()))
+                .unwrap();
+            Arc::ptr_eq(&served.compiled.plans[&rule.id].body.full, &plan.full)
                 && Arc::ptr_eq(compiled, &shared)
         };
 
@@ -2203,12 +1949,18 @@ mod tests {
         assert!(sys.run_update().all_closed);
         let old = Arc::clone(&sys.peer(a).unwrap().rules[&rid]);
         let served = sys.peer(body).unwrap();
-        assert!(Arc::ptr_eq(&served.cursors[&(a, rid)].part, &old.parts[0]));
-        assert!(Arc::ptr_eq(&served.plans[&rid].part, &old.parts[0]));
+        assert!(Arc::ptr_eq(
+            &served.subscriptions.cursor((a, rid)).unwrap().part,
+            &old.parts[0]
+        ));
+        assert!(Arc::ptr_eq(
+            &served.compiled.plans[&rid].part,
+            &old.parts[0]
+        ));
         assert!(from_catalog(sys.peer(a).unwrap(), served, &old));
 
-        let old_head = Arc::clone(&sys.peer(a).unwrap().heads[&rid].head);
-        let old_plan = Arc::clone(&served.plans[&rid].body.full);
+        let old_head = Arc::clone(&sys.peer(a).unwrap().compiled.heads[&rid].head);
+        let old_plan = Arc::clone(&served.compiled.plans[&rid].body.full);
 
         let mut script = ChangeScript::new();
         let del = sys.make_delete_link("r").unwrap();
@@ -2230,15 +1982,21 @@ mod tests {
         let head = sys.peer(a).unwrap();
         let new = &head.rules[&rid];
         assert!(!Arc::ptr_eq(new, &old));
-        assert!(Arc::ptr_eq(&head.heads[&rid].rule, new), "head recompiled");
+        assert!(
+            Arc::ptr_eq(&head.compiled.heads[&rid].rule, new),
+            "head recompiled"
+        );
         let served = sys.peer(body).unwrap();
         assert!(
-            Arc::ptr_eq(&served.plans[&rid].part, &new.parts[0]),
+            Arc::ptr_eq(&served.compiled.plans[&rid].part, &new.parts[0]),
             "plan recompiled"
         );
         assert!(from_catalog(head, served, new));
-        assert!(!Arc::ptr_eq(&head.heads[&rid].head, &old_head));
-        assert!(!Arc::ptr_eq(&served.plans[&rid].body.full, &old_plan));
+        assert!(!Arc::ptr_eq(&head.compiled.heads[&rid].head, &old_head));
+        assert!(!Arc::ptr_eq(
+            &served.compiled.plans[&rid].body.full,
+            &old_plan
+        ));
         let r = head.db.relation("r").unwrap();
         assert!(
             r.contains(&[Val::Int(4), Val::Int(3)]),

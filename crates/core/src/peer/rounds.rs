@@ -47,9 +47,9 @@
 //!   advances with its own answers only.
 //! * **Head side** — every arriving answer goes through
 //!   `DbPeer::absorb_fragment`, as an eager one does: its rows merge into
-//!   what the peer holds of the fragment (`DbPeer::fragments`, for rules
-//!   with more than one body node), and only bindings that use a new row
-//!   are chased. The rows are applied whatever round they belong to — they
+//!   what the peer retains of the fragment (`Subscriptions::absorb`, for
+//!   rules with more than one body node), and only bindings that use a new
+//!   row are chased. The rows are applied whatever round they belong to — they
 //!   are rows of the fragment either way; only the round's bookkeeping
 //!   ignores a stale answer.
 //! * **`resume`** — a head says it when it holds everything the
@@ -60,7 +60,7 @@
 //!   `resume`, and the body node starts its subscription over.
 //! * **Commit** — `RoundsClosed` retires the session as `Fixpoint` retires
 //!   an eager one: the body node commits each subscription as its cursor,
-//!   the head each fragment as held (`DbPeer::finish_session_event`). The
+//!   the head each fragment as held (`Subscriptions::commit`). The
 //!   clean round before it delivered every head its last answers, so no
 //!   cursor is ahead of what its head holds, and the next session resumes
 //!   from there: it ships what changed since, not the extensions again.
@@ -138,8 +138,8 @@ impl DbPeer {
         // Pipes plus the full roster: components not pipe-connected to the
         // root must still participate in the wave (same rationale as the
         // eager flood's roster send).
-        let mut targets: BTreeSet<NodeId> = self.pipes.clone();
-        targets.extend(self.sup.all_nodes.iter().copied());
+        let mut targets: BTreeSet<NodeId> = self.pipes.nodes.clone();
+        targets.extend(self.sessions.others(self.id));
         targets.remove(&self.id);
         st.rnd.pending_echoes = targets.len();
         ctx.send_to_many(
@@ -184,7 +184,7 @@ impl DbPeer {
                 let resume = !self.config.paper_faithful
                     && match st.parts.get(&key) {
                         Some(_) => !missed.contains(&key),
-                        None => self.held.contains(&key),
+                        None => self.subscriptions.holds(key),
                     };
                 let asked = Part {
                     complete: false,
@@ -199,7 +199,7 @@ impl DbPeer {
         }
         // Crash recovery: give any still-unanswered repair query another
         // chance with the new round (at-least-once; see `durability`).
-        self.resend_pending_resyncs(ctx);
+        self.subscriptions.resend(&self.rules, ctx);
     }
 
     /// Flood handler.
@@ -221,7 +221,8 @@ impl DbPeer {
         }
         st.rnd.flood_seen = true;
         st.rnd.flood_parent = Some(from);
-        let targets: Vec<NodeId> = self.pipes.iter().copied().filter(|p| *p != from).collect();
+        let pipes = self.pipes.nodes.iter().copied();
+        let targets: Vec<NodeId> = pipes.filter(|p| *p != from).collect();
         st.rnd.pending_echoes = targets.len();
         ctx.send_to_many(
             targets,
@@ -300,7 +301,7 @@ impl DbPeer {
         // for missed rows (a lost resync answer would otherwise close the
         // session with a silent hole). The forced next round re-sends the
         // request.
-        let dirty = st.rnd.dirty_self || st.rnd.child_dirty || !self.pending_resync.is_empty();
+        let dirty = st.rnd.dirty_self || st.rnd.child_dirty || self.subscriptions.resyncing();
         let round = st.rnd.round;
         match st.rnd.flood_parent {
             Some(parent) => {
@@ -317,9 +318,8 @@ impl DbPeer {
             None if dirty => self.start_round(st, sid, round + 1, ctx),
             None => {
                 self.close_rounds(st, round);
-                let me = self.id;
                 ctx.send_to_many(
-                    self.sup.all_nodes.iter().copied().filter(|n| *n != me),
+                    self.sessions.others(self.id),
                     ProtocolMsg::RoundsClosed {
                         session: sid,
                         rounds: round,
@@ -337,7 +337,7 @@ impl DbPeer {
             // Disconnected component with rules: genuinely not updated.
             return;
         }
-        if !self.pending_resync.is_empty() {
+        if self.subscriptions.resyncing() {
             // Still reconciling a crash: refuse to close (the driver sees
             // the open peer and re-drives, which re-sends the resync).
             return;

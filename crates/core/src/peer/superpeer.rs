@@ -13,36 +13,13 @@
 use crate::config::UpdateMode;
 use crate::dynamic::ChangeOp;
 use crate::messages::ProtocolMsg;
+use crate::peer::durability::Durable;
 use crate::peer::{DbPeer, SessionState};
 use crate::rule::{CoordinationRule, RuleId};
 use crate::stats::PeerStats;
 use p2p_net::{Context, SessionId};
 use p2p_topology::NodeId;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Driver-side state kept by every peer (the roster) and the super-peer
-/// (collected statistics, current session for change routing).
-#[derive(Debug, Clone, Default)]
-pub struct SuperState {
-    /// Full node roster (installed at build time on every peer, so any node
-    /// can root a session and broadcast its fix-point). One shared
-    /// allocation across all peers — at 10k+ nodes a per-peer copy would be
-    /// O(n²) build memory.
-    pub all_nodes: Arc<[NodeId]>,
-    /// The most recent session rooted at this node (dynamic-change
-    /// notifications are routed within it).
-    pub session: Option<SessionId>,
-    /// Fix-point broadcast generation of the session this node currently
-    /// roots. Lives outside the session entry on purpose: a post-fixpoint
-    /// dynamic change re-creates the retired entry, and the re-quiesce
-    /// broadcast must carry a generation **strictly above** the original
-    /// one — otherwise a still-in-flight copy of the old broadcast would be
-    /// indistinguishable from the new one. Reset when a new session starts.
-    pub fixpoint_generation: u32,
-    /// Stats gathered from peers on `CollectStats`.
-    pub collected: BTreeMap<NodeId, PeerStats>,
-}
 
 impl DbPeer {
     /// Driver command: start a global update session rooted here.
@@ -52,8 +29,7 @@ impl DbPeer {
         sid: SessionId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.sup.session = Some(sid);
-        self.sup.fixpoint_generation = 0;
+        self.sessions.root(sid);
         match self.config.mode {
             UpdateMode::Eager => {
                 st.ds.reset();
@@ -69,8 +45,8 @@ impl DbPeer {
                 // send *is* the flood; under `paper_faithful` the receivers
                 // also forward it along their acquaintances, as the paper
                 // propagates it.
-                let mut targets = self.pipes.clone();
-                targets.extend(self.sup.all_nodes.iter().copied());
+                let mut targets = self.pipes.nodes.clone();
+                targets.extend(self.sessions.others(self.id));
                 targets.remove(&self.id);
                 self.send_basic_many(st, ctx, targets, ProtocolMsg::UpdateFlood { session: sid });
                 if standing {
@@ -96,8 +72,7 @@ impl DbPeer {
             self.fail("query-dependent updates require the eager update mode");
             return;
         }
-        self.sup.session = Some(sid);
-        self.sup.fixpoint_generation = 0;
+        self.sessions.root(sid);
         st.ds.reset();
         st.ds.engage_as_root();
         st.root_quiet = false;
@@ -117,7 +92,7 @@ impl DbPeer {
             self.fail("dynamic changes require the eager update mode");
             return;
         }
-        let Some(sid) = self.sup.session else {
+        let Some(sid) = self.sessions.rooted() else {
             let zero = SessionId::new(self.id, 0);
             match change {
                 ChangeOp::AddLink { rule } => {
@@ -137,8 +112,7 @@ impl DbPeer {
                 ChangeOp::DeleteLink { rule, head } => {
                     if head == self.id {
                         self.rules.remove(&rule);
-                        self.forget_rule(rule);
-                        self.pending_resync.retain(|(_, r, _), _| *r != rule);
+                        self.forget_rule(rule, None);
                     } else {
                         ctx.send(
                             head,
@@ -156,13 +130,11 @@ impl DbPeer {
         // change arriving after the fix-point broadcast legitimately
         // re-opens the session; the root re-engages, re-joins, and
         // re-quiesces — the re-broadcast then retires everything again).
-        let mut st = self.sessions.remove(&sid).unwrap_or_default();
+        let mut st = self.sessions.reopen(sid);
         if sid.root == self.id && !st.ds.engaged() {
             st.ds.engage_as_root();
             st.root_quiet = false;
         }
-        st.retired = false;
-        self.done.remove(&sid);
         if sid.epoch > 0 && !st.upd.active {
             // A retired root must re-join its own session: termination's
             // `RootTerminated` hook only re-broadcasts for an *active*
@@ -199,7 +171,7 @@ impl DbPeer {
             }
         }
         self.after_event(&mut st, sid, ctx);
-        self.finish_session_event(sid, st);
+        self.finish_session_event(sid, st, None);
     }
 
     /// Driver command: resume a stalled rounds-mode session (churn broke a
@@ -226,14 +198,10 @@ impl DbPeer {
 
     /// Driver command: gather statistics from every peer.
     pub(crate) fn on_collect_stats(&mut self, from: NodeId, ctx: &mut Context<ProtocolMsg>) {
-        if self.is_super {
-            self.sup.collected.clear();
-            self.sup.collected.insert(self.id, self.stats.clone());
-            let me = self.id;
-            ctx.send_to_many(
-                self.sup.all_nodes.iter().copied().filter(|n| *n != me),
-                ProtocolMsg::CollectStats,
-            );
+        if let Some(collected) = self.sessions.collected_mut() {
+            collected.clear();
+            collected.insert(self.id, self.stats.clone());
+            ctx.send_to_many(self.sessions.others(self.id), ProtocolMsg::CollectStats);
         } else {
             ctx.send(
                 from,
@@ -246,19 +214,15 @@ impl DbPeer {
 
     /// A peer's statistics arriving at the super-peer.
     pub(crate) fn on_stats_report(&mut self, from: NodeId, stats: PeerStats) {
-        if self.is_super {
-            self.sup.collected.insert(from, stats);
+        if let Some(collected) = self.sessions.collected_mut() {
+            collected.insert(from, stats);
         }
     }
 
     /// Driver command: reset statistics at all peers.
     pub(crate) fn on_reset_stats(&mut self, _from: NodeId, ctx: &mut Context<ProtocolMsg>) {
-        if self.is_super {
-            let me = self.id;
-            ctx.send_to_many(
-                self.sup.all_nodes.iter().copied().filter(|n| *n != me),
-                ProtocolMsg::ResetStats,
-            );
+        if self.sessions.is_super() {
+            ctx.send_to_many(self.sessions.others(self.id), ProtocolMsg::ResetStats);
         }
         self.stats.reset();
     }
@@ -273,12 +237,11 @@ impl DbPeer {
         rules: Vec<Arc<CoordinationRule>>,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        if self.is_super {
+        if self.sessions.is_super() {
             // One shared payload for the whole roster — the rule file used
             // to be cloned once per peer.
-            let me = self.id;
             ctx.send_to_many(
-                self.sup.all_nodes.iter().copied().filter(|n| *n != me),
+                self.sessions.others(self.id),
                 ProtocolMsg::BroadcastRules {
                     rules: rules.clone(),
                 },
@@ -288,14 +251,10 @@ impl DbPeer {
         // head or as a body node, in memory or in the store — outlives it.
         let heads: Vec<RuleId> = std::mem::take(&mut self.rules).into_keys().collect();
         for rule in heads {
-            self.forget_rule(rule);
+            self.forget_rule(rule, None);
         }
-        self.pipes.clear();
-        let served: Vec<(NodeId, RuleId)> = self.cursors.keys().copied().collect();
-        for key in served {
-            self.drop_cursor(key);
-        }
-        self.void_owed = true;
+        self.pipes.nodes.clear();
+        (self.subscriptions).discard(self.storage.as_deref_mut().map(Durable::log));
         for rule in rules {
             if rule.head_node == self.id {
                 self.install_rule(Arc::clone(&rule));
@@ -306,9 +265,7 @@ impl DbPeer {
         }
         // Sessions and discovery knowledge built on the old topology are
         // void.
-        self.sessions.clear();
-        self.done.clear();
-        self.pending_resync.clear();
+        self.sessions.discard();
         self.disc = Default::default();
         self.in_cycle = true; // conservative until re-analysed
     }

@@ -181,7 +181,7 @@ impl P2PSystemBuilder {
         for &node in self.schemas.keys() {
             let db = self.data[&node].clone();
             let mut peer = DbPeer::new(node, db, self.config);
-            peer.share_catalog(Arc::clone(&catalog));
+            peer.compiled.catalog = Arc::clone(&catalog);
             for rule in rules_by_head.get(&node).into_iter().flatten() {
                 peer.install_rule(Arc::clone(rule));
             }
@@ -563,10 +563,22 @@ impl P2PSystem {
     pub fn seed_fault(&mut self, fault: crate::peer::SeededFault) {
         let nodes: Vec<NodeId> = self.sim.peers().map(|(id, _)| *id).collect();
         for node in nodes {
-            if let Some(peer) = self.sim.peer_mut(node) {
-                peer.seed_fault(fault);
-            }
+            (self.sim.peer_mut(node).expect("a listed peer")).seed_fault(fault);
         }
+    }
+
+    /// Checks every peer's subscription state against the rules that keep
+    /// a silent peer unambiguous, and the invariant that carries them
+    /// across restarts (`DbPeer::check_subscriptions`). Tests of the
+    /// protocol call it at quiescent points; with no fault seeded it never
+    /// fails.
+    #[doc(hidden)]
+    pub fn check_subscriptions(&self) -> Result<(), String> {
+        for (id, peer) in self.sim.peers() {
+            (peer.check_subscriptions(|node| self.sim.peer(node)))
+                .map_err(|e| format!("{id}: {e}"))?;
+        }
+        Ok(())
     }
 
     /// Builds a `deleteLink` change op for a rule registered at build time.
@@ -666,7 +678,7 @@ impl P2PSystem {
         self.sim.run();
         self.sim
             .peer(self.super_peer)
-            .map(|p| p.sup.collected.clone())
+            .map(|p| p.sessions.collected().clone())
             .unwrap_or_default()
     }
 

@@ -19,7 +19,8 @@ use p2pdb::net::fault::LinkOutage;
 use p2pdb::net::{ChurnPlan, Codec, FaultPlan, SimTime};
 use p2pdb::relational::hom::contained_modulo_nulls;
 use p2pdb::relational::{Database, Val};
-use p2pdb::topology::NodeId;
+use p2pdb::topology::{NodeId, Topology};
+use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeMap;
@@ -300,9 +301,26 @@ struct Model {
     ever: RuleSet,
     /// A peer restarted without its data: exactness is gone for good.
     amnesia: bool,
+    /// Check the subscription invariants at every quiescent point, before
+    /// the oracle comparison.
+    check: bool,
 }
 
+/// What a failed [`Model::invariants`] says first.
+const CHECK: &str = "check";
+
 impl Model {
+    /// The subscription invariants hold at a quiescent point of the
+    /// schedule, if the run checks them (`P2PSystem::check_subscriptions`).
+    fn invariants(&self, sys: &P2PSystem, what: &Step) -> Result<(), TestCaseError> {
+        match sys.check_subscriptions() {
+            Err(e) if self.check => {
+                Err(TestCaseError::fail(format!("{CHECK} after {what:?}: {e}")))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Checks the system against the model after a step whose sessions all
     /// closed, and advances the model.
     fn check_closed(&mut self, sys: &P2PSystem, what: &Step) -> Result<(), TestCaseError> {
@@ -408,6 +426,7 @@ fn plain_sessions(
         roots: roots.to_vec(),
         ..Default::default()
     });
+    model.invariants(sys, what)?;
     prop_assert!(all_closed(&reports), "{what:?} did not close");
     model.check_closed(sys, what)?;
     if was_settled {
@@ -422,13 +441,17 @@ fn plain_sessions(
 /// without a send) surfaces — every closed step must leave every session
 /// table empty, and a session that follows a settled one with nothing
 /// inserted in between must leave the retained per-peer state as it found
-/// it. `fault`, if any, is seeded where it can do its damage.
+/// it. With `check`, the subscription invariants hold at every quiescent
+/// point — after every run and every step outside one — checked before
+/// anything else. `fault`, if any, is seeded where it can do
+/// its damage.
 fn run_schedule(
     spec: &NetSpec,
     mode: UpdateMode,
     codec: Codec,
     durable: bool,
     steps: &[Step],
+    check: bool,
     fault: Option<SeededFault>,
 ) -> Result<(), TestCaseError> {
     let n = spec.nodes as u32;
@@ -440,6 +463,7 @@ fn run_schedule(
         rules: sys.rules().clone(),
         ever: sys.rules().clone(),
         amnesia: false,
+        check,
     };
     let static_rules: Vec<String> = sys.rules().iter().map(|r| r.name.to_string()).collect();
     // The model's id of each build-time rule (a replacement gets a new one
@@ -472,6 +496,7 @@ fn run_schedule(
                 if fault == Some(SeededFault::CursorsToNow) {
                     sys.seed_fault(SeededFault::CursorsToNow);
                 }
+                model.invariants(&sys, what)?;
             }
             Step::Session(root) => {
                 plain_sessions(&mut sys, &mut model, &[NodeId(root % n)], what, was_settled)?;
@@ -516,6 +541,7 @@ fn run_schedule(
                     script,
                     ..Default::default()
                 });
+                model.invariants(&sys, what)?;
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 let before = model.rules.clone();
                 match op {
@@ -546,6 +572,7 @@ fn run_schedule(
                         roots: roots(also).to_vec(),
                         ..Default::default()
                     });
+                    model.invariants(&sys, what)?;
                     sys.seed_fault(SeededFault::ForgetVoidNotice);
                 }
                 if let Some(
@@ -561,6 +588,7 @@ fn run_schedule(
                     redrives: 4,
                     ..Default::default()
                 });
+                model.invariants(&sys, what)?;
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 model.check_closed(&sys, what)?;
                 // A crash costs what was at risk: with everything committed
@@ -578,12 +606,14 @@ fn run_schedule(
                     redrives: 2,
                     ..Default::default()
                 });
+                model.invariants(&sys, what)?;
                 sys.set_fault(FaultPlan::none());
                 let reports = sys.run(&RunSpec {
                     roots: roots(also).to_vec(),
                     redrives: 3,
                     ..Default::default()
                 });
+                model.invariants(&sys, what)?;
                 prop_assert!(all_closed(&reports), "{what:?} did not close");
                 model.check_closed(&sys, what)?;
             }
@@ -616,6 +646,7 @@ fn run_schedule(
                 model.rules.remove(model_ids[k]);
                 model_ids[k] = model.rules.add(rule.clone()).unwrap();
                 model.ever.add(rule).unwrap();
+                model.invariants(&sys, what)?;
             }
         }
     }
@@ -643,7 +674,7 @@ proptest! {
     ) {
         let mode = if rounds { UpdateMode::Rounds } else { UpdateMode::Eager };
         let codec = if binary { Codec::Binary } else { Codec::Json };
-        run_schedule(&spec, mode, codec, durable, &steps, None).map_err(|e| {
+        run_schedule(&spec, mode, codec, durable, &steps, true, None).map_err(|e| {
             TestCaseError::fail(format!(
                 "{e}\n{mode:?} {codec:?} durable={durable}\n{spec:?}\n{steps:?}"
             ))
@@ -651,17 +682,19 @@ proptest! {
     }
 }
 
-/// The net has no hole where it matters: with each of five faults seeded
-/// into the peers' subscription state — a cursor-void notice that is never
-/// sent, a head that counts a fragment as held after its rule was replaced
-/// under the same id, a cursor ahead of what its subscriber was shipped,
-/// and the two ways a restart that resumes can be wrong: a recovered cursor
-/// moved to now, a fragment held without the resync that covers what the
-/// log does not — some schedule of the generator's first 256 (eager mode;
-/// the rounds have no cursors) ends in a state the oracle comparison
-/// rejects.
-#[test]
-fn seeded_faults_are_caught_by_the_oracle_comparison() {
+const FAULTS: [SeededFault; 5] = [
+    SeededFault::ForgetVoidNotice,
+    SeededFault::HoldEverything,
+    SeededFault::CursorsToNow,
+    SeededFault::RecoveredCursorsToNow,
+    SeededFault::HoldWithoutResync,
+];
+
+/// How each of the generator's first 256 schedules (eager mode; the rounds
+/// have no cursors) ends with `fault` seeded, on `PROPTEST_SEED` or the
+/// default seed: `None` if nothing noticed, else the failure — a panic
+/// (one of the program's own assertions) reads as a failure too.
+fn seeded_runs(fault: SeededFault, check: bool) -> (u64, Vec<Option<String>>) {
     let seed = (std::env::var("PROPTEST_SEED").ok())
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(TestRng::__default_seed);
@@ -671,32 +704,54 @@ fn seeded_faults_are_caught_by_the_oracle_comparison() {
         any::<bool>(),
         proptest::collection::vec(step(), 4..16),
     );
-    for fault in [
-        SeededFault::ForgetVoidNotice,
-        SeededFault::HoldEverything,
-        SeededFault::CursorsToNow,
-        SeededFault::RecoveredCursorsToNow,
-        SeededFault::HoldWithoutResync,
-    ] {
-        let mut rng = TestRng::from_seed(seed);
-        let caught = (0..256).any(|_| {
-            let (spec, binary, durable, steps) = cases.generate(&mut rng);
-            let codec = if binary { Codec::Binary } else { Codec::Json };
-            // A corrupted peer may also trip one of the program's own
-            // assertions: caught just the same.
-            std::panic::catch_unwind(|| {
-                run_schedule(
-                    &spec,
-                    UpdateMode::Eager,
-                    codec,
-                    durable,
-                    &steps,
-                    Some(fault),
-                )
-            })
-            .map_or(true, |outcome| outcome.is_err())
-        });
+    let mut rng = TestRng::from_seed(seed);
+    let runs = (0..256).map(|_| {
+        let (spec, binary, durable, steps) = cases.generate(&mut rng);
+        let codec = if binary { Codec::Binary } else { Codec::Json };
+        let mode = UpdateMode::Eager;
+        std::panic::catch_unwind(|| {
+            run_schedule(&spec, mode, codec, durable, &steps, check, Some(fault))
+        })
+        .map_or(Some("a panic".to_string()), |outcome| {
+            outcome.err().map(|e| e.to_string())
+        })
+    });
+    (seed, runs.collect())
+}
+
+/// The net has no hole where it matters: with each of five faults seeded
+/// into the peers' subscription state — a cursor-void notice that is never
+/// sent, a head that counts a fragment as held after its rule was replaced
+/// under the same id, a cursor ahead of what its subscriber was shipped,
+/// and the two ways a restart that resumes can be wrong: a recovered cursor
+/// moved to now, a fragment held without the resync that covers what the
+/// log does not — some schedule ends in a state the oracle comparison
+/// rejects.
+#[test]
+fn seeded_faults_are_caught_by_the_oracle_comparison() {
+    for fault in FAULTS {
+        let (seed, runs) = seeded_runs(fault, false);
+        let caught = runs.iter().any(Option::is_some);
         assert!(caught, "{fault:?} went unnoticed (seed {seed})");
+    }
+}
+
+/// The invariants catch what the oracle comparison does, and no later:
+/// with each seeded fault, some schedule fails its subscription check, and
+/// in every schedule that fails, the check fails first — at a step no
+/// later than the one whose oracle comparison would.
+#[test]
+fn seeded_faults_are_caught_by_check() {
+    for fault in FAULTS {
+        let (seed, runs) = seeded_runs(fault, true);
+        let failures: Vec<&String> = runs.iter().flatten().collect();
+        assert!(
+            failures.iter().any(|e| e.starts_with(CHECK)),
+            "{fault:?} went unchecked (seed {seed})"
+        );
+        if let Some(late) = failures.iter().find(|e| !e.starts_with(CHECK)) {
+            panic!("{fault:?} was caught before its check (seed {seed}): {late}");
+        }
     }
 }
 
@@ -1071,4 +1126,101 @@ fn rule_replaced_under_the_same_id_is_not_served_from_the_old_cursor() {
     assert!(sys.run_update().all_closed);
     assert_eq!(sys.sum_stats().rows_shipped, shipped);
     assert_eq!(rows(&sys, HEAD, "u"), 10);
+}
+
+// ------------------------------------------------------------------
+// The skeleton law
+// ------------------------------------------------------------------
+
+/// A random topology of every family, small enough for a debug build.
+fn topology() -> impl Strategy<Value = Topology> {
+    (0u8..10, 1u32..11, 1u32..11, 0u8..101, any::<u64>()).prop_map(|(family, a, b, p, seed)| {
+        let n = a;
+        match family {
+            0 => Topology::Tree {
+                branching: 1 + b % 3,
+                depth: a % 4,
+            },
+            1 => Topology::LayeredDag {
+                layers: 1 + a % 4,
+                width: 1 + b % 3,
+                fanout: 1 + (a + b) % 3,
+            },
+            2 => Topology::Clique { n: 1 + n % 6 },
+            3 => Topology::Chain { n },
+            4 => Topology::Ring { n: n.max(2) },
+            5 => Topology::Star { n },
+            6 => Topology::Random {
+                n,
+                p_percent: p,
+                seed,
+            },
+            7 => {
+                let n = n.max(2);
+                Topology::RandomDegree {
+                    n,
+                    degree: 1 + b % (n - 1),
+                    seed,
+                }
+            }
+            8 => {
+                // Sparse, as expanders are: a pairing as dense as
+                // `degree = n − 1` does not converge (n = 9, degree = 8).
+                let n = n.max(4);
+                let degree = 2 + b % (n / 2 - 1);
+                // n · degree must be even.
+                let n = if n * degree % 2 == 1 { n + 1 } else { n };
+                Topology::Expander { n, degree, seed }
+            }
+            _ => {
+                let n = n.max(3);
+                let k = 2 + 2 * (b % ((n - 1) / 2));
+                Topology::SmallWorld {
+                    n,
+                    k,
+                    rewire_percent: p,
+                    seed,
+                }
+            }
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Once two sessions have run, a write-free eager global session is its
+    /// skeleton and nothing else, whatever the topology: the root's start,
+    /// one flood to and one `Fixpoint` from the root per other node, and one
+    /// `Ack` per flood — no query, no answer, no notice.
+    #[test]
+    fn a_write_free_session_is_its_skeleton(
+        topology in topology(),
+        records in 1usize..4,
+        overlap in 0u8..60,
+        seed in any::<u64>(),
+    ) {
+        let mut sys = build_system(&WorkloadConfig {
+            topology,
+            records_per_node: records,
+            distribution: Distribution::OverlapNeighbors { percent: overlap },
+            seed,
+        })
+        .unwrap()
+        .build()
+        .unwrap();
+        for _ in 0..2 {
+            prop_assert!(sys.run_update().all_closed);
+        }
+        let kinds = ["StartUpdate", "UpdateFlood", "Ack", "Fixpoint", "Query", "Answer", "CursorVoid"];
+        let count = |sys: &P2PSystem| kinds.map(|kind| sys.net_stats().sent_of_kind(kind));
+        let (before, messages) = (count(&sys), sys.net_stats().total_messages);
+        let report = sys.run_update();
+        prop_assert!(report.all_closed && report.errors.is_empty());
+        let after = count(&sys);
+        let sent: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        let others = sys.peers().count() as u64 - 1;
+        prop_assert_eq!(sent, vec![1, others, others, others, 0, 0, 0], "{:?}", topology);
+        prop_assert_eq!(sys.net_stats().total_messages - messages, 1 + 3 * others, "{:?}", topology);
+    }
 }
