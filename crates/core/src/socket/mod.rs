@@ -200,10 +200,6 @@ pub struct ServeConfig {
     pub state_dir: Option<PathBuf>,
     /// Fewest WAL records between snapshots (durable only).
     pub snapshot_every: u64,
-    /// Connection attempts for outgoing pipes (cluster cold-start budget).
-    pub connect_attempts: u32,
-    /// Pause between connection attempts, in milliseconds.
-    pub connect_backoff_ms: u64,
 }
 
 impl ServeConfig {
@@ -218,8 +214,6 @@ impl ServeConfig {
             codec: Codec::Json,
             state_dir: None,
             snapshot_every: 64,
-            connect_attempts: 200,
-            connect_backoff_ms: 50,
         }
     }
 }
@@ -311,8 +305,6 @@ pub fn prepare(cfg: &ServeConfig) -> CoreResult<NodeServer> {
         .map(|n| NodeId(n.id))
         .filter(|id| *id != node)
         .collect();
-    socket.connect_attempts = cfg.connect_attempts;
-    socket.connect_backoff = Duration::from_millis(cfg.connect_backoff_ms);
 
     let runtime = match SocketRuntime::bind(socket, ProtoCodec(cfg.codec)) {
         Ok(rt) => rt,

@@ -13,7 +13,7 @@
 //! finds the node's row through its own `NodeRows` and the kind's column
 //! by address, and bumps counters; once the node has sent that kind it
 //! allocates nothing. The simulator ([`crate::sim`]) adds only its virtual
-//! clock, the shard pool ([`crate::sharded`]) only its threads, mailboxes
+//! clock, the shard pool ([`crate::sharded`]) only its threads, queues
 //! and quiescence barrier, so a scenario reports the same counts on either.
 
 use crate::codec::Codec;
@@ -280,11 +280,6 @@ impl<P> PeerTable<P> {
         self.slot_of.get(id)
     }
 
-    /// The id of the peer in `slot`.
-    pub(crate) fn id(&self, slot: usize) -> NodeId {
-        self.peers[slot].0
-    }
-
     /// The peers in id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&NodeId, &P)> {
         let mut sorted: Vec<_> = self.peers.iter().map(|(id, p)| (id, p)).collect();
@@ -396,7 +391,7 @@ mod tests {
             table.insert(NodeId(id), format!("peer {id}"));
         }
         let replaced = table.insert(NodeId(40), "peer 40, again".to_string());
-        assert_eq!(table.id(replaced), NodeId(40));
+        assert_eq!(table.slot(NodeId(40)), Some(replaced));
         for id in ids {
             let want = if id == 40 {
                 "peer 40, again".to_string()
@@ -404,7 +399,6 @@ mod tests {
                 format!("peer {id}")
             };
             let slot = table.slot(NodeId(id)).unwrap();
-            assert_eq!(table.id(slot), NodeId(id));
             assert_eq!(table[slot], want, "id {id}");
         }
         for unknown in [1u32, 39, 41, 1_000] {

@@ -19,12 +19,13 @@
 //!   [`Peer::on_crash`]/[`Peer::on_restart`] hooks) and quiescence
 //!   detection. Virtual time makes the paper's "execution time" metric
 //!   reproducible, which the original testbed could not be.
-//! * [`sharded::ShardedNetwork`] — the parallel runtime: `T` shard threads
-//!   multiplex `n/T` peers each (mailbox scheduling, work stealing,
-//!   cross-shard hand-off over `mpsc` channels), with quiescence detected by
-//!   an outstanding-message counter shared as a barrier. It runs the *same*
-//!   [`Peer`] code, giving the asynchronous execution model of the paper on
-//!   actual parallelism, at 10k+ peers on all cores.
+//! * [`sharded::ShardedNetwork`] — the parallel runtime: the simulator's
+//!   delivery loop on `T` shard threads. Each owns `n/T` peers and pops
+//!   deliveries from one FIFO queue, every send goes to the back of the
+//!   receiver's shard queue, and quiescence is an outstanding-message
+//!   counter shared as a barrier. It runs the *same* [`Peer`] code, giving
+//!   the asynchronous execution model of the paper on actual parallelism,
+//!   at 10k+ peers on all cores.
 //!
 //! Protocol crates implement [`Peer`] and never talk to a runtime directly;
 //! everything observable (message counts, bytes, traces) flows through

@@ -1,51 +1,29 @@
-//! Sharded worker-pool runtime: `T` shard threads multiplex `n/T` peers each.
+//! Sharded runtime: the simulator's delivery loop on `T` shard threads.
 //!
 //! This is the paper's asynchronous model of communications on real
-//! parallelism, at the 10k-peer scales the simulator reaches: the thread
-//! count stays bounded because peers are *placed* on shards
-//! ([`ShardPlacement`]), each shard thread owns a run queue of scheduled
-//! peers, and idle shards steal runnable peers from their neighbours. With
-//! `T ≥ n` it is one thread per peer.
-//!
-//! The peers live on the shared [`crate::host`]: its peer table holds one
-//! cell per peer, and every send and delivery goes through the host's send
-//! and delivery steps, exactly as on the simulator. What this runtime adds
-//! is its scheduling — run queues, cross-shard channels, stealing, the
-//! outstanding-message barrier and panic poisoning.
-//!
-//! Scheduling is the classic actor-mailbox protocol. Every peer owns a
-//! FIFO inbox plus a `scheduled` flag; a sender enqueues the work item and
-//! claims the flag with a `swap`, and exactly the claimant that observes
-//! `false` makes the peer runnable. The thread that picks a runnable peer
-//! up drains its inbox exclusively, so one peer never runs on two threads
-//! at once and each sender→receiver pipe stays FIFO — the property the
-//! protocol's completeness flags rely on.
-//!
-//! Message routing distinguishes home shards:
-//!
-//! * **intra-shard** sends short-circuit: the item goes straight into the
-//!   target's inbox (payload still behind the sender's `Arc`, no channel
-//!   hop) and the peer onto the home shard's run queue;
-//! * **cross-shard** sends hand the `(from, msg)` item to the target's home
-//!   shard over an `mpsc` channel and are counted in
-//!   [`NetStats::cross_shard_sends`] — the locality metric a placement
-//!   policy is judged by. The split is decided by *home* shards, so the
-//!   counter measures placement quality, not scheduling accidents.
+//! parallelism, at the 10k-peer scales the simulator reaches. Peers are
+//! *placed* on shards ([`ShardPlacement`]) and each shard thread owns its
+//! peers outright: it pops the next delivery from its one FIFO queue, runs
+//! the receiver's handler through the shared [`crate::host`] delivery step,
+//! and pushes every send at the back of the receiver's shard queue — its
+//! own or another shard's. Each sender→receiver pipe stays FIFO, because
+//! one thread makes all of a sender's sends and one queue holds all of a
+//! receiver's deliveries. A send to a peer homed on another shard is
+//! counted in [`NetStats::cross_shard_sends`], the locality metric a
+//! placement policy is judged by.
 //!
 //! Termination is an outstanding-message counter shared by all shards as a
-//! quiescence barrier: it is incremented before any item is enqueued
-//! (inbox or channel) and decremented only after the receiving handler
-//! *and all sends it performed* completed, so it reads zero exactly at the
-//! Dijkstra–Scholten fix-point — at which moment no inbox, run queue or
-//! channel holds work and no handler is running, and every shard thread
-//! exits. A panicking peer is poisoned:
-//! its remaining and future items are dropped (still decrementing the
-//! counter) so the barrier releases, and [`ShardedNetwork::run`] reports
-//! the first [`WorkerPanic`] naming the node instead of propagating the
-//! panic into the driver thread.
-//!
-//! Statistics stay off the hot path: every shard thread keeps a private
-//! [`NetStats`] merged once at quiescence.
+//! quiescence barrier: it is incremented before a delivery is queued and
+//! decremented only after the receiving handler *and all sends it
+//! performed* completed, so it reads zero exactly at the Dijkstra–Scholten
+//! fix-point, when every queue is empty and no handler runs. A shard sleeps
+//! on its queue only while the queue is empty and the barrier above zero; a
+//! sender wakes only a sleeping owner, and the decrement that reaches zero
+//! wakes them all to exit. A panicking peer is poisoned: its deliveries are
+//! dropped (still decrementing the counter) so the barrier releases, and
+//! [`ShardedNetwork::run`] reports the first [`WorkerPanic`] naming the
+//! node. Every shard thread keeps a private [`NetStats`], merged once at
+//! quiescence.
 
 use crate::codec::Codec;
 use crate::host::{Context, Meter, Outgoing, Parcel, Peer, PeerTable};
@@ -55,10 +33,9 @@ use p2p_topology::NodeId;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// A peer handler panicked during a sharded run: which node, and the
 /// panic payload (stringified). The rest of the network was drained to
@@ -112,52 +89,43 @@ impl ShardPlacement {
     }
 }
 
-/// One queued delivery: the `(from, msg)` work item of a shard run queue.
-struct WorkItem<M> {
+/// Where a hosted peer lives: its shard, and its index among that shard's
+/// peers.
+#[derive(Clone, Copy)]
+struct Home {
+    shard: usize,
+    index: usize,
+}
+
+/// A peer on its shard thread, `poisoned` once its handler panicked.
+struct Hosted<P> {
+    id: NodeId,
+    peer: P,
+    poisoned: bool,
+}
+
+/// One queued delivery, to the peer at `index` on the queue's shard.
+struct Delivery<M> {
+    index: usize,
     from: NodeId,
     parcel: Parcel<M>,
 }
 
-/// Cross-shard hand-off traffic.
-enum ShardMsg<M> {
-    /// A work item for the peer in peer-table slot `cell` (homed on the
-    /// receiving shard).
-    Work { cell: u32, item: WorkItem<M> },
-    /// Quiescence nudge: re-check the outstanding counter.
-    Wake,
-}
-
-/// A peer's running state; behind a mutex that is uncontended by
-/// construction (the `scheduled` flag admits one draining thread at a
-/// time) but keeps the runtime within `forbid(unsafe_code)`.
-struct CellState<P> {
-    peer: P,
-    /// Set when this peer's handler panicked: later items are dropped
-    /// (still decrementing the outstanding counter) so the quiescence
-    /// barrier releases instead of wedging on a dead peer.
-    poisoned: bool,
-}
-
-/// One peer's cell in the host's peer table: home shard, mailbox and
-/// claim flag.
-struct PeerCell<M, P> {
-    home: usize,
-    scheduled: AtomicBool,
-    inbox: Mutex<VecDeque<WorkItem<M>>>,
-    state: Mutex<CellState<P>>,
+/// A shard's deliveries in arrival order, and whether its owner sleeps
+/// waiting for one.
+struct Queue<M> {
+    deliveries: VecDeque<Delivery<M>>,
+    sleeping: bool,
 }
 
 /// State shared by all shard threads.
-struct Shared<M, P> {
-    cells: PeerTable<PeerCell<M, P>>,
-    /// Per-shard run queues of runnable cell slots. The owning shard
-    /// pops from the front; idle thieves pop from the back.
-    runnable: Vec<Mutex<VecDeque<u32>>>,
-    /// Per-shard hand-off channels.
-    handoff: Vec<Sender<ShardMsg<M>>>,
-    /// The sharded quiescence barrier: >0 while any item is queued or any
+struct Shared<M> {
+    homes: PeerTable<Home>,
+    /// Per shard: its queue, and the condition variable its owner sleeps on.
+    queues: Vec<(Mutex<Queue<M>>, Condvar)>,
+    /// The quiescence barrier: >0 while any delivery is queued or any
     /// handler is running; zero exactly at fix-point.
-    outstanding: AtomicI64,
+    outstanding: AtomicUsize,
     msg_ids: AtomicU64,
     first_panic: Mutex<Option<WorkerPanic>>,
     codec: Codec,
@@ -206,8 +174,8 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
     }
 
     /// Sets the shard-thread count. `0` (the default) means one shard per
-    /// available core. Counts above the peer count are allowed — the extra
-    /// shards simply own no peers and live off stolen work.
+    /// available core. A run never starts more shards than it has peers:
+    /// a count above the peer count runs one shard per peer.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards;
     }
@@ -215,16 +183,6 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
     /// Selects the peer→shard placement policy.
     pub fn set_placement(&mut self, placement: ShardPlacement) {
         self.placement = placement;
-    }
-
-    fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1)
-        }
     }
 
     /// Runs the network to quiescence: delivers `initial` messages, lets
@@ -238,36 +196,45 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
         initial: Vec<(NodeId, NodeId, M)>,
     ) -> Result<(Vec<(NodeId, P)>, NetStats), WorkerPanic> {
         let started = Instant::now();
-        let shards = self.effective_shards();
-        let placement = self.placement;
         let sorted = self.peers.into_sorted();
         let n = sorted.len();
-        let mut cells = PeerTable::default();
-        for (i, (id, peer)) in sorted.into_iter().enumerate() {
-            let cell = PeerCell {
-                home: placement.shard_of(i, n, shards),
-                scheduled: AtomicBool::new(false),
-                inbox: Mutex::new(VecDeque::new()),
-                state: Mutex::new(CellState {
-                    peer,
-                    poisoned: false,
-                }),
-            };
-            cells.insert(id, cell);
+        let shards = match self.shards {
+            0 => std::thread::available_parallelism().map_or(1, |c| c.get()),
+            t => t,
         }
-        let (handoff, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
-        let shared = Arc::new(Shared {
-            cells,
-            runnable: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            handoff,
-            outstanding: AtomicI64::new(0),
+        .clamp(1, n.max(1));
+        let mut homes = PeerTable::default();
+        let placement = self.placement;
+        let mut hosted: Vec<Vec<Hosted<P>>> = (0..shards)
+            .map(|_| Vec::with_capacity(n.div_ceil(shards)))
+            .collect();
+        for (i, (id, peer)) in sorted.into_iter().enumerate() {
+            let shard = placement.shard_of(i, n, shards);
+            let index = hosted[shard].len();
+            homes.insert(id, Home { shard, index });
+            let poisoned = false;
+            hosted[shard].push(Hosted { id, peer, poisoned });
+        }
+        let shared = Shared {
+            homes,
+            queues: (0..shards)
+                .map(|_| {
+                    let deliveries = VecDeque::new();
+                    let queue = Queue {
+                        deliveries,
+                        sleeping: false,
+                    };
+                    (Mutex::new(queue), Condvar::new())
+                })
+                .collect(),
+            outstanding: AtomicUsize::new(0),
             msg_ids: AtomicU64::new(0),
             first_panic: Mutex::new(None),
             codec: self.codec,
             epoch: started,
-        });
+        };
 
-        // Count and enqueue the initial messages before any thread starts,
+        // Count and queue the initial messages before any thread starts,
         // so the barrier can never transiently read zero while work remains.
         let mut meter = Meter::new(self.codec);
         for (from, to, msg) in initial {
@@ -277,232 +244,164 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
                 delay: SimTime::ZERO,
             }];
             meter.send_all(from, out, |stats, o, size| {
-                post(&shared, stats, None, from, o, size)
+                shared.post(stats, None, from, o, size)
             });
         }
-        // With nothing to deliver, no shard thread is spun up.
-        if shared.outstanding.load(Ordering::SeqCst) > 0 {
-            let handles: Vec<_> = (receivers.into_iter().enumerate())
-                .map(|(shard, rx)| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || shard_loop(shard, &shared, rx))
+        let mut returned = Vec::with_capacity(shards);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (hosted.into_iter().enumerate())
+                .map(|(shard, hosted)| {
+                    let shared = &shared;
+                    scope.spawn(move || shared.shard_loop(shard, hosted))
                 })
                 .collect();
             for h in handles {
                 match h.join() {
-                    Ok(shard_stats) => meter.stats.merge(&shard_stats),
+                    Ok((hosted, shard_stats)) => {
+                        meter.stats.merge(&shard_stats);
+                        returned.push(hosted.into_iter());
+                    }
                     // Handlers panic inside catch_unwind, so a dead thread
                     // means the shard loop itself failed; surface it rather
                     // than aborting the driver.
-                    Err(panic) => record_panic(&shared, NodeId(u32::MAX), panic.as_ref()),
+                    Err(panic) => shared.record_panic(NodeId(u32::MAX), panic.as_ref()),
                 }
             }
-        }
-        let shared = Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!());
+        });
         if let Some(panic) = shared.first_panic.into_inner().expect("panic slot") {
             return Err(panic);
         }
-        let peers = (shared.cells.into_sorted().into_iter())
-            .map(|(id, c)| (id, c.state.into_inner().expect("state lock").peer))
+        // Back in id order without a sort (whose scratch copy of the peers
+        // would raise peak memory): the i-th peer is its shard's next one.
+        let peers = (0..n)
+            .filter_map(|i| returned[placement.shard_of(i, n, shards)].next())
+            .map(|host| (host.id, host.peer))
             .collect();
         meter.stats.finished_at = SimTime(started.elapsed().as_micros() as u64);
         Ok((peers, meter.stats))
     }
 }
 
-/// Keeps the first panic of the run.
-fn record_panic<M, P>(shared: &Shared<M, P>, node: NodeId, panic: &(dyn std::any::Any + Send)) {
-    let mut slot = shared.first_panic.lock().expect("panic slot");
-    if slot.is_none() {
-        *slot = Some(WorkerPanic {
-            node,
-            payload: payload_string(panic),
-        });
+impl<M: Wire + Sync> Shared<M> {
+    /// Keeps the first panic of the run.
+    fn record_panic(&self, node: NodeId, panic: &(dyn std::any::Any + Send)) {
+        let payload = payload_string(panic);
+        let mut slot = self.first_panic.lock().expect("panic slot");
+        slot.get_or_insert(WorkerPanic { node, payload });
     }
-}
 
-/// One shard thread: drain the local run queue, accept cross-shard
-/// hand-offs, steal when idle, exit when the quiescence barrier reads zero.
-fn shard_loop<M: Wire + Sync, P: Peer<M>>(
-    shard: usize,
-    shared: &Shared<M, P>,
-    rx: Receiver<ShardMsg<M>>,
-) -> NetStats {
-    let mut meter = Meter::new(shared.codec);
-    loop {
-        let local = shared.runnable[shard]
-            .lock()
-            .expect("runnable lock")
-            .pop_front();
-        if let Some(idx) = local {
-            drain_cell(idx, shared, &mut meter);
-            continue;
+    /// Releases `shard`'s queue and wakes its owner if it sleeps. Only a
+    /// sleeping owner costs a notification, so most sends make no system
+    /// call.
+    fn release(&self, shard: usize, mut queue: MutexGuard<'_, Queue<M>>) {
+        let sleeping = std::mem::take(&mut queue.sleeping);
+        drop(queue);
+        if sleeping {
+            self.queues[shard].1.notify_one();
         }
-        match rx.try_recv() {
-            Ok(msg) => {
-                accept(msg, shared);
+    }
+
+    /// One shard thread: deliver from the shard's queue through the host's
+    /// delivery step (panic-safe), route each handler's sends through the
+    /// send step, and hand back the peers and the shard's counters once
+    /// the quiescence barrier reads zero.
+    fn shard_loop<P: Peer<M>>(
+        &self,
+        shard: usize,
+        mut hosted: Vec<Hosted<P>>,
+    ) -> (Vec<Hosted<P>>, NetStats) {
+        let mut meter = Meter::new(self.codec);
+        while let Some(Delivery {
+            index,
+            from,
+            parcel,
+        }) = self.next(shard)
+        {
+            let host = &mut hosted[index];
+            if host.poisoned {
+                meter.stats.dropped += 1;
+                self.done();
                 continue;
             }
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => break,
-        }
-        if let Some(idx) = steal(shard, shared) {
-            drain_cell(idx, shared, &mut meter);
-            continue;
-        }
-        // Nothing local, nothing handed off, nothing stealable: quiescent
-        // if the barrier reads zero (it can never grow again — growth
-        // requires a running handler, which requires an outstanding item);
-        // otherwise wait briefly for a hand-off or a wake nudge.
-        if shared.outstanding.load(Ordering::SeqCst) == 0 {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_micros(200)) {
-            Ok(msg) => accept(msg, shared),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    meter.stats
-}
-
-/// Routes one cross-shard hand-off into the local mailbox/run queue.
-fn accept<M, P>(msg: ShardMsg<M>, shared: &Shared<M, P>) {
-    match msg {
-        ShardMsg::Wake => {}
-        ShardMsg::Work { cell, item } => schedule(shared, cell, item),
-    }
-}
-
-/// Puts `item` into the mailbox of the peer in `cell` and, when this call
-/// claims the peer's flag, the peer onto its home shard's run queue.
-fn schedule<M, P>(shared: &Shared<M, P>, cell: u32, item: WorkItem<M>) {
-    let c = &shared.cells[cell as usize];
-    c.inbox.lock().expect("inbox lock").push_back(item);
-    if !c.scheduled.swap(true, Ordering::SeqCst) {
-        shared.runnable[c.home]
-            .lock()
-            .expect("runnable lock")
-            .push_back(cell);
-    }
-}
-
-/// Routes one counted send. A send to a node no peer is hosted under is
-/// dropped. Any other becomes one more outstanding item. It goes straight
-/// into the target's mailbox when the target is homed on the sending shard
-/// (`from_home`), or when no shard sends it (`None`: the driver's initial
-/// messages). Otherwise it goes over the target home's hand-off channel.
-fn post<M, P>(
-    shared: &Shared<M, P>,
-    stats: &mut NetStats,
-    from_home: Option<usize>,
-    from: NodeId,
-    out: Outgoing<M>,
-    size: usize,
-) {
-    let Some(slot) = shared.cells.slot(out.to) else {
-        stats.dropped += 1;
-        return;
-    };
-    shared.outstanding.fetch_add(1, Ordering::SeqCst);
-    let msg_id = shared.msg_ids.fetch_add(1, Ordering::Relaxed);
-    let parcel = Parcel {
-        msg_id,
-        msg: out.msg,
-        size,
-    };
-    let item = WorkItem { from, parcel };
-    let (cell, home) = (slot as u32, shared.cells[slot].home);
-    match from_home {
-        Some(h) if h != home => {
-            stats.cross_shard_sends += 1;
-            let _ = shared.handoff[home].send(ShardMsg::Work { cell, item });
-        }
-        // Intra-shard short-circuit: no channel hop, payload still behind
-        // the sender's Arc.
-        _ => schedule(shared, cell, item),
-    }
-}
-
-/// Pops a runnable peer from some other shard's queue (back end, so the
-/// victim's own front-pops race as little as possible).
-fn steal<M, P>(me: usize, shared: &Shared<M, P>) -> Option<u32> {
-    let t = shared.runnable.len();
-    for off in 1..t {
-        let victim = (me + off) % t;
-        if let Some(idx) = shared.runnable[victim]
-            .lock()
-            .expect("runnable lock")
-            .pop_back()
-        {
-            return Some(idx);
-        }
-    }
-    None
-}
-
-/// Exclusively drains one claimed peer's inbox, running its handler per
-/// item and routing the sends. The exit re-check (`store(false)`, look
-/// again, re-`swap`) closes the race with a concurrent enqueuer: exactly
-/// one of the two observes `false` and keeps the peer scheduled.
-fn drain_cell<M: Wire + Sync, P: Peer<M>>(idx: u32, shared: &Shared<M, P>, meter: &mut Meter) {
-    let slot = idx as usize;
-    let cell = &shared.cells[slot];
-    let mut state = cell.state.lock().expect("state lock");
-    loop {
-        let item = cell.inbox.lock().expect("inbox lock").pop_front();
-        match item {
-            Some(item) => process(slot, &mut state, item, shared, meter),
-            None => {
-                cell.scheduled.store(false, Ordering::SeqCst);
-                let refilled = !cell.inbox.lock().expect("inbox lock").is_empty();
-                if refilled && !cell.scheduled.swap(true, Ordering::SeqCst) {
-                    continue;
-                }
-                break;
+            let id = host.id;
+            let now = SimTime(self.epoch.elapsed().as_micros() as u64);
+            let mut ctx = Context::new(now, id);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                meter.deliver(&mut host.peer, from, parcel, &mut ctx)
+            }));
+            if let Err(panic) = outcome {
+                host.poisoned = true;
+                self.record_panic(id, panic.as_ref());
             }
+            // Sends queued before a panic still go out.
+            meter.send_all(id, ctx.take_outgoing(), |stats, o, size| {
+                self.post(stats, Some(shard), id, o, size)
+            });
+            self.done();
+        }
+        (hosted, meter.stats)
+    }
+
+    /// The shard's next delivery, sleeping while its queue is empty and the
+    /// barrier above zero; `None` at quiescence (the barrier never rises
+    /// again from zero — a rise needs a running handler).
+    fn next(&self, shard: usize) -> Option<Delivery<M>> {
+        let mut queue = self.queues[shard].0.lock().expect("queue lock");
+        loop {
+            if let Some(delivery) = queue.deliveries.pop_front() {
+                return Some(delivery);
+            }
+            if self.outstanding.load(Ordering::SeqCst) == 0 {
+                return None;
+            }
+            queue.sleeping = true;
+            queue = self.queues[shard].1.wait(queue).expect("queue lock");
+            queue.sleeping = false;
         }
     }
-}
 
-/// Delivers one work item through the host's delivery step (panic-safe)
-/// and routes the sends it queued through the send step.
-fn process<M: Wire + Sync, P: Peer<M>>(
-    slot: usize,
-    state: &mut CellState<P>,
-    item: WorkItem<M>,
-    shared: &Shared<M, P>,
-    meter: &mut Meter,
-) {
-    if state.poisoned {
-        meter.stats.dropped += 1;
-        dec_outstanding(shared);
-        return;
+    /// Routes one counted send: dropped when no peer is hosted under its
+    /// receiver, else one more outstanding delivery at the back of the
+    /// receiver's shard queue (cross-shard when `from_shard` is another).
+    fn post(
+        &self,
+        stats: &mut NetStats,
+        from_shard: Option<usize>,
+        from: NodeId,
+        out: Outgoing<M>,
+        size: usize,
+    ) {
+        let Some(slot) = self.homes.slot(out.to) else {
+            stats.dropped += 1;
+            return;
+        };
+        let Home { shard, index } = self.homes[slot];
+        if from_shard.is_some_and(|s| s != shard) {
+            stats.cross_shard_sends += 1;
+        }
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
+        let msg_id = self.msg_ids.fetch_add(1, Ordering::Relaxed);
+        let parcel = Parcel {
+            msg_id,
+            msg: out.msg,
+            size,
+        };
+        let mut queue = self.queues[shard].0.lock().expect("queue lock");
+        queue.deliveries.push_back(Delivery {
+            index,
+            from,
+            parcel,
+        });
+        self.release(shard, queue);
     }
-    let id = shared.cells.id(slot);
-    let now = SimTime(shared.epoch.elapsed().as_micros() as u64);
-    let mut ctx = Context::new(now, id);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        meter.deliver(&mut state.peer, item.from, item.parcel, &mut ctx)
-    }));
-    if let Err(panic) = outcome {
-        state.poisoned = true;
-        record_panic(shared, id, panic.as_ref());
-    }
-    // Sends queued before a panic still go out.
-    let home = shared.cells[slot].home;
-    meter.send_all(id, ctx.take_outgoing(), |stats, o, size| {
-        post(shared, stats, Some(home), id, o, size)
-    });
-    dec_outstanding(shared);
-}
 
-/// Decrements the quiescence barrier; the decrement that reaches zero
-/// nudges every shard so sleepers re-check and exit.
-fn dec_outstanding<M, P>(shared: &Shared<M, P>) {
-    if shared.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-        for tx in &shared.handoff {
-            let _ = tx.send(ShardMsg::Wake);
+    /// Retires one delivery from the barrier; the decrement that reaches
+    /// zero wakes every sleeping shard so it sees quiescence and exits.
+    fn done(&self) {
+        if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
+            for shard in 0..self.queues.len() {
+                self.release(shard, self.queues[shard].0.lock().expect("queue lock"));
+            }
         }
     }
 }
@@ -624,6 +523,71 @@ mod tests {
         // 64 handler sends, two ring laps: each lap crosses 4 boundaries.
         assert!(blocks_cross <= 9, "blocks={blocks_cross}");
         assert_eq!(rr_cross, 64);
+    }
+
+    /// Two peers on two shards volley one ball 10 000 round trips. Every
+    /// send crosses shards and finds its receiver asleep or about to sleep,
+    /// so a lost wake-up hangs this test.
+    #[test]
+    fn cross_shard_ping_pong_loses_no_wake_up() {
+        #[derive(Debug)]
+        struct Player {
+            hits: u32,
+        }
+        impl Peer<Token> for Player {
+            fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut Context<Token>) {
+                self.hits += 1;
+                if msg.0 > 0 {
+                    ctx.send(from, Token(msg.0 - 1));
+                }
+            }
+        }
+        const VOLLEYS: u32 = 2 * 10_000;
+        let mut net = ShardedNetwork::new();
+        net.set_shards(2);
+        for i in 0..2 {
+            net.add_peer(NodeId(i), Player { hits: 0 });
+        }
+        let start = vec![(NodeId(0), NodeId(1), Token(VOLLEYS - 1))];
+        let (peers, stats) = net.run(start).unwrap();
+        let hits: Vec<u32> = peers.iter().map(|(_, p)| p.hits).collect();
+        assert_eq!(hits, vec![VOLLEYS / 2, VOLLEYS / 2]);
+        assert_eq!(stats.total_messages, u64::from(VOLLEYS));
+        assert_eq!(stats.cross_shard_sends, u64::from(VOLLEYS - 1));
+    }
+
+    /// A sender on one shard sends 1 000 numbered messages to a receiver on
+    /// the other, one per handler run, while the receiver drains them
+    /// concurrently: they arrive in send order.
+    #[test]
+    fn a_cross_shard_pipe_delivers_in_send_order() {
+        const BURST: u32 = 1_000;
+        enum Node {
+            Sender,
+            Receiver(Vec<u32>),
+        }
+        impl Peer<Token> for Node {
+            fn on_message(&mut self, _from: NodeId, msg: Token, ctx: &mut Context<Token>) {
+                match self {
+                    Node::Sender if msg.0 < BURST => {
+                        ctx.send(NodeId(1), Token(msg.0));
+                        ctx.send(NodeId(0), Token(msg.0 + 1));
+                    }
+                    Node::Sender => {}
+                    Node::Receiver(got) => got.push(msg.0),
+                }
+            }
+        }
+        let mut net = ShardedNetwork::new();
+        net.set_shards(2);
+        net.add_peer(NodeId(0), Node::Sender);
+        net.add_peer(NodeId(1), Node::Receiver(Vec::new()));
+        let (peers, stats) = net.run(vec![(NodeId(0), NodeId(0), Token(0))]).unwrap();
+        let Node::Receiver(got) = &peers[1].1 else {
+            unreachable!()
+        };
+        assert_eq!(*got, (0..BURST).collect::<Vec<_>>());
+        assert_eq!(stats.cross_shard_sends, u64::from(BURST));
     }
 
     #[test]

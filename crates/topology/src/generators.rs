@@ -105,7 +105,10 @@ pub enum Topology {
     /// probability such graphs are expanders: diameter `O(log n / log d)`,
     /// constant spectral gap — the shape that keeps a 100k-peer overlay's
     /// update latency flat while every node talks to `degree` pipes.
-    /// Every node has total (in + out) degree exactly `degree`.
+    /// Every node has total (in + out) degree exactly `degree`. Near
+    /// `degree = n − 1` the pairing does not converge, so above `(n − 1)/2`
+    /// an expander is the complement of a random `(n − 1 − degree)`-regular
+    /// graph (the clique at `degree = n − 1`), connected by its density.
     Expander {
         /// Number of nodes (≥ 3).
         n: u32,
@@ -683,16 +686,39 @@ fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
     }
 }
 
-/// Random `degree`-regular graph via the configuration model: each node
-/// contributes `degree` stubs, the stub list is shuffled and paired off.
-/// Self-loops and duplicate pairs are repaired by re-drawing swap partners;
-/// if a pairing resists repair (likelier for small `n`), the whole pairing
-/// is re-drawn — all deterministically from `seed`.
+/// Random connected `degree`-regular graph (see [`Topology::Expander`]):
+/// sparse degrees pair stubs and repair connectivity, dense ones take the
+/// complement of a sparse pairing. Two nodes of degree ≥ n/2 that are not
+/// adjacent share a neighbour, so the complement needs no repair.
 fn expander(n: u32, degree: u32, seed: u64) -> DependencyGraph {
     let mut rng = StdRng::seed_from_u64(seed);
+    if 2 * degree < n {
+        let mut set = regular(n, degree, &mut rng);
+        set.repair_connectivity(n);
+        return set.into_graph(n);
+    }
+    let sparse = regular(n, n - 1 - degree, &mut rng);
+    let mut set = EdgeSet::new();
+    for a in 0..n {
+        for b in a + 1..n {
+            if !sparse.contains(a, b) {
+                set.insert(a, b);
+            }
+        }
+    }
+    set.into_graph(n)
+}
+
+/// Random simple `degree`-regular graph via the configuration model, for
+/// `degree ≤ (n − 1)/2`: each node contributes `degree` stubs, the stub
+/// list is shuffled and paired off. Self-loops and duplicate pairs are
+/// repaired by re-drawing swap partners; if a pairing resists repair
+/// (likelier for small `n`), the whole pairing is re-drawn — all
+/// deterministically from `rng`.
+fn regular(n: u32, degree: u32, rng: &mut StdRng) -> EdgeSet {
     'attempt: for _ in 0..1_000 {
         let mut stubs: Vec<u32> = (0..n).flat_map(|i| (0..degree).map(move |_| i)).collect();
-        shuffle(&mut stubs, &mut rng);
+        shuffle(&mut stubs, rng);
         let mut set = EdgeSet::new();
         let mut bad: Vec<(u32, u32)> = Vec::new();
         for pair in stubs.chunks_exact(2) {
@@ -722,10 +748,9 @@ fn expander(n: u32, degree: u32, seed: u64) -> DependencyGraph {
                 continue 'attempt; // re-draw the whole pairing
             }
         }
-        set.repair_connectivity(n);
-        return set.into_graph(n);
+        return set;
     }
-    unreachable!("expander pairing failed to converge for n={n}, degree={degree}");
+    unreachable!("regular pairing failed to converge for n={n}, degree={degree}");
 }
 
 /// Watts–Strogatz small world: ring lattice of degree `k`, then each
@@ -980,6 +1005,33 @@ mod tests {
             }
             assert!(connected_ignoring_direction(&g.graph), "{t}: disconnected");
         }
+    }
+
+    /// Every `(n, degree)` that `validate` accepts for n ≤ 24 generates,
+    /// on several seeds, a connected graph of exactly that degree — the
+    /// dense ones (`degree = n − 1` from n = 7 on, `(24, 22)`) included.
+    #[test]
+    fn every_valid_expander_up_to_24_nodes_generates() {
+        let mut built = 0;
+        for n in 0..=24u32 {
+            for degree in 0..=n + 1 {
+                for seed in [1u64, 2, 3, 17] {
+                    let t = Topology::Expander { n, degree, seed };
+                    if t.validate().is_err() {
+                        continue;
+                    }
+                    let g = t.generate();
+                    assert_eq!(g.graph.edge_count(), (n * degree / 2) as usize, "{t}");
+                    for (node, deg) in total_degrees(&g.graph) {
+                        assert_eq!(deg, degree as usize, "{t}: node {node} degree");
+                    }
+                    assert!(connected_ignoring_direction(&g.graph), "{t}: disconnected");
+                    built += 1;
+                }
+            }
+        }
+        // 198 valid pairs, four seeds each.
+        assert_eq!(built, 4 * 198);
     }
 
     #[test]

@@ -49,33 +49,31 @@ pub struct SocketConfig {
     pub listen: SocketAddr,
     /// Peer id → address map (who this node can *dial*).
     pub peers: BTreeMap<NodeId, SocketAddr>,
-    /// Node ids accepted on inbound pipes. Empty means "whoever is in
-    /// `peers`" — but a node may legitimately accept a declared peer whose
-    /// address it never learned, so callers with a roster set this wider.
+    /// Node ids accepted on inbound pipes. A node may legitimately accept
+    /// a declared peer whose address it never learned, so this is the
+    /// roster, not the keys of `peers`.
     pub accept_from: BTreeSet<NodeId>,
-    /// Per-frame payload cap.
-    pub max_frame: u32,
-    /// Connection attempts before an outgoing pipe is declared dead.
-    pub connect_attempts: u32,
-    /// Pause between connection attempts.
-    pub connect_backoff: Duration,
 }
 
 impl SocketConfig {
-    /// A config with the default frame cap and a ~5 s connect budget
-    /// (100 × 50 ms) — generous enough for a whole cluster cold-starting.
+    /// A config that dials and accepts nobody yet.
     pub fn new(node: NodeId, listen: SocketAddr) -> Self {
         SocketConfig {
             node,
             listen,
             peers: BTreeMap::new(),
             accept_from: BTreeSet::new(),
-            max_frame: DEFAULT_MAX_FRAME,
-            connect_attempts: 100,
-            connect_backoff: Duration::from_millis(50),
         }
     }
 }
+
+/// Connection attempts before an outgoing pipe is declared dead: with
+/// [`CONNECT_BACKOFF`], a ~10 s budget — generous enough for a whole
+/// cluster cold-starting.
+const CONNECT_ATTEMPTS: u32 = 200;
+
+/// Pause between connection attempts.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// What the control hook tells the runtime to do with a control request.
 pub enum ControlAction {
@@ -151,12 +149,7 @@ where
             let shutdown = Arc::clone(&shutdown);
             let codec = Arc::clone(&codec);
             let my_node = config.node;
-            let known: Arc<BTreeSet<NodeId>> = Arc::new(if config.accept_from.is_empty() {
-                config.peers.keys().copied().collect()
-            } else {
-                config.accept_from.clone()
-            });
-            let max_frame = config.max_frame;
+            let known = Arc::new(config.accept_from.clone());
             std::thread::spawn(move || {
                 for conn in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
@@ -168,7 +161,7 @@ where
                     let codec = Arc::clone(&codec);
                     let known = Arc::clone(&known);
                     std::thread::spawn(move || {
-                        serve_connection(stream, my_node, codec, known, max_frame, stats, event_tx)
+                        serve_connection(stream, my_node, codec, known, stats, event_tx)
                     });
                 }
             })
@@ -327,13 +320,8 @@ where
             let stats = Arc::clone(&self.stats);
             let event_tx = self.event_tx.clone();
             let shutdown = Arc::clone(&self.shutdown);
-            let attempts = self.config.connect_attempts;
-            let backoff = self.config.connect_backoff;
-            let max_frame = self.config.max_frame;
             let handle = std::thread::spawn(move || {
-                writer_loop(
-                    to, addr, hello, rx, stats, event_tx, shutdown, attempts, backoff, max_frame,
-                )
+                writer_loop(to, addr, hello, rx, stats, event_tx, shutdown)
             });
             self.writers.insert(to, WriterSeat { tx, handle });
         }
@@ -367,7 +355,6 @@ fn serve_connection<M, C>(
     my_node: NodeId,
     codec: Arc<C>,
     known: Arc<BTreeSet<NodeId>>,
-    max_frame: u32,
     stats: Arc<StatCells>,
     event_tx: mpsc::Sender<Event<M>>,
 ) where
@@ -380,7 +367,7 @@ fn serve_connection<M, C>(
         my_node,
         codec.codec(),
         |n| known.contains(&n),
-        max_frame,
+        DEFAULT_MAX_FRAME,
     ) {
         Ok(h) => h,
         Err(TransportError::UnexpectedEof { got: 0, .. }) => return, // probe/wake-up
@@ -391,8 +378,8 @@ fn serve_connection<M, C>(
     };
     StatCells::bump(&stats.accepts);
     match hello.kind {
-        HelloKind::Pipe => pipe_read_loop(stream, hello.node, codec, max_frame, stats, event_tx),
-        HelloKind::Control => control_loop(stream, max_frame, event_tx),
+        HelloKind::Pipe => pipe_read_loop(stream, hello.node, codec, stats, event_tx),
+        HelloKind::Control => control_loop(stream, event_tx),
     }
 }
 
@@ -401,14 +388,13 @@ fn pipe_read_loop<M, C>(
     mut stream: TcpStream,
     from: NodeId,
     codec: Arc<C>,
-    max_frame: u32,
     stats: Arc<StatCells>,
     event_tx: mpsc::Sender<Event<M>>,
 ) where
     C: FrameCodec<M>,
 {
     loop {
-        match read_frame(&mut stream, max_frame) {
+        match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
             Ok(Some(payload)) => {
                 StatCells::bump(&stats.frames_received);
                 StatCells::add(&stats.bytes_received, payload.len() as u64);
@@ -450,9 +436,9 @@ fn pipe_read_loop<M, C>(
 }
 
 /// Serves one control connection: request frame in, reply frame out.
-fn control_loop<M>(mut stream: TcpStream, max_frame: u32, event_tx: mpsc::Sender<Event<M>>) {
+fn control_loop<M>(mut stream: TcpStream, event_tx: mpsc::Sender<Event<M>>) {
     loop {
-        match read_frame(&mut stream, max_frame) {
+        match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
             Ok(Some(body)) => {
                 let (rtx, rrx) = mpsc::channel();
                 if event_tx.send(Event::Control { body, reply: rtx }).is_err() {
@@ -477,7 +463,6 @@ fn control_loop<M>(mut stream: TcpStream, max_frame: u32, event_tx: mpsc::Sender
 
 /// Owns one outgoing pipe: connects lazily, writes frames in order, and
 /// reconnects (with a bounded budget) when the connection breaks.
-#[allow(clippy::too_many_arguments)]
 fn writer_loop<M>(
     to: NodeId,
     addr: SocketAddr,
@@ -486,9 +471,6 @@ fn writer_loop<M>(
     stats: Arc<StatCells>,
     event_tx: mpsc::Sender<Event<M>>,
     shutdown: Arc<AtomicBool>,
-    attempts: u32,
-    backoff: Duration,
-    max_frame: u32,
 ) {
     let mut conn: Option<BufWriter<TcpStream>> = None;
     let mut ever_connected = false;
@@ -499,7 +481,7 @@ fn writer_loop<M>(
                 return;
             }
             if conn.is_none() {
-                match connect_pipe(addr, &hello, attempts, backoff, max_frame, &shutdown) {
+                match connect_pipe(addr, &hello, &shutdown) {
                     Ok(stream) => {
                         StatCells::bump(&stats.connects);
                         if ever_connected {
@@ -552,26 +534,23 @@ fn writer_loop<M>(
 fn connect_pipe(
     addr: SocketAddr,
     hello: &Hello,
-    attempts: u32,
-    backoff: Duration,
-    max_frame: u32,
     shutdown: &AtomicBool,
 ) -> TransportResult<TcpStream> {
     let mut last = TransportError::Io {
         op: format!("connect {addr}"),
         detail: "no attempts made".into(),
     };
-    for attempt in 0..attempts.max(1) {
+    for attempt in 0..CONNECT_ATTEMPTS {
         if shutdown.load(Ordering::SeqCst) {
             return Err(last);
         }
         if attempt > 0 {
-            std::thread::sleep(backoff);
+            std::thread::sleep(CONNECT_BACKOFF);
         }
         match TcpStream::connect(addr) {
             Ok(mut stream) => {
                 let _ = stream.set_nodelay(true);
-                match client_handshake(&mut stream, hello, max_frame) {
+                match client_handshake(&mut stream, hello, DEFAULT_MAX_FRAME) {
                     Ok(_) => return Ok(stream),
                     Err(e @ TransportError::Rejected { .. }) => return Err(e),
                     Err(e) => last = e,

@@ -8,7 +8,7 @@
 //!   from several roots reaches a final global database tuple-identical
 //!   modulo null renaming to the simulator (and the centralized oracle) on
 //!   the same workload, for every shard count — including one shard (pure
-//!   multiplexing) and more shards than peers (idle workers), deterministic
+//!   multiplexing) and more shards than peers (one shard per peer), deterministic
 //!   cases plus a proptest over topologies × latency seeds × shard counts;
 //! * **locality accounting** — one shard means zero cross-shard sends;
 //!   contiguous-blocks placement beats round-robin on a ring;
@@ -111,8 +111,8 @@ fn ring_builder(n: u32) -> P2PSystemBuilder {
 
 /// Sharded fix-points equal the simulator's and the oracle's at every
 /// shard count — including 1 (pure multiplexing, and the baseline every
-/// speedup is measured against) and 16 > n (idle shards must not deadlock
-/// the quiescence barrier) — on a cyclic copy network and on the join star,
+/// speedup is measured against) and 16 > n (the run starts one shard per
+/// peer) — on a cyclic copy network and on the join star,
 /// whose fix-point must also hit its closed form.
 #[test]
 fn sharded_matches_simulator_across_shard_counts() {

@@ -1164,10 +1164,8 @@ fn topology() -> impl Strategy<Value = Topology> {
                 }
             }
             8 => {
-                // Sparse, as expanders are: a pairing as dense as
-                // `degree = n − 1` does not converge (n = 9, degree = 8).
-                let n = n.max(4);
-                let degree = 2 + b % (n / 2 - 1);
+                let n = n.max(3);
+                let degree = 2 + b % (n - 2);
                 // n · degree must be even.
                 let n = if n * degree % 2 == 1 { n + 1 } else { n };
                 Topology::Expander { n, degree, seed }
