@@ -8,15 +8,16 @@
 //!
 //! The peers live on the shared [`crate::host`]: its peer table, send step
 //! and delivery step. What the simulator adds is its clock — latency,
-//! faults, churn and the trace around one event heap:
+//! faults, churn and the trace around one agenda:
 //!
-//! * **One heap, one event per delivery** — every send, crash and restart is
-//!   a `(time, seq, event)` entry in a `BinaryHeap`, and events due at one
-//!   instant fire in the order they were scheduled. A 10k-peer first-contact
-//!   session schedules ~98k deliveries; the slot arena and per-pipe
-//!   same-instant batching that once sat under this heap merged 9 of them,
-//!   and 0.3 % of an 8-peer ring's, so the plain heap is the whole
-//!   scheduler.
+//! * **Two lanes, one event per delivery** — every send, crash and restart is
+//!   a `(time, seq, event)` entry, fired in that order. A simulation mostly
+//!   schedules in time order (as calendar queues observe): ~76k of a
+//!   10k-peer session's ~98k sends land no earlier than every send already
+//!   scheduled, so they go to the back of a FIFO lane (`VecDeque`); the
+//!   rest — a send a charge or jitter puts behind the lane's last, churn,
+//!   [`Simulator::inject_at`] — go to a `BinaryHeap`. A pop takes the earlier
+//!   front. The clock never runs back: an entry due in the past is due now.
 //! * **Shared payloads** — handlers queue [`Outgoing`] entries carrying
 //!   `Arc<M>`; a fan-out ([`Context::send_to_many`]) allocates the message
 //!   once and every receiver shares it. The host's send step serializes it
@@ -31,17 +32,16 @@
 //! per pipe — a send never arrives before the pipe's previous one — and the
 //! update protocol's completeness flags rely on it. A
 //! [`FaultDecision::Duplicate`] is counted in [`NetStats::duplicated`] and
-//! the copy is never scheduled, so no peer ever sees one send twice. The
-//! floors sit in one hash table keyed by the `(from, to)` pair under the
-//! workspace's Fx hasher: a 10k-peer session touches ~100k pipes and looks
-//! one up on every send. The table is never iterated, and pairs are keyed
-//! by `NodeId` — not by peer slot — so a sender or receiver the simulator
-//! hosts no peer for (the external driver, a node that left) keeps its FIFO
-//! floor too.
+//! the copy is never scheduled, so no peer ever sees one send twice. A floor
+//! binds only while the pipe's previous send is in flight, so it lives with
+//! the sender, for its sends in flight: their latest arrival per receiver
+//! and of all, forgotten once the clock reaches that. Senders are keyed by
+//! `NodeId`, not by peer slot, so one the simulator hosts no peer for (the
+//! external driver, a node that left) keeps its floors too.
 
 use crate::codec::Codec;
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::host::{Context, Meter, Outgoing, Parcel, Peer, PeerTable};
+use crate::host::{Context, Meter, NodeRows, Outgoing, Parcel, Peer, PeerTable};
 use crate::latency::LatencyModel;
 use crate::message::{SimTime, Wire};
 use crate::stats::NetStats;
@@ -49,7 +49,7 @@ use crate::trace::{Trace, TraceEntry};
 use p2p_topology::fxhash::FxHashMap;
 use p2p_topology::NodeId;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Outcome of a simulation run.
@@ -64,22 +64,20 @@ pub struct RunOutcome {
     pub quiescent: bool,
 }
 
-/// What fires when an entry of the heap comes due.
+/// What fires when an entry of the agenda comes due.
 enum Event<M> {
-    /// One message reaches its receiver.
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        parcel: Parcel<M>,
-    },
+    /// One message goes from a node to another: the payload and its wire
+    /// size, in 32 bits as a frame's length is, so that an entry takes 40
+    /// bytes.
+    Deliver(NodeId, NodeId, Arc<M>, u32),
     /// Churn plan: the node's process dies.
     Crash(NodeId),
     /// Churn plan: the node's process comes back.
     Restart(NodeId),
 }
 
-/// A heap entry: its event fires at `at`, after every entry due then with
-/// a smaller `seq`.
+/// An agenda entry: its event fires at `at`, after every entry due then
+/// with a smaller `seq`. A delivery's `seq` is its send's identity.
 struct Due<M> {
     at: SimTime,
     seq: u64,
@@ -107,33 +105,88 @@ impl<M> Ord for Due<M> {
     }
 }
 
-/// The simulator's clock: the event heap, the pipe floors, latency and
+/// One sender's sends in flight: each pipe's latest arrival, its FIFO
+/// floor, and the latest of all. Most senders have a few pipes in flight,
+/// so the first four sit in the entry and only the rest in a map.
+#[derive(Default)]
+struct InFlight {
+    until: SimTime,
+    /// How many of `to`/`at` are in use; `far` is empty until all are.
+    len: u8,
+    to: [NodeId; 4],
+    at: [SimTime; 4],
+    far: Option<Box<FxHashMap<NodeId, SimTime>>>,
+}
+
+impl InFlight {
+    /// `at` raised to the floor of the pipe to `to`, which it becomes, after
+    /// forgetting what arrived by `now`. Only a send landing before the
+    /// latest in flight meets a floor; only one landing after `now` sets one.
+    fn floor(&mut self, to: NodeId, at: SimTime, now: SimTime) -> SimTime {
+        if self.until <= now && self.len > 0 {
+            self.len = 0;
+            self.far.iter_mut().for_each(|far| far.clear());
+        }
+        if self.until <= at && at <= now {
+            return at;
+        }
+        let len = usize::from(self.len);
+        let floor = match self.to[..len].iter().position(|&t| t == to) {
+            Some(i) => &mut self.at[i],
+            None if len < self.to.len() => {
+                (self.len, self.to[len], self.at[len]) = (self.len + 1, to, at);
+                &mut self.at[len]
+            }
+            None => self.far.get_or_insert_default().entry(to).or_insert(at),
+        };
+        *floor = at.max(*floor);
+        self.until = self.until.max(*floor);
+        *floor
+    }
+}
+
+/// The simulator's clock: the two lanes, the pipe floors, latency and
 /// faults.
 struct Agenda<M> {
+    /// Sends in `(at, seq)` order: each due no earlier than the one before.
+    lane: VecDeque<Due<M>>,
+    /// Every other entry.
     heap: BinaryHeap<Due<M>>,
     latency: Box<dyn LatencyModel>,
     fault: FaultPlan,
     now: SimTime,
     seq: u64,
-    next_msg_id: u64,
-    /// Each pipe's FIFO floor: when its latest send arrives. Hash-keyed,
-    /// never iterated.
-    floors: FxHashMap<(NodeId, NodeId), SimTime>,
+    /// `NodeId → in_flight` row of every node that has sent.
+    senders: NodeRows,
+    in_flight: Vec<InFlight>,
 }
 
 impl<M> Agenda<M> {
-    /// Queues `event` to fire at `at`, after everything already due then.
-    fn push(&mut self, at: SimTime, event: Event<M>) {
-        let seq = self.seq;
+    /// Queues `event` at `at` — or now, if `at` is past — after everything
+    /// already due then: a `send` at the back of the lane unless an entry
+    /// there is due later, anything else on the heap.
+    fn push(&mut self, at: SimTime, event: Event<M>, send: bool) {
+        let (at, seq) = (at.max(self.now), self.seq);
+        let due = Due { at, seq, event };
         self.seq += 1;
-        self.heap.push(Due { at, seq, event });
+        if send && self.lane.back().is_none_or(|last| last.at <= due.at) {
+            self.lane.push_back(due);
+        } else {
+            self.heap.push(due);
+        }
     }
 
-    /// A fresh parcel: `msg` with the next send identity.
-    fn parcel(&mut self, msg: Arc<M>, size: usize) -> Parcel<M> {
-        let msg_id = self.next_msg_id;
-        self.next_msg_id += 1;
-        Parcel { msg_id, msg, size }
+    /// Takes the earlier of the two lanes' first entries and moves the
+    /// clock to it.
+    fn pop(&mut self) -> Option<Due<M>> {
+        // `Due` orders reversed: of two entries, the greater is due first.
+        let due = match (self.lane.front(), self.heap.peek()) {
+            (Some(first), Some(top)) if top > first => self.heap.pop(),
+            (Some(_), _) => self.lane.pop_front(),
+            (None, _) => self.heap.pop(),
+        }?;
+        self.now = due.at;
+        Some(due)
     }
 
     /// Schedules one counted send, unless the fault plan drops it: it
@@ -149,12 +202,14 @@ impl<M> Agenda<M> {
             FaultDecision::Duplicate => stats.duplicated += 1,
             FaultDecision::Deliver => {}
         }
-        let latency = self.latency.latency(from, to, size);
-        let floor = self.floors.entry((from, to)).or_default();
-        let at = (self.now + out.delay + latency).max(*floor);
-        *floor = at;
-        let parcel = self.parcel(out.msg, size);
-        self.push(at, Event::Deliver { from, to, parcel });
+        let row = self.senders.row(from);
+        if row == self.in_flight.len() {
+            self.in_flight.push(InFlight::default());
+        }
+        let at = self.now + out.delay + self.latency.latency(from, to, size);
+        let at = self.in_flight[row].floor(to, at, self.now);
+        let size = u32::try_from(size).expect("a message fits a frame");
+        self.push(at, Event::Deliver(from, to, out.msg, size), true);
     }
 }
 
@@ -178,13 +233,14 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
             down: Vec::new(),
             meter: Meter::new(Codec::default()),
             agenda: Agenda {
+                lane: VecDeque::new(),
                 heap: BinaryHeap::new(),
                 latency,
                 fault: FaultPlan::none(),
                 now: SimTime::ZERO,
                 seq: 0,
-                next_msg_id: 0,
-                floors: FxHashMap::default(),
+                senders: NodeRows::default(),
+                in_flight: Vec::new(),
             },
             trace: Trace::default(),
             max_events: 10_000_000,
@@ -203,14 +259,14 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
     }
 
     /// Schedules a churn plan: each crash/restart pair becomes a pair of
-    /// control events at `base + offset`. While a peer is down, deliveries
-    /// to it are dropped; at the restart event its
+    /// control events at `base + offset` (or now, if that is past). While a
+    /// peer is down, deliveries to it are dropped; at the restart event its
     /// [`Peer::on_restart`] hook runs (with a context, so it can send).
     pub fn schedule_churn(&mut self, plan: &crate::churn::ChurnPlan, base: SimTime) {
         for ev in plan.events() {
-            self.agenda.push(base + ev.crash_at, Event::Crash(ev.node));
-            self.agenda
-                .push(base + ev.restart_at, Event::Restart(ev.node));
+            let agenda = &mut self.agenda;
+            agenda.push(base + ev.crash_at, Event::Crash(ev.node), false);
+            agenda.push(base + ev.restart_at, Event::Restart(ev.node), false);
         }
     }
 
@@ -285,7 +341,8 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
     }
 
     /// Schedules a message for delivery at an absolute time (dynamic-change
-    /// scripts). No latency is added: `at` *is* the delivery time.
+    /// scripts). No latency is added: `at` *is* the delivery time — or now,
+    /// if `at` is past, since the clock never runs back.
     pub fn inject_at(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
         let out = vec![Outgoing {
             to,
@@ -294,8 +351,8 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
         }];
         let agenda = &mut self.agenda;
         self.meter.send_all(from, out, |_, o, size| {
-            let parcel = agenda.parcel(o.msg, size);
-            agenda.push(at, Event::Deliver { from, to, parcel });
+            let size = u32::try_from(size).expect("a message fits a frame");
+            agenda.push(at, Event::Deliver(from, to, o.msg, size), false);
         });
     }
 
@@ -307,14 +364,16 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
         });
     }
 
-    /// Pops and fires the earliest event; `false` when the heap is empty.
+    /// Pops and fires the earliest event; `false` when the agenda is empty.
     fn step(&mut self) -> bool {
-        let Some(Due { at, event, .. }) = self.agenda.heap.pop() else {
+        let Some(due) = self.agenda.pop() else {
             return false;
         };
-        self.agenda.now = at;
-        match event {
-            Event::Deliver { from, to, parcel } => self.deliver(from, to, parcel),
+        match due.event {
+            Event::Deliver(from, to, msg, size) => {
+                let (msg_id, size) = (due.seq, size as usize);
+                self.deliver(from, to, Parcel { msg_id, msg, size });
+            }
             Event::Crash(node) => self.crash(node),
             Event::Restart(node) => self.restart(node),
         }
@@ -849,7 +908,7 @@ mod tests {
         assert_eq!(sim.stats().shared_payload_sends, 7);
     }
 
-    /// The floor table under a sender with far more than 1 000 pipes (the
+    /// The floors under a sender with far more than 1 000 pipes (the
     /// root's roster fan-out): every pipe keeps its own FIFO floor — a
     /// message sent after a delayed one waits for it instead of overtaking
     /// — round after round.
@@ -874,34 +933,271 @@ mod tests {
                 }
             }
         }
-        let mut sim: Simulator<Ping, Node> = Simulator::new(Box::new(ConstantLatency(SimTime(7))));
+        // At zero latency an undelayed send lands the instant it is made,
+        // and still waits for the delayed one before it.
+        for latency in [7, 0] {
+            let mut sim: Simulator<Ping, Node> =
+                Simulator::new(Box::new(ConstantLatency(SimTime(latency))));
+            sim.add_peer(NodeId(0), Node::Hub);
+            for i in 1..=LEAVES {
+                sim.add_peer(NodeId(i), Node::Leaf(vec![]));
+            }
+            for round in 1..=2 {
+                let start = sim.now();
+                sim.inject(NodeId(LEAVES + 1), NodeId(0), Ping(0));
+                assert!(sim.step(), "the trigger reaches the hub");
+                let agenda = &sim.agenda;
+                assert_eq!(agenda.lane.len() + agenda.heap.len(), 3 * LEAVES as usize);
+                let hub = agenda.senders.get(NodeId(0)).expect("the hub has sent");
+                let sent = &agenda.in_flight[hub];
+                let far = sent.far.as_ref().map_or(0, |far| far.len());
+                assert_eq!(usize::from(sent.len) + far, LEAVES as usize);
+                let o = sim.run();
+                assert!(o.quiescent);
+                assert_eq!(o.delivered, 3 * u64::from(LEAVES));
+                // Trigger latency, then the delayed message's 50 + latency;
+                // the two undelayed ones were floored to it.
+                assert_eq!(o.virtual_time, start + SimTime(latency + 50 + latency));
+                for i in 1..=LEAVES {
+                    match sim.peer(NodeId(i)).unwrap() {
+                        Node::Leaf(got) => assert_eq!(*got, [1, 2, 3].repeat(round)),
+                        Node::Hub => unreachable!(),
+                    }
+                }
+            }
+            assert_eq!(sim.stats().dropped, 0);
+        }
+    }
+
+    /// Ten thousand pipes under jitter, two sends each: the second of every
+    /// pair is drawn a shorter latency about half the time and must wait for
+    /// the first, found among the hub's 10 000 in-flight records.
+    #[test]
+    fn jittered_ten_thousand_pipe_fan_out_keeps_every_pipe_in_order() {
+        const LEAVES: u32 = 10_000;
+        enum Node {
+            Hub,
+            Leaf(Vec<u32>),
+        }
+        impl Peer<Ping> for Node {
+            fn on_message(&mut self, _from: NodeId, msg: Ping, ctx: &mut Context<Ping>) {
+                match self {
+                    Node::Hub => {
+                        for leaf in (1..=LEAVES).map(NodeId) {
+                            ctx.send(leaf, Ping(1));
+                            ctx.send(leaf, Ping(2));
+                        }
+                    }
+                    Node::Leaf(got) => got.push(msg.0),
+                }
+            }
+        }
+        let mut sim: Simulator<Ping, Node> =
+            Simulator::new(Box::new(UniformLatency::new(SimTime(1), SimTime(5_000), 3)));
         sim.add_peer(NodeId(0), Node::Hub);
         for i in 1..=LEAVES {
             sim.add_peer(NodeId(i), Node::Leaf(vec![]));
         }
-        for round in 1..=2u32 {
-            let start = sim.now();
-            sim.inject(NodeId(LEAVES + 1), NodeId(0), Ping(0));
-            assert!(sim.step(), "the trigger reaches the hub");
-            assert_eq!(sim.agenda.heap.len(), 3 * LEAVES as usize);
-            assert_eq!(sim.agenda.floors.len(), LEAVES as usize + 1);
-            let o = sim.run();
-            assert!(o.quiescent);
-            assert_eq!(o.delivered, 3 * u64::from(LEAVES));
-            // Trigger latency, then the delayed message's 50 + 7; the two
-            // undelayed ones were floored to it.
-            assert_eq!(o.virtual_time, start + SimTime(7 + 50 + 7));
-            for i in 1..=LEAVES {
-                match sim.peer(NodeId(i)).unwrap() {
-                    Node::Leaf(got) => assert_eq!(got.len(), 3 * round as usize),
-                    Node::Hub => unreachable!(),
-                }
+        sim.inject(NodeId(LEAVES + 1), NodeId(0), Ping(0));
+        let o = sim.run();
+        assert_eq!(o.delivered, 1 + 2 * u64::from(LEAVES));
+        for i in 1..=LEAVES {
+            match sim.peer(NodeId(i)).unwrap() {
+                Node::Leaf(got) => assert_eq!(got, &[1, 2], "pipe 0 -> {i}"),
+                Node::Hub => unreachable!(),
             }
         }
-        match sim.peer(NodeId(LEAVES)).unwrap() {
-            Node::Leaf(got) => assert_eq!(got, &[1, 2, 3, 1, 2, 3]),
-            Node::Hub => unreachable!(),
+    }
+
+    /// A delivery scheduled for a past instant is due now: the clock never
+    /// runs back.
+    #[test]
+    fn inject_at_a_past_time_delivers_now_and_the_clock_never_runs_back() {
+        let mut sim = two_bouncers(Box::new(ConstantLatency(SimTime(10))));
+        sim.inject(NodeId(0), NodeId(1), Ping(3));
+        assert_eq!(sim.run().virtual_time, SimTime(40));
+        sim.set_trace_capacity(100);
+        sim.inject_at(SimTime(5), NodeId(0), NodeId(1), Ping(2));
+        sim.inject(NodeId(1), NodeId(0), Ping(0));
+        let mut last = sim.now();
+        while sim.step() {
+            assert!(sim.now() >= last, "the clock ran back");
+            last = sim.now();
         }
-        assert_eq!(sim.stats().dropped, 0);
+        let at: Vec<(u32, SimTime)> = sim
+            .trace()
+            .entries()
+            .iter()
+            .map(|e| (e.to.0, e.at))
+            .collect();
+        // The past delivery fires at 40 and its reply lands at 50 behind
+        // the injected `Ping(0)`, whose reply lands at 60.
+        assert_eq!(
+            at,
+            [
+                (1, SimTime(40)),
+                (0, SimTime(50)),
+                (0, SimTime(50)),
+                (1, SimTime(60))
+            ]
+        );
+    }
+
+    /// The two lanes pop exactly what one `(at, seq)` heap pops, over
+    /// schedules of in-order runs, equal times, sends overtaken by earlier
+    /// ones, and far-future churn, with the clock only moving forward.
+    #[test]
+    fn two_lanes_pop_what_one_heap_pops() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Reverse;
+
+        let (mut in_lane, mut in_heap) = (0, 0);
+        for seed in 0..256 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sim: Simulator<Ping, Bouncer> =
+                Simulator::new(Box::new(ConstantLatency(SimTime(1))));
+            let mut agenda = sim.agenda;
+            let mut reference = BinaryHeap::new();
+            let (mut popped, mut want) = (Vec::new(), Vec::new());
+            // The latest time sent to so far; sends land at it or before.
+            let mut front = SimTime::ZERO;
+            let node = NodeId(0);
+            for _ in 0..rng.gen_range(1..400usize) {
+                let seq = agenda.seq;
+                let now = agenda.now;
+                match rng.gen_range(0..10u32) {
+                    // Pop a few.
+                    0..=2 => {
+                        for _ in 0..rng.gen_range(1..8u32) {
+                            let (Some(due), Some(Reverse(at_seq))) =
+                                (agenda.pop(), reference.pop())
+                            else {
+                                break;
+                            };
+                            popped.push((due.at, due.seq));
+                            want.push(at_seq);
+                        }
+                        front = front.max(agenda.now);
+                    }
+                    // An in-order send, at or past the latest one.
+                    3..=6 => {
+                        front += SimTime(rng.gen_range(0..4u64));
+                        agenda.push(front, Event::Crash(node), true);
+                        reference.push(Reverse((front, seq)));
+                    }
+                    // A send overtaken by earlier ones.
+                    7 | 8 => {
+                        let at = now + SimTime(rng.gen_range(0..=(front - now).0));
+                        agenda.push(at, Event::Crash(node), true);
+                        reference.push(Reverse((at, seq)));
+                    }
+                    // Far-future churn.
+                    _ => {
+                        let at = front + SimTime(rng.gen_range(1_000..2_000u64));
+                        agenda.push(at, Event::Restart(node), false);
+                        reference.push(Reverse((at, seq)));
+                    }
+                }
+                in_lane += agenda.lane.len();
+                in_heap += agenda.heap.len();
+            }
+            while let Some(due) = agenda.pop() {
+                popped.push((due.at, due.seq));
+            }
+            want.extend(std::iter::from_fn(|| reference.pop().map(|Reverse(e)| e)));
+            assert_eq!(popped, want, "schedule {seed}");
+        }
+        assert!(in_lane > 0 && in_heap > 0, "both lanes were used");
+    }
+
+    /// The agenda's memory follows its entries and its senders: an entry
+    /// takes 40 bytes, a sender's in-flight records 72 until it has more
+    /// than four pipes in flight.
+    #[test]
+    fn an_entry_takes_40_bytes_and_a_sender_72() {
+        assert_eq!(std::mem::size_of::<Due<Ping>>(), 40);
+        assert_eq!(std::mem::size_of::<InFlight>(), 72);
+    }
+
+    /// FNV-1a over the trace's `(at, from, to, kind)`: a fingerprint of a
+    /// run's delivery order and timestamps.
+    fn trace_digest(trace: &Trace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for e in trace.entries() {
+            let bytes =
+                e.at.0
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(e.from.0.to_le_bytes())
+                    .chain(e.to.0.to_le_bytes())
+                    .chain(e.kind.bytes());
+            for b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// A pinned run — jitter, delayed sends, a 1 500-receiver fan-out with
+    /// two sends per pipe, replies, and a crash and restart — delivers in
+    /// one order, at one set of times. A scheduler change that moves either
+    /// moves the digest.
+    #[test]
+    fn a_pinned_run_keeps_its_delivery_order() {
+        use crate::churn::ChurnPlan;
+        const LEAVES: u32 = 1_500;
+        enum Node {
+            Hub,
+            Leaf,
+        }
+        impl Peer<Ping> for Node {
+            fn on_message(&mut self, from: NodeId, msg: Ping, ctx: &mut Context<Ping>) {
+                match (self, msg.0) {
+                    (Node::Hub, 9) => {
+                        for leaf in (1..=LEAVES).map(NodeId) {
+                            ctx.send_after(SimTime(u64::from(leaf.0 % 7) * 40), leaf, Ping(1));
+                            ctx.send(leaf, Ping(2));
+                        }
+                    }
+                    (Node::Leaf, 2) => ctx.send(from, Ping(0)),
+                    _ => {}
+                }
+            }
+            fn on_restart(&mut self, ctx: &mut Context<Ping>) {
+                ctx.send(NodeId(0), Ping(0));
+            }
+        }
+        let mut sim: Simulator<Ping, Node> = Simulator::new(Box::new(UniformLatency::new(
+            SimTime(100),
+            SimTime(1_000),
+            11,
+        )));
+        sim.add_peer(NodeId(0), Node::Hub);
+        for i in 1..=LEAVES {
+            sim.add_peer(NodeId(i), Node::Leaf);
+        }
+        sim.set_trace_capacity(20_000);
+        sim.schedule_churn(
+            &ChurnPlan::none()
+                .with_crash(NodeId(7), SimTime(300), SimTime(1_500))
+                .with_crash(NodeId(0), SimTime(1_200), SimTime(1_400)),
+            SimTime::ZERO,
+        );
+        sim.inject(NodeId(LEAVES + 1), NodeId(0), Ping(9));
+        let first = sim.run();
+        sim.inject(NodeId(LEAVES + 1), NodeId(0), Ping(9));
+        let second = sim.run();
+        assert!(first.quiescent && second.quiescent);
+        assert_eq!(
+            (
+                first.delivered,
+                second.delivered,
+                sim.trace().entries().len()
+            ),
+            (4_232, 4_501, 8_737)
+        );
+        // The one-heap scheduler's digest: the lanes keep its order.
+        assert_eq!(trace_digest(sim.trace()), 2_260_715_737_226_443_690);
     }
 }
