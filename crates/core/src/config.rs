@@ -69,10 +69,13 @@ pub struct SystemConfig {
     /// snapshot's bytes of log have accumulated, which bounds what is held
     /// and replayed at ~2× the state. 0 keeps only the initial snapshot.
     pub snapshot_every: u64,
-    /// Wire codec for protocol messages and (with durability on) WAL /
-    /// snapshot frames: JSON text by default, or the compact binary
-    /// encoding of [`crate::codec`]. Netfiles and the CLI always speak
-    /// JSON regardless — the codec is a transport/storage property.
+    /// Wire codec for protocol messages and (with durability on) the
+    /// payload encoding of WAL frames and snapshots: JSON text by default,
+    /// or the compact binary encoding of [`crate::codec`]. It picks no file
+    /// family: a store's files and their framing are the same under both,
+    /// and a store opened under the other codec than the one that wrote it
+    /// is refused as corrupt. Netfiles and the CLI always speak JSON
+    /// regardless — the codec is a transport/storage property.
     pub codec: p2p_net::Codec,
     /// Maximum null-derivation depth for the restricted chase.
     pub max_null_depth: u32,

@@ -337,6 +337,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::messages::Start;
+    use p2p_net::Codec;
     use p2p_relational::{Database, DatabaseSchema, Val};
     use p2p_storage::FileBackend;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -397,6 +398,43 @@ mod tests {
         assert_eq!(peer.database().total_tuples(), 1);
         assert_eq!(peer.stats.recoveries, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store written under one codec and attached under the other is
+    /// refused, in both directions, and left as it was: read as empty, it
+    /// would get this peer's base data checkpointed over its logged facts.
+    #[test]
+    fn a_store_reopened_under_the_other_codec_is_refused_not_read_as_empty() {
+        for (wrote, reads) in [(Codec::Json, Codec::Binary), (Codec::Binary, Codec::Json)] {
+            let dir = temp_dir(&format!("other_codec_{wrote}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let attach = |codec| -> StorageResult<DbPeer> {
+                let mut peer = DbPeer::new(NodeId(1), Database::new(schema()), durable_config());
+                let backend = Box::new(FileBackend::open(&dir)?);
+                peer.attach_storage(PeerStorage::with_codec(backend, 0, codec))?;
+                Ok(peer)
+            };
+            let mut peer = attach(wrote).unwrap();
+            peer.insert_base_fact("a", vec![Val::Int(7)]).unwrap();
+            drop(peer);
+            let files = || {
+                let mut files: Vec<_> = (std::fs::read_dir(&dir).unwrap())
+                    .map(|e| e.unwrap().path())
+                    .map(|p| (std::fs::read(&p).unwrap(), p))
+                    .collect();
+                files.sort();
+                files
+            };
+            let before = files();
+            let refused = attach(reads).map(|_| ());
+            assert!(
+                matches!(refused, Err(p2p_storage::StorageError::Corrupt(_))),
+                "{wrote} store attached as {reads}: {refused:?}"
+            );
+            assert_eq!(files(), before, "the refused attach wrote nothing");
+            assert_eq!(attach(wrote).unwrap().database().total_tuples(), 1);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// Without storage a restart is pure amnesia: nothing recovered, no
@@ -651,7 +689,7 @@ mod tests {
         let disk = TestDisk::default();
         peer.attach_storage(PeerStorage::new(Box::new(disk.clone()), 0))
             .unwrap();
-        let frames = || disk.read_wal().unwrap().len();
+        let frames = || disk.read_wal_bytes().unwrap().len();
 
         let install = |peer: &mut DbPeer| {
             peer.install_rule(rule.clone());
@@ -774,7 +812,7 @@ mod tests {
         assert_eq!(peer.errors().len(), 1, "{:?}", peer.errors());
     }
 
-    /// A text-frame store in memory that outlives the handle a peer owns,
+    /// A store in memory that outlives the handle a peer owns,
     /// counts how often it is replayed, and can be told to misbehave.
     #[derive(Debug, Clone, Default)]
     struct TestDisk {
@@ -795,44 +833,33 @@ mod tests {
     }
 
     impl p2p_storage::StorageBackend for TestDisk {
-        fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
+        fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
             if self.refuses_appends {
                 return Err(p2p_storage::StorageError::Io("disk full".into()));
             }
             if self.drops_insertions {
-                let mut frame = p2p_storage::WalFrame::from_frame(frame)?;
+                let mut frame = p2p_storage::WalFrame::decode(Codec::Json, frame)?;
                 (frame.records).retain(|r| !matches!(r, WalRecord::Insert { .. }));
                 if !frame.records.is_empty() {
-                    self.with(|b| b.append_wal(&frame.to_frame()))?;
+                    let bytes = frame.encode(Codec::Json)?;
+                    self.with(|b| b.append_wal_bytes(&bytes))?;
                 }
                 return Ok(());
             }
-            self.with(|b| b.append_wal(frame))
-        }
-        fn read_wal(&self) -> StorageResult<Vec<String>> {
-            self.with(|b| b.read_wal())
-        }
-        fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
-            self.with(|b| b.write_snapshot(snapshot))
-        }
-        fn read_snapshot(&self) -> StorageResult<Option<String>> {
-            self.replays.fetch_add(1, Ordering::Relaxed);
-            if self.unreadable_once_logged && !self.read_wal()?.is_empty() {
-                return Err(p2p_storage::StorageError::Io("unreadable".into()));
-            }
-            self.with(|b| b.read_snapshot())
-        }
-        fn append_wal_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
-            unimplemented!("text frames only")
+            self.with(|b| b.append_wal_bytes(frame))
         }
         fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
-            unimplemented!("text frames only")
+            self.with(|b| b.read_wal_bytes())
         }
-        fn write_snapshot_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
-            unimplemented!("text frames only")
+        fn write_snapshot_bytes(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+            self.with(|b| b.write_snapshot_bytes(snapshot))
         }
         fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
-            unimplemented!("text frames only")
+            self.replays.fetch_add(1, Ordering::Relaxed);
+            if self.unreadable_once_logged && !self.read_wal_bytes()?.is_empty() {
+                return Err(p2p_storage::StorageError::Io("unreadable".into()));
+            }
+            self.with(|b| b.read_snapshot_bytes())
         }
     }
 

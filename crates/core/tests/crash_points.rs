@@ -134,15 +134,15 @@ fn log_cut_at_any_byte_recovers_no_mark_ahead_of_the_database() {
     let (golden, scratch) = (temp_dir("golden"), temp_dir("scratch"));
     let _ = std::fs::remove_dir_all(&golden);
     two_sessions(&mut head(open(&golden), 0), |_| {});
-    let snapshot = std::fs::read(golden.join("snapshot-1.json")).unwrap();
-    let log = std::fs::read(golden.join("wal-1.jsonl")).unwrap();
+    let snapshot = std::fs::read(golden.join("snapshot-1.bin")).unwrap();
+    let log = std::fs::read(golden.join("wal-1.bin")).unwrap();
 
     let mut most = 0;
     for cut in 0..=log.len() {
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join("snapshot-1.json"), &snapshot).unwrap();
-        std::fs::write(scratch.join("wal-1.jsonl"), &log[..cut]).unwrap();
+        std::fs::write(scratch.join("snapshot-1.bin"), &snapshot).unwrap();
+        std::fs::write(scratch.join("wal-1.bin"), &log[..cut]).unwrap();
         let rec = open(&scratch).recover(HEAD.0).unwrap().unwrap();
         most = most.max(marks_are_covered(&rec, &format!("log cut at {cut}")));
     }
@@ -158,14 +158,14 @@ fn log_cut_at_any_byte_recovers_no_mark_ahead_of_the_database() {
 fn log_cut_at_any_byte_recovers_whole_deliveries() {
     let (golden, scratch) = (temp_dir("whole_golden"), temp_dir("whole_scratch"));
     let _ = std::fs::remove_dir_all(&golden);
-    let log_len = || std::fs::metadata(golden.join("wal-1.jsonl")).map_or(0, |m| m.len());
+    let log_len = || std::fs::metadata(golden.join("wal-1.bin")).map_or(0, |m| m.len());
     let mut after = vec![(0, Vec::new())];
     let mut peer = head(open(&golden), 0);
     two_sessions(&mut peer, |peer| {
         after.push((log_len(), peer.database().all_facts()));
     });
-    let snapshot = std::fs::read(golden.join("snapshot-1.json")).unwrap();
-    let log = std::fs::read(golden.join("wal-1.jsonl")).unwrap();
+    let snapshot = std::fs::read(golden.join("snapshot-1.bin")).unwrap();
+    let log = std::fs::read(golden.join("wal-1.bin")).unwrap();
     assert!(
         after.windows(2).filter(|w| w[1].0 > w[0].0).count() == 4,
         "the four answers logged a frame each, the floods none"
@@ -174,8 +174,8 @@ fn log_cut_at_any_byte_recovers_whole_deliveries() {
     for cut in 0..=log.len() {
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join("snapshot-1.json"), &snapshot).unwrap();
-        std::fs::write(scratch.join("wal-1.jsonl"), &log[..cut]).unwrap();
+        std::fs::write(scratch.join("snapshot-1.bin"), &snapshot).unwrap();
+        std::fs::write(scratch.join("wal-1.bin"), &log[..cut]).unwrap();
         let rec = open(&scratch).recover(HEAD.0).unwrap().unwrap();
         let whole = after
             .iter()
@@ -187,10 +187,10 @@ fn log_cut_at_any_byte_recovers_whole_deliveries() {
     std::fs::remove_dir_all(&scratch).unwrap();
 }
 
-/// What a text-frame store holds: the newest snapshot and the frames since.
-type Held = (Option<String>, Vec<String>);
+/// What a store holds: the newest snapshot and the frames since.
+type Held = (Option<Vec<u8>>, Vec<Vec<u8>>);
 
-/// Everything a text-frame store held after each write it took.
+/// Everything a store held after each write it took.
 #[derive(Debug, Clone, Default)]
 struct Recording {
     now: Arc<Mutex<Held>>,
@@ -207,29 +207,17 @@ impl Recording {
 }
 
 impl StorageBackend for Recording {
-    fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
-        self.write(|(_, frames)| frames.push(frame.to_string()))
-    }
-    fn read_wal(&self) -> StorageResult<Vec<String>> {
-        Ok(self.now.lock().unwrap().1.clone())
-    }
-    fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
-        self.write(|now| *now = (Some(snapshot.to_string()), Vec::new()))
-    }
-    fn read_snapshot(&self) -> StorageResult<Option<String>> {
-        Ok(self.now.lock().unwrap().0.clone())
-    }
-    fn append_wal_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
-        unimplemented!("text frames only")
+    fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
+        self.write(|(_, frames)| frames.push(frame.to_vec()))
     }
     fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
-        unimplemented!("text frames only")
+        Ok(self.now.lock().unwrap().1.clone())
     }
-    fn write_snapshot_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
-        unimplemented!("text frames only")
+    fn write_snapshot_bytes(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+        self.write(|now| *now = (Some(snapshot.to_vec()), Vec::new()))
     }
     fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
-        unimplemented!("text frames only")
+        Ok(self.now.lock().unwrap().0.clone())
     }
 }
 
@@ -249,9 +237,11 @@ fn checkpoint_between_any_two_frames_holds_no_mark_ahead_of_the_database() {
         let mut last_frame = String::new();
         for (i, (snapshot, frames)) in history.iter().enumerate() {
             let mut backend = MemoryBackend::default();
-            backend.write_snapshot(snapshot.as_ref().unwrap()).unwrap();
+            backend
+                .write_snapshot_bytes(snapshot.as_ref().unwrap())
+                .unwrap();
             for frame in frames {
-                backend.append_wal(frame).unwrap();
+                backend.append_wal_bytes(frame).unwrap();
             }
             let rec = PeerStorage::new(Box::new(backend), 0)
                 .recover(HEAD.0)
@@ -267,7 +257,10 @@ fn checkpoint_between_any_two_frames_holds_no_mark_ahead_of_the_database() {
                     checkpoints_inside_an_answer += 1;
                 }
             }
-            last_frame = frames.last().cloned().unwrap_or_default();
+            // The store's codec is JSON: a frame is its text.
+            last_frame = (frames.last())
+                .map(|f| String::from_utf8(f.clone()).unwrap())
+                .unwrap_or_default();
         }
     }
     assert!(

@@ -48,17 +48,20 @@
 //! [`MemoryBackend`] for the deterministic simulator (a crash there is a
 //! state wipe inside one process, so an in-memory "disk" is the honest
 //! model), and a [`FileBackend`] for runs that must survive a real process
-//! exit. The contract, as it now stands: `write_snapshot*` is a checkpoint
-//! (afterwards `read_snapshot*` returns that snapshot, and the backend may
-//! drop every earlier frame); `read_wal*` returns at least every frame
-//! appended since the newest snapshot, in order.
+//! exit. A backend stores bytes: the store's codec encodes every frame's and
+//! snapshot's payload (JSON text or [`binpack`]), and a store reopened
+//! under the other codec fails to decode them, a typed
+//! [`StorageError::Corrupt`]. The contract: `write_snapshot_bytes` is a
+//! checkpoint (afterwards `read_snapshot_bytes` returns that snapshot, and
+//! the backend may drop every earlier frame); `read_wal_bytes` returns at
+//! least every frame appended since the newest snapshot, in order.
 //!
-//! [`FileBackend`]'s on-disk layout — generation-named `snapshot-<g>` /
-//! `wal-<g>` files, a CRC-32 on every frame and a checksum trailer on every
-//! snapshot, what is deleted when, how a torn tail is cut off at open — is
-//! specified in the [`backend`] module docs. Directories written in the
-//! earlier `wal.jsonl`/`snapshot.json` layout are not read; a log of
-//! one-record frames is refused as corrupt.
+//! [`FileBackend`]'s on-disk layout — generation-named `snapshot-<g>.bin` /
+//! `wal-<g>.bin` files, a length and a CRC-32 before every frame and a
+//! checksum trailer after every snapshot, what is deleted when, how a torn
+//! tail is cut off at open — is specified in the [`backend`] module docs.
+//! Files of earlier layouts are not read; a log of one-record frames is
+//! refused as corrupt.
 //!
 //! ## Recovery invariant
 //!
@@ -78,6 +81,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod backend;
 pub mod store;
@@ -87,6 +94,8 @@ pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use store::{CursorMark, DatabaseSnapshot, FragmentMark, PeerStorage, RecoveredState};
 pub use wal::{WalFrame, WalRecord};
 
+use p2p_net::Codec;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors of the persistence layer.
@@ -112,3 +121,26 @@ impl std::error::Error for StorageError {}
 
 /// Result alias for the persistence layer.
 pub type StorageResult<T> = Result<T, StorageError>;
+
+/// `value` encoded under `codec`: the payload of a frame or a snapshot.
+fn encode<T: Serialize + ?Sized>(codec: Codec, value: &T, what: &str) -> StorageResult<Vec<u8>> {
+    let bytes = match codec {
+        Codec::Json => serde_json::to_string(value)
+            .map(String::into_bytes)
+            .map_err(|e| e.to_string()),
+        Codec::Binary => binpack::to_bytes(value).map_err(|e| e.to_string()),
+    };
+    bytes.map_err(|e| StorageError::Corrupt(format!("{what} encode: {e}")))
+}
+
+/// A payload [`encode`] wrote under `codec`; one written under the other
+/// codec fails.
+fn decode<T: Deserialize>(codec: Codec, bytes: &[u8], what: &str) -> StorageResult<T> {
+    let value = match codec {
+        Codec::Json => std::str::from_utf8(bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string())),
+        Codec::Binary => binpack::from_bytes(bytes).map_err(|e| e.to_string()),
+    };
+    value.map_err(|e| StorageError::Corrupt(format!("{what} decode: {e}")))
+}

@@ -225,7 +225,7 @@ impl LogFold {
 #[derive(Debug)]
 pub struct PeerStorage {
     backend: Box<dyn StorageBackend>,
-    /// Which on-disk frame encoding this store reads and writes.
+    /// How this store encodes the payload of every frame and snapshot.
     codec: Codec,
     /// WAL records between automatic snapshots (0 = only explicit ones).
     snapshot_every: u64,
@@ -241,17 +241,18 @@ pub struct PeerStorage {
 }
 
 impl PeerStorage {
-    /// Wraps a backend with JSON framing. `snapshot_every` is the number
+    /// Wraps a backend with JSON payloads. `snapshot_every` is the number
     /// of WAL records between automatic snapshots (0 disables the cadence;
     /// the initial snapshot is always written explicitly by the owner).
     pub fn new(backend: Box<dyn StorageBackend>, snapshot_every: u64) -> Self {
         Self::with_codec(backend, snapshot_every, Codec::Json)
     }
 
-    /// Wraps a backend with an explicit frame codec: `Json` uses the
-    /// backend's text frames, `Binary` writes [`binpack`] frames to its
-    /// byte channel. Reads nothing: what the backend holds is seen by
-    /// [`PeerStorage::recover`], which reports its errors.
+    /// Wraps a backend with an explicit payload codec: frames and snapshots
+    /// are JSON text (`Json`) or [`binpack`] (`Binary`), framed alike by
+    /// the backend. Reads nothing: what the backend holds is seen by
+    /// [`PeerStorage::recover`], which reports its errors — a store written
+    /// under the other codec is [`StorageError::Corrupt`].
     pub fn with_codec(backend: Box<dyn StorageBackend>, snapshot_every: u64, codec: Codec) -> Self {
         PeerStorage {
             backend,
@@ -265,7 +266,7 @@ impl PeerStorage {
         }
     }
 
-    /// The frame codec this store was built with.
+    /// The payload codec this store was built with.
     pub fn codec(&self) -> Codec {
         self.codec
     }
@@ -307,16 +308,8 @@ impl PeerStorage {
         }
         let dict = self.first_use_dict(records.iter().flat_map(WalRecord::values));
         let frame = WalFrame { dict, records };
-        let appended = match self.codec {
-            Codec::Json => {
-                let text = frame.to_frame();
-                self.backend.append_wal(&text).map(|()| text.len())
-            }
-            Codec::Binary => {
-                let bytes = frame.to_frame_bytes();
-                self.backend.append_wal_bytes(&bytes).map(|()| bytes.len())
-            }
-        };
+        let appended = (frame.encode(self.codec))
+            .and_then(|bytes| self.backend.append_wal_bytes(&bytes).map(|()| bytes.len()));
         let len = match appended {
             Ok(len) => len,
             Err(e) => {
@@ -363,26 +356,14 @@ impl PeerStorage {
             last_session: self.folded.last_session,
             db,
         };
-        let encode =
-            |e: &dyn std::fmt::Display| StorageError::Corrupt(format!("snapshot encode: {e}"));
-        let len = match self.codec {
-            Codec::Json => {
-                let text = serde_json::to_string(&snap).map_err(|e| encode(&e))?;
-                self.backend.write_snapshot(&text)?;
-                text.len()
-            }
-            Codec::Binary => {
-                let bytes = binpack::to_bytes(&snap).map_err(|e| encode(&e))?;
-                self.backend.write_snapshot_bytes(&bytes)?;
-                bytes.len()
-            }
-        };
+        let bytes = crate::encode(self.codec, &snap, "snapshot")?;
+        self.backend.write_snapshot_bytes(&bytes)?;
         // The dictionaries of the dropped frames went with them: what is
         // persisted now is exactly what this snapshot defines.
         self.persisted_syms = catalog.iter().map(|(id, _)| *id).collect();
         self.since_snapshot = 0;
         self.bytes_since_snapshot = 0;
-        self.snapshot_bytes = len as u64;
+        self.snapshot_bytes = bytes.len() as u64;
         Ok(())
     }
 
@@ -396,22 +377,10 @@ impl PeerStorage {
     /// the null mint. `None` when no snapshot was ever written: the owner
     /// writes one at attach time, so the store never belonged to a peer.
     pub fn recover(&self, node: u32) -> StorageResult<Option<RecoveredState>> {
-        let decode =
-            |e: &dyn std::fmt::Display| StorageError::Corrupt(format!("snapshot decode: {e}"));
-        let snap: DatabaseSnapshot = match self.codec {
-            Codec::Json => {
-                let Some(text) = self.backend.read_snapshot()? else {
-                    return Ok(None);
-                };
-                serde_json::from_str(&text).map_err(|e| decode(&e))?
-            }
-            Codec::Binary => {
-                let Some(bytes) = self.backend.read_snapshot_bytes()? else {
-                    return Ok(None);
-                };
-                binpack::from_bytes(&bytes).map_err(|e| decode(&e))?
-            }
+        let Some(bytes) = self.backend.read_snapshot_bytes()? else {
+            return Ok(None);
         };
+        let snap: DatabaseSnapshot = crate::decode(self.codec, &bytes, "snapshot")?;
         let catalog = ConstCatalog::global();
         let mut remap = catalog.absorb(&snap.catalog);
         let mut db = snap.db;
@@ -429,8 +398,9 @@ impl PeerStorage {
         };
         for (rule, from, mut mark) in snap.marks {
             if !mark.rows.is_empty() && mark.rows.arity() != mark.vars.len() {
-                return Err(decode(&format!(
-                    "the mark of rule {rule} from {from} holds rows of {} values over {} columns",
+                return Err(StorageError::Corrupt(format!(
+                    "snapshot decode: the mark of rule {rule} from {from} holds rows of {} \
+                     values over {} columns",
                     mark.rows.arity(),
                     mark.vars.len()
                 )));
@@ -441,14 +411,9 @@ impl PeerStorage {
             folded.marks.insert((rule, from), mark);
         }
 
-        let frames: Vec<WalFrame> = match self.codec {
-            Codec::Json => (self.backend.read_wal()?.iter())
-                .map(|f| WalFrame::from_frame(f))
-                .collect::<StorageResult<_>>()?,
-            Codec::Binary => (self.backend.read_wal_bytes()?.iter())
-                .map(|f| WalFrame::from_frame_bytes(f))
-                .collect::<StorageResult<_>>()?,
-        };
+        let frames: Vec<WalFrame> = (self.backend.read_wal_bytes()?.iter())
+            .map(|f| WalFrame::decode(self.codec, f))
+            .collect::<StorageResult<_>>()?;
         let mut buf = Vec::new();
         for frame in frames {
             remap.extend(catalog.absorb(&frame.dict));
@@ -566,36 +531,24 @@ mod tests {
     /// present, the frames it covers not yet dropped.
     #[derive(Debug, Default)]
     struct KeepsEveryFrame {
-        wal: Vec<String>,
-        snapshot: Option<String>,
+        wal: Vec<Vec<u8>>,
+        snapshot: Option<Vec<u8>>,
     }
 
     impl StorageBackend for KeepsEveryFrame {
-        fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
-            self.wal.push(frame.to_string());
+        fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
+            self.wal.push(frame.to_vec());
             Ok(())
-        }
-        fn read_wal(&self) -> StorageResult<Vec<String>> {
-            Ok(self.wal.clone())
-        }
-        fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
-            self.snapshot = Some(snapshot.to_string());
-            Ok(())
-        }
-        fn read_snapshot(&self) -> StorageResult<Option<String>> {
-            Ok(self.snapshot.clone())
-        }
-        fn append_wal_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
-            unimplemented!("text frames only")
         }
         fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
-            unimplemented!("text frames only")
+            Ok(self.wal.clone())
         }
-        fn write_snapshot_bytes(&mut self, _: &[u8]) -> StorageResult<()> {
-            unimplemented!("text frames only")
+        fn write_snapshot_bytes(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+            self.snapshot = Some(snapshot.to_vec());
+            Ok(())
         }
         fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
-            unimplemented!("text frames only")
+            Ok(self.snapshot.clone())
         }
     }
 
@@ -819,31 +772,19 @@ mod tests {
     }
 
     impl StorageBackend for Failing {
-        fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
-            if self.fail.load(Ordering::Relaxed) {
-                return Err(StorageError::Io("disk full".into()));
-            }
-            self.inner.append_wal(frame)
-        }
-        fn read_wal(&self) -> StorageResult<Vec<String>> {
-            self.inner.read_wal()
-        }
-        fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
-            if self.fail.load(Ordering::Relaxed) {
-                return Err(StorageError::Io("disk full".into()));
-            }
-            self.inner.write_snapshot(snapshot)
-        }
-        fn read_snapshot(&self) -> StorageResult<Option<String>> {
-            self.inner.read_snapshot()
-        }
         fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
+            if self.fail.load(Ordering::Relaxed) {
+                return Err(StorageError::Io("disk full".into()));
+            }
             self.inner.append_wal_bytes(frame)
         }
         fn read_wal_bytes(&self) -> StorageResult<Vec<Vec<u8>>> {
             self.inner.read_wal_bytes()
         }
         fn write_snapshot_bytes(&mut self, snapshot: &[u8]) -> StorageResult<()> {
+            if self.fail.load(Ordering::Relaxed) {
+                return Err(StorageError::Io("disk full".into()));
+            }
             self.inner.write_snapshot_bytes(snapshot)
         }
         fn read_snapshot_bytes(&self) -> StorageResult<Option<Vec<u8>>> {
@@ -910,9 +851,10 @@ mod tests {
         fail.store(false, Ordering::Relaxed);
         st.commit(batch()).unwrap();
         assert!(st.has_marks(5));
-        let frames = st.backend.read_wal().unwrap();
+        let frames = st.backend.read_wal_bytes().unwrap();
         assert_eq!(frames.len(), 1);
-        assert!(frames[0].contains("saw-a-failed-commit"), "{}", frames[0]);
+        let text = String::from_utf8(frames[0].clone()).unwrap();
+        assert!(text.contains("saw-a-failed-commit"), "{text}");
     }
 
     /// A checkpoint drops the frames whose dictionaries defined a symbol,
@@ -1089,12 +1031,10 @@ mod tests {
                 .unwrap();
             let written = |st: &mut PeerStorage| {
                 st.snapshot(&db, 3, vec![(NullId::new(4, 2), 1)]).unwrap();
+                let bytes = st.backend.read_snapshot_bytes().unwrap().unwrap();
                 match codec {
-                    Codec::Json => st.backend.read_snapshot().unwrap().unwrap(),
-                    Codec::Binary => (st.backend.read_snapshot_bytes().unwrap().unwrap())
-                        .iter()
-                        .map(|b| format!("{b:02x}"))
-                        .collect(),
+                    Codec::Json => String::from_utf8(bytes).unwrap(),
+                    Codec::Binary => bytes.iter().map(|b| format!("{b:02x}")).collect(),
                 }
             };
             let bytes = written(&mut st);
@@ -1140,12 +1080,8 @@ mod tests {
             let doc: Content = serde_json::from_str(&text).unwrap();
             for codec in [Codec::Json, Codec::Binary] {
                 let mut backend = MemoryBackend::default();
-                match codec {
-                    Codec::Json => backend.write_snapshot(&text).unwrap(),
-                    Codec::Binary => backend
-                        .write_snapshot_bytes(&binpack::to_bytes(&doc).unwrap())
-                        .unwrap(),
-                }
+                let bytes = crate::encode(codec, &doc, "snapshot").unwrap();
+                backend.write_snapshot_bytes(&bytes).unwrap();
                 let st = PeerStorage::with_codec(Box::new(backend), 0, codec);
                 let err = st.recover(0).unwrap_err();
                 assert!(matches!(err, StorageError::Corrupt(_)), "{codec}: {err}");
@@ -1177,14 +1113,8 @@ mod tests {
         let old = Content::Map(fields);
         for codec in [Codec::Json, Codec::Binary] {
             let mut backend = MemoryBackend::default();
-            match codec {
-                Codec::Json => backend
-                    .write_snapshot(&serde_json::to_string(&old).unwrap())
-                    .unwrap(),
-                Codec::Binary => backend
-                    .write_snapshot_bytes(&binpack::to_bytes(&old).unwrap())
-                    .unwrap(),
-            }
+            let bytes = crate::encode(codec, &old, "snapshot").unwrap();
+            backend.write_snapshot_bytes(&bytes).unwrap();
             let st = PeerStorage::with_codec(Box::new(backend), 0, codec);
             let rec = st.recover(0).unwrap().unwrap();
             assert_eq!(rec.db.all_facts(), db.all_facts(), "{codec}");
@@ -1233,7 +1163,7 @@ mod tests {
             insert(&mut st, &mut db, "b", vec![Val::Int(11)]);
             insert(&mut st, &mut db, "s", vec![Val::str("bin-reopen")]);
         }
-        // No JSON artifacts: the binary store writes its own family.
+        // One snapshot and one log, whichever codec encoded them.
         let mut names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -1250,6 +1180,48 @@ mod tests {
             .unwrap()
             .contains(&[Val::str("bin-reopen")]));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store written under one codec and reopened under the other is a
+    /// typed error, in both directions — not an empty store the owner
+    /// would then checkpoint its base data over.
+    #[test]
+    fn a_store_reopened_under_the_other_codec_is_refused_not_read_as_empty() {
+        for (wrote, reads) in [(Codec::Json, Codec::Binary), (Codec::Binary, Codec::Json)] {
+            let dir = std::env::temp_dir().join(format!(
+                "p2p_storage_other_codec_{}_{wrote}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db = Database::new(schema());
+            {
+                let backend = Box::new(FileBackend::open(&dir).unwrap());
+                let mut st = PeerStorage::with_codec(backend, 0, wrote);
+                st.snapshot(&db, 0, Vec::new()).unwrap();
+                insert(
+                    &mut st,
+                    &mut db,
+                    "s",
+                    vec![Val::str("logged-under-one-codec")],
+                );
+            }
+            let backend = Box::new(FileBackend::open(&dir).unwrap());
+            let err = PeerStorage::with_codec(backend, 0, reads).recover(0);
+            assert!(
+                matches!(err, Err(StorageError::Corrupt(_))),
+                "{wrote} store read as {reads}: {err:?}"
+            );
+            // Past the snapshot, each frame is refused the same way.
+            let frames = FileBackend::open(&dir).unwrap().read_wal_bytes().unwrap();
+            assert_eq!(frames.len(), 1);
+            let frame = WalFrame::decode(reads, &frames[0]);
+            assert!(matches!(frame, Err(StorageError::Corrupt(_))), "{frame:?}");
+            // The store is still whole under its own codec.
+            let backend = Box::new(FileBackend::open(&dir).unwrap());
+            let rec = PeerStorage::with_codec(backend, 0, wrote).recover(0);
+            assert_eq!(rec.unwrap().unwrap().db.all_facts(), db.all_facts());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

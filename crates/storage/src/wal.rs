@@ -21,7 +21,7 @@
 
 use crate::store::CursorMark;
 use crate::{StorageError, StorageResult};
-use p2p_net::SessionId;
+use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
 use p2p_relational::{SymId, Tuple, Val};
 use p2p_topology::NodeId;
@@ -42,32 +42,17 @@ pub struct WalFrame {
 }
 
 impl WalFrame {
-    /// Serializes the frame.
-    pub fn to_frame(&self) -> String {
-        serde_json::to_string(self).expect("WAL records are plain data")
+    /// The frame's payload under `codec`.
+    pub fn encode(&self, codec: Codec) -> StorageResult<Vec<u8>> {
+        crate::encode(codec, self, "WAL frame")
     }
 
-    /// Parses a frame back.
-    pub fn from_frame(frame: &str) -> StorageResult<Self> {
-        Self::from_doc(serde_json::from_str(frame))
-    }
-
-    /// Serializes the frame in binary (the [`binpack`] wire form, used
-    /// when the store's codec is `Binary`).
-    pub fn to_frame_bytes(&self) -> Vec<u8> {
-        binpack::to_bytes(self).expect("WAL records are plain data")
-    }
-
-    /// Parses a binary frame back.
-    pub fn from_frame_bytes(frame: &[u8]) -> StorageResult<Self> {
-        Self::from_doc(binpack::from_bytes(frame))
-    }
-
-    /// A frame from its parsed document, refusing the earlier layout (the
-    /// derive skips unknown keys: a record's own `dict` would go unread).
-    fn from_doc(doc: Result<Content, impl Display>) -> StorageResult<Self> {
+    /// Decodes a payload [`WalFrame::encode`] wrote under `codec`, refusing
+    /// the earlier layout (the derive skips unknown keys: a record's own
+    /// `dict` would go unread).
+    pub fn decode(codec: Codec, frame: &[u8]) -> StorageResult<Self> {
         let corrupt = |e: &dyn Display| StorageError::Corrupt(format!("WAL frame: {e}"));
-        let doc = doc.map_err(|e| corrupt(&e))?;
+        let doc: Content = crate::decode(codec, frame, "WAL frame")?;
         let frame = Self::from_content(&doc).map_err(|e| corrupt(&e))?;
         let records = (field(&doc, "records").and_then(Content::as_seq)).unwrap_or_default();
         let mut bodies = records.iter().filter_map(Content::as_map).flatten();
@@ -169,6 +154,15 @@ mod tests {
         }
     }
 
+    /// The frame encoded under `codec` and decoded back.
+    fn roundtrip(frame: &WalFrame, codec: Codec) -> WalFrame {
+        WalFrame::decode(codec, &frame.encode(codec).unwrap()).unwrap()
+    }
+
+    fn json(frame: &WalFrame) -> String {
+        String::from_utf8(frame.encode(Codec::Json).unwrap()).unwrap()
+    }
+
     #[test]
     fn insert_record_roundtrips() {
         let frame = one(WalRecord::Insert {
@@ -176,7 +170,7 @@ mod tests {
             tuple: Tuple::new(vec![Val::Int(1), Val::Null(NullId::new(2, 5))]),
             depths: vec![(NullId::new(2, 5), 3)],
         });
-        assert_eq!(WalFrame::from_frame(&frame.to_frame()).unwrap(), frame);
+        assert_eq!(roundtrip(&frame, Codec::Json), frame);
     }
 
     /// The dictionary is the frame's, and covers the rows of every record
@@ -194,11 +188,10 @@ mod tests {
             dict: vec![(v.as_sym().unwrap(), Arc::from("wal-dict-sym"))],
             records: vec![insert, WalRecord::ForgetRule { rule: 2 }],
         };
-        let text = frame.to_frame();
+        let text = json(&frame);
         assert!(text.starts_with(r#"{"dict":[["#) && text.contains("wal-dict-sym"));
-        assert_eq!(WalFrame::from_frame(&text).unwrap(), frame);
-        let bytes = frame.to_frame_bytes();
-        assert_eq!(WalFrame::from_frame_bytes(&bytes).unwrap(), frame);
+        assert_eq!(roundtrip(&frame, Codec::Json), frame);
+        assert_eq!(roundtrip(&frame, Codec::Binary), frame);
     }
 
     #[test]
@@ -213,7 +206,7 @@ mod tests {
             rows: vec![Tuple::new(vec![Val::Int(1), Val::Int(2)])],
             watermarks,
         });
-        assert_eq!(WalFrame::from_frame(&frame.to_frame()).unwrap(), frame);
+        assert_eq!(roundtrip(&frame, Codec::Json), frame);
     }
 
     #[test]
@@ -240,9 +233,8 @@ mod tests {
         records.push(WalRecord::ForgetRule { rule: 9 });
         for record in records {
             let frame = one(record);
-            assert_eq!(WalFrame::from_frame(&frame.to_frame()).unwrap(), frame);
-            let bytes = frame.to_frame_bytes();
-            assert_eq!(WalFrame::from_frame_bytes(&bytes).unwrap(), frame);
+            assert_eq!(roundtrip(&frame, Codec::Json), frame);
+            assert_eq!(roundtrip(&frame, Codec::Binary), frame);
         }
     }
 
@@ -270,7 +262,7 @@ mod tests {
                 },
             ],
         };
-        let text = frame.to_frame();
+        let text = json(&frame);
         assert!(!["dict", "depths", "vars", "rows"]
             .iter()
             .any(|k| text.contains(k)));
@@ -279,7 +271,8 @@ mod tests {
             r#"{"Answer":{"session":{"root":0,"epoch":3},"rule":4,"node":3,"#,
             r#""vars":[],"rows":[],"watermarks":{"b":7}}}]}"#
         );
-        assert_eq!(WalFrame::from_frame(spelled_out).unwrap(), frame);
+        let read = WalFrame::decode(Codec::Json, spelled_out.as_bytes()).unwrap();
+        assert_eq!(read, frame);
         assert!(text.len() + 40 < spelled_out.len());
     }
 
@@ -289,15 +282,21 @@ mod tests {
     #[test]
     fn garbage_frame_is_a_corrupt_error() {
         let corrupt = |r: StorageResult<WalFrame>| matches!(r, Err(StorageError::Corrupt(_)));
-        assert!(corrupt(WalFrame::from_frame("not json")));
-        assert!(corrupt(WalFrame::from_frame_bytes(&[0xff, 0xff, 0xff])));
+        assert!(corrupt(WalFrame::decode(Codec::Json, b"not json")));
+        assert!(corrupt(WalFrame::decode(
+            Codec::Binary,
+            &[0xff, 0xff, 0xff]
+        )));
         let earlier = r#"{"Insert":{"relation":"a","tuple":[{"Int":1}],"dict":[[9,"x"]]}}"#;
         let nested = format!(r#"{{"records":[{earlier}]}}"#);
         for text in [earlier, &nested, r#"{"records":[]}"#, r#"{"dict":[]}"#] {
             let doc: Content = serde_json::from_str(text).unwrap();
-            assert!(corrupt(WalFrame::from_frame(text)), "{text}");
+            assert!(
+                corrupt(WalFrame::decode(Codec::Json, text.as_bytes())),
+                "{text}"
+            );
             let bytes = binpack::to_bytes(&doc).unwrap();
-            assert!(corrupt(WalFrame::from_frame_bytes(&bytes)), "{text}");
+            assert!(corrupt(WalFrame::decode(Codec::Binary, &bytes)), "{text}");
         }
     }
 
@@ -315,13 +314,13 @@ mod tests {
                 .collect(),
             watermarks,
         });
-        let bytes = frame.to_frame_bytes();
-        assert_eq!(WalFrame::from_frame_bytes(&bytes).unwrap(), frame);
+        assert_eq!(roundtrip(&frame, Codec::Binary), frame);
+        let bytes = frame.encode(Codec::Binary).unwrap();
         assert!(
-            bytes.len() * 3 < frame.to_frame().len() * 2,
+            bytes.len() * 3 < json(&frame).len() * 2,
             "binary frame {} should be well under the JSON frame {}",
             bytes.len(),
-            frame.to_frame().len()
+            json(&frame).len()
         );
     }
 }

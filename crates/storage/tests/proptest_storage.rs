@@ -147,24 +147,10 @@ fn sub_op() -> impl Strategy<Value = SubOp> {
 #[derive(Debug, Default)]
 struct KeepsEveryFrame {
     inner: MemoryBackend,
-    text: Vec<String>,
     bytes: Vec<Vec<u8>>,
 }
 
 impl StorageBackend for KeepsEveryFrame {
-    fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
-        self.text.push(frame.to_string());
-        Ok(())
-    }
-    fn read_wal(&self) -> StorageResult<Vec<String>> {
-        Ok(self.text.clone())
-    }
-    fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
-        self.inner.write_snapshot(snapshot)
-    }
-    fn read_snapshot(&self) -> StorageResult<Option<String>> {
-        self.inner.read_snapshot()
-    }
     fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
         self.bytes.push(frame.to_vec());
         Ok(())
@@ -425,12 +411,7 @@ proptest! {
         let codec = if binary { Codec::Binary } else { Codec::Json };
         let dir = scratch_dir(&format!("files_{codec}"));
         let (facts, ends) = acknowledged_history(&dir, codec, &sizes);
-        let name = match (damage.snapshot, binary) {
-            (true, false) => "snapshot-1.json",
-            (true, true) => "snapshot-1.bin",
-            (false, false) => "wal-1.jsonl",
-            (false, true) => "wal-1.bin",
-        };
+        let name = if damage.snapshot { "snapshot-1.bin" } else { "wal-1.bin" };
         let mut bytes = std::fs::read(dir.join(name)).unwrap();
         let at = damage.at % bytes.len();
         match damage.how {
@@ -477,12 +458,9 @@ proptest! {
         acknowledged_history(&dir, codec, &[2, 3]);
         let mut backend = FileBackend::open(&dir).unwrap();
         let payload = framed_payload(shape, &frame, at, binary);
-        let text = String::from_utf8_lossy(&payload);
-        match (in_snapshot, binary) {
-            (true, false) => backend.write_snapshot(&text).unwrap(),
-            (true, true) => backend.write_snapshot_bytes(&payload).unwrap(),
-            (false, false) => backend.append_wal(&text).unwrap(),
-            (false, true) => backend.append_wal_bytes(&payload).unwrap(),
+        match in_snapshot {
+            true => backend.write_snapshot_bytes(&payload).unwrap(),
+            false => backend.append_wal_bytes(&payload).unwrap(),
         }
         drop(backend);
         let backend = FileBackend::open(&dir).unwrap();

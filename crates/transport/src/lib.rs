@@ -23,6 +23,11 @@
 //! * [`error`] / [`stats`] — typed failures and the counters the control
 //!   plane exports (frames, bytes, connects, reconnects).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod error;
 pub mod frame;
 pub mod handshake;

@@ -19,6 +19,7 @@ use crate::handshake::{client_handshake, server_handshake, Hello, HelloKind};
 use crate::stats::{StatCells, TransportStats};
 use p2p_net::{Codec, Context, Outgoing, PayloadMemo, Peer, SimTime};
 use p2p_topology::NodeId;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -309,23 +310,23 @@ where
 
     /// The writer seat for `to`, spawning its thread on first use.
     fn writer_for(&mut self, to: NodeId) -> TransportResult<&WriterSeat> {
-        if !self.writers.contains_key(&to) {
-            let addr = *self
-                .config
-                .peers
-                .get(&to)
-                .ok_or(TransportError::NoRoute { node: to })?;
-            let (tx, rx) = mpsc::channel::<Arc<Vec<u8>>>();
-            let hello = Hello::pipe(self.config.node, self.codec.codec());
-            let stats = Arc::clone(&self.stats);
-            let event_tx = self.event_tx.clone();
-            let shutdown = Arc::clone(&self.shutdown);
-            let handle = std::thread::spawn(move || {
-                writer_loop(to, addr, hello, rx, stats, event_tx, shutdown)
-            });
-            self.writers.insert(to, WriterSeat { tx, handle });
-        }
-        Ok(self.writers.get(&to).expect("just inserted"))
+        let slot = match self.writers.entry(to) {
+            Entry::Occupied(seat) => return Ok(seat.into_mut()),
+            Entry::Vacant(slot) => slot,
+        };
+        let addr = *self
+            .config
+            .peers
+            .get(&to)
+            .ok_or(TransportError::NoRoute { node: to })?;
+        let (tx, rx) = mpsc::channel::<Arc<Vec<u8>>>();
+        let hello = Hello::pipe(self.config.node, self.codec.codec());
+        let stats = Arc::clone(&self.stats);
+        let event_tx = self.event_tx.clone();
+        let shutdown = Arc::clone(&self.shutdown);
+        let handle =
+            std::thread::spawn(move || writer_loop(to, addr, hello, rx, stats, event_tx, shutdown));
+        Ok(slot.insert(WriterSeat { tx, handle }))
     }
 
     /// Stops the acceptor and joins the writer threads. Reader threads
@@ -480,15 +481,16 @@ fn writer_loop<M>(
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            if conn.is_none() {
-                match connect_pipe(addr, &hello, &shutdown) {
+            let w = match conn {
+                Some(ref mut w) => w,
+                None => match connect_pipe(addr, &hello, &shutdown) {
                     Ok(stream) => {
                         StatCells::bump(&stats.connects);
                         if ever_connected {
                             StatCells::bump(&stats.reconnects);
                         }
                         ever_connected = true;
-                        conn = Some(BufWriter::new(stream));
+                        conn.insert(BufWriter::new(stream))
                     }
                     Err(e) => {
                         let err = if ever_connected {
@@ -506,9 +508,8 @@ fn writer_loop<M>(
                         let _ = event_tx.send(Event::Fatal(err));
                         return;
                     }
-                }
-            }
-            let w = conn.as_mut().expect("connected above");
+                },
+            };
             match write_frame(w, &frame).and_then(|_| w.flush()) {
                 Ok(()) => break,
                 Err(e) => {

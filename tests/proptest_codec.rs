@@ -626,13 +626,14 @@ proptest! {
     /// binary frame codec and agree with the JSON frame path.
     #[test]
     fn wal_records_roundtrip_byte_for_byte(frame in wal_frame()) {
-        let bytes = frame.to_frame_bytes();
-        let decoded = WalFrame::from_frame_bytes(&bytes).unwrap();
+        let bytes = frame.encode(Codec::Binary).unwrap();
+        let decoded = WalFrame::decode(Codec::Binary, &bytes).unwrap();
         prop_assert_eq!(&decoded, &frame);
-        prop_assert_eq!(decoded.to_frame_bytes(), bytes);
-        let via_json = WalFrame::from_frame(&frame.to_frame()).unwrap();
+        prop_assert_eq!(decoded.encode(Codec::Binary).unwrap(), bytes.clone());
+        let text = frame.encode(Codec::Json).unwrap();
+        let via_json = WalFrame::decode(Codec::Json, &text).unwrap();
         prop_assert_eq!(&via_json, &frame);
-        prop_assert_eq!(via_json.to_frame_bytes(), frame.to_frame_bytes());
+        prop_assert_eq!(via_json.encode(Codec::Binary).unwrap(), bytes);
     }
 
     /// Database snapshots round-trip byte-for-byte through binpack and
@@ -709,19 +710,13 @@ proptest! {
                         .collect(),
                 })
                 .collect();
-            match codec {
-                Codec::Json => {
-                    backend.write_snapshot(&serde_json::to_string(&snap).unwrap()).unwrap();
-                    for frame in &frames {
-                        backend.append_wal(&frame.to_frame()).unwrap();
-                    }
-                }
-                Codec::Binary => {
-                    backend.write_snapshot_bytes(&binpack::to_bytes(&snap).unwrap()).unwrap();
-                    for frame in &frames {
-                        backend.append_wal_bytes(&frame.to_frame_bytes()).unwrap();
-                    }
-                }
+            let snapshot = match codec {
+                Codec::Json => serde_json::to_string(&snap).unwrap().into_bytes(),
+                Codec::Binary => binpack::to_bytes(&snap).unwrap(),
+            };
+            backend.write_snapshot_bytes(&snapshot).unwrap();
+            for frame in &frames {
+                backend.append_wal_bytes(&frame.encode(codec).unwrap()).unwrap();
             }
             let st = PeerStorage::with_codec(Box::new(backend), 0, codec);
             let rec = st.recover(0).unwrap().unwrap();

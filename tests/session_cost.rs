@@ -473,18 +473,6 @@ impl SharedMemory {
 }
 
 impl StorageBackend for SharedMemory {
-    fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
-        self.with(|b| b.append_wal(frame))
-    }
-    fn read_wal(&self) -> StorageResult<Vec<String>> {
-        self.with(|b| b.read_wal())
-    }
-    fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
-        self.with(|b| b.write_snapshot(snapshot))
-    }
-    fn read_snapshot(&self) -> StorageResult<Option<String>> {
-        self.with(|b| b.read_snapshot())
-    }
     fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
         self.with(|b| b.append_wal_bytes(frame))
     }
@@ -504,19 +492,6 @@ impl StorageBackend for SharedMemory {
 struct Counting(Box<dyn StorageBackend>, Arc<AtomicUsize>);
 
 impl StorageBackend for Counting {
-    fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
-        self.1.fetch_add(1, Ordering::Relaxed);
-        self.0.append_wal(frame)
-    }
-    fn read_wal(&self) -> StorageResult<Vec<String>> {
-        self.0.read_wal()
-    }
-    fn write_snapshot(&mut self, snapshot: &str) -> StorageResult<()> {
-        self.0.write_snapshot(snapshot)
-    }
-    fn read_snapshot(&self) -> StorageResult<Option<String>> {
-        self.0.read_snapshot()
-    }
     fn append_wal_bytes(&mut self, frame: &[u8]) -> StorageResult<()> {
         self.1.fetch_add(1, Ordering::Relaxed);
         self.0.append_wal_bytes(frame)
@@ -616,9 +591,11 @@ struct Held {
 impl Held {
     fn read(backend: &dyn StorageBackend) -> Held {
         Held {
-            snapshot: backend.read_snapshot().unwrap().expect("attached").len(),
-            frames: (backend.read_wal().unwrap().iter())
-                .map(String::len)
+            snapshot: (backend.read_snapshot_bytes().unwrap())
+                .expect("attached")
+                .len(),
+            frames: (backend.read_wal_bytes().unwrap().iter())
+                .map(Vec::len)
                 .collect(),
         }
     }
@@ -721,11 +698,11 @@ fn durable_ring_stays_bounded(mut disk: Disk) {
             );
             if let Disk::Files(dir) = &disk {
                 // … and on disk that is one snapshot and at most one log,
-                // ten bytes of checksum and framing on each frame and on
-                // the snapshot.
+                // a length and a checksum (8 bytes) on each frame and a
+                // checksum (4 bytes) on the snapshot.
                 let (bytes, files) = Disk::dir_bytes(&Disk::node_dir(dir, *id));
                 assert!(files <= 2, "session {k} at {id}: {files} files");
-                assert_eq!(bytes as usize, held.bytes() + 10 * (held.frames.len() + 1));
+                assert_eq!(bytes as usize, held.bytes() + 8 * held.frames.len() + 4);
             }
         }
     }
@@ -801,17 +778,19 @@ fn unreadable_store_fails_attach_with_a_typed_error() {
 
     // Damage the snapshot's body under a matching trailer …
     let mut backend = FileBackend::open(&dir).unwrap();
-    backend.write_snapshot("{\"not\":\"a snapshot\"}").unwrap();
+    backend
+        .write_snapshot_bytes(b"{\"not\":\"a snapshot\"}")
+        .unwrap();
     drop(backend);
     assert!(matches!(attach(&mut peer()), Err(StorageError::Corrupt(_))));
     // … and one that fails its trailer with a log behind it.
     let mut backend = FileBackend::open(&dir).unwrap();
-    backend.append_wal("{}").unwrap();
+    backend.append_wal_bytes(b"{}").unwrap();
     drop(backend);
     let newest = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "json"))
+        .find(|p| p.to_string_lossy().contains("snapshot-"))
         .unwrap();
     std::fs::write(newest, "torn").unwrap();
     assert!(matches!(attach(&mut peer()), Err(StorageError::Corrupt(_))));
