@@ -143,13 +143,14 @@ fn get_bool(r: &mut Reader<'_>) -> Result<bool, Error> {
 const BLOCK_RAW: u8 = 0;
 const BLOCK_LZ: u8 = 1;
 
-/// Embeds a byte block, LZ-compressed when that is strictly smaller: a
+/// Embeds a byte block, LZ-compressed when that is strictly smaller and
+/// no smaller than the decoder accepts ([`binpack::lz::within_ratio`]): a
 /// flag byte (`0` raw, `1` compressed) then the length-prefixed bytes.
 /// The choice is deterministic, so re-encoding a decoded value reproduces
 /// the exact wire bytes.
 fn put_block(w: &mut Writer, raw: &[u8]) {
     let packed = binpack::lz::compress(raw);
-    if packed.len() < raw.len() {
+    if packed.len() < raw.len() && binpack::lz::within_ratio(raw.len(), packed.len()) {
         w.put_u8(BLOCK_LZ);
         w.put_bytes(&packed);
     } else {
@@ -968,18 +969,20 @@ mod tests {
 
     /// A row block of no rows that declares an arity of 2⁶¹ is a typed
     /// error, not a capacity overflow; so is one whose symbol deltas run
-    /// past `i64`, and one holding a null no `NullId` can carry.
+    /// past `i64`, one holding a null no `NullId` can carry, and a few LZ
+    /// bytes that would inflate to a mebibyte of rows.
     #[test]
     fn hostile_row_blocks_are_typed_errors() {
-        let block = |inner: &[u8]| {
+        let answer = |flag: u8, inner: &[u8]| {
             let mut w = Writer::new();
             w.put_u8(12);
             put_session(&mut w, sid(1));
             w.put_varint(2);
-            w.put_u8(BLOCK_RAW);
+            w.put_u8(flag);
             w.put_bytes(inner);
             w.into_bytes()
         };
+        let block = |inner: &[u8]| answer(BLOCK_RAW, inner);
         let mut huge = vec![0, ROWS_COLUMNAR, 0];
         let mut arity = Writer::new();
         arity.put_varint(1 << 61);
@@ -1013,6 +1016,30 @@ mod tests {
             decode_msg(&block(&wide.into_bytes())),
             Err(Error::BadVarint)
         ));
+
+        // 2¹⁹ rows of `Int(0)`: no vars, columnar, the row count, arity 1,
+        // then zeros to the end (each value, the depths, marks and
+        // dictionary). As LZ, the literal head and one match of zeros.
+        let rows = 1usize << 19;
+        let mut head = Writer::new();
+        head.put_varint(0);
+        head.put_u8(ROWS_COLUMNAR);
+        head.put_varint(rows as u64);
+        head.put_varint(1);
+        head.put_u8(0);
+        let head = head.into_bytes();
+        let raw_len = head.len() + 2 * rows + 2;
+        let mut lz = Writer::new();
+        lz.put_varint(raw_len as u64);
+        lz.put_u8(1 << head.len());
+        for &b in &head {
+            lz.put_u8(b);
+        }
+        lz.put_varint(1);
+        lz.put_varint((raw_len - head.len() - 4) as u64);
+        let bomb = answer(BLOCK_LZ, &lz.into_bytes());
+        assert!(bomb.len() < 24, "{} bytes", bomb.len());
+        assert!(matches!(decode_msg(&bomb), Err(Error::BadMatch)));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!
 //! Children are reaped on **every** exit path: the `Fleet` guard kills
 //! and waits whatever is still alive when it drops, so a failed or timed
-//! out launch leaves no orphaned `serve` processes listening.
+//! out launch leaves no orphaned `serve` processes listening. Each child's
+//! stderr is drained as it runs and its last few KiB kept, so a failed
+//! launch names every child that already exited, with its exit status and
+//! the last line it printed (a store it refused, say).
 
 use super::Controller;
 use crate::error::{CoreError, CoreResult};
@@ -23,9 +26,11 @@ use p2p_net::{Codec, SessionId};
 use p2p_topology::NodeId;
 use p2p_transport::TransportStats;
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStderr, Command, ExitStatus, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Per-node counters collected before shutdown.
@@ -100,24 +105,73 @@ pub struct ClusterOutcome {
     pub sim_bytes: u64,
 }
 
+/// Bytes of each child's stderr kept for a failure report.
+const STDERR_TAIL: usize = 4 << 10;
+
+/// One `serve` child and the thread draining its stderr.
+struct Member {
+    node: u32,
+    child: Child,
+    /// Ends when the child's stderr closes, with its last [`STDERR_TAIL`]
+    /// bytes; taken once, by the first report that names the child.
+    stderr: Option<JoinHandle<Vec<u8>>>,
+}
+
+impl Member {
+    /// `node N exited with STATUS`, then the last line the child printed.
+    fn exited(&mut self, status: ExitStatus) -> String {
+        let tail = self
+            .stderr
+            .take()
+            .and_then(|drain| drain.join().ok())
+            .unwrap_or_default();
+        let tail = String::from_utf8_lossy(&tail);
+        match tail.lines().map(str::trim).rfind(|l| !l.is_empty()) {
+            Some(line) => format!("node {} exited with {status}: {line}", self.node),
+            None => format!("node {} exited with {status}", self.node),
+        }
+    }
+}
+
+/// Reads a child's stderr to its end, so the child never blocks on a full
+/// pipe, and returns the last [`STDERR_TAIL`] bytes.
+fn drain_tail(mut pipe: ChildStderr) -> Vec<u8> {
+    let mut tail = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        match pipe.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => {
+                tail.extend_from_slice(&buf[..n]);
+                if tail.len() > 2 * STDERR_TAIL {
+                    tail.drain(..tail.len() - STDERR_TAIL);
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    let cut = tail.len().saturating_sub(STDERR_TAIL);
+    tail.split_off(cut)
+}
+
 /// Child processes with kill-on-drop semantics.
 struct Fleet {
-    children: Vec<(u32, Child)>,
+    children: Vec<Member>,
 }
 
 impl Fleet {
-    /// Waits for `child` to exit, killing it at the deadline.
-    fn reap_one(node: u32, child: &mut Child, deadline: Instant) -> Option<String> {
+    /// Waits for `member` to exit, killing it at the deadline.
+    fn reap_one(member: &mut Member, deadline: Instant) -> Option<String> {
+        let node = member.node;
         loop {
-            match child.try_wait() {
+            match member.child.try_wait() {
                 Ok(Some(status)) if status.success() => return None,
-                Ok(Some(status)) => {
-                    return Some(format!("node {node} exited with {status}"));
-                }
+                Ok(Some(status)) => return Some(member.exited(status)),
                 Ok(None) => {
                     if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
+                        let _ = member.child.kill();
+                        let _ = member.child.wait();
                         return Some(format!("node {node} did not exit in time; killed"));
                     }
                     std::thread::sleep(Duration::from_millis(10));
@@ -131,13 +185,33 @@ impl Fleet {
     /// `deadline`, then force. Returns complaints (empty = all clean).
     fn reap_all(&mut self, deadline: Instant) -> Vec<String> {
         let mut complaints = Vec::new();
-        for (node, child) in &mut self.children {
-            if let Some(c) = Self::reap_one(*node, child, deadline) {
+        for member in &mut self.children {
+            if let Some(c) = Self::reap_one(member, deadline) {
                 complaints.push(c);
             }
         }
         self.children.clear();
         complaints
+    }
+
+    /// Failure path: `e`, followed by every child that already exited.
+    fn explain(&mut self, e: CoreError) -> CoreError {
+        let exited: Vec<String> = self
+            .children
+            .iter_mut()
+            .filter_map(|m| match m.child.try_wait() {
+                Ok(Some(status)) => Some(m.exited(status)),
+                _ => None,
+            })
+            .collect();
+        if exited.is_empty() {
+            return e;
+        }
+        let reason = match e {
+            CoreError::Transport(reason) => reason,
+            other => other.to_string(),
+        };
+        CoreError::Transport(format!("{reason}; {}", exited.join("; ")))
     }
 }
 
@@ -145,9 +219,9 @@ impl Drop for Fleet {
     fn drop(&mut self) {
         // Failure path: whatever is still running gets killed and waited —
         // no orphaned `serve` processes after a failed launch.
-        for (_, child) in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
+        for member in &mut self.children {
+            let _ = member.child.kill();
+            let _ = member.child.wait();
         }
     }
 }
@@ -171,8 +245,11 @@ pub fn launch_cluster(
     let deadline = Instant::now() + cfg.timeout;
     let started = Instant::now();
 
-    // Reserve one loopback port per node: bind :0, remember, release.
+    // Reserve one loopback port per node: bind :0, remember, and release
+    // them all at once — a probe released early could hand its port to
+    // the next bind, and two nodes would share it.
     let mut addrs: BTreeMap<u32, SocketAddr> = BTreeMap::new();
+    let mut probes = Vec::with_capacity(netfile.nodes.len());
     for node in &netfile.nodes {
         let probe = TcpListener::bind("127.0.0.1:0")
             .map_err(|e| CoreError::Transport(format!("reserve port: {e}")))?;
@@ -180,7 +257,9 @@ pub fn launch_cluster(
             .local_addr()
             .map_err(|e| CoreError::Transport(format!("reserve port: {e}")))?;
         addrs.insert(node.id, addr);
+        probes.push(probe);
     }
+    drop(probes);
 
     // Spawn the fleet.
     let mut fleet = Fleet {
@@ -207,17 +286,28 @@ pub fn launch_cluster(
         }
         cmd.stdin(Stdio::null())
             .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        let child = cmd
-            .spawn()
-            .map_err(|e| CoreError::Transport(format!("spawn {} serve: {e}", cfg.bin.display())))?;
+            .stderr(Stdio::piped());
+        let mut child = cmd.spawn().map_err(|e| {
+            fleet.explain(CoreError::Transport(format!(
+                "spawn {} serve: {e}",
+                cfg.bin.display()
+            )))
+        })?;
+        let stderr = child
+            .stderr
+            .take()
+            .map(|pipe| std::thread::spawn(move || drain_tail(pipe)));
         let pid = child.id();
         pids.push((node.id, pid));
         progress(format!(
             "spawned node {} pid {} listening on {}",
             node.id, pid, addrs[&node.id]
         ));
-        fleet.children.push((node.id, child));
+        fleet.children.push(Member {
+            node: node.id,
+            child,
+            stderr,
+        });
     }
 
     // Wait for every control socket, then drive the session.
@@ -256,7 +346,7 @@ pub fn launch_cluster(
             })
         }
         // `fleet` drops here on the error path: children killed + waited.
-        Err(e) => Err(e),
+        Err(e) => Err(fleet.explain(e)),
     }
 }
 

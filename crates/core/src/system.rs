@@ -125,7 +125,7 @@ impl P2PSystemBuilder {
         self.latency = Some(Box::new(latency));
     }
 
-    /// Installs a fault plan (drops / duplication / outages).
+    /// Installs a fault plan (drops / outages).
     pub fn set_fault(&mut self, fault: FaultPlan) {
         self.fault = Some(fault);
     }
@@ -512,8 +512,8 @@ impl P2PSystem {
         Ok(())
     }
 
-    /// Replaces the simulator's fault plan from here on (drops /
-    /// duplication / outages); [`FaultPlan::none`] restores reliable pipes.
+    /// Replaces the simulator's fault plan from here on (drops / outages);
+    /// [`FaultPlan::none`] restores reliable pipes.
     pub fn set_fault(&mut self, fault: FaultPlan) {
         self.sim.set_fault_plan(fault);
     }

@@ -1,10 +1,10 @@
 //! Peer churn: scheduled crash/restart events.
 //!
-//! The fault layer ([`crate::fault`]) breaks the *transport* (drops,
-//! duplication, link outages); churn breaks the *peers themselves*. A
-//! crashed peer loses all in-memory state and receives nothing while down
-//! — every message addressed to it is dropped, exactly like packets sent
-//! to a dead process. At the restart time the runtime calls the peer's
+//! The fault layer ([`crate::fault`]) breaks the *transport* (drops, link
+//! outages); churn breaks the *peers themselves*. A crashed peer loses all
+//! in-memory state and receives nothing while down — every message
+//! addressed to it is dropped, exactly like packets sent to a dead process.
+//! At the restart time the runtime calls the peer's
 //! [`crate::Peer::on_restart`] hook, which is where a durable peer rebuilds
 //! itself from storage and reconciles missed traffic (see `p2p_storage` and
 //! `p2p_core`'s resync protocol).

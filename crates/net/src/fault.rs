@@ -2,13 +2,11 @@
 //!
 //! JXTA pipes — and both of our runtimes by default — deliver reliably. The
 //! fault plan lets tests and the robustness experiments *break* that
-//! assumption deliberately: random drops, random duplication, and scheduled
-//! link outages. The protocol-level claims under test are:
-//!
-//! * duplication must not change results: the simulator's link is
-//!   exactly-once, as TCP is, so it counts each copy and delivers none;
-//! * drops may prevent closure (liveness) but must never produce unsound
-//!   data or a false `closed` state (safety).
+//! assumption deliberately: random drops and scheduled link outages. The
+//! link stays exactly-once, as TCP is: nothing is ever delivered twice.
+//! The protocol-level claim under test is that drops may prevent closure
+//! (liveness) but must never produce unsound data or a false `closed` state
+//! (safety).
 
 use crate::message::SimTime;
 use p2p_topology::NodeId;
@@ -33,9 +31,6 @@ pub struct LinkOutage {
 pub enum FaultDecision {
     /// Deliver exactly once.
     Deliver,
-    /// The link made a second copy. The simulator counts it in
-    /// [`crate::NetStats::duplicated`] and delivers the message once.
-    Duplicate,
     /// Silently drop.
     Drop,
 }
@@ -44,7 +39,6 @@ pub enum FaultDecision {
 #[derive(Debug)]
 pub struct FaultPlan {
     drop_percent: u8,
-    duplicate_percent: u8,
     outages: Vec<LinkOutage>,
     rng: StdRng,
 }
@@ -60,17 +54,15 @@ impl FaultPlan {
     pub fn none() -> Self {
         FaultPlan {
             drop_percent: 0,
-            duplicate_percent: 0,
             outages: Vec::new(),
             rng: StdRng::seed_from_u64(0),
         }
     }
 
-    /// Random faults with the given percentages and seed.
-    pub fn random(drop_percent: u8, duplicate_percent: u8, seed: u64) -> Self {
+    /// Random drops with the given percentage and seed.
+    pub fn random(drop_percent: u8, seed: u64) -> Self {
         FaultPlan {
             drop_percent: drop_percent.min(100),
-            duplicate_percent: duplicate_percent.min(100),
             outages: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
@@ -82,9 +74,9 @@ impl FaultPlan {
         self
     }
 
-    /// True iff the plan can never drop or duplicate anything.
+    /// True iff the plan can never drop anything.
     pub fn is_reliable(&self) -> bool {
-        self.drop_percent == 0 && self.duplicate_percent == 0 && self.outages.is_empty()
+        self.drop_percent == 0 && self.outages.is_empty()
     }
 
     /// Decides the fate of one message sent at `now` on `from → to`.
@@ -96,9 +88,6 @@ impl FaultPlan {
         }
         if self.drop_percent > 0 && self.rng.gen_range(0..100u8) < self.drop_percent {
             return FaultDecision::Drop;
-        }
-        if self.duplicate_percent > 0 && self.rng.gen_range(0..100u8) < self.duplicate_percent {
-            return FaultDecision::Duplicate;
         }
         FaultDecision::Deliver
     }
@@ -122,25 +111,13 @@ mod tests {
 
     #[test]
     fn full_drop_plan_drops_everything() {
-        let mut p = FaultPlan::random(100, 0, 7);
+        let mut p = FaultPlan::random(100, 7);
         for _ in 0..50 {
             assert_eq!(
                 p.decide(NodeId(0), NodeId(1), SimTime(0)),
                 FaultDecision::Drop
             );
         }
-    }
-
-    #[test]
-    fn duplication_occurs_with_seeded_probability() {
-        let mut p = FaultPlan::random(0, 50, 11);
-        let mut dups = 0;
-        for _ in 0..1_000 {
-            if p.decide(NodeId(0), NodeId(1), SimTime(0)) == FaultDecision::Duplicate {
-                dups += 1;
-            }
-        }
-        assert!((350..650).contains(&dups), "dups={dups}");
     }
 
     #[test]
@@ -177,8 +154,8 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_per_seed() {
-        let mut a = FaultPlan::random(30, 30, 99);
-        let mut b = FaultPlan::random(30, 30, 99);
+        let mut a = FaultPlan::random(30, 99);
+        let mut b = FaultPlan::random(30, 99);
         for _ in 0..200 {
             assert_eq!(
                 a.decide(NodeId(0), NodeId(1), SimTime(0)),

@@ -31,11 +31,10 @@ pub trait Peer<M>: Send {
     fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Context<M>);
 
     /// Delivery entry point used by the runtimes. `msg_id` identifies the
-    /// send. The links are exactly-once — the simulator absorbs injected
-    /// duplicates, the shard pool hands each send over once, the socket
-    /// runtime rides on TCP — so a peer keeps no per-delivery state. The
-    /// default forwards to [`Peer::on_message`]; an override wraps it (a
-    /// tracing host, say).
+    /// send. The links are exactly-once — the simulator and the shard pool
+    /// hand each send over once, the socket runtime rides on TCP — so a
+    /// peer keeps no per-delivery state. The default forwards to
+    /// [`Peer::on_message`]; an override wraps it (a tracing host, say).
     fn on_envelope(&mut self, from: NodeId, msg_id: u64, msg: M, ctx: &mut Context<M>) {
         let _ = msg_id;
         self.on_message(from, msg, ctx);

@@ -67,42 +67,6 @@ impl LatencyModel for BandwidthLatency {
     }
 }
 
-/// Per-link latency matrix with a default for unlisted links — models
-/// heterogeneous networks (LAN clusters joined by WAN links, the deployment
-/// JXTA targeted).
-#[derive(Debug, Clone)]
-pub struct PerEdgeLatency {
-    default: SimTime,
-    links: std::collections::BTreeMap<(NodeId, NodeId), SimTime>,
-}
-
-impl PerEdgeLatency {
-    /// Creates the model with a default latency for unlisted links.
-    pub fn new(default: SimTime) -> Self {
-        PerEdgeLatency {
-            default,
-            links: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Sets one directed link's latency.
-    pub fn set(mut self, from: NodeId, to: NodeId, latency: SimTime) -> Self {
-        self.links.insert((from, to), latency);
-        self
-    }
-
-    /// Sets both directions of a link.
-    pub fn set_symmetric(self, a: NodeId, b: NodeId, latency: SimTime) -> Self {
-        self.set(a, b, latency).set(b, a, latency)
-    }
-}
-
-impl LatencyModel for PerEdgeLatency {
-    fn latency(&mut self, from: NodeId, to: NodeId, _size: usize) -> SimTime {
-        self.links.get(&(from, to)).copied().unwrap_or(self.default)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,19 +98,6 @@ mod tests {
         let mut m = UniformLatency::new(SimTime(200), SimTime(100), 1);
         let l = m.latency(NodeId(0), NodeId(1), 1);
         assert!((100..=200).contains(&l.0));
-    }
-
-    #[test]
-    fn per_edge_overrides_and_defaults() {
-        let mut m = PerEdgeLatency::new(SimTime::from_millis(1))
-            .set(NodeId(0), NodeId(1), SimTime::from_millis(20))
-            .set_symmetric(NodeId(2), NodeId(3), SimTime::from_millis(5));
-        assert_eq!(m.latency(NodeId(0), NodeId(1), 0), SimTime::from_millis(20));
-        // Reverse direction not set: default applies.
-        assert_eq!(m.latency(NodeId(1), NodeId(0), 0), SimTime::from_millis(1));
-        assert_eq!(m.latency(NodeId(2), NodeId(3), 0), SimTime::from_millis(5));
-        assert_eq!(m.latency(NodeId(3), NodeId(2), 0), SimTime::from_millis(5));
-        assert_eq!(m.latency(NodeId(7), NodeId(8), 0), SimTime::from_millis(1));
     }
 
     #[test]

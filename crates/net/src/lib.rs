@@ -14,8 +14,8 @@
 //!
 //! * [`sim::Simulator`] — a **deterministic discrete-event simulator**:
 //!   one event heap ordered by `(time, sequence)`, FIFO exactly-once
-//!   pipes, seeded latency models, fault injection (drops, absorbed
-//!   duplicates, link outages), scheduled peer churn (crash/restart with
+//!   pipes, seeded latency models, fault injection (drops, link outages),
+//!   scheduled peer churn (crash/restart with
 //!   [`Peer::on_crash`]/[`Peer::on_restart`] hooks) and quiescence
 //!   detection. Virtual time makes the paper's "execution time" metric
 //!   reproducible, which the original testbed could not be.
@@ -51,9 +51,7 @@ pub use churn::{ChurnPlan, CrashEvent};
 pub use codec::Codec;
 pub use fault::FaultPlan;
 pub use host::{Context, Outgoing, PayloadMemo, Peer};
-pub use latency::{
-    BandwidthLatency, ConstantLatency, LatencyModel, PerEdgeLatency, UniformLatency,
-};
+pub use latency::{BandwidthLatency, ConstantLatency, LatencyModel, UniformLatency};
 pub use message::{encoded_wire_size, SimTime, Wire};
 pub use session::SessionId;
 pub use sharded::{ShardPlacement, ShardedNetwork, WorkerPanic};

@@ -30,11 +30,9 @@
 //! The link is what the paper's update runs over: FIFO pipes that deliver
 //! each message at most once, as JXTA pipes and TCP do. FIFO is one floor
 //! per pipe — a send never arrives before the pipe's previous one — and the
-//! update protocol's completeness flags rely on it. A
-//! [`FaultDecision::Duplicate`] is counted in [`NetStats::duplicated`] and
-//! the copy is never scheduled, so no peer ever sees one send twice. A floor
-//! binds only while the pipe's previous send is in flight, so it lives with
-//! the sender, for its sends in flight: their latest arrival per receiver
+//! update protocol's completeness flags rely on it. A floor binds only
+//! while the pipe's previous send is in flight, so it lives with the
+//! sender, for its sends in flight: their latest arrival per receiver
 //! and of all, forgotten once the clock reaches that. Senders are keyed by
 //! `NodeId`, not by peer slot, so one the simulator hosts no peer for (the
 //! external driver, a node that left) keeps its floors too.
@@ -191,16 +189,12 @@ impl<M> Agenda<M> {
 
     /// Schedules one counted send, unless the fault plan drops it: it
     /// arrives after link latency and the handler's charge, no earlier than
-    /// its pipe's floor. A duplicate is counted and absorbed.
+    /// its pipe's floor.
     fn route(&mut self, stats: &mut NetStats, from: NodeId, out: Outgoing<M>, size: usize) {
         let to = out.to;
-        match self.fault.decide(from, to, self.now) {
-            FaultDecision::Drop => {
-                stats.dropped += 1;
-                return;
-            }
-            FaultDecision::Duplicate => stats.duplicated += 1,
-            FaultDecision::Deliver => {}
+        if self.fault.decide(from, to, self.now) == FaultDecision::Drop {
+            stats.dropped += 1;
+            return;
         }
         let row = self.senders.row(from);
         if row == self.in_flight.len() {
@@ -408,7 +402,6 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
                 to: node,
                 kind,
                 session: None,
-                detail: String::new(),
             });
         }
     }
@@ -429,7 +422,6 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
                 to,
                 kind: parcel.msg.kind(),
                 session: parcel.msg.session(),
-                detail: String::new(),
             });
         }
         let mut ctx = Context::new(self.agenda.now, to);
@@ -568,27 +560,12 @@ mod tests {
     #[test]
     fn drops_break_the_chain() {
         let mut sim = two_bouncers(Box::new(ConstantLatency(SimTime(1))));
-        sim.set_fault_plan(FaultPlan::random(100, 0, 1));
+        sim.set_fault_plan(FaultPlan::random(100, 1));
         sim.inject(NodeId(0), NodeId(1), Ping(5));
         let o = sim.run();
         assert!(o.quiescent);
         assert_eq!(o.delivered, 0);
         assert_eq!(sim.stats().dropped, 1);
-    }
-
-    #[test]
-    fn duplicates_are_counted_and_absorbed() {
-        let mut sim = two_bouncers(Box::new(ConstantLatency(SimTime(1))));
-        sim.set_fault_plan(FaultPlan::random(0, 100, 1));
-        sim.inject(NodeId(0), NodeId(1), Ping(1));
-        let o = sim.run();
-        assert!(o.quiescent);
-        // Both sends are duplicated by the fault plan; the link delivers
-        // each once, so each runs its handler once.
-        assert_eq!(o.delivered, 2);
-        assert_eq!(sim.stats().duplicated, 2);
-        assert_eq!(sim.peer(NodeId(1)).unwrap().seen, vec![1]);
-        assert_eq!(sim.peer(NodeId(0)).unwrap().seen, vec![0]);
     }
 
     #[test]

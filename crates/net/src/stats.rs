@@ -244,9 +244,6 @@ pub struct NetStats {
     /// Messages dropped by fault injection (or addressed to a crashed or
     /// unknown node).
     pub dropped: u64,
-    /// Copies the fault plan made of a send. The link is exactly-once, as
-    /// TCP is: it absorbs every copy, so none of them is delivered.
-    pub duplicated: u64,
     /// Peer crashes executed from the churn plan.
     pub peer_crashes: u64,
     /// Peer restarts executed from the churn plan.
@@ -333,7 +330,6 @@ impl NetStats {
         self.total_messages += other.total_messages;
         self.total_bytes += other.total_bytes;
         self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
         self.peer_crashes += other.peer_crashes;
         self.peer_restarts += other.peer_restarts;
         self.shared_payload_sends += other.shared_payload_sends;
@@ -373,8 +369,8 @@ impl fmt::Display for NetStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "messages={} bytes={} dropped={} duplicated={} finished_at={}",
-            self.total_messages, self.total_bytes, self.dropped, self.duplicated, self.finished_at
+            "messages={} bytes={} dropped={} finished_at={}",
+            self.total_messages, self.total_bytes, self.dropped, self.finished_at
         )?;
         for (node, s) in self.nodes() {
             writeln!(
@@ -475,7 +471,6 @@ mod tests {
         s.record_delivery(NodeId(0), 45, None);
         s.record_send(NodeId(4_000_000_000), "Answer", 300);
         s.dropped = 1;
-        s.duplicated = 2;
         s.peer_crashes = 3;
         s.peer_restarts = 4;
         s.shared_payload_sends = 5;
@@ -489,13 +484,13 @@ mod tests {
                 r#""sent_by_kind":{"odd \"kind\"":1}},"2":{"sent":3,"received":0,"bytes_sent":145,"#,
                 r#""bytes_received":0,"sent_by_kind":{"Ack":1,"Query":2}},"4000000000":{"sent":1,"#,
                 r#""received":1,"bytes_sent":300,"bytes_received":100,"sent_by_kind":{"Answer":1}}},"#,
-                r#""total_messages":2,"total_bytes":145,"dropped":1,"duplicated":2,"peer_crashes":3,"#,
+                r#""total_messages":2,"total_bytes":145,"dropped":1,"peer_crashes":3,"#,
                 r#""peer_restarts":4,"shared_payload_sends":5,"cross_shard_sends":6,"finished_at":77}"#
             )
         );
         assert_eq!(
             s.to_string(),
-            "messages=2 bytes=145 dropped=1 duplicated=2 finished_at=0.077ms\n  \
+            "messages=2 bytes=145 dropped=1 finished_at=0.077ms\n  \
              A: sent=1 recv=1 bytes_out=7 bytes_in=45\n  \
              C: sent=3 recv=0 bytes_out=145 bytes_in=0\n  \
              N4000000000: sent=1 recv=1 bytes_out=300 bytes_in=100\n"
@@ -512,7 +507,7 @@ mod tests {
     fn a_node_given_twice_is_refused() {
         let node = r#"{"sent":1,"received":0,"bytes_sent":1,"bytes_received":0,"sent_by_kind":{}}"#;
         let json = format!(
-            r#"{{"per_node":{{"1":{node},"1":{node}}},"total_messages":0,"total_bytes":0,"dropped":0,"duplicated":0,"peer_crashes":0,"peer_restarts":0,"finished_at":0}}"#
+            r#"{{"per_node":{{"1":{node},"1":{node}}},"total_messages":0,"total_bytes":0,"dropped":0,"peer_crashes":0,"peer_restarts":0,"finished_at":0}}"#
         );
         let err = serde_json::from_str::<NetStats>(&json).unwrap_err();
         assert!(err.to_string().contains("given twice"), "{err}");

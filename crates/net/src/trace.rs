@@ -21,8 +21,6 @@ pub struct TraceEntry {
     /// The update session the message belonged to (`None` for session-less
     /// control traffic) — the attribution multi-session drivers report from.
     pub session: Option<SessionId>,
-    /// Free-form detail (rule id, tuple count, …).
-    pub detail: String,
 }
 
 /// A bounded in-memory trace. Disabled (capacity 0) by default in the
@@ -119,16 +117,12 @@ impl Trace {
                 }
             }
             let mut line = String::from_utf8(row).expect("ascii");
-            // Splice the label into the middle of the arrow.
-            let label = if e.detail.is_empty() {
-                e.kind.to_string()
-            } else {
-                format!("{} {}", e.kind, e.detail)
-            };
+            // Splice the kind into the middle of the arrow.
+            let label = e.kind;
             let span = end.saturating_sub(start);
             if span > label.len() + 2 {
                 let at = start + 1 + (span - label.len()) / 2;
-                line.replace_range(at..at + label.len(), &label);
+                line.replace_range(at..at + label.len(), label);
             } else {
                 let _ = write!(line, "  {label}");
             }
@@ -152,7 +146,6 @@ mod tests {
             to: NodeId(to),
             kind,
             session: None,
-            detail: String::new(),
         }
     }
 

@@ -15,11 +15,17 @@
 //! * [`handshake`] — the 12-byte `(magic, version, kind, node, codec)`
 //!   hello plus accept/reject reply, so misconfigured peers are refused
 //!   with a reason instead of exchanging garbage.
-//! * [`runtime`] — [`SocketRuntime`]: acceptor thread, per-connection
-//!   reader threads, per-pipe writer threads with bounded reconnects,
-//!   and a main loop that owns the `Peer` and preserves the simulator's
-//!   handler semantics (atomic handlers, FIFO pipes, `Arc`-shared
-//!   fan-out encoded once per unique message).
+//! * [`runtime`] — [`SocketRuntime`]: one acceptor thread, one reader
+//!   thread per inbound connection, and one loop that owns the `Peer`,
+//!   preserves the simulator's handler semantics (atomic handlers, FIFO
+//!   pipes, `Arc`-shared fan-out encoded once per unique message) and
+//!   writes every pipe frame and control reply itself, dialing each pipe
+//!   on first use with bounded reconnects. A send to a peer that is down
+//!   stalls the loop's deliveries for up to the connect budget (control
+//!   requests are still answered), and a reader that stops reading stalls
+//!   its sender through TCP backpressure: nothing queues on the sending
+//!   side, and the event channel the readers feed is the one unbounded
+//!   queue.
 //! * [`error`] / [`stats`] — typed failures and the counters the control
 //!   plane exports (frames, bytes, connects, reconnects).
 

@@ -1,17 +1,28 @@
 //! The socket-backed runtime: one acceptor thread, one reader thread per
-//! inbound connection, one writer thread per outgoing pipe, and a
-//! single-threaded main loop that owns the peer.
+//! inbound connection, and a single-threaded loop that owns the peer and
+//! writes every frame the node sends.
 //!
-//! The delivery contract is the same one the simulator and the sharded
-//! runtime honour: handlers run to completion one at a time, communicate
-//! only through [`Context`], and each FIFO pipe preserves send order (a
-//! pipe is one TCP connection, so ordering comes for free). Fan-out
-//! payloads queued via `Context::send_to_many` share one `Arc`, and the
-//! runtime encodes each unique message exactly once per drain through the
-//! same [`PayloadMemo`] the in-memory runtimes size messages with.
+//! Delivery is the simulator's and the shard pool's: handlers run to
+//! completion one at a time and talk only through [`Context`], and each
+//! pipe (one TCP connection) keeps send order. A fan-out payload shares one
+//! `Arc` and is encoded once per batch through [`PayloadMemo`].
 //!
-//! Threads communicate over `std::sync::mpsc`; every failure travels as a
-//! typed [`TransportError`] event into the main loop, never as a panic.
+//! The loop takes events off the one `std::sync::mpsc` channel the reader
+//! threads feed, runs the handler, and writes its sends itself: it dials a
+//! pipe on first use and, when a write fails, redials once and writes the
+//! frame again. It writes each control reply too, under a write timeout,
+//! so a shutdown reply is on the wire before [`SocketRuntime::run`]
+//! returns. A failure ends the loop as a typed [`TransportError`], never
+//! as a panic. Writing from the loop means:
+//!
+//! * A send to a peer that is down stalls the node's deliveries for up to
+//!   the connect budget (200 attempts 50 ms apart); control requests are
+//!   still answered between attempts. A peer that stays down ends the node
+//!   with [`TransportError::ConnectFailed`] (or
+//!   [`TransportError::PeerDisconnected`] for a pipe that worked before).
+//! * A reader that stops reading stalls its sender's loop through TCP
+//!   backpressure; nothing queues on the sending side. The event channel on
+//!   the receiving side is the one unbounded queue.
 
 use crate::error::{TransportError, TransportResult};
 use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
@@ -19,10 +30,9 @@ use crate::handshake::{client_handshake, server_handshake, Hello, HelloKind};
 use crate::stats::{StatCells, TransportStats};
 use p2p_net::{Codec, Context, Outgoing, PayloadMemo, Peer, SimTime};
 use p2p_topology::NodeId;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::convert::Infallible;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -76,39 +86,35 @@ const CONNECT_ATTEMPTS: u32 = 200;
 /// Pause between connection attempts.
 const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
 
+/// How long the loop waits to write one control reply before it gives the
+/// controller up: a vanished controller must not wedge the node.
+const CONTROL_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// What the control hook tells the runtime to do with a control request.
 pub enum ControlAction {
     /// Send this reply frame and keep serving.
     Reply(Vec<u8>),
-    /// Send this reply frame, wait for it to flush, then shut down.
+    /// Send this reply frame, then shut down.
     ReplyThenShutdown(Vec<u8>),
-}
-
-/// Reply travelling from the main loop back to a control reader thread.
-struct ControlReply {
-    bytes: Vec<u8>,
-    /// When present, the control thread signals here after flushing —
-    /// so a shutdown reply reaches the launcher before the process exits.
-    flushed: Option<mpsc::Sender<()>>,
 }
 
 enum Event<M> {
     /// A protocol message arrived on an inbound pipe.
     Deliver { from: NodeId, msg: M },
-    /// A control request arrived; the reply goes back through `reply`.
+    /// A control request arrived; the loop writes the reply on `reply`,
+    /// the control connection it came in on.
     Control {
         body: Vec<u8>,
-        reply: mpsc::Sender<ControlReply>,
+        reply: Arc<TcpStream>,
     },
-    /// An inbound pipe reached clean EOF (peer shut down normally).
-    PipeClosed,
-    /// A thread hit an unrecoverable, typed failure.
+    /// A reader thread hit an unrecoverable, typed failure.
     Fatal(TransportError),
 }
 
-struct WriterSeat {
-    tx: mpsc::Sender<Arc<Vec<u8>>>,
-    handle: JoinHandle<()>,
+/// Why the loop stopped: a control request asked it to, or a typed failure.
+enum Halt {
+    Shutdown,
+    Failed(TransportError),
 }
 
 /// A bound, accepting socket node. [`SocketRuntime::run`] consumes it and
@@ -119,9 +125,10 @@ pub struct SocketRuntime<M, C> {
     local_addr: SocketAddr,
     stats: Arc<StatCells>,
     shutdown: Arc<AtomicBool>,
-    event_tx: mpsc::Sender<Event<M>>,
     event_rx: mpsc::Receiver<Event<M>>,
-    writers: BTreeMap<NodeId, WriterSeat>,
+    /// Outgoing pipes by peer: present once dialed, `None` after a write
+    /// broke the connection (the next dial is a reconnect).
+    pipes: BTreeMap<NodeId, Option<TcpStream>>,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -145,7 +152,6 @@ where
         let codec = Arc::new(codec);
 
         let acceptor = {
-            let event_tx = event_tx.clone();
             let stats = Arc::clone(&stats);
             let shutdown = Arc::clone(&shutdown);
             let codec = Arc::clone(&codec);
@@ -174,9 +180,8 @@ where
             local_addr,
             stats,
             shutdown,
-            event_tx,
             event_rx,
-            writers: BTreeMap::new(),
+            pipes: BTreeMap::new(),
             acceptor: Some(acceptor),
         })
     }
@@ -200,144 +205,48 @@ where
     ///   injects the session-starting message).
     pub fn run<P, S, F>(
         mut self,
-        mut peer: P,
+        peer: P,
         start: S,
-        mut on_control: F,
+        on_control: F,
     ) -> TransportResult<(P, TransportStats)>
     where
         P: Peer<M>,
         S: FnOnce(&mut P, &mut Context<M>),
         F: FnMut(&mut P, Vec<u8>, &mut Context<M>, TransportStats) -> ControlAction,
     {
-        let started = Instant::now();
-        let node = self.config.node;
-        let mut next_id: u64 = 1;
-        let mut pending: VecDeque<(NodeId, M)> = VecDeque::new();
-
-        let mut ctx = Context::new(wall(started), node);
-        start(&mut peer, &mut ctx);
-        if let Err(e) = self.ship(ctx.take_outgoing(), &mut pending) {
-            self.teardown();
-            return Err(e);
-        }
-
-        loop {
-            while let Some((from, msg)) = pending.pop_front() {
-                let mut ctx = Context::new(wall(started), node);
-                peer.on_envelope(from, next_id, msg, &mut ctx);
-                next_id += 1;
-                if let Err(e) = self.ship(ctx.take_outgoing(), &mut pending) {
-                    self.teardown();
-                    return Err(e);
-                }
-            }
-            match self.event_rx.recv() {
-                Ok(Event::Deliver { from, msg }) => pending.push_back((from, msg)),
-                Ok(Event::Control { body, reply }) => {
-                    let mut ctx = Context::new(wall(started), node);
-                    let action = on_control(&mut peer, body, &mut ctx, self.stats.snapshot());
-                    if let Err(e) = self.ship(ctx.take_outgoing(), &mut pending) {
-                        self.teardown();
-                        return Err(e);
-                    }
-                    match action {
-                        ControlAction::Reply(bytes) => {
-                            let _ = reply.send(ControlReply {
-                                bytes,
-                                flushed: None,
-                            });
-                        }
-                        ControlAction::ReplyThenShutdown(bytes) => {
-                            let (ftx, frx) = mpsc::channel();
-                            let _ = reply.send(ControlReply {
-                                bytes,
-                                flushed: Some(ftx),
-                            });
-                            // Give the reply two seconds to reach the wire;
-                            // a vanished controller should not wedge us.
-                            let _ = frx.recv_timeout(Duration::from_secs(2));
-                            let stats = self.stats.snapshot();
-                            self.teardown();
-                            return Ok((peer, stats));
-                        }
-                    }
-                }
-                Ok(Event::PipeClosed) => {}
-                Ok(Event::Fatal(e)) => {
-                    self.teardown();
-                    return Err(e);
-                }
-                Err(_) => {
-                    self.teardown();
-                    return Err(TransportError::Io {
-                        op: "event loop".into(),
-                        detail: "all transport threads exited".into(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Encodes and enqueues a drained batch of outgoing messages. Each
-    /// unique `Arc` payload is encoded once; self-sends loop back locally.
-    fn ship(
-        &mut self,
-        outgoing: Vec<Outgoing<M>>,
-        loopback: &mut VecDeque<(NodeId, M)>,
-    ) -> TransportResult<()> {
-        let mut encoded = PayloadMemo::default();
-        for out in outgoing {
-            if out.to == self.config.node {
-                let msg = Arc::try_unwrap(out.msg).unwrap_or_else(|s| (*s).clone());
-                loopback.push_back((self.config.node, msg));
-                continue;
-            }
-            let (bytes, _) =
-                encoded.get_or_insert_with(&out.msg, |m| Arc::new(self.codec.encode(m)));
-            StatCells::bump(&self.stats.frames_sent);
-            StatCells::add(&self.stats.bytes_sent, bytes.len() as u64);
-            let to = out.to;
-            let seat = self.writer_for(to)?;
-            if seat.tx.send(bytes).is_err() {
-                return Err(TransportError::PeerDisconnected {
-                    node: to,
-                    detail: "writer thread gave up".into(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The writer seat for `to`, spawning its thread on first use.
-    fn writer_for(&mut self, to: NodeId) -> TransportResult<&WriterSeat> {
-        let slot = match self.writers.entry(to) {
-            Entry::Occupied(seat) => return Ok(seat.into_mut()),
-            Entry::Vacant(slot) => slot,
+        let mut node = Loop {
+            rt: &mut self,
+            peer,
+            on_control,
+            started: Instant::now(),
+            next_id: 1,
+            pending: VecDeque::new(),
+            outbox: Vec::new(),
         };
-        let addr = *self
-            .config
-            .peers
-            .get(&to)
-            .ok_or(TransportError::NoRoute { node: to })?;
-        let (tx, rx) = mpsc::channel::<Arc<Vec<u8>>>();
-        let hello = Hello::pipe(self.config.node, self.codec.codec());
-        let stats = Arc::clone(&self.stats);
-        let event_tx = self.event_tx.clone();
-        let shutdown = Arc::clone(&self.shutdown);
-        let handle =
-            std::thread::spawn(move || writer_loop(to, addr, hello, rx, stats, event_tx, shutdown));
-        Ok(slot.insert(WriterSeat { tx, handle }))
+        let mut ctx = node.context();
+        start(&mut node.peer, &mut ctx);
+        node.outbox = ctx.take_outgoing();
+        let Err(halt) = node.serve();
+        let peer = node.peer;
+        let stats = self.stats();
+        self.teardown();
+        match halt {
+            Halt::Shutdown => Ok((peer, stats)),
+            Halt::Failed(e) => Err(e),
+        }
     }
 
-    /// Stops the acceptor and joins the writer threads. Reader threads
-    /// exit on their own when the remote ends close.
+    /// Stops the acceptor and closes the outgoing pipes and the connections
+    /// of unanswered control requests; readers exit as remote ends close.
     fn teardown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor out of `accept()`.
         let _ = TcpStream::connect(self.local_addr);
-        for (_, seat) in std::mem::take(&mut self.writers) {
-            drop(seat.tx);
-            let _ = seat.handle.join();
+        self.pipes.clear();
+        while let Ok(event) = self.event_rx.try_recv() {
+            if let Event::Control { reply, .. } = event {
+                let _ = reply.shutdown(Shutdown::Both);
+            }
         }
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -345,12 +254,168 @@ where
     }
 }
 
-/// Wall-clock time since the runtime started, as the `SimTime` handlers see.
-fn wall(started: Instant) -> SimTime {
-    SimTime::from_micros(started.elapsed().as_micros() as u64)
+/// The node's loop: the runtime, the peer, and what waits for the peer.
+struct Loop<'r, M, C, P, F> {
+    rt: &'r mut SocketRuntime<M, C>,
+    peer: P,
+    on_control: F,
+    started: Instant,
+    next_id: u64,
+    /// Deliveries and self-sends not yet handed to the peer, in order.
+    pending: VecDeque<(NodeId, M)>,
+    /// Sends of handlers and control requests not yet written.
+    outbox: Vec<Outgoing<M>>,
 }
 
-/// Inbound connection: handshake, then pipe-read or control loop.
+impl<M, C, P, F> Loop<'_, M, C, P, F>
+where
+    M: Clone + Send + 'static,
+    C: FrameCodec<M>,
+    P: Peer<M>,
+    F: FnMut(&mut P, Vec<u8>, &mut Context<M>, TransportStats) -> ControlAction,
+{
+    /// A handler's context, timed by the wall clock since the loop started.
+    fn context(&self) -> Context<M> {
+        let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
+        Context::new(now, self.rt.config.node)
+    }
+
+    /// Writes what was sent, runs the next delivery, or blocks for the next
+    /// event — until a shutdown or a failure.
+    fn serve(&mut self) -> Result<Infallible, Halt> {
+        loop {
+            self.flush()?;
+            if let Some((from, msg)) = self.pending.pop_front() {
+                let mut ctx = self.context();
+                self.peer.on_envelope(from, self.next_id, msg, &mut ctx);
+                self.next_id += 1;
+                self.outbox.extend(ctx.take_outgoing());
+                continue;
+            }
+            let event = self.rt.event_rx.recv().map_err(|_| {
+                let gone = std::io::Error::other("all transport threads exited");
+                Halt::Failed(TransportError::io("event loop", &gone))
+            })?;
+            self.absorb(event)?;
+        }
+    }
+
+    /// Takes one event in: a delivery waits its turn in `pending`; a
+    /// control request runs at once and its reply is written at once, its
+    /// sends going out after whatever the loop is writing.
+    fn absorb(&mut self, event: Event<M>) -> Result<(), Halt> {
+        match event {
+            Event::Deliver { from, msg } => self.pending.push_back((from, msg)),
+            Event::Control { body, reply } => {
+                let mut ctx = self.context();
+                let stats = self.rt.stats.snapshot();
+                let action = (self.on_control)(&mut self.peer, body, &mut ctx, stats);
+                self.outbox.extend(ctx.take_outgoing());
+                let (bytes, last) = match action {
+                    ControlAction::Reply(bytes) => (bytes, false),
+                    ControlAction::ReplyThenShutdown(bytes) => (bytes, true),
+                };
+                // A controller going away is not a node failure.
+                let _ = write_frame(&mut &*reply, &bytes);
+                if last {
+                    return Err(Halt::Shutdown);
+                }
+            }
+            Event::Fatal(e) => return Err(Halt::Failed(e)),
+        }
+        Ok(())
+    }
+
+    /// Encodes and writes the outbox. Each unique `Arc` payload is encoded
+    /// once per batch; self-sends loop back to `pending`.
+    fn flush(&mut self) -> Result<(), Halt> {
+        while !self.outbox.is_empty() {
+            let mut encoded = PayloadMemo::default();
+            for out in std::mem::take(&mut self.outbox) {
+                if out.to == self.rt.config.node {
+                    let msg = Arc::try_unwrap(out.msg).unwrap_or_else(|s| (*s).clone());
+                    self.pending.push_back((out.to, msg));
+                    continue;
+                }
+                let codec = &self.rt.codec;
+                let (bytes, _) =
+                    encoded.get_or_insert_with(&out.msg, |m| Arc::new(codec.encode(m)));
+                self.write(out.to, &bytes)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes one frame on the pipe to `to`, dialing it on first use. A
+    /// failed write drops the connection and redials once; a second
+    /// failure is the peer's death.
+    fn write(&mut self, to: NodeId, frame: &[u8]) -> Result<(), Halt> {
+        StatCells::bump(&self.rt.stats.frames_sent);
+        StatCells::add(&self.rt.stats.bytes_sent, frame.len() as u64);
+        let mut retried = false;
+        loop {
+            let stream = match self.rt.pipes.get_mut(&to) {
+                Some(Some(stream)) => stream,
+                _ => {
+                    let stream = self.dial(to)?;
+                    self.rt.pipes.entry(to).or_default().insert(stream)
+                }
+            };
+            match write_frame(stream, frame) {
+                Ok(()) => return Ok(()),
+                Err(e) if retried => {
+                    let detail = format!("write failed twice: {e}");
+                    let failure = TransportError::PeerDisconnected { node: to, detail };
+                    return Err(Halt::Failed(failure));
+                }
+                Err(_) => {
+                    self.rt.pipes.insert(to, None);
+                    retried = true;
+                }
+            }
+        }
+    }
+
+    /// Dials `node` within the connect budget. Between attempts the loop
+    /// takes in the events that arrive, so a node waiting for a peer still
+    /// answers its controller and shuts down when told to. A typed
+    /// rejection is final (retrying a codec mismatch cannot help); refusals
+    /// and handshake I/O errors are retried — the remote process may not
+    /// have bound its listener yet.
+    fn dial(&mut self, node: NodeId) -> Result<TcpStream, Halt> {
+        let Some(&addr) = self.rt.config.peers.get(&node) else {
+            return Err(Halt::Failed(TransportError::NoRoute { node }));
+        };
+        let hello = Hello::pipe(self.rt.config.node, self.rt.codec.codec());
+        let redial = self.rt.pipes.contains_key(&node);
+        let mut attempts = 1;
+        let last = loop {
+            match connect_pipe(addr, &hello) {
+                Ok(stream) => {
+                    StatCells::bump(&self.rt.stats.connects);
+                    StatCells::add(&self.rt.stats.reconnects, u64::from(redial));
+                    return Ok(stream);
+                }
+                Err(e @ TransportError::Rejected { .. }) => break e,
+                Err(e) if attempts == CONNECT_ATTEMPTS => break e,
+                Err(_) => attempts += 1,
+            }
+            std::thread::sleep(CONNECT_BACKOFF);
+            while let Ok(event) = self.rt.event_rx.try_recv() {
+                self.absorb(event)?;
+            }
+        };
+        let (addr, detail) = (addr.to_string(), last.to_string());
+        Err(Halt::Failed(if redial {
+            TransportError::PeerDisconnected { node, detail }
+        } else {
+            TransportError::ConnectFailed { node, addr, detail }
+        }))
+    }
+}
+
+/// Inbound connection: the handshake, then a control connection's requests
+/// or a pipe's frames until EOF or error.
 fn serve_connection<M, C>(
     mut stream: TcpStream,
     my_node: NodeId,
@@ -378,187 +443,58 @@ fn serve_connection<M, C>(
         }
     };
     StatCells::bump(&stats.accepts);
-    match hello.kind {
-        HelloKind::Pipe => pipe_read_loop(stream, hello.node, codec, stats, event_tx),
-        HelloKind::Control => control_loop(stream, event_tx),
+    if hello.kind == HelloKind::Control {
+        return control_loop(stream, event_tx);
     }
-}
-
-/// Reads protocol frames off one inbound pipe until EOF or error.
-fn pipe_read_loop<M, C>(
-    mut stream: TcpStream,
-    from: NodeId,
-    codec: Arc<C>,
-    stats: Arc<StatCells>,
-    event_tx: mpsc::Sender<Event<M>>,
-) where
-    C: FrameCodec<M>,
-{
-    loop {
+    let from = hello.node;
+    let failure = loop {
         match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
             Ok(Some(payload)) => {
                 StatCells::bump(&stats.frames_received);
                 StatCells::add(&stats.bytes_received, payload.len() as u64);
-                match codec.decode(&payload) {
-                    Ok(msg) => {
-                        if event_tx.send(Event::Deliver { from, msg }).is_err() {
-                            return;
-                        }
-                    }
-                    Err(detail) => {
-                        let _ =
-                            event_tx.send(Event::Fatal(TransportError::Decode { from, detail }));
-                        return;
-                    }
+                let event = match codec.decode(&payload) {
+                    Ok(msg) => Event::Deliver { from, msg },
+                    Err(detail) => break TransportError::Decode { from, detail },
+                };
+                if event_tx.send(event).is_err() {
+                    return;
                 }
             }
             Ok(None) => {
                 StatCells::bump(&stats.pipes_closed);
-                let _ = event_tx.send(Event::PipeClosed);
                 return;
             }
-            Err(e) => {
-                // A torn frame or socket error on an established pipe is a
-                // peer death, reported as such (not a panic, not garbage).
-                let err = match e {
-                    TransportError::UnexpectedEof { .. } | TransportError::Io { .. } => {
-                        TransportError::PeerDisconnected {
-                            node: from,
-                            detail: e.to_string(),
-                        }
-                    }
-                    other => other,
-                };
-                let _ = event_tx.send(Event::Fatal(err));
-                return;
+            // A torn frame or socket error on an established pipe is a peer
+            // death, reported as such (not a panic, not garbage).
+            Err(e @ (TransportError::UnexpectedEof { .. } | TransportError::Io { .. })) => {
+                let detail = e.to_string();
+                break TransportError::PeerDisconnected { node: from, detail };
             }
+            Err(other) => break other,
         }
-    }
-}
-
-/// Serves one control connection: request frame in, reply frame out.
-fn control_loop<M>(mut stream: TcpStream, event_tx: mpsc::Sender<Event<M>>) {
-    loop {
-        match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
-            Ok(Some(body)) => {
-                let (rtx, rrx) = mpsc::channel();
-                if event_tx.send(Event::Control { body, reply: rtx }).is_err() {
-                    return;
-                }
-                let Ok(reply) = rrx.recv() else { return };
-                let wrote = write_frame(&mut stream, &reply.bytes)
-                    .and_then(|_| stream.flush())
-                    .is_ok();
-                if let Some(flushed) = reply.flushed {
-                    let _ = flushed.send(());
-                }
-                if !wrote {
-                    return;
-                }
-            }
-            // A controller going away is not a node failure.
-            Ok(None) | Err(_) => return,
-        }
-    }
-}
-
-/// Owns one outgoing pipe: connects lazily, writes frames in order, and
-/// reconnects (with a bounded budget) when the connection breaks.
-fn writer_loop<M>(
-    to: NodeId,
-    addr: SocketAddr,
-    hello: Hello,
-    rx: mpsc::Receiver<Arc<Vec<u8>>>,
-    stats: Arc<StatCells>,
-    event_tx: mpsc::Sender<Event<M>>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut conn: Option<BufWriter<TcpStream>> = None;
-    let mut ever_connected = false;
-    while let Ok(frame) = rx.recv() {
-        let mut retried = false;
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let w = match conn {
-                Some(ref mut w) => w,
-                None => match connect_pipe(addr, &hello, &shutdown) {
-                    Ok(stream) => {
-                        StatCells::bump(&stats.connects);
-                        if ever_connected {
-                            StatCells::bump(&stats.reconnects);
-                        }
-                        ever_connected = true;
-                        conn.insert(BufWriter::new(stream))
-                    }
-                    Err(e) => {
-                        let err = if ever_connected {
-                            TransportError::PeerDisconnected {
-                                node: to,
-                                detail: e.to_string(),
-                            }
-                        } else {
-                            TransportError::ConnectFailed {
-                                node: to,
-                                addr: addr.to_string(),
-                                detail: e.to_string(),
-                            }
-                        };
-                        let _ = event_tx.send(Event::Fatal(err));
-                        return;
-                    }
-                },
-            };
-            match write_frame(w, &frame).and_then(|_| w.flush()) {
-                Ok(()) => break,
-                Err(e) => {
-                    conn = None;
-                    if retried {
-                        let _ = event_tx.send(Event::Fatal(TransportError::PeerDisconnected {
-                            node: to,
-                            detail: format!("write failed twice: {e}"),
-                        }));
-                        return;
-                    }
-                    retried = true;
-                }
-            }
-        }
-    }
-}
-
-/// Dials `addr` with a retry budget, performing the pipe handshake. A
-/// typed rejection is terminal (retrying a codec mismatch cannot help);
-/// connection refusals and handshake I/O errors are retried — the remote
-/// process may simply not have bound its listener yet.
-fn connect_pipe(
-    addr: SocketAddr,
-    hello: &Hello,
-    shutdown: &AtomicBool,
-) -> TransportResult<TcpStream> {
-    let mut last = TransportError::Io {
-        op: format!("connect {addr}"),
-        detail: "no attempts made".into(),
     };
-    for attempt in 0..CONNECT_ATTEMPTS {
-        if shutdown.load(Ordering::SeqCst) {
-            return Err(last);
-        }
-        if attempt > 0 {
-            std::thread::sleep(CONNECT_BACKOFF);
-        }
-        match TcpStream::connect(addr) {
-            Ok(mut stream) => {
-                let _ = stream.set_nodelay(true);
-                match client_handshake(&mut stream, hello, DEFAULT_MAX_FRAME) {
-                    Ok(_) => return Ok(stream),
-                    Err(e @ TransportError::Rejected { .. }) => return Err(e),
-                    Err(e) => last = e,
-                }
-            }
-            Err(e) => last = TransportError::io(format!("connect {addr}"), &e),
+    let _ = event_tx.send(Event::Fatal(failure));
+}
+
+/// Reads control requests off one control connection and hands each to the
+/// loop with the connection, which the loop writes the reply on.
+fn control_loop<M>(stream: TcpStream, event_tx: mpsc::Sender<Event<M>>) {
+    let _ = stream.set_write_timeout(Some(CONTROL_WRITE_TIMEOUT));
+    let stream = Arc::new(stream);
+    // A controller going away is not a node failure.
+    while let Ok(Some(body)) = read_frame(&mut &*stream, DEFAULT_MAX_FRAME) {
+        let reply = Arc::clone(&stream);
+        if event_tx.send(Event::Control { body, reply }).is_err() {
+            return;
         }
     }
-    Err(last)
+}
+
+/// One dial of a pipe: connect, then the pipe handshake.
+fn connect_pipe(addr: SocketAddr, hello: &Hello) -> TransportResult<TcpStream> {
+    let mut stream =
+        TcpStream::connect(addr).map_err(|e| TransportError::io(format!("connect {addr}"), &e))?;
+    let _ = stream.set_nodelay(true);
+    client_handshake(&mut stream, hello, DEFAULT_MAX_FRAME)?;
+    Ok(stream)
 }

@@ -206,7 +206,7 @@ fn churn_with_drops_never_falsely_closes() {
     for seed in [1u64, 2, 3, 4] {
         let mut b = ring_builder(UpdateMode::Rounds, true, true);
         b.set_churn(two_crashes(t));
-        b.set_fault(FaultPlan::random(5, 0, seed));
+        b.set_fault(FaultPlan::random(5, seed));
         let mut sys = b.build().unwrap();
         let report = sys.run(&redriven(6)).remove(0);
         assert!(report.outcome.quiescent, "seed {seed}: {report:?}");
@@ -224,27 +224,6 @@ fn churn_with_drops_never_falsely_closes() {
             );
         }
     }
-}
-
-/// Churn composes with transport faults: duplicated messages during a
-/// churned session change nothing (handler idempotence + exactly-once
-/// dedup survive recovery).
-#[test]
-fn churn_composes_with_duplication() {
-    use p2pdb::net::FaultPlan;
-    let (clean, t) = probe(UpdateMode::Rounds);
-    let mut b = ring_builder(UpdateMode::Rounds, true, true);
-    b.set_churn(two_crashes(t));
-    b.set_fault(FaultPlan::random(0, 30, 5));
-    let mut sys = b.build().unwrap();
-    let report = sys.run(&redriven(8)).remove(0);
-    assert!(report.all_closed, "{report:?}");
-    assert!(
-        sys.net_stats().duplicated > 0,
-        "plan must actually duplicate"
-    );
-    assert!(sys.snapshot().equivalent(&clean.snapshot()));
-    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
 }
 
 /// One run may carry a churn plan *and* a change script (eager mode, the

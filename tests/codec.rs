@@ -91,7 +91,7 @@ fn each_sent_message_is_serialized_exactly_once() {
         let passes = p2pdb::net::codec::encode_passes() - before;
         let shared = sys.net_stats().shared_payload_sends;
         assert!(report.all_closed);
-        // No faults, no duplication: every send is delivered once, so
+        // No faults: every send is delivered once, so
         // delivered messages == sends; each unique payload is encoded
         // exactly once and fan-out copies ride along for free.
         assert!(

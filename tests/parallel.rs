@@ -289,7 +289,7 @@ fn sharded_refuses_a_churn_or_fault_plan() {
     churned.set_churn(ChurnPlan::none().with_crash(NodeId(1), at, at + at));
     assert_refused(churned, RunSpec::default(), "a churn plan");
     let mut faulty = cyclic_builder();
-    faulty.set_fault(FaultPlan::random(5, 0, 1));
+    faulty.set_fault(FaultPlan::random(5, 1));
     assert_refused(faulty, RunSpec::default(), "a fault plan");
 }
 

@@ -52,7 +52,6 @@ struct Model {
     total_messages: u64,
     total_bytes: u64,
     dropped: u64,
-    duplicated: u64,
     peer_crashes: u64,
     peer_restarts: u64,
     shared_payload_sends: u64,
@@ -105,8 +104,8 @@ impl Model {
 
     fn display(&self) -> String {
         let mut out = format!(
-            "messages={} bytes={} dropped={} duplicated={} finished_at={}\n",
-            self.total_messages, self.total_bytes, self.dropped, self.duplicated, self.finished_at
+            "messages={} bytes={} dropped={} finished_at={}\n",
+            self.total_messages, self.total_bytes, self.dropped, self.finished_at
         );
         for (node, s) in &self.per_node {
             writeln!(

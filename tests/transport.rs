@@ -207,12 +207,13 @@ fn durable_serve_restarts_and_resyncs_over_the_socket() {
     let state = dir.join("state");
 
     // Reserve fixed ports so the restarted node comes back where its
-    // peers expect it.
-    let mut addrs = Vec::new();
-    for _ in 0..3 {
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        addrs.push(probe.local_addr().unwrap());
-    }
+    // peers expect it. Every probe stays bound until all three are picked:
+    // one released early could hand its port to the next bind.
+    let probes: Vec<TcpListener> = (0..3)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<SocketAddr> = probes.iter().map(|p| p.local_addr().unwrap()).collect();
+    drop(probes);
     let serve_args = |node: u32| -> Vec<String> {
         let mut a = vec!["--listen".into(), addrs[node as usize].to_string()];
         for peer in 0..3u32 {
@@ -334,6 +335,42 @@ fn failed_launch_reaps_every_child() {
         assert!(
             !std::path::Path::new(&format!("/proc/{pid}")).exists(),
             "child {pid} still alive after failed launch"
+        );
+    }
+}
+
+/// A launch whose children refuse their stores says why: every child that
+/// already exited is named with its exit status and the last line it
+/// printed, instead of only the control connection that timed out.
+#[test]
+fn a_failed_launch_names_each_exited_child_and_its_last_line() {
+    let dir = std::env::temp_dir().join("p2pdb_transport_refused_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let net = workload("ring", 3, &dir);
+    let state = dir.join("state");
+    let launch = |extra: &[&str]| {
+        Command::new(bin())
+            .arg("launch")
+            .arg(&net)
+            .args(extra)
+            .arg("--durable")
+            .arg("--state-dir")
+            .arg(&state)
+            .output()
+            .expect("launch runs")
+    };
+    let first = launch(&[]);
+    assert!(first.status.success(), "{first:?}");
+    // The stores hold JSON payloads: under the binary codec every child
+    // refuses its store and exits before its control socket is up.
+    let second = launch(&["--codec", "binary", "--timeout-ms", "2000"]);
+    assert!(!second.status.success(), "a refused store cannot launch");
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(stderr.contains("corrupt storage"), "{stderr}");
+    for node in 0..3 {
+        assert!(
+            stderr.contains(&format!("node {node} exited with exit status: 1")),
+            "{stderr}"
         );
     }
 }
