@@ -194,6 +194,12 @@ impl Fleet {
         complaints
     }
 
+    /// True once the child of `node` has exited.
+    fn exited(&mut self, node: u32) -> bool {
+        (self.children.iter_mut())
+            .any(|m| m.node == node && matches!(m.child.try_wait(), Ok(Some(_))))
+    }
+
     /// Failure path: `e`, followed by every child that already exited.
     fn explain(&mut self, e: CoreError) -> CoreError {
         let exited: Vec<String> = self
@@ -311,7 +317,9 @@ pub fn launch_cluster(
     }
 
     // Wait for every control socket, then drive the session.
-    let outcome = drive(cfg, &netfile, &addrs, deadline, started, progress);
+    let outcome = drive(
+        cfg, &netfile, &addrs, &mut fleet, deadline, started, progress,
+    );
 
     match outcome {
         Ok((session, converge_wall, counters, db)) => {
@@ -356,13 +364,37 @@ fn drive(
     cfg: &ClusterConfig,
     netfile: &NetworkFile,
     addrs: &BTreeMap<u32, SocketAddr>,
+    fleet: &mut Fleet,
     deadline: Instant,
     started: Instant,
     progress: &mut dyn FnMut(String),
 ) -> CoreResult<(SessionId, Duration, BTreeMap<u32, NodeCounters>, GlobalDb)> {
+    // Each node's control socket comes up, or its child exits first: then
+    // the launch fails once every node has done one or the other, so the
+    // report names every child that exited, without waiting for `deadline`.
     let mut controllers: BTreeMap<u32, Controller> = BTreeMap::new();
+    let mut down = Vec::new();
     for (&node, &addr) in addrs {
-        controllers.insert(node, Controller::connect(addr, deadline)?);
+        loop {
+            match Controller::connect(addr, Instant::now()) {
+                Ok(ctl) => {
+                    controllers.insert(node, ctl);
+                    break;
+                }
+                Err(e) if Instant::now() >= deadline => return Err(e),
+                Err(_) if fleet.exited(node) => {
+                    down.push(node.to_string());
+                    break;
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(25)),
+            }
+        }
+    }
+    if !down.is_empty() {
+        return Err(CoreError::Transport(format!(
+            "control socket never came up at node {}",
+            down.join(", ")
+        )));
     }
     progress(format!("all {} control sockets up", controllers.len()));
 

@@ -18,6 +18,11 @@ use std::sync::Arc;
 /// everything downstream (query plans, messages, statistics) is
 /// deterministic. The serialized form is a name-keyed map:
 /// `{"schema": …, "relations": {name: relation, …}}`.
+///
+/// Cloning is copy-on-write and costs O(relations), never O(rows): the
+/// clone shares every relation's rows and join indexes, and a relation is
+/// copied at its first write, by the holder that writes it (see
+/// [`Relation`]).
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: DatabaseSchema,
@@ -293,6 +298,25 @@ mod tests {
             1,
         );
         assert!(serde_json::from_str::<Database>(&misfiled).is_err());
+    }
+
+    /// A database clone shares every relation's rows; a write at either
+    /// copy changes its own facts and watermarks only.
+    #[test]
+    fn a_write_to_either_clone_leaves_the_other_untouched() {
+        for writer in 0..2 {
+            let mut d = db();
+            d.insert_values("a", vec![Val::Int(1)]).unwrap();
+            d.insert_values("b", vec![Val::Int(1), Val::str("x")])
+                .unwrap();
+            let mut pair = [d.clone(), d];
+            let (facts, marks) = (pair[0].all_facts(), pair[0].watermarks());
+            assert!(!pair[writer].insert_values("a", vec![Val::Int(1)]).unwrap());
+            assert!(pair[writer].insert_values("a", vec![Val::Int(2)]).unwrap());
+            let other = &pair[1 - writer];
+            assert_eq!((other.all_facts(), other.watermarks()), (facts, marks));
+            assert_eq!(pair[writer].facts_since(&other.watermarks()).len(), 1);
+        }
     }
 
     #[test]

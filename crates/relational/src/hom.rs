@@ -108,34 +108,35 @@ fn undo(assignment: &mut HashMap<usize, Val>, vars: &[usize]) {
 /// `b`: constants map to themselves, each labeled null of `a` maps to *some*
 /// value of `b` (consistently across occurrences).
 ///
-/// Null-free facts short-circuit to membership tests; facts sharing nulls are
-/// grouped into connected components and each component is solved by
-/// backtracking independently, which keeps the search tractable even on
-/// databases with thousands of facts.
+/// Null-free facts short-circuit to membership tests, read row by row in
+/// place; facts sharing nulls are copied out, grouped into connected
+/// components, and each component is solved by backtracking independently,
+/// which keeps the search tractable even on databases with thousands of
+/// facts.
 pub fn contained_modulo_nulls(a: &Database, b: &Database) -> bool {
     let mut null_components: UnionFind<NullId> = UnionFind::default();
     let mut null_facts: Vec<(Arc<str>, Tuple)> = Vec::new();
 
-    for (rel_name, tuple) in a.all_facts() {
-        let nulls: Vec<NullId> = tuple
-            .values()
-            .filter_map(|v| match v {
-                Val::Null(id) => Some(*id),
-                _ => None,
-            })
-            .collect();
-        if nulls.is_empty() {
-            // Fast path: must exist verbatim in b.
-            match b.relation(&rel_name) {
-                Ok(rel) if rel.contains(&tuple.0) => {}
-                _ => return false,
+    for (rel_name, rel) in a.relations() {
+        let image = b.relation(rel_name).ok();
+        for row in rel.iter() {
+            // Link each null of the row to the one before it.
+            let mut last = None;
+            for v in row {
+                if let Val::Null(id) = *v {
+                    match last {
+                        Some(prev) => null_components.union(prev, id),
+                        None => null_components.ensure(id),
+                    }
+                    last = Some(id);
+                }
             }
-        } else {
-            for pair in nulls.windows(2) {
-                null_components.union(pair[0], pair[1]);
+            if last.is_some() {
+                null_facts.push((rel_name.clone(), Tuple::from_row(row)));
+            } else if !image.is_some_and(|image| image.contains(row)) {
+                // Null-free: must exist verbatim in b.
+                return false;
             }
-            null_components.ensure(nulls[0]);
-            null_facts.push((rel_name, tuple));
         }
     }
 
@@ -332,6 +333,41 @@ mod tests {
         assert!(!satisfiable(&[pat.clone(), pat3.clone()], &db));
         db.insert_values("s", int_tuple(&[9])).unwrap();
         assert!(satisfiable(&[pat, pat3], &db));
+    }
+
+    /// A fact of a relation `b` does not declare is not contained, null or
+    /// no null; an empty one is. Nulls linked through shared facts form one
+    /// component and must map together; separate components map apart.
+    #[test]
+    fn a_relation_b_lacks_fails_and_components_map_apart() {
+        let wide = DatabaseSchema::parse("r(x: int, y: int). s(x: int). t(x: int).").unwrap();
+        let mut nf = NullFactory::new(1);
+        let (n, m) = (nf.fresh(), nf.fresh());
+        let mut b = Database::new(schema());
+        for row in [[1, 7], [2, 8]] {
+            b.insert_values("r", int_tuple(&row)).unwrap();
+        }
+        b.insert_values("s", int_tuple(&[7])).unwrap();
+        b.insert_values("s", int_tuple(&[8])).unwrap();
+
+        let mut a = Database::new(wide.clone());
+        assert!(contained_modulo_nulls(&a, &b), "an empty `t` asks nothing");
+        // Two components, solved apart: r(1, N), s(N) maps N ↦ 7 and
+        // r(2, M), s(M) maps M ↦ 8.
+        a.insert_values("r", vec![Val::Int(1), n]).unwrap();
+        a.insert_values("s", vec![n]).unwrap();
+        a.insert_values("r", vec![Val::Int(2), m]).unwrap();
+        a.insert_values("s", vec![m]).unwrap();
+        assert!(contained_modulo_nulls(&a, &b));
+        // One component once r(N, M) links them, and b has no r(7, 8).
+        a.insert_values("r", vec![n, m]).unwrap();
+        assert!(!contained_modulo_nulls(&a, &b));
+
+        for fact in [int_tuple(&[7]), vec![n]] {
+            let mut a = Database::new(wide.clone());
+            a.insert_values("t", fact).unwrap();
+            assert!(!contained_modulo_nulls(&a, &b), "b has no `t`");
+        }
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! heap allocation per row or per key: a stored row costs its `16 × arity`
 //! bytes plus, in membership and in each join index, one 4-byte chain link;
 //! a distinct hash costs one 16-byte map entry per index. Inserting grows
-//! these buffers by amortised doubling, and cloning copies them with one
-//! allocation each.
+//! these buffers by amortised doubling. A relation is copy-on-write: a
+//! clone (of it, or of a [`crate::Database`]) shares its row set and join
+//! indexes, each behind an `Arc`, and copies no row; its first write copies
+//! what it writes, there only, and a row already present copies nothing.
 //!
 //! Insertion order is preserved so that (a) iteration is deterministic and
 //! (b) *watermarks* work: the update protocol's delta optimization sends a
@@ -27,7 +29,7 @@ use crate::schema::RelationSchema;
 use crate::value::Val;
 use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Hashes a join key, value by value. Index maintenance (projecting a stored
 /// row onto the key columns) and probes (projecting a partial binding) must
@@ -180,6 +182,16 @@ impl RowSet {
         }
     }
 
+    /// An empty set, shared for arities below 8: an empty relation
+    /// allocates nothing until its first row.
+    fn shared_empty(arity: usize) -> Arc<RowSet> {
+        static EMPTY: [OnceLock<Arc<RowSet>>; 8] = [const { OnceLock::new() }; 8];
+        match EMPTY.get(arity) {
+            Some(cell) => Arc::clone(cell.get_or_init(|| Arc::new(RowSet::new(arity)))),
+            None => Arc::new(RowSet::new(arity)),
+        }
+    }
+
     /// The width of every row.
     pub fn arity(&self) -> usize {
         self.arity
@@ -197,8 +209,12 @@ impl RowSet {
 
     /// Membership test on a row slice.
     pub fn contains(&self, row: &[Val]) -> bool {
-        let mut at = self.seen.candidates(key_hash(row));
-        row.len() == self.arity && at.any(|p| self.row(p as usize) == row)
+        row.len() == self.arity && self.holds(row, key_hash(row))
+    }
+
+    /// Membership test on a row of the set's arity whose hash is `hash`.
+    fn holds(&self, row: &[Val], hash: u64) -> bool {
+        (self.seen.candidates(hash)).any(|p| self.row(p as usize) == row)
     }
 
     /// Inserts a row by copy; returns `true` iff it was new.
@@ -321,19 +337,21 @@ impl Deserialize for RowSet {
     }
 }
 
-/// A relation instance.
+/// A relation instance, copy-on-write (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// The signature, shared by every clone.
     schema: Arc<RelationSchema>,
-    /// The rows, of the schema's arity.
-    rows: RowSet,
+    /// The rows, of the schema's arity; shared until a clone inserts a new
+    /// row or remaps its symbols.
+    rows: Arc<RowSet>,
     /// Lazily built multi-column join indexes, each under its key columns
-    /// (shared, so a clone does not copy them; a relation has a handful, so
-    /// they are found by a linear scan). Maintained incrementally by
-    /// [`Relation::insert_row`]; cleared on symbol remap (key hashes go
+    /// (a relation has a handful, so they are found by a linear scan). A
+    /// clone shares each index until it inserts a new row; an index built
+    /// later belongs to the clone that built it. Maintained incrementally
+    /// by [`Relation::insert_row`]; cleared on symbol remap (key hashes go
     /// stale) and never serialized.
-    key_indexes: Vec<(Arc<[usize]>, Index)>,
+    key_indexes: Vec<(Arc<[usize]>, Arc<Index>)>,
 }
 
 impl Relation {
@@ -342,7 +360,7 @@ impl Relation {
     pub fn new(schema: impl Into<Arc<RelationSchema>>) -> Self {
         let schema = schema.into();
         Relation {
-            rows: RowSet::new(schema.arity()),
+            rows: RowSet::shared_empty(schema.arity()),
             schema,
             key_indexes: Vec::new(),
         }
@@ -365,24 +383,34 @@ impl Relation {
     /// [`Relation::insert_row`] with the hashing supplied: `row_hash` for
     /// membership, and `hash(cols)`, the hash of `row` projected onto
     /// `cols`, for each join index. Tests pass constants here to put every
-    /// row in one bucket.
+    /// row in one bucket. Shared rows are copied only for a new row.
     fn insert_hashed(
         &mut self,
         row: &[Val],
         row_hash: u64,
         hash: impl Fn(&[usize]) -> u64,
     ) -> bool {
-        let new = self.rows.insert_hashed(row, row_hash);
+        let rows = match Arc::get_mut(&mut self.rows) {
+            Some(rows) => rows,
+            None => {
+                if self.rows.holds(row, row_hash) {
+                    return false;
+                }
+                Arc::make_mut(&mut self.rows)
+            }
+        };
+        let new = rows.insert_hashed(row, row_hash);
         if new {
             for (cols, idx) in &mut self.key_indexes {
-                idx.link(hash(cols));
+                Arc::make_mut(idx).link(hash(cols));
             }
         }
         new
     }
 
     /// Ensures a persistent multi-column index on `cols` exists, building it
-    /// from current rows on first use. Subsequent [`Relation::insert_row`]
+    /// from current rows on first use (at this clone only: the rows are
+    /// read, not copied). Subsequent [`Relation::insert_row`]
     /// calls maintain it incrementally. Pair with [`Relation::index`] when
     /// rows must be read while the index is borrowed.
     pub fn ensure_index(&mut self, cols: &[usize]) {
@@ -393,7 +421,7 @@ impl Relation {
     /// built it. Immutable, so candidate rows can be read while probing.
     pub fn index(&self, cols: &[usize]) -> Option<&Index> {
         let mut indexes = self.key_indexes.iter();
-        indexes.find(|(on, _)| **on == *cols).map(|(_, idx)| idx)
+        indexes.find(|(on, _)| **on == *cols).map(|(_, idx)| &**idx)
     }
 
     /// Ensures and returns the persistent index on `cols` (convenience over
@@ -403,7 +431,7 @@ impl Relation {
             Some(at) => at,
             None => {
                 let idx = Index::build(cols, self.iter());
-                self.key_indexes.push((cols.into(), idx));
+                self.key_indexes.push((cols.into(), Arc::new(idx)));
                 self.key_indexes.len() - 1
             }
         };
@@ -412,9 +440,10 @@ impl Relation {
 
     /// Rewrites every symbol through `f` (crash recovery remaps foreign
     /// catalog ids through the live catalog). Membership is rebuilt; join
-    /// indexes are dropped (their key hashes went stale).
+    /// indexes are dropped (their key hashes went stale). Shared rows are
+    /// copied first.
     pub fn remap_syms(&mut self, f: &impl Fn(crate::catalog::SymId) -> crate::catalog::SymId) {
-        self.rows.remap_syms(f);
+        Arc::make_mut(&mut self.rows).remap_syms(f);
         self.key_indexes.clear();
     }
 }
@@ -458,7 +487,7 @@ impl Deserialize for Relation {
             .as_seq()
             .ok_or_else(|| DeError::expected("array", "Relation::rows"))?;
         Ok(Relation {
-            rows: RowSet::from_rows(schema.arity(), rows, "Relation row")?,
+            rows: Arc::new(RowSet::from_rows(schema.arity(), rows, "Relation row")?),
             schema: Arc::new(schema),
             key_indexes: Vec::new(),
         })
@@ -625,6 +654,78 @@ mod tests {
         copy.remap_syms(&|id| id);
         assert!(copy.contains(&tup(4, 4)) && copy.contains(&tup(1, 1)));
         assert!(!copy.insert_row(&tup(3, 1)));
+    }
+
+    /// Rows `(x, x % 3)` for `x` in `xs`, under an index on column 1.
+    fn filled(xs: std::ops::Range<i64>) -> Relation {
+        let mut r = rel();
+        r.ensure_index(&[1]);
+        for x in xs {
+            r.insert_row(&tup(x, x % 3));
+        }
+        r
+    }
+
+    /// Everything a reader of a relation sees: rows in order, the length,
+    /// and the positions its index on column 1 yields for each key.
+    fn seen(r: &Relation) -> (Vec<Vec<Val>>, usize, Vec<Vec<u32>>) {
+        let keys = (0..3).map(|k| probe(r, &[1], &[Val::Int(k)])).collect();
+        (r.iter().map(<[Val]>::to_vec).collect(), r.len(), keys)
+    }
+
+    /// A clone shares rows and indexes until one side inserts a new row;
+    /// then that side alone holds a copy, and the other reads as before —
+    /// rows, length (its watermark) and join index alike. A present row
+    /// copies nothing.
+    #[test]
+    fn a_write_to_either_clone_leaves_the_other_untouched() {
+        for writer in 0..2 {
+            let mut pair = [filled(0..5), filled(0..0)];
+            pair[1] = pair[0].clone();
+            assert!(Arc::ptr_eq(&pair[0].rows, &pair[1].rows));
+            assert!(Arc::ptr_eq(
+                &pair[0].key_indexes[0].1,
+                &pair[1].key_indexes[0].1
+            ));
+            let before = seen(&pair[1 - writer]);
+
+            assert!(!pair[writer].insert_row(&tup(4, 1)), "present");
+            assert!(Arc::ptr_eq(&pair[0].rows, &pair[1].rows), "nothing copied");
+            assert!(pair[writer].insert_row(&tup(9, 0)));
+            assert!(!Arc::ptr_eq(&pair[0].rows, &pair[1].rows));
+
+            assert_eq!(seen(&pair[1 - writer]), before, "writer {writer}");
+            assert_eq!(pair[writer].len(), 6);
+            assert_eq!(probe(&pair[writer], &[1], &[Val::Int(0)]), [0, 3, 5]);
+        }
+    }
+
+    /// An index built at a shared clone belongs to it alone, and reads the
+    /// shared rows without copying them.
+    #[test]
+    fn ensure_index_on_a_shared_clone_builds_nothing_in_the_other() {
+        let r = filled(0..5);
+        let mut copy = r.clone();
+        copy.ensure_index(&[0]);
+        assert_eq!(probe(&copy, &[0], &[Val::Int(3)]), [3]);
+        assert!(r.index(&[0]).is_none());
+        assert_eq!(r.key_indexes.len(), 1);
+        assert!(Arc::ptr_eq(&r.rows, &copy.rows), "no row copied");
+    }
+
+    /// A remap at a shared clone rewrites its own copy of the rows only.
+    #[test]
+    fn remap_syms_on_a_shared_clone_leaves_the_other_intact() {
+        let mut r = Relation::new(RelationSchema::new("s", vec![("x", ColumnType::Str)]));
+        let (a, b) = (Val::str("cow-remap-a"), Val::str("cow-remap-b"));
+        r.insert_row(&[a]);
+        r.ensure_index(&[0]);
+        let mut copy = r.clone();
+        let (a_id, b_id) = (a.as_sym().unwrap(), b.as_sym().unwrap());
+        copy.remap_syms(&|id| if id == a_id { b_id } else { id });
+        assert!(copy.contains(&[b]) && !copy.contains(&[a]));
+        assert!(r.contains(&[a]) && !r.contains(&[b]));
+        assert_eq!(probe(&r, &[0], &[a]), [0], "the original keeps its index");
     }
 
     #[test]

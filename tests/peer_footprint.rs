@@ -5,7 +5,8 @@
 //!
 //! The build-time state a peer knows — its rules, its schema, its
 //! relations' signatures — is shared with the builder's rule set and with
-//! every other peer of the same schema, not copied per holder; so are the
+//! every other peer of the same schema, and its base rows with the
+//! builder's database, not copied per holder; so are the
 //! plans and heads it compiles, through its system's catalog; a retired
 //! session leaves no slot behind. Either going back to a copy moves these
 //! numbers by kilobytes per peer.
@@ -56,12 +57,14 @@ fn live() -> i64 {
 }
 
 const PEERS: u32 = 2_000;
-/// Live bytes per peer once the system is built.
-const AFTER_BUILD: i64 = 4_500;
+/// Live bytes per peer once the system is built: 4 042 while every peer
+/// copied the builder's rows, 3 530 once it shares them.
+const AFTER_BUILD: i64 = 3_800;
 /// Live bytes per peer once the first-contact session retired: 8 839
 /// while every peer compiled and kept its own `item(I,S)` plans and
-/// `inbox(I,S)` head, 6 394 once the peers of one build share them.
-const AFTER_FIRST_CONTACT: i64 = 6_700;
+/// `inbox(I,S)` head, 6 394 once the peers of one build share them, 5 965
+/// once they share the builder's rows too.
+const AFTER_FIRST_CONTACT: i64 = 6_300;
 
 fn run_closed(sys: &mut P2PSystem) {
     let report = sys.run_update();

@@ -41,6 +41,19 @@ fn workload(topology: &str, size: u32, dir: &std::path::Path) -> std::path::Path
     path
 }
 
+/// `serve` children, killed and waited when dropped: a failing assertion
+/// leaves none of them running.
+struct Serves(Vec<Child>);
+
+impl Drop for Serves {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Spawns one `serve` child and returns it with its resolved listen
 /// address (parsed from the `serving node … on ADDR` banner).
 fn spawn_serve(net: &std::path::Path, node: u32, args: &[String]) -> (Child, SocketAddr) {
@@ -74,7 +87,8 @@ fn spawn_serve(net: &std::path::Path, node: u32, args: &[String]) -> (Child, Soc
 fn handshake_rejects_misconfigured_peers() {
     let dir = std::env::temp_dir().join("p2pdb_transport_hs");
     let net = workload("ring", 4, &dir);
-    let (mut child, addr) = spawn_serve(&net, 0, &["--listen".into(), "127.0.0.1:0".into()]);
+    let (child, addr) = spawn_serve(&net, 0, &["--listen".into(), "127.0.0.1:0".into()]);
+    let mut serves = Serves(vec![child]);
 
     let connect = || {
         let s = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).unwrap();
@@ -136,7 +150,7 @@ fn handshake_rejects_misconfigured_peers() {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut ctl = Controller::connect(addr, deadline).expect("control accepted");
     ctl.shutdown().expect("server acknowledges shutdown");
-    let status = child.wait().expect("server exits");
+    let status = serves.0[0].wait().expect("server exits");
     assert!(status.success(), "serve exited with {status}");
 }
 
@@ -230,9 +244,11 @@ fn durable_serve_restarts_and_resyncs_over_the_socket() {
         a
     };
 
-    let mut children: Vec<Child> = Vec::new();
+    let mut children = Serves(Vec::new());
     for node in 0..3u32 {
-        children.push(spawn_serve(&net, node, &serve_args(node)).0);
+        children
+            .0
+            .push(spawn_serve(&net, node, &serve_args(node)).0);
     }
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut ctls: Vec<Controller> = addrs
@@ -267,11 +283,11 @@ fn durable_serve_restarts_and_resyncs_over_the_socket() {
     // state dir: it must adopt the on-disk state (a restart, not a fresh
     // boot) and resync over TCP while nodes 1 and 2 keep running.
     ctls[0].shutdown().unwrap();
-    let status = children.remove(0).wait().unwrap();
+    let status = children.0[0].wait().unwrap();
     assert!(status.success());
 
     let (revived, _) = spawn_serve(&net, 0, &serve_args(0));
-    children.insert(0, revived);
+    children.0[0] = revived;
     let deadline = Instant::now() + Duration::from_secs(30);
     ctls[0] = Controller::connect(addrs[0], deadline).expect("restarted control up");
     let (stats, _, _) = ctls[0].stats().unwrap();
@@ -300,7 +316,7 @@ fn durable_serve_restarts_and_resyncs_over_the_socket() {
     for ctl in &mut ctls {
         ctl.shutdown().unwrap();
     }
-    for mut child in children {
+    for child in &mut children.0 {
         let status = child.wait().unwrap();
         assert!(status.success());
     }
@@ -339,9 +355,10 @@ fn failed_launch_reaps_every_child() {
     }
 }
 
-/// A launch whose children refuse their stores says why: every child that
-/// already exited is named with its exit status and the last line it
-/// printed, instead of only the control connection that timed out.
+/// A launch whose children refuse their stores says why, and says it at
+/// once: every child that exited is named with its exit status and the
+/// last line it printed, and the launch fails as soon as they are gone
+/// instead of waiting out its timeout.
 #[test]
 fn a_failed_launch_names_each_exited_child_and_its_last_line() {
     let dir = std::env::temp_dir().join("p2pdb_transport_refused_store");
@@ -363,8 +380,11 @@ fn a_failed_launch_names_each_exited_child_and_its_last_line() {
     assert!(first.status.success(), "{first:?}");
     // The stores hold JSON payloads: under the binary codec every child
     // refuses its store and exits before its control socket is up.
-    let second = launch(&["--codec", "binary", "--timeout-ms", "2000"]);
+    let began = Instant::now();
+    let second = launch(&["--codec", "binary", "--timeout-ms", "10000"]);
+    let took = began.elapsed();
     assert!(!second.status.success(), "a refused store cannot launch");
+    assert!(took < Duration::from_secs(2), "failed after {took:?}");
     let stderr = String::from_utf8_lossy(&second.stderr);
     assert!(stderr.contains("corrupt storage"), "{stderr}");
     for node in 0..3 {
