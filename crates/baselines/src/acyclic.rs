@@ -83,9 +83,12 @@ pub fn acyclic_update(
                 bytes += 64
                     + rows
                         .iter()
-                        .map(|t| p2p_net::encoded_wire_size(t) as u64)
+                        .map(|row| p2p_net::encoded_wire_size(&row) as u64)
                         .sum::<u64>();
-                parts.push(VarRows::from_tuples(part.vars.clone(), &rows));
+                parts.push(VarRows {
+                    vars: part.vars.clone(),
+                    rows,
+                });
             }
             if !ok {
                 continue;

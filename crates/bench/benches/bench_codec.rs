@@ -10,7 +10,7 @@ use p2p_core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use p2p_core::rule::{BodyPart, RuleId};
 use p2p_net::{Codec, SessionId, Wire};
 use p2p_relational::query::ast::{Atom, Term};
-use p2p_relational::{SymId, Tuple, Val};
+use p2p_relational::{RowSet, SymId, Val};
 use p2p_topology::NodeId;
 use p2p_workload::DblpGenerator;
 use std::sync::Arc;
@@ -20,15 +20,11 @@ use std::sync::Arc;
 fn dblp_answer(rows: usize) -> ProtocolMsg {
     let mut gen = DblpGenerator::new(7);
     let mut dict = Vec::new();
-    let mut tuples = Vec::new();
+    let mut tuples = RowSet::new(3);
     for (i, p) in gen.batch(rows).into_iter().enumerate() {
         let sym = SymId(1000 + i as u32);
         dict.push((sym, Arc::<str>::from(p.title.as_str())));
-        tuples.push(Tuple::new(vec![
-            Val::Int(p.id),
-            Val::Sym(sym),
-            Val::Int(p.year),
-        ]));
+        tuples.insert(&[Val::Int(p.id), Val::Sym(sym), Val::Int(p.year)]);
     }
     ProtocolMsg::Answer(Answer {
         session: SessionId::new(NodeId(0), 1),

@@ -26,16 +26,16 @@
 //!
 //! ## Columnar row blocks
 //!
-//! `AnswerRows.rows` is a slice of same-arity tuples (PR 4 made rows
-//! columnar in memory). The codec streams them **column-major**: per
-//! column, one tag byte per value (`0` int, `1` symbol, `2` labeled null)
-//! followed by a payload that is *delta-encoded against the previous value
-//! of the same kind in the same column* — sorted ids and clustered
-//! constants collapse to 1–2 bytes each. Dictionaries ship sorted
-//! `SymId`s, so they delta the same way. Ragged row sets (possible after
-//! deserializing foreign input) fall back to a generic document, flagged
-//! in the block header; a peer refuses them where they arrive. A block of
-//! no rows declares arity 0, and decoding rejects any other.
+//! `AnswerRows.rows` is a [`p2p_relational::RowSet`]: rows of one width.
+//! The codec streams them **column-major** after a layout byte (`0`; no
+//! other is defined), the row count and the width: per column, one tag
+//! byte per value (`0` int, `1` symbol, `2` labeled null) followed by a
+//! payload that is *delta-encoded against the previous value of the same
+//! kind in the same column* — sorted ids and clustered constants collapse
+//! to 1–2 bytes each. Dictionaries ship sorted `SymId`s, so they delta the
+//! same way. A block of no rows declares arity 0, and decoding rejects any
+//! other. A block's width need not be its `vars`' count; a peer refuses
+//! such rows where they arrive.
 //!
 //! ## LZ block layer
 //!
@@ -56,7 +56,7 @@ use crate::rule::RuleId;
 use binpack::{Error, Reader, Writer};
 use p2p_net::SessionId;
 use p2p_relational::value::NullId;
-use p2p_relational::{SymId, Tuple, Val};
+use p2p_relational::{RowSet, SymId, Val};
 use p2p_topology::NodeId;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -184,8 +184,10 @@ const VAL_INT: u8 = 0;
 const VAL_SYM: u8 = 1;
 const VAL_NULL: u8 = 2;
 
+/// The row block's layout byte: column-major is the one layout. Tag `1`,
+/// once a generic document for rows of mixed widths, decodes as unknown
+/// and is not reused.
 const ROWS_COLUMNAR: u8 = 0;
-const ROWS_GENERIC: u8 = 1;
 
 /// Per-column delta state: each value kind deltas against the previous
 /// value of the same kind in the column.
@@ -287,25 +289,22 @@ fn put_rows_inner(w: &mut Writer, rows: &AnswerRows) -> Result<(), Error> {
     for v in &rows.vars {
         w.put_str(v);
     }
-    let arity = rows.rows.first().map(|t| t.0.len()).unwrap_or(0);
-    let uniform = rows.rows.iter().all(|t| t.0.len() == arity);
-    if uniform {
-        w.put_u8(ROWS_COLUMNAR);
-        w.put_varint(rows.rows.len() as u64);
-        w.put_varint(arity as u64);
-        // Column-major with per-column delta state: down a column, ids and
-        // clustered constants change slowly, so most values are 2 bytes.
-        for col in 0..arity {
-            let mut delta = ColDelta::default();
-            for row in &rows.rows {
-                delta.put(w, row.0[col]);
-            }
-        }
+    // A block of no rows declares arity 0, whatever its set's width.
+    let arity = if rows.rows.is_empty() {
+        0
     } else {
-        // Ragged rows cannot stream column-major; ship the self-describing
-        // generic form (rare: only foreign/hand-built payloads are ragged).
-        w.put_u8(ROWS_GENERIC);
-        put_doc(w, &rows.rows)?;
+        rows.rows.arity()
+    };
+    w.put_u8(ROWS_COLUMNAR);
+    w.put_varint(rows.rows.len() as u64);
+    w.put_varint(arity as u64);
+    // Column-major with per-column delta state: down a column, ids and
+    // clustered constants change slowly, so most values are 2 bytes.
+    for col in 0..arity {
+        let mut delta = ColDelta::default();
+        for row in rows.rows.iter() {
+            delta.put(w, row[col]);
+        }
     }
     w.put_varint(rows.null_depths.len() as u64);
     for (null, depth) in &rows.null_depths {
@@ -333,37 +332,33 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
     for _ in 0..nvars {
         vars.push(Arc::<str>::from(r.get_str()?));
     }
-    let rows: Vec<Tuple> = match r.get_u8()? {
-        ROWS_COLUMNAR => {
-            let nrows = r.get_varint()? as usize;
-            let arity = r.get_varint()? as usize;
-            // The encoder writes arity 0 for a block of no rows, so any
-            // other arity there is malformed; otherwise every value takes a
-            // byte, which bounds the arity by the input.
-            if nrows == 0 && arity != 0 {
-                return Err(Error::De(format!("no rows of arity {arity}")));
-            }
-            if nrows
-                .checked_mul(arity.max(1))
-                .map(|cells| cells > r.remaining() + 1)
-                .unwrap_or(true)
-            {
-                return Err(Error::Truncated);
-            }
-            let mut flat = vec![Val::Int(0); nrows * arity];
-            for col in 0..arity {
-                let mut delta = ColDelta::default();
-                for row in 0..nrows {
-                    flat[row * arity + col] = delta.get(r)?;
-                }
-            }
-            (0..nrows)
-                .map(|i| Tuple::from_row(&flat[i * arity..][..arity]))
-                .collect()
-        }
-        ROWS_GENERIC => get_doc(r)?,
+    match r.get_u8()? {
+        ROWS_COLUMNAR => {}
         tag => return Err(Error::BadTag(tag)),
-    };
+    }
+    let nrows = r.get_varint()? as usize;
+    let arity = r.get_varint()? as usize;
+    // The encoder writes arity 0 for a block of no rows, so any other arity
+    // there is malformed; otherwise every value takes a byte, which bounds
+    // the arity by the input.
+    if nrows == 0 && arity != 0 {
+        return Err(Error::De(format!("no rows of arity {arity}")));
+    }
+    if nrows
+        .checked_mul(arity.max(1))
+        .map(|cells| cells > r.remaining() + 1)
+        .unwrap_or(true)
+    {
+        return Err(Error::Truncated);
+    }
+    let mut flat = vec![Val::Int(0); nrows * arity];
+    for col in 0..arity {
+        let mut delta = ColDelta::default();
+        for row in 0..nrows {
+            flat[row * arity + col] = delta.get(r)?;
+        }
+    }
+    let rows = RowSet::from_flat(arity, nrows, flat);
     let ndepths = r.get_varint()? as usize;
     let mut null_depths = Vec::with_capacity(ndepths.min(r.remaining() + 1));
     for _ in 0..ndepths {
@@ -702,18 +697,22 @@ mod tests {
     fn sample_rows() -> AnswerRows {
         AnswerRows {
             vars: vec![Arc::from("X"), Arc::from("Y")],
-            rows: (0..20)
-                .map(|i| {
-                    Tuple::new(vec![
-                        Val::Int(1000 + i),
-                        if i % 3 == 0 {
-                            Val::Null(NullId::new(2, 40 + i as u64))
-                        } else {
-                            Val::Sym(SymId(700 + i as u32))
-                        },
-                    ])
-                })
-                .collect(),
+            rows: RowSet::from_flat(
+                2,
+                20,
+                (0..20)
+                    .flat_map(|i| {
+                        [
+                            Val::Int(1000 + i),
+                            if i % 3 == 0 {
+                                Val::Null(NullId::new(2, 40 + i as u64))
+                            } else {
+                                Val::Sym(SymId(700 + i as u32))
+                            },
+                        ]
+                    })
+                    .collect(),
+            ),
             null_depths: vec![(NullId::new(2, 40), 1), (NullId::new(2, 43), 2)],
             marks: [(Arc::<str>::from("t1"), 17usize)].into_iter().collect(),
             dict: vec![
@@ -905,10 +904,16 @@ mod tests {
         }
         let rows = AnswerRows {
             vars: vec![Arc::from("X"), Arc::from("Y")],
-            rows: vec![
-                Tuple::new(vec![Val::Int(-4), Val::Sym(SymId(700))]),
-                Tuple::new(vec![Val::Int(9), Val::Null(NullId::new(2, 41))]),
-            ],
+            rows: RowSet::from_flat(
+                2,
+                2,
+                vec![
+                    Val::Int(-4),
+                    Val::Sym(SymId(700)),
+                    Val::Int(9),
+                    Val::Null(NullId::new(2, 41)),
+                ],
+            ),
             null_depths: vec![(NullId::new(2, 41), 1)],
             marks: [(Arc::<str>::from("b"), 17usize)].into_iter().collect(),
             dict: vec![(SymId(700), Arc::from("alpha"))],
@@ -953,18 +958,37 @@ mod tests {
         );
     }
 
+    /// A row block whose rows are of mixed widths is a typed decode error
+    /// under both codecs: as JSON, and in binary as the retired layout tag
+    /// `1` that once carried it.
     #[test]
-    fn ragged_rows_fall_back_to_the_generic_form() {
-        let rows = AnswerRows {
-            vars: vec![Arc::from("X")],
-            rows: vec![
-                Tuple::new(vec![Val::Int(1)]),
-                Tuple::new(vec![Val::Int(2), Val::Int(3)]),
-            ],
-            ..AnswerRows::default()
-        };
-        let msg = ProtocolMsg::Answer(Answer::new(sid(1), RuleId(0), rows, Via::Repair));
-        assert_same(&roundtrip(&msg), &msg);
+    fn a_mixed_width_row_block_is_a_typed_error() {
+        let json = r#"{"Answer":{"session":{"root":3,"epoch":1},"rule":0,"rows":{"vars":["X"],"rows":[[{"Int":1}],[{"Int":2},{"Int":3}]]},"complete":false,"reopen":false}}"#;
+        let err = serde_json::from_str::<ProtocolMsg>(json).unwrap_err();
+        assert!(err.to_string().contains("rows of one width"), "{err}");
+
+        // One var, layout `1`, the rows as a generic document, then no
+        // depths, marks or dictionary: the block a ragged answer once was.
+        let mut inner = Writer::new();
+        inner.put_varint(1);
+        inner.put_str("X");
+        inner.put_u8(1);
+        put_doc(
+            &mut inner,
+            &vec![vec![Val::Int(1)], vec![Val::Int(2), Val::Int(3)]],
+        )
+        .unwrap();
+        inner.put_varint(0);
+        put_marks(&mut inner, &Marks::new());
+        inner.put_varint(0);
+        let mut w = Writer::new();
+        w.put_u8(12);
+        put_session(&mut w, sid(1));
+        w.put_varint(0);
+        put_block(&mut w, &inner.into_bytes());
+        w.put_u8(0);
+        w.put_u8(0);
+        assert!(matches!(decode_msg(&w.into_bytes()), Err(Error::BadTag(1))));
     }
 
     /// A row block of no rows that declares an arity of 2⁶¹ is a typed

@@ -9,11 +9,12 @@
 //! the head node. A [`crate::peer::DbPeer`] takes both from its system's
 //! [`p2p_relational::query::PlanCatalog`], where peers serving fragments or
 //! chasing heads of one shape share one compiled copy, and holds them per
-//! rule. A fragment's rows are its plan's binding rows copied out once, and
-//! a binding row reaches the head database as one buffer fill per head atom;
-//! existential head variables get their nulls in first-occurrence order.
-//! Fragment extensions, join results and semi-naive unions are
-//! [`RowSet`]s: no join allocates a row, a key or a `Tuple` of its own.
+//! rule. A fragment's rows are its plan's binding buffer, moved into a
+//! [`RowSet`] that travels unchanged to the head, and a binding row reaches
+//! the head database as one buffer fill per head atom; existential head
+//! variables get their nulls in first-occurrence order. Fragment
+//! extensions, join results and semi-naive unions are [`RowSet`]s too: no
+//! join allocates a row, a key or a `Tuple` of its own.
 
 use crate::error::CoreResult;
 use crate::rule::{BodyPart, CoordinationRule};
@@ -23,7 +24,7 @@ use p2p_relational::query::{
     evaluate_bindings, evaluate_bindings_since, evaluate_bindings_since_planned, execute_plan,
     Bindings, Constraint,
 };
-use p2p_relational::{key_hash, Database, Index, NullFactory, RowSet, Tuple, Val};
+use p2p_relational::{key_hash, Database, Index, NullFactory, RowSet, Val};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,12 +34,12 @@ pub use p2p_relational::query::{CompiledBody, EvalMetrics};
 /// A fragment's bindings as rows over `part.vars` (deduplicated,
 /// deterministic order). A plan's slot table lists the fragment's variables
 /// in first-occurrence order, and so does `part.vars` of every parsed rule:
-/// then each binding row *is* a row over `part.vars`, already deduplicated
-/// by the executor, and is copied out once. Any other `vars` list (a
-/// hand-built fragment) is projected.
-fn part_rows(part: &BodyPart, bindings: &Bindings) -> CoreResult<Vec<Tuple>> {
+/// then the binding rows *are* the rows over `part.vars`, and their buffer
+/// becomes the set as it stands. Any other `vars` list (a hand-built
+/// fragment) is projected.
+fn part_rows(part: &BodyPart, bindings: Bindings) -> CoreResult<RowSet> {
     if bindings.vars == part.vars {
-        return Ok(bindings.rows().map(Tuple::from_row).collect());
+        return Ok(bindings.into_rows());
     }
     let head_terms: Vec<Term> = part.vars.iter().cloned().map(Term::Var).collect();
     Ok(bindings.project(&head_terms)?)
@@ -46,9 +47,9 @@ fn part_rows(part: &BodyPart, bindings: &Bindings) -> CoreResult<Vec<Tuple>> {
 
 /// Evaluates one body fragment over a local database, returning rows over
 /// `part.vars` (deduplicated, deterministic order).
-pub fn eval_part(part: &BodyPart, db: &Database) -> CoreResult<Vec<Tuple>> {
+pub fn eval_part(part: &BodyPart, db: &Database) -> CoreResult<RowSet> {
     let bindings = evaluate_bindings(&part.atoms, &part.local_constraints, db)?;
-    part_rows(part, &bindings)
+    part_rows(part, bindings)
 }
 
 /// Delta evaluation of one body fragment: the rows over `part.vars`
@@ -61,9 +62,9 @@ pub fn eval_part_delta(
     part: &BodyPart,
     db: &Database,
     watermarks: &BTreeMap<Arc<str>, usize>,
-) -> CoreResult<Vec<Tuple>> {
+) -> CoreResult<RowSet> {
     let bindings = evaluate_bindings_since(&part.atoms, &part.local_constraints, db, watermarks)?;
-    part_rows(part, &bindings)
+    part_rows(part, bindings)
 }
 
 /// Compiles one body fragment into a [`CompiledBody`] of its own (full plan
@@ -87,12 +88,12 @@ pub fn eval_part_planned(
     db: &mut Database,
     use_indexes: bool,
     metrics: &mut EvalMetrics,
-) -> CoreResult<Vec<Tuple>> {
+) -> CoreResult<RowSet> {
     if use_indexes {
         body.full.ensure_indexes(db)?;
     }
     let bindings = execute_plan(&body.full, db, 0, metrics)?;
-    part_rows(part, &bindings)
+    part_rows(part, bindings)
 }
 
 /// [`eval_part_delta`] over an already compiled body: each delta atom scans
@@ -106,14 +107,14 @@ pub fn eval_part_delta_planned(
     watermarks: &BTreeMap<Arc<str>, usize>,
     use_indexes: bool,
     metrics: &mut EvalMetrics,
-) -> CoreResult<Vec<Tuple>> {
+) -> CoreResult<RowSet> {
     let (atoms, constraints) = (&part.atoms, &part.local_constraints);
     if use_indexes {
         body.ensure_delta_indexes(atoms, constraints, db, watermarks)?;
     }
     let bindings =
         evaluate_bindings_since_planned(body, atoms, constraints, db, watermarks, metrics)?;
-    part_rows(part, &bindings)
+    part_rows(part, bindings)
 }
 
 /// A set of rows tagged with their variable names.
@@ -126,13 +127,6 @@ pub struct VarRows {
 }
 
 impl VarRows {
-    /// A fragment's evaluation (rows over `vars`) as a set.
-    pub fn from_tuples(vars: Vec<Arc<str>>, rows: &[Tuple]) -> Self {
-        let mut set = RowSet::with_capacity(vars.len(), rows.len());
-        set.extend(rows.iter().map(|t| &t.0[..]));
-        VarRows { vars, rows: set }
-    }
-
     /// Merges rows over `vars` into the set — at the head, every site that
     /// takes a fragment's shipped rows in goes through here — and returns
     /// where the genuinely new ones start: they are the suffix of `rows`
@@ -384,10 +378,14 @@ mod tests {
     }
 
     fn vr(vars: &[&str], rows: &[&[i64]]) -> VarRows {
-        let rows: Vec<Tuple> = (rows.iter())
-            .map(|r| Tuple::new(r.iter().map(|&v| Val::Int(v)).collect()))
-            .collect();
-        VarRows::from_tuples(vars.iter().map(|v| Arc::from(*v)).collect(), &rows)
+        let mut set = RowSet::new(vars.len());
+        for r in rows {
+            set.insert(&r.iter().map(|&v| Val::Int(v)).collect::<Vec<_>>());
+        }
+        VarRows {
+            vars: vars.iter().map(|v| Arc::from(*v)).collect(),
+            rows: set,
+        }
     }
 
     /// The rows of `v`, as a set.
@@ -457,7 +455,7 @@ mod tests {
             .unwrap();
         let rows = eval_part(&rule.parts[0], &db).unwrap();
         assert_eq!(rows.len(), 1); // X=1, Y=2, Z=9
-        assert_eq!(rows[0].arity(), 3);
+        assert_eq!(rows.arity(), 3);
     }
 
     #[test]
@@ -526,9 +524,9 @@ mod tests {
             .unwrap();
         let delta = eval_part_delta(&rule.parts[0], &db, &w).unwrap();
         let after = eval_part(&rule.parts[0], &db).unwrap();
-        let mut union: HashSet<&[Val]> = before.iter().map(|t| &t.0[..]).collect();
-        union.extend(delta.iter().map(|t| &t.0[..]));
-        assert_eq!(union, after.iter().map(|t| &t.0[..]).collect());
+        let mut union: HashSet<&[Val]> = before.iter().collect();
+        union.extend(delta.iter());
+        assert_eq!(union, after.iter().collect());
     }
 
     #[test]

@@ -17,23 +17,27 @@ use crate::rule::{BodyPart, CoordinationRule, RuleId};
 use crate::stats::PeerStats;
 use p2p_net::{SessionId, Wire};
 use p2p_relational::value::NullId;
-use p2p_relational::{SymId, Tuple};
+use p2p_relational::{RowSet, SymId};
 use p2p_topology::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Rows shipped in an answer: bindings of a body part's variables.
+/// Rows shipped in an answer: bindings of a body part's variables, the
+/// fragment's evaluated [`RowSet`] as it left the evaluator.
 ///
-/// The serialized form omits the optional sections (`null_depths`, `marks`,
+/// The rows serialize as the array of their rows, byte for byte what a list
+/// of tuples holding them writes. The serialized form omits the optional sections (`null_depths`, `marks`,
 /// `dict`) when empty — ground answers under the default configuration pay
 /// zero bytes for machinery they don't use.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnswerRows {
     /// Variable names, defining the column order of `rows`.
     pub vars: Vec<Arc<str>>,
-    /// One tuple per satisfying assignment.
-    pub rows: Vec<Tuple>,
+    /// One row per satisfying assignment, each `vars.len()` values wide
+    /// (a foreign block may hold rows of another width; see
+    /// [`AnswerRows::is_ragged`]).
+    pub rows: RowSet,
     /// Chase depths of labeled nulls occurring in `rows` (receivers feed
     /// these into their own chase state so the depth safety valve is global).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
@@ -62,10 +66,11 @@ impl AnswerRows {
         p2p_net::encoded_wire_size(self)
     }
 
-    /// True iff some row is not `vars.len()` values wide: both codecs carry
-    /// such rows, and a peer refuses them where they arrive.
+    /// True iff the rows are not `vars.len()` values wide. A decoded block
+    /// holds rows of one width, but that width may be another one, and a
+    /// peer refuses such rows where they arrive.
     pub fn is_ragged(&self) -> bool {
-        self.rows.iter().any(|t| t.arity() != self.vars.len())
+        !self.rows.is_empty() && self.rows.arity() != self.vars.len()
     }
 }
 
@@ -604,7 +609,7 @@ mod tests {
         let empty = answer(AnswerRows::default());
         let full = answer(AnswerRows {
             vars: vec![Arc::from("X")],
-            rows: (0..10).map(|i| Tuple::new(vec![Val::Int(i)])).collect(),
+            rows: RowSet::from_flat(1, 10, (0..10).map(Val::Int).collect()),
             ..AnswerRows::default()
         });
         assert!(full.wire_size() > empty.wire_size() + 80);
@@ -614,7 +619,7 @@ mod tests {
     fn wire_size_is_the_exact_encoded_length() {
         let rows = AnswerRows {
             vars: vec![Arc::from("X")],
-            rows: vec![Tuple::new(vec![Val::str("wire-exact")])],
+            rows: RowSet::from_flat(1, 1, vec![Val::str("wire-exact")]),
             null_depths: vec![(NullId::new(1, 2), 3)],
             marks: BTreeMap::new(),
             dict: vec![(
@@ -631,18 +636,18 @@ mod tests {
 
     #[test]
     fn dict_strings_cost_bytes_once_rows_cost_ids() {
-        let row = || Tuple::new(vec![Val::str("a-rather-long-shared-constant")]);
+        let row = || RowSet::from_flat(1, 1, vec![Val::str("a-rather-long-shared-constant")]);
         let answer = |dict| {
             let rows = AnswerRows {
                 vars: vec![Arc::from("X")],
-                rows: vec![row()],
+                rows: row(),
                 dict,
                 ..AnswerRows::default()
             };
             ProtocolMsg::Answer(Answer::new(sid(1), RuleId(0), rows, Via::Round(1)))
         };
         let with_dict = answer(vec![(
-            row().0[0].as_sym().unwrap(),
+            row().row(0)[0].as_sym().unwrap(),
             Arc::from("a-rather-long-shared-constant"),
         )]);
         let without_dict = answer(vec![]);

@@ -82,7 +82,10 @@ pub fn global_fixpoint(
                     break;
                 };
                 let rows = eval_part(part, db)?;
-                parts.push(VarRows::from_tuples(part.vars.clone(), &rows));
+                parts.push(VarRows {
+                    vars: part.vars.clone(),
+                    rows,
+                });
             }
             if missing_node {
                 continue;

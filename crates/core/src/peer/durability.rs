@@ -338,7 +338,7 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::messages::Start;
     use p2p_net::Codec;
-    use p2p_relational::{Database, DatabaseSchema, Val};
+    use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
     use p2p_storage::FileBackend;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -533,7 +533,7 @@ mod tests {
         use p2p_net::Peer as _;
         let rows = AnswerRows {
             vars: rule.parts[0].vars.clone(),
-            rows: vec![Tuple::new(vec![Val::Int(7)])],
+            rows: RowSet::from_flat(1, 1, vec![Val::Int(7)]),
             marks,
             ..Default::default()
         };
@@ -583,7 +583,7 @@ mod tests {
             marks.insert(Arc::<str>::from("b"), v as usize);
             let rows = AnswerRows {
                 vars: vec![Arc::from("X")],
-                rows: vec![Tuple::new(vec![Val::Int(v)])],
+                rows: RowSet::from_flat(1, 1, vec![Val::Int(v)]),
                 marks,
                 ..Default::default()
             };
@@ -640,7 +640,7 @@ mod tests {
         peer.attach_storage(st).unwrap();
         let rows = AnswerRows {
             vars: vec![Arc::from("X")],
-            rows: vec![Tuple::new(vec![Val::Int(1)])],
+            rows: RowSet::from_flat(1, 1, vec![Val::Int(1)]),
             marks: [(Arc::<str>::from("b"), 9usize)].into_iter().collect(),
             ..Default::default()
         };
@@ -699,7 +699,7 @@ mod tests {
         assert_eq!(frames(), 0, "no marks, no frame");
         let rows = AnswerRows {
             vars: vec![Arc::from("X")],
-            rows: vec![Tuple::new(vec![Val::Int(1)])],
+            rows: RowSet::from_flat(1, 1, vec![Val::Int(1)]),
             marks: [(Arc::<str>::from("b"), 1usize)].into_iter().collect(),
             ..Default::default()
         };

@@ -46,7 +46,7 @@ use crate::peer::{part_marks, DbPeer, SessionState};
 use crate::rule::{BodyPart, RuleId};
 use crate::stats::ClosedBy;
 use p2p_net::{Context, SessionId};
-use p2p_relational::{RowSet, Tuple};
+use p2p_relational::RowSet;
 use p2p_topology::NodeId;
 use std::sync::Arc;
 
@@ -79,6 +79,19 @@ pub struct Subscription {
     /// re-running the full conjunctive query, and retirement commits them as
     /// the `(subscriber, rule)` cursor the next session resumes from.
     pub watermarks: Marks,
+}
+
+impl Subscription {
+    /// The `new` rows among `rows` that [`DbPeer::advance_subscription`]
+    /// found unsent, in their order: `rows` itself when every one was.
+    fn unsent(&self, rows: RowSet, new: usize) -> RowSet {
+        if new == rows.len() {
+            return rows;
+        }
+        let mut unsent = RowSet::new(rows.arity());
+        unsent.extend(self.sent.since(self.sent.len() - new));
+        unsent
+    }
 }
 
 /// One fragment of one of this peer's rules, as one session sees it.
@@ -329,13 +342,11 @@ impl DbPeer {
         part: Arc<BodyPart>,
         from: &Start,
         ctx: &mut Context<ProtocolMsg>,
-    ) -> (Subscription, Vec<Tuple>) {
+    ) -> (Subscription, RowSet) {
         let (rows, resumed_rows) = self.eval_from((to, rule), &part, from, ctx);
-        let mut sent = RowSet::with_capacity(part.vars.len(), rows.len());
-        sent.extend(rows.iter().map(|t| &t.0[..]));
         let sub = Subscription {
             watermarks: part_marks(&self.db, &part),
-            sent,
+            sent: rows.clone(),
             resumed_rows,
             sent_complete: false,
             standing: false,
@@ -356,7 +367,7 @@ impl DbPeer {
         part: &Arc<BodyPart>,
         from: &Start,
         ctx: &mut Context<ProtocolMsg>,
-    ) -> (Vec<Tuple>, usize) {
+    ) -> (RowSet, usize) {
         let faithful = self.config.paper_faithful;
         let log = self.storage.as_deref_mut().map(Durable::log);
         let start = self.subscriptions.start(key, part, from, faithful, log);
@@ -371,30 +382,29 @@ impl DbPeer {
 
     /// Re-evaluates a subscription's fragment — the delta since its last
     /// evaluation, or under `paper_faithful` the full extension — and moves
-    /// its watermarks. Returns the evaluated rows and those among them not
-    /// yet shipped in this session. A delta over relations that did not grow
-    /// is empty, so it is not evaluated at all: the watermarks already read
-    /// the relations' lengths, and nothing is allocated. (Public, but hidden
-    /// from the docs, so that `tests/sizing_allocates_nothing.rs` can price
-    /// it.)
+    /// its watermarks. Returns the evaluated rows and how many of them were
+    /// not yet shipped in this session: they are now the newest rows of
+    /// `sub.sent` ([`Subscription::unsent`]). A delta over relations that
+    /// did not grow is empty, so it is not evaluated at all: the watermarks
+    /// already read the relations' lengths, and nothing is allocated.
+    /// (Public, but hidden from the docs, so that
+    /// `tests/sizing_allocates_nothing.rs` can price it.)
     #[doc(hidden)]
     pub fn advance_subscription(
         &mut self,
         rule: RuleId,
         sub: &mut Subscription,
         ctx: &mut Context<ProtocolMsg>,
-    ) -> (Vec<Tuple>, Vec<Tuple>) {
+    ) -> (RowSet, usize) {
         if !self.config.paper_faithful && !self.grew_past(&sub.part, &sub.watermarks) {
-            return (Vec::new(), Vec::new());
+            return (RowSet::new(sub.part.vars.len()), 0);
         }
         let since = (!self.config.paper_faithful).then_some(&sub.watermarks);
         let rows = self.eval_part_local(rule, &sub.part, since, ctx);
         sub.watermarks = part_marks(&self.db, &sub.part);
-        let unsent = (rows.iter())
-            .filter(|t| sub.sent.insert(&t.0))
-            .cloned()
-            .collect();
-        (rows, unsent)
+        let before = sub.sent.len();
+        sub.sent.extend(rows.iter());
+        (rows, sub.sent.len() - before)
     }
 
     /// Ships `rows` on `sub` as `reply`, which names the answer's session,
@@ -406,7 +416,7 @@ impl DbPeer {
         ctx: &mut Context<ProtocolMsg>,
         to: NodeId,
         sub: &Subscription,
-        rows: Vec<Tuple>,
+        rows: RowSet,
         reply: Answer,
     ) {
         self.stats.answers_sent += 1;
@@ -474,7 +484,8 @@ impl DbPeer {
         let key = (to, query.rule);
         let (mut sub, rows) = match st.subs.remove(&key) {
             Some(mut sub) if query.from == Start::Resume && sub.part == query.part => {
-                let (_, unsent) = self.advance_subscription(query.rule, &mut sub, ctx);
+                let (rows, new) = self.advance_subscription(query.rule, &mut sub, ctx);
+                let unsent = sub.unsent(rows, new);
                 if !sub.standing {
                     // What a full re-ship would have re-sent.
                     self.stats.delta_answers_sent += 1;
@@ -651,11 +662,11 @@ impl DbPeer {
         // Taken out while the loop sends through `st`.
         let mut subs = std::mem::take(&mut st.subs);
         for (&(to, rule), sub) in subs.iter_mut() {
-            let (rows, delta) = self.advance_subscription(rule, sub, ctx);
+            let (rows, new) = self.advance_subscription(rule, sub, ctx);
             // Completeness is news to a subscriber that asked; a standing
             // subscription speaks only when it has rows.
             let completeness_news = closed && !sub.sent_complete && !sub.standing;
-            if delta.is_empty() && !completeness_news {
+            if new == 0 && !completeness_news {
                 continue;
             }
             sub.sent_complete = closed && !sub.standing;
@@ -665,8 +676,8 @@ impl DbPeer {
                 // What a full re-ship would have re-sent: the whole current
                 // extension, approximated by what the subscription shipped.
                 self.stats.delta_answers_sent += 1;
-                self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - delta.len()) as u64;
-                delta
+                self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - new) as u64;
+                sub.unsent(rows, new)
             };
             let answer = Answer::new(sid, rule, AnswerRows::default(), Via::Session);
             self.send_answer(st, ctx, to, sub, ship, answer);

@@ -212,7 +212,7 @@ use durability::Durable;
 use p2p_net::{Context, Peer, SessionId, SimTime};
 use p2p_relational::chase::{ChaseConfig, ChaseState};
 use p2p_relational::fxhash::FxHashSet;
-use p2p_relational::{ConstCatalog, Database, NullFactory, SymId, Tuple, Val};
+use p2p_relational::{ConstCatalog, Database, NullFactory, RowSet, SymId, Val};
 use p2p_topology::NodeId;
 use sessions::Sessions;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -571,7 +571,7 @@ impl DbPeer {
         part: &Arc<crate::rule::BodyPart>,
         since: Option<&Marks>,
         ctx: &mut Context<ProtocolMsg>,
-    ) -> Vec<Tuple> {
+    ) -> RowSet {
         self.stats.local_evaluations += 1;
         match self.eval_part_rows(rule, part, since) {
             Ok(rows) => {
@@ -581,7 +581,7 @@ impl DbPeer {
             }
             Err(e) => {
                 self.fail(format!("fragment evaluation failed: {e}"));
-                Vec::new()
+                RowSet::new(part.vars.len())
             }
         }
     }
@@ -597,7 +597,7 @@ impl DbPeer {
         rule: RuleId,
         part: &Arc<crate::rule::BodyPart>,
         watermarks: Option<&Marks>,
-    ) -> crate::error::CoreResult<Vec<Tuple>> {
+    ) -> crate::error::CoreResult<RowSet> {
         // Disjoint field borrows: the cached plan is read while the
         // database is mutably borrowed (index creation only).
         let DbPeer {
@@ -642,12 +642,12 @@ impl DbPeer {
         rule_id: RuleId,
         from: NodeId,
         vars: &[Arc<str>],
-        rows: &[Tuple],
+        rows: &RowSet,
     ) -> usize {
         let Some(rule) = self.rules.get(&rule_id).cloned() else {
             return 0;
         };
-        let rows = rows.iter().map(|t| &t.0[..]);
+        let rows = rows.iter();
         if rule.parts.len() == 1 {
             let holds = crate::joins::join_filter(vars, &rule.join_constraints);
             return self.apply_rule_bindings(&rule, vars, rows.filter(|row| holds(row)));
@@ -707,24 +707,19 @@ impl DbPeer {
         &mut self,
         to: NodeId,
         part: &crate::rule::BodyPart,
-        rows: Vec<Tuple>,
+        rows: RowSet,
     ) -> crate::messages::AnswerRows {
         let mut null_depths = Vec::new();
         let mut seen = HashSet::new();
-        for t in &rows {
-            for (id, depth) in self.nulls.chase.depths_for(t) {
-                if seen.insert(id) {
-                    null_depths.push((id, depth));
+        for v in rows.iter().flatten() {
+            if let Val::Null(id) = v {
+                if seen.insert(*id) {
+                    null_depths.push((*id, self.nulls.chase.depth_of(v)));
                 }
             }
         }
         let known = self.pipes.known.or_default(to);
-        let fresh: Vec<SymId> = rows
-            .iter()
-            .flat_map(|t| t.values())
-            .filter_map(Val::as_sym)
-            .filter(|id| known.insert(*id))
-            .collect();
+        let fresh: Vec<SymId> = (rows.syms()).filter(|id| known.insert(*id)).collect();
         let dict = ConstCatalog::global().export(fresh);
         self.stats.dict_entries_sent += dict.len() as u64;
         crate::messages::AnswerRows {
@@ -757,11 +752,7 @@ impl DbPeer {
         }
         let remap = ConstCatalog::global().absorb(&rows.dict);
         if !remap.is_identity() {
-            for tuple in &mut rows.rows {
-                if tuple.values().any(|v| remap.val(*v) != *v) {
-                    *tuple = Tuple::new(tuple.values().map(|v| remap.val(*v)).collect());
-                }
-            }
+            rows.rows.remap_syms(&|id| remap.map(id));
             for (id, _) in &mut rows.dict {
                 *id = remap.map(*id);
             }
@@ -1122,7 +1113,10 @@ mod tests {
         assert_eq!(peer.stats.plan_cache_hits, 1, "same fragment: served");
         // Same id, different fragment: taken anew, not served stale.
         let rows = peer.eval_part_rows(id, &new, None).unwrap();
-        assert_eq!(rows, vec![Tuple::new(vec![Val::Int(7), Val::Int(8)])]);
+        assert_eq!(
+            rows,
+            RowSet::from_flat(2, 1, vec![Val::Int(7), Val::Int(8)])
+        );
         assert_eq!(peer.stats.plan_cache_hits, 1);
         assert!(held_from_catalog(&peer, &new) && !held_from_catalog(&peer, &old));
         assert_eq!(peer.eval_part_rows(id, &new, None).unwrap(), rows);
@@ -1361,7 +1355,7 @@ mod tests {
         let part = rule.parts.iter().find(|p| p.node == from).unwrap();
         let rows = AnswerRows {
             vars: part.vars.clone(),
-            rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
+            rows: RowSet::from_flat(2, 1, row.map(Val::Int).to_vec()),
             ..Default::default()
         };
         ProtocolMsg::Answer(Answer {
@@ -1427,7 +1421,7 @@ mod tests {
         let of_a = rule(1, "B:b(X,Y) => A:a(X,Y)");
         let rows = crate::messages::AnswerRows {
             vars: of_a.parts[0].vars.clone(),
-            rows: vec![Tuple::new(vec![Val::Int(1), Val::Int(2)])],
+            rows: RowSet::from_flat(2, 1, vec![Val::Int(1), Val::Int(2)]),
             ..Default::default()
         };
         let kind =
@@ -1451,8 +1445,9 @@ mod tests {
             };
             let before = state(&peer);
 
+            // Rows of one width, but not the width of the vars.
             let mut ragged = rows.clone();
-            ragged.rows.push(Tuple::new(vec![Val::Int(9); wide]));
+            ragged.rows = RowSet::from_flat(wide, 1, vec![Val::Int(9); wide]);
             let msg = kind(s, of_a.id, ragged);
             let name = format!("{via:?}");
             assert!(deliver(&mut peer, B, msg, false).is_empty(), "{name}");

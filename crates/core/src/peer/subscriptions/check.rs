@@ -9,7 +9,7 @@ use crate::messages::Marks;
 use crate::peer::DbPeer;
 use crate::rule::{BodyPart, CoordinationRule, RuleId};
 use p2p_relational::chase::{ChaseConfig, ChaseState, CompiledHead};
-use p2p_relational::{Database, NullFactory, Tuple};
+use p2p_relational::{Database, NullFactory, RowSet};
 use p2p_topology::NodeId;
 
 impl Subscriptions {
@@ -96,14 +96,14 @@ impl DbPeer {
 
     /// Whether this peer holds every one of `rows`, which `part`'s body
     /// node shipped for `rule`.
-    fn holds_rows(&self, rule: &CoordinationRule, part: &BodyPart, rows: &[Tuple]) -> bool {
+    fn holds_rows(&self, rule: &CoordinationRule, part: &BodyPart, rows: &RowSet) -> bool {
         if rows.is_empty() {
             return true;
         }
         if rule.parts.len() > 1 {
             let retained = self.subscriptions.fragments.get(&(rule.id, part.node));
             return retained.is_some_and(|f| {
-                f.vars == part.vars && rows.iter().all(|t| f.rows.contains(&t.0))
+                f.vars == part.vars && rows.iter().all(|row| f.rows.contains(row))
             });
         }
         let holds = crate::joins::join_filter(&part.vars, &rule.join_constraints);
@@ -116,7 +116,7 @@ impl DbPeer {
             max_null_depth: self.config.max_null_depth,
         };
         let (mut db, mut nulls) = (self.db.clone(), NullFactory::new(self.id.0));
-        let rows = rows.iter().map(|t| &t.0[..]).filter(|row| holds(row));
+        let rows = rows.iter().filter(|row| holds(row));
         (head.apply_rows(&mut db, rows, &mut nulls, &mut ChaseState::new(), &cfg))
             .is_ok_and(|out| out.inserted.is_empty())
     }
@@ -124,7 +124,7 @@ impl DbPeer {
 
 /// The rows `part` derives from the facts of `db` below `marks` (none of a
 /// relation `marks` has no entry for).
-fn rows_below(db: &Database, part: &BodyPart, marks: &Marks) -> Result<Vec<Tuple>, String> {
+fn rows_below(db: &Database, part: &BodyPart, marks: &Marks) -> Result<RowSet, String> {
     let mut below = Database::new(db.schema().clone());
     for atom in &part.atoms {
         let (Ok(relation), Some(&upto)) = (db.relation(&atom.relation), marks.get(&atom.relation))

@@ -268,11 +268,7 @@ pub fn prepare(cfg: &ServeConfig) -> CoreResult<NodeServer> {
         c.snapshot_every = cfg.snapshot_every;
     }
     let node = NodeId(cfg.node);
-    let mut peer = builder
-        .build_peers()?
-        .into_iter()
-        .find(|(id, _)| *id == node)
-        .map(|(_, p)| p)
+    let (_, mut peer) = (builder.build_peers_of(|id| id == node)?.pop())
         .expect("node id checked against the netfile above");
 
     // Swap the builder's in-memory store for the real on-disk one. An

@@ -147,6 +147,16 @@ impl P2PSystemBuilder {
 
     /// Validates the configuration and constructs the peers.
     pub fn build_peers(&mut self) -> CoreResult<Vec<(NodeId, DbPeer)>> {
+        self.build_peers_of(|_| true)
+    }
+
+    /// [`P2PSystemBuilder::build_peers`], constructing only the peers of
+    /// the nodes `keep` accepts: a process serving one node of a network
+    /// pays for that node alone.
+    pub(crate) fn build_peers_of(
+        &mut self,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> CoreResult<Vec<(NodeId, DbPeer)>> {
         if !self.schemas.contains_key(&self.super_peer) {
             return Err(CoreError::UnknownNode(self.super_peer.to_string()));
         }
@@ -177,8 +187,9 @@ impl P2PSystemBuilder {
         // One catalog of compiled plans and heads for the whole system:
         // peers serving fragments or chasing heads of one shape share them.
         let catalog = Arc::new(PlanCatalog::default());
-        let mut peers = Vec::with_capacity(all_nodes.len());
-        for &node in self.schemas.keys() {
+        let nodes: Vec<NodeId> = (all_nodes.iter().copied()).filter(|&id| keep(id)).collect();
+        let mut peers = Vec::with_capacity(nodes.len());
+        for node in nodes {
             let db = self.data[&node].clone();
             let mut peer = DbPeer::new(node, db, self.config);
             peer.compiled.catalog = Arc::clone(&catalog);

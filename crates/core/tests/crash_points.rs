@@ -12,7 +12,7 @@ use p2p_core::messages::{Answer, AnswerRows, Via};
 use p2p_core::peer::DbPeer;
 use p2p_core::{CoordinationRule, ProtocolMsg, SystemConfig};
 use p2p_net::{Context, Peer, SessionId, SimTime};
-use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
+use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
 use p2p_storage::{
     FileBackend, MemoryBackend, PeerStorage, RecoveredState, StorageBackend, StorageResult,
 };
@@ -76,7 +76,7 @@ fn two_sessions(peer: &mut DbPeer, mut delivered: impl FnMut(&DbPeer)) {
         let relation = part.atoms[0].relation.clone();
         let rows = AnswerRows {
             vars: part.vars.clone(),
-            rows: vec![Tuple::new(row.map(Val::Int).to_vec())],
+            rows: RowSet::from_flat(2, 1, row.map(Val::Int).to_vec()),
             marks: [(relation, watermark)].into_iter().collect(),
             ..Default::default()
         };

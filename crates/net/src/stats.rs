@@ -18,7 +18,6 @@ use crate::message::SimTime;
 use crate::session::SessionId;
 use p2p_topology::fxhash::FxHashMap;
 use p2p_topology::NodeId;
-use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -56,10 +55,7 @@ impl NodeNetStats {
 }
 
 /// The per-node counters: one row per node seen, in first-seen order, and
-/// one column of send counts per kind seen. Two tables are equal when they
-/// count the same, whatever order they saw nodes and kinds in. The JSON is
-/// a map from node id to its four counters plus `sent_by_kind` (kind →
-/// sends, kinds sent at least once), both in key order.
+/// one column of send counts per kind seen.
 #[derive(Debug, Clone, Default)]
 struct PerNode {
     row_of: NodeRows,
@@ -118,15 +114,6 @@ impl PerNode {
         order
     }
 
-    /// `row`'s sends per kind, kinds sent at least once, in text order.
-    fn kinds_sent(&self, row: usize) -> Vec<(&str, u64)> {
-        let mut sent: Vec<(&str, u64)> = (self.kinds.iter().zip(&self.sent_by_kind))
-            .filter_map(|(kind, sends)| Some((&**kind, *sends.get(row).filter(|&&n| n > 0)?)))
-            .collect();
-        sent.sort_unstable();
-        sent
-    }
-
     fn merge(&mut self, other: &PerNode) {
         let rows: Vec<usize> = (other.rows.iter())
             .map(|(id, counts)| {
@@ -144,98 +131,16 @@ impl PerNode {
     }
 }
 
-impl PartialEq for PerNode {
-    fn eq(&self, other: &PerNode) -> bool {
-        let (mine, theirs) = (self.in_id_order(), other.in_id_order());
-        mine.len() == theirs.len()
-            && mine.iter().zip(&theirs).all(|(&a, &b)| {
-                self.rows[a] == other.rows[b] && self.kinds_sent(a) == other.kinds_sent(b)
-            })
-    }
-}
-
-impl Eq for PerNode {}
-
-impl Serialize for PerNode {
-    fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
-        out.map_begin(self.rows.len())?;
-        for row in self.in_id_order() {
-            let (id, counts) = &self.rows[row];
-            out.map_key(&id.0.to_string())?;
-            out.map_begin(5)?;
-            for (name, n) in [
-                ("sent", counts.sent),
-                ("received", counts.received),
-                ("bytes_sent", counts.bytes_sent),
-                ("bytes_received", counts.bytes_received),
-            ] {
-                out.map_key(name)?;
-                out.u64(n)?;
-            }
-            out.map_key("sent_by_kind")?;
-            let kinds = self.kinds_sent(row);
-            out.map_begin(kinds.len())?;
-            for (kind, n) in kinds {
-                out.map_key(kind)?;
-                out.u64(n)?;
-            }
-            out.map_end()?;
-            out.map_end()?;
-        }
-        out.map_end()
-    }
-}
-
-impl Deserialize for PerNode {
-    /// Reads the map form back; a node given twice is refused.
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let entries = c
-            .as_map()
-            .ok_or_else(|| DeError::expected("object", "NetStats::per_node"))?;
-        let mut table = PerNode::default();
-        for (key, node) in entries {
-            let id: NodeId = serde::key_from_string(key)?;
-            let fields = node
-                .as_map()
-                .ok_or_else(|| DeError::expected("object", "NodeNetStats"))?;
-            let field = |name| {
-                serde::content_get(fields, name)
-                    .ok_or_else(|| DeError::missing_field(name, "NodeNetStats"))
-            };
-            let counts = NodeNetStats {
-                sent: u64::from_content(field("sent")?)?,
-                received: u64::from_content(field("received")?)?,
-                bytes_sent: u64::from_content(field("bytes_sent")?)?,
-                bytes_received: u64::from_content(field("bytes_received")?)?,
-            };
-            let kinds = field("sent_by_kind")?
-                .as_map()
-                .ok_or_else(|| DeError::expected("object", "NodeNetStats::sent_by_kind"))?;
-            let seen = table.rows.len();
-            let row = table.row(id);
-            if row < seen {
-                return Err(DeError::custom(format!("node {id} given twice")));
-            }
-            table.rows[row].1 = counts;
-            for (kind, n) in kinds {
-                let column = table.column(Cow::Owned(kind.clone()));
-                table.add_sends(column, row, u64::from_content(n)?);
-            }
-        }
-        Ok(table)
-    }
-}
-
-/// Whole-network transport counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Whole-network transport counters: a table read through its accessors
+/// and its display, never stored or sent.
+#[derive(Debug, Clone, Default)]
 pub struct NetStats {
     /// Per-node counters ([`NetStats::node`], [`NetStats::nodes`],
     /// [`NetStats::node_sent_of_kind`]).
     per_node: PerNode,
     /// Per-session counters, keyed by the session tag carried on delivered
     /// messages ([`crate::Wire::session`]); session-less control traffic is
-    /// not attributed. In-memory only: JSON map keys must be scalars.
-    #[serde(skip)]
+    /// not attributed.
     pub per_session: FxHashMap<SessionId, SessionNetStats>,
     /// Total messages delivered.
     pub total_messages: u64,
@@ -252,13 +157,11 @@ pub struct NetStats {
     /// instead of encoding their own copy ([`crate::Context::send_to_many`]).
     /// `encode passes == sends − shared_payload_sends` is the invariant the
     /// codec regression test checks.
-    #[serde(default)]
     pub shared_payload_sends: u64,
     /// Sends whose target peer lives on a different shard than the sender
     /// ([`crate::sharded::ShardedNetwork`]): these pay a channel hop. The
     /// locality metric a [`crate::sharded::ShardPlacement`] policy is
     /// judged by; zero under the other runtimes.
-    #[serde(default)]
     pub cross_shard_sends: u64,
     /// Virtual (or wall) time at which the run went quiescent.
     pub finished_at: SimTime,
@@ -454,11 +357,13 @@ mod tests {
         let mut s = NetStats::default();
         s.record_send(NodeId(0), "Query", 10);
         s.reset();
-        assert_eq!(s, NetStats::default());
+        assert_eq!((s.total_messages, s.nodes().count()), (0, 0));
+        assert_eq!(s.sent_of_kind("Query"), 0);
     }
 
-    /// A small table's JSON and display, byte for byte as they were while
-    /// the counters lived in ordered maps keyed by node and kind name.
+    /// A small table's display, byte for byte as it was while the counters
+    /// lived in ordered maps keyed by node and kind name (the table's JSON
+    /// form is gone: nothing stored or sent one).
     #[test]
     fn json_and_display_keep_their_bytes() {
         let sid = SessionId::new(NodeId(0), 3);
@@ -476,18 +381,6 @@ mod tests {
         s.shared_payload_sends = 5;
         s.cross_shard_sends = 6;
         s.finished_at = SimTime(77);
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(
-            json,
-            concat!(
-                r#"{"per_node":{"0":{"sent":1,"received":1,"bytes_sent":7,"bytes_received":45,"#,
-                r#""sent_by_kind":{"odd \"kind\"":1}},"2":{"sent":3,"received":0,"bytes_sent":145,"#,
-                r#""bytes_received":0,"sent_by_kind":{"Ack":1,"Query":2}},"4000000000":{"sent":1,"#,
-                r#""received":1,"bytes_sent":300,"bytes_received":100,"sent_by_kind":{"Answer":1}}},"#,
-                r#""total_messages":2,"total_bytes":145,"dropped":1,"peer_crashes":3,"#,
-                r#""peer_restarts":4,"shared_payload_sends":5,"cross_shard_sends":6,"finished_at":77}"#
-            )
-        );
         assert_eq!(
             s.to_string(),
             "messages=2 bytes=145 dropped=1 finished_at=0.077ms\n  \
@@ -495,22 +388,6 @@ mod tests {
              C: sent=3 recv=0 bytes_out=145 bytes_in=0\n  \
              N4000000000: sent=1 recv=1 bytes_out=300 bytes_in=100\n"
         );
-        // Read back, it counts the same; only the session table, which
-        // JSON does not carry, is gone.
-        let back: NetStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        s.per_session.clear();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn a_node_given_twice_is_refused() {
-        let node = r#"{"sent":1,"received":0,"bytes_sent":1,"bytes_received":0,"sent_by_kind":{}}"#;
-        let json = format!(
-            r#"{{"per_node":{{"1":{node},"1":{node}}},"total_messages":0,"total_bytes":0,"dropped":0,"peer_crashes":0,"peer_restarts":0,"finished_at":0}}"#
-        );
-        let err = serde_json::from_str::<NetStats>(&json).unwrap_err();
-        assert!(err.to_string().contains("given twice"), "{err}");
     }
 
     /// Memory follows the nodes seen: the largest id costs one row.

@@ -73,9 +73,15 @@ impl Bindings {
         (0..self.len).map(move |i| &self.data[i * width..][..width])
     }
 
+    /// The rows as a set, the flat buffer moved in: only membership is
+    /// built (the executor's rows are distinct already).
+    pub fn into_rows(self) -> RowSet {
+        RowSet::from_flat(self.vars.len(), self.len, self.data)
+    }
+
     /// Projects the bindings onto head terms, deduplicating while preserving
     /// first-occurrence order.
-    pub fn project(&self, head: &[Term]) -> Result<Vec<Tuple>> {
+    pub fn project(&self, head: &[Term]) -> Result<RowSet> {
         let mut slots = Vec::with_capacity(head.len());
         for t in head {
             match t {
@@ -98,14 +104,18 @@ impl Bindings {
             }));
             set.insert(&buf);
         }
-        Ok(set.iter().map(Tuple::from_row).collect())
+        Ok(set)
     }
 }
 
 /// Evaluates a conjunctive query, returning deduplicated head tuples.
 pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Vec<Tuple>> {
     let bindings = evaluate_bindings(&q.atoms, &q.constraints, db)?;
-    bindings.project(&q.head)
+    Ok(bindings
+        .project(&q.head)?
+        .iter()
+        .map(Tuple::from_row)
+        .collect())
 }
 
 /// Evaluates a conjunctive query and keeps only **certain** answers: tuples

@@ -243,6 +243,37 @@ impl RowSet {
         new
     }
 
+    /// The distinct rows among the first `rows` rows of a flat, row-major
+    /// buffer, in first-occurrence order: the buffer becomes the store
+    /// (duplicates compacted out in place) and only membership is built,
+    /// so a row is compared only with rows whose hash it shares.
+    ///
+    /// # Panics
+    /// If `data` holds fewer than `rows × arity` values.
+    pub fn from_flat(arity: usize, rows: usize, mut data: Vec<Val>) -> Self {
+        assert!(
+            rows < UNLINKED as usize,
+            "a row set holds fewer than 2³² − 1 rows"
+        );
+        data.truncate(rows * arity);
+        assert_eq!(data.len(), rows * arity, "a row set's flat rows");
+        let mut seen = Index::with_capacity(rows);
+        let mut kept = 0;
+        for i in 0..rows {
+            let row = &data[i * arity..][..arity];
+            if seen.link_unless(key_hash(row), |p| {
+                &data[p as usize * arity..][..arity] == row
+            }) {
+                if kept != i {
+                    data.copy_within(i * arity..(i + 1) * arity, kept * arity);
+                }
+                kept += 1;
+            }
+        }
+        data.truncate(kept * arity);
+        RowSet { arity, data, seen }
+    }
+
     /// Row at insertion position `pos`, as a slice into the flat store.
     pub fn row(&self, pos: usize) -> &[Val] {
         &self.data[pos * self.arity..pos * self.arity + self.arity]
@@ -316,6 +347,8 @@ impl PartialEq for RowSet {
         self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
+
+impl Eq for RowSet {}
 
 impl Serialize for RowSet {
     fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {

@@ -5,14 +5,14 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// An immutable tuple of [`Val`]s.
+/// An immutable tuple of [`Val`]s: a single fact.
 ///
-/// Tuples are the in-flight row representation: query answers, protocol
-/// messages and WAL records all ship them, and `Arc<[Val]>` keeps those
-/// copies O(1). At rest, rows live flattened in a [`crate::RowSet`] — a
-/// relation's, or any other row collection that dedups or outlives a
-/// handler — and a `Tuple` is materialised only at that boundary, never to
-/// deduplicate. Equality, hashing and ordering are structural (by content).
+/// A fact the chase inserted (`ChaseOutcome::inserted`), a logged insert
+/// and a query answer row are `Tuple`s, and `Arc<[Val]>` keeps their copies
+/// O(1). Every set of rows — a relation's, a fragment's evaluation, an
+/// answer's shipped rows, a logged answer's — is a [`crate::RowSet`], one
+/// flat buffer with no allocation per row. Equality, hashing and ordering
+/// are structural (by content).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Tuple(pub Arc<[Val]>);
 

@@ -6,9 +6,9 @@ use crate::wal::{WalFrame, WalRecord};
 use crate::{StorageError, StorageResult};
 use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
-use p2p_relational::{ConstCatalog, Database, RowSet, SymId, SymRemap, Tuple, Val};
+use p2p_relational::{ConstCatalog, Database, RowSet, SymId, SymRemap, Val};
 use p2p_topology::NodeId;
-use serde::{Content, Deserialize, Serialize, Sink};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -41,41 +41,6 @@ pub struct DatabaseSnapshot {
     pub last_session: SessionId,
     /// The full local database.
     pub db: Database,
-}
-
-/// [`DatabaseSnapshot`] over borrowed parts, so a checkpoint serializes
-/// the live database without cloning it. The vendored derive takes no
-/// lifetimes; field names and order are `DatabaseSnapshot`'s (unit test
-/// `borrowed_snapshot_encodes_like_the_owned_one`).
-struct SnapshotRef<'a> {
-    nulls_next: u64,
-    depths: &'a [(NullId, u32)],
-    catalog: &'a [(SymId, Arc<str>)],
-    marks: Vec<(u32, NodeId, &'a FragmentMark)>,
-    cursors: Vec<(NodeId, u32, &'a CursorMark)>,
-    last_session: SessionId,
-    db: &'a Database,
-}
-
-impl Serialize for SnapshotRef<'_> {
-    fn serialize<S: Sink>(&self, out: &mut S) -> Result<(), S::Error> {
-        out.map_begin(7)?;
-        out.map_key("nulls_next")?;
-        self.nulls_next.serialize(out)?;
-        out.map_key("depths")?;
-        self.depths.serialize(out)?;
-        out.map_key("catalog")?;
-        self.catalog.serialize(out)?;
-        out.map_key("marks")?;
-        self.marks.serialize(out)?;
-        out.map_key("cursors")?;
-        self.cursors.serialize(out)?;
-        out.map_key("last_session")?;
-        self.last_session.serialize(out)?;
-        out.map_key("db")?;
-        self.db.serialize(out)?;
-        out.map_end()
-    }
 }
 
 /// The durable knowledge about one `(rule, answering peer)` fragment:
@@ -189,7 +154,7 @@ impl LogFold {
         session: SessionId,
         key: (u32, NodeId),
         vars: &[Arc<str>],
-        rows: &[Tuple],
+        rows: &RowSet,
         watermarks: &BTreeMap<Arc<str>, usize>,
         remap: &SymRemap,
     ) -> StorageResult<()> {
@@ -200,16 +165,16 @@ impl LogFold {
         if mark.rows.is_empty() {
             mark.rows = RowSet::new(mark.vars.len());
         }
+        if !rows.is_empty() && rows.arity() != mark.rows.arity() {
+            return Err(StorageError::Corrupt(format!(
+                "answer rows of {} values for a mark of {}",
+                rows.arity(),
+                mark.rows.arity()
+            )));
+        }
         let mut buf = Vec::new();
-        for t in rows {
-            if t.arity() != mark.rows.arity() {
-                return Err(StorageError::Corrupt(format!(
-                    "an answer row of {} values for a mark of {}",
-                    t.arity(),
-                    mark.rows.arity()
-                )));
-            }
-            mark.rows.insert(remap_row(remap, &t.0, &mut buf));
+        for row in rows.iter() {
+            mark.rows.insert(remap_row(remap, row, &mut buf));
         }
         for (relation, w) in watermarks {
             let newest = mark.watermarks.entry(relation.clone()).or_default();
@@ -342,25 +307,26 @@ impl PeerStorage {
     ) -> StorageResult<()> {
         let mut syms = db.syms();
         syms.extend(self.folded.marks.values().flat_map(|m| m.rows.syms()));
-        let catalog = ConstCatalog::global().export(syms);
-        let snap = SnapshotRef {
+        // A database clone shares its relations, and the fold holds a few
+        // marks and cursors per peer: the snapshot owns its parts.
+        let snap = DatabaseSnapshot {
             nulls_next,
-            depths: &depths,
-            catalog: &catalog,
+            depths,
+            catalog: ConstCatalog::global().export(syms),
             marks: (self.folded.marks.iter())
-                .map(|((rule, node), mark)| (*rule, *node, mark))
+                .map(|((rule, node), mark)| (*rule, *node, mark.clone()))
                 .collect(),
             cursors: (self.folded.cursors.iter())
-                .map(|((subscriber, rule), cursor)| (*subscriber, *rule, cursor))
+                .map(|((subscriber, rule), cursor)| (*subscriber, *rule, cursor.clone()))
                 .collect(),
             last_session: self.folded.last_session,
-            db,
+            db: db.clone(),
         };
         let bytes = crate::encode(self.codec, &snap, "snapshot")?;
         self.backend.write_snapshot_bytes(&bytes)?;
         // The dictionaries of the dropped frames went with them: what is
         // persisted now is exactly what this snapshot defines.
-        self.persisted_syms = catalog.iter().map(|(id, _)| *id).collect();
+        self.persisted_syms = snap.catalog.iter().map(|(id, _)| *id).collect();
         self.since_snapshot = 0;
         self.bytes_since_snapshot = 0;
         self.snapshot_bytes = bytes.len() as u64;
@@ -479,7 +445,7 @@ fn remap_row<'a>(remap: &SymRemap, row: &'a [Val], buf: &'a mut Vec<Val>) -> &'a
 mod tests {
     use super::*;
     use crate::backend::{FileBackend, MemoryBackend};
-    use p2p_relational::DatabaseSchema;
+    use p2p_relational::{DatabaseSchema, Tuple};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn schema() -> DatabaseSchema {
@@ -515,12 +481,14 @@ mod tests {
     fn answer(session: SessionId, rows: Vec<Tuple>, mark: usize) -> WalRecord {
         let mut watermarks = BTreeMap::new();
         watermarks.insert(Arc::<str>::from("b"), mark);
+        let mut set = RowSet::new(rows.first().map_or(1, Tuple::arity));
+        set.extend(rows.iter().map(|t| &t.0[..]));
         WalRecord::Answer {
             session,
             rule: 5,
             node: NodeId(2),
             vars: vec![Arc::from("X")],
-            rows,
+            rows: set,
             watermarks,
         }
     }
@@ -936,55 +904,6 @@ mod tests {
             }
             entries.extend(dup);
         }
-    }
-
-    /// `SnapshotRef` is hand-written because the derive takes no
-    /// lifetimes; it must stay `DatabaseSnapshot`'s encoding.
-    #[test]
-    fn borrowed_snapshot_encodes_like_the_owned_one() {
-        let mut db = Database::new(schema());
-        db.insert_values("s", vec![Val::str("borrowed")]).unwrap();
-        let mark = FragmentMark {
-            vars: vec![Arc::from("X")],
-            rows: {
-                let mut rows = RowSet::new(1);
-                rows.insert(&[Val::Int(3)]);
-                rows
-            },
-            watermarks: [(Arc::<str>::from("b"), 2usize)].into_iter().collect(),
-        };
-        let cursor = CursorMark {
-            part: Content::Str("opaque".into()),
-            watermarks: [(Arc::<str>::from("b"), 1usize)].into_iter().collect(),
-            rows: 4,
-        };
-        let owned = DatabaseSnapshot {
-            nulls_next: 7,
-            depths: vec![(NullId::new(1, 2), 3)],
-            catalog: ConstCatalog::global().export(db.syms()),
-            marks: vec![(5, NodeId(2), mark)],
-            cursors: vec![(NodeId(4), 5, cursor)],
-            last_session: SessionId::new(NodeId(1), 9),
-            db,
-        };
-        let borrowed = SnapshotRef {
-            nulls_next: owned.nulls_next,
-            depths: &owned.depths,
-            catalog: &owned.catalog,
-            marks: owned.marks.iter().map(|(r, n, m)| (*r, *n, m)).collect(),
-            cursors: owned.cursors.iter().map(|(n, r, c)| (*n, *r, c)).collect(),
-            last_session: owned.last_session,
-            db: &owned.db,
-        };
-        assert_eq!(
-            serde_json::to_string(&borrowed).unwrap(),
-            serde_json::to_string(&owned).unwrap()
-        );
-        assert_eq!(
-            binpack::to_bytes(&borrowed).unwrap(),
-            binpack::to_bytes(&owned).unwrap()
-        );
-        assert_eq!(borrowed.to_content().unwrap(), owned.to_content().unwrap());
     }
 
     /// A snapshot whose fold holds a rows-bearing mark encodes to bytes

@@ -23,7 +23,7 @@ use crate::store::CursorMark;
 use crate::{StorageError, StorageResult};
 use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
-use p2p_relational::{SymId, Tuple, Val};
+use p2p_relational::{RowSet, SymId, Tuple, Val};
 use p2p_topology::NodeId;
 use serde::{content_get, Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -102,10 +102,12 @@ pub enum WalRecord {
         /// Column variables of `rows`.
         #[serde(default, skip_serializing_if = "Vec::is_empty")]
         vars: Vec<Arc<str>>,
-        /// The shipped rows (head-side fragment rebuild); empty for a rule
-        /// with a single body node, whose head keeps none.
-        #[serde(default, skip_serializing_if = "Vec::is_empty")]
-        rows: Vec<Tuple>,
+        /// The shipped rows (head-side fragment rebuild), the answer's own
+        /// set: encoded as the array of its rows, as a list of tuples
+        /// holding them was. Empty for a rule with a single body node, whose
+        /// head keeps none.
+        #[serde(default, skip_serializing_if = "RowSet::is_empty")]
+        rows: RowSet,
         /// The answerer's per-relation insertion watermarks at answer time.
         watermarks: BTreeMap<Arc<str>, usize>,
     },
@@ -133,12 +135,14 @@ pub enum WalRecord {
 impl WalRecord {
     /// The values of the record's rows: what its frame's dictionary covers.
     pub(crate) fn values(&self) -> impl Iterator<Item = &Val> {
-        let (tuple, rows): (&[Val], &[Tuple]) = match self {
-            WalRecord::Insert { tuple, .. } => (&tuple.0, &[]),
-            WalRecord::Answer { rows, .. } => (&[], rows),
-            WalRecord::Cursor { .. } | WalRecord::ForgetRule { .. } => (&[], &[]),
+        let (tuple, rows): (&[Val], Option<&RowSet>) = match self {
+            WalRecord::Insert { tuple, .. } => (&tuple.0, None),
+            WalRecord::Answer { rows, .. } => (&[], Some(rows)),
+            WalRecord::Cursor { .. } | WalRecord::ForgetRule { .. } => (&[], None),
         };
-        tuple.iter().chain(rows.iter().flat_map(|t| t.0.iter()))
+        tuple
+            .iter()
+            .chain(rows.into_iter().flat_map(RowSet::iter).flatten())
     }
 }
 
@@ -203,7 +207,7 @@ mod tests {
             rule: 4,
             node: NodeId(3),
             vars: vec![Arc::from("X"), Arc::from("Y")],
-            rows: vec![Tuple::new(vec![Val::Int(1), Val::Int(2)])],
+            rows: RowSet::from_flat(2, 1, vec![Val::Int(1), Val::Int(2)]),
             watermarks,
         });
         assert_eq!(roundtrip(&frame, Codec::Json), frame);
@@ -257,7 +261,7 @@ mod tests {
                     rule: 4,
                     node: NodeId(3),
                     vars: vec![],
-                    rows: vec![],
+                    rows: RowSet::default(),
                     watermarks,
                 },
             ],
@@ -309,9 +313,13 @@ mod tests {
             rule: 4,
             node: NodeId(3),
             vars: vec![Arc::from("X"), Arc::from("Y")],
-            rows: (0..20)
-                .map(|i| Tuple::new(vec![Val::Int(i), Val::Int(1_000_000 + i)]))
-                .collect(),
+            rows: RowSet::from_flat(
+                2,
+                20,
+                (0..20)
+                    .flat_map(|i| [Val::Int(i), Val::Int(1_000_000 + i)])
+                    .collect(),
+            ),
             watermarks,
         });
         assert_eq!(roundtrip(&frame, Codec::Binary), frame);

@@ -47,7 +47,7 @@ fn record(db: &mut Database, r: usize) -> WalRecord {
             rule: 1,
             node: NodeId(5),
             vars: Vec::new(),
-            rows: Vec::new(),
+            rows: Default::default(),
             watermarks: [(Arc::<str>::from("r"), r)].into_iter().collect(),
         }
     } else {

@@ -247,7 +247,7 @@ proptest! {
                             rule: key.0,
                             node: key.1,
                             vars: Vec::new(),
-                            rows: Vec::new(),
+                            rows: Default::default(),
                             watermarks: marks_of(mark),
                         });
                     }
@@ -331,7 +331,7 @@ fn acknowledged_history(
                         rule: 1,
                         node: NodeId(3),
                         vars: Vec::new(),
-                        rows: Vec::new(),
+                        rows: Default::default(),
                         watermarks: [(Arc::<str>::from("u"), x as usize)].into_iter().collect(),
                     };
                 }

@@ -249,11 +249,11 @@ proptest! {
             let delta = eval_part_delta(part, &db, &watermarks).unwrap();
             watermarks = db.watermarks();
             // Every delta row is part of the full evaluation …
-            let full: HashSet<Tuple> = eval_part(part, &db).unwrap().into_iter().collect();
-            for t in &delta {
-                prop_assert!(full.contains(t), "delta row {t} not in full eval");
+            let full: HashSet<Tuple> = eval_part(part, &db).unwrap().iter().map(Tuple::from_row).collect();
+            for t in delta.iter().map(Tuple::from_row) {
+                prop_assert!(full.contains(&t), "delta row {t} not in full eval");
             }
-            cached.extend(delta);
+            cached.extend(delta.iter().map(Tuple::from_row));
             // … and (cached rows ∪ shipped deltas) IS the full evaluation.
             prop_assert_eq!(&cached, &full);
         }

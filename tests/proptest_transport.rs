@@ -11,7 +11,7 @@ use p2pdb::core::rule::RuleId;
 use p2pdb::core::socket::ProtoCodec;
 use p2pdb::net::{Codec, SessionId};
 use p2pdb::relational::value::NullId;
-use p2pdb::relational::{SymId, Tuple, Val};
+use p2pdb::relational::{RowSet, SymId, Val};
 use p2pdb::topology::NodeId;
 use p2pdb::transport::handshake::HelloReply;
 use p2pdb::transport::{
@@ -67,7 +67,7 @@ fn answer_rows() -> impl Strategy<Value = AnswerRows> {
                 vars: (0..arity)
                     .map(|i| Arc::<str>::from(format!("X{i}")))
                     .collect(),
-                rows: flat.chunks(arity).map(|c| Tuple::new(c.to_vec())).collect(),
+                rows: RowSet::from_flat(arity, nrows, flat),
                 null_depths: vec![],
                 marks: Default::default(),
                 dict: vec![],

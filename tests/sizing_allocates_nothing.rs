@@ -8,16 +8,19 @@
 //! copied row (one `Tuple` when it is new, nothing when it is not), a
 //! served subscription whose fragment did not grow (nothing), a fragment
 //! or head of a shape another peer of the system compiled already
-//! (no compile), and a stored row (nothing of its own: its relation's
-//! buffers grow by doubling, and a clone shares them).
+//! (no compile), a stored row (nothing of its own: its relation's
+//! buffers grow by doubling, and a clone shares them), and the one peer a
+//! `serve` process builds (nothing of the other nodes' rows, in bytes).
 //!
 //! The counting allocator below is this test binary's global allocator; it
 //! counts per thread, so the test harness's own threads do not disturb it.
 
 use p2pdb::core::joins::{join_parts_seminaive, PartDelta, VarRows};
 use p2pdb::core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
+use p2pdb::core::netfile::{NetworkFile, NodeDecl, RuleDecl};
 use p2pdb::core::peer::{DbPeer, Subscription};
 use p2pdb::core::rule::{BodyPart, CoordinationRule, RuleId};
+use p2pdb::core::socket::{prepare, ServeConfig};
 use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
 use p2pdb::core::SystemConfig;
 use p2pdb::net::{
@@ -27,7 +30,7 @@ use p2pdb::relational::chase::{ChaseConfig, ChaseOutcome, ChaseState, CompiledHe
 use p2pdb::relational::query::{Atom, CompiledBody, Term};
 use p2pdb::relational::{
     key_hash, ColumnType, Database, DatabaseSchema, NullFactory, Relation, RelationSchema, RowSet,
-    SymId, Tuple, Val,
+    SymId, Val, Value,
 };
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{scale_system, ScaleConfig};
@@ -38,23 +41,29 @@ use std::sync::Arc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a thread-local counter bump, which neither allocates
-// (a const-initialised `Cell` with no destructor) nor unwinds (`try_with`).
+// only addition is two thread-local counter bumps, which neither allocate
+// (const-initialised `Cell`s with no destructor) nor unwind (`try_with`).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,6 +76,14 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Bytes this thread allocates (and reallocates to) inside `f`, freed or
+/// not.
+fn bytes_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 fn samples() -> Vec<ProtocolMsg> {
@@ -95,15 +112,19 @@ fn samples() -> Vec<ProtocolMsg> {
         rule: RuleId(2),
         rows: AnswerRows {
             vars: ["I", "T", "Y"].map(Arc::from).to_vec(),
-            rows: (0..20)
-                .map(|i| {
-                    Tuple::new(vec![
-                        Val::Int(i),
-                        Val::Sym(SymId(1000 + i as u32)),
-                        Val::Int(1999),
-                    ])
-                })
-                .collect(),
+            rows: RowSet::from_flat(
+                3,
+                20,
+                (0..20)
+                    .flat_map(|i| {
+                        [
+                            Val::Int(i),
+                            Val::Sym(SymId(1000 + i as u32)),
+                            Val::Int(1999),
+                        ]
+                    })
+                    .collect(),
+            ),
             null_depths: vec![],
             marks: [(Arc::<str>::from("pub"), 17usize)].into_iter().collect(),
             dict: (0..20)
@@ -210,8 +231,10 @@ fn counting_a_send_or_a_delivery_allocates_nothing() {
 /// Plans and heads taken from the system's catalog, compiled once per
 /// shape instead of once per peer: 38 263 over 4 982. A FIFO lane beside
 /// the event heap, and pipe floors kept with their sender instead of in one
-/// table: 38 284 over 4 982.
-const SESSION_ALLOCATIONS: u64 = 38_263;
+/// table: 38 284 over 4 982. A fragment's rows shipped as the row set the
+/// evaluator's buffer becomes, with no `Tuple` per row: 35 697 over 4 982
+/// (38 697 before it).
+const SESSION_ALLOCATIONS: u64 = 35_697;
 const SESSION_MESSAGES: u64 = 4_982;
 
 /// The system of that session, before it runs.
@@ -299,11 +322,14 @@ fn a_first_contact_session_sends_these_messages_by_kind() {
 /// per delivery), `Answer` 12 129 (7.3), `UpdateFlood` 4 375 (8.8),
 /// `Fixpoint` 911 (1.8), `Ack` 935 (0.7), the one `StartUpdate` 103, and the
 /// runtime 84 (63 with one event heap and one floor table; the lane and the
-/// senders' in-flight records grow a buffer each).
+/// senders' in-flight records grow a buffer each). Since a fragment's rows
+/// travel as a row set: 35 691, `Query` 16 741 (16.7: three fewer each,
+/// with no `Tuple` per shipped row), `Answer` 12 542 (7.6, as it measured
+/// before that change too).
 const SESSION_SPLIT: [(&str, u64, u64); 6] = [
     ("StartUpdate", 1, 103),
     ("UpdateFlood", 499, 4_375),
-    ("Query", 1_000, 19_741),
+    ("Query", 1_000, 16_741),
     ("Answer", 1_652, 12_129),
     ("Ack", 1_331, 935),
     ("Fixpoint", 499, 911),
@@ -427,18 +453,22 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
     let marks = [(Arc::<str>::from("item"), 4usize)].into_iter().collect();
     let mut sub = subscription(&rule.parts[0], marks);
     let mut ctx = Context::new(SimTime::ZERO, NodeId(1));
-    let ((rows, unsent), allocations) =
+    let ((rows, new), allocations) =
         allocations_in(|| peer.advance_subscription(rule.id, &mut sub, &mut ctx));
-    assert!(rows.is_empty() && unsent.is_empty());
+    assert!(rows.is_empty() && new == 0);
     assert_eq!(allocations, 0);
 
     // Once the fragment's relation grows, the delta is evaluated.
     peer.database_mut()
         .insert_values("item", vec![Val::Int(9), Val::Int(1)])
         .unwrap();
-    let (rows, unsent) = peer.advance_subscription(rule.id, &mut sub, &mut ctx);
-    assert_eq!(rows, vec![Tuple::new(vec![Val::Int(9), Val::Int(1)])]);
-    assert_eq!(unsent, rows);
+    let (rows, new) = peer.advance_subscription(rule.id, &mut sub, &mut ctx);
+    assert_eq!(
+        rows,
+        RowSet::from_flat(2, 1, vec![Val::Int(9), Val::Int(1)])
+    );
+    assert_eq!(new, 1);
+    assert_eq!(sub.sent, rows);
     assert_eq!(sub.watermarks[&Arc::<str>::from("item")], 5);
 }
 
@@ -512,13 +542,13 @@ fn a_second_peer_of_one_shape_compiles_nothing() {
 
     // The heads take the same answer in the same state.
     let answer = |peer: &mut DbPeer, rule: RuleId, from: u32| {
-        let rows = (0..4).map(|i| Tuple::new(vec![Val::Int(i), Val::Int(1)]));
+        let rows = (0..4).flat_map(|i| [Val::Int(i), Val::Int(1)]).collect();
         let msg = ProtocolMsg::Answer(Answer {
             session: SessionId::new(NodeId(0), 1),
             rule,
             rows: AnswerRows {
                 vars: ["I", "S"].map(Arc::from).to_vec(),
-                rows: rows.collect(),
+                rows: RowSet::from_flat(2, 4, rows),
                 null_depths: vec![],
                 marks: [(Arc::<str>::from("item"), 4usize)].into_iter().collect(),
                 dict: vec![],
@@ -552,9 +582,9 @@ fn a_second_peer_of_one_shape_compiles_nothing() {
 #[test]
 fn a_seminaive_join_allocates_only_buffer_growth() {
     let n = 10_000;
-    let fragment = |vars: [&str; 2], row: fn(i64) -> [Val; 2]| {
-        let rows: Vec<Tuple> = (0..n).map(|i| Tuple::new(row(i).to_vec())).collect();
-        VarRows::from_tuples(vars.map(Arc::from).to_vec(), &rows)
+    let fragment = |vars: [&str; 2], row: fn(i64) -> [Val; 2]| VarRows {
+        vars: vars.map(Arc::from).to_vec(),
+        rows: RowSet::from_flat(2, n as usize, (0..n).flat_map(row).collect()),
     };
     let left = fragment(["X", "Y"], |i| [Val::Int(i), Val::Int(i % 5_000)]);
     let right = fragment(["Y", "Z"], |i| [Val::Int(i), Val::Int(-i)]);
@@ -605,4 +635,55 @@ fn a_stored_row_allocates_nothing_of_its_own() {
     assert_eq!(copy.len(), 20_000);
     let seven = key_hash(&[Val::Int(7)]);
     assert_eq!(copy.index(&[1]).unwrap().candidates(seven).count(), 20);
+}
+
+/// A `serve` process builds the one peer it serves. Under `--durable`
+/// every built peer attaches a store and snapshots its whole database, so
+/// building the network's every peer to keep one made each process pay for
+/// every node's rows (and a durable launch of n nodes n² snapshots): past
+/// parsing the netfile, a durable `prepare` of node 0 allocated 2 710 875
+/// bytes when node 1 held 20 000 rows, against 16 969 when it held none.
+/// Now those bytes do not grow with another node's rows.
+#[test]
+fn a_durable_serve_builds_only_its_own_peer() {
+    let prepared = |rows: i64| {
+        let data = (0..rows)
+            .map(|i| vec![Value::Int(i), Value::Int(-i)])
+            .collect();
+        let node = |id, schema: &str, data| NodeDecl {
+            id,
+            name: None,
+            schema: schema.to_string(),
+            data,
+        };
+        let netfile = NetworkFile {
+            super_peer: 0,
+            nodes: vec![
+                node(0, "a(x: int, y: int).", BTreeMap::new()),
+                node(1, "b(x: int, y: int).", [("b".to_string(), data)].into()),
+            ],
+            rules: vec![RuleDecl {
+                name: "r".to_string(),
+                text: "B:b(X,Y) => A:a(X,Y)".to_string(),
+            }],
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "p2pdb_serve_one_peer_{}_{rows:05}",
+            std::process::id()
+        ));
+        let mut cfg = ServeConfig::new(netfile, 0, "127.0.0.1:0".parse().unwrap());
+        cfg.state_dir = Some(dir.clone());
+        let (_, parse) = bytes_in(|| cfg.netfile.into_builder().unwrap());
+        let (server, bytes) = bytes_in(|| prepare(&cfg).unwrap());
+        // Never run, the server's acceptor stays blocked until the test
+        // binary exits.
+        std::mem::forget(server);
+        std::fs::remove_dir_all(&dir).ok();
+        bytes - parse
+    };
+    // The first prepare of the process initialises what later ones reuse.
+    prepared(0);
+    let (none, many) = (prepared(0), prepared(20_000));
+    println!("a durable prepare of node 0: {none} bytes past the netfile with node 1 empty, {many} with 20 000 rows");
+    assert!(many <= none, "{many} bytes against {none}");
 }
