@@ -13,14 +13,20 @@
 //! the chase, and therefore the distributed update fix-point, terminates.
 //! The paper asserts termination (Lemma 1.2) without stating a restriction;
 //! we reconcile that by rejecting rule sets that are not weakly acyclic at
-//! build time (`P2PSystemBuilder::build_peers` always checks).
+//! build time (`P2PSystemBuilder::build_peers` always checks). Only an
+//! existential head variable makes a special edge, so a set without one —
+//! copy rules, the paper's running example, the scale workload's
+//! `item(I,S) => inbox(I,S)` rules — is weakly acyclic as it stands: the
+//! check sees that rule by rule and builds no position graph.
 
 use crate::error::{CoreError, CoreResult};
 use p2p_relational::query::{parse_implication, Atom, Constraint, Term};
 use p2p_relational::DatabaseSchema;
+use p2p_topology::fxhash::FxHashMap;
+use p2p_topology::scc::{self, Csr};
 use p2p_topology::{DependencyGraph, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -192,6 +198,14 @@ impl CoordinationRule {
             .iter()
             .flat_map(|p| p.vars.iter().cloned())
             .collect()
+    }
+
+    /// True iff some head variable is not bound by the body, that is,
+    /// [`CoordinationRule::existential_vars`] is not empty. Allocates
+    /// nothing.
+    fn has_existential(&self) -> bool {
+        let bound = |v: &Arc<str>| self.parts.iter().any(|p| p.vars.contains(v));
+        (self.head.iter().flat_map(|a| &a.terms)).any(|t| matches!(t, Term::Var(v) if !bound(v)))
     }
 
     /// Head variables not bound by the body — materialised as fresh nulls.
@@ -392,20 +406,28 @@ impl RuleSet {
     /// position and a *special* edge to every existential position — and
     /// requires that no cycle traverses a special edge.
     ///
+    /// A set none of whose rules has an existential head variable has no
+    /// special edge and passes without a graph being built (and without
+    /// allocating). Otherwise positions are interned to dense ids and one
+    /// Tarjan ([`scc::tarjan`]) runs over the edges, in time linear in
+    /// positions plus edges.
+    ///
     /// Returns a human-readable witness of one offending special edge on a
-    /// cycle otherwise.
+    /// cycle otherwise: the first such edge in rule-id order.
     pub fn check_weak_acyclicity(&self) -> Result<(), String> {
+        // Without an existential head variable there is no special edge,
+        // and so no cycle through one: nothing to build.
+        if !self.iter().any(|rule| rule.has_existential()) {
+            return Ok(());
+        }
         type Pos = (NodeId, Arc<str>, usize);
-        let mut index: HashMap<Pos, u32> = HashMap::new();
+        let mut index: FxHashMap<Pos, u32> = FxHashMap::default();
         let mut names: Vec<Pos> = Vec::new();
         let mut intern = |p: Pos| -> u32 {
-            if let Some(i) = index.get(&p) {
-                return *i;
-            }
-            let i = names.len() as u32;
-            index.insert(p.clone(), i);
-            names.push(p);
-            i
+            *index.entry(p).or_insert_with_key(|p| {
+                names.push(p.clone());
+                names.len() as u32 - 1
+            })
         };
 
         let mut normal: Vec<(u32, u32)> = Vec::new();
@@ -459,24 +481,18 @@ impl RuleSet {
         }
 
         // SCCs over the union graph; a special edge inside one SCC means a
-        // cycle through it. Reuse the topology crate's Tarjan by mapping
-        // position indices to NodeIds (positions are never self-looping:
-        // head and body nodes are distinct).
-        let mut g = DependencyGraph::new();
-        for i in 0..names.len() as u32 {
-            g.add_node(NodeId(i));
-        }
-        for &(a, b) in normal.iter().chain(special.iter()) {
-            g.add_edge(NodeId(a), NodeId(b));
-        }
-        let mut comp_of: HashMap<u32, usize> = HashMap::new();
-        for (ci, comp) in p2p_topology::condensation(&g).into_iter().enumerate() {
-            for n in comp {
-                comp_of.insert(n.0, ci);
+        // cycle through it. Positions are dense ids already.
+        let edges = normal.iter().chain(&special).copied();
+        let mut component = vec![0u32; names.len()];
+        let mut components = 0;
+        scc::tarjan(&Csr::from_edges(names.len(), edges), |members| {
+            for &p in members {
+                component[p as usize] = components;
             }
-        }
+            components += 1;
+        });
         for &(a, b) in &special {
-            if comp_of.get(&a) == comp_of.get(&b) {
+            if component[a as usize] == component[b as usize] {
                 let (na, ra, ca) = &names[a as usize];
                 let (nb, rb, cb) = &names[b as usize];
                 return Err(format!(
@@ -666,6 +682,53 @@ mod tests {
             .unwrap();
         let err = set.check_weak_acyclicity().unwrap_err();
         assert!(err.contains("special edge"), "{err}");
+    }
+
+    /// A 5 000-node ring of copy rules `n(i+1):r(X,Y) => n(i):r(X,Y)`,
+    /// closed by one rule that mints a null: column 1 of `r` flows around
+    /// the ring into the null's own column. The witness is the one special
+    /// edge, named as the position-graph check has always named it.
+    #[test]
+    fn a_ring_closed_by_one_existential_rule_is_rejected_with_its_witness() {
+        let n = 5_000u32;
+        let resolve = |s: &str| s.strip_prefix('n')?.parse().ok().map(NodeId);
+        let mut set = RuleSet::new();
+        for i in 0..n - 1 {
+            let text = format!("n{}:r(X,Y) => n{i}:r(X,Y)", i + 1);
+            set.add(CoordinationRule::parse(&format!("c{i}"), &text, None, &resolve).unwrap())
+                .unwrap();
+        }
+        let text = format!("n0:r(X,Y) => n{}:r(Y,Z)", n - 1);
+        set.add(CoordinationRule::parse("close", &text, None, &resolve).unwrap())
+            .unwrap();
+        assert_eq!(
+            set.check_weak_acyclicity(),
+            Err("special edge (A,r,1) → (N4999,r,1) lies on a cycle".to_string())
+        );
+        // Without the existential the same ring passes.
+        set.remove(set.by_name("close").unwrap().id);
+        let text = format!("n0:r(X,Y) => n{}:r(Y,X)", n - 1);
+        set.add(CoordinationRule::parse("close", &text, None, &resolve).unwrap())
+            .unwrap();
+        assert_eq!(set.check_weak_acyclicity(), Ok(()));
+    }
+
+    #[test]
+    fn has_existential_agrees_with_existential_vars() {
+        for text in [
+            "B:b(X,Y) => A:a(X,Y)",
+            "B:b(X,Y) => A:a(X,Z)",
+            "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)",
+            "B:b(X,Y), C:c(Y,W) => A:a(X,Z)",
+            "B:b(X,Y) => A:a(X,7)",
+        ] {
+            let r = CoordinationRule::parse("r", text, None, &resolve).unwrap();
+            assert_eq!(
+                r.has_existential(),
+                !r.existential_vars().is_empty(),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use p2p_net::{
 use p2p_relational::query::{evaluate_certain, parse_query, PlanCatalog};
 use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
 use p2p_storage::{MemoryBackend, PeerStorage};
-use p2p_topology::{scc, NodeId};
+use p2p_topology::{scc, Csr, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -160,46 +160,63 @@ impl P2PSystemBuilder {
         if !self.schemas.contains_key(&self.super_peer) {
             return Err(CoreError::UnknownNode(self.super_peer.to_string()));
         }
-        for rule in self.rules.iter() {
-            rule.validate(&self.schemas)?;
-        }
+        // Every rule was validated when it was made, against schemas that
+        // cannot change since: a node is declared once (`DuplicateNode`).
         if let Err(witness) = self.rules.check_weak_acyclicity() {
             return Err(CoreError::NotWeaklyAcyclic { witness });
         }
-        let graph = self.rules.dependency_graph();
-        let cyclic = scc::cyclic_nodes(&graph);
         let all_nodes: Arc<[NodeId]> = self.schemas.keys().copied().collect();
 
-        // One pass over the rule set builds the per-node views; the old
-        // per-peer full scans made construction O(nodes × rules) — the first
-        // thing to break past a few thousand peers. Each peer gets the rule
-        // set's own `Arc` of its rules, not a copy.
-        let mut rules_by_head: BTreeMap<NodeId, Vec<&Arc<CoordinationRule>>> = BTreeMap::new();
-        let mut pipes_of: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-        for rule in self.rules.iter() {
-            rules_by_head.entry(rule.head_node).or_default().push(rule);
-            for p in &rule.parts {
-                pipes_of.entry(rule.head_node).or_default().insert(p.node);
-                pipes_of.entry(p.node).or_default().insert(rule.head_node);
-            }
+        // One pass over the rule set takes its dependency edges `head →
+        // body node` as positions in the sorted roster; the per-node views
+        // are lists over those positions. Each peer gets the rule set's own
+        // `Arc` of its rules, not a copy.
+        let at = |node: NodeId| {
+            (all_nodes.binary_search(&node)).expect("a validated rule's nodes are declared") as u32
+        };
+        let rules: Vec<&Arc<CoordinationRule>> = self.rules.iter().collect();
+        let mut heads: Vec<u32> = Vec::with_capacity(rules.len());
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(rules.len());
+        for rule in &rules {
+            let head = at(rule.head_node);
+            heads.push(head);
+            edges.extend(rule.parts.iter().map(|p| (head, at(p.node))));
         }
+        let n = all_nodes.len();
+        let rules_of = Csr::from_edges(n, heads.iter().zip(0..).map(|(&h, r)| (h, r)));
+        let depends_on = Csr::from_edges(n, edges.iter().copied());
+        let sourced_by = Csr::from_edges(n, edges.iter().map(|&(h, b)| (b, h)));
+        // A node lies on a dependency cycle iff its component has another.
+        let mut cyclic = vec![false; n];
+        scc::tarjan(&depends_on, |component| {
+            if component.len() > 1 {
+                for &v in component {
+                    cyclic[v as usize] = true;
+                }
+            }
+        });
 
         // One catalog of compiled plans and heads for the whole system:
         // peers serving fragments or chasing heads of one shape share them.
         let catalog = Arc::new(PlanCatalog::default());
-        let nodes: Vec<NodeId> = (all_nodes.iter().copied()).filter(|&id| keep(id)).collect();
+        let nodes: Vec<u32> = (0..n as u32)
+            .filter(|&v| keep(all_nodes[v as usize]))
+            .collect();
         let mut peers = Vec::with_capacity(nodes.len());
-        for node in nodes {
+        for v in nodes {
+            let node = all_nodes[v as usize];
             let db = self.data[&node].clone();
             let mut peer = DbPeer::new(node, db, self.config);
             peer.compiled.catalog = Arc::clone(&catalog);
-            for rule in rules_by_head.get(&node).into_iter().flatten() {
-                peer.install_rule(Arc::clone(rule));
+            // Installing a rule opens the pipes to its body nodes; the
+            // heads of the rules this node sources are its other pipes.
+            for &r in rules_of.successors(v) {
+                peer.install_rule(Arc::clone(rules[r as usize]));
             }
-            for &neighbor in pipes_of.get(&node).into_iter().flatten() {
-                peer.add_pipe(neighbor);
+            for &head in sourced_by.successors(v) {
+                peer.add_pipe(all_nodes[head as usize]);
             }
-            peer.set_cycle_hint(cyclic.contains(&node));
+            peer.set_cycle_hint(cyclic[v as usize]);
             peer.set_roster(Arc::clone(&all_nodes));
             if node == self.super_peer {
                 peer.make_super(Arc::clone(&all_nodes));
@@ -857,6 +874,7 @@ pub fn run_updates_sharded(
 mod tests {
     use super::*;
     use crate::config::UpdateMode;
+    use p2p_topology::Topology;
 
     fn two_node_builder() -> P2PSystemBuilder {
         let mut b = P2PSystemBuilder::new();
@@ -920,6 +938,99 @@ mod tests {
             b.build().err(),
             Some(CoreError::NotWeaklyAcyclic { .. })
         ));
+    }
+
+    /// Every topology family, its nodes at sparse ids beside two nodes
+    /// with no rule: each peer gets the cycle hint the dependency graph's
+    /// condensation gives, the rules headed at it and the pipe neighbours
+    /// the rule set names. Heads at even ids join all their body nodes in
+    /// one rule, the others take one copy rule per body node.
+    #[test]
+    fn every_family_builds_the_hints_rules_and_pipes_the_rule_set_names() {
+        let families = [
+            Topology::Tree {
+                branching: 2,
+                depth: 3,
+            },
+            Topology::LayeredDag {
+                layers: 3,
+                width: 4,
+                fanout: 2,
+            },
+            Topology::Clique { n: 5 },
+            Topology::Chain { n: 6 },
+            Topology::Ring { n: 7 },
+            Topology::Star { n: 6 },
+            Topology::Random {
+                n: 12,
+                p_percent: 15,
+                seed: 3,
+            },
+            Topology::RandomDegree {
+                n: 20,
+                degree: 3,
+                seed: 5,
+            },
+            Topology::Expander {
+                n: 16,
+                degree: 4,
+                seed: 1,
+            },
+            Topology::SmallWorld {
+                n: 14,
+                k: 4,
+                rewire_percent: 20,
+                seed: 2,
+            },
+        ];
+        for family in families {
+            let topology = family.generate();
+            let id = |n: NodeId| 3 * n.0 + 1;
+            let mut b = P2PSystemBuilder::new();
+            for n in topology.graph.nodes() {
+                b.add_named_node(&format!("n{}", id(n)), id(n), "r(x: int).")
+                    .unwrap();
+            }
+            b.add_named_node("lone0", 0, "r(x: int).").unwrap();
+            b.add_named_node("lone2", 1_000, "r(x: int).").unwrap();
+            for head in topology.graph.nodes() {
+                let bodies: Vec<String> = (topology.graph.successors(head))
+                    .map(|body| format!("n{}:r(X)", id(body)))
+                    .collect();
+                let (h, name) = (id(head), format!("r{}", id(head)));
+                if id(head) % 2 == 0 && !bodies.is_empty() {
+                    let text = format!("{} => n{h}:r(X)", bodies.join(", "));
+                    b.add_rule(&name, &text).unwrap();
+                } else {
+                    for (k, body) in bodies.iter().enumerate() {
+                        b.add_rule(&format!("{name}_{k}"), &format!("{body} => n{h}:r(X)"))
+                            .unwrap();
+                    }
+                }
+            }
+            let rules = b.rules().clone();
+            let cyclic = scc::cyclic_nodes(&rules.dependency_graph());
+            assert_eq!(
+                cyclic.is_empty(),
+                scc::is_acyclic(&topology.graph),
+                "{family:?}"
+            );
+            let peers = b.build_peers().unwrap();
+            assert_eq!(peers.len(), topology.node_count + 2, "{family:?}");
+            for (node, peer) in &peers {
+                assert_eq!(peer.in_cycle, cyclic.contains(node), "{family:?} {node}");
+                let headed: Vec<RuleId> = (rules.iter())
+                    .filter(|r| r.head_node == *node)
+                    .map(|r| r.id)
+                    .collect();
+                assert!(peer.rules.keys().eq(&headed), "{family:?} {node}");
+                assert_eq!(
+                    peer.pipes.nodes,
+                    rules.pipe_neighbors(*node),
+                    "{family:?} {node}"
+                );
+            }
+        }
     }
 
     #[test]

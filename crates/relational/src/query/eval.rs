@@ -32,24 +32,56 @@ use std::sync::Arc;
 
 /// The result of evaluating a body: a table of variable bindings stored as
 /// one flat buffer (`row i` = `data[i*width .. (i+1)*width]` with `width =
-/// vars.len()`, column `j` = the value of `vars[j]`). Rows are deduplicated
-/// and listed in a deterministic order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// vars.len()`, column `j` = the value of `vars[j]`) — the executor's, or
+/// the flat store of a [`RowSet`] whose membership a delta union built.
+/// Rows are deduplicated and listed in a deterministic order.
+#[derive(Debug, Clone)]
 pub struct Bindings {
     /// Variable names, in slot order.
     pub vars: Vec<Arc<str>>,
-    /// Number of rows: a zero-variable body has at most one (empty)
-    /// satisfying assignment, which the buffer alone cannot count.
-    len: usize,
-    data: Vec<Val>,
+    rows: Rows,
 }
+
+/// How a [`Bindings`] table holds its rows.
+#[derive(Debug, Clone)]
+enum Rows {
+    /// The executor's buffer: `len` distinct rows at the front of `data`,
+    /// no membership built. `len` counts the rows of a zero-variable body
+    /// too, which the buffer alone cannot.
+    Flat { len: usize, data: Vec<Val> },
+    /// A set whose membership is built already (a union of delta plans),
+    /// handed on as it is.
+    Set(RowSet),
+}
+
+/// Equal variables and equal rows in the same order, however each table
+/// holds them.
+impl PartialEq for Bindings {
+    fn eq(&self, other: &Self) -> bool {
+        self.vars == other.vars && self.len() == other.len() && self.rows().eq(other.rows())
+    }
+}
+
+impl Eq for Bindings {}
 
 impl Bindings {
     /// A table over `vars` holding `len` rows, row-major at the front of
     /// `data` (caller guarantees dedup).
     pub(crate) fn from_flat(vars: Vec<Arc<str>>, len: usize, mut data: Vec<Val>) -> Self {
         data.truncate(len * vars.len());
-        Bindings { vars, len, data }
+        Bindings {
+            vars,
+            rows: Rows::Flat { len, data },
+        }
+    }
+
+    /// A table over `vars` holding the rows of `set` (as wide as `vars`).
+    pub(crate) fn from_set(vars: Vec<Arc<str>>, set: RowSet) -> Self {
+        debug_assert_eq!(set.arity(), vars.len());
+        Bindings {
+            vars,
+            rows: Rows::Set(set),
+        }
     }
 
     /// Slot index of a variable.
@@ -59,24 +91,35 @@ impl Bindings {
 
     /// Number of satisfying assignments.
     pub fn len(&self) -> usize {
-        self.len
+        match &self.rows {
+            Rows::Flat { len, .. } => *len,
+            Rows::Set(set) => set.len(),
+        }
     }
 
     /// True iff the body has no satisfying assignment.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Iterates rows as slices.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Val]> {
         let width = self.vars.len();
-        (0..self.len).map(move |i| &self.data[i * width..][..width])
+        let data = match &self.rows {
+            Rows::Flat { data, .. } => &data[..],
+            Rows::Set(set) => set.flat(),
+        };
+        (0..self.len()).map(move |i| &data[i * width..][..width])
     }
 
-    /// The rows as a set, the flat buffer moved in: only membership is
-    /// built (the executor's rows are distinct already).
+    /// The rows as a set: a set is handed on as it is, and a flat buffer
+    /// moved in with only membership built (the executor's rows are
+    /// distinct already).
     pub fn into_rows(self) -> RowSet {
-        RowSet::from_flat(self.vars.len(), self.len, self.data)
+        match self.rows {
+            Rows::Flat { len, data } => RowSet::from_flat(self.vars.len(), len, data),
+            Rows::Set(set) => set,
+        }
     }
 
     /// Projects the bindings onto head terms, deduplicating while preserving

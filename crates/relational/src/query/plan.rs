@@ -612,7 +612,8 @@ fn apply_constraints(
 /// first-occurrence order, over the given per-relation watermarks (see
 /// [`crate::query::eval::evaluate_bindings_since`] for the semantics). When
 /// only one delta plan has rows to scan, its bindings — distinct already —
-/// are the result as they stand.
+/// are the result as they stand; otherwise the union's [`RowSet`] is, its
+/// membership built once.
 pub fn evaluate_bindings_since_planned(
     body: &CompiledBody,
     atoms: &[Atom],
@@ -644,11 +645,11 @@ pub fn evaluate_bindings_since_planned(
         });
         union.extend(delta.rows());
     }
-    let vars = body.full.vars.clone();
     Ok(match (first, union) {
-        (None, _) => Bindings::from_flat(vars, 0, Vec::new()),
+        (None, _) => Bindings::from_flat(body.full.vars.clone(), 0, Vec::new()),
         (Some(only), None) => only,
-        (Some(_), Some(set)) => Bindings::from_flat(vars, set.len(), set.into_flat()),
+        // Every plan of one body binds its variables in the same slots.
+        (Some(first), Some(set)) => Bindings::from_set(first.vars, set),
     })
 }
 

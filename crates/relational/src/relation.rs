@@ -290,9 +290,9 @@ impl RowSet {
         (from.min(self.len())..self.len()).map(|pos| self.row(pos))
     }
 
-    /// The rows, flat and row-major.
-    pub fn into_flat(self) -> Vec<Val> {
-        self.data
+    /// The rows, flat and row-major, borrowed.
+    pub(crate) fn flat(&self) -> &[Val] {
+        &self.data
     }
 
     /// Every [`crate::catalog::SymId`] occurring in the rows — the symbols

@@ -38,5 +38,5 @@ pub mod separation;
 pub use generators::{GeneratedTopology, Topology, TopologyError};
 pub use graph::{DependencyGraph, NodeId};
 pub use paths::{maximal_dependency_paths, PathEnumError};
-pub use scc::{condensation, is_acyclic, topological_order};
+pub use scc::{condensation, is_acyclic, topological_order, Csr};
 pub use separation::{is_separated, is_separated_under_change, GraphChange};

@@ -229,16 +229,19 @@ where
         let Err(halt) = node.serve();
         let peer = node.peer;
         let stats = self.stats();
-        self.teardown();
         match halt {
             Halt::Shutdown => Ok((peer, stats)),
             Halt::Failed(e) => Err(e),
         }
     }
+}
 
-    /// Stops the acceptor and closes the outgoing pipes and the connections
-    /// of unanswered control requests; readers exit as remote ends close.
-    fn teardown(&mut self) {
+/// Dropping a runtime — after [`SocketRuntime::run`], or a bound one never
+/// run — stops the acceptor, which releases the listener, and closes the
+/// outgoing pipes and the connections of unanswered control requests;
+/// readers exit as remote ends close.
+impl<M, C> Drop for SocketRuntime<M, C> {
+    fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor out of `accept()`.
         let _ = TcpStream::connect(self.local_addr);
@@ -248,8 +251,8 @@ where
                 let _ = reply.shutdown(Shutdown::Both);
             }
         }
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The socket runtime's loop writes every frame itself: a pipe it cannot
 //! establish ends `SocketRuntime::run` with a typed error, and a loop that
-//! waits to dial a peer still answers its controller.
+//! waits to dial a peer still answers its controller. A runtime dropped
+//! without running gives its address back.
 
 use p2p_net::{Codec, Context, Peer};
 use p2p_topology::NodeId;
@@ -106,4 +107,14 @@ fn a_node_waiting_for_a_peer_still_shuts_down_on_request() {
     let stats = outcome.unwrap_or_else(|e| panic!("a shutdown is not a failure: {e}"));
     assert_eq!(stats.connects, 0);
     assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
+}
+
+#[test]
+fn a_runtime_dropped_without_running_releases_its_listener() {
+    let bound = node(1, Codec::Json, &[]);
+    let addr = bound.local_addr();
+    drop(bound);
+    let again = SocketRuntime::bind(SocketConfig::new(NodeId(1), addr), Toy(Codec::Json));
+    let again = again.unwrap_or_else(|e| panic!("re-binding {addr}: {e}"));
+    assert_eq!(again.local_addr(), addr);
 }

@@ -9,8 +9,11 @@
 //! served subscription whose fragment did not grow (nothing), a fragment
 //! or head of a shape another peer of the system compiled already
 //! (no compile), a stored row (nothing of its own: its relation's
-//! buffers grow by doubling, and a clone shares them), and the one peer a
-//! `serve` process builds (nothing of the other nodes' rows, in bytes).
+//! buffers grow by doubling, and a clone shares them), a delta over two
+//! grown relations (one membership table), and the one peer a `serve`
+//! process builds (nothing of the other nodes' rows, in bytes). It prices
+//! building too: the peers of a 2 000-peer network, and a weak-acyclicity
+//! check of rules without existential variables (nothing).
 //!
 //! The counting allocator below is this test binary's global allocator; it
 //! counts per thread, so the test harness's own threads do not disturb it.
@@ -27,7 +30,9 @@ use p2pdb::net::{
     Codec, ConstantLatency, Context, NetStats, Peer, SessionId, SimTime, Simulator, Wire,
 };
 use p2pdb::relational::chase::{ChaseConfig, ChaseOutcome, ChaseState, CompiledHead};
-use p2pdb::relational::query::{Atom, CompiledBody, Term};
+use p2pdb::relational::query::{
+    evaluate_bindings_since_planned, Atom, CompiledBody, EvalMetrics, Term,
+};
 use p2pdb::relational::{
     key_hash, ColumnType, Database, DatabaseSchema, NullFactory, Relation, RelationSchema, RowSet,
     SymId, Val, Value,
@@ -472,6 +477,114 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
     assert_eq!(sub.watermarks[&Arc::<str>::from("item")], 5);
 }
 
+/// `build_peers` on the 2 000-peer expander of `tests/peer_footprint.rs`
+/// (degree 4, seed 1, 4 records a node): the peers themselves, their
+/// rules, pipes and cycle hints from flat lists over the roster, and no
+/// position graph, since no copy rule has an existential variable: 7 649
+/// allocations, plus 10 %. Ordered maps per node, a dependency graph, a
+/// second validation of every rule and a position graph made it 97 115.
+const BUILD_ALLOCATIONS: u64 = 8_400;
+
+#[test]
+fn building_the_peers_of_a_2_000_peer_expander_stays_within_its_budget() {
+    let cfg = ScaleConfig {
+        topology: Topology::Expander {
+            n: 2_000,
+            degree: 4,
+            seed: 1,
+        },
+        records_per_node: 4,
+    };
+    let mut builder = scale_system(&cfg).unwrap();
+    let (peers, allocations) = allocations_in(|| builder.build_peers().unwrap());
+    assert_eq!(peers.len(), 2_000);
+    println!("build_peers: {allocations} allocations for 2 000 peers");
+    assert!(
+        allocations <= BUILD_ALLOCATIONS,
+        "{allocations} allocations against a budget of {BUILD_ALLOCATIONS}"
+    );
+}
+
+/// The 20 000 copy rules of `flood_sim` (a 10 000-peer expander of degree
+/// 4, seed 1) have no existential head variable, so no special edge:
+/// checking weak acyclicity builds nothing.
+#[test]
+fn a_rule_set_without_existentials_checks_weak_acyclicity_without_allocating() {
+    let cfg = ScaleConfig {
+        topology: Topology::Expander {
+            n: 10_000,
+            degree: 4,
+            seed: 1,
+        },
+        records_per_node: 1,
+    };
+    let builder = scale_system(&cfg).unwrap();
+    let rules = builder.rules();
+    assert_eq!(rules.len(), 20_000);
+    let (checked, allocations) = allocations_in(|| rules.check_weak_acyclicity());
+    assert_eq!(checked, Ok(()));
+    assert_eq!(allocations, 0);
+}
+
+/// A fragment of two atoms whose relations both grew runs both delta plans
+/// and unions their rows into one `RowSet`, whose membership table is the
+/// only one built: the set is the fragment's rows as it stands. Each plan
+/// alone costs what it costs when its relation is the only one that grew,
+/// and the union what building that set by hand costs. Flattening the
+/// union and hashing its rows again into a second table (`RowSet::from_flat`)
+/// cost two allocations more: that table's buckets and its chain.
+#[test]
+fn a_two_atom_delta_builds_one_membership_table() {
+    let schema = "a(x: int, y: int). b(y: int, z: int).";
+    let mut db = Database::new(DatabaseSchema::parse(schema).unwrap());
+    let insert = |db: &mut Database, rel: &str, x: i64, y: i64| {
+        db.insert_values(rel, vec![Val::Int(x), Val::Int(y)])
+            .unwrap();
+    };
+    for i in 0..4 {
+        insert(&mut db, "a", i, i % 2);
+        insert(&mut db, "b", i % 2, 10 * i);
+    }
+    let atoms = [
+        Atom::new("a", vec![Term::var("X"), Term::var("Y")]),
+        Atom::new("b", vec![Term::var("Y"), Term::var("Z")]),
+    ];
+    let body = CompiledBody::compile(&atoms, &[], &db).unwrap();
+    for i in 4..7 {
+        insert(&mut db, "a", i, i % 2);
+        insert(&mut db, "b", i % 2, 10 * i);
+    }
+    let since = |a: usize, b: usize| -> BTreeMap<Arc<str>, usize> {
+        [(Arc::from("a"), a), (Arc::from("b"), b)].into()
+    };
+    let eval = |marks: &BTreeMap<Arc<str>, usize>| {
+        let mut m = EvalMetrics::default();
+        evaluate_bindings_since_planned(&body, &atoms, &[], &db, marks, &mut m).unwrap()
+    };
+    let [both_marks, a_marks, b_marks] = [since(4, 4), since(4, 7), since(7, 4)];
+    // Compile both delta plans first.
+    let expected = eval(&both_marks).into_rows();
+
+    let (only_a, a_alone) = allocations_in(|| eval(&a_marks));
+    let (only_b, b_alone) = allocations_in(|| eval(&b_marks));
+    let (union, by_hand) = allocations_in(|| {
+        let mut set = RowSet::new(only_a.vars.len());
+        set.extend(only_a.rows());
+        set.extend(only_b.rows());
+        set
+    });
+    let (rows, both) = allocations_in(|| eval(&both_marks).into_rows());
+    assert_eq!(rows, union);
+    assert_eq!(rows, expected);
+    assert!(only_a.len() > 1 && only_b.len() > 1 && rows.len() < only_a.len() + only_b.len());
+    println!("{both} allocations: {a_alone} and {b_alone} for the plans, {by_hand} for the union");
+    assert_eq!(
+        both,
+        a_alone + b_alone + by_hand,
+        "one membership table, not two"
+    );
+}
+
 /// A fresh subscription to `part` whose subscriber holds everything below
 /// `watermarks`.
 fn subscription(part: &Arc<BodyPart>, watermarks: BTreeMap<Arc<str>, usize>) -> Subscription {
@@ -675,9 +788,9 @@ fn a_durable_serve_builds_only_its_own_peer() {
         cfg.state_dir = Some(dir.clone());
         let (_, parse) = bytes_in(|| cfg.netfile.into_builder().unwrap());
         let (server, bytes) = bytes_in(|| prepare(&cfg).unwrap());
-        // Never run, the server's acceptor stays blocked until the test
-        // binary exits.
-        std::mem::forget(server);
+        // Dropped without running, the server stops its acceptor and gives
+        // its listener back: no server is left behind.
+        drop(server);
         std::fs::remove_dir_all(&dir).ok();
         bytes - parse
     };
