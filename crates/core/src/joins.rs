@@ -14,7 +14,7 @@
 //! the head database as one buffer fill per head atom; existential head
 //! variables get their nulls in first-occurrence order. Fragment
 //! extensions, join results and semi-naive unions are [`RowSet`]s too: no
-//! join allocates a row, a key or a `Tuple` of its own.
+//! join allocates a row or a key of its own.
 
 use crate::error::CoreResult;
 use crate::rule::{BodyPart, CoordinationRule};
@@ -539,7 +539,7 @@ mod tests {
         let bindings = vr(&["X", "Y"], &[&[1, 2], &[3, 4]]);
         let out =
             apply_rule_head(&rule, &bindings, &mut head_db, &mut nulls, &mut chase, &cfg).unwrap();
-        assert_eq!(out.inserted.len(), 2);
+        assert_eq!(out.inserted, 2);
         // Idempotent.
         let out2 =
             apply_rule_head(&rule, &bindings, &mut head_db, &mut nulls, &mut chase, &cfg).unwrap();

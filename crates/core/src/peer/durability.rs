@@ -68,13 +68,12 @@ use crate::messages::{Answer, AnswerRows, ProtocolMsg, Query, Via};
 use crate::peer::{DbPeer, Nulls};
 use crate::rule::RuleId;
 use p2p_net::{Context, SessionId};
-use p2p_relational::{Database, NullFactory, Tuple, Val};
+use p2p_relational::{Database, NullFactory, Val};
 use p2p_storage::{
     CursorMark, FragmentMark, PeerStorage, RecoveredState, StorageResult, WalRecord,
 };
 use p2p_topology::NodeId;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A peer's durable side: its store, the records the running delivery made
 /// so far, and what a store that already held state was replayed into (kept
@@ -162,22 +161,26 @@ impl DbPeer {
     /// (an error if it was not: the fact is in memory only). The seeding
     /// path for data arriving after build time (concurrent-writer deltas).
     pub fn insert_base_fact(&mut self, relation: &str, values: Vec<Val>) -> CoreResult<()> {
-        if self.db.insert_row(relation, &values)? {
-            self.log_insertions(&[(Arc::from(relation), Tuple::new(values))]);
-        }
+        let end = self.db.relation(relation)?.len();
+        self.db.insert_row(relation, &values)?;
+        self.log_rows_past(relation, end);
         self.commit()
     }
 
-    /// Records freshly applied insertions (no-op without storage).
-    pub(crate) fn log_insertions(&mut self, inserted: &[(Arc<str>, Tuple)]) {
-        if let Some(st) = self.storage.as_mut() {
-            st.pending
-                .extend(inserted.iter().map(|(relation, tuple)| WalRecord::Insert {
-                    relation: relation.clone(),
-                    tuple: tuple.clone(),
-                    depths: self.nulls.chase.depths_for(tuple),
-                }));
-        }
+    /// Records every row `relation` holds past its first `end` as an
+    /// insertion (no-op without storage): a fact lives in its relation, and
+    /// what a delivery inserted is the relation's end.
+    pub(crate) fn log_rows_past(&mut self, relation: &str, end: usize) {
+        let (Some(st), Ok(rel)) = (self.storage.as_mut(), self.db.relation(relation)) else {
+            return;
+        };
+        let chase = &self.nulls.chase;
+        st.pending
+            .extend(rel.since(end).map(|row| WalRecord::Insert {
+                relation: rel.schema().name.clone(),
+                tuple: row.to_vec(),
+                depths: chase.depths_for(row),
+            }));
     }
 
     /// Records one processed fragment answer: the answerer's watermarks
@@ -341,6 +344,7 @@ mod tests {
     use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
     use p2p_storage::FileBackend;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -377,9 +381,7 @@ mod tests {
             let mut peer = DbPeer::new(NodeId(1), Database::new(schema()), durable_config());
             let st = PeerStorage::new(Box::new(FileBackend::open(&dir).unwrap()), 0);
             peer.attach_storage(st).unwrap();
-            peer.db.insert_values("a", vec![Val::Int(7)]).unwrap();
-            peer.log_insertions(&[(Arc::from("a"), Tuple::new(vec![Val::Int(7)]))]);
-            peer.commit().unwrap();
+            peer.insert_base_fact("a", vec![Val::Int(7)]).unwrap();
         }
         // "Second process": reopen the same store with a base-only peer.
         let mut peer = DbPeer::new(NodeId(1), Database::new(schema()), durable_config());

@@ -210,7 +210,7 @@ use crate::termination::{AckDecision, Disengage};
 use catalog::Compiled;
 use durability::Durable;
 use p2p_net::{Context, Peer, SessionId, SimTime};
-use p2p_relational::chase::{ChaseConfig, ChaseState};
+use p2p_relational::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use p2p_relational::fxhash::FxHashSet;
 use p2p_relational::{ConstCatalog, Database, NullFactory, RowSet, SymId, Val};
 use p2p_topology::NodeId;
@@ -661,7 +661,11 @@ impl DbPeer {
     /// Chases already-joined binding rows over `vars` for `rule` into the
     /// local database through the rule's [`crate::joins::CompiledHead`],
     /// taken from the catalog on the first binding (or when the rule or the
-    /// binding layout changed). Returns the number of facts inserted.
+    /// binding layout changed). Returns the number of facts inserted — also
+    /// when the application fails part-way, whose earlier facts stay. A
+    /// durable peer notes each head relation's length first and logs the
+    /// rows past it after, error or not, so the log holds every fact the
+    /// database does.
     pub(crate) fn apply_rule_bindings<'r>(
         &mut self,
         rule: &Arc<CoordinationRule>,
@@ -671,6 +675,15 @@ impl DbPeer {
         let mut rows = rows.into_iter().peekable();
         if rows.peek().is_none() {
             return 0;
+        }
+        let mut ends: Vec<(&str, usize)> = Vec::new();
+        if self.storage.is_some() {
+            for atom in &rule.head {
+                if !ends.iter().any(|(name, _)| **name == *atom.relation) {
+                    let len = self.db.relation(&atom.relation).map_or(0, |r| r.len());
+                    ends.push((&atom.relation, len));
+                }
+            }
         }
         let DbPeer {
             config,
@@ -683,20 +696,22 @@ impl DbPeer {
             max_null_depth: config.max_null_depth,
         };
         let Nulls { mint, chase } = nulls;
-        let outcome = (compiled.head(rule, vars, db.schema()))
-            .and_then(|head| Ok(head.apply_rows(db, rows, mint, chase, &cfg)?));
-        match outcome {
-            Ok(outcome) => {
-                self.stats.tuples_inserted += outcome.inserted.len() as u64;
-                self.stats.nulls_minted += outcome.nulls_minted as u64;
-                self.log_insertions(&outcome.inserted);
-                outcome.inserted.len()
+        let mut outcome = ChaseOutcome::default();
+        let applied = (compiled.head(rule, vars, db.schema())).and_then(|head| {
+            for row in rows {
+                head.apply(db, row, mint, chase, &cfg, &mut outcome)?;
             }
-            Err(e) => {
-                self.fail(format!("rule {} application failed: {e}", rule.name));
-                0
-            }
+            Ok(())
+        });
+        self.stats.tuples_inserted += outcome.inserted as u64;
+        self.stats.nulls_minted += outcome.nulls_minted as u64;
+        for (relation, end) in ends {
+            self.log_rows_past(relation, end);
         }
+        if let Err(e) = applied {
+            self.fail(format!("rule {} application failed: {e}", rule.name));
+        }
+        outcome.inserted
     }
 
     /// Builds the [`crate::messages::AnswerRows`] payload for shipping to

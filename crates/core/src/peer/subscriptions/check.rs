@@ -118,7 +118,7 @@ impl DbPeer {
         let (mut db, mut nulls) = (self.db.clone(), NullFactory::new(self.id.0));
         let rows = rows.iter().filter(|row| holds(row));
         (head.apply_rows(&mut db, rows, &mut nulls, &mut ChaseState::new(), &cfg))
-            .is_ok_and(|out| out.inserted.is_empty())
+            .is_ok_and(|out| out.is_empty())
     }
 }
 

@@ -19,7 +19,7 @@ use p2p_net::{
     ShardPlacement, ShardedNetwork, SimTime, Simulator,
 };
 use p2p_relational::query::{evaluate_certain, parse_query, PlanCatalog};
-use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
+use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
 use p2p_storage::{MemoryBackend, PeerStorage};
 use p2p_topology::{scc, Csr, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -627,8 +627,9 @@ impl P2PSystem {
     }
 
     /// Runs a **local** certain-answer query at a node — the whole point of
-    /// the update algorithm: after closure, queries need no network.
-    pub fn query(&self, node: NodeId, text: &str) -> CoreResult<Vec<Tuple>> {
+    /// the update algorithm: after closure, queries need no network. The
+    /// answer rows are deduplicated and in a deterministic order.
+    pub fn query(&self, node: NodeId, text: &str) -> CoreResult<RowSet> {
         let q = parse_query(text)?;
         let db = self
             .database(node)
@@ -965,11 +966,6 @@ mod tests {
                 n: 12,
                 p_percent: 15,
                 seed: 3,
-            },
-            Topology::RandomDegree {
-                n: 20,
-                degree: 3,
-                seed: 5,
             },
             Topology::Expander {
                 n: 16,

@@ -272,3 +272,65 @@ fn checkpoint_between_any_two_frames_holds_no_mark_ahead_of_the_database() {
         "a checkpoint fell between an insertion and its mark"
     );
 }
+
+/// A head application that fails part-way keeps the facts it inserted
+/// before the failure, in memory and in the log alike:
+/// `B:b(X,S) => A:a(X), A:n(S)` given the row `(1, 's')` inserts `a(1)`,
+/// then refuses a symbol for `n`'s integer column. The store recovers the
+/// database the peer holds, and the peer counts the fact it inserted.
+#[test]
+fn a_head_that_fails_part_way_logs_the_facts_it_inserted() {
+    let resolve = |s: &str| match s {
+        "A" => Some(HEAD),
+        "B" => Some(B),
+        _ => None,
+    };
+    let rule = CoordinationRule::parse("r", "B:b(X,S) => A:a(X), A:n(S)", None, &resolve).unwrap();
+    let schema = DatabaseSchema::parse("a(x: int). n(v: int).").unwrap();
+    let config = SystemConfig {
+        durability: true,
+        ..Default::default()
+    };
+    let mut peer = DbPeer::new(HEAD, Database::new(schema), config);
+    peer.install_rule(rule.clone());
+    let disk = Recording::default();
+    peer.attach_storage(PeerStorage::new(Box::new(disk.clone()), 0))
+        .unwrap();
+
+    let session = SessionId::new(B, 1);
+    let mut ctx = Context::new(SimTime::ZERO, HEAD);
+    peer.on_message(B, ProtocolMsg::UpdateFlood { session }, &mut ctx);
+    let part = &rule.parts[0];
+    let rows = AnswerRows {
+        vars: part.vars.clone(),
+        rows: RowSet::from_flat(2, 1, vec![Val::Int(1), Val::str("s")]),
+        marks: [(part.atoms[0].relation.clone(), 1)].into_iter().collect(),
+        ..Default::default()
+    };
+    let answer = Answer::new(session, rule.id, rows, Via::Session);
+    peer.on_message(B, ProtocolMsg::Answer(answer), &mut ctx);
+
+    assert!(
+        peer.errors().iter().any(|e| e.contains("type mismatch")),
+        "{:?}",
+        peer.errors()
+    );
+    let live = peer.database().all_facts();
+    assert_eq!(live, [(Arc::from("a"), vec![Val::Int(1)])]);
+    assert_eq!(peer.stats().tuples_inserted, 1);
+
+    let (snapshot, frames) = disk.now.lock().unwrap().clone();
+    let mut backend = MemoryBackend::default();
+    backend.write_snapshot_bytes(&snapshot.unwrap()).unwrap();
+    for frame in &frames {
+        backend.append_wal_bytes(frame).unwrap();
+    }
+    let rec = (PeerStorage::new(Box::new(backend), 0).recover(HEAD.0))
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        rec.db.all_facts(),
+        live,
+        "the store recovers what the peer holds"
+    );
+}

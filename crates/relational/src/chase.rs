@@ -18,8 +18,11 @@
 //! ([`CompiledHead`], shared through a [`PlanCatalog`]): each head column is
 //! resolved to a binding column, a constant or an existential slot, so a
 //! binding row costs one buffer fill per head atom — in the caller's
-//! [`ChaseState`], a compiled head holds none — and a [`Tuple`] per
-//! fact actually inserted. Existential variables get their nulls in
+//! [`ChaseState`], a compiled head holds none — and nothing per fact
+//! inserted beyond the relation's own storage: a fact lives in its
+//! relation, and the chase only counts it ([`ChaseOutcome`]). A caller that
+//! needs the new facts themselves (a durable peer's log) reads the rows past
+//! the lengths it noted before. Existential variables get their nulls in
 //! first-occurrence order over the head, which makes the chase — and every
 //! database it writes — a deterministic function of its inputs.
 
@@ -30,7 +33,6 @@ use crate::query::ast::{Atom, Constraint, Term};
 use crate::query::eval::evaluate_bindings;
 use crate::query::plan::PlanCatalog;
 use crate::schema::DatabaseSchema;
-use crate::tuple::Tuple;
 use crate::value::{NullFactory, NullId, Val};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -101,11 +103,10 @@ impl ChaseState {
         out
     }
 
-    /// Exports known depths for the given tuple's nulls (for shipping along
-    /// with answers).
-    pub fn depths_for(&self, tuple: &Tuple) -> Vec<(NullId, u32)> {
-        tuple
-            .values()
+    /// Exports known depths for the nulls of a row (for logging along with
+    /// the fact).
+    pub fn depths_for(&self, row: &[Val]) -> Vec<(NullId, u32)> {
+        row.iter()
             .filter_map(|v| match v {
                 Val::Null(id) => Some((*id, self.depth_of(v))),
                 _ => None,
@@ -114,11 +115,12 @@ impl ChaseState {
     }
 }
 
-/// Outcome of one head application.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Outcome of one head application: counts only — the facts themselves
+/// are in their relations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaseOutcome {
-    /// Facts actually inserted, as `(relation, tuple)` pairs.
-    pub inserted: Vec<(Arc<str>, Tuple)>,
+    /// Number of facts actually inserted.
+    pub inserted: usize,
     /// Number of fresh nulls minted.
     pub nulls_minted: usize,
 }
@@ -126,7 +128,7 @@ pub struct ChaseOutcome {
 impl ChaseOutcome {
     /// True iff nothing was inserted.
     pub fn is_empty(&self) -> bool {
-        self.inserted.is_empty()
+        self.inserted == 0
     }
 }
 
@@ -164,8 +166,8 @@ struct HeadAtom {
 /// Every head column becomes a binding column, a constant or an existential
 /// slot, so applying the head to a row is filling one reused buffer per atom
 /// (or, for an atom that copies the row, not even that) and inserting it:
-/// no per-row map, pattern or value vector, and a [`Tuple`] only for a fact
-/// that was actually inserted. Heads without
+/// no per-row map, pattern or value vector, and nothing for an inserted
+/// fact beyond its relation's storage, where it lives. Heads without
 /// existential variables skip the satisfaction guard (inserting an existing
 /// fact is a no-op anyway); heads with them run it, and mint one fresh null
 /// per existential variable in first-occurrence order, so which column gets
@@ -241,7 +243,8 @@ impl CompiledHead {
     }
 
     /// Applies the head to one binding row over [`CompiledHead::vars`],
-    /// appending what it inserted (and the nulls it minted) to `out`.
+    /// adding the facts it inserted and the nulls it minted to `out`'s
+    /// counts.
     ///
     /// With existential variables the restricted-chase guard runs first:
     /// when the database already satisfies the instantiated head up to a
@@ -296,10 +299,7 @@ impl CompiledHead {
             };
             let relation = db.relation_mut(&atom.relation)?;
             relation.schema().check(values)?;
-            if relation.insert_row(values) {
-                out.inserted
-                    .push((atom.relation.clone(), Tuple::from_row(values)));
-            }
+            out.inserted += usize::from(relation.insert_row(values));
         }
         Ok(())
     }
@@ -479,8 +479,7 @@ mod tests {
             let b = bind(&[("X", Val::Int(1))]);
             let o =
                 apply_head(&mut d, &head, &b, &mut nf, &mut st, &ChaseConfig::default()).unwrap();
-            assert_eq!(o.nulls_minted, 3);
-            assert_eq!(&*o.inserted[0].1 .0, &expected[..]);
+            assert_eq!((o.inserted, o.nulls_minted), (1, 3));
             assert_eq!(d.relation("a").unwrap().row(0), &expected[..]);
         }
     }
@@ -489,16 +488,14 @@ mod tests {
     fn ground_head_skips_the_guard_but_not_the_types() {
         let (mut d, mut nf, mut st, cfg) = setup();
         // c(1, 2) present, s(7) not: the head is not satisfied, and only the
-        // missing fact is reported.
+        // missing fact is inserted.
         d.insert_values("c", vec![Val::Int(1), Val::Int(2)])
             .unwrap();
         let head = vec![parse_atom("c(X, Y)").unwrap(), parse_atom("s(7)").unwrap()];
         let b = bind(&[("X", Val::Int(1)), ("Y", Val::Int(2))]);
         let o = apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg).unwrap();
-        assert_eq!(
-            o.inserted,
-            vec![(Arc::from("s"), Tuple::new(vec![Val::Int(7)]))]
-        );
+        assert_eq!(o.inserted, 1);
+        assert_eq!(d.relation("s").unwrap().row(0), [Val::Int(7)]);
         // A value of the wrong type is rejected, not stored.
         let b = bind(&[("X", Val::str("x")), ("Y", Val::Int(2))]);
         assert!(matches!(
@@ -514,8 +511,7 @@ mod tests {
         let head = vec![parse_atom("c(X, Y)").unwrap()];
         let b = bind(&[("X", Val::Int(1)), ("Y", Val::Int(2))]);
         let o1 = apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg).unwrap();
-        assert_eq!(o1.inserted.len(), 1);
-        assert_eq!(o1.nulls_minted, 0);
+        assert_eq!((o1.inserted, o1.nulls_minted), (1, 0));
         // Second application: guard fires, nothing inserted.
         let o2 = apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg).unwrap();
         assert!(o2.is_empty());
@@ -528,9 +524,8 @@ mod tests {
         let head = vec![parse_atom("c(X, Z)").unwrap()];
         let b = bind(&[("X", Val::Int(1))]);
         let o1 = apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg).unwrap();
-        assert_eq!(o1.inserted.len(), 1);
-        assert_eq!(o1.nulls_minted, 1);
-        assert!(o1.inserted[0].1 .0[1].is_null());
+        assert_eq!((o1.inserted, o1.nulls_minted), (1, 1));
+        assert!(d.relation("c").unwrap().row(0)[1].is_null());
         // Guard: c(1, _) already homomorphically satisfied.
         let o2 = apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg).unwrap();
         assert!(o2.is_empty());
@@ -555,10 +550,9 @@ mod tests {
         let head = vec![parse_atom("c(X, Z)").unwrap(), parse_atom("s(Z)").unwrap()];
         let b = bind(&[("X", Val::Int(3))]);
         let o = apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg).unwrap();
-        assert_eq!(o.inserted.len(), 2);
-        assert_eq!(o.nulls_minted, 1);
-        let z1 = &o.inserted[0].1 .0[1];
-        let z2 = &o.inserted[1].1 .0[0];
+        assert_eq!((o.inserted, o.nulls_minted), (2, 1));
+        let z1 = d.relation("c").unwrap().row(0)[1];
+        let z2 = d.relation("s").unwrap().row(0)[0];
         assert_eq!(z1, z2);
     }
 
@@ -597,7 +591,7 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert_eq!(o.inserted.len(), 2);
+        assert_eq!(o.inserted, 2);
         // Idempotent.
         let o2 = apply_rule_local(
             &mut d,
@@ -663,7 +657,8 @@ mod tests {
         let head = vec![parse_atom("c(X, 99)").unwrap()];
         let b = bind(&[("X", Val::Int(1))]);
         let o = apply_head(&mut d, &head, &b, &mut nf, &mut st, &cfg).unwrap();
-        assert_eq!(o.inserted[0].1, Tuple::new(vec![Val::Int(1), Val::Int(99)]));
+        assert_eq!(o.inserted, 1);
+        assert_eq!(d.relation("c").unwrap().row(0), [Val::Int(1), Val::Int(99)]);
     }
 
     #[test]

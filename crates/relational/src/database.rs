@@ -3,7 +3,6 @@
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::schema::DatabaseSchema;
-use crate::tuple::Tuple;
 use crate::value::Val;
 use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::collections::BTreeMap;
@@ -71,11 +70,6 @@ impl Database {
         Ok(rel.insert_row(row))
     }
 
-    /// Inserts a validated tuple; returns `true` iff it was new.
-    pub fn insert(&mut self, relation: &str, tuple: Tuple) -> Result<bool> {
-        self.insert_row(relation, &tuple.0)
-    }
-
     /// Convenience: insert from a `Vec<Val>`.
     pub fn insert_values(&mut self, relation: &str, values: Vec<Val>) -> Result<bool> {
         self.insert_row(relation, &values)
@@ -96,17 +90,12 @@ impl Database {
         self.total_tuples() == 0
     }
 
-    /// All facts as `(relation name, tuple)` pairs in deterministic order —
-    /// the exchange format used when shipping whole databases (centralized
-    /// baseline) and when comparing against the fix-point oracle.
-    pub fn all_facts(&self) -> Vec<(Arc<str>, Tuple)> {
-        let mut out = Vec::with_capacity(self.total_tuples());
-        for (name, rel) in self.relations() {
-            for row in rel.iter() {
-                out.push((name.clone(), Tuple::from_row(row)));
-            }
-        }
-        out
+    /// Every fact as a `(relation name, row)` pair, in name order and each
+    /// relation's insertion order: an owned copy for comparing two
+    /// databases (tests, the benchmark's recovery check). No shipping path
+    /// reads it — a peer ships [`RowSet`](crate::RowSet)s and logs rows.
+    pub fn all_facts(&self) -> Vec<(Arc<str>, Vec<Val>)> {
+        self.facts_since(&BTreeMap::new())
     }
 
     /// Per-relation insertion watermarks, used by delta subscriptions: a
@@ -118,14 +107,14 @@ impl Database {
             .collect()
     }
 
-    /// Facts inserted since the given watermarks (missing entries mean 0).
-    pub fn facts_since(&self, watermarks: &BTreeMap<Arc<str>, usize>) -> Vec<(Arc<str>, Tuple)> {
+    /// Facts inserted since the given watermarks (missing entries mean 0),
+    /// copied out as [`Database::all_facts`] copies them — for tests; a peer
+    /// reads a relation's new rows in place ([`crate::RowSet::since`]).
+    pub fn facts_since(&self, watermarks: &BTreeMap<Arc<str>, usize>) -> Vec<(Arc<str>, Vec<Val>)> {
         let mut out = Vec::new();
         for (name, rel) in self.relations() {
             let w = watermarks.get(name).copied().unwrap_or(0);
-            for row in rel.since(w) {
-                out.push((name.clone(), Tuple::from_row(row)));
-            }
+            out.extend(rel.since(w).map(|row| (name.clone(), row.to_vec())));
         }
         out
     }
@@ -257,7 +246,7 @@ mod tests {
         let delta = d.facts_since(&w);
         assert_eq!(delta.len(), 2);
         assert_eq!(&*delta[0].0, "a");
-        assert_eq!(delta[0].1, Tuple::new(vec![Val::Int(2)]));
+        assert_eq!(delta[0].1, [Val::Int(2)]);
         assert_eq!(&*delta[1].0, "b");
     }
 

@@ -15,7 +15,6 @@
 //!    equivalence is therefore homomorphic equivalence, not equality.
 
 use crate::database::Database;
-use crate::tuple::Tuple;
 use crate::value::{NullId, Val};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,13 +108,13 @@ fn undo(assignment: &mut HashMap<usize, Val>, vars: &[usize]) {
 /// value of `b` (consistently across occurrences).
 ///
 /// Null-free facts short-circuit to membership tests, read row by row in
-/// place; facts sharing nulls are copied out, grouped into connected
+/// place; facts with nulls are borrowed, grouped into connected
 /// components, and each component is solved by backtracking independently,
 /// which keeps the search tractable even on databases with thousands of
 /// facts.
 pub fn contained_modulo_nulls(a: &Database, b: &Database) -> bool {
     let mut null_components: UnionFind<NullId> = UnionFind::default();
-    let mut null_facts: Vec<(Arc<str>, Tuple)> = Vec::new();
+    let mut null_facts: Vec<(&Arc<str>, &[Val])> = Vec::new();
 
     for (rel_name, rel) in a.relations() {
         let image = b.relation(rel_name).ok();
@@ -132,7 +131,7 @@ pub fn contained_modulo_nulls(a: &Database, b: &Database) -> bool {
                 }
             }
             if last.is_some() {
-                null_facts.push((rel_name.clone(), Tuple::from_row(row)));
+                null_facts.push((rel_name, row));
             } else if !image.is_some_and(|image| image.contains(row)) {
                 // Null-free: must exist verbatim in b.
                 return false;
@@ -144,10 +143,10 @@ pub fn contained_modulo_nulls(a: &Database, b: &Database) -> bool {
     let mut groups: HashMap<NullId, Vec<FactPattern>> = HashMap::new();
     let mut flex_ids: HashMap<NullId, usize> = HashMap::new();
     let mut next_flex = 0usize;
-    for (rel_name, tuple) in null_facts {
+    for (rel_name, row) in null_facts {
         let mut rep = None;
-        let terms = tuple
-            .values()
+        let terms = row
+            .iter()
             .map(|v| match v {
                 Val::Null(id) => {
                     let r = null_components.find(*id);
@@ -164,7 +163,7 @@ pub fn contained_modulo_nulls(a: &Database, b: &Database) -> bool {
             .collect();
         let rep = rep.expect("null-bearing fact has a component representative");
         groups.entry(rep).or_default().push(FactPattern {
-            relation: rel_name,
+            relation: rel_name.clone(),
             terms,
         });
     }

@@ -68,14 +68,12 @@ pub mod hom;
 pub mod query;
 pub mod relation;
 pub mod schema;
-pub mod tuple;
 pub mod value;
 
 pub use catalog::{ConstCatalog, SymId, SymRemap};
 pub use database::Database;
 pub use error::{Error, Result};
 pub use p2p_topology::fxhash::{self, fx_hash, FxHashMap, FxHashSet};
-pub use relation::{key_hash, Index, Relation, RowSet};
+pub use relation::{key_hash, Index, Relation, RowSet, ShowRow};
 pub use schema::{ColumnType, DatabaseSchema, RelationSchema};
-pub use tuple::Tuple;
 pub use value::{NullFactory, NullId, Val, Value};

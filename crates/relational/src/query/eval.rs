@@ -5,7 +5,7 @@
 //! Semantics: **naive tables**. Labeled nulls are ordinary values that join
 //! only with themselves; built-in comparisons involving nulls are unknown and
 //! filtered out (see [`CmpOp::certainly_holds`]). Consequently
-//! [`evaluate_certain`] — which additionally drops answer tuples containing
+//! [`evaluate_certain`] — which additionally drops answer rows containing
 //! nulls — returns certain answers for positive queries, the semantics under
 //! which the paper's soundness/completeness statements are phrased.
 //!
@@ -25,7 +25,6 @@ use crate::query::plan::{
     compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,
 };
 use crate::relation::RowSet;
-use crate::tuple::Tuple;
 use crate::value::Val;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -151,23 +150,20 @@ impl Bindings {
     }
 }
 
-/// Evaluates a conjunctive query, returning deduplicated head tuples.
-pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Vec<Tuple>> {
-    let bindings = evaluate_bindings(&q.atoms, &q.constraints, db)?;
-    Ok(bindings
-        .project(&q.head)?
-        .iter()
-        .map(Tuple::from_row)
-        .collect())
+/// Evaluates a conjunctive query, returning its deduplicated head rows
+/// in a deterministic order. A head without terms (a boolean query) answers
+/// one empty row when the body holds and none when it does not.
+pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<RowSet> {
+    evaluate_bindings(&q.atoms, &q.constraints, db)?.project(&q.head)
 }
 
-/// Evaluates a conjunctive query and keeps only **certain** answers: tuples
+/// Evaluates a conjunctive query and keeps only **certain** answers: rows
 /// free of labeled nulls.
-pub fn evaluate_certain(q: &ConjunctiveQuery, db: &Database) -> Result<Vec<Tuple>> {
-    Ok(evaluate(q, db)?
-        .into_iter()
-        .filter(|t| !t.has_null())
-        .collect())
+pub fn evaluate_certain(q: &ConjunctiveQuery, db: &Database) -> Result<RowSet> {
+    let all = evaluate(q, db)?;
+    let mut certain = RowSet::new(all.arity());
+    certain.extend(all.iter().filter(|row| !row.iter().any(Val::is_null)));
+    Ok(certain)
 }
 
 /// Evaluates a body (atoms + constraints) over a local database.
@@ -332,6 +328,10 @@ mod tests {
         db
     }
 
+    fn rows(set: &RowSet) -> Vec<Vec<Val>> {
+        set.iter().map(<[Val]>::to_vec).collect()
+    }
+
     fn row_set(b: &Bindings) -> std::collections::HashSet<Vec<Val>> {
         b.rows().map(<[Val]>::to_vec).collect()
     }
@@ -342,10 +342,10 @@ mod tests {
         let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
         let ans = evaluate(&q, &db).unwrap();
         assert_eq!(
-            ans,
+            rows(&ans),
             vec![
-                Tuple::new(vec![Val::Int(1), Val::Int(3)]),
-                Tuple::new(vec![Val::Int(2), Val::Int(4)]),
+                vec![Val::Int(1), Val::Int(3)],
+                vec![Val::Int(2), Val::Int(4)],
             ]
         );
     }
@@ -356,10 +356,10 @@ mod tests {
         let q = parse_query("q(X, Y) :- b(X, Y), b(X, Z), Y != Z").unwrap();
         let ans = evaluate(&q, &db).unwrap();
         assert_eq!(
-            ans,
+            rows(&ans),
             vec![
-                Tuple::new(vec![Val::Int(1), Val::Int(2)]),
-                Tuple::new(vec![Val::Int(1), Val::Int(3)]),
+                vec![Val::Int(1), Val::Int(2)],
+                vec![Val::Int(1), Val::Int(3)],
             ]
         );
     }
@@ -369,10 +369,7 @@ mod tests {
         let db = db_with_b(&[(1, 2), (3, 2), (3, 4)]);
         let q = parse_query("q(X) :- b(X, 2)").unwrap();
         let ans = evaluate(&q, &db).unwrap();
-        assert_eq!(
-            ans,
-            vec![Tuple::new(vec![Val::Int(1)]), Tuple::new(vec![Val::Int(3)])]
-        );
+        assert_eq!(rows(&ans), vec![vec![Val::Int(1)], vec![Val::Int(3)]]);
     }
 
     #[test]
@@ -380,10 +377,7 @@ mod tests {
         let db = db_with_b(&[(1, 1), (1, 2), (7, 7)]);
         let q = parse_query("q(X) :- b(X, X)").unwrap();
         let ans = evaluate(&q, &db).unwrap();
-        assert_eq!(
-            ans,
-            vec![Tuple::new(vec![Val::Int(1)]), Tuple::new(vec![Val::Int(7)])]
-        );
+        assert_eq!(rows(&ans), vec![vec![Val::Int(1)], vec![Val::Int(7)]]);
     }
 
     #[test]
@@ -399,7 +393,7 @@ mod tests {
         let db = db_with_b(&[(1, 2), (1, 3)]);
         let q = parse_query("q(X) :- b(X, Y)").unwrap();
         let ans = evaluate(&q, &db).unwrap();
-        assert_eq!(ans, vec![Tuple::new(vec![Val::Int(1)])]);
+        assert_eq!(rows(&ans), vec![vec![Val::Int(1)]]);
     }
 
     #[test]
@@ -456,7 +450,7 @@ mod tests {
         let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
         let ans = evaluate(&q, &db).unwrap();
         // 1 -> n1 -> 9 joins (same null); n2 chain does not.
-        assert_eq!(ans, vec![Tuple::new(vec![Val::Int(1), Val::Int(9)])]);
+        assert_eq!(rows(&ans), vec![vec![Val::Int(1), Val::Int(9)]]);
     }
 
     #[test]
@@ -469,7 +463,7 @@ mod tests {
         let q = parse_query("q(X, Y) :- b(X, Y)").unwrap();
         assert_eq!(evaluate(&q, &db).unwrap().len(), 2);
         let certain = evaluate_certain(&q, &db).unwrap();
-        assert_eq!(certain, vec![Tuple::new(vec![Val::Int(1), Val::Int(2)])]);
+        assert_eq!(rows(&certain), vec![vec![Val::Int(1), Val::Int(2)]]);
     }
 
     #[test]
@@ -497,7 +491,7 @@ mod tests {
             .unwrap();
         let q = parse_query("q(I, Y) :- p(I, N), w(N, Y)").unwrap();
         let ans = evaluate(&q, &db).unwrap();
-        assert_eq!(ans, vec![Tuple::new(vec![Val::Int(1), Val::Int(2001)])]);
+        assert_eq!(rows(&ans), vec![vec![Val::Int(1), Val::Int(2001)]]);
     }
 
     #[test]
@@ -507,7 +501,7 @@ mod tests {
         db.insert_values("w", vec![Val::str("alpha")]).unwrap();
         let q = parse_query("q(N) :- w(N), N < 'm'").unwrap();
         let ans = evaluate(&q, &db).unwrap();
-        assert_eq!(ans, vec![Tuple::new(vec![Val::str("alpha")])]);
+        assert_eq!(rows(&ans), vec![vec![Val::str("alpha")]]);
     }
 
     #[test]
@@ -567,12 +561,24 @@ mod tests {
         assert_eq!(row_set(&delta), row_set(&full));
     }
 
+    /// A head without terms answers one empty row when its body holds and
+    /// none when it does not.
+    #[test]
+    fn a_boolean_query_answers_one_empty_row_or_none() {
+        let q = parse_query("q() :- b(X, Y)").unwrap();
+        for (pairs, answers) in [(&[(1, 2), (3, 4)][..], 1), (&[][..], 0)] {
+            let ans = evaluate_certain(&q, &db_with_b(pairs)).unwrap();
+            assert_eq!((ans.arity(), ans.len()), (0, answers), "{pairs:?}");
+            assert!(ans.iter().all(<[Val]>::is_empty));
+        }
+    }
+
     #[test]
     fn head_constants_are_emitted() {
         let db = db_with_b(&[(1, 2)]);
         let q = parse_query("q(X, 'tag') :- b(X, Y)").unwrap();
         let ans = evaluate(&q, &db).unwrap();
-        assert_eq!(ans, vec![Tuple::new(vec![Val::Int(1), Val::str("tag")])]);
+        assert_eq!(rows(&ans), vec![vec![Val::Int(1), Val::str("tag")]]);
     }
 
     #[test]
@@ -582,7 +588,7 @@ mod tests {
         let b = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
         assert_eq!(b.len(), 1);
         let ans = evaluate(&q, &db).unwrap();
-        assert_eq!(ans, vec![Tuple::new(vec![Val::Int(1)])]);
+        assert_eq!(rows(&ans), vec![vec![Val::Int(1)]]);
         // Unsatisfied constant body: zero bindings.
         let q = parse_query("q(1) :- b(8, 9)").unwrap();
         assert!(evaluate(&q, &db).unwrap().is_empty());

@@ -155,8 +155,8 @@ impl Iterator for Candidates<'_> {
 /// included): one flat `Vec<Val>` plus its membership chains.
 ///
 /// Serialized as the array of its rows — byte for byte what a `Vec` of
-/// [`crate::Tuple`]s holding the same rows writes. Reading one back takes
-/// the arity from the first row and rejects a row of any other width.
+/// `Vec<Val>` rows writes. Reading one back takes the arity from the first
+/// row and rejects a row of any other width.
 #[derive(Debug, Clone, Default)]
 pub struct RowSet {
     arity: usize,
@@ -531,16 +531,27 @@ impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} [{} tuples]", self.schema, self.len())?;
         for row in self.iter() {
-            write!(f, "  (")?;
-            for (i, v) in row.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{v}")?;
-            }
-            writeln!(f, ")")?;
+            writeln!(f, "  {}", ShowRow(row))?;
         }
         Ok(())
+    }
+}
+
+/// Displays a row as `(1, 'x')`: the one row format, of a relation's
+/// listing, `p2pdb run --query`'s answers and the examples'.
+#[derive(Debug, Clone, Copy)]
+pub struct ShowRow<'a>(pub &'a [Val]);
+
+impl fmt::Display for ShowRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "(")?;
+        for (i, v) in self.0.iter().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{v}")?;
+        }
+        write!(f, ")")
     }
 }
 
@@ -842,19 +853,19 @@ mod tests {
             use proptest::prelude::*;
             let hash = |row: &[Val]| if collide { 7 } else { key_hash(row) };
             let mut set = RowSet::new(arity);
-            let mut rows: Vec<crate::Tuple> = Vec::new();
+            let mut rows: Vec<Vec<Val>> = Vec::new();
             let mut seen: std::collections::HashSet<Vec<Val>> = Default::default();
             for pick in &picks {
                 let row: Vec<Val> = pick[..arity].iter().map(|&k| small(k)).collect();
                 let fresh = seen.insert(row.clone());
                 if fresh {
-                    rows.push(crate::Tuple::new(row.clone()));
+                    rows.push(row.clone());
                 }
                 prop_assert_eq!(set.insert_hashed(&row, hash(&row)), fresh);
                 prop_assert_eq!(set.len(), rows.len());
                 prop_assert!(!set.insert_hashed(&row, hash(&row)), "present now");
             }
-            for other in rows.iter().map(|t| t.0.to_vec()).chain([
+            for other in rows.iter().cloned().chain([
                 vec![Val::Int(9); arity],
                 vec![Val::Int(0); arity + 1],
             ]) {
@@ -865,7 +876,7 @@ mod tests {
             }
             for from in 0..=rows.len() + 1 {
                 let suffix: Vec<&[Val]> = set.since(from).collect();
-                let model: Vec<&[Val]> = rows.iter().skip(from).map(|t| &t.0[..]).collect();
+                let model: Vec<&[Val]> = rows.iter().skip(from).map(Vec::as_slice).collect();
                 prop_assert_eq!(suffix, model);
             }
             let text = serde_json::to_string(&set).unwrap();
@@ -874,6 +885,20 @@ mod tests {
             prop_assert_eq!(&back, &set);
             prop_assert_eq!(back.arity(), if rows.is_empty() { 0 } else { arity });
         }
+    }
+
+    /// One row format: parenthesised, comma-separated, symbols quoted — a
+    /// relation's listing writes its rows so.
+    #[test]
+    fn display_is_parenthesised() {
+        assert_eq!(
+            ShowRow(&[Val::Int(1), Val::str("x")]).to_string(),
+            "(1, 'x')"
+        );
+        assert_eq!(ShowRow(&[]).to_string(), "()");
+        let mut r = rel();
+        r.insert_row(&tup(1, 2));
+        assert!(r.to_string().ends_with(" [1 tuples]\n  (1, 2)\n"), "{r}");
     }
 
     /// Reading rows back rejects a row of another width than the first.

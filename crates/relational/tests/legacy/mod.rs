@@ -10,7 +10,7 @@
 #![allow(dead_code)]
 
 use p2p_relational::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
-use p2p_relational::{Database, Error, Result, Tuple, Val, Value};
+use p2p_relational::{Database, Error, Result, RowSet, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -335,10 +335,9 @@ fn legacy_constraints(
     }
 }
 
-/// Converts new-path answer tuples to legacy rows for comparison.
-pub fn resolve_tuples(tuples: &[Tuple]) -> Vec<Vec<Value>> {
-    tuples
-        .iter()
-        .map(|t| t.0.iter().map(|v: &Val| v.to_value()).collect())
+/// Converts new-path answer rows to legacy rows for comparison.
+pub fn resolve_rows(rows: &RowSet) -> Vec<Vec<Value>> {
+    rows.iter()
+        .map(|row| row.iter().map(|v| v.to_value()).collect())
         .collect()
 }

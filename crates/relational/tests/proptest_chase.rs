@@ -7,21 +7,22 @@
 //! relation, have the wrong arity or carry a peer qualifier, some binding
 //! rows put a string into an integer column, and some carry nulls deep
 //! enough to hit the depth limit. Both chases must leave the same database
-//! and return the same outcome — the same `inserted` list in the same order,
-//! the same `nulls_minted` — or the same typed error, with the same nulls
-//! minted and the same depths recorded.
+//! — the same facts in the same order in every relation — and return the
+//! same outcome — the same `inserted` and `nulls_minted` counts — or the
+//! same typed error, with the same nulls minted and the same depths
+//! recorded.
 
 use p2p_relational::chase::{ChaseConfig, ChaseOutcome, ChaseState, CompiledHead};
 use p2p_relational::hom::{satisfiable, FactPattern, PatTerm};
 use p2p_relational::query::ast::{Atom, Term};
-use p2p_relational::{Database, DatabaseSchema, Error, NullFactory, Result, Tuple, Val};
+use p2p_relational::{Database, DatabaseSchema, Error, NullFactory, Result, Val};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The chase of one binding as it was before heads were compiled: a
 /// variable-to-value map per binding, a pattern per head atom, the generic
-/// homomorphism search, then a value vector and a tuple per atom. One
+/// homomorphism search, then a value vector per atom. One
 /// deliberate difference: it mints the existential nulls in first-occurrence
 /// order, where the original iterated a `HashMap` (the ordering bug the
 /// compiled head fixes).
@@ -85,7 +86,7 @@ fn reference_apply_head(
         fresh.insert(var.clone(), n);
     }
     let mut outcome = ChaseOutcome {
-        inserted: Vec::new(),
+        inserted: 0,
         nulls_minted: fresh.len(),
     };
     for atom in head {
@@ -95,10 +96,7 @@ fn reference_apply_head(
                 Term::Var(v) => binding.get(v).copied().unwrap_or_else(|| fresh[v]),
             })
             .collect();
-        let tuple = Tuple::new(values);
-        if db.insert(&atom.relation, tuple.clone())? {
-            outcome.inserted.push((atom.relation.clone(), tuple));
-        }
+        outcome.inserted += usize::from(db.insert_values(&atom.relation, values)?);
     }
     Ok(outcome)
 }
@@ -119,7 +117,7 @@ fn reference_apply_rows(
         let binding = vars.iter().cloned().zip(row.iter().copied()).collect();
         let out = reference_apply_head(db, head, &binding, nulls, state, config)?;
         total.nulls_minted += out.nulls_minted;
-        total.inserted.extend(out.inserted);
+        total.inserted += out.inserted;
     }
     Ok(total)
 }

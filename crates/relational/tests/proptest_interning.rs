@@ -5,7 +5,7 @@
 
 mod legacy;
 
-use legacy::{evaluate_legacy, resolve_tuples, LegacyDatabase};
+use legacy::{evaluate_legacy, resolve_rows, LegacyDatabase};
 use p2p_relational::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
 use p2p_relational::query::evaluate;
 use p2p_relational::value::NullId;
@@ -135,7 +135,7 @@ fn legacy_matches_new_on_a_mixed_join() {
     db.insert_values("w", vec![Val::str("ana"), Val::Int(2002)])
         .unwrap();
     let q = p2p_relational::query::parse_query("q(I, Y) :- p(I, N), w(N, Y), Y > 2001").unwrap();
-    let new: HashSet<_> = resolve_tuples(&evaluate(&q, &db).unwrap())
+    let new: HashSet<_> = resolve_rows(&evaluate(&q, &db).unwrap())
         .into_iter()
         .collect();
     let legacy: HashSet<_> = evaluate_legacy(&q, &LegacyDatabase::from_database(&db))
@@ -158,7 +158,7 @@ proptest! {
         let db = db_of(&inst);
         let legacy_db = LegacyDatabase::from_database(&db);
         let cq = to_cq(&q);
-        let fast: HashSet<_> = resolve_tuples(&evaluate(&cq, &db).unwrap())
+        let fast: HashSet<_> = resolve_rows(&evaluate(&cq, &db).unwrap())
             .into_iter()
             .collect();
         let slow: HashSet<_> = evaluate_legacy(&cq, &legacy_db).unwrap().into_iter().collect();
@@ -179,7 +179,7 @@ proptest! {
         // Dedup (membership rebuild) still functions after the round trip.
         let mut back = back;
         for (rel, t) in db.all_facts() {
-            prop_assert!(!back.insert(&rel, t).unwrap());
+            prop_assert!(!back.insert_row(&rel, &t).unwrap());
         }
     }
 

@@ -393,7 +393,7 @@ impl PeerStorage {
                 else {
                     continue;
                 };
-                let row = remap_row(&remap, &tuple.0, &mut buf);
+                let row = remap_row(&remap, &tuple, &mut buf);
                 let own = row.iter().filter_map(|v| match v {
                     Val::Null(id) if id.node() == node => Some(id.counter() + 1),
                     _ => None,
@@ -445,7 +445,7 @@ fn remap_row<'a>(remap: &SymRemap, row: &'a [Val], buf: &'a mut Vec<Val>) -> &'a
 mod tests {
     use super::*;
     use crate::backend::{FileBackend, MemoryBackend};
-    use p2p_relational::{DatabaseSchema, Tuple};
+    use p2p_relational::DatabaseSchema;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn schema() -> DatabaseSchema {
@@ -464,25 +464,24 @@ mod tests {
     }
 
     fn insert(st: &mut PeerStorage, db: &mut Database, rel: &str, vals: Vec<Val>) -> bool {
-        let tuple = Tuple::new(vals);
-        db.insert(rel, tuple.clone()).unwrap();
+        db.insert_values(rel, vals.clone()).unwrap();
         let record = WalRecord::Insert {
             relation: Arc::from(rel),
-            tuple,
+            tuple: vals,
             depths: Vec::new(),
         };
         st.commit(vec![record]).unwrap()
     }
 
-    fn tuples(rows: &RowSet) -> Vec<Tuple> {
-        rows.iter().map(Tuple::from_row).collect()
+    fn tuples(rows: &RowSet) -> Vec<Vec<Val>> {
+        rows.iter().map(<[Val]>::to_vec).collect()
     }
 
-    fn answer(session: SessionId, rows: Vec<Tuple>, mark: usize) -> WalRecord {
+    fn answer(session: SessionId, rows: Vec<Vec<Val>>, mark: usize) -> WalRecord {
         let mut watermarks = BTreeMap::new();
         watermarks.insert(Arc::<str>::from("b"), mark);
-        let mut set = RowSet::new(rows.first().map_or(1, Tuple::arity));
-        set.extend(rows.iter().map(|t| &t.0[..]));
+        let mut set = RowSet::new(rows.first().map_or(1, Vec::len));
+        set.extend(rows.iter().map(Vec::as_slice));
         WalRecord::Answer {
             session,
             rule: 5,
@@ -596,11 +595,11 @@ mod tests {
         let (mut st, mut db) = store(0);
         let own = NullId::new(3, 9);
         let foreign = NullId::new(8, 100);
-        db.insert("a", Tuple::new(vec![Val::Null(own), Val::Null(foreign)]))
+        db.insert_values("a", vec![Val::Null(own), Val::Null(foreign)])
             .unwrap();
         st.commit(vec![WalRecord::Insert {
             relation: Arc::from("a"),
-            tuple: Tuple::new(vec![Val::Null(own), Val::Null(foreign)]),
+            tuple: vec![Val::Null(own), Val::Null(foreign)],
             depths: vec![(own, 2), (foreign, 5)],
         }])
         .unwrap();
@@ -615,8 +614,8 @@ mod tests {
     fn answer_records_fold_into_marks() {
         let (mut st, _db) = store(0);
         let sid = SessionId::new(NodeId(0), 1);
-        let row1 = Tuple::new(vec![Val::Int(1)]);
-        let row2 = Tuple::new(vec![Val::Int(2)]);
+        let row1 = vec![Val::Int(1)];
+        let row2 = vec![Val::Int(2)];
         // Logged out of watermark order on purpose: the maximum wins.
         st.commit(vec![answer(sid, vec![row1.clone(), row2.clone()], 4)])
             .unwrap();
@@ -636,8 +635,8 @@ mod tests {
         let s1 = SessionId::new(NodeId(0), 1);
         let s2 = SessionId::new(NodeId(3), 1);
         st.commit(vec![
-            answer(s2, vec![Tuple::new(vec![Val::Int(7)])], 9),
-            answer(s1, vec![Tuple::new(vec![Val::Int(1)])], 2),
+            answer(s2, vec![vec![Val::Int(7)]], 9),
+            answer(s1, vec![vec![Val::Int(1)]], 2),
         ])
         .unwrap();
         let rec = st.recover(0).unwrap().unwrap();
@@ -645,7 +644,7 @@ mod tests {
         let mark = &rec.marks[&(5, NodeId(2))];
         assert_eq!(
             tuples(&mark.rows),
-            vec![Tuple::new(vec![Val::Int(7)]), Tuple::new(vec![Val::Int(1)])]
+            vec![vec![Val::Int(7)], vec![Val::Int(1)]]
         );
         assert_eq!(mark.watermarks[&Arc::<str>::from("b")], 9);
         assert_eq!(rec.last_session, s2);
@@ -661,13 +660,13 @@ mod tests {
             let dir = std::env::temp_dir()
                 .join(format!("p2p_storage_marks_{}_{codec}", std::process::id()));
             let db = Database::new(schema());
-            let rows = vec![Tuple::new(vec![Val::str("mark-only-sym")])];
+            let rows = vec![vec![Val::str("mark-only-sym")]];
             {
                 let backend = Box::new(FileBackend::open(&dir).unwrap());
                 let mut st = PeerStorage::with_codec(backend, 0, codec);
                 st.snapshot(&db, 0, Vec::new()).unwrap();
                 st.commit(vec![answer(sid, rows.clone(), 3)]).unwrap();
-                assert!(st.first_use_dict(rows[0].values()).is_empty());
+                assert!(st.first_use_dict(rows[0].iter()).is_empty());
                 st.snapshot(&db, 0, Vec::new()).unwrap();
             }
             let backend = Box::new(FileBackend::open(&dir).unwrap());
@@ -693,7 +692,7 @@ mod tests {
         let sid = SessionId::new(NodeId(0), 2);
         insert(&mut st, &mut db, "b", vec![Val::Int(1)]);
         insert(&mut st, &mut db, "s", vec![Val::str("stale-sym")]);
-        st.commit(vec![answer(sid, vec![Tuple::new(vec![Val::Int(1)])], 5)])
+        st.commit(vec![answer(sid, vec![vec![Val::Int(1)]], 5)])
             .unwrap();
         let before = st.recover(0).unwrap().unwrap();
         st.snapshot(&db, 0, Vec::new()).unwrap();
@@ -777,7 +776,7 @@ mod tests {
             Val::str("saw-a-failed-snapshot"),
             Val::str("saw-a-good-one"),
         );
-        db.insert("s", Tuple::new(vec![lost])).unwrap();
+        db.insert_values("s", vec![lost]).unwrap();
         fail.store(true, Ordering::Relaxed);
         assert!(matches!(
             st.snapshot(&db, 0, Vec::new()),
@@ -790,7 +789,7 @@ mod tests {
         );
         // A snapshot that is written does persist its symbols.
         fail.store(false, Ordering::Relaxed);
-        db.insert("s", Tuple::new(vec![kept])).unwrap();
+        db.insert_values("s", vec![kept]).unwrap();
         st.snapshot(&db, 0, Vec::new()).unwrap();
         assert!(st.first_use_dict([kept].iter()).is_empty());
     }
@@ -809,7 +808,7 @@ mod tests {
         let batch = || {
             let insert = WalRecord::Insert {
                 relation: Arc::from("s"),
-                tuple: Tuple::new(vec![sym]),
+                tuple: vec![sym],
                 depths: Vec::new(),
             };
             vec![insert, answer(SessionId::new(NodeId(0), 1), Vec::new(), 1)]
@@ -852,7 +851,7 @@ mod tests {
         use serde::{Content, Serialize};
         let mut db = Database::new(schema());
         for i in 0..300i64 {
-            db.insert("a", Tuple::new(vec![Val::Int(700_000 + i), Val::Int(i)]))
+            db.insert_values("a", vec![Val::Int(700_000 + i), Val::Int(i)])
                 .unwrap();
         }
         let snap = DatabaseSnapshot {
@@ -931,9 +930,9 @@ mod tests {
             "00046e616d650601620007636f6c756d6e730701080212060178000274790603496e741108010a08",
             "0210080212060162130701080212060178140603496e74060700",
         );
-        let row = |vals: &[Val]| Tuple::new(vals.to_vec());
+        let row = |vals: &[Val]| vals.to_vec();
         let null = Val::Null(NullId::new(4, 2));
-        let answer = |rows: Vec<Tuple>, mark: usize| {
+        let answer = |rows: Vec<Vec<Val>>, mark: usize| {
             let mut record = answer(SessionId::new(NodeId(1), 3), rows, mark);
             if let WalRecord::Answer { vars, .. } = &mut record {
                 *vars = vec![Arc::from("X"), Arc::from("Y")];
@@ -1056,7 +1055,7 @@ mod tests {
             st.snapshot(&db, 0, Vec::new()).unwrap();
             insert(&mut st, &mut db, "s", vec![Val::str("cross-codec-sym")]);
             let sid = SessionId::new(NodeId(0), 1);
-            st.commit(vec![answer(sid, vec![Tuple::new(vec![Val::Int(5)])], 2)])
+            st.commit(vec![answer(sid, vec![vec![Val::Int(5)]], 2)])
                 .unwrap();
             let rec = st.recover(0).unwrap().unwrap();
             assert_eq!(rec.db.all_facts(), db.all_facts());

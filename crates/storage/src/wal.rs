@@ -23,7 +23,7 @@ use crate::store::CursorMark;
 use crate::{StorageError, StorageResult};
 use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
-use p2p_relational::{RowSet, SymId, Tuple, Val};
+use p2p_relational::{RowSet, SymId, Val};
 use p2p_topology::NodeId;
 use serde::{content_get, Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -74,13 +74,16 @@ fn field<'a>(doc: &'a Content, key: &str) -> Option<&'a Content> {
 /// One durable event in a peer's write-ahead log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WalRecord {
-    /// A fact the update algorithm inserted into the local database.
+    /// A fact the update algorithm inserted into the local database. A
+    /// frame may list one delivery's inserts relation by relation rather
+    /// than in the order they were made; each relation's rows keep their
+    /// order, which is all replay needs to rebuild the same database.
     Insert {
-        /// Relation the tuple went into.
+        /// Relation the fact went into.
         relation: Arc<str>,
-        /// The inserted tuple.
-        tuple: Tuple,
-        /// Chase depths of any labeled nulls aboard the tuple (the global
+        /// The inserted row (the key keeps the name the format always had).
+        tuple: Vec<Val>,
+        /// Chase depths of any labeled nulls aboard the row (the global
         /// null-depth safety valve must survive recovery).
         #[serde(default, skip_serializing_if = "Vec::is_empty")]
         depths: Vec<(NullId, u32)>,
@@ -136,7 +139,7 @@ impl WalRecord {
     /// The values of the record's rows: what its frame's dictionary covers.
     pub(crate) fn values(&self) -> impl Iterator<Item = &Val> {
         let (tuple, rows): (&[Val], Option<&RowSet>) = match self {
-            WalRecord::Insert { tuple, .. } => (&tuple.0, None),
+            WalRecord::Insert { tuple, .. } => (tuple, None),
             WalRecord::Answer { rows, .. } => (&[], Some(rows)),
             WalRecord::Cursor { .. } | WalRecord::ForgetRule { .. } => (&[], None),
         };
@@ -171,10 +174,39 @@ mod tests {
     fn insert_record_roundtrips() {
         let frame = one(WalRecord::Insert {
             relation: Arc::from("a"),
-            tuple: Tuple::new(vec![Val::Int(1), Val::Null(NullId::new(2, 5))]),
+            tuple: vec![Val::Int(1), Val::Null(NullId::new(2, 5))],
             depths: vec![(NullId::new(2, 5), 3)],
         });
         assert_eq!(roundtrip(&frame, Codec::Json), frame);
+    }
+
+    /// A one-insert frame keeps its bytes under both codecs: the row of an
+    /// integer, a symbol and a null, with the null's depth.
+    #[test]
+    fn an_insert_frame_keeps_its_bytes() {
+        let null = NullId::new(2, 5);
+        let frame = one(WalRecord::Insert {
+            relation: Arc::from("a"),
+            tuple: vec![Val::Int(1), Val::Sym(SymId(7)), Val::Null(null)],
+            depths: vec![(null, 3)],
+        });
+        assert_eq!(
+            json(&frame),
+            concat!(
+                r#"{"records":[{"Insert":{"relation":"a","tuple":"#,
+                r#"[{"Int":1},{"Sym":7},{"Null":2199023255557}],"#,
+                r#""depths":[[2199023255557,3]]}}]}"#
+            )
+        );
+        let binary: &[u8] = &[
+            8, 1, 0, 7, 114, 101, 99, 111, 114, 100, 115, 7, 1, 8, 1, 0, 6, 73, 110, 115, 101, 114,
+            116, 8, 3, 0, 8, 114, 101, 108, 97, 116, 105, 111, 110, 6, 1, 97, 0, 5, 116, 117, 112,
+            108, 101, 7, 3, 8, 1, 0, 3, 73, 110, 116, 3, 2, 8, 1, 0, 3, 83, 121, 109, 4, 7, 8, 1,
+            0, 4, 78, 117, 108, 108, 4, 133, 128, 128, 128, 128, 64, 0, 6, 100, 101, 112, 116, 104,
+            115, 7, 1, 7, 2, 4, 133, 128, 128, 128, 128, 64, 4, 3,
+        ];
+        assert_eq!(frame.encode(Codec::Binary).unwrap(), binary);
+        assert_eq!(roundtrip(&frame, Codec::Binary), frame);
     }
 
     /// The dictionary is the frame's, and covers the rows of every record
@@ -184,7 +216,7 @@ mod tests {
         let v = Val::str("wal-dict-sym");
         let insert = WalRecord::Insert {
             relation: Arc::from("a"),
-            tuple: Tuple::new(vec![Val::Int(1), v]),
+            tuple: vec![Val::Int(1), v],
             depths: vec![],
         };
         assert_eq!(insert.values().collect::<Vec<_>>(), [&Val::Int(1), &v]);
@@ -253,7 +285,7 @@ mod tests {
             records: vec![
                 WalRecord::Insert {
                     relation: Arc::from("a"),
-                    tuple: Tuple::new(vec![Val::Int(1)]),
+                    tuple: vec![Val::Int(1)],
                     depths: vec![],
                 },
                 WalRecord::Answer {

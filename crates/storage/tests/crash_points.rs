@@ -5,7 +5,7 @@
 //! accepts commits and checkpoints afterwards. Both codecs.
 
 use p2p_net::{Codec, SessionId};
-use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
+use p2p_relational::{Database, DatabaseSchema, Val};
 use p2p_storage::{CursorMark, FileBackend, FragmentMark, MemoryBackend, PeerStorage, WalRecord};
 use p2p_topology::NodeId;
 use std::collections::BTreeMap;
@@ -51,8 +51,8 @@ fn record(db: &mut Database, r: usize) -> WalRecord {
             watermarks: [(Arc::<str>::from("r"), r)].into_iter().collect(),
         }
     } else {
-        let tuple = Tuple::new(vec![Val::Int(r as i64), Val::str(format!("crash-{r}"))]);
-        db.insert("r", tuple.clone()).unwrap();
+        let tuple = vec![Val::Int(r as i64), Val::str(format!("crash-{r}"))];
+        db.insert_values("r", tuple.clone()).unwrap();
         WalRecord::Insert {
             relation: Arc::from("r"),
             tuple,

@@ -10,7 +10,7 @@
 
 use p2p_net::{Codec, SessionId};
 use p2p_relational::value::NullId;
-use p2p_relational::{Database, DatabaseSchema, Tuple, Val};
+use p2p_relational::{Database, DatabaseSchema, Val};
 use p2p_storage::{
     CursorMark, FileBackend, FragmentMark, MemoryBackend, PeerStorage, StorageBackend,
     StorageError, StorageResult, WalFrame, WalRecord,
@@ -73,21 +73,21 @@ proptest! {
             for o in ops {
                 let (name, tuple, tuple_depths) = match o {
                     Op::Insert { rel: true, x, y } => {
-                        ("r", Tuple::new(vec![Val::Int(*x), Val::Int(*y)]), Vec::new())
+                        ("r", vec![Val::Int(*x), Val::Int(*y)], Vec::new())
                     }
-                    Op::Insert { rel: false, x, .. } => ("s", Tuple::new(vec![Val::Int(*x)]), Vec::new()),
+                    Op::Insert { rel: false, x, .. } => ("s", vec![Val::Int(*x)], Vec::new()),
                     Op::InsertStr { pick } => {
-                        ("t", Tuple::new(vec![Val::str(format!("durable-const-{pick}"))]), Vec::new())
+                        ("t", vec![Val::str(format!("durable-const-{pick}"))], Vec::new())
                     }
                     Op::InsertNull { counter, depth } => {
                         let id = NullId::new(NODE, *counter);
                         nulls_next = nulls_next.max(counter + 1);
                         let e = depths.entry(id).or_insert(*depth);
                         *e = (*e).max(*depth);
-                        ("s", Tuple::new(vec![Val::Null(id)]), vec![(id, *depth)])
+                        ("s", vec![Val::Null(id)], vec![(id, *depth)])
                     }
                 };
-                db.insert(name, tuple.clone()).unwrap();
+                db.insert_values(name, tuple.clone()).unwrap();
                 frame.push(WalRecord::Insert {
                     relation: Arc::from(name),
                     tuple,
@@ -103,7 +103,7 @@ proptest! {
         }
 
         let rec = store.recover(NODE).unwrap().expect("initial snapshot exists");
-        // Tuple-identity, including insertion order (watermark semantics).
+        // Fact identity, including insertion order (watermark semantics).
         prop_assert_eq!(rec.db.all_facts(), db.all_facts());
         prop_assert_eq!(rec.db.watermarks(), db.watermarks());
         prop_assert_eq!(rec.nulls_next, nulls_next);
@@ -306,6 +306,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("p2p_storage_hostile_{tag}_{}", std::process::id()))
 }
 
+/// Facts as `Database::all_facts` lists them.
+type Facts = Vec<(Arc<str>, Vec<Val>)>;
+
 /// One acknowledged frame per entry of `sizes` on top of an empty
 /// snapshot, each of that many records: inserts, every third an answer
 /// mark. Returns the facts in insertion order and how many stood after
@@ -314,7 +317,7 @@ fn acknowledged_history(
     dir: &std::path::Path,
     codec: Codec,
     sizes: &[usize],
-) -> (Vec<(Arc<str>, Tuple)>, Vec<usize>) {
+) -> (Facts, Vec<usize>) {
     let _ = std::fs::remove_dir_all(dir);
     let mut db = Database::new(DatabaseSchema::parse("t(x: int, name: str).").unwrap());
     let backend = Box::new(FileBackend::open(dir).unwrap());
@@ -335,8 +338,8 @@ fn acknowledged_history(
                         watermarks: [(Arc::<str>::from("u"), x as usize)].into_iter().collect(),
                     };
                 }
-                let tuple = Tuple::new(vec![Val::Int(x), Val::str(format!("hostile-{x}"))]);
-                db.insert("t", tuple.clone()).unwrap();
+                let tuple = vec![Val::Int(x), Val::str(format!("hostile-{x}"))];
+                db.insert_values("t", tuple.clone()).unwrap();
                 WalRecord::Insert {
                     relation: Arc::from("t"),
                     tuple,
@@ -362,7 +365,7 @@ fn framed_payload(shape: u8, garbage: &[u8], at: usize, binary: bool) -> Vec<u8>
         let name = Val::str("earlier-layout");
         let insert = WalRecord::Insert {
             relation: Arc::from("t"),
-            tuple: Tuple::new(vec![Val::Int(1), name]),
+            tuple: vec![Val::Int(1), name],
             depths: Vec::new(),
         };
         let Content::Map(mut record) = insert.to_content().unwrap() else {

@@ -81,24 +81,6 @@ pub enum Topology {
         /// RNG seed.
         seed: u64,
     },
-    /// Expected-degree random graph: exactly `⌊n·degree/2⌋` distinct
-    /// undirected edges sampled uniformly (the `G(n, m)` model), each then
-    /// directed from the lower to the higher node id. This is the
-    /// scale-friendly parameterization of [`Topology::Random`], whose
-    /// integral percent cannot express sparse graphs once `n` is large —
-    /// at 10k nodes even `p = 1%` forces ~10⁶ edges, while
-    /// `RandomDegree { degree: 8 }` keeps the mean total degree at 8
-    /// regardless of `n`. Like [`Topology::Random`] (and unlike
-    /// [`Topology::Expander`]) the result may be disconnected; node 0's
-    /// reachability is whatever the dice gave.
-    RandomDegree {
-        /// Number of nodes (≥ 2).
-        n: u32,
-        /// Expected total (in + out) degree per node (≥ 1, < n).
-        degree: u32,
-        /// RNG seed.
-        seed: u64,
-    },
     /// Random `degree`-regular graph (configuration-model pairing with
     /// deterministic self-loop/duplicate repair and a connectivity repair
     /// pass of degree-preserving double-edge swaps). With overwhelming
@@ -198,9 +180,6 @@ impl fmt::Display for Topology {
             Topology::Random { n, p_percent, seed } => {
                 write!(f, "random(n={n},p={p_percent}%,seed={seed})")
             }
-            Topology::RandomDegree { n, degree, seed } => {
-                write!(f, "randomdeg(n={n},d={degree},seed={seed})")
-            }
             Topology::Expander { n, degree, seed } => {
                 write!(f, "expander(n={n},d={degree},seed={seed})")
             }
@@ -276,16 +255,6 @@ impl Topology {
                 need(n, 1)?;
                 percent("p_percent", p_percent)
             }
-            Topology::RandomDegree { n, degree, .. } => {
-                need(n, 2)?;
-                if degree == 0 || degree >= n {
-                    return Err(TopologyError::BadParameter {
-                        what: "degree",
-                        why: format!("must satisfy 1 ≤ degree < n, got {degree} with n={n}"),
-                    });
-                }
-                Ok(())
-            }
             Topology::Expander { n, degree, .. } => {
                 need(n, 3)?;
                 if degree < 2 || degree >= n {
@@ -335,7 +304,6 @@ impl Topology {
             Topology::Ring { n } => ring(n),
             Topology::Star { n } => star(n),
             Topology::Random { n, p_percent, seed } => random(n, p_percent, seed),
-            Topology::RandomDegree { n, degree, seed } => random_degree(n, degree, seed),
             Topology::Expander { n, degree, seed } => expander(n, degree, seed),
             Topology::SmallWorld {
                 n,
@@ -381,7 +349,6 @@ impl Topology {
             | Topology::Chain { n }
             | Topology::Star { n }
             | Topology::Random { n, .. }
-            | Topology::RandomDegree { n, .. }
             | Topology::Ring { n }
             | Topology::Expander { n, .. }
             | Topology::SmallWorld { n, .. } => n as usize,
@@ -479,22 +446,6 @@ fn random(n: u32, p_percent: u8, seed: u64) -> DependencyGraph {
         }
     }
     g
-}
-
-/// `G(n, m)` sampling for [`Topology::RandomDegree`]: exactly
-/// `⌊n·degree/2⌋` distinct non-loop undirected edges, drawn by rejection
-/// (validation guarantees `m ≤ C(n, 2)`, and the sparse regimes this
-/// parameterization exists for make rejections rare).
-fn random_degree(n: u32, degree: u32, seed: u64) -> DependencyGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let m = (n as u64 * degree as u64 / 2) as usize;
-    let mut edges = EdgeSet::new();
-    while edges.edges.len() < m {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        edges.insert(a, b);
-    }
-    edges.into_graph(n)
 }
 
 /// Undirected edge set under construction for the expander / small-world
@@ -928,49 +879,6 @@ mod tests {
         assert!(connected_ignoring_direction(&g), "repair must connect");
     }
 
-    #[test]
-    fn random_degree_has_exact_edge_count_and_no_loops() {
-        let t = Topology::RandomDegree {
-            n: 200,
-            degree: 8,
-            seed: 3,
-        };
-        let g = t.generate();
-        assert_eq!(g.node_count, 200);
-        assert_eq!(g.graph.edge_count(), 200 * 8 / 2);
-        for node in g.graph.nodes() {
-            assert!(
-                !g.graph.successors(node).any(|s| s == node),
-                "self-loop at {node}"
-            );
-        }
-    }
-
-    #[test]
-    fn random_degree_is_deterministic_per_seed() {
-        let spec = |seed| Topology::RandomDegree {
-            n: 64,
-            degree: 6,
-            seed,
-        };
-        assert_eq!(spec(9).generate().graph, spec(9).generate().graph);
-        assert_ne!(spec(9).generate().graph, spec(10).generate().graph);
-    }
-
-    #[test]
-    fn random_degree_stays_sparse_at_ten_thousand_nodes() {
-        // The point of the parameterization: the integral-percent `Random`
-        // cannot go below ~1% ≈ 10⁶ edges at this size, `RandomDegree`
-        // pins the edge count to n·d/2 regardless of n.
-        let g = Topology::RandomDegree {
-            n: 10_000,
-            degree: 8,
-            seed: 42,
-        }
-        .generate();
-        assert_eq!(g.graph.edge_count(), 40_000);
-    }
-
     /// Total (in + out) degree per node, the undirected quantity the new
     /// families guarantee invariants over.
     fn total_degrees(g: &DependencyGraph) -> BTreeMap<NodeId, usize> {
@@ -1129,21 +1037,6 @@ mod tests {
             Topology::Random {
                 n: 5,
                 p_percent: 101,
-                seed: 1,
-            },
-            Topology::RandomDegree {
-                n: 1,
-                degree: 1,
-                seed: 1,
-            },
-            Topology::RandomDegree {
-                n: 10,
-                degree: 0,
-                seed: 1,
-            },
-            Topology::RandomDegree {
-                n: 10,
-                degree: 10, // degree must stay below n
                 seed: 1,
             },
             Topology::Expander {

@@ -6,7 +6,7 @@
 //! ```
 
 use p2pdb::core::system::P2PSystemBuilder;
-use p2pdb::relational::Val;
+use p2pdb::relational::{ShowRow, Val};
 use p2pdb::topology::NodeId;
 
 fn main() {
@@ -44,8 +44,8 @@ fn main() {
     // now need zero network traffic.
     let answers = sys.query(NodeId(0), "q(X, Y) :- a(X, Y)").unwrap();
     println!("node A answers q(X,Y) :- a(X,Y) locally:");
-    for t in &answers {
-        println!("  {t}");
+    for row in answers.iter() {
+        println!("  {}", ShowRow(row));
     }
     assert_eq!(answers.len(), 3);
 

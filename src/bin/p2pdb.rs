@@ -75,6 +75,7 @@
 use p2pdb::core::config::UpdateMode;
 use p2pdb::core::netfile::NetworkFile;
 use p2pdb::core::system::{run_updates_sharded, RunSpec, UpdateReport};
+use p2pdb::relational::ShowRow;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
 use std::io::{ErrorKind, Write};
@@ -495,8 +496,8 @@ fn cmd_run(args: &[String]) -> CliResult {
         let query = args.get(i + 2).ok_or("--query needs NODE and QUERY")?;
         let answers = sys.query(NodeId(node), query)?;
         outln!("{} answers at node {}:", answers.len(), NodeId(node));
-        for t in answers.iter().take(25) {
-            outln!("  {t}");
+        for row in answers.iter().take(25) {
+            outln!("  {}", ShowRow(row));
         }
         if answers.len() > 25 {
             outln!("  … ({} more)", answers.len() - 25);

@@ -78,6 +78,62 @@ fn workload_then_run_round_trips() {
     assert!(text.contains("per-peer statistics"), "{text}");
 }
 
+/// `run --query` prints each answer row as `  (…)`: integers bare,
+/// strings quoted, at most 25 rows and then how many more there are.
+#[test]
+fn run_query_prints_its_answer_rows() {
+    let dir = std::env::temp_dir().join(format!("p2pdb_cli_query_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let answers = |records: &str, query: &str| {
+        let net = dir.join(format!("net-{records}.json"));
+        let out = p2pdb(&[
+            "workload",
+            "--topology",
+            "chain",
+            "--size",
+            "3",
+            "--records",
+            records,
+        ]);
+        assert!(out.status.success());
+        std::fs::write(&net, &out.stdout).unwrap();
+        let out = p2pdb(&["run", net.to_str().unwrap(), "--query", "0", query]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        let at = text.find("answers at node").expect("an answer section");
+        text[text[..at].rfind('\n').map_or(0, |i| i + 1)..].to_string()
+    };
+    assert_eq!(
+        answers("3", "q(I, T) :- pub(I, T, Y)"),
+        concat!(
+            "9 answers at node A:\n",
+            "  (1, 'update coordination query')\n",
+            "  (2, 'discovery coordination integration data')\n",
+            "  (3, 'logic exchange propagation network')\n",
+            "  (4, 'answering answering update update')\n",
+            "  (5, 'fixpoint consistency integration mediation')\n",
+            "  (6, 'coordination query query fixpoint')\n",
+            "  (7, 'coordination integration consistency views update')\n",
+            "  (8, 'query views update coordination views')\n",
+            "  (9, 'schema discovery consistency logic')\n",
+        )
+    );
+    let listed: String = (1..=25).map(|i| format!("  ({i})\n")).collect();
+    assert_eq!(
+        answers("10", "q(I) :- pub(I, T, Y), I < 28"),
+        format!("27 answers at node A:\n{listed}  … (2 more)\n")
+    );
+    assert_eq!(
+        answers("3", "q() :- pub(I, T, Y)"),
+        "1 answers at node A:\n  ()\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn run_rounds_mode_and_export() {
     let dir = std::env::temp_dir().join("p2pdb_cli_test2");

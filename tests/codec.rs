@@ -6,6 +6,7 @@
 
 use p2pdb::core::config::UpdateMode;
 use p2pdb::net::Codec;
+use p2pdb::relational::ShowRow;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
 use std::collections::BTreeMap;
@@ -42,7 +43,7 @@ fn run(codec: Codec, mode: UpdateMode) -> (BTreeMap<NodeId, Vec<String>>, u64, u
             let mut rendered: Vec<String> = db
                 .all_facts()
                 .iter()
-                .map(|(rel, t)| format!("{rel}{t}"))
+                .map(|(rel, row)| format!("{rel}{}", ShowRow(row)))
                 .collect();
             rendered.sort();
             (*node, rendered)

@@ -11,11 +11,12 @@ use p2pdb::core::rule::CoordinationRule;
 use p2pdb::core::stats::PeerStats;
 use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
 use p2pdb::net::{SimTime, Simulator, UniformLatency};
-use p2pdb::relational::{Database, DatabaseSchema, Tuple, Val};
+use p2pdb::relational::{Database, DatabaseSchema, ShowRow, Val};
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// The paper's running example (Section 2): a 5-node network with the
 /// B↔C dependency cycle that needs several rounds to close.
@@ -40,20 +41,14 @@ fn paper_builder(delta_waves: bool) -> P2PSystemBuilder {
     b
 }
 
-/// Exact tuple-level snapshot of every database (not just equivalence
-/// modulo nulls — the paper example mints no nulls).
-fn exact_facts(sys: &P2PSystem) -> Vec<(NodeId, Vec<(String, Tuple)>)> {
+/// One database's facts, as `Database::all_facts` lists them.
+type Facts = Vec<(Arc<str>, Vec<Val>)>;
+
+/// Every database's facts, exactly (not just equivalence modulo nulls —
+/// the paper example mints no nulls).
+fn exact_facts(sys: &P2PSystem) -> Vec<(NodeId, Facts)> {
     sys.peers()
-        .map(|(id, p)| {
-            (
-                *id,
-                p.database()
-                    .all_facts()
-                    .into_iter()
-                    .map(|(n, t)| (n.to_string(), t))
-                    .collect(),
-            )
-        })
+        .map(|(id, p)| (*id, p.database().all_facts()))
         .collect()
 }
 
@@ -68,7 +63,7 @@ fn paper_example_delta_rounds_identical_to_full_reship_and_oracle() {
     assert!(dr.rounds >= 2, "cyclic example needs several rounds");
     assert_eq!(dr.rounds, fr.rounds, "delta must not change convergence");
 
-    // Tuple-identical to the full-reship baseline and to the oracle.
+    // Fact-identical to the full-reship baseline and to the oracle.
     assert_eq!(exact_facts(&delta), exact_facts(&full));
     assert!(delta.snapshot().equivalent(&delta.oracle().unwrap()));
 
@@ -241,7 +236,7 @@ proptest! {
         let part = &rule.parts[0];
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
         let mut watermarks = BTreeMap::new();
-        let mut cached: HashSet<Tuple> = HashSet::new();
+        let mut cached: HashSet<Vec<Val>> = HashSet::new();
         for batch in batches {
             for (x, y) in batch {
                 db.insert_values("b", vec![Val::Int(x), Val::Int(y)]).unwrap();
@@ -249,11 +244,11 @@ proptest! {
             let delta = eval_part_delta(part, &db, &watermarks).unwrap();
             watermarks = db.watermarks();
             // Every delta row is part of the full evaluation …
-            let full: HashSet<Tuple> = eval_part(part, &db).unwrap().iter().map(Tuple::from_row).collect();
-            for t in delta.iter().map(Tuple::from_row) {
-                prop_assert!(full.contains(&t), "delta row {t} not in full eval");
+            let full: HashSet<Vec<Val>> = eval_part(part, &db).unwrap().iter().map(<[Val]>::to_vec).collect();
+            for row in delta.iter() {
+                prop_assert!(full.contains(row), "delta row {} not in full eval", ShowRow(row));
             }
-            cached.extend(delta.iter().map(Tuple::from_row));
+            cached.extend(delta.iter().map(<[Val]>::to_vec));
             // … and (cached rows ∪ shipped deltas) IS the full evaluation.
             prop_assert_eq!(&cached, &full);
         }

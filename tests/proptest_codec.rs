@@ -17,7 +17,7 @@ use p2pdb::core::stats::PeerStats;
 use p2pdb::net::{Codec, SessionId};
 use p2pdb::relational::value::NullId;
 use p2pdb::relational::Value;
-use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, RowSet, SymId, Tuple, Val};
+use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, RowSet, SymId, Val};
 use p2pdb::storage::{
     CursorMark, DatabaseSnapshot, FragmentMark, MemoryBackend, PeerStorage, StorageBackend,
     WalFrame, WalRecord,
@@ -200,7 +200,7 @@ fn wal_record() -> impl Strategy<Value = WalRecord> {
             if kind == 0 {
                 WalRecord::Insert {
                     relation: Arc::from("rel"),
-                    tuple: Tuple::new(vals),
+                    tuple: vals,
                     depths,
                 }
             } else if kind == 1 {
@@ -262,11 +262,11 @@ fn snapshot() -> impl Strategy<Value = DatabaseSnapshot> {
             let schema = DatabaseSchema::parse("a(x: int, y: int). s(x: str).").unwrap();
             let mut db = Database::new(schema);
             for (x, y) in ints {
-                db.insert("a", Tuple::new(vec![Val::Int(x), Val::Int(y)]))
+                db.insert_values("a", vec![Val::Int(x), Val::Int(y)])
                     .unwrap();
             }
             for n in strs {
-                db.insert("s", Tuple::new(vec![Val::str(format!("snap-{n}"))]))
+                db.insert_values("s", vec![Val::str(format!("snap-{n}"))])
                     .unwrap();
             }
             let syms = db.syms();
@@ -621,8 +621,8 @@ proptest! {
     }
 
     /// A row set encodes, in both codecs, to the bytes of the list of
-    /// tuples holding its rows — what a fragment mark or any other stored
-    /// row list wrote before row sets — and reads back equal, order kept.
+    /// its rows — what a fragment mark or any other stored row list wrote
+    /// before row sets — and reads back equal, order kept.
     #[test]
     fn row_sets_encode_like_their_tuple_lists(
         arity in 0usize..4,
@@ -632,7 +632,7 @@ proptest! {
         let mut tuples = Vec::new();
         for row in vals.chunks(arity.max(1)).filter(|row| row.len() == arity) {
             if set.insert(row) {
-                tuples.push(Tuple::from_row(row));
+                tuples.push(row.to_vec());
             }
         }
         let bytes = binpack::to_bytes(&set).unwrap();
@@ -675,7 +675,7 @@ proptest! {
                     records: (chunk.iter())
                         .map(|(i, _)| WalRecord::Insert {
                             relation: Arc::from("s"),
-                            tuple: Tuple::new(vec![Val::Sym(foreign(*i))]),
+                            tuple: vec![Val::Sym(foreign(*i))],
                             depths: vec![],
                         })
                         .collect(),
