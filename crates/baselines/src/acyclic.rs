@@ -110,6 +110,7 @@ mod tests {
     use p2p_core::oracle::global_fixpoint;
     use p2p_core::rule::CoordinationRule;
     use p2p_relational::hom::equivalent_modulo_nulls;
+    use p2p_relational::query::Idents;
     use p2p_relational::{DatabaseSchema, Val};
 
     fn resolve(s: &str) -> Option<NodeId> {
@@ -138,10 +139,28 @@ mod tests {
             .unwrap();
         let mut rules = RuleSet::new();
         rules
-            .add(CoordinationRule::parse("r1", "C:c(X,Y) => B:b(X,Y)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r1",
+                    "C:c(X,Y) => B:b(X,Y)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         rules
-            .add(CoordinationRule::parse("r2", "B:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r2",
+                    "B:b(X,Y) => A:a(X,Y)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         (dbs, rules)
     }
@@ -174,7 +193,16 @@ mod tests {
     fn refuses_cycles() {
         let (dbs, mut rules) = chain_setup();
         rules
-            .add(CoordinationRule::parse("r3", "A:a(X,Y) => C:c(X,Y)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r3",
+                    "A:a(X,Y) => C:c(X,Y)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         assert_eq!(
             acyclic_update(&dbs, &rules, 64).unwrap_err(),

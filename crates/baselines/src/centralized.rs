@@ -77,6 +77,7 @@ pub fn centralized_update(
 mod tests {
     use super::*;
     use p2p_core::rule::CoordinationRule;
+    use p2p_relational::query::Idents;
     use p2p_relational::{DatabaseSchema, Val};
 
     fn resolve(s: &str) -> Option<NodeId> {
@@ -101,7 +102,16 @@ mod tests {
         dbs.insert(NodeId(1), b);
         let mut rules = RuleSet::new();
         rules
-            .add(CoordinationRule::parse("r", "B:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r",
+                    "B:b(X,Y) => A:a(X,Y)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         (dbs, rules)
     }

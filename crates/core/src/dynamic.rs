@@ -120,6 +120,7 @@ pub fn lower_reference(initial: &RuleSet, script: &ChangeScript) -> RuleSet {
 mod tests {
     use super::*;
     use crate::rule::CoordinationRule;
+    use p2p_relational::query::Idents;
     use p2p_topology::NodeId;
 
     fn resolve(s: &str) -> Option<NodeId> {
@@ -132,7 +133,7 @@ mod tests {
     }
 
     fn rule(name: &str, text: &str) -> CoordinationRule {
-        CoordinationRule::parse(name, text, None, &resolve).unwrap()
+        CoordinationRule::parse(name, text, None, &resolve, &mut Idents::new()).unwrap()
     }
 
     #[test]

@@ -364,6 +364,7 @@ pub fn apply_rule_head(
 mod tests {
     use super::*;
     use crate::rule::CoordinationRule;
+    use p2p_relational::query::Idents;
     use p2p_relational::DatabaseSchema;
     use p2p_topology::NodeId;
     use std::collections::HashSet;
@@ -443,8 +444,14 @@ mod tests {
             .unwrap();
         db.insert_values("b", vec![Val::Int(1), Val::Int(3)])
             .unwrap();
-        let rule =
-            CoordinationRule::parse("r", "B:b(X,Y), B:b(Y,Z) => A:a(X,Z)", None, &resolve).unwrap();
+        let rule = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y), B:b(Y,Z) => A:a(X,Z)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let rows = eval_part(&rule.parts[0], &db).unwrap();
         // Vars X, Y, Z (first-occurrence order); b(1,2)⋈b(2,…) empty; only
         // chains… b(1,2),b(2,?) none; b(1,3),b(3,?) none → 0 rows? No wait:
@@ -516,8 +523,14 @@ mod tests {
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
         db.insert_values("b", vec![Val::Int(1), Val::Int(2)])
             .unwrap();
-        let rule =
-            CoordinationRule::parse("r", "B:b(X,Y), B:b(Y,Z) => A:a(X,Z)", None, &resolve).unwrap();
+        let rule = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y), B:b(Y,Z) => A:a(X,Z)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let before = eval_part(&rule.parts[0], &db).unwrap();
         let w = db.watermarks();
         db.insert_values("b", vec![Val::Int(2), Val::Int(9)])
@@ -531,7 +544,14 @@ mod tests {
 
     #[test]
     fn apply_rule_head_chases_each_binding() {
-        let rule = CoordinationRule::parse("r", "B:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap();
+        let rule = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y) => A:a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let mut head_db = Database::new(DatabaseSchema::parse("a(x: int, y: int).").unwrap());
         let mut nulls = NullFactory::new(0);
         let mut chase = ChaseState::new();

@@ -110,6 +110,7 @@ pub fn global_fixpoint(
 mod tests {
     use super::*;
     use crate::rule::{paper_example_rules, paper_example_schema, CoordinationRule};
+    use p2p_relational::query::Idents;
     use p2p_relational::{DatabaseSchema, Val};
 
     fn resolve(s: &str) -> Option<NodeId> {
@@ -140,7 +141,16 @@ mod tests {
     fn copy_rule_fixpoint() {
         let mut rules = RuleSet::new();
         rules
-            .add(CoordinationRule::parse("r", "B:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r",
+                    "B:b(X,Y) => A:a(X,Y)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         let fp = global_fixpoint(&two_node_dbs(), &rules, 64).unwrap();
         assert_eq!(fp.node(NodeId(0)).unwrap().relation("a").unwrap().len(), 2);
@@ -154,10 +164,28 @@ mod tests {
         // the loop must saturate and stop.
         let mut rules = RuleSet::new();
         rules
-            .add(CoordinationRule::parse("r1", "B:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r1",
+                    "B:b(X,Y) => A:a(X,Y)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         rules
-            .add(CoordinationRule::parse("r2", "A:a(X,Y) => B:b(X,Y)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r2",
+                    "A:a(X,Y) => B:b(X,Y)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         let fp = global_fixpoint(&two_node_dbs(), &rules, 64).unwrap();
         // Both sides end with the same 2 tuples.
@@ -210,7 +238,16 @@ mod tests {
     fn existential_rule_invents_once() {
         let mut rules = RuleSet::new();
         rules
-            .add(CoordinationRule::parse("r", "B:b(X,Y) => A:a(X,Z)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r",
+                    "B:b(X,Y) => A:a(X,Z)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         let fp = global_fixpoint(&two_node_dbs(), &rules, 64).unwrap();
         let a = fp.node(NodeId(0)).unwrap().relation("a").unwrap();
@@ -223,10 +260,28 @@ mod tests {
     fn depth_valve_aborts_diverging_sets() {
         let mut rules = RuleSet::new();
         rules
-            .add(CoordinationRule::parse("f", "A:a(X,Y) => B:b(Y,Z)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "f",
+                    "A:a(X,Y) => B:b(Y,Z)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         rules
-            .add(CoordinationRule::parse("g", "B:b(X,Y) => A:a(Y,Z)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "g",
+                    "B:b(X,Y) => A:a(Y,Z)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         let mut dbs = two_node_dbs();
         dbs.get_mut(&NodeId(0))
@@ -244,7 +299,16 @@ mod tests {
     fn equivalence_detects_differences() {
         let mut rules = RuleSet::new();
         rules
-            .add(CoordinationRule::parse("r", "B:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap())
+            .add(
+                CoordinationRule::parse(
+                    "r",
+                    "B:b(X,Y) => A:a(X,Y)",
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
             .unwrap();
         let fp = global_fixpoint(&two_node_dbs(), &rules, 64).unwrap();
         let empty = GlobalDb(

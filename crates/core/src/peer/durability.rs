@@ -341,6 +341,7 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::messages::Start;
     use p2p_net::Codec;
+    use p2p_relational::query::Idents;
     use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
     use p2p_storage::FileBackend;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -502,8 +503,14 @@ mod tests {
             "B" => Some(NodeId(1)),
             _ => None,
         };
-        let rule =
-            crate::rule::CoordinationRule::parse("r", "B:b(X) => A:a(X)", None, &resolve).unwrap();
+        let rule = crate::rule::CoordinationRule::parse(
+            "r",
+            "B:b(X) => A:a(X)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let rule_id = rule.id;
         peer.install_rule(rule.clone());
         let st = PeerStorage::new(Box::<p2p_storage::MemoryBackend>::default(), 0);
@@ -570,9 +577,14 @@ mod tests {
         };
         let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
         let mut peer = DbPeer::new(NodeId(1), Database::new(schema), durable_config());
-        let rule =
-            crate::rule::CoordinationRule::parse("r", "B:b(X), C:c(Y) => A:a(X,Y)", None, &resolve)
-                .unwrap();
+        let rule = crate::rule::CoordinationRule::parse(
+            "r",
+            "B:b(X), C:c(Y) => A:a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let rule_id = rule.id;
         peer.install_rule(rule);
         let st = PeerStorage::new(Box::<p2p_storage::MemoryBackend>::default(), 0);
@@ -631,8 +643,10 @@ mod tests {
             "C" => Some(NodeId(4)),
             _ => None,
         };
-        let parse =
-            |text: &str| crate::rule::CoordinationRule::parse("r", text, None, &resolve).unwrap();
+        let parse = |text: &str| {
+            crate::rule::CoordinationRule::parse("r", text, None, &resolve, &mut Idents::new())
+                .unwrap()
+        };
         let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
         let mut peer = DbPeer::new(NodeId(1), Database::new(schema), durable_config());
         let rule = parse("B:b(X), C:c(Y) => A:a(X,Y)");
@@ -682,9 +696,14 @@ mod tests {
             "C" => Some(NodeId(4)),
             _ => None,
         };
-        let rule =
-            crate::rule::CoordinationRule::parse("r", "B:b(X), C:c(Y) => A:a(X,Y)", None, &resolve)
-                .unwrap();
+        let rule = crate::rule::CoordinationRule::parse(
+            "r",
+            "B:b(X), C:c(Y) => A:a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let schema = DatabaseSchema::parse("a(x: int, y: int).").unwrap();
         let mut peer = DbPeer::new(NodeId(1), Database::new(schema), durable_config());
         peer.install_rule(rule.clone());
@@ -735,8 +754,14 @@ mod tests {
             "B" => Some(NodeId(1)),
             _ => None,
         };
-        let rule =
-            crate::rule::CoordinationRule::parse("r", "B:b(X) => A:a(X)", None, &resolve).unwrap();
+        let rule = crate::rule::CoordinationRule::parse(
+            "r",
+            "B:b(X) => A:a(X)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let (head, session) = (NodeId(0), SessionId::new(NodeId(0), 1));
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
         let query = Query::new(

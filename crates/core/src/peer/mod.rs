@@ -1083,6 +1083,7 @@ pub(crate) fn part_marks(db: &Database, part: &crate::rule::BodyPart) -> Marks {
 mod tests {
     use super::*;
     use crate::messages::{Answer, Query, Start};
+    use p2p_relational::query::Idents;
     use p2p_relational::DatabaseSchema;
 
     #[test]
@@ -1099,7 +1100,7 @@ mod tests {
             _ => None,
         };
         let part = |text: &str| {
-            CoordinationRule::parse("r", text, None, &resolve)
+            CoordinationRule::parse("r", text, None, &resolve, &mut Idents::new())
                 .unwrap()
                 .parts
                 .remove(0)
@@ -1217,7 +1218,7 @@ mod tests {
             _ => None,
         };
         let part = |text: &str| {
-            CoordinationRule::parse("r", text, None, &resolve)
+            CoordinationRule::parse("r", text, None, &resolve, &mut Idents::new())
                 .unwrap()
                 .parts
                 .remove(0)
@@ -1329,7 +1330,8 @@ mod tests {
             "D" => Some(D),
             _ => None,
         };
-        let mut rule = CoordinationRule::parse("r", text, None, &resolve).unwrap();
+        let mut rule =
+            CoordinationRule::parse("r", text, None, &resolve, &mut Idents::new()).unwrap();
         rule.id = RuleId(id);
         rule
     }

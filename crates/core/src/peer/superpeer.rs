@@ -276,6 +276,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::rule::CoordinationRule;
+    use p2p_relational::query::Idents;
     use p2p_relational::{Database, DatabaseSchema};
 
     fn resolve(s: &str) -> Option<NodeId> {
@@ -294,7 +295,9 @@ mod tests {
         let schema = DatabaseSchema::parse("a(x: int).").unwrap();
         let mut peer = DbPeer::new(NodeId(0), Database::new(schema), SystemConfig::default());
         peer.make_super(vec![NodeId(0), NodeId(1)]);
-        let rule = CoordinationRule::parse("r", "A:a(X) => B:b(X)", None, &resolve).unwrap();
+        let rule =
+            CoordinationRule::parse("r", "A:a(X) => B:b(X)", None, &resolve, &mut Idents::new())
+                .unwrap();
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
         peer.apply_change(ChangeOp::AddLink { rule: rule.clone() }, &mut ctx);
         let out = ctx.take_outgoing();

@@ -20,12 +20,13 @@
 //! check sees that rule by rule and builds no position graph.
 
 use crate::error::{CoreError, CoreResult};
-use p2p_relational::query::{parse_implication, Atom, Constraint, Term};
+use p2p_relational::query::{parse_implication, Atom, Constraint, Idents, Implication, Term};
 use p2p_relational::DatabaseSchema;
 use p2p_topology::fxhash::FxHashMap;
 use p2p_topology::scc::{self, Csr};
 use p2p_topology::{DependencyGraph, NodeId};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -60,6 +61,30 @@ pub struct BodyPart {
     pub vars: Vec<Arc<str>>,
 }
 
+impl BodyPart {
+    fn empty(node: NodeId) -> Self {
+        BodyPart {
+            node,
+            atoms: Vec::new(),
+            local_constraints: Vec::new(),
+            vars: Vec::new(),
+        }
+    }
+}
+
+/// Every variable occurrence in `atoms`, in order.
+fn variables(atoms: &[Atom]) -> impl Iterator<Item = &Arc<str>> {
+    (atoms.iter().flat_map(|a| &a.terms)).filter_map(|t| match t {
+        Term::Var(v) => Some(v),
+        Term::Const(_) => None,
+    })
+}
+
+/// The part a rule being parsed is building: nothing else holds it yet.
+fn building(part: &mut Arc<BodyPart>) -> &mut BodyPart {
+    Arc::get_mut(part).expect("a part being built is unshared")
+}
+
 /// A coordination rule.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoordinationRule {
@@ -87,22 +112,38 @@ impl CoordinationRule {
     /// Body atoms must be node-qualified. Head atoms may all be qualified
     /// with the same node, or left unqualified if `default_head` is given.
     /// `resolve` maps node names (`A`, `B`, …) to ids.
+    ///
+    /// Relation names and variables come from `idents`, which the caller
+    /// owns: a [`crate::P2PSystemBuilder`] passes one interner for all the
+    /// rules it reads, so they share one `Arc<str>` per distinct name; a
+    /// caller without one passes `&mut Idents::new()`.
+    ///
+    /// The body atoms are moved, qualifier stripped, into one part per
+    /// node in node order; a part's variables are listed in first-occurrence
+    /// order, and a constraint goes to the first part binding all its
+    /// variables, or else joins the rule's join constraints.
     pub fn parse(
         name: &str,
         text: &str,
         default_head: Option<NodeId>,
         resolve: &dyn Fn(&str) -> Option<NodeId>,
+        idents: &mut Idents,
     ) -> CoreResult<Self> {
-        let imp = parse_implication(text).map_err(CoreError::Relational)?;
+        let imp = parse_implication(text, idents).map_err(CoreError::Relational)?;
         if imp.head.is_empty() || imp.body.is_empty() {
             return Err(CoreError::MalformedRule(name.to_string()));
         }
+        let Implication {
+            mut body,
+            constraints,
+            mut head,
+        } = imp;
 
         // Resolve the head node.
         let mut head_node: Option<NodeId> = default_head;
-        for atom in &imp.head {
-            if let Some(q) = &atom.qualifier {
-                let id = resolve(q).ok_or_else(|| CoreError::UnknownNode(q.to_string()))?;
+        for atom in &mut head {
+            if let Some(q) = atom.qualifier.take() {
+                let id = resolve(&q).ok_or_else(|| CoreError::UnknownNode(q.to_string()))?;
                 match head_node {
                     Some(h) if h != id && default_head.is_none() => {
                         return Err(CoreError::MalformedRule(format!(
@@ -115,68 +156,61 @@ impl CoordinationRule {
         }
         let head_node = head_node.ok_or_else(|| CoreError::UnresolvedHead(name.to_string()))?;
 
-        // Group body atoms by node.
-        let mut parts: BTreeMap<NodeId, Vec<Atom>> = BTreeMap::new();
-        for atom in &imp.body {
+        // Lay out the parts in node order, resolving the body atoms' nodes
+        // in text order. A part is unshared until the rule is made, so
+        // `Arc::get_mut` holds.
+        let body_node = |atom: &Atom| -> CoreResult<NodeId> {
             let q = atom.qualifier.as_ref().ok_or_else(|| {
                 CoreError::MalformedRule(format!(
                     "{name}: body atom `{atom}` must be node-qualified"
                 ))
             })?;
-            let id = resolve(q).ok_or_else(|| CoreError::UnknownNode(q.to_string()))?;
-            parts.entry(id).or_default().push(atom.unqualified());
+            resolve(q).ok_or_else(|| CoreError::UnknownNode(q.to_string()))
+        };
+        let mut parts: Vec<Arc<BodyPart>> = Vec::with_capacity(1);
+        for atom in &body {
+            let node = body_node(atom)?;
+            let at = parts.partition_point(|p| p.node < node);
+            if parts.get(at).is_none_or(|p| p.node != node) {
+                parts.insert(at, Arc::new(BodyPart::empty(node)));
+            }
         }
-        if parts.contains_key(&head_node) {
+        if parts.iter().any(|p| p.node == head_node) {
             return Err(CoreError::SelfRule(name.to_string()));
+        }
+        // Move the atoms in, qualifiers stripped: a body at one node is its
+        // part's atom list as parsed.
+        if let [part] = &mut parts[..] {
+            body.iter_mut().for_each(|a| a.qualifier = None);
+            building(part).atoms = body;
+        } else {
+            for mut atom in body {
+                let node = body_node(&atom).expect("resolved above");
+                let at = parts.partition_point(|p| p.node < node);
+                atom.qualifier = None;
+                building(&mut parts[at]).atoms.push(atom);
+            }
+        }
+        for part in &mut parts {
+            let part = building(part);
+            let mut vars = Vec::with_capacity(variables(&part.atoms).count());
+            for v in variables(&part.atoms) {
+                if !vars.contains(v) {
+                    vars.push(Arc::clone(v));
+                }
+            }
+            part.vars = vars;
         }
 
         // Push constraints down to single fragments where possible.
-        let part_vars: BTreeMap<NodeId, BTreeSet<Arc<str>>> = parts
-            .iter()
-            .map(|(n, atoms)| {
-                (
-                    *n,
-                    atoms
-                        .iter()
-                        .flat_map(|a| a.variables())
-                        .collect::<BTreeSet<_>>(),
-                )
-            })
-            .collect();
-        let mut local: BTreeMap<NodeId, Vec<Constraint>> = BTreeMap::new();
         let mut join_constraints = Vec::new();
-        'outer: for c in &imp.constraints {
-            let cvars = c.variables();
-            for (n, vars) in &part_vars {
-                if cvars.iter().all(|v| vars.contains(v)) {
-                    local.entry(*n).or_default().push(c.clone());
-                    continue 'outer;
-                }
+        for c in constraints {
+            match parts.iter_mut().find(|p| c.bound_by(&p.vars)) {
+                Some(part) => building(part).local_constraints.push(c),
+                None => join_constraints.push(c),
             }
-            join_constraints.push(c.clone());
         }
 
-        let parts: Vec<Arc<BodyPart>> = parts
-            .into_iter()
-            .map(|(node, atoms)| {
-                let mut vars = Vec::new();
-                for a in &atoms {
-                    for v in a.variables() {
-                        if !vars.contains(&v) {
-                            vars.push(v);
-                        }
-                    }
-                }
-                Arc::new(BodyPart {
-                    node,
-                    atoms,
-                    local_constraints: local.remove(&node).unwrap_or_default(),
-                    vars,
-                })
-            })
-            .collect();
-
-        let head: Vec<Atom> = imp.head.iter().map(Atom::unqualified).collect();
         Ok(CoordinationRule {
             id: RuleId(0),
             name: Arc::from(name),
@@ -259,11 +293,12 @@ impl CoordinationRule {
             check_atoms(part.node, &part.atoms)?;
         }
         check_atoms(self.head_node, &self.head)?;
-        let frontier = self.frontier_vars();
         for c in &self.join_constraints {
-            for v in c.variables() {
-                if !frontier.contains(&v) {
-                    return Err(fail(format!("join constraint variable `{v}` unbound")));
+            for t in [&c.lhs, &c.rhs] {
+                if let Term::Var(v) = t {
+                    if !self.parts.iter().any(|p| p.vars.contains(v)) {
+                        return Err(fail(format!("join constraint variable `{v}` unbound")));
+                    }
                 }
             }
         }
@@ -312,10 +347,12 @@ impl fmt::Display for CoordinationRule {
 /// A rule is immutable once added, so the set holds it behind an `Arc`:
 /// the peers a builder makes hold the set's own allocation of each rule
 /// they are the head of, not a copy.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleSet {
-    rules: BTreeMap<RuleId, Arc<CoordinationRule>>,
-    by_name: BTreeMap<Arc<str>, RuleId>,
+    /// In id order: [`RuleSet::add`] hands out increasing ids and appends,
+    /// so lookups by id are binary searches.
+    rules: Vec<Arc<CoordinationRule>>,
+    by_name: FxHashMap<Arc<str>, RuleId>,
     next_id: u32,
 }
 
@@ -327,37 +364,42 @@ impl RuleSet {
 
     /// Adds a rule, assigning its id. Rejects duplicate names.
     pub fn add(&mut self, mut rule: CoordinationRule) -> CoreResult<RuleId> {
-        if self.by_name.contains_key(&rule.name) {
-            return Err(CoreError::DuplicateRule(rule.name.to_string()));
-        }
         let id = RuleId(self.next_id);
+        match self.by_name.entry(rule.name.clone()) {
+            Entry::Occupied(_) => return Err(CoreError::DuplicateRule(rule.name.to_string())),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
         self.next_id += 1;
         rule.id = id;
-        self.by_name.insert(rule.name.clone(), id);
-        self.rules.insert(id, Arc::new(rule));
+        self.rules.push(Arc::new(rule));
         Ok(id)
+    }
+
+    /// Where the rule with `id` sits in `rules`, if present.
+    fn position(&self, id: RuleId) -> Option<usize> {
+        self.rules.binary_search_by_key(&id, |r| r.id).ok()
     }
 
     /// Removes a rule by id; returns it if present.
     pub fn remove(&mut self, id: RuleId) -> Option<Arc<CoordinationRule>> {
-        let rule = self.rules.remove(&id)?;
+        let rule = self.rules.remove(self.position(id)?);
         self.by_name.remove(&rule.name);
         Some(rule)
     }
 
     /// Lookup by id.
     pub fn get(&self, id: RuleId) -> Option<&Arc<CoordinationRule>> {
-        self.rules.get(&id)
+        self.position(id).map(|at| &self.rules[at])
     }
 
     /// Lookup by name.
     pub fn by_name(&self, name: &str) -> Option<&Arc<CoordinationRule>> {
-        self.by_name.get(name).and_then(|id| self.rules.get(id))
+        self.by_name.get(name).and_then(|&id| self.get(id))
     }
 
     /// Iterates rules in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<CoordinationRule>> {
-        self.rules.values()
+        self.rules.iter()
     }
 
     /// Number of rules.
@@ -542,9 +584,10 @@ pub fn paper_example_rules() -> RuleSet {
         ("r7", "D:d(X,Y), D:d(Y,Z) => C:c(X,Y)"),
     ];
     let mut set = RuleSet::new();
+    let mut idents = Idents::new();
     for (name, text) in texts {
-        let rule =
-            CoordinationRule::parse(name, text, None, &resolve).expect("static example rule");
+        let rule = CoordinationRule::parse(name, text, None, &resolve, &mut idents)
+            .expect("static example rule");
         set.add(rule).expect("unique names");
     }
     set
@@ -565,7 +608,14 @@ mod tests {
 
     #[test]
     fn parse_single_body_rule() {
-        let r = CoordinationRule::parse("r", "B:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap();
+        let r = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y) => A:a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         assert_eq!(r.head_node, NodeId(0));
         assert_eq!(r.body_nodes(), vec![NodeId(1)]);
         assert_eq!(r.parts[0].vars.len(), 2);
@@ -574,8 +624,14 @@ mod tests {
 
     #[test]
     fn parse_multi_node_body_groups_fragments() {
-        let r =
-            CoordinationRule::parse("r", "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)", None, &resolve).unwrap();
+        let r = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         assert_eq!(r.body_nodes(), vec![NodeId(1), NodeId(2)]);
         assert_eq!(r.parts[0].atoms.len(), 1);
         assert_eq!(r.parts[1].atoms.len(), 1);
@@ -588,6 +644,7 @@ mod tests {
             "B:b(X,Y), C:c(U,V), X != Y, X = U => A:a(X,V)",
             None,
             &resolve,
+            &mut Idents::new(),
         )
         .unwrap();
         // X != Y is local to B's fragment; X = U spans both.
@@ -598,7 +655,14 @@ mod tests {
 
     #[test]
     fn existential_vars_detected() {
-        let r = CoordinationRule::parse("r", "B:b(X,Y) => A:a(X,Z)", None, &resolve).unwrap();
+        let r = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y) => A:a(X,Z)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let ex = r.existential_vars();
         assert_eq!(ex.len(), 1);
         assert!(ex.contains(&Arc::from("Z")));
@@ -606,28 +670,62 @@ mod tests {
 
     #[test]
     fn self_rule_rejected() {
-        let e = CoordinationRule::parse("r", "A:a(X,Y) => A:a(Y,X)", None, &resolve).unwrap_err();
+        let e = CoordinationRule::parse(
+            "r",
+            "A:a(X,Y) => A:a(Y,X)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap_err();
         assert_eq!(e, CoreError::SelfRule("r".to_string()));
     }
 
     #[test]
     fn unqualified_body_rejected() {
-        let e = CoordinationRule::parse("r", "b(X,Y) => A:a(X,Y)", None, &resolve).unwrap_err();
+        let e = CoordinationRule::parse(
+            "r",
+            "b(X,Y) => A:a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap_err();
         assert!(matches!(e, CoreError::MalformedRule(_)));
     }
 
     #[test]
     fn unknown_node_rejected() {
-        let e = CoordinationRule::parse("r", "Z:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap_err();
+        let e = CoordinationRule::parse(
+            "r",
+            "Z:b(X,Y) => A:a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap_err();
         assert_eq!(e, CoreError::UnknownNode("Z".to_string()));
     }
 
     #[test]
     fn default_head_applies_to_unqualified_head() {
-        let r =
-            CoordinationRule::parse("r", "B:b(X,Y) => a(X,Y)", Some(NodeId(0)), &resolve).unwrap();
+        let r = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y) => a(X,Y)",
+            Some(NodeId(0)),
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         assert_eq!(r.head_node, NodeId(0));
-        let e = CoordinationRule::parse("r", "B:b(X,Y) => a(X,Y)", None, &resolve).unwrap_err();
+        let e = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y) => a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap_err();
         assert!(matches!(e, CoreError::UnresolvedHead(_)));
     }
 
@@ -663,8 +761,17 @@ mod tests {
         // A rule with an existential whose positions never feed back into a
         // cycle must pass: B:b(X,Y) ⇒ A:a(X,Z) with no rule out of A.
         let mut set = RuleSet::new();
-        set.add(CoordinationRule::parse("r", "B:b(X,Y) => A:a(X,Z)", None, &resolve).unwrap())
-            .unwrap();
+        set.add(
+            CoordinationRule::parse(
+                "r",
+                "B:b(X,Y) => A:a(X,Z)",
+                None,
+                &resolve,
+                &mut Idents::new(),
+            )
+            .unwrap(),
+        )
+        .unwrap();
         assert_eq!(set.check_weak_acyclicity(), Ok(()));
     }
 
@@ -676,10 +783,28 @@ mod tests {
             _ => None,
         };
         let mut set = RuleSet::new();
-        set.add(CoordinationRule::parse("f", "A:a(X,Y) => B:b(Y,Z)", None, &resolve2).unwrap())
-            .unwrap();
-        set.add(CoordinationRule::parse("g", "B:b(X,Y) => A:a(Y,Z)", None, &resolve2).unwrap())
-            .unwrap();
+        set.add(
+            CoordinationRule::parse(
+                "f",
+                "A:a(X,Y) => B:b(Y,Z)",
+                None,
+                &resolve2,
+                &mut Idents::new(),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        set.add(
+            CoordinationRule::parse(
+                "g",
+                "B:b(X,Y) => A:a(Y,Z)",
+                None,
+                &resolve2,
+                &mut Idents::new(),
+            )
+            .unwrap(),
+        )
+        .unwrap();
         let err = set.check_weak_acyclicity().unwrap_err();
         assert!(err.contains("special edge"), "{err}");
     }
@@ -695,12 +820,23 @@ mod tests {
         let mut set = RuleSet::new();
         for i in 0..n - 1 {
             let text = format!("n{}:r(X,Y) => n{i}:r(X,Y)", i + 1);
-            set.add(CoordinationRule::parse(&format!("c{i}"), &text, None, &resolve).unwrap())
-                .unwrap();
+            set.add(
+                CoordinationRule::parse(
+                    &format!("c{i}"),
+                    &text,
+                    None,
+                    &resolve,
+                    &mut Idents::new(),
+                )
+                .unwrap(),
+            )
+            .unwrap();
         }
         let text = format!("n0:r(X,Y) => n{}:r(Y,Z)", n - 1);
-        set.add(CoordinationRule::parse("close", &text, None, &resolve).unwrap())
-            .unwrap();
+        set.add(
+            CoordinationRule::parse("close", &text, None, &resolve, &mut Idents::new()).unwrap(),
+        )
+        .unwrap();
         assert_eq!(
             set.check_weak_acyclicity(),
             Err("special edge (A,r,1) → (N4999,r,1) lies on a cycle".to_string())
@@ -708,8 +844,10 @@ mod tests {
         // Without the existential the same ring passes.
         set.remove(set.by_name("close").unwrap().id);
         let text = format!("n0:r(X,Y) => n{}:r(Y,X)", n - 1);
-        set.add(CoordinationRule::parse("close", &text, None, &resolve).unwrap())
-            .unwrap();
+        set.add(
+            CoordinationRule::parse("close", &text, None, &resolve, &mut Idents::new()).unwrap(),
+        )
+        .unwrap();
         assert_eq!(set.check_weak_acyclicity(), Ok(()));
     }
 
@@ -722,7 +860,7 @@ mod tests {
             "B:b(X,Y), C:c(Y,W) => A:a(X,Z)",
             "B:b(X,Y) => A:a(X,7)",
         ] {
-            let r = CoordinationRule::parse("r", text, None, &resolve).unwrap();
+            let r = CoordinationRule::parse("r", text, None, &resolve, &mut Idents::new()).unwrap();
             assert_eq!(
                 r.has_existential(),
                 !r.existential_vars().is_empty(),
@@ -748,12 +886,26 @@ mod tests {
     #[test]
     fn rule_set_registry_round_trip() {
         let mut set = RuleSet::new();
-        let r = CoordinationRule::parse("r9", "B:b(X,Y) => A:a(X,Y)", None, &resolve).unwrap();
+        let r = CoordinationRule::parse(
+            "r9",
+            "B:b(X,Y) => A:a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         let id = set.add(r).unwrap();
         assert!(set.get(id).is_some());
         assert_eq!(set.by_name("r9").unwrap().id, id);
         // Duplicate name rejected.
-        let dup = CoordinationRule::parse("r9", "C:c(X,Y) => A:a(X,Y)", None, &resolve).unwrap();
+        let dup = CoordinationRule::parse(
+            "r9",
+            "C:c(X,Y) => A:a(X,Y)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         assert!(matches!(set.add(dup), Err(CoreError::DuplicateRule(_))));
         // Removal clears both registries.
         assert!(set.remove(id).is_some());
@@ -772,17 +924,33 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let bad_arity = CoordinationRule::parse("r", "B:b(X) => A:a(X)", None, &resolve).unwrap();
+        let bad_arity =
+            CoordinationRule::parse("r", "B:b(X) => A:a(X)", None, &resolve, &mut Idents::new())
+                .unwrap();
         assert!(matches!(
             bad_arity.validate(&schemas),
             Err(CoreError::SchemaViolation { .. })
         ));
-        let missing = CoordinationRule::parse("r", "B:zzz(X) => A:a(X)", None, &resolve).unwrap();
+        let missing = CoordinationRule::parse(
+            "r",
+            "B:zzz(X) => A:a(X)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         assert!(matches!(
             missing.validate(&schemas),
             Err(CoreError::SchemaViolation { .. })
         ));
-        let ok = CoordinationRule::parse("r", "B:b(X,Y) => A:a(X)", None, &resolve).unwrap();
+        let ok = CoordinationRule::parse(
+            "r",
+            "B:b(X,Y) => A:a(X)",
+            None,
+            &resolve,
+            &mut Idents::new(),
+        )
+        .unwrap();
         assert!(ok.validate(&schemas).is_ok());
     }
 
@@ -793,6 +961,7 @@ mod tests {
             "B:b(X,Y), B:b(X,Z), X != Z => A:a(X,Y)",
             None,
             &resolve,
+            &mut Idents::new(),
         )
         .unwrap();
         let shown = r.to_string();

@@ -18,9 +18,10 @@ use p2p_net::{
     ChurnPlan, ConstantLatency, FaultPlan, LatencyModel, NetStats, RunOutcome, SessionId,
     ShardPlacement, ShardedNetwork, SimTime, Simulator,
 };
-use p2p_relational::query::{evaluate_certain, parse_query, PlanCatalog};
+use p2p_relational::query::{evaluate_certain, parse_query, Idents, PlanCatalog};
 use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
 use p2p_storage::{MemoryBackend, PeerStorage};
+use p2p_topology::fxhash::FxHashMap;
 use p2p_topology::{scc, Csr, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -33,8 +34,12 @@ pub struct P2PSystemBuilder {
     /// same text share one [`DatabaseSchema`] (a refcount each).
     parsed: HashMap<String, DatabaseSchema>,
     data: BTreeMap<NodeId, Database>,
-    names: BTreeMap<String, NodeId>,
+    /// Node names, keyed by the interned name the rules' qualifiers share.
+    names: FxHashMap<Arc<str>, NodeId>,
     rules: RuleSet,
+    /// One interner for every rule text this builder reads: its rules
+    /// share one `Arc<str>` per distinct relation name and variable.
+    idents: Idents,
     config: SystemConfig,
     /// `None`: a constant 1 ms on every link.
     latency: Option<Box<dyn LatencyModel>>,
@@ -71,7 +76,7 @@ impl P2PSystemBuilder {
         };
         self.data.insert(node, Database::new(schema.clone()));
         self.schemas.insert(node, schema);
-        self.names.insert(name.to_string(), node);
+        self.names.insert(self.idents.intern(name), node);
         Ok(())
     }
 
@@ -101,11 +106,12 @@ impl P2PSystemBuilder {
         self.rules.add(rule)
     }
 
-    /// Parses a rule without registering it (used for dynamic-change scripts).
-    pub fn make_rule(&self, name: &str, text: &str) -> CoreResult<CoordinationRule> {
+    /// Parses and validates a rule without registering it, its identifiers
+    /// taken from the builder's interner.
+    pub fn make_rule(&mut self, name: &str, text: &str) -> CoreResult<CoordinationRule> {
         let names = &self.names;
         let resolve = move |s: &str| names.get(s).copied();
-        let rule = CoordinationRule::parse(name, text, None, &resolve)?;
+        let rule = CoordinationRule::parse(name, text, None, &resolve, &mut self.idents)?;
         rule.validate(&self.schemas)?;
         Ok(rule)
     }
@@ -562,7 +568,7 @@ impl P2PSystem {
         let names: BTreeMap<String, NodeId> =
             self.sim.peers().map(|(id, _)| (id.letter(), *id)).collect();
         let resolve = move |s: &str| names.get(s).copied();
-        let mut rule = CoordinationRule::parse(name, text, None, &resolve)?;
+        let mut rule = CoordinationRule::parse(name, text, None, &resolve, &mut Idents::new())?;
         rule.id = id;
         Ok(ChangeOp::AddLink { rule })
     }

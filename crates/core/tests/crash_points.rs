@@ -12,6 +12,7 @@ use p2p_core::messages::{Answer, AnswerRows, Via};
 use p2p_core::peer::DbPeer;
 use p2p_core::{CoordinationRule, ProtocolMsg, SystemConfig};
 use p2p_net::{Context, Peer, SessionId, SimTime};
+use p2p_relational::query::Idents;
 use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
 use p2p_storage::{
     FileBackend, MemoryBackend, PeerStorage, RecoveredState, StorageBackend, StorageResult,
@@ -32,7 +33,14 @@ fn rule() -> CoordinationRule {
         "C" => Some(C),
         _ => None,
     };
-    CoordinationRule::parse("r", "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)", None, &resolve).unwrap()
+    CoordinationRule::parse(
+        "r",
+        "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)",
+        None,
+        &resolve,
+        &mut Idents::new(),
+    )
+    .unwrap()
 }
 
 /// The head of `B:b(X,Y), C:c(Y,Z) => A:a(X,Z)` on `storage`, with `pad`
@@ -285,7 +293,14 @@ fn a_head_that_fails_part_way_logs_the_facts_it_inserted() {
         "B" => Some(B),
         _ => None,
     };
-    let rule = CoordinationRule::parse("r", "B:b(X,S) => A:a(X), A:n(S)", None, &resolve).unwrap();
+    let rule = CoordinationRule::parse(
+        "r",
+        "B:b(X,S) => A:a(X), A:n(S)",
+        None,
+        &resolve,
+        &mut Idents::new(),
+    )
+    .unwrap();
     let schema = DatabaseSchema::parse("a(x: int). n(v: int).").unwrap();
     let config = SystemConfig {
         durability: true,

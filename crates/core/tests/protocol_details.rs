@@ -5,6 +5,7 @@
 use p2p_core::rule::{CoordinationRule, RuleSet};
 use p2p_core::system::P2PSystemBuilder;
 use p2p_net::{BandwidthLatency, SimTime, UniformLatency};
+use p2p_relational::query::Idents;
 use p2p_relational::Value;
 use p2p_topology::NodeId;
 
@@ -72,7 +73,16 @@ fn broadcast_rules_swaps_the_topology_at_runtime() {
     };
     let mut new_rules = RuleSet::new();
     new_rules
-        .add(CoordinationRule::parse("n1", "A:a(X,Y) => C:c(Y,X)", None, &names).unwrap())
+        .add(
+            CoordinationRule::parse(
+                "n1",
+                "A:a(X,Y) => C:c(Y,X)",
+                None,
+                &names,
+                &mut Idents::new(),
+            )
+            .unwrap(),
+        )
         .unwrap();
     sys.broadcast_rules(new_rules);
 
@@ -112,7 +122,16 @@ fn broadcast_rules_resets_discovery_knowledge() {
     };
     let mut new_rules = RuleSet::new();
     new_rules
-        .add(CoordinationRule::parse("n1", "A:a(X,Y) => C:c(Y,X)", None, &names).unwrap())
+        .add(
+            CoordinationRule::parse(
+                "n1",
+                "A:a(X,Y) => C:c(Y,X)",
+                None,
+                &names,
+                &mut Idents::new(),
+            )
+            .unwrap(),
+        )
         .unwrap();
     sys.broadcast_rules(new_rules);
     sys.run_discovery(&[NodeId(0), NodeId(1), NodeId(2)]);

@@ -1,6 +1,7 @@
 //! Abstract syntax for conjunctive queries and rule formulas.
 
 use crate::value::{Val, Value};
+use p2p_topology::fxhash::FxHashSet;
 use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -73,6 +74,35 @@ impl fmt::Display for Term {
     }
 }
 
+/// An identifier interner: one set of shared names, owned by whoever parses.
+///
+/// The parser ([`super::parse_implication`]) takes every relation name,
+/// variable and qualifier it reads through one, so all occurrences of a
+/// name parsed under the same interner are clones of one `Arc<str>`: a
+/// network builder's thousands of copy rules share `item`, `I`, `S` and
+/// each node's qualifier instead of allocating them per occurrence. An
+/// interner only ever grows; equality of what it hands out is still by
+/// content, so a fresh interner parses to equal values.
+#[derive(Debug, Clone, Default)]
+pub struct Idents(FxHashSet<Arc<str>>);
+
+impl Idents {
+    /// An empty interner.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The shared `Arc` of `name`, made on its first occurrence.
+    pub fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+}
+
 /// A relational atom `r(t1, …, tn)`, optionally qualified with the peer it
 /// refers to (`B:b(X,Y)` — the paper's `j : b(x,y)` notation).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,23 +139,12 @@ impl Atom {
         }
     }
 
-    /// Returns a copy with the qualifier removed (used when routing a
-    /// sub-query to the peer that owns it).
-    pub fn unqualified(&self) -> Atom {
-        Atom {
-            qualifier: None,
-            relation: self.relation.clone(),
-            terms: self.terms.clone(),
-        }
-    }
-
     /// Variables occurring in this atom, in first-occurrence order.
     pub fn variables(&self) -> Vec<Arc<str>> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
+        let mut out: Vec<Arc<str>> = Vec::new();
         for t in &self.terms {
             if let Term::Var(v) = t {
-                if seen.insert(v.clone()) {
+                if !out.contains(v) {
                     out.push(v.clone());
                 }
             }
@@ -235,6 +254,14 @@ impl Constraint {
             }
         }
         out
+    }
+
+    /// True iff every variable of the constraint is one of `vars`.
+    /// Allocates nothing.
+    pub fn bound_by(&self, vars: &[Arc<str>]) -> bool {
+        [&self.lhs, &self.rhs]
+            .into_iter()
+            .all(|t| !matches!(t, Term::Var(v) if !vars.contains(v)))
     }
 }
 
@@ -386,6 +413,10 @@ mod tests {
     fn qualified_atom_display() {
         let a = Atom::qualified("B", "b", vec![Term::var("X")]);
         assert_eq!(a.to_string(), "B:b(X)");
-        assert_eq!(a.unqualified().to_string(), "b(X)");
+        let unqualified = Atom {
+            qualifier: None,
+            ..a
+        };
+        assert_eq!(unqualified.to_string(), "b(X)");
     }
 }

@@ -15,7 +15,7 @@ pub mod eval;
 pub mod parser;
 pub mod plan;
 
-pub use ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
+pub use ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Idents, Term};
 pub use eval::{evaluate, evaluate_bindings, evaluate_bindings_since, evaluate_certain, Bindings};
 pub use parser::{parse_atom, parse_implication, parse_query, Implication};
 pub use plan::{

@@ -17,9 +17,18 @@
 //! Variables start with an uppercase letter or `_`; everything else
 //! lowercase-initial is a relation/query name. This matches the notation of
 //! the paper's running example (`B:b(X,Y), b(X,Z), X != Z => A:a(X,Y)`).
+//!
+//! Identifiers — relation names, variables, qualifiers — come from an
+//! [`Idents`] interner, never from a fresh allocation per occurrence.
+//! [`parse_implication`] takes the caller's: a network builder owns one for
+//! all its rules (`P2PSystemBuilder`), so every rule it reads shares one
+//! `Arc<str>` per distinct name, and a caller without one passes
+//! `&mut Idents::new()`. [`parse_query`] and [`parse_atom`] read one-off
+//! texts and use an interner of their own. A body item is told apart as an
+//! atom or a constraint by looking ahead, not by failing as an atom first.
 
 use crate::error::{Error, Result};
-use crate::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
+use crate::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Idents, Term};
 use crate::value::Val;
 use std::sync::Arc;
 
@@ -38,7 +47,8 @@ pub struct Implication {
 
 /// Parses a conjunctive query, e.g. `q(X, Z) :- b(X, Y), b(Y, Z), X != Z`.
 pub fn parse_query(input: &str) -> Result<ConjunctiveQuery> {
-    let mut p = P::new(input);
+    let mut idents = Idents::new();
+    let mut p = P::new(input, &mut idents);
     let (name, head_terms, qualifier) = p.head_atom()?;
     if let Some(q) = qualifier {
         return Err(p.err_at(format!("query head must not be qualified (got `{q}:`)")));
@@ -60,7 +70,8 @@ pub fn parse_query(input: &str) -> Result<ConjunctiveQuery> {
 
 /// Parses a single (possibly qualified) atom, e.g. `B:b(X, 'v')`.
 pub fn parse_atom(input: &str) -> Result<Atom> {
-    let mut p = P::new(input);
+    let mut idents = Idents::new();
+    let mut p = P::new(input, &mut idents);
     let atom = p.atom()?;
     p.ws();
     p.eof()?;
@@ -68,13 +79,15 @@ pub fn parse_atom(input: &str) -> Result<Atom> {
 }
 
 /// Parses an implication `body => head` (coordination-rule shape), e.g.
-/// `B:b(X,Y), B:b(X,Z), X != Z => A:a(X,Y)`.
-pub fn parse_implication(input: &str) -> Result<Implication> {
-    let mut p = P::new(input);
+/// `B:b(X,Y), B:b(X,Z), X != Z => A:a(X,Y)`, taking its identifiers from
+/// `idents` (see the module docs).
+pub fn parse_implication(input: &str, idents: &mut Idents) -> Result<Implication> {
+    let mut p = P::new(input, idents);
     let (body, constraints) = p.body()?;
     p.ws();
     p.expect_str("=>")?;
-    let mut head = Vec::new();
+    p.ws();
+    let mut head = Vec::with_capacity(p.items_ahead());
     loop {
         p.ws();
         head.push(p.atom()?);
@@ -128,14 +141,19 @@ fn check_safety(q: &ConjunctiveQuery) -> Result<()> {
 /// `(relation name, terms, qualifier)` of a parsed atom.
 type ParsedAtomParts = (Arc<str>, Vec<Term>, Option<Arc<str>>);
 
-struct P<'a> {
+struct P<'a, 'i> {
     input: &'a str,
     pos: usize,
+    idents: &'i mut Idents,
 }
 
-impl<'a> P<'a> {
-    fn new(input: &'a str) -> Self {
-        P { input, pos: 0 }
+impl<'a, 'i> P<'a, 'i> {
+    fn new(input: &'a str, idents: &'i mut Idents) -> Self {
+        P {
+            input,
+            pos: 0,
+            idents,
+        }
     }
 
     fn err_at(&self, message: impl Into<String>) -> Error {
@@ -200,7 +218,8 @@ impl<'a> P<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<&'a str> {
+    /// The identifier at the cursor, consumed, if one starts there.
+    fn scan_ident(&mut self) -> Option<&'a str> {
         let start = self.pos;
         let bytes = self.input.as_bytes();
         if self.pos < bytes.len()
@@ -212,9 +231,44 @@ impl<'a> P<'a> {
             {
                 self.pos += 1;
             }
-            Ok(&self.input[start..self.pos])
+            Some(&self.input[start..self.pos])
         } else {
-            Err(self.err_at("expected identifier"))
+            None
+        }
+    }
+
+    fn ident(&mut self) -> Result<&'a str> {
+        self.scan_ident()
+            .ok_or_else(|| self.err_at("expected identifier"))
+    }
+
+    /// How many comma-separated items the list at the cursor holds, read
+    /// ahead to its end (its closing `)`, a `=>` or the end of input) over
+    /// nested parentheses and quoted strings; 0 for an empty list. Lists
+    /// are made with this capacity, so a parsed rule or query keeps no
+    /// growth slack in its atom and term lists. (On malformed input the
+    /// count may be off; it is only a capacity.)
+    fn items_ahead(&self) -> usize {
+        let bytes = &self.input.as_bytes()[self.pos..];
+        let (mut depth, mut quoted, mut commas) = (0usize, false, 0);
+        let mut empty = true;
+        for (i, &b) in bytes.iter().enumerate() {
+            match b {
+                b'\'' => quoted = !quoted,
+                _ if quoted => {}
+                b'(' => depth += 1,
+                b')' if depth == 0 => break,
+                b')' => depth -= 1,
+                b'=' if depth == 0 && bytes.get(i + 1) == Some(&b'>') => break,
+                b',' if depth == 0 => commas += 1,
+                _ => {}
+            }
+            empty &= b.is_ascii_whitespace();
+        }
+        if empty {
+            0
+        } else {
+            commas + 1
         }
     }
 
@@ -228,9 +282,9 @@ impl<'a> P<'a> {
             self.pos += 1;
             self.ws();
             let n = self.ident()?;
-            (Some(Arc::from(first)), Arc::from(n))
+            (Some(self.idents.intern(first)), self.idents.intern(n))
         } else {
-            (None, Arc::<str>::from(first))
+            (None, self.idents.intern(first))
         };
         self.ws();
         self.expect(b'(')?;
@@ -249,7 +303,7 @@ impl<'a> P<'a> {
 
     /// Comma-separated `term` list up to and including the closing `)`.
     fn terms(&mut self) -> Result<Vec<Term>> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.items_ahead());
         loop {
             self.ws();
             if self.peek() == Some(b')') {
@@ -303,7 +357,7 @@ impl<'a> P<'a> {
                 let name = self.ident()?;
                 let first = name.as_bytes()[0];
                 if first.is_ascii_uppercase() || first == b'_' {
-                    Ok(Term::Var(Arc::from(name)))
+                    Ok(Term::Var(self.idents.intern(name)))
                 } else {
                     // Lowercase bare word: treat as string constant, matching
                     // common Datalog usage (`status(X, open)`).
@@ -317,21 +371,23 @@ impl<'a> P<'a> {
     /// Body: atoms and constraints separated by commas, terminated by end of
     /// input or by `=>` (not consumed).
     fn body(&mut self) -> Result<(Vec<Atom>, Vec<Constraint>)> {
-        let mut atoms = Vec::new();
+        self.ws();
+        let mut atoms = Vec::with_capacity(self.items_ahead());
         let mut constraints = Vec::new();
         loop {
             self.ws();
             if self.pos == self.input.len() || self.starts_with("=>") {
                 break;
             }
-            // Disambiguate: an item is an atom iff an identifier is followed
-            // by `(` or `:ident(`. Otherwise it is a constraint.
+            // An item that starts like an atom and parses as one is an
+            // atom; anything else is a constraint.
             let save = self.pos;
-            if let Ok(atom) = self.try_atom() {
-                atoms.push(atom);
-            } else {
-                self.pos = save;
-                constraints.push(self.constraint()?);
+            match self.atom_ahead().then(|| self.atom()) {
+                Some(Ok(atom)) => atoms.push(atom),
+                _ => {
+                    self.pos = save;
+                    constraints.push(self.constraint()?);
+                }
             }
             self.ws();
             if self.peek() == Some(b',') {
@@ -343,13 +399,22 @@ impl<'a> P<'a> {
         Ok((atoms, constraints))
     }
 
-    fn try_atom(&mut self) -> Result<Atom> {
+    /// True iff the item at the cursor starts like an atom: an identifier
+    /// followed by `(` or by a qualifier's `:`. Moves nothing, and so a
+    /// constraint is never first tried (and failed, with an error message
+    /// built to be dropped) as an atom.
+    fn atom_ahead(&mut self) -> bool {
         let save = self.pos;
-        let atom = self.atom();
-        if atom.is_err() {
-            self.pos = save;
-        }
-        atom
+        let ahead = self.scan_ident().is_some() && {
+            self.ws();
+            match self.peek() {
+                Some(b'(') => true,
+                Some(b':') => self.peek2() != Some(b'-'),
+                _ => false,
+            }
+        };
+        self.pos = save;
+        ahead
     }
 
     fn constraint(&mut self) -> Result<Constraint> {
@@ -419,7 +484,8 @@ mod tests {
     #[test]
     fn parse_implication_of_paper_rule_r4() {
         // r4 : B : b(X,Y), b(X,Z), X != Z → A : a(X,Y)
-        let imp = parse_implication("B:b(X,Y), B:b(X,Z), X != Z => A:a(X,Y)").unwrap();
+        let imp = parse_implication("B:b(X,Y), B:b(X,Z), X != Z => A:a(X,Y)", &mut Idents::new())
+            .unwrap();
         assert_eq!(imp.body.len(), 2);
         assert_eq!(imp.body[0].qualifier.as_deref(), Some("B"));
         assert_eq!(imp.constraints.len(), 1);
@@ -431,13 +497,17 @@ mod tests {
     fn parse_implication_with_existential_head() {
         // r2 : B : b(X,Y), b(Y,Z) → C : c(X,Z) — here with an extra head
         // variable W that is existential.
-        let imp = parse_implication("B:b(X,Y) => C:c(X,W)").unwrap();
+        let imp = parse_implication("B:b(X,Y) => C:c(X,W)", &mut Idents::new()).unwrap();
         assert_eq!(imp.head[0].terms[1], Term::var("W"));
     }
 
     #[test]
     fn parse_multi_head_implication() {
-        let imp = parse_implication("S:art(I, T, N) => pub(I, T), author(I, N)").unwrap();
+        let imp = parse_implication(
+            "S:art(I, T, N) => pub(I, T), author(I, N)",
+            &mut Idents::new(),
+        )
+        .unwrap();
         assert_eq!(imp.head.len(), 2);
         assert!(imp.head[0].qualifier.is_none());
     }

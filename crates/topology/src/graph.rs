@@ -14,17 +14,17 @@ impl NodeId {
     /// Renders a node as a letter for small networks (A, B, C, …), matching
     /// the paper's running example, falling back to `N<id>`.
     pub fn letter(&self) -> String {
-        if self.0 < 26 {
-            char::from(b'A' + self.0 as u8).to_string()
-        } else {
-            format!("N{}", self.0)
-        }
+        self.to_string()
     }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.letter())
+        if self.0 < 26 {
+            write!(f, "{}", char::from(b'A' + self.0 as u8))
+        } else {
+            write!(f, "N{}", self.0)
+        }
     }
 }
 

@@ -28,6 +28,7 @@
 use p2p_core::error::CoreResult;
 use p2p_core::system::P2PSystemBuilder;
 use p2p_topology::Topology;
+use std::fmt::Write;
 
 /// Configuration of one scale-scenario system.
 #[derive(Debug, Clone, Copy)]
@@ -81,17 +82,14 @@ pub fn scale_system(cfg: &ScaleConfig) -> CoreResult<P2PSystemBuilder> {
     }
 
     // One copy rule per dependency edge: the head imports the body's items.
-    let mut k = 0usize;
-    for (head, body) in generated.graph.edges() {
-        k += 1;
-        b.add_rule(
-            &format!("s{k}"),
-            &format!(
-                "{}:item(I,S) => {}:inbox(I,S)",
-                body.letter(),
-                head.letter()
-            ),
-        )?;
+    // Name and text are written into two buffers the loop reuses.
+    let (mut name, mut text) = (String::new(), String::new());
+    for (k, (head, body)) in generated.graph.edges().enumerate() {
+        name.clear();
+        text.clear();
+        write!(name, "s{}", k + 1).expect("writing to a String");
+        write!(text, "{body}:item(I,S) => {head}:inbox(I,S)").expect("writing to a String");
+        b.add_rule(&name, &text)?;
     }
 
     // Seed data: the id spaces of different nodes intentionally collide —

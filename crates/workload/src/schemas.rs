@@ -143,6 +143,7 @@ impl SchemaFamily {
 mod tests {
     use super::*;
     use crate::dblp::DblpGenerator;
+    use p2p_relational::query::Idents;
     use p2p_relational::DatabaseSchema;
 
     #[test]
@@ -187,8 +188,14 @@ mod tests {
         for src in [SchemaFamily::S1, SchemaFamily::S2, SchemaFamily::S3] {
             for dst in [SchemaFamily::S1, SchemaFamily::S2, SchemaFamily::S3] {
                 for (k, text) in dst.import_rules(src, "B", "A").iter().enumerate() {
-                    CoordinationRule::parse(&format!("t{k}"), text, None, &resolve)
-                        .unwrap_or_else(|e| panic!("{src:?}->{dst:?} [{text}]: {e}"));
+                    CoordinationRule::parse(
+                        &format!("t{k}"),
+                        text,
+                        None,
+                        &resolve,
+                        &mut Idents::new(),
+                    )
+                    .unwrap_or_else(|e| panic!("{src:?}->{dst:?} [{text}]: {e}"));
                 }
             }
         }
@@ -215,7 +222,14 @@ mod tests {
                 for text in dst_f.import_rules(src_f, &name(j), &name(i)) {
                     k += 1;
                     set.add(
-                        CoordinationRule::parse(&format!("r{k}"), &text, None, &resolve).unwrap(),
+                        CoordinationRule::parse(
+                            &format!("r{k}"),
+                            &text,
+                            None,
+                            &resolve,
+                            &mut Idents::new(),
+                        )
+                        .unwrap(),
                     )
                     .unwrap();
                 }

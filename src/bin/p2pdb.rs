@@ -495,7 +495,12 @@ fn cmd_run(args: &[String]) -> CliResult {
             .parse()?;
         let query = args.get(i + 2).ok_or("--query needs NODE and QUERY")?;
         let answers = sys.query(NodeId(node), query)?;
-        outln!("{} answers at node {}:", answers.len(), NodeId(node));
+        let noun = if answers.len() == 1 {
+            "answer"
+        } else {
+            "answers"
+        };
+        outln!("{} {noun} at node {}:", answers.len(), NodeId(node));
         for row in answers.iter().take(25) {
             outln!("  {}", ShowRow(row));
         }

@@ -11,6 +11,7 @@ use p2pdb::core::rule::CoordinationRule;
 use p2pdb::core::stats::PeerStats;
 use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
 use p2pdb::net::{SimTime, Simulator, UniformLatency};
+use p2pdb::relational::query::Idents;
 use p2pdb::relational::{Database, DatabaseSchema, ShowRow, Val};
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
@@ -176,7 +177,14 @@ fn stale_wave_query_ships_empty_ack_not_full_extension() {
         "C" => Some(NodeId(2)),
         _ => None,
     };
-    let rule = CoordinationRule::parse("lag", "C:c(X,Y) => B:b(X,Y)", None, &resolve).unwrap();
+    let rule = CoordinationRule::parse(
+        "lag",
+        "C:c(X,Y) => B:b(X,Y)",
+        None,
+        &resolve,
+        &mut Idents::new(),
+    )
+    .unwrap();
     let lagging = |from| {
         let part = rule.parts[0].clone();
         ProtocolMsg::Query(Query::new(sid, rule.id, part, from, Via::Round(1)))
@@ -219,7 +227,14 @@ fn part_rule() -> CoordinationRule {
         "B" => Some(NodeId(1)),
         _ => None,
     };
-    CoordinationRule::parse("r", "B:b(X,Y), B:b(Y,Z) => A:a(X,Z)", None, &resolve).unwrap()
+    CoordinationRule::parse(
+        "r",
+        "B:b(X,Y), B:b(Y,Z) => A:a(X,Z)",
+        None,
+        &resolve,
+        &mut Idents::new(),
+    )
+    .unwrap()
 }
 
 proptest! {

@@ -58,13 +58,14 @@ fn live() -> i64 {
 
 const PEERS: u32 = 2_000;
 /// Live bytes per peer once the system is built: 4 042 while every peer
-/// copied the builder's rows, 3 530 once it shares them.
-const AFTER_BUILD: i64 = 3_800;
+/// copied the builder's rows, 3 530 once it shares them, 2 833 once its
+/// rules share their identifiers and keep no growth slack in their lists.
+const AFTER_BUILD: i64 = 3_100;
 /// Live bytes per peer once the first-contact session retired: 8 839
 /// while every peer compiled and kept its own `item(I,S)` plans and
 /// `inbox(I,S)` head, 6 394 once the peers of one build share them, 5 965
-/// once they share the builder's rows too.
-const AFTER_FIRST_CONTACT: i64 = 6_300;
+/// once they share the builder's rows too, 5 268 once the rules are lean.
+const AFTER_FIRST_CONTACT: i64 = 5_600;
 
 fn run_closed(sys: &mut P2PSystem) {
     let report = sys.run_update();

@@ -32,7 +32,7 @@ use p2pdb::net::{
 };
 use p2pdb::relational::chase::{ChaseConfig, ChaseOutcome, ChaseState, CompiledHead};
 use p2pdb::relational::query::{
-    evaluate_bindings_since_planned, Atom, CompiledBody, EvalMetrics, Term,
+    evaluate_bindings_since_planned, Atom, CompiledBody, EvalMetrics, Idents, Term,
 };
 use p2pdb::relational::{
     key_hash, ColumnType, Database, DatabaseSchema, NullFactory, Relation, RelationSchema, RowSet,
@@ -457,8 +457,14 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
         "B" => Some(NodeId(1)),
         _ => None,
     };
-    let rule =
-        CoordinationRule::parse("s1", "B:item(I,S) => A:inbox(I,S)", None, &resolve).unwrap();
+    let rule = CoordinationRule::parse(
+        "s1",
+        "B:item(I,S) => A:inbox(I,S)",
+        None,
+        &resolve,
+        &mut Idents::new(),
+    )
+    .unwrap();
     let marks = [(Arc::<str>::from("item"), 4usize)].into_iter().collect();
     let mut sub = subscription(&rule.parts[0], marks);
     let mut ctx = Context::new(SimTime::ZERO, NodeId(1));
@@ -803,4 +809,55 @@ fn a_durable_serve_builds_only_its_own_peer() {
     let (none, many) = (prepared(0), prepared(20_000));
     println!("a durable prepare of node 0: {none} bytes past the netfile with node 1 empty, {many} with 20 000 rows");
     assert!(many <= none, "{many} bytes against {none}");
+}
+
+/// `flood_sim`'s copy rule and schema, on a builder that names its nodes
+/// as the rule text does.
+const COPY_RULE: &str = "N1:item(I,S) => N0:inbox(I,S)";
+
+fn copy_rule_builder() -> P2PSystemBuilder {
+    let mut b = P2PSystemBuilder::new();
+    for id in 0..2 {
+        let schema = "item(id: int, src: int). inbox(id: int, src: int).";
+        b.add_named_node(&format!("N{id}"), id, schema).unwrap();
+    }
+    b
+}
+
+/// Reading a copy rule allocates what the rule owns and nothing per
+/// identifier: its body and head atom lists (the body's is its one part's
+/// as parsed) and their two term lists, its name, its part list, the
+/// part's `Arc` and variables, and the rule's `Arc` — 9 — with `item`,
+/// `inbox`, `I`, `S` and both qualifiers taken from the builder's
+/// interner. An `Arc` per identifier occurrence, ordered maps and sets to
+/// group the body and an ordered-map registry made it 32.
+#[test]
+fn a_builders_second_copy_rule_allocates_what_it_owns() {
+    let mut b = copy_rule_builder();
+    b.add_rule("s0", COPY_RULE).unwrap();
+    let (_, allocations) = allocations_in(|| b.add_rule("s1", COPY_RULE).unwrap());
+    println!("add_rule of a second copy rule: {allocations} allocations");
+    assert!(allocations <= 9, "{allocations} allocations for one rule");
+}
+
+/// Two rules of one builder hold one `Arc` per relation name and variable.
+#[test]
+fn a_builders_rules_share_their_identifiers() {
+    let mut b = copy_rule_builder();
+    b.add_rule("s0", COPY_RULE).unwrap();
+    b.add_rule("s1", COPY_RULE).unwrap();
+    let [r0, r1] = [0, 1].map(|id| b.rules().get(RuleId(id)).unwrap());
+    let shared = |a: &Arc<str>, b: &Arc<str>| assert!(Arc::ptr_eq(a, b), "`{a}` is not shared");
+    let (body0, body1) = (&r0.parts[0].atoms[0], &r1.parts[0].atoms[0]);
+    shared(&body0.relation, &body1.relation);
+    shared(&r0.head[0].relation, &r1.head[0].relation);
+    for (v0, v1) in r0.parts[0].vars.iter().zip(&r1.parts[0].vars) {
+        shared(v0, v1);
+    }
+    for (t0, t1) in body0.terms.iter().zip(&r1.head[0].terms) {
+        let (Term::Var(v0), Term::Var(v1)) = (t0, t1) else {
+            panic!("a copy rule's terms are variables");
+        };
+        shared(v0, v1);
+    }
 }
