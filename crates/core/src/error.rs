@@ -13,6 +13,8 @@ pub enum CoreError {
     UnknownNode(String),
     /// Two nodes were declared with the same id.
     DuplicateNode(NodeId),
+    /// Two nodes were declared with the same name.
+    DuplicateName(String),
     /// Two rules share a name.
     DuplicateRule(String),
     /// The rule has no body atoms or no head atoms.
@@ -82,6 +84,7 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::UnknownNode(n) => write!(f, "unknown node `{n}`"),
             CoreError::DuplicateNode(n) => write!(f, "node {n} declared twice"),
+            CoreError::DuplicateName(n) => write!(f, "node name `{n}` declared twice"),
             CoreError::DuplicateRule(r) => write!(f, "rule `{r}` declared twice"),
             CoreError::MalformedRule(r) => write!(f, "malformed rule `{r}`"),
             CoreError::SelfRule(r) => {

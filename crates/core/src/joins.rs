@@ -21,8 +21,7 @@ use crate::rule::{BodyPart, CoordinationRule};
 use p2p_relational::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use p2p_relational::query::ast::Term;
 use p2p_relational::query::{
-    evaluate_bindings, evaluate_bindings_since, evaluate_bindings_since_planned, execute_plan,
-    Bindings, Constraint,
+    evaluate_bindings, evaluate_bindings_since_planned, execute_plan, Bindings, Constraint,
 };
 use p2p_relational::{key_hash, Database, Index, NullFactory, RowSet, Val};
 use std::collections::BTreeMap;
@@ -49,21 +48,6 @@ fn part_rows(part: &BodyPart, bindings: Bindings) -> CoreResult<RowSet> {
 /// `part.vars` (deduplicated, deterministic order).
 pub fn eval_part(part: &BodyPart, db: &Database) -> CoreResult<RowSet> {
     let bindings = evaluate_bindings(&part.atoms, &part.local_constraints, db)?;
-    part_rows(part, bindings)
-}
-
-/// Delta evaluation of one body fragment: the rows over `part.vars`
-/// derivable using at least one fact inserted at or after `watermarks`
-/// (semi-naive, see [`evaluate_bindings_since`]). Always a subset of
-/// [`eval_part`] on the same database; together with the rows shipped before
-/// the watermark was taken it covers [`eval_part`] exactly — which is what
-/// lets wave answers ship deltas instead of full extensions.
-pub fn eval_part_delta(
-    part: &BodyPart,
-    db: &Database,
-    watermarks: &BTreeMap<Arc<str>, usize>,
-) -> CoreResult<RowSet> {
-    let bindings = evaluate_bindings_since(&part.atoms, &part.local_constraints, db, watermarks)?;
     part_rows(part, bindings)
 }
 
@@ -96,10 +80,16 @@ pub fn eval_part_planned(
     part_rows(part, bindings)
 }
 
-/// [`eval_part_delta`] over an already compiled body: each delta atom scans
-/// only its post-watermark suffix, so with indexes in place cost is
-/// proportional to the delta. `use_indexes` as in [`eval_part_planned`],
-/// for exactly the delta plans that have new rows to scan.
+/// Delta evaluation of one compiled body fragment: the rows over
+/// `part.vars` derivable using at least one fact inserted at or after
+/// `watermarks` (semi-naive, see [`evaluate_bindings_since_planned`]).
+/// Always a subset of [`eval_part`] on the same database; together with the
+/// rows shipped before the watermarks were taken it covers [`eval_part`]
+/// exactly — which is what lets answers ship deltas instead of full
+/// extensions. Each delta atom scans only its post-watermark suffix, so
+/// with indexes in place cost is proportional to the delta. `use_indexes`
+/// as in [`eval_part_planned`], for exactly the delta plans that have new
+/// rows to scan.
 pub fn eval_part_delta_planned(
     body: &CompiledBody,
     part: &BodyPart,
@@ -519,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_part_delta_is_subset_completing_the_old_eval() {
+    fn a_planned_delta_is_a_subset_completing_the_old_eval() {
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
         db.insert_values("b", vec![Val::Int(1), Val::Int(2)])
             .unwrap();
@@ -531,11 +521,14 @@ mod tests {
             &mut Idents::new(),
         )
         .unwrap();
-        let before = eval_part(&rule.parts[0], &db).unwrap();
+        let part = &rule.parts[0];
+        let body = compile_part(part, &db).unwrap();
+        let before = eval_part(part, &db).unwrap();
         let w = db.watermarks();
         db.insert_values("b", vec![Val::Int(2), Val::Int(9)])
             .unwrap();
-        let delta = eval_part_delta(&rule.parts[0], &db, &w).unwrap();
+        let m = &mut EvalMetrics::default();
+        let delta = eval_part_delta_planned(&body, part, &mut db, &w, false, m).unwrap();
         let after = eval_part(&rule.parts[0], &db).unwrap();
         let mut union: HashSet<&[Val]> = before.iter().collect();
         union.extend(delta.iter());

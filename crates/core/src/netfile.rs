@@ -6,7 +6,9 @@
 //! topologies." This module is that file format: a JSON document declaring
 //! nodes (name, schema, base data) and coordination rules, loadable into a
 //! [`crate::system::P2PSystemBuilder`] and exportable from a running
-//! system's snapshot.
+//! system's snapshot. Rule texts call nodes by name, so a name, like an
+//! id, is unique across the file; a node declared without one is called by
+//! its letter form, and that name is taken as well.
 //!
 //! ```json
 //! {
@@ -32,7 +34,8 @@ use std::collections::BTreeMap;
 pub struct NodeDecl {
     /// Numeric node id (unique).
     pub id: u32,
-    /// Name used in rule texts (defaults to the letter form when omitted).
+    /// Name used in rule texts (defaults to the letter form when omitted),
+    /// unique across the file.
     #[serde(default)]
     pub name: Option<String>,
     /// Schema in the textual form `rel(col: type, ...).`.
@@ -75,8 +78,8 @@ impl NetworkFile {
         serde_json::to_string_pretty(self).expect("network files are plain data")
     }
 
-    /// Builds a [`P2PSystemBuilder`] from this description (nodes first,
-    /// then data, then rules — every step validated).
+    /// Builds a [`P2PSystemBuilder`] from this description (each node with
+    /// its data, then the rules — every step validated).
     pub fn into_builder(&self) -> CoreResult<P2PSystemBuilder> {
         let mut b = P2PSystemBuilder::new();
         for node in &self.nodes {
@@ -84,11 +87,9 @@ impl NetworkFile {
                 Some(name) => b.add_named_node(name, node.id, &node.schema)?,
                 None => b.add_node_with_schema(node.id, &node.schema)?,
             }
-        }
-        for node in &self.nodes {
             for (relation, rows) in &node.data {
                 for row in rows {
-                    b.insert(node.id, relation, row.clone())?;
+                    b.insert(node.id, relation, row)?;
                 }
             }
         }
@@ -219,6 +220,24 @@ mod tests {
         let mut file = NetworkFile::from_json(SAMPLE).unwrap();
         file.rules[0].text = "Z:zzz(X) => A:a(X, X)".into();
         assert!(file.into_builder().is_err());
+    }
+
+    /// An unnamed node is called by its letter form, so a node named `B`
+    /// beside an unnamed node 1 takes that node's name.
+    #[test]
+    fn a_name_is_unique_across_the_file() {
+        let text = r#"{
+            "nodes": [
+                { "id": 0, "name": "B", "schema": "a(x: int)." },
+                { "id": 1, "schema": "b(x: int)." }
+            ],
+            "rules": []
+        }"#;
+        let file = NetworkFile::from_json(text).unwrap();
+        assert_eq!(
+            file.into_builder().err(),
+            Some(CoreError::DuplicateName("B".into()))
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use p2p_relational::query::{parse_implication, Atom, Constraint, Idents, Implication, Term};
-use p2p_relational::DatabaseSchema;
+use p2p_relational::{Database, DatabaseSchema};
 use p2p_topology::fxhash::FxHashMap;
 use p2p_topology::scc::{self, Csr};
 use p2p_topology::{DependencyGraph, NodeId};
@@ -221,19 +221,6 @@ impl CoordinationRule {
         })
     }
 
-    /// Body nodes, in id order.
-    pub fn body_nodes(&self) -> Vec<NodeId> {
-        self.parts.iter().map(|p| p.node).collect()
-    }
-
-    /// Distinct universal (body) variables.
-    pub fn frontier_vars(&self) -> BTreeSet<Arc<str>> {
-        self.parts
-            .iter()
-            .flat_map(|p| p.vars.iter().cloned())
-            .collect()
-    }
-
     /// True iff some head variable is not bound by the body, that is,
     /// [`CoordinationRule::existential_vars`] is not empty. Allocates
     /// nothing.
@@ -244,26 +231,24 @@ impl CoordinationRule {
 
     /// Head variables not bound by the body — materialised as fresh nulls.
     pub fn existential_vars(&self) -> BTreeSet<Arc<str>> {
-        let frontier = self.frontier_vars();
-        self.head
-            .iter()
-            .flat_map(|a| a.variables())
-            .filter(|v| !frontier.contains(v))
+        let bound = |v: &Arc<str>| self.parts.iter().any(|p| p.vars.contains(v));
+        (self.head.iter().flat_map(|a| a.variables()))
+            .filter(|v| !bound(v))
             .collect()
     }
 
-    /// Validates the rule against the nodes' schemas: all nodes exist, all
-    /// relations exist with matching arity, and join-constraint variables
-    /// are bound by the body.
-    pub fn validate(&self, schemas: &BTreeMap<NodeId, DatabaseSchema>) -> CoreResult<()> {
+    /// Validates the rule against the schemas of the nodes' databases: all
+    /// nodes exist, all relations exist with matching arity, and
+    /// join-constraint variables are bound by the body.
+    pub fn validate(&self, databases: &BTreeMap<NodeId, Database>) -> CoreResult<()> {
         let fail = |detail: String| CoreError::SchemaViolation {
             rule: self.name.to_string(),
             detail,
         };
         let check_atoms = |node: NodeId, atoms: &[Atom]| -> CoreResult<()> {
-            let schema = schemas
-                .get(&node)
-                .ok_or_else(|| CoreError::UnknownNode(node.to_string()))?;
+            let schema = (databases.get(&node))
+                .ok_or_else(|| CoreError::UnknownNode(node.to_string()))?
+                .schema();
             for a in atoms {
                 let rel = schema
                     .relation(&a.relation)
@@ -303,12 +288,6 @@ impl CoordinationRule {
             }
         }
         Ok(())
-    }
-
-    /// Serialized size (rules travel in `AddRule` and `BroadcastRules`
-    /// messages) — the exact encoded byte length.
-    pub fn wire_size(&self) -> usize {
-        p2p_net::encoded_wire_size(self)
     }
 }
 
@@ -617,7 +596,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.head_node, NodeId(0));
-        assert_eq!(r.body_nodes(), vec![NodeId(1)]);
+        assert!(r.parts.iter().map(|p| p.node).eq([NodeId(1)]));
         assert_eq!(r.parts[0].vars.len(), 2);
         assert!(r.existential_vars().is_empty());
     }
@@ -632,7 +611,7 @@ mod tests {
             &mut Idents::new(),
         )
         .unwrap();
-        assert_eq!(r.body_nodes(), vec![NodeId(1), NodeId(2)]);
+        assert!(r.parts.iter().map(|p| p.node).eq([NodeId(1), NodeId(2)]));
         assert_eq!(r.parts[0].atoms.len(), 1);
         assert_eq!(r.parts[1].atoms.len(), 1);
     }
@@ -740,11 +719,11 @@ mod tests {
     #[test]
     fn paper_rules_validate_against_schemas() {
         let rules = paper_example_rules();
-        let schemas: BTreeMap<NodeId, DatabaseSchema> = (0..5)
-            .map(|i| (NodeId(i), paper_example_schema(NodeId(i))))
+        let databases: BTreeMap<NodeId, Database> = (0..5)
+            .map(|i| (NodeId(i), Database::new(paper_example_schema(NodeId(i)))))
             .collect();
         for r in rules.iter() {
-            r.validate(&schemas).unwrap();
+            r.validate(&databases).unwrap();
         }
     }
 
@@ -915,20 +894,20 @@ mod tests {
 
     #[test]
     fn validation_catches_arity_and_missing_relations() {
-        let schemas: BTreeMap<NodeId, DatabaseSchema> = [
-            (NodeId(0), DatabaseSchema::parse("a(x: int).").unwrap()),
-            (
-                NodeId(1),
-                DatabaseSchema::parse("b(x: int, y: int).").unwrap(),
-            ),
-        ]
-        .into_iter()
-        .collect();
+        let databases: BTreeMap<NodeId, Database> = [(0, "a(x: int)."), (1, "b(x: int, y: int).")]
+            .map(|(id, text)| {
+                (
+                    NodeId(id),
+                    Database::new(DatabaseSchema::parse(text).unwrap()),
+                )
+            })
+            .into_iter()
+            .collect();
         let bad_arity =
             CoordinationRule::parse("r", "B:b(X) => A:a(X)", None, &resolve, &mut Idents::new())
                 .unwrap();
         assert!(matches!(
-            bad_arity.validate(&schemas),
+            bad_arity.validate(&databases),
             Err(CoreError::SchemaViolation { .. })
         ));
         let missing = CoordinationRule::parse(
@@ -940,7 +919,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            missing.validate(&schemas),
+            missing.validate(&databases),
             Err(CoreError::SchemaViolation { .. })
         ));
         let ok = CoordinationRule::parse(
@@ -951,7 +930,7 @@ mod tests {
             &mut Idents::new(),
         )
         .unwrap();
-        assert!(ok.validate(&schemas).is_ok());
+        assert!(ok.validate(&databases).is_ok());
     }
 
     #[test]

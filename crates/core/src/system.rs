@@ -26,20 +26,43 @@ use p2p_topology::{scc, Csr, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
+/// The declared network — each node's id, name and base data (its schema
+/// with it) — and the interner its rules' identifiers come from. A builder
+/// fills it, and the system it builds keeps it: a link read at run time
+/// resolves and validates as a built rule does.
+#[derive(Default)]
+struct Declared {
+    /// Each node's base database, in id order.
+    base: BTreeMap<NodeId, Database>,
+    /// Each node's id under its interned name; a name is declared once.
+    names: FxHashMap<Arc<str>, NodeId>,
+    /// Its rules share one `Arc<str>` per distinct name and variable.
+    idents: Idents,
+}
+
+impl Declared {
+    /// Parses a rule over the declared names and validates it against the
+    /// declared schemas.
+    fn make_rule(&mut self, name: &str, text: &str) -> CoreResult<CoordinationRule> {
+        let names = &self.names;
+        let resolve = move |s: &str| names.get(s).copied();
+        let rule = CoordinationRule::parse(name, text, None, &resolve, &mut self.idents)?;
+        rule.validate(&self.base)?;
+        Ok(rule)
+    }
+}
+
 /// Builder for a P2P database system.
 #[derive(Default)]
 pub struct P2PSystemBuilder {
-    schemas: BTreeMap<NodeId, DatabaseSchema>,
+    /// The nodes declared so far, with their base data.
+    declared: Declared,
     /// Every distinct schema text parsed so far: nodes declared with the
     /// same text share one [`DatabaseSchema`] (a refcount each).
     parsed: HashMap<String, DatabaseSchema>,
-    data: BTreeMap<NodeId, Database>,
-    /// Node names, keyed by the interned name the rules' qualifiers share.
-    names: FxHashMap<Arc<str>, NodeId>,
+    /// The buffer a base row is converted into on its way to its relation.
+    row: Vec<Val>,
     rules: RuleSet,
-    /// One interner for every rule text this builder reads: its rules
-    /// share one `Arc<str>` per distinct relation name and variable.
-    idents: Idents,
     config: SystemConfig,
     /// `None`: a constant 1 ms on every link.
     latency: Option<Box<dyn LatencyModel>>,
@@ -60,11 +83,16 @@ impl P2PSystemBuilder {
         self.add_named_node(&name, id, schema_text)
     }
 
-    /// Adds a node with an explicit name used in rule texts.
+    /// Adds a node with an explicit name used in rule texts. Neither its
+    /// id nor its name may be taken.
     pub fn add_named_node(&mut self, name: &str, id: u32, schema_text: &str) -> CoreResult<()> {
         let node = NodeId(id);
-        if self.schemas.contains_key(&node) {
+        let declared = &mut self.declared;
+        if declared.base.contains_key(&node) {
             return Err(CoreError::DuplicateNode(node));
+        }
+        if declared.names.contains_key(name) {
+            return Err(CoreError::DuplicateName(name.to_string()));
         }
         let schema = match self.parsed.get(schema_text) {
             Some(schema) => schema.clone(),
@@ -74,46 +102,34 @@ impl P2PSystemBuilder {
                 schema
             }
         };
-        self.data.insert(node, Database::new(schema.clone()));
-        self.schemas.insert(node, schema);
-        self.names.insert(self.idents.intern(name), node);
+        declared.base.insert(node, Database::new(schema));
+        declared.names.insert(declared.idents.intern(name), node);
         Ok(())
     }
 
-    /// Inserts one base tuple at a node. Accepts both data-plane [`Val`]s
-    /// and boundary [`p2p_relational::Value`]s (network files), interning
-    /// the latter.
+    /// Inserts one base row at a node. Accepts data-plane [`Val`]s and
+    /// boundary [`p2p_relational::Value`]s (network files), owned or
+    /// borrowed, interning the latter.
     pub fn insert<V: Into<Val>>(
         &mut self,
         id: u32,
         relation: &str,
-        values: Vec<V>,
+        values: impl IntoIterator<Item = V>,
     ) -> CoreResult<()> {
         let node = NodeId(id);
-        let db = self
-            .data
-            .get_mut(&node)
+        let db = (self.declared.base.get_mut(&node))
             .ok_or_else(|| CoreError::UnknownNode(node.to_string()))?;
-        let row: Vec<Val> = values.into_iter().map(Into::into).collect();
-        db.insert_row(relation, &row)?;
+        self.row.clear();
+        self.row.extend(values.into_iter().map(Into::into));
+        db.insert_row(relation, &self.row)?;
         Ok(())
     }
 
     /// Parses and registers a coordination rule (paper notation, node names
     /// resolved against the declared nodes).
     pub fn add_rule(&mut self, name: &str, text: &str) -> CoreResult<RuleId> {
-        let rule = self.make_rule(name, text)?;
+        let rule = self.declared.make_rule(name, text)?;
         self.rules.add(rule)
-    }
-
-    /// Parses and validates a rule without registering it, its identifiers
-    /// taken from the builder's interner.
-    pub fn make_rule(&mut self, name: &str, text: &str) -> CoreResult<CoordinationRule> {
-        let names = &self.names;
-        let resolve = move |s: &str| names.get(s).copied();
-        let rule = CoordinationRule::parse(name, text, None, &resolve, &mut self.idents)?;
-        rule.validate(&self.schemas)?;
-        Ok(rule)
     }
 
     /// The rule set registered so far.
@@ -163,15 +179,16 @@ impl P2PSystemBuilder {
         &mut self,
         keep: impl Fn(NodeId) -> bool,
     ) -> CoreResult<Vec<(NodeId, DbPeer)>> {
-        if !self.schemas.contains_key(&self.super_peer) {
+        let base = &self.declared.base;
+        if !base.contains_key(&self.super_peer) {
             return Err(CoreError::UnknownNode(self.super_peer.to_string()));
         }
         // Every rule was validated when it was made, against schemas that
-        // cannot change since: a node is declared once (`DuplicateNode`).
+        // cannot change since: a node is declared once.
         if let Err(witness) = self.rules.check_weak_acyclicity() {
             return Err(CoreError::NotWeaklyAcyclic { witness });
         }
-        let all_nodes: Arc<[NodeId]> = self.schemas.keys().copied().collect();
+        let all_nodes: Arc<[NodeId]> = base.keys().copied().collect();
 
         // One pass over the rule set takes its dependency edges `head →
         // body node` as positions in the sorted roster; the per-node views
@@ -211,8 +228,7 @@ impl P2PSystemBuilder {
         let mut peers = Vec::with_capacity(nodes.len());
         for v in nodes {
             let node = all_nodes[v as usize];
-            let db = self.data[&node].clone();
-            let mut peer = DbPeer::new(node, db, self.config);
+            let mut peer = DbPeer::new(node, base[&node].clone(), self.config);
             peer.compiled.catalog = Arc::clone(&catalog);
             // Installing a rule opens the pipes to its body nodes; the
             // heads of the rules this node sources are its other pipes.
@@ -263,7 +279,7 @@ impl P2PSystemBuilder {
             super_peer: self.super_peer,
             epoch: 0,
             rules: self.rules,
-            initial: self.data,
+            declared: self.declared,
             config: self.config,
             dynamic_rule_counter: 0,
             churn: self.churn.take(),
@@ -352,7 +368,8 @@ pub struct P2PSystem {
     super_peer: NodeId,
     epoch: u64,
     rules: RuleSet,
-    initial: BTreeMap<NodeId, Database>,
+    /// What it was built from; the base data is the oracle's initial state.
+    declared: Declared,
     config: SystemConfig,
     dynamic_rule_counter: u32,
     /// Churn plan not yet scheduled onto the simulator (taken by the first
@@ -540,7 +557,7 @@ impl P2PSystem {
             .peer_mut(node)
             .ok_or_else(|| CoreError::UnknownNode(node.to_string()))?;
         peer.insert_base_fact(relation, vals.clone())?;
-        if let Some(db) = self.initial.get_mut(&node) {
+        if let Some(db) = self.declared.base.get_mut(&node) {
             db.insert_row(relation, &vals)?;
         }
         Ok(())
@@ -560,16 +577,14 @@ impl P2PSystem {
     }
 
     /// Builds an `addLink` change op from rule text (assigning a fresh id
-    /// outside the static range).
+    /// outside the static range). The text is read as a built rule is: its
+    /// qualifiers name declared nodes, and it is validated against their
+    /// schemas.
     pub fn make_add_link(&mut self, name: &str, text: &str) -> CoreResult<ChangeOp> {
         // Dynamic ids live far above builder-assigned ones.
         self.dynamic_rule_counter += 1;
-        let id = RuleId(1_000_000 + self.dynamic_rule_counter);
-        let names: BTreeMap<String, NodeId> =
-            self.sim.peers().map(|(id, _)| (id.letter(), *id)).collect();
-        let resolve = move |s: &str| names.get(s).copied();
-        let mut rule = CoordinationRule::parse(name, text, None, &resolve, &mut Idents::new())?;
-        rule.id = id;
+        let mut rule = self.declared.make_rule(name, text)?;
+        rule.id = RuleId(1_000_000 + self.dynamic_rule_counter);
         Ok(ChangeOp::AddLink { rule })
     }
 
@@ -595,9 +610,8 @@ impl P2PSystem {
     /// [`crate::peer::SeededFault`]).
     #[doc(hidden)]
     pub fn seed_fault(&mut self, fault: crate::peer::SeededFault) {
-        let nodes: Vec<NodeId> = self.sim.peers().map(|(id, _)| *id).collect();
-        for node in nodes {
-            (self.sim.peer_mut(node).expect("a listed peer")).seed_fault(fault);
+        for &node in self.declared.base.keys() {
+            (self.sim.peer_mut(node).expect("a declared node's peer")).seed_fault(fault);
         }
     }
 
@@ -656,12 +670,12 @@ impl P2PSystem {
     /// The centralized fix-point of the *initial* rules over the *initial*
     /// data — the Lemma 1 reference for static runs.
     pub fn oracle(&self) -> CoreResult<GlobalDb> {
-        global_fixpoint(&self.initial, &self.rules, self.config.max_null_depth)
+        global_fixpoint(&self.declared.base, &self.rules, self.config.max_null_depth)
     }
 
     /// Fix-point under an alternative rule set (Definition 9 envelopes).
     pub fn oracle_with(&self, rules: &RuleSet) -> CoreResult<GlobalDb> {
-        global_fixpoint(&self.initial, rules, self.config.max_null_depth)
+        global_fixpoint(&self.declared.base, rules, self.config.max_null_depth)
     }
 
     /// Whether a node reached `state_u == closed`.
@@ -1033,6 +1047,85 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `carol:c => bob:b => alice:a`, named with no letter anywhere.
+    fn named_builder() -> P2PSystemBuilder {
+        let mut b = P2PSystemBuilder::new();
+        for (id, name, rel) in [(0, "alice", "a"), (1, "bob", "b"), (2, "carol", "c")] {
+            (b.add_named_node(name, id, &format!("{rel}(x: int, y: int)."))).unwrap();
+        }
+        b.add_rule("r0", "bob:b(X,Y) => alice:a(X,Y)").unwrap();
+        b.add_rule("r1", "carol:c(X,Y), X < 5 => bob:b(X,Y)")
+            .unwrap();
+        b.insert(1, "b", [Val::Int(1), Val::Int(2)]).unwrap();
+        b.insert(2, "c", [Val::Int(3), Val::Int(4)]).unwrap();
+        b.insert(2, "c", [Val::Int(7), Val::Int(8)]).unwrap();
+        b
+    }
+
+    /// A dynamic link calls nodes by the names the network declared, and
+    /// only by those.
+    #[test]
+    fn a_link_resolves_the_declared_names() {
+        let mut sys = named_builder().build().unwrap();
+        assert!(matches!(
+            sys.make_add_link("ry", "C:c(X,Y) => A:a(X,Y)"),
+            Err(CoreError::UnknownNode(_))
+        ));
+        let op = sys
+            .make_add_link("rx", "carol:c(X,Y) => alice:a(X,Y)")
+            .unwrap();
+        let ChangeOp::AddLink { rule } = &op else {
+            panic!("an addLink op")
+        };
+        let mut rules = sys.rules().clone();
+        rules.add(rule.clone()).unwrap();
+        let mut script = ChangeScript::new();
+        script.push(SimTime::from_millis(2), op);
+        let spec = RunSpec {
+            script,
+            ..RunSpec::default()
+        };
+        let report = sys.run(&spec).remove(0);
+        assert!(report.all_closed && report.errors.is_empty(), "{report:?}");
+        let a = sys.database(NodeId(0)).unwrap().relation("a").unwrap();
+        assert_eq!(a.len(), 3);
+        assert!(sys.snapshot().equivalent(&sys.oracle_with(&rules).unwrap()));
+    }
+
+    /// A link over a missing relation or of the wrong arity is refused with
+    /// the error a built rule gets.
+    #[test]
+    fn a_link_is_validated_as_a_built_rule_is() {
+        let mut b = named_builder();
+        let texts = [
+            "carol:nosuch(X,Y) => alice:a(X,Y)",
+            "carol:c(X) => alice:a(X,X)",
+        ];
+        let built: Vec<CoreError> = (texts.iter())
+            .map(|text| b.add_rule("rx", text).unwrap_err())
+            .collect();
+        let mut sys = b.build().unwrap();
+        for (text, err) in texts.iter().zip(built) {
+            assert!(matches!(err, CoreError::SchemaViolation { .. }), "{err}");
+            assert_eq!(sys.make_add_link("rx", text).unwrap_err(), err);
+        }
+    }
+
+    /// A name, like an id, is declared once; a refused node leaves nothing
+    /// behind.
+    #[test]
+    fn a_taken_name_is_refused() {
+        let mut b = P2PSystemBuilder::new();
+        b.add_named_node("B", 0, "a(x: int).").unwrap();
+        let taken: CoreResult<()> = Err(CoreError::DuplicateName("B".into()));
+        assert_eq!(b.add_named_node("B", 1, "b(x: int)."), taken);
+        assert_eq!(b.add_node_with_schema(1, "b(x: int)."), taken);
+        b.add_named_node("bob", 1, "b(x: int).").unwrap();
+        b.add_rule("r", "bob:b(X) => B:a(X)").unwrap();
+        let rule = b.rules().by_name("r").unwrap();
+        assert_eq!((rule.head_node, rule.parts[0].node), (NodeId(0), NodeId(1)));
     }
 
     #[test]

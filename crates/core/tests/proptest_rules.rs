@@ -10,7 +10,7 @@
 
 use p2p_core::rule::{BodyPart, CoordinationRule, RuleId};
 use p2p_relational::query::{Atom, CmpOp, Constraint, Idents, Term};
-use p2p_relational::{DatabaseSchema, Val};
+use p2p_relational::{Database, DatabaseSchema, Val};
 use p2p_topology::NodeId;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -289,15 +289,15 @@ fn rejections_keep_their_texts() {
         assert_eq!(rejected(text), error, "{text}");
     }
 
-    let schemas: BTreeMap<NodeId, DatabaseSchema> = [
+    let databases: BTreeMap<NodeId, Database> = [
         (NodeId(0), "a(x: int)."),
         (NodeId(1), "b(x: int, y: str)."),
         (NodeId(4), "b(x: int, y: str)."),
     ]
     .into_iter()
-    .map(|(n, s)| (n, DatabaseSchema::parse(s).unwrap()))
+    .map(|(n, s)| (n, Database::new(DatabaseSchema::parse(s).unwrap())))
     .collect();
-    let invalid = |text: &str| parse(text).unwrap().validate(&schemas).unwrap_err();
+    let invalid = |text: &str| parse(text).unwrap().validate(&databases).unwrap_err();
     for (text, error) in [
         (
             "B:b(X) => A:a(X)",
@@ -318,7 +318,7 @@ fn rejections_keep_their_texts() {
     let mut loose = parse("B:b(X,Y), E:b(Z,W), X < Z => A:a(X)").unwrap();
     loose.join_constraints[0].rhs = Term::var("Q");
     assert_eq!(
-        loose.validate(&schemas).unwrap_err().to_string(),
+        loose.validate(&databases).unwrap_err().to_string(),
         "rule `r` violates a schema: join constraint variable `Q` unbound"
     );
 }

@@ -1,6 +1,8 @@
 //! Conjunctive-query evaluation over a local database: the [`Bindings`]
 //! table, body validation, greedy atom ordering, and the `&Database` entry
-//! points ([`evaluate`], [`evaluate_bindings`], [`evaluate_bindings_since`]).
+//! points ([`evaluate`], [`evaluate_bindings`]); the semi-naive delta of a
+//! body is [`crate::query::plan::evaluate_bindings_since_planned`] over a
+//! body compiled once.
 //!
 //! Semantics: **naive tables**. Labeled nulls are ordinary values that join
 //! only with themselves; built-in comparisons involving nulls are unknown and
@@ -21,12 +23,9 @@
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
-use crate::query::plan::{
-    compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,
-};
+use crate::query::plan::{compile_body, execute_plan, EvalMetrics};
 use crate::relation::RowSet;
 use crate::value::Val;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The result of evaluating a body: a table of variable bindings stored as
@@ -179,28 +178,6 @@ pub fn evaluate_bindings(
     execute_plan(&plan, db, 0, &mut EvalMetrics::default())
 }
 
-/// Semi-naive **delta** evaluation of a body: the bindings derivable using at
-/// least one tuple inserted at or after the given per-relation `watermarks`
-/// (missing entries mean 0, i.e. the whole relation is new).
-///
-/// Computed as the standard semi-naive expansion `⋃ᵢ full(a₁) ⋈ … ⋈ Δ(aᵢ) ⋈
-/// … ⋈ full(aₖ)`: for each atom in turn, that atom ranges over the delta
-/// rows only while every other atom ranges over the full current relation.
-/// The union over-approximates the set of *genuinely new* bindings (a new
-/// tuple may re-derive an old binding) but never misses one, and is always a
-/// subset of the full evaluation — exactly what a monotone delta shipment
-/// needs. Column order matches [`evaluate_bindings`] on the same body.
-pub fn evaluate_bindings_since(
-    atoms: &[Atom],
-    constraints: &[Constraint],
-    db: &Database,
-    watermarks: &BTreeMap<Arc<str>, usize>,
-) -> Result<Bindings> {
-    let body = CompiledBody::compile(atoms, constraints, db)?;
-    let m = &mut EvalMetrics::default();
-    evaluate_bindings_since_planned(&body, atoms, constraints, db, watermarks, m)
-}
-
 /// Validates a body against a database and returns its variable slot table:
 /// the variables in first-occurrence order, slot `i` holding `vars[i]` — the
 /// first step of plan compilation ([`crate::query::plan::compile_body`]).
@@ -317,7 +294,9 @@ pub fn compare(op: CmpOp, lhs: &Val, rhs: &Val) -> bool {
 mod tests {
     use super::*;
     use crate::query::parser::parse_query;
+    use crate::query::plan::{evaluate_bindings_since_planned, CompiledBody};
     use crate::schema::DatabaseSchema;
+    use std::collections::BTreeMap;
 
     fn db_with_b(pairs: &[(i64, i64)]) -> Database {
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
@@ -330,6 +309,18 @@ mod tests {
 
     fn rows(set: &RowSet) -> Vec<Vec<Val>> {
         set.iter().map(<[Val]>::to_vec).collect()
+    }
+
+    /// `q`'s body's delta since `watermarks`, through a body compiled once
+    /// and kept across inserts, as a peer keeps it.
+    fn delta_since(
+        body: &CompiledBody,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        watermarks: &BTreeMap<Arc<str>, usize>,
+    ) -> Bindings {
+        let m = &mut EvalMetrics::default();
+        evaluate_bindings_since_planned(body, &q.atoms, &q.constraints, db, watermarks, m).unwrap()
     }
 
     fn row_set(b: &Bindings) -> std::collections::HashSet<Vec<Val>> {
@@ -508,11 +499,12 @@ mod tests {
     fn delta_bindings_cover_exactly_the_new_derivations() {
         let mut db = db_with_b(&[(1, 2), (2, 3)]);
         let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
+        let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
         let before = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
         let w = db.watermarks();
 
         // Nothing new: empty delta over the same columns.
-        let delta = evaluate_bindings_since(&q.atoms, &q.constraints, &db, &w).unwrap();
+        let delta = delta_since(&body, &q, &db, &w);
         assert_eq!(delta.vars, before.vars);
         assert!(delta.is_empty());
 
@@ -522,7 +514,7 @@ mod tests {
             .unwrap();
         db.insert_values("b", vec![Val::Int(0), Val::Int(1)])
             .unwrap();
-        let delta = evaluate_bindings_since(&q.atoms, &q.constraints, &db, &w).unwrap();
+        let delta = delta_since(&body, &q, &db, &w);
         let after = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
         // The delta is a subset of the full evaluation …
         let full = row_set(&after);
@@ -541,12 +533,13 @@ mod tests {
     fn delta_bindings_respect_constraints() {
         let mut db = db_with_b(&[(1, 2)]);
         let q = parse_query("q(X, Y) :- b(X, Y), X < Y").unwrap();
+        let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
         let w = db.watermarks();
         db.insert_values("b", vec![Val::Int(5), Val::Int(3)])
             .unwrap();
         db.insert_values("b", vec![Val::Int(3), Val::Int(5)])
             .unwrap();
-        let delta = evaluate_bindings_since(&q.atoms, &q.constraints, &db, &w).unwrap();
+        let delta = delta_since(&body, &q, &db, &w);
         let rows: Vec<Vec<Val>> = delta.rows().map(<[Val]>::to_vec).collect();
         assert_eq!(rows, vec![vec![Val::Int(3), Val::Int(5)]]);
     }
@@ -555,8 +548,8 @@ mod tests {
     fn delta_bindings_missing_watermark_means_whole_relation_is_new() {
         let db = db_with_b(&[(1, 2), (2, 3)]);
         let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
-        let delta =
-            evaluate_bindings_since(&q.atoms, &q.constraints, &db, &BTreeMap::new()).unwrap();
+        let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
+        let delta = delta_since(&body, &q, &db, &BTreeMap::new());
         let full = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
         assert_eq!(row_set(&delta), row_set(&full));
     }

@@ -16,7 +16,7 @@ pub mod parser;
 pub mod plan;
 
 pub use ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Idents, Term};
-pub use eval::{evaluate, evaluate_bindings, evaluate_bindings_since, evaluate_certain, Bindings};
+pub use eval::{evaluate, evaluate_bindings, evaluate_certain, Bindings};
 pub use parser::{parse_atom, parse_implication, parse_query, Implication};
 pub use plan::{
     compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,

@@ -607,13 +607,22 @@ fn apply_constraints(
     }
 }
 
-/// Semi-naive delta evaluation over a body compiled from `atoms` and
-/// `constraints`: the union of every delta plan's rows, deduplicated in
-/// first-occurrence order, over the given per-relation watermarks (see
-/// [`crate::query::eval::evaluate_bindings_since`] for the semantics). When
-/// only one delta plan has rows to scan, its bindings — distinct already —
-/// are the result as they stand; otherwise the union's [`RowSet`] is, its
-/// membership built once.
+/// Semi-naive **delta** evaluation over a body compiled from `atoms` and
+/// `constraints`: the bindings derivable using at least one tuple inserted
+/// at or after the given per-relation `watermarks` (missing entries mean 0,
+/// i.e. the whole relation is new).
+///
+/// Computed as the standard semi-naive expansion `⋃ᵢ full(a₁) ⋈ … ⋈ Δ(aᵢ) ⋈
+/// … ⋈ full(aₖ)`: for each atom in turn, that atom ranges over the delta
+/// rows only while every other atom ranges over the full current relation.
+/// The union over-approximates the set of *genuinely new* bindings (a new
+/// tuple may re-derive an old binding) but never misses one, and is always a
+/// subset of the full evaluation — exactly what a monotone delta shipment
+/// needs. Column order matches [`crate::query::evaluate_bindings`] on the
+/// same body. The union of every delta plan's rows is deduplicated in
+/// first-occurrence order: when only one delta plan has rows to scan, its
+/// bindings — distinct already — are the result as they stand; otherwise
+/// the union's [`RowSet`] is, its membership built once.
 pub fn evaluate_bindings_since_planned(
     body: &CompiledBody,
     atoms: &[Atom],

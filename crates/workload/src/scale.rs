@@ -97,7 +97,7 @@ pub fn scale_system(cfg: &ScaleConfig) -> CoreResult<P2PSystemBuilder> {
     // the interner dictionary small at 10k+ peers.
     for node in generated.graph.nodes() {
         for i in 0..cfg.records_per_node {
-            b.insert(node.0, "item", vec![i as i64, node.0 as i64])?;
+            b.insert(node.0, "item", [i as i64, node.0 as i64])?;
         }
     }
     Ok(b)

@@ -34,7 +34,8 @@
 //! frame/byte/reconnect counters, reaps all children (also on failure),
 //! and checks the distributed result tuple-for-tuple against the
 //! in-process simulator and the centralized oracle. Argument errors on
-//! these verbs exit with status 2 and name the offending flag.
+//! these verbs, an unknown flag among them, exit with status 2 and name
+//! the offending flag.
 //!
 //! Concurrent sessions: `--concurrent N` launches `N` interleaved global
 //! update sessions, each rooted at a different node spread across the
@@ -602,12 +603,25 @@ fn durable_state_dir(
     }
 }
 
+/// Every flag `serve` understands, with the number of values it consumes.
+const SERVE_FLAGS: &[(&str, usize)] = &[
+    ("--node", 1),
+    ("--listen", 1),
+    ("--peer", 1),
+    ("--codec", 1),
+    ("--mode", 1),
+    ("--durable", 0),
+    ("--state-dir", 1),
+    ("--snapshot-every", 1),
+];
+
 fn cmd_serve(args: &[String]) -> CliResult {
     use p2pdb::core::socket::{prepare, ServeConfig};
 
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err(usage("serve: missing <network.json>"));
     };
+    reject_unknown_flags("serve", SERVE_FLAGS, &args[1..])?;
     let node: u32 = match flag_value(args, "--node") {
         Some(v) => v
             .parse()
@@ -723,12 +737,24 @@ fn cmd_serve(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Every flag `launch` understands, with the number of values it consumes.
+const LAUNCH_FLAGS: &[(&str, usize)] = &[
+    ("--codec", 1),
+    ("--timeout-ms", 1),
+    ("--durable", 0),
+    ("--state-dir", 1),
+    ("--no-verify", 0),
+    ("--json", 0),
+    ("--bin", 1),
+];
+
 fn cmd_launch(args: &[String]) -> CliResult {
     use p2pdb::core::socket::{launch_cluster, ClusterConfig};
 
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err(usage("launch: missing <network.json>"));
     };
+    reject_unknown_flags("launch", LAUNCH_FLAGS, &args[1..])?;
     let codec = match flag_value(args, "--codec") {
         Some(v) => v
             .parse::<p2pdb::net::Codec>()

@@ -203,6 +203,76 @@ fn export_with_existentials_is_the_same_in_every_process() {
     assert_eq!(exports[0], exports[1]);
 }
 
+/// A network whose nodes are named `alice`, `bob` and `carol`, with no
+/// letter name anywhere, runs through the CLI to the oracle's fix-point,
+/// and its export reloads to the same databases.
+#[test]
+fn named_nodes_run_to_the_oracle_and_export() {
+    use p2pdb::core::netfile::NetworkFile;
+
+    let dir = std::env::temp_dir().join("p2pdb_cli_named_nodes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/named_nodes.json"
+    );
+    let exported = dir.join("out.json");
+    let out = p2pdb(&["run", net, "--export", exported.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("all closed: true"), "{stdout}");
+
+    let load = |text: &str| {
+        let file = NetworkFile::from_json(text).unwrap();
+        file.into_builder().unwrap().build().unwrap()
+    };
+    let oracle = load(&std::fs::read_to_string(net).unwrap())
+        .oracle()
+        .unwrap();
+    let reloaded = load(&std::fs::read_to_string(&exported).unwrap()).snapshot();
+    assert!(reloaded.equivalent(&oracle), "{reloaded:?}\nvs\n{oracle:?}");
+    // Every node gained rows around the cycle.
+    assert!(
+        oracle.0.values().all(|db| db.total_tuples() >= 3),
+        "{oracle:?}"
+    );
+}
+
+/// `serve` and `launch` reject a flag they do not know before they read
+/// the network or start anything: a typo does not run the defaults.
+#[test]
+fn serve_and_launch_reject_unknown_flags() {
+    let net = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/named_nodes.json"
+    );
+    let serve = [
+        "serve",
+        net,
+        "--node",
+        "99",
+        "--listen",
+        "127.0.0.1:0",
+        "--codex",
+        "binary",
+    ];
+    let launch = ["launch", net, "--codex", "binary", "--bin", "/nonexistent"];
+    for args in [&serve[..], &launch[..]] {
+        let out = p2pdb(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag `--codex`"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    }
+}
+
 /// `--concurrent N` launches N interleaved sessions with per-session
 /// attribution and the new session counters; `--concurrent 0` is rejected
 /// with a clear error.

@@ -4,7 +4,7 @@
 //! property-based checks of the delta layer itself.
 
 use p2pdb::core::config::UpdateMode;
-use p2pdb::core::joins::{eval_part, eval_part_delta};
+use p2pdb::core::joins::{compile_part, eval_part, eval_part_delta_planned, EvalMetrics};
 use p2pdb::core::messages::{ProtocolMsg, Query, Start, Via};
 use p2pdb::core::peer::DbPeer;
 use p2pdb::core::rule::CoordinationRule;
@@ -250,13 +250,18 @@ proptest! {
         let rule = part_rule();
         let part = &rule.parts[0];
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
+        // One compiled body serves every batch, as a peer's does.
+        let body = compile_part(part, &db).unwrap();
+        let mut metrics = EvalMetrics::default();
         let mut watermarks = BTreeMap::new();
         let mut cached: HashSet<Vec<Val>> = HashSet::new();
         for batch in batches {
             for (x, y) in batch {
                 db.insert_values("b", vec![Val::Int(x), Val::Int(y)]).unwrap();
             }
-            let delta = eval_part_delta(part, &db, &watermarks).unwrap();
+            let delta =
+                eval_part_delta_planned(&body, part, &mut db, &watermarks, true, &mut metrics)
+                    .unwrap();
             watermarks = db.watermarks();
             // Every delta row is part of the full evaluation …
             let full: HashSet<Vec<Val>> = eval_part(part, &db).unwrap().iter().map(<[Val]>::to_vec).collect();
