@@ -2,7 +2,7 @@
 //!
 //! Message kinds reuse the paper's names where one exists (`requestNodes`,
 //! `Query`, `Answer` — see Figure 1); the wire-size estimates drive the
-//! byte accounting and bandwidth-aware latency of `p2p-net`.
+//! byte accounting of `p2p-net`.
 //!
 //! Every message belonging to an update session carries its
 //! [`SessionId`] — the pair `(root, epoch)` identifying the diffusing
@@ -486,10 +486,9 @@ impl ProtocolMsg {
 impl Wire for ProtocolMsg {
     /// The **real** encoded size of the message — the exact byte length of
     /// its serialized form. This replaced the old per-variant field-count
-    /// estimates (`24 + atoms*16`-style), so byte accounting and the
-    /// bandwidth-aware latency model see what a transport would carry:
-    /// interned rows cost 4-byte symbol ids, and dictionary deltas pay for
-    /// each string exactly once per pipe.
+    /// estimates (`24 + atoms*16`-style), so byte accounting sees what a
+    /// transport would carry: interned rows cost 4-byte symbol ids, and
+    /// dictionary deltas pay for each string exactly once per pipe.
     fn wire_size(&self) -> usize {
         p2p_net::encoded_wire_size(self)
     }

@@ -6,9 +6,12 @@
 //! topologies." This module is that file format: a JSON document declaring
 //! nodes (name, schema, base data) and coordination rules, loadable into a
 //! [`crate::system::P2PSystemBuilder`] and exportable from a running
-//! system's snapshot. Rule texts call nodes by name, so a name, like an
-//! id, is unique across the file; a node declared without one is called by
-//! its letter form, and that name is taken as well.
+//! system ([`crate::system::P2PSystem::export`]: the declared nodes, names
+//! and rules, with each node's database as it stands for its data) or from
+//! bare databases ([`NetworkFile::from_databases`], letter names). Rule
+//! texts call nodes by name, so a name, like an id, is unique across the
+//! file; a node declared without one is called by its letter form, and
+//! that name is taken as well.
 //!
 //! ```json
 //! {
@@ -23,11 +26,13 @@
 //! ```
 
 use crate::error::{CoreError, CoreResult};
+use crate::rule::RuleSet;
 use crate::system::P2PSystemBuilder;
 use p2p_relational::{Database, Value};
 use p2p_topology::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 /// One node declaration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,46 +106,52 @@ impl NetworkFile {
     }
 
     /// Exports a network description from databases (e.g. a system snapshot)
-    /// plus rule texts. Relation instances become base data, so loading the
-    /// export replays the materialised state.
+    /// plus rules, each node called by its letter form. Relation instances
+    /// become base data, so loading the export replays the materialised
+    /// state. A built system exports under the names it declared
+    /// ([`crate::system::P2PSystem::export`]).
     pub fn from_databases(
         super_peer: NodeId,
         databases: &BTreeMap<NodeId, Database>,
-        rules: &crate::rule::RuleSet,
+        rules: &RuleSet,
     ) -> Self {
-        let nodes = databases
-            .iter()
-            .map(|(id, db)| {
-                let mut data: BTreeMap<String, Vec<Vec<Value>>> = BTreeMap::new();
-                for (rel_name, rel) in db.relations() {
-                    if rel.is_empty() {
-                        continue;
-                    }
-                    data.insert(
-                        rel_name.to_string(),
-                        rel.iter()
-                            .map(|row| row.iter().map(|v| v.to_value()).collect())
-                            .collect(),
-                    );
-                }
-                NodeDecl {
-                    id: id.0,
-                    name: Some(id.letter()),
-                    schema: db.schema().to_string(),
-                    data,
-                }
+        let nodes = databases.iter().map(|(node, db)| (*node, db));
+        Self::export(super_peer, nodes, rules, |node| node)
+    }
+
+    /// The one export: each node with its name, `name(node)`, its schema
+    /// and its relations' rows as base data, and the rules written over the
+    /// same names.
+    pub(crate) fn export<'d, N: Display>(
+        super_peer: NodeId,
+        nodes: impl Iterator<Item = (NodeId, &'d Database)>,
+        rules: &RuleSet,
+        name: impl Fn(NodeId) -> N,
+    ) -> Self {
+        let nodes = nodes
+            .map(|(node, db)| NodeDecl {
+                id: node.0,
+                name: Some(name(node).to_string()),
+                schema: db.schema().to_string(),
+                data: (db.relations())
+                    .filter(|(_, rel)| !rel.is_empty())
+                    .map(|(relation, rel)| {
+                        let rows = rel
+                            .iter()
+                            .map(|row| row.iter().map(|v| v.to_value()).collect());
+                        (relation.to_string(), rows.collect())
+                    })
+                    .collect(),
             })
             .collect();
-        let rules = rules
-            .iter()
-            .map(|r| RuleDecl {
-                name: r.name.to_string(),
-                // Display form round-trips through the parser.
-                text: r
-                    .to_string()
-                    .split_once(": ")
-                    .map(|(_, t)| t.to_string())
-                    .unwrap_or_default(),
+        let rules = (rules.iter())
+            .map(|rule| {
+                let mut text = String::new();
+                (rule.write_text(&mut text, &name)).expect("a String takes any text");
+                RuleDecl {
+                    name: rule.name.to_string(),
+                    text,
+                }
             })
             .collect();
         NetworkFile {

@@ -69,11 +69,8 @@ use crate::peer::{DbPeer, Nulls};
 use crate::rule::RuleId;
 use p2p_net::{Context, SessionId};
 use p2p_relational::{Database, NullFactory, Val};
-use p2p_storage::{
-    CursorMark, FragmentMark, PeerStorage, RecoveredState, StorageResult, WalRecord,
-};
+use p2p_storage::{PeerStorage, RecoveredState, StorageResult, WalRecord};
 use p2p_topology::NodeId;
-use std::collections::BTreeMap;
 
 /// A peer's durable side: its store, the records the running delivery made
 /// so far, and what a store that already held state was replayed into (kept
@@ -82,7 +79,7 @@ use std::collections::BTreeMap;
 pub(crate) struct Durable {
     store: PeerStorage,
     pending: Vec<WalRecord>,
-    replayed: Option<Replayed>,
+    replayed: Option<RecoveredState>,
 }
 
 impl Durable {
@@ -90,18 +87,6 @@ impl Durable {
     pub(crate) fn log(&mut self) -> &mut Vec<WalRecord> {
         &mut self.pending
     }
-}
-
-/// What a replay of the attached store rebuilt besides the database: the
-/// subscription state of both ends, which a restart resumes from.
-#[derive(Debug)]
-pub(crate) struct Replayed {
-    /// Head side: one mark per `(raw rule id, body node)`.
-    pub(crate) marks: BTreeMap<(u32, NodeId), FragmentMark>,
-    /// Body side: one cursor per `(subscriber, raw rule id)`.
-    pub(crate) cursors: BTreeMap<(NodeId, u32), CursorMark>,
-    /// The newest session of the answer log (the resync tag).
-    pub(crate) last_session: SessionId,
 }
 
 impl DbPeer {
@@ -115,17 +100,11 @@ impl DbPeer {
     /// (`DbPeer::restart_and_resync`), so a restarted process reads its
     /// store once.
     pub fn attach_storage(&mut self, mut store: PeerStorage) -> StorageResult<()> {
-        let replayed = match store.recover(self.id.0)? {
-            Some(rec) => {
-                store.adopt(&rec);
-                Some(self.adopt_recovered(rec))
-            }
-            None => {
-                let Nulls { mint, chase } = &self.nulls;
-                store.snapshot(&self.db, mint.minted(), chase.export())?;
-                None
-            }
-        };
+        let replayed = self.replay(&mut store)?;
+        if replayed.is_none() {
+            let Nulls { mint, chase } = &self.nulls;
+            store.snapshot(&self.db, mint.minted(), chase.export(), |_, _| None)?;
+        }
         self.storage = Some(Box::new(Durable {
             store,
             pending: Vec::new(),
@@ -141,19 +120,24 @@ impl DbPeer {
         (self.storage.as_ref()).is_some_and(|st| st.replayed.is_some())
     }
 
-    /// Takes a replayed store's database, null mint and chase depths as
-    /// this peer's own; returns the rest.
-    fn adopt_recovered(&mut self, rec: RecoveredState) -> Replayed {
-        self.db = rec.db;
+    /// The one replay step, of an attach and of a restart alike: rebuilds
+    /// what `store` holds, hands the store back what its log alone knows,
+    /// and takes the database, null mint and chase depths as this peer's
+    /// own. Returns the rest — the answer log's marks with their rows, the
+    /// cursors, the newest session — for `Subscriptions::recover`; `None`
+    /// when the store never held state.
+    fn replay(&mut self, store: &mut PeerStorage) -> StorageResult<Option<RecoveredState>> {
+        let Some(mut rec) = store.recover(self.id.0)? else {
+            return Ok(None);
+        };
+        store.adopt(&rec);
+        let emptied = Database::new(rec.db.schema().clone());
+        self.db = std::mem::replace(&mut rec.db, emptied);
         self.nulls.mint = NullFactory::resume(self.id.0, rec.nulls_next);
-        for (id, depth) in rec.depths {
+        for (id, depth) in std::mem::take(&mut rec.depths) {
             self.nulls.chase.record(id, depth);
         }
-        Replayed {
-            marks: rec.marks,
-            cursors: rec.cursors,
-            last_session: rec.last_session,
-        }
+        Ok(Some(rec))
     }
 
     /// Inserts one base fact **durably**: into the live database and — with
@@ -240,8 +224,14 @@ impl DbPeer {
             }
         };
         if due {
+            // A fragment's rows are held once, by its head's subscriptions.
             let Nulls { mint, chase } = &self.nulls;
-            if let Err(e) = st.store.snapshot(&self.db, mint.minted(), chase.export()) {
+            let subscriptions = &self.subscriptions;
+            let held = |rule, node| {
+                let fragment = subscriptions.fragment((RuleId(rule), node))?;
+                Some((&fragment.vars[..], &fragment.rows))
+            };
+            if let Err(e) = (st.store).snapshot(&self.db, mint.minted(), chase.export(), held) {
                 self.fail(format!("snapshot failed: {e}"));
             }
         }
@@ -273,7 +263,7 @@ impl DbPeer {
     /// durable answer log, and asks every rule fragment's body node for
     /// the delta since the newest durably-processed watermark.
     pub(crate) fn restart_and_resync(&mut self, ctx: &mut Context<ProtocolMsg>) {
-        let Some(st) = self.storage.as_mut() else {
+        let Some(mut st) = self.storage.take() else {
             // Amnesia baseline: without storage there is no durable state to
             // recover and no watermark to resync from — the peer genuinely
             // lost everything, owes its subscribers the notice (a restarted
@@ -283,18 +273,12 @@ impl DbPeer {
         };
         let replayed = match st.replayed.take() {
             Some(replayed) => Some(replayed),
-            None => match st.store.recover(self.id.0) {
-                Ok(Some(rec)) => {
-                    st.store.adopt(&rec);
-                    Some(self.adopt_recovered(rec))
-                }
-                Ok(None) => None,
-                Err(e) => {
-                    self.fail(format!("recovery failed: {e}"));
-                    None
-                }
-            },
+            None => self.replay(&mut st.store).unwrap_or_else(|e| {
+                self.fail(format!("recovery failed: {e}"));
+                None
+            }),
         };
+        self.storage = Some(st);
         self.stats.recoveries += u64::from(replayed.is_some());
         // Watermark-based repair (control plane, outside any session's
         // termination detector). Each query stays outstanding until its
@@ -344,6 +328,7 @@ mod tests {
     use p2p_relational::query::Idents;
     use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
     use p2p_storage::FileBackend;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -912,5 +897,62 @@ mod tests {
         assert_eq!(peer.stats.recoveries, 1);
         assert!(!peer.subscriptions.owes_notice());
         assert_eq!(peer.retained_entries().0, 1, "the cursor is served again");
+    }
+
+    /// FNV-1a, 64 bits.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        (bytes.iter()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// `named_nodes.json` run durably to closure, then a checkpoint at
+    /// carol, whose `back_to_carol` joins alice's and bob's fragments: the
+    /// snapshot holds both fragments' rows, and its bytes under either
+    /// codec are the bytes a store that kept its own copy of the rows
+    /// wrote (pinned by length and FNV-1a hash).
+    #[test]
+    fn a_join_heads_checkpoint_after_closure_keeps_its_bytes() {
+        use p2p_storage::StorageBackend as _;
+        let text = include_str!("../../../../tests/fixtures/named_nodes.json");
+        let carol = NodeId(2);
+        for (codec, pinned) in [
+            (Codec::Json, (1_440, 0x21c2_05dc_3431_2d7a)),
+            (Codec::Binary, (771, 0x0072_65bb_2eeb_9064)),
+        ] {
+            let mut b = crate::netfile::NetworkFile::from_json(text)
+                .unwrap()
+                .into_builder()
+                .unwrap();
+            b.config_mut().durability = true;
+            b.config_mut().codec = codec;
+            let mut sys = b.build().unwrap();
+            let disk = TestDisk::default();
+            let store = PeerStorage::with_codec(Box::new(disk.clone()), 1, codec);
+            let peer = sys.peer_mut(carol).unwrap();
+            peer.attach_storage(store).unwrap();
+            let report = sys.run_update();
+            assert!(report.all_closed && report.errors.is_empty(), "{codec}");
+            assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+            // Base facts until the store says a checkpoint is due: the one
+            // that drops the frames, the new fact's among them.
+            let peer = sys.peer_mut(carol).unwrap();
+            for x in 100.. {
+                peer.insert_base_fact("c", vec![Val::Int(x), Val::Int(x)])
+                    .unwrap();
+                if disk.read_wal_bytes().unwrap().is_empty() {
+                    break;
+                }
+            }
+            let bytes = disk.read_snapshot_bytes().unwrap().unwrap();
+            let rec = PeerStorage::with_codec(Box::new(disk.clone()), 0, codec)
+                .recover(carol.0)
+                .unwrap()
+                .unwrap();
+            let rows: Vec<usize> = rec.marks.values().map(|m| m.rows.len()).collect();
+            assert_eq!(rows, [7, 6], "{codec}: alice's and bob's fragments");
+            let shown = String::from_utf8_lossy(&bytes);
+            assert_eq!((bytes.len(), fnv1a(&bytes)), pinned, "{codec}: {shown}");
+        }
     }
 }

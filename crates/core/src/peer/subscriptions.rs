@@ -7,14 +7,13 @@
 
 mod check;
 
-use super::durability::Replayed;
 use super::{part_marks, SessionState, VecMap};
 use crate::joins::{join_parts_seminaive, PartDelta, VarRows};
 use crate::messages::{Answer, Marks, ProtocolMsg, Query, Start, Via};
 use crate::rule::{BodyPart, CoordinationRule, RuleId};
 use p2p_net::{Context, SessionId};
 use p2p_relational::{Database, Val};
-use p2p_storage::{CursorMark, FragmentMark, WalRecord};
+use p2p_storage::{CursorMark, RecoveredState, WalRecord};
 use p2p_topology::NodeId;
 use serde::{Content, Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -82,8 +81,9 @@ pub(crate) struct Subscriptions {
     /// Head side, per `(rule, body node)` of the rules with more than one
     /// body node: the rows that body node shipped so far, deduplicated, in
     /// arrival order — the order the semi-naive join stages from, so join
-    /// output, insertion order and shipped rows stay deterministic. A
-    /// durable peer re-primes it from its answer log.
+    /// output, insertion order and shipped rows stay deterministic. The one
+    /// copy: a durable peer's checkpoints write it, and a restart re-primes
+    /// it from the answer log.
     fragments: VecMap<(RuleId, NodeId), VarRows>,
     /// Body side: this peer discarded `cursors` without its subscribers
     /// having asked — or came back unable to vouch for them — and owes every
@@ -309,16 +309,16 @@ impl Subscriptions {
     /// held nothing, or did not read back). Body side, rule 1: it takes
     /// back every cursor the recovered database vouches for, and owes the
     /// notice unless that is all of them. Head side: it re-primes the
-    /// retained fragments from the answer log and puts a repair of every
-    /// rule fragment under way, from the newest durably-processed
-    /// watermark, under the newest logged session's tag.
-    pub(crate) fn recover(&mut self, replayed: Option<Replayed>, rules: &Rules, db: &Database) {
-        let (tag, marks, vouched) = match replayed {
+    /// retained fragments from the answer log — before any delta answer
+    /// arrives, which joins against the full retained extensions — and puts
+    /// a repair of every rule fragment under way, from the newest
+    /// durably-processed watermark, under the newest logged session's tag.
+    pub(crate) fn recover(&mut self, rec: Option<RecoveredState>, rules: &Rules, db: &Database) {
+        let (tag, mut marks, vouched) = match rec {
             Some(r) => (r.last_session, r.marks, self.restore_cursors(r.cursors, db)),
             None => (SessionId::default(), BTreeMap::new(), false),
         };
         self.void_owed = !vouched;
-        let mut claims = self.prime_fragments(marks, rules);
         let fault = self.armed_fault.take();
         if fault == Some(SeededFault::RecoveredCursorsToNow) {
             self.seed_fault(SeededFault::CursorsToNow, rules, db);
@@ -326,12 +326,15 @@ impl Subscriptions {
         for rule in rules.values() {
             for part in &rule.parts {
                 let key = (rule.id, part.node);
+                let mark = marks.remove(&(rule.id.0, part.node)).unwrap_or_default();
+                if rule.parts.len() > 1 && !mark.vars.is_empty() {
+                    (self.fragments.or_default(key)).merge(&mark.vars, mark.rows.iter());
+                }
                 if fault == Some(SeededFault::HoldWithoutResync) {
                     self.held.insert(key);
                     continue;
                 }
-                let since = claims.remove(&key).unwrap_or_default();
-                self.pending_resync.insert((tag, rule.id, part.node), since);
+                (self.pending_resync).insert((tag, rule.id, part.node), mark.watermarks);
             }
         }
     }
@@ -365,31 +368,6 @@ impl Subscriptions {
         vouched
     }
 
-    /// Rebuilds the retained fragments from the recovered answer log — one
-    /// mark per `(rule, body node)`, rows only where a rule joins several
-    /// fragments — and returns each fragment's resync claim. Must run
-    /// before any delta answer arrives: a delta joins against the *full*
-    /// retained extensions, so a hole would silently lose bindings.
-    fn prime_fragments(
-        &mut self,
-        marks: BTreeMap<(u32, NodeId), FragmentMark>,
-        rules: &Rules,
-    ) -> BTreeMap<(RuleId, NodeId), Marks> {
-        let mut claims = BTreeMap::new();
-        for ((rule, node), mark) in marks {
-            let key = (RuleId(rule), node);
-            let Some(rule) = rules.get(&key.0) else {
-                continue;
-            };
-            if rule.parts.len() > 1 {
-                let cache = self.fragments.or_default(key);
-                cache.merge(&mark.vars, mark.rows.iter());
-            }
-            claims.insert(key, mark.watermarks);
-        }
-        claims
-    }
-
     /// A repair is under way: no session may close here.
     pub(crate) fn resyncing(&self) -> bool {
         !self.pending_resync.is_empty()
@@ -421,6 +399,13 @@ impl Subscriptions {
     /// Entries that outlive sessions: cursors and held fragments.
     pub(crate) fn retained_entries(&self) -> (usize, usize) {
         (self.cursors.len(), self.held.len())
+    }
+
+    /// The rows `key`'s body node shipped so far, where this peer retains
+    /// them (a rule with more than one body node): the one copy, which the
+    /// join reads and a checkpoint writes.
+    pub(crate) fn fragment(&self, key: (RuleId, NodeId)) -> Option<&VarRows> {
+        self.fragments.get(&key)
     }
 
     /// Fragment rows retained across sessions.
@@ -461,10 +446,6 @@ fn cursor_record((subscriber, rule): (NodeId, RuleId), mark: Option<CursorMark>)
 impl Subscriptions {
     pub(crate) fn cursor(&self, key: (NodeId, RuleId)) -> Option<&Cursor> {
         self.cursors.get(&key)
-    }
-
-    pub(crate) fn fragment(&self, key: (RuleId, NodeId)) -> Option<&VarRows> {
-        self.fragments.get(&key)
     }
 
     pub(crate) fn resyncs(&self) -> usize {

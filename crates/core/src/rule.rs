@@ -291,33 +291,50 @@ impl CoordinationRule {
     }
 }
 
-impl fmt::Display for CoordinationRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: ", self.name)?;
+impl CoordinationRule {
+    /// Writes the rule in the paper notation — body atoms and constraints,
+    /// join constraints, head — calling each node by `name(node)`: over a
+    /// network's declared names, the text its file declares and the parser
+    /// reads back.
+    pub(crate) fn write_text<N: fmt::Display>(
+        &self,
+        out: &mut impl fmt::Write,
+        name: impl Fn(NodeId) -> N,
+    ) -> fmt::Result {
         let mut first = true;
         for part in &self.parts {
+            let node = name(part.node);
             for a in &part.atoms {
                 if !first {
-                    write!(f, ", ")?;
+                    write!(out, ", ")?;
                 }
                 first = false;
-                write!(f, "{}:{}", part.node, a)?;
+                write!(out, "{node}:{a}")?;
             }
             for c in &part.local_constraints {
-                write!(f, ", {c}")?;
+                write!(out, ", {c}")?;
             }
         }
         for c in &self.join_constraints {
-            write!(f, ", {c}")?;
+            write!(out, ", {c}")?;
         }
-        write!(f, " => ")?;
+        write!(out, " => ")?;
+        let head = name(self.head_node);
         for (i, a) in self.head.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                write!(out, ", ")?;
             }
-            write!(f, "{}:{}", self.head_node, a)?;
+            write!(out, "{head}:{a}")?;
         }
         Ok(())
+    }
+}
+
+/// `name: text`, each node called by its letter form.
+impl fmt::Display for CoordinationRule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: ", self.name)?;
+        self.write_text(f, |node| node)
     }
 }
 

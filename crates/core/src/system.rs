@@ -10,6 +10,7 @@ use crate::config::{SystemConfig, UpdateMode};
 use crate::dynamic::{ChangeOp, ChangeScript};
 use crate::error::{CoreError, CoreResult};
 use crate::messages::ProtocolMsg;
+use crate::netfile::NetworkFile;
 use crate::oracle::{global_fixpoint, GlobalDb};
 use crate::peer::DbPeer;
 use crate::rule::{CoordinationRule, RuleId, RuleSet};
@@ -657,6 +658,20 @@ impl P2PSystem {
         Ok(evaluate_certain(&q, db)?)
     }
 
+    /// The network as it was declared — each node's id, name and schema,
+    /// and the rules in the declared names — with each node's database as
+    /// it stands now for its base data: loading the file replays the
+    /// materialised state.
+    pub fn export(&self) -> NetworkFile {
+        let names: BTreeMap<NodeId, &str> = (self.declared.names.iter())
+            .map(|(name, node)| (*node, &**name))
+            .collect();
+        let nodes = (self.declared.base.iter())
+            .map(|(node, base)| (*node, self.database(*node).unwrap_or(base)));
+        // A built rule names declared nodes only.
+        NetworkFile::export(self.super_peer, nodes, &self.rules, |node| names[&node])
+    }
+
     /// Snapshot of every node's database.
     pub fn snapshot(&self) -> GlobalDb {
         GlobalDb(
@@ -689,6 +704,11 @@ impl P2PSystem {
     /// Peer accessor (assertions).
     pub fn peer(&self, node: NodeId) -> Option<&DbPeer> {
         self.sim.peer(node)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn peer_mut(&mut self, node: NodeId) -> Option<&mut DbPeer> {
+        self.sim.peer_mut(node)
     }
 
     /// Iterates peers.

@@ -50,23 +50,6 @@ impl LatencyModel for UniformLatency {
     }
 }
 
-/// Base propagation delay plus a per-byte transmission cost — makes large
-/// answers slower than small control messages, which is what gives the
-/// delta-optimization experiment (E6) its time axis.
-#[derive(Debug, Clone, Copy)]
-pub struct BandwidthLatency {
-    /// Propagation delay added to every message.
-    pub base: SimTime,
-    /// Transmission cost in nanoseconds per byte (1000 ⇒ ~1 MB/s).
-    pub nanos_per_byte: u64,
-}
-
-impl LatencyModel for BandwidthLatency {
-    fn latency(&mut self, _from: NodeId, _to: NodeId, size: usize) -> SimTime {
-        SimTime(self.base.0 + (size as u64 * self.nanos_per_byte) / 1_000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,15 +81,5 @@ mod tests {
         let mut m = UniformLatency::new(SimTime(200), SimTime(100), 1);
         let l = m.latency(NodeId(0), NodeId(1), 1);
         assert!((100..=200).contains(&l.0));
-    }
-
-    #[test]
-    fn bandwidth_scales_with_size() {
-        let mut m = BandwidthLatency {
-            base: SimTime(50),
-            nanos_per_byte: 1_000, // 1 µs per byte
-        };
-        assert_eq!(m.latency(NodeId(0), NodeId(1), 0).0, 50);
-        assert_eq!(m.latency(NodeId(0), NodeId(1), 100).0, 150);
     }
 }

@@ -51,7 +51,7 @@ pub use churn::{ChurnPlan, CrashEvent};
 pub use codec::Codec;
 pub use fault::FaultPlan;
 pub use host::{Context, Outgoing, PayloadMemo, Peer};
-pub use latency::{BandwidthLatency, ConstantLatency, LatencyModel, UniformLatency};
+pub use latency::{ConstantLatency, LatencyModel, UniformLatency};
 pub use message::{encoded_wire_size, SimTime, Wire};
 pub use session::SessionId;
 pub use sharded::{ShardPlacement, ShardedNetwork, WorkerPanic};

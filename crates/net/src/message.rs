@@ -64,7 +64,7 @@ impl fmt::Display for SimTime {
 }
 
 /// What the network layer needs to know about a protocol message: its
-/// wire size (for byte accounting and bandwidth-aware latency), a short
+/// wire size (for byte accounting and size-aware latency models), a short
 /// kind label (for per-kind statistics and Figure-1 style traces), and —
 /// for protocols with interleaved update sessions — which session the
 /// message belongs to (for per-session traffic attribution).
@@ -97,7 +97,7 @@ pub trait Wire: Clone + fmt::Debug + Send + 'static {
 /// The codec-true wire size of a message: the exact byte length of its
 /// serialized form (the same codec the storage layer frames records with).
 /// This replaced the old per-type `fields * 8` style estimates, so byte
-/// accounting, bandwidth-aware latency and the experiments all see what a
+/// accounting, latency models and the experiments all see what a
 /// real transport would carry.
 ///
 /// The message streams itself into the JSON writer's byte counter: one

@@ -20,9 +20,11 @@
 //!   nothing;
 //! * **snapshots** ([`DatabaseSnapshot`]) of the database, the chase
 //!   bookkeeping, the answer log folded to one mark per fragment
-//!   ([`FragmentMark`], whose rows are one `p2p_relational::RowSet`: the
-//!   fold's only copy, membership included) and the cursor log folded to one cursor per
-//!   subscription served ([`CursorMark`], with its fragment). Writing one is
+//!   ([`FragmentMark`]: the watermarks the log folds to, and the rows the
+//!   owner holds of the fragment, which it hands to
+//!   [`PeerStorage::snapshot`] — the running store keeps no copy) and the
+//!   cursor log folded to one cursor per subscription served
+//!   ([`CursorMark`], with its fragment). Writing one is
 //!   a *checkpoint*: the backend then drops the frames it covers, so what a
 //!   peer holds and what a recovery replays follow the size of its state,
 //!   not the length of its history;

@@ -44,17 +44,18 @@ pub struct DatabaseSnapshot {
 }
 
 /// The durable knowledge about one `(rule, answering peer)` fragment:
-/// accumulated rows (head-side cache rebuild, kept only where the owner
-/// logged them — rules with more than one body node) and the answerer's
-/// newest watermarks among the processed answers (the resync cursor).
-/// Encoded as it was when `rows` was a list of tuples, byte for byte.
+/// accumulated rows (head-side cache rebuild, only where the owner retains
+/// them — rules with more than one body node) and the answerer's newest
+/// watermarks among the processed answers (the resync cursor). A snapshot
+/// takes the rows from the owner, a recovery folds them from the snapshot
+/// and the frames after it. Encoded as it was when `rows` was a list of
+/// tuples, byte for byte.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FragmentMark {
     /// Column variables of `rows`.
     pub vars: Vec<Arc<str>>,
     /// Accumulated fragment rows over `vars`, deduplicated, in
-    /// first-arrival order: the one copy the fold keeps, membership
-    /// included.
+    /// first-arrival order.
     pub rows: RowSet,
     /// Per relation, the highest watermark any processed answer carried.
     pub watermarks: BTreeMap<Arc<str>, usize>,
@@ -96,22 +97,71 @@ pub struct RecoveredState {
     pub last_session: SessionId,
 }
 
-/// The answer and cursor logs folded as they are written: what the next
-/// snapshot carries of them, and what recovery rebuilds from a snapshot plus
-/// the frames after it. Folding answers is idempotent — rows deduplicate in
-/// each mark's [`RowSet`], watermarks merge by per-relation maximum;
-/// cursors and forgotten rules are last-writer-wins — so frames a snapshot
-/// already covers may be folded again, in order (see [`crate::wal`]).
+/// Per relation, the highest watermark an answer carried.
+type Watermarks = BTreeMap<Arc<str>, usize>;
+
+/// What a fold keeps of one fragment's answers: the running store the
+/// newest watermarks only — the rows are their owner's, who hands them to
+/// [`PeerStorage::snapshot`] — and a recovery the rows too
+/// ([`FragmentMark`]), which a restart primes the owner with.
+trait Mark: Default {
+    /// The newest watermarks.
+    fn newest(&mut self) -> &mut Watermarks;
+    /// Folds an answer's rows in, through the recovery remap.
+    fn add_rows(&mut self, vars: &[Arc<str>], rows: &RowSet, map: &SymRemap) -> StorageResult<()>;
+}
+
+impl Mark for Watermarks {
+    fn newest(&mut self) -> &mut Watermarks {
+        self
+    }
+    fn add_rows(&mut self, _: &[Arc<str>], _: &RowSet, _: &SymRemap) -> StorageResult<()> {
+        Ok(())
+    }
+}
+
+impl Mark for FragmentMark {
+    fn newest(&mut self) -> &mut Watermarks {
+        &mut self.watermarks
+    }
+    /// Rows not as wide as the mark's are corrupt.
+    fn add_rows(&mut self, vars: &[Arc<str>], rows: &RowSet, map: &SymRemap) -> StorageResult<()> {
+        if self.vars.is_empty() {
+            self.vars = vars.to_vec();
+        }
+        if self.rows.is_empty() {
+            self.rows = RowSet::new(self.vars.len());
+        }
+        if !rows.is_empty() && rows.arity() != self.rows.arity() {
+            return Err(StorageError::Corrupt(format!(
+                "answer rows of {} values for a mark of {}",
+                rows.arity(),
+                self.rows.arity()
+            )));
+        }
+        let mut buf = Vec::new();
+        for row in rows.iter() {
+            self.rows.insert(remap_row(map, row, &mut buf));
+        }
+        Ok(())
+    }
+}
+
+/// The answer and cursor logs folded as they are written (with
+/// [`Watermarks`] marks: what only the log knows) or replayed (with
+/// [`FragmentMark`]s). Folding is idempotent — rows deduplicate in each
+/// mark's [`RowSet`], watermarks merge by per-relation maximum; cursors and
+/// forgotten rules are last-writer-wins — so frames a snapshot already
+/// covers may be folded again, in order (see [`crate::wal`]).
 #[derive(Debug, Default)]
-struct LogFold {
-    marks: BTreeMap<(u32, NodeId), FragmentMark>,
+struct LogFold<M> {
+    marks: BTreeMap<(u32, NodeId), M>,
     cursors: BTreeMap<(NodeId, u32), CursorMark>,
     last_session: SessionId,
 }
 
-impl LogFold {
-    /// Folds one record (an `Insert` says nothing here). An answer whose
-    /// rows are not as wide as its mark's is corrupt.
+impl<M: Mark> LogFold<M> {
+    /// Folds one record (an `Insert` says nothing here).
     fn fold(&mut self, record: &WalRecord, remap: &SymRemap) -> StorageResult<()> {
         match record {
             WalRecord::Insert { .. } => {}
@@ -122,7 +172,15 @@ impl LogFold {
                 vars,
                 rows,
                 watermarks,
-            } => self.fold_answer(*session, (*rule, *node), vars, rows, watermarks, remap)?,
+            } => {
+                let mark = self.marks.entry((*rule, *node)).or_default();
+                mark.add_rows(vars, rows, remap)?;
+                for (relation, w) in watermarks {
+                    let newest = mark.newest().entry(relation.clone()).or_default();
+                    *newest = (*newest).max(*w);
+                }
+                self.last_session = self.last_session.max(*session);
+            }
             WalRecord::Cursor {
                 subscriber,
                 rule,
@@ -148,41 +206,6 @@ impl LogFold {
         }
         Ok(())
     }
-
-    fn fold_answer(
-        &mut self,
-        session: SessionId,
-        key: (u32, NodeId),
-        vars: &[Arc<str>],
-        rows: &RowSet,
-        watermarks: &BTreeMap<Arc<str>, usize>,
-        remap: &SymRemap,
-    ) -> StorageResult<()> {
-        let mark = self.marks.entry(key).or_default();
-        if mark.vars.is_empty() {
-            mark.vars = vars.to_vec();
-        }
-        if mark.rows.is_empty() {
-            mark.rows = RowSet::new(mark.vars.len());
-        }
-        if !rows.is_empty() && rows.arity() != mark.rows.arity() {
-            return Err(StorageError::Corrupt(format!(
-                "answer rows of {} values for a mark of {}",
-                rows.arity(),
-                mark.rows.arity()
-            )));
-        }
-        let mut buf = Vec::new();
-        for row in rows.iter() {
-            mark.rows.insert(remap_row(remap, row, &mut buf));
-        }
-        for (relation, w) in watermarks {
-            let newest = mark.watermarks.entry(relation.clone()).or_default();
-            *newest = (*newest).max(*w);
-        }
-        self.last_session = self.last_session.max(session);
-        Ok(())
-    }
 }
 
 /// A peer's durable store: commits WAL records a frame at a time, says when
@@ -202,7 +225,7 @@ pub struct PeerStorage {
     /// Symbols whose `(id, string)` definition the newest snapshot or a
     /// frame after it carries — the first-use filter for WAL dictionaries.
     persisted_syms: HashSet<SymId>,
-    folded: LogFold,
+    folded: LogFold<Watermarks>,
 }
 
 impl PeerStorage {
@@ -295,27 +318,38 @@ impl PeerStorage {
     }
 
     /// Checkpoints: writes a snapshot of the current database, the chase
-    /// bookkeeping and the folded answer and cursor logs, with the symbol
-    /// dictionary that makes it self-contained; the backend then drops the
-    /// frames it covers. A failed write leaves the store as it was — no
-    /// symbol counts as persisted on the strength of an unwritten snapshot.
-    pub fn snapshot(
+    /// bookkeeping, the folded answer and cursor logs — each mark with the
+    /// columns and rows the owner holds of its fragment (`held`; `None`:
+    /// none, as for a rule with one body node) — and the symbol dictionary
+    /// that makes it self-contained; the backend then drops the frames it
+    /// covers. A failed write leaves the store as it was — no symbol counts
+    /// as persisted on the strength of an unwritten snapshot.
+    pub fn snapshot<'h>(
         &mut self,
         db: &Database,
         nulls_next: u64,
         depths: Vec<(NullId, u32)>,
+        held: impl Fn(u32, NodeId) -> Option<(&'h [Arc<str>], &'h RowSet)>,
     ) -> StorageResult<()> {
+        // A database clone shares its relations; a mark's rows are copied
+        // into the snapshot, and dropped with it once written.
+        let marks: Vec<(u32, NodeId, FragmentMark)> = (self.folded.marks.iter())
+            .map(|(&(rule, node), watermarks)| {
+                let mut mark = FragmentMark::default();
+                if let Some((vars, rows)) = held(rule, node) {
+                    (mark.vars, mark.rows) = (vars.to_vec(), rows.clone());
+                }
+                mark.watermarks = watermarks.clone();
+                (rule, node, mark)
+            })
+            .collect();
         let mut syms = db.syms();
-        syms.extend(self.folded.marks.values().flat_map(|m| m.rows.syms()));
-        // A database clone shares its relations, and the fold holds a few
-        // marks and cursors per peer: the snapshot owns its parts.
+        syms.extend(marks.iter().flat_map(|(_, _, mark)| mark.rows.syms()));
         let snap = DatabaseSnapshot {
             nulls_next,
             depths,
             catalog: ConstCatalog::global().export(syms),
-            marks: (self.folded.marks.iter())
-                .map(|((rule, node), mark)| (*rule, *node, mark.clone()))
-                .collect(),
+            marks,
             cursors: (self.folded.cursors.iter())
                 .map(|((subscriber, rule), cursor)| (*subscriber, *rule, cursor.clone()))
                 .collect(),
@@ -355,26 +389,17 @@ impl PeerStorage {
         }
         let mut nulls_next = snap.nulls_next;
         let mut depths: BTreeMap<NullId, u32> = snap.depths.into_iter().collect();
-        let mut folded = LogFold {
+        let mut folded = LogFold::<FragmentMark> {
             last_session: snap.last_session,
             cursors: (snap.cursors.into_iter())
                 .map(|(subscriber, rule, cursor)| ((subscriber, rule), cursor))
                 .collect(),
             ..LogFold::default()
         };
-        for (rule, from, mut mark) in snap.marks {
-            if !mark.rows.is_empty() && mark.rows.arity() != mark.vars.len() {
-                return Err(StorageError::Corrupt(format!(
-                    "snapshot decode: the mark of rule {rule} from {from} holds rows of {} \
-                     values over {} columns",
-                    mark.rows.arity(),
-                    mark.vars.len()
-                )));
-            }
-            if !remap.is_identity() {
-                mark.rows.remap_syms(&|id| remap.map(id));
-            }
-            folded.marks.insert((rule, from), mark);
+        for (rule, from, mark) in snap.marks {
+            let held = folded.marks.entry((rule, from)).or_default();
+            held.add_rows(&mark.vars, &mark.rows, &remap)?;
+            held.watermarks = mark.watermarks;
         }
 
         let frames: Vec<WalFrame> = (self.backend.read_wal_bytes()?.iter())
@@ -417,13 +442,16 @@ impl PeerStorage {
         }))
     }
 
-    /// Takes over the answer and cursor logs a [`PeerStorage::recover`] of
-    /// this store rebuilt, so the next snapshot carries them on. The owner
-    /// calls this whenever it restarts from the store: a store reopened by
-    /// a new process has folded nothing yet.
+    /// Takes over what the log alone knows of a [`PeerStorage::recover`] of
+    /// this store — each mark's watermarks, the cursors, the newest session
+    /// — so the next snapshot carries them on; the rows stay with the
+    /// owner. The owner calls this whenever it restarts from the store: a
+    /// store reopened by a new process has folded nothing yet.
     pub fn adopt(&mut self, recovered: &RecoveredState) {
         self.folded = LogFold {
-            marks: recovered.marks.clone(),
+            marks: (recovered.marks.iter())
+                .map(|(key, mark)| (*key, mark.watermarks.clone()))
+                .collect(),
             cursors: recovered.cursors.clone(),
             last_session: recovered.last_session,
         };
@@ -459,7 +487,7 @@ mod tests {
     fn store_on(backend: Box<dyn StorageBackend>, snapshot_every: u64) -> (PeerStorage, Database) {
         let db = Database::new(schema());
         let mut st = PeerStorage::new(backend, snapshot_every);
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         (st, db)
     }
 
@@ -559,7 +587,7 @@ mod tests {
             st.bytes_since_snapshot < st.snapshot_bytes + 100,
             "and no later"
         );
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         // The snapshot grew, so the next one takes more records.
         let mut again = 1;
         while !next(&mut st, &mut db) {
@@ -650,9 +678,18 @@ mod tests {
         assert_eq!(rec.last_session, s2);
     }
 
-    /// A snapshot carries the folded answer log, so the answer frames it
-    /// covers can go — on both codecs, through a checkpoint and a reopen by
-    /// a store that has folded nothing itself.
+    /// The rows an owner holds of each fragment, handed to a snapshot: here
+    /// the rows of recovered `marks`, which is what a restarted owner holds.
+    fn held<'m>(
+        marks: &'m BTreeMap<(u32, NodeId), FragmentMark>,
+    ) -> impl Fn(u32, NodeId) -> Option<(&'m [Arc<str>], &'m RowSet)> {
+        |rule, node| (marks.get(&(rule, node))).map(|mark| (&mark.vars[..], &mark.rows))
+    }
+
+    /// A snapshot carries the folded answer log with the rows the owner
+    /// hands it, so the answer frames it covers can go — on both codecs,
+    /// through a checkpoint and a reopen by a store that has folded nothing
+    /// itself.
     #[test]
     fn marks_survive_the_checkpoint_that_drops_their_frames() {
         let sid = SessionId::new(NodeId(1), 4);
@@ -664,10 +701,11 @@ mod tests {
             {
                 let backend = Box::new(FileBackend::open(&dir).unwrap());
                 let mut st = PeerStorage::with_codec(backend, 0, codec);
-                st.snapshot(&db, 0, Vec::new()).unwrap();
+                st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
                 st.commit(vec![answer(sid, rows.clone(), 3)]).unwrap();
                 assert!(st.first_use_dict(rows[0].iter()).is_empty());
-                st.snapshot(&db, 0, Vec::new()).unwrap();
+                let owner = st.recover(0).unwrap().unwrap();
+                st.snapshot(&db, 0, Vec::new(), held(&owner.marks)).unwrap();
             }
             let backend = Box::new(FileBackend::open(&dir).unwrap());
             let mut st = PeerStorage::with_codec(backend, 0, codec);
@@ -676,7 +714,7 @@ mod tests {
             assert_eq!(rec.last_session, sid);
             // … and through the next checkpoint of the reopened store.
             st.adopt(&rec);
-            st.snapshot(&db, 0, Vec::new()).unwrap();
+            st.snapshot(&db, 0, Vec::new(), held(&rec.marks)).unwrap();
             let again = st.recover(0).unwrap().unwrap();
             assert_eq!(again.marks, rec.marks, "{codec}");
             std::fs::remove_dir_all(&dir).ok();
@@ -695,7 +733,8 @@ mod tests {
         st.commit(vec![answer(sid, vec![vec![Val::Int(1)]], 5)])
             .unwrap();
         let before = st.recover(0).unwrap().unwrap();
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), held(&before.marks))
+            .unwrap();
         let after = st.recover(0).unwrap().unwrap();
         assert_eq!(after.db.all_facts(), db.all_facts());
         assert_eq!(after.db.watermarks(), db.watermarks());
@@ -712,7 +751,7 @@ mod tests {
     fn string_facts_round_trip_through_snapshot_and_wal() {
         let (mut st, mut db) = store(0);
         insert(&mut st, &mut db, "s", vec![Val::str("snap-sym")]);
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         insert(&mut st, &mut db, "s", vec![Val::str("wal-sym")]);
         let rec = st.recover(0).unwrap().unwrap();
         assert_eq!(rec.db.all_facts(), db.all_facts());
@@ -779,7 +818,7 @@ mod tests {
         db.insert_values("s", vec![lost]).unwrap();
         fail.store(true, Ordering::Relaxed);
         assert!(matches!(
-            st.snapshot(&db, 0, Vec::new()),
+            st.snapshot(&db, 0, Vec::new(), |_, _| None),
             Err(StorageError::Io(_))
         ));
         assert_eq!(
@@ -790,7 +829,7 @@ mod tests {
         // A snapshot that is written does persist its symbols.
         fail.store(false, Ordering::Relaxed);
         db.insert_values("s", vec![kept]).unwrap();
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         assert!(st.first_use_dict([kept].iter()).is_empty());
     }
 
@@ -833,7 +872,7 @@ mod tests {
         insert(&mut st, &mut db, "s", vec![Val::str("kept-in-db")]);
         let gone = Val::str("in-a-dropped-frame-only");
         assert_eq!(st.first_use_dict([gone].iter()).len(), 1);
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         assert!(st
             .first_use_dict([Val::str("kept-in-db")].iter())
             .is_empty());
@@ -905,10 +944,11 @@ mod tests {
         }
     }
 
-    /// A snapshot whose fold holds a rows-bearing mark encodes to bytes
+    /// A snapshot of a mark whose owner holds rows for it encodes to bytes
     /// pinned in both codecs — the bytes a mark holding its rows as a list
-    /// of tuples wrote — and a recovery adopted by the store writes them
-    /// again.
+    /// of tuples wrote, and those a store that folded the rows itself
+    /// wrote — and a recovery adopted by the store, handed the rows a
+    /// restarted owner holds, writes them again.
     #[test]
     fn a_rows_bearing_mark_snapshots_to_pinned_bytes() {
         const JSON: &str = concat!(
@@ -947,15 +987,27 @@ mod tests {
                 .unwrap();
             st.commit(vec![answer(vec![row(&zero), row(&[null, Val::Int(9)])], 4)])
                 .unwrap();
-            let written = |st: &mut PeerStorage| {
-                st.snapshot(&db, 3, vec![(NullId::new(4, 2), 1)]).unwrap();
+            // What the owner holds: the answers' rows, deduplicated, in
+            // arrival order.
+            let mut rows = RowSet::new(2);
+            rows.extend([&seven[..], &zero, &[null, Val::Int(9)]]);
+            let owner = BTreeMap::from([(
+                (5, NodeId(2)),
+                FragmentMark {
+                    vars: vec![Arc::from("X"), Arc::from("Y")],
+                    rows,
+                    watermarks: BTreeMap::new(),
+                },
+            )]);
+            let written = |st: &mut PeerStorage, owner: &BTreeMap<_, _>| {
+                (st.snapshot(&db, 3, vec![(NullId::new(4, 2), 1)], held(owner))).unwrap();
                 let bytes = st.backend.read_snapshot_bytes().unwrap().unwrap();
                 match codec {
                     Codec::Json => String::from_utf8(bytes).unwrap(),
                     Codec::Binary => bytes.iter().map(|b| format!("{b:02x}")).collect(),
                 }
             };
-            let bytes = written(&mut st);
+            let bytes = written(&mut st, &owner);
             let pinned = match codec {
                 Codec::Json => JSON,
                 Codec::Binary => BINARY,
@@ -963,7 +1015,11 @@ mod tests {
             assert_eq!(bytes, pinned, "{codec}");
             let rec = st.recover(4).unwrap().unwrap();
             st.adopt(&rec);
-            assert_eq!(written(&mut st), pinned, "{codec} after recovery");
+            assert_eq!(
+                written(&mut st, &rec.marks),
+                pinned,
+                "{codec} after recovery"
+            );
         }
     }
 
@@ -1050,9 +1106,9 @@ mod tests {
             let mut db = Database::new(schema());
             let mut st = PeerStorage::with_codec(Box::<MemoryBackend>::default(), 0, codec);
             assert_eq!(st.codec(), codec);
-            st.snapshot(&db, 0, Vec::new()).unwrap();
+            st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
             insert(&mut st, &mut db, "a", vec![Val::Int(3), Val::Int(4)]);
-            st.snapshot(&db, 0, Vec::new()).unwrap();
+            st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
             insert(&mut st, &mut db, "s", vec![Val::str("cross-codec-sym")]);
             let sid = SessionId::new(NodeId(0), 1);
             st.commit(vec![answer(sid, vec![vec![Val::Int(5)]], 2)])
@@ -1077,7 +1133,7 @@ mod tests {
         {
             let backend = Box::new(FileBackend::open(&dir).unwrap());
             let mut st = PeerStorage::with_codec(backend, 0, Codec::Binary);
-            st.snapshot(&db, 0, Vec::new()).unwrap();
+            st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
             insert(&mut st, &mut db, "b", vec![Val::Int(11)]);
             insert(&mut st, &mut db, "s", vec![Val::str("bin-reopen")]);
         }
@@ -1115,7 +1171,7 @@ mod tests {
             {
                 let backend = Box::new(FileBackend::open(&dir).unwrap());
                 let mut st = PeerStorage::with_codec(backend, 0, wrote);
-                st.snapshot(&db, 0, Vec::new()).unwrap();
+                st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
                 insert(
                     &mut st,
                     &mut db,
@@ -1147,7 +1203,7 @@ mod tests {
         let (mut st, mut db) = store(0);
         db.insert_values("s", vec![Val::str("self-contained")])
             .unwrap();
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         // The snapshot text must embed the string, not just the raw id.
         let rec = st.recover(0).unwrap().unwrap();
         assert!(rec

@@ -78,7 +78,7 @@ type Expected = (
 fn expected(k: usize) -> Expected {
     let mut db = Database::new(schema());
     let mut st = PeerStorage::new(Box::<MemoryBackend>::default(), 0);
-    st.snapshot(&db, 0, Vec::new()).unwrap();
+    st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
     for i in 0..k {
         write(&mut st, &mut db, i);
     }
@@ -136,7 +136,7 @@ fn recovers_to_and_carries_on(
 
     // The checkpoint drops the cursor's frames and keeps the cursor, with
     // its fragment, for the frame after it to move.
-    st.snapshot(&db, 0, Vec::new()).unwrap();
+    st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
     write(&mut st, &mut db, k + 1);
     let rec = open(dir, codec).recover(NODE).unwrap().unwrap();
     assert_eq!(rec.db.all_facts(), db.all_facts(), "{what}, checkpointed");
@@ -157,7 +157,7 @@ fn kill_at_every_byte_offset_recovers_a_prefix_and_carries_on() {
         // The acknowledged history, and the log's length after each write.
         let mut db = Database::new(schema());
         let mut st = open(&golden, codec);
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         let mut acked = vec![0usize];
         for i in 0..WRITES {
             write(&mut st, &mut db, i);
@@ -181,7 +181,7 @@ fn kill_at_every_byte_offset_recovers_a_prefix_and_carries_on() {
 
         // Die inside the checkpoint: the next snapshot at every length up
         // to complete, the generation it replaces still in place.
-        st.snapshot(&db, 0, Vec::new()).unwrap();
+        st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         let after = files(&golden);
         assert_eq!(after.len(), 1, "the checkpoint dropped generation 1");
         let (next_name, next_bytes) = &after[0];

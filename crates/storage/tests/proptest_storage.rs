@@ -64,7 +64,7 @@ proptest! {
             DatabaseSchema::parse("r(x: int, y: int). s(x: int). t(name: str).").unwrap();
         let mut db = Database::new(schema);
         let mut store = PeerStorage::new(Box::<MemoryBackend>::default(), 0);
-        store.snapshot(&db, 0, Vec::new()).unwrap();
+        store.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
 
         let mut nulls_next = 0u64;
         let mut depths: BTreeMap<NullId, u32> = BTreeMap::new();
@@ -97,7 +97,7 @@ proptest! {
             store.commit(frame).unwrap();
             if *snapshot {
                 store
-                    .snapshot(&db, nulls_next, depths.clone().into_iter().collect())
+                    .snapshot(&db, nulls_next, depths.clone().into_iter().collect(), |_, _| None)
                     .unwrap();
             }
         }
@@ -188,7 +188,7 @@ proptest! {
         };
         let db = Database::new(DatabaseSchema::parse("r(x: int).").unwrap());
         let mut store = PeerStorage::with_codec(backend, 0, codec);
-        store.snapshot(&db, 0, Vec::new()).unwrap();
+        store.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
 
         let mut cursors: BTreeMap<(NodeId, u32), CursorMark> = BTreeMap::new();
         let mut marks: BTreeMap<(u32, NodeId), FragmentMark> = BTreeMap::new();
@@ -259,7 +259,7 @@ proptest! {
             }
             store.commit(frame).unwrap();
             if *snapshot {
-                store.snapshot(&db, 0, Vec::new()).unwrap();
+                store.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
             }
         }
         let rec = store.recover(NODE).unwrap().expect("initial snapshot exists");
@@ -267,7 +267,7 @@ proptest! {
         prop_assert_eq!(&rec.marks, &marks);
         // … and once more through the snapshot a reopened store writes.
         store.adopt(&rec);
-        store.snapshot(&db, 0, Vec::new()).unwrap();
+        store.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
         let again = store.recover(NODE).unwrap().unwrap();
         prop_assert_eq!(again.cursors, cursors);
         prop_assert_eq!(again.marks, marks);
@@ -322,7 +322,7 @@ fn acknowledged_history(
     let mut db = Database::new(DatabaseSchema::parse("t(x: int, name: str).").unwrap());
     let backend = Box::new(FileBackend::open(dir).unwrap());
     let mut store = PeerStorage::with_codec(backend, 0, codec);
-    store.snapshot(&db, 0, Vec::new()).unwrap();
+    store.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
     let mut ends = vec![0];
     for (i, size) in sizes.iter().enumerate() {
         let frame = (0..*size as i64)

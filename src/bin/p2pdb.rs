@@ -242,8 +242,7 @@ fn cmd_workload(args: &[String]) -> CliResult {
     // Materialise the workload into a network file by building the system
     // once and exporting its initial state.
     let sys = build_system(&cfg)?.build()?;
-    let file = NetworkFile::from_databases(sys.super_peer(), &sys.snapshot().0, sys.rules());
-    outln!("{}", file.to_json());
+    outln!("{}", sys.export().to_json());
     Ok(())
 }
 
@@ -531,8 +530,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     }
 
     if let Some(out) = flag_value(args, "--export") {
-        let export = NetworkFile::from_databases(sys.super_peer(), &sys.snapshot().0, sys.rules());
-        std::fs::write(out, export.to_json())?;
+        std::fs::write(out, sys.export().to_json())?;
         outln!("exported materialised state to {out}");
     }
     Ok(())
@@ -609,7 +607,6 @@ const SERVE_FLAGS: &[(&str, usize)] = &[
     ("--listen", 1),
     ("--peer", 1),
     ("--codec", 1),
-    ("--mode", 1),
     ("--durable", 0),
     ("--state-dir", 1),
     ("--snapshot-every", 1),
@@ -646,16 +643,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             .map_err(|e| usage(format!("serve: --codec {v}: {e}")))?,
         None => p2pdb::net::Codec::Json,
     };
-    match flag_value(args, "--mode") {
-        None | Some("eager") => {}
-        Some("rounds") => {
-            return Err(usage(
-                "serve: --mode rounds is simulator-only (real sockets have no global \
-                 lock-step); the socket runtime is always eager",
-            ));
-        }
-        Some(other) => return Err(usage(format!("serve: --mode {other}: unknown mode"))),
-    }
     let mut peers = std::collections::BTreeMap::new();
     for spec in flag_values(args, "--peer") {
         let (id, addr) = spec.split_once('=').ok_or_else(|| {

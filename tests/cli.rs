@@ -242,6 +242,64 @@ fn named_nodes_run_to_the_oracle_and_export() {
     );
 }
 
+/// An export is the network as it was declared: the nodes keep their
+/// names, the rule texts call them by those names, and the file reloads —
+/// and a link read on it resolves `alice` — to the same databases.
+#[test]
+fn an_export_keeps_the_declared_names() {
+    use p2pdb::core::netfile::NetworkFile;
+
+    let dir = std::env::temp_dir().join("p2pdb_cli_export_names");
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/named_nodes.json"
+    );
+    let exported = dir.join("out.json");
+    let out = p2pdb(&["run", net, "--export", exported.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let file = NetworkFile::from_json(&std::fs::read_to_string(&exported).unwrap()).unwrap();
+    let names: Vec<_> = (file.nodes.iter())
+        .map(|n| (n.id, n.name.as_deref()))
+        .collect();
+    assert_eq!(
+        names,
+        [(0, Some("alice")), (1, Some("bob")), (2, Some("carol"))]
+    );
+    let rules: Vec<_> = (file.rules.iter())
+        .map(|r| (r.name.as_str(), r.text.as_str()))
+        .collect();
+    assert_eq!(
+        rules,
+        [
+            ("from_bob", "bob:b(X, Y) => alice:a(X, Y)"),
+            ("from_carol", "carol:c(X, Y), X < 5 => bob:b(X, Y)"),
+            (
+                "back_to_carol",
+                "alice:a(X, Y), bob:b(Y, Z) => carol:c(X, Z)"
+            ),
+        ]
+    );
+
+    let declared = NetworkFile::from_json(&std::fs::read_to_string(net).unwrap()).unwrap();
+    let oracle = (declared.into_builder().unwrap().build().unwrap())
+        .oracle()
+        .unwrap();
+    let mut reloaded = file.into_builder().unwrap().build().unwrap();
+    assert!(reloaded.snapshot().equivalent(&oracle));
+    let report = reloaded.run_update();
+    assert!(report.all_closed && report.errors.is_empty());
+    assert!(reloaded.snapshot().equivalent(&oracle));
+    assert!(reloaded
+        .make_add_link("again", "carol:c(X, Y) => alice:a(X, Y)")
+        .is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `serve` and `launch` reject a flag they do not know before they read
 /// the network or start anything: a typo does not run the defaults.
 #[test]
@@ -592,7 +650,7 @@ fn serve_and_launch_usage_errors_exit_2() {
             "--mode",
             "rounds",
         ],
-        "--mode",
+        "unknown flag `--mode`",
     );
     check(
         &[

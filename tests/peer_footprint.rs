@@ -14,8 +14,10 @@
 //! The counting allocator below is this test binary's global allocator; it
 //! counts per thread, so the test harness's own threads do not disturb it.
 
-use p2pdb::core::system::P2PSystem;
-use p2pdb::topology::Topology;
+use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
+use p2pdb::net::Codec;
+use p2pdb::relational::{RowSet, Val};
+use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{scale_system, ScaleConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -98,4 +100,56 @@ fn a_peer_costs_these_bytes_after_build_and_after_sessions() {
         "{first} B per peer after first contact"
     );
     assert_eq!(later, first, "sessions after the first hold nothing more");
+}
+
+/// Rows at each body node of the join head below.
+const JOIN_ROWS: i64 = 2_000;
+
+/// Live bytes after the first-contact session of `B:b(X,Y), C:c(Y,Z) =>
+/// A:a(X,Z)` with `JOIN_ROWS` rows at each body node that join to nothing,
+/// durable (binary codec) or not, and the rows the head retains.
+fn join_head_after_first_contact(durable: bool) -> (i64, usize) {
+    let start = live();
+    let mut b = P2PSystemBuilder::new();
+    b.add_node_with_schema(0, "a(x: int, z: int).").unwrap();
+    b.add_node_with_schema(1, "b(x: int, y: int).").unwrap();
+    b.add_node_with_schema(2, "c(y: int, z: int).").unwrap();
+    b.add_rule("r", "B:b(X,Y), C:c(Y,Z) => A:a(X,Z)").unwrap();
+    for i in 0..JOIN_ROWS {
+        b.insert(1, "b", [Val::Int(i), Val::Int(i)]).unwrap();
+        b.insert(2, "c", [Val::Int(JOIN_ROWS + i), Val::Int(i)])
+            .unwrap();
+    }
+    b.config_mut().durability = durable;
+    b.config_mut().codec = Codec::Binary;
+    let mut sys = b.build().unwrap();
+    run_closed(&mut sys);
+    let retained = sys.peer(NodeId(0)).unwrap().retained_rows();
+    (live() - start, retained)
+}
+
+/// A durable head holds the fragment rows it joins once, in its
+/// subscriptions: what durability adds after first contact — the stores'
+/// logs and snapshots, binary-encoded — is well under what one more copy
+/// of those rows in memory costs. A store that folded the rows of every
+/// answer it logged for its checkpoints held a second copy.
+#[test]
+fn a_durable_join_head_holds_its_fragment_rows_once() {
+    let (volatile, retained) = join_head_after_first_contact(false);
+    let (durable, durable_retained) = join_head_after_first_contact(true);
+    assert_eq!(retained, 2 * JOIN_ROWS as usize);
+    assert_eq!(durable_retained, retained);
+    let start = live();
+    let mut copy = RowSet::new(2);
+    for i in 0..retained as i64 {
+        copy.insert(&[Val::Int(i), Val::Int(i)]);
+    }
+    let one_copy = live() - start;
+    drop(copy);
+    let added = durable - volatile;
+    println!("{retained} retained rows: one copy {one_copy} B; durability adds {added} B");
+    assert!(
+        added < one_copy / 2,
+        "durability adds {added} B to a head retaining {retained} rows ({one_copy} B a copy)"
+    );
 }
