@@ -35,13 +35,6 @@ pub enum ChangeOp {
     },
 }
 
-impl ChangeOp {
-    /// Serialized size — the exact encoded byte length.
-    pub fn wire_size(&self) -> usize {
-        p2p_net::encoded_wire_size(self)
-    }
-}
-
 /// A change scheduled at a virtual time during the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduledChange {

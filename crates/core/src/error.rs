@@ -53,8 +53,9 @@ pub enum CoreError {
         /// The panic payload.
         detail: String,
     },
-    /// The sharded runtime was asked for what only the simulator runs:
-    /// rounds mode, a change script, re-drives, a churn or a fault plan.
+    /// A run on the shard pool was asked for what only the simulator runs:
+    /// rounds mode, a change script, a churn or a fault plan
+    /// (`P2PSystem::check_run`).
     ShardedUnsupported(&'static str),
     /// A socket-backed node could not bind its listen address (port in
     /// use, bad interface). Kept distinct from the generic transport

@@ -61,11 +61,6 @@ pub struct AnswerRows {
 }
 
 impl AnswerRows {
-    /// Exact encoded size of this payload in bytes.
-    pub fn wire_size(&self) -> usize {
-        p2p_net::encoded_wire_size(self)
-    }
-
     /// True iff the rows are not `vars.len()` values wide. A decoded block
     /// holds rows of one width, but that width may be another one, and a
     /// peer refuses such rows where they arrive.

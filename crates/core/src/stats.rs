@@ -123,13 +123,6 @@ impl PeerStats {
         *self = PeerStats::default();
     }
 
-    /// Wire size of a stats report: the **exact** byte length of the
-    /// serialized form (the old `SERIALIZED_FIELDS * 8` approximation is
-    /// gone; `wire_size_is_the_serialized_length` guards the equivalence).
-    pub fn wire_size(&self) -> usize {
-        p2p_net::encoded_wire_size(self)
-    }
-
     /// Merges another peer's counters (super-peer aggregation).
     pub fn merge(&mut self, other: &PeerStats) {
         self.queries_received += other.queries_received;
@@ -205,29 +198,6 @@ mod tests {
         };
         s.reset();
         assert_eq!(s, PeerStats::default());
-    }
-
-    #[test]
-    fn wire_size_is_the_serialized_length() {
-        // The report's wire size is the exact encoded length — no field
-        // counting to fall out of sync with the struct. Checked both at
-        // default and at a non-default state (digit widths vary).
-        let dflt = PeerStats::default();
-        assert_eq!(
-            dflt.wire_size(),
-            serde_json::to_string(&dflt).unwrap().len()
-        );
-        let busy = PeerStats {
-            queries_received: 123_456,
-            rows_shipped: u64::MAX,
-            closed_by: ClosedBy::CleanRound,
-            ..Default::default()
-        };
-        assert_eq!(
-            busy.wire_size(),
-            serde_json::to_string(&busy).unwrap().len()
-        );
-        assert_ne!(dflt.wire_size(), busy.wire_size());
     }
 
     #[test]

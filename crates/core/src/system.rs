@@ -2,12 +2,13 @@
 //!
 //! [`P2PSystemBuilder`] collects node schemas, base data and coordination
 //! rules, validates everything (schema conformance, weak acyclicity), and
-//! produces a [`P2PSystem`] running on the deterministic simulator — or a
-//! bag of peers for the sharded runtime via
-//! [`P2PSystemBuilder::build_peers`] / [`run_updates_sharded`].
+//! produces a [`P2PSystem`]. [`P2PSystem::run`] drives an update on either
+//! in-process runtime: the deterministic simulator, or the shard pool
+//! ([`RunSpec::shards`]), which borrows the system's peers for the run and
+//! hands them back, so every later call sees one system.
 
 use crate::config::{SystemConfig, UpdateMode};
-use crate::dynamic::{ChangeOp, ChangeScript};
+use crate::dynamic::{ChangeOp, ChangeScript, ScheduledChange};
 use crate::error::{CoreError, CoreResult};
 use crate::messages::ProtocolMsg;
 use crate::netfile::NetworkFile;
@@ -17,7 +18,7 @@ use crate::rule::{CoordinationRule, RuleId, RuleSet};
 use crate::stats::PeerStats;
 use p2p_net::{
     ChurnPlan, ConstantLatency, FaultPlan, LatencyModel, NetStats, RunOutcome, SessionId,
-    ShardPlacement, ShardedNetwork, SimTime, Simulator,
+    ShardedNetwork, SimTime, Simulator,
 };
 use p2p_relational::query::{evaluate_certain, parse_query, Idents, PlanCatalog};
 use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
@@ -157,8 +158,8 @@ impl P2PSystemBuilder {
     /// relative to the start of the first update session). Usually paired
     /// with `config_mut().durability = true` — without durability a crash
     /// loses the peer's data for good — and driven to closure with a
-    /// [`RunSpec::redrives`] budget. Simulator-only: [`run_updates_sharded`]
-    /// refuses a builder that has one.
+    /// [`RunSpec::redrives`] budget. Simulator-only: while it is pending,
+    /// [`P2PSystem::check_run`] refuses a pooled run.
     pub fn set_churn(&mut self, churn: ChurnPlan) {
         self.churn = Some(churn);
     }
@@ -264,9 +265,9 @@ impl P2PSystemBuilder {
         let latency = (self.latency.take())
             .unwrap_or_else(|| Box::new(ConstantLatency(SimTime::from_millis(1))));
         let mut sim = Simulator::new(latency);
-        if let Some(fault) = self.fault.take() {
-            sim.set_fault_plan(fault);
-        }
+        let fault = self.fault.take().unwrap_or_else(FaultPlan::none);
+        let unreliable = !fault.is_reliable();
+        sim.set_fault_plan(fault);
         sim.set_max_events(self.config.effective_max_events(peers.len()));
         sim.set_codec(self.config.codec);
         if self.config.trace_capacity > 0 {
@@ -284,6 +285,7 @@ impl P2PSystemBuilder {
             config: self.config,
             dynamic_rule_counter: 0,
             churn: self.churn.take(),
+            unreliable,
         })
     }
 }
@@ -308,6 +310,11 @@ pub struct RunSpec {
     /// re-driven. With no churn and no faults the first drive closes every
     /// session, and any budget gives the reports of 0.
     pub redrives: u32,
+    /// The runtime each drive runs on: 0 (the default) the simulator, `T`
+    /// a shard pool of `T` threads, peers placed round-robin. A pooled run
+    /// trades virtual time for real parallelism; what only the simulator
+    /// runs, [`P2PSystem::check_run`] refuses.
+    pub shards: usize,
 }
 
 impl RunSpec {
@@ -326,9 +333,9 @@ impl RunSpec {
 pub struct UpdateReport {
     /// The session this report describes.
     pub session: SessionId,
-    /// Simulator outcome (virtual time, deliveries, quiescence), shared by
-    /// every session of one run; on the sharded runtime, the pool's wall
-    /// time and deliveries.
+    /// The last drive's outcome (virtual time, deliveries, quiescence),
+    /// shared by every session of one run; for a pooled run, the pool's
+    /// wall time in place of virtual time.
     pub outcome: RunOutcome,
     /// Messages delivered during the run (whole network, all sessions plus
     /// control traffic — the historical meaning; for the per-session slice
@@ -376,6 +383,8 @@ pub struct P2PSystem {
     /// Churn plan not yet scheduled onto the simulator (taken by the first
     /// update session, so offsets are relative to that session's start).
     churn: Option<ChurnPlan>,
+    /// The simulator's fault plan can drop or cut a link.
+    unreliable: bool,
 }
 
 impl P2PSystem {
@@ -427,14 +436,14 @@ impl P2PSystem {
     /// in the order of their roots.
     ///
     /// Every session starts at once, one per **distinct** root, in a single
-    /// simulator run; the script's changes arrive at the super-peer at
-    /// their times after the start. The sessions spread, interleave and
-    /// terminate independently (each with its own Dijkstra–Scholten
-    /// detector or echo waves), and each report is attributed from the
-    /// transport layer's session-tagged traffic counters. Interleaving
-    /// changes wall-clock, never results: the final global database is
-    /// tuple-identical (modulo null renaming) to running the sessions
-    /// serially, and to the centralized fix-point oracle.
+    /// drive on the spec's runtime ([`RunSpec::shards`]); the script's
+    /// changes arrive at the super-peer at their times after the start. The
+    /// sessions spread, interleave and terminate independently (each with
+    /// its own Dijkstra–Scholten detector or echo waves), and each report is
+    /// attributed from the transport layer's session-tagged traffic
+    /// counters. Interleaving changes wall-clock, never results: the final
+    /// global database is tuple-identical (modulo null renaming) to running
+    /// the sessions serially, and to the centralized fix-point oracle.
     ///
     /// Then, as long as some session is still open somewhere (a crash broke
     /// a wave or stranded an epoch) and re-drive budget remains, the driver
@@ -450,40 +459,41 @@ impl P2PSystem {
     ///
     /// # Panics
     ///
-    /// If `spec` is scoped and has a re-drive budget: a re-drive re-sends a
-    /// global start, and a scoped session is generally not closed at every
-    /// peer.
+    /// If [`P2PSystem::check_run`] refuses `spec`; if `spec` is scoped and
+    /// has a re-drive budget (a re-drive re-sends a global start, and a
+    /// scoped session is generally not closed at every peer); and, naming
+    /// the node, if a peer's handler panics.
     pub fn run(&mut self, spec: &RunSpec) -> Vec<UpdateReport> {
         assert!(
             !(spec.scoped && spec.redrives > 0),
             "a scoped update is not re-driven: a re-drive re-sends a global start"
         );
+        if let Err(refused) = self.check_run(spec) {
+            panic!("{refused}");
+        }
         let before = (
             self.sim.stats().total_messages,
             self.sim.stats().total_bytes,
         );
-        let roots = or_super_peer(&spec.roots, &self.super_peer);
-        let mut sids = assign_sessions(roots, || {
-            self.epoch += 1;
-            self.epoch
-        });
+        // One fresh session per distinct root: a second same-root epoch
+        // launched at once would supersede (and thereby kill) the first
+        // mid-flight, which is what a re-drive does, not a way to run twice.
+        let mut seen = BTreeSet::new();
+        let mut sids: Vec<SessionId> = (or_super_peer(&spec.roots, &self.super_peer).iter())
+            .filter(|&&root| seen.insert(root))
+            .map(|&root| {
+                self.epoch += 1;
+                SessionId::new(root, self.epoch)
+            })
+            .collect();
         // A pending churn plan's offsets count from this run's start.
         if let Some(plan) = self.churn.take() {
             self.sim.schedule_churn(&plan, self.sim.now());
         }
-        for &sid in &sids {
-            self.sim.inject(sid.root, sid.root, spec.start(sid));
-        }
-        let base = self.sim.now();
-        for change in spec.script.sorted() {
-            self.sim.inject_at(
-                base + change.at,
-                self.super_peer,
-                self.super_peer,
-                ProtocolMsg::ApplyChange { change: change.op },
-            );
-        }
-        let mut outcome = self.sim.run();
+        let starts = (sids.iter())
+            .map(|&sid| (sid.root, spec.start(sid)))
+            .collect();
+        let mut outcome = self.drive(spec.shards, starts, spec.script.sorted());
 
         let mut redrives = vec![0u32; sids.len()];
         for _ in 0..spec.redrives {
@@ -493,6 +503,7 @@ impl P2PSystem {
             if open.is_empty() {
                 break;
             }
+            let mut starts = Vec::with_capacity(open.len());
             for i in open {
                 redrives[i] += 1;
                 let sid = sids[i];
@@ -515,9 +526,9 @@ impl P2PSystem {
                         ProtocolMsg::StartUpdate { session }
                     }
                 };
-                self.sim.inject(sid.root, sid.root, msg);
+                starts.push((sid.root, msg));
             }
-            outcome = self.sim.run();
+            outcome = self.drive(spec.shards, starts, Vec::new());
             // An eager re-drive continues under a fresh session id, so each
             // session is followed to its root's latest one.
             let seen = self.sim.stats().per_session.keys();
@@ -530,13 +541,73 @@ impl P2PSystem {
                     .unwrap_or(*sid);
             }
         }
-        sids.into_iter()
-            .zip(redrives)
-            .map(|(sid, redrives)| UpdateReport {
-                redrives,
-                ..session_report(self.sim.peers(), self.sim.stats(), sid, outcome, before)
-            })
+        (sids.into_iter().zip(redrives))
+            .map(|(sid, redrives)| session_report(&self.sim, sid, outcome, before, redrives))
             .collect()
+    }
+
+    /// Whether [`P2PSystem::run`] can run `spec`. The simulator runs any
+    /// spec. A shard pool runs eager sessions and their re-drives over
+    /// reliable pipes, and refuses — as [`CoreError::ShardedUnsupported`] —
+    /// rounds mode, a pending churn plan, an unreliable fault plan and a
+    /// change script: each needs the simulator's virtual time.
+    pub fn check_run(&self, spec: &RunSpec) -> CoreResult<()> {
+        let refused = [
+            (self.config.mode == UpdateMode::Rounds, "rounds mode"),
+            (
+                self.churn.as_ref().is_some_and(|c| !c.is_empty()),
+                "a churn plan",
+            ),
+            (self.unreliable, "a fault plan"),
+            (!spec.script.is_empty(), "a change script"),
+        ];
+        match refused.into_iter().find(|&(refuse, _)| refuse) {
+            Some((_, what)) if spec.shards > 0 => Err(CoreError::ShardedUnsupported(what)),
+            _ => Ok(()),
+        }
+    }
+
+    /// One drive: each root gets its start (and the super-peer `script`'s
+    /// changes, at their times from now), and the network runs to
+    /// quiescence — on the simulator, or on a pool of `shards` threads that
+    /// takes the peers out of the simulator and hands them back with its
+    /// counters.
+    fn drive(
+        &mut self,
+        shards: usize,
+        starts: Vec<(NodeId, ProtocolMsg)>,
+        script: Vec<ScheduledChange>,
+    ) -> RunOutcome {
+        if shards == 0 {
+            for (root, msg) in starts {
+                self.sim.inject(root, root, msg);
+            }
+            let base = self.sim.now();
+            for change in script {
+                let msg = ProtocolMsg::ApplyChange { change: change.op };
+                (self.sim).inject_at(base + change.at, self.super_peer, self.super_peer, msg);
+            }
+            return self.sim.run();
+        }
+        let mut pool = ShardedNetwork::new();
+        pool.set_codec(self.config.codec);
+        pool.set_shards(shards);
+        for (id, peer) in self.sim.take_peers() {
+            pool.add_peer(id, peer);
+        }
+        let initial = (starts.into_iter())
+            .map(|(root, msg)| (root, root, msg))
+            .collect();
+        let (peers, stats) = pool.run(initial).unwrap_or_else(|panic| panic!("{panic}"));
+        for (id, peer) in peers {
+            self.sim.add_peer(id, peer);
+        }
+        self.sim.merge_stats(&stats);
+        RunOutcome {
+            virtual_time: stats.finished_at,
+            delivered: stats.total_messages,
+            quiescent: true,
+        }
     }
 
     /// Inserts a base tuple at a node **after** build — the concurrent-
@@ -567,6 +638,7 @@ impl P2PSystem {
     /// Replaces the simulator's fault plan from here on (drops / outages);
     /// [`FaultPlan::none`] restores reliable pipes.
     pub fn set_fault(&mut self, fault: FaultPlan) {
+        self.unreliable = !fault.is_reliable();
         self.sim.set_fault_plan(fault);
     }
 
@@ -751,7 +823,9 @@ impl P2PSystem {
             .unwrap_or_default()
     }
 
-    /// Resets statistics everywhere through the protocol.
+    /// Resets every peer's [`PeerStats`] through the protocol (the
+    /// super-peer's "reset statistics at all peers" command). The transport
+    /// counters of [`P2PSystem::net_stats`] keep counting.
     pub fn reset_stats(&mut self) {
         self.sim
             .inject(self.super_peer, self.super_peer, ProtocolMsg::ResetStats);
@@ -772,22 +846,6 @@ impl P2PSystem {
     }
 }
 
-/// Assigns one fresh session per **distinct** root. Duplicate roots are
-/// collapsed: a root runs one session at a time — a second same-root epoch
-/// launched concurrently would supersede (and thereby kill) the first
-/// mid-flight, which is the redrive semantics, not a way to run twice.
-/// Shared by the simulator driver (monotone system-wide epochs) and the
-/// sharded runner (per-run epochs), so session-identity rules live in one
-/// place.
-fn assign_sessions(roots: &[NodeId], mut next_epoch: impl FnMut() -> u64) -> Vec<SessionId> {
-    let mut seen = BTreeSet::new();
-    roots
-        .iter()
-        .filter(|&&root| seen.insert(root))
-        .map(|&root| SessionId::new(root, next_epoch()))
-        .collect()
-}
-
 /// `roots`, or the super-peer when there are none.
 fn or_super_peer<'a>(roots: &'a [NodeId], super_peer: &'a NodeId) -> &'a [NodeId] {
     if roots.is_empty() {
@@ -799,21 +857,22 @@ fn or_super_peer<'a>(roots: &'a [NodeId], super_peer: &'a NodeId) -> &'a [NodeId
 
 /// One session's report from the peers and the transport counters after a
 /// run; `before` is the (messages, bytes) baseline the run started from.
-fn session_report<'a>(
-    peers: impl Iterator<Item = (&'a NodeId, &'a DbPeer)>,
-    stats: &NetStats,
+fn session_report(
+    sim: &Simulator<ProtocolMsg, DbPeer>,
     sid: SessionId,
     outcome: RunOutcome,
     before: (u64, u64),
+    redrives: u32,
 ) -> UpdateReport {
     let mut all_closed = true;
     let mut rounds = 0;
     let mut errors = Vec::new();
-    for (id, p) in peers {
+    for (id, p) in sim.peers() {
         all_closed &= p.session_closed(sid);
         rounds = rounds.max(p.session_rounds(sid));
         errors.extend(p.errors().iter().map(|e| (*id, e.clone())));
     }
+    let stats = sim.stats();
     let per_session = stats.session(sid);
     UpdateReport {
         session: sid,
@@ -824,91 +883,9 @@ fn session_report<'a>(
         session_bytes: per_session.bytes,
         all_closed,
         rounds,
-        redrives: 0,
+        redrives,
         errors,
     }
-}
-
-/// Runs `spec`'s sessions on the sharded runtime: all injected up front,
-/// interleaving across the shard pool. Returns the final databases, the
-/// merged transport stats (with per-session attribution and
-/// [`NetStats::cross_shard_sends`] locality), and one report per session
-/// as [`P2PSystem::run`] gives it; a report's outcome is the pool's wall
-/// time and deliveries.
-///
-/// The pool runs eager sessions to quiescence and nothing else: rounds
-/// mode, a change script, a re-drive budget and a builder's churn or fault
-/// plan are refused with [`CoreError::ShardedUnsupported`].
-pub fn run_updates_sharded(
-    mut builder: P2PSystemBuilder,
-    spec: &RunSpec,
-    shards: usize,
-    placement: ShardPlacement,
-) -> CoreResult<(GlobalDb, NetStats, Vec<UpdateReport>)> {
-    let refused = [
-        (builder.config.mode == UpdateMode::Rounds, "rounds mode"),
-        (
-            builder.churn.as_ref().is_some_and(|c| !c.is_empty()),
-            "a churn plan",
-        ),
-        (
-            builder.fault.as_ref().is_some_and(|f| !f.is_reliable()),
-            "a fault plan",
-        ),
-        (!spec.script.is_empty(), "a change script"),
-        (spec.redrives > 0, "re-drives"),
-    ];
-    if let Some(&(_, what)) = refused.iter().find(|(refuse, _)| *refuse) {
-        return Err(CoreError::ShardedUnsupported(what));
-    }
-    let codec = builder.config.codec;
-    let super_peer = builder.super_peer;
-    let peers = builder.build_peers()?;
-    let mut net = ShardedNetwork::new();
-    net.set_codec(codec);
-    net.set_shards(shards);
-    net.set_placement(placement);
-    for (id, peer) in peers {
-        net.add_peer(id, peer);
-    }
-    let roots = or_super_peer(&spec.roots, &super_peer);
-    let mut epoch = 0u64;
-    let sids = assign_sessions(roots, || {
-        epoch += 1;
-        epoch
-    });
-    let initial = sids
-        .iter()
-        .map(|&sid| (sid.root, sid.root, spec.start(sid)))
-        .collect();
-    let (peers, stats) = net.run(initial).map_err(|p| CoreError::PeerPanicked {
-        node: p.node,
-        detail: p.payload,
-    })?;
-    let outcome = RunOutcome {
-        virtual_time: stats.finished_at,
-        delivered: stats.total_messages,
-        quiescent: true,
-    };
-    let reports = sids
-        .into_iter()
-        .map(|sid| {
-            session_report(
-                peers.iter().map(|(id, p)| (id, p)),
-                &stats,
-                sid,
-                outcome,
-                (0, 0),
-            )
-        })
-        .collect();
-    let dbs = GlobalDb(
-        peers
-            .into_iter()
-            .map(|(id, p)| (id, p.database().clone()))
-            .collect(),
-    );
-    Ok((dbs, stats, reports))
 }
 
 #[cfg(test)]

@@ -457,6 +457,22 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
     pub fn into_peers(self) -> Vec<(NodeId, P)> {
         self.peers.into_sorted()
     }
+
+    /// Hands out every peer (id order), leaving none hosted and none down:
+    /// a driver runs them on another runtime, then hosts them again with
+    /// [`Simulator::add_peer`] and adds that run's counters with
+    /// [`Simulator::merge_stats`].
+    pub fn take_peers(&mut self) -> Vec<(NodeId, P)> {
+        self.down.clear();
+        std::mem::take(&mut self.peers).into_sorted()
+    }
+
+    /// Adds the counters of a run these peers made on another runtime; its
+    /// end becomes [`NetStats::finished_at`], as the end of a run here does.
+    pub fn merge_stats(&mut self, stats: &NetStats) {
+        self.meter.stats.merge(stats);
+        self.meter.stats.finished_at = stats.finished_at;
+    }
 }
 
 #[cfg(test)]

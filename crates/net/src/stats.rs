@@ -260,12 +260,6 @@ impl NetStats {
             .max()
             .unwrap_or(0)
     }
-
-    /// Resets all counters — the super-peer's "reset statistics at all
-    /// peers" command.
-    pub fn reset(&mut self) {
-        *self = NetStats::default();
-    }
 }
 
 impl fmt::Display for NetStats {
@@ -350,15 +344,6 @@ mod tests {
         s.record_delivery(NodeId(0), 1_000, None);
         s.record_delivery(NodeId(1), 10, None);
         assert_eq!(s.max_node_bytes_received(), 1_000);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut s = NetStats::default();
-        s.record_send(NodeId(0), "Query", 10);
-        s.reset();
-        assert_eq!((s.total_messages, s.nodes().count()), (0, 0));
-        assert_eq!(s.sent_of_kind("Query"), 0);
     }
 
     /// A small table's display, byte for byte as it was while the counters

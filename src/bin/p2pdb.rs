@@ -57,14 +57,16 @@
 //! encoding; `--codec json` (the default) keeps the historical
 //! self-describing JSON. Network files and exports are JSON either way.
 //!
-//! Runtimes: `--runtime sim` (default) runs the deterministic discrete-event
-//! simulator with virtual time; `--runtime sharded` runs the peers on real
-//! threads, multiplexed over `--threads N` shard threads (default: one per
-//! core), and reports cross-shard send counts. The sharded runtime rejects
-//! the simulator-only flags (`--discover`, `--trace`, `--stats`, `--query`,
-//! `--export`); any other runtime, `--threads` outside `--runtime sharded`
-//! and `--threads 0` are usage errors (exit 2). What the shard pool cannot
-//! run — `--mode rounds`, `--churn` — the library refuses (exit 1).
+//! Runtimes: `--runtime sim` (default) runs the update on the deterministic
+//! discrete-event simulator with virtual time; `--runtime sharded` runs it
+//! on real threads, multiplexed over `--threads N` shard threads (default:
+//! one per core), and reports cross-shard send counts. Either way it is one
+//! system: discovery, `--query`, `--stats` and `--export` read the peers the
+//! update left. `--trace` (the simulator's message trace) beside
+//! `--runtime sharded`, any other runtime, `--threads` outside
+//! `--runtime sharded` and `--threads 0` are usage errors (exit 2). What
+//! the shard pool cannot run — `--mode rounds`, `--churn` — the library
+//! refuses (exit 1).
 //!
 //! Example session:
 //!
@@ -75,7 +77,7 @@
 
 use p2pdb::core::config::UpdateMode;
 use p2pdb::core::netfile::NetworkFile;
-use p2pdb::core::system::{run_updates_sharded, RunSpec, UpdateReport};
+use p2pdb::core::system::{RunSpec, UpdateReport};
 use p2pdb::relational::ShowRow;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
@@ -311,34 +313,35 @@ fn cmd_run(args: &[String]) -> CliResult {
         builder.config_mut().codec = codec.parse::<p2pdb::net::Codec>()?;
     }
 
-    // Runtime selection: the deterministic simulator (default) or the
-    // sharded worker pool that multiplexes all peers over `--threads` shard
-    // threads (default: one per core).
-    let runtime = flag_value(args, "--runtime").unwrap_or("sim");
-    if !matches!(runtime, "sim" | "sharded") {
-        return Err(usage(format!(
-            "unknown runtime `{runtime}`: expected sim or sharded"
-        )));
-    }
-    let threads: Option<usize> = match flag_value(args, "--threads") {
-        Some(v) => Some(
+    // Runtime selection: `RunSpec::shards` is 0 on the deterministic
+    // simulator (the default), else the shard threads the pool multiplexes
+    // all peers over (`--threads`, default: one per core).
+    let threads: Option<usize> = (flag_value(args, "--threads"))
+        .map(|v| {
             v.parse()
-                .map_err(|_| usage(format!("--threads expects a positive number, got `{v}`")))?,
-        ),
-        None => None,
-    };
-    if threads == Some(0) {
-        return Err(usage(
-            "--threads 0 makes no sense: the sharded runtime needs at least one \
-             shard thread (drop the flag for one shard per core)",
-        ));
-    }
-    if threads.is_some() && runtime != "sharded" {
-        return Err(usage(
+                .map_err(|_| usage(format!("--threads expects a positive number, got `{v}`")))
+        })
+        .transpose()?;
+    let shards = match (flag_value(args, "--runtime").unwrap_or("sim"), threads) {
+        ("sim", None) => 0,
+        ("sim", Some(_)) => Err(usage(
             "--threads only applies to --runtime sharded (the sim runtime is \
              single-threaded by design)",
-        ));
-    }
+        ))?,
+        ("sharded", Some(0)) => Err(usage(
+            "--threads 0 makes no sense: the sharded runtime needs at least one \
+             shard thread (drop the flag for one shard per core)",
+        ))?,
+        ("sharded", _) if args.iter().any(|a| a == "--trace") => Err(usage(
+            "--trace is simulator-only: drop the flag or use --runtime sim",
+        ))?,
+        ("sharded", threads) => {
+            threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
+        }
+        (runtime, _) => Err(usage(format!(
+            "unknown runtime `{runtime}`: expected sim or sharded"
+        )))?,
+    };
 
     // Concurrent sessions.
     let concurrent: Option<usize> = flag_value(args, "--concurrent")
@@ -415,33 +418,11 @@ fn cmd_run(args: &[String]) -> CliResult {
         // Churn can stall a wave (a crashed peer cannot echo); drive the
         // sessions to closure with bounded re-drives.
         redrives: if churned { 8 } else { 0 },
+        shards,
         ..Default::default()
     };
-
-    if runtime == "sharded" {
-        // The flags that need the simulator's virtual time, trace or system
-        // handle are rejected here; what the pool cannot run, the library
-        // refuses.
-        for flag in ["--discover", "--trace", "--stats", "--query", "--export"] {
-            if args.iter().any(|a| a == flag) {
-                return Err(usage(format!(
-                    "{flag} is simulator-only: drop the flag or use --runtime sim"
-                )));
-            }
-        }
-        let threads = threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1)
-        });
-        let placement = p2pdb::net::ShardPlacement::RoundRobin;
-        let (_, stats, reports) = run_updates_sharded(builder, &spec, threads, placement)?;
-        let cross = stats.cross_shard_sends;
-        let trailer = format!("sharded: {threads} threads, {cross} cross-shard sends");
-        return print_reports(&reports, "wall", Some(trailer));
-    }
-
     let mut sys = builder.build()?;
+    sys.check_run(&spec)?;
 
     if args.iter().any(|a| a == "--discover") {
         let report = sys.run_discovery(&[]);
@@ -471,17 +452,24 @@ fn cmd_run(args: &[String]) -> CliResult {
     }
 
     let reports = sys.run(&spec);
-    let churn_line = churned.then(|| {
-        let s = sys.sum_stats();
-        format!(
-            "churn: {} crashes, {} recoveries, {} resync rows, {} redrive(s)",
-            s.crashes,
-            s.recoveries,
-            s.resync_rows,
-            reports.iter().map(|r| r.redrives).max().unwrap_or(0)
-        )
-    });
-    print_reports(&reports, "virtual time", churn_line)?;
+    let (clock, trailer) = if shards > 0 {
+        let cross = sys.net_stats().cross_shard_sends;
+        let line = format!("sharded: {shards} threads, {cross} cross-shard sends");
+        ("wall", Some(line))
+    } else {
+        let churn = churned.then(|| {
+            let s = sys.sum_stats();
+            format!(
+                "churn: {} crashes, {} recoveries, {} resync rows, {} redrive(s)",
+                s.crashes,
+                s.recoveries,
+                s.resync_rows,
+                reports.iter().map(|r| r.redrives).max().unwrap_or(0)
+            )
+        });
+        ("virtual time", churn)
+    };
+    print_reports(&reports, clock, trailer)?;
 
     if args.iter().any(|a| a == "--trace") {
         let columns: Vec<NodeId> = sys.peers().map(|(id, _)| *id).take(6).collect();

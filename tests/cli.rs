@@ -800,6 +800,56 @@ fn sharded_run_reports_sessions_and_refuses_what_it_cannot_run() {
     }
 }
 
+/// `--runtime sharded` is one system with the simulator's: discovery,
+/// `--query`, `--stats` and `--export` read the peers the pooled update
+/// left. The answers are the simulator's, and the export reloads and runs
+/// to the network's oracle.
+#[test]
+fn a_sharded_run_discovers_queries_collects_and_exports() {
+    use p2pdb::core::netfile::NetworkFile;
+
+    let dir = std::env::temp_dir().join("p2pdb_cli_sharded_one_system");
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = dir.join("net.json");
+    let out = p2pdb(&["workload", "--topology", "ring", "--size", "6"]);
+    assert!(out.status.success());
+    std::fs::write(&net, &out.stdout).unwrap();
+    let exported = dir.join("out.json");
+    let (net, exported) = (net.to_str().unwrap(), exported.to_str().unwrap());
+
+    let answers = |runtime: &[&str]| {
+        let common = ["run", net, "--discover", "--stats", "--export", exported];
+        let query = ["--query", "0", "q(I, T) :- pub(I, T, Y)"];
+        let out = p2pdb(&[&common[..], runtime, &query].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{runtime:?}: {stderr}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("all closed: true"), "{text}");
+        assert!(text.contains("per-peer statistics:"), "{text}");
+        let block = text.lines().skip_while(|l| !l.contains(" at node A:"));
+        let block: Vec<String> = (block.take_while(|l| !l.starts_with("per-peer")))
+            .map(str::to_string)
+            .collect();
+        assert!(block.len() > 1, "{text}");
+        block
+    };
+    let sim = answers(&["--runtime", "sim"]);
+    assert_eq!(answers(&["--runtime", "sharded", "--threads", "2"]), sim);
+
+    let reload = |path: &str| {
+        let text = std::fs::read_to_string(path).unwrap();
+        let builder = NetworkFile::from_json(&text)
+            .unwrap()
+            .into_builder()
+            .unwrap();
+        builder.build().unwrap()
+    };
+    let mut reloaded = reload(exported);
+    assert!(reloaded.run_update().all_closed);
+    let oracle = reload(net).oracle().unwrap();
+    assert!(reloaded.snapshot().equivalent(&oracle));
+}
+
 /// `run` looks flags up by name, so an unknown one used to run the default
 /// configuration without a word. Now it is a usage error naming the flag —
 /// for a typo and for the two engine-selection flags that no longer exist —

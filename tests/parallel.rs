@@ -1,28 +1,31 @@
-//! The sharded runtime at system level: `--runtime sharded` seen from the
-//! library API.
+//! The sharded runtime at system level: a `RunSpec` with `shards` given to
+//! `P2PSystem::run`, as `--runtime sharded` gives it.
 //!
 //! The worker-pool runtime trades the simulator's determinism for real
 //! parallelism, so its contract is *equivalence*, not identity:
 //!
-//! * **simulator parity** — `run_updates_sharded` from the super-peer or
-//!   from several roots reaches a final global database tuple-identical
-//!   modulo null renaming to the simulator (and the centralized oracle) on
-//!   the same workload, for every shard count — including one shard (pure
-//!   multiplexing) and more shards than peers (one shard per peer), deterministic
-//!   cases plus a proptest over topologies × latency seeds × shard counts;
+//! * **simulator parity** — a pooled run from the super-peer or from
+//!   several roots reaches a final global database tuple-identical modulo
+//!   null renaming to the simulator (and the centralized oracle) on the
+//!   same workload, for every shard count — including one shard (pure
+//!   multiplexing) and more shards than peers (one shard per peer),
+//!   deterministic cases plus a proptest over topologies × latency seeds ×
+//!   shard counts;
+//! * **one system** — a pooled run hands the peers back: the next session,
+//!   on either runtime, and a local query see what it left;
 //! * **locality accounting** — one shard means zero cross-shard sends;
 //!   contiguous-blocks placement beats round-robin on a ring;
 //! * **refusals** — what only the simulator runs (rounds mode, a churn or
-//!   fault plan, a change script, re-drives) is a typed error, not a run
-//!   that quietly does something else;
+//!   fault plan, a change script) is a typed error from
+//!   `P2PSystem::check_run`, not a run that quietly does something else;
 //! * **panic containment** — a peer whose handler panics surfaces as a
 //!   structured `WorkerPanic` naming the node, never as a poisoned lock or
 //!   a hung run, at any shard count.
 
 use p2pdb::core::config::UpdateMode;
 use p2pdb::core::dynamic::ChangeScript;
-use p2pdb::core::system::{run_updates_sharded, P2PSystemBuilder, RunSpec, UpdateReport};
-use p2pdb::core::CoreError;
+use p2pdb::core::system::{P2PSystem, P2PSystemBuilder, RunSpec, UpdateReport};
+use p2pdb::core::{CoreError, GlobalDb, ProtocolMsg};
 use p2pdb::net::{
     ChurnPlan, Context, FaultPlan, Peer, SessionId, ShardPlacement, ShardedNetwork, SimTime,
 };
@@ -35,6 +38,21 @@ use proptest::prelude::*;
 /// error.
 fn closed_cleanly(reports: &[UpdateReport]) -> bool {
     reports.iter().all(|r| r.all_closed && r.errors.is_empty())
+}
+
+/// `builder`'s system after `spec` ran on a pool of `shards` threads, and
+/// the run's reports.
+fn run_pooled(
+    builder: P2PSystemBuilder,
+    spec: &RunSpec,
+    shards: usize,
+) -> (P2PSystem, Vec<UpdateReport>) {
+    let mut sys = builder.build().unwrap();
+    let reports = sys.run(&RunSpec {
+        shards,
+        ..spec.clone()
+    });
+    (sys, reports)
 }
 
 /// A cyclic three-node system (A→C→B→A) with data at every node — the same
@@ -133,13 +151,8 @@ fn sharded_matches_simulator_across_shard_counts() {
         }
 
         for shards in [1usize, 2, 3, 8, 16] {
-            let (db, stats, reports) = run_updates_sharded(
-                builder(),
-                &RunSpec::default(),
-                shards,
-                ShardPlacement::RoundRobin,
-            )
-            .unwrap();
+            let (sys, reports) = run_pooled(builder(), &RunSpec::default(), shards);
+            let (db, stats) = (sys.snapshot(), sys.net_stats());
             assert!(
                 closed_cleanly(&reports),
                 "{name}, {shards} shards: {reports:?}"
@@ -176,11 +189,13 @@ fn sharded_concurrent_sessions_match_simulator() {
     let sim_db = sim.snapshot();
 
     for shards in [2usize, 4] {
-        let (db, stats, reports) =
-            run_updates_sharded(cyclic_builder(), &spec, shards, ShardPlacement::RoundRobin)
-                .unwrap();
+        let (sys, reports) = run_pooled(cyclic_builder(), &spec, shards);
+        let stats = sys.net_stats();
         assert!(closed_cleanly(&reports), "{shards} shards: {reports:?}");
-        assert!(db.equivalent(&sim_db), "{shards} shards: != simulator");
+        assert!(
+            sys.snapshot().equivalent(&sim_db),
+            "{shards} shards: != simulator"
+        );
         for ((i, &root), report) in roots.iter().enumerate().zip(&reports) {
             let sid = SessionId::new(root, (i + 1) as u64);
             assert_eq!(report.session, sid);
@@ -215,43 +230,88 @@ fn sharded_scoped_update_matches_simulator() {
     sim.run(&spec);
     let scoped = sim.snapshot();
     assert_eq!(scoped.total_tuples(), 2, "b(1) and c(1), no a(1)");
-    let (db, _, reports) =
-        run_updates_sharded(chain(), &spec, 2, ShardPlacement::RoundRobin).unwrap();
+    let (sys, reports) = run_pooled(chain(), &spec, 2);
     assert!(reports[0].errors.is_empty(), "{reports:?}");
-    assert!(db.equivalent(&scoped));
+    assert!(sys.snapshot().equivalent(&scoped));
 }
 
-/// Placement is a pure locality knob: on a ring, contiguous blocks keep
-/// neighbours on the same shard and round-robin separates every pair, but
-/// both land on the identical fix-point.
+/// Placement is a pure locality knob of the pool: on a ring, contiguous
+/// blocks keep neighbours on the same shard and round-robin separates every
+/// pair, but both land on the identical fix-point.
 #[test]
 fn placement_changes_locality_not_the_fixpoint() {
     let mut sim = ring_builder(16).build().unwrap();
     assert!(sim.run_update().all_closed);
     let sim_db = sim.snapshot();
 
-    let one = RunSpec::default();
-    let (rr_db, rr, _) =
-        run_updates_sharded(ring_builder(16), &one, 4, ShardPlacement::RoundRobin).unwrap();
-    let (bl_db, bl, _) =
-        run_updates_sharded(ring_builder(16), &one, 4, ShardPlacement::Blocks).unwrap();
+    let pooled = |placement| {
+        let mut pool = ShardedNetwork::new();
+        pool.set_shards(4);
+        pool.set_placement(placement);
+        for (id, peer) in ring_builder(16).build_peers().unwrap() {
+            pool.add_peer(id, peer);
+        }
+        let session = SessionId::new(NodeId(0), 1);
+        let start = ProtocolMsg::StartUpdate { session };
+        let (peers, stats) = pool.run(vec![(NodeId(0), NodeId(0), start)]).unwrap();
+        let dbs = (peers.into_iter())
+            .map(|(id, peer)| (id, peer.database().clone()))
+            .collect();
+        (GlobalDb(dbs), stats.cross_shard_sends)
+    };
+    let (rr_db, rr) = pooled(ShardPlacement::RoundRobin);
+    let (bl_db, bl) = pooled(ShardPlacement::Blocks);
     assert!(rr_db.equivalent(&sim_db));
     assert!(bl_db.equivalent(&sim_db));
-    assert!(
-        bl.cross_shard_sends < rr.cross_shard_sends,
-        "blocks must localize ring traffic: {} vs {}",
-        bl.cross_shard_sends,
-        rr.cross_shard_sends
-    );
+    assert!(bl < rr, "blocks must localize ring traffic: {bl} vs {rr}");
 }
 
-/// What the sharded runtime refuses: `builder` run under `spec` fails with
-/// `ShardedUnsupported(what)`.
-fn assert_refused(builder: P2PSystemBuilder, spec: RunSpec, what: &str) {
-    match run_updates_sharded(builder, &spec, 2, ShardPlacement::RoundRobin) {
-        Err(CoreError::ShardedUnsupported(refused)) => assert_eq!(refused, what),
-        other => panic!("{what}: expected a refusal, got {:?}", other.map(|r| r.2)),
-    }
+/// A pooled run keeps its peers: after a first-contact run on the pool
+/// reaches the oracle, the next write-free session on the pool is its
+/// skeleton — the root's start, and one flood, one `Ack` and one `Fixpoint`
+/// per other node — and so is a simulator session after it, and a local
+/// query answers what an all-simulator system answers.
+#[test]
+fn a_pooled_run_keeps_its_peers() {
+    let pooled = RunSpec {
+        shards: 2,
+        ..RunSpec::default()
+    };
+    let (mut sys, reports) = run_pooled(ring_builder(6), &pooled, 2);
+    assert!(closed_cleanly(&reports), "{reports:?}");
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
+
+    let kinds = ["StartUpdate", "UpdateFlood", "Ack", "Fixpoint"];
+    let mut skeleton = |spec: &RunSpec| {
+        let count = |sys: &P2PSystem| kinds.map(|kind| sys.net_stats().sent_of_kind(kind));
+        let (before, messages) = (count(&sys), sys.net_stats().total_messages);
+        let reports = sys.run(spec);
+        assert!(closed_cleanly(&reports), "{reports:?}");
+        let after = count(&sys);
+        let sent: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        (sent, sys.net_stats().total_messages - messages)
+    };
+    assert_eq!(skeleton(&pooled), (vec![1, 5, 5, 5], 16), "pooled");
+    assert_eq!(skeleton(&RunSpec::default()), (vec![1, 5, 5, 5], 16), "sim");
+
+    let mut reference = ring_builder(6).build().unwrap();
+    assert!(reference.run_update().all_closed);
+    let q = "q(I, T) :- pub(I, T, Y)";
+    let answers = sys.query(NodeId(0), q).unwrap();
+    assert!(!answers.is_empty());
+    assert_eq!(answers, reference.query(NodeId(0), q).unwrap());
+}
+
+/// What the shard pool refuses: `builder`'s system accepts `spec` on the
+/// simulator, and refuses it on a pool with `ShardedUnsupported(what)`.
+fn assert_refused(builder: P2PSystemBuilder, spec: RunSpec, what: &'static str) {
+    let sys = builder.build().unwrap();
+    assert_eq!(sys.check_run(&spec), Ok(()), "{what}: on the simulator");
+    let pooled = RunSpec { shards: 2, ..spec };
+    assert_eq!(
+        sys.check_run(&pooled),
+        Err(CoreError::ShardedUnsupported(what))
+    );
 }
 
 #[test]
@@ -259,6 +319,15 @@ fn sharded_refuses_rounds_mode() {
     let mut b = cyclic_builder();
     b.config_mut().mode = UpdateMode::Rounds;
     assert_refused(b, RunSpec::default(), "rounds mode");
+}
+
+/// `run` asserts what `check_run` refuses, naming it.
+#[test]
+#[should_panic(expected = "cannot run rounds mode")]
+fn a_refused_pooled_run_panics_naming_what() {
+    let mut b = cyclic_builder();
+    b.config_mut().mode = UpdateMode::Rounds;
+    run_pooled(b, &RunSpec::default(), 2);
 }
 
 #[test]
@@ -273,15 +342,23 @@ fn sharded_refuses_a_change_script() {
     assert_refused(cyclic_builder(), spec, "a change script");
 }
 
+/// The pool runs the simulator's drive loop: with a re-drive budget, a
+/// run whose sessions all close on the first drive reports 0 re-drives.
 #[test]
-fn sharded_refuses_redrives() {
+fn sharded_redrive_budget_closes_on_the_first_drive() {
     let spec = RunSpec {
-        redrives: 1,
+        roots: vec![NodeId(0), NodeId(2)],
+        redrives: 3,
         ..Default::default()
     };
-    assert_refused(cyclic_builder(), spec, "re-drives");
+    let (sys, reports) = run_pooled(cyclic_builder(), &spec, 2);
+    assert!(closed_cleanly(&reports), "{reports:?}");
+    assert!(reports.iter().all(|r| r.redrives == 0), "{reports:?}");
+    assert!(sys.snapshot().equivalent(&sys.oracle().unwrap()));
 }
 
+/// A churn plan is refused while it is pending; a fault plan while it can
+/// drop, whether the builder or the running system installed it.
 #[test]
 fn sharded_refuses_a_churn_or_fault_plan() {
     let mut churned = cyclic_builder();
@@ -291,6 +368,17 @@ fn sharded_refuses_a_churn_or_fault_plan() {
     let mut faulty = cyclic_builder();
     faulty.set_fault(FaultPlan::random(5, 1));
     assert_refused(faulty, RunSpec::default(), "a fault plan");
+
+    let mut sys = cyclic_builder().build().unwrap();
+    let pooled = RunSpec {
+        shards: 2,
+        ..Default::default()
+    };
+    sys.set_fault(FaultPlan::random(5, 1));
+    let refused = CoreError::ShardedUnsupported("a fault plan");
+    assert_eq!(sys.check_run(&pooled), Err(refused));
+    sys.set_fault(FaultPlan::none());
+    assert_eq!(sys.check_run(&pooled), Ok(()));
 }
 
 /// A panicking peer handler surfaces as a structured error naming the node
@@ -396,12 +484,9 @@ proptest! {
         let report = sim.run_update();
         prop_assert!(report.all_closed, "simulator unclosed on {topology}");
 
-        let (db, _, reports) = run_updates_sharded(
-            builder_for(topology, data_seed),
-            &RunSpec::default(),
-            shards,
-            ShardPlacement::RoundRobin,
-        ).unwrap();
+        let (pooled, reports) =
+            run_pooled(builder_for(topology, data_seed), &RunSpec::default(), shards);
+        let db = pooled.snapshot();
         prop_assert!(closed_cleanly(&reports), "{shards} shards unclosed on {topology}");
         prop_assert!(
             db.equivalent(&sim.snapshot()),

@@ -1164,9 +1164,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Once two sessions have run, a write-free eager global session is its
-    /// skeleton and nothing else, whatever the topology: the root's start,
-    /// one flood to and one `Fixpoint` from the root per other node, and one
-    /// `Ack` per flood — no query, no answer, no notice.
+    /// skeleton and nothing else, whatever the topology and whichever
+    /// runtime delivers it — the simulator or a 2-thread shard pool: the
+    /// root's start, one flood to and one `Fixpoint` from the root per other
+    /// node, and one `Ack` per flood — no query, no answer, no notice.
     #[test]
     fn a_write_free_session_is_its_skeleton(
         topology in topology(),
@@ -1174,27 +1175,34 @@ proptest! {
         overlap in 0u8..60,
         seed in any::<u64>(),
     ) {
-        let mut sys = build_system(&WorkloadConfig {
-            topology,
-            records_per_node: records,
-            distribution: Distribution::OverlapNeighbors { percent: overlap },
-            seed,
-        })
-        .unwrap()
-        .build()
-        .unwrap();
-        for _ in 0..2 {
-            prop_assert!(sys.run_update().all_closed);
+        for shards in [0, 2] {
+            let mut sys = build_system(&WorkloadConfig {
+                topology,
+                records_per_node: records,
+                distribution: Distribution::OverlapNeighbors { percent: overlap },
+                seed,
+            })
+            .unwrap()
+            .build()
+            .unwrap();
+            let spec = RunSpec { shards, ..RunSpec::default() };
+            for _ in 0..2 {
+                prop_assert!(sys.run(&spec)[0].all_closed);
+            }
+            let kinds = ["StartUpdate", "UpdateFlood", "Ack", "Fixpoint", "Query", "Answer", "CursorVoid"];
+            let count = |sys: &P2PSystem| kinds.map(|kind| sys.net_stats().sent_of_kind(kind));
+            let (before, messages) = (count(&sys), sys.net_stats().total_messages);
+            let report = sys.run(&spec).remove(0);
+            prop_assert!(report.all_closed && report.errors.is_empty());
+            let after = count(&sys);
+            let sent: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            let others = sys.peers().count() as u64 - 1;
+            prop_assert_eq!(sent, vec![1, others, others, others, 0, 0, 0], "{:?} on {} shards", topology, shards);
+            prop_assert_eq!(
+                sys.net_stats().total_messages - messages,
+                1 + 3 * others,
+                "{:?} on {} shards", topology, shards
+            );
         }
-        let kinds = ["StartUpdate", "UpdateFlood", "Ack", "Fixpoint", "Query", "Answer", "CursorVoid"];
-        let count = |sys: &P2PSystem| kinds.map(|kind| sys.net_stats().sent_of_kind(kind));
-        let (before, messages) = (count(&sys), sys.net_stats().total_messages);
-        let report = sys.run_update();
-        prop_assert!(report.all_closed && report.errors.is_empty());
-        let after = count(&sys);
-        let sent: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        let others = sys.peers().count() as u64 - 1;
-        prop_assert_eq!(sent, vec![1, others, others, others, 0, 0, 0], "{:?}", topology);
-        prop_assert_eq!(sys.net_stats().total_messages - messages, 1 + 3 * others, "{:?}", topology);
     }
 }
