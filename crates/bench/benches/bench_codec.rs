@@ -30,7 +30,7 @@ fn dblp_answer(rows: usize) -> ProtocolMsg {
         session: SessionId::new(NodeId(0), 1),
         rule: RuleId(2),
         rows: AnswerRows {
-            vars: vec![Arc::from("I"), Arc::from("T"), Arc::from("Y")],
+            vars: [Arc::from("I"), Arc::from("T"), Arc::from("Y")].into(),
             rows: tuples,
             null_depths: vec![],
             marks: [(Arc::<str>::from("pub"), 17usize)].into_iter().collect(),
@@ -59,9 +59,9 @@ fn dblp_query() -> ProtocolMsg {
                 Atom::new("wrote", written),
             ],
             local_constraints: vec![],
-            vars: ["I", "T", "Y", "A"].map(Arc::from).to_vec(),
+            vars: ["I", "T", "Y", "A"].map(Arc::from).into(),
         }),
-        sn: vec![NodeId(0), NodeId(1), NodeId(3)],
+        sn: [NodeId(0), NodeId(1), NodeId(3)].into(),
         from: Start::Fresh,
         via: Via::Session,
     })

@@ -120,7 +120,7 @@ fn put_marks(w: &mut Writer, marks: &Marks) {
     w.put_varint(marks.len() as u64);
     for (rel, mark) in marks {
         w.put_str(rel);
-        w.put_varint(*mark as u64);
+        w.put_varint(mark as u64);
     }
 }
 
@@ -293,7 +293,7 @@ fn get_rows(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
 
 fn put_rows_inner(w: &mut Writer, rows: &AnswerRows) -> Result<(), Error> {
     w.put_varint(rows.vars.len() as u64);
-    for v in &rows.vars {
+    for v in rows.vars.iter() {
         w.put_str(v);
     }
     // A block of no rows declares arity 0, whatever its set's width.
@@ -386,7 +386,7 @@ fn get_rows_inner(r: &mut Reader<'_>) -> Result<AnswerRows, Error> {
         ));
     }
     Ok(AnswerRows {
-        vars,
+        vars: vars.into(),
         rows,
         null_depths,
         marks,
@@ -446,7 +446,7 @@ fn read_query(r: &mut Reader<'_>, index: usize) -> Result<Query, Error> {
         session,
         rule,
         part,
-        sn,
+        sn: sn.into(),
         from,
         via,
     })
@@ -522,7 +522,7 @@ fn write_msg(w: &mut Writer, msg: &ProtocolMsg) -> Result<(), Error> {
             w.put_varint(u64::from(q.rule.0));
             put_doc(w, &q.part)?;
             w.put_varint(q.sn.len() as u64);
-            for n in &q.sn {
+            for n in q.sn.iter() {
                 w.put_varint(u64::from(n.0));
             }
             if let Start::Since(marks) = &q.from {
@@ -703,7 +703,7 @@ mod tests {
 
     fn sample_rows() -> AnswerRows {
         AnswerRows {
-            vars: vec![Arc::from("X"), Arc::from("Y")],
+            vars: [Arc::from("X"), Arc::from("Y")].into(),
             rows: RowSet::from_flat(
                 2,
                 20,
@@ -825,9 +825,9 @@ mod tests {
                     node: NodeId(1),
                     atoms: vec![],
                     local_constraints: vec![],
-                    vars: vec![Arc::from("X")],
+                    vars: [Arc::from("X")].into(),
                 }),
-                sn: vec![NodeId(0), NodeId(2)],
+                sn: [NodeId(0), NodeId(2)].into(),
                 from,
                 via: Via::Session,
             })
@@ -889,7 +889,7 @@ mod tests {
             node: NodeId(1),
             atoms: vec![],
             local_constraints: vec![],
-            vars: vec![Arc::from("X")],
+            vars: [Arc::from("X")].into(),
         });
         let query_json = r#"{"Query":{"session":{"root":3,"epoch":5},"rule":7,"part":{"node":1,"atoms":[],"local_constraints":[],"vars":["X"]},"sn":[0,2]"#;
         let query_bin = "0305070033080400046e6f64650401000561746f6d73070000116c6f63616c5f636f6e73747261696e747307000004766172730701060158020002";
@@ -901,7 +901,7 @@ mod tests {
                 session: SessionId::new(NodeId(3), 5),
                 rule: RuleId(7),
                 part: part.clone(),
-                sn: vec![NodeId(0), NodeId(2)],
+                sn: [NodeId(0), NodeId(2)].into(),
                 from,
                 via: Via::Session,
             });
@@ -910,7 +910,7 @@ mod tests {
             assert_eq!(hex(&encode_msg(&msg)), format!("{tag}{query_bin}"));
         }
         let rows = AnswerRows {
-            vars: vec![Arc::from("X"), Arc::from("Y")],
+            vars: [Arc::from("X"), Arc::from("Y")].into(),
             rows: RowSet::from_flat(
                 2,
                 2,

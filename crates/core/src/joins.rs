@@ -22,9 +22,9 @@ use p2p_relational::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use p2p_relational::query::ast::Term;
 use p2p_relational::query::{
     evaluate_bindings, evaluate_bindings_since_planned, execute_plan, Bindings, Constraint,
+    MarkTable,
 };
 use p2p_relational::{key_hash, Database, Index, NullFactory, RowSet, Val};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use p2p_relational::chase::CompiledHead;
@@ -94,7 +94,7 @@ pub fn eval_part_delta_planned(
     body: &CompiledBody,
     part: &BodyPart,
     db: &mut Database,
-    watermarks: &BTreeMap<Arc<str>, usize>,
+    watermarks: &(impl MarkTable + ?Sized),
     use_indexes: bool,
     metrics: &mut EvalMetrics,
 ) -> CoreResult<RowSet> {
@@ -110,8 +110,8 @@ pub fn eval_part_delta_planned(
 /// A set of rows tagged with their variable names.
 #[derive(Debug, Clone, Default)]
 pub struct VarRows {
-    /// Column variables.
-    pub vars: Vec<Arc<str>>,
+    /// Column variables: a fragment's list, shared, or a join's own.
+    pub vars: Arc<[Arc<str>]>,
     /// Rows over `vars`, `vars.len()` values each.
     pub rows: RowSet,
 }
@@ -125,15 +125,15 @@ impl VarRows {
     /// version of the rule and change nothing (`None`).
     pub fn merge<'r>(
         &mut self,
-        vars: &[Arc<str>],
+        vars: &Arc<[Arc<str>]>,
         rows: impl IntoIterator<Item = &'r [Val]>,
     ) -> Option<usize> {
-        if self.vars != vars {
+        if self.vars != *vars {
             if !self.rows.is_empty() {
                 return None;
             }
             *self = VarRows {
-                vars: vars.to_vec(),
+                vars: Arc::clone(vars),
                 rows: RowSet::new(vars.len()),
             };
         }
@@ -159,7 +159,7 @@ impl VarRows {
 #[derive(Debug, Clone, Copy)]
 pub struct RowsView<'a> {
     /// Column variables.
-    pub vars: &'a [Arc<str>],
+    pub vars: &'a Arc<[Arc<str>]>,
     /// Rows over `vars`.
     pub rows: &'a RowSet,
     /// The first row in view: the view is `rows.since(start)`.
@@ -192,7 +192,7 @@ pub fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]) -> Va
         let mut rows = RowSet::new(first.vars.len());
         rows.extend(first.rows.since(first.start));
         VarRows {
-            vars: first.vars.to_vec(),
+            vars: Arc::clone(first.vars),
             rows,
         }
     });
@@ -248,7 +248,7 @@ pub struct PartDelta<'a> {
 pub fn join_parts_seminaive(parts: &[PartDelta<'_>], join_constraints: &[Constraint]) -> VarRows {
     let mut vars: Vec<Arc<str>> = Vec::new();
     for p in parts {
-        for v in p.full.vars {
+        for v in p.full.vars.iter() {
             if !vars.contains(v) {
                 vars.push(v.clone());
             }
@@ -289,7 +289,10 @@ pub fn join_parts_seminaive(parts: &[PartDelta<'_>], join_constraints: &[Constra
             rows.insert(&vals);
         }
     }
-    VarRows { vars, rows }
+    VarRows {
+        vars: vars.into(),
+        rows,
+    }
 }
 
 fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
@@ -304,8 +307,9 @@ fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
         .filter(|ri| !shared.iter().any(|(_, r)| r == ri))
         .collect();
 
-    let mut vars = left.vars.to_vec();
-    vars.extend(right_only.iter().map(|&ri| right.vars[ri].clone()));
+    let vars: Arc<[Arc<str>]> = (left.vars.iter().cloned())
+        .chain(right_only.iter().map(|&ri| right.vars[ri].clone()))
+        .collect();
 
     // Index the rows in view on the right on the shared projection (a
     // candidate's position counts from `right.start`); collisions are
@@ -355,6 +359,7 @@ mod tests {
     use super::*;
     use crate::rule::CoordinationRule;
     use p2p_relational::query::Idents;
+    use p2p_relational::query::Marks;
     use p2p_relational::DatabaseSchema;
     use p2p_topology::NodeId;
     use std::collections::HashSet;
@@ -390,8 +395,8 @@ mod tests {
         let right = vr(&["Y", "Z"], &[&[2, 9], &[2, 8], &[5, 7]]);
         let out = join_parts(&[left, right], &[]);
         assert_eq!(
-            out.vars,
-            vec![Arc::<str>::from("X"), Arc::from("Y"), Arc::from("Z")]
+            out.vars[..],
+            [Arc::<str>::from("X"), Arc::from("Y"), Arc::from("Z")]
         );
         assert_eq!(out.rows.len(), 2); // (1,2,9), (1,2,8)
     }
@@ -524,7 +529,7 @@ mod tests {
         let part = &rule.parts[0];
         let body = compile_part(part, &db).unwrap();
         let before = eval_part(part, &db).unwrap();
-        let w = db.watermarks();
+        let w: Marks = db.watermarks();
         db.insert_values("b", vec![Val::Int(2), Val::Int(9)])
             .unwrap();
         let m = &mut EvalMetrics::default();

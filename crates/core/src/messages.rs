@@ -20,7 +20,7 @@ use p2p_relational::value::NullId;
 use p2p_relational::{RowSet, SymId};
 use p2p_topology::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Rows shipped in an answer: bindings of a body part's variables, the
@@ -32,8 +32,9 @@ use std::sync::Arc;
 /// zero bytes for machinery they don't use.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnswerRows {
-    /// Variable names, defining the column order of `rows`.
-    pub vars: Vec<Arc<str>>,
+    /// Variable names, defining the column order of `rows`: the fragment's
+    /// own list, shared.
+    pub vars: Arc<[Arc<str>]>,
     /// One row per satisfying assignment, each `vars.len()` values wide
     /// (a foreign block may hold rows of another width; see
     /// [`AnswerRows::is_ragged`]).
@@ -47,7 +48,7 @@ pub struct AnswerRows {
     /// the resync cursor — the restarted peer asks only for rows derived
     /// from facts beyond the last watermark it durably processed. Empty on
     /// payload-free acknowledgements (stale acks, reopen notices).
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
+    #[serde(default, skip_serializing_if = "Marks::is_empty")]
     pub marks: Marks,
     /// First-use dictionary delta: `(symbol, string)` definitions for
     /// interned constants in `rows` that the sender has never shipped to
@@ -69,8 +70,7 @@ impl AnswerRows {
     }
 }
 
-/// Per-relation insertion watermarks: the delta-cursor currency.
-pub type Marks = BTreeMap<Arc<str>, usize>;
+pub use p2p_relational::query::Marks;
 
 /// Where a query's evaluation starts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -124,6 +124,11 @@ pub enum Via {
     Repair,
 }
 
+/// Whether a list is empty, which the encodings leave out.
+fn is_empty<T>(list: &Arc<[T]>) -> bool {
+    list.is_empty()
+}
+
 /// Whether `value` is its type's default (`Start::Fresh`, `Via::Session`),
 /// which the encodings leave out.
 fn is_default<T: Default + PartialEq>(value: &T) -> bool {
@@ -146,9 +151,10 @@ pub struct Query {
     /// is a fresh allocation, equal by value.
     pub part: Arc<BodyPart>,
     /// The dependency path the request travelled (the paper's `SN`; empty
-    /// outside eager sessions, and then omitted).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub sn: Vec<NodeId>,
+    /// outside eager sessions, and then omitted): one list per session
+    /// and peer, which every query it sends in the session shares.
+    #[serde(default, skip_serializing_if = "is_empty")]
+    pub sn: Arc<[NodeId]>,
     /// Where the answerer's evaluation starts. `Fresh` is omitted from the
     /// encoding, so a first-contact query costs what it did before.
     #[serde(rename = "resume", default, skip_serializing_if = "is_default")]
@@ -172,7 +178,7 @@ impl Query {
             session,
             rule,
             part,
-            sn: Vec::new(),
+            sn: Arc::default(),
             from,
             via,
         }
@@ -602,7 +608,7 @@ mod tests {
         let answer = |rows| ProtocolMsg::Answer(Answer::new(sid(1), RuleId(0), rows, Via::Session));
         let empty = answer(AnswerRows::default());
         let full = answer(AnswerRows {
-            vars: vec![Arc::from("X")],
+            vars: [Arc::from("X")].into(),
             rows: RowSet::from_flat(1, 10, (0..10).map(Val::Int).collect()),
             ..AnswerRows::default()
         });
@@ -612,10 +618,10 @@ mod tests {
     #[test]
     fn wire_size_is_the_exact_encoded_length() {
         let rows = AnswerRows {
-            vars: vec![Arc::from("X")],
+            vars: [Arc::from("X")].into(),
             rows: RowSet::from_flat(1, 1, vec![Val::str("wire-exact")]),
             null_depths: vec![(NullId::new(1, 2), 3)],
-            marks: BTreeMap::new(),
+            marks: Marks::new(),
             dict: vec![(
                 Val::str("wire-exact").as_sym().unwrap(),
                 Arc::from("wire-exact"),
@@ -633,7 +639,7 @@ mod tests {
         let row = || RowSet::from_flat(1, 1, vec![Val::str("a-rather-long-shared-constant")]);
         let answer = |dict| {
             let rows = AnswerRows {
-                vars: vec![Arc::from("X")],
+                vars: [Arc::from("X")].into(),
                 rows: row(),
                 dict,
                 ..AnswerRows::default()

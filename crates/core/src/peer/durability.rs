@@ -229,7 +229,7 @@ impl DbPeer {
             let subscriptions = &self.subscriptions;
             let held = |rule, node| {
                 let fragment = subscriptions.fragment((RuleId(rule), node))?;
-                Some((&fragment.vars[..], &fragment.rows))
+                Some((&fragment.vars, &fragment.rows))
             };
             if let Err(e) = (st.store).snapshot(&self.db, mint.minted(), chase.export(), held) {
                 self.fail(format!("snapshot failed: {e}"));
@@ -323,12 +323,12 @@ impl DbPeer {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::messages::Marks;
     use crate::messages::Start;
     use p2p_net::Codec;
     use p2p_relational::query::Idents;
     use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
     use p2p_storage::FileBackend;
-    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -521,7 +521,7 @@ mod tests {
         assert!(since.is_empty());
 
         // The body's answer under that tag must still repair the head rule.
-        let mut marks = BTreeMap::new();
+        let mut marks = Marks::new();
         marks.insert(Arc::<str>::from("b"), 1usize);
         let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
         use p2p_net::Peer as _;
@@ -578,10 +578,10 @@ mod tests {
         let s2 = SessionId::new(NodeId(2), 2);
         // Logged out of watermark order on purpose: the newest wins.
         for (sid, v) in [(s2, 2i64), (s1, 1)] {
-            let mut marks = BTreeMap::new();
+            let mut marks = Marks::new();
             marks.insert(Arc::<str>::from("b"), v as usize);
             let rows = AnswerRows {
-                vars: vec![Arc::from("X")],
+                vars: [Arc::from("X")].into(),
                 rows: RowSet::from_flat(1, 1, vec![Val::Int(v)]),
                 marks,
                 ..Default::default()
@@ -640,7 +640,7 @@ mod tests {
         let st = PeerStorage::new(Box::<p2p_storage::MemoryBackend>::default(), 0);
         peer.attach_storage(st).unwrap();
         let rows = AnswerRows {
-            vars: vec![Arc::from("X")],
+            vars: [Arc::from("X")].into(),
             rows: RowSet::from_flat(1, 1, vec![Val::Int(1)]),
             marks: [(Arc::<str>::from("b"), 9usize)].into_iter().collect(),
             ..Default::default()
@@ -704,7 +704,7 @@ mod tests {
         install(&mut peer);
         assert_eq!(frames(), 0, "no marks, no frame");
         let rows = AnswerRows {
-            vars: vec![Arc::from("X")],
+            vars: [Arc::from("X")].into(),
             rows: RowSet::from_flat(1, 1, vec![Val::Int(1)]),
             marks: [(Arc::<str>::from("b"), 1usize)].into_iter().collect(),
             ..Default::default()
@@ -757,7 +757,7 @@ mod tests {
             Via::Session,
         );
         let query = Query {
-            sn: vec![head],
+            sn: [head].into(),
             ..query
         };
         peer.on_message(head, ProtocolMsg::Query(query), &mut ctx);

@@ -162,8 +162,11 @@ impl DbPeer {
         } else {
             self.stats.closed_by = ClosedBy::Open;
         }
-        let rules: Vec<_> = self.rules.values().cloned().collect();
-        self.issue_queries(st, sid, &rules, ctx, sn_base, by_flood);
+        // The rules are lent out while their queries go, and back before
+        // anything else reads them.
+        let rules = std::mem::take(&mut self.rules);
+        self.issue_queries(st, sid, rules.values(), ctx, sn_base, by_flood);
+        self.rules = rules;
         // Crash recovery: give any still-unanswered repair query another
         // chance with the new session (at-least-once; see `durability`).
         self.subscriptions.resend(&self.rules, ctx);
@@ -180,17 +183,19 @@ impl DbPeer {
         self.stats.concurrent_peak = self.stats.concurrent_peak.max(open);
     }
 
-    fn issue_queries(
+    /// Queries the fragments of `rules` this session needs queried. The
+    /// queries share one `SN`: the path that brought the peer in, and the
+    /// peer.
+    fn issue_queries<'r>(
         &mut self,
         st: &mut SessionState,
         sid: SessionId,
-        rules: &[Arc<crate::rule::CoordinationRule>],
+        rules: impl Iterator<Item = &'r Arc<crate::rule::CoordinationRule>>,
         ctx: &mut Context<ProtocolMsg>,
         sn_base: &[NodeId],
         by_flood: bool,
     ) {
-        let mut sn = sn_base.to_vec();
-        sn.push(self.id);
+        let mut sn: Option<Arc<[NodeId]>> = None;
         for rule in rules {
             for part in &rule.parts {
                 let key = (rule.id, part.node);
@@ -206,7 +211,9 @@ impl DbPeer {
                 if queried {
                     let from = if held { Start::Resume } else { Start::Fresh };
                     let query = Query::new(sid, rule.id, part.clone(), from, Via::Session);
-                    let sn = sn.clone();
+                    let sn = sn
+                        .get_or_insert_with(|| sn_base.iter().copied().chain([self.id]).collect());
+                    let sn = Arc::clone(sn);
                     self.send_query(st, ctx, Query { sn, ..query });
                 }
             }
@@ -247,7 +254,7 @@ impl DbPeer {
             .and_then(|r| r.parts.iter().find(|p| p.node == node).cloned());
         if let Some(part) = part {
             let query = Query::new(sid, rule, part, Start::Fresh, Via::Session);
-            let sn = vec![self.id];
+            let sn = [self.id].into();
             self.send_query(st, ctx, Query { sn, ..query });
         }
     }
@@ -859,7 +866,7 @@ impl DbPeer {
         // `install_rule` dropped whatever the id held before: every fragment
         // is queried afresh.
         let rule = self.rules[&rule_id].clone();
-        self.issue_queries(st, sid, &[rule], ctx, &[], false);
+        self.issue_queries(st, sid, std::iter::once(&rule), ctx, &[], false);
     }
 
     /// `deleteRule` notification (dynamic change, Section 4). Previously

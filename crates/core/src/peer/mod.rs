@@ -626,7 +626,7 @@ impl DbPeer {
         part.atoms
             .iter()
             .any(|a| match self.db.relation(&a.relation) {
-                Ok(relation) => marks.get(&a.relation) != Some(&relation.len()),
+                Ok(relation) => marks.get(&a.relation) != Some(relation.len()),
                 Err(_) => true,
             })
     }
@@ -641,7 +641,7 @@ impl DbPeer {
         &mut self,
         rule_id: RuleId,
         from: NodeId,
-        vars: &[Arc<str>],
+        vars: &Arc<[Arc<str>]>,
         rows: &RowSet,
     ) -> usize {
         let Some(rule) = self.rules.get(&rule_id).cloned() else {
@@ -733,12 +733,18 @@ impl DbPeer {
                 }
             }
         }
-        let known = self.pipes.known.or_default(to);
-        let fresh: Vec<SymId> = (rows.syms()).filter(|id| known.insert(*id)).collect();
-        let dict = ConstCatalog::global().export(fresh);
+        // Only rows that hold a symbol make the pipe a table of the symbols
+        // it has carried.
+        let dict = match rows.syms().next() {
+            Some(_) => {
+                let known = self.pipes.known.or_default(to);
+                ConstCatalog::global().export(rows.syms().filter(|id| known.insert(*id)))
+            }
+            None => Vec::new(),
+        };
         self.stats.dict_entries_sent += dict.len() as u64;
         crate::messages::AnswerRows {
-            vars: part.vars.clone(),
+            vars: Arc::clone(&part.vars),
             rows,
             null_depths,
             dict,
@@ -749,7 +755,7 @@ impl DbPeer {
             marks: if self.config.durability {
                 part_marks(&self.db, part)
             } else {
-                BTreeMap::new()
+                Marks::new()
             },
         }
     }
@@ -1206,6 +1212,53 @@ mod tests {
     /// is sent), a `resume` query is then served the delta, and a `resume`
     /// query for a different fragment under the same rule id is served in
     /// full.
+    /// A pipe gets a table of the symbols it carried only once an answer
+    /// down it holds one: integer rows leave none, and the first rows with a
+    /// symbol ship its definition once.
+    #[test]
+    fn only_rows_with_a_symbol_give_a_pipe_a_symbol_table() {
+        let schema = "n(x: int). s(x: str).";
+        let mut db = Database::new(DatabaseSchema::parse(schema).unwrap());
+        db.insert_values("n", vec![Val::Int(1)]).unwrap();
+        db.insert_values("s", vec![Val::str("pipe-table-sym")])
+            .unwrap();
+        let mut peer = DbPeer::new(NodeId(1), db, SystemConfig::default());
+        let resolve = |s: &str| {
+            [("A", NodeId(0)), ("B", NodeId(1))]
+                .into_iter()
+                .find(|n| n.0 == s)
+                .map(|n| n.1)
+        };
+        let part = |text: &str| {
+            CoordinationRule::parse("r", text, None, &resolve, &mut Idents::new())
+                .unwrap()
+                .parts
+                .remove(0)
+        };
+        let (ints, syms) = (part("B:n(X) => A:n(X)"), part("B:s(X) => A:s(X)"));
+        let head = NodeId(0);
+        let ask = |peer: &mut DbPeer, part: &Arc<crate::rule::BodyPart>, epoch| {
+            let session = SessionId::new(head, epoch);
+            let query = Query::new(
+                session,
+                RuleId(epoch as u32),
+                part.clone(),
+                Start::Fresh,
+                Via::Session,
+            );
+            let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+            peer.on_message(head, ProtocolMsg::Query(query), &mut ctx);
+            (ctx.take_outgoing().iter())
+                .find_map(|out| Some(out.msg.answer_rows()?.dict.len()))
+                .expect("the query is answered")
+        };
+        assert_eq!(ask(&mut peer, &ints, 1), 0);
+        assert!(peer.pipes.known.is_empty(), "no symbol went down the pipe");
+        assert_eq!(ask(&mut peer, &syms, 2), 1);
+        assert_eq!(peer.pipes.known.len(), 1);
+        assert_eq!(ask(&mut peer, &syms, 3), 0, "shipped once");
+    }
+
     #[test]
     fn cursor_commits_at_retirement_and_is_fingerprinted_by_fragment() {
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
@@ -1239,7 +1292,7 @@ mod tests {
             let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
             let from = if resume { Start::Resume } else { Start::Fresh };
             let query = Query {
-                sn: vec![head],
+                sn: [head].into(),
                 ..Query::new(session, rule, part.clone(), from, Via::Session)
             };
             peer.on_message(head, ProtocolMsg::Query(query), &mut ctx);
@@ -1398,7 +1451,7 @@ mod tests {
             Via::Session,
         );
         ProtocolMsg::Query(Query {
-            sn: vec![rule.head_node],
+            sn: [rule.head_node].into(),
             ..query
         })
     }

@@ -174,10 +174,11 @@ impl Sessions {
             }
             return None;
         }
-        let superseded: Vec<SessionId> = (self.done.range(SessionId::new(sid.root, 0)..sid))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in superseded {
+        loop {
+            let superseded = self.done.range(SessionId::new(sid.root, 0)..sid).next();
+            let Some(k) = superseded.map(|(k, _)| *k) else {
+                break;
+            };
             self.done.remove(&k);
         }
         self.done.insert(sid, st.rnd.rounds_done);

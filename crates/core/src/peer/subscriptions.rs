@@ -130,8 +130,8 @@ impl Subscriptions {
             (Start::Since(claim), Some(cursor)) => {
                 let held: Marks = (claim.iter())
                     .map(|(relation, w)| {
-                        let committed = cursor.watermarks.get(relation).copied().unwrap_or(0);
-                        (relation.clone(), (*w).min(committed))
+                        let committed = cursor.watermarks.get(relation).unwrap_or(0);
+                        (relation.clone(), w.min(committed))
                     })
                     .collect();
                 Some((held, 0))
@@ -283,7 +283,7 @@ impl Subscriptions {
         &mut self,
         rule: &CoordinationRule,
         from: NodeId,
-        vars: &[Arc<str>],
+        vars: &Arc<[Arc<str>]>,
         rows: impl IntoIterator<Item = &'r [Val]>,
     ) -> Option<VarRows> {
         let retained = self.fragments.or_default((rule.id, from));
@@ -350,7 +350,7 @@ impl Subscriptions {
         let mut vouched = true;
         for ((subscriber, rule), mark) in cursors {
             let within = (mark.watermarks.iter())
-                .all(|(relation, w)| (db.relation(relation)).is_ok_and(|r| *w <= r.len()));
+                .all(|(relation, w)| (db.relation(relation)).is_ok_and(|r| w <= r.len()));
             match BodyPart::from_content(&mark.part) {
                 Ok(part) if within => {
                     let cursor = Cursor {

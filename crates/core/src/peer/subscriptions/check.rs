@@ -44,7 +44,7 @@ impl Subscriptions {
         }
         for (key, cursor) in self.cursors.iter() {
             for (relation, w) in &cursor.watermarks {
-                if db.relation(relation).map_or(true, |r| *w > r.len()) {
+                if db.relation(relation).map_or(true, |r| w > r.len()) {
                     return Err(format!("the cursor of {key:?} is past {relation}"));
                 }
             }
@@ -127,7 +127,7 @@ impl DbPeer {
 fn rows_below(db: &Database, part: &BodyPart, marks: &Marks) -> Result<RowSet, String> {
     let mut below = Database::new(db.schema().clone());
     for atom in &part.atoms {
-        let (Ok(relation), Some(&upto)) = (db.relation(&atom.relation), marks.get(&atom.relation))
+        let (Ok(relation), Some(upto)) = (db.relation(&atom.relation), marks.get(&atom.relation))
         else {
             continue;
         };

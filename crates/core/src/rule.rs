@@ -57,8 +57,9 @@ pub struct BodyPart {
     /// queries to acquaintances" optimization the paper mentions).
     pub local_constraints: Vec<Constraint>,
     /// Distinct variables of the fragment, in first-occurrence order; answer
-    /// rows are tuples over exactly these variables.
-    pub vars: Vec<Arc<str>>,
+    /// rows are tuples over exactly these variables, and every answer
+    /// shares this list.
+    pub vars: Arc<[Arc<str>]>,
 }
 
 impl BodyPart {
@@ -67,7 +68,7 @@ impl BodyPart {
             node,
             atoms: Vec::new(),
             local_constraints: Vec::new(),
-            vars: Vec::new(),
+            vars: Arc::default(),
         }
     }
 }
@@ -193,13 +194,14 @@ impl CoordinationRule {
         }
         for part in &mut parts {
             let part = building(part);
-            let mut vars = Vec::with_capacity(variables(&part.atoms).count());
-            for v in variables(&part.atoms) {
-                if !vars.contains(v) {
-                    vars.push(Arc::clone(v));
-                }
-            }
-            part.vars = vars;
+            // Counted first, so that the list is allocated once, at its size.
+            let first =
+                |(i, v): &(usize, &Arc<str>)| !variables(&part.atoms).take(*i).any(|u| u == *v);
+            let distinct = || variables(&part.atoms).enumerate().filter(first);
+            let mut vars = distinct().map(|(_, v)| Arc::clone(v));
+            part.vars = (0..distinct().count())
+                .map(|_| vars.next().expect("as many as counted"))
+                .collect();
         }
 
         // Push constraints down to single fragments where possible.

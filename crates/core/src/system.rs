@@ -93,9 +93,13 @@ impl P2PSystemBuilder {
         if declared.base.contains_key(&node) {
             return Err(CoreError::DuplicateNode(node));
         }
-        if declared.names.contains_key(name) {
+        // A declared name is interned already, so a duplicate adds nothing
+        // to the interner; its entry is taken once, and filled last.
+        let std::collections::hash_map::Entry::Vacant(entry) =
+            declared.names.entry(declared.idents.intern(name))
+        else {
             return Err(CoreError::DuplicateName(name.to_string()));
-        }
+        };
         let schema = match self.parsed.get(schema_text) {
             Some(schema) => schema.clone(),
             None => {
@@ -105,7 +109,7 @@ impl P2PSystemBuilder {
             }
         };
         declared.base.insert(node, Database::new(schema));
-        declared.names.insert(declared.idents.intern(name), node);
+        entry.insert(node);
         Ok(())
     }
 

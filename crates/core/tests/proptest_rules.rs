@@ -142,7 +142,7 @@ fn case(
                 node,
                 atoms,
                 local_constraints: Vec::new(),
-                vars,
+                vars: vars.into(),
             }
         })
         .collect();
@@ -238,7 +238,7 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(&part.vars, &first);
+            prop_assert_eq!(&part.vars[..], &first[..]);
             for c in &part.local_constraints {
                 prop_assert!(c.variables().iter().all(|v| part.vars.contains(v)), "{c}");
             }

@@ -15,6 +15,13 @@
 //! allocates nothing. The simulator ([`crate::sim`]) adds only its virtual
 //! clock, the shard pool ([`crate::sharded`]) only its threads, queues
 //! and quiescence barrier, so a scenario reports the same counts on either.
+//!
+//! A handler's sends go into one buffer its runtime keeps: the simulator
+//! and each shard thread hand every handler's [`Context`] the same `Vec`
+//! ([`Context::reusing`]), the send step drains it in place and gives it
+//! back empty with its capacity, so a runtime allocates its send buffer
+//! once, grown to its largest drain, instead of once per handler that
+//! sends. (The payload of each send is still its own `Arc`.)
 
 use crate::codec::Codec;
 use crate::message::{SimTime, Wire};
@@ -78,13 +85,22 @@ pub struct Context<M> {
 }
 
 impl<M> Context<M> {
-    /// Creates a context for one handler invocation (used by every runtime).
+    /// Creates a context for one handler invocation.
     pub fn new(now: SimTime, id: NodeId) -> Self {
+        Context::reusing(now, id, Vec::new())
+    }
+
+    /// [`Context::new`] queueing its sends in `outgoing`, a buffer an
+    /// earlier invocation's sends were drained from (it is cleared first):
+    /// a runtime that hands its handlers one buffer over and over (see the
+    /// module docs) allocates it once, not once per handler that sends.
+    pub fn reusing(now: SimTime, id: NodeId, mut outgoing: Vec<Outgoing<M>>) -> Self {
+        outgoing.clear();
         Context {
             now,
             id,
             charged: SimTime::ZERO,
-            outgoing: Vec::new(),
+            outgoing,
         }
     }
 
@@ -147,7 +163,8 @@ impl<M> Context<M> {
         self.outgoing.len()
     }
 
-    /// Drains queued sends (runtime internal).
+    /// Takes the queued sends, in the buffer they were queued in (runtime
+    /// internal).
     pub fn take_outgoing(&mut self) -> Vec<Outgoing<M>> {
         std::mem::take(&mut self.outgoing)
     }
@@ -339,15 +356,17 @@ impl Meter {
     /// codec, counts every send (a reuse of a sized payload also as a shared
     /// payload send) and hands it to `route` with its size. `route` decides
     /// what becomes of it: scheduled, dropped, handed to another shard.
+    /// `out` is left empty with its capacity, for the runtime to hand the
+    /// next handler's [`Context::reusing`].
     pub(crate) fn send_all<M: Wire>(
         &mut self,
         from: NodeId,
-        out: Vec<Outgoing<M>>,
+        out: &mut Vec<Outgoing<M>>,
         mut route: impl FnMut(&mut NetStats, Outgoing<M>, usize),
     ) {
         self.sized.clear();
         let codec = self.codec;
-        for o in out {
+        for o in out.drain(..) {
             let (size, shared) = self
                 .sized
                 .get_or_insert_with(&o.msg, |m| m.wire_size_with(codec));

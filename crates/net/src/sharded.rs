@@ -237,13 +237,14 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
         // Count and queue the initial messages before any thread starts,
         // so the barrier can never transiently read zero while work remains.
         let mut meter = Meter::new(self.codec);
+        let mut out = Vec::new();
         for (from, to, msg) in initial {
-            let out = vec![Outgoing {
+            out.push(Outgoing {
                 to,
                 msg: Arc::new(msg),
                 delay: SimTime::ZERO,
-            }];
-            meter.send_all(from, out, |stats, o, size| {
+            });
+            meter.send_all(from, &mut out, |stats, o, size| {
                 shared.post(stats, None, from, o, size)
             });
         }
@@ -311,6 +312,8 @@ impl<M: Wire + Sync> Shared<M> {
         mut hosted: Vec<Hosted<P>>,
     ) -> (Vec<Hosted<P>>, NetStats) {
         let mut meter = Meter::new(self.codec);
+        // The send buffer every handler of the shard queues into.
+        let mut spare = Vec::new();
         while let Some(Delivery {
             index,
             from,
@@ -325,7 +328,7 @@ impl<M: Wire + Sync> Shared<M> {
             }
             let id = host.id;
             let now = SimTime(self.epoch.elapsed().as_micros() as u64);
-            let mut ctx = Context::new(now, id);
+            let mut ctx = Context::reusing(now, id, spare);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 meter.deliver(&mut host.peer, from, parcel, &mut ctx)
             }));
@@ -334,7 +337,8 @@ impl<M: Wire + Sync> Shared<M> {
                 self.record_panic(id, panic.as_ref());
             }
             // Sends queued before a panic still go out.
-            meter.send_all(id, ctx.take_outgoing(), |stats, o, size| {
+            spare = ctx.take_outgoing();
+            meter.send_all(id, &mut spare, |stats, o, size| {
                 self.post(stats, Some(shard), id, o, size)
             });
             self.done();

@@ -216,6 +216,9 @@ pub struct Simulator<M: Wire, P: Peer<M>> {
     agenda: Agenda<M>,
     trace: Trace,
     max_events: u64,
+    /// The send buffer every handler's [`Context`] queues into, empty
+    /// between handlers: allocated once, grown to the largest drain.
+    spare: Vec<Outgoing<M>>,
 }
 
 impl<M: Wire, P: Peer<M>> Simulator<M, P> {
@@ -238,6 +241,7 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
             },
             trace: Trace::default(),
             max_events: 10_000_000,
+            spare: Vec::new(),
         }
     }
 
@@ -324,38 +328,46 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
     /// Injects a message from an external driver, delivered after link
     /// latency from the current time.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.send(
-            from,
-            vec![Outgoing {
-                to,
-                msg: Arc::new(msg),
-                delay: SimTime::ZERO,
-            }],
-        );
+        let mut out = std::mem::take(&mut self.spare);
+        out.push(Outgoing {
+            to,
+            msg: Arc::new(msg),
+            delay: SimTime::ZERO,
+        });
+        self.send(from, out);
     }
 
     /// Schedules a message for delivery at an absolute time (dynamic-change
     /// scripts). No latency is added: `at` *is* the delivery time — or now,
     /// if `at` is past, since the clock never runs back.
     pub fn inject_at(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
-        let out = vec![Outgoing {
+        let mut out = std::mem::take(&mut self.spare);
+        out.push(Outgoing {
             to,
             msg: Arc::new(msg),
             delay: SimTime::ZERO,
-        }];
+        });
         let agenda = &mut self.agenda;
-        self.meter.send_all(from, out, |_, o, size| {
+        self.meter.send_all(from, &mut out, |_, o, size| {
             let size = u32::try_from(size).expect("a message fits a frame");
             agenda.push(at, Event::Deliver(from, to, o.msg, size), false);
         });
+        self.spare = out;
     }
 
-    /// Routes the sends of one drain through the host's send step.
-    fn send(&mut self, from: NodeId, out: Vec<Outgoing<M>>) {
+    /// Routes the sends of one drain through the host's send step, and
+    /// keeps their buffer for the next handler.
+    fn send(&mut self, from: NodeId, mut out: Vec<Outgoing<M>>) {
         let agenda = &mut self.agenda;
-        self.meter.send_all(from, out, |stats, o, size| {
+        self.meter.send_all(from, &mut out, |stats, o, size| {
             agenda.route(stats, from, o, size)
         });
+        self.spare = out;
+    }
+
+    /// A context for a handler of `node`'s, queueing into the kept buffer.
+    fn context(&mut self, node: NodeId) -> Context<M> {
+        Context::reusing(self.agenda.now, node, std::mem::take(&mut self.spare))
     }
 
     /// Pops and fires the earliest event; `false` when the agenda is empty.
@@ -388,7 +400,7 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
         self.trace_churn(node, "Restart");
         if let Some(s) = self.peers.slot(node) {
             self.down[s] = false;
-            let mut ctx = Context::new(self.agenda.now, node);
+            let mut ctx = self.context(node);
             self.peers[s].on_restart(&mut ctx);
             self.send(node, ctx.take_outgoing());
         }
@@ -424,7 +436,7 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
                 session: parcel.msg.session(),
             });
         }
-        let mut ctx = Context::new(self.agenda.now, to);
+        let mut ctx = self.context(to);
         self.meter
             .deliver(&mut self.peers[slot], from, parcel, &mut ctx);
         self.send(to, ctx.take_outgoing());

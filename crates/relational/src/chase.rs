@@ -177,7 +177,7 @@ struct HeadAtom {
 /// ([`PlanCatalog::head`]).
 #[derive(Debug, Clone)]
 pub struct CompiledHead {
-    vars: Vec<Arc<str>>,
+    vars: Box<[Arc<str>]>,
     atoms: Box<[HeadAtom]>,
     /// Distinct existential variables.
     existentials: usize,
@@ -231,7 +231,7 @@ impl CompiledHead {
             });
         }
         Ok(CompiledHead {
-            vars: vars.to_vec(),
+            vars: vars.into(),
             atoms: atoms.into(),
             existentials: existential.len(),
         })

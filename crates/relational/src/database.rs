@@ -1,11 +1,11 @@
 //! A local database: the paper's `LDB` held by each peer.
 
 use crate::error::{Error, Result};
+use crate::query::plan::{MarkTable, Marks};
 use crate::relation::Relation;
 use crate::schema::DatabaseSchema;
 use crate::value::Val;
 use serde::{Content, DeError, Deserialize, Serialize, Sink};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -95,13 +95,15 @@ impl Database {
     /// databases (tests, the benchmark's recovery check). No shipping path
     /// reads it — a peer ships [`RowSet`](crate::RowSet)s and logs rows.
     pub fn all_facts(&self) -> Vec<(Arc<str>, Vec<Val>)> {
-        self.facts_since(&BTreeMap::new())
+        self.facts_since(&Marks::new())
     }
 
     /// Per-relation insertion watermarks, used by delta subscriptions: a
     /// later call to [`Database::facts_since`] with these watermarks yields
-    /// exactly the facts inserted in between.
-    pub fn watermarks(&self) -> BTreeMap<Arc<str>, usize> {
+    /// exactly the facts inserted in between. Collected into what the
+    /// caller names — a [`Marks`], or any collection of `(relation, mark)`
+    /// pairs.
+    pub fn watermarks<M: FromIterator<(Arc<str>, usize)>>(&self) -> M {
         self.relations()
             .map(|(n, r)| (n.clone(), r.len()))
             .collect()
@@ -110,10 +112,10 @@ impl Database {
     /// Facts inserted since the given watermarks (missing entries mean 0),
     /// copied out as [`Database::all_facts`] copies them — for tests; a peer
     /// reads a relation's new rows in place ([`crate::RowSet::since`]).
-    pub fn facts_since(&self, watermarks: &BTreeMap<Arc<str>, usize>) -> Vec<(Arc<str>, Vec<Val>)> {
+    pub fn facts_since(&self, watermarks: &(impl MarkTable + ?Sized)) -> Vec<(Arc<str>, Vec<Val>)> {
         let mut out = Vec::new();
         for (name, rel) in self.relations() {
-            let w = watermarks.get(name).copied().unwrap_or(0);
+            let w = watermarks.mark(name);
             out.extend(rel.since(w).map(|row| (name.clone(), row.to_vec())));
         }
         out
@@ -239,7 +241,7 @@ mod tests {
     fn facts_since_respects_watermarks() {
         let mut d = db();
         d.insert_values("a", vec![Val::Int(1)]).unwrap();
-        let w = d.watermarks();
+        let w: Marks = d.watermarks();
         d.insert_values("a", vec![Val::Int(2)]).unwrap();
         d.insert_values("b", vec![Val::Int(1), Val::str("x")])
             .unwrap();
@@ -299,12 +301,18 @@ mod tests {
             d.insert_values("b", vec![Val::Int(1), Val::str("x")])
                 .unwrap();
             let mut pair = [d.clone(), d];
-            let (facts, marks) = (pair[0].all_facts(), pair[0].watermarks());
+            let (facts, marks) = (pair[0].all_facts(), pair[0].watermarks::<Marks>());
             assert!(!pair[writer].insert_values("a", vec![Val::Int(1)]).unwrap());
             assert!(pair[writer].insert_values("a", vec![Val::Int(2)]).unwrap());
             let other = &pair[1 - writer];
-            assert_eq!((other.all_facts(), other.watermarks()), (facts, marks));
-            assert_eq!(pair[writer].facts_since(&other.watermarks()).len(), 1);
+            assert_eq!(
+                (other.all_facts(), other.watermarks::<Marks>()),
+                (facts, marks)
+            );
+            assert_eq!(
+                pair[writer].facts_since(&other.watermarks::<Marks>()).len(),
+                1
+            );
         }
     }
 

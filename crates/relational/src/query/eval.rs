@@ -35,8 +35,8 @@ use std::sync::Arc;
 /// Rows are deduplicated and listed in a deterministic order.
 #[derive(Debug, Clone)]
 pub struct Bindings {
-    /// Variable names, in slot order.
-    pub vars: Vec<Arc<str>>,
+    /// Variable names, in slot order: the plan's list, shared.
+    pub vars: Arc<[Arc<str>]>,
     rows: Rows,
 }
 
@@ -65,7 +65,7 @@ impl Eq for Bindings {}
 impl Bindings {
     /// A table over `vars` holding `len` rows, row-major at the front of
     /// `data` (caller guarantees dedup).
-    pub(crate) fn from_flat(vars: Vec<Arc<str>>, len: usize, mut data: Vec<Val>) -> Self {
+    pub(crate) fn from_flat(vars: Arc<[Arc<str>]>, len: usize, mut data: Vec<Val>) -> Self {
         data.truncate(len * vars.len());
         Bindings {
             vars,
@@ -74,7 +74,7 @@ impl Bindings {
     }
 
     /// A table over `vars` holding the rows of `set` (as wide as `vars`).
-    pub(crate) fn from_set(vars: Vec<Arc<str>>, set: RowSet) -> Self {
+    pub(crate) fn from_set(vars: Arc<[Arc<str>]>, set: RowSet) -> Self {
         debug_assert_eq!(set.arity(), vars.len());
         Bindings {
             vars,
@@ -111,11 +111,12 @@ impl Bindings {
     }
 
     /// The rows as a set: a set is handed on as it is, and a flat buffer
-    /// moved in with only membership built (the executor's rows are
-    /// distinct already).
+    /// moved in as it stands — the executor's rows are distinct already,
+    /// so no row is compared, and membership is built only if the set is
+    /// large enough to keep one.
     pub fn into_rows(self) -> RowSet {
         match self.rows {
-            Rows::Flat { len, data } => RowSet::from_flat(self.vars.len(), len, data),
+            Rows::Flat { len, data } => RowSet::from_distinct(self.vars.len(), len, data),
             Rows::Set(set) => set,
         }
     }
@@ -294,9 +295,9 @@ pub fn compare(op: CmpOp, lhs: &Val, rhs: &Val) -> bool {
 mod tests {
     use super::*;
     use crate::query::parser::parse_query;
+    use crate::query::plan::Marks;
     use crate::query::plan::{evaluate_bindings_since_planned, CompiledBody};
     use crate::schema::DatabaseSchema;
-    use std::collections::BTreeMap;
 
     fn db_with_b(pairs: &[(i64, i64)]) -> Database {
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
@@ -317,7 +318,7 @@ mod tests {
         body: &CompiledBody,
         q: &ConjunctiveQuery,
         db: &Database,
-        watermarks: &BTreeMap<Arc<str>, usize>,
+        watermarks: &Marks,
     ) -> Bindings {
         let m = &mut EvalMetrics::default();
         evaluate_bindings_since_planned(body, &q.atoms, &q.constraints, db, watermarks, m).unwrap()
@@ -501,7 +502,7 @@ mod tests {
         let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
         let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
         let before = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
-        let w = db.watermarks();
+        let w: Marks = db.watermarks();
 
         // Nothing new: empty delta over the same columns.
         let delta = delta_since(&body, &q, &db, &w);
@@ -534,7 +535,7 @@ mod tests {
         let mut db = db_with_b(&[(1, 2)]);
         let q = parse_query("q(X, Y) :- b(X, Y), X < Y").unwrap();
         let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
-        let w = db.watermarks();
+        let w: Marks = db.watermarks();
         db.insert_values("b", vec![Val::Int(5), Val::Int(3)])
             .unwrap();
         db.insert_values("b", vec![Val::Int(3), Val::Int(5)])
@@ -549,7 +550,7 @@ mod tests {
         let db = db_with_b(&[(1, 2), (2, 3)]);
         let q = parse_query("q(X, Z) :- b(X, Y), b(Y, Z)").unwrap();
         let body = CompiledBody::compile(&q.atoms, &q.constraints, &db).unwrap();
-        let delta = delta_since(&body, &q, &db, &BTreeMap::new());
+        let delta = delta_since(&body, &q, &db, &Marks::new());
         let full = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
         assert_eq!(row_set(&delta), row_set(&full));
     }

@@ -20,5 +20,5 @@ pub use eval::{evaluate, evaluate_bindings, evaluate_certain, Bindings};
 pub use parser::{parse_atom, parse_implication, parse_query, Implication};
 pub use plan::{
     compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,
-    PlanCatalog, QueryPlan,
+    MarkTable, Marks, PlanCatalog, QueryPlan,
 };

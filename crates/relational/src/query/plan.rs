@@ -40,6 +40,7 @@ use crate::query::eval::{greedy_order, slot_of, validate_body, Bindings};
 use crate::relation::{key_hash, Index, RowSet};
 use crate::schema::DatabaseSchema;
 use crate::value::Val;
+use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -139,8 +140,9 @@ pub struct AtomStep {
 /// the constraint schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
-    /// Variable names in slot (first-occurrence) order.
-    pub vars: Vec<Arc<str>>,
+    /// Variable names in slot (first-occurrence) order, shared with every
+    /// [`Bindings`] table the plan produces.
+    pub vars: Arc<[Arc<str>]>,
     /// Join steps in execution order.
     pub steps: Vec<AtomStep>,
     /// All body constraints, compiled.
@@ -210,7 +212,7 @@ impl CompiledBody {
         atoms: &[Atom],
         constraints: &[Constraint],
         db: &mut Database,
-        watermarks: &BTreeMap<Arc<str>, usize>,
+        watermarks: &(impl MarkTable + ?Sized),
     ) -> Result<()> {
         for i in 0..self.delta.len() {
             if pending_since(&atoms[i], db, watermarks)?.is_some() {
@@ -228,9 +230,9 @@ impl CompiledBody {
 fn pending_since(
     atom: &Atom,
     db: &Database,
-    watermarks: &BTreeMap<Arc<str>, usize>,
+    watermarks: &(impl MarkTable + ?Sized),
 ) -> Result<Option<usize>> {
-    let watermark = watermarks.get(&atom.relation).copied().unwrap_or(0);
+    let watermark = watermarks.mark(&atom.relation);
     Ok((db.relation(&atom.relation)?.len() > watermark).then_some(watermark))
 }
 
@@ -286,7 +288,7 @@ impl PlanCatalog {
         atoms: &[Atom],
         constraints: &[Constraint],
         db: &Database,
-        watermarks: &BTreeMap<Arc<str>, usize>,
+        watermarks: &(impl MarkTable + ?Sized),
     ) -> Result<()> {
         for (i, slot) in body.delta.iter().enumerate() {
             if slot.get().is_none() && pending_since(&atoms[i], db, watermarks)?.is_some() {
@@ -470,7 +472,7 @@ pub fn compile_body(
     }
 
     Ok(QueryPlan {
-        vars,
+        vars: vars.into(),
         steps,
         constraints: compiled_constraints,
         pre_constraints,
@@ -489,16 +491,32 @@ pub fn execute_plan(
     m: &mut EvalMetrics,
 ) -> Result<Bindings> {
     let width = plan.vars.len().max(1);
-    let mut rows: Vec<Val> = vec![Val::Int(0); width]; // one empty binding
-    let mut nrows: usize = 1;
-    apply_constraints(plan, &plan.pre_constraints, &mut rows, &mut nrows, width);
+    // Before the first step there is one empty binding, which no buffer
+    // holds: the first step reads it as an empty slice and fills every
+    // slot it does not bind with a placeholder. Constraints ground before
+    // any step compare constants only.
+    let mut rows: Vec<Val> = Vec::new();
+    let holds = |ci: &usize| {
+        let c = &plan.constraints[*ci];
+        c.op.certainly_holds(&c.lhs.value(&[]), &c.rhs.value(&[]))
+    };
+    let mut nrows = usize::from(plan.pre_constraints.iter().all(holds));
 
     let mut key: Vec<Val> = Vec::new();
     for (si, step) in plan.steps.iter().enumerate() {
         if nrows == 0 {
             break;
         }
-        let mut next: Vec<Val> = Vec::new();
+        let rel = db.relation(&step.relation)?;
+        let delta_scan = si == 0 && plan.restricted;
+        let scan = delta_scan || step.key_cols.is_empty();
+        let from = if delta_scan { watermark } else { 0 };
+        // A scan with no key to check keeps every binding × row pair (but
+        // for repeated variables): its output is sized once.
+        let mut next: Vec<Val> = match scan && step.key.is_empty() {
+            true => Vec::with_capacity(nrows * rel.since(from).len() * width),
+            false => Vec::new(),
+        };
         let mut next_n: usize = 0;
         let mut extend = |binding: &[Val], tuple: &[Val], key: &[Val]| {
             // Hash-collision / scan guard: key columns must match.
@@ -511,7 +529,10 @@ pub fn execute_plan(
                 return;
             }
             let start = next.len();
-            next.extend_from_slice(binding);
+            match binding.is_empty() {
+                true => next.resize(start + width, Val::Int(0)),
+                false => next.extend_from_slice(binding),
+            }
             for act in &step.actions {
                 match *act {
                     PosAction::Bind { pos, slot } => next[start + slot] = tuple[pos],
@@ -526,16 +547,13 @@ pub fn execute_plan(
             next_n += 1;
         };
 
-        let rel = db.relation(&step.relation)?;
-        let delta_scan = si == 0 && plan.restricted;
-        if delta_scan || step.key_cols.is_empty() {
+        if scan {
             // Scan. The semi-naive delta atom reads only its post-watermark
             // suffix (its keys are constants, so an index would not narrow
             // anything); a key-less step (first atom, cross product) has
             // nothing to look up and reads every row.
-            let from = if delta_scan { watermark } else { 0 };
             for bi in 0..nrows {
-                let binding = &rows[bi * width..bi * width + width];
+                let binding = binding_at(&rows, si, bi, width);
                 key.clear();
                 key.extend(step.key.iter().map(|(_, src)| src.value(binding)));
                 for tuple in rel.since(from) {
@@ -557,7 +575,7 @@ pub fn execute_plan(
                 }
             };
             for bi in 0..nrows {
-                let binding = &rows[bi * width..bi * width + width];
+                let binding = binding_at(&rows, si, bi, width);
                 key.clear();
                 key.extend(step.key.iter().map(|(_, src)| src.value(binding)));
                 for ri in idx.candidates(key_hash(key.iter())) {
@@ -579,6 +597,15 @@ pub fn execute_plan(
     // combinations give distinct bindings.
     // A zero-variable plan carries one placeholder value per binding.
     Ok(Bindings::from_flat(plan.vars.clone(), nrows, rows))
+}
+
+/// Binding `bi` of the buffer step `si` reads: the one empty binding of
+/// the first step, which no buffer holds, is the empty slice.
+fn binding_at(rows: &[Val], si: usize, bi: usize, width: usize) -> &[Val] {
+    match si {
+        0 => &[],
+        _ => &rows[bi * width..][..width],
+    }
 }
 
 fn apply_constraints(
@@ -607,6 +634,199 @@ fn apply_constraints(
     }
 }
 
+/// Per-relation insertion watermarks, the delta-cursor currency: a
+/// relation's mark is the number of its rows its holder has seen, and a
+/// relation it does not name reads 0 (the whole relation is new).
+///
+/// One entry per relation, sorted by name, in a small vector that holds
+/// one entry inline: a fragment reads one relation or two, and an ordered
+/// map spent a whole tree leaf on them, where one relation's marks now
+/// cost no heap block at all. Serialized as the map of relation names to
+/// marks, byte for byte what an ordered map of them writes; reading one
+/// back sorts the entries, and of two for one relation keeps the last, as
+/// the map did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Marks(Entries);
+
+/// The entries of a [`Marks`], sorted by relation name: none, one inline,
+/// or two and more on the heap.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+enum Entries {
+    #[default]
+    None,
+    One((Arc<str>, usize)),
+    Many(Vec<(Arc<str>, usize)>),
+}
+
+impl Marks {
+    /// No relation named: everything is new.
+    pub fn new() -> Self {
+        Marks(Entries::None)
+    }
+
+    /// The entries, sorted by relation name.
+    fn entries(&self) -> &[(Arc<str>, usize)] {
+        match &self.0 {
+            Entries::None => &[],
+            Entries::One(entry) => std::slice::from_ref(entry),
+            Entries::Many(entries) => entries,
+        }
+    }
+
+    /// Number of relations named.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// True iff no relation is named.
+    pub fn is_empty(&self) -> bool {
+        self.entries().is_empty()
+    }
+
+    /// The entry of `relation`, or where it would go.
+    fn find(&self, relation: &str) -> std::result::Result<usize, usize> {
+        (self.entries()).binary_search_by(|(r, _)| (**r).cmp(relation))
+    }
+
+    /// The mark of `relation`, if it is named.
+    pub fn get(&self, relation: &str) -> Option<usize> {
+        self.find(relation).ok().map(|at| self.entries()[at].1)
+    }
+
+    /// The mark at entry `at`.
+    fn mark_mut(&mut self, at: usize) -> &mut usize {
+        match &mut self.0 {
+            Entries::None => unreachable!("no entry"),
+            Entries::One((_, mark)) => mark,
+            Entries::Many(entries) => &mut entries[at].1,
+        }
+    }
+
+    /// Names `relation`, absent so far, at entry `at`.
+    fn name_at(&mut self, at: usize, relation: Arc<str>, mark: usize) {
+        self.0 = match std::mem::take(&mut self.0) {
+            Entries::None => Entries::One((relation, mark)),
+            Entries::One(held) => {
+                let mut entries = vec![held];
+                entries.insert(at, (relation, mark));
+                Entries::Many(entries)
+            }
+            Entries::Many(mut entries) => {
+                entries.insert(at, (relation, mark));
+                Entries::Many(entries)
+            }
+        }
+    }
+
+    /// Sets the mark of `relation`, returning the one it replaced.
+    pub fn insert(&mut self, relation: Arc<str>, mark: usize) -> Option<usize> {
+        match self.find(&relation) {
+            Ok(at) => Some(std::mem::replace(self.mark_mut(at), mark)),
+            Err(at) => {
+                self.name_at(at, relation, mark);
+                None
+            }
+        }
+    }
+
+    /// Raises the mark of `relation` to `mark`, naming it if it was not:
+    /// marks merge by per-relation maximum.
+    pub fn raise(&mut self, relation: &Arc<str>, mark: usize) {
+        match self.find(relation) {
+            Ok(at) => {
+                let held = self.mark_mut(at);
+                *held = (*held).max(mark);
+            }
+            Err(at) => self.name_at(at, Arc::clone(relation), mark),
+        }
+    }
+
+    /// The entries, sorted by relation name.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Arc<str>, usize)> + Clone {
+        self.into_iter()
+    }
+}
+
+/// A relation's mark; a relation not named panics, as an ordered map's
+/// index does.
+impl std::ops::Index<&str> for Marks {
+    type Output = usize;
+
+    fn index(&self, relation: &str) -> &usize {
+        match self.find(relation) {
+            Ok(at) => &self.entries()[at].1,
+            Err(_) => panic!("no mark for relation `{relation}`"),
+        }
+    }
+}
+
+/// Entries in any order; of two for one relation the later one counts. A
+/// single entry allocates nothing.
+impl FromIterator<(Arc<str>, usize)> for Marks {
+    fn from_iter<I: IntoIterator<Item = (Arc<str>, usize)>>(entries: I) -> Self {
+        let mut marks = Marks::new();
+        for (relation, mark) in entries {
+            marks.insert(relation, mark);
+        }
+        marks
+    }
+}
+
+impl<'a> IntoIterator for &'a Marks {
+    type Item = (&'a Arc<str>, usize);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (Arc<str>, usize)>,
+        fn(&'a (Arc<str>, usize)) -> (&'a Arc<str>, usize),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries().iter().map(|(r, mark)| (r, *mark))
+    }
+}
+
+impl Serialize for Marks {
+    fn serialize<S: Sink>(&self, out: &mut S) -> std::result::Result<(), S::Error> {
+        out.map_begin(self.len())?;
+        for (relation, mark) in self {
+            out.map_key(relation)?;
+            mark.serialize(out)?;
+        }
+        out.map_end()
+    }
+}
+
+impl Deserialize for Marks {
+    fn from_content(c: &Content) -> std::result::Result<Self, DeError> {
+        let entries = c
+            .as_map()
+            .ok_or_else(|| DeError::expected("object", "Marks"))?;
+        (entries.iter())
+            .map(|(relation, mark)| Ok((Arc::from(relation.as_str()), usize::from_content(mark)?)))
+            .collect()
+    }
+}
+
+/// A watermark table as a delta evaluation reads it: each relation's mark,
+/// 0 for a relation it does not name. The program's is [`Marks`]; an
+/// ordered map from relation names to marks (what a caller outside the
+/// program may hold) reads the same way.
+pub trait MarkTable {
+    /// The mark of `relation`: 0 when it is not named.
+    fn mark(&self, relation: &str) -> usize;
+}
+
+impl MarkTable for Marks {
+    fn mark(&self, relation: &str) -> usize {
+        self.get(relation).unwrap_or(0)
+    }
+}
+
+impl<K: std::borrow::Borrow<str> + Ord> MarkTable for BTreeMap<K, usize> {
+    fn mark(&self, relation: &str) -> usize {
+        self.get(relation).copied().unwrap_or(0)
+    }
+}
+
 /// Semi-naive **delta** evaluation over a body compiled from `atoms` and
 /// `constraints`: the bindings derivable using at least one tuple inserted
 /// at or after the given per-relation `watermarks` (missing entries mean 0,
@@ -628,7 +848,7 @@ pub fn evaluate_bindings_since_planned(
     atoms: &[Atom],
     constraints: &[Constraint],
     db: &Database,
-    watermarks: &BTreeMap<Arc<str>, usize>,
+    watermarks: &(impl MarkTable + ?Sized),
     m: &mut EvalMetrics,
 ) -> Result<Bindings> {
     let mut first: Option<Bindings> = None;
@@ -693,6 +913,54 @@ mod tests {
         )
     }
 
+    /// Marks stay sorted and one per relation through every way of
+    /// filling them — one relation inline, more on the heap — a raise
+    /// keeps the larger mark, and of two entries for one relation the later
+    /// one counts.
+    #[test]
+    fn marks_keep_one_sorted_entry_per_relation() {
+        let name = |s: &str| Arc::<str>::from(s);
+        let mut marks = Marks::new();
+        assert_eq!((marks.len(), marks.get("b"), marks.mark("b")), (0, None, 0));
+        assert_eq!(marks.insert(name("b"), 3), None);
+        assert!(matches!(marks.0, Entries::One(_)), "one relation inline");
+        assert_eq!(marks.insert(name("b"), 5), Some(3));
+        marks.raise(&name("b"), 4);
+        assert_eq!(marks["b"], 5);
+        marks.raise(&name("a"), 2);
+        marks.insert(name("c"), 1);
+        let held: Vec<(&str, usize)> = marks.iter().map(|(r, w)| (&**r, w)).collect();
+        assert_eq!(held, [("a", 2), ("b", 5), ("c", 1)]);
+        let entries = [("c", 1), ("a", 9), ("b", 5), ("a", 2)].map(|(r, w)| (name(r), w));
+        assert_eq!(entries.into_iter().collect::<Marks>(), marks);
+        let one: Marks = [(name("b"), 7)].into_iter().collect();
+        assert!(matches!(one.0, Entries::One(_)));
+        let map: BTreeMap<Arc<str>, usize> = [(name("b"), 7)].into();
+        assert_eq!((one.mark("b"), map.mark("b"), map.mark("z")), (7, 7, 0));
+    }
+
+    /// Constraints over constants alone are decided before the first step:
+    /// one that holds keeps every binding, one that fails leaves none, in a
+    /// body with variables and in one without. The first step extends the
+    /// one empty binding, which no buffer holds.
+    #[test]
+    fn ground_constraints_gate_the_whole_body() {
+        let db = chain(3);
+        for (query, rows) in [
+            ("q(X) :- b(X, Y), 1 < 2", 3),
+            ("q(X) :- b(X, Y), 2 < 1", 0),
+            ("q(X) :- b(X, X)", 0),
+            ("q() :- b(0, 1), 1 < 2", 1),
+            ("q() :- b(0, 1), 2 < 1", 0),
+            ("q() :- b(5, 6), 1 < 2", 0),
+        ] {
+            let (body, _) = compile(query, &db);
+            let (bindings, _) = full(&body, &db);
+            assert_eq!(bindings.len(), rows, "{query}");
+            assert_eq!(bindings.rows().count(), rows, "{query}");
+        }
+    }
+
     fn row_set(b: &Bindings) -> HashSet<Vec<Val>> {
         b.rows().map(<[Val]>::to_vec).collect()
     }
@@ -706,7 +974,7 @@ mod tests {
     fn since(
         (body, q): &(CompiledBody, ConjunctiveQuery),
         db: &Database,
-        w: &BTreeMap<Arc<str>, usize>,
+        w: &Marks,
     ) -> (Bindings, EvalMetrics) {
         let mut m = EvalMetrics::default();
         let rows =
@@ -717,7 +985,7 @@ mod tests {
     fn ensure_delta_indexes(
         (body, q): &(CompiledBody, ConjunctiveQuery),
         db: &mut Database,
-        w: &BTreeMap<Arc<str>, usize>,
+        w: &Marks,
     ) {
         body.ensure_delta_indexes(&q.atoms, &q.constraints, db, w)
             .unwrap();
@@ -753,7 +1021,7 @@ mod tests {
     fn delta_planned_matches_legacy() {
         let mut db = db_with_b(&[(1, 2), (2, 3)]);
         let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
-        let w = db.watermarks();
+        let w: Marks = db.watermarks();
         db.insert_values("b", vec![Val::Int(3), Val::Int(4)])
             .unwrap();
         db.insert_values("b", vec![Val::Int(0), Val::Int(1)])
@@ -777,7 +1045,7 @@ mod tests {
         let scanned = |n: i64| -> u64 {
             let mut db = chain(n);
             let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
-            let w = db.watermarks();
+            let w: Marks = db.watermarks();
             db.insert_values("b", vec![Val::Int(n), Val::Int(n + 1)])
                 .unwrap();
             ensure_delta_indexes(&body, &mut db, &w);
@@ -794,7 +1062,7 @@ mod tests {
     fn rebuild_path_scans_the_whole_relation() {
         let mut db = chain(100);
         let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
-        let w = db.watermarks();
+        let w: Marks = db.watermarks();
         db.insert_values("b", vec![Val::Int(500), Val::Int(501)])
             .unwrap();
         // No persistent index yet: every delta plan builds a transient one.
@@ -818,7 +1086,7 @@ mod tests {
     fn empty_watermarks_mean_everything_is_new() {
         let db = db_with_b(&[(1, 2), (2, 3)]);
         let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
-        let (delta, _) = since(&body, &db, &BTreeMap::new());
+        let (delta, _) = since(&body, &db, &Marks::new());
         let (all, _) = full(&body.0, &db);
         assert_eq!(row_set(&delta), row_set(&all));
     }
@@ -827,7 +1095,7 @@ mod tests {
     fn unchanged_database_gives_empty_delta_without_scanning() {
         let mut db = db_with_b(&[(1, 2), (2, 3)]);
         let body = compile("q(X, Z) :- b(X, Y), b(Y, Z)", &db);
-        let w = db.watermarks();
+        let w: Marks = db.watermarks();
         ensure_delta_indexes(&body, &mut db, &w);
         assert!(
             db.relation("b").unwrap().index(&[0]).is_none(),

@@ -13,7 +13,16 @@
 //! heap allocation per row or per key: a stored row costs its `16 × arity`
 //! bytes plus, in membership and in each join index, one 4-byte chain link;
 //! a distinct hash costs one 16-byte map entry per index. Inserting grows
-//! these buffers by amortised doubling. A relation is copy-on-write: a
+//! these buffers by amortised doubling.
+//!
+//! Membership is kept only past a small bound, `LINEAR_ROWS` (8) rows: a
+//! set that holds no more compares a row with each row it holds, and its
+//! index is an empty, unallocated one. Most sets a peer makes are that
+//! small — a fragment's answer, what a subscription sent, a delta, a copy
+//! rule's relations — so each costs one data buffer, and a clone copies
+//! that one buffer. The insert that passes the bound builds the index over
+//! the rows held, hashed as the caller hashes them; from then on the set
+//! reads and maintains it like any other. A relation is copy-on-write: a
 //! clone (of it, or of a [`crate::Database`]) shares its row set and join
 //! indexes, each behind an `Arc`, and copies no row; its first write copies
 //! what it writes, there only, and a row already present copies nothing.
@@ -82,12 +91,22 @@ impl Index {
     /// Indexes `rows` on the columns `cols`: a row's position is its place
     /// in the sequence.
     pub fn build<'a>(cols: &[usize], rows: impl ExactSizeIterator<Item = &'a [Val]>) -> Self {
-        let mut idx = Index::with_capacity(rows.len());
-        for row in rows {
-            idx.link(key_hash(cols.iter().map(|&c| &row[c])));
-        }
+        let mut idx = Index::hashed(rows, |row| key_hash(cols.iter().map(|&c| &row[c])));
         // Sized for one key per row; give back what repeated keys left idle.
         idx.buckets.shrink_to_fit();
+        idx
+    }
+
+    /// Indexes `rows` under `hash`, a row's position being its place in
+    /// the sequence.
+    fn hashed<'a>(
+        rows: impl ExactSizeIterator<Item = &'a [Val]>,
+        hash: impl Fn(&[Val]) -> u64,
+    ) -> Self {
+        let mut idx = Index::with_capacity(rows.len());
+        for row in rows {
+            idx.link(hash(row));
+        }
         idx
     }
 
@@ -151,8 +170,14 @@ impl Iterator for Candidates<'_> {
     }
 }
 
+/// Rows a [`RowSet`] compares one by one: membership of at most this many
+/// rows is a linear scan, with no index behind it, and the insert that
+/// passes the bound builds the index over the rows held.
+const LINEAR_ROWS: usize = 8;
+
 /// A deduplicated, insertion-ordered set of rows of one fixed arity (zero
-/// included): one flat `Vec<Val>` plus its membership chains.
+/// included): one flat `Vec<Val>`, its row count, and — past
+/// `LINEAR_ROWS` rows — its membership chains.
 ///
 /// Serialized as the array of its rows — byte for byte what a `Vec` of
 /// `Vec<Val>` rows writes. Reading one back takes the arity from the first
@@ -160,10 +185,12 @@ impl Iterator for Candidates<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct RowSet {
     arity: usize,
+    /// Number of rows (a field, so arity 0 works).
+    len: usize,
     /// Row-major flat storage: row `i` is `data[i*arity .. (i+1)*arity]`.
     data: Vec<Val>,
-    /// Membership: the index of whole rows, which also counts them (so
-    /// arity 0 works). Never stored.
+    /// Membership: the index of whole rows once the set holds more than
+    /// `LINEAR_ROWS` of them, and unallocated before. Never stored.
     seen: Index,
 }
 
@@ -173,12 +200,14 @@ impl RowSet {
         Self::with_capacity(arity, 0)
     }
 
-    /// An empty set with room for `rows` rows.
+    /// An empty set with room for `rows` rows. Membership is built when
+    /// the rows pass `LINEAR_ROWS`, so no room is kept for it.
     pub fn with_capacity(arity: usize, rows: usize) -> Self {
         RowSet {
             arity,
+            len: 0,
             data: Vec::with_capacity(rows * arity),
-            seen: Index::with_capacity(rows),
+            seen: Index::default(),
         }
     }
 
@@ -199,7 +228,7 @@ impl RowSet {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.seen.next.len()
+        self.len
     }
 
     /// True iff the set holds no row.
@@ -207,14 +236,24 @@ impl RowSet {
         self.len() == 0
     }
 
-    /// Membership test on a row slice.
-    pub fn contains(&self, row: &[Val]) -> bool {
-        row.len() == self.arity && self.holds(row, key_hash(row))
+    /// True iff membership reads the index: the set holds more than
+    /// `LINEAR_ROWS` rows.
+    fn indexed(&self) -> bool {
+        self.len > LINEAR_ROWS
     }
 
-    /// Membership test on a row of the set's arity whose hash is `hash`.
-    fn holds(&self, row: &[Val], hash: u64) -> bool {
-        (self.seen.candidates(hash)).any(|p| self.row(p as usize) == row)
+    /// Membership test on a row slice.
+    pub fn contains(&self, row: &[Val]) -> bool {
+        row.len() == self.arity && self.holds(row, |row| key_hash(row))
+    }
+
+    /// Membership test on a row of the set's arity, which an indexed set
+    /// looks up under `hash(row)`.
+    fn holds(&self, row: &[Val], hash: impl Fn(&[Val]) -> u64) -> bool {
+        if !self.indexed() {
+            return self.iter().any(|held| held == row);
+        }
+        (self.seen.candidates(hash(row))).any(|p| self.row(p as usize) == row)
     }
 
     /// Inserts a row by copy; returns `true` iff it was new.
@@ -223,30 +262,50 @@ impl RowSet {
     /// If the row is not [`RowSet::arity`] values wide: rows from outside
     /// are checked where they arrive.
     pub fn insert(&mut self, row: &[Val]) -> bool {
-        self.insert_hashed(row, key_hash(row))
+        self.insert_hashed(row, |row| key_hash(row))
     }
 
-    /// [`RowSet::insert`] with the row's hash supplied. Tests pass a
-    /// constant here to put every row in one bucket.
-    fn insert_hashed(&mut self, row: &[Val], hash: u64) -> bool {
+    /// [`RowSet::insert`] with the hashing supplied: membership hashes
+    /// every row it indexes through `hash`, the rows held when the set
+    /// passes `LINEAR_ROWS` included. Tests pass a constant here to put
+    /// every row in one bucket.
+    fn insert_hashed(&mut self, row: &[Val], hash: impl Fn(&[Val]) -> u64) -> bool {
         assert_eq!(row.len(), self.arity, "a row of the set's arity");
         // Row positions are `u32`, and `UNLINKED` is not one.
         assert!(
-            self.len() < UNLINKED as usize,
+            self.len < UNLINKED as usize,
             "a row set holds fewer than 2³² − 1 rows"
         );
+        if !self.indexed() {
+            if self.iter().any(|held| held == row) {
+                return false;
+            }
+            self.push(row);
+            if self.indexed() {
+                self.seen = Index::hashed(self.iter(), hash);
+            }
+            return true;
+        }
         let (data, arity) = (&self.data, self.arity);
-        let new = (self.seen).link_unless(hash, |p| &data[p as usize * arity..][..arity] == row);
+        let new =
+            (self.seen).link_unless(hash(row), |p| &data[p as usize * arity..][..arity] == row);
         if new {
-            self.data.extend_from_slice(row);
+            self.push(row);
         }
         new
     }
 
+    /// Appends a row membership has accepted.
+    fn push(&mut self, row: &[Val]) {
+        self.data.extend_from_slice(row);
+        self.len += 1;
+    }
+
     /// The distinct rows among the first `rows` rows of a flat, row-major
     /// buffer, in first-occurrence order: the buffer becomes the store
-    /// (duplicates compacted out in place) and only membership is built,
-    /// so a row is compared only with rows whose hash it shares.
+    /// (duplicates compacted out in place). Up to `LINEAR_ROWS` rows a
+    /// row is compared with the rows kept before it; past that membership
+    /// is built, and a row is compared only with rows whose hash it shares.
     ///
     /// # Panics
     /// If `data` holds fewer than `rows × arity` values.
@@ -257,13 +316,17 @@ impl RowSet {
         );
         data.truncate(rows * arity);
         assert_eq!(data.len(), rows * arity, "a row set's flat rows");
-        let mut seen = Index::with_capacity(rows);
+        let mut seen = Index::default();
         let mut kept = 0;
         for i in 0..rows {
             let row = &data[i * arity..][..arity];
-            if seen.link_unless(key_hash(row), |p| {
-                &data[p as usize * arity..][..arity] == row
-            }) {
+            let held = |p: usize| &data[p * arity..][..arity] == row;
+            let new = if rows <= LINEAR_ROWS {
+                !(0..kept).any(held)
+            } else {
+                seen.link_unless(key_hash(row), |p| held(p as usize))
+            };
+            if new {
                 if kept != i {
                     data.copy_within(i * arity..(i + 1) * arity, kept * arity);
                 }
@@ -271,7 +334,40 @@ impl RowSet {
             }
         }
         data.truncate(kept * arity);
-        RowSet { arity, data, seen }
+        if kept <= LINEAR_ROWS {
+            // Duplicates took the set back under the bound.
+            seen = Index::default();
+        }
+        RowSet {
+            arity,
+            len: kept,
+            data,
+            seen,
+        }
+    }
+
+    /// The first `rows` rows of a flat, row-major buffer, distinct already
+    /// (the caller guarantees it): the buffer becomes the store as it is,
+    /// and membership is built only past `LINEAR_ROWS` rows, with no row
+    /// compared.
+    pub(crate) fn from_distinct(arity: usize, rows: usize, mut data: Vec<Val>) -> Self {
+        data.truncate(rows * arity);
+        let mut set = RowSet {
+            arity,
+            len: rows,
+            data,
+            seen: Index::default(),
+        };
+        set.reindex();
+        set
+    }
+
+    /// Builds membership over the rows held, if the set is large enough to
+    /// keep it.
+    fn reindex(&mut self) {
+        if self.indexed() {
+            self.seen = Index::hashed(self.iter(), |row| key_hash(row));
+        }
     }
 
     /// Row at insertion position `pos`, as a slice into the flat store.
@@ -302,14 +398,15 @@ impl RowSet {
     }
 
     /// Rewrites every symbol through `f` (crash recovery remaps foreign
-    /// catalog ids through the live catalog) and rebuilds membership.
+    /// catalog ids through the live catalog) and rebuilds membership, if
+    /// the set keeps one.
     pub fn remap_syms(&mut self, f: &impl Fn(crate::catalog::SymId) -> crate::catalog::SymId) {
         for v in &mut self.data {
             if let Val::Sym(id) = v {
                 *id = f(*id);
             }
         }
-        self.seen = Index::build(&(0..self.arity).collect::<Vec<_>>(), self.iter());
+        self.reindex();
     }
 
     /// Reads the rows of `rows` (arrays of `arity` values each) into a set.
@@ -408,25 +505,28 @@ impl Relation {
     /// expected to have validated the row against the schema (see
     /// [`crate::Database::insert_row`], which does).
     pub fn insert_row(&mut self, row: &[Val]) -> bool {
-        self.insert_hashed(row, key_hash(row), |cols| {
-            key_hash(cols.iter().map(|&c| &row[c]))
-        })
+        self.insert_hashed(
+            row,
+            |row| key_hash(row),
+            |cols| key_hash(cols.iter().map(|&c| &row[c])),
+        )
     }
 
     /// [`Relation::insert_row`] with the hashing supplied: `row_hash` for
-    /// membership, and `hash(cols)`, the hash of `row` projected onto
-    /// `cols`, for each join index. Tests pass constants here to put every
-    /// row in one bucket. Shared rows are copied only for a new row.
+    /// membership (of every row the set indexes), and `hash(cols)`, the
+    /// hash of `row` projected onto `cols`, for each join index. Tests pass
+    /// constants here to put every row in one bucket. Shared rows are
+    /// copied only for a new row.
     fn insert_hashed(
         &mut self,
         row: &[Val],
-        row_hash: u64,
+        row_hash: impl Fn(&[Val]) -> u64,
         hash: impl Fn(&[usize]) -> u64,
     ) -> bool {
         let rows = match Arc::get_mut(&mut self.rows) {
             Some(rows) => rows,
             None => {
-                if self.rows.holds(row, row_hash) {
+                if self.rows.holds(row, &row_hash) {
                     return false;
                 }
                 Arc::make_mut(&mut self.rows)
@@ -667,37 +767,80 @@ mod tests {
     }
 
     /// Every row hashes alike through the hashed-insert seam, so membership
-    /// and the index each hold one chain: dedup must still compare slices
-    /// along all of it, candidates come oldest first, and a clone extends
-    /// its own chain without touching the original's.
+    /// — once the set passes the linear bound, built over the rows it held
+    /// under that same hashing — and the index each hold one chain: dedup
+    /// must still compare slices along all of it, candidates come oldest
+    /// first, and a clone extends its own chain without touching the
+    /// original's.
     #[test]
     fn colliding_rows_share_one_chain() {
-        let same = |_: &[usize]| 7;
+        let (same, seven) = (|_: &[usize]| 7, |_: &[Val]| 7);
         let mut r = rel();
         r.ensure_index(&[1]);
-        let fresh: Vec<bool> = [(1, 1), (2, 2), (1, 1), (3, 1), (2, 2), (3, 1)]
-            .iter()
-            .map(|&(x, y)| r.insert_hashed(&tup(x, y), 7, same))
-            .collect();
-        assert_eq!(fresh, [true, true, false, true, false, false]);
-        assert_eq!(r.len(), 3);
+        // Row `x` is new; row `x / 2`, offered right after it, is not.
+        let offer = |r: &mut Relation, xs: std::ops::Range<i64>| {
+            for x in xs {
+                assert!(r.insert_hashed(&tup(x, 1), seven, same), "{x} is new");
+                assert!(!r.insert_hashed(&tup(x / 2, 1), seven, same), "{x} / 2");
+            }
+        };
+        offer(&mut r, 0..LINEAR_ROWS as i64);
+        assert_eq!(r.len(), LINEAR_ROWS);
+        assert!(r.rows.seen.next.is_empty(), "no index up to the bound");
+        offer(&mut r, LINEAR_ROWS as i64..12);
+        assert_eq!(r.len(), 12);
         let chain = |idx: &Index| idx.candidates(7).collect::<Vec<u32>>();
-        assert_eq!(chain(&r.rows.seen), [0, 1, 2]);
-        assert_eq!(chain(r.index(&[1]).unwrap()), [0, 1, 2]);
+        let upto = |n: u32| (0..n).collect::<Vec<u32>>();
+        assert_eq!(chain(&r.rows.seen), upto(12));
+        assert_eq!(chain(r.index(&[1]).unwrap()), upto(12));
         assert_eq!(r.rows.seen.candidates(8).count(), 0);
 
         let mut copy = r.clone();
-        assert!(copy.insert_hashed(&tup(4, 4), 7, same));
-        assert!(!copy.insert_hashed(&tup(4, 4), 7, same));
-        assert_eq!(chain(&copy.rows.seen), [0, 1, 2, 3]);
-        assert_eq!(chain(copy.index(&[1]).unwrap()), [0, 1, 2, 3]);
-        assert_eq!(chain(&r.rows.seen), [0, 1, 2], "the original is untouched");
-        assert_eq!(r.len(), 3);
+        assert!(copy.insert_hashed(&tup(40, 4), seven, same));
+        assert!(!copy.insert_hashed(&tup(40, 4), seven, same));
+        assert!(!copy.insert_hashed(&tup(3, 1), seven, same));
+        assert_eq!(chain(&copy.rows.seen), upto(13));
+        assert_eq!(chain(copy.index(&[1]).unwrap()), upto(13));
+        assert_eq!(chain(&r.rows.seen), upto(12), "the original is untouched");
+        assert_eq!(r.len(), 12);
 
         // Rebuilding membership from storage uses the real hashes again.
         copy.remap_syms(&|id| id);
-        assert!(copy.contains(&tup(4, 4)) && copy.contains(&tup(1, 1)));
+        assert!(copy.contains(&tup(40, 4)) && copy.contains(&tup(0, 1)));
         assert!(!copy.insert_row(&tup(3, 1)));
+        assert_eq!(copy.rows.seen.candidates(7).count(), 0);
+    }
+
+    /// `from_flat` keeps what a `Vec` dedup keeps, in the same order, below,
+    /// at and above the linear bound, with duplicates taking a set of many
+    /// rows back under it: then it keeps no index.
+    #[test]
+    fn from_flat_matches_a_vec_dedup_across_the_bound() {
+        for rows in 0..=3 * LINEAR_ROWS {
+            for distinct in 1..=rows.max(1) {
+                let row = |i: usize| tup((i % distinct) as i64, -((i % distinct) as i64));
+                let flat: Vec<Val> = (0..rows).flat_map(row).collect();
+                let set = RowSet::from_flat(2, rows, flat);
+                let mut model: Vec<Vec<Val>> = Vec::new();
+                for i in 0..rows {
+                    if !model.contains(&row(i)) {
+                        model.push(row(i));
+                    }
+                }
+                let got: Vec<Vec<Val>> = set.iter().map(<[Val]>::to_vec).collect();
+                assert_eq!(got, model, "{rows} rows, {distinct} distinct");
+                assert_eq!(set.len(), model.len());
+                assert_eq!(
+                    set.seen.next.len(),
+                    if set.indexed() { set.len() } else { 0 }
+                );
+                assert!(model.iter().all(|r| set.contains(r)));
+                assert!(!set.contains(&tup(-1, 1)));
+                let mut grown = set.clone();
+                assert!(model.iter().all(|r| !grown.insert(r)), "present");
+                assert!(grown.insert(&tup(-1, 1)));
+            }
+        }
     }
 
     /// Rows `(x, x % 3)` for `x` in `xs`, under an index on column 1.
@@ -840,14 +983,17 @@ mod tests {
 
         /// A row set against the `Vec` of tuples and the `HashSet` it
         /// replaced, kept in lockstep: random inserts with frequent
-        /// duplicates over arity 0–3, every row hashed alike (one chain)
-        /// half the time. `insert`'s result, the order, `len`, `contains`
-        /// and every `since` suffix agree, and the set serializes to the
-        /// bytes of the `Vec` and reads back equal.
+        /// duplicates over arity 0–3 (up to 216 distinct rows, so sets end
+        /// on either side of the linear bound), every row hashed alike (one
+        /// chain) half the time. `insert`'s result, the order, `len`,
+        /// `contains` and every `since` suffix agree, the set serializes to
+        /// the bytes of the `Vec` and reads back equal, and `from_flat` of
+        /// every row offered — duplicates included, so it may fall back
+        /// under the bound — is the same set.
         #[test]
         fn row_set_matches_a_vec_and_a_hash_set(
             arity in 0usize..4,
-            picks in proptest::collection::vec(proptest::collection::vec(0u8..4, 3..4), 0..40),
+            picks in proptest::collection::vec(proptest::collection::vec(0u8..6, 3..4), 0..40),
             collide in proptest::prelude::any::<bool>(),
         ) {
             use proptest::prelude::*;
@@ -861,9 +1007,18 @@ mod tests {
                 if fresh {
                     rows.push(row.clone());
                 }
-                prop_assert_eq!(set.insert_hashed(&row, hash(&row)), fresh);
+                prop_assert_eq!(set.insert_hashed(&row, hash), fresh);
                 prop_assert_eq!(set.len(), rows.len());
-                prop_assert!(!set.insert_hashed(&row, hash(&row)), "present now");
+                prop_assert!(!set.insert_hashed(&row, hash), "present now");
+                prop_assert_eq!(set.seen.next.len(), if set.len() > LINEAR_ROWS { set.len() } else { 0 });
+            }
+            let offered: Vec<Val> = (picks.iter())
+                .flat_map(|pick| pick[..arity].iter().map(|&k| small(k)))
+                .collect();
+            let flat = RowSet::from_flat(arity, picks.len(), offered);
+            prop_assert_eq!(&flat, &set);
+            for row in &rows {
+                prop_assert!(flat.contains(row));
             }
             for other in rows.iter().cloned().chain([
                 vec![Val::Int(9); arity],

@@ -8,6 +8,7 @@ mod legacy;
 use legacy::{evaluate_legacy, resolve_rows, LegacyDatabase};
 use p2p_relational::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
 use p2p_relational::query::evaluate;
+use p2p_relational::query::Marks;
 use p2p_relational::value::NullId;
 use p2p_relational::{ConstCatalog, Database, DatabaseSchema, Relation, Val};
 use proptest::prelude::*;
@@ -175,7 +176,7 @@ proptest! {
         assert!(!text.contains("present"), "{text}");
         let back: Database = serde_json::from_str(&text).unwrap();
         prop_assert_eq!(back.all_facts(), db.all_facts());
-        prop_assert_eq!(back.watermarks(), db.watermarks());
+        prop_assert_eq!(back.watermarks::<Marks>(), db.watermarks());
         // Dedup (membership rebuild) still functions after the round trip.
         let mut back = back;
         for (rel, t) in db.all_facts() {

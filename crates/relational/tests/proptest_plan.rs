@@ -15,11 +15,11 @@ use p2p_relational::chase::CompiledHead;
 use p2p_relational::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
 use p2p_relational::query::{
     compile_body, evaluate_bindings_since_planned, execute_plan, Bindings, CompiledBody,
-    EvalMetrics, PlanCatalog,
+    EvalMetrics, Marks, PlanCatalog,
 };
 use p2p_relational::{Database, DatabaseSchema, Val, Value};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A random instance: two binary relations over a small integer domain.
@@ -249,7 +249,7 @@ proptest! {
         body.full.ensure_indexes(&mut db).unwrap();
         for (use_r, x, y) in extra {
             let before = row_set(&full(&body, &db).0);
-            let w = db.watermarks();
+            let w: Marks = db.watermarks();
             let rel = if use_r { "r" } else { "s" };
             db.insert_values(rel, vec![Val::Int(x), Val::Int(y)]).unwrap();
 
@@ -293,7 +293,7 @@ proptest! {
             distinct.insert(format!("{:?}", own.full));
             // A subscriber that holds nothing executes every delta plan
             // whose relation has a row.
-            let none = BTreeMap::new();
+            let none = Marks::new();
             catalog.fill_deltas(&shared, &atoms, &constraints, &db, &none).unwrap();
             own.ensure_delta_indexes(&atoms, &constraints, &mut db.clone(), &none).unwrap();
             prop_assert_eq!(format!("{shared:?}"), format!("{own:?}"));

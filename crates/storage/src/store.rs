@@ -5,6 +5,7 @@ use crate::backend::StorageBackend;
 use crate::wal::{WalFrame, WalRecord};
 use crate::{StorageError, StorageResult};
 use p2p_net::{Codec, SessionId};
+use p2p_relational::query::Marks;
 use p2p_relational::value::NullId;
 use p2p_relational::{ConstCatalog, Database, RowSet, SymId, SymRemap, Val};
 use p2p_topology::NodeId;
@@ -53,12 +54,12 @@ pub struct DatabaseSnapshot {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FragmentMark {
     /// Column variables of `rows`.
-    pub vars: Vec<Arc<str>>,
+    pub vars: Arc<[Arc<str>]>,
     /// Accumulated fragment rows over `vars`, deduplicated, in
     /// first-arrival order.
     pub rows: RowSet,
     /// Per relation, the highest watermark any processed answer carried.
-    pub watermarks: BTreeMap<Arc<str>, usize>,
+    pub watermarks: Marks,
 }
 
 /// The durable knowledge about the body side of one subscription: how much
@@ -72,7 +73,7 @@ pub struct CursorMark {
     pub part: Content,
     /// Per relation of the fragment, the watermark below which the
     /// subscriber holds every row this peer's facts derive.
-    pub watermarks: BTreeMap<Arc<str>, usize>,
+    pub watermarks: Marks,
     /// Rows shipped on the subscription so far (a statistic).
     pub rows: usize,
 }
@@ -97,37 +98,45 @@ pub struct RecoveredState {
     pub last_session: SessionId,
 }
 
-/// Per relation, the highest watermark an answer carried.
-type Watermarks = BTreeMap<Arc<str>, usize>;
-
 /// What a fold keeps of one fragment's answers: the running store the
 /// newest watermarks only — the rows are their owner's, who hands them to
 /// [`PeerStorage::snapshot`] — and a recovery the rows too
 /// ([`FragmentMark`]), which a restart primes the owner with.
 trait Mark: Default {
     /// The newest watermarks.
-    fn newest(&mut self) -> &mut Watermarks;
+    fn newest(&mut self) -> &mut Marks;
     /// Folds an answer's rows in, through the recovery remap.
-    fn add_rows(&mut self, vars: &[Arc<str>], rows: &RowSet, map: &SymRemap) -> StorageResult<()>;
+    fn add_rows(
+        &mut self,
+        vars: &Arc<[Arc<str>]>,
+        rows: &RowSet,
+        map: &SymRemap,
+    ) -> StorageResult<()>;
 }
 
-impl Mark for Watermarks {
-    fn newest(&mut self) -> &mut Watermarks {
+/// Per relation, the highest watermark an answer carried.
+impl Mark for Marks {
+    fn newest(&mut self) -> &mut Marks {
         self
     }
-    fn add_rows(&mut self, _: &[Arc<str>], _: &RowSet, _: &SymRemap) -> StorageResult<()> {
+    fn add_rows(&mut self, _: &Arc<[Arc<str>]>, _: &RowSet, _: &SymRemap) -> StorageResult<()> {
         Ok(())
     }
 }
 
 impl Mark for FragmentMark {
-    fn newest(&mut self) -> &mut Watermarks {
+    fn newest(&mut self) -> &mut Marks {
         &mut self.watermarks
     }
     /// Rows not as wide as the mark's are corrupt.
-    fn add_rows(&mut self, vars: &[Arc<str>], rows: &RowSet, map: &SymRemap) -> StorageResult<()> {
+    fn add_rows(
+        &mut self,
+        vars: &Arc<[Arc<str>]>,
+        rows: &RowSet,
+        map: &SymRemap,
+    ) -> StorageResult<()> {
         if self.vars.is_empty() {
-            self.vars = vars.to_vec();
+            self.vars = Arc::clone(vars);
         }
         if self.rows.is_empty() {
             self.rows = RowSet::new(self.vars.len());
@@ -148,7 +157,7 @@ impl Mark for FragmentMark {
 }
 
 /// The answer and cursor logs folded as they are written (with
-/// [`Watermarks`] marks: what only the log knows) or replayed (with
+/// [`Marks`]: what only the log knows) or replayed (with
 /// [`FragmentMark`]s). Folding is idempotent — rows deduplicate in each
 /// mark's [`RowSet`], watermarks merge by per-relation maximum; cursors and
 /// forgotten rules are last-writer-wins — so frames a snapshot already
@@ -176,8 +185,7 @@ impl<M: Mark> LogFold<M> {
                 let mark = self.marks.entry((*rule, *node)).or_default();
                 mark.add_rows(vars, rows, remap)?;
                 for (relation, w) in watermarks {
-                    let newest = mark.newest().entry(relation.clone()).or_default();
-                    *newest = (*newest).max(*w);
+                    mark.newest().raise(relation, w);
                 }
                 self.last_session = self.last_session.max(*session);
             }
@@ -208,6 +216,10 @@ impl<M: Mark> LogFold<M> {
     }
 }
 
+/// What an owner holds of one fragment, for a checkpoint: its columns and
+/// its rows (`None`: nothing, as for a rule with one body node).
+pub type Held<'h> = Option<(&'h Arc<[Arc<str>]>, &'h RowSet)>;
+
 /// A peer's durable store: commits WAL records a frame at a time, says when
 /// a checkpoint is due, and recovers the pre-crash state.
 #[derive(Debug)]
@@ -225,7 +237,7 @@ pub struct PeerStorage {
     /// Symbols whose `(id, string)` definition the newest snapshot or a
     /// frame after it carries — the first-use filter for WAL dictionaries.
     persisted_syms: HashSet<SymId>,
-    folded: LogFold<Watermarks>,
+    folded: LogFold<Marks>,
 }
 
 impl PeerStorage {
@@ -329,7 +341,7 @@ impl PeerStorage {
         db: &Database,
         nulls_next: u64,
         depths: Vec<(NullId, u32)>,
-        held: impl Fn(u32, NodeId) -> Option<(&'h [Arc<str>], &'h RowSet)>,
+        held: impl Fn(u32, NodeId) -> Held<'h>,
     ) -> StorageResult<()> {
         // A database clone shares its relations; a mark's rows are copied
         // into the snapshot, and dropped with it once written.
@@ -337,7 +349,7 @@ impl PeerStorage {
             .map(|(&(rule, node), watermarks)| {
                 let mut mark = FragmentMark::default();
                 if let Some((vars, rows)) = held(rule, node) {
-                    (mark.vars, mark.rows) = (vars.to_vec(), rows.clone());
+                    (mark.vars, mark.rows) = (Arc::clone(vars), rows.clone());
                 }
                 mark.watermarks = watermarks.clone();
                 (rule, node, mark)
@@ -506,7 +518,7 @@ mod tests {
     }
 
     fn answer(session: SessionId, rows: Vec<Vec<Val>>, mark: usize) -> WalRecord {
-        let mut watermarks = BTreeMap::new();
+        let mut watermarks = Marks::new();
         watermarks.insert(Arc::<str>::from("b"), mark);
         let mut set = RowSet::new(rows.first().map_or(1, Vec::len));
         set.extend(rows.iter().map(Vec::as_slice));
@@ -514,7 +526,7 @@ mod tests {
             session,
             rule: 5,
             node: NodeId(2),
-            vars: vec![Arc::from("X")],
+            vars: [Arc::from("X")].into(),
             rows: set,
             watermarks,
         }
@@ -554,7 +566,7 @@ mod tests {
         insert(&mut st, &mut db, "b", vec![Val::Int(7)]);
         let rec = st.recover(0).unwrap().unwrap();
         assert_eq!(rec.db.all_facts(), db.all_facts());
-        assert_eq!(rec.db.watermarks(), db.watermarks());
+        assert_eq!(rec.db.watermarks::<Marks>(), db.watermarks());
     }
 
     #[test]
@@ -651,7 +663,7 @@ mod tests {
         let rec = st.recover(0).unwrap().unwrap();
         let mark = &rec.marks[&(5, NodeId(2))];
         assert_eq!(tuples(&mark.rows), vec![row1, row2]); // deduplicated, in order
-        assert_eq!(mark.watermarks[&Arc::<str>::from("b")], 4);
+        assert_eq!(mark.watermarks["b"], 4);
         assert_eq!(rec.last_session, sid);
     }
 
@@ -674,7 +686,7 @@ mod tests {
             tuples(&mark.rows),
             vec![vec![Val::Int(7)], vec![Val::Int(1)]]
         );
-        assert_eq!(mark.watermarks[&Arc::<str>::from("b")], 9);
+        assert_eq!(mark.watermarks["b"], 9);
         assert_eq!(rec.last_session, s2);
     }
 
@@ -682,8 +694,8 @@ mod tests {
     /// the rows of recovered `marks`, which is what a restarted owner holds.
     fn held<'m>(
         marks: &'m BTreeMap<(u32, NodeId), FragmentMark>,
-    ) -> impl Fn(u32, NodeId) -> Option<(&'m [Arc<str>], &'m RowSet)> {
-        |rule, node| (marks.get(&(rule, node))).map(|mark| (&mark.vars[..], &mark.rows))
+    ) -> impl Fn(u32, NodeId) -> Held<'m> {
+        |rule, node| (marks.get(&(rule, node))).map(|mark| (&mark.vars, &mark.rows))
     }
 
     /// A snapshot carries the folded answer log with the rows the owner
@@ -737,7 +749,7 @@ mod tests {
             .unwrap();
         let after = st.recover(0).unwrap().unwrap();
         assert_eq!(after.db.all_facts(), db.all_facts());
-        assert_eq!(after.db.watermarks(), db.watermarks());
+        assert_eq!(after.db.watermarks::<Marks>(), db.watermarks());
         assert_eq!(after.marks, before.marks);
         assert_eq!(after.last_session, sid);
 
@@ -975,7 +987,7 @@ mod tests {
         let answer = |rows: Vec<Vec<Val>>, mark: usize| {
             let mut record = answer(SessionId::new(NodeId(1), 3), rows, mark);
             if let WalRecord::Answer { vars, .. } = &mut record {
-                *vars = vec![Arc::from("X"), Arc::from("Y")];
+                *vars = [Arc::from("X"), Arc::from("Y")].into();
             }
             record
         };
@@ -994,9 +1006,9 @@ mod tests {
             let owner = BTreeMap::from([(
                 (5, NodeId(2)),
                 FragmentMark {
-                    vars: vec![Arc::from("X"), Arc::from("Y")],
+                    vars: [Arc::from("X"), Arc::from("Y")].into(),
                     rows,
-                    watermarks: BTreeMap::new(),
+                    watermarks: Marks::new(),
                 },
             )]);
             let written = |st: &mut PeerStorage, owner: &BTreeMap<_, _>| {
@@ -1029,13 +1041,13 @@ mod tests {
     #[test]
     fn a_snapshot_whose_mark_holds_a_ragged_row_is_corrupt() {
         let mark = FragmentMark {
-            vars: vec![Arc::from("X"), Arc::from("Y")],
+            vars: [Arc::from("X"), Arc::from("Y")].into(),
             rows: {
                 let mut rows = RowSet::new(2);
                 rows.insert(&[Val::Int(1), Val::Int(2)]);
                 rows
             },
-            watermarks: BTreeMap::new(),
+            watermarks: Marks::new(),
         };
         let snap = DatabaseSnapshot {
             nulls_next: 0,

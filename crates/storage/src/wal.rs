@@ -22,11 +22,11 @@
 use crate::store::CursorMark;
 use crate::{StorageError, StorageResult};
 use p2p_net::{Codec, SessionId};
+use p2p_relational::query::Marks;
 use p2p_relational::value::NullId;
 use p2p_relational::{RowSet, SymId, Val};
 use p2p_topology::NodeId;
 use serde::{content_get, Content, Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::sync::Arc;
 
@@ -103,8 +103,8 @@ pub enum WalRecord {
         /// The answering peer.
         node: NodeId,
         /// Column variables of `rows`.
-        #[serde(default, skip_serializing_if = "Vec::is_empty")]
-        vars: Vec<Arc<str>>,
+        #[serde(default, skip_serializing_if = "no_vars")]
+        vars: Arc<[Arc<str>]>,
         /// The shipped rows (head-side fragment rebuild), the answer's own
         /// set: encoded as the array of its rows, as a list of tuples
         /// holding them was. Empty for a rule with a single body node, whose
@@ -112,7 +112,7 @@ pub enum WalRecord {
         #[serde(default, skip_serializing_if = "RowSet::is_empty")]
         rows: RowSet,
         /// The answerer's per-relation insertion watermarks at answer time.
-        watermarks: BTreeMap<Arc<str>, usize>,
+        watermarks: Marks,
     },
     /// The body side of a subscription moved: the cursor this peer serves
     /// `subscriber` from for `rule` was set (started from scratch, or
@@ -133,6 +133,11 @@ pub enum WalRecord {
         /// The rule (raw id).
         rule: u32,
     },
+}
+
+/// Whether an answer record names no column, which its encoding leaves out.
+fn no_vars(vars: &Arc<[Arc<str>]>) -> bool {
+    vars.is_empty()
 }
 
 impl WalRecord {
@@ -232,13 +237,13 @@ mod tests {
 
     #[test]
     fn answer_record_roundtrips_with_watermarks() {
-        let mut watermarks = BTreeMap::new();
+        let mut watermarks = Marks::new();
         watermarks.insert(Arc::<str>::from("b"), 7usize);
         let frame = one(WalRecord::Answer {
             session: SessionId::new(NodeId(0), 3),
             rule: 4,
             node: NodeId(3),
-            vars: vec![Arc::from("X"), Arc::from("Y")],
+            vars: [Arc::from("X"), Arc::from("Y")].into(),
             rows: RowSet::from_flat(2, 1, vec![Val::Int(1), Val::Int(2)]),
             watermarks,
         });
@@ -247,7 +252,7 @@ mod tests {
 
     #[test]
     fn cursor_record_roundtrips_with_and_without_its_fragment() {
-        let mut watermarks = BTreeMap::new();
+        let mut watermarks = Marks::new();
         watermarks.insert(Arc::<str>::from("b"), 7usize);
         let start = CursorMark {
             part: serde::Content::Map(vec![("node".into(), serde::Content::U64(3))]),
@@ -278,7 +283,7 @@ mod tests {
     /// reads the same.
     #[test]
     fn frames_leave_empty_lists_out_and_read_the_earlier_form() {
-        let mut watermarks = BTreeMap::new();
+        let mut watermarks = Marks::new();
         watermarks.insert(Arc::<str>::from("b"), 7usize);
         let frame = WalFrame {
             dict: vec![],
@@ -292,7 +297,7 @@ mod tests {
                     session: SessionId::new(NodeId(0), 3),
                     rule: 4,
                     node: NodeId(3),
-                    vars: vec![],
+                    vars: Arc::default(),
                     rows: RowSet::default(),
                     watermarks,
                 },
@@ -338,13 +343,13 @@ mod tests {
 
     #[test]
     fn binary_frames_roundtrip_and_undercut_json() {
-        let mut watermarks = BTreeMap::new();
+        let mut watermarks = Marks::new();
         watermarks.insert(Arc::<str>::from("b"), 7usize);
         let frame = one(WalRecord::Answer {
             session: SessionId::new(NodeId(0), 3),
             rule: 4,
             node: NodeId(3),
-            vars: vec![Arc::from("X"), Arc::from("Y")],
+            vars: [Arc::from("X"), Arc::from("Y")].into(),
             rows: RowSet::from_flat(
                 2,
                 20,

@@ -46,7 +46,7 @@ fn record(db: &mut Database, r: usize) -> WalRecord {
             session: SessionId::new(NodeId(0), r as u64),
             rule: 1,
             node: NodeId(5),
-            vars: Vec::new(),
+            vars: Arc::default(),
             rows: Default::default(),
             watermarks: [(Arc::<str>::from("r"), r)].into_iter().collect(),
         }

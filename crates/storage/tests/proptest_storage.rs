@@ -9,6 +9,7 @@
 //! frames, never a panic.
 
 use p2p_net::{Codec, SessionId};
+use p2p_relational::query::Marks;
 use p2p_relational::value::NullId;
 use p2p_relational::{Database, DatabaseSchema, Val};
 use p2p_storage::{
@@ -105,7 +106,7 @@ proptest! {
         let rec = store.recover(NODE).unwrap().expect("initial snapshot exists");
         // Fact identity, including insertion order (watermark semantics).
         prop_assert_eq!(rec.db.all_facts(), db.all_facts());
-        prop_assert_eq!(rec.db.watermarks(), db.watermarks());
+        prop_assert_eq!(rec.db.watermarks::<Marks>(), db.watermarks());
         prop_assert_eq!(rec.nulls_next, nulls_next);
         let rec_depths: BTreeMap<NullId, u32> = rec.depths.into_iter().collect();
         prop_assert_eq!(rec_depths, depths);
@@ -192,7 +193,7 @@ proptest! {
 
         let mut cursors: BTreeMap<(NodeId, u32), CursorMark> = BTreeMap::new();
         let mut marks: BTreeMap<(u32, NodeId), FragmentMark> = BTreeMap::new();
-        let marks_of = |n: usize| -> BTreeMap<Arc<str>, usize> {
+        let marks_of = |n: usize| -> Marks {
             [(Arc::<str>::from("r"), n)].into_iter().collect()
         };
         for (ops, snapshot) in &steps {
@@ -240,13 +241,12 @@ proptest! {
                     SubOp::Answer { rule, key, mark } => {
                         let key = (u32::from(rule), NodeId(u32::from(key)));
                         let held = marks.entry(key).or_default();
-                        let newest = held.watermarks.entry(Arc::from("r")).or_default();
-                        *newest = (*newest).max(mark);
+                        held.watermarks.raise(&Arc::from("r"), mark);
                         frame.push(WalRecord::Answer {
                             session: SessionId::default(),
                             rule: key.0,
                             node: key.1,
-                            vars: Vec::new(),
+                            vars: Arc::default(),
                             rows: Default::default(),
                             watermarks: marks_of(mark),
                         });
@@ -333,7 +333,7 @@ fn acknowledged_history(
                         session: SessionId::default(),
                         rule: 1,
                         node: NodeId(3),
-                        vars: Vec::new(),
+                        vars: Arc::default(),
                         rows: Default::default(),
                         watermarks: [(Arc::<str>::from("u"), x as usize)].into_iter().collect(),
                     };

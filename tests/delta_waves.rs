@@ -11,7 +11,7 @@ use p2pdb::core::rule::CoordinationRule;
 use p2pdb::core::stats::PeerStats;
 use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
 use p2pdb::net::{SimTime, Simulator, UniformLatency};
-use p2pdb::relational::query::Idents;
+use p2pdb::relational::query::{Idents, Marks};
 use p2pdb::relational::{Database, DatabaseSchema, ShowRow, Val};
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
@@ -286,13 +286,13 @@ proptest! {
             db.insert_values("b", vec![Val::Int(*x), Val::Int(*y)]).unwrap();
             db.insert_values("a", vec![Val::Int(*x)]).unwrap();
         }
-        let w = db.watermarks();
+        let w: Marks = db.watermarks();
 
         let mut cloned = db.clone();
         let json = serde_json::to_string(&db).unwrap();
         let mut restored: Database = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(restored.watermarks(), w.clone());
-        prop_assert_eq!(cloned.watermarks(), w.clone());
+        prop_assert_eq!(restored.watermarks::<Marks>(), w.clone());
+        prop_assert_eq!(cloned.watermarks::<Marks>(), w.clone());
 
         // Inserting the same facts into all three yields the same deltas.
         for (x, y) in &second {
@@ -303,6 +303,6 @@ proptest! {
         prop_assert_eq!(db.facts_since(&w), cloned.facts_since(&w));
         prop_assert_eq!(db.facts_since(&w), restored.facts_since(&w));
         // And the current watermarks still describe "nothing new".
-        prop_assert!(db.facts_since(&db.watermarks()).is_empty());
+        prop_assert!(db.facts_since(&db.watermarks::<Marks>()).is_empty());
     }
 }

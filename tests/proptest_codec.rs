@@ -15,6 +15,7 @@ use p2pdb::core::netfile::{NetworkFile, NodeDecl, RuleDecl};
 use p2pdb::core::rule::RuleId;
 use p2pdb::core::stats::PeerStats;
 use p2pdb::net::{Codec, SessionId};
+use p2pdb::relational::query::Marks;
 use p2pdb::relational::value::NullId;
 use p2pdb::relational::Value;
 use p2pdb::relational::{ConstCatalog, Database, DatabaseSchema, RowSet, SymId, Val};
@@ -50,13 +51,18 @@ fn null_depths() -> impl Strategy<Value = Vec<(NullId, u32)>> {
     )
 }
 
-fn marks() -> impl Strategy<Value = BTreeMap<Arc<str>, usize>> {
+/// Watermark entries in drawn order, relations repeating.
+fn mark_entries() -> impl Strategy<Value = Vec<(Arc<str>, usize)>> {
     proptest::collection::vec((0u8..6, 0usize..100_000), 0..5).prop_map(|pairs| {
         pairs
             .into_iter()
             .map(|(k, v)| (Arc::<str>::from(format!("rel{k}")), v))
             .collect()
     })
+}
+
+fn marks() -> impl Strategy<Value = Marks> {
+    mark_entries().prop_map(|entries| entries.into_iter().collect())
 }
 
 fn dict() -> impl Strategy<Value = Vec<(SymId, Arc<str>)>> {
@@ -105,7 +111,7 @@ fn part(node: u32) -> Arc<p2pdb::core::rule::BodyPart> {
         node: NodeId(node),
         atoms: vec![],
         local_constraints: vec![],
-        vars: vec![Arc::from("X")],
+        vars: [Arc::from("X")].into(),
     })
 }
 
@@ -226,7 +232,7 @@ fn wal_record() -> impl Strategy<Value = WalRecord> {
                     session,
                     rule,
                     node: NodeId(node),
-                    vars: vec![Arc::from("X")],
+                    vars: [Arc::from("X")].into(),
                     rows: RowSet::from_flat(1, vals.len(), vals),
                     watermarks,
                 }
@@ -246,7 +252,7 @@ fn fragment_doc(node: u32) -> serde::Content {
         node: NodeId(node),
         atoms: vec![],
         local_constraints: vec![],
-        vars: vec![Arc::from("X"), Arc::from("Y")],
+        vars: [Arc::from("X"), Arc::from("Y")].into(),
     };
     part.to_content().unwrap()
 }
@@ -643,6 +649,25 @@ proptest! {
         let from_text: RowSet = serde_json::from_str(&text).unwrap();
         prop_assert_eq!(&from_bytes, &set);
         prop_assert_eq!(&from_text, &set);
+    }
+
+    /// Watermarks encode, in both codecs, to the bytes of the ordered map
+    /// they replaced — whatever order their entries came in, the later of
+    /// two for one relation winning in both — and read back equal.
+    #[test]
+    fn marks_encode_like_the_map_they_replaced(entries in mark_entries()) {
+        let marks: Marks = entries.iter().cloned().collect();
+        let map: BTreeMap<Arc<str>, usize> = entries.into_iter().collect();
+        prop_assert_eq!(marks.len(), map.len());
+        prop_assert!(map.iter().all(|(relation, &w)| marks.get(relation) == Some(w)));
+        let bytes = binpack::to_bytes(&marks).unwrap();
+        prop_assert_eq!(&bytes, &binpack::to_bytes(&map).unwrap());
+        let text = serde_json::to_string(&marks).unwrap();
+        prop_assert_eq!(&text, &serde_json::to_string(&map).unwrap());
+        let from_bytes: Marks = binpack::from_bytes(&bytes).unwrap();
+        let from_text: Marks = serde_json::from_str(&text).unwrap();
+        prop_assert_eq!(&from_bytes, &marks);
+        prop_assert_eq!(&from_text, &marks);
     }
 
     /// Foreign-process dictionaries (symbol ids minted in another catalog)

@@ -109,7 +109,7 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                         node: NodeId(session.root.0),
                         atoms: vec![],
                         local_constraints: vec![],
-                        vars: vec![Arc::from("X")],
+                        vars: [Arc::from("X")].into(),
                     });
                     let from = if round % 2 == 0 {
                         Start::Resume
