@@ -52,15 +52,15 @@ fn dblp_query() -> ProtocolMsg {
     ProtocolMsg::Query(Query {
         session: SessionId::new(NodeId(0), 1),
         rule: RuleId(2),
-        part: Arc::new(BodyPart {
-            node: NodeId(3),
-            atoms: vec![
+        part: Arc::new(BodyPart::new(
+            NodeId(3),
+            vec![
                 Atom::new("pub", var(&["I", "T", "Y"])),
                 Atom::new("wrote", written),
             ],
-            local_constraints: vec![],
-            vars: ["I", "T", "Y", "A"].map(Arc::from).into(),
-        }),
+            vec![],
+            ["I", "T", "Y", "A"].map(Arc::from).into(),
+        )),
         sn: [NodeId(0), NodeId(1), NodeId(3)].into(),
         from: Start::Fresh,
         via: Via::Session,

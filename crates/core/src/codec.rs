@@ -821,12 +821,12 @@ mod tests {
             ProtocolMsg::Query(Query {
                 session: sid(3),
                 rule: RuleId(7),
-                part: Arc::new(crate::rule::BodyPart {
-                    node: NodeId(1),
-                    atoms: vec![],
-                    local_constraints: vec![],
-                    vars: [Arc::from("X")].into(),
-                }),
+                part: Arc::new(crate::rule::BodyPart::new(
+                    NodeId(1),
+                    vec![],
+                    vec![],
+                    [Arc::from("X")].into(),
+                )),
                 sn: [NodeId(0), NodeId(2)].into(),
                 from,
                 via: Via::Session,
@@ -885,12 +885,12 @@ mod tests {
     #[test]
     fn eager_queries_and_answers_keep_their_bytes() {
         let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
-        let part = Arc::new(crate::rule::BodyPart {
-            node: NodeId(1),
-            atoms: vec![],
-            local_constraints: vec![],
-            vars: [Arc::from("X")].into(),
-        });
+        let part = Arc::new(crate::rule::BodyPart::new(
+            NodeId(1),
+            vec![],
+            vec![],
+            [Arc::from("X")].into(),
+        ));
         let query_json = r#"{"Query":{"session":{"root":3,"epoch":5},"rule":7,"part":{"node":1,"atoms":[],"local_constraints":[],"vars":["X"]},"sn":[0,2]"#;
         let query_bin = "0305070033080400046e6f64650401000561746f6d73070000116c6f63616c5f636f6e73747261696e747307000004766172730701060158020002";
         for (from, tag, tail) in [

@@ -8,8 +8,8 @@
 //! [`CompiledBody`] at the body node, the head into a [`CompiledHead`] at
 //! the head node. A [`crate::peer::DbPeer`] takes both from its system's
 //! [`p2p_relational::query::PlanCatalog`], where peers serving fragments or
-//! chasing heads of one shape share one compiled copy, and holds them per
-//! rule. A fragment's rows are its plan's binding buffer, moved into a
+//! chasing heads of one shape share one compiled copy, and the fragment and
+//! the rule hold them. A fragment's rows are its plan's binding buffer, moved into a
 //! [`RowSet`] that travels unchanged to the head, and a binding row reaches
 //! the head database as one buffer fill per head atom; existential head
 //! variables get their nulls in first-occurrence order. Fragment

@@ -1,139 +1,181 @@
-//! Where a peer's compiled plans and heads come from: its system's
-//! [`PlanCatalog`].
+//! Where a peer's compiled plans and heads come from — its system's
+//! [`PlanCatalog`] — and where they are kept: with what they were compiled
+//! for.
 //!
-//! A peer holds ([`Compiled`]), per rule, the compiled body of the
-//! fragment it serves and the compiled head of the rule it chases, as
-//! `Arc`s into the catalog. It consults the catalog
-//! only where it would otherwise compile: the first evaluation of a rule's
-//! fragment, the first delta evaluation that executes atom *i*'s plan, and
-//! the first binding of a rule's head. The catalog's key is everything
-//! compilation reads, so what it hands out is exactly what the peer would
-//! have compiled against its own database at that moment; peers of one
-//! system that serve fragments of one shape share one plan, and chasing
-//! heads of one shape, one head. Every compiled plan or head a peer holds
-//! comes through this module.
+//! A fragment's compiled body (full plan plus delta slots) lives on the
+//! shared `Arc<BodyPart>` ([`HeldBody`]), and a rule's compiled head on the
+//! shared `Arc<CoordinationRule>` ([`HeldHead`]). Each is taken from the
+//! catalog once, where the peer would otherwise compile: the first
+//! evaluation of the fragment, the first delta evaluation that executes
+//! atom *i*'s plan, the first binding of the rule's head. The peer keeps no
+//! table of them, so a delivery finds its plan on the fragment it
+//! evaluates, and a copy rule's head on the rule it chases. The catalog's
+//! key is everything compilation reads, so what it hands out is exactly
+//! what the peer would have compiled against its own database at that
+//! moment — for a fragment of two or more atoms, the atom order its
+//! database's sizes give at the first evaluation, which the fragment keeps
+//! from then on, across a crash of its evaluator too. Peers of one system
+//! that serve fragments of one shape share one plan, and chasing heads of
+//! one shape, one head. Every compiled plan or head a peer holds comes
+//! through this module.
 
 use super::Marks;
 use crate::error::CoreResult;
 use crate::joins::{CompiledBody, CompiledHead};
-use crate::rule::{BodyPart, CoordinationRule, RuleId};
-use p2p_relational::fxhash::FxHashMap;
+use crate::rule::{BodyPart, CoordinationRule};
 use p2p_relational::query::PlanCatalog;
-use p2p_relational::{Database, DatabaseSchema};
-use std::collections::hash_map::Entry;
-use std::sync::Arc;
+use p2p_relational::{Database, DatabaseSchema, Relation};
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-/// One rule's compiled plans, fingerprinted by the body fragment they were
-/// compiled for. Rule ids are minted monotonically, but the fragment
-/// equality check makes a stale hit impossible even if an id were ever
-/// reused (or if a body peer serves different fragments under one id
-/// across sessions).
-#[derive(Debug, Clone)]
-pub(crate) struct CachedPlans {
-    /// The fragment the plans were compiled from.
-    pub(crate) part: Arc<BodyPart>,
-    /// Full + per-atom delta plans, the catalog's.
-    pub(crate) body: CompiledBody,
-}
+/// A fragment's compiled body, held by the fragment from its first
+/// evaluation on. Not part of the fragment's identity: two fragments of one
+/// text are equal whatever they hold, a copy holds nothing, and nothing of
+/// it is written or read back.
+#[derive(Default)]
+pub(crate) struct HeldBody(OnceLock<CompiledBody>);
 
-/// A peer's compiled plans and heads, and the catalog they come from.
+/// A rule's compiled head, held by the rule from its first binding on; not
+/// part of the rule's identity either.
+#[derive(Default)]
+pub(crate) struct HeldHead(OnceLock<Arc<CompiledHead>>);
+
+/// The catalog a peer takes its plans and heads from.
 #[derive(Debug, Default)]
 pub(crate) struct Compiled {
     /// The system's catalog, shared by every peer of one build (the builder
     /// hands it over before anyone compiles); a peer made on its own has its
     /// own. Consulted only where a plan or head would otherwise be compiled.
     pub(crate) catalog: Arc<PlanCatalog>,
-    /// One entry per rule this peer evaluates a body fragment for (head
-    /// rules *and* fragments received via subscriptions or waves), shared
-    /// with every peer that serves a fragment of the same shape. Validated
-    /// against the fragment on every hit; invalidated on
-    /// `AddRule`/`DeleteRule`/`Unsubscribe`.
-    pub(crate) plans: FxHashMap<RuleId, CachedPlans>,
-    /// One entry per rule of this peer that derived a binding, validated
-    /// against the rule and the binding layout on every hit; dropped with
-    /// the rule.
-    pub(crate) heads: FxHashMap<RuleId, CachedHead>,
 }
 
 impl Compiled {
-    /// The compiled body of `part` under `rule`, holding every delta plan
-    /// that evaluating it since `watermarks` executes: the one held when it
-    /// was compiled for this very fragment (a hit, counted in `hits`), else
-    /// the catalog's, held from now on.
-    pub(crate) fn body(
-        &mut self,
-        rule: RuleId,
-        part: &Arc<BodyPart>,
+    /// The compiled body of `part`, holding every delta plan that evaluating
+    /// it since `watermarks` executes: the one the fragment holds (a hit,
+    /// counted in `hits`), else the catalog's, held by the fragment from now
+    /// on. Only the fragment's body node evaluates it, over one schema; a
+    /// fragment evaluated over another is refused when its plan runs
+    /// ([`p2p_relational::Error::OtherSchema`]).
+    pub(crate) fn body<'p>(
+        &self,
+        part: &'p BodyPart,
         db: &Database,
         watermarks: Option<&Marks>,
         hits: &mut u64,
-    ) -> CoreResult<&CompiledBody> {
+    ) -> CoreResult<&'p CompiledBody> {
         let (atoms, constraints) = (&part.atoms, &part.local_constraints);
-        let cached = match self.plans.entry(rule) {
-            Entry::Occupied(hit) if hit.get().part == *part => {
+        let held = &part.compiled.0;
+        let body = match held.get() {
+            Some(body) => {
                 *hits += 1;
-                hit.into_mut()
+                body
             }
-            // First evaluation of this rule, or a different fragment under
-            // its id: take the catalog's and (re)place.
-            entry => {
+            None => {
                 let body = self.catalog.body(atoms, constraints, db)?;
-                let part = Arc::clone(part);
-                entry.insert_entry(CachedPlans { part, body }).into_mut()
+                held.get_or_init(|| body)
             }
         };
         if let Some(w) = watermarks {
-            (self.catalog).fill_deltas(&cached.body, atoms, constraints, db, w)?;
+            (self.catalog).fill_deltas(body, atoms, constraints, db, w)?;
         }
-        Ok(&cached.body)
+        Ok(body)
     }
 
-    /// The head of `rule` compiled for bindings over `vars`: the one held
-    /// when it fits, else the catalog's for `schema`, held from now on.
-    pub(crate) fn head(
-        &mut self,
-        rule: &Arc<CoordinationRule>,
+    /// The head of `rule` compiled for bindings over `vars`: the one the
+    /// rule holds when it was compiled for that binding layout, else the
+    /// catalog's for `schema` — held by the rule from now on if it holds
+    /// none. Only the rule's head node chases it, over one schema.
+    pub(crate) fn head<'r>(
+        &self,
+        rule: &'r CoordinationRule,
         vars: &[Arc<str>],
         schema: &DatabaseSchema,
-    ) -> CoreResult<&CompiledHead> {
-        let cached = match self.heads.entry(rule.id) {
-            Entry::Occupied(hit)
-                if Arc::ptr_eq(&hit.get().rule, rule) && hit.get().head.vars() == vars =>
-            {
-                hit.into_mut()
-            }
-            entry => {
+    ) -> CoreResult<Cow<'r, Arc<CompiledHead>>> {
+        let held = &rule.compiled.0;
+        Ok(match held.get() {
+            Some(head) if head.vars() == vars => Cow::Borrowed(head),
+            Some(_) => Cow::Owned(self.catalog.head(&rule.head, vars, schema)?),
+            None => {
                 let head = self.catalog.head(&rule.head, vars, schema)?;
-                let rule = Arc::clone(rule);
-                entry.insert_entry(CachedHead { rule, head }).into_mut()
+                Cow::Borrowed(held.get_or_init(|| head))
             }
-        };
-        Ok(&cached.head)
-    }
-
-    /// `rule` was replaced or deleted here: its plan and head go.
-    pub(crate) fn forget(&mut self, rule: RuleId) {
-        self.plans.remove(&rule);
-        self.heads.remove(&rule);
-    }
-
-    /// A crash: every plan and head goes; the next evaluation takes them
-    /// from the catalog again.
-    pub(crate) fn crash(&mut self) {
-        self.plans.clear();
-        self.heads.clear();
+        })
     }
 }
 
-/// One rule's compiled head, for the rule it was taken for (an
-/// `Arc::ptr_eq` fingerprint) and the binding layout it expects.
-/// Installing a rule under the id drops the entry
-/// ([`crate::peer::DbPeer::forget_rule`]), and the fingerprint makes a
-/// stale hit impossible even so: a caller holding another rule under the id
-/// never reads this one's head. Rules are shared, so re-installing the very
-/// same `Arc` keeps the pointer — and the head it would take is this one.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedHead {
-    pub(crate) rule: Arc<CoordinationRule>,
-    pub(crate) head: Arc<CompiledHead>,
+/// The relations `part`'s atoms read in `db`, atom by atom, with their
+/// names (`None` where `db` has none): found by the positions the
+/// fragment's compiled body holds, by name before it holds one for `db`'s
+/// schema.
+pub(crate) fn relations<'a>(
+    part: &'a BodyPart,
+    db: &'a Database,
+) -> impl Iterator<Item = (&'a Arc<str>, Option<&'a Relation>)> + 'a {
+    let body = held_body(part, db);
+    (part.atoms.iter().enumerate()).map(move |(i, atom)| {
+        let relation = match body {
+            Some(body) => body.relation(i, db).ok(),
+            None => db.relation(&atom.relation).ok(),
+        };
+        (&atom.relation, relation)
+    })
+}
+
+/// The compiled body of `part` as its evaluator holds it, if it evaluated
+/// it over `db`'s schema.
+pub(crate) fn held_body<'p>(part: &'p BodyPart, db: &Database) -> Option<&'p CompiledBody> {
+    (part.compiled.0.get()).filter(|body| body.full.schema == *db.schema())
+}
+
+/// The compiled head `rule` holds, if any (tests).
+#[cfg(test)]
+pub(crate) fn held_head(rule: &CoordinationRule) -> Option<&Arc<CompiledHead>> {
+    rule.compiled.0.get()
+}
+
+/// A copy of a fragment holds nothing of its own yet.
+impl Clone for HeldBody {
+    fn clone(&self) -> Self {
+        HeldBody::default()
+    }
+}
+
+/// A copy of a rule holds no head of its own yet.
+impl Clone for HeldHead {
+    fn clone(&self) -> Self {
+        HeldHead::default()
+    }
+}
+
+/// What a fragment holds does not make it another fragment.
+impl PartialEq for HeldBody {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for HeldBody {}
+
+/// What a rule holds does not make it another rule.
+impl PartialEq for HeldHead {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for HeldHead {}
+
+/// Shows nothing of what is held: a fragment reads the same before and
+/// after its first evaluation.
+impl fmt::Debug for HeldBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("_")
+    }
+}
+
+impl fmt::Debug for HeldHead {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("_")
+    }
 }

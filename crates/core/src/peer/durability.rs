@@ -132,6 +132,7 @@ impl DbPeer {
         };
         store.adopt(&rec);
         let emptied = Database::new(rec.db.schema().clone());
+        rec.db.share_schema(self.db.schema());
         self.db = std::mem::replace(&mut rec.db, emptied);
         self.nulls.mint = NullFactory::resume(self.id.0, rec.nulls_next);
         for (id, depth) in std::mem::take(&mut rec.depths) {
@@ -244,7 +245,6 @@ impl DbPeer {
     pub(crate) fn crash_volatile_state(&mut self) {
         self.stats.crashes += 1;
         self.db = Database::new(self.db.schema().clone());
-        self.compiled.crash();
         self.subscriptions.discard(None);
         if let Some(st) = self.storage.as_mut() {
             st.pending.clear();

@@ -302,11 +302,12 @@ impl DbPeer {
             let pipes: Vec<NodeId> = self.pipes.nodes.iter().copied().collect();
             self.send_basic_many(st, ctx, pipes, ProtocolMsg::CursorVoid { session: sid });
         }
-        let unopened: Vec<((NodeId, RuleId), Arc<BodyPart>)> = (self.subscriptions.cursors())
-            .filter(|(key, _)| !st.subs.contains_key(key))
-            .map(|(key, cursor)| (*key, cursor.part.clone()))
-            .collect();
-        for ((to, rule), part) in unopened {
+        let mut past = None;
+        while let Some(((to, rule), part)) = self.subscriptions.cursor_after(past) {
+            past = Some((to, rule));
+            if st.subs.contains_key(&(to, rule)) {
+                continue;
+            }
             let (mut sub, rows) = self.open_subscription(to, rule, part, &Start::Resume, ctx);
             sub.standing = true;
             if !rows.is_empty() {
@@ -383,7 +384,7 @@ impl DbPeer {
             self.stats.rows_saved += *rows as u64;
         }
         let since = start.as_ref().map(|(marks, _)| marks);
-        let rows = self.eval_part_local(key.1, part, since, ctx);
+        let rows = self.eval_part_local(part, since, ctx);
         (rows, start.map_or(0, |(_, held)| held))
     }
 
@@ -399,7 +400,6 @@ impl DbPeer {
     #[doc(hidden)]
     pub fn advance_subscription(
         &mut self,
-        rule: RuleId,
         sub: &mut Subscription,
         ctx: &mut Context<ProtocolMsg>,
     ) -> (RowSet, usize) {
@@ -407,7 +407,7 @@ impl DbPeer {
             return (RowSet::new(sub.part.vars.len()), 0);
         }
         let since = (!self.config.paper_faithful).then_some(&sub.watermarks);
-        let rows = self.eval_part_local(rule, &sub.part, since, ctx);
+        let rows = self.eval_part_local(&sub.part, since, ctx);
         sub.watermarks = part_marks(&self.db, &sub.part);
         let before = sub.sent.len();
         sub.sent.extend(rows.iter());
@@ -491,7 +491,7 @@ impl DbPeer {
         let key = (to, query.rule);
         let (mut sub, rows) = match st.subs.remove(&key) {
             Some(mut sub) if query.from == Start::Resume && sub.part == query.part => {
-                let (rows, new) = self.advance_subscription(query.rule, &mut sub, ctx);
+                let (rows, new) = self.advance_subscription(&mut sub, ctx);
                 let unsent = sub.unsent(rows, new);
                 if !sub.standing {
                     // What a full re-ship would have re-sent.
@@ -580,7 +580,9 @@ impl DbPeer {
                     // A wave that is under way here must not certify a clean
                     // round over facts its earlier answers did not carry.
                     for st in self.sessions.live_mut(None) {
-                        st.rnd.dirty_self |= st.rnd.active;
+                        if st.rnd.active {
+                            st.rnd.dirty_self = true;
+                        }
                     }
                 }
                 // The peer now holds the fragment up to the body node's
@@ -669,7 +671,7 @@ impl DbPeer {
         // Taken out while the loop sends through `st`.
         let mut subs = std::mem::take(&mut st.subs);
         for (&(to, rule), sub) in subs.iter_mut() {
-            let (rows, new) = self.advance_subscription(rule, sub, ctx);
+            let (rows, new) = self.advance_subscription(sub, ctx);
             // Completeness is news to a subscriber that asked; a standing
             // subscription speaks only when it has rows.
             let completeness_news = closed && !sub.sent_complete && !sub.standing;
@@ -900,7 +902,6 @@ impl DbPeer {
     /// session, not only the one the notification travelled in — one left
     /// behind would commit the cursor again when its session retires.
     pub(crate) fn on_unsubscribe(&mut self, st: &mut SessionState, from: NodeId, rule: RuleId) {
-        self.compiled.plans.remove(&rule);
         for st in self.sessions.live_mut(Some(st)) {
             st.subs.remove(&(from, rule));
         }

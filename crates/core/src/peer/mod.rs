@@ -42,9 +42,8 @@
 //!
 //! * body side, the cursors — per `(subscriber, rule)`, the watermarks up
 //!   to which that subscriber holds the fragment's extension, fingerprinted
-//!   by the fragment like the plan cache. It exists from the first
-//!   subscription on (at zero: "holds nothing"), and it **is** the
-//!   subscription between sessions;
+//!   by the fragment. It exists from the first subscription on (at zero:
+//!   "holds nothing"), and it **is** the subscription between sessions;
 //! * head side, the `held` marks — the `(rule, body node)` fragments this
 //!   peer holds everything it was shipped of — and, for rules with more
 //!   than one body node only, the retained fragment rows: the accumulated
@@ -192,7 +191,7 @@
 //! Handlers are atomic; all cross-node effects go through the runtime
 //! context, and every observable iteration order is deterministic.
 
-mod catalog;
+pub(crate) mod catalog;
 pub mod discovery;
 pub mod durability;
 pub mod eager;
@@ -231,7 +230,7 @@ pub(crate) use crate::messages::Marks;
 
 pub use discovery::DiscoveryState;
 pub use eager::{EagerState, Part, Subscription};
-pub use rounds::RoundsState;
+pub use rounds::{RoundsSlot, RoundsState};
 pub use sessions::SessionState;
 pub use subscriptions::SeededFault;
 pub use tables::VecMap;
@@ -375,16 +374,15 @@ impl DbPeer {
         self.rules.insert(rule.id, rule);
     }
 
-    /// Drops what this peer cached for a rule as its head: the compiled
-    /// plan and the retained fragment state — in the store too, where the
-    /// answer marks logged for the rule would otherwise prime the next
-    /// restart with another rule's rows and watermarks — so the next
-    /// `Query` of each fragment goes out without `resume`. The live
+    /// Drops what this peer kept for a rule as its head: the retained
+    /// fragment state — in the store too, where the answer marks logged
+    /// for the rule would otherwise prime the next restart with another
+    /// rule's rows and watermarks — so the next `Query` of each fragment
+    /// goes out without `resume`. The live
     /// sessions (`handled` among them) forget that they queried the rule,
     /// and a resync under way that it was asked for: what their
     /// subscriptions still deliver belongs to the state just dropped.
     pub(crate) fn forget_rule(&mut self, rule: RuleId, handled: Option<&mut SessionState>) {
-        self.compiled.forget(rule);
         self.log_forget_rule(rule);
         self.subscriptions.forget_rule(rule);
         self.sessions.forget_rule(rule, handled);
@@ -561,19 +559,18 @@ impl DbPeer {
             .collect()
     }
 
-    /// Evaluates one fragment over the local database via the compiled-plan
-    /// cache — in full, or `since` some watermarks: only the rows derived
-    /// from facts inserted past them — with statistics and processing-cost
-    /// accounting.
+    /// Evaluates one fragment over the local database through the compiled
+    /// body it holds — in full, or `since` some watermarks: only the rows
+    /// derived from facts inserted past them — with statistics and
+    /// processing-cost accounting.
     pub(crate) fn eval_part_local(
         &mut self,
-        rule: RuleId,
-        part: &Arc<crate::rule::BodyPart>,
+        part: &crate::rule::BodyPart,
         since: Option<&Marks>,
         ctx: &mut Context<ProtocolMsg>,
     ) -> RowSet {
         self.stats.local_evaluations += 1;
-        match self.eval_part_rows(rule, part, since) {
+        match self.eval_part_rows(part, since) {
             Ok(rows) => {
                 let cost = p2p_net::SimTime(COST_PER_TUPLE.as_micros() * rows.len() as u64);
                 ctx.charge(cost);
@@ -586,27 +583,26 @@ impl DbPeer {
         }
     }
 
-    /// The plan-cache path of [`DbPeer::eval_part_local`]: fetch the
-    /// fragment's [`crate::joins::CompiledBody`] (from the catalog on a
-    /// miss), create the persistent indexes the executed plans probe where
-    /// missing, execute, and fold the work counters into [`PeerStats`].
-    /// `watermarks: None` is full evaluation; `Some(w)` the semi-naive
-    /// delta.
+    /// The compiled path of [`DbPeer::eval_part_local`]: take the
+    /// fragment's [`crate::joins::CompiledBody`] (from the catalog at the
+    /// first evaluation), create the persistent indexes the executed plans
+    /// probe where missing, execute, and fold the work counters into
+    /// [`PeerStats`]. `watermarks: None` is full evaluation; `Some(w)` the
+    /// semi-naive delta.
     fn eval_part_rows(
         &mut self,
-        rule: RuleId,
-        part: &Arc<crate::rule::BodyPart>,
+        part: &crate::rule::BodyPart,
         watermarks: Option<&Marks>,
     ) -> crate::error::CoreResult<RowSet> {
-        // Disjoint field borrows: the cached plan is read while the
-        // database is mutably borrowed (index creation only).
+        // Disjoint field borrows: the plan is read while the database is
+        // mutably borrowed (index creation only).
         let DbPeer {
             compiled,
             db,
             stats,
             ..
         } = self;
-        let body = compiled.body(rule, part, db, watermarks, &mut stats.plan_cache_hits)?;
+        let body = compiled.body(part, db, watermarks, &mut stats.plan_cache_hits)?;
         let mut metrics = crate::joins::EvalMetrics::default();
         let rows = match watermarks {
             Some(w) => crate::joins::eval_part_delta_planned(body, part, db, w, true, &mut metrics),
@@ -620,15 +616,11 @@ impl DbPeer {
     /// Whether some relation `part` reads holds a row count other than its
     /// entry in `marks` (a missing entry included): only then can a delta
     /// from `marks` be non-empty, or [`part_marks`] read anything
-    /// but `marks`. A relation the database lacks counts, so that evaluation
-    /// reports it.
+    /// but `marks`. A relation the database lacks counts, so that
+    /// evaluation reports it.
     pub(crate) fn grew_past(&self, part: &crate::rule::BodyPart, marks: &Marks) -> bool {
-        part.atoms
-            .iter()
-            .any(|a| match self.db.relation(&a.relation) {
-                Ok(relation) => marks.get(&a.relation) != Some(relation.len()),
-                Err(_) => true,
-            })
+        catalog::relations(part, &self.db)
+            .any(|(name, relation)| relation.is_none_or(|r| marks.get(name) != Some(r.len())))
     }
 
     /// A6 for one arriving fragment answer: merges the rows into what this
@@ -957,15 +949,12 @@ impl DbPeer {
         // run on a detached session state — a dropped repair would stay
         // outstanding forever and wedge every later closure.
         let repair = msg.via() == Some(Via::Repair);
-        let retired = self.sessions.completed(sid).is_some() && !Self::can_rewake(&msg);
-        if !repair && (retired || self.sessions.is_stale(sid)) {
-            self.acknowledge_stale(from, sid, msg, ctx);
-            return;
-        }
-        let (mut st, completed) = if repair {
-            Default::default()
-        } else {
-            self.sessions.take(sid)
+        let entered = match repair {
+            true => Some(Default::default()),
+            false => self.sessions.enter(sid, Self::can_rewake(&msg)),
+        };
+        let Some((mut st, completed)) = entered else {
+            return self.acknowledge_stale(from, sid, msg, ctx);
         };
         let ack = if self.config.mode == UpdateMode::Eager && msg.is_basic() {
             Some(st.ds.on_receive(from))
@@ -1080,8 +1069,8 @@ impl Peer<ProtocolMsg> for DbPeer {
 /// fragment's extension, and a missing entry already reads as "the whole
 /// relation is new", so nothing else is carried.
 pub(crate) fn part_marks(db: &Database, part: &crate::rule::BodyPart) -> Marks {
-    (part.atoms.iter())
-        .filter_map(|a| Some((a.relation.clone(), db.relation(&a.relation).ok()?.len())))
+    catalog::relations(part, db)
+        .filter_map(|(name, relation)| Some((name.clone(), relation?.len())))
         .collect()
 }
 
@@ -1092,6 +1081,10 @@ mod tests {
     use p2p_relational::query::Idents;
     use p2p_relational::DatabaseSchema;
 
+    /// A fragment holds the plan the catalog hands out for it from its
+    /// first evaluation on, and serves it to every later one; another
+    /// fragment — under the same rule id, too — holds its own and is never
+    /// served the first one's.
     #[test]
     fn cached_plans_are_fingerprinted_by_fragment() {
         let mut db = Database::new(DatabaseSchema::parse("b(x: int, y: int).").unwrap());
@@ -1115,9 +1108,8 @@ mod tests {
             part("B:b(X,Y) => A:a(X,Y)"),
             part("B:b(X,Y), X > 1 => A:a(X,Y)"),
         );
-        let id = RuleId(7);
 
-        // What the peer holds for `part` is the catalog's plan for it.
+        // What the fragment holds is the catalog's plan for it.
         let held_from_catalog = |peer: &DbPeer, part: &crate::rule::BodyPart| {
             let (atoms, constraints) = (&part.atoms, &part.local_constraints);
             let shared = peer
@@ -1125,34 +1117,40 @@ mod tests {
                 .catalog
                 .body(atoms, constraints, &peer.db)
                 .unwrap();
-            Arc::ptr_eq(&peer.compiled.plans[&id].body.full, &shared.full)
+            let held = catalog::held_body(part, &peer.db).expect("held");
+            Arc::ptr_eq(&held.full, &shared.full)
         };
 
-        assert_eq!(peer.eval_part_rows(id, &old, None).unwrap().len(), 2);
+        assert!(catalog::held_body(&old, &peer.db).is_none());
+        assert_eq!(peer.eval_part_rows(&old, None).unwrap().len(), 2);
         assert_eq!(peer.stats.plan_cache_hits, 0);
         assert!(held_from_catalog(&peer, &old));
-        assert_eq!(peer.eval_part_rows(id, &old, None).unwrap().len(), 2);
+        assert_eq!(peer.eval_part_rows(&old, None).unwrap().len(), 2);
         assert_eq!(peer.stats.plan_cache_hits, 1, "same fragment: served");
-        // Same id, different fragment: taken anew, not served stale.
-        let rows = peer.eval_part_rows(id, &new, None).unwrap();
+        // Another fragment: its own plan, not the first one's.
+        let rows = peer.eval_part_rows(&new, None).unwrap();
         assert_eq!(
             rows,
             RowSet::from_flat(2, 1, vec![Val::Int(7), Val::Int(8)])
         );
         assert_eq!(peer.stats.plan_cache_hits, 1);
-        assert!(held_from_catalog(&peer, &new) && !held_from_catalog(&peer, &old));
-        assert_eq!(peer.eval_part_rows(id, &new, None).unwrap(), rows);
+        assert!(held_from_catalog(&peer, &new) && held_from_catalog(&peer, &old));
+        let plan = |part: &crate::rule::BodyPart| {
+            Arc::clone(&catalog::held_body(part, &peer.db).unwrap().full)
+        };
+        assert!(!Arc::ptr_eq(&plan(&old), &plan(&new)));
+        assert_eq!(peer.eval_part_rows(&new, None).unwrap(), rows);
         assert_eq!(peer.stats.plan_cache_hits, 2);
         assert_eq!(peer.compiled.catalog.len(), 2, "one plan per fragment");
     }
 
-    /// A crash drops what the peer holds of the catalog, not the catalog:
-    /// after the restart the peer's plan for an unchanged fragment is the
-    /// catalog's very entry whenever its database's sizes give the same
-    /// atom order, and the plan of the other order, entered beside it, when
-    /// they do not. An `Unsubscribe` drops the plan too.
+    /// A fragment keeps the plan it took at its first evaluation across a
+    /// crash of the peer that evaluates it: the atom order chosen against
+    /// that peer's database then stays, and the restarted peer compiles
+    /// nothing — not even when its database's sizes would now order the
+    /// atoms the other way. Its rows are the fragment's all the same.
     #[test]
-    fn a_restarted_peer_takes_its_plans_from_the_catalog_again() {
+    fn a_restarted_peer_keeps_the_plan_its_fragment_holds() {
         let schema = DatabaseSchema::parse("b(x: int, y: int). c(x: int, y: int).").unwrap();
         let mut peer = DbPeer::new(B, Database::new(schema), SystemConfig::default());
         let fill = |peer: &mut DbPeer, b: i64, c: i64| {
@@ -1164,10 +1162,10 @@ mod tests {
             }
         };
         let r = rule(3, "B:b(X,Y), B:c(Y,Z) => A:a(X,Z)");
-        let (id, part) = (r.id, &r.parts[0]);
+        let part = &r.parts[0];
         let held = |peer: &mut DbPeer| {
-            assert_eq!(peer.eval_part_rows(id, part, None).unwrap().len(), 1);
-            Arc::clone(&peer.compiled.plans[&id].body.full)
+            assert_eq!(peer.eval_part_rows(part, None).unwrap().len(), 1);
+            Arc::clone(&catalog::held_body(part, &peer.db).unwrap().full)
         };
 
         // `b` is the smaller relation, so it goes first.
@@ -1177,33 +1175,52 @@ mod tests {
         assert_eq!(first, own.full);
         let references = Arc::strong_count(&first);
         peer.on_crash();
-        assert!(peer.compiled.plans.is_empty() && peer.compiled.heads.is_empty());
-        assert_eq!(Arc::strong_count(&first), references - 1, "dropped");
+        assert_eq!(Arc::strong_count(&first), references, "kept");
         peer.on_restart(&mut Context::new(p2p_net::SimTime::ZERO, B));
-        fill(&mut peer, 1, 2);
-        assert!(
-            Arc::ptr_eq(&held(&mut peer), &first),
-            "same order, same plan"
-        );
 
-        // Now `c` is: the catalog enters the plan of that order.
-        peer.on_crash();
-        peer.on_restart(&mut Context::new(p2p_net::SimTime::ZERO, B));
+        // Now `c` is, and the fragment's plan is still the first one.
         fill(&mut peer, 2, 1);
-        let second = held(&mut peer);
-        assert!(!Arc::ptr_eq(&second, &first));
+        assert!(Arc::ptr_eq(&held(&mut peer), &first));
         let own = crate::joins::CompiledBody::compile(&part.atoms, &[], &peer.db).unwrap();
-        assert_eq!(second, own.full);
-        assert_eq!(peer.compiled.catalog.len(), 2);
+        assert_ne!(own.full.steps[0].atom, first.steps[0].atom);
+        assert_eq!(peer.compiled.catalog.len(), 1, "nothing compiled");
+    }
 
-        let session = SessionId::new(A, 1);
-        deliver(
-            &mut peer,
-            A,
-            ProtocolMsg::Unsubscribe { session, rule: id },
-            false,
-        );
-        assert!(!peer.compiled.plans.contains_key(&id), "unsubscribed");
+    /// A fragment consults its system's catalog for its body once, at its
+    /// first evaluation, however many sessions evaluate it after: every
+    /// later evaluation, full or delta, is served the plan it holds, and
+    /// once each plan a fragment executes has been taken, later sessions
+    /// compile nothing.
+    #[test]
+    fn a_fragment_consults_the_catalog_once_across_sessions() {
+        use crate::system::P2PSystemBuilder;
+        let mut b = P2PSystemBuilder::new();
+        for id in 0..3 {
+            b.add_node_with_schema(id, "r(x: int, y: int).").unwrap();
+        }
+        b.add_rule("ab", "B:r(X,Y) => A:r(X,Y)").unwrap();
+        b.add_rule("bc", "C:r(X,Y) => B:r(X,Y)").unwrap();
+        b.insert(2, "r", [Val::Int(1), Val::Int(2)]).unwrap();
+        let mut sys = b.build().unwrap();
+        let mut entries = Vec::new();
+        for i in 0..4 {
+            sys.insert(NodeId(2), "r", vec![Val::Int(10 + i), Val::Int(i)])
+                .unwrap();
+            let report = sys.run_update();
+            assert!(report.all_closed && report.errors.is_empty());
+            entries.push(sys.peer(A).unwrap().compiled.catalog.len());
+        }
+        assert_eq!(sys.database(A).unwrap().relation("r").unwrap().len(), 5);
+        assert!(entries[1..].iter().all(|n| *n == entries[1]), "{entries:?}");
+        for body in [B, NodeId(2)] {
+            let stats = sys.peer(body).unwrap().stats();
+            assert!(stats.local_evaluations >= 4, "{stats:?}");
+            assert_eq!(
+                stats.local_evaluations - stats.plan_cache_hits,
+                1,
+                "one consult"
+            );
+        }
     }
 
     /// The body side of one subscription over three sessions: the cursor
@@ -1954,10 +1971,10 @@ mod tests {
     /// Build-time state exists once. Peers declared with one schema text
     /// share its signatures; each peer holds the builder's own rule `Arc`,
     /// and every peer the build's one catalog; on the simulator a body
-    /// peer's cursor and plan cache hold the head rule's fragment, its plan
-    /// and the head's compiled head are the catalog's; and a rule replaced
-    /// under its id (the `DeleteRule`/`AddRule` path) still gets its plans
-    /// and its head anew, again the catalog's.
+    /// peer's cursor holds the head rule's fragment, the plan that fragment
+    /// holds and the head the rule holds are the catalog's; and a rule
+    /// replaced under its id (the `DeleteRule`/`AddRule` path) holds its
+    /// plans and its head anew, again the catalog's.
     #[test]
     fn build_time_state_is_shared_not_copied() {
         use crate::dynamic::{ChangeOp, ChangeScript};
@@ -1994,20 +2011,20 @@ mod tests {
                 &peers[0].1.compiled.catalog
             ));
         }
-        // What a peer holds of `rule` is the catalog's.
+        // What `rule` holds is the catalog's.
         let from_catalog = |head: &DbPeer, served: &DbPeer, rule: &CoordinationRule| {
             let part = &rule.parts[0];
             let (atoms, constraints) = (&part.atoms, &part.local_constraints);
             let plan = (served.compiled.catalog.body(atoms, constraints, &served.db)).unwrap();
-            let compiled = &head.compiled.heads[&rule.id].head;
+            let compiled = catalog::held_head(rule).expect("a head held");
             let shared =
                 (head
                     .compiled
                     .catalog
                     .head(&rule.head, compiled.vars(), head.db.schema()))
                 .unwrap();
-            Arc::ptr_eq(&served.compiled.plans[&rule.id].body.full, &plan.full)
-                && Arc::ptr_eq(compiled, &shared)
+            let held = catalog::held_body(part, &served.db).expect("a plan held");
+            Arc::ptr_eq(&held.full, &plan.full) && Arc::ptr_eq(compiled, &shared)
         };
 
         let mut sys = b.build().unwrap();
@@ -2018,14 +2035,10 @@ mod tests {
             &served.subscriptions.cursor((a, rid)).unwrap().part,
             &old.parts[0]
         ));
-        assert!(Arc::ptr_eq(
-            &served.compiled.plans[&rid].part,
-            &old.parts[0]
-        ));
         assert!(from_catalog(sys.peer(a).unwrap(), served, &old));
 
-        let old_head = Arc::clone(&sys.peer(a).unwrap().compiled.heads[&rid].head);
-        let old_plan = Arc::clone(&served.compiled.plans[&rid].body.full);
+        let old_head = Arc::clone(catalog::held_head(&old).unwrap());
+        let old_plan = Arc::clone(&catalog::held_body(&old.parts[0], &served.db).unwrap().full);
 
         let mut script = ChangeScript::new();
         let del = sys.make_delete_link("r").unwrap();
@@ -2047,21 +2060,11 @@ mod tests {
         let head = sys.peer(a).unwrap();
         let new = &head.rules[&rid];
         assert!(!Arc::ptr_eq(new, &old));
-        assert!(
-            Arc::ptr_eq(&head.compiled.heads[&rid].rule, new),
-            "head recompiled"
-        );
         let served = sys.peer(body).unwrap();
-        assert!(
-            Arc::ptr_eq(&served.compiled.plans[&rid].part, &new.parts[0]),
-            "plan recompiled"
-        );
-        assert!(from_catalog(head, served, new));
-        assert!(!Arc::ptr_eq(&head.compiled.heads[&rid].head, &old_head));
-        assert!(!Arc::ptr_eq(
-            &served.compiled.plans[&rid].body.full,
-            &old_plan
-        ));
+        assert!(from_catalog(head, served, new), "head and plan taken anew");
+        assert!(!Arc::ptr_eq(catalog::held_head(new).unwrap(), &old_head));
+        let new_plan = &catalog::held_body(&new.parts[0], &served.db).unwrap().full;
+        assert!(!Arc::ptr_eq(new_plan, &old_plan));
         let r = head.db.relation("r").unwrap();
         assert!(
             r.contains(&[Val::Int(4), Val::Int(3)]),

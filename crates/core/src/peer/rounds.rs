@@ -110,6 +110,42 @@ pub struct RoundsState {
     pub rounds_done: u32,
 }
 
+/// A session's [`RoundsState`], held out of line: an eager session never
+/// writes it and reads the idle state, so its entry in the session table
+/// carries a pointer, not the whole state; the first write allocates it.
+#[derive(Debug, Clone, Default)]
+pub struct RoundsSlot(Option<Box<RoundsState>>);
+
+/// What a session that never ran a round reads.
+static IDLE: RoundsState = RoundsState {
+    active: false,
+    round: 0,
+    flood_seen: false,
+    flood_parent: None,
+    pending_echoes: 0,
+    child_dirty: false,
+    awaiting: BTreeSet::new(),
+    dirty_self: false,
+    echoed: false,
+    deferred: Vec::new(),
+    closed: false,
+    rounds_done: 0,
+};
+
+impl std::ops::Deref for RoundsSlot {
+    type Target = RoundsState;
+
+    fn deref(&self) -> &RoundsState {
+        self.0.as_deref().unwrap_or(&IDLE)
+    }
+}
+
+impl std::ops::DerefMut for RoundsSlot {
+    fn deref_mut(&mut self) -> &mut RoundsState {
+        self.0.get_or_insert_with(Box::default)
+    }
+}
+
 /// The echo of a subtree with nothing to report in `round`: a stale or
 /// duplicate flood, or one of a session this peer is done with.
 pub(crate) fn clean_echo(session: SessionId, round: u32) -> ProtocolMsg {
@@ -172,7 +208,7 @@ impl DbPeer {
         }
         self.stats.rounds += 1;
         let missed = std::mem::take(&mut st.rnd.awaiting);
-        st.rnd = RoundsState {
+        *st.rnd = RoundsState {
             active: true,
             round,
             ..Default::default()
@@ -256,7 +292,7 @@ impl DbPeer {
                 ..Default::default()
             }
         } else {
-            let rows = self.eval_part_local(query.rule, &query.part, None, ctx);
+            let rows = self.eval_part_local(&query.part, None, ctx);
             self.stats.answers_sent += 1;
             self.stats.rows_shipped += rows.len() as u64;
             self.make_answer_rows(to, &query.part, rows)

@@ -3,8 +3,17 @@
 //! here and supersession between epochs of one root, and the driver state
 //! of the sessions this node roots — one owner, [`Sessions`], whose
 //! methods are the only code that reads or writes them.
+//!
+//! Both tables hold their first entry inline ([`InlineMap`]): one live
+//! session and one retired epoch per root is the common case, so a session
+//! message finds its entry in the peer's own memory, with no heap block to
+//! chase, and one probe of each table ([`Sessions::enter`]) says whether
+//! the message is stale or retired and takes the entry out if not. The
+//! entry is small for the same reason: rounds-mode state lives out of line
+//! ([`super::RoundsSlot`]), allocated by a rounds session only.
 
-use super::{EagerState, Part, RoundsState, Subscription, VecMap};
+use super::tables::InlineMap;
+use super::{EagerState, Part, RoundsSlot, Subscription, VecMap};
 use crate::config::UpdateMode;
 use crate::rule::RuleId;
 use crate::stats::PeerStats;
@@ -35,8 +44,9 @@ pub struct SessionState {
     /// This session's own Dijkstra–Scholten detector — one diffusing
     /// computation per session, as Dijkstra–Scholten intends.
     pub ds: DiffusingState,
-    /// Rounds-mode state: round counter, echo tree, awaited answers.
-    pub rnd: RoundsState,
+    /// Rounds-mode state: round counter, echo tree, awaited answers — out
+    /// of line, so that an eager session's entry stays small.
+    pub rnd: RoundsSlot,
     /// Root side: the root already broadcast for the current quiet period.
     /// (The broadcast generation itself lives outside the entry, so it
     /// survives a post-fixpoint re-wake of the session.)
@@ -78,19 +88,26 @@ impl SessionState {
 #[derive(Debug, Default)]
 pub(crate) struct Sessions {
     /// The live table, keyed by session identity: each interleaved session
-    /// in its own entry, taken out while a message of it is handled. Flat
-    /// ([`VecMap`]): epochs grow monotonically, so inserts land at the end.
-    live: VecMap<SessionId, SessionState>,
+    /// in its own entry, taken out while a message of it is handled.
+    live: InlineMap<SessionId, SessionState>,
     /// Sessions that closed and retired here, with the rounds executed (0
     /// in eager mode) — the newest epoch per root only.
-    done: VecMap<SessionId, u32>,
-    /// Whether this node is the designated super-peer.
-    is_super: bool,
+    done: InlineMap<SessionId, u32>,
     /// Full node roster (installed at build time on every peer, so any node
     /// can root a session and broadcast its fix-point). One shared
     /// allocation across all peers — at 10k+ nodes a per-peer copy would be
     /// O(n²) build memory.
     all_nodes: Arc<[NodeId]>,
+    /// What this node holds as a driver, out of line: most peers never
+    /// root a session, and one is the super-peer.
+    driver: Option<Box<Driver>>,
+}
+
+/// The driver state of a node that roots sessions or is the super-peer.
+#[derive(Debug, Default)]
+struct Driver {
+    /// Whether this node is the designated super-peer.
+    is_super: bool,
     /// The most recent session rooted at this node (dynamic-change
     /// notifications are routed within it).
     rooted: Option<SessionId>,
@@ -106,36 +123,31 @@ pub(crate) struct Sessions {
 }
 
 impl Sessions {
-    /// Traffic of `sid` is stale here: a newer session of the same root is
-    /// known, live or retired — the supersession that retires
-    /// churn-stranded epochs. `SessionId` orders root-first, so one range
-    /// probe per map past `sid` answers it.
-    pub(crate) fn is_stale(&self, sid: SessionId) -> bool {
-        fn newer_same_root<V>(map: &VecMap<SessionId, V>, sid: SessionId) -> bool {
-            map.range((
-                std::ops::Bound::Excluded(sid),
-                std::ops::Bound::Included(SessionId::new(sid.root, u64::MAX)),
-            ))
-            .next()
-            .is_some()
-        }
-        newer_same_root(&self.live, sid) || newer_same_root(&self.done, sid)
-    }
-
     /// Takes `sid`'s entry out to handle a message of it (a fresh one on
-    /// first contact), with its rounds if it had retired here. Live entries
-    /// of older same-root epochs go: a churn-stranded epoch can keep a
+    /// first contact), with its rounds if it had retired here — unless the
+    /// message is one to acknowledge and drop (`None`): its session retired
+    /// here and the message cannot re-wake it (`rewakes` false), or a newer
+    /// session of the same root is known, live or retired — the
+    /// supersession that retires churn-stranded epochs. Live entries of
+    /// older same-root epochs go: a churn-stranded epoch can keep a
     /// Dijkstra–Scholten deficit forever (acks addressed to a crashed peer
-    /// were dropped), and a re-drive starts from quiescence.
-    pub(crate) fn take(&mut self, sid: SessionId) -> (SessionState, Option<u32>) {
-        let older: Vec<SessionId> = (self.live.range(SessionId::new(sid.root, 0)..sid))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in older {
-            self.live.remove(&k);
+    /// were dropped), and a re-drive starts from quiescence. One probe per
+    /// table answers all of it: `SessionId` orders root-first.
+    pub(crate) fn enter(
+        &mut self,
+        sid: SessionId,
+        rewakes: bool,
+    ) -> Option<(SessionState, Option<u32>)> {
+        let (done, live) = (Probe::of(&self.done, sid), Probe::of(&self.live, sid));
+        if done.newer || live.newer || (done.at.is_some() && !rewakes) {
+            return None;
         }
-        let completed = self.done.remove(&sid);
-        (self.live.remove(&sid).unwrap_or_default(), completed)
+        let completed = done.at.map(|at| self.done.remove_at(at).1);
+        let st = live.at.map(|at| self.live.remove_at(at).1);
+        if live.older {
+            self.live.remove_range(SessionId::new(sid.root, 0)..sid);
+        }
+        Some((st.unwrap_or_default(), completed))
     }
 
     /// Takes `sid`'s live entry out, if there is one (an `Ack`).
@@ -174,21 +186,8 @@ impl Sessions {
             }
             return None;
         }
-        loop {
-            let superseded = self.done.range(SessionId::new(sid.root, 0)..sid).next();
-            let Some(k) = superseded.map(|(k, _)| *k) else {
-                break;
-            };
-            self.done.remove(&k);
-        }
+        self.done.remove_range(SessionId::new(sid.root, 0)..sid);
         self.done.insert(sid, st.rnd.rounds_done);
-        // The last live session gone, its slot goes too: a table kept at
-        // capacity would hold a whole `SessionState` per peer between
-        // sessions. (`VecMap::remove`, on every message, keeps the capacity
-        // the next re-insert needs.)
-        if self.live.is_empty() {
-            self.live = VecMap::default();
-        }
         Some(st)
     }
 
@@ -243,37 +242,143 @@ impl Sessions {
     /// Installs the node roster; `is_super` makes this node the super-peer.
     pub(crate) fn set_roster(&mut self, all_nodes: Arc<[NodeId]>, is_super: bool) {
         self.all_nodes = all_nodes;
-        self.is_super |= is_super;
+        if is_super {
+            self.driver().is_super = true;
+        }
+    }
+
+    /// This node's driver state, from its first use on.
+    fn driver(&mut self) -> &mut Driver {
+        self.driver.get_or_insert_with(Box::default)
     }
 
     pub(crate) fn is_super(&self) -> bool {
-        self.is_super
+        self.driver.as_ref().is_some_and(|d| d.is_super)
     }
 
     /// `sid` starts here, rooted at this node: dynamic changes are routed
     /// within it, and its fix-point broadcasts count generations from 0.
     pub(crate) fn root(&mut self, sid: SessionId) {
-        self.rooted = Some(sid);
-        self.generation = 0;
+        let driver = self.driver();
+        driver.rooted = Some(sid);
+        driver.generation = 0;
     }
 
     /// The most recent session rooted here.
     pub(crate) fn rooted(&self) -> Option<SessionId> {
-        self.rooted
+        self.driver.as_ref()?.rooted
     }
 
     /// The next fix-point broadcast generation of the session rooted here.
     pub(crate) fn next_generation(&mut self) -> u32 {
-        self.generation += 1;
-        self.generation
+        let driver = self.driver();
+        driver.generation += 1;
+        driver.generation
     }
 
     /// Statistics gathered at the super-peer (`None` elsewhere).
     pub(crate) fn collected_mut(&mut self) -> Option<&mut BTreeMap<NodeId, PeerStats>> {
-        self.is_super.then_some(&mut self.collected)
+        let driver = self.driver.as_deref_mut().filter(|d| d.is_super)?;
+        Some(&mut driver.collected)
     }
 
+    /// Statistics gathered at the super-peer (empty elsewhere).
     pub(crate) fn collected(&self) -> &BTreeMap<NodeId, PeerStats> {
-        &self.collected
+        static NONE: BTreeMap<NodeId, PeerStats> = BTreeMap::new();
+        self.driver.as_ref().map_or(&NONE, |d| &d.collected)
+    }
+}
+
+/// Where one session stands in a session table: its entry, if it has one,
+/// and whether the table holds an older or a newer epoch of its root.
+struct Probe {
+    at: Option<usize>,
+    older: bool,
+    newer: bool,
+}
+
+impl Probe {
+    fn of<V>(table: &InlineMap<SessionId, V>, sid: SessionId) -> Self {
+        let entries = table.entries();
+        let at = entries.partition_point(|(k, _)| *k < sid);
+        let found = entries.get(at).is_some_and(|(k, _)| *k == sid);
+        let same_root =
+            |entry: Option<&(SessionId, V)>| entry.is_some_and(|(k, _)| k.root == sid.root);
+        Probe {
+            at: found.then_some(at),
+            older: same_root(entries[..at].last()),
+            newer: same_root(entries.get(at + usize::from(found))),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An entry the peer joined its session with.
+    fn joined() -> SessionState {
+        let mut st = SessionState::default();
+        st.upd.active = true;
+        st
+    }
+
+    /// That entry once its session's terminal broadcast landed.
+    fn retiring() -> SessionState {
+        SessionState {
+            retired: true,
+            ..joined()
+        }
+    }
+
+    /// Sessions of two roots interleave at one peer, each in its own
+    /// entry; a retired one's traffic is dropped unless it re-wakes it; and
+    /// a newer epoch of a root retires the older one by supersession, live
+    /// (at the newer one's first message) and retired (when the newer one
+    /// retires) alike.
+    #[test]
+    fn two_roots_interleave_and_a_newer_epoch_supersedes_an_older_one() {
+        let mut sessions = Sessions::default();
+        let epoch = |root, epoch| SessionId::new(NodeId(root), epoch);
+        let (a1, a2, b1, b2) = (epoch(0, 1), epoch(0, 2), epoch(1, 1), epoch(1, 2));
+
+        for sid in [a1, b1] {
+            let (st, completed) = sessions.enter(sid, false).expect("first contact");
+            assert!(!st.joined() && completed.is_none());
+            assert!(sessions.finish(sid, joined(), None).is_none());
+        }
+        assert_eq!(sessions.len(), (2, 0));
+        let (st, _) = sessions.enter(a1, false).expect("live");
+        assert!(st.joined());
+        assert!(sessions.get(a1).is_none() && sessions.get(b1).is_some());
+        sessions.finish(a1, st, None);
+
+        // b1 retires; its traffic is dropped from then on, unless it can
+        // re-wake the session.
+        let _ = sessions.enter(b1, false).expect("live");
+        assert!(sessions.finish(b1, retiring(), None).is_some());
+        assert_eq!((sessions.len(), sessions.completed(b1)), ((1, 1), Some(0)));
+        assert!(sessions.enter(b1, false).is_none(), "retired");
+        let (st, completed) = sessions.enter(b1, true).expect("re-woken");
+        assert_eq!(completed, Some(0));
+        assert!(sessions.finish(b1, st, completed).is_none());
+        assert_eq!(sessions.len(), (1, 1), "a re-wake that held nothing");
+
+        // a2 supersedes the live a1 at its first message.
+        let (st, completed) = sessions.enter(a2, false).expect("first contact");
+        assert!(!st.joined() && completed.is_none());
+        assert_eq!(sessions.len(), (0, 1), "a1's entry went");
+        sessions.finish(a2, joined(), None);
+        assert!(sessions.enter(a1, true).is_none(), "stale");
+
+        // b2 supersedes the retired b1 when it retires.
+        let _ = sessions.enter(b2, false).expect("first contact");
+        assert_eq!(sessions.len(), (1, 1));
+        assert!(sessions.finish(b2, retiring(), None).is_some());
+        assert_eq!(sessions.completed(b1), None);
+        assert_eq!(sessions.completed(b2), Some(0));
+        assert!(sessions.enter(b1, true).is_none(), "stale");
+        assert!(sessions.get(a2).is_some_and(SessionState::joined));
+        assert_eq!(sessions.len(), (1, 1));
     }
 }

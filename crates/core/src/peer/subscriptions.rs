@@ -17,6 +17,7 @@ use p2p_storage::{CursorMark, RecoveredState, WalRecord};
 use p2p_topology::NodeId;
 use serde::{Content, Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// The records of the running delivery, where the peer has a store.
@@ -29,9 +30,8 @@ pub(crate) type Rules = BTreeMap<RuleId, Arc<CoordinationRule>>;
 /// fragment one subscriber holds. Committed when a session retires.
 #[derive(Debug, Clone)]
 pub(crate) struct Cursor {
-    /// The fragment the watermarks were advanced for (the fingerprint, as
-    /// in the plan cache), shared with the subscription it was committed
-    /// from.
+    /// The fragment the watermarks were advanced for (the fingerprint),
+    /// shared with the subscription it was committed from.
     pub(crate) part: Arc<BodyPart>,
     /// Watermarks of the fragment's relations: the subscriber holds every
     /// row derivable from the facts below them.
@@ -149,10 +149,16 @@ impl Subscriptions {
         start
     }
 
-    /// The committed cursors, in key order: the standing subscriptions a
-    /// flood opens.
-    pub(crate) fn cursors(&self) -> impl Iterator<Item = (&(NodeId, RuleId), &Cursor)> {
-        self.cursors.iter()
+    /// The first committed cursor past `key` (from the first with `None`),
+    /// in key order, with its fragment: the standing subscriptions a flood
+    /// opens, one at a time, so that opening one may change the table.
+    pub(crate) fn cursor_after(
+        &self,
+        key: Option<(NodeId, RuleId)>,
+    ) -> Option<((NodeId, RuleId), Arc<BodyPart>)> {
+        let past = key.map_or(Bound::Unbounded, Bound::Excluded);
+        let (key, cursor) = self.cursors.range((past, Bound::Unbounded)).next()?;
+        Some((*key, Arc::clone(&cursor.part)))
     }
 
     /// Commits a retiring session (`paper_faithful` off): its subscriptions

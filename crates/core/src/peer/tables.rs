@@ -10,6 +10,13 @@
 //! insert-mostly-at-the-end (session epochs grow monotonically), which is
 //! exactly where a sorted vec beats a tree.
 //!
+//! The session tables — a peer's live sessions and the sessions retired
+//! there — are [`InlineMap`]s instead: sorted the same way, but holding
+//! their first entry inline and spilling to a sorted `Vec` past it. One
+//! live session and one retired epoch per root is what a peer holds almost
+//! always, so a session message finds its entry in the peer's own memory,
+//! and a peer between sessions holds no heap block for them.
+//!
 //! The `BTreeMap` originals are gone from the runtime but survive as the
 //! *oracle* in this module's tests: a randomized op sequence is applied to
 //! both implementations and every observation must match.
@@ -130,21 +137,27 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// Entries within a key range, in order — two binary searches and a
-    /// slice walk (the supersession scans in the session dispatcher live on
-    /// this).
+    /// slice walk.
     pub fn range<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
-        let lo = match range.start_bound() {
-            Bound::Unbounded => 0,
-            Bound::Included(k) => self.entries.partition_point(|(ek, _)| ek < k),
-            Bound::Excluded(k) => self.entries.partition_point(|(ek, _)| ek <= k),
-        };
-        let hi = match range.end_bound() {
-            Bound::Unbounded => self.entries.len(),
-            Bound::Included(k) => self.entries.partition_point(|(ek, _)| ek <= k),
-            Bound::Excluded(k) => self.entries.partition_point(|(ek, _)| ek < k),
-        };
-        self.entries[lo..hi.max(lo)].iter().map(|(k, v)| (k, v))
+        self.entries[span(&self.entries, &range)]
+            .iter()
+            .map(|(k, v)| (k, v))
     }
+}
+
+/// Where the entries of a sorted slice that fall in `range` lie.
+fn span<K: Ord, V>(entries: &[(K, V)], range: &impl RangeBounds<K>) -> std::ops::Range<usize> {
+    let lo = match range.start_bound() {
+        Bound::Unbounded => 0,
+        Bound::Included(k) => entries.partition_point(|(ek, _)| ek < k),
+        Bound::Excluded(k) => entries.partition_point(|(ek, _)| ek <= k),
+    };
+    let hi = match range.end_bound() {
+        Bound::Unbounded => entries.len(),
+        Bound::Included(k) => entries.partition_point(|(ek, _)| ek <= k),
+        Bound::Excluded(k) => entries.partition_point(|(ek, _)| ek < k),
+    };
+    lo..hi.max(lo)
 }
 
 impl<K: Ord + Copy, V> VecMap<K, V> {
@@ -176,6 +189,149 @@ impl<K: Ord + Copy, V> FromIterator<(K, V)> for VecMap<K, V> {
             m.insert(k, v);
         }
         m
+    }
+}
+
+/// A sorted map that holds its first entry inline and spills to a sorted
+/// `Vec` past it — for the tables a peer touches on every delivery and
+/// that hold one entry almost always: its live sessions and the sessions
+/// retired here (one live session and one retired epoch per root). Such a
+/// table costs no heap block, and a lookup reads the peer's own memory.
+/// Once spilled it stays a `Vec`, which keeps its capacity, so a table that
+/// goes 1 ↔ 2 entries does not allocate each time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InlineMap<K, V>(Slots<K, V>);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Slots<K, V> {
+    Empty,
+    One((K, V)),
+    Many(Vec<(K, V)>),
+}
+
+impl<K, V> Default for InlineMap<K, V> {
+    fn default() -> Self {
+        InlineMap(Slots::Empty)
+    }
+}
+
+impl<K: Ord + Copy, V> InlineMap<K, V> {
+    /// The entries, in key order.
+    pub fn entries(&self) -> &[(K, V)] {
+        match &self.0 {
+            Slots::Empty => &[],
+            Slots::One(entry) => std::slice::from_ref(entry),
+            Slots::Many(entries) => entries,
+        }
+    }
+
+    fn entries_mut(&mut self) -> &mut [(K, V)] {
+        match &mut self.0 {
+            Slots::Empty => &mut [],
+            Slots::One(entry) => std::slice::from_mut(entry),
+            Slots::Many(entries) => entries,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// True iff empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries().is_empty()
+    }
+
+    fn probe(&self, key: &K) -> Result<usize, usize> {
+        self.entries().binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// Looks a key up.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.probe(key).ok().map(|i| &self.entries()[i].1)
+    }
+
+    /// Inserts, returning the previous value if any.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.probe(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries_mut()[i].1, value)),
+            Err(i) => {
+                self.0 = match std::mem::replace(&mut self.0, Slots::Empty) {
+                    Slots::Empty => Slots::One((key, value)),
+                    Slots::One(held) => {
+                        let mut entries = Vec::with_capacity(2);
+                        entries.push(held);
+                        entries.insert(i, (key, value));
+                        Slots::Many(entries)
+                    }
+                    Slots::Many(mut entries) => {
+                        entries.insert(i, (key, value));
+                        Slots::Many(entries)
+                    }
+                };
+                None
+            }
+        }
+    }
+
+    /// Removes the entry at position `at` of [`InlineMap::entries`].
+    ///
+    /// # Panics
+    /// Panics if `at` is out of bounds.
+    pub fn remove_at(&mut self, at: usize) -> (K, V) {
+        match &mut self.0 {
+            Slots::Many(entries) => entries.remove(at),
+            slots => match std::mem::replace(slots, Slots::Empty) {
+                Slots::One(entry) if at == 0 => entry,
+                _ => panic!("no entry at {at}"),
+            },
+        }
+    }
+
+    /// Removes, returning the value if it was present.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.probe(key).ok().map(|i| self.remove_at(i).1)
+    }
+
+    /// Removes every entry within a key range.
+    pub fn remove_range<R: RangeBounds<K>>(&mut self, range: R) {
+        let at = span(self.entries(), &range);
+        match &mut self.0 {
+            Slots::Many(entries) => drop(entries.drain(at)),
+            slots if !at.is_empty() => *slots = Slots::Empty,
+            _ => {}
+        }
+    }
+
+    /// Drops all entries, keeping a spilled table's allocation.
+    pub fn clear(&mut self) {
+        match &mut self.0 {
+            Slots::Many(entries) => entries.clear(),
+            slots => *slots = Slots::Empty,
+        }
+    }
+
+    /// Entries within a key range, in order.
+    pub fn range<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
+        let entries = self.entries();
+        entries[span(entries, &range)].iter().map(|(k, v)| (k, v))
+    }
+
+    /// Values in key order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries().iter().map(|(_, v)| v)
+    }
+
+    /// Mutable values in key order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries_mut().iter_mut().map(|(_, v)| v)
+    }
+
+    /// Whether the entries spilled to the heap.
+    #[cfg(test)]
+    fn spilled(&self) -> bool {
+        matches!(self.0, Slots::Many(_))
     }
 }
 
@@ -273,6 +429,104 @@ mod tests {
                 prop_assert_eq!(f2, o2);
             }
         }
+    }
+
+    /// One step of the inline-first table's oracle workload.
+    #[derive(Debug, Clone)]
+    enum InlineOp {
+        Insert(u8, u32),
+        Remove(u8),
+        RemoveRange(u8, u8),
+        Clear,
+    }
+
+    fn inline_op() -> impl Strategy<Value = InlineOp> {
+        // Four keys, so that a sequence keeps crossing 0 ↔ 1 ↔ 2+ entries.
+        (0u8..10, 0u8..4, 0u8..4, any::<u32>()).prop_map(|(kind, k, l, v)| match kind {
+            0..=4 => InlineOp::Insert(k, v),
+            5..=7 => InlineOp::Remove(k),
+            8 => InlineOp::RemoveRange(k.min(l), k.max(l)),
+            _ => InlineOp::Clear,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The inline-first table against the same oracle: every op's
+        /// return value, lookups, ranges and iteration match after every
+        /// step, as the table goes empty, inline and spilled and back; it
+        /// holds its first entry without a heap block and keeps a spilled
+        /// one's.
+        #[test]
+        fn inline_map_matches_btreemap_oracle(ops in proptest::collection::vec(inline_op(), 0..60)) {
+            let mut inline: InlineMap<u8, u32> = InlineMap::default();
+            let mut oracle: BTreeMap<u8, u32> = BTreeMap::new();
+            let mut spilled = false;
+            for op in ops {
+                match op {
+                    InlineOp::Insert(k, v) => {
+                        prop_assert_eq!(inline.insert(k, v), oracle.insert(k, v));
+                    }
+                    InlineOp::Remove(k) => {
+                        prop_assert_eq!(inline.remove(&k), oracle.remove(&k));
+                    }
+                    InlineOp::RemoveRange(a, b) => {
+                        inline.remove_range(a..b);
+                        oracle.retain(|k, _| !(a..b).contains(k));
+                    }
+                    InlineOp::Clear => {
+                        inline.clear();
+                        oracle.clear();
+                    }
+                }
+                spilled |= oracle.len() > 1;
+                prop_assert_eq!(inline.spilled(), spilled, "spills past one entry, and stays");
+                prop_assert_eq!(inline.len(), oracle.len());
+                prop_assert_eq!(inline.is_empty(), oracle.is_empty());
+                let all: Vec<(u8, u32)> = inline.entries().to_vec();
+                let want: Vec<(u8, u32)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+                prop_assert_eq!(all, want);
+                for k in 0u8..4 {
+                    prop_assert_eq!(inline.get(&k), oracle.get(&k));
+                    let f: Vec<u8> = inline.range(k..).map(|(k, _)| *k).collect();
+                    let o: Vec<u8> = oracle.range(k..).map(|(k, _)| *k).collect();
+                    prop_assert_eq!(f, o);
+                    let f: Vec<u8> = inline
+                        .range((Bound::Excluded(k), Bound::Included(3)))
+                        .map(|(k, _)| *k)
+                        .collect();
+                    let o: Vec<u8> = oracle
+                        .range((Bound::Excluded(k), Bound::Included(3)))
+                        .map(|(k, _)| *k)
+                        .collect();
+                    prop_assert_eq!(f, o);
+                }
+                let values: Vec<u32> = inline.values().copied().collect();
+                prop_assert_eq!(values, oracle.values().copied().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// The first entry of an inline-first table costs no heap block; the
+    /// second spills, and removing entries keeps the spilled capacity.
+    #[test]
+    fn inline_map_spills_past_its_first_entry() {
+        let mut m: InlineMap<u8, u8> = InlineMap::default();
+        assert!(!m.spilled());
+        m.insert(5, 1);
+        assert!(!m.spilled());
+        assert_eq!(m.remove_at(0), (5, 1));
+        assert!(m.is_empty() && !m.spilled());
+        m.insert(5, 1);
+        m.insert(3, 2);
+        assert!(m.spilled());
+        for v in m.values_mut() {
+            *v += 10;
+        }
+        assert_eq!(m.entries(), [(3, 12), (5, 11)]);
+        m.remove_range(..);
+        assert!(m.is_empty() && m.spilled());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! check sees that rule by rule and builds no position graph.
 
 use crate::error::{CoreError, CoreResult};
+use crate::peer::catalog::{HeldBody, HeldHead};
 use p2p_relational::query::{parse_implication, Atom, Constraint, Idents, Implication, Term};
 use p2p_relational::{Database, DatabaseSchema};
 use p2p_topology::fxhash::FxHashMap;
@@ -45,6 +46,10 @@ impl fmt::Display for RuleId {
     }
 }
 
+/// What a qualifier resolves to while a rule is parsed: its node, and the
+/// node's schema when the rule is validated as it is parsed.
+type Resolved<'s> = Option<(NodeId, Option<&'s DatabaseSchema>)>;
+
 /// The body fragment of a rule living at one acquaintance node.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BodyPart {
@@ -60,16 +65,33 @@ pub struct BodyPart {
     /// rows are tuples over exactly these variables, and every answer
     /// shares this list.
     pub vars: Arc<[Arc<str>]>,
+    /// The fragment's compiled body, taken from the evaluating peer's plan
+    /// catalog at the first evaluation (`peer::catalog`): never compared,
+    /// written or read back.
+    #[serde(skip)]
+    pub(crate) compiled: HeldBody,
 }
 
 impl BodyPart {
-    fn empty(node: NodeId) -> Self {
+    /// The fragment of `atoms` and `local_constraints` at `node`, over
+    /// `vars`; it holds no compiled body yet.
+    pub fn new(
+        node: NodeId,
+        atoms: Vec<Atom>,
+        local_constraints: Vec<Constraint>,
+        vars: Arc<[Arc<str>]>,
+    ) -> Self {
         BodyPart {
             node,
-            atoms: Vec::new(),
-            local_constraints: Vec::new(),
-            vars: Arc::default(),
+            atoms,
+            local_constraints,
+            vars,
+            compiled: HeldBody::default(),
         }
+    }
+
+    fn empty(node: NodeId) -> Self {
+        BodyPart::new(node, Vec::new(), Vec::new(), Arc::default())
     }
 }
 
@@ -96,14 +118,19 @@ pub struct CoordinationRule {
     /// The node importing data (rule head).
     pub head_node: NodeId,
     /// Body fragments, one per body node, in node order. Shared: a `Query`
-    /// carries its fragment's `Arc`, and so the body peer's cursor and plan
-    /// cache hold the rule's own allocation.
+    /// carries its fragment's `Arc`, and so the body peer's cursor holds
+    /// the rule's own allocation, and with it the plan the fragment holds.
     pub parts: Vec<Arc<BodyPart>>,
     /// Constraints spanning several fragments, applied at the head after the
     /// join.
     pub join_constraints: Vec<Constraint>,
     /// Unqualified head atoms over the head node's schema.
     pub head: Vec<Atom>,
+    /// The head compiled for the head node's schema, taken from its plan
+    /// catalog at the first binding (`peer::catalog`): never compared,
+    /// written or read back.
+    #[serde(skip)]
+    pub(crate) compiled: HeldHead,
 }
 
 impl CoordinationRule {
@@ -130,6 +157,50 @@ impl CoordinationRule {
         resolve: &dyn Fn(&str) -> Option<NodeId>,
         idents: &mut Idents,
     ) -> CoreResult<Self> {
+        let resolve = |q: &str| Some((resolve(q)?, None));
+        Self::parse_with(name, text, default_head, &resolve, idents)
+    }
+
+    /// [`CoordinationRule::parse`] over declared nodes, validated as
+    /// [`CoordinationRule::validate`] validates it — with the same errors,
+    /// in the same order. `resolve` gives a qualifier's node and the node's
+    /// declared schema in one lookup, and each atom is checked against the
+    /// schema it resolved to.
+    pub fn parse_declared<'s>(
+        name: &str,
+        text: &str,
+        resolve: &dyn Fn(&str) -> Option<(NodeId, &'s DatabaseSchema)>,
+        idents: &mut Idents,
+    ) -> CoreResult<Self> {
+        let resolve = |q: &str| resolve(q).map(|(node, schema)| (node, Some(schema)));
+        let rule = Self::parse_with(name, text, None, &resolve, idents)?;
+        rule.check_join_constraints()?;
+        Ok(rule)
+    }
+
+    /// The one parse: `resolve` gives a qualifier's node and, to validate
+    /// the atoms against it, the node's schema. A schema violation is
+    /// reported once the rule parsed — a parse error comes first — and of
+    /// several, the first [`CoordinationRule::validate`] would meet: body
+    /// atoms by node, then head atoms, each in text order.
+    fn parse_with<'s>(
+        name: &str,
+        text: &str,
+        default_head: Option<NodeId>,
+        resolve: &dyn Fn(&str) -> Resolved<'s>,
+        idents: &mut Idents,
+    ) -> CoreResult<Self> {
+        // The first schema violation in `validate`'s order: (head?, node,
+        // atom) keys it.
+        let mut violation: Option<((bool, NodeId, usize), CoreError)> = None;
+        let mut check = |key: (bool, NodeId, usize), schema: Option<&DatabaseSchema>, a: &Atom| {
+            let Some(Err(e)) = schema.map(|s| check_atom(name, key.1, s, a)) else {
+                return;
+            };
+            if violation.as_ref().is_none_or(|(first, _)| key < *first) {
+                violation = Some((key, e));
+            }
+        };
         let imp = parse_implication(text, idents).map_err(CoreError::Relational)?;
         if imp.head.is_empty() || imp.body.is_empty() {
             return Err(CoreError::MalformedRule(name.to_string()));
@@ -142,25 +213,30 @@ impl CoordinationRule {
 
         // Resolve the head node.
         let mut head_node: Option<NodeId> = default_head;
+        let mut head_schema = None;
         for atom in &mut head {
             if let Some(q) = atom.qualifier.take() {
-                let id = resolve(&q).ok_or_else(|| CoreError::UnknownNode(q.to_string()))?;
+                let (id, schema) =
+                    resolve(&q).ok_or_else(|| CoreError::UnknownNode(q.to_string()))?;
                 match head_node {
                     Some(h) if h != id && default_head.is_none() => {
                         return Err(CoreError::MalformedRule(format!(
                             "{name}: head atoms qualified with different nodes"
                         )))
                     }
-                    _ => head_node = Some(id),
+                    _ => (head_node, head_schema) = (Some(id), schema),
                 }
             }
         }
         let head_node = head_node.ok_or_else(|| CoreError::UnresolvedHead(name.to_string()))?;
+        for (i, atom) in head.iter().enumerate() {
+            check((true, NodeId(0), i), head_schema, atom);
+        }
 
         // Lay out the parts in node order, resolving the body atoms' nodes
         // in text order. A part is unshared until the rule is made, so
         // `Arc::get_mut` holds.
-        let body_node = |atom: &Atom| -> CoreResult<NodeId> {
+        let body_node = |atom: &Atom| {
             let q = atom.qualifier.as_ref().ok_or_else(|| {
                 CoreError::MalformedRule(format!(
                     "{name}: body atom `{atom}` must be node-qualified"
@@ -169,8 +245,9 @@ impl CoordinationRule {
             resolve(q).ok_or_else(|| CoreError::UnknownNode(q.to_string()))
         };
         let mut parts: Vec<Arc<BodyPart>> = Vec::with_capacity(1);
-        for atom in &body {
-            let node = body_node(atom)?;
+        for (i, atom) in body.iter().enumerate() {
+            let (node, schema) = body_node(atom)?;
+            check((false, node, i), schema, atom);
             let at = parts.partition_point(|p| p.node < node);
             if parts.get(at).is_none_or(|p| p.node != node) {
                 parts.insert(at, Arc::new(BodyPart::empty(node)));
@@ -186,7 +263,7 @@ impl CoordinationRule {
             building(part).atoms = body;
         } else {
             for mut atom in body {
-                let node = body_node(&atom).expect("resolved above");
+                let (node, _) = body_node(&atom).expect("resolved above");
                 let at = parts.partition_point(|p| p.node < node);
                 atom.qualifier = None;
                 building(&mut parts[at]).atoms.push(atom);
@@ -212,15 +289,38 @@ impl CoordinationRule {
                 None => join_constraints.push(c),
             }
         }
+        if let Some((_, e)) = violation {
+            return Err(e);
+        }
 
-        Ok(CoordinationRule {
-            id: RuleId(0),
-            name: Arc::from(name),
+        Ok(CoordinationRule::new(
+            RuleId(0),
+            Arc::from(name),
             head_node,
             parts,
             join_constraints,
             head,
-        })
+        ))
+    }
+
+    /// The rule of these parts; it holds no compiled head yet.
+    pub fn new(
+        id: RuleId,
+        name: Arc<str>,
+        head_node: NodeId,
+        parts: Vec<Arc<BodyPart>>,
+        join_constraints: Vec<Constraint>,
+        head: Vec<Atom>,
+    ) -> Self {
+        CoordinationRule {
+            id,
+            name,
+            head_node,
+            parts,
+            join_constraints,
+            head,
+            compiled: HeldHead::default(),
+        }
     }
 
     /// True iff some head variable is not bound by the body, that is,
@@ -243,54 +343,71 @@ impl CoordinationRule {
     /// nodes exist, all relations exist with matching arity, and
     /// join-constraint variables are bound by the body.
     pub fn validate(&self, databases: &BTreeMap<NodeId, Database>) -> CoreResult<()> {
-        let fail = |detail: String| CoreError::SchemaViolation {
-            rule: self.name.to_string(),
-            detail,
-        };
-        let check_atoms = |node: NodeId, atoms: &[Atom]| -> CoreResult<()> {
-            let schema = (databases.get(&node))
-                .ok_or_else(|| CoreError::UnknownNode(node.to_string()))?
-                .schema();
-            for a in atoms {
-                let rel = schema
-                    .relation(&a.relation)
-                    .ok_or_else(|| fail(format!("node {node} has no relation `{}`", a.relation)))?;
-                if rel.arity() != a.terms.len() {
-                    return Err(fail(format!(
-                        "`{}` at node {node} has arity {}, atom has {} terms",
-                        a.relation,
-                        rel.arity(),
-                        a.terms.len()
-                    )));
-                }
-                for (pos, t) in a.terms.iter().enumerate() {
-                    if let Term::Const(c) = t {
-                        if !rel.columns[pos].ty.admits(c) {
-                            return Err(fail(format!(
-                                "constant {c} does not fit column {pos} of `{}`",
-                                a.relation
-                            )));
-                        }
-                    }
-                }
-            }
-            Ok(())
+        let schema = |node: NodeId| {
+            (databases.get(&node).map(Database::schema))
+                .ok_or_else(|| CoreError::UnknownNode(node.to_string()))
         };
         for part in &self.parts {
-            check_atoms(part.node, &part.atoms)?;
+            let schema = schema(part.node)?;
+            for atom in &part.atoms {
+                check_atom(&self.name, part.node, schema, atom)?;
+            }
         }
-        check_atoms(self.head_node, &self.head)?;
+        let head = schema(self.head_node)?;
+        for atom in &self.head {
+            check_atom(&self.name, self.head_node, head, atom)?;
+        }
+        self.check_join_constraints()
+    }
+
+    /// Every join-constraint variable is bound by some part.
+    fn check_join_constraints(&self) -> CoreResult<()> {
         for c in &self.join_constraints {
             for t in [&c.lhs, &c.rhs] {
                 if let Term::Var(v) = t {
                     if !self.parts.iter().any(|p| p.vars.contains(v)) {
-                        return Err(fail(format!("join constraint variable `{v}` unbound")));
+                        return Err(CoreError::SchemaViolation {
+                            rule: self.name.to_string(),
+                            detail: format!("join constraint variable `{v}` unbound"),
+                        });
                     }
                 }
             }
         }
         Ok(())
     }
+}
+
+/// Checks one atom of rule `rule` against the schema of its node: the
+/// relation exists, with the atom's arity, and the atom's constants fit
+/// their columns.
+fn check_atom(rule: &str, node: NodeId, schema: &DatabaseSchema, a: &Atom) -> CoreResult<()> {
+    let fail = |detail: String| CoreError::SchemaViolation {
+        rule: rule.to_string(),
+        detail,
+    };
+    let rel = schema
+        .relation(&a.relation)
+        .ok_or_else(|| fail(format!("node {node} has no relation `{}`", a.relation)))?;
+    if rel.arity() != a.terms.len() {
+        return Err(fail(format!(
+            "`{}` at node {node} has arity {}, atom has {} terms",
+            a.relation,
+            rel.arity(),
+            a.terms.len()
+        )));
+    }
+    for (pos, t) in a.terms.iter().enumerate() {
+        if let Term::Const(c) = t {
+            if !rel.columns[pos].ty.admits(c) {
+                return Err(fail(format!(
+                    "constant {c} does not fit column {pos} of `{}`",
+                    a.relation
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 impl CoordinationRule {

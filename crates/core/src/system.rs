@@ -36,8 +36,9 @@ use std::sync::Arc;
 struct Declared {
     /// Each node's base database, in id order.
     base: BTreeMap<NodeId, Database>,
-    /// Each node's id under its interned name; a name is declared once.
-    names: FxHashMap<Arc<str>, NodeId>,
+    /// Each node's id and schema under its interned name, so that a rule's
+    /// qualifier resolves to both in one lookup; a name is declared once.
+    names: FxHashMap<Arc<str>, (NodeId, DatabaseSchema)>,
     /// Its rules share one `Arc<str>` per distinct name and variable.
     idents: Idents,
 }
@@ -47,10 +48,8 @@ impl Declared {
     /// declared schemas.
     fn make_rule(&mut self, name: &str, text: &str) -> CoreResult<CoordinationRule> {
         let names = &self.names;
-        let resolve = move |s: &str| names.get(s).copied();
-        let rule = CoordinationRule::parse(name, text, None, &resolve, &mut self.idents)?;
-        rule.validate(&self.base)?;
-        Ok(rule)
+        let resolve = |s: &str| names.get(s).map(|(node, schema)| (*node, schema));
+        CoordinationRule::parse_declared(name, text, &resolve, &mut self.idents)
     }
 }
 
@@ -108,8 +107,8 @@ impl P2PSystemBuilder {
                 schema
             }
         };
+        entry.insert((node, schema.clone()));
         declared.base.insert(node, Database::new(schema));
-        entry.insert(node);
         Ok(())
     }
 
@@ -740,7 +739,7 @@ impl P2PSystem {
     /// materialised state.
     pub fn export(&self) -> NetworkFile {
         let names: BTreeMap<NodeId, &str> = (self.declared.names.iter())
-            .map(|(name, node)| (*node, &**name))
+            .map(|(name, (node, _))| (*node, &**name))
             .collect();
         let nodes = (self.declared.base.iter())
             .map(|(node, base)| (*node, self.database(*node).unwrap_or(base)));

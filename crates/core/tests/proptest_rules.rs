@@ -138,12 +138,7 @@ fn case(
                     }
                 }
             }
-            BodyPart {
-                node,
-                atoms,
-                local_constraints: Vec::new(),
-                vars: vars.into(),
-            }
+            BodyPart::new(node, atoms, Vec::new(), vars.into())
         })
         .collect();
     let mut join_constraints = Vec::new();
@@ -154,14 +149,14 @@ fn case(
             None => join_constraints.push(c),
         }
     }
-    let expected = CoordinationRule {
-        id: RuleId(0),
-        name: Arc::from("r"),
+    let expected = CoordinationRule::new(
+        RuleId(0),
+        Arc::from("r"),
         head_node,
-        parts: parts.into_iter().map(Arc::new).collect(),
+        parts.into_iter().map(Arc::new).collect(),
         join_constraints,
-        head: head_atoms,
-    };
+        head_atoms,
+    );
     Case { text, expected }
 }
 
@@ -298,7 +293,30 @@ fn rejections_keep_their_texts() {
     .map(|(n, s)| (n, Database::new(DatabaseSchema::parse(s).unwrap())))
     .collect();
     let invalid = |text: &str| parse(text).unwrap().validate(&databases).unwrap_err();
+    // Validated as it is parsed, over the declared nodes alone: the same
+    // rejection, first violation first.
+    let declared = |q: &str| {
+        let node = resolve(q)?;
+        Some((node, databases.get(&node)?.schema()))
+    };
+    let rejected_declared = |text: &str| {
+        CoordinationRule::parse_declared("r", text, &declared, &mut Idents::new())
+            .unwrap_err()
+            .to_string()
+    };
     for (text, error) in [
+        (
+            "B:zzz(X), E:b(X) => A:a(X, 1)",
+            "rule `r` violates a schema: node B has no relation `zzz`",
+        ),
+        (
+            "E:b(X), B:b(Y, 'y'), B:zzz(X) => A:zzz(X)",
+            "rule `r` violates a schema: node B has no relation `zzz`",
+        ),
+        (
+            "B:b(X, 'x') => A:a(X, Y)",
+            "rule `r` violates a schema: `a` at node A has arity 1, atom has 2 terms",
+        ),
         (
             "B:b(X) => A:a(X)",
             "rule `r` violates a schema: `b` at node B has arity 2, atom has 1 terms",
@@ -314,6 +332,7 @@ fn rejections_keep_their_texts() {
         ("B:b(X,Y), C:c(Z) => A:a(X)", "unknown node `C`"),
     ] {
         assert_eq!(invalid(text).to_string(), error, "{text}");
+        assert_eq!(rejected_declared(text), error, "{text}");
     }
     let mut loose = parse("B:b(X,Y), E:b(Z,W), X < Z => A:a(X)").unwrap();
     loose.join_constraints[0].rhs = Term::var("Q");

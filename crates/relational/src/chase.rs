@@ -32,6 +32,7 @@ use crate::fxhash::fx_hash;
 use crate::query::ast::{Atom, Constraint, Term};
 use crate::query::eval::evaluate_bindings;
 use crate::query::plan::PlanCatalog;
+use crate::relation::Relation;
 use crate::schema::DatabaseSchema;
 use crate::value::{NullFactory, NullId, Val};
 use std::collections::HashMap;
@@ -148,7 +149,8 @@ enum Source {
 /// One compiled head atom.
 #[derive(Debug, Clone)]
 struct HeadAtom {
-    relation: Arc<str>,
+    /// Where the atom's relation sits in the head's schema.
+    at: usize,
     /// One source per column.
     cols: Box<[Source]>,
     /// `cols` reads the binding row column for column (a copy rule's
@@ -177,6 +179,9 @@ struct HeadAtom {
 /// ([`PlanCatalog::head`]).
 #[derive(Debug, Clone)]
 pub struct CompiledHead {
+    /// The schema compiled against (a refcount): the head applies to a
+    /// database over an equal one only, by its atoms' relation positions.
+    schema: DatabaseSchema,
     vars: Box<[Arc<str>]>,
     atoms: Box<[HeadAtom]>,
     /// Distinct existential variables.
@@ -197,6 +202,7 @@ impl CompiledHead {
                 return Err(Error::QualifiedAtom(atom.to_string()));
             }
             let relation = schema.relation_or_err(&atom.relation)?;
+            let at = schema.position(&atom.relation).expect("declared");
             if relation.arity() != atom.terms.len() {
                 return Err(Error::ArityMismatch {
                     relation: atom.relation.to_string(),
@@ -224,13 +230,14 @@ impl CompiledHead {
             let copy = cols.len() == vars.len()
                 && (cols.iter().enumerate()).all(|(c, col)| *col == Source::Bound(c));
             atoms.push(HeadAtom {
-                relation: atom.relation.clone(),
+                at,
                 cols,
                 copy,
                 binds: binds.into(),
             });
         }
         Ok(CompiledHead {
+            schema: schema.clone(),
             vars: vars.into(),
             atoms: atoms.into(),
             existentials: existential.len(),
@@ -252,7 +259,8 @@ impl CompiledHead {
     /// Otherwise fresh nulls are minted one derivation level deeper than the
     /// row's deepest null, or [`Error::ChaseDepthExceeded`] is returned. A
     /// fact failing its relation's column types is an error; facts of
-    /// earlier atoms stay inserted.
+    /// earlier atoms stay inserted. A database over another schema than the
+    /// head's is [`Error::OtherSchema`].
     pub fn apply(
         &self,
         db: &mut Database,
@@ -263,10 +271,11 @@ impl CompiledHead {
         out: &mut ChaseOutcome,
     ) -> Result<()> {
         debug_assert_eq!(row.len(), self.vars.len());
+        let relations = db.relations_of_mut(&self.schema)?;
         state.slots.clear();
         state.slots.resize(self.existentials, None);
         if self.existentials > 0 {
-            if satisfied(&self.atoms, row, db, &mut state.slots) {
+            if satisfied(&self.atoms, row, relations, &mut state.slots) {
                 return Ok(());
             }
             // The new nulls derive from the row's deepest null.
@@ -297,7 +306,7 @@ impl CompiledHead {
                 }));
                 &state.fact
             };
-            let relation = db.relation_mut(&atom.relation)?;
+            let relation = &mut relations[atom.at];
             relation.schema().check(values)?;
             out.inserted += usize::from(relation.insert_row(values));
         }
@@ -321,11 +330,10 @@ impl CompiledHead {
     }
 }
 
-/// One shared head and the head text and schema it was compiled from (its
-/// binding layout is the head's own).
+/// One shared head and the head text it was compiled from (its binding
+/// layout and schema are the head's own).
 pub(crate) struct HeadEntry {
     head: Box<[Atom]>,
-    schema: DatabaseSchema,
     compiled: Arc<CompiledHead>,
 }
 
@@ -341,15 +349,15 @@ impl PlanCatalog {
     ) -> Result<Arc<CompiledHead>> {
         let hash = fx_hash(&(head, vars));
         let mut entries = self.heads.lock().expect("no compile panics");
-        let hit = (entries.get(&hash).into_iter().flatten())
-            .find(|e| *e.head == *head && e.compiled.vars() == vars && e.schema == *schema);
+        let hit = (entries.get(&hash).into_iter().flatten()).find(|e| {
+            *e.head == *head && e.compiled.vars() == vars && e.compiled.schema == *schema
+        });
         if let Some(entry) = hit {
             return Ok(Arc::clone(&entry.compiled));
         }
         let compiled = Arc::new(CompiledHead::compile(head, vars, schema)?);
         entries.entry(hash).or_default().push(HeadEntry {
             head: head.into(),
-            schema: schema.clone(),
             compiled: Arc::clone(&compiled),
         });
         Ok(compiled)
@@ -358,17 +366,20 @@ impl PlanCatalog {
 
 /// The restricted-chase guard: true iff some assignment of the existential
 /// slots makes every atom of `atoms`, instantiated under `row`, a fact of
-/// `db`, with `slots` all `None` on entry. Backtracking over the atoms in
-/// order (heads are 1–3 atoms); every slot an atom binds is unbound again
-/// before its next candidate fact.
-fn satisfied(atoms: &[HeadAtom], row: &[Val], db: &Database, slots: &mut [Option<Val>]) -> bool {
+/// `relations` (a database's, in the head's schema order), with `slots` all
+/// `None` on entry. Backtracking over the atoms in order (heads are 1–3
+/// atoms); every slot an atom binds is unbound again before its next
+/// candidate fact.
+fn satisfied(
+    atoms: &[HeadAtom],
+    row: &[Val],
+    relations: &[Relation],
+    slots: &mut [Option<Val>],
+) -> bool {
     let Some((atom, rest)) = atoms.split_first() else {
         return true;
     };
-    let Ok(relation) = db.relation(&atom.relation) else {
-        return false;
-    };
-    'facts: for candidate in relation.iter() {
+    'facts: for candidate in relations[atom.at].iter() {
         for (col, value) in atom.cols.iter().zip(candidate) {
             let matches = match *col {
                 Source::Bound(c) => row[c] == *value,
@@ -386,7 +397,7 @@ fn satisfied(atoms: &[HeadAtom], row: &[Val], db: &Database, slots: &mut [Option
                 continue 'facts;
             }
         }
-        if satisfied(rest, row, db, slots) {
+        if satisfied(rest, row, relations, slots) {
             return true;
         }
         unbind(slots, &atom.binds);
@@ -447,6 +458,22 @@ mod tests {
             .iter()
             .map(|(k, v)| (Arc::<str>::from(*k), *v))
             .unzip()
+    }
+
+    /// A head applies to a database over the schema it was compiled for
+    /// only: over another, where `s` sits at another position, nothing is
+    /// inserted anywhere.
+    #[test]
+    fn a_head_refuses_a_database_of_another_schema() {
+        let (d, mut nulls, mut state, config) = setup();
+        let head = [parse_atom("s(X)").unwrap()];
+        let compiled = CompiledHead::compile(&head, &[Arc::from("X")], d.schema()).unwrap();
+        let mut other = Database::new(DatabaseSchema::parse("a(x: int). s(x: int).").unwrap());
+        let mut out = ChaseOutcome::default();
+        let row = [Val::Int(1)];
+        let refused = compiled.apply(&mut other, &row, &mut nulls, &mut state, &config, &mut out);
+        assert_eq!(refused, Err(Error::OtherSchema));
+        assert!(other.is_empty() && out.is_empty());
     }
 
     /// Compiles `head` for the binding's layout and applies it to its row.

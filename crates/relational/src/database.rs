@@ -44,11 +44,45 @@ impl Database {
         &self.schema
     }
 
-    /// Where the relation called `name` sits in `relations`.
-    fn position(&self, name: &str) -> Result<usize> {
+    /// Where the relation called `name` sits: its position in the schema's
+    /// name order, which is where it sits in every database over an equal
+    /// schema. A compiled plan or head keeps it, and indexes
+    /// [`Database::relations_of`] with it.
+    pub(crate) fn position(&self, name: &str) -> Result<usize> {
         (self.relations)
             .binary_search_by(|r| (*r.schema().name).cmp(name))
             .map_err(|_| Error::UnknownRelation(name.to_string()))
+    }
+
+    /// The relations in schema order, provided this database is over
+    /// `schema` — the one a plan or head was compiled for, whose relation
+    /// positions then hold here. A database over another schema is
+    /// [`Error::OtherSchema`], never a wrong relation. One pointer
+    /// comparison when the two share the schema, as the peers of one build
+    /// do.
+    pub(crate) fn relations_of(&self, schema: &DatabaseSchema) -> Result<&[Relation]> {
+        match self.schema == *schema {
+            true => Ok(&self.relations),
+            false => Err(Error::OtherSchema),
+        }
+    }
+
+    /// Takes `schema` as its own where it equals this database's: a database
+    /// read back from storage then shares the schema of the one it
+    /// replaces, and a plan or head compiled against that one finds its
+    /// relations here after one pointer comparison.
+    pub fn share_schema(&mut self, schema: &DatabaseSchema) {
+        if self.schema == *schema {
+            self.schema = schema.clone();
+        }
+    }
+
+    /// [`Database::relations_of`], mutably.
+    pub(crate) fn relations_of_mut(&mut self, schema: &DatabaseSchema) -> Result<&mut [Relation]> {
+        match self.schema == *schema {
+            true => Ok(&mut self.relations),
+            false => Err(Error::OtherSchema),
+        }
     }
 
     /// Immutable access to a relation instance.
@@ -187,6 +221,13 @@ impl Deserialize for Database {
             let name = &twice[0].schema().name;
             return Err(DeError::custom(format!("relation `{name}` given twice")));
         }
+        // Relations sit where their schema puts them: a plan compiled
+        // against an equal schema indexes them by position.
+        if !(relations.iter().map(Relation::schema)).eq(schema.relations().map(|r| &**r)) {
+            return Err(DeError::custom(
+                "relations other than the schema declares".to_string(),
+            ));
+        }
         Ok(Database { schema, relations })
     }
 }
@@ -314,6 +355,34 @@ mod tests {
                 1
             );
         }
+    }
+
+    /// A plan's relations are found by position in a database over an
+    /// equal schema — shared or read back — and a database over another
+    /// schema is refused, not read at a wrong position; a database read back
+    /// with relations its schema does not declare is refused as it is read.
+    #[test]
+    fn relations_by_position_need_an_equal_schema() {
+        let d = db();
+        let schema = d.schema().clone();
+        let at = d.position("b").unwrap();
+        assert_eq!(&*d.relations_of(&schema).unwrap()[at].schema().name, "b");
+        let text = serde_json::to_string(&d).unwrap();
+        let mut back: Database = serde_json::from_str(&text).unwrap();
+        assert_eq!(&*back.relations_of(&schema).unwrap()[at].schema().name, "b");
+        back.share_schema(&schema);
+        assert_eq!(back.schema(), &schema);
+        let other = DatabaseSchema::parse("b(x: int, y: str).").unwrap();
+        assert_eq!(back.relations_of(&other).unwrap_err(), Error::OtherSchema);
+        assert_eq!(
+            back.relations_of_mut(&other).unwrap_err(),
+            Error::OtherSchema
+        );
+
+        let a = r#""a":{"schema":{"name":"a","columns":[{"name":"x","ty":"Int"}]},"rows":[]},"#;
+        let fewer = text.replacen(a, "", 1);
+        assert_ne!(fewer, text);
+        assert!(serde_json::from_str::<Database>(&fewer).is_err());
     }
 
     #[test]

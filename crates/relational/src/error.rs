@@ -55,6 +55,9 @@ pub enum Error {
         /// The configured bound that was hit.
         limit: u32,
     },
+    /// A compiled plan or head met a database over another schema than the
+    /// one it was compiled for: its relation positions do not hold there.
+    OtherSchema,
 }
 
 impl fmt::Display for Error {
@@ -95,6 +98,10 @@ impl fmt::Display for Error {
                 f,
                 "chase exceeded null-derivation depth {limit}; rule set is \
                  likely not weakly acyclic"
+            ),
+            Error::OtherSchema => write!(
+                f,
+                "compiled for another database schema than the one it is run on"
             ),
         }
     }

@@ -13,7 +13,11 @@
 //!   by exactly those inputs, so every evaluator of one system that meets a
 //!   body of one shape shares one plan, and a shared plan is the plan it
 //!   would have compiled itself; a peer takes its plans from its system's
-//!   catalog and holds the `Arc`s until the rule changes. The `&Database`
+//!   catalog, and the fragment it evaluates holds them. A plan keeps the
+//!   schema it was compiled against and each step its relation's position
+//!   in it, so executing one indexes the database's relations, with no
+//!   name to compare, and a database of another schema is
+//!   [`crate::Error::OtherSchema`]. The `&Database`
 //!   entry points in [`crate::query::eval`] compile and execute in one call.
 //!
 //! * **Probe an index if there is one** — for every keyed join step
@@ -37,7 +41,7 @@ use crate::error::Result;
 use crate::fxhash::{fx_hash, FxHashMap};
 use crate::query::ast::{Atom, CmpOp, Constraint, Term};
 use crate::query::eval::{greedy_order, slot_of, validate_body, Bindings};
-use crate::relation::{key_hash, Index, RowSet};
+use crate::relation::{key_hash, Index, Relation, RowSet};
 use crate::schema::DatabaseSchema;
 use crate::value::Val;
 use serde::{Content, DeError, Deserialize, Serialize, Sink};
@@ -124,6 +128,9 @@ pub struct AtomStep {
     pub atom: usize,
     /// Relation probed by this step.
     pub relation: Arc<str>,
+    /// Where `relation` sits in [`QueryPlan::schema`]: executing the step
+    /// indexes the database's relations with it.
+    pub at: usize,
     /// Key positions with their value sources, in column order.
     pub key: Vec<(usize, KeySource)>,
     /// Just the key column positions (the persistent-index key), cached so
@@ -137,9 +144,13 @@ pub struct AtomStep {
 }
 
 /// A compiled body: slot table, join order, per-step keys and actions, and
-/// the constraint schedule.
+/// the constraint schedule, for the schema it was compiled against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
+    /// The schema the plan was compiled against (a refcount): it runs on a
+    /// database over an equal one only, whose relations sit at the steps'
+    /// positions.
+    pub schema: DatabaseSchema,
     /// Variable names in slot (first-occurrence) order, shared with every
     /// [`Bindings`] table the plan produces.
     pub vars: Arc<[Arc<str>]>,
@@ -154,7 +165,7 @@ pub struct QueryPlan {
     pub restricted: bool,
 }
 
-/// The full plan plus one delta plan per atom — what a peer holds per rule.
+/// The full plan plus one delta plan per atom — what a rule fragment holds.
 ///
 /// The full plan is compiled with the body and each delta plan on its first
 /// use, so a body that is only ever evaluated in full, or whose relations
@@ -215,25 +226,38 @@ impl CompiledBody {
         watermarks: &(impl MarkTable + ?Sized),
     ) -> Result<()> {
         for i in 0..self.delta.len() {
-            if pending_since(&atoms[i], db, watermarks)?.is_some() {
+            if self.pending_since(i, atoms, db, watermarks)?.is_some() {
                 self.delta_plan(i, atoms, constraints, db)?
                     .ensure_indexes(db)?;
             }
         }
         Ok(())
     }
-}
 
-/// For the delta plan restricting `atom`: the watermark it scans from, or
-/// `None` when that relation holds no row past it (missing watermark
-/// entries mean 0, i.e. the whole relation is new).
-fn pending_since(
-    atom: &Atom,
-    db: &Database,
-    watermarks: &(impl MarkTable + ?Sized),
-) -> Result<Option<usize>> {
-    let watermark = watermarks.mark(&atom.relation);
-    Ok((db.relation(&atom.relation)?.len() > watermark).then_some(watermark))
+    /// The relation atom `i` of the body reads in `db`, found by the
+    /// position the full plan was compiled with.
+    ///
+    /// # Panics
+    /// Panics if the body has no atom `i`.
+    pub fn relation<'d>(&self, i: usize, db: &'d Database) -> Result<&'d Relation> {
+        let relations = db.relations_of(&self.full.schema)?;
+        let step = (self.full.steps.iter()).find(|step| step.atom == i);
+        Ok(&relations[step.expect("a step per atom").at])
+    }
+
+    /// For the delta plan restricting atom `i` of `atoms`: the watermark it
+    /// scans from, or `None` when that relation holds no row past it
+    /// (missing watermark entries mean 0, i.e. the whole relation is new).
+    fn pending_since(
+        &self,
+        i: usize,
+        atoms: &[Atom],
+        db: &Database,
+        watermarks: &(impl MarkTable + ?Sized),
+    ) -> Result<Option<usize>> {
+        let watermark = watermarks.mark(&atoms[i].relation);
+        Ok((self.relation(i, db)?.len() > watermark).then_some(watermark))
+    }
 }
 
 /// The compiled plans of one system — body plans and rule heads — shared
@@ -256,12 +280,12 @@ pub struct PlanCatalog {
     pub(crate) heads: Mutex<FxHashMap<u64, Vec<crate::chase::HeadEntry>>>,
 }
 
-/// One shared plan and the body and schema it was compiled from (the rest
-/// of its key — the restricted atom and the atom order — is the plan's own).
+/// One shared plan and the body it was compiled from (the rest of its key
+/// — the schema, the restricted atom and the atom order — is the plan's
+/// own).
 struct PlanEntry {
     atoms: Box<[Atom]>,
     constraints: Box<[Constraint]>,
-    schema: DatabaseSchema,
     plan: Arc<QueryPlan>,
 }
 
@@ -291,7 +315,7 @@ impl PlanCatalog {
         watermarks: &(impl MarkTable + ?Sized),
     ) -> Result<()> {
         for (i, slot) in body.delta.iter().enumerate() {
-            if slot.get().is_none() && pending_since(&atoms[i], db, watermarks)?.is_some() {
+            if slot.get().is_none() && body.pending_since(i, atoms, db, watermarks)?.is_some() {
                 let _ = slot.set(self.plan(atoms, constraints, db, Some(i))?);
             }
         }
@@ -322,7 +346,7 @@ impl PlanCatalog {
         let hit = (entries.get(&hash).into_iter().flatten()).find(|e| {
             *e.atoms == *atoms
                 && *e.constraints == *constraints
-                && e.schema == *db.schema()
+                && e.plan.schema == *db.schema()
                 && e.plan.restricted == restricted.is_some()
                 && order.as_ref().is_none_or(|order| {
                     (e.plan.steps.iter().map(|s| s.atom)).eq(order.iter().copied())
@@ -335,7 +359,6 @@ impl PlanCatalog {
         entries.entry(hash).or_default().push(PlanEntry {
             atoms: atoms.into(),
             constraints: constraints.into(),
-            schema: db.schema().clone(),
             plan: Arc::clone(&plan),
         });
         Ok(plan)
@@ -369,10 +392,10 @@ impl QueryPlan {
     /// step but a restricted plan's suffix scan and key-less scans), where
     /// the relations do not hold them yet. Data is never modified.
     pub fn ensure_indexes(&self, db: &mut Database) -> Result<()> {
+        let relations = db.relations_of_mut(&self.schema)?;
         let steps = self.steps.iter().skip(usize::from(self.restricted));
         for step in steps.filter(|step| !step.key_cols.is_empty()) {
-            db.relation_mut(&step.relation)?
-                .ensure_index(&step.key_cols);
+            relations[step.at].ensure_index(&step.key_cols);
         }
         Ok(())
     }
@@ -464,6 +487,7 @@ pub fn compile_body(
         steps.push(AtomStep {
             atom: ai,
             relation: atom.relation.clone(),
+            at: db.position(&atom.relation)?,
             key_cols: key.iter().map(|&(p, _)| p).collect(),
             key,
             actions,
@@ -472,6 +496,7 @@ pub fn compile_body(
     }
 
     Ok(QueryPlan {
+        schema: db.schema().clone(),
         vars: vars.into(),
         steps,
         constraints: compiled_constraints,
@@ -502,12 +527,13 @@ pub fn execute_plan(
     };
     let mut nrows = usize::from(plan.pre_constraints.iter().all(holds));
 
+    let relations = db.relations_of(&plan.schema)?;
     let mut key: Vec<Val> = Vec::new();
     for (si, step) in plan.steps.iter().enumerate() {
         if nrows == 0 {
             break;
         }
-        let rel = db.relation(&step.relation)?;
+        let rel = &relations[step.at];
         let delta_scan = si == 0 && plan.restricted;
         let scan = delta_scan || step.key_cols.is_empty();
         let from = if delta_scan { watermark } else { 0 };
@@ -683,9 +709,14 @@ impl Marks {
         self.entries().is_empty()
     }
 
-    /// The entry of `relation`, or where it would go.
+    /// The entry of `relation`, or where it would go. A name that is the
+    /// entry's own (an interned relation name, as a fragment's atoms and
+    /// its marks share it) matches without reading its bytes.
     fn find(&self, relation: &str) -> std::result::Result<usize, usize> {
-        (self.entries()).binary_search_by(|(r, _)| (**r).cmp(relation))
+        (self.entries()).binary_search_by(|(r, _)| match std::ptr::eq(&**r, relation) {
+            true => std::cmp::Ordering::Equal,
+            false => (**r).cmp(relation),
+        })
     }
 
     /// The mark of `relation`, if it is named.
@@ -854,7 +885,7 @@ pub fn evaluate_bindings_since_planned(
     let mut first: Option<Bindings> = None;
     let mut union: Option<RowSet> = None;
     for i in 0..body.delta.len() {
-        let Some(watermark) = pending_since(&atoms[i], db, watermarks)? else {
+        let Some(watermark) = body.pending_since(i, atoms, db, watermarks)? else {
             continue; // No new tuples in this atom's relation.
         };
         let delta = execute_plan(
@@ -1125,6 +1156,27 @@ mod tests {
                 .collect();
             assert_eq!(row_set(&rows), expected, "after insert {i}");
         }
+    }
+
+    /// A plan runs on a database over the schema it was compiled against
+    /// only: over another — here one whose `b` sits at another position —
+    /// it is refused, not run on whatever relation sits at its steps'
+    /// positions.
+    #[test]
+    fn a_plan_refuses_a_database_of_another_schema() {
+        let db = db_with_b(&[(1, 2)]);
+        let (body, _) = compile("q(X) :- b(X, Y)", &db);
+        let mut other =
+            Database::new(DatabaseSchema::parse("a(x: int). b(x: int, y: int).").unwrap());
+        other.insert_values("a", vec![Val::Int(9)]).unwrap();
+        let mut m = EvalMetrics::default();
+        let refused = execute_plan(&body.full, &other, 0, &mut m).unwrap_err();
+        assert_eq!(refused, crate::Error::OtherSchema);
+        assert_eq!(
+            body.full.ensure_indexes(&mut other),
+            Err(crate::Error::OtherSchema)
+        );
+        assert_eq!(full(&body, &db).0.len(), 1);
     }
 
     #[test]

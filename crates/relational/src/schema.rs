@@ -163,6 +163,12 @@ impl DatabaseSchema {
             .ok_or_else(|| Error::UnknownRelation(name.to_string()))
     }
 
+    /// Where the relation called `name` sits in name order, if declared:
+    /// its position in every database over this schema.
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
+        self.relations.keys().position(|r| **r == *name)
+    }
+
     /// Iterates relation signatures in name order.
     pub fn relations(&self) -> impl Iterator<Item = &Arc<RelationSchema>> {
         self.relations.values()

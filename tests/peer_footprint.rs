@@ -62,17 +62,22 @@ const PEERS: u32 = 2_000;
 /// Live bytes per peer once the system is built: 4 042 while every peer
 /// copied the builder's rows, 3 530 once it shares them, 2 833 once its
 /// rules share their identifiers and keep no growth slack in their lists,
-/// 2 943 once the system keeps the declared names, and 2 799 once a
-/// fragment's variable list is one shared block.
+/// 2 943 once the system keeps the declared names, 2 799 once a
+/// fragment's variable list is one shared block, and 2 895 once a peer's
+/// session tables hold their first entry inline (made room for by keeping
+/// an eager session's rounds state and a peer's driver state out of line)
+/// and a fragment and a rule have a place for their plans and head.
 const AFTER_BUILD: i64 = 2_950;
 /// Live bytes per peer once the first-contact session retired: 8 839
 /// while every peer compiled and kept its own `item(I,S)` plans and
 /// `inbox(I,S)` head, 6 394 once the peers of one build share them, 5 965
 /// once they share the builder's rows too, 5 268 once the rules are lean,
-/// 5 378 with the declared names, and 4 503 once a set of at most 8 rows
+/// 5 378 with the declared names, 4 503 once a set of at most 8 rows
 /// keeps no membership index, a cursor's watermarks of one relation no
-/// heap block and a pipe that carried no symbol no symbol table.
-const AFTER_FIRST_CONTACT: i64 = 4_700;
+/// heap block and a pipe that carried no symbol no symbol table, and 4 214
+/// once a fragment and a rule hold their plans and head, with no table of
+/// them per peer.
+const AFTER_FIRST_CONTACT: i64 = 4_450;
 
 fn run_closed(sys: &mut P2PSystem) {
     let report = sys.run_update();

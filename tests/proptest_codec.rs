@@ -107,12 +107,12 @@ fn session() -> impl Strategy<Value = SessionId> {
 /// A rule fragment. A cold structured field: it travels as an embedded
 /// generic document, so one shape suffices here.
 fn part(node: u32) -> Arc<p2pdb::core::rule::BodyPart> {
-    Arc::new(p2pdb::core::rule::BodyPart {
-        node: NodeId(node),
-        atoms: vec![],
-        local_constraints: vec![],
-        vars: [Arc::from("X")].into(),
-    })
+    Arc::new(p2pdb::core::rule::BodyPart::new(
+        NodeId(node),
+        vec![],
+        vec![],
+        [Arc::from("X")].into(),
+    ))
 }
 
 /// A query's or an answer's exchange: each of the three, the round
@@ -248,12 +248,12 @@ fn wal_frame() -> impl Strategy<Value = WalFrame> {
 
 /// A rule fragment as `p2p_core` hands it to the store.
 fn fragment_doc(node: u32) -> serde::Content {
-    let part = p2pdb::core::rule::BodyPart {
-        node: NodeId(node),
-        atoms: vec![],
-        local_constraints: vec![],
-        vars: [Arc::from("X"), Arc::from("Y")].into(),
-    };
+    let part = p2pdb::core::rule::BodyPart::new(
+        NodeId(node),
+        vec![],
+        vec![],
+        [Arc::from("X"), Arc::from("Y")].into(),
+    );
     part.to_content().unwrap()
 }
 

@@ -105,12 +105,12 @@ fn msg() -> impl Strategy<Value = ProtocolMsg> {
                 },
                 4 => ProtocolMsg::Ack { session },
                 5 => {
-                    let part = Arc::new(p2pdb::core::rule::BodyPart {
-                        node: NodeId(session.root.0),
-                        atoms: vec![],
-                        local_constraints: vec![],
-                        vars: [Arc::from("X")].into(),
-                    });
+                    let part = Arc::new(p2pdb::core::rule::BodyPart::new(
+                        NodeId(session.root.0),
+                        vec![],
+                        vec![],
+                        [Arc::from("X")].into(),
+                    ));
                     let from = if round % 2 == 0 {
                         Start::Resume
                     } else {

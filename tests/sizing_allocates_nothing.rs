@@ -100,15 +100,15 @@ fn samples() -> Vec<ProtocolMsg> {
     let query = ProtocolMsg::Query(Query {
         session,
         rule: RuleId(2),
-        part: Arc::new(BodyPart {
-            node: NodeId(3),
-            atoms: vec![
+        part: Arc::new(BodyPart::new(
+            NodeId(3),
+            vec![
                 Atom::new("pub", var(&["I", "T", "Y"])),
                 Atom::new("wrote", wrote),
             ],
-            local_constraints: vec![],
-            vars: ["I", "T", "Y", "A"].map(Arc::from).into(),
-        }),
+            vec![],
+            ["I", "T", "Y", "A"].map(Arc::from).into(),
+        )),
         sn: [NodeId(0), NodeId(1), NodeId(3)].into(),
         from: Start::Resume,
         via: Via::Session,
@@ -244,8 +244,10 @@ fn counting_a_send_or_a_delivery_allocates_nothing() {
 /// rows with no membership index, variable lists and `SN`s shared, a
 /// cursor's watermarks of one relation inline, one send buffer per runtime
 /// and no symbol table for a pipe that carried no symbol: 13 616 over
-/// 4 982, 2.73 a message.
-const SESSION_ALLOCATIONS: u64 = 13_616;
+/// 4 982, 2.73 a message. Session tables that hold their first entry
+/// inline, and plans and heads held by the fragment and the rule they were
+/// compiled for instead of in two tables per peer: 11 616, 2.33 a message.
+const SESSION_ALLOCATIONS: u64 = 11_616;
 const SESSION_MESSAGES: u64 = 4_982;
 /// What a first-contact session may cost a message, whatever the pin:
 /// 6.2 before sets of few rows kept no index and a runtime reused its
@@ -293,13 +295,18 @@ fn an_eager_session_stays_within_its_allocation_budget() {
 
 /// Allocations of the second session on the same system: write-free, so
 /// every fragment is held and served from its standing subscription,
-/// nothing is queried and no row moves — the skeleton alone. 2 310 over
-/// 1 498 messages, 1.54 a message against the 1.5 ROADMAP item 21 asks
-/// of a write-free session; 4 803 (3.2) while a cursor's watermarks were a
-/// heap block each, copied when a standing subscription opened, and a
-/// retiring session collected the entries it superseded into a list.
-const WRITE_FREE_ALLOCATIONS: u64 = 2_310;
+/// nothing is queried and no row moves — the skeleton alone. 1 407 over
+/// 1 498 messages, 0.94 a message; 1 810 (1.21) while a flood collected
+/// the cursors it opened into a list first, 2 310 (1.54) while every
+/// retirement dropped the peer's live-session table and the next session
+/// grew it again, and 4 803 (3.2) while a cursor's watermarks were a heap
+/// block each, copied when a standing subscription opened, and a retiring
+/// session collected the entries it superseded into a list.
+const WRITE_FREE_ALLOCATIONS: u64 = 1_407;
 const WRITE_FREE_MESSAGES: u64 = 1_498;
+/// What ROADMAP item 21 asks a write-free session to cost a message,
+/// whatever the pin.
+const WRITE_FREE_ALLOCATIONS_PER_MESSAGE: f64 = 1.5;
 
 #[test]
 fn a_write_free_session_stays_within_its_allocation_budget() {
@@ -317,6 +324,10 @@ fn a_write_free_session_stays_within_its_allocation_budget() {
     assert!(
         allocations as f64 <= WRITE_FREE_ALLOCATIONS as f64 * 1.1,
         "{allocations} allocations"
+    );
+    assert!(
+        each <= WRITE_FREE_ALLOCATIONS_PER_MESSAGE,
+        "{each:.2} a message"
     );
 }
 
@@ -381,13 +392,18 @@ fn a_first_contact_session_sends_these_messages_by_kind() {
 /// and the runtime hands every handler one send buffer: 13 609, `Query`
 /// 5 324 (5.32), `UpdateFlood` 2 392 (4.79), `Answer` 4 336 (2.62), `Ack`
 /// 465 (0.35), the `StartUpdate` 97, `Fixpoint` and the runtime as before.
+/// Since a peer's session tables hold their first entry inline and a
+/// fragment and a rule hold their plans and head: 11 609, `UpdateFlood`
+/// 1 897 (3.80), `Query` 4 830 (4.83), `Answer` 3 826 (2.32), `Fixpoint`
+/// 412 (0.83: a retirement no longer drops the live table), `Ack` 464, the
+/// `StartUpdate` 96, the runtime as before.
 const SESSION_SPLIT: [(&str, u64, u64); 6] = [
-    ("StartUpdate", 1, 97),
-    ("UpdateFlood", 499, 2_392),
-    ("Query", 1_000, 5_324),
-    ("Answer", 1_652, 4_336),
-    ("Ack", 1_331, 465),
-    ("Fixpoint", 499, 911),
+    ("StartUpdate", 1, 96),
+    ("UpdateFlood", 499, 1_897),
+    ("Query", 1_000, 4_830),
+    ("Answer", 1_652, 3_826),
+    ("Ack", 1_331, 464),
+    ("Fixpoint", 499, 412),
 ];
 const SESSION_RUNTIME_ALLOCATIONS: u64 = 84;
 /// What a `Query` handler may cost a delivery, whatever the pin: 16.7
@@ -521,7 +537,7 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
     let mut sub = subscription(&rule.parts[0], marks);
     let mut ctx = Context::new(SimTime::ZERO, NodeId(1));
     let ((rows, new), allocations) =
-        allocations_in(|| peer.advance_subscription(rule.id, &mut sub, &mut ctx));
+        allocations_in(|| peer.advance_subscription(&mut sub, &mut ctx));
     assert!(rows.is_empty() && new == 0);
     assert_eq!(allocations, 0);
 
@@ -529,7 +545,7 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
     peer.database_mut()
         .insert_values("item", vec![Val::Int(9), Val::Int(1)])
         .unwrap();
-    let (rows, new) = peer.advance_subscription(rule.id, &mut sub, &mut ctx);
+    let (rows, new) = peer.advance_subscription(&mut sub, &mut ctx);
     assert_eq!(
         rows,
         RowSet::from_flat(2, 1, vec![Val::Int(9), Val::Int(1)])
@@ -666,8 +682,8 @@ fn subscription(part: &Arc<BodyPart>, watermarks: Marks) -> Subscription {
 /// serve `item(I,S)` fragments of the same shape to heads D and E, over the
 /// same four rows: B's first evaluation compiles the plans, and C's takes
 /// them from the system's catalog, so it costs what C's next evaluation of
-/// the same rows costs plus one cache slot — the map's table and the
-/// slot's table of delta plans. Likewise D's first answer compiles the
+/// the same rows costs plus the table of delta plans its fragment then
+/// holds. Likewise D's first answer compiles the
 /// `inbox(I,S)` head, and E's, in the very same state, is cheaper by at
 /// least the compile.
 #[test]
@@ -699,16 +715,16 @@ fn a_second_peer_of_one_shape_compiles_nothing() {
     };
 
     // Everything is new to a subscriber that holds nothing.
-    let first = |peer: &mut DbPeer, rule: RuleId, part: &Arc<BodyPart>| {
+    let first = |peer: &mut DbPeer, part: &Arc<BodyPart>| {
         let mut sub = subscription(part, Marks::new());
         let mut ctx = Context::new(SimTime::ZERO, peer.id());
-        allocations_in(|| peer.advance_subscription(rule, &mut sub, &mut ctx).0.len())
+        allocations_in(|| peer.advance_subscription(&mut sub, &mut ctx).0.len())
     };
-    let (rows, compiled) = first(body_b, bd, &parts[0]);
+    let (rows, compiled) = first(body_b, &parts[0]);
     assert_eq!(rows, 4);
-    let (rows, shared) = first(body_c, ce, &parts[1]);
+    let (rows, shared) = first(body_c, &parts[1]);
     assert_eq!(rows, 4);
-    let (rows, held) = first(body_c, ce, &parts[1]);
+    let (rows, held) = first(body_c, &parts[1]);
     assert_eq!(rows, 4);
     let db = body_c.database();
     let (atoms, constraints) = (&parts[1].atoms, &parts[1].local_constraints);
