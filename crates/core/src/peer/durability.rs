@@ -179,10 +179,10 @@ impl DbPeer {
         from: NodeId,
         answer: AnswerRows,
     ) {
-        let keeps_rows = self.rules.get(&rule).is_some_and(|r| r.parts.len() > 1);
         let Some(st) = self.storage.as_mut().filter(|_| !answer.marks.is_empty()) else {
             return;
         };
+        let keeps_rows = self.rules.get(&rule).is_some_and(|r| r.parts.len() > 1);
         let (vars, rows) = if keeps_rows {
             (answer.vars, answer.rows)
         } else {

@@ -9,13 +9,15 @@
 //! deltas unless the run is `paper_faithful`. Loops quiesce because answers
 //! only flow when they carry something new — the paper's "node N stops
 //! propagating a result set R iff N is contained in the path … and there is
-//! no new data in R".
+//! no new data in R". A delta needs no record of what was sent to tell what
+//! is new: evaluated from a subscription's watermarks, it holds only rows
+//! the subscription never shipped ([`DbPeer::advance_subscription`]).
 //!
 //! What decides when a session is over is **per session** ([`EagerState`]
 //! lives inside [`crate::peer::SessionState`]): concurrent sessions from
 //! different roots keep separate closure flags, fragment completeness and
-//! subscriptions — with each subscription's `sent` filter for what is in
-//! flight — over the shared local database, so any number of initiators
+//! subscriptions — each with the watermarks its next delta starts from —
+//! over the shared local database, so any number of initiators
 //! interleave soundly: monotone inserts commute, and each global session's
 //! subscription graph independently covers every rule. What a session
 //! *ships* is per peer: a subscription starts from the cursor the last
@@ -41,6 +43,7 @@
 //! flight at termination.
 
 use crate::messages::{Answer, AnswerRows, Marks, ProtocolMsg, Query, Start, Via};
+use crate::peer::catalog::held_body;
 use crate::peer::durability::Durable;
 use crate::peer::{part_marks, DbPeer, SessionState};
 use crate::rule::{BodyPart, RuleId};
@@ -53,15 +56,19 @@ use std::sync::Arc;
 /// A subscription served to a rule's head node (body side), for the
 /// lifetime of one session — of either update mode: a rounds session serves
 /// its wave queries from one too.
+///
+/// It keeps where it is, not what it sent: an evaluation from its
+/// watermarks returns only rows it has not shipped in this session (see
+/// [`DbPeer::advance_subscription`]), so what it ships is counted, not
+/// kept.
 #[derive(Debug, Clone)]
 pub struct Subscription {
     /// The fragment to evaluate for this subscriber (shared with the plan
     /// cache and the cursor it commits to).
     pub part: Arc<BodyPart>,
-    /// Rows shipped in this session, over the fragment's variables: the
-    /// exactness layer over delta evaluation, which may re-derive an
-    /// already-shipped row from a new fact.
-    pub sent: RowSet,
+    /// Distinct rows shipped in this session, over the fragment's
+    /// variables.
+    pub shipped: usize,
     /// Rows earlier sessions shipped on this subscription (the resumed
     /// cursor's count; 0 when the subscription started from the full
     /// extension).
@@ -79,19 +86,6 @@ pub struct Subscription {
     /// re-running the full conjunctive query, and retirement commits them as
     /// the `(subscriber, rule)` cursor the next session resumes from.
     pub watermarks: Marks,
-}
-
-impl Subscription {
-    /// The `new` rows among `rows` that [`DbPeer::advance_subscription`]
-    /// found unsent, in their order: `rows` itself when every one was.
-    fn unsent(&self, rows: RowSet, new: usize) -> RowSet {
-        if new == rows.len() {
-            return rows;
-        }
-        let mut unsent = RowSet::new(rows.arity());
-        unsent.extend(self.sent.since(self.sent.len() - new));
-        unsent
-    }
 }
 
 /// One fragment of one of this peer's rules, as one session sees it.
@@ -354,7 +348,7 @@ impl DbPeer {
         let (rows, resumed_rows) = self.eval_from((to, rule), &part, from, ctx);
         let sub = Subscription {
             watermarks: part_marks(&self.db, &part),
-            sent: rows.clone(),
+            shipped: rows.len(),
             resumed_rows,
             sent_complete: false,
             standing: false,
@@ -389,29 +383,47 @@ impl DbPeer {
     }
 
     /// Re-evaluates a subscription's fragment — the delta since its last
-    /// evaluation, or under `paper_faithful` the full extension — and moves
-    /// its watermarks. Returns the evaluated rows and how many of them were
-    /// not yet shipped in this session: they are now the newest rows of
-    /// `sub.sent` ([`Subscription::unsent`]). A delta over relations that
-    /// did not grow is empty, so it is not evaluated at all: the watermarks
-    /// already read the relations' lengths, and nothing is allocated.
-    /// (Public, but hidden from the docs, so that
-    /// `tests/sizing_allocates_nothing.rs` can price it.)
+    /// evaluation, or under `paper_faithful` the full extension — moves its
+    /// watermarks and counts the new rows as shipped. Returns the evaluated
+    /// rows and how many of them are new in this session.
+    ///
+    /// A delta is new in full. An answer row binds every distinct variable
+    /// of its fragment (no fragment projects), so it fixes the one stored
+    /// fact each atom matched, and a delta from the watermarks derives
+    /// exactly the rows with a fact past them. Relations only grow, so the
+    /// windows between successive watermarks never derive one row twice
+    /// (semi-naive evaluation; Abiteboul, Hull & Vianu, *Foundations of
+    /// Databases*, §13.1). A full extension only grows within a session:
+    /// its new rows number its length less what was shipped.
+    ///
+    /// A delta over relations that did not grow is empty, so it is not
+    /// evaluated at all: the watermarks already read the relations'
+    /// lengths, and nothing is allocated. (Public, but hidden from the
+    /// docs, so that `tests/sizing_allocates_nothing.rs` can price it.)
     #[doc(hidden)]
     pub fn advance_subscription(
         &mut self,
         sub: &mut Subscription,
         ctx: &mut Context<ProtocolMsg>,
     ) -> (RowSet, usize) {
-        if !self.config.paper_faithful && !self.grew_past(&sub.part, &sub.watermarks) {
+        let faithful = self.config.paper_faithful;
+        if !faithful && !self.grew_past(&sub.part, &sub.watermarks) {
             return (RowSet::new(sub.part.vars.len()), 0);
         }
-        let since = (!self.config.paper_faithful).then_some(&sub.watermarks);
+        let since = (!faithful).then_some(&sub.watermarks);
         let rows = self.eval_part_local(&sub.part, since, ctx);
+        debug_assert!(
+            held_body(&sub.part, &self.db).is_none_or(|body| body.full.vars == sub.part.vars),
+            "a fragment's rows bind its variables, no fewer"
+        );
         sub.watermarks = part_marks(&self.db, &sub.part);
-        let before = sub.sent.len();
-        sub.sent.extend(rows.iter());
-        (rows, sub.sent.len() - before)
+        let new = if faithful {
+            rows.len() - sub.shipped
+        } else {
+            rows.len()
+        };
+        sub.shipped += new;
+        (rows, new)
     }
 
     /// Ships `rows` on `sub` as `reply`, which names the answer's session,
@@ -492,15 +504,14 @@ impl DbPeer {
         let (mut sub, rows) = match st.subs.remove(&key) {
             Some(mut sub) if query.from == Start::Resume && sub.part == query.part => {
                 let (rows, new) = self.advance_subscription(&mut sub, ctx);
-                let unsent = sub.unsent(rows, new);
                 if !sub.standing {
                     // What a full re-ship would have re-sent.
                     self.stats.delta_answers_sent += 1;
-                    let saved = sub.resumed_rows + sub.sent.len() - unsent.len();
+                    let saved = sub.resumed_rows + sub.shipped - new;
                     self.stats.rows_saved += saved as u64;
                 }
                 sub.standing = false;
-                (sub, unsent)
+                (sub, rows)
             }
             open => {
                 if open.is_some_and(|sub| !sub.standing) && query.via == Via::Session {
@@ -657,7 +668,7 @@ impl DbPeer {
     ///
     /// The fragment is **delta-evaluated** from the subscription's
     /// watermarks — only bindings using facts inserted since the last answer
-    /// are computed — and only rows not yet shipped in this session go out.
+    /// are computed, and none of them was shipped in this session.
     /// Under `paper_faithful` the fragment is re-evaluated in full and, when
     /// anything is new, re-shipped in full.
     pub(crate) fn push_deltas(
@@ -679,23 +690,26 @@ impl DbPeer {
                 continue;
             }
             sub.sent_complete = closed && !sub.standing;
-            let ship = if faithful {
-                rows
-            } else {
+            if !faithful {
                 // What a full re-ship would have re-sent: the whole current
                 // extension, approximated by what the subscription shipped.
                 self.stats.delta_answers_sent += 1;
-                self.stats.rows_saved += (sub.resumed_rows + sub.sent.len() - new) as u64;
-                sub.unsent(rows, new)
-            };
+                self.stats.rows_saved += (sub.resumed_rows + sub.shipped - new) as u64;
+            }
             let answer = Answer::new(sid, rule, AnswerRows::default(), Via::Session);
-            self.send_answer(st, ctx, to, sub, ship, answer);
+            self.send_answer(st, ctx, to, sub, rows, answer);
         }
         st.subs = subs;
     }
 
     /// Lemma 1's `Rules` criterion: every fragment of every rule reported
     /// final data.
+    ///
+    /// The session's own `parts` are read first: every entry names a
+    /// fragment of a rule this peer holds now, since `forget_rule` prunes
+    /// the entries of a rule from every live session when it goes. So one
+    /// incomplete entry settles it, and the rules are read only when every
+    /// entry is complete.
     pub(crate) fn maybe_close_by_rules(
         &mut self,
         st: &mut SessionState,
@@ -707,6 +721,15 @@ impl DbPeer {
             || st.upd.suppress_flag_closure
             || self.subscriptions.resyncing()
         {
+            return;
+        }
+        debug_assert!(
+            st.parts.keys().all(|(rule, node)| {
+                (self.rules.get(rule)).is_some_and(|r| r.parts.iter().any(|p| p.node == *node))
+            }),
+            "a session listens to fragments of this peer's rules only"
+        );
+        if st.parts.values().any(|part| !part.complete) {
             return;
         }
         let all_complete = self

@@ -32,9 +32,9 @@
 //! computation is over, and what is still in flight within it: the closure
 //! flags, which fragments the session listens to and which of them it
 //! queried, the session's own Dijkstra–Scholten detector, rounds mode's echo
-//! tree and round counter, and each served subscription's `sent` filter and
-//! its not yet committed watermarks. Both update modes keep the last two in
-//! the same tables (`SessionState::parts`, `SessionState::subs`).
+//! tree and round counter, and each served subscription's not yet committed
+//! watermarks and count of rows shipped. Both update modes keep the last two
+//! in the same tables (`SessionState::parts`, `SessionState::subs`).
 //!
 //! **Per peer** (`Subscriptions`) is what a session leaves behind for the
 //! next one, under either mode, so that a session costs what changed, not

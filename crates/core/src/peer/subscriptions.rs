@@ -183,9 +183,9 @@ impl Subscriptions {
                         .all(|(rel, w)| sub.watermarks.get(rel).is_some_and(|n| n >= w))
             });
             if newer {
-                let shipped = !sub.sent.is_empty();
+                let shipped = sub.shipped > 0;
                 let cursor = Cursor {
-                    rows: sub.resumed_rows + sub.sent.len(),
+                    rows: sub.resumed_rows + sub.shipped,
                     part: sub.part,
                     watermarks: sub.watermarks,
                 };

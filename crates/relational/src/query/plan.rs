@@ -169,9 +169,10 @@ pub struct QueryPlan {
 ///
 /// The full plan is compiled with the body and each delta plan on its first
 /// use, so a body that is only ever evaluated in full, or whose relations
-/// never grow, compiles one plan. The body itself is not kept: whoever
-/// evaluates a delta passes the atoms and constraints the body was compiled
-/// from.
+/// never grow, compiles one plan. A one-atom body holds no delta plan: its
+/// full plan, run restricted, is the one it would compile. The body itself
+/// is not kept: whoever evaluates a delta passes the atoms and constraints
+/// the body was compiled from.
 /// Delta plans read relation sizes when they are compiled (the greedy atom
 /// order breaks ties on them), so their atom order depends on when that is;
 /// the set of rows they produce does not.
@@ -179,7 +180,8 @@ pub struct QueryPlan {
 pub struct CompiledBody {
     /// Unrestricted plan.
     pub full: Arc<QueryPlan>,
-    /// `delta[i]` restricts atom `i` to its post-watermark suffix.
+    /// `delta[i]` restricts atom `i` to its post-watermark suffix; empty
+    /// for a body of one atom.
     delta: Box<[OnceLock<Arc<QueryPlan>>]>,
 }
 
@@ -192,14 +194,20 @@ impl CompiledBody {
     }
 
     /// A body around its full plan, with no delta plan yet (a validated
-    /// plan has one step per atom).
+    /// plan has one step per atom). Restricting the one atom of a one-atom
+    /// body changes no step, so such a body keeps no slot: the empty slot
+    /// list allocates nothing.
     fn around(full: Arc<QueryPlan>) -> Self {
-        let delta = full.steps.iter().map(|_| OnceLock::new()).collect();
+        let delta = match full.steps.len() {
+            1 => Box::default(),
+            _ => full.steps.iter().map(|_| OnceLock::new()).collect(),
+        };
         CompiledBody { full, delta }
     }
 
     /// The delta plan restricting atom `i` of the body `atoms` and
-    /// `constraints`, compiled against `db` on first use.
+    /// `constraints`, compiled against `db` on first use; to be executed
+    /// restricted (the full plan of a one-atom body is its own).
     fn delta_plan(
         &self,
         i: usize,
@@ -207,6 +215,9 @@ impl CompiledBody {
         constraints: &[Constraint],
         db: &Database,
     ) -> Result<&QueryPlan> {
+        if self.delta.is_empty() {
+            return Ok(&self.full);
+        }
         if let Some(plan) = self.delta[i].get() {
             return Ok(plan);
         }
@@ -217,7 +228,8 @@ impl CompiledBody {
     /// [`QueryPlan::ensure_indexes`] for exactly the delta plans
     /// [`evaluate_bindings_since_planned`] would execute over `watermarks`:
     /// a delta plan whose relation saw no new rows builds nothing (and is
-    /// not compiled).
+    /// not compiled). A one-atom body's delta scans its relation's suffix
+    /// and probes no index.
     pub fn ensure_delta_indexes(
         &self,
         atoms: &[Atom],
@@ -515,6 +527,18 @@ pub fn execute_plan(
     watermark: usize,
     m: &mut EvalMetrics,
 ) -> Result<Bindings> {
+    execute(plan, plan.restricted, db, watermark, m)
+}
+
+/// [`execute_plan`], with the first step restricted to the suffix past
+/// `watermark` when `restricted` says so, whatever the plan says.
+fn execute(
+    plan: &QueryPlan,
+    restricted: bool,
+    db: &Database,
+    watermark: usize,
+    m: &mut EvalMetrics,
+) -> Result<Bindings> {
     let width = plan.vars.len().max(1);
     // Before the first step there is one empty binding, which no buffer
     // holds: the first step reads it as an empty slice and fills every
@@ -534,7 +558,7 @@ pub fn execute_plan(
             break;
         }
         let rel = &relations[step.at];
-        let delta_scan = si == 0 && plan.restricted;
+        let delta_scan = si == 0 && restricted;
         let scan = delta_scan || step.key_cols.is_empty();
         let from = if delta_scan { watermark } else { 0 };
         // A scan with no key to check keeps every binding × row pair (but
@@ -866,10 +890,12 @@ impl<K: std::borrow::Borrow<str> + Ord> MarkTable for BTreeMap<K, usize> {
 /// Computed as the standard semi-naive expansion `⋃ᵢ full(a₁) ⋈ … ⋈ Δ(aᵢ) ⋈
 /// … ⋈ full(aₖ)`: for each atom in turn, that atom ranges over the delta
 /// rows only while every other atom ranges over the full current relation.
-/// The union over-approximates the set of *genuinely new* bindings (a new
-/// tuple may re-derive an old binding) but never misses one, and is always a
-/// subset of the full evaluation — exactly what a monotone delta shipment
-/// needs. Column order matches [`crate::query::evaluate_bindings`] on the
+/// The union is exactly the *genuinely new* bindings: a binding fixes the
+/// stored row each atom matched (an atom's terms are variables and
+/// constants), so one that older tuples alone derive is never derived
+/// again (a projection of the bindings may still repeat a row). It is
+/// always a subset of the full evaluation — exactly what a monotone delta
+/// shipment needs. Column order matches [`crate::query::evaluate_bindings`] on the
 /// same body. The union of every delta plan's rows is deduplicated in
 /// first-occurrence order: when only one delta plan has rows to scan, its
 /// bindings — distinct already — are the result as they stand; otherwise
@@ -884,16 +910,12 @@ pub fn evaluate_bindings_since_planned(
 ) -> Result<Bindings> {
     let mut first: Option<Bindings> = None;
     let mut union: Option<RowSet> = None;
-    for i in 0..body.delta.len() {
+    for i in 0..body.full.steps.len() {
         let Some(watermark) = body.pending_since(i, atoms, db, watermarks)? else {
             continue; // No new tuples in this atom's relation.
         };
-        let delta = execute_plan(
-            body.delta_plan(i, atoms, constraints, db)?,
-            db,
-            watermark,
-            m,
-        )?;
+        let plan = body.delta_plan(i, atoms, constraints, db)?;
+        let delta = execute(plan, true, db, watermark, m)?;
         let Some(first) = &first else {
             first = Some(delta);
             continue;

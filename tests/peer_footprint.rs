@@ -14,6 +14,7 @@
 //! The counting allocator below is this test binary's global allocator; it
 //! counts per thread, so the test harness's own threads do not disturb it.
 
+use p2pdb::core::peer::Subscription;
 use p2pdb::core::system::{P2PSystem, P2PSystemBuilder};
 use p2pdb::net::Codec;
 use p2pdb::relational::{RowSet, Val};
@@ -74,9 +75,10 @@ const AFTER_BUILD: i64 = 2_950;
 /// once they share the builder's rows too, 5 268 once the rules are lean,
 /// 5 378 with the declared names, 4 503 once a set of at most 8 rows
 /// keeps no membership index, a cursor's watermarks of one relation no
-/// heap block and a pipe that carried no symbol no symbol table, and 4 214
+/// heap block and a pipe that carried no symbol no symbol table, 4 214
 /// once a fragment and a rule hold their plans and head, with no table of
-/// them per peer.
+/// them per peer, and 4 182 once a one-atom fragment keeps no slot for a
+/// delta plan.
 const AFTER_FIRST_CONTACT: i64 = 4_450;
 
 fn run_closed(sys: &mut P2PSystem) {
@@ -110,6 +112,15 @@ fn a_peer_costs_these_bytes_after_build_and_after_sessions() {
         "{first} B per peer after first contact"
     );
     assert_eq!(later, first, "sessions after the first hold nothing more");
+}
+
+/// A served subscription holds no row of its own: its fragment, its
+/// watermarks (one relation inline), two counts and two flags. It took 152
+/// bytes, and a heap block per shipped answer, while it kept a copy of
+/// every row it shipped in its session.
+#[test]
+fn a_subscription_holds_no_row_buffer() {
+    assert_eq!(std::mem::size_of::<Subscription>(), 64);
 }
 
 /// Rows at each body node of the join head below.
