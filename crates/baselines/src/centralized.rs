@@ -20,7 +20,7 @@ pub struct CentralizedReport {
     /// data, the scalability objection to the global algorithm.
     pub central_bytes_in: u64,
     /// Bytes shipped back out of the central node.
-    pub central_bytes_out: u64,
+    pub(crate) central_bytes_out: u64,
 }
 
 /// Runs the centralized update: uploads every database to `central`,

@@ -6,7 +6,7 @@ use p2p_topology::paths::format_path;
 use p2p_topology::{maximal_dependency_paths, NodeId};
 
 /// E1: the corrected Section 2 path table, computed from Definitions 6–7.
-pub fn e1_paper_paths() -> Table {
+pub(crate) fn e1_paper_paths() -> Table {
     let graph = p2p_topology::graph::paper_example_graph();
     let mut table = Table::new(&["node", "maximal dependency paths"]);
     for start in 0..5u32 {

@@ -8,7 +8,7 @@ use p2p_workload::{build_system, Distribution, WorkloadConfig};
 /// E10: topology-discovery messages and time vs network size — both
 /// single-owner (super-peer only, the paper's A1) and all-owners (every
 /// node learns its own paths).
-pub fn e10_discovery() -> Table {
+pub(crate) fn e10_discovery() -> Table {
     let mut table = Table::new(&[
         "topology",
         "nodes",

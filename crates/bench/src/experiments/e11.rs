@@ -8,7 +8,7 @@ use p2p_workload::{build_system, Distribution, WorkloadConfig};
 
 /// E11: the distributed algorithm vs the centralized (global) and acyclic
 /// baselines: messages, bytes, and the hottest node's inbound bytes.
-pub fn e11_baselines(scale: Scale) -> Table {
+pub(crate) fn e11_baselines(scale: Scale) -> Table {
     let mut table = Table::new(&[
         "topology",
         "algorithm",

@@ -8,7 +8,7 @@ use p2p_workload::{build_system, Distribution, WorkloadConfig};
 /// E12: maximal-dependency-path counts on cliques (factorial growth — the
 /// combinatorial core of the paper's 2EXPTIME bound) alongside a Lemma 1
 /// check: at closure, the distributed state equals the fix-point oracle.
-pub fn e12_growth() -> Table {
+pub(crate) fn e12_growth() -> Table {
     let mut table = Table::new(&["clique n", "paths from node 0", "closed==fixpoint"]);
     for n in 3..=7u32 {
         let topology = Topology::Clique { n };

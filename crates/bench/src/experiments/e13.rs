@@ -11,7 +11,7 @@ use p2p_workload::{build_system, Distribution, WorkloadConfig};
 /// query-dependent update rooted at the super-peer. On super-peer-rooted
 /// topologies both cover everything; the flood pays one request and its
 /// acknowledgement per node for its coverage guarantee.
-pub fn e13_initiation(scale: Scale) -> Table {
+pub(crate) fn e13_initiation(scale: Scale) -> Table {
     let mut table = Table::new(&["topology", "initiation", "messages", "bytes", "closed"]);
     for topology in [
         Topology::Tree {

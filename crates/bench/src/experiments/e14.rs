@@ -11,21 +11,21 @@ use p2p_workload::{build_system, Distribution, WorkloadConfig};
 /// Outcome of the delta-wave ablation; [`DeltaWavesSummary::ok`] is the
 /// acceptance bar the report prints as "delta-wave smoke".
 #[derive(Debug, Clone)]
-pub struct DeltaWavesSummary {
+pub(crate) struct DeltaWavesSummary {
     /// Rows shipped with `delta_waves` on (cyclic topology).
-    pub delta_rows_shipped: u64,
+    pub(crate) delta_rows_shipped: u64,
     /// Rows shipped by the full re-ship baseline (cyclic topology).
-    pub full_rows_shipped: u64,
+    pub(crate) full_rows_shipped: u64,
     /// `rows_saved` reported by the delta run (cyclic topology).
     pub rows_saved: u64,
     /// Both runs (and the paper example) converged to identical databases.
-    pub identical: bool,
+    pub(crate) identical: bool,
 }
 
 impl DeltaWavesSummary {
     /// The acceptance bar: identical fix-points, actual savings recorded,
     /// and ≥3× fewer rows over the wire on the cyclic topology.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.identical
             && self.rows_saved > 0
             && self.delta_rows_shipped.max(1) * 3 <= self.full_rows_shipped
@@ -49,7 +49,7 @@ fn run_once(mut b: P2PSystemBuilder, delta_waves: bool) -> (P2PSystem, PeerStats
 /// on the paper's running example (seeded with a 5-fact chain at E, so the
 /// B↔C cycle needs several rounds) and a generated cyclic topology. The
 /// summary is over the cyclic topology.
-pub fn e14_delta_waves(scale: Scale) -> (Table, DeltaWavesSummary) {
+pub(crate) fn e14_delta_waves(scale: Scale) -> (Table, DeltaWavesSummary) {
     let mut table = Table::new(&[
         "topology",
         "delta_waves",

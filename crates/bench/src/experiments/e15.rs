@@ -12,7 +12,7 @@ use p2p_workload::{build_system, Distribution, WorkloadConfig};
 /// Outcome of the churn experiment; [`ChurnSummary::ok`] is the acceptance
 /// bar the report prints as "churn smoke".
 #[derive(Debug, Clone)]
-pub struct ChurnSummary {
+pub(crate) struct ChurnSummary {
     /// Peer crashes executed.
     pub crashes: u64,
     /// Successful storage recoveries.
@@ -21,18 +21,18 @@ pub struct ChurnSummary {
     pub resync_rows: u64,
     /// What a full re-propagation ships on the same workload (the
     /// `delta_waves = off` baseline's total rows over the wire).
-    pub full_repropagation_rows: u64,
+    pub(crate) full_repropagation_rows: u64,
     /// Driver re-drives it took to re-certify closure.
     pub redrives: u32,
     /// The churned run converged tuple-identical to the no-churn run and
     /// the centralized oracle.
-    pub identical: bool,
+    pub(crate) identical: bool,
 }
 
 impl ChurnSummary {
     /// The acceptance bar: both crashes recovered, identical fix-point, and
     /// crash repair strictly cheaper than a full re-propagation.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.identical
             && self.crashes >= 2
             && self.recoveries == self.crashes
@@ -64,7 +64,7 @@ fn churn_builder(scale: Scale, delta_waves: bool, durable: bool) -> P2PSystemBui
 /// fixes the session length (and the reference fix-point); the full
 /// re-ship baseline prices a full re-propagation; the churned run must
 /// converge tuple-identical with `resync_rows` strictly below that price.
-pub fn e15_churn(scale: Scale) -> (Table, ChurnSummary) {
+pub(crate) fn e15_churn(scale: Scale) -> (Table, ChurnSummary) {
     let mut table = Table::new(&[
         "run",
         "rounds",

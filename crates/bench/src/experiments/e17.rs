@@ -9,35 +9,32 @@ use p2p_workload::{concurrent_scenario, ConcurrentConfig, Distribution, Workload
 /// Summary of the concurrent-sessions experiment; [`ConcurrentSummary::ok`]
 /// is the acceptance bar the report prints as "concurrent smoke".
 #[derive(Debug, Clone)]
-pub struct ConcurrentSummary {
+pub(crate) struct ConcurrentSummary {
     /// Number of interleaved sessions (writer roots).
-    pub sessions: usize,
+    pub(crate) sessions: usize,
     /// Virtual time of the single interleaved run (all sessions overlap).
-    pub concurrent_time_ms: f64,
+    pub(crate) concurrent_time_ms: f64,
     /// Virtual time of running the same sessions serially, back to back.
-    pub serial_time_ms: f64,
+    pub(crate) serial_time_ms: f64,
     /// Sessions per virtual second in the interleaved run.
-    pub sessions_per_s: f64,
-    /// Per-session attributed deliveries in the interleaved run, in root
-    /// order (from the transport layer's session-tagged counters).
-    pub messages_per_session: Vec<u64>,
+    pub(crate) sessions_per_s: f64,
     /// Peak simultaneously-open sessions observed at any peer.
     pub concurrent_peak: u64,
     /// Live session-table entries left anywhere after quiescence (the
     /// retirement invariant: must be 0).
-    pub leaked_entries: usize,
+    pub(crate) leaked_entries: usize,
     /// Every session closed at every peer in both runs.
     pub all_closed: bool,
     /// Interleaved final DB == serial final DB == fix-point oracle (modulo
     /// null renaming).
-    pub identical: bool,
+    pub(crate) identical: bool,
 }
 
 impl ConcurrentSummary {
     /// The acceptance bar: identical fix-points, full closure, no leaked
     /// session state, real concurrency observed, and the interleaved run
     /// strictly faster than running the sessions serially.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.identical
             && self.all_closed
             && self.leaked_entries == 0
@@ -54,7 +51,7 @@ impl ConcurrentSummary {
 /// database tuple-identical (modulo null renaming) to the serial one and to
 /// the centralized oracle, retire every session's state, and finish in less
 /// virtual time than the serial back-to-back execution.
-pub fn e17_concurrent(scale: Scale) -> (Table, ConcurrentSummary) {
+pub(crate) fn e17_concurrent(scale: Scale) -> (Table, ConcurrentSummary) {
     let cfg = ConcurrentConfig {
         base: WorkloadConfig {
             topology: Topology::Ring { n: 8 },
@@ -129,7 +126,6 @@ pub fn e17_concurrent(scale: Scale) -> (Table, ConcurrentSummary) {
         concurrent_time_ms,
         serial_time_ms,
         sessions_per_s: reports.len() as f64 / (concurrent_time_ms / 1_000.0).max(1e-9),
-        messages_per_session: reports.iter().map(|r| r.session_messages).collect(),
         concurrent_peak,
         leaked_entries,
         all_closed,

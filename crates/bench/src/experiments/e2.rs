@@ -6,7 +6,7 @@ use p2p_topology::NodeId;
 
 /// E2: a Figure-1 style message-sequence diagram of discovery + update on
 /// the running example (columns :A :B :C :E as in the paper).
-pub fn e2_figure1_trace() -> String {
+pub(crate) fn e2_figure1_trace() -> String {
     let mut b = paper_example(&[(1, 2), (2, 3)]);
     b.config_mut().trace_capacity = 64;
     let mut sys = b.build().unwrap();

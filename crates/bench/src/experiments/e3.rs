@@ -8,7 +8,7 @@ use p2p_workload::{Distribution, WorkloadConfig};
 
 /// E3 + E7: execution time and message counts over network size ("up to 31
 /// nodes"), for both data distributions.
-pub fn e3_scalability(scale: Scale) -> Table {
+pub(crate) fn e3_scalability(scale: Scale) -> Table {
     let mut table = Table::new(&[
         "topology",
         "nodes",

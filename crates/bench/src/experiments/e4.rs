@@ -9,7 +9,7 @@ use p2p_workload::{Distribution, WorkloadConfig};
 /// E4: chains (unary trees) and fixed-width layered DAGs of increasing
 /// depth, plus a least-squares fit per family; the paper's claim is a
 /// high-R² linear relation.
-pub fn e4_depth_linearity(scale: Scale) -> (Table, Vec<(String, f64, f64)>) {
+pub(crate) fn e4_depth_linearity(scale: Scale) -> (Table, Vec<(String, f64, f64)>) {
     let mut table = Table::new(&["family", "depth", "nodes", "time_ms", "messages"]);
     let mut fits = Vec::new();
     let sweep: [(&str, Vec<Topology>); 2] = [

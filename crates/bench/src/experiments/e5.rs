@@ -8,7 +8,7 @@ use p2p_workload::{Distribution, WorkloadConfig};
 
 /// E5: eager (asynchronous) vs rounds (synchronous) on representative
 /// topologies: convergence time vs message count.
-pub fn e5_modes(scale: Scale) -> Table {
+pub(crate) fn e5_modes(scale: Scale) -> Table {
     let mut table = Table::new(&[
         "topology", "mode", "time_ms", "messages", "bytes", "rounds", "closed",
     ]);

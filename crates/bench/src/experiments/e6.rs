@@ -8,7 +8,7 @@ use p2p_workload::{Distribution, WorkloadConfig};
 
 /// E6: bytes shipped with the delta optimization on vs off, on overlapping
 /// data (where re-sending full results is most wasteful).
-pub fn e6_delta(scale: Scale) -> Table {
+pub(crate) fn e6_delta(scale: Scale) -> Table {
     let mut table = Table::new(&["topology", "delta", "messages", "bytes", "time_ms"]);
     let topologies = [
         Topology::Tree {

@@ -10,7 +10,7 @@ use p2p_relational::Val;
 
 /// E8: a finite add/delete script applied mid-run; reports termination,
 /// closure and the Definition 9 soundness/completeness envelope.
-pub fn e8_dynamic() -> Table {
+pub(crate) fn e8_dynamic() -> Table {
     let mut table = Table::new(&[
         "scenario",
         "terminated",

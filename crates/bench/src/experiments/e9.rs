@@ -10,7 +10,7 @@ use p2p_topology::NodeId;
 
 /// E9: a two-component network with churn confined to one side; the
 /// separated side must close regardless.
-pub fn e9_separation() -> Table {
+pub(crate) fn e9_separation() -> Table {
     let mut table = Table::new(&[
         "churn ops",
         "separated side closed",

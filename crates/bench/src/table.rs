@@ -2,14 +2,14 @@
 
 /// A simple text table.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -17,23 +17,13 @@ impl Table {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         debug_assert_eq!(cells.len(), self.header.len());
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True iff no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -68,7 +58,7 @@ impl Table {
 /// Least-squares linear fit `y = a + b·x`; returns `(a, b, r_squared)`.
 /// Used to verify the paper's "execution time is linear with respect to the
 /// depth of the structure".
-pub fn linear_fit(points: &[(f64, f64)]) -> (f64, f64, f64) {
+pub(crate) fn linear_fit(points: &[(f64, f64)]) -> (f64, f64, f64) {
     let n = points.len() as f64;
     if points.len() < 2 {
         return (0.0, 0.0, 1.0);
@@ -106,7 +96,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("name    value"));
         assert!(s.lines().count() == 4);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn encode_msg(msg: &ProtocolMsg) -> Vec<u8> {
 }
 
 /// The binary-encoded byte length of a message — one encode pass.
-pub fn encoded_msg_len(msg: &ProtocolMsg) -> usize {
+pub(crate) fn encoded_msg_len(msg: &ProtocolMsg) -> usize {
     encode_msg(msg).len()
 }
 

@@ -110,11 +110,11 @@ impl SystemConfig {
     /// broadcast — well under a thousand deliveries per node in every
     /// experiment; 5000 leaves an order-of-magnitude margin for faults,
     /// churn redrives and dynamic changes.
-    pub const AUTO_EVENTS_PER_NODE: u64 = 5_000;
+    pub(crate) const AUTO_EVENTS_PER_NODE: u64 = 5_000;
 
     /// Floor of the auto budget (the old flat default, so small systems keep
     /// exactly the safety margin they always had).
-    pub const AUTO_EVENTS_FLOOR: u64 = 10_000_000;
+    pub(crate) const AUTO_EVENTS_FLOOR: u64 = 10_000_000;
 
     /// The event budget a system of `nodes` peers actually runs with:
     /// an explicit non-zero [`SystemConfig::max_events`] verbatim, otherwise

@@ -37,9 +37,9 @@ pub enum ChangeOp {
 
 /// A change scheduled at a virtual time during the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScheduledChange {
+pub(crate) struct ScheduledChange {
     /// When the change hits the network.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The operation.
     pub op: ChangeOp,
 }
@@ -63,19 +63,14 @@ impl ChangeScript {
     }
 
     /// Operations sorted by time (stable: pushes at equal times keep order).
-    pub fn sorted(&self) -> Vec<ScheduledChange> {
+    pub(crate) fn sorted(&self) -> Vec<ScheduledChange> {
         let mut v = self.ops.clone();
         v.sort_by_key(|c| c.at);
         v
     }
 
-    /// Number of operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// True iff there is no operation.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
 }
@@ -148,7 +143,7 @@ mod tests {
         let sorted = s.sorted();
         assert_eq!(sorted[0].at, SimTime::from_millis(5));
         assert_eq!(sorted[1].at, SimTime::from_millis(10));
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.ops.len(), 2);
     }
 
     #[test]

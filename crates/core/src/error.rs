@@ -46,7 +46,10 @@ pub enum CoreError {
         delivered: u64,
     },
     /// A peer's handler panicked during a parallel run (the network was
-    /// drained to quiescence first; see `p2p_net::WorkerPanic`).
+    /// drained to quiescence first; see `p2p_net::WorkerPanic`). The
+    /// program never returns it: it remains only because the benchmark
+    /// harness (`benchmark/src/flood.rs`) builds and matches it, and
+    /// ROADMAP item 1(m) removes it.
     PeerPanicked {
         /// The node whose handler panicked.
         node: NodeId,

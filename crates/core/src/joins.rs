@@ -123,7 +123,7 @@ impl VarRows {
     /// from there. `vars` is taken while the set holds no row; rows over
     /// other columns than the ones it holds rows over belong to another
     /// version of the rule and change nothing (`None`).
-    pub fn merge<'r>(
+    pub(crate) fn merge<'r>(
         &mut self,
         vars: &Arc<[Arc<str>]>,
         rows: impl IntoIterator<Item = &'r [Val]>,
@@ -175,7 +175,7 @@ pub fn join_parts(parts: &[VarRows], join_constraints: &[Constraint]) -> VarRows
 }
 
 /// [`join_parts`] over borrowed rows, left to right.
-pub fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]) -> VarRows {
+pub(crate) fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]) -> VarRows {
     let Some((first, rest)) = parts.split_first() else {
         return VarRows::default();
     };
@@ -208,7 +208,10 @@ pub fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]) -> Va
 /// A rule's cross-fragment constraints over binding rows of `vars`: whether
 /// a row satisfies every one. A constraint over a variable `vars` lacks
 /// holds for no row.
-pub fn join_filter(vars: &[Arc<str>], join_constraints: &[Constraint]) -> impl Fn(&[Val]) -> bool {
+pub(crate) fn join_filter(
+    vars: &[Arc<str>],
+    join_constraints: &[Constraint],
+) -> impl Fn(&[Val]) -> bool {
     // A side is a constant (`Ok`) or a binding column (`Err`).
     let side = |t: &Term| match t {
         Term::Const(c) => Some(Ok(*c)),

@@ -22,7 +22,7 @@
 //!   termination by Dijkstra–Scholten rooted at the super-peer) and
 //!   [`config::UpdateMode::Rounds`] (the paper's synchronous alternative:
 //!   repeated query/echo waves until a clean round).
-//! * [`termination`] — reusable Dijkstra–Scholten diffusing-computation
+//! * `termination` — reusable Dijkstra–Scholten diffusing-computation
 //!   termination detection.
 //! * [`oracle`] — the centralized global fix-point: the semantics reference
 //!   every distributed run is checked against (soundness & completeness of
@@ -72,7 +72,7 @@ pub mod rule;
 pub mod socket;
 pub mod stats;
 pub mod system;
-pub mod termination;
+pub(crate) mod termination;
 
 pub use config::{SystemConfig, UpdateMode};
 pub use error::{CoreError, CoreResult};

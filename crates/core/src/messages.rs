@@ -37,7 +37,7 @@ pub struct AnswerRows {
     pub vars: Arc<[Arc<str>]>,
     /// One row per satisfying assignment, each `vars.len()` values wide
     /// (a foreign block may hold rows of another width; see
-    /// [`AnswerRows::is_ragged`]).
+    /// `AnswerRows::is_ragged`).
     pub rows: RowSet,
     /// Chase depths of labeled nulls occurring in `rows` (receivers feed
     /// these into their own chase state so the depth safety valve is global).
@@ -65,7 +65,7 @@ impl AnswerRows {
     /// True iff the rows are not `vars.len()` values wide. A decoded block
     /// holds rows of one width, but that width may be another one, and a
     /// peer refuses such rows where they arrive.
-    pub fn is_ragged(&self) -> bool {
+    pub(crate) fn is_ragged(&self) -> bool {
         !self.rows.is_empty() && self.rows.arity() != self.vars.len()
     }
 }
@@ -423,7 +423,7 @@ impl ProtocolMsg {
     /// and the driver's post-stall re-drive is what re-certifies closure. An
     /// acking answer (`Answer { acks: true }`) is not basic either: it is the
     /// acknowledgement of a basic message.
-    pub fn is_basic(&self) -> bool {
+    pub(crate) fn is_basic(&self) -> bool {
         match self {
             ProtocolMsg::Query(q) => q.via == Via::Session,
             ProtocolMsg::Answer(a) => a.via == Via::Session && !a.acks,
@@ -443,7 +443,7 @@ impl ProtocolMsg {
     }
 
     /// The exchange a query or an answer belongs to.
-    pub fn via(&self) -> Option<Via> {
+    pub(crate) fn via(&self) -> Option<Via> {
         match self {
             ProtocolMsg::Query(q) => Some(q.via),
             ProtocolMsg::Answer(a) => Some(a.via),
@@ -452,7 +452,7 @@ impl ProtocolMsg {
     }
 
     /// The rows an answer carries.
-    pub fn answer_rows(&self) -> Option<&AnswerRows> {
+    pub(crate) fn answer_rows(&self) -> Option<&AnswerRows> {
         match self {
             ProtocolMsg::Answer(a) => Some(&a.rows),
             _ => None,
@@ -462,7 +462,7 @@ impl ProtocolMsg {
     /// The update session the message belongs to, if any. Session-tagged
     /// messages are routed to the per-session state table at the receiving
     /// peer; the rest is session-less control or discovery traffic.
-    pub fn session(&self) -> Option<SessionId> {
+    pub(crate) fn session(&self) -> Option<SessionId> {
         match self {
             ProtocolMsg::Query(Query { session, .. })
             | ProtocolMsg::Answer(Answer { session, .. })

@@ -109,7 +109,9 @@ impl NetworkFile {
     /// plus rules, each node called by its letter form. Relation instances
     /// become base data, so loading the export replays the materialised
     /// state. A built system exports under the names it declared
-    /// ([`crate::system::P2PSystem::export`]).
+    /// ([`crate::system::P2PSystem::export`]). Kept only for the benchmark
+    /// harness's `tcp_ring` (`benchmark/src/tcp.rs`), its one caller;
+    /// ROADMAP item 1(l) removes it.
     pub fn from_databases(
         super_peer: NodeId,
         databases: &BTreeMap<NodeId, Database>,

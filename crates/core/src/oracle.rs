@@ -52,7 +52,7 @@ impl GlobalDb {
 
 /// Node id baked into oracle-minted nulls; reserved so oracle nulls can
 /// never collide with peer-minted ones.
-pub const ORACLE_NULL_NODE: u32 = u32::MAX - 1;
+pub(crate) const ORACLE_NULL_NODE: u32 = u32::MAX - 1;
 
 /// Computes the global fix-point of `rules` over the given databases.
 ///

@@ -25,43 +25,43 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-owner exploration bookkeeping.
 #[derive(Debug, Clone, Default)]
-pub struct OwnerProgress {
+pub(crate) struct OwnerProgress {
     /// Nodes that requested on behalf of this owner (the paper's `owner`
     /// pairs, π₁ side).
-    pub requesters: BTreeSet<NodeId>,
+    pub(crate) requesters: BTreeSet<NodeId>,
     /// Whether this node already forwarded the owner's request.
-    pub explored: bool,
+    pub(crate) explored: bool,
     /// Per-successor branch flags.
-    pub branch: BTreeMap<NodeId, BranchFlags>,
+    pub(crate) branch: BTreeMap<NodeId, BranchFlags>,
     /// Last `(edge count, closed, finished)` sent per requester, to avoid
     /// re-sending identical answers.
-    pub last_sent: BTreeMap<NodeId, (usize, bool, bool)>,
+    pub(crate) last_sent: BTreeMap<NodeId, (usize, bool, bool)>,
 }
 
 /// Flags learned from one successor branch.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BranchFlags {
+pub(crate) struct BranchFlags {
     /// The successor reported `state_d == closed`.
-    pub closed: bool,
+    pub(crate) closed: bool,
     /// The branch below the successor is exhausted.
-    pub finished: bool,
+    pub(crate) finished: bool,
 }
 
 /// Discovery-phase state of one peer.
 #[derive(Debug, Clone, Default)]
-pub struct DiscoveryState {
+pub(crate) struct DiscoveryState {
     /// `state_d == closed`: this node knows its complete reachable topology.
-    pub state_closed: bool,
+    pub(crate) state_closed: bool,
     /// The node has participated in a discovery.
-    pub started: bool,
+    pub(crate) started: bool,
     /// Dependency edges known so far.
-    pub edges: BTreeSet<(NodeId, NodeId)>,
+    pub(crate) edges: BTreeSet<(NodeId, NodeId)>,
     /// Per-owner progress.
-    pub owners: BTreeMap<NodeId, OwnerProgress>,
+    pub(crate) owners: BTreeMap<NodeId, OwnerProgress>,
     /// Maximal dependency paths, computed at closure.
-    pub paths: Option<Vec<Vec<NodeId>>>,
+    pub(crate) paths: Option<Vec<Vec<NodeId>>>,
     /// Path-enumeration failure (budget exceeded on clique-like regions).
-    pub path_error: Option<String>,
+    pub(crate) path_error: Option<String>,
 }
 
 impl DiscoveryState {

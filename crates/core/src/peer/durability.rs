@@ -116,7 +116,7 @@ impl DbPeer {
     /// Whether the attached store already held state, which this peer
     /// adopted and no restart has resumed from yet: the process is a
     /// restarted one.
-    pub fn adopted_stored_state(&self) -> bool {
+    pub(crate) fn adopted_stored_state(&self) -> bool {
         (self.storage.as_ref()).is_some_and(|st| st.replayed.is_some())
     }
 
@@ -212,7 +212,7 @@ impl DbPeer {
     /// the last commit as one WAL frame, then checkpoints if one is due. A
     /// failed append loses the records, is recorded in [`DbPeer::errors`]
     /// and returned.
-    pub fn commit(&mut self) -> CoreResult<()> {
+    pub(crate) fn commit(&mut self) -> CoreResult<()> {
         let Some(st) = self.storage.as_mut() else {
             return Ok(());
         };
@@ -381,7 +381,7 @@ mod tests {
         // And a crash/restart cycle still recovers it.
         peer.crash_volatile_state();
         assert!(peer.database().is_empty(), "crash wipes memory");
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        let mut ctx = Context::new(NodeId(1));
         peer.restart_and_resync(&mut ctx);
         assert_eq!(peer.database().total_tuples(), 1);
         assert_eq!(peer.stats.recoveries, 1);
@@ -432,7 +432,7 @@ mod tests {
         let mut peer = DbPeer::new(NodeId(2), Database::new(schema()), SystemConfig::default());
         peer.db.insert_values("a", vec![Val::Int(1)]).unwrap();
         peer.crash_volatile_state();
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(2));
+        let mut ctx = Context::new(NodeId(2));
         peer.restart_and_resync(&mut ctx);
         assert!(peer.database().is_empty());
         assert!(ctx.take_outgoing().is_empty(), "no resync without storage");
@@ -452,7 +452,7 @@ mod tests {
         peer.insert_base_fact("a", vec![Val::Int(41)]).unwrap(); // dup: one WAL frame
         peer.crash_volatile_state();
         assert!(peer.database().is_empty());
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        let mut ctx = Context::new(NodeId(1));
         peer.restart_and_resync(&mut ctx);
         assert_eq!(peer.database().total_tuples(), 1, "writer delta recovered");
     }
@@ -502,7 +502,7 @@ mod tests {
         peer.attach_storage(st).unwrap();
 
         peer.crash_volatile_state();
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
+        let mut ctx = Context::new(NodeId(0));
         peer.restart_and_resync(&mut ctx);
         // No durable answer marks existed, so the one request carries the
         // fallback tag and an empty cursor.
@@ -523,7 +523,7 @@ mod tests {
         // The body's answer under that tag must still repair the head rule.
         let mut marks = Marks::new();
         marks.insert(Arc::<str>::from("b"), 1usize);
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
+        let mut ctx = Context::new(NodeId(0));
         use p2p_net::Peer as _;
         let rows = AnswerRows {
             vars: rule.parts[0].vars.clone(),
@@ -591,7 +591,7 @@ mod tests {
         peer.commit().unwrap();
         peer.crash_volatile_state();
         assert_eq!(peer.retained_entries(), (0, 0), "crash wipes the state");
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        let mut ctx = Context::new(NodeId(1));
         peer.restart_and_resync(&mut ctx);
         assert_eq!(peer.session_table_len(), 0, "no placeholder sessions");
         let cache = peer.subscriptions.fragment((rule_id, NodeId(3))).unwrap();
@@ -653,7 +653,7 @@ mod tests {
         peer.install_rule(replacement);
         peer.commit().unwrap();
         peer.crash_volatile_state();
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        let mut ctx = Context::new(NodeId(1));
         peer.restart_and_resync(&mut ctx);
         assert_eq!(peer.retained_rows(), 0, "nothing of the old fragment");
         for out in ctx.take_outgoing() {
@@ -748,7 +748,7 @@ mod tests {
         )
         .unwrap();
         let (head, session) = (NodeId(0), SessionId::new(NodeId(0), 1));
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        let mut ctx = Context::new(NodeId(1));
         let query = Query::new(
             session,
             rule.id,
@@ -784,7 +784,7 @@ mod tests {
         let restart = |peer: &mut DbPeer| {
             peer.crash_volatile_state();
             assert!(peer.subscriptions.owes_notice() && peer.retained_entries().0 == 0);
-            let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+            let mut ctx = Context::new(NodeId(1));
             peer.restart_and_resync(&mut ctx);
         };
 
@@ -890,7 +890,7 @@ mod tests {
             .unwrap();
         assert!(peer.adopted_stored_state());
         assert_eq!(peer.database().total_tuples(), 1);
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+        let mut ctx = Context::new(NodeId(1));
         peer.restart_and_resync(&mut ctx);
         assert_eq!(disk.replays.load(Ordering::Relaxed), 1, "one replay");
         assert!(!peer.adopted_stored_state(), "consumed");

@@ -13,8 +13,8 @@
 //! is new: evaluated from a subscription's watermarks, it holds only rows
 //! the subscription never shipped ([`DbPeer::advance_subscription`]).
 //!
-//! What decides when a session is over is **per session** ([`EagerState`]
-//! lives inside [`crate::peer::SessionState`]): concurrent sessions from
+//! What decides when a session is over is **per session** (`EagerState`
+//! lives inside `crate::peer::SessionState`): concurrent sessions from
 //! different roots keep separate closure flags, fragment completeness and
 //! subscriptions — each with the watermarks its next delta starts from —
 //! over the shared local database, so any number of initiators
@@ -90,7 +90,7 @@ pub struct Subscription {
 
 /// One fragment of one of this peer's rules, as one session sees it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Part {
+pub(crate) struct Part {
     /// The body node reported `state_u == closed` (the paper's rule flag;
     /// eager mode only).
     pub complete: bool,
@@ -98,20 +98,20 @@ pub struct Part {
     /// session queries every fragment). `false` for a fragment registered
     /// because the peer already holds it and the body node's standing
     /// subscription serves it.
-    pub queried: bool,
+    pub(crate) queried: bool,
 }
 
 /// Eager-mode state of one update session at one peer.
 #[derive(Debug, Clone, Default)]
-pub struct EagerState {
+pub(crate) struct EagerState {
     /// The session is in progress (or finished) at this node.
-    pub active: bool,
+    pub(crate) active: bool,
     /// The start-request flood passed through here.
-    pub flood_seen: bool,
+    pub(crate) flood_seen: bool,
     /// `state_u == closed`.
-    pub closed: bool,
+    pub(crate) closed: bool,
     /// Highest fix-point broadcast generation processed.
-    pub fixpoint_gen: u32,
+    pub(crate) fixpoint_gen: u32,
     /// A dynamic change touched this node (rule added/removed here, or a
     /// reopen reached it). From then on the per-rule-flags early closure is
     /// disabled for the session: a dynamically created dependency cycle
@@ -119,10 +119,10 @@ pub struct EagerState {
     /// around the ring forever (each member re-closing on its predecessor's
     /// stale completeness). Closure then comes from the root's fix-point
     /// broadcast, which is always sound.
-    pub suppress_flag_closure: bool,
+    pub(crate) suppress_flag_closure: bool,
     /// This peer's cursor-void notice went out with this session's flood;
     /// the debt is cleared when the session retires.
-    pub void_sent: bool,
+    pub(crate) void_sent: bool,
 }
 
 impl DbPeer {

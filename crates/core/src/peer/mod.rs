@@ -3,16 +3,16 @@
 //! One [`DbPeer`] per node implements `p2p_net::Peer<ProtocolMsg>` and runs
 //! every protocol of the paper:
 //!
-//! * topology discovery (algorithms A1–A3) — [`discovery`];
+//! * topology discovery (algorithms A1–A3) — `discovery`;
 //! * the eager (asynchronous) distributed update (A4–A6 with
 //!   subscription-based re-answering and Dijkstra–Scholten termination) —
-//!   [`eager`];
+//!   `eager`;
 //! * the synchronous rounds update (the paper's "synchronous alternative")
-//!   — [`rounds`];
+//!   — `rounds`;
 //! * super-peer duties (driving, dynamic changes, statistics collection,
-//!   rule-file broadcast — Section 5) — [`superpeer`];
+//!   rule-file broadcast — Section 5) — `superpeer`;
 //! * durable peers: WAL logging, crash recovery from storage, and the
-//!   watermark-based resync protocol — [`durability`].
+//!   watermark-based resync protocol — `durability`.
 //!
 //! ## Concurrent update sessions
 //!
@@ -28,7 +28,7 @@
 //!
 //! ## What is per session and what is per peer
 //!
-//! **Per session** ([`SessionState`]) is what decides when *this* diffusing
+//! **Per session** (`SessionState`) is what decides when *this* diffusing
 //! computation is over, and what is still in flight within it: the closure
 //! flags, which fragments the session listens to and which of them it
 //! queried, the session's own Dijkstra–Scholten detector, rounds mode's echo
@@ -60,7 +60,7 @@
 //! Dijkstra–Scholten termination, which guarantees every query, answer and
 //! notice was delivered; a `RoundsClosed` follows a clean round, in which
 //! every head took its last answers in, after asking afresh for any
-//! fragment whose answer an earlier round missed ([`rounds`]). A dropped
+//! fragment whose answer an earlier round missed (`rounds`). A dropped
 //! message or a stranded, re-driven epoch therefore re-ships from the last
 //! committed point. Sound because the fix-point is monotone: a tuple
 //! derived at the head stays derived, so shipping it again is pure cost —
@@ -157,7 +157,7 @@
 //! termination of a session whose answers the head applied and, durable
 //! itself, logged before acknowledging them; every step back — a reset, a
 //! removal — is logged as it happens), and used where a peer comes back
-//! (see [`durability`]): the body node resumes from its store, the head
+//! (see `durability`): the body node resumes from its store, the head
 //! from its log plus one delta, and the next session ships what was at
 //! risk. `P2PSystem::check_subscriptions` checks it, and the per-peer rules
 //! (`Subscriptions::check`), on the rows themselves.
@@ -192,19 +192,19 @@
 //! context, and every observable iteration order is deterministic.
 
 pub(crate) mod catalog;
-pub mod discovery;
-pub mod durability;
-pub mod eager;
-pub mod rounds;
+pub(crate) mod discovery;
+pub(crate) mod durability;
+pub(crate) mod eager;
+pub(crate) mod rounds;
 mod sessions;
 mod subscriptions;
-pub mod superpeer;
-pub mod tables;
+pub(crate) mod superpeer;
+pub(crate) mod tables;
 
 use crate::config::{SystemConfig, UpdateMode};
 use crate::messages::{AnswerRows, ProtocolMsg, Via};
 use crate::rule::{CoordinationRule, RuleId};
-use crate::stats::{ClosedBy, PeerStats};
+use crate::stats::PeerStats;
 use crate::termination::{AckDecision, Disengage};
 use catalog::Compiled;
 use durability::Durable;
@@ -228,12 +228,13 @@ pub(crate) const COST_PER_MESSAGE: SimTime = SimTime(50);
 
 pub(crate) use crate::messages::Marks;
 
-pub use discovery::DiscoveryState;
-pub use eager::{EagerState, Part, Subscription};
-pub use rounds::{RoundsSlot, RoundsState};
-pub use sessions::SessionState;
+pub(crate) use discovery::DiscoveryState;
+pub use eager::Subscription;
+pub(crate) use eager::{EagerState, Part};
+pub(crate) use rounds::RoundsSlot;
+pub(crate) use sessions::SessionState;
 pub use subscriptions::SeededFault;
-pub use tables::VecMap;
+pub(crate) use tables::VecMap;
 
 /// The chase's state at one peer: the fresh-null mint for existential head
 /// variables and the chase bookkeeping (null depths, per-row buffers).
@@ -340,21 +341,21 @@ impl DbPeer {
     /// Marks this node as the designated super-peer (any node may root a
     /// session; the super-peer additionally answers driver commands like
     /// statistics collection and rule broadcast).
-    pub fn make_super(&mut self, all_nodes: impl Into<Arc<[NodeId]>>) {
+    pub(crate) fn make_super(&mut self, all_nodes: impl Into<Arc<[NodeId]>>) {
         self.sessions.set_roster(all_nodes.into(), true);
     }
 
     /// Installs the node roster. The roster is `Arc`-shared: the system
     /// builder hands every peer the same allocation, so building n peers
     /// costs n refcounts, not n copies of an n-entry list.
-    pub fn set_roster(&mut self, all_nodes: impl Into<Arc<[NodeId]>>) {
+    pub(crate) fn set_roster(&mut self, all_nodes: impl Into<Arc<[NodeId]>>) {
         self.sessions.set_roster(all_nodes.into(), false);
     }
 
     /// Installs a rule with head at this node. Whatever was cached under
     /// the id is invalidated (`AddRule` may replace a rule's body); what a
     /// durable peer records for that commits with the running delivery, or
-    /// — called from outside one — at the caller's [`DbPeer::commit`].
+    /// — called from outside one — at the caller's `DbPeer::commit`.
     pub fn install_rule(&mut self, rule: impl Into<Arc<CoordinationRule>>) {
         self.replace_rule(rule.into(), None);
     }
@@ -390,13 +391,13 @@ impl DbPeer {
 
     /// Corrupts the subscription state as `fault` describes.
     #[doc(hidden)]
-    pub fn seed_fault(&mut self, fault: SeededFault) {
+    pub(crate) fn seed_fault(&mut self, fault: SeededFault) {
         self.subscriptions.seed_fault(fault, &self.rules, &self.db);
     }
 
     /// Registers a pipe neighbour (rule sources learn their targets when the
     /// target opens the pipe).
-    pub fn add_pipe(&mut self, neighbor: NodeId) {
+    pub(crate) fn add_pipe(&mut self, neighbor: NodeId) {
         if neighbor != self.id {
             self.pipes.nodes.insert(neighbor);
         }
@@ -405,7 +406,7 @@ impl DbPeer {
     /// Sets the cyclicity hint: whether this node lies on a dependency
     /// cycle (rounds mode uses it to choose deferred vs. immediate wave
     /// answers; `true` is always safe).
-    pub fn set_cycle_hint(&mut self, in_cycle: bool) {
+    pub(crate) fn set_cycle_hint(&mut self, in_cycle: bool) {
         self.in_cycle = in_cycle;
     }
 
@@ -460,7 +461,7 @@ impl DbPeer {
 
     /// Rounds executed for one session at this peer (0 in eager mode or if
     /// unknown).
-    pub fn session_rounds(&self, sid: SessionId) -> u32 {
+    pub(crate) fn session_rounds(&self, sid: SessionId) -> u32 {
         match self.sessions.get(sid) {
             Some(st) => st.rnd.rounds_done,
             None => self.sessions.completed(sid).unwrap_or(0),
@@ -468,7 +469,7 @@ impl DbPeer {
     }
 
     /// The current round of one session (rounds-mode redrive probe).
-    pub fn session_round(&self, sid: SessionId) -> u32 {
+    pub(crate) fn session_round(&self, sid: SessionId) -> u32 {
         self.sessions.get(sid).map(|st| st.rnd.round).unwrap_or(0)
     }
 
@@ -492,30 +493,20 @@ impl DbPeer {
         self.subscriptions.retained_rows()
     }
 
-    /// Read access to one live session entry (assertions).
-    pub fn session_state(&self, sid: SessionId) -> Option<&SessionState> {
-        self.sessions.get(sid)
-    }
-
     /// Sessions that completed and retired at this peer.
     pub fn sessions_done(&self) -> usize {
         self.sessions.len().1
     }
 
-    /// How the node closed (most recent closure event).
-    pub fn closed_by(&self) -> ClosedBy {
-        self.stats.closed_by
-    }
-
     /// `state_d == closed`.
-    pub fn discovery_closed(&self) -> bool {
+    pub(crate) fn discovery_closed(&self) -> bool {
         self.disc.state_closed
     }
 
     /// Whether this node participated in a discovery at all (nodes outside
     /// the initiating owner's dependency-reachable region never do — the
     /// paper's single-owner discovery has exactly this footprint).
-    pub fn discovery_started(&self) -> bool {
+    pub(crate) fn discovery_started(&self) -> bool {
         self.disc.started
     }
 
@@ -1014,6 +1005,15 @@ impl DbPeer {
                 "{kind} from {from}: a row of another width than its variables"
             ));
         }
+        // So is a query whose fragment's variables are not its atoms'
+        // distinct variables: its rows would not fix the facts they bind.
+        if let ProtocolMsg::Query(query) = &msg {
+            if !query.part.vars_are_its_atoms() {
+                return self.fail(format!(
+                    "Query from {from}: variables other than its atoms' own"
+                ));
+            }
+        }
         ctx.charge(COST_PER_MESSAGE);
 
         if let Some(sid) = msg.session() {
@@ -1045,7 +1045,7 @@ impl DbPeer {
     }
 }
 
-/// Each delivery and each restart ends in [`DbPeer::commit`]: what it
+/// Each delivery and each restart ends in `DbPeer::commit`: what it
 /// recorded is one WAL frame, written before the host takes its sends.
 /// A failed commit is in [`DbPeer::errors`]; what the handler sent leaves.
 impl Peer<ProtocolMsg> for DbPeer {
@@ -1176,7 +1176,7 @@ mod tests {
         let references = Arc::strong_count(&first);
         peer.on_crash();
         assert_eq!(Arc::strong_count(&first), references, "kept");
-        peer.on_restart(&mut Context::new(p2p_net::SimTime::ZERO, B));
+        peer.on_restart(&mut Context::new(B));
 
         // Now `c` is, and the fragment's plan is still the first one.
         fill(&mut peer, 2, 1);
@@ -1263,14 +1263,14 @@ mod tests {
                 Start::Fresh,
                 Via::Session,
             );
-            let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+            let mut ctx = Context::new(NodeId(1));
             peer.on_message(head, ProtocolMsg::Query(query), &mut ctx);
             (ctx.take_outgoing().iter())
                 .find_map(|out| Some(out.msg.answer_rows()?.dict.len()))
                 .expect("the query is answered")
         };
         assert_eq!(ask(&mut peer, &ints, 1), 0);
-        assert!(peer.pipes.known.is_empty(), "no symbol went down the pipe");
+        assert_eq!(peer.pipes.known.len(), 0, "no symbol went down the pipe");
         assert_eq!(ask(&mut peer, &syms, 2), 1);
         assert_eq!(peer.pipes.known.len(), 1);
         assert_eq!(ask(&mut peer, &syms, 3), 0, "shipped once");
@@ -1306,7 +1306,7 @@ mod tests {
         let mut session = |peer: &mut DbPeer, part: &Arc<crate::rule::BodyPart>, resume, retire| {
             epoch += 1;
             let session = SessionId::new(head, epoch);
-            let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(1));
+            let mut ctx = Context::new(NodeId(1));
             let from = if resume { Start::Resume } else { Start::Fresh };
             let query = Query {
                 sn: [head].into(),
@@ -1410,7 +1410,7 @@ mod tests {
     /// sent unless `lost`; returns what the peer sent, handling the
     /// acknowledgements included.
     fn deliver(peer: &mut DbPeer, from: NodeId, msg: ProtocolMsg, lost: bool) -> Vec<ProtocolMsg> {
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, peer.id);
+        let mut ctx = Context::new(peer.id);
         peer.on_message(from, msg, &mut ctx);
         let mut sent = ctx.take_outgoing();
         for out in sent.iter().filter(|out| out.msg.is_basic() && !lost) {
@@ -1523,7 +1523,7 @@ mod tests {
             assert_eq!(queries(&deliver(&mut peer, A, start, true)), [(B, false)]);
             (peer.subscriptions).await_resync((s, of_a.id, B), Marks::new());
             let state = |peer: &DbPeer| {
-                let deficit = peer.session_state(s).unwrap().ds.deficit();
+                let deficit = peer.sessions.get(s).unwrap().ds.deficit();
                 (
                     deficit,
                     peer.subscriptions.resyncs(),
@@ -1547,6 +1547,45 @@ mod tests {
         }
     }
 
+    /// A query whose fragment's variables are not its atoms' distinct
+    /// variables in first-occurrence order — `item(I,S)` over `[I]`, over
+    /// `[S, I]` or over `[I, S, I]` — is refused where it arrives: recorded
+    /// as an error, nothing sent, no session entered, nothing subscribed.
+    /// Its well-formed twin is then served.
+    #[test]
+    fn a_query_over_other_variables_than_its_atoms_is_refused_as_if_lost() {
+        let s = SessionId::new(A, 1);
+        let schema = DatabaseSchema::parse("item(i: int, s: str).").unwrap();
+        let mut db = Database::new(schema);
+        db.insert_values("item", vec![Val::Int(1), Val::str("x")])
+            .unwrap();
+        let of_a = rule(1, "B:item(I,S) => A:a(I,S)");
+        let well_formed = &of_a.parts[0];
+        for vars in [&["I"][..], &["S", "I"], &["I", "S", "I"]] {
+            let mut peer = DbPeer::new(B, db.clone(), SystemConfig::default());
+            let part = crate::rule::BodyPart::new(
+                B,
+                well_formed.atoms.clone(),
+                Vec::new(),
+                vars.iter().map(|v| Arc::from(*v)).collect(),
+            );
+            let malformed = Query::new(s, of_a.id, Arc::new(part), Start::Fresh, Via::Session);
+            let msg = ProtocolMsg::Query(Query {
+                sn: [A].into(),
+                ..malformed
+            });
+            assert!(deliver(&mut peer, A, msg, false).is_empty(), "{vars:?}");
+            assert_eq!(peer.errors().len(), 1, "{vars:?}: {:?}", peer.errors());
+            assert!(peer.sessions.get(s).is_none(), "{vars:?}");
+            assert_eq!(peer.subscriptions.retained_entries(), (0, 0), "{vars:?}");
+
+            let sent = deliver(&mut peer, A, query(&of_a, s), false);
+            let rows = sent.iter().find_map(ProtocolMsg::answer_rows);
+            assert_eq!(rows.map(|r| r.rows.len()), Some(1), "{vars:?}: the twin");
+            assert_eq!(peer.errors().len(), 1, "{vars:?}");
+        }
+    }
+
     /// A query that finds its body node engaged in the session already is
     /// acknowledged by its answer: one message, no `Ack` after it, and not
     /// counted in the body node's deficit.
@@ -1557,7 +1596,7 @@ mod tests {
         assert_eq!(shape(&second), [("Answer", true)]);
         assert_eq!(peer.stats().acking_answers, 1);
         let s = SessionId::new(A, 1);
-        assert_eq!(peer.session_state(s).unwrap().ds.deficit(), 1, "A's answer");
+        assert_eq!(peer.sessions.get(s).unwrap().ds.deficit(), 1, "A's answer");
     }
 
     /// Head `C` with `B:b(X,Y) => C:c(X,Y)` (the rule `C` asks `B` for in
@@ -1605,7 +1644,7 @@ mod tests {
 
         let sent = deliver(&mut head, B, reply[0].clone(), false);
         assert_eq!(shape(&sent), [("Query", false)], "{sent:?}");
-        let st = head.session_state(SessionId::new(A, 1)).unwrap();
+        let st = head.sessions.get(SessionId::new(A, 1)).unwrap();
         assert!(!st.ds.engaged() && st.ds.deficit() == 0);
         assert!(head.errors().is_empty() && body.errors().is_empty());
     }
@@ -1643,7 +1682,7 @@ mod tests {
         let of_a = rule(1, "B:b(X,Y) => A:a(X,Y)");
         peer.install_rule(of_a.clone());
         let s = SessionId::new(A, 1);
-        let deficit = |peer: &DbPeer| peer.session_state(s).unwrap().ds.deficit();
+        let deficit = |peer: &DbPeer| peer.sessions.get(s).unwrap().ds.deficit();
 
         let start = ProtocolMsg::StartScopedUpdate { session: s };
         assert_eq!(queries(&deliver(&mut peer, A, start, true)), [(B, false)]);
@@ -1744,7 +1783,7 @@ mod tests {
         deliver(&mut peer, B, answer(&rule, s2, B, [5, 2], false), false);
         assert_eq!(peer.retained_rows(), 0, "not applied");
         deliver(&mut peer, C, fixpoint(s2), false);
-        assert!(peer.session_closed(s2) && peer.session_state(s2).is_none());
+        assert!(peer.session_closed(s2) && peer.sessions.get(s2).is_none());
         assert_eq!(peer.retained_entries().1, 0, "and not held");
 
         let s3 = SessionId::new(B, 3);

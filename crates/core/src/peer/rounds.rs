@@ -22,8 +22,8 @@
 //!    produced no new data anywhere (exactly the condition its
 //!    maximal-dependency-path flags certify).
 //!
-//! The wave bookkeeping is **per session**: [`RoundsState`] lives inside
-//! [`crate::peer::SessionState`], so several rounds-mode sessions — one per
+//! The wave bookkeeping is **per session**: `RoundsState` lives inside
+//! `crate::peer::SessionState`, so several rounds-mode sessions — one per
 //! initiating root — run interleaved, each with its own round counter and
 //! echo tree over the shared database. `RoundsClosed` retires the session's
 //! entry; the table is empty again once every session certified its
@@ -81,40 +81,40 @@ use std::collections::BTreeSet;
 
 /// Rounds-mode state of one update session at one peer.
 #[derive(Debug, Clone, Default)]
-pub struct RoundsState {
+pub(crate) struct RoundsState {
     /// The session's rounds protocol is active here.
-    pub active: bool,
+    pub(crate) active: bool,
     /// Current round (1-based).
-    pub round: u32,
+    pub(crate) round: u32,
     /// The round's flood reached this node.
-    pub flood_seen: bool,
+    pub(crate) flood_seen: bool,
     /// Flood parent (None at the root).
-    pub flood_parent: Option<NodeId>,
+    pub(crate) flood_parent: Option<NodeId>,
     /// Echoes still expected from pipe neighbours.
-    pub pending_echoes: usize,
+    pub(crate) pending_echoes: usize,
     /// Aggregated dirtiness of children subtrees.
-    pub child_dirty: bool,
+    pub(crate) child_dirty: bool,
     /// Own fragments, per `(rule, body node)`, whose answer this round still
     /// awaits. What is left when the peer moves to a later round missed its
     /// answer.
-    pub awaiting: BTreeSet<(RuleId, NodeId)>,
+    pub(crate) awaiting: BTreeSet<(RuleId, NodeId)>,
     /// Facts were inserted at this node this round.
-    pub dirty_self: bool,
+    pub(crate) dirty_self: bool,
     /// Echo already sent this round.
-    pub echoed: bool,
+    pub(crate) echoed: bool,
     /// Queries deferred until own fragments answered, with their askers.
-    pub deferred: Vec<(NodeId, Query)>,
+    pub(crate) deferred: Vec<(NodeId, Query)>,
     /// Fix-point reached.
-    pub closed: bool,
+    pub(crate) closed: bool,
     /// Total rounds executed (set at closure; at the root, running count).
-    pub rounds_done: u32,
+    pub(crate) rounds_done: u32,
 }
 
 /// A session's [`RoundsState`], held out of line: an eager session never
 /// writes it and reads the idle state, so its entry in the session table
 /// carries a pointer, not the whole state; the first write allocates it.
 #[derive(Debug, Clone, Default)]
-pub struct RoundsSlot(Option<Box<RoundsState>>);
+pub(crate) struct RoundsSlot(Option<Box<RoundsState>>);
 
 /// What a session that never ran a round reads.
 static IDLE: RoundsState = RoundsState {

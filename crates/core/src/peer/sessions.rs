@@ -29,7 +29,7 @@ use std::sync::Arc;
 /// first contact with the session's traffic and retired when the session's
 /// terminal broadcast lands.
 #[derive(Debug, Clone, Default)]
-pub struct SessionState {
+pub(crate) struct SessionState {
     /// The fragments this session listens to, per (rule, body node).
     /// Answers are applied only for fragments in here (eager mode), and
     /// replacing or deleting a rule drops its entries. Every entry is either
@@ -38,33 +38,33 @@ pub struct SessionState {
     pub parts: VecMap<(RuleId, NodeId), Part>,
     /// Subscriptions served, keyed by (subscriber, rule); retirement commits
     /// each as the cursor of its key.
-    pub subs: VecMap<(NodeId, RuleId), Subscription>,
+    pub(crate) subs: VecMap<(NodeId, RuleId), Subscription>,
     /// Eager-mode state: fragment completeness, closure flags.
-    pub upd: EagerState,
+    pub(crate) upd: EagerState,
     /// This session's own Dijkstra–Scholten detector — one diffusing
     /// computation per session, as Dijkstra–Scholten intends.
-    pub ds: DiffusingState,
+    pub(crate) ds: DiffusingState,
     /// Rounds-mode state: round counter, echo tree, awaited answers — out
     /// of line, so that an eager session's entry stays small.
-    pub rnd: RoundsSlot,
+    pub(crate) rnd: RoundsSlot,
     /// Root side: the root already broadcast for the current quiet period.
     /// (The broadcast generation itself lives outside the entry, so it
     /// survives a post-fixpoint re-wake of the session.)
-    pub root_quiet: bool,
+    pub(crate) root_quiet: bool,
     /// Terminal broadcast processed — the entry retires instead of going
     /// back into the table.
-    pub retired: bool,
+    pub(crate) retired: bool,
 }
 
 impl SessionState {
     /// The peer joined this session (as opposed to an entry created as a
     /// side effect of a dropped or ignored message).
-    pub fn joined(&self) -> bool {
+    pub(crate) fn joined(&self) -> bool {
         self.upd.active || self.rnd.active
     }
 
     /// `state_u == closed` for this session under the given mode.
-    pub fn closed(&self, mode: UpdateMode) -> bool {
+    pub(crate) fn closed(&self, mode: UpdateMode) -> bool {
         match mode {
             UpdateMode::Eager => self.upd.closed,
             UpdateMode::Rounds => self.rnd.closed,
@@ -72,7 +72,7 @@ impl SessionState {
     }
 
     /// Currently participating and not yet closed.
-    pub fn open(&self, mode: UpdateMode) -> bool {
+    pub(crate) fn open(&self, mode: UpdateMode) -> bool {
         self.joined() && !self.closed(mode)
     }
 

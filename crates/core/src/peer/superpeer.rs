@@ -298,7 +298,7 @@ mod tests {
         let rule =
             CoordinationRule::parse("r", "A:a(X) => B:b(X)", None, &resolve, &mut Idents::new())
                 .unwrap();
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
+        let mut ctx = Context::new(NodeId(0));
         peer.apply_change(ChangeOp::AddLink { rule: rule.clone() }, &mut ctx);
         let out = ctx.take_outgoing();
         assert_eq!(out.len(), 1);
@@ -314,7 +314,7 @@ mod tests {
         assert_eq!(peer.sessions_done(), 0);
 
         // Deleting pre-session likewise only routes the notification.
-        let mut ctx = Context::new(p2p_net::SimTime::ZERO, NodeId(0));
+        let mut ctx = Context::new(NodeId(0));
         peer.apply_change(
             ChangeOp::DeleteLink {
                 rule: rule.id,

@@ -3,7 +3,7 @@
 //! The session / subscription / dictionary tables used to be nested
 //! `BTreeMap`s: fine at ring(8), but at 10k+ peers every delivery paid a
 //! pointer-chasing tree walk per lookup and an allocation per node touched.
-//! [`VecMap`] is the arena pattern from the columnar data-plane rewrite
+//! `VecMap` is the arena pattern from the columnar data-plane rewrite
 //! (PR 4) applied to the control plane: one sorted `Vec<(K, V)>` per table,
 //! binary-searched lookups, contiguous iteration, `clear()` that keeps its
 //! capacity. The tables these peers hold are small-to-medium and
@@ -11,7 +11,7 @@
 //! exactly where a sorted vec beats a tree.
 //!
 //! The session tables — a peer's live sessions and the sessions retired
-//! there — are [`InlineMap`]s instead: sorted the same way, but holding
+//! there — are `InlineMap`s instead: sorted the same way, but holding
 //! their first entry inline and spilling to a sorted `Vec` past it. One
 //! live session and one retired epoch per root is what a peer holds almost
 //! always, so a session message finds its entry in the peer's own memory,
@@ -26,7 +26,7 @@ use std::ops::{Bound, RangeBounds};
 /// A map over a flat sorted vector. Drop-in for the `BTreeMap` subset the
 /// control plane uses: ordered iteration, range scans, entry-or-default.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VecMap<K, V> {
+pub(crate) struct VecMap<K, V> {
     entries: Vec<(K, V)>,
 }
 
@@ -45,27 +45,22 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Drops all entries, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
     /// Looks a key up.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
         self.probe(key).ok().map(|i| &self.entries[i].1)
     }
 
     /// Mutable lookup.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         match self.probe(key) {
             Ok(i) => Some(&mut self.entries[i].1),
             Err(_) => None,
@@ -73,12 +68,12 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// True iff the key is present.
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub(crate) fn contains_key(&self, key: &K) -> bool {
         self.probe(key).is_ok()
     }
 
     /// Inserts, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
         match self.probe(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
@@ -89,7 +84,7 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// Removes, returning the value if it was present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
         match self.probe(key) {
             Ok(i) => Some(self.entries.remove(i).1),
             Err(_) => None,
@@ -97,7 +92,7 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// The entry for `key`, default-inserted if absent.
-    pub fn or_default(&mut self, key: K) -> &mut V
+    pub(crate) fn or_default(&mut self, key: K) -> &mut V
     where
         V: Default,
     {
@@ -112,33 +107,33 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// Entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
     /// Keys in order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
     }
 
     /// Values in key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
     /// Mutable values in key order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 
     /// Entries in key order, values mutable.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
         self.entries.iter_mut().map(|(k, v)| (&*k, v))
     }
 
     /// Entries within a key range, in order — two binary searches and a
     /// slice walk.
-    pub fn range<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
+    pub(crate) fn range<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
         self.entries[span(&self.entries, &range)]
             .iter()
             .map(|(k, v)| (k, v))
@@ -162,7 +157,7 @@ fn span<K: Ord, V>(entries: &[(K, V)], range: &impl RangeBounds<K>) -> std::ops:
 
 impl<K: Ord + Copy, V> VecMap<K, V> {
     /// Keeps only the entries the predicate approves (order preserved).
-    pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
+    pub(crate) fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| f(k, v));
     }
 }
@@ -200,7 +195,7 @@ impl<K: Ord + Copy, V> FromIterator<(K, V)> for VecMap<K, V> {
 /// Once spilled it stays a `Vec`, which keeps its capacity, so a table that
 /// goes 1 ↔ 2 entries does not allocate each time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InlineMap<K, V>(Slots<K, V>);
+pub(crate) struct InlineMap<K, V>(Slots<K, V>);
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Slots<K, V> {
@@ -217,7 +212,7 @@ impl<K, V> Default for InlineMap<K, V> {
 
 impl<K: Ord + Copy, V> InlineMap<K, V> {
     /// The entries, in key order.
-    pub fn entries(&self) -> &[(K, V)] {
+    pub(crate) fn entries(&self) -> &[(K, V)] {
         match &self.0 {
             Slots::Empty => &[],
             Slots::One(entry) => std::slice::from_ref(entry),
@@ -234,13 +229,8 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries().len()
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries().is_empty()
     }
 
     fn probe(&self, key: &K) -> Result<usize, usize> {
@@ -248,12 +238,12 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Looks a key up.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
         self.probe(key).ok().map(|i| &self.entries()[i].1)
     }
 
     /// Inserts, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
         match self.probe(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries_mut()[i].1, value)),
             Err(i) => {
@@ -279,7 +269,7 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     ///
     /// # Panics
     /// Panics if `at` is out of bounds.
-    pub fn remove_at(&mut self, at: usize) -> (K, V) {
+    pub(crate) fn remove_at(&mut self, at: usize) -> (K, V) {
         match &mut self.0 {
             Slots::Many(entries) => entries.remove(at),
             slots => match std::mem::replace(slots, Slots::Empty) {
@@ -290,12 +280,12 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Removes, returning the value if it was present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
         self.probe(key).ok().map(|i| self.remove_at(i).1)
     }
 
     /// Removes every entry within a key range.
-    pub fn remove_range<R: RangeBounds<K>>(&mut self, range: R) {
+    pub(crate) fn remove_range<R: RangeBounds<K>>(&mut self, range: R) {
         let at = span(self.entries(), &range);
         match &mut self.0 {
             Slots::Many(entries) => drop(entries.drain(at)),
@@ -305,26 +295,20 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Drops all entries, keeping a spilled table's allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         match &mut self.0 {
             Slots::Many(entries) => entries.clear(),
             slots => *slots = Slots::Empty,
         }
     }
 
-    /// Entries within a key range, in order.
-    pub fn range<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
-        let entries = self.entries();
-        entries[span(entries, &range)].iter().map(|(k, v)| (k, v))
-    }
-
     /// Values in key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
         self.entries().iter().map(|(_, v)| v)
     }
 
     /// Mutable values in key order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries_mut().iter_mut().map(|(_, v)| v)
     }
 
@@ -454,7 +438,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The inline-first table against the same oracle: every op's
-        /// return value, lookups, ranges and iteration match after every
+        /// return value, lookups and iteration match after every
         /// step, as the table goes empty, inline and spilled and back; it
         /// holds its first entry without a heap block and keeps a spilled
         /// one's.
@@ -483,24 +467,11 @@ mod tests {
                 spilled |= oracle.len() > 1;
                 prop_assert_eq!(inline.spilled(), spilled, "spills past one entry, and stays");
                 prop_assert_eq!(inline.len(), oracle.len());
-                prop_assert_eq!(inline.is_empty(), oracle.is_empty());
                 let all: Vec<(u8, u32)> = inline.entries().to_vec();
                 let want: Vec<(u8, u32)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
                 prop_assert_eq!(all, want);
                 for k in 0u8..4 {
                     prop_assert_eq!(inline.get(&k), oracle.get(&k));
-                    let f: Vec<u8> = inline.range(k..).map(|(k, _)| *k).collect();
-                    let o: Vec<u8> = oracle.range(k..).map(|(k, _)| *k).collect();
-                    prop_assert_eq!(f, o);
-                    let f: Vec<u8> = inline
-                        .range((Bound::Excluded(k), Bound::Included(3)))
-                        .map(|(k, _)| *k)
-                        .collect();
-                    let o: Vec<u8> = oracle
-                        .range((Bound::Excluded(k), Bound::Included(3)))
-                        .map(|(k, _)| *k)
-                        .collect();
-                    prop_assert_eq!(f, o);
                 }
                 let values: Vec<u32> = inline.values().copied().collect();
                 prop_assert_eq!(values, oracle.values().copied().collect::<Vec<_>>());
@@ -517,7 +488,7 @@ mod tests {
         m.insert(5, 1);
         assert!(!m.spilled());
         assert_eq!(m.remove_at(0), (5, 1));
-        assert!(m.is_empty() && !m.spilled());
+        assert!(m.entries().is_empty() && !m.spilled());
         m.insert(5, 1);
         m.insert(3, 2);
         assert!(m.spilled());
@@ -526,7 +497,7 @@ mod tests {
         }
         assert_eq!(m.entries(), [(3, 12), (5, 11)]);
         m.remove_range(..);
-        assert!(m.is_empty() && m.spilled());
+        assert!(m.entries().is_empty() && m.spilled());
     }
 
     #[test]

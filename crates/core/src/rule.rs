@@ -93,6 +93,23 @@ impl BodyPart {
     fn empty(node: NodeId) -> Self {
         BodyPart::new(node, Vec::new(), Vec::new(), Arc::default())
     }
+
+    /// True iff `vars` are the atoms' distinct variables in first-occurrence
+    /// order, as the parser builds them: then a row of the fragment fixes
+    /// the fact each atom matched. Allocates nothing.
+    pub(crate) fn vars_are_its_atoms(&self) -> bool {
+        let mut seen = 0;
+        for v in variables(&self.atoms) {
+            if self.vars[..seen].contains(v) {
+                continue;
+            }
+            if self.vars.get(seen) != Some(v) {
+                return false;
+            }
+            seen += 1;
+        }
+        seen == self.vars.len()
+    }
 }
 
 /// Every variable occurrence in `atoms`, in order.
@@ -332,7 +349,7 @@ impl CoordinationRule {
     }
 
     /// Head variables not bound by the body — materialised as fresh nulls.
-    pub fn existential_vars(&self) -> BTreeSet<Arc<str>> {
+    pub(crate) fn existential_vars(&self) -> BTreeSet<Arc<str>> {
         let bound = |v: &Arc<str>| self.parts.iter().any(|p| p.vars.contains(v));
         (self.head.iter().flat_map(|a| a.variables()))
             .filter(|v| !bound(v))
@@ -540,22 +557,6 @@ impl RuleSet {
         g
     }
 
-    /// Pipe neighbours of a node: body nodes of its rules plus head nodes of
-    /// rules sourcing it (Section 5: pipes are created in both cases).
-    pub fn pipe_neighbors(&self, node: NodeId) -> BTreeSet<NodeId> {
-        let mut out = BTreeSet::new();
-        for r in self.iter() {
-            if r.head_node == node {
-                out.extend(r.parts.iter().map(|p| p.node));
-            }
-            if r.parts.iter().any(|p| p.node == node) {
-                out.insert(r.head_node);
-            }
-        }
-        out.remove(&node);
-        out
-    }
-
     /// Checks **weak acyclicity** of the rule set: builds the position
     /// dependency graph — positions are `(node, relation, column)`; for each
     /// rule and each universal variable occurring in the head, every body
@@ -661,9 +662,29 @@ impl RuleSet {
     }
 }
 
+#[cfg(test)]
+impl RuleSet {
+    /// Pipe neighbours of a node: body nodes of its rules plus head nodes of
+    /// rules sourcing it (Section 5: pipes are created in both cases).
+    pub(crate) fn pipe_neighbors(&self, node: NodeId) -> BTreeSet<NodeId> {
+        let mut out = BTreeSet::new();
+        for r in self.iter() {
+            if r.head_node == node {
+                out.extend(r.parts.iter().map(|p| p.node));
+            }
+            if r.parts.iter().any(|p| p.node == node) {
+                out.insert(r.head_node);
+            }
+        }
+        out.remove(&node);
+        out
+    }
+}
+
 /// Builds the schema used by every node of the paper's Section 2 running
 /// example (all relations binary except `f`).
-pub fn paper_example_schema(node: NodeId) -> DatabaseSchema {
+#[cfg(test)]
+pub(crate) fn paper_example_schema(node: NodeId) -> DatabaseSchema {
     let text = match node.0 {
         0 => "a(x: int, y: int).",
         1 => "b(x: int, y: int).",
@@ -676,7 +697,8 @@ pub fn paper_example_schema(node: NodeId) -> DatabaseSchema {
 
 /// Parses the seven rules r1–r7 of the paper's running example into a
 /// [`RuleSet`] (nodes A=0 … E=4).
-pub fn paper_example_rules() -> RuleSet {
+#[cfg(test)]
+pub(crate) fn paper_example_rules() -> RuleSet {
     let resolve = |s: &str| -> Option<NodeId> {
         match s {
             "A" => Some(NodeId(0)),

@@ -48,9 +48,9 @@ pub struct NodeCounters {
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Path of the network file (passed through to every child).
-    pub netfile_path: PathBuf,
+    pub(crate) netfile_path: PathBuf,
     /// The `p2pdb` binary to spawn (`current_exe` in the CLI).
-    pub bin: PathBuf,
+    pub(crate) bin: PathBuf,
     /// Wire codec for the whole cluster.
     pub codec: Codec,
     /// Durable state root; `Some` runs every child with
@@ -83,8 +83,6 @@ impl ClusterConfig {
 pub struct ClusterOutcome {
     /// The session that was driven to fix-point.
     pub session: SessionId,
-    /// Spawned child PIDs, in node order.
-    pub pids: Vec<(u32, u32)>,
     /// Wall-clock from first spawn to all-closed.
     pub converge_wall: Duration,
     /// Per-node counters.
@@ -271,7 +269,6 @@ pub fn launch_cluster(
     let mut fleet = Fleet {
         children: Vec::with_capacity(netfile.nodes.len()),
     };
-    let mut pids = Vec::new();
     for node in &netfile.nodes {
         let mut cmd = Command::new(&cfg.bin);
         cmd.arg("serve")
@@ -304,7 +301,6 @@ pub fn launch_cluster(
             .take()
             .map(|pipe| std::thread::spawn(move || drain_tail(pipe)));
         let pid = child.id();
-        pids.push((node.id, pid));
         progress(format!(
             "spawned node {} pid {} listening on {}",
             node.id, pid, addrs[&node.id]
@@ -327,7 +323,10 @@ pub fn launch_cluster(
             if !complaints.is_empty() {
                 return Err(CoreError::Transport(complaints.join("; ")));
             }
-            progress(format!("all {} children exited cleanly", pids.len()));
+            progress(format!(
+                "all {} children exited cleanly",
+                netfile.nodes.len()
+            ));
 
             let mut transport_total = TransportStats::default();
             for c in counters.values() {
@@ -343,7 +342,6 @@ pub fn launch_cluster(
 
             Ok(ClusterOutcome {
                 session,
-                pids,
                 converge_wall,
                 counters,
                 transport_total,

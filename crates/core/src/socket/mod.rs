@@ -14,16 +14,16 @@
 //!   session fix-point, export the database, collect counters, shut
 //!   down). Control frames are always JSON, independent of `--codec`:
 //!   it is a cold path and greppable on the wire.
-//! * [`serve`] — build the peer from a netfile and run it until a
-//!   control shutdown.
+//! * [`prepare`] — build the peer from a netfile; [`NodeServer::run`]
+//!   serves it until a control shutdown.
 //! * [`Controller`] — the client side of the control protocol.
-//! * [`cluster`] — the multi-process launcher (`p2pdb launch`).
+//! * `cluster` — the multi-process launcher (`p2pdb launch`).
 //!
 //! Eager mode only: like the sharded runtime, real sockets have no
 //! global lock-step, so the rounds variant (which the paper frames as the
 //! synchronous alternative) stays simulator-only.
 
-pub mod cluster;
+pub(crate) mod cluster;
 
 use crate::config::UpdateMode;
 use crate::error::{CoreError, CoreResult};
@@ -95,7 +95,7 @@ pub struct DbExport {
 
 impl DbExport {
     /// Captures a database for the wire.
-    pub fn capture(db: &Database) -> Self {
+    pub(crate) fn capture(db: &Database) -> Self {
         DbExport {
             catalog: ConstCatalog::global().export(db.syms()),
             db: db.clone(),
@@ -103,7 +103,7 @@ impl DbExport {
     }
 
     /// Rebuilds the database in this process's symbol space.
-    pub fn import(self) -> Database {
+    pub(crate) fn import(self) -> Database {
         let remap = ConstCatalog::global().absorb(&self.catalog);
         let mut db = self.db;
         if !remap.is_identity() {
@@ -189,7 +189,7 @@ pub struct ServeConfig {
     /// Which declared node this process serves.
     pub node: u32,
     /// Listen address.
-    pub listen: SocketAddr,
+    pub(crate) listen: SocketAddr,
     /// Peer id → address for every *other* node.
     pub peers: BTreeMap<u32, SocketAddr>,
     /// Wire codec (must match the whole cluster; the handshake enforces it).
@@ -218,13 +218,11 @@ impl ServeConfig {
     }
 }
 
-/// What [`serve`] reports after a clean shutdown.
+/// What [`NodeServer::run`] reports after a clean shutdown.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
     /// The node served.
     pub node: NodeId,
-    /// Final protocol counters.
-    pub peer_stats: PeerStats,
     /// Final transport counters.
     pub transport: TransportStats,
     /// Structured errors the peer recorded (empty on a healthy run).
@@ -357,16 +355,10 @@ impl NodeServer {
             .map_err(|e| map_transport(node, e))?;
         Ok(ServeOutcome {
             node,
-            peer_stats: peer.stats().clone(),
             transport,
             errors: peer.errors().to_vec(),
         })
     }
-}
-
-/// Builds the peer, binds, and serves — the body of `p2pdb serve`.
-pub fn serve(cfg: &ServeConfig) -> CoreResult<ServeOutcome> {
-    prepare(cfg)?.run()
 }
 
 fn handle_control(

@@ -119,7 +119,7 @@ fn is_zero(n: &u64) -> bool {
 impl PeerStats {
     /// Resets every counter — the super-peer's "reset statistics at all
     /// peers" command.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = PeerStats::default();
     }
 

@@ -168,7 +168,7 @@ impl P2PSystemBuilder {
     }
 
     /// Chooses the super-peer (default: node 0).
-    pub fn set_super_peer(&mut self, id: u32) {
+    pub(crate) fn set_super_peer(&mut self, id: u32) {
         self.super_peer = NodeId(id);
     }
 

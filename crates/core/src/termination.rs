@@ -10,7 +10,7 @@
 //! makes the update scale to the paper's 31-node networks with cyclic
 //! topologies.
 //!
-//! One [`DiffusingState`] instance exists **per session** (inside each
+//! One `DiffusingState` instance exists **per session** (inside each
 //! peer's session table): concurrent sessions are independent diffusing
 //! computations with independent detectors, exactly as Dijkstra–Scholten
 //! intends — acks are session-tagged on the wire and debit only their own
@@ -30,7 +30,7 @@
 //!   acknowledged by the `Answer` the same handler sends back
 //!   (`Answer { acks: true }`, except under `paper_faithful`). That answer
 //!   is not basic: its sender does not count it, and its receiver sends no
-//!   `Ack` for it ([`DiffusingState::on_receive_reply`]). The receiver's
+//!   `Ack` for it (`DiffusingState::on_receive_reply`). The receiver's
 //!   deficit still counts the query, so it and its parent chain up to the
 //!   root stay engaged while the answer is in flight; it handles the answer
 //!   in full, its own sends counted, and only then debits the query.
@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 
 /// What to do about acknowledging a just-processed basic message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckDecision {
+pub(crate) enum AckDecision {
     /// Acknowledge immediately after processing (a `Query`: by its answer).
     Immediate,
     /// This message engaged the node; the ack is deferred until disengage.
@@ -51,7 +51,7 @@ pub enum AckDecision {
 
 /// Action produced by [`DiffusingState::try_disengage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Disengage {
+pub(crate) enum Disengage {
     /// Nothing to do yet.
     None,
     /// Send the deferred ack to the parent and forget it.
@@ -62,7 +62,7 @@ pub enum Disengage {
 
 /// Per-node Dijkstra–Scholten state.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DiffusingState {
+pub(crate) struct DiffusingState {
     engaged: bool,
     is_root: bool,
     parent: Option<NodeId>,
@@ -71,46 +71,36 @@ pub struct DiffusingState {
 }
 
 impl DiffusingState {
-    /// Fresh, disengaged state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Resets for a new computation (new epoch).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = DiffusingState::default();
     }
 
     /// Marks this node as the computation's root (the super-peer) and
     /// engages it. Call before the root sends its first basic messages.
-    pub fn engage_as_root(&mut self) {
+    pub(crate) fn engage_as_root(&mut self) {
         self.engaged = true;
         self.is_root = true;
         self.parent = None;
     }
 
     /// True iff currently engaged in the computation.
-    pub fn engaged(&self) -> bool {
+    pub(crate) fn engaged(&self) -> bool {
         self.engaged
     }
 
     /// True iff this node is the root.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.is_root
     }
 
-    /// The engaging parent, if any.
-    pub fn parent(&self) -> Option<NodeId> {
-        self.parent
-    }
-
     /// Current deficit (unacknowledged sends).
-    pub fn deficit(&self) -> u64 {
+    pub(crate) fn deficit(&self) -> u64 {
         self.deficit
     }
 
     /// Records the receipt of a basic message from `from`.
-    pub fn on_receive(&mut self, from: NodeId) -> AckDecision {
+    pub(crate) fn on_receive(&mut self, from: NodeId) -> AckDecision {
         if self.engaged {
             AckDecision::Immediate
         } else {
@@ -127,7 +117,7 @@ impl DiffusingState {
     /// that is not engaged lost its counters in a crash since it sent the
     /// request: it engages without a parent, so that the handler's sends are
     /// counted, and owes nobody an acknowledgement when it disengages.
-    pub fn on_receive_reply(&mut self) -> bool {
+    pub(crate) fn on_receive_reply(&mut self) -> bool {
         if self.engaged {
             return true;
         }
@@ -137,7 +127,7 @@ impl DiffusingState {
     }
 
     /// Records the sending of one basic message.
-    pub fn on_send(&mut self) {
+    pub(crate) fn on_send(&mut self) {
         debug_assert!(self.engaged, "only engaged nodes send basic messages");
         self.deficit += 1;
     }
@@ -148,7 +138,7 @@ impl DiffusingState {
     /// deficit is rebuilt from zero, yet acks for pre-crash sends may still
     /// be in flight and arrive post-restart — and a protocol error
     /// otherwise.
-    pub fn on_ack(&mut self) -> bool {
+    pub(crate) fn on_ack(&mut self) -> bool {
         let outstanding = self.deficit > 0;
         self.deficit -= u64::from(outstanding);
         outstanding
@@ -156,7 +146,7 @@ impl DiffusingState {
 
     /// Called whenever the node becomes passive (for us: at the end of every
     /// handler — handlers are atomic). Decides whether to disengage.
-    pub fn try_disengage(&mut self) -> Disengage {
+    pub(crate) fn try_disengage(&mut self) -> Disengage {
         if !self.engaged || self.deficit > 0 {
             return Disengage::None;
         }
@@ -181,14 +171,14 @@ mod tests {
 
     #[test]
     fn root_with_no_sends_terminates_at_once() {
-        let mut ds = DiffusingState::new();
+        let mut ds = DiffusingState::default();
         ds.engage_as_root();
         assert_eq!(ds.try_disengage(), Disengage::RootTerminated);
     }
 
     #[test]
     fn root_waits_for_acks() {
-        let mut ds = DiffusingState::new();
+        let mut ds = DiffusingState::default();
         ds.engage_as_root();
         ds.on_send();
         ds.on_send();
@@ -204,7 +194,7 @@ mod tests {
 
     #[test]
     fn non_root_defers_engaging_ack_until_quiet() {
-        let mut ds = DiffusingState::new();
+        let mut ds = DiffusingState::default();
         assert_eq!(ds.on_receive(NodeId(7)), AckDecision::Deferred);
         ds.on_send();
         assert_eq!(ds.try_disengage(), Disengage::None);
@@ -215,7 +205,7 @@ mod tests {
 
     #[test]
     fn second_message_acked_immediately() {
-        let mut ds = DiffusingState::new();
+        let mut ds = DiffusingState::default();
         assert_eq!(ds.on_receive(NodeId(1)), AckDecision::Deferred);
         assert_eq!(ds.on_receive(NodeId(2)), AckDecision::Immediate);
         assert_eq!(ds.on_receive(NodeId(1)), AckDecision::Immediate);
@@ -225,7 +215,7 @@ mod tests {
 
     #[test]
     fn reengagement_after_disengage() {
-        let mut ds = DiffusingState::new();
+        let mut ds = DiffusingState::default();
         assert_eq!(ds.on_receive(NodeId(1)), AckDecision::Deferred);
         assert_eq!(ds.try_disengage(), Disengage::AckParent(NodeId(1)));
         // A later message re-engages with a possibly different parent.
@@ -235,7 +225,7 @@ mod tests {
 
     #[test]
     fn reply_is_debited_after_the_sends_it_causes() {
-        let mut ds = DiffusingState::new();
+        let mut ds = DiffusingState::default();
         assert_eq!(ds.on_receive(NodeId(7)), AckDecision::Deferred);
         ds.on_send(); // the query
         assert!(ds.on_receive_reply(), "the query is still counted");
@@ -248,9 +238,9 @@ mod tests {
 
     #[test]
     fn reply_after_lost_counters_engages_without_a_parent() {
-        let mut ds = DiffusingState::new();
+        let mut ds = DiffusingState::default();
         assert!(!ds.on_receive_reply(), "nothing to debit");
-        assert!(ds.engaged() && ds.parent().is_none());
+        assert!(ds.engaged() && ds.parent.is_none());
         ds.on_send();
         assert_eq!(ds.try_disengage(), Disengage::None);
         assert!(ds.on_ack());
@@ -267,7 +257,7 @@ mod tests {
         // Root 0 sends to 1 and 2; 1 sends to 2; all acks flow back.
         // Model the message soup explicitly and assert the root terminates
         // only after every ack.
-        let mut nodes: Vec<DiffusingState> = (0..3).map(|_| DiffusingState::new()).collect();
+        let mut nodes: Vec<DiffusingState> = (0..3).map(|_| DiffusingState::default()).collect();
         nodes[0].engage_as_root();
         nodes[0].on_send(); // 0→1
         nodes[0].on_send(); // 0→2

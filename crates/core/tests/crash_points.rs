@@ -11,7 +11,7 @@
 use p2p_core::messages::{Answer, AnswerRows, Via};
 use p2p_core::peer::DbPeer;
 use p2p_core::{CoordinationRule, ProtocolMsg, SystemConfig};
-use p2p_net::{Context, Peer, SessionId, SimTime};
+use p2p_net::{Context, Peer, SessionId};
 use p2p_relational::query::Idents;
 use p2p_relational::{Database, DatabaseSchema, RowSet, Val};
 use p2p_storage::{
@@ -74,7 +74,7 @@ fn two_sessions(peer: &mut DbPeer, mut delivered: impl FnMut(&DbPeer)) {
     let mut flooded = 0;
     for (epoch, from, row, watermark) in answers {
         let session = SessionId::new(B, epoch);
-        let mut ctx = Context::new(SimTime::ZERO, HEAD);
+        let mut ctx = Context::new(HEAD);
         if flooded < epoch {
             flooded = epoch;
             peer.on_message(B, ProtocolMsg::UpdateFlood { session }, &mut ctx);
@@ -313,7 +313,7 @@ fn a_head_that_fails_part_way_logs_the_facts_it_inserted() {
         .unwrap();
 
     let session = SessionId::new(B, 1);
-    let mut ctx = Context::new(SimTime::ZERO, HEAD);
+    let mut ctx = Context::new(HEAD);
     peer.on_message(B, ProtocolMsg::UpdateFlood { session }, &mut ctx);
     let part = &rule.parts[0];
     let rows = AnswerRows {

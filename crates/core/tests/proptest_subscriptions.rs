@@ -14,7 +14,7 @@
 use p2p_core::config::SystemConfig;
 use p2p_core::peer::{DbPeer, Subscription};
 use p2p_core::rule::{BodyPart, CoordinationRule};
-use p2p_net::{Context, SimTime};
+use p2p_net::Context;
 use p2p_relational::query::{CmpOp, Idents, Marks, Term};
 use p2p_relational::{Database, DatabaseSchema, Val};
 use p2p_topology::NodeId;
@@ -201,7 +201,7 @@ fn check(text: &str, seed: &[Step], steps: &[Step], faithful: bool) -> Result<()
         standing: false,
         watermarks: Marks::new(),
     };
-    let mut ctx = Context::new(SimTime::ZERO, NodeId(1));
+    let mut ctx = Context::new(NodeId(1));
     let mut shipped: HashSet<Vec<Val>> = HashSet::new();
     for step in steps.iter().chain([&Step::Evaluate]) {
         let Step::Evaluate = step else {

@@ -25,9 +25,9 @@ pub struct CrashEvent {
     /// The peer that dies.
     pub node: NodeId,
     /// Offset at which the peer crashes (state wiped, deliveries dropped).
-    pub crash_at: SimTime,
+    pub(crate) crash_at: SimTime,
     /// Offset at which the peer comes back (must be after `crash_at`).
-    pub restart_at: SimTime,
+    pub(crate) restart_at: SimTime,
 }
 
 /// A deterministic schedule of peer crashes and restarts.
@@ -70,18 +70,13 @@ impl ChurnPlan {
     }
 
     /// The scheduled events.
-    pub fn events(&self) -> &[CrashEvent] {
+    pub(crate) fn events(&self) -> &[CrashEvent] {
         &self.events
     }
 
     /// True iff no churn is scheduled.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Number of scheduled crashes.
-    pub fn crash_count(&self) -> usize {
-        self.events.len()
     }
 }
 
@@ -94,7 +89,7 @@ mod tests {
         let plan = ChurnPlan::none()
             .with_crash(NodeId(1), SimTime(10), SimTime(20))
             .with_crash(NodeId(2), SimTime(15), SimTime(30));
-        assert_eq!(plan.crash_count(), 2);
+        assert_eq!(plan.events().len(), 2);
         assert!(!plan.is_empty());
         assert_eq!(plan.events()[0].node, NodeId(1));
     }
@@ -119,6 +114,6 @@ mod tests {
             .with_crash(NodeId(1), SimTime(10), SimTime(20))
             .with_crash(NodeId(1), SimTime(20), SimTime(30))
             .with_crash(NodeId(2), SimTime(15), SimTime(25));
-        assert_eq!(plan.crash_count(), 3);
+        assert_eq!(plan.events().len(), 3);
     }
 }

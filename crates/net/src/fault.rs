@@ -28,7 +28,7 @@ pub struct LinkOutage {
 
 /// What the fault layer decided about one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDecision {
+pub(crate) enum FaultDecision {
     /// Deliver exactly once.
     Deliver,
     /// Silently drop.
@@ -80,7 +80,7 @@ impl FaultPlan {
     }
 
     /// Decides the fate of one message sent at `now` on `from → to`.
-    pub fn decide(&mut self, from: NodeId, to: NodeId, now: SimTime) -> FaultDecision {
+    pub(crate) fn decide(&mut self, from: NodeId, to: NodeId, now: SimTime) -> FaultDecision {
         for o in &self.outages {
             if o.from == from && o.to == to && now >= o.start && now < o.end {
                 return FaultDecision::Drop;

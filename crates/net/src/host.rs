@@ -18,7 +18,7 @@
 //!
 //! A handler's sends go into one buffer its runtime keeps: the simulator
 //! and each shard thread hand every handler's [`Context`] the same `Vec`
-//! ([`Context::reusing`]), the send step drains it in place and gives it
+//! (`Context::reusing`), the send step drains it in place and gives it
 //! back empty with its capacity, so a runtime allocates its send buffer
 //! once, grown to its largest drain, instead of once per handler that
 //! sends. (The payload of each send is still its own `Arc`.)
@@ -42,6 +42,9 @@ pub trait Peer<M>: Send {
     /// hand each send over once, the socket runtime rides on TCP — so a
     /// peer keeps no per-delivery state. The default forwards to
     /// [`Peer::on_message`]; an override wraps it (a tracing host, say).
+    /// No peer of the program reads `msg_id`: it remains only for the
+    /// benchmark harness's `TracedPeer`, the one override, and ROADMAP item
+    /// 1(i) drops it.
     fn on_envelope(&mut self, from: NodeId, msg_id: u64, msg: M, ctx: &mut Context<M>) {
         let _ = msg_id;
         self.on_message(from, msg, ctx);
@@ -71,14 +74,13 @@ pub struct Outgoing<M> {
     /// Payload (shared across fan-out receivers).
     pub msg: Arc<M>,
     /// Extra delay beyond link latency (processing cost, scheduled work).
-    pub delay: SimTime,
+    pub(crate) delay: SimTime,
 }
 
 /// Handler-side view of the network: the only way peers interact with the
 /// outside world.
 #[derive(Debug)]
 pub struct Context<M> {
-    now: SimTime,
     id: NodeId,
     charged: SimTime,
     outgoing: Vec<Outgoing<M>>,
@@ -86,28 +88,21 @@ pub struct Context<M> {
 
 impl<M> Context<M> {
     /// Creates a context for one handler invocation.
-    pub fn new(now: SimTime, id: NodeId) -> Self {
-        Context::reusing(now, id, Vec::new())
+    pub fn new(id: NodeId) -> Self {
+        Context::reusing(id, Vec::new())
     }
 
     /// [`Context::new`] queueing its sends in `outgoing`, a buffer an
     /// earlier invocation's sends were drained from (it is cleared first):
     /// a runtime that hands its handlers one buffer over and over (see the
     /// module docs) allocates it once, not once per handler that sends.
-    pub fn reusing(now: SimTime, id: NodeId, mut outgoing: Vec<Outgoing<M>>) -> Self {
+    pub(crate) fn reusing(id: NodeId, mut outgoing: Vec<Outgoing<M>>) -> Self {
         outgoing.clear();
         Context {
-            now,
             id,
             charged: SimTime::ZERO,
             outgoing,
         }
-    }
-
-    /// Current time (virtual in the simulator, wall-clock in the sharded
-    /// runtime).
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// The handling node's own id.
@@ -140,15 +135,6 @@ impl<M> Context<M> {
         }
     }
 
-    /// Sends after an explicit additional delay.
-    pub fn send_after(&mut self, delay: SimTime, to: NodeId, msg: M) {
-        self.outgoing.push(Outgoing {
-            to,
-            msg: Arc::new(msg),
-            delay: self.charged + delay,
-        });
-    }
-
     /// Charges local processing time: all *subsequent* sends from this
     /// handler are delayed by the accumulated charge. Models per-tuple query
     /// evaluation cost without a full node-busy queueing model.
@@ -173,7 +159,7 @@ impl<M> Context<M> {
 /// The once-per-payload memo: what a runtime derived from each payload of
 /// one drain, keyed on the `Arc`'s address (never dereferenced). Addresses
 /// are only compared among payloads alive together — the sends of one
-/// drain — so [`PayloadMemo::clear`] must run before the next drain.
+/// drain — so `PayloadMemo::clear` must run before the next drain.
 pub struct PayloadMemo<V> {
     seen: Vec<(usize, V)>,
 }
@@ -203,7 +189,7 @@ impl<V: Clone> PayloadMemo<V> {
     }
 
     /// Forgets the finished drain (its payload addresses may be reused).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.seen.clear();
     }
 }
@@ -392,6 +378,18 @@ impl Meter {
             .record_delivery(ctx.id(), parcel.size, parcel.msg.session());
         let msg = Arc::try_unwrap(parcel.msg).unwrap_or_else(|shared| (*shared).clone());
         peer.on_envelope(from, parcel.msg_id, msg, ctx);
+    }
+}
+
+#[cfg(test)]
+impl<M> Context<M> {
+    /// Sends after an explicit additional delay.
+    pub(crate) fn send_after(&mut self, delay: SimTime, to: NodeId, msg: M) {
+        self.outgoing.push(Outgoing {
+            to,
+            msg: Arc::new(msg),
+            delay: self.charged + delay,
+        });
     }
 }
 

@@ -6,7 +6,7 @@
 //! discovery; this crate provides the same capabilities as a library, in two
 //! interchangeable runtimes on one peer host.
 //!
-//! [`host`] owns what the runtimes share: [`Peer`] and its [`Context`], the
+//! `host` owns what the runtimes share: [`Peer`] and its [`Context`], the
 //! peer table, the once-per-payload [`PayloadMemo`] (which the socket
 //! runtime of `p2p_transport` encodes frames through too), and the send and
 //! delivery steps that size and count every message. A runtime adds only
@@ -35,17 +35,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
+pub(crate) mod churn;
 pub mod codec;
 pub mod fault;
-pub mod host;
-pub mod latency;
-pub mod message;
-pub mod session;
-pub mod sharded;
-pub mod sim;
-pub mod stats;
-pub mod trace;
+pub(crate) mod host;
+pub(crate) mod latency;
+pub(crate) mod message;
+pub(crate) mod session;
+pub(crate) mod sharded;
+pub(crate) mod sim;
+pub(crate) mod stats;
+pub(crate) mod trace;
 
 pub use churn::{ChurnPlan, CrashEvent};
 pub use codec::Codec;

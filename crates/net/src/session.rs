@@ -36,13 +36,6 @@ impl SessionId {
     pub fn new(root: NodeId, epoch: u64) -> Self {
         SessionId { root, epoch }
     }
-
-    /// True iff `other` is a newer session of the same root — the
-    /// supersession relation: a message of a newer same-root session retires
-    /// any state still held for this one.
-    pub fn superseded_by(&self, other: &SessionId) -> bool {
-        self.root == other.root && self.epoch < other.epoch
-    }
 }
 
 impl fmt::Display for SessionId {
@@ -62,17 +55,6 @@ mod tests {
         let b1 = SessionId::new(NodeId(1), 1);
         assert!(a1 < a2);
         assert!(a2 < b1);
-    }
-
-    #[test]
-    fn supersession_is_same_root_newer_epoch() {
-        let a1 = SessionId::new(NodeId(0), 1);
-        let a2 = SessionId::new(NodeId(0), 2);
-        let b2 = SessionId::new(NodeId(1), 2);
-        assert!(a1.superseded_by(&a2));
-        assert!(!a2.superseded_by(&a1));
-        assert!(!a1.superseded_by(&b2));
-        assert!(!a1.superseded_by(&a1));
     }
 
     #[test]

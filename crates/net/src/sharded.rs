@@ -2,15 +2,14 @@
 //!
 //! This is the paper's asynchronous model of communications on real
 //! parallelism, at the 10k-peer scales the simulator reaches. Peers are
-//! *placed* on shards ([`ShardPlacement`]) and each shard thread owns its
+//! dealt to shards round-robin in id order, and each shard thread owns its
 //! peers outright: it pops the next delivery from its one FIFO queue, runs
 //! the receiver's handler through the shared [`crate::host`] delivery step,
 //! and pushes every send at the back of the receiver's shard queue — its
 //! own or another shard's. Each sender→receiver pipe stays FIFO, because
 //! one thread makes all of a sender's sends and one queue holds all of a
 //! receiver's deliveries. A send to a peer homed on another shard is
-//! counted in [`NetStats::cross_shard_sends`], the locality metric a
-//! placement policy is judged by.
+//! counted in [`NetStats::cross_shard_sends`], the pool's locality metric.
 //!
 //! Termination is an outstanding-message counter shared by all shards as a
 //! quiescence barrier: it is incremented before a delivery is queued and
@@ -66,27 +65,15 @@ fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How peers are assigned to shard threads.
+/// How peers are assigned to shard threads: peer `i` (in id order) goes to
+/// shard `i mod T`, whatever the topology. Kept only because the benchmark
+/// harness (`benchmark/src/flood.rs`) names it in its one call to
+/// [`ShardedNetwork::set_placement`]; ROADMAP item 1(m) removes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPlacement {
-    /// Peer `i` (in id order) goes to shard `i mod T`. Spreads load evenly
-    /// regardless of topology; the default.
+    /// The one placement.
     #[default]
     RoundRobin,
-    /// Contiguous blocks of the id order: peer `i` goes to shard
-    /// `i·T / n`. Topology-aware for ring-like graphs, where neighbours
-    /// have adjacent ids — almost every send becomes intra-shard.
-    Blocks,
-}
-
-impl ShardPlacement {
-    /// Shard of the `i`-th peer (id order) among `n` peers on `t` shards.
-    fn shard_of(self, i: usize, n: usize, t: usize) -> usize {
-        match self {
-            ShardPlacement::RoundRobin => i % t,
-            ShardPlacement::Blocks => i * t / n.max(1),
-        }
-    }
 }
 
 /// Where a hosted peer lives: its shard, and its index among that shard's
@@ -129,7 +116,6 @@ struct Shared<M> {
     msg_ids: AtomicU64,
     first_panic: Mutex<Option<WorkerPanic>>,
     codec: Codec,
-    epoch: Instant,
 }
 
 /// A network of peers multiplexed over a bounded pool of shard threads.
@@ -141,7 +127,6 @@ pub struct ShardedNetwork<M: Wire, P: Peer<M> + 'static> {
     peers: PeerTable<P>,
     codec: Codec,
     shards: usize,
-    placement: ShardPlacement,
     _marker: std::marker::PhantomData<M>,
 }
 
@@ -158,7 +143,6 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
             peers: PeerTable::default(),
             codec: Codec::default(),
             shards: 0,
-            placement: ShardPlacement::default(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -180,10 +164,9 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
         self.shards = shards;
     }
 
-    /// Selects the peer→shard placement policy.
-    pub fn set_placement(&mut self, placement: ShardPlacement) {
-        self.placement = placement;
-    }
+    /// Selects the peer→shard placement; there is one, so this changes
+    /// nothing. Kept only for the benchmark harness (see [`ShardPlacement`]).
+    pub fn set_placement(&mut self, _placement: ShardPlacement) {}
 
     /// Runs the network to quiescence: delivers `initial` messages, lets
     /// the peers converse across the shard pool, and joins every shard
@@ -204,12 +187,11 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
         }
         .clamp(1, n.max(1));
         let mut homes = PeerTable::default();
-        let placement = self.placement;
         let mut hosted: Vec<Vec<Hosted<P>>> = (0..shards)
             .map(|_| Vec::with_capacity(n.div_ceil(shards)))
             .collect();
         for (i, (id, peer)) in sorted.into_iter().enumerate() {
-            let shard = placement.shard_of(i, n, shards);
+            let shard = i % shards;
             let index = hosted[shard].len();
             homes.insert(id, Home { shard, index });
             let poisoned = false;
@@ -231,7 +213,6 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
             msg_ids: AtomicU64::new(0),
             first_panic: Mutex::new(None),
             codec: self.codec,
-            epoch: started,
         };
 
         // Count and queue the initial messages before any thread starts,
@@ -275,7 +256,7 @@ impl<M: Wire + Sync, P: Peer<M> + 'static> ShardedNetwork<M, P> {
         // Back in id order without a sort (whose scratch copy of the peers
         // would raise peak memory): the i-th peer is its shard's next one.
         let peers = (0..n)
-            .filter_map(|i| returned[placement.shard_of(i, n, shards)].next())
+            .filter_map(|i| returned[i % shards].next())
             .map(|host| (host.id, host.peer))
             .collect();
         meter.stats.finished_at = SimTime(started.elapsed().as_micros() as u64);
@@ -327,8 +308,7 @@ impl<M: Wire + Sync> Shared<M> {
                 continue;
             }
             let id = host.id;
-            let now = SimTime(self.epoch.elapsed().as_micros() as u64);
-            let mut ctx = Context::reusing(now, id, spare);
+            let mut ctx = Context::reusing(id, spare);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 meter.deliver(&mut host.peer, from, parcel, &mut ctx)
             }));
@@ -441,10 +421,9 @@ mod tests {
         }
     }
 
-    fn ring(n: u32, shards: usize, placement: ShardPlacement) -> ShardedNetwork<Token, RingPeer> {
+    fn ring(n: u32, shards: usize) -> ShardedNetwork<Token, RingPeer> {
         let mut net = ShardedNetwork::new();
         net.set_shards(shards);
-        net.set_placement(placement);
         for i in 0..n {
             net.add_peer(
                 NodeId(i),
@@ -460,7 +439,7 @@ mod tests {
     #[test]
     fn token_ring_quiesces_on_every_shard_count() {
         for shards in [1usize, 2, 3, 8, 16] {
-            let net = ring(5, shards, ShardPlacement::RoundRobin);
+            let net = ring(5, shards);
             let (peers, stats) = net.run(vec![(NodeId(0), NodeId(0), Token(24))]).unwrap();
             let total_seen: u32 = peers.iter().map(|(_, p)| p.seen).sum();
             assert_eq!(total_seen, 25, "shards={shards}");
@@ -470,7 +449,7 @@ mod tests {
 
     #[test]
     fn more_shards_than_peers_still_quiesces() {
-        let net = ring(3, 9, ShardPlacement::RoundRobin);
+        let net = ring(3, 9);
         let (peers, stats) = net.run(vec![(NodeId(0), NodeId(0), Token(11))]).unwrap();
         let total_seen: u32 = peers.iter().map(|(_, p)| p.seen).sum();
         assert_eq!(total_seen, 12);
@@ -508,25 +487,6 @@ mod tests {
         assert_eq!(stats.total_messages, 0);
         assert_eq!(stats.sent_of_kind("Token"), 1);
         assert_eq!(stats.dropped, 1);
-    }
-
-    #[test]
-    fn blocks_placement_localizes_ring_traffic() {
-        // On a ring with contiguous blocks, only the 4 block-boundary hops
-        // are cross-shard; round-robin makes every hop cross-shard.
-        let net = ring(32, 4, ShardPlacement::Blocks);
-        let (_, stats) = net.run(vec![(NodeId(0), NodeId(0), Token(64))]).unwrap();
-        let blocks_cross = stats.cross_shard_sends;
-        let net = ring(32, 4, ShardPlacement::RoundRobin);
-        let (_, stats) = net.run(vec![(NodeId(0), NodeId(0), Token(64))]).unwrap();
-        let rr_cross = stats.cross_shard_sends;
-        assert!(
-            blocks_cross < rr_cross,
-            "blocks={blocks_cross} rr={rr_cross}"
-        );
-        // 64 handler sends, two ring laps: each lap crosses 4 boundaries.
-        assert!(blocks_cross <= 9, "blocks={blocks_cross}");
-        assert_eq!(rr_cross, 64);
     }
 
     /// Two peers on two shards volley one ball 10 000 round trips. Every

@@ -268,11 +268,6 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
         }
     }
 
-    /// True iff `node` is currently crashed.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.peers.slot(node).is_some_and(|s| self.down[s])
-    }
-
     /// Enables message tracing with the given capacity.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
         self.trace = Trace::with_capacity(capacity);
@@ -367,7 +362,7 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
 
     /// A context for a handler of `node`'s, queueing into the kept buffer.
     fn context(&mut self, node: NodeId) -> Context<M> {
-        Context::reusing(self.agenda.now, node, std::mem::take(&mut self.spare))
+        Context::reusing(node, std::mem::take(&mut self.spare))
     }
 
     /// Pops and fires the earliest event; `false` when the agenda is empty.
@@ -702,7 +697,7 @@ mod tests {
         // The restart hook's message reached node 0 (it bounces Ping(0)
         // into `seen` at node 0).
         assert!(sim.peer(NodeId(0)).unwrap().seen.contains(&0));
-        assert!(!sim.is_down(NodeId(1)));
+        assert!(!sim.down[sim.peers.slot(NodeId(1)).unwrap()]);
     }
 
     #[test]

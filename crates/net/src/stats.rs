@@ -150,18 +150,17 @@ pub struct NetStats {
     /// unknown node).
     pub dropped: u64,
     /// Peer crashes executed from the churn plan.
-    pub peer_crashes: u64,
+    pub(crate) peer_crashes: u64,
     /// Peer restarts executed from the churn plan.
-    pub peer_restarts: u64,
+    pub(crate) peer_restarts: u64,
     /// Fan-out sends that reused an already-serialized shared payload
     /// instead of encoding their own copy ([`crate::Context::send_to_many`]).
     /// `encode passes == sends − shared_payload_sends` is the invariant the
     /// codec regression test checks.
     pub shared_payload_sends: u64,
     /// Sends whose target peer lives on a different shard than the sender
-    /// ([`crate::sharded::ShardedNetwork`]): these pay a channel hop. The
-    /// locality metric a [`crate::sharded::ShardPlacement`] policy is
-    /// judged by; zero under the other runtimes.
+    /// ([`crate::sharded::ShardedNetwork`]): these pay a queue hop to
+    /// another shard. Zero under the other runtimes.
     pub cross_shard_sends: u64,
     /// Virtual (or wall) time at which the run went quiescent.
     pub finished_at: SimTime,

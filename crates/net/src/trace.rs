@@ -11,13 +11,13 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Delivery time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Sender.
     pub from: NodeId,
     /// Recipient.
     pub to: NodeId,
     /// Message kind (e.g. `requestNodes`, `Query`, `Answer`).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// The update session the message belonged to (`None` for session-less
     /// control traffic) — the attribution multi-session drivers report from.
     pub session: Option<SessionId>,
@@ -35,7 +35,7 @@ pub struct Trace {
 impl Trace {
     /// A trace retaining at most `capacity` entries; later entries are
     /// counted but discarded.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Trace {
             entries: Vec::new(),
             capacity,
@@ -44,12 +44,12 @@ impl Trace {
     }
 
     /// True iff tracing is active.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.capacity > 0
     }
 
     /// Records an entry (no-op when disabled or full).
-    pub fn record(&mut self, entry: TraceEntry) {
+    pub(crate) fn record(&mut self, entry: TraceEntry) {
         if !self.enabled() {
             return;
         }

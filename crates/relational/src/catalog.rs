@@ -96,7 +96,7 @@ impl ConstCatalog {
     }
 
     /// Resolves an id, returning `None` if unknown.
-    pub fn try_resolve(&self, id: SymId) -> Option<Arc<str>> {
+    pub(crate) fn try_resolve(&self, id: SymId) -> Option<Arc<str>> {
         self.inner
             .read()
             .expect("catalog lock")
@@ -107,22 +107,12 @@ impl ConstCatalog {
 
     /// Compares two interned strings lexicographically without exposing the
     /// contents.
-    pub fn cmp_syms(&self, a: SymId, b: SymId) -> Ordering {
+    pub(crate) fn cmp_syms(&self, a: SymId, b: SymId) -> Ordering {
         if a == b {
             return Ordering::Equal;
         }
         let inner = self.inner.read().expect("catalog lock");
         inner.strings[a.0 as usize].cmp(&inner.strings[b.0 as usize])
-    }
-
-    /// Number of interned symbols.
-    pub fn len(&self) -> usize {
-        self.inner.read().expect("catalog lock").strings.len()
-    }
-
-    /// True iff nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Exports the `(id, string)` pairs for the given ids (deduplicated,
@@ -218,7 +208,7 @@ mod tests {
         assert_eq!(c.intern("ana"), a);
         assert_eq!(&*c.resolve(a), "ana");
         assert_eq!(&*c.resolve(b), "bob");
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.inner.read().unwrap().strings.len(), 2);
     }
 
     #[test]

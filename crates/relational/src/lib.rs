@@ -60,14 +60,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod catalog;
+pub(crate) mod catalog;
 pub mod chase;
-pub mod database;
-pub mod error;
+pub(crate) mod database;
+pub(crate) mod error;
 pub mod hom;
 pub mod query;
-pub mod relation;
-pub mod schema;
+pub(crate) mod relation;
+pub(crate) mod schema;
 pub mod value;
 
 pub use catalog::{ConstCatalog, SymId, SymRemap};

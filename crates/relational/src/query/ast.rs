@@ -126,19 +126,6 @@ impl Atom {
         }
     }
 
-    /// Builds a qualified atom (`qualifier:relation(terms)`).
-    pub fn qualified(
-        qualifier: impl AsRef<str>,
-        relation: impl AsRef<str>,
-        terms: Vec<Term>,
-    ) -> Self {
-        Atom {
-            qualifier: Some(Arc::from(qualifier.as_ref())),
-            relation: Arc::from(relation.as_ref()),
-            terms,
-        }
-    }
-
     /// Variables occurring in this atom, in first-occurrence order.
     pub fn variables(&self) -> Vec<Arc<str>> {
         let mut out: Vec<Arc<str>> = Vec::new();
@@ -287,7 +274,7 @@ pub struct ConjunctiveQuery {
 
 impl ConjunctiveQuery {
     /// All distinct variables of the body atoms, in first-occurrence order.
-    pub fn body_variables(&self) -> Vec<Arc<str>> {
+    pub(crate) fn body_variables(&self) -> Vec<Arc<str>> {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for a in &self.atoms {
@@ -298,11 +285,6 @@ impl ConjunctiveQuery {
             }
         }
         out
-    }
-
-    /// Head arity.
-    pub fn arity(&self) -> usize {
-        self.head.len()
     }
 }
 
@@ -411,7 +393,10 @@ mod tests {
 
     #[test]
     fn qualified_atom_display() {
-        let a = Atom::qualified("B", "b", vec![Term::var("X")]);
+        let a = Atom {
+            qualifier: Some(Arc::from("B")),
+            ..Atom::new("b", vec![Term::var("X")])
+        };
         assert_eq!(a.to_string(), "B:b(X)");
         let unqualified = Atom {
             qualifier: None,

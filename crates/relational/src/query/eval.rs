@@ -22,7 +22,7 @@
 
 use crate::database::Database;
 use crate::error::{Error, Result};
-use crate::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Term};
+use crate::query::ast::{Atom, ConjunctiveQuery, Constraint, Term};
 use crate::query::plan::{compile_body, execute_plan, EvalMetrics};
 use crate::relation::RowSet;
 use crate::value::Val;
@@ -83,7 +83,7 @@ impl Bindings {
     }
 
     /// Slot index of a variable.
-    pub fn slot(&self, var: &str) -> Option<usize> {
+    pub(crate) fn slot(&self, var: &str) -> Option<usize> {
         self.vars.iter().position(|v| &**v == var)
     }
 
@@ -283,12 +283,6 @@ pub(crate) fn greedy_order(
         }
     }
     order
-}
-
-/// Evaluates the comparison `lhs op rhs` over two ground values — exposed for
-/// reuse by the chase and the distributed layer.
-pub fn compare(op: CmpOp, lhs: &Val, rhs: &Val) -> bool {
-    op.certainly_holds(lhs, rhs)
 }
 
 #[cfg(test)]

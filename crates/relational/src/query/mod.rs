@@ -11,13 +11,13 @@
 //! routes sub-queries to peers).
 
 pub mod ast;
-pub mod eval;
-pub mod parser;
-pub mod plan;
+pub(crate) mod eval;
+pub(crate) mod parser;
+pub(crate) mod plan;
 
 pub use ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Idents, Term};
 pub use eval::{evaluate, evaluate_bindings, evaluate_certain, Bindings};
-pub use parser::{parse_atom, parse_implication, parse_query, Implication};
+pub use parser::{parse_implication, parse_query, Implication};
 pub use plan::{
     compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,
     MarkTable, Marks, PlanCatalog, QueryPlan,

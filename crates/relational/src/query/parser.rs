@@ -23,8 +23,8 @@
 //! [`parse_implication`] takes the caller's: a network builder owns one for
 //! all its rules (`P2PSystemBuilder`), so every rule it reads shares one
 //! `Arc<str>` per distinct name, and a caller without one passes
-//! `&mut Idents::new()`. [`parse_query`] and [`parse_atom`] read one-off
-//! texts and use an interner of their own. A body item is told apart as an
+//! `&mut Idents::new()`. [`parse_query`] reads one-off texts and uses an
+//! interner of its own. A body item is told apart as an
 //! atom or a constraint by looking ahead, not by failing as an atom first.
 
 use crate::error::{Error, Result};
@@ -66,16 +66,6 @@ pub fn parse_query(input: &str) -> Result<ConjunctiveQuery> {
     };
     check_safety(&q)?;
     Ok(q)
-}
-
-/// Parses a single (possibly qualified) atom, e.g. `B:b(X, 'v')`.
-pub fn parse_atom(input: &str) -> Result<Atom> {
-    let mut idents = Idents::new();
-    let mut p = P::new(input, &mut idents);
-    let atom = p.atom()?;
-    p.ws();
-    p.eof()?;
-    Ok(atom)
 }
 
 /// Parses an implication `body => head` (coordination-rule shape), e.g.
@@ -444,6 +434,18 @@ impl<'a, 'i> P<'a, 'i> {
         let rhs = self.term()?;
         Ok(Constraint { lhs, op, rhs })
     }
+}
+
+#[cfg(test)]
+/// Parses a single (possibly qualified) atom, e.g. `B:b(X, 'v')`: a
+/// fixture for unit tests that need one atom.
+pub(crate) fn parse_atom(input: &str) -> Result<Atom> {
+    let mut idents = Idents::new();
+    let mut p = P::new(input, &mut idents);
+    let atom = p.atom()?;
+    p.ws();
+    p.eof()?;
+    Ok(atom)
 }
 
 #[cfg(test)]

@@ -62,13 +62,7 @@ pub struct EvalMetrics {
     pub index_probes: u64,
 }
 
-impl EvalMetrics {
-    /// Adds another counter set into this one.
-    pub fn absorb(&mut self, other: EvalMetrics) {
-        self.rows_scanned += other.rows_scanned;
-        self.index_probes += other.index_probes;
-    }
-}
+impl EvalMetrics {}
 
 /// Where a join-key value comes from when probing an atom.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +84,7 @@ impl KeySource {
 
 /// Per-position action when extending a binding by one matched tuple.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PosAction {
+pub(crate) enum PosAction {
     /// First occurrence of a variable in this atom: write `tuple[pos]` into
     /// the binding slot.
     Bind {
@@ -130,17 +124,17 @@ pub struct AtomStep {
     pub relation: Arc<str>,
     /// Where `relation` sits in [`QueryPlan::schema`]: executing the step
     /// indexes the database's relations with it.
-    pub at: usize,
+    pub(crate) at: usize,
     /// Key positions with their value sources, in column order.
-    pub key: Vec<(usize, KeySource)>,
+    pub(crate) key: Vec<(usize, KeySource)>,
     /// Just the key column positions (the persistent-index key), cached so
     /// probing allocates nothing.
-    pub key_cols: Box<[usize]>,
+    pub(crate) key_cols: Box<[usize]>,
     /// Slot writes/rechecks for the non-key positions.
-    pub actions: Vec<PosAction>,
+    pub(crate) actions: Vec<PosAction>,
     /// Indices into [`QueryPlan::constraints`] that become fully bound after
     /// this step.
-    pub constraints_after: Vec<usize>,
+    pub(crate) constraints_after: Vec<usize>,
 }
 
 /// A compiled body: slot table, join order, per-step keys and actions, and
@@ -159,10 +153,10 @@ pub struct QueryPlan {
     /// All body constraints, compiled.
     pub constraints: Vec<CompiledConstraint>,
     /// Constraints ground before any step runs (constant comparisons).
-    pub pre_constraints: Vec<usize>,
+    pub(crate) pre_constraints: Vec<usize>,
     /// True iff `steps[0]` is the semi-naive delta atom: it scans only the
     /// post-watermark suffix of its relation.
-    pub restricted: bool,
+    pub(crate) restricted: bool,
 }
 
 /// The full plan plus one delta plan per atom — what a rule fragment holds.

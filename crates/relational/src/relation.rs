@@ -202,7 +202,7 @@ impl RowSet {
 
     /// An empty set with room for `rows` rows. Membership is built when
     /// the rows pass `LINEAR_ROWS`, so no room is kept for it.
-    pub fn with_capacity(arity: usize, rows: usize) -> Self {
+    pub(crate) fn with_capacity(arity: usize, rows: usize) -> Self {
         RowSet {
             arity,
             len: 0,
@@ -559,7 +559,7 @@ impl Relation {
 
     /// Ensures and returns the persistent index on `cols` (convenience over
     /// [`Relation::ensure_index`] + [`Relation::index`]).
-    pub fn index_on(&mut self, cols: &[usize]) -> &Index {
+    pub(crate) fn index_on(&mut self, cols: &[usize]) -> &Index {
         let at = match self.key_indexes.iter().position(|(on, _)| **on == *cols) {
             Some(at) => at,
             None => {

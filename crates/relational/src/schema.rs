@@ -83,13 +83,8 @@ impl RelationSchema {
         self.columns.len()
     }
 
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Validates a row against this signature (arity and column types).
-    pub fn check(&self, values: &[Val]) -> Result<()> {
+    pub(crate) fn check(&self, values: &[Val]) -> Result<()> {
         if values.len() != self.arity() {
             return Err(Error::ArityMismatch {
                 relation: self.name.to_string(),
@@ -138,13 +133,13 @@ pub struct DatabaseSchema {
 
 impl DatabaseSchema {
     /// An empty schema.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds one relation signature, rejecting duplicates. Copies the map
     /// (not the signatures) if the schema is shared.
-    pub fn add_relation(&mut self, rel: RelationSchema) -> Result<()> {
+    pub(crate) fn add_relation(&mut self, rel: RelationSchema) -> Result<()> {
         if self.relations.contains_key(&rel.name) {
             return Err(Error::DuplicateRelation(rel.name.to_string()));
         }
@@ -172,16 +167,6 @@ impl DatabaseSchema {
     /// Iterates relation signatures in name order.
     pub fn relations(&self) -> impl Iterator<Item = &Arc<RelationSchema>> {
         self.relations.values()
-    }
-
-    /// Number of relations.
-    pub fn len(&self) -> usize {
-        self.relations.len()
-    }
-
-    /// True iff the schema declares no relation.
-    pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
     }
 
     /// Parses the textual schema form:
@@ -321,11 +306,11 @@ mod tests {
             "pub(id: int, title: str, year: int).\nauthor(pid: int, name: str).",
         )
         .unwrap();
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.relations.len(), 2);
         let p = s.relation("pub").unwrap();
         assert_eq!(p.arity(), 3);
         assert_eq!(p.columns[1].ty, ColumnType::Str);
-        assert_eq!(p.column_index("year"), Some(2));
+        assert_eq!(p.columns[2].name, "year");
     }
 
     #[test]
@@ -349,7 +334,7 @@ mod tests {
     #[test]
     fn parse_empty_input_gives_empty_schema() {
         let s = DatabaseSchema::parse("  # nothing\n").unwrap();
-        assert!(s.is_empty());
+        assert!(s.relations.is_empty());
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl Val {
     }
 
     /// A short type tag used in error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Val::Int(_) => "int",
             Val::Sym(_) => "str",
@@ -174,7 +174,7 @@ impl fmt::Display for Val {
 
 /// A boundary value carrying its string in full — the shape of the external
 /// JSON formats and the legacy reference evaluator. Convert with
-/// [`Value::to_val`] (interning) and [`Val::to_value`] (resolving).
+/// `Value::to_val` (interning) and [`Val::to_value`] (resolving).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Value {
     /// 64-bit integer constant.
@@ -186,19 +186,9 @@ pub enum Value {
 }
 
 impl Value {
-    /// Convenience constructor for string values.
-    pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
-    }
-
-    /// True iff this value is a labeled null.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null(_))
-    }
-
     /// Converts to the data-plane representation, interning strings into the
     /// global catalog.
-    pub fn to_val(&self) -> Val {
+    pub(crate) fn to_val(&self) -> Val {
         match self {
             Value::Int(i) => Val::Int(*i),
             Value::Str(s) => Val::Sym(ConstCatalog::global().intern(s)),
@@ -356,7 +346,7 @@ mod tests {
     fn boundary_round_trip() {
         for v in [
             Value::Int(7),
-            Value::str("round-trip"),
+            Value::Str(Arc::from("round-trip")),
             Value::Null(NullId::new(1, 2)),
         ] {
             assert_eq!(v.to_val().to_value(), v);
@@ -371,7 +361,7 @@ mod tests {
             "{\"Int\":1}"
         );
         assert_eq!(
-            serde_json::to_string(&Value::str("x")).unwrap(),
+            serde_json::to_string(&Value::Str(Arc::from("x"))).unwrap(),
             "{\"Str\":\"x\"}"
         );
     }

@@ -72,8 +72,9 @@ pub trait StorageBackend: fmt::Debug + Send {
     /// [`StorageBackend::append_wal_bytes`] of the frame's UTF-8 bytes.
     ///
     /// The four text methods are not called by the program: they remain
-    /// only because the benchmark harness's `TimedBackend` overrides them,
-    /// and go together with those overrides.
+    /// only because the benchmark harness's `TimedBackend` overrides them
+    /// and its `layers.rs` calls `read_wal`, and go together with those
+    /// overrides (ROADMAP item 1(b)).
     fn append_wal(&mut self, frame: &str) -> StorageResult<()> {
         self.append_wal_bytes(frame.as_bytes())
     }
@@ -207,11 +208,6 @@ impl FileBackend {
         }
         backend.log_len = good as u64;
         Ok(backend)
-    }
-
-    /// The backing directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn snapshot_path(&self, gen: u64) -> PathBuf {

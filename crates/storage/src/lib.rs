@@ -61,7 +61,7 @@
 //! [`FileBackend`]'s on-disk layout — generation-named `snapshot-<g>.bin` /
 //! `wal-<g>.bin` files, a length and a CRC-32 before every frame and a
 //! checksum trailer after every snapshot, what is deleted when, how a torn
-//! tail is cut off at open — is specified in the [`backend`] module docs.
+//! tail is cut off at open — is specified in the `backend` module docs.
 //! Files of earlier layouts are not read; a log of one-record frames is
 //! refused as corrupt.
 //!
@@ -88,9 +88,9 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod backend;
-pub mod store;
-pub mod wal;
+pub(crate) mod backend;
+pub(crate) mod store;
+pub(crate) mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use store::{CursorMark, DatabaseSnapshot, FragmentMark, PeerStorage, RecoveredState};

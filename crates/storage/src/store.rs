@@ -218,7 +218,7 @@ impl<M: Mark> LogFold<M> {
 
 /// What an owner holds of one fragment, for a checkpoint: its columns and
 /// its rows (`None`: nothing, as for a rule with one body node).
-pub type Held<'h> = Option<(&'h Arc<[Arc<str>]>, &'h RowSet)>;
+pub(crate) type Held<'h> = Option<(&'h Arc<[Arc<str>]>, &'h RowSet)>;
 
 /// A peer's durable store: commits WAL records a frame at a time, says when
 /// a checkpoint is due, and recovers the pre-crash state.
@@ -264,11 +264,6 @@ impl PeerStorage {
             persisted_syms: HashSet::new(),
             folded: LogFold::default(),
         }
-    }
-
-    /// The payload codec this store was built with.
-    pub fn codec(&self) -> Codec {
-        self.codec
     }
 
     /// Whether what this store holds — its newest snapshot and the frames
@@ -380,7 +375,7 @@ impl PeerStorage {
     }
 
     /// Rebuilds the pre-crash state: newest snapshot + WAL replay, which is
-    /// idempotent (see [`crate::wal`]): frames the snapshot already covers
+    /// idempotent (see `crate::wal`): frames the snapshot already covers
     /// — a backend may hand them back, a crash inside a checkpoint leaves
     /// them — change nothing. The snapshot's catalog and each frame's
     /// dictionary are interned as they come, and the accumulated
@@ -1117,7 +1112,7 @@ mod tests {
         for codec in [Codec::Json, Codec::Binary] {
             let mut db = Database::new(schema());
             let mut st = PeerStorage::with_codec(Box::<MemoryBackend>::default(), 0, codec);
-            assert_eq!(st.codec(), codec);
+            assert_eq!(st.codec, codec);
             st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();
             insert(&mut st, &mut db, "a", vec![Val::Int(3), Val::Int(4)]);
             st.snapshot(&db, 0, Vec::new(), |_, _| None).unwrap();

@@ -74,23 +74,8 @@ impl DependencyGraph {
         self.pred.entry(to).or_default().insert(from);
     }
 
-    /// Removes a dependency edge if present; returns whether it existed.
-    pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        let removed = self
-            .succ
-            .get_mut(&from)
-            .map(|s| s.remove(&to))
-            .unwrap_or(false);
-        if removed {
-            if let Some(p) = self.pred.get_mut(&to) {
-                p.remove(&from);
-            }
-        }
-        removed
-    }
-
     /// Membership test for an edge.
-    pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
+    pub(crate) fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
         self.succ
             .get(&from)
             .map(|s| s.contains(&to))
@@ -149,7 +134,7 @@ impl DependencyGraph {
 
     /// Breadth-first distances (in hops) from `start` along dependency
     /// edges; unreachable nodes are absent.
-    pub fn distances_from(&self, start: NodeId) -> BTreeMap<NodeId, usize> {
+    pub(crate) fn distances_from(&self, start: NodeId) -> BTreeMap<NodeId, usize> {
         let mut dist = BTreeMap::new();
         dist.insert(start, 0usize);
         let mut queue = VecDeque::from([start]);
@@ -169,7 +154,7 @@ impl DependencyGraph {
     /// any reachable node. The paper's "execution time is linear with
     /// respect to the depth of the structure" refers to this quantity for
     /// trees and layered DAGs rooted at the super-peer.
-    pub fn depth_from(&self, start: NodeId) -> usize {
+    pub(crate) fn depth_from(&self, start: NodeId) -> usize {
         self.distances_from(start)
             .values()
             .copied()
@@ -222,15 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn add_and_remove_edges() {
+    fn an_edge_is_directed_and_registers_both_nodes() {
         let mut g = DependencyGraph::new();
         g.add_edge(NodeId(0), NodeId(1));
         assert!(g.has_edge(NodeId(0), NodeId(1)));
         assert!(!g.has_edge(NodeId(1), NodeId(0)));
-        assert!(g.remove_edge(NodeId(0), NodeId(1)));
-        assert!(!g.remove_edge(NodeId(0), NodeId(1)));
-        assert!(!g.has_edge(NodeId(0), NodeId(1)));
-        // Nodes remain registered after edge removal.
         assert_eq!(g.node_count(), 2);
     }
 

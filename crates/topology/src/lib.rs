@@ -11,10 +11,10 @@
 //! * [`paths`] — enumeration of dependency paths and **maximal dependency
 //!   paths** (Definitions 6–7), the structures each node learns during
 //!   topology discovery;
-//! * [`generators`] — the topology families of the paper's experiments
+//! * `generators` — the topology families of the paper's experiments
 //!   (trees, layered acyclic graphs, cliques) plus chains, rings, stars and
 //!   seeded random graphs;
-//! * [`separation`] — Definition 10: a node set A is *separated* when no
+//! * `separation` — Definition 10: a node set A is *separated* when no
 //!   dependency path from A involves an outside node; with respect to a
 //!   change sequence, separation must survive every prefix of the sequence
 //!   (the premise of Theorem 3);
@@ -29,11 +29,11 @@
 #![warn(missing_docs)]
 
 pub mod fxhash;
-pub mod generators;
+pub(crate) mod generators;
 pub mod graph;
 pub mod paths;
 pub mod scc;
-pub mod separation;
+pub(crate) mod separation;
 
 pub use generators::{GeneratedTopology, Topology, TopologyError};
 pub use graph::{DependencyGraph, NodeId};

@@ -51,7 +51,7 @@ impl Csr {
     }
 
     /// Number of vertices.
-    pub fn vertices(&self) -> usize {
+    pub(crate) fn vertices(&self) -> usize {
         self.offsets.len() - 1
     }
 

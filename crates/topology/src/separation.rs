@@ -66,37 +66,6 @@ pub fn is_separated_under_change(
     })
 }
 
-/// Applies a change sequence to a graph (for tests and the dynamic-network
-/// oracles): `AddEdge`/`RemoveEdge` in order.
-pub fn apply_changes(graph: &DependencyGraph, u: &[GraphChange]) -> DependencyGraph {
-    let mut g = graph.clone();
-    for op in u {
-        match op {
-            GraphChange::AddEdge { head, body } => g.add_edge(*head, *body),
-            GraphChange::RemoveEdge { head, body } => {
-                g.remove_edge(*head, *body);
-            }
-        }
-    }
-    g
-}
-
-/// The *restriction* `U_A` of a change to the node set `a` (Definition 8.4):
-/// the operations touching a node of `a`, in original order.
-pub fn restrict_change(u: &[GraphChange], a: &BTreeSet<NodeId>) -> Vec<GraphChange> {
-    u.iter()
-        .filter(|op| {
-            let (h, b) = match op {
-                GraphChange::AddEdge { head, body } | GraphChange::RemoveEdge { head, body } => {
-                    (head, body)
-                }
-            };
-            a.contains(h) || a.contains(b)
-        })
-        .copied()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,62 +146,5 @@ mod tests {
             },
         ];
         assert!(!is_separated_under_change(&g, &a, &u));
-    }
-
-    #[test]
-    fn apply_changes_in_order() {
-        let g = DependencyGraph::new();
-        let u = vec![
-            GraphChange::AddEdge {
-                head: NodeId(0),
-                body: NodeId(1),
-            },
-            GraphChange::AddEdge {
-                head: NodeId(1),
-                body: NodeId(2),
-            },
-            GraphChange::RemoveEdge {
-                head: NodeId(0),
-                body: NodeId(1),
-            },
-        ];
-        let g2 = apply_changes(&g, &u);
-        assert!(!g2.has_edge(NodeId(0), NodeId(1)));
-        assert!(g2.has_edge(NodeId(1), NodeId(2)));
-    }
-
-    #[test]
-    fn restriction_keeps_relevant_ops_in_order() {
-        let a = set(&[5]);
-        let u = vec![
-            GraphChange::AddEdge {
-                head: NodeId(1),
-                body: NodeId(2),
-            },
-            GraphChange::AddEdge {
-                head: NodeId(5),
-                body: NodeId(1),
-            },
-            GraphChange::RemoveEdge {
-                head: NodeId(3),
-                body: NodeId(5),
-            },
-        ];
-        let r = restrict_change(&u, &a);
-        assert_eq!(r.len(), 2);
-        assert!(matches!(
-            r[0],
-            GraphChange::AddEdge {
-                head: NodeId(5),
-                ..
-            }
-        ));
-        assert!(matches!(
-            r[1],
-            GraphChange::RemoveEdge {
-                body: NodeId(5),
-                ..
-            }
-        ));
     }
 }

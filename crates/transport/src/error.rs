@@ -11,7 +11,7 @@ use p2p_topology::NodeId;
 use std::fmt;
 
 /// Result alias for transport operations.
-pub type TransportResult<T> = std::result::Result<T, TransportError>;
+pub(crate) type TransportResult<T> = std::result::Result<T, TransportError>;
 
 /// Why an acceptor refused a handshake. Carried as a status byte in the
 /// reply frame, so the *connecting* side gets the typed reason too.
@@ -29,7 +29,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Wire encoding (status byte of the handshake reply; `0` is "accepted").
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             RejectReason::Version => 1,
             RejectReason::Codec => 2,
@@ -39,7 +39,7 @@ impl RejectReason {
     }
 
     /// Decodes a status byte (`0` maps to `None`: accepted).
-    pub fn from_u8(b: u8) -> Option<Option<Self>> {
+    pub(crate) fn from_u8(b: u8) -> Option<Option<Self>> {
         match b {
             0 => Some(None),
             1 => Some(Some(RejectReason::Version)),
@@ -214,7 +214,7 @@ impl std::error::Error for TransportError {}
 
 impl TransportError {
     /// Wraps an `io::Error` with the operation that hit it.
-    pub fn io(op: impl Into<String>, err: &std::io::Error) -> Self {
+    pub(crate) fn io(op: impl Into<String>, err: &std::io::Error) -> Self {
         TransportError::Io {
             op: op.into(),
             detail: err.to_string(),

@@ -19,7 +19,7 @@ use crate::error::{TransportError, TransportResult};
 use std::io::{ErrorKind, Read, Write};
 
 /// Bytes of the frame header.
-pub const LEN_PREFIX: usize = 4;
+pub(crate) const LEN_PREFIX: usize = 4;
 
 /// Default cap on a single frame's payload (64 MiB). Far above any real
 /// protocol message, far below an `u32::MAX` allocation bomb.

@@ -27,15 +27,15 @@ use p2p_topology::NodeId;
 use std::io::{Read, Write};
 
 /// Protocol magic: the first four bytes of every connection.
-pub const MAGIC: [u8; 4] = *b"P2PD";
+pub(crate) const MAGIC: [u8; 4] = *b"P2PD";
 
 /// Protocol version spoken by this build. It moves whenever the message
 /// table does (2: one `Query`/`Answer` pair for every exchange), so a peer
 /// of another table is refused at the hello instead of misreading a frame.
-pub const VERSION: u16 = 2;
+pub(crate) const VERSION: u16 = 2;
 
 /// Node id claimed by control connections (they are not peers).
-pub const CONTROL_NODE: u32 = u32::MAX;
+pub(crate) const CONTROL_NODE: u32 = u32::MAX;
 
 /// What a connection is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,17 +82,17 @@ fn byte_codec(b: u8) -> Option<Codec> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// Pipe or control.
-    pub kind: HelloKind,
-    /// The connecting side's node id ([`CONTROL_NODE`] for control).
+    pub(crate) kind: HelloKind,
+    /// The connecting side's node id (`CONTROL_NODE` for control).
     pub node: NodeId,
     /// The wire codec the connecting side is configured with.
     pub codec: Codec,
-    /// Protocol version (always [`VERSION`] when constructed locally).
+    /// Protocol version (always `VERSION` when constructed locally).
     pub version: u16,
 }
 
 impl Hello {
-    /// A pipe hello for this node/codec at the current [`VERSION`].
+    /// A pipe hello for this node/codec at the current `VERSION`.
     pub fn pipe(node: NodeId, codec: Codec) -> Self {
         Hello {
             kind: HelloKind::Pipe,
@@ -162,11 +162,11 @@ impl Hello {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HelloReply {
     /// `None` = accepted, `Some(reason)` = refused.
-    pub reject: Option<RejectReason>,
+    pub(crate) reject: Option<RejectReason>,
     /// The acceptor's node id.
     pub node: NodeId,
     /// Human-readable detail (empty on accept).
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl HelloReply {
@@ -229,7 +229,7 @@ pub fn client_handshake<S: Read + Write>(
 /// Server side: reads and validates the hello, writes the accept/reject
 /// reply, and returns the validated hello (or the typed error it was
 /// rejected with, *after* telling the client).
-pub fn server_handshake<S: Read + Write>(
+pub(crate) fn server_handshake<S: Read + Write>(
     stream: &mut S,
     my_node: NodeId,
     my_codec: Codec,

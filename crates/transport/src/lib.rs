@@ -10,7 +10,7 @@
 //!
 //! Layout:
 //!
-//! * [`frame`] — `u32`-length-prefixed framing with a reader that treats
+//! * `frame` — `u32`-length-prefixed framing with a reader that treats
 //!   short reads, split frames and mid-frame EOF as typed values.
 //! * [`handshake`] — the 12-byte `(magic, version, kind, node, codec)`
 //!   hello plus accept/reject reply, so misconfigured peers are refused
@@ -26,7 +26,7 @@
 //!   its sender through TCP backpressure: nothing queues on the sending
 //!   side, and the event channel the readers feed is the one unbounded
 //!   queue.
-//! * [`error`] / [`stats`] — typed failures and the counters the control
+//! * `error` / `stats` — typed failures and the counters the control
 //!   plane exports (frames, bytes, connects, reconnects).
 
 #![cfg_attr(
@@ -34,14 +34,14 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod error;
-pub mod frame;
+pub(crate) mod error;
+pub(crate) mod frame;
 pub mod handshake;
 pub mod runtime;
-pub mod stats;
+pub(crate) mod stats;
 
-pub use error::{RejectReason, TransportError, TransportResult};
+pub use error::{RejectReason, TransportError};
 pub use frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
-pub use handshake::{client_handshake, server_handshake, Hello, HelloKind, MAGIC, VERSION};
+pub use handshake::{client_handshake, Hello, HelloKind};
 pub use runtime::{ControlAction, FrameCodec, SocketConfig, SocketRuntime};
 pub use stats::TransportStats;

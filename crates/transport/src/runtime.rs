@@ -28,7 +28,7 @@ use crate::error::{TransportError, TransportResult};
 use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use crate::handshake::{client_handshake, server_handshake, Hello, HelloKind};
 use crate::stats::{StatCells, TransportStats};
-use p2p_net::{Codec, Context, Outgoing, PayloadMemo, Peer, SimTime};
+use p2p_net::{Codec, Context, Outgoing, PayloadMemo, Peer};
 use p2p_topology::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::convert::Infallible;
@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How a message type crosses the wire. The runtime is generic over this,
 /// so the transport crate stays protocol-agnostic; `p2p_core` implements
@@ -57,7 +57,7 @@ pub struct SocketConfig {
     /// This node's id (sent in pipe handshakes).
     pub node: NodeId,
     /// Address to listen on.
-    pub listen: SocketAddr,
+    pub(crate) listen: SocketAddr,
     /// Peer id → address map (who this node can *dial*).
     pub peers: BTreeMap<NodeId, SocketAddr>,
     /// Node ids accepted on inbound pipes. A node may legitimately accept
@@ -192,7 +192,7 @@ where
     }
 
     /// Current transport counters.
-    pub fn stats(&self) -> TransportStats {
+    pub(crate) fn stats(&self) -> TransportStats {
         self.stats.snapshot()
     }
 
@@ -218,7 +218,6 @@ where
             rt: &mut self,
             peer,
             on_control,
-            started: Instant::now(),
             next_id: 1,
             pending: VecDeque::new(),
             outbox: Vec::new(),
@@ -262,7 +261,6 @@ struct Loop<'r, M, C, P, F> {
     rt: &'r mut SocketRuntime<M, C>,
     peer: P,
     on_control: F,
-    started: Instant,
     next_id: u64,
     /// Deliveries and self-sends not yet handed to the peer, in order.
     pending: VecDeque<(NodeId, M)>,
@@ -277,10 +275,9 @@ where
     P: Peer<M>,
     F: FnMut(&mut P, Vec<u8>, &mut Context<M>, TransportStats) -> ControlAction,
 {
-    /// A handler's context, timed by the wall clock since the loop started.
+    /// A handler's context.
     fn context(&self) -> Context<M> {
-        let now = SimTime::from_micros(self.started.elapsed().as_micros() as u64);
-        Context::new(now, self.rt.config.node)
+        Context::new(self.rt.config.node)
     }
 
     /// Writes what was sent, runs the next delivery, or blocks for the next

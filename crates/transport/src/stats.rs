@@ -61,7 +61,7 @@ pub(crate) struct StatCells {
 }
 
 impl StatCells {
-    pub fn snapshot(&self) -> TransportStats {
+    pub(crate) fn snapshot(&self) -> TransportStats {
         TransportStats {
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
@@ -75,11 +75,11 @@ impl StatCells {
         }
     }
 
-    pub fn bump(cell: &AtomicU64) {
+    pub(crate) fn bump(cell: &AtomicU64) {
         cell.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn add(cell: &AtomicU64, n: u64) {
+    pub(crate) fn add(cell: &AtomicU64, n: u64) {
         cell.fetch_add(n, Ordering::Relaxed);
     }
 }

@@ -20,22 +20,6 @@ pub struct WorkloadConfig {
     pub seed: u64,
 }
 
-impl WorkloadConfig {
-    /// A small default useful in tests: 3-level binary tree, 50 records,
-    /// disjoint data.
-    pub fn small() -> Self {
-        WorkloadConfig {
-            topology: Topology::Tree {
-                branching: 2,
-                depth: 2,
-            },
-            records_per_node: 50,
-            distribution: Distribution::Disjoint,
-            seed: 42,
-        }
-    }
-}
-
 /// Builds a ready-to-run system: nodes named `A`, `B`, … with round-robin
 /// schema families, one batch of coordination rules per dependency edge
 /// (translating the body node's schema into the head node's), and the
@@ -81,6 +65,23 @@ pub fn build_system(cfg: &WorkloadConfig) -> CoreResult<P2PSystemBuilder> {
         }
     }
     Ok(b)
+}
+
+#[cfg(test)]
+impl WorkloadConfig {
+    /// A small default useful in tests: 3-level binary tree, 50 records,
+    /// disjoint data.
+    fn small() -> Self {
+        WorkloadConfig {
+            topology: Topology::Tree {
+                branching: 2,
+                depth: 2,
+            },
+            records_per_node: 50,
+            distribution: Distribution::Disjoint,
+            seed: 42,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -74,7 +74,7 @@ pub fn pick_writer_indices(node_count: usize, writers: usize) -> Vec<usize> {
 
 /// [`pick_writer_indices`] over the contiguous `NodeId(0..n)` roster the
 /// workload generators produce.
-pub fn pick_writers(node_count: usize, writers: usize) -> Vec<NodeId> {
+pub(crate) fn pick_writers(node_count: usize, writers: usize) -> Vec<NodeId> {
     pick_writer_indices(node_count, writers)
         .into_iter()
         .map(|i| NodeId(i as u32))

@@ -123,7 +123,7 @@ impl DblpGenerator {
     }
 
     /// Generates one publication.
-    pub fn publication(&mut self) -> Publication {
+    pub(crate) fn publication(&mut self) -> Publication {
         let id = self.next_id;
         self.next_id += 1;
         let year = 1994 + self.rng.gen_range(0..11i64); // 1994–2004

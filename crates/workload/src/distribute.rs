@@ -65,24 +65,6 @@ pub fn distribute(
     out
 }
 
-/// Fraction (0–1) of records at `a` that also occur at `b` — used to verify
-/// the distributions do what the paper describes.
-pub fn intersection_ratio(
-    assignment: &BTreeMap<NodeId, Vec<Publication>>,
-    a: NodeId,
-    b: NodeId,
-) -> f64 {
-    let (Some(ra), Some(rb)) = (assignment.get(&a), assignment.get(&b)) else {
-        return 0.0;
-    };
-    if ra.is_empty() {
-        return 0.0;
-    }
-    let ids: std::collections::BTreeSet<i64> = rb.iter().map(|p| p.id).collect();
-    let shared = ra.iter().filter(|p| ids.contains(&p.id)).count();
-    shared as f64 / ra.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +72,24 @@ mod tests {
 
     fn chain(n: u32) -> DependencyGraph {
         Topology::Chain { n }.generate().graph
+    }
+
+    /// Fraction (0–1) of records at `a` that also occur at `b` — used to verify
+    /// the distributions do what the paper describes.
+    fn intersection_ratio(
+        assignment: &BTreeMap<NodeId, Vec<Publication>>,
+        a: NodeId,
+        b: NodeId,
+    ) -> f64 {
+        let (Some(ra), Some(rb)) = (assignment.get(&a), assignment.get(&b)) else {
+            return 0.0;
+        };
+        if ra.is_empty() {
+            return 0.0;
+        }
+        let ids: std::collections::BTreeSet<i64> = rb.iter().map(|p| p.id).collect();
+        let shared = ra.iter().filter(|p| ids.contains(&p.id)).count();
+        shared as f64 / ra.len() as f64
     }
 
     #[test]

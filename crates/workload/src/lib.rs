@@ -22,17 +22,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod build;
-pub mod concurrent;
-pub mod dblp;
+pub(crate) mod build;
+pub(crate) mod concurrent;
+pub(crate) mod dblp;
 pub mod distribute;
-pub mod scale;
-pub mod schemas;
+pub(crate) mod scale;
+pub(crate) mod schemas;
 
 pub use build::{build_system, WorkloadConfig};
 pub use concurrent::{
-    concurrent_scenario, pick_writer_indices, pick_writers, ConcurrentConfig, ConcurrentScenario,
-    WriterDelta,
+    concurrent_scenario, pick_writer_indices, ConcurrentConfig, ConcurrentScenario, WriterDelta,
 };
 pub use dblp::{DblpGenerator, Publication};
 pub use distribute::Distribution;

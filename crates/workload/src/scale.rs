@@ -42,22 +42,8 @@ pub struct ScaleConfig {
     pub records_per_node: usize,
 }
 
-impl ScaleConfig {
-    /// A small default useful in tests: a degree-4 expander over 64 nodes.
-    pub fn small() -> Self {
-        ScaleConfig {
-            topology: Topology::Expander {
-                n: 64,
-                degree: 4,
-                seed: 7,
-            },
-            records_per_node: 4,
-        }
-    }
-}
-
 /// Uniform per-node schema of the scale scenario.
-pub const SCALE_SCHEMA: &str = "item(id: int, src: int). inbox(id: int, src: int).";
+pub(crate) const SCALE_SCHEMA: &str = "item(id: int, src: int). inbox(id: int, src: int).";
 
 /// The closed-form fix-point size: every node keeps its `records` items and
 /// gains `records` inbox tuples per outgoing dependency edge, so the
@@ -101,6 +87,21 @@ pub fn scale_system(cfg: &ScaleConfig) -> CoreResult<P2PSystemBuilder> {
         }
     }
     Ok(b)
+}
+
+#[cfg(test)]
+impl ScaleConfig {
+    /// A small default useful in tests: a degree-4 expander over 64 nodes.
+    fn small() -> Self {
+        ScaleConfig {
+            topology: Topology::Expander {
+                n: 64,
+                degree: 4,
+                seed: 7,
+            },
+            records_per_node: 4,
+        }
+    }
 }
 
 #[cfg(test)]

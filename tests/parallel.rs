@@ -14,7 +14,6 @@
 //! * **one system** — a pooled run hands the peers back: the next session,
 //!   on either runtime, and a local query see what it left;
 //! * **locality accounting** — one shard means zero cross-shard sends;
-//!   contiguous-blocks placement beats round-robin on a ring;
 //! * **refusals** — what only the simulator runs (rounds mode, a churn or
 //!   fault plan, a change script) is a typed error from
 //!   `P2PSystem::check_run`, not a run that quietly does something else;
@@ -25,10 +24,8 @@
 use p2pdb::core::config::UpdateMode;
 use p2pdb::core::dynamic::ChangeScript;
 use p2pdb::core::system::{P2PSystem, P2PSystemBuilder, RunSpec, UpdateReport};
-use p2pdb::core::{CoreError, GlobalDb, ProtocolMsg};
-use p2pdb::net::{
-    ChurnPlan, Context, FaultPlan, Peer, SessionId, ShardPlacement, ShardedNetwork, SimTime,
-};
+use p2pdb::core::CoreError;
+use p2pdb::net::{ChurnPlan, Context, FaultPlan, Peer, SessionId, ShardedNetwork, SimTime};
 use p2pdb::relational::Val;
 use p2pdb::topology::{NodeId, Topology};
 use p2pdb::workload::{build_system, Distribution, WorkloadConfig};
@@ -233,37 +230,6 @@ fn sharded_scoped_update_matches_simulator() {
     let (sys, reports) = run_pooled(chain(), &spec, 2);
     assert!(reports[0].errors.is_empty(), "{reports:?}");
     assert!(sys.snapshot().equivalent(&scoped));
-}
-
-/// Placement is a pure locality knob of the pool: on a ring, contiguous
-/// blocks keep neighbours on the same shard and round-robin separates every
-/// pair, but both land on the identical fix-point.
-#[test]
-fn placement_changes_locality_not_the_fixpoint() {
-    let mut sim = ring_builder(16).build().unwrap();
-    assert!(sim.run_update().all_closed);
-    let sim_db = sim.snapshot();
-
-    let pooled = |placement| {
-        let mut pool = ShardedNetwork::new();
-        pool.set_shards(4);
-        pool.set_placement(placement);
-        for (id, peer) in ring_builder(16).build_peers().unwrap() {
-            pool.add_peer(id, peer);
-        }
-        let session = SessionId::new(NodeId(0), 1);
-        let start = ProtocolMsg::StartUpdate { session };
-        let (peers, stats) = pool.run(vec![(NodeId(0), NodeId(0), start)]).unwrap();
-        let dbs = (peers.into_iter())
-            .map(|(id, peer)| (id, peer.database().clone()))
-            .collect();
-        (GlobalDb(dbs), stats.cross_shard_sends)
-    };
-    let (rr_db, rr) = pooled(ShardPlacement::RoundRobin);
-    let (bl_db, bl) = pooled(ShardPlacement::Blocks);
-    assert!(rr_db.equivalent(&sim_db));
-    assert!(bl_db.equivalent(&sim_db));
-    assert!(bl < rr, "blocks must localize ring traffic: {bl} vs {rr}");
 }
 
 /// A pooled run keeps its peers: after a first-contact run on the pool

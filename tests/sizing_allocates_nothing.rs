@@ -541,7 +541,7 @@ fn a_subscription_whose_fragment_did_not_grow_allocates_nothing() {
     .unwrap();
     let marks = [(Arc::<str>::from("item"), 4usize)].into_iter().collect();
     let mut sub = subscription(&rule.parts[0], marks);
-    let mut ctx = Context::new(SimTime::ZERO, NodeId(1));
+    let mut ctx = Context::new(NodeId(1));
     let ((rows, new), allocations) =
         allocations_in(|| peer.advance_subscription(&mut sub, &mut ctx));
     assert!(rows.is_empty() && new == 0);
@@ -723,7 +723,7 @@ fn a_second_peer_of_one_shape_compiles_nothing() {
     // Everything is new to a subscriber that holds nothing.
     let first = |peer: &mut DbPeer, part: &Arc<BodyPart>| {
         let mut sub = subscription(part, Marks::new());
-        let mut ctx = Context::new(SimTime::ZERO, peer.id());
+        let mut ctx = Context::new(peer.id());
         allocations_in(|| peer.advance_subscription(&mut sub, &mut ctx).0.len())
     };
     let (rows, compiled) = first(body_b, &parts[0]);
@@ -758,7 +758,7 @@ fn a_second_peer_of_one_shape_compiles_nothing() {
             acks: false,
             via: Via::Session,
         });
-        let mut ctx = Context::new(SimTime::ZERO, peer.id());
+        let mut ctx = Context::new(peer.id());
         let ((), allocations) = allocations_in(|| peer.on_message(NodeId(from), msg, &mut ctx));
         assert_eq!(peer.database().relation("inbox").unwrap().len(), 4);
         allocations
