@@ -40,11 +40,6 @@ pub enum CoreError {
     Relational(p2p_relational::Error),
     /// The durable store failed (WAL append, snapshot, recovery).
     Storage(String),
-    /// The run hit the simulator's event budget without quiescing.
-    Diverged {
-        /// Deliveries processed before giving up.
-        delivered: u64,
-    },
     /// A peer's handler panicked during a parallel run (the network was
     /// drained to quiescence first; see `p2p_net::WorkerPanic`). The
     /// program never returns it: it remains only because the benchmark
@@ -106,10 +101,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::Relational(e) => write!(f, "relational error: {e}"),
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
-            CoreError::Diverged { delivered } => write!(
-                f,
-                "network did not quiesce within the event budget ({delivered} deliveries)"
-            ),
             CoreError::PeerPanicked { node, detail } => {
                 write!(f, "peer {node} panicked during a parallel run: {detail}")
             }

@@ -13,8 +13,10 @@
 //! [`RowSet`] that travels unchanged to the head, and a binding row reaches
 //! the head database as one buffer fill per head atom; existential head
 //! variables get their nulls in first-occurrence order. Fragment
-//! extensions, join results and semi-naive unions are [`RowSet`]s too: no
-//! join allocates a row or a key of its own.
+//! extensions and join results are [`RowSet`]s too: no join allocates a
+//! row or a key of its own. A head joins an arriving answer semi-naively:
+//! a [`RowsView`] of the fragment that starts at the answer's new rows,
+//! then the other fragments, left to right (`peer::subscriptions`).
 
 use crate::error::CoreResult;
 use crate::rule::{BodyPart, CoordinationRule};
@@ -142,6 +144,29 @@ impl VarRows {
         Some(since)
     }
 
+    /// The same rows with their columns in the order `vars` lists them:
+    /// `vars` names each column of the set once. Moves the set when the
+    /// order is its own, and keeps the row order either way.
+    pub(crate) fn with_columns(self, vars: Vec<Arc<str>>) -> VarRows {
+        if *self.vars == *vars {
+            return self;
+        }
+        let column_of = |v: &Arc<str>| self.vars.iter().position(|own| own == v);
+        let column: Vec<usize> = vars.iter().filter_map(column_of).collect();
+        debug_assert_eq!(column.len(), vars.len());
+        let mut rows = RowSet::new(vars.len());
+        let mut vals: Vec<Val> = Vec::with_capacity(vars.len());
+        for row in self.rows.iter() {
+            vals.clear();
+            vals.extend(column.iter().map(|&c| row[c]));
+            rows.insert(&vals);
+        }
+        VarRows {
+            vars: vars.into(),
+            rows,
+        }
+    }
+
     /// Borrows every row for a join.
     pub fn view(&self) -> RowsView<'_> {
         RowsView {
@@ -224,77 +249,6 @@ pub(crate) fn join_filter(
         let val = |side: Result<Val, usize>| side.unwrap_or_else(|col| row[col]);
         (sides.as_ref())
             .is_some_and(|s| (s.iter()).all(|&(l, op, r)| op.certainly_holds(&val(l), &val(r))))
-    }
-}
-
-/// One fragment's state at the head node: the accumulated full extension,
-/// whose rows from `since` on are the ones that just arrived — the delta is
-/// a suffix of the full extension.
-#[derive(Debug, Clone, Copy)]
-pub struct PartDelta<'a> {
-    /// Accumulated extension so far (including the delta).
-    pub full: RowsView<'a>,
-    /// Where the newly arrived rows start in `full.rows`.
-    pub since: usize,
-}
-
-/// Semi-naive join expansion over fragments with deltas: for each
-/// fragment, joins its *delta* against the other fragments' accumulated
-/// *fulls*, and unions the per-fragment results (deduplicated). Any binding
-/// using at least one new row is produced; bindings entirely over old rows
-/// were produced when the last of their rows arrived. Fragments whose delta
-/// is empty contribute no term of their own but still participate as fulls.
-/// Each term starts from its delta, so its intermediate results stay
-/// proportional to the delta, not to the product of the fulls; columns come
-/// out in first-occurrence order over `parts`, whichever term produced them.
-/// Allocates only buffers that grow by doubling, never a row of its own.
-pub fn join_parts_seminaive(parts: &[PartDelta<'_>], join_constraints: &[Constraint]) -> VarRows {
-    let mut vars: Vec<Arc<str>> = Vec::new();
-    for p in parts {
-        for v in p.full.vars.iter() {
-            if !vars.contains(v) {
-                vars.push(v.clone());
-            }
-        }
-    }
-    let mut rows = RowSet::new(vars.len());
-    let mut vals: Vec<Val> = Vec::new();
-    for (i, p) in parts.iter().enumerate() {
-        let delta = RowsView {
-            start: p.since,
-            ..p.full
-        };
-        if delta.start >= delta.rows.len() {
-            continue;
-        }
-        let mut staged = vec![delta];
-        staged.extend(
-            parts
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, q)| q.full),
-        );
-        let joined = join_views(&staged, join_constraints);
-        if joined.rows.is_empty() {
-            continue;
-        }
-        // A non-empty join went through every fragment, so it binds every
-        // variable; its columns start with this term's delta.
-        let column: Vec<usize> = vars
-            .iter()
-            .filter_map(|v| joined.vars.iter().position(|jv| jv == v))
-            .collect();
-        debug_assert_eq!(column.len(), vars.len());
-        for row in joined.rows.iter() {
-            vals.clear();
-            vals.extend(column.iter().map(|&c| row[c]));
-            rows.insert(&vals);
-        }
-    }
-    VarRows {
-        vars: vars.into(),
-        rows,
     }
 }
 
@@ -387,11 +341,6 @@ mod tests {
         }
     }
 
-    /// The rows of `v`, as a set.
-    fn set(v: &VarRows) -> HashSet<&[Val]> {
-        v.rows.iter().collect()
-    }
-
     #[test]
     fn join_on_shared_variable() {
         let left = vr(&["X", "Y"], &[&[1, 2], &[3, 4]]);
@@ -461,59 +410,6 @@ mod tests {
         let rows = eval_part(&rule.parts[0], &db).unwrap();
         assert_eq!(rows.len(), 1); // X=1, Y=2, Z=9
         assert_eq!(rows.arity(), 3);
-    }
-
-    #[test]
-    fn seminaive_join_covers_exactly_the_new_bindings() {
-        // Full join "before": X–Y from part 1, Y–Z from part 2.
-        let left_old = vr(&["X", "Y"], &[&[1, 2]]);
-        let right_old = vr(&["Y", "Z"], &[&[2, 9]]);
-        let before = join_parts(&[left_old.clone(), right_old.clone()], &[]);
-        assert_eq!(before.rows.len(), 1);
-
-        // A delta arrives on each side: the suffix of its full extension.
-        let left_full = vr(&["X", "Y"], &[&[1, 2], &[3, 2]]);
-        let right_full = vr(&["Y", "Z"], &[&[2, 9], &[2, 8]]);
-        let new = join_parts_seminaive(
-            &[
-                PartDelta {
-                    full: left_full.view(),
-                    since: 1,
-                },
-                PartDelta {
-                    full: right_full.view(),
-                    since: 1,
-                },
-            ],
-            &[],
-        );
-        // (old ∪ new) == full join of the full extensions.
-        let full = join_parts(&[left_full, right_full], &[]);
-        let mut union = set(&before);
-        union.extend(set(&new));
-        assert_eq!(union, set(&full));
-        // The purely-old combination (1,2,9) is not re-derived.
-        assert!(!new.rows.contains(&[Val::Int(1), Val::Int(2), Val::Int(9)]));
-    }
-
-    #[test]
-    fn seminaive_join_with_all_deltas_empty_is_empty() {
-        let left = vr(&["X", "Y"], &[&[1, 2]]);
-        let right = vr(&["Y", "Z"], &[&[2, 9]]);
-        let out = join_parts_seminaive(
-            &[
-                PartDelta {
-                    full: left.view(),
-                    since: 1,
-                },
-                PartDelta {
-                    full: right.view(),
-                    since: 1,
-                },
-            ],
-            &[],
-        );
-        assert!(out.rows.is_empty());
     }
 
     #[test]

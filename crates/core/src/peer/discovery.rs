@@ -111,7 +111,6 @@ impl DbPeer {
         owner: NodeId,
         ctx: &mut Context<ProtocolMsg>,
     ) {
-        self.stats.discovery_requests += 1;
         self.disc.started = true;
         self.disc.edges.extend(self.own_edges());
         self.add_pipe(from);
@@ -124,7 +123,6 @@ impl DbPeer {
             }
             let op = self.disc.owners.entry(owner).or_default();
             op.requesters.insert(from);
-            self.stats.discovery_answers += 1;
             ctx.send(
                 from,
                 ProtocolMsg::DiscoveryAnswer {
@@ -262,7 +260,6 @@ impl DbPeer {
             }
             op.last_sent.insert(to, payload);
         }
-        self.stats.discovery_answers += 1;
         ctx.send(
             to,
             ProtocolMsg::DiscoveryAnswer {

@@ -771,7 +771,6 @@ impl DbPeer {
         }
         st.upd.closed = false;
         st.upd.suppress_flag_closure = true;
-        self.stats.reopened += 1;
         self.stats.closed_by = ClosedBy::Open;
         let keys: Vec<(NodeId, RuleId)> = st.subs.keys().copied().collect();
         for key in keys {

@@ -725,7 +725,6 @@ impl DbPeer {
             }
             None => Vec::new(),
         };
-        self.stats.dict_entries_sent += dict.len() as u64;
         crate::messages::AnswerRows {
             vars: Arc::clone(&part.vars),
             rows,

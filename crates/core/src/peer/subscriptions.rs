@@ -3,12 +3,14 @@
 //! peer unambiguous (named in the [`crate::peer`] module docs) and the only
 //! code that reads or writes that state. A method that moves what a
 //! subscriber may rely on appends its records to the running delivery's
-//! ([`Log`]); `DbPeer::commit` writes them.
+//! ([`Log`]); `DbPeer::commit` writes them. A head keeps the rows each
+//! body node shipped of a rule with more than one, and joins an answer's
+//! new rows against the other fragments as it arrives (`absorb`).
 
 mod check;
 
 use super::{part_marks, SessionState, VecMap};
-use crate::joins::{join_parts_seminaive, PartDelta, VarRows};
+use crate::joins::{join_views, RowsView, VarRows};
 use crate::messages::{Answer, Marks, ProtocolMsg, Query, Start, Via};
 use crate::rule::{BodyPart, CoordinationRule, RuleId};
 use p2p_net::{Context, SessionId};
@@ -282,9 +284,12 @@ impl Subscriptions {
 
     /// Merges the rows `from` shipped for `rule` (more than one body node)
     /// into what this peer retains of its fragment, and returns the
-    /// bindings that use at least one new row (semi-naive; combinations of
-    /// old rows were joined when the last of them arrived). `None`: no row
-    /// was new.
+    /// bindings that use at least one new row, columns in rule order (each
+    /// variable where it first occurs over the fragments). Only this
+    /// fragment has new rows (one fragment per body node, one arrival at a
+    /// time), so its new rows are joined against the other fragments as
+    /// they stand: combinations of old rows were joined when the last of
+    /// them arrived. `None`: no binding is new.
     pub(crate) fn absorb<'r>(
         &mut self,
         rule: &CoordinationRule,
@@ -292,23 +297,34 @@ impl Subscriptions {
         vars: &Arc<[Arc<str>]>,
         rows: impl IntoIterator<Item = &'r [Val]>,
     ) -> Option<VarRows> {
-        let retained = self.fragments.or_default((rule.id, from));
-        let since = retained.merge(vars, rows)?;
+        let at = rule.parts.iter().position(|p| p.node == from)?;
+        let since = (self.fragments.or_default((rule.id, from))).merge(vars, rows)?;
         let empty = VarRows::default();
-        let staged: Vec<PartDelta<'_>> = (rule.parts.iter())
-            .map(|p| {
-                let full = self.fragments.get(&(rule.id, p.node)).unwrap_or(&empty);
-                PartDelta {
-                    full: full.view(),
-                    since: if p.node == from {
-                        since
-                    } else {
-                        full.rows.len()
-                    },
-                }
-            })
+        let fragment = |p: &Arc<BodyPart>| self.fragments.get(&(rule.id, p.node));
+        let views: Vec<RowsView<'_>> = (rule.parts.iter())
+            .map(|p| fragment(p).unwrap_or(&empty).view())
             .collect();
-        Some(join_parts_seminaive(&staged, &rule.join_constraints))
+        // The join starts from the new rows, so what it builds stays
+        // proportional to them.
+        let arrived = RowsView {
+            start: since,
+            ..views[at]
+        };
+        let others = views.iter().enumerate().filter(|&(i, _)| i != at);
+        let staged: Vec<RowsView<'_>> = (std::iter::once(arrived))
+            .chain(others.map(|(_, view)| *view))
+            .collect();
+        let joined = join_views(&staged, &rule.join_constraints);
+        if joined.rows.is_empty() {
+            return None;
+        }
+        let mut order: Vec<Arc<str>> = Vec::with_capacity(joined.vars.len());
+        for var in views.iter().flat_map(|view| view.vars.iter()) {
+            if !order.contains(var) {
+                order.push(Arc::clone(var));
+            }
+        }
+        Some(joined.with_columns(order))
     }
 
     /// A durable peer comes back with what its store replayed (`None`: it
@@ -460,5 +476,115 @@ impl Subscriptions {
 
     pub(crate) fn await_resync(&mut self, key: (SessionId, RuleId, NodeId), since: Marks) {
         self.pending_resync.insert(key, since);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::joins::join_parts;
+    use p2p_relational::query::Idents;
+    use p2p_relational::RowSet;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// `B:b(X,Y), C:c(Y,Z), D:d(Z,W), X < W => A:a(X,W)`: three fragments
+    /// and a constraint across them.
+    fn chain_rule() -> CoordinationRule {
+        let resolve = |name: &str| (["A", "B", "C", "D"].iter()).position(|n| *n == name);
+        let resolve = |name: &str| resolve(name).map(|i| NodeId(i as u32));
+        let text = "B:b(X,Y), C:c(Y,Z), D:d(Z,W), X < W => A:a(X,W)";
+        CoordinationRule::parse("r", text, None, &resolve, &mut Idents::new()).unwrap()
+    }
+
+    /// The bindings of `arrived`'s rows at fragment `at` with the others'
+    /// rows, the arrived row first, the others' in fragment order, each
+    /// fragment's rows oldest first: a nested loop over
+    /// `b(X,Y), c(Y,Z), d(Z,W)` with `X < W`, rows over `X, Y, Z, W`.
+    fn nested_loop(
+        fragments: &[Vec<[i64; 2]>; 3],
+        at: usize,
+        arrived: &[[i64; 2]],
+    ) -> Vec<[i64; 4]> {
+        let mut out = Vec::new();
+        let others: Vec<usize> = (0..3).filter(|&i| i != at).collect();
+        for &new in arrived {
+            for &first in &fragments[others[0]] {
+                for &second in &fragments[others[1]] {
+                    let mut rows = [[0; 2]; 3];
+                    (rows[at], rows[others[0]], rows[others[1]]) = (new, first, second);
+                    let [[x, y], [y2, z], [z2, w]] = rows;
+                    if y == y2 && z == z2 && x < w && !out.contains(&[x, y, z, w]) {
+                        out.push([x, y, z, w]);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn ints(rows: &RowSet) -> Vec<Vec<i64>> {
+        let int = |v: &Val| match v {
+            Val::Int(i) => *i,
+            other => panic!("not an int: {other:?}"),
+        };
+        rows.iter()
+            .map(|row| row.iter().map(int).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A head's join of one arriving fragment answer is exactly what
+        /// the full join gained, in the nested loop's order, columns in
+        /// rule order; and what the arrivals return adds up to the full
+        /// join of what the fragments hold at the end.
+        #[test]
+        fn an_arrival_joins_to_what_the_full_join_gained(
+            arrivals in proptest::collection::vec(
+                (0usize..3, proptest::collection::vec((0i64..4, 0i64..4), 0..5)),
+                1..12,
+            ),
+        ) {
+            let rule = chain_rule();
+            let mut subs = Subscriptions::default();
+            let mut model: [Vec<[i64; 2]>; 3] = Default::default();
+            let full_join = |subs: &Subscriptions| {
+                let fragment = |p: &Arc<BodyPart>| subs.fragment((rule.id, p.node)).cloned();
+                let fragments: Vec<VarRows> =
+                    rule.parts.iter().map(|p| fragment(p).unwrap_or_default()).collect();
+                let joined = join_parts(&fragments, &rule.join_constraints);
+                ints(&joined.rows).into_iter().collect::<HashSet<_>>()
+            };
+            let mut union = HashSet::new();
+            for (at, batch) in arrivals {
+                let part = &rule.parts[at];
+                let rows: Vec<[Val; 2]> = batch.iter().map(|&(a, b)| [Val::Int(a), Val::Int(b)]).collect();
+                let mut arrived = Vec::new();
+                for (a, b) in batch {
+                    if !model[at].contains(&[a, b]) {
+                        model[at].push([a, b]);
+                        arrived.push([a, b]);
+                    }
+                }
+                let before = full_join(&subs);
+                let got = subs.absorb(&rule, part.node, &part.vars, rows.iter().map(|r| &r[..]));
+                let after = full_join(&subs);
+                let got = got.filter(|joined| !joined.rows.is_empty());
+                let got = got.map_or_else(Vec::new, |joined| {
+                    let columns: Vec<&str> = joined.vars.iter().map(|v| &**v).collect();
+                    assert_eq!(columns, ["X", "Y", "Z", "W"]);
+                    ints(&joined.rows)
+                });
+                let gained: HashSet<Vec<i64>> = after.difference(&before).cloned().collect();
+                prop_assert_eq!(got.iter().cloned().collect::<HashSet<_>>(), gained);
+                let expected: Vec<Vec<i64>> =
+                    nested_loop(&model, at, &arrived).iter().map(|row| row.to_vec()).collect();
+                prop_assert_eq!(&got, &expected);
+                union.extend(got);
+            }
+            prop_assert_eq!(union, full_join(&subs));
+        }
     }
 }

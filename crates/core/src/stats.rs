@@ -80,12 +80,6 @@ pub struct PeerStats {
     pub tuples_inserted: u64,
     /// Labeled nulls minted for existential head variables.
     pub nulls_minted: u64,
-    /// Discovery requests received.
-    pub discovery_requests: u64,
-    /// Discovery answers sent.
-    pub discovery_answers: u64,
-    /// Times this node re-opened after having closed (dynamic changes).
-    pub reopened: u64,
     /// Process crashes suffered (churn plan).
     pub crashes: u64,
     /// Successful recoveries from storage after a crash.
@@ -94,11 +88,6 @@ pub struct PeerStats {
     /// took to repair the crash, to be compared against what a full
     /// re-propagation would have shipped.
     pub resync_rows: u64,
-    /// First-use dictionary entries shipped with answers: `(SymId, string)`
-    /// definitions for interned constants the recipient had not seen on
-    /// that pipe. Bounded by (distinct constants × pipes) for the whole
-    /// run — the price of never re-shipping a string.
-    pub dict_entries_sent: u64,
     /// Update sessions this peer participated in (activated a session
     /// entry for — as initiator, via flood, or via a query/wave joining it).
     pub sessions_participated: u64,
@@ -142,13 +131,9 @@ impl PeerStats {
         self.resumed_answers += other.resumed_answers;
         self.tuples_inserted += other.tuples_inserted;
         self.nulls_minted += other.nulls_minted;
-        self.discovery_requests += other.discovery_requests;
-        self.discovery_answers += other.discovery_answers;
-        self.reopened += other.reopened;
         self.crashes += other.crashes;
         self.recoveries += other.recoveries;
         self.resync_rows += other.resync_rows;
-        self.dict_entries_sent += other.dict_entries_sent;
         self.sessions_participated += other.sessions_participated;
         self.concurrent_peak = self.concurrent_peak.max(other.concurrent_peak);
         self.rounds = self.rounds.max(other.rounds);

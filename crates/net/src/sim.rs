@@ -382,7 +382,6 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
     }
 
     fn crash(&mut self, node: NodeId) {
-        self.meter.stats.peer_crashes += 1;
         self.trace_churn(node, "Crash");
         if let Some(s) = self.peers.slot(node) {
             self.down[s] = true;
@@ -391,7 +390,6 @@ impl<M: Wire, P: Peer<M>> Simulator<M, P> {
     }
 
     fn restart(&mut self, node: NodeId) {
-        self.meter.stats.peer_restarts += 1;
         self.trace_churn(node, "Restart");
         if let Some(s) = self.peers.slot(node) {
             self.down[s] = false;
@@ -682,17 +680,27 @@ mod tests {
             ),
             SimTime::ZERO,
         );
+        sim.set_trace_capacity(100);
         sim.inject(NodeId(0), NodeId(1), Ping(9));
         let o = sim.run();
         assert!(o.quiescent);
         let p1 = sim.peer(NodeId(1)).unwrap();
         assert_eq!(p1.crashes, 1);
         assert_eq!(p1.restarts, 1);
+        let churn: Vec<(SimTime, NodeId, &str)> = (sim.trace().entries().iter())
+            .filter(|e| e.from == e.to)
+            .map(|e| (e.at, e.to, e.kind))
+            .collect();
+        assert_eq!(
+            churn,
+            [
+                (SimTime::from_micros(1_500), NodeId(1), "Crash"),
+                (SimTime::from_micros(4_500), NodeId(1), "Restart")
+            ]
+        );
         // Ping(9) arrived before the crash, was wiped, and the chain's
         // Ping(7) (due at 3 ms) was dropped while down.
         assert!(p1.seen.is_empty() || !p1.seen.contains(&9));
-        assert_eq!(sim.stats().peer_crashes, 1);
-        assert_eq!(sim.stats().peer_restarts, 1);
         assert!(sim.stats().dropped >= 1, "delivery while down must drop");
         // The restart hook's message reached node 0 (it bounces Ping(0)
         // into `seen` at node 0).

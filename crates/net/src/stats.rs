@@ -149,10 +149,6 @@ pub struct NetStats {
     /// Messages dropped by fault injection (or addressed to a crashed or
     /// unknown node).
     pub dropped: u64,
-    /// Peer crashes executed from the churn plan.
-    pub(crate) peer_crashes: u64,
-    /// Peer restarts executed from the churn plan.
-    pub(crate) peer_restarts: u64,
     /// Fan-out sends that reused an already-serialized shared payload
     /// instead of encoding their own copy ([`crate::Context::send_to_many`]).
     /// `encode passes == sends − shared_payload_sends` is the invariant the
@@ -232,8 +228,6 @@ impl NetStats {
         self.total_messages += other.total_messages;
         self.total_bytes += other.total_bytes;
         self.dropped += other.dropped;
-        self.peer_crashes += other.peer_crashes;
-        self.peer_restarts += other.peer_restarts;
         self.shared_payload_sends += other.shared_payload_sends;
         self.cross_shard_sends += other.cross_shard_sends;
         if other.finished_at > self.finished_at {
@@ -360,8 +354,6 @@ mod tests {
         s.record_delivery(NodeId(0), 45, None);
         s.record_send(NodeId(4_000_000_000), "Answer", 300);
         s.dropped = 1;
-        s.peer_crashes = 3;
-        s.peer_restarts = 4;
         s.shared_payload_sends = 5;
         s.cross_shard_sends = 6;
         s.finished_at = SimTime(77);

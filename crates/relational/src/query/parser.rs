@@ -1,4 +1,5 @@
-//! Text parser for queries, atoms and rule-shaped implications.
+//! Text parser for queries, atoms, rule-shaped implications and database
+//! schemas: one cursor reads them all.
 //!
 //! Grammar (whitespace-insensitive, `#` comments to end of line):
 //!
@@ -12,7 +13,13 @@
 //! term        := UPPER-ident            (variable)
 //!              | integer | 'string'     (constant)
 //! implication := body "=>" atom ("," atom)*
+//! schema      := (word "(" (word ":" type ","?)* ")" ".")*
+//! type        := "int" | "str"
 //! ```
+//!
+//! A schema's `word` is a run of letters, digits and `_` (it may start
+//! with a digit, which an `ident` may not), and the commas between its
+//! columns are optional.
 //!
 //! Variables start with an uppercase letter or `_`; everything else
 //! lowercase-initial is a relation/query name. This matches the notation of
@@ -29,6 +36,7 @@
 
 use crate::error::{Error, Result};
 use crate::query::ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Idents, Term};
+use crate::schema::{ColumnDef, ColumnType, DatabaseSchema, RelationSchema};
 use crate::value::Val;
 use std::sync::Arc;
 
@@ -101,6 +109,53 @@ pub fn parse_implication(input: &str, idents: &mut Idents) -> Result<Implication
         constraints,
         head,
     })
+}
+
+/// Parses a database schema (`schema` in the module docs), e.g.
+/// `pub(id: int, title: str). author(pid: int, name: str).`
+pub(crate) fn parse_schema(input: &str) -> Result<DatabaseSchema> {
+    let mut idents = Idents::new();
+    let mut p = P::new(input, &mut idents);
+    let mut schema = DatabaseSchema::new();
+    loop {
+        p.ws();
+        if p.peek().is_none() {
+            break;
+        }
+        let word = p.word()?;
+        let name = p.idents.intern(word);
+        p.ws();
+        p.expect(b'(')?;
+        let mut columns = Vec::new();
+        loop {
+            p.ws();
+            if p.peek() == Some(b')') {
+                p.pos += 1;
+                break;
+            }
+            let name = p.word()?.to_string();
+            p.ws();
+            p.expect(b':')?;
+            p.ws();
+            let ty = match p.word()? {
+                "int" => ColumnType::Int,
+                "str" => ColumnType::Str,
+                other => {
+                    let message = format!("unknown column type `{other}` (expected int/str)");
+                    return Err(p.err_at(message));
+                }
+            };
+            columns.push(ColumnDef { name, ty });
+            p.ws();
+            if p.peek() == Some(b',') {
+                p.pos += 1;
+            }
+        }
+        p.ws();
+        p.expect(b'.')?;
+        schema.add_relation(RelationSchema { name, columns })?;
+    }
+    Ok(schema)
 }
 
 /// Safety check: every head variable and every constraint variable must be
@@ -208,27 +263,34 @@ impl<'a, 'i> P<'a, 'i> {
         }
     }
 
-    /// The identifier at the cursor, consumed, if one starts there.
-    fn scan_ident(&mut self) -> Option<&'a str> {
+    /// The run of ASCII letters, digits and `_` at the cursor, consumed
+    /// (empty if none starts there).
+    fn run(&mut self) -> &'a str {
         let start = self.pos;
         let bytes = self.input.as_bytes();
-        if self.pos < bytes.len()
-            && (bytes[self.pos].is_ascii_alphabetic() || bytes[self.pos] == b'_')
+        while self.pos < bytes.len()
+            && (bytes[self.pos].is_ascii_alphanumeric() || bytes[self.pos] == b'_')
         {
             self.pos += 1;
-            while self.pos < bytes.len()
-                && (bytes[self.pos].is_ascii_alphanumeric() || bytes[self.pos] == b'_')
-            {
-                self.pos += 1;
-            }
-            Some(&self.input[start..self.pos])
-        } else {
-            None
         }
+        &self.input[start..self.pos]
+    }
+
+    /// The identifier at the cursor, consumed, if one starts there.
+    fn scan_ident(&mut self) -> Option<&'a str> {
+        let first = self.peek()?;
+        (first.is_ascii_alphabetic() || first == b'_').then(|| self.run())
     }
 
     fn ident(&mut self) -> Result<&'a str> {
         self.scan_ident()
+            .ok_or_else(|| self.err_at("expected identifier"))
+    }
+
+    /// A schema's name at the cursor: a non-empty [`Self::run`].
+    fn word(&mut self) -> Result<&'a str> {
+        Some(self.run())
+            .filter(|word| !word.is_empty())
             .ok_or_else(|| self.err_at("expected identifier"))
     }
 

@@ -2,7 +2,8 @@
 //!
 //! Every peer exports a database schema describing the part of its local
 //! database shared with the network. Schemas are parsed from a compact text
-//! form used throughout examples and tests:
+//! form used throughout examples and tests, on the query parser's cursor
+//! (its grammar is in `query::parser`):
 //!
 //! ```text
 //! pub(id: int, title: str, year: int).
@@ -173,7 +174,7 @@ impl DatabaseSchema {
     /// `rel(col: type, ...). other(...).` — whitespace and newlines are
     /// insignificant; a trailing period ends each declaration.
     pub fn parse(input: &str) -> Result<Self> {
-        parse_schema(input)
+        crate::query::parser::parse_schema(input)
     }
 }
 
@@ -184,116 +185,6 @@ impl fmt::Display for DatabaseSchema {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Schema text parser
-// ---------------------------------------------------------------------------
-
-struct SchemaParser<'a> {
-    input: &'a str,
-    pos: usize,
-}
-
-impl<'a> SchemaParser<'a> {
-    fn err(&self, message: impl Into<String>) -> Error {
-        Error::Parse {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        let bytes = self.input.as_bytes();
-        while self.pos < bytes.len() {
-            let b = bytes[self.pos];
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else if b == b'#' {
-                // Comment to end of line.
-                while self.pos < bytes.len() && bytes[self.pos] != b'\n' {
-                    self.pos += 1;
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.input.as_bytes().get(self.pos).copied()
-    }
-
-    fn expect(&mut self, ch: u8) -> Result<()> {
-        if self.peek() == Some(ch) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", ch as char)))
-        }
-    }
-
-    fn ident(&mut self) -> Result<&'a str> {
-        let start = self.pos;
-        let bytes = self.input.as_bytes();
-        while self.pos < bytes.len()
-            && (bytes[self.pos].is_ascii_alphanumeric() || bytes[self.pos] == b'_')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected identifier"));
-        }
-        Ok(&self.input[start..self.pos])
-    }
-}
-
-fn parse_schema(input: &str) -> Result<DatabaseSchema> {
-    let mut p = SchemaParser { input, pos: 0 };
-    let mut schema = DatabaseSchema::new();
-    loop {
-        p.skip_ws();
-        if p.peek().is_none() {
-            break;
-        }
-        let name = p.ident()?.to_string();
-        p.skip_ws();
-        p.expect(b'(')?;
-        let mut columns = Vec::new();
-        loop {
-            p.skip_ws();
-            if p.peek() == Some(b')') {
-                p.pos += 1;
-                break;
-            }
-            let col = p.ident()?.to_string();
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let ty = match p.ident()? {
-                "int" => ColumnType::Int,
-                "str" => ColumnType::Str,
-                other => {
-                    return Err(Error::Parse {
-                        offset: p.pos,
-                        message: format!("unknown column type `{other}` (expected int/str)"),
-                    })
-                }
-            };
-            columns.push(ColumnDef { name: col, ty });
-            p.skip_ws();
-            if p.peek() == Some(b',') {
-                p.pos += 1;
-            }
-        }
-        p.skip_ws();
-        p.expect(b'.')?;
-        schema.add_relation(RelationSchema {
-            name: Arc::from(name.as_str()),
-            columns,
-        })?;
-    }
-    Ok(schema)
 }
 
 #[cfg(test)]
@@ -317,6 +208,33 @@ mod tests {
     fn parse_rejects_unknown_type() {
         let e = DatabaseSchema::parse("r(x: float).").unwrap_err();
         assert!(matches!(e, Error::Parse { .. }));
+    }
+
+    /// The grammar's corners and its error texts and offsets, as they were
+    /// when schemas had a cursor of their own.
+    #[test]
+    fn parse_keeps_its_grammar_and_errors() {
+        let parsed = |text| DatabaseSchema::parse(text).map(|s| s.to_string());
+        assert_eq!(
+            parsed("a(x: int y: str)."),
+            Ok("a(x: int, y: str).\n".into())
+        );
+        assert_eq!(parsed("a(x:int,). b()."), Ok("a(x: int).\nb().\n".into()));
+        assert_eq!(parsed("1a(2b: int)."), Ok("1a(2b: int).\n".into()));
+        let parse_error = |offset, message: &str| {
+            Err(Error::Parse {
+                offset,
+                message: message.into(),
+            })
+        };
+        assert_eq!(parsed("a(x: int"), parse_error(8, "expected identifier"));
+        assert_eq!(parsed("a(x int)."), parse_error(4, "expected `:`"));
+        assert_eq!(parsed("a(x: int) b()."), parse_error(10, "expected `.`"));
+        assert_eq!(parsed(" (x: int)."), parse_error(1, "expected identifier"));
+        assert_eq!(
+            parsed("r(x: float)."),
+            parse_error(10, "unknown column type `float` (expected int/str)")
+        );
     }
 
     #[test]

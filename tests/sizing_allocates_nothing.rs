@@ -19,7 +19,7 @@
 //! The counting allocator below is this test binary's global allocator; it
 //! counts per thread, so the test harness's own threads do not disturb it.
 
-use p2pdb::core::joins::{join_parts_seminaive, PartDelta, VarRows};
+use p2pdb::core::joins::{join_parts, VarRows};
 use p2pdb::core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use p2pdb::core::netfile::{NetworkFile, NodeDecl, RuleDecl};
 use p2pdb::core::peer::{DbPeer, Subscription};
@@ -773,11 +773,12 @@ fn a_second_peer_of_one_shape_compiles_nothing() {
     assert!(compiled >= shared + compile, "{compiled} against {shared}");
 }
 
-/// A head's semi-naive join over two 10 000-row fragments, both entirely
-/// new, allocates only buffers that grow by doubling — O(log n) for 10 000
-/// result rows (145), with the join results and unions in row sets and the
-/// per-term hash index a chain table. A `Tuple` per row in a set of them,
-/// and a `Vec` per join key, made it 55 121.
+/// A head's semi-naive join of a 10 000-row fragment, entirely new,
+/// against another allocates only buffers that grow by doubling — O(log n)
+/// for 10 000 result rows (45), with the join result in a row set and the
+/// hash index a chain table. A `Tuple` per row in a set of them, and a
+/// `Vec` per join key, made it 55 121; joining both fragments as new, one
+/// term each, and their union, 145.
 #[test]
 fn a_seminaive_join_allocates_only_buffer_growth() {
     let n = 10_000;
@@ -787,8 +788,8 @@ fn a_seminaive_join_allocates_only_buffer_growth() {
     };
     let left = fragment(["X", "Y"], |i| [Val::Int(i), Val::Int(i % 5_000)]);
     let right = fragment(["Y", "Z"], |i| [Val::Int(i), Val::Int(-i)]);
-    let parts = [left.view(), right.view()].map(|full| PartDelta { full, since: 0 });
-    let (joined, allocations) = allocations_in(|| join_parts_seminaive(&parts, &[]));
+    let parts = [left, right];
+    let (joined, allocations) = allocations_in(|| join_parts(&parts, &[]));
     assert_eq!(joined.rows.len(), n as usize);
     let log_n = u64::from((n as u64).ilog2() + 1);
     println!("{allocations} allocations for {} rows", joined.rows.len());
