@@ -6,9 +6,10 @@
 //! answer per rule fragment — the message-count floor the distributed
 //! algorithm approaches on trees and layered DAGs.
 
-use p2p_core::joins::{apply_rule_head, eval_part, join_parts, VarRows};
+use p2p_core::joins::{apply_rule_head, eval_part, join_parts};
 use p2p_core::rule::RuleSet;
 use p2p_relational::chase::{ChaseConfig, ChaseState};
+use p2p_relational::query::Bindings;
 use p2p_relational::{Database, NullFactory};
 use p2p_topology::{topological_order, NodeId};
 use std::collections::BTreeMap;
@@ -85,7 +86,7 @@ pub fn acyclic_update(
                         .iter()
                         .map(|row| p2p_net::encoded_wire_size(&row) as u64)
                         .sum::<u64>();
-                parts.push(VarRows {
+                parts.push(Bindings {
                     vars: part.vars.clone(),
                     rows,
                 });

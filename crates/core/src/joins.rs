@@ -13,8 +13,10 @@
 //! [`RowSet`] that travels unchanged to the head, and a binding row reaches
 //! the head database as one buffer fill per head atom; existential head
 //! variables get their nulls in first-occurrence order. Fragment
-//! extensions and join results are [`RowSet`]s too: no join allocates a
-//! row or a key of its own. A head joins an arriving answer semi-naively:
+//! extensions and join results are p2p_relational's [`Bindings`], rows over
+//! variables in a [`RowSet`]: no join allocates a row or a key of its own,
+//! and a rule's join constraints are tested as a body's are
+//! ([`CompiledConstraint`]). A head joins an arriving answer semi-naively:
 //! a [`RowsView`] of the fragment that starts at the answer's new rows,
 //! then the other fragments, left to right (`peer::subscriptions`).
 
@@ -23,8 +25,8 @@ use crate::rule::{BodyPart, CoordinationRule};
 use p2p_relational::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use p2p_relational::query::ast::Term;
 use p2p_relational::query::{
-    evaluate_bindings, evaluate_bindings_since_planned, execute_plan, Bindings, Constraint,
-    MarkTable,
+    evaluate_bindings, evaluate_bindings_since_planned, execute_plan, Bindings, CompiledConstraint,
+    Constraint, MarkTable, RowsView,
 };
 use p2p_relational::{key_hash, Database, Index, NullFactory, RowSet, Val};
 use std::sync::Arc;
@@ -109,104 +111,22 @@ pub fn eval_part_delta_planned(
     part_rows(part, bindings)
 }
 
-/// A set of rows tagged with their variable names.
-#[derive(Debug, Clone, Default)]
-pub struct VarRows {
-    /// Column variables: a fragment's list, shared, or a join's own.
-    pub vars: Arc<[Arc<str>]>,
-    /// Rows over `vars`, `vars.len()` values each.
-    pub rows: RowSet,
-}
-
-impl VarRows {
-    /// Merges rows over `vars` into the set — at the head, every site that
-    /// takes a fragment's shipped rows in goes through here — and returns
-    /// where the genuinely new ones start: they are the suffix of `rows`
-    /// from there. `vars` is taken while the set holds no row; rows over
-    /// other columns than the ones it holds rows over belong to another
-    /// version of the rule and change nothing (`None`).
-    pub(crate) fn merge<'r>(
-        &mut self,
-        vars: &Arc<[Arc<str>]>,
-        rows: impl IntoIterator<Item = &'r [Val]>,
-    ) -> Option<usize> {
-        if self.vars != *vars {
-            if !self.rows.is_empty() {
-                return None;
-            }
-            *self = VarRows {
-                vars: Arc::clone(vars),
-                rows: RowSet::new(vars.len()),
-            };
-        }
-        let since = self.rows.len();
-        self.rows.extend(rows);
-        Some(since)
-    }
-
-    /// The same rows with their columns in the order `vars` lists them:
-    /// `vars` names each column of the set once. Moves the set when the
-    /// order is its own, and keeps the row order either way.
-    pub(crate) fn with_columns(self, vars: Vec<Arc<str>>) -> VarRows {
-        if *self.vars == *vars {
-            return self;
-        }
-        let column_of = |v: &Arc<str>| self.vars.iter().position(|own| own == v);
-        let column: Vec<usize> = vars.iter().filter_map(column_of).collect();
-        debug_assert_eq!(column.len(), vars.len());
-        let mut rows = RowSet::new(vars.len());
-        let mut vals: Vec<Val> = Vec::with_capacity(vars.len());
-        for row in self.rows.iter() {
-            vals.clear();
-            vals.extend(column.iter().map(|&c| row[c]));
-            rows.insert(&vals);
-        }
-        VarRows {
-            vars: vars.into(),
-            rows,
-        }
-    }
-
-    /// Borrows every row for a join.
-    pub fn view(&self) -> RowsView<'_> {
-        RowsView {
-            vars: &self.vars,
-            rows: &self.rows,
-            start: 0,
-        }
-    }
-}
-
-/// A borrowed [`VarRows`], from a start position on: what the joins read.
-/// The head node joins fragment extensions it keeps for many sessions, and
-/// the newest rows of one of them, so the joins must not need their own
-/// copy.
-#[derive(Debug, Clone, Copy)]
-pub struct RowsView<'a> {
-    /// Column variables.
-    pub vars: &'a Arc<[Arc<str>]>,
-    /// Rows over `vars`.
-    pub rows: &'a RowSet,
-    /// The first row in view: the view is `rows.since(start)`.
-    pub start: usize,
-}
-
 /// Joins fragment extensions on their shared variables and filters by the
 /// rule's join constraints; returns full bindings over the union of the
 /// variables.
-pub fn join_parts(parts: &[VarRows], join_constraints: &[Constraint]) -> VarRows {
-    let views: Vec<RowsView<'_>> = parts.iter().map(VarRows::view).collect();
+pub fn join_parts(parts: &[Bindings], join_constraints: &[Constraint]) -> Bindings {
+    let views: Vec<RowsView<'_>> = parts.iter().map(Bindings::view).collect();
     join_views(&views, join_constraints)
 }
 
 /// [`join_parts`] over borrowed rows, left to right.
-pub(crate) fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]) -> VarRows {
+pub(crate) fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]) -> Bindings {
     let Some((first, rest)) = parts.split_first() else {
-        return VarRows::default();
+        return Bindings::default();
     };
-    let mut acc: Option<VarRows> = None;
+    let mut acc: Option<Bindings> = None;
     for part in rest {
-        let joined = hash_join(acc.as_ref().map_or(*first, VarRows::view), *part);
+        let joined = hash_join(acc.as_ref().map_or(*first, Bindings::view), *part);
         let empty = joined.rows.is_empty();
         acc = Some(joined);
         if empty {
@@ -216,7 +136,7 @@ pub(crate) fn join_views(parts: &[RowsView<'_>], join_constraints: &[Constraint]
     let mut acc = acc.unwrap_or_else(|| {
         let mut rows = RowSet::new(first.vars.len());
         rows.extend(first.rows.since(first.start));
-        VarRows {
+        Bindings {
             vars: Arc::clone(first.vars),
             rows,
         }
@@ -237,22 +157,17 @@ pub(crate) fn join_filter(
     vars: &[Arc<str>],
     join_constraints: &[Constraint],
 ) -> impl Fn(&[Val]) -> bool {
-    // A side is a constant (`Ok`) or a binding column (`Err`).
-    let side = |t: &Term| match t {
-        Term::Const(c) => Some(Ok(*c)),
-        Term::Var(v) => vars.iter().position(|x| x == v).map(Err),
-    };
-    let sides: Option<Vec<_>> = (join_constraints.iter())
-        .map(|c| Some((side(&c.lhs)?, c.op, side(&c.rhs)?)))
+    let compiled: Option<Vec<CompiledConstraint>> = (join_constraints.iter())
+        .map(|c| CompiledConstraint::new(c, vars))
         .collect();
     move |row| {
-        let val = |side: Result<Val, usize>| side.unwrap_or_else(|col| row[col]);
-        (sides.as_ref())
-            .is_some_and(|s| (s.iter()).all(|&(l, op, r)| op.certainly_holds(&val(l), &val(r))))
+        compiled
+            .as_ref()
+            .is_some_and(|cs| cs.iter().all(|c| c.holds(row)))
     }
 }
 
-fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
+fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> Bindings {
     // Shared variables and the right-only variables to append.
     let shared: Vec<(usize, usize)> = left
         .vars
@@ -289,7 +204,7 @@ fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
             rows.insert(&vals);
         }
     }
-    VarRows { vars, rows }
+    Bindings { vars, rows }
 }
 
 /// Applies a rule's head to `head_db` for every joined binding, compiling
@@ -298,7 +213,7 @@ fn hash_join(left: RowsView<'_>, right: RowsView<'_>) -> VarRows {
 /// means no work and no error.
 pub fn apply_rule_head(
     rule: &CoordinationRule,
-    bindings: &VarRows,
+    bindings: &Bindings,
     head_db: &mut Database,
     nulls: &mut NullFactory,
     chase: &mut ChaseState,
@@ -330,12 +245,12 @@ mod tests {
         }
     }
 
-    fn vr(vars: &[&str], rows: &[&[i64]]) -> VarRows {
+    fn vr(vars: &[&str], rows: &[&[i64]]) -> Bindings {
         let mut set = RowSet::new(vars.len());
         for r in rows {
             set.insert(&r.iter().map(|&v| Val::Int(v)).collect::<Vec<_>>());
         }
-        VarRows {
+        Bindings {
             vars: vars.iter().map(|v| Arc::from(*v)).collect(),
             rows: set,
         }
@@ -374,6 +289,43 @@ mod tests {
         let out = join_parts(&[left, right], &[c]);
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows.row(0)[0], Val::Int(1));
+    }
+
+    /// A cross-fragment constraint compares a binding column with a
+    /// constant on either side; a comparison with a null is unknown, so
+    /// it does not hold; and a constraint over a variable the bindings lack
+    /// holds for no row, whatever the other constraints say.
+    #[test]
+    fn join_filter_takes_constants_nulls_and_missing_variables() {
+        use p2p_relational::query::ast::CmpOp;
+        let cmp = |lhs: Term, op: CmpOp, rhs: Term| Constraint { lhs, op, rhs };
+        let vars: Vec<Arc<str>> = vec![Arc::from("X"), Arc::from("Y")];
+        let null = NullFactory::new(1).fresh();
+        let rows = [
+            [Val::Int(1), Val::Int(9)],
+            [Val::Int(5), Val::Int(9)],
+            [Val::Int(7), null],
+        ];
+        let kept = |constraints: &[Constraint]| {
+            let holds = join_filter(&vars, constraints);
+            rows.iter().map(|row| holds(row)).collect::<Vec<bool>>()
+        };
+        let five = || Term::Const(Val::Int(5));
+        let lt = |l: Term, r: Term| cmp(l, CmpOp::Lt, r);
+        assert_eq!(kept(&[lt(Term::var("X"), five())]), [true, false, false]);
+        assert_eq!(kept(&[lt(five(), Term::var("X"))]), [false, false, true]);
+        assert_eq!(
+            kept(&[cmp(Term::var("Y"), CmpOp::Neq, five())]),
+            [true, true, false]
+        );
+        assert_eq!(
+            kept(&[lt(Term::var("X"), Term::var("Y"))]),
+            [true, true, false]
+        );
+        assert_eq!(kept(&[lt(five(), Term::var("Z"))]), [false; 3]);
+        let with_missing = [lt(Term::var("X"), five()), lt(Term::var("Z"), five())];
+        assert_eq!(kept(&with_missing), [false; 3]);
+        assert_eq!(kept(&[]), [true; 3]);
     }
 
     #[test]

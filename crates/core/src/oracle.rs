@@ -9,10 +9,11 @@
 //! message accounting.
 
 use crate::error::{CoreError, CoreResult};
-use crate::joins::{apply_rule_head, eval_part, join_parts, VarRows};
+use crate::joins::{apply_rule_head, eval_part, join_parts};
 use crate::rule::RuleSet;
 use p2p_relational::chase::{ChaseConfig, ChaseState};
 use p2p_relational::hom::equivalent_modulo_nulls;
+use p2p_relational::query::Bindings;
 use p2p_relational::{Database, NullFactory};
 use p2p_topology::NodeId;
 use std::collections::BTreeMap;
@@ -82,7 +83,7 @@ pub fn global_fixpoint(
                     break;
                 };
                 let rows = eval_part(part, db)?;
-                parts.push(VarRows {
+                parts.push(Bindings {
                     vars: part.vars.clone(),
                     rows,
                 });

@@ -3,8 +3,8 @@
 //! for.
 //!
 //! A fragment's compiled body (full plan plus delta slots) lives on the
-//! shared `Arc<BodyPart>` ([`HeldBody`]), and a rule's compiled head on the
-//! shared `Arc<CoordinationRule>` ([`HeldHead`]). Each is taken from the
+//! shared `Arc<BodyPart>`, and a rule's compiled head on the shared
+//! `Arc<CoordinationRule>`, each in a [`Held`] slot. Each is taken from the
 //! catalog once, where the peer would otherwise compile: the first
 //! evaluation of the fragment, the first delta evaluation that executes
 //! atom *i*'s plan, the first binding of the rule's head. The peer keeps no
@@ -29,17 +29,12 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// A fragment's compiled body, held by the fragment from its first
-/// evaluation on. Not part of the fragment's identity: two fragments of one
-/// text are equal whatever they hold, a copy holds nothing, and nothing of
-/// it is written or read back.
-#[derive(Default)]
-pub(crate) struct HeldBody(OnceLock<CompiledBody>);
-
-/// A rule's compiled head, held by the rule from its first binding on; not
-/// part of the rule's identity either.
-#[derive(Default)]
-pub(crate) struct HeldHead(OnceLock<Arc<CompiledHead>>);
+/// What a fragment or a rule holds once it is compiled: a fragment's
+/// compiled body from its first evaluation on, a rule's compiled head from
+/// its first binding on. Not part of its holder's identity: two fragments
+/// or rules of one text are equal whatever they hold, a copy holds nothing,
+/// and nothing of it is written or read back.
+pub(crate) struct Held<T>(OnceLock<T>);
 
 /// The catalog a peer takes its plans and heads from.
 #[derive(Debug, Default)]
@@ -134,47 +129,31 @@ pub(crate) fn held_head(rule: &CoordinationRule) -> Option<&Arc<CompiledHead>> {
     rule.compiled.0.get()
 }
 
-/// A copy of a fragment holds nothing of its own yet.
-impl Clone for HeldBody {
-    fn clone(&self) -> Self {
-        HeldBody::default()
+impl<T> Default for Held<T> {
+    fn default() -> Self {
+        Held(OnceLock::new())
     }
 }
 
-/// A copy of a rule holds no head of its own yet.
-impl Clone for HeldHead {
+/// A copy holds nothing of its own yet.
+impl<T> Clone for Held<T> {
     fn clone(&self) -> Self {
-        HeldHead::default()
+        Held::default()
     }
 }
 
-/// What a fragment holds does not make it another fragment.
-impl PartialEq for HeldBody {
+/// What a fragment or a rule holds does not make it another.
+impl<T> PartialEq for Held<T> {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl Eq for HeldBody {}
-
-/// What a rule holds does not make it another rule.
-impl PartialEq for HeldHead {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for HeldHead {}
+impl<T> Eq for Held<T> {}
 
 /// Shows nothing of what is held: a fragment reads the same before and
 /// after its first evaluation.
-impl fmt::Debug for HeldBody {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("_")
-    }
-}
-
-impl fmt::Debug for HeldHead {
+impl<T> fmt::Debug for Held<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("_")
     }

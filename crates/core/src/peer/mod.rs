@@ -199,7 +199,6 @@ pub(crate) mod rounds;
 mod sessions;
 mod subscriptions;
 pub(crate) mod superpeer;
-pub(crate) mod tables;
 
 use crate::config::{SystemConfig, UpdateMode};
 use crate::messages::{AnswerRows, ProtocolMsg, Via};
@@ -231,10 +230,10 @@ pub(crate) use crate::messages::Marks;
 pub(crate) use discovery::DiscoveryState;
 pub use eager::Subscription;
 pub(crate) use eager::{EagerState, Part};
+pub(crate) use p2p_relational::tables::VecMap;
 pub(crate) use rounds::RoundsSlot;
 pub(crate) use sessions::SessionState;
 pub use subscriptions::SeededFault;
-pub(crate) use tables::VecMap;
 
 /// The chase's state at one peer: the fresh-null mint for existential head
 /// variables and the chase bookkeeping (null depths, per-row buffers).

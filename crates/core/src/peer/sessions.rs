@@ -4,7 +4,8 @@
 //! of the sessions this node roots — one owner, [`Sessions`], whose
 //! methods are the only code that reads or writes them.
 //!
-//! Both tables hold their first entry inline ([`InlineMap`]): one live
+//! Both tables hold their first entry inline (p2p_relational's
+//! [`InlineMap`], which a fragment's watermarks use too): one live
 //! session and one retired epoch per root is the common case, so a session
 //! message finds its entry in the peer's own memory, with no heap block to
 //! chase, and one probe of each table ([`Sessions::enter`]) says whether
@@ -12,13 +13,13 @@
 //! entry is small for the same reason: rounds-mode state lives out of line
 //! ([`super::RoundsSlot`]), allocated by a rounds session only.
 
-use super::tables::InlineMap;
 use super::{EagerState, Part, RoundsSlot, Subscription, VecMap};
 use crate::config::UpdateMode;
 use crate::rule::RuleId;
 use crate::stats::PeerStats;
 use crate::termination::DiffusingState;
 use p2p_net::SessionId;
+use p2p_relational::tables::InlineMap;
 use p2p_topology::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -10,10 +10,11 @@
 mod check;
 
 use super::{part_marks, SessionState, VecMap};
-use crate::joins::{join_views, RowsView, VarRows};
+use crate::joins::join_views;
 use crate::messages::{Answer, Marks, ProtocolMsg, Query, Start, Via};
 use crate::rule::{BodyPart, CoordinationRule, RuleId};
 use p2p_net::{Context, SessionId};
+use p2p_relational::query::{Bindings, RowsView};
 use p2p_relational::{Database, Val};
 use p2p_storage::{CursorMark, RecoveredState, WalRecord};
 use p2p_topology::NodeId;
@@ -86,7 +87,7 @@ pub(crate) struct Subscriptions {
     /// output, insertion order and shipped rows stay deterministic. The one
     /// copy: a durable peer's checkpoints write it, and a restart re-primes
     /// it from the answer log.
-    fragments: VecMap<(RuleId, NodeId), VarRows>,
+    fragments: VecMap<(RuleId, NodeId), Bindings>,
     /// Body side: this peer discarded `cursors` without its subscribers
     /// having asked — or came back unable to vouch for them — and owes every
     /// pipe neighbour a cursor-void notice with the next flood it sees.
@@ -296,10 +297,10 @@ impl Subscriptions {
         from: NodeId,
         vars: &Arc<[Arc<str>]>,
         rows: impl IntoIterator<Item = &'r [Val]>,
-    ) -> Option<VarRows> {
+    ) -> Option<Bindings> {
         let at = rule.parts.iter().position(|p| p.node == from)?;
         let since = (self.fragments.or_default((rule.id, from))).merge(vars, rows)?;
-        let empty = VarRows::default();
+        let empty = Bindings::default();
         let fragment = |p: &Arc<BodyPart>| self.fragments.get(&(rule.id, p.node));
         let views: Vec<RowsView<'_>> = (rule.parts.iter())
             .map(|p| fragment(p).unwrap_or(&empty).view())
@@ -426,7 +427,7 @@ impl Subscriptions {
     /// The rows `key`'s body node shipped so far, where this peer retains
     /// them (a rule with more than one body node): the one copy, which the
     /// join reads and a checkpoint writes.
-    pub(crate) fn fragment(&self, key: (RuleId, NodeId)) -> Option<&VarRows> {
+    pub(crate) fn fragment(&self, key: (RuleId, NodeId)) -> Option<&Bindings> {
         self.fragments.get(&key)
     }
 
@@ -552,7 +553,7 @@ mod tests {
             let mut model: [Vec<[i64; 2]>; 3] = Default::default();
             let full_join = |subs: &Subscriptions| {
                 let fragment = |p: &Arc<BodyPart>| subs.fragment((rule.id, p.node)).cloned();
-                let fragments: Vec<VarRows> =
+                let fragments: Vec<Bindings> =
                     rule.parts.iter().map(|p| fragment(p).unwrap_or_default()).collect();
                 let joined = join_parts(&fragments, &rule.join_constraints);
                 ints(&joined.rows).into_iter().collect::<HashSet<_>>()

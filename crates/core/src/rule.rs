@@ -20,7 +20,8 @@
 //! check sees that rule by rule and builds no position graph.
 
 use crate::error::{CoreError, CoreResult};
-use crate::peer::catalog::{HeldBody, HeldHead};
+use crate::joins::{CompiledBody, CompiledHead};
+use crate::peer::catalog::Held;
 use p2p_relational::query::{parse_implication, Atom, Constraint, Idents, Implication, Term};
 use p2p_relational::{Database, DatabaseSchema};
 use p2p_topology::fxhash::FxHashMap;
@@ -69,7 +70,7 @@ pub struct BodyPart {
     /// catalog at the first evaluation (`peer::catalog`): never compared,
     /// written or read back.
     #[serde(skip)]
-    pub(crate) compiled: HeldBody,
+    pub(crate) compiled: Held<CompiledBody>,
 }
 
 impl BodyPart {
@@ -86,7 +87,7 @@ impl BodyPart {
             atoms,
             local_constraints,
             vars,
-            compiled: HeldBody::default(),
+            compiled: Held::default(),
         }
     }
 
@@ -147,7 +148,7 @@ pub struct CoordinationRule {
     /// catalog at the first binding (`peer::catalog`): never compared,
     /// written or read back.
     #[serde(skip)]
-    pub(crate) compiled: HeldHead,
+    pub(crate) compiled: Held<Arc<CompiledHead>>,
 }
 
 impl CoordinationRule {
@@ -336,7 +337,7 @@ impl CoordinationRule {
             parts,
             join_constraints,
             head,
-            compiled: HeldHead::default(),
+            compiled: Held::default(),
         }
     }
 

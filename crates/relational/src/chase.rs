@@ -425,11 +425,11 @@ pub fn apply_rule_local(
     config: &ChaseConfig,
 ) -> Result<ChaseOutcome> {
     let bindings = evaluate_bindings(body, constraints, db)?;
-    if bindings.is_empty() {
+    if bindings.rows.is_empty() {
         return Ok(ChaseOutcome::default());
     }
     let head = CompiledHead::compile(head, &bindings.vars, db.schema())?;
-    head.apply_rows(db, bindings.rows(), nulls, state, config)
+    head.apply_rows(db, bindings.rows.iter(), nulls, state, config)
 }
 
 #[cfg(test)]

@@ -28,6 +28,8 @@
 //!   evaluator under naive-table semantics (labeled nulls join only with
 //!   themselves, built-ins involving nulls are *unknown* and therefore
 //!   excluded — sound for certain answers of positive queries);
+//! * [`tables`] — the sorted tables of a peer's control plane and of a
+//!   fragment's watermarks ([`query::Marks`]);
 //! * [`hom`] — homomorphism checks between sets of facts with nulls, used
 //!   by tests that compare distributed results with the global fix-point
 //!   oracle *modulo null renaming*;
@@ -68,6 +70,7 @@ pub mod hom;
 pub mod query;
 pub(crate) mod relation;
 pub(crate) mod schema;
+pub mod tables;
 pub mod value;
 
 pub use catalog::{ConstCatalog, SymId, SymRemap};

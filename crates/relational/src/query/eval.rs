@@ -1,8 +1,10 @@
-//! Conjunctive-query evaluation over a local database: the [`Bindings`]
-//! table, body validation, greedy atom ordering, and the `&Database` entry
-//! points ([`evaluate`], [`evaluate_bindings`]); the semi-naive delta of a
-//! body is [`crate::query::plan::evaluate_bindings_since_planned`] over a
-//! body compiled once.
+//! Conjunctive-query evaluation over a local database: [`Bindings`], the
+//! one table of rows over variables (a body's evaluation, a fragment a head
+//! retains, a join of fragments — with [`RowsView`], what a join reads),
+//! body validation, greedy atom ordering, and the `&Database` entry points
+//! ([`evaluate`], [`evaluate_bindings`]); the semi-naive delta of a body is
+//! [`crate::query::plan::evaluate_bindings_since_planned`] over a body
+//! compiled once.
 //!
 //! Semantics: **naive tables**. Labeled nulls are ordinary values that join
 //! only with themselves; built-in comparisons involving nulls are unknown and
@@ -16,134 +18,135 @@
 //! [`crate::query::plan::execute_plan`]. Callers that evaluate the same body
 //! repeatedly (the peer) keep the compiled plans and call the executor
 //! directly. Everything works on flat row buffers: bindings are one
-//! contiguous `Vec<Val>` with stride = variable count, join keys are copied
-//! `Val` words hashed into `u64`-keyed candidate buckets (collisions resolved
-//! by comparing the key columns), and no per-row allocation happens anywhere.
+//! contiguous `Vec<Val>` with stride = variable count (a [`RowSet`]'s store),
+//! join keys are copied `Val` words hashed into `u64`-keyed candidate
+//! buckets (collisions resolved by comparing the key columns), and no
+//! per-row allocation happens anywhere.
 
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::query::ast::{Atom, ConjunctiveQuery, Constraint, Term};
-use crate::query::plan::{compile_body, execute_plan, EvalMetrics};
+use crate::query::plan::{compile_body, execute_plan, EvalMetrics, KeySource};
 use crate::relation::RowSet;
 use crate::value::Val;
 use std::sync::Arc;
 
-/// The result of evaluating a body: a table of variable bindings stored as
-/// one flat buffer (`row i` = `data[i*width .. (i+1)*width]` with `width =
-/// vars.len()`, column `j` = the value of `vars[j]`) — the executor's, or
-/// the flat store of a [`RowSet`] whose membership a delta union built.
-/// Rows are deduplicated and listed in a deterministic order.
-#[derive(Debug, Clone)]
+/// Rows over variables: what a body evaluates to, what a head keeps of a
+/// fragment's shipped rows, and what joining fragments gives. Column `j` of
+/// a row is the value of `vars[j]`; the rows are distinct and listed in a
+/// deterministic order.
+///
+/// The executor moves its buffer into `rows` as it stands — its rows are
+/// distinct already — with no membership built: reading the rows, a
+/// projection or a delta union builds none, and [`Bindings::into_rows`]
+/// builds it where the rows are kept.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bindings {
-    /// Variable names, in slot order: the plan's list, shared.
+    /// Column variables: a plan's slot table or a fragment's list, shared,
+    /// or a join's own.
     pub vars: Arc<[Arc<str>]>,
-    rows: Rows,
+    /// Rows over `vars`, `vars.len()` values each.
+    pub rows: RowSet,
 }
 
-/// How a [`Bindings`] table holds its rows.
-#[derive(Debug, Clone)]
-enum Rows {
-    /// The executor's buffer: `len` distinct rows at the front of `data`,
-    /// no membership built. `len` counts the rows of a zero-variable body
-    /// too, which the buffer alone cannot.
-    Flat { len: usize, data: Vec<Val> },
-    /// A set whose membership is built already (a union of delta plans),
-    /// handed on as it is.
-    Set(RowSet),
+/// Borrowed [`Bindings`], from a start position on: what a join reads. A
+/// head joins fragment rows it keeps for many sessions, and the newest rows
+/// of one of them, so a join must not need its own copy.
+#[derive(Debug, Clone, Copy)]
+pub struct RowsView<'a> {
+    /// Column variables.
+    pub vars: &'a Arc<[Arc<str>]>,
+    /// Rows over `vars`.
+    pub rows: &'a RowSet,
+    /// The first row in view: the view is `rows.since(start)`.
+    pub start: usize,
 }
-
-/// Equal variables and equal rows in the same order, however each table
-/// holds them.
-impl PartialEq for Bindings {
-    fn eq(&self, other: &Self) -> bool {
-        self.vars == other.vars && self.len() == other.len() && self.rows().eq(other.rows())
-    }
-}
-
-impl Eq for Bindings {}
 
 impl Bindings {
-    /// A table over `vars` holding `len` rows, row-major at the front of
-    /// `data` (caller guarantees dedup).
-    pub(crate) fn from_flat(vars: Arc<[Arc<str>]>, len: usize, mut data: Vec<Val>) -> Self {
-        data.truncate(len * vars.len());
+    /// The `len` distinct rows over `vars` at the front of the row-major
+    /// buffer `data`, membership not built.
+    pub(crate) fn distinct(vars: Arc<[Arc<str>]>, len: usize, data: Vec<Val>) -> Self {
+        let rows = RowSet::from_distinct(vars.len(), len, data);
+        Bindings { vars, rows }
+    }
+
+    /// The rows as a set to keep: membership is built, if the set is large
+    /// enough to keep one and holds none yet, with no row compared.
+    pub fn into_rows(mut self) -> RowSet {
+        self.rows.reindex();
+        self.rows
+    }
+
+    /// Merges rows over `vars` into the set — at a head, every site that
+    /// takes a fragment's shipped rows in goes through here — and returns
+    /// where the genuinely new ones start: they are the suffix of `rows`
+    /// from there. `vars` is taken while the set holds no row; rows over
+    /// other columns than the ones it holds rows over belong to another
+    /// version of the rule and change nothing (`None`).
+    pub fn merge<'r>(
+        &mut self,
+        vars: &Arc<[Arc<str>]>,
+        rows: impl IntoIterator<Item = &'r [Val]>,
+    ) -> Option<usize> {
+        if self.vars != *vars {
+            if !self.rows.is_empty() {
+                return None;
+            }
+            *self = Bindings {
+                vars: Arc::clone(vars),
+                rows: RowSet::new(vars.len()),
+            };
+        }
+        let since = self.rows.len();
+        self.rows.extend(rows);
+        Some(since)
+    }
+
+    /// The same rows with their columns in the order `vars` lists them:
+    /// `vars` names each column of the set once. Moves the set when the
+    /// order is its own, and keeps the row order either way.
+    pub fn with_columns(self, vars: Vec<Arc<str>>) -> Bindings {
+        if *self.vars == *vars {
+            return self;
+        }
+        let column_of = |v: &Arc<str>| self.vars.iter().position(|own| own == v);
+        let column: Vec<usize> = vars.iter().filter_map(column_of).collect();
+        debug_assert_eq!(column.len(), vars.len());
+        let mut rows = RowSet::new(vars.len());
+        let mut vals: Vec<Val> = Vec::with_capacity(vars.len());
+        for row in self.rows.iter() {
+            vals.clear();
+            vals.extend(column.iter().map(|&c| row[c]));
+            rows.insert(&vals);
+        }
         Bindings {
-            vars,
-            rows: Rows::Flat { len, data },
+            vars: vars.into(),
+            rows,
         }
     }
 
-    /// A table over `vars` holding the rows of `set` (as wide as `vars`).
-    pub(crate) fn from_set(vars: Arc<[Arc<str>]>, set: RowSet) -> Self {
-        debug_assert_eq!(set.arity(), vars.len());
-        Bindings {
-            vars,
-            rows: Rows::Set(set),
-        }
-    }
-
-    /// Slot index of a variable.
-    pub(crate) fn slot(&self, var: &str) -> Option<usize> {
-        self.vars.iter().position(|v| &**v == var)
-    }
-
-    /// Number of satisfying assignments.
-    pub fn len(&self) -> usize {
-        match &self.rows {
-            Rows::Flat { len, .. } => *len,
-            Rows::Set(set) => set.len(),
-        }
-    }
-
-    /// True iff the body has no satisfying assignment.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates rows as slices.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Val]> {
-        let width = self.vars.len();
-        let data = match &self.rows {
-            Rows::Flat { data, .. } => &data[..],
-            Rows::Set(set) => set.flat(),
-        };
-        (0..self.len()).map(move |i| &data[i * width..][..width])
-    }
-
-    /// The rows as a set: a set is handed on as it is, and a flat buffer
-    /// moved in as it stands — the executor's rows are distinct already,
-    /// so no row is compared, and membership is built only if the set is
-    /// large enough to keep one.
-    pub fn into_rows(self) -> RowSet {
-        match self.rows {
-            Rows::Flat { len, data } => RowSet::from_distinct(self.vars.len(), len, data),
-            Rows::Set(set) => set,
+    /// Borrows every row for a join.
+    pub fn view(&self) -> RowsView<'_> {
+        RowsView {
+            vars: &self.vars,
+            rows: &self.rows,
+            start: 0,
         }
     }
 
     /// Projects the bindings onto head terms, deduplicating while preserving
     /// first-occurrence order.
     pub fn project(&self, head: &[Term]) -> Result<RowSet> {
-        let mut slots = Vec::with_capacity(head.len());
+        let mut cols = Vec::with_capacity(head.len());
         for t in head {
-            match t {
-                Term::Var(v) => {
-                    let s = self
-                        .slot(v)
-                        .ok_or_else(|| Error::UnboundVariable(v.to_string()))?;
-                    slots.push(Ok(s));
-                }
-                Term::Const(c) => slots.push(Err(*c)),
-            }
+            let col = KeySource::of(t, &self.vars);
+            cols.push(col.ok_or_else(|| Error::UnboundVariable(t.to_string()))?);
         }
         let mut set = RowSet::new(head.len());
         let mut buf: Vec<Val> = Vec::with_capacity(head.len());
-        for row in self.rows() {
+        for row in self.rows.iter() {
             buf.clear();
-            buf.extend(slots.iter().map(|s| match s {
-                Ok(idx) => row[*idx],
-                Err(c) => *c,
-            }));
+            buf.extend(cols.iter().map(|col| col.value(row)));
             set.insert(&buf);
         }
         Ok(set)
@@ -319,7 +322,7 @@ mod tests {
     }
 
     fn row_set(b: &Bindings) -> std::collections::HashSet<Vec<Val>> {
-        b.rows().map(<[Val]>::to_vec).collect()
+        b.rows.iter().map(<[Val]>::to_vec).collect()
     }
 
     #[test]
@@ -501,7 +504,7 @@ mod tests {
         // Nothing new: empty delta over the same columns.
         let delta = delta_since(&body, &q, &db, &w);
         assert_eq!(delta.vars, before.vars);
-        assert!(delta.is_empty());
+        assert!(delta.rows.is_empty());
 
         // Insert b(3,4): new chains 2→3→4 must appear; both delta positions
         // (new-as-first-atom and new-as-second-atom) are exercised.
@@ -535,7 +538,7 @@ mod tests {
         db.insert_values("b", vec![Val::Int(3), Val::Int(5)])
             .unwrap();
         let delta = delta_since(&body, &q, &db, &w);
-        let rows: Vec<Vec<Val>> = delta.rows().map(<[Val]>::to_vec).collect();
+        let rows: Vec<Vec<Val>> = delta.rows.iter().map(<[Val]>::to_vec).collect();
         assert_eq!(rows, vec![vec![Val::Int(3), Val::Int(5)]]);
     }
 
@@ -574,7 +577,7 @@ mod tests {
         let db = db_with_b(&[(1, 2)]);
         let q = parse_query("q(1) :- b(1, 2)").unwrap();
         let b = evaluate_bindings(&q.atoms, &q.constraints, &db).unwrap();
-        assert_eq!(b.len(), 1);
+        assert_eq!(b.rows.len(), 1);
         let ans = evaluate(&q, &db).unwrap();
         assert_eq!(rows(&ans), vec![vec![Val::Int(1)]]);
         // Unsatisfied constant body: zero bindings.

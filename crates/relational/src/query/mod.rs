@@ -16,9 +16,9 @@ pub(crate) mod parser;
 pub(crate) mod plan;
 
 pub use ast::{Atom, CmpOp, ConjunctiveQuery, Constraint, Idents, Term};
-pub use eval::{evaluate, evaluate_bindings, evaluate_certain, Bindings};
+pub use eval::{evaluate, evaluate_bindings, evaluate_certain, Bindings, RowsView};
 pub use parser::{parse_implication, parse_query, Implication};
 pub use plan::{
-    compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, EvalMetrics,
-    MarkTable, Marks, PlanCatalog, QueryPlan,
+    compile_body, evaluate_bindings_since_planned, execute_plan, CompiledBody, CompiledConstraint,
+    EvalMetrics, MarkTable, Marks, PlanCatalog, QueryPlan,
 };

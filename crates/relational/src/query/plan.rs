@@ -33,6 +33,9 @@
 //!   incremental-view-maintenance property, observable through
 //!   [`EvalMetrics`].
 //!
+//! A constraint is tested one way, in a body and across a rule's fragments
+//! ([`CompiledConstraint::holds`]); watermarks are [`Marks`].
+//!
 //! Semantics: naive tables (see [`crate::query::eval`]). Both index
 //! branches return the same rows in the same order.
 
@@ -43,6 +46,7 @@ use crate::query::ast::{Atom, CmpOp, Constraint, Term};
 use crate::query::eval::{greedy_order, slot_of, validate_body, Bindings};
 use crate::relation::{key_hash, Index, Relation, RowSet};
 use crate::schema::DatabaseSchema;
+use crate::tables::InlineMap;
 use crate::value::Val;
 use serde::{Content, DeError, Deserialize, Serialize, Sink};
 use std::collections::BTreeMap;
@@ -62,8 +66,6 @@ pub struct EvalMetrics {
     pub index_probes: u64,
 }
 
-impl EvalMetrics {}
-
 /// Where a join-key value comes from when probing an atom.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeySource {
@@ -74,7 +76,16 @@ pub enum KeySource {
 }
 
 impl KeySource {
-    fn value(&self, binding: &[Val]) -> Val {
+    /// Term `t` over rows whose column `j` holds `vars[j]`; `None` when it
+    /// names a variable `vars` lacks.
+    pub(crate) fn of(t: &Term, vars: &[Arc<str>]) -> Option<Self> {
+        match t {
+            Term::Const(c) => Some(KeySource::Const(*c)),
+            Term::Var(v) => vars.iter().position(|x| x == v).map(KeySource::Slot),
+        }
+    }
+
+    pub(crate) fn value(&self, binding: &[Val]) -> Val {
         match self {
             KeySource::Const(c) => *c,
             KeySource::Slot(s) => binding[*s],
@@ -103,7 +114,9 @@ pub(crate) enum PosAction {
     },
 }
 
-/// A constraint with its terms resolved to slots/constants at compile time.
+/// A constraint with each side resolved to a constant or a column of the
+/// rows it tests: a body's constraints over its plan's slots, a rule's
+/// cross-fragment constraints over the joined bindings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledConstraint {
     /// Left-hand side.
@@ -112,6 +125,24 @@ pub struct CompiledConstraint {
     pub op: CmpOp,
     /// Right-hand side.
     pub rhs: KeySource,
+}
+
+impl CompiledConstraint {
+    /// `c` over rows whose column `j` holds `vars[j]`; `None` when a side
+    /// names a variable `vars` lacks (the constraint holds for no row).
+    pub fn new(c: &Constraint, vars: &[Arc<str>]) -> Option<Self> {
+        Some(CompiledConstraint {
+            lhs: KeySource::of(&c.lhs, vars)?,
+            op: c.op,
+            rhs: KeySource::of(&c.rhs, vars)?,
+        })
+    }
+
+    /// Whether `row` certainly satisfies the constraint: a comparison
+    /// involving a null is unknown, and does not.
+    pub fn holds(&self, row: &[Val]) -> bool {
+        (self.op).certainly_holds(&self.lhs.value(row), &self.rhs.value(row))
+    }
 }
 
 /// One join step: probe `relation` on `key`, extend bindings via `actions`,
@@ -424,17 +455,8 @@ pub fn compile_body(
     let restricted = restricted.filter(|&r| r < atoms.len());
     let order = greedy_order(atoms, db, &vars, restricted);
 
-    let compile_term = |t: &Term| match t {
-        Term::Const(c) => KeySource::Const(*c),
-        Term::Var(v) => KeySource::Slot(slot_of(&vars, v)),
-    };
-    let compiled_constraints: Vec<CompiledConstraint> = constraints
-        .iter()
-        .map(|c| CompiledConstraint {
-            lhs: compile_term(&c.lhs),
-            op: c.op,
-            rhs: compile_term(&c.rhs),
-        })
+    let compiled_constraints: Vec<CompiledConstraint> = (constraints.iter())
+        .map(|c| CompiledConstraint::new(c, &vars).expect("validated: every variable has a slot"))
         .collect();
 
     // Static constraint schedule: the bound-slot set evolves deterministically
@@ -539,10 +561,7 @@ fn execute(
     // slot it does not bind with a placeholder. Constraints ground before
     // any step compare constants only.
     let mut rows: Vec<Val> = Vec::new();
-    let holds = |ci: &usize| {
-        let c = &plan.constraints[*ci];
-        c.op.certainly_holds(&c.lhs.value(&[]), &c.rhs.value(&[]))
-    };
+    let holds = |ci: &usize| plan.constraints[*ci].holds(&[]);
     let mut nrows = usize::from(plan.pre_constraints.iter().all(holds));
 
     let relations = db.relations_of(&plan.schema)?;
@@ -640,7 +659,7 @@ fn execute(
     // step visits a stored row twice for one partial binding — distinct row
     // combinations give distinct bindings.
     // A zero-variable plan carries one placeholder value per binding.
-    Ok(Bindings::from_flat(plan.vars.clone(), nrows, rows))
+    Ok(Bindings::distinct(plan.vars.clone(), nrows, rows))
 }
 
 /// Binding `bi` of the buffer step `si` reads: the one empty binding of
@@ -663,10 +682,7 @@ fn apply_constraints(
         let c = &plan.constraints[ci];
         let mut keep = 0usize;
         for i in 0..*nrows {
-            let row = &rows[i * width..i * width + width];
-            let lhs = c.lhs.value(row);
-            let rhs = c.rhs.value(row);
-            if c.op.certainly_holds(&lhs, &rhs) {
+            if c.holds(&rows[i * width..i * width + width]) {
                 if keep != i {
                     rows.copy_within(i * width..i * width + width, keep * width);
                 }
@@ -682,56 +698,37 @@ fn apply_constraints(
 /// relation's mark is the number of its rows its holder has seen, and a
 /// relation it does not name reads 0 (the whole relation is new).
 ///
-/// One entry per relation, sorted by name, in a small vector that holds
-/// one entry inline: a fragment reads one relation or two, and an ordered
-/// map spent a whole tree leaf on them, where one relation's marks now
-/// cost no heap block at all. Serialized as the map of relation names to
-/// marks, byte for byte what an ordered map of them writes; reading one
-/// back sorts the entries, and of two for one relation keeps the last, as
-/// the map did.
+/// One entry per relation, sorted by name, in an [`InlineMap`] — the
+/// session tables' sorted table that holds its first entry inline: a
+/// fragment reads one relation or two, and an ordered map spent a whole
+/// tree leaf on them, where one relation's marks now cost no heap block at
+/// all. Serialized as the map of relation names to marks, byte for byte
+/// what an ordered map of them writes; reading one back sorts the entries,
+/// and of two for one relation keeps the last, as the map did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Marks(Entries);
-
-/// The entries of a [`Marks`], sorted by relation name: none, one inline,
-/// or two and more on the heap.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-enum Entries {
-    #[default]
-    None,
-    One((Arc<str>, usize)),
-    Many(Vec<(Arc<str>, usize)>),
-}
+pub struct Marks(InlineMap<Arc<str>, usize>);
 
 impl Marks {
     /// No relation named: everything is new.
     pub fn new() -> Self {
-        Marks(Entries::None)
-    }
-
-    /// The entries, sorted by relation name.
-    fn entries(&self) -> &[(Arc<str>, usize)] {
-        match &self.0 {
-            Entries::None => &[],
-            Entries::One(entry) => std::slice::from_ref(entry),
-            Entries::Many(entries) => entries,
-        }
+        Marks::default()
     }
 
     /// Number of relations named.
     pub fn len(&self) -> usize {
-        self.entries().len()
+        self.0.len()
     }
 
     /// True iff no relation is named.
     pub fn is_empty(&self) -> bool {
-        self.entries().is_empty()
+        self.len() == 0
     }
 
     /// The entry of `relation`, or where it would go. A name that is the
     /// entry's own (an interned relation name, as a fragment's atoms and
     /// its marks share it) matches without reading its bytes.
     fn find(&self, relation: &str) -> std::result::Result<usize, usize> {
-        (self.entries()).binary_search_by(|(r, _)| match std::ptr::eq(&**r, relation) {
+        (self.0.entries()).binary_search_by(|(r, _)| match std::ptr::eq(&**r, relation) {
             true => std::cmp::Ordering::Equal,
             false => (**r).cmp(relation),
         })
@@ -739,40 +736,15 @@ impl Marks {
 
     /// The mark of `relation`, if it is named.
     pub fn get(&self, relation: &str) -> Option<usize> {
-        self.find(relation).ok().map(|at| self.entries()[at].1)
-    }
-
-    /// The mark at entry `at`.
-    fn mark_mut(&mut self, at: usize) -> &mut usize {
-        match &mut self.0 {
-            Entries::None => unreachable!("no entry"),
-            Entries::One((_, mark)) => mark,
-            Entries::Many(entries) => &mut entries[at].1,
-        }
-    }
-
-    /// Names `relation`, absent so far, at entry `at`.
-    fn name_at(&mut self, at: usize, relation: Arc<str>, mark: usize) {
-        self.0 = match std::mem::take(&mut self.0) {
-            Entries::None => Entries::One((relation, mark)),
-            Entries::One(held) => {
-                let mut entries = vec![held];
-                entries.insert(at, (relation, mark));
-                Entries::Many(entries)
-            }
-            Entries::Many(mut entries) => {
-                entries.insert(at, (relation, mark));
-                Entries::Many(entries)
-            }
-        }
+        self.find(relation).ok().map(|at| self.0.entries()[at].1)
     }
 
     /// Sets the mark of `relation`, returning the one it replaced.
     pub fn insert(&mut self, relation: Arc<str>, mark: usize) -> Option<usize> {
         match self.find(&relation) {
-            Ok(at) => Some(std::mem::replace(self.mark_mut(at), mark)),
+            Ok(at) => Some(std::mem::replace(&mut self.0.entries_mut()[at].1, mark)),
             Err(at) => {
-                self.name_at(at, relation, mark);
+                self.0.insert_at(at, relation, mark);
                 None
             }
         }
@@ -783,10 +755,10 @@ impl Marks {
     pub fn raise(&mut self, relation: &Arc<str>, mark: usize) {
         match self.find(relation) {
             Ok(at) => {
-                let held = self.mark_mut(at);
+                let held = &mut self.0.entries_mut()[at].1;
                 *held = (*held).max(mark);
             }
-            Err(at) => self.name_at(at, Arc::clone(relation), mark),
+            Err(at) => self.0.insert_at(at, Arc::clone(relation), mark),
         }
     }
 
@@ -803,7 +775,7 @@ impl std::ops::Index<&str> for Marks {
 
     fn index(&self, relation: &str) -> &usize {
         match self.find(relation) {
-            Ok(at) => &self.entries()[at].1,
+            Ok(at) => &self.0.entries()[at].1,
             Err(_) => panic!("no mark for relation `{relation}`"),
         }
     }
@@ -829,7 +801,7 @@ impl<'a> IntoIterator for &'a Marks {
     >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries().iter().map(|(r, mark)| (r, *mark))
+        self.0.entries().iter().map(|(r, mark)| (r, *mark))
     }
 }
 
@@ -916,16 +888,19 @@ pub fn evaluate_bindings_since_planned(
         };
         let union = union.get_or_insert_with(|| {
             let mut set = RowSet::new(first.vars.len());
-            set.extend(first.rows());
+            set.extend(first.rows.iter());
             set
         });
-        union.extend(delta.rows());
+        union.extend(delta.rows.iter());
     }
     Ok(match (first, union) {
-        (None, _) => Bindings::from_flat(body.full.vars.clone(), 0, Vec::new()),
+        (None, _) => Bindings::distinct(body.full.vars.clone(), 0, Vec::new()),
         (Some(only), None) => only,
         // Every plan of one body binds its variables in the same slots.
-        (Some(first), Some(set)) => Bindings::from_set(first.vars, set),
+        (Some(first), Some(rows)) => Bindings {
+            vars: first.vars,
+            rows,
+        },
     })
 }
 
@@ -970,7 +945,7 @@ mod tests {
         let mut marks = Marks::new();
         assert_eq!((marks.len(), marks.get("b"), marks.mark("b")), (0, None, 0));
         assert_eq!(marks.insert(name("b"), 3), None);
-        assert!(matches!(marks.0, Entries::One(_)), "one relation inline");
+        assert!(!marks.0.spilled(), "one relation inline");
         assert_eq!(marks.insert(name("b"), 5), Some(3));
         marks.raise(&name("b"), 4);
         assert_eq!(marks["b"], 5);
@@ -981,9 +956,87 @@ mod tests {
         let entries = [("c", 1), ("a", 9), ("b", 5), ("a", 2)].map(|(r, w)| (name(r), w));
         assert_eq!(entries.into_iter().collect::<Marks>(), marks);
         let one: Marks = [(name("b"), 7)].into_iter().collect();
-        assert!(matches!(one.0, Entries::One(_)));
+        assert!(!one.0.spilled());
         let map: BTreeMap<Arc<str>, usize> = [(name("b"), 7)].into();
         assert_eq!((one.mark("b"), map.mark("b"), map.mark("z")), (7, 7, 0));
+    }
+
+    /// One step of the watermark oracle workload: a relation by its index
+    /// in a pool of four names, a mark, and whether the name is the pool's
+    /// own `Arc` or an equal but distinct one.
+    #[derive(Debug, Clone)]
+    enum MarkOp {
+        Insert(usize, usize, bool),
+        Raise(usize, usize, bool),
+    }
+
+    fn mark_op() -> impl proptest::strategy::Strategy<Value = MarkOp> {
+        use proptest::prelude::*;
+        (any::<bool>(), 0usize..4, 0usize..6, any::<bool>()).prop_map(|(raise, r, w, fresh)| {
+            match raise {
+                true => MarkOp::Raise(r, w, fresh),
+                false => MarkOp::Insert(r, w, fresh),
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Marks against an ordered map of them: every insert's and raise's
+        /// effect, `get`, `mark`, indexing and iteration agree after each
+        /// step, looked up by the entry's own name and by an equal but
+        /// distinct one; and collecting entries with repeated relations
+        /// keeps the later mark of each, as inserting them in turn does.
+        #[test]
+        fn marks_match_an_ordered_map(
+            ops in proptest::collection::vec(mark_op(), 0..24),
+            listed in proptest::collection::vec((0usize..4, 0usize..6), 0..8),
+        ) {
+            use proptest::prelude::*;
+            let pool: Vec<Arc<str>> = ["a", "b", "c", "d"].map(Arc::from).to_vec();
+            let name = |r: usize, fresh: bool| match fresh {
+                true => Arc::<str>::from(&*pool[r]),
+                false => Arc::clone(&pool[r]),
+            };
+            let mut marks = Marks::new();
+            let mut oracle: BTreeMap<Arc<str>, usize> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    MarkOp::Insert(r, w, fresh) => {
+                        prop_assert_eq!(marks.insert(name(r, fresh), w), oracle.insert(name(r, fresh), w));
+                    }
+                    MarkOp::Raise(r, w, fresh) => {
+                        marks.raise(&name(r, fresh), w);
+                        let held = oracle.entry(name(r, fresh)).or_insert(w);
+                        *held = (*held).max(w);
+                    }
+                }
+                prop_assert_eq!(marks.len(), oracle.len());
+                let held: Vec<(&str, usize)> = marks.iter().map(|(r, w)| (&**r, w)).collect();
+                let want: Vec<(&str, usize)> = oracle.iter().map(|(r, w)| (&**r, *w)).collect();
+                prop_assert_eq!(held, want);
+                for (r, own) in pool.iter().enumerate() {
+                    let other = name(r, true);
+                    let want = oracle.get(own).copied();
+                    prop_assert_eq!(marks.get(own), want);
+                    prop_assert_eq!(marks.get(&other), want);
+                    prop_assert_eq!(marks.mark(&other), want.unwrap_or(0));
+                    if let Some(w) = want {
+                        prop_assert_eq!((marks[&**own], marks[&*other]), (w, w));
+                    }
+                }
+            }
+            let entries = listed.iter().map(|&(r, w)| (name(r, r % 2 == 0), w));
+            let collected: Marks = entries.clone().collect();
+            let mut oracle: BTreeMap<Arc<str>, usize> = BTreeMap::new();
+            for (r, w) in entries {
+                oracle.insert(r, w);
+            }
+            let held: Vec<(&str, usize)> = collected.iter().map(|(r, w)| (&**r, w)).collect();
+            let want: Vec<(&str, usize)> = oracle.iter().map(|(r, w)| (&**r, *w)).collect();
+            prop_assert_eq!(held, want);
+        }
     }
 
     /// Constraints over constants alone are decided before the first step:
@@ -1003,13 +1056,13 @@ mod tests {
         ] {
             let (body, _) = compile(query, &db);
             let (bindings, _) = full(&body, &db);
-            assert_eq!(bindings.len(), rows, "{query}");
-            assert_eq!(bindings.rows().count(), rows, "{query}");
+            assert_eq!(bindings.rows.len(), rows, "{query}");
+            assert_eq!(bindings.rows.iter().count(), rows, "{query}");
         }
     }
 
     fn row_set(b: &Bindings) -> HashSet<Vec<Val>> {
-        b.rows().map(<[Val]>::to_vec).collect()
+        b.rows.iter().map(<[Val]>::to_vec).collect()
     }
 
     fn full(body: &CompiledBody, db: &Database) -> (Bindings, EvalMetrics) {
@@ -1099,7 +1152,7 @@ mod tests {
             let (delta, m) = since(&body, &db, &w);
             // Appending (n, n+1) to the chain creates exactly one new join
             // result: (n-1, n, n+1).
-            assert_eq!(delta.len(), 1);
+            assert_eq!(delta.rows.len(), 1);
             m.rows_scanned
         };
         assert_eq!(scanned(10), scanned(1_000));
@@ -1149,7 +1202,7 @@ mod tests {
             "a delta plan with nothing to scan builds no index"
         );
         let (delta, m) = since(&body, &db, &w);
-        assert!(delta.is_empty());
+        assert!(delta.rows.is_empty());
         assert_eq!(delta.vars, body.0.full.vars);
         assert_eq!(m.rows_scanned, 0);
         assert_eq!(m.index_probes, 0);
@@ -1192,7 +1245,7 @@ mod tests {
             body.full.ensure_indexes(&mut other),
             Err(crate::Error::OtherSchema)
         );
-        assert_eq!(full(&body, &db).0.len(), 1);
+        assert_eq!(full(&body, &db).0.rows.len(), 1);
     }
 
     #[test]

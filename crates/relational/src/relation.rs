@@ -250,7 +250,8 @@ impl RowSet {
     /// Membership test on a row of the set's arity, which an indexed set
     /// looks up under `hash(row)`.
     fn holds(&self, row: &[Val], hash: impl Fn(&[Val]) -> u64) -> bool {
-        if !self.indexed() {
+        if !self.indexed() || self.seen.next.len() < self.len {
+            // Under the bound, or distinct rows never indexed.
             return self.iter().any(|held| held == row);
         }
         (self.seen.candidates(hash(row))).any(|p| self.row(p as usize) == row)
@@ -285,6 +286,10 @@ impl RowSet {
                 self.seen = Index::hashed(self.iter(), hash);
             }
             return true;
+        }
+        if self.seen.next.len() < self.len {
+            // Made from distinct rows: membership is built by the first insert.
+            self.seen = Index::hashed(self.iter(), &hash);
         }
         let (data, arity) = (&self.data, self.arity);
         let new =
@@ -348,24 +353,23 @@ impl RowSet {
 
     /// The first `rows` rows of a flat, row-major buffer, distinct already
     /// (the caller guarantees it): the buffer becomes the store as it is,
-    /// and membership is built only past `LINEAR_ROWS` rows, with no row
-    /// compared.
+    /// with no row compared and no membership built. A membership test
+    /// scans such a set; [`RowSet::reindex`] or its first insert builds
+    /// membership.
     pub(crate) fn from_distinct(arity: usize, rows: usize, mut data: Vec<Val>) -> Self {
         data.truncate(rows * arity);
-        let mut set = RowSet {
+        RowSet {
             arity,
             len: rows,
             data,
             seen: Index::default(),
-        };
-        set.reindex();
-        set
+        }
     }
 
     /// Builds membership over the rows held, if the set is large enough to
-    /// keep it.
-    fn reindex(&mut self) {
-        if self.indexed() {
+    /// keep it and holds none (made from distinct rows, or remapped).
+    pub(crate) fn reindex(&mut self) {
+        if self.indexed() && self.seen.next.len() < self.len {
             self.seen = Index::hashed(self.iter(), |row| key_hash(row));
         }
     }
@@ -386,11 +390,6 @@ impl RowSet {
         (from.min(self.len())..self.len()).map(|pos| self.row(pos))
     }
 
-    /// The rows, flat and row-major, borrowed.
-    pub(crate) fn flat(&self) -> &[Val] {
-        &self.data
-    }
-
     /// Every [`crate::catalog::SymId`] occurring in the rows — the symbols
     /// a persisted copy must carry a dictionary for.
     pub fn syms(&self) -> impl Iterator<Item = crate::catalog::SymId> + '_ {
@@ -406,6 +405,7 @@ impl RowSet {
                 *id = f(*id);
             }
         }
+        self.seen = Index::default();
         self.reindex();
     }
 
@@ -809,6 +809,37 @@ mod tests {
         assert!(copy.contains(&tup(40, 4)) && copy.contains(&tup(0, 1)));
         assert!(!copy.insert_row(&tup(3, 1)));
         assert_eq!(copy.rows.seen.candidates(7).count(), 0);
+    }
+
+    /// A set made from distinct rows past the linear bound builds no
+    /// membership: a membership test scans it, its first insert builds
+    /// membership over every row before it looks the new one up, and
+    /// `reindex` builds it once and then keeps it.
+    #[test]
+    fn a_distinct_set_builds_membership_when_first_needed() {
+        let n = 3 * LINEAR_ROWS;
+        let flat = |rows: std::ops::Range<i64>| rows.map(Val::Int).collect::<Vec<_>>();
+        let mut set = RowSet::from_distinct(1, n, flat(0..n as i64));
+        assert!(set.seen.next.is_empty(), "no membership built");
+        assert!(set.contains(&[Val::Int(5)]) && !set.contains(&[Val::Int(-1)]));
+        assert!(
+            !set.insert(&[Val::Int(n as i64 - 1)]),
+            "a held row is found"
+        );
+        assert_eq!(set.seen.next.len(), n, "the insert built membership");
+        assert!(set.insert(&[Val::Int(-1)]) && set.contains(&[Val::Int(-1)]));
+        assert_eq!((set.len(), set.seen.next.len()), (n + 1, n + 1));
+
+        let mut kept = RowSet::from_distinct(1, n, flat(0..n as i64));
+        kept.reindex();
+        assert_eq!(kept.seen.next.len(), n);
+        let buckets = kept.seen.buckets.len();
+        kept.reindex();
+        assert_eq!(
+            (kept.seen.next.len(), kept.seen.buckets.len()),
+            (n, buckets)
+        );
+        assert!(!kept.insert(&[Val::Int(0)]));
     }
 
     /// `from_flat` keeps what a `Vec` dedup keeps, in the same order, below,

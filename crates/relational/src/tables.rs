@@ -1,20 +1,22 @@
-//! Flat control-plane tables.
+//! Flat sorted tables: the control-plane maps a peer keeps, and the
+//! watermarks ([`crate::query::Marks`]) a delta evaluation reads.
 //!
 //! The session / subscription / dictionary tables used to be nested
 //! `BTreeMap`s: fine at ring(8), but at 10k+ peers every delivery paid a
 //! pointer-chasing tree walk per lookup and an allocation per node touched.
-//! `VecMap` is the arena pattern from the columnar data-plane rewrite
-//! (PR 4) applied to the control plane: one sorted `Vec<(K, V)>` per table,
+//! `VecMap` is the arena pattern of the columnar row store applied to the
+//! control plane: one sorted `Vec<(K, V)>` per table,
 //! binary-searched lookups, contiguous iteration, `clear()` that keeps its
 //! capacity. The tables these peers hold are small-to-medium and
 //! insert-mostly-at-the-end (session epochs grow monotonically), which is
 //! exactly where a sorted vec beats a tree.
 //!
 //! The session tables — a peer's live sessions and the sessions retired
-//! there — are `InlineMap`s instead: sorted the same way, but holding
-//! their first entry inline and spilling to a sorted `Vec` past it. One
-//! live session and one retired epoch per root is what a peer holds almost
-//! always, so a session message finds its entry in the peer's own memory,
+//! there — and a fragment's watermarks are `InlineMap`s instead: sorted the
+//! same way, but holding their first entry inline and spilling to a sorted
+//! `Vec` past it. One live session and one retired epoch per root is what
+//! a peer holds almost always, and one relation or two what a fragment
+//! reads, so a session message finds its entry in the peer's own memory,
 //! and a peer between sessions holds no heap block for them.
 //!
 //! The `BTreeMap` originals are gone from the runtime but survive as the
@@ -26,7 +28,7 @@ use std::ops::{Bound, RangeBounds};
 /// A map over a flat sorted vector. Drop-in for the `BTreeMap` subset the
 /// control plane uses: ordered iteration, range scans, entry-or-default.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct VecMap<K, V> {
+pub struct VecMap<K, V> {
     entries: Vec<(K, V)>,
 }
 
@@ -38,29 +40,34 @@ impl<K, V> Default for VecMap<K, V> {
     }
 }
 
-impl<K: Ord + Copy, V> VecMap<K, V> {
+impl<K: Ord, V> VecMap<K, V> {
     /// Index of `key`, or where it would be inserted.
     fn probe(&self, key: &K) -> Result<usize, usize> {
         self.entries.binary_search_by(|(k, _)| k.cmp(key))
     }
 
     /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.entries.len()
     }
 
+    /// True iff the table holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
     /// Drops all entries, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.entries.clear();
     }
 
     /// Looks a key up.
-    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+    pub fn get(&self, key: &K) -> Option<&V> {
         self.probe(key).ok().map(|i| &self.entries[i].1)
     }
 
     /// Mutable lookup.
-    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         match self.probe(key) {
             Ok(i) => Some(&mut self.entries[i].1),
             Err(_) => None,
@@ -68,12 +75,12 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// True iff the key is present.
-    pub(crate) fn contains_key(&self, key: &K) -> bool {
+    pub fn contains_key(&self, key: &K) -> bool {
         self.probe(key).is_ok()
     }
 
     /// Inserts, returning the previous value if any.
-    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         match self.probe(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
@@ -84,7 +91,7 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// Removes, returning the value if it was present.
-    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove(&mut self, key: &K) -> Option<V> {
         match self.probe(key) {
             Ok(i) => Some(self.entries.remove(i).1),
             Err(_) => None,
@@ -92,7 +99,7 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// The entry for `key`, default-inserted if absent.
-    pub(crate) fn or_default(&mut self, key: K) -> &mut V
+    pub fn or_default(&mut self, key: K) -> &mut V
     where
         V: Default,
     {
@@ -107,33 +114,38 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     /// Entries in key order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
     /// Keys in order.
-    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
     }
 
     /// Values in key order.
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+    pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
     /// Mutable values in key order.
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 
     /// Entries in key order, values mutable.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
         self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    }
+
+    /// Keeps only the entries the predicate approves (order preserved).
+    pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
+        self.entries.retain_mut(|(k, v)| f(k, v));
     }
 
     /// Entries within a key range, in order — two binary searches and a
     /// slice walk.
-    pub(crate) fn range<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
+    pub fn range<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
         self.entries[span(&self.entries, &range)]
             .iter()
             .map(|(k, v)| (k, v))
@@ -155,20 +167,6 @@ fn span<K: Ord, V>(entries: &[(K, V)], range: &impl RangeBounds<K>) -> std::ops:
     lo..hi.max(lo)
 }
 
-impl<K: Ord + Copy, V> VecMap<K, V> {
-    /// Keeps only the entries the predicate approves (order preserved).
-    pub(crate) fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        self.entries.retain_mut(|(k, v)| f(k, v));
-    }
-}
-
-impl<K: Ord + Copy, V> std::ops::Index<&K> for VecMap<K, V> {
-    type Output = V;
-    fn index(&self, key: &K) -> &V {
-        self.get(key).expect("no entry found for key")
-    }
-}
-
 impl<K, V> IntoIterator for VecMap<K, V> {
     type Item = (K, V);
     type IntoIter = std::vec::IntoIter<(K, V)>;
@@ -177,25 +175,15 @@ impl<K, V> IntoIterator for VecMap<K, V> {
     }
 }
 
-impl<K: Ord + Copy, V> FromIterator<(K, V)> for VecMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut m = VecMap::default();
-        for (k, v) in iter {
-            m.insert(k, v);
-        }
-        m
-    }
-}
-
 /// A sorted map that holds its first entry inline and spills to a sorted
-/// `Vec` past it — for the tables a peer touches on every delivery and
-/// that hold one entry almost always: its live sessions and the sessions
-/// retired here (one live session and one retired epoch per root). Such a
+/// `Vec` past it — for the tables read on every delivery that hold one
+/// entry almost always: a peer's live sessions and the sessions retired
+/// there (one of each per root), a fragment's watermarks. Such a
 /// table costs no heap block, and a lookup reads the peer's own memory.
 /// Once spilled it stays a `Vec`, which keeps its capacity, so a table that
 /// goes 1 ↔ 2 entries does not allocate each time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct InlineMap<K, V>(Slots<K, V>);
+pub struct InlineMap<K, V>(Slots<K, V>);
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Slots<K, V> {
@@ -210,9 +198,9 @@ impl<K, V> Default for InlineMap<K, V> {
     }
 }
 
-impl<K: Ord + Copy, V> InlineMap<K, V> {
+impl<K: Ord, V> InlineMap<K, V> {
     /// The entries, in key order.
-    pub(crate) fn entries(&self) -> &[(K, V)] {
+    pub fn entries(&self) -> &[(K, V)] {
         match &self.0 {
             Slots::Empty => &[],
             Slots::One(entry) => std::slice::from_ref(entry),
@@ -220,7 +208,7 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
         }
     }
 
-    fn entries_mut(&mut self) -> &mut [(K, V)] {
+    pub(crate) fn entries_mut(&mut self) -> &mut [(K, V)] {
         match &mut self.0 {
             Slots::Empty => &mut [],
             Slots::One(entry) => std::slice::from_mut(entry),
@@ -229,8 +217,13 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.entries().len()
+    }
+
+    /// True iff the table holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries().is_empty()
     }
 
     fn probe(&self, key: &K) -> Result<usize, usize> {
@@ -238,38 +231,44 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Looks a key up.
-    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+    pub fn get(&self, key: &K) -> Option<&V> {
         self.probe(key).ok().map(|i| &self.entries()[i].1)
     }
 
     /// Inserts, returning the previous value if any.
-    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         match self.probe(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries_mut()[i].1, value)),
             Err(i) => {
-                self.0 = match std::mem::replace(&mut self.0, Slots::Empty) {
-                    Slots::Empty => Slots::One((key, value)),
-                    Slots::One(held) => {
-                        let mut entries = Vec::with_capacity(2);
-                        entries.push(held);
-                        entries.insert(i, (key, value));
-                        Slots::Many(entries)
-                    }
-                    Slots::Many(mut entries) => {
-                        entries.insert(i, (key, value));
-                        Slots::Many(entries)
-                    }
-                };
+                self.insert_at(i, key, value);
                 None
             }
         }
+    }
+
+    /// Inserts `key`, absent so far, at position `at` of
+    /// [`InlineMap::entries`], where it sorts.
+    pub(crate) fn insert_at(&mut self, at: usize, key: K, value: V) {
+        self.0 = match std::mem::replace(&mut self.0, Slots::Empty) {
+            Slots::Empty => Slots::One((key, value)),
+            Slots::One(held) => {
+                let mut entries = Vec::with_capacity(2);
+                entries.push(held);
+                entries.insert(at, (key, value));
+                Slots::Many(entries)
+            }
+            Slots::Many(mut entries) => {
+                entries.insert(at, (key, value));
+                Slots::Many(entries)
+            }
+        };
     }
 
     /// Removes the entry at position `at` of [`InlineMap::entries`].
     ///
     /// # Panics
     /// Panics if `at` is out of bounds.
-    pub(crate) fn remove_at(&mut self, at: usize) -> (K, V) {
+    pub fn remove_at(&mut self, at: usize) -> (K, V) {
         match &mut self.0 {
             Slots::Many(entries) => entries.remove(at),
             slots => match std::mem::replace(slots, Slots::Empty) {
@@ -280,12 +279,12 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Removes, returning the value if it was present.
-    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove(&mut self, key: &K) -> Option<V> {
         self.probe(key).ok().map(|i| self.remove_at(i).1)
     }
 
     /// Removes every entry within a key range.
-    pub(crate) fn remove_range<R: RangeBounds<K>>(&mut self, range: R) {
+    pub fn remove_range<R: RangeBounds<K>>(&mut self, range: R) {
         let at = span(self.entries(), &range);
         match &mut self.0 {
             Slots::Many(entries) => drop(entries.drain(at)),
@@ -295,7 +294,7 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Drops all entries, keeping a spilled table's allocation.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         match &mut self.0 {
             Slots::Many(entries) => entries.clear(),
             slots => *slots = Slots::Empty,
@@ -303,18 +302,18 @@ impl<K: Ord + Copy, V> InlineMap<K, V> {
     }
 
     /// Values in key order.
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+    pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries().iter().map(|(_, v)| v)
     }
 
     /// Mutable values in key order.
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries_mut().iter_mut().map(|(_, v)| v)
     }
 
     /// Whether the entries spilled to the heap.
     #[cfg(test)]
-    fn spilled(&self) -> bool {
+    pub(crate) fn spilled(&self) -> bool {
         matches!(self.0, Slots::Many(_))
     }
 }

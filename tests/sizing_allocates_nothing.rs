@@ -19,7 +19,7 @@
 //! The counting allocator below is this test binary's global allocator; it
 //! counts per thread, so the test harness's own threads do not disturb it.
 
-use p2pdb::core::joins::{join_parts, VarRows};
+use p2pdb::core::joins::join_parts;
 use p2pdb::core::messages::{Answer, AnswerRows, ProtocolMsg, Query, Start, Via};
 use p2pdb::core::netfile::{NetworkFile, NodeDecl, RuleDecl};
 use p2pdb::core::peer::{DbPeer, Subscription};
@@ -32,7 +32,7 @@ use p2pdb::net::{
 };
 use p2pdb::relational::chase::{ChaseConfig, ChaseOutcome, ChaseState, CompiledHead};
 use p2pdb::relational::query::{
-    evaluate_bindings_since_planned, Atom, CompiledBody, EvalMetrics, Idents, Marks, Term,
+    evaluate_bindings_since_planned, Atom, Bindings, CompiledBody, EvalMetrics, Idents, Marks, Term,
 };
 use p2pdb::relational::{
     key_hash, ColumnType, Database, DatabaseSchema, NullFactory, Relation, RelationSchema, RowSet,
@@ -655,14 +655,18 @@ fn a_two_atom_delta_builds_one_membership_table() {
     let (only_b, b_alone) = allocations_in(|| eval(&b_marks));
     let (union, by_hand) = allocations_in(|| {
         let mut set = RowSet::new(only_a.vars.len());
-        set.extend(only_a.rows());
-        set.extend(only_b.rows());
+        set.extend(only_a.rows.iter());
+        set.extend(only_b.rows.iter());
         set
     });
     let (rows, both) = allocations_in(|| eval(&both_marks).into_rows());
     assert_eq!(rows, union);
     assert_eq!(rows, expected);
-    assert!(only_a.len() > 1 && only_b.len() > 1 && rows.len() < only_a.len() + only_b.len());
+    assert!(
+        only_a.rows.len() > 1
+            && only_b.rows.len() > 1
+            && rows.len() < only_a.rows.len() + only_b.rows.len()
+    );
     println!("{both} allocations: {a_alone} and {b_alone} for the plans, {by_hand} for the union");
     assert_eq!(
         both,
@@ -782,7 +786,7 @@ fn a_second_peer_of_one_shape_compiles_nothing() {
 #[test]
 fn a_seminaive_join_allocates_only_buffer_growth() {
     let n = 10_000;
-    let fragment = |vars: [&str; 2], row: fn(i64) -> [Val; 2]| VarRows {
+    let fragment = |vars: [&str; 2], row: fn(i64) -> [Val; 2]| Bindings {
         vars: vars.map(Arc::from).into(),
         rows: RowSet::from_flat(2, n as usize, (0..n).flat_map(row).collect()),
     };
